@@ -13,7 +13,6 @@
 package dataplane
 
 import (
-	"context"
 	"errors"
 	"sort"
 	"sync"
@@ -87,12 +86,19 @@ func (s *Stats) Snapshot() StatsSnapshot {
 	}
 }
 
+// Waiter is one parked resolve: a lookup registered for a key that has not
+// published yet.
+type Waiter struct {
+	key  string
+	wake func(Loc, error)
+}
+
 // Broker is one job's location table. All methods are safe for concurrent
 // use; returned Locs are copies, so callers never race the table.
 type Broker struct {
 	mu      sync.Mutex
 	locs    map[string]*Loc
-	waiters map[string]chan struct{} // closed when the key publishes
+	waiters map[string][]*Waiter // parked resolves, woken when the key publishes
 	closed  bool
 	stats   *Stats
 }
@@ -102,7 +108,7 @@ type Broker struct {
 func NewBroker(stats *Stats) *Broker {
 	return &Broker{
 		locs:    make(map[string]*Loc),
-		waiters: make(map[string]chan struct{}),
+		waiters: make(map[string][]*Waiter),
 		stats:   stats,
 	}
 }
@@ -119,19 +125,28 @@ func (b *Broker) Put(l Loc) error {
 	}
 	cp := l
 	b.locs[l.Key] = &cp
-	ch := b.waiters[l.Key]
+	woken := b.waiters[l.Key]
 	delete(b.waiters, l.Key)
 	b.mu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
 	if b.stats != nil {
 		b.stats.Puts.Add(1)
 		if len(l.Inline) > 0 {
 			b.stats.InlinePuts.Add(1)
 		}
 	}
+	b.wake(woken, l)
 	return nil
+}
+
+// wake answers parked resolves with the location that just published.
+// Called outside b.mu.
+func (b *Broker) wake(woken []*Waiter, l Loc) {
+	for _, w := range woken {
+		if b.stats != nil {
+			b.stats.Resolves.Add(1)
+		}
+		w.wake(l, nil)
+	}
 }
 
 // Lookup returns the key's location without blocking.
@@ -145,43 +160,54 @@ func (b *Broker) Lookup(key string) (Loc, bool) {
 	return *l, true
 }
 
-// Resolve returns the key's location, blocking until the key publishes,
-// the broker closes (ErrClosed), or ctx expires (ctx.Err()). The caller
-// bounds ctx with its park window and answers Retry on deadline.
-func (b *Broker) Resolve(ctx context.Context, key string) (Loc, error) {
-	parked := false
-	for {
-		b.mu.Lock()
-		if b.closed {
-			b.mu.Unlock()
-			return Loc{}, ErrClosed
-		}
-		if l, ok := b.locs[key]; ok {
-			cp := *l
-			b.mu.Unlock()
-			if b.stats != nil {
-				b.stats.Resolves.Add(1)
-			}
-			return cp, nil
-		}
-		ch, ok := b.waiters[key]
-		if !ok {
-			ch = make(chan struct{})
-			b.waiters[key] = ch
-		}
+// Await resolves a key without blocking: a published key returns its
+// location; an unpublished one registers a Waiter and returns it instead.
+// A registered waiter's wake runs exactly once — with the location when the
+// key publishes, or with ErrClosed when the broker closes — unless Cancel
+// withdraws it first (the caller's park window lapsed). wake is called
+// outside the broker's lock, on the goroutine of the Put, Restore or Close
+// that fired it, and must not block.
+func (b *Broker) Await(key string, wake func(Loc, error)) (Loc, *Waiter, error) {
+	b.mu.Lock()
+	if b.closed {
 		b.mu.Unlock()
-		if !parked {
-			parked = true
-			if b.stats != nil {
-				b.stats.Parks.Add(1)
-			}
+		return Loc{}, nil, ErrClosed
+	}
+	if l, ok := b.locs[key]; ok {
+		cp := *l
+		b.mu.Unlock()
+		if b.stats != nil {
+			b.stats.Resolves.Add(1)
 		}
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return Loc{}, ctx.Err()
+		return cp, nil, nil
+	}
+	w := &Waiter{key: key, wake: wake}
+	b.waiters[key] = append(b.waiters[key], w)
+	b.mu.Unlock()
+	if b.stats != nil {
+		b.stats.Parks.Add(1)
+	}
+	return Loc{}, w, nil
+}
+
+// Cancel withdraws a parked resolve. It reports true when the waiter was
+// still registered, in which case its wake will never run; false means a
+// Put, Restore or Close already claimed it.
+func (b *Broker) Cancel(w *Waiter) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	ws := b.waiters[w.key]
+	for i, x := range ws {
+		if x == w {
+			if len(ws) == 1 {
+				delete(b.waiters, w.key)
+			} else {
+				b.waiters[w.key] = append(ws[:i], ws[i+1:]...)
+			}
+			return true
 		}
 	}
+	return false
 }
 
 // Invalidate drops the key's advert when it still points at the given node
@@ -251,15 +277,14 @@ func (b *Broker) Close() {
 		return
 	}
 	b.closed = true
-	chans := make([]chan struct{}, 0, len(b.waiters))
-	for _, ch := range b.waiters {
-		chans = append(chans, ch)
-	}
-	b.waiters = make(map[string]chan struct{})
+	woken := b.waiters
+	b.waiters = make(map[string][]*Waiter)
 	b.locs = make(map[string]*Loc)
 	b.mu.Unlock()
-	for _, ch := range chans {
-		close(ch)
+	for _, ws := range woken {
+		for _, w := range ws {
+			w.wake(Loc{}, ErrClosed)
+		}
 	}
 }
 
@@ -287,16 +312,25 @@ func (b *Broker) Entries() []Loc {
 // without counting them as new puts.
 func (b *Broker) Restore(locs []Loc) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.closed {
+		b.mu.Unlock()
 		return
 	}
+	type wakeup struct {
+		ws []*Waiter
+		l  Loc
+	}
+	var woken []wakeup
 	for _, l := range locs {
 		cp := l
 		b.locs[l.Key] = &cp
-		if ch, ok := b.waiters[l.Key]; ok {
+		if ws, ok := b.waiters[l.Key]; ok {
 			delete(b.waiters, l.Key)
-			close(ch)
+			woken = append(woken, wakeup{ws, l})
 		}
+	}
+	b.mu.Unlock()
+	for _, wu := range woken {
+		b.wake(wu.ws, wu.l)
 	}
 }

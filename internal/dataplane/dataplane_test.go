@@ -1,12 +1,26 @@
 package dataplane
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"testing"
 	"time"
 )
+
+// answer is what a resolve produced: through Await's return for a published
+// key, through the waiter's wake for a parked one.
+type answer struct {
+	loc Loc
+	err error
+}
+
+// await resolves key, returning the immediate answer or — when the resolve
+// parked — the waiter plus the channel its wake will deliver on.
+func await(b *Broker, key string) (answer, *Waiter, <-chan answer) {
+	ch := make(chan answer, 1)
+	l, w, err := b.Await(key, func(l Loc, err error) { ch <- answer{l, err} })
+	return answer{l, err}, w, ch
+}
 
 func TestPutThenResolve(t *testing.T) {
 	var stats Stats
@@ -15,12 +29,12 @@ func TestPutThenResolve(t *testing.T) {
 	if err := b.Put(in); err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.Resolve(context.Background(), "k")
-	if err != nil {
-		t.Fatal(err)
+	got, w, _ := await(b, "k")
+	if got.err != nil || w != nil {
+		t.Fatalf("published key parked or failed: %v", got.err)
 	}
-	if got.Node != "n1" || got.Digest != "d1" || got.Size != 10 || got.Task != "t1" {
-		t.Errorf("resolved %+v", got)
+	if l := got.loc; l.Node != "n1" || l.Digest != "d1" || l.Size != 10 || l.Task != "t1" {
+		t.Errorf("resolved %+v", l)
 	}
 	s := stats.Snapshot()
 	if s.Puts != 1 || s.Resolves != 1 || s.Parks != 0 {
@@ -28,62 +42,78 @@ func TestPutThenResolve(t *testing.T) {
 	}
 }
 
-// TestResolveParksUntilPut: a resolve issued before the advert must block
-// and wake when the key publishes.
+// TestResolveParksUntilPut: a resolve issued before the advert registers a
+// waiter, and the publishing Put wakes it with the location.
 func TestResolveParksUntilPut(t *testing.T) {
 	var stats Stats
 	b := NewBroker(&stats)
-	done := make(chan Loc, 1)
-	go func() {
-		l, err := b.Resolve(context.Background(), "late")
-		if err != nil {
-			t.Error(err)
-		}
-		done <- l
-	}()
-	// Let the resolver park, then publish.
-	time.Sleep(10 * time.Millisecond)
+	_, w, woke := await(b, "late")
+	if w == nil {
+		t.Fatal("unpublished key did not park")
+	}
+	select {
+	case a := <-woke:
+		t.Fatalf("woke before the key published: %+v", a)
+	default:
+	}
 	if err := b.Put(Loc{Key: "late", Node: "n2", Digest: "d"}); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case l := <-done:
-		if l.Node != "n2" {
-			t.Errorf("woke with %+v", l)
+	case a := <-woke:
+		if a.err != nil || a.loc.Node != "n2" {
+			t.Errorf("woke with %+v", a)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("parked resolve never woke")
+	default:
+		t.Fatal("Put returned without waking the parked resolve")
 	}
-	if s := stats.Snapshot(); s.Parks != 1 {
-		t.Errorf("parks = %d, want 1", s.Parks)
+	if b.Cancel(w) {
+		t.Error("Cancel withdrew a waiter Put already answered")
+	}
+	if s := stats.Snapshot(); s.Parks != 1 || s.Resolves != 1 {
+		t.Errorf("stats %+v, want 1 park and 1 resolve", s)
 	}
 }
 
+// TestResolveDeadline: a park whose window lapsed withdraws its waiter with
+// Cancel, after which a publish neither wakes it nor counts a resolve.
 func TestResolveDeadline(t *testing.T) {
-	b := NewBroker(nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := b.Resolve(ctx, "never"); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("err = %v, want deadline", err)
+	var stats Stats
+	b := NewBroker(&stats)
+	_, w, woke := await(b, "never")
+	if !b.Cancel(w) {
+		t.Fatal("Cancel of a registered waiter reported false")
+	}
+	if b.Cancel(w) {
+		t.Error("second Cancel reported true")
+	}
+	if err := b.Put(Loc{Key: "never", Node: "n1", Digest: "d"}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case a := <-woke:
+		t.Errorf("cancelled waiter woke: %+v", a)
+	default:
+	}
+	if s := stats.Snapshot(); s.Resolves != 0 {
+		t.Errorf("resolves = %d after a cancelled park, want 0", s.Resolves)
 	}
 }
 
 func TestCloseWakesWaiters(t *testing.T) {
 	b := NewBroker(nil)
-	errc := make(chan error, 1)
-	go func() {
-		_, err := b.Resolve(context.Background(), "k")
-		errc <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
+	_, _, woke := await(b, "k")
 	b.Close()
 	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrClosed) {
-			t.Errorf("err = %v, want ErrClosed", err)
+	case a := <-woke:
+		if !errors.Is(a.err, ErrClosed) {
+			t.Errorf("err = %v, want ErrClosed", a.err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("waiter never woke on close")
+	default:
+		t.Fatal("Close returned without waking the waiter")
+	}
+	if a, _, _ := await(b, "k"); !errors.Is(a.err, ErrClosed) {
+		t.Errorf("resolve after close: %v", a.err)
 	}
 	if err := b.Put(Loc{Key: "k"}); !errors.Is(err, ErrClosed) {
 		t.Errorf("put after close: %v", err)
@@ -154,9 +184,8 @@ func TestRepublishOverwrites(t *testing.T) {
 	b := NewBroker(nil)
 	_ = b.Put(Loc{Key: "k", Node: "n1", Digest: "old"})
 	_ = b.Put(Loc{Key: "k", Node: "n2", Digest: "new"})
-	l, err := b.Resolve(context.Background(), "k")
-	if err != nil || l.Node != "n2" || l.Digest != "new" {
-		t.Errorf("resolve after republish: %+v, %v", l, err)
+	if a, _, _ := await(b, "k"); a.err != nil || a.loc.Node != "n2" || a.loc.Digest != "new" {
+		t.Errorf("resolve after republish: %+v", a)
 	}
 }
 
@@ -171,10 +200,21 @@ func TestEntriesRestore(t *testing.T) {
 		t.Fatalf("entries = %+v", entries)
 	}
 	adopted := NewBroker(nil)
+	_, w, woke := await(adopted, "b")
+	if w == nil {
+		t.Fatal("resolve on an empty adopted broker did not park")
+	}
 	adopted.Restore(entries)
-	l, err := adopted.Resolve(context.Background(), "a")
-	if err != nil || l.Digest != "d1" || len(l.Inline) != 1 {
-		t.Errorf("restored resolve: %+v, %v", l, err)
+	select {
+	case a := <-woke:
+		if a.err != nil || a.loc.Digest != "d2" {
+			t.Errorf("parked resolve woke with %+v", a)
+		}
+	default:
+		t.Fatal("Restore returned without waking the parked resolve")
+	}
+	if a, _, _ := await(adopted, "a"); a.err != nil || a.loc.Digest != "d1" || len(a.loc.Inline) != 1 {
+		t.Errorf("restored resolve: %+v", a)
 	}
 }
 
@@ -185,15 +225,22 @@ func TestConcurrentPutResolve(t *testing.T) {
 	b := NewBroker(&stats)
 	const keys = 64
 	var wg sync.WaitGroup
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
 	for i := 0; i < keys; i++ {
 		key := string(rune('a'+i%26)) + string(rune('0'+i/26))
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			if _, err := b.Resolve(ctx, key); err != nil {
-				t.Errorf("resolve %q: %v", key, err)
+			a, w, woke := await(b, key)
+			if w != nil {
+				select {
+				case a = <-woke:
+				case <-time.After(10 * time.Second):
+					t.Errorf("resolve %q never woke", key)
+					return
+				}
+			}
+			if a.err != nil || a.loc.Digest != key {
+				t.Errorf("resolve %q: %+v", key, a)
 			}
 		}()
 		go func() {

@@ -3,8 +3,9 @@
 // Producers advertise each published output with KindDataPut — key, digest,
 // size, serving node, and (for payloads at most DataInlineMax) the bytes
 // themselves. Consumers look keys up with KindDataResolve; an unpublished
-// key parks the handler goroutine for the request's window and answers
-// Retry when it lapses, the same shape as the blocking tuple-space ops.
+// key registers a waiter with the job's broker for the request's window and
+// answers Retry when it lapses, the same shape as the blocking tuple-space
+// ops: no goroutine waits, the publishing DATA_PUT answers the resolve.
 // Either way the JobManager carries locations, not payloads: the bytes move
 // producer-to-consumer over KindDataFetch chunk pulls between the two
 // TaskManagers, so the manager's data-plane cost per key is one advert and
@@ -13,8 +14,6 @@
 package jobmgr
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -77,19 +76,22 @@ func (jm *JobManager) HandleDataPut(m *msg.Message) *msg.Message {
 	return dataReply(m, &protocol.DataLocResp{Key: req.Key, Digest: req.Digest, Node: req.Node, Size: req.Size})
 }
 
-// HandleDataResolve processes a consumer's KindDataResolve and returns the
-// KindDataLoc reply. An unpublished key parks the calling goroutine up to
-// the clamped window; the server must invoke this handler off the
-// endpoint's dispatch loop. Resolve replies are non-destructive, so a
-// lapsed park simply answers Retry — no cancel protocol is needed.
-func (jm *JobManager) HandleDataResolve(m *msg.Message) *msg.Message {
+// HandleDataResolve processes a consumer's KindDataResolve and sends the
+// KindDataLoc reply itself: at once for a published key, otherwise from the
+// DATA_PUT (or broker close) that later claims the registered waiter, or
+// from the park window's timer. It never blocks: the server runs it on the
+// endpoint's delivering goroutine. Resolve replies are non-destructive, so
+// a lapsed park simply answers Retry — no cancel protocol is needed.
+func (jm *JobManager) HandleDataResolve(m *msg.Message) {
 	var req protocol.DataResolveReq
 	if err := protocol.Decode(m, &req); err != nil {
-		return dataReply(m, &protocol.DataLocResp{Err: "bad data-plane resolve: " + err.Error()})
+		jm.dataSend(m, &protocol.DataLocResp{Err: "bad data-plane resolve: " + err.Error()})
+		return
 	}
 	j, err := jm.job(req.JobID)
 	if err != nil {
-		return dataReply(m, &protocol.DataLocResp{Key: req.Key, Err: err.Error()})
+		jm.dataSend(m, &protocol.DataLocResp{Key: req.Key, Err: err.Error()})
+		return
 	}
 	if req.StaleNode != "" {
 		// The consumer failed to fetch from this advert (the producer's
@@ -103,36 +105,54 @@ func (jm *JobManager) HandleDataResolve(m *msg.Message) *msg.Message {
 			jm.rerunProducer(j, lost)
 		}
 	}
-	park := time.Duration(req.ParkMS) * time.Millisecond
-	if park <= 0 {
-		park = protocol.DataParkWindow
+	var timer parkTimer
+	loc, w, err := j.broker.Await(req.Key, func(loc dataplane.Loc, err error) {
+		timer.stop()
+		jm.dataAnswer(m, req.Key, loc, err)
+	})
+	if w == nil {
+		jm.dataAnswer(m, req.Key, loc, err)
+		return
 	}
-	park = min(max(park, minDataPark), maxDataPark)
-	ctx, cancel := context.WithTimeout(context.Background(), park)
-	defer cancel()
-	loc, err := j.broker.Resolve(ctx, req.Key)
-	switch {
-	case err == nil:
-		resp := &protocol.DataLocResp{Key: loc.Key, Digest: loc.Digest, Node: loc.Node, Size: loc.Size}
-		if len(loc.Inline) > 0 {
-			resp.Data = loc.Inline
-			jm.dpStats.InlineBytes.Add(int64(len(loc.Inline)))
-		}
-		return dataReply(m, resp)
-	case errors.Is(err, dataplane.ErrClosed):
-		return dataReply(m, &protocol.DataLocResp{Key: req.Key, Closed: true})
-	default:
+	window := time.Duration(req.ParkMS) * time.Millisecond
+	if window <= 0 {
+		window = protocol.DataParkWindow
+	}
+	timer.start(min(max(window, minDataPark), maxDataPark), func() {
 		// The park window lapsed unpublished; the consumer re-issues.
-		jm.dpStats.Retries.Add(1)
-		return dataReply(m, &protocol.DataLocResp{Key: req.Key, Retry: true})
+		if j.broker.Cancel(w) {
+			jm.dpStats.Retries.Add(1)
+			jm.dataSend(m, &protocol.DataLocResp{Key: req.Key, Retry: true})
+		}
+	})
+}
+
+// dataAnswer replies to a resolve with the key's location, or with Closed:
+// the one failure a broker reports is its own closing (dataplane.ErrClosed).
+func (jm *JobManager) dataAnswer(m *msg.Message, key string, loc dataplane.Loc, err error) {
+	if err != nil {
+		jm.dataSend(m, &protocol.DataLocResp{Key: key, Closed: true})
+		return
+	}
+	resp := &protocol.DataLocResp{Key: loc.Key, Digest: loc.Digest, Node: loc.Node, Size: loc.Size}
+	if len(loc.Inline) > 0 {
+		resp.Data = loc.Inline
+		jm.dpStats.InlineBytes.Add(int64(len(loc.Inline)))
+	}
+	jm.dataSend(m, resp)
+}
+
+func (jm *JobManager) dataSend(m *msg.Message, resp *protocol.DataLocResp) {
+	if err := jm.send(m.From.Node, dataReply(m, resp)); err != nil {
+		jm.logf("data-plane reply to %s: %v", m.From.Node, err)
 	}
 }
 
 // rerunProducer routes a completed task whose advertised output was lost
 // back through the recovery engine so a consumer parked on the key can
 // eventually be answered by the re-published advert. Placement runs on its
-// own goroutine — the caller is a parked resolve handler whose window
-// should tick against the re-run, not against placement round trips.
+// own goroutine — the caller is the resolve handler on the endpoint's
+// delivering goroutine, which placement round trips must never block.
 func (jm *JobManager) rerunProducer(j *jobState, l dataplane.Loc) {
 	name := l.Task
 	j.mu.Lock()

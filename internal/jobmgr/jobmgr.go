@@ -664,41 +664,6 @@ func (jm *JobManager) job(id string) (*jobState, error) {
 	return j, nil
 }
 
-// HandleCreateTask processes KindCreateTask — the per-task path kept for
-// protocol compatibility. It is a one-element batch: the inline archive
-// bytes become a content-addressed blob and the shared placement engine
-// does the rest. It blocks on solicitation round trips and must run
-// outside the endpoint's dispatch goroutine.
-func (jm *JobManager) HandleCreateTask(m *msg.Message) *msg.Message {
-	var req protocol.CreateTaskReq
-	if err := protocol.Decode(m, &req); err != nil {
-		return jm.errReply(m, fmt.Sprintf("bad create-task request: %v", err))
-	}
-	j, err := jm.job(req.JobID)
-	if err != nil {
-		return jm.errReply(m, err.Error())
-	}
-	item := protocol.TaskCreate{Spec: req.Spec}
-	blobs := map[string][]byte(nil)
-	if len(req.Archive) > 0 {
-		digest := req.Digest
-		if digest == "" {
-			digest = archive.DigestBytes(req.Archive)
-		}
-		item.Archive = protocol.ArchiveRef{Name: req.ArchiveName, Digest: digest}
-		blobs = map[string][]byte{digest: req.Archive}
-	} else if req.Digest != "" {
-		// Digest-only reference: the blob must already be cached on the
-		// TaskManager or stashed with this JobManager by a prior request.
-		item.Archive = protocol.ArchiveRef{Name: req.ArchiveName, Digest: req.Digest}
-	}
-	placements, err := jm.createTasks(j, []protocol.TaskCreate{item}, blobs)
-	if err != nil {
-		return jm.errReply(m, err.Error())
-	}
-	return m.Reply(msg.KindTaskAccepted, msg.MustEncode(protocol.CreateTaskResp{Placement: placements[req.Spec.Name]}))
-}
-
 // HandleCreateTasks processes KindCreateTasks: place an entire task set in
 // one solicitation round, dispatching batched assignments to the chosen
 // nodes in parallel. It blocks and must run outside the endpoint's
@@ -723,7 +688,7 @@ func (jm *JobManager) HandleCreateTasks(m *msg.Message) *msg.Message {
 }
 
 // createTasks validates, places, and records a batch of tasks — the shared
-// engine behind both the batch and the per-task wire paths.
+// engine behind CREATE_TASKS.
 func (jm *JobManager) createTasks(j *jobState, items []protocol.TaskCreate, blobs map[string][]byte) (map[string]string, error) {
 	inBatch := make(map[string]bool, len(items))
 	for _, it := range items {
@@ -1768,12 +1733,18 @@ func (jm *JobManager) Close() {
 	}
 	jm.closed = true
 	close(jm.stop)
+	jobs := make([]*jobState, 0, len(jm.jobs))
 	for _, j := range jm.jobs {
+		jobs = append(jobs, j)
+	}
+	jm.mu.Unlock()
+	// Closing a space or broker answers its parked ops on this goroutine;
+	// those answers must not run under jm.mu.
+	for _, j := range jobs {
 		j.queue.Close()
 		j.space.Close()
 		j.broker.Close()
 	}
-	jm.mu.Unlock()
 	jm.monitor.Close()
 	if jm.peers != nil {
 		jm.peers.Close()

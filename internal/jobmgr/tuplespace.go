@@ -1,20 +1,18 @@
 // Tuple-space host side: each job's coordination space lives with its
 // JobManager, and every task in the job (plus the client) reaches it over
-// the wire through the TS_* request kinds. Blocking In/Rd requests park
-// here against the space's waiters — the handler runs on its own dispatch
-// goroutine, so parking never stalls the endpoint — and are answered when
-// a match arrives or the park window lapses (Retry, re-issued by the
-// caller). Closing the space at job termination fails all parked and
-// future operations with ErrClosed.
+// the wire through the TS_* request kinds. Every op runs to completion on
+// the goroutine that delivered it: Out and the probes answer at once; a
+// blocking In/Rd tries its match and, failing that, registers a waiter with
+// the space — no goroutine waits. The registered op is answered later by
+// whichever event claims its waiter: the Out that supplies a match (on that
+// Out's goroutine), the space closing at job termination (ErrClosed), or
+// the park window's timer (Retry, re-issued by the caller).
 
 package jobmgr
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cn/internal/msg"
@@ -23,206 +21,304 @@ import (
 )
 
 // Park-window clamps: a caller-supplied window is bounded so a malformed
-// request can neither spin the handler nor park a goroutine past every
-// caller's wire deadline. The upper bound stays under TSCallTimeout with
-// room for the reply to travel — a park that outlives the caller's call
-// would answer a dropped correlation, and for TS_IN that destroys the
+// request can neither spin the requester's retry loop nor stay parked past
+// every caller's wire deadline. The upper bound stays under TSCallTimeout
+// with room for the reply to travel — a park that outlives the caller's
+// call would answer a dropped correlation, and for TS_IN that destroys the
 // matched tuple.
 const (
 	minTSPark = 10 * time.Millisecond
 	maxTSPark = protocol.TSCallTimeout - 2*time.Second
 )
 
-// tsPark is one parked blocking op, registered so a KindTSCancel from
-// the requester can abort it: the requester gave up (cancelled task,
-// cancelled client context), nobody holds the correlation anymore, and a
-// tuple destructively matched after that point must go back into the
-// space rather than onto the wire.
-type tsPark struct {
-	cancel  context.CancelFunc
-	aborted atomic.Bool
+// parkTimer bounds one registered park with a single timer. The event that
+// answers the park may run before the registering goroutine has started
+// the timer; stop-before-start leaves the timer unstarted.
+type parkTimer struct {
+	mu      sync.Mutex
+	t       *time.Timer
+	stopped bool
 }
 
-// tsParks indexes parked ops by requester node + request message ID
-// (message IDs are only unique per producing process). Server dispatch
-// runs each message on its own goroutine, so a cancel can be processed
-// BEFORE the op it cancels registers; such early cancels are remembered
-// as tombstones the op consumes at registration.
+// start arms the window unless the park was already answered; lapse runs
+// on the timer's goroutine.
+func (p *parkTimer) start(window time.Duration, lapse func()) {
+	p.mu.Lock()
+	if !p.stopped {
+		p.t = time.AfterFunc(window, lapse)
+	}
+	p.mu.Unlock()
+}
+
+func (p *parkTimer) stop() {
+	p.mu.Lock()
+	p.stopped = true
+	if p.t != nil {
+		p.t.Stop()
+	}
+	p.mu.Unlock()
+}
+
+// tsParkKey identifies a parked op by requester node + request message ID
+// (message IDs are only unique per producing process).
+type tsParkKey struct {
+	node string
+	id   uint64
+}
+
+// tsPark is one blocking op from registration to answer, indexed so a
+// KindTSCancel from the requester can abort it: the requester gave up
+// (cancelled task, cancelled client context), nobody holds the correlation
+// anymore, and a tuple destructively matched after that point must go back
+// into the space rather than onto the wire.
+type tsPark struct {
+	key   tsParkKey
+	j     *jobState
+	req   *msg.Message
+	take  bool // TS_IN (destructive) vs TS_RD
+	timer parkTimer
+
+	// Guarded by tsParks.mu.
+	waiter  *tuplespace.Waiter
+	aborted bool
+}
+
+// tsParks indexes in-flight blocking ops. An op registers on the goroutine
+// that delivered it, so on an in-order fabric a requester's cancel can no
+// longer overtake its own op; a fabric that reorders (MemNetwork with a
+// configured latency, a requester that re-dialed) still can, and such
+// early cancels are remembered as tombstones the op consumes at
+// registration.
 type tsParks struct {
 	mu      sync.Mutex
-	m       map[string]*tsPark
-	aborted map[string]time.Time
+	m       map[tsParkKey]*tsPark
+	aborted map[tsParkKey]time.Time
 }
 
 // tsAbortedCap bounds the early-cancel tombstone set; past it, entries
 // older than any in-flight call could be are swept.
 const tsAbortedCap = 1024
 
-func tsParkKey(node string, reqID uint64) string {
-	return fmt.Sprintf("%s/%d", node, reqID)
-}
-
-// add registers a park. It reports true — and marks the park aborted —
-// when the requester's cancel already arrived; the caller must not wait.
-func (p *tsParks) add(key string, park *tsPark) (preAborted bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.m == nil {
-		p.m = make(map[string]*tsPark)
-		p.aborted = make(map[string]time.Time)
+// add registers an op before it touches the space. It reports true when
+// the requester's cancel already arrived; the caller must not match, park
+// or reply.
+func (ps *tsParks) add(p *tsPark) (preAborted bool) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if ps.m == nil {
+		ps.m = make(map[tsParkKey]*tsPark)
+		ps.aborted = make(map[tsParkKey]time.Time)
 	}
-	if _, ok := p.aborted[key]; ok {
-		delete(p.aborted, key)
-		park.aborted.Store(true)
+	if _, ok := ps.aborted[p.key]; ok {
+		delete(ps.aborted, p.key)
 		return true
 	}
-	p.m[key] = park
+	ps.m[p.key] = p
 	return false
 }
 
-func (p *tsParks) remove(key string) {
-	p.mu.Lock()
-	delete(p.m, key)
-	p.mu.Unlock()
+// setWaiter records the space waiter of an op that had to park, so an
+// abort can withdraw it. It reports true when the abort already happened
+// and found no waiter to withdraw; the caller withdraws it instead.
+func (ps *tsParks) setWaiter(p *tsPark, w *tuplespace.Waiter) (aborted bool) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	p.waiter = w
+	return p.aborted
 }
 
-// abort cancels a parked op on the requester's behalf. An op not (yet)
+// release retires an op that is about to be answered and reports whether
+// its requester cancelled it first. The aborted flag is read under the
+// same lock abort sets it under, so once abort returns, any answer still
+// in flight is guaranteed to observe it and put a destructively taken
+// tuple back instead of replying to the dropped correlation.
+func (ps *tsParks) release(p *tsPark) (aborted bool) {
+	ps.mu.Lock()
+	if ps.m[p.key] == p {
+		delete(ps.m, p.key)
+	}
+	aborted = p.aborted
+	ps.mu.Unlock()
+	p.timer.stop()
+	return aborted
+}
+
+// abort cancels an op on the requester's behalf. An op not (yet)
 // registered leaves a tombstone so an out-of-order registration aborts
 // itself immediately.
-func (p *tsParks) abort(key string) {
-	p.mu.Lock()
-	park, ok := p.m[key]
+func (ps *tsParks) abort(key tsParkKey) {
+	ps.mu.Lock()
+	p, ok := ps.m[key]
 	if !ok {
-		if p.aborted == nil {
-			p.aborted = make(map[string]time.Time)
+		if ps.aborted == nil {
+			ps.aborted = make(map[tsParkKey]time.Time)
 		}
-		p.aborted[key] = time.Now()
-		if len(p.aborted) > tsAbortedCap {
+		ps.aborted[key] = time.Now()
+		if len(ps.aborted) > tsAbortedCap {
 			cutoff := time.Now().Add(-2 * protocol.TSCallTimeout)
-			for k, at := range p.aborted {
+			for k, at := range ps.aborted {
 				if at.Before(cutoff) {
-					delete(p.aborted, k)
+					delete(ps.aborted, k)
 				}
 			}
 		}
-		p.mu.Unlock()
+		ps.mu.Unlock()
 		return
 	}
-	// The aborted flag must be set before the lock is released: tsOp's
-	// remove-then-check runs under the same lock, so once we unlock with
-	// the flag up, any wakeup that still sees its park registered is
-	// guaranteed to observe the abort and put a destructively taken tuple
-	// back instead of replying to the dropped correlation.
-	park.aborted.Store(true)
-	p.mu.Unlock()
-	park.cancel()
+	p.aborted = true
+	delete(ps.m, key)
+	w := p.waiter
+	ps.mu.Unlock()
+	p.timer.stop()
+	if w != nil {
+		// Withdrawn: no answer will ever run. Otherwise one is in flight
+		// and sees the aborted flag.
+		p.j.space.Cancel(w)
+	}
 }
 
 // HandleTSOp processes one tuple-space request (KindTSOut, KindTSIn,
-// KindTSRd, KindTSInP, KindTSRdP) against the owning job's space and
-// returns the KindTSReply. Blocking kinds park the calling goroutine; the
-// server must invoke this handler off the endpoint's dispatch loop.
-func (jm *JobManager) HandleTSOp(m *msg.Message) *msg.Message {
+// KindTSRd, KindTSInP, KindTSRdP) against the owning job's space and sends
+// the KindTSReply itself — at once, or for a blocking op that had to park,
+// from whichever goroutine later answers it. It never blocks: the server
+// runs it on the endpoint's delivering goroutine.
+func (jm *JobManager) HandleTSOp(m *msg.Message) {
 	var req protocol.TSOpReq
 	if err := protocol.Decode(m, &req); err != nil {
-		return tsReply(m, &protocol.TSOpResp{Err: "bad tuple-space request: " + err.Error()})
+		jm.tsReply(nil, m, &protocol.TSOpResp{Err: "bad tuple-space request: " + err.Error()}, nil)
+		return
 	}
 	j, err := jm.job(req.JobID)
 	if err != nil {
-		return tsReply(m, &protocol.TSOpResp{Err: err.Error()})
+		jm.tsReply(nil, m, &protocol.TSOpResp{Err: err.Error()}, nil)
+		return
 	}
-	resp := jm.tsOp(j, m, &req)
-	if resp == nil {
-		return nil // abandoned park; the requester stopped listening
-	}
-	if resp.OK || resp.NoMatch {
-		j.tsOps.Add(1)
-	}
-	return tsReply(m, resp)
-}
-
-func tsReply(m *msg.Message, resp *protocol.TSOpResp) *msg.Message {
-	return m.Reply(msg.KindTSReply, msg.MustEncode(resp))
-}
-
-// tsOp runs one operation against the job's space. A nil response means
-// the op's park was abandoned by its requester and no reply must be sent.
-func (jm *JobManager) tsOp(j *jobState, m *msg.Message, req *protocol.TSOpReq) *protocol.TSOpResp {
-	kind := m.Kind
-	if kind == msg.KindTSOut {
+	if m.Kind == msg.KindTSOut {
 		t, err := protocol.DecodeTuple(req.Fields)
 		if err != nil {
-			return &protocol.TSOpResp{Err: err.Error()}
+			jm.tsReply(j, m, &protocol.TSOpResp{Err: err.Error()}, nil)
+			return
 		}
 		if err := j.space.Out(t); err != nil {
-			return tsErrResp(err)
+			jm.tsReply(j, m, tsErrResp(err), nil)
+			return
 		}
-		return &protocol.TSOpResp{OK: true}
+		jm.tsReply(j, m, &protocol.TSOpResp{OK: true}, nil)
+		return
 	}
 
 	tpl, err := protocol.DecodeTemplate(req.Fields)
 	if err != nil {
-		return &protocol.TSOpResp{Err: err.Error()}
+		jm.tsReply(j, m, &protocol.TSOpResp{Err: err.Error()}, nil)
+		return
 	}
-	switch kind {
-	case msg.KindTSInP, msg.KindTSRdP:
-		var t tuplespace.Tuple
-		if kind == msg.KindTSInP {
-			t, err = j.space.InP(tpl)
-		} else {
-			t, err = j.space.RdP(tpl)
-		}
-		if err != nil {
-			return tsErrResp(err)
-		}
-		return tsTupleResp(t)
-
+	switch m.Kind {
+	case msg.KindTSInP:
+		t, err := j.space.InP(tpl)
+		jm.tsAnswer(j, m, t, err, true)
+	case msg.KindTSRdP:
+		t, err := j.space.RdP(tpl)
+		jm.tsAnswer(j, m, t, err, false)
 	case msg.KindTSIn, msg.KindTSRd:
-		park := time.Duration(req.ParkMS) * time.Millisecond
-		if park <= 0 {
-			park = protocol.TSParkWindow
-		}
-		park = min(max(park, minTSPark), maxTSPark)
-		ctx, cancel := context.WithTimeout(context.Background(), park)
-		defer cancel()
-		p := &tsPark{cancel: cancel}
-		key := tsParkKey(m.From.Node, m.ID)
-		if jm.parked.add(key, p) {
-			// The requester's cancel outran the request (dispatch is
-			// per-message, unordered); don't park, don't take, don't reply.
-			return nil
-		}
-		var t tuplespace.Tuple
-		if kind == msg.KindTSIn {
-			t, err = j.space.In(ctx, tpl)
-		} else {
-			t, err = j.space.Rd(ctx, tpl)
-		}
-		jm.parked.remove(key)
-		if p.aborted.Load() {
-			// The requester cancelled this park; nobody holds the
-			// correlation. A tuple matched in the races around the abort
-			// must not leave on the wire — put a destructively taken one
-			// back for the live workers.
-			if err == nil && kind == msg.KindTSIn {
-				if oerr := j.space.Out(t); oerr == nil {
-					jm.logf("job %s: returned tuple %s after cancelled park from %s", j.id, t, m.From.Node)
-				}
-			}
-			return nil
-		}
-		switch {
-		case err == nil:
-			return tsTupleResp(t)
-		case errors.Is(err, context.DeadlineExceeded):
-			// Parked past the window without a match; the caller re-issues,
-			// which is also its liveness probe against this JobManager.
-			return &protocol.TSOpResp{Retry: true}
-		default:
-			return tsErrResp(err)
-		}
+		jm.tsBlocking(j, m, &req, tpl)
+	default:
+		jm.tsReply(j, m, &protocol.TSOpResp{Err: "unsupported tuple-space kind " + m.Kind.String()}, nil)
 	}
-	return &protocol.TSOpResp{Err: "unsupported tuple-space kind " + kind.String()}
+}
+
+// tsBlocking runs a TS_IN/TS_RD: the match attempt and, failing that, the
+// waiter and park registration happen here on the delivering goroutine; a
+// hit answers at once, a registered waiter is answered by the Out or Close
+// that claims it or by the window's timer.
+func (jm *JobManager) tsBlocking(j *jobState, m *msg.Message, req *protocol.TSOpReq, tpl tuplespace.Template) {
+	p := &tsPark{
+		key:  tsParkKey{node: m.From.Node, id: m.ID},
+		j:    j,
+		req:  m,
+		take: m.Kind == msg.KindTSIn,
+	}
+	if jm.parked.add(p) {
+		// The requester's cancel outran the request; don't take, don't
+		// park, don't reply.
+		return
+	}
+	t, w, err := j.space.Await(tpl, p.take, func(t tuplespace.Tuple, err error) { jm.tsFinish(p, t, err) })
+	if w == nil {
+		jm.tsFinish(p, t, err)
+		return
+	}
+	if jm.parked.setWaiter(p, w) {
+		j.space.Cancel(w)
+		return
+	}
+	window := time.Duration(req.ParkMS) * time.Millisecond
+	if window <= 0 {
+		window = protocol.TSParkWindow
+	}
+	p.timer.start(min(max(window, minTSPark), maxTSPark), func() {
+		// Parked past the window without a match; the caller re-issues,
+		// which is also its liveness probe against this JobManager.
+		if j.space.Cancel(w) && !jm.parked.release(p) {
+			jm.tsReply(j, m, &protocol.TSOpResp{Retry: true}, nil)
+		}
+	})
+}
+
+// tsFinish answers a blocking op with the outcome of its match — unless
+// its requester cancelled it, in which case nobody holds the correlation:
+// a tuple matched in the races around the abort must not leave on the
+// wire, and a destructively taken one goes back for the live workers.
+func (jm *JobManager) tsFinish(p *tsPark, t tuplespace.Tuple, err error) {
+	if jm.parked.release(p) {
+		if err == nil && p.take {
+			if oerr := p.j.space.Out(t); oerr == nil {
+				jm.logf("job %s: returned tuple %s after cancelled park from %s", p.j.id, t, p.key.node)
+			}
+		}
+		return
+	}
+	jm.tsAnswer(p.j, p.req, t, err, p.take)
+}
+
+// tsAnswer replies to a matching op (In/Rd/InP/RdP) with its tuple or its
+// error.
+func (jm *JobManager) tsAnswer(j *jobState, m *msg.Message, t tuplespace.Tuple, err error, take bool) {
+	if err != nil {
+		jm.tsReply(j, m, tsErrResp(err), nil)
+		return
+	}
+	var taken tuplespace.Tuple
+	if take {
+		taken = t
+	}
+	jm.tsReply(j, m, tsTupleResp(t), taken)
+}
+
+// tsReply sends one KindTSReply. taken is the tuple a destructive op
+// (TS_IN / TS_INP) removed to produce this reply: when the send itself
+// fails — the requester's node died between parking and wakeup, so a stale
+// waiter consumed the tuple and the fabric rejected the answer — it goes
+// back into the space, or it would be lost to every live worker; with the
+// put-back the take degrades to a no-op and a surviving (or re-placed)
+// worker matches the tuple instead. A reply lost in flight after a
+// successful send is the fabric's documented at-most-once semantics.
+func (jm *JobManager) tsReply(j *jobState, m *msg.Message, resp *protocol.TSOpResp, taken tuplespace.Tuple) {
+	if j != nil && (resp.OK || resp.NoMatch) {
+		j.tsOps.Add(1)
+	}
+	err := jm.send(m.From.Node, m.Reply(msg.KindTSReply, msg.MustEncode(resp)))
+	if err == nil {
+		return
+	}
+	jm.logf("ts reply to %s: %v", m.From.Node, err)
+	if taken == nil || !resp.OK {
+		return
+	}
+	// A closed space (job already terminal) rejects the put-back; nothing
+	// is waiting on it anymore.
+	if oerr := j.space.Out(taken); oerr == nil {
+		jm.logf("job %s: returned tuple %s after undeliverable %s reply to %s", j.id, taken, m.Kind, m.From.Node)
+	}
 }
 
 // HandleTSCancel processes a requester's notice that it abandoned a
@@ -233,43 +329,7 @@ func (jm *JobManager) HandleTSCancel(m *msg.Message) {
 		jm.logf("bad ts-cancel: %v", err)
 		return
 	}
-	jm.parked.abort(tsParkKey(m.From.Node, req.ReqID))
-}
-
-// ReturnTSTuple puts back a tuple taken by a destructive op (TS_IN /
-// TS_INP) whose reply could not be delivered — the requester's node died
-// between parking and wakeup, so a stale waiter consumed the tuple and
-// the fabric rejected the answer. Without the put-back the tuple would be
-// lost to every live worker; with it the take degrades to a no-op and a
-// surviving (or re-placed) worker matches the tuple instead. The server
-// calls this only when Send itself failed; a reply lost in flight after a
-// successful Send is the fabric's documented at-most-once semantics.
-func (jm *JobManager) ReturnTSTuple(req, reply *msg.Message) {
-	if req.Kind != msg.KindTSIn && req.Kind != msg.KindTSInP {
-		return
-	}
-	var resp protocol.TSOpResp
-	if err := protocol.Decode(reply, &resp); err != nil || !resp.OK || resp.Fields == nil {
-		return
-	}
-	var op protocol.TSOpReq
-	if err := protocol.Decode(req, &op); err != nil {
-		return
-	}
-	j, err := jm.job(op.JobID)
-	if err != nil {
-		return
-	}
-	t, err := protocol.DecodeTuple(resp.Fields)
-	if err != nil {
-		return
-	}
-	// A closed space (job already terminal) rejects the put-back; nothing
-	// is waiting on it anymore.
-	if err := j.space.Out(t); err == nil {
-		jm.logf("job %s: returned tuple %s after undeliverable %s reply to %s",
-			j.id, t, req.Kind, req.From.Node)
-	}
+	jm.parked.abort(tsParkKey{node: m.From.Node, id: req.ReqID})
 }
 
 func tsErrResp(err error) *protocol.TSOpResp {

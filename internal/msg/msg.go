@@ -40,8 +40,6 @@ const (
 	// Job lifecycle (client -> selected JobManager).
 	KindCreateJob     // request: create a job
 	KindJobCreated    // response: job handle
-	KindCreateTask    // request: add a task to a job
-	KindTaskAccepted  // response: task registered and placed
 	KindStartTask     // request: start a named task
 	KindTaskStarted   // event: task began executing
 	KindTaskCompleted // event: task terminated normally
@@ -53,8 +51,6 @@ const (
 	// Task placement (JobManager -> TaskManagers via multicast).
 	KindTaskSolicit // request: who can execute this task?
 	KindTaskOffer   // response: this TaskManager is willing
-	KindUploadJar   // request: archive bytes for a placed task
-	KindJarUploaded // response: archive stored and verified
 	KindExecTask    // request: JobManager tells a TaskManager to run a task
 
 	// Batch placement and content-addressed archive distribution.
@@ -125,8 +121,6 @@ var kindNames = map[Kind]string{
 	KindJobManagerOffer:   "JM_OFFER",
 	KindCreateJob:         "CREATE_JOB",
 	KindJobCreated:        "JOB_CREATED",
-	KindCreateTask:        "CREATE_TASK",
-	KindTaskAccepted:      "TASK_ACCEPTED",
 	KindStartTask:         "START_TASK",
 	KindTaskStarted:       "TASK_STARTED",
 	KindTaskCompleted:     "TASK_COMPLETED",
@@ -136,8 +130,6 @@ var kindNames = map[Kind]string{
 	KindJobFailed:         "JOB_FAILED",
 	KindTaskSolicit:       "TASK_SOLICIT",
 	KindTaskOffer:         "TASK_OFFER",
-	KindUploadJar:         "UPLOAD_JAR",
-	KindJarUploaded:       "JAR_UPLOADED",
 	KindExecTask:          "EXEC_TASK",
 	KindCreateTasks:       "CREATE_TASKS",
 	KindTasksAccepted:     "TASKS_ACCEPTED",

@@ -49,23 +49,6 @@ type CreateJobResp struct {
 	JobID string
 }
 
-// CreateTaskReq is the body of KindCreateTask (client -> JobManager). The
-// archive bytes ride along so the JobManager can upload them to whichever
-// TaskManager it places the task on.
-type CreateTaskReq struct {
-	JobID       string
-	Spec        *task.Spec
-	ArchiveName string
-	Archive     []byte
-	Digest      string
-}
-
-// CreateTaskResp is the body of KindTaskAccepted.
-type CreateTaskResp struct {
-	// Placement is the node whose TaskManager will execute the task.
-	Placement string
-}
-
 // TaskSolicitReq is the body of KindTaskSolicit (JobManager -> TaskManagers
 // multicast).
 type TaskSolicitReq struct {
@@ -96,24 +79,6 @@ type TMOffer struct {
 	// advanced for several heartbeat intervals — the node's self-observed
 	// straggler signal, scored as a placement penalty.
 	StalledTasks int
-}
-
-// AssignTaskReq is the body of KindUploadJar (JobManager -> chosen
-// TaskManager): the archive upload plus the task assignment.
-type AssignTaskReq struct {
-	JobID       string
-	JobManager  string
-	ClientNode  string
-	Spec        *task.Spec
-	ArchiveName string
-	Archive     []byte
-	Digest      string
-}
-
-// AssignTaskResp is the body of KindJarUploaded.
-type AssignTaskResp struct {
-	OK     bool
-	Reason string
 }
 
 // ArchiveRef is a content-addressed reference to a task archive: the digest

@@ -34,7 +34,7 @@ func TestJMOfferRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCreateTaskReqRoundTrip(t *testing.T) {
+func TestCreateTasksReqRoundTrip(t *testing.T) {
 	spec := &task.Spec{
 		Name:      "w1",
 		Archive:   "w.jar",
@@ -43,24 +43,26 @@ func TestCreateTaskReqRoundTrip(t *testing.T) {
 		Params:    []task.Param{{Type: task.TypeInteger, Value: "3"}},
 		Req:       task.Requirements{MemoryMB: 256, RunModel: task.RunAsProcess},
 	}
-	in := CreateTaskReq{
-		JobID:       "j1",
-		Spec:        spec,
-		ArchiveName: "w.jar",
-		Archive:     []byte{1, 2, 3},
-		Digest:      "abc",
+	in := CreateTasksReq{
+		JobID: "j1",
+		Tasks: []TaskCreate{{Spec: spec, Archive: ArchiveRef{Name: "w.jar", Digest: "abc"}}},
+		Blobs: map[string][]byte{"abc": {1, 2, 3}},
 	}
-	got := roundTrip(t, msg.KindCreateTask, in)
-	if got.Spec.Name != "w1" || got.Spec.Req.RunModel != task.RunAsProcess {
-		t.Errorf("spec = %+v", got.Spec)
+	got := roundTrip(t, msg.KindCreateTasks, in)
+	if len(got.Tasks) != 1 {
+		t.Fatalf("tasks = %+v", got.Tasks)
 	}
-	if len(got.Archive) != 3 || got.Digest != "abc" {
+	gs := got.Tasks[0].Spec
+	if gs.Name != "w1" || gs.Req.RunModel != task.RunAsProcess {
+		t.Errorf("spec = %+v", gs)
+	}
+	if len(got.Blobs["abc"]) != 3 || got.Tasks[0].Archive.Digest != "abc" {
 		t.Errorf("archive fields lost: %+v", got)
 	}
-	if got.Spec.DependsOn[0] != "split" {
-		t.Errorf("depends = %v", got.Spec.DependsOn)
+	if gs.DependsOn[0] != "split" {
+		t.Errorf("depends = %v", gs.DependsOn)
 	}
-	if v, err := got.Spec.Params[0].Int(); err != nil || v != 3 {
+	if v, err := gs.Params[0].Int(); err != nil || v != 3 {
 		t.Errorf("param = %v %v", v, err)
 	}
 }

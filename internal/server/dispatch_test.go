@@ -1,0 +1,298 @@
+package server_test
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"cn/internal/msg"
+	"cn/internal/protocol"
+	"cn/internal/server"
+	"cn/internal/transport"
+	"cn/internal/tuplespace"
+)
+
+// rawNode is a bare endpoint that fires frames at a server without waiting
+// for replies and collects whatever comes back, so a test controls exactly
+// which frames are in flight in which order.
+type rawNode struct {
+	t     *testing.T
+	ep    transport.Endpoint
+	in    chan *msg.Message
+	stash map[uint64]*msg.Message // replies read while waiting for another
+}
+
+// inboxCap holds every reply a test provokes before it starts reading.
+const inboxCap = 4096
+
+// onFabrics runs test against a one-server cluster on each fabric: the
+// in-memory one delivers every frame on a single dispatch goroutine, TCP on
+// one read loop per connection.
+func onFabrics(t *testing.T, test func(t *testing.T, c *rawNode, jobID string)) {
+	for name, mk := range map[string]func() transport.Network{
+		"mem": func() transport.Network { return transport.NewIdealNetwork() },
+		"tcp": func() transport.Network { return transport.NewTCPNetwork() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			net := mk()
+			t.Cleanup(func() { net.Close() })
+			srv, err := server.Start(net, server.Config{Node: "n1", Registry: testRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			c := &rawNode{t: t, in: make(chan *msg.Message, inboxCap), stash: make(map[uint64]*msg.Message)}
+			c.ep, err = net.Attach("x", func(m *msg.Message) { c.in <- m })
+			if err != nil {
+				t.Fatal(err)
+			}
+			var created protocol.CreateJobResp
+			c.decode(c.await(c.send(msg.KindCreateJob, protocol.CreateJobReq{Name: "dispatch", ClientNode: "x"})), &created)
+			test(t, c, created.JobID)
+		})
+	}
+}
+
+// send fires one request at the server and returns its message id.
+func (c *rawNode) send(kind msg.Kind, body any) uint64 {
+	c.t.Helper()
+	return c.sendFrom("x", kind, body)
+}
+
+// sendFrom is send with a chosen requester node in the envelope.
+func (c *rawNode) sendFrom(node string, kind msg.Kind, body any) uint64 {
+	c.t.Helper()
+	m := protocol.Body(kind, msg.Address{Node: node, Task: protocol.ClientTaskName}, msg.Address{Node: "n1"}, body)
+	if err := c.ep.Send("n1", m); err != nil {
+		c.t.Fatalf("send %v: %v", kind, err)
+	}
+	return m.ID
+}
+
+// await returns the reply correlated with id, failing the test if the
+// server does not answer — which is what a stalled delivering goroutine
+// looks like from outside.
+func (c *rawNode) await(id uint64) *msg.Message {
+	c.t.Helper()
+	if m, ok := c.stash[id]; ok {
+		delete(c.stash, id)
+		return m
+	}
+	deadline := time.After(5 * time.Second)
+	for {
+		select {
+		case m := <-c.in:
+			if m.CorrelID == id {
+				return m
+			}
+			c.stash[m.CorrelID] = m
+		case <-deadline:
+			c.t.Fatalf("no reply to request %d", id)
+		}
+	}
+}
+
+func (c *rawNode) decode(m *msg.Message, out any) {
+	c.t.Helper()
+	if err := protocol.Decode(m, out); err != nil {
+		c.t.Fatalf("decode %v: %v", m.Kind, err)
+	}
+}
+
+// tsResp awaits and decodes the TS_REPLY to id.
+func (c *rawNode) tsResp(id uint64) protocol.TSOpResp {
+	c.t.Helper()
+	var resp protocol.TSOpResp
+	c.decode(c.await(id), &resp)
+	return resp
+}
+
+func tupleFields(t *testing.T, fields ...any) []protocol.TSField {
+	t.Helper()
+	out, err := protocol.EncodeTuple(tuplespace.Tuple(fields))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func templateFields(t *testing.T, fields ...any) []protocol.TSField {
+	t.Helper()
+	out, err := protocol.EncodeTemplate(tuplespace.Template(fields))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// wantTuple asserts resp carries exactly the given tuple.
+func wantTuple(t *testing.T, what string, resp protocol.TSOpResp, fields ...any) {
+	t.Helper()
+	if !resp.OK {
+		t.Fatalf("%s: reply %+v, want a tuple", what, resp)
+	}
+	got, err := protocol.DecodeTuple(resp.Fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(fields) {
+		t.Fatalf("%s: got %v, want %v", what, got, fields)
+	}
+	for i := range got {
+		if got[i] != fields[i] {
+			t.Fatalf("%s: got %v, want %v", what, got, fields)
+		}
+	}
+}
+
+// longPark keeps a parked op parked for the whole test: a stall then shows
+// as a missing reply, never as the park window's Retry.
+const longPark = 20_000
+
+// TestInlineOpsApplyInIssueOrder: ops of inline kinds from one connection
+// are applied in the order they were issued. Each TS_INP is sent right
+// behind the TS_OUT of the one tuple it can match, without waiting for
+// anything; any reordering between the two makes a probe miss or take a
+// later tuple.
+func TestInlineOpsApplyInIssueOrder(t *testing.T) {
+	onFabrics(t, func(t *testing.T, c *rawNode, jobID string) {
+		const n = 1000
+		tpl := templateFields(t, "seq", tuplespace.TypeOf(0))
+		outs, inps := make([]uint64, n), make([]uint64, n)
+		for i := 0; i < n; i++ {
+			outs[i] = c.send(msg.KindTSOut, protocol.TSOpReq{JobID: jobID, Fields: tupleFields(t, "seq", i)})
+			inps[i] = c.send(msg.KindTSInP, protocol.TSOpReq{JobID: jobID, Fields: tpl})
+		}
+		for i := 0; i < n; i++ {
+			if resp := c.tsResp(outs[i]); !resp.OK {
+				t.Fatalf("out %d: %+v", i, resp)
+			}
+			wantTuple(t, "probe behind out", c.tsResp(inps[i]), "seq", i)
+		}
+	})
+}
+
+// TestParkedInDoesNotStallFollowingOut: a TS_IN that has to park must not
+// hold the goroutine that delivered it — the TS_OUT that satisfies it comes
+// from the same node, behind it on the same connection (on the in-memory
+// fabric, behind it on the endpoint's only dispatch goroutine).
+func TestParkedInDoesNotStallFollowingOut(t *testing.T) {
+	onFabrics(t, func(t *testing.T, c *rawNode, jobID string) {
+		in := c.send(msg.KindTSIn, protocol.TSOpReq{JobID: jobID, ParkMS: longPark,
+			Fields: templateFields(t, "k", tuplespace.TypeOf(0))})
+		out := c.send(msg.KindTSOut, protocol.TSOpReq{JobID: jobID, Fields: tupleFields(t, "k", 7)})
+		if resp := c.tsResp(out); !resp.OK {
+			t.Fatalf("out behind a parked in: %+v", resp)
+		}
+		wantTuple(t, "parked in", c.tsResp(in), "k", 7)
+		// The in consumed the tuple.
+		probe := c.send(msg.KindTSRdP, protocol.TSOpReq{JobID: jobID, Fields: templateFields(t, "k", tuplespace.TypeOf(0))})
+		if resp := c.tsResp(probe); !resp.NoMatch {
+			t.Errorf("tuple still stored after the parked in took it: %+v", resp)
+		}
+	})
+}
+
+// TestCancelledParkLeavesTupleForOthers: a TS_CANCEL behind a parked TS_IN
+// withdraws it — the tuple a later TS_OUT stores is not consumed by the
+// abandoned op and no reply goes to its dropped correlation.
+func TestCancelledParkLeavesTupleForOthers(t *testing.T) {
+	onFabrics(t, func(t *testing.T, c *rawNode, jobID string) {
+		tpl := templateFields(t, "k", tuplespace.TypeOf(0))
+		in := c.send(msg.KindTSIn, protocol.TSOpReq{JobID: jobID, ParkMS: longPark, Fields: tpl})
+		c.send(msg.KindTSCancel, protocol.TSCancelReq{JobID: jobID, ReqID: in})
+		out := c.send(msg.KindTSOut, protocol.TSOpReq{JobID: jobID, Fields: tupleFields(t, "k", 7)})
+		probe := c.send(msg.KindTSInP, protocol.TSOpReq{JobID: jobID, Fields: tpl})
+		if resp := c.tsResp(out); !resp.OK {
+			t.Fatalf("out: %+v", resp)
+		}
+		wantTuple(t, "probe after a cancelled park", c.tsResp(probe), "k", 7)
+		// Replies travel in order, so one to the cancelled in would have
+		// arrived ahead of the probe's.
+		if m, ok := c.stash[in]; ok {
+			t.Errorf("cancelled in was answered: %v", m)
+		}
+	})
+}
+
+// TestUndeliverableInlineHitPutsTupleBack: a destructive op answered inline
+// whose reply the fabric refuses (the requester's node is gone) puts its
+// tuple back for the live workers.
+func TestUndeliverableInlineHitPutsTupleBack(t *testing.T) {
+	onFabrics(t, func(t *testing.T, c *rawNode, jobID string) {
+		tpl := templateFields(t, "k", tuplespace.TypeOf(0))
+		out := c.send(msg.KindTSOut, protocol.TSOpReq{JobID: jobID, Fields: tupleFields(t, "k", 7)})
+		c.sendFrom("ghost", msg.KindTSInP, protocol.TSOpReq{JobID: jobID, Fields: tpl})
+		probe := c.send(msg.KindTSRdP, protocol.TSOpReq{JobID: jobID, Fields: tpl})
+		if resp := c.tsResp(out); !resp.OK {
+			t.Fatalf("out: %+v", resp)
+		}
+		wantTuple(t, "probe after an undeliverable take", c.tsResp(probe), "k", 7)
+	})
+}
+
+// TestParkedResolveDoesNotStallFollowingPut is the liveness test of
+// TestParkedInDoesNotStallFollowingOut for the data plane: a DATA_RESOLVE
+// parked on an unpublished key, then the DATA_PUT that answers it from the
+// same node.
+func TestParkedResolveDoesNotStallFollowingPut(t *testing.T) {
+	onFabrics(t, func(t *testing.T, c *rawNode, jobID string) {
+		resolve := c.send(msg.KindDataResolve, protocol.DataResolveReq{JobID: jobID, Key: "out/1", Task: "consumer", ParkMS: longPark})
+		put := c.send(msg.KindDataPut, protocol.DataPutReq{JobID: jobID, Key: "out/1", Task: "producer",
+			Node: "x", Digest: "d1", Size: 1 << 20})
+		var ack, loc protocol.DataLocResp
+		c.decode(c.await(put), &ack)
+		if ack.Err != "" || ack.Closed {
+			t.Fatalf("put behind a parked resolve: %+v", ack)
+		}
+		c.decode(c.await(resolve), &loc)
+		if loc.Node != "x" || loc.Digest != "d1" || loc.Retry {
+			t.Errorf("parked resolve answered %+v, want the published location", loc)
+		}
+	})
+}
+
+// earlyNet is a fabric that delivers a frame to a node the moment its
+// endpoint exists, while server.Start is still building the managers that
+// will handle it — what a TCP peer can do as soon as the listener is up.
+type earlyNet struct {
+	transport.Network
+	frame *msg.Message
+}
+
+func (n earlyNet) Attach(node string, h transport.Handler) (transport.Endpoint, error) {
+	ep, err := n.Network.Attach(node, h)
+	if err == nil {
+		go h(n.frame)
+		runtime.Gosched() // let the frame reach the handler before Start goes on
+	}
+	return ep, err
+}
+
+// TestFrameDuringStart: a frame that arrives while Start is still running
+// is handled by the fully built server (run with -race: before the gate it
+// read the caller and the managers while Start was assigning them).
+func TestFrameDuringStart(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		net := transport.NewIdealNetwork()
+		pongs := make(chan *msg.Message, 1)
+		if _, err := net.Attach("x", func(m *msg.Message) { pongs <- m }); err != nil {
+			t.Fatal(err)
+		}
+		ping := msg.New(msg.KindPing, msg.Address{Node: "x"}, msg.Address{Node: "n1"}, nil)
+		srv, err := server.Start(earlyNet{Network: net, frame: ping}, server.Config{Node: "n1", Registry: testRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case m := <-pongs:
+			if m.Kind != msg.KindPong || m.CorrelID != ping.ID {
+				t.Errorf("early ping answered with %v", m)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("frame delivered during Start was never answered")
+		}
+		srv.Close()
+		net.Close()
+	}
+}

@@ -87,6 +87,11 @@ type Server struct {
 	tm     *taskmgr.TaskManager
 	tracer *trace.Tracer
 	reg    *metrics.Registry
+	// ready gates handle: the endpoint has to exist before the managers
+	// that send through it can be built, so the fabric may deliver frames
+	// while Start is still assigning the fields above. handle waits here;
+	// Start closes it once construction is done.
+	ready  chan struct{}
 	closed chan struct{}
 }
 
@@ -96,7 +101,7 @@ func Start(net transport.Network, cfg Config) (*Server, error) {
 	if cfg.Node == "" {
 		return nil, fmt.Errorf("server: empty node name")
 	}
-	s := &Server{cfg: cfg, closed: make(chan struct{})}
+	s := &Server{cfg: cfg, ready: make(chan struct{}), closed: make(chan struct{})}
 	ep, err := net.Attach(cfg.Node, s.handle)
 	if err != nil {
 		return nil, fmt.Errorf("server %s: %w", cfg.Node, err)
@@ -141,6 +146,7 @@ func Start(net transport.Network, cfg Config) (*Server, error) {
 		Log:               cfg.Log,
 		Tracer:            s.tracer,
 	}, send, s.caller, s.tm.FreeMemoryMB)
+	close(s.ready)
 
 	if err := ep.Join(protocol.GroupJobManagers); err != nil {
 		ep.Close()
@@ -274,11 +280,28 @@ func (s *Server) handleStatsPull(m *msg.Message) *msg.Message {
 	return m.Reply(msg.KindStatsReport, msg.MustEncode(resp))
 }
 
-// handle is the endpoint dispatch entry point. Replies to this server's own
-// outstanding calls are consumed inline; all other protocol handling runs on
-// a fresh goroutine because several handlers (task placement, user routing)
-// perform blocking calls of their own and the dispatch loop must stay live.
+// handle is the endpoint's delivery entry point: it runs on the fabric's
+// delivering goroutine (a TCP connection's read loop, MemNetwork's dispatch
+// loop) and sorts every inbound frame into one of three dispatch classes.
+//
+// Inline — the handler runs to completion right here. A kind may be inline
+// only if its handler makes no Caller.Call/Gather, sends nothing on the
+// bulk lane (which backpressures for up to 5 s; control-lane sends shed
+// instead of blocking), waits on no channel, timer or park, and holds no
+// lock across any of those. Frames of inline kinds from one connection are
+// therefore applied in arrival order.
+//
+// Try-then-park — TS_IN, TS_RD, DATA_RESOLVE: the match attempt and, failing
+// that, the waiter registration run inline under the same rule; a hit
+// replies inline, and a registered waiter is answered later on the goroutine
+// of the TS_OUT / DATA_PUT that satisfies it (or of the park timer), never
+// by a goroutine that sat waiting.
+//
+// Spawned — everything else gets its own goroutine (dispatch), because
+// those handlers place, assign, start or cancel work through blocking calls
+// of their own, or answer on the bulk lane.
 func (s *Server) handle(m *msg.Message) {
+	<-s.ready
 	if s.caller.Handle(m) {
 		return
 	}
@@ -287,13 +310,12 @@ func (s *Server) handle(m *msg.Message) {
 		return
 	default:
 	}
+	switch m.Kind {
 	// Job-scoped traffic is enqueued inline so per-job FIFO order is
 	// preserved from the endpoint into the JobManager's serial worker;
 	// routed user messages are final TaskManager deliveries.
-	switch m.Kind {
 	case msg.KindTaskStarted, msg.KindTaskCompleted, msg.KindTaskFailed:
 		s.jm.Enqueue(m)
-		return
 	case msg.KindUser, msg.KindBroadcast:
 		if m.Header(protocol.HeaderRouted) != "" {
 			if err := s.tm.HandleUser(m); err != nil && s.cfg.Logf != nil {
@@ -302,52 +324,59 @@ func (s *Server) handle(m *msg.Message) {
 			return
 		}
 		s.jm.Enqueue(m)
-		return
+
+	// Tuple-space ops against this node's hosted job spaces: decode, one
+	// pass over the space under its mutex, a TS_REPLY on the control lane.
+	// TS_OUT also answers the parked ops it satisfies (more control-lane
+	// replies); TS_IN/TS_RD are the try-then-park kinds.
+	case msg.KindTSOut, msg.KindTSInP, msg.KindTSRdP, msg.KindTSIn, msg.KindTSRd:
+		s.jm.HandleTSOp(m)
+	// TS_CANCEL flips a park's flag and withdraws its waiter; no reply.
+	case msg.KindTSCancel:
+		s.jm.HandleTSCancel(m)
+	// DATA_PUT verifies a digest over at most DataInlineMax bytes, stores
+	// one location under the broker's mutex and answers the resolves parked
+	// on the key; every reply is a control-lane DATA_LOC.
+	case msg.KindDataPut:
+		s.replyIfAny(m, s.jm.HandleDataPut(m))
+	// DATA_RESOLVE is try-then-park. A stale hint may schedule a producer
+	// re-run, which jobmgr hands to a goroutine of its own.
+	case msg.KindDataResolve:
+		s.jm.HandleDataResolve(m)
+	// Solicitations read a few counters under the manager's mutex (never
+	// held across a call or send) and answer with one small offer.
+	case msg.KindJobManagerSolicit:
+		s.replyIfAny(m, s.jm.HandleSolicit(m))
+	case msg.KindTaskSolicit:
+		s.replyIfAny(m, s.tm.HandleSolicit(m))
+	// Health: a heartbeat renews a lease and folds progress counters into
+	// job state under short mutexes; its ack cancels the contexts of
+	// assignments the JobManager no longer knows. Neither waits on anything.
+	case msg.KindPing:
+		s.replyIfAny(m, m.Reply(msg.KindPong, nil))
+	case msg.KindHeartbeat:
+		s.replyIfAny(m, s.jm.HandleHeartbeat(m))
+	case msg.KindHeartbeatAck:
+		s.tm.HandleHeartbeatAck(m)
+
+	default:
+		go s.dispatch(m)
 	}
-	go s.dispatch(m)
 }
 
-// dispatch routes one inbound message to the right manager.
+// dispatch routes one message of a spawned kind to the right manager, on
+// its own goroutine.
 func (s *Server) dispatch(m *msg.Message) {
 	switch m.Kind {
 	// --- JobManager role ---
-	case msg.KindJobManagerSolicit:
-		s.replyIfAny(m, s.jm.HandleSolicit(m))
 	case msg.KindCreateJob:
 		s.replyIfAny(m, s.jm.HandleCreateJob(m))
-	case msg.KindCreateTask:
-		s.replyIfAny(m, s.jm.HandleCreateTask(m))
 	case msg.KindCreateTasks:
 		s.replyIfAny(m, s.jm.HandleCreateTasks(m))
 	case msg.KindFetchBlob:
 		s.replyIfAny(m, s.jm.HandleFetchBlob(m))
 	case msg.KindBlobChunk:
 		s.replyIfAny(m, s.jm.HandleBlobChunk(m))
-	case msg.KindTSOut, msg.KindTSIn, msg.KindTSRd, msg.KindTSInP, msg.KindTSRdP:
-		// Tuple-space ops against this node's hosted job spaces. Blocking
-		// In/Rd park inside the handler; dispatch already runs each
-		// message on its own goroutine, so parking never stalls the loop.
-		r := s.jm.HandleTSOp(m)
-		if r == nil {
-			return
-		}
-		if err := s.ep.Send(m.From.Node, r); err != nil {
-			// The requester is gone (a stale parked waiter woken after its
-			// node died): a destructively taken tuple must go back into the
-			// space or it is lost to the live workers.
-			s.jm.ReturnTSTuple(m, r)
-			if s.cfg.Logf != nil {
-				s.cfg.Logf("[server %s] ts reply to %s: %v", s.cfg.Node, m.From.Node, err)
-			}
-		}
-	case msg.KindTSCancel:
-		s.jm.HandleTSCancel(m)
-	case msg.KindDataPut:
-		s.replyIfAny(m, s.jm.HandleDataPut(m))
-	case msg.KindDataResolve:
-		// Resolves for unpublished keys park inside the handler; dispatch
-		// already runs each message on its own goroutine.
-		s.replyIfAny(m, s.jm.HandleDataResolve(m))
 	case msg.KindStartTask:
 		s.replyIfAny(m, s.jm.HandleStartJob(m))
 	case msg.KindCancelJob:
@@ -363,12 +392,8 @@ func (s *Server) dispatch(m *msg.Message) {
 		}
 
 	// --- TaskManager role ---
-	case msg.KindTaskSolicit:
-		s.replyIfAny(m, s.tm.HandleSolicit(m))
 	case msg.KindDataFetch:
 		s.replyIfAny(m, s.tm.HandleDataFetch(m))
-	case msg.KindUploadJar:
-		s.replyIfAny(m, s.tm.HandleAssign(m))
 	case msg.KindAssignTasks:
 		s.replyIfAny(m, s.tm.HandleAssignBatch(m))
 	case msg.KindExecTask:
@@ -405,14 +430,6 @@ func (s *Server) dispatch(m *msg.Message) {
 	// --- Observability ---
 	case msg.KindStatsPull:
 		s.replyIfAny(m, s.handleStatsPull(m))
-
-	// --- Health ---
-	case msg.KindPing:
-		s.replyIfAny(m, m.Reply(msg.KindPong, nil))
-	case msg.KindHeartbeat:
-		s.replyIfAny(m, s.jm.HandleHeartbeat(m))
-	case msg.KindHeartbeatAck:
-		s.tm.HandleHeartbeatAck(m)
 	}
 }
 

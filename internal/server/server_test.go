@@ -74,7 +74,7 @@ func TestPingPong(t *testing.T) {
 }
 
 func TestRawProtocolJobLifecycle(t *testing.T) {
-	// Drive the wire protocol directly: create job, create task, start,
+	// Drive the wire protocol directly: create job, create tasks, start,
 	// observe the terminal state. This pins the message formats the API
 	// client relies on.
 	srv, caller := startServer(t)
@@ -95,18 +95,18 @@ func TestRawProtocolJobLifecycle(t *testing.T) {
 
 	spec := &task.Spec{Name: "t", Class: "srv.Noop",
 		Req: task.Requirements{MemoryMB: 10, RunModel: task.RunAsThreadInTM}}
-	reply = call(t, caller, msg.KindCreateTask, protocol.CreateTaskReq{
-		JobID: created.JobID, Spec: spec,
+	reply = call(t, caller, msg.KindCreateTasks, protocol.CreateTasksReq{
+		JobID: created.JobID, Tasks: []protocol.TaskCreate{{Spec: spec}},
 	})
-	if reply.Kind != msg.KindTaskAccepted {
-		t.Fatalf("create task reply = %v", reply.Kind)
+	if reply.Kind != msg.KindTasksAccepted {
+		t.Fatalf("create tasks reply = %v", reply.Kind)
 	}
-	var placed protocol.CreateTaskResp
+	var placed protocol.CreateTasksResp
 	if err := protocol.Decode(reply, &placed); err != nil {
 		t.Fatal(err)
 	}
-	if placed.Placement != "n1" {
-		t.Errorf("placement = %q", placed.Placement)
+	if placed.Placements["t"] != "n1" {
+		t.Errorf("placements = %v", placed.Placements)
 	}
 
 	reply = call(t, caller, msg.KindStartTask, protocol.StartJobReq{JobID: created.JobID})
@@ -318,7 +318,7 @@ func TestTombstoneEvictionAndActiveJobCount(t *testing.T) {
 	}
 	spec := &task.Spec{Name: "t", Class: "srv.Noop",
 		Req: task.Requirements{MemoryMB: 10, RunModel: task.RunAsThreadInTM}}
-	call(t, caller, msg.KindCreateTask, protocol.CreateTaskReq{JobID: created.JobID, Spec: spec})
+	call(t, caller, msg.KindCreateTasks, protocol.CreateTasksReq{JobID: created.JobID, Tasks: []protocol.TaskCreate{{Spec: spec}}})
 	call(t, caller, msg.KindStartTask, protocol.StartJobReq{JobID: created.JobID})
 
 	deadline := time.Now().Add(5 * time.Second)
@@ -351,7 +351,7 @@ func TestOfferCountsOnlyLiveJobs(t *testing.T) {
 	}
 	spec := &task.Spec{Name: "t", Class: "srv.Noop",
 		Req: task.Requirements{MemoryMB: 10, RunModel: task.RunAsThreadInTM}}
-	call(t, caller, msg.KindCreateTask, protocol.CreateTaskReq{JobID: created.JobID, Spec: spec})
+	call(t, caller, msg.KindCreateTasks, protocol.CreateTasksReq{JobID: created.JobID, Tasks: []protocol.TaskCreate{{Spec: spec}}})
 	call(t, caller, msg.KindStartTask, protocol.StartJobReq{JobID: created.JobID})
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && jm.ActiveJobs() != 0 {

@@ -363,46 +363,6 @@ func (tm *TaskManager) stalledLocked(now time.Time) int {
 	return stalled
 }
 
-// HandleAssign processes a KindUploadJar — the per-task assignment path
-// kept for protocol compatibility: verify the inline archive (or resolve a
-// digest-only reference against the blob cache), check the class is
-// loadable, reserve memory, and set up the task's message queue.
-func (tm *TaskManager) HandleAssign(m *msg.Message) *msg.Message {
-	var req protocol.AssignTaskReq
-	if err := protocol.Decode(m, &req); err != nil {
-		return m.Reply(msg.KindJarUploaded, msg.MustEncode(protocol.AssignTaskResp{OK: false, Reason: err.Error()}))
-	}
-	reject := func(reason string) *msg.Message {
-		tm.logf("reject %s: %s", key(req.JobID, req.Spec.Name), reason)
-		return m.Reply(msg.KindJarUploaded, msg.MustEncode(protocol.AssignTaskResp{OK: false, Reason: reason}))
-	}
-	ref := protocol.ArchiveRef{Name: req.ArchiveName, Digest: req.Digest}
-	if len(req.Archive) > 0 {
-		a, err := archive.Open(req.ArchiveName, req.Archive)
-		if err != nil {
-			return reject(fmt.Sprintf("bad archive: %v", err))
-		}
-		if req.Digest != "" && a.Digest() != req.Digest {
-			return reject("archive digest mismatch")
-		}
-		ref.Digest = a.Digest()
-		if err := tm.blobs.Put(a); err != nil {
-			return reject(err.Error())
-		}
-	} else if req.ArchiveName != "" && req.Digest == "" {
-		// A name with neither bytes nor digest cannot be resolved.
-		ref = protocol.ArchiveRef{}
-	}
-	item := protocol.TaskCreate{Spec: req.Spec, Archive: ref}
-	if _, err := tm.ensureBlobs(req.JobManager, req.JobID, []protocol.TaskCreate{item}); err != nil {
-		return reject(err.Error())
-	}
-	if reason := tm.assignOne(req.JobID, req.JobManager, req.ClientNode, item); reason != "" {
-		return reject(reason)
-	}
-	return m.Reply(msg.KindJarUploaded, msg.MustEncode(protocol.AssignTaskResp{OK: true}))
-}
-
 // HandleAssignBatch processes a KindAssignTasks: a batch assignment whose
 // items carry content-addressed archive references only. Missing blobs are
 // fetched from the JobManager once per digest; every item is then verified

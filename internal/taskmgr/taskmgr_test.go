@@ -59,17 +59,39 @@ func solicitMsg(spec *task.Spec) *msg.Message {
 		protocol.TaskSolicitReq{JobID: "j1", Spec: spec})
 }
 
-func assignMsg(spec *task.Spec, ar *archive.Archive) *msg.Message {
-	req := protocol.AssignTaskReq{
-		JobID: "j1", JobManager: "jm", ClientNode: "client", Spec: spec,
-	}
+func batchMsg(req protocol.AssignTasksReq) *msg.Message {
+	return protocol.Body(msg.KindAssignTasks,
+		msg.Address{Node: "jm", Job: req.JobID}, msg.Address{Node: "tm1"}, req)
+}
+
+// assign sends sp as a one-element ASSIGN_TASKS batch for job j1 and returns
+// the rejection reason ("" when accepted). A non-nil archive is seeded into
+// the node's blob cache first, as a prior transfer would have left it.
+func assign(t *testing.T, tm *TaskManager, sp *task.Spec, ar *archive.Archive) string {
+	t.Helper()
+	item := protocol.TaskCreate{Spec: sp}
 	if ar != nil {
-		req.ArchiveName = ar.Name
-		req.Archive = ar.Bytes()
-		req.Digest = ar.Digest()
+		if err := tm.BlobCache().Put(ar); err != nil {
+			t.Fatal(err)
+		}
+		item.Archive = protocol.ArchiveRef{Name: ar.Name, Digest: ar.Digest()}
 	}
-	return protocol.Body(msg.KindUploadJar,
-		msg.Address{Node: "jm", Job: "j1"}, msg.Address{Node: "tm1"}, req)
+	r := tm.HandleAssignBatch(batchMsg(protocol.AssignTasksReq{
+		JobID: "j1", JobManager: "jm", ClientNode: "client", Items: []protocol.TaskCreate{item},
+	}))
+	var resp protocol.AssignTasksResp
+	if err := protocol.Decode(r, &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp.Rejected[sp.Name]
+}
+
+// mustAssign is assign for assignments the test expects to be accepted.
+func mustAssign(t *testing.T, tm *TaskManager, sp *task.Spec) {
+	t.Helper()
+	if reason := assign(t, tm, sp, nil); reason != "" {
+		t.Fatalf("assign %s rejected: %s", sp.Name, reason)
+	}
 }
 
 func spec(name string, memMB int) *task.Spec {
@@ -102,14 +124,7 @@ func TestAssignReservesAndReleasesMemory(t *testing.T) {
 	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t)}, s.send)
 	defer tm.Close()
 	sp := spec("t1", 400)
-	r := tm.HandleAssign(assignMsg(sp, nil))
-	var resp protocol.AssignTaskResp
-	if err := protocol.Decode(r, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK {
-		t.Fatalf("assign rejected: %s", resp.Reason)
-	}
+	mustAssign(t, tm, sp)
 	if tm.FreeMemoryMB() != 600 {
 		t.Errorf("free = %d after reservation", tm.FreeMemoryMB())
 	}
@@ -131,49 +146,58 @@ func TestAssignRejections(t *testing.T) {
 	tm := New(Config{Node: "tm1", MemoryMB: 500, Registry: registry(t)}, s.send)
 	defer tm.Close()
 
-	check := func(m *msg.Message, wantReason string) {
+	check := func(sp *task.Spec, ar *archive.Archive, wantReason string) {
 		t.Helper()
-		var resp protocol.AssignTaskResp
-		if err := protocol.Decode(tm.HandleAssign(m), &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.OK {
+		reason := assign(t, tm, sp, ar)
+		if reason == "" {
 			t.Fatalf("assign accepted, wanted rejection %q", wantReason)
 		}
-		if !strings.Contains(resp.Reason, wantReason) {
-			t.Errorf("reason = %q, want %q", resp.Reason, wantReason)
+		if !strings.Contains(reason, wantReason) {
+			t.Errorf("reason = %q, want %q", reason, wantReason)
 		}
 	}
 
-	check(assignMsg(spec("big", 900), nil), "insufficient memory")
-	check(assignMsg(&task.Spec{Name: "x", Class: "tm.Unknown",
-		Req: task.Requirements{MemoryMB: 10}}, nil), "not deployable")
+	check(spec("big", 900), nil, "insufficient memory")
+	check(&task.Spec{Name: "x", Class: "tm.Unknown",
+		Req: task.Requirements{MemoryMB: 10}}, nil, "not deployable")
 
 	// Duplicate assignment.
-	if err := protocol.Decode(tm.HandleAssign(assignMsg(spec("dup", 10), nil)), new(protocol.AssignTaskResp)); err != nil {
-		t.Fatal(err)
-	}
-	check(assignMsg(spec("dup", 10), nil), "already assigned")
+	mustAssign(t, tm, spec("dup", 10))
+	check(spec("dup", 10), nil, "already assigned")
 
 	// Archive whose manifest class does not match the spec.
 	bad, err := archive.NewBuilder("bad.jar", "tm.SomethingElse").Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(assignMsg(spec("pkg", 10), bad), "does not match")
+	check(spec("pkg", 10), bad, "does not match")
+}
 
-	// Digest mismatch.
+// TestAssignRejectsDigestMismatch: a fetched blob that does not hash to the
+// digest the assignment references is discarded and the item rejected.
+func TestAssignRejectsDigestMismatch(t *testing.T) {
 	good, err := archive.NewBuilder("good.jar", "tm.Noop").Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := assignMsg(spec("dig", 10), good)
-	var req protocol.AssignTaskReq
-	if err := protocol.Decode(m, &req); err != nil {
+	fetch := &countingFetch{blobs: map[string][]byte{"wrong": good.Bytes()}}
+	s := &sink{}
+	tm := New(Config{Node: "tm1", MemoryMB: 500, Registry: registry(t), Fetch: fetch.fetch}, s.send)
+	defer tm.Close()
+	r := tm.HandleAssignBatch(batchMsg(protocol.AssignTasksReq{
+		JobID: "j1", JobManager: "jm", ClientNode: "client",
+		Items: []protocol.TaskCreate{{Spec: spec("dig", 10), Archive: protocol.ArchiveRef{Name: good.Name, Digest: "wrong"}}},
+	}))
+	var resp protocol.AssignTasksResp
+	if err := protocol.Decode(r, &resp); err != nil {
 		t.Fatal(err)
 	}
-	req.Digest = "wrong"
-	check(protocol.Body(msg.KindUploadJar, m.From, m.To, req), "digest mismatch")
+	if !strings.Contains(resp.Rejected["dig"], "digest mismatch") {
+		t.Errorf("rejections = %v, want a digest mismatch for dig", resp.Rejected)
+	}
+	if tm.BlobCache().Has("wrong") {
+		t.Error("mismatching blob was cached")
+	}
 }
 
 func TestStartErrors(t *testing.T) {
@@ -183,9 +207,7 @@ func TestStartErrors(t *testing.T) {
 	if err := tm.HandleStart("j1", "ghost", trace.Context{}); err == nil {
 		t.Error("starting unassigned task accepted")
 	}
-	if err := protocol.Decode(tm.HandleAssign(assignMsg(spec("t", 10), nil)), new(protocol.AssignTaskResp)); err != nil {
-		t.Fatal(err)
-	}
+	mustAssign(t, tm, spec("t", 10))
 	if err := tm.HandleStart("j1", "t", trace.Context{}); err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +221,7 @@ func TestCancelReleasesUnstarted(t *testing.T) {
 	s := &sink{}
 	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t)}, s.send)
 	defer tm.Close()
-	if err := protocol.Decode(tm.HandleAssign(assignMsg(spec("idle", 300), nil)), new(protocol.AssignTaskResp)); err != nil {
-		t.Fatal(err)
-	}
+	mustAssign(t, tm, spec("idle", 300))
 	if tm.FreeMemoryMB() != 700 {
 		t.Fatalf("free = %d", tm.FreeMemoryMB())
 	}
@@ -231,11 +251,6 @@ func (f *countingFetch) fetch(jmNode, jobID string, digests []string) (map[strin
 		}
 	}
 	return out, nil
-}
-
-func batchMsg(req protocol.AssignTasksReq) *msg.Message {
-	return protocol.Body(msg.KindAssignTasks,
-		msg.Address{Node: "jm", Job: req.JobID}, msg.Address{Node: "tm1"}, req)
 }
 
 func TestBatchAssignSharedDigestFetchesOnce(t *testing.T) {
@@ -303,9 +318,9 @@ func TestCacheHitAssignmentWithRefOnlyExecutes(t *testing.T) {
 	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t)}, s.send) // no Fetch configured
 	defer tm.Close()
 
-	// Seed the cache through the legacy inline-upload path.
-	if err := protocol.Decode(tm.HandleAssign(assignMsg(spec("seed", 10), ar)), new(protocol.AssignTaskResp)); err != nil {
-		t.Fatal(err)
+	// Seed the cache as an earlier assignment's transfer would have.
+	if reason := assign(t, tm, spec("seed", 10), ar); reason != "" {
+		t.Fatal(reason)
 	}
 
 	// Ref-only assignment of a second task sharing the digest.
@@ -323,7 +338,7 @@ func TestCacheHitAssignmentWithRefOnlyExecutes(t *testing.T) {
 		t.Fatalf("ref-only assignment: rejected=%v fetched=%d, want cache hit", resp.Rejected, resp.Fetched)
 	}
 	if tm.BlobCache().Transfers() != 1 {
-		t.Errorf("transfers = %d, want 1 (seed upload only)", tm.BlobCache().Transfers())
+		t.Errorf("transfers = %d, want 1 (the seed only)", tm.BlobCache().Transfers())
 	}
 	if err := tm.HandleStart("j1", "hit", trace.Context{}); err != nil {
 		t.Fatal(err)
@@ -419,9 +434,7 @@ func TestHeartbeatCarriesTaskBeats(t *testing.T) {
 		HeartbeatEvery: 5 * time.Millisecond,
 	}, s.send)
 	defer tm.Close()
-	if r := tm.HandleAssign(assignMsg(spec("t1", 100), nil)); r == nil {
-		t.Fatal("assign not answered")
-	}
+	mustAssign(t, tm, spec("t1", 100))
 	m := s.waitKind(t, msg.KindHeartbeat)
 	var hb protocol.Heartbeat
 	if err := protocol.Decode(m, &hb); err != nil {
@@ -468,9 +481,7 @@ func TestGoodbyeBeatAfterLastAssignment(t *testing.T) {
 		HeartbeatEvery: 5 * time.Millisecond,
 	}, s.send)
 	defer tm.Close()
-	if r := tm.HandleAssign(assignMsg(spec("t1", 100), nil)); r == nil {
-		t.Fatal("assign not answered")
-	}
+	mustAssign(t, tm, spec("t1", 100))
 	s.waitKind(t, msg.KindHeartbeat)
 	tm.HandleCancel("j1") // releases the only assignment
 	// An empty (goodbye) heartbeat must follow.
@@ -500,9 +511,7 @@ func TestHeartbeatAckUnknownJobReleasesAssignments(t *testing.T) {
 	s := &sink{}
 	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t), HeartbeatEvery: -1}, s.send)
 	defer tm.Close()
-	if r := tm.HandleAssign(assignMsg(spec("t1", 400), nil)); r == nil {
-		t.Fatal("assign not answered")
-	}
+	mustAssign(t, tm, spec("t1", 400))
 	if tm.FreeMemoryMB() != 600 {
 		t.Fatalf("free = %d after reservation", tm.FreeMemoryMB())
 	}
@@ -519,9 +528,7 @@ func TestReleaseIfUnstarted(t *testing.T) {
 	s := &sink{}
 	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t), HeartbeatEvery: -1}, s.send)
 	defer tm.Close()
-	if r := tm.HandleAssign(assignMsg(spec("t1", 400), nil)); r == nil {
-		t.Fatal("assign not answered")
-	}
+	mustAssign(t, tm, spec("t1", 400))
 	if !tm.ReleaseIfUnstarted("j1", "t1") {
 		t.Fatal("release of an unstarted assignment refused")
 	}
@@ -532,9 +539,7 @@ func TestReleaseIfUnstarted(t *testing.T) {
 	if tm.ReleaseIfUnstarted("j1", "t1") {
 		t.Error("double release succeeded")
 	}
-	if r := tm.HandleAssign(assignMsg(spec("t2", 400), nil)); r == nil {
-		t.Fatal("assign not answered")
-	}
+	mustAssign(t, tm, spec("t2", 400))
 	if err := tm.HandleStart("j1", "t2", trace.Context{}); err != nil {
 		t.Fatal(err)
 	}

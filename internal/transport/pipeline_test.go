@@ -22,7 +22,7 @@ func TestLaneClassification(t *testing.T) {
 		}
 	}
 	for _, k := range []msg.Kind{msg.KindBlobChunk, msg.KindBlobChunkAck, msg.KindBlobData,
-		msg.KindUploadJar, msg.KindDataFetch, msg.KindUser, msg.KindBroadcast} {
+		msg.KindDataFetch, msg.KindUser, msg.KindBroadcast} {
 		if laneOf(k) != laneBulk {
 			t.Errorf("%v classified control, want bulk", k)
 		}

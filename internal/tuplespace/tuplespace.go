@@ -103,18 +103,19 @@ func fieldEqual(a, b any) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// waiter represents one blocked In/Rd call.
-type waiter struct {
+// Waiter is one registered blocking In/Rd: a template waiting for a tuple
+// that has not been stored yet.
+type Waiter struct {
 	tpl  Template
 	take bool // destructive (In) vs read (Rd)
-	ch   chan Tuple
+	wake func(Tuple, error)
 }
 
 // Space is a concurrent tuple space.
 type Space struct {
 	mu      sync.Mutex
 	tuples  []Tuple
-	waiters []*waiter
+	waiters []*Waiter
 	closed  bool
 }
 
@@ -129,33 +130,40 @@ func (s *Space) Len() int {
 }
 
 // Out stores a tuple in the space, waking at most one blocked In and any
-// number of blocked Rd calls whose templates match.
+// number of blocked Rd calls whose templates match. Wake callbacks run on
+// the calling goroutine after the space's lock is released.
 func (s *Space) Out(t Tuple) error {
 	if len(t) == 0 {
 		return fmt.Errorf("tuplespace: out: empty tuple")
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return ErrClosed
 	}
 	t = t.clone()
 	// Readers all observe the tuple; the first matching taker consumes it.
 	taken := false
+	var woken []*Waiter
 	remaining := s.waiters[:0]
 	for _, w := range s.waiters {
 		if (taken && w.take) || !w.tpl.Matches(t) {
 			remaining = append(remaining, w)
 			continue
 		}
-		w.ch <- t.clone()
+		woken = append(woken, w)
 		if w.take {
 			taken = true
 		}
 	}
+	clear(s.waiters[len(remaining):]) // do not pin woken waiters in the spare capacity
 	s.waiters = remaining
 	if !taken {
 		s.tuples = append(s.tuples, t)
+	}
+	s.mu.Unlock()
+	for _, w := range woken {
+		w.wake(t.clone(), nil)
 	}
 	return nil
 }
@@ -212,42 +220,67 @@ func (s *Space) Rd(ctx context.Context, tpl Template) (Tuple, error) {
 	return s.wait(ctx, tpl, false)
 }
 
-func (s *Space) wait(ctx context.Context, tpl Template, take bool) (Tuple, error) {
+// Await is the non-blocking half of In (take) and Rd: it returns the first
+// stored tuple matching tpl, removing it when take is set; with no match it
+// registers a Waiter and returns it instead. A registered waiter's wake
+// runs exactly once — with the tuple a later Out supplies, or with
+// ErrClosed when the space closes — unless Cancel withdraws it first. wake
+// is called outside the space's lock, on the goroutine of the Out or Close
+// that fired it, and must not block.
+func (s *Space) Await(tpl Template, take bool, wake func(Tuple, error)) (Tuple, *Waiter, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
 	if i := s.findLocked(tpl); i >= 0 {
 		t := s.tuples[i]
 		if take {
 			s.tuples = append(s.tuples[:i], s.tuples[i+1:]...)
 		}
-		s.mu.Unlock()
-		return t.clone(), nil
+		return t.clone(), nil, nil
 	}
-	w := &waiter{tpl: tpl, take: take, ch: make(chan Tuple, 1)}
+	w := &Waiter{tpl: tpl, take: take, wake: wake}
 	s.waiters = append(s.waiters, w)
-	s.mu.Unlock()
+	return nil, w, nil
+}
 
+// Cancel withdraws a registered waiter. It reports true when the waiter
+// was still registered, in which case its wake will never run; false means
+// an Out or Close already claimed it and the wake has run or is running.
+func (s *Space) Cancel(w *Waiter) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, x := range s.waiters {
+		if x == w {
+			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+func (s *Space) wait(ctx context.Context, tpl Template, take bool) (Tuple, error) {
+	type result struct {
+		t   Tuple
+		err error
+	}
+	ch := make(chan result, 1)
+	t, w, err := s.Await(tpl, take, func(t Tuple, err error) { ch <- result{t, err} })
+	if w == nil {
+		return t, err
+	}
 	select {
-	case t, ok := <-w.ch:
-		if !ok {
-			return nil, ErrClosed
-		}
-		return t, nil
+	case r := <-ch:
+		return r.t, r.err
 	case <-ctx.Done():
-		s.removeWaiter(w)
-		// A racing Out may have satisfied the waiter between ctx firing and
-		// removal; prefer delivering the tuple over losing it.
-		select {
-		case t, ok := <-w.ch:
-			if ok {
-				return t, nil
-			}
-		default:
+		if s.Cancel(w) {
+			return nil, fmt.Errorf("tuplespace: %s: %w", opName(take), ctx.Err())
 		}
-		return nil, fmt.Errorf("tuplespace: %s: %w", opName(take), ctx.Err())
+		// A racing Out satisfied the waiter as ctx fired; deliver the tuple
+		// rather than lose it.
+		r := <-ch
+		return r.t, r.err
 	}
 }
 
@@ -256,17 +289,6 @@ func opName(take bool) string {
 		return "in"
 	}
 	return "rd"
-}
-
-func (s *Space) removeWaiter(w *waiter) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, x := range s.waiters {
-		if x == w {
-			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-			return
-		}
-	}
 }
 
 // Count returns the number of stored tuples matching tpl.
@@ -296,14 +318,16 @@ func (s *Space) Snapshot() []Tuple {
 // Close shuts the space down, failing all blocked and future operations.
 func (s *Space) Close() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return
 	}
 	s.closed = true
-	for _, w := range s.waiters {
-		close(w.ch)
-	}
+	woken := s.waiters
 	s.waiters = nil
 	s.tuples = nil
+	s.mu.Unlock()
+	for _, w := range woken {
+		w.wake(nil, ErrClosed)
+	}
 }

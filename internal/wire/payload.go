@@ -5,13 +5,14 @@
 //
 // The codec registers itself with the msg package at init, becoming the
 // process-wide payload codec for every component that links the transport;
-// types without a hand-rolled encoder (arbitrary KindUser application
+// types without a row in the table below (arbitrary KindUser application
 // payloads) report msg.ErrUnsupportedPayload and fall back to tagged gob.
 
 package wire
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 
 	"cn/internal/metrics"
@@ -20,19 +21,20 @@ import (
 	"cn/internal/task"
 )
 
-// Payload type ids. Append only: a type id is part of the wire format.
+// Payload type ids. Append only: a type id is part of the wire format, and
+// a retired id (the blank rows) is never reused.
 const (
 	tInvalid uint64 = iota
 	tJobRequirements
 	tJMOffer
 	tCreateJobReq
 	tCreateJobResp
-	tCreateTaskReq
-	tCreateTaskResp
+	_ // CreateTaskReq, retired with CREATE_TASK
+	_ // CreateTaskResp, retired with TASK_ACCEPTED
 	tTaskSolicitReq
 	tTMOffer
-	tAssignTaskReq
-	tAssignTaskResp
+	_ // AssignTaskReq, retired with UPLOAD_JAR
+	_ // AssignTaskResp, retired with JAR_UPLOADED
 	tCreateTasksReq
 	tCreateTasksResp
 	tAssignTasksReq
@@ -58,6 +60,84 @@ const (
 	tStatsPullReq
 	tStatsReportResp
 )
+
+// The codec table: one row per body type — type id, capacity hint for the
+// encode buffer, append, read. To add a body type, append its id above,
+// write its append/read pair below, add a row here, and extend the corpus
+// in wire_test.go (TestGoldenBytes and the round-trip tests walk it).
+func init() {
+	register(tJobRequirements, 32, appendJobRequirements, readJobRequirements)
+	register(tJMOffer, 64, appendJMOffer, readJMOffer)
+	register(tCreateJobReq, 128, appendCreateJobReq, readCreateJobReq)
+	register(tCreateJobResp, 64, appendCreateJobResp, readCreateJobResp)
+	register(tTaskSolicitReq, 256, appendTaskSolicitReq, readTaskSolicitReq)
+	register(tTMOffer, 64, appendTMOffer, readTMOffer)
+	register(tCreateTasksReq, 512, appendCreateTasksReq, readCreateTasksReq)
+	register(tCreateTasksResp, 256, appendCreateTasksResp, readCreateTasksResp)
+	register(tAssignTasksReq, 512, appendAssignTasksReq, readAssignTasksReq)
+	register(tAssignTasksResp, 128, appendAssignTasksResp, readAssignTasksResp)
+	register(tFetchBlobReq, 128, appendFetchBlobReq, readFetchBlobReq)
+	register(tFetchBlobResp, 256, appendFetchBlobResp, readFetchBlobResp)
+	registerSized(tBlobChunkReq, func(v protocol.BlobChunkReq) int { return 128 + len(v.Data) }, appendBlobChunkReq, readBlobChunkReq)
+	registerSized(tBlobChunkResp, func(v protocol.BlobChunkResp) int { return 128 + len(v.Data) }, appendBlobChunkResp, readBlobChunkResp)
+	register(tStartJobReq, 128, appendStartJobReq, readStartJobReq)
+	register(tExecTaskReq, 64, appendExecTaskReq, readExecTaskReq)
+	register(tTaskEvent, 128, appendTaskEvent, readTaskEvent)
+	registerSized(tHeartbeat, func(v protocol.Heartbeat) int { return 64 + 48*len(v.Beats) }, appendHeartbeat, readHeartbeat)
+	register(tHeartbeatAck, 64, appendHeartbeatAck, readHeartbeatAck)
+	registerSized(tUserPayload, func(v protocol.UserPayload) int { return 64 + len(v.Data) }, appendUserPayload, readUserPayload)
+	register(tCancelJobReq, 128, appendCancelJobReq, readCancelJobReq)
+	register(tJobEvent, 128, appendJobEvent, readJobEvent)
+	register(tTSOpReq, 128, appendTSOpReq, readTSOpReq)
+	register(tTSCancelReq, 64, appendTSCancelReq, readTSCancelReq)
+	register(tTSOpResp, 128, appendTSOpResp, readTSOpResp)
+	registerSized(tDataPutReq, func(v protocol.DataPutReq) int { return 192 + len(v.Data) }, appendDataPutReq, readDataPutReq)
+	register(tDataResolveReq, 192, appendDataResolveReq, readDataResolveReq)
+	registerSized(tDataLocResp, func(v protocol.DataLocResp) int { return 192 + len(v.Data) }, appendDataLocResp, readDataLocResp)
+	register(tStatsPullReq, 64, appendStatsPullReq, readStatsPullReq)
+	register(tStatsReportResp, 512, appendStatsReportResp, readStatsReportResp)
+}
+
+// form is what the table resolves one dynamic type to. A body type T
+// registers two: T itself (encode only) and *T (encode and decode).
+type form struct {
+	id      uint64
+	marshal func(v any) []byte
+	read    func(r *Reader, out any) error // nil for the value form
+}
+
+// forms is filled by init and read-only afterwards.
+var forms = make(map[reflect.Type]form)
+
+// register adds a body type whose encoding fits a fixed capacity hint.
+func register[T any](id uint64, hint int, app func([]byte, T) []byte, read func(*Reader, *T) error) {
+	registerSized(id, func(T) int { return hint }, app, read)
+}
+
+// registerSized adds a body type whose capacity hint depends on the value
+// (bodies carrying a bulk byte slice size the buffer once, up front). The
+// append side takes the body by value: handing a func value a pointer to
+// the unboxed copy would force that copy onto the heap, while a by-value
+// argument stays in the adapter's own small frame.
+func registerSized[T any](id uint64, hint func(T) int, app func([]byte, T) []byte, read func(*Reader, *T) error) {
+	encode := func(v T) []byte {
+		return app(header(make([]byte, 0, hint(v)), id), v)
+	}
+	val, ptr := reflect.TypeOf((*T)(nil)).Elem(), reflect.TypeOf((*T)(nil))
+	if _, dup := forms[val]; dup {
+		panic(fmt.Sprintf("wire: body type %v registered twice", val))
+	}
+	for _, f := range forms {
+		if f.id == id {
+			panic(fmt.Sprintf("wire: type id %d registered twice (%v)", id, val))
+		}
+	}
+	forms[val] = form{id: id, marshal: func(v any) []byte { return encode(v.(T)) }}
+	forms[ptr] = form{id: id,
+		marshal: func(v any) []byte { return encode(*v.(*T)) },
+		read:    func(r *Reader, out any) error { return read(r, out.(*T)) },
+	}
+}
 
 // Codec is the msg.Codec implementation; Default is the instance the init
 // hook registers and benchmarks reference explicitly.
@@ -88,149 +168,14 @@ func capHint(n int) int {
 	return n
 }
 
-// Marshal implements msg.Codec.
+// Marshal implements msg.Codec: a table lookup on v's dynamic type (value
+// or pointer form) and one call.
 func (Codec) Marshal(v any) ([]byte, error) {
-	// Pre-size generously for small bodies; large bodies (blob chunks)
-	// re-size once via the length hints below.
-	switch x := v.(type) {
-	case protocol.JobRequirements:
-		return appendJobRequirements(header(make([]byte, 0, 32), tJobRequirements), &x), nil
-	case *protocol.JobRequirements:
-		return appendJobRequirements(header(make([]byte, 0, 32), tJobRequirements), x), nil
-	case protocol.JMOffer:
-		return appendJMOffer(header(make([]byte, 0, 64), tJMOffer), &x), nil
-	case *protocol.JMOffer:
-		return appendJMOffer(header(make([]byte, 0, 64), tJMOffer), x), nil
-	case protocol.CreateJobReq:
-		return appendCreateJobReq(header(make([]byte, 0, 128), tCreateJobReq), &x), nil
-	case *protocol.CreateJobReq:
-		return appendCreateJobReq(header(make([]byte, 0, 128), tCreateJobReq), x), nil
-	case protocol.CreateJobResp:
-		return appendCreateJobResp(header(make([]byte, 0, 64), tCreateJobResp), &x), nil
-	case *protocol.CreateJobResp:
-		return appendCreateJobResp(header(make([]byte, 0, 64), tCreateJobResp), x), nil
-	case protocol.CreateTaskReq:
-		return appendCreateTaskReq(header(make([]byte, 0, 256+len(x.Archive)), tCreateTaskReq), &x), nil
-	case *protocol.CreateTaskReq:
-		return appendCreateTaskReq(header(make([]byte, 0, 256+len(x.Archive)), tCreateTaskReq), x), nil
-	case protocol.CreateTaskResp:
-		return appendCreateTaskResp(header(make([]byte, 0, 64), tCreateTaskResp), &x), nil
-	case *protocol.CreateTaskResp:
-		return appendCreateTaskResp(header(make([]byte, 0, 64), tCreateTaskResp), x), nil
-	case protocol.TaskSolicitReq:
-		return appendTaskSolicitReq(header(make([]byte, 0, 256), tTaskSolicitReq), &x), nil
-	case *protocol.TaskSolicitReq:
-		return appendTaskSolicitReq(header(make([]byte, 0, 256), tTaskSolicitReq), x), nil
-	case protocol.TMOffer:
-		return appendTMOffer(header(make([]byte, 0, 64), tTMOffer), &x), nil
-	case *protocol.TMOffer:
-		return appendTMOffer(header(make([]byte, 0, 64), tTMOffer), x), nil
-	case protocol.AssignTaskReq:
-		return appendAssignTaskReq(header(make([]byte, 0, 256+len(x.Archive)), tAssignTaskReq), &x), nil
-	case *protocol.AssignTaskReq:
-		return appendAssignTaskReq(header(make([]byte, 0, 256+len(x.Archive)), tAssignTaskReq), x), nil
-	case protocol.AssignTaskResp:
-		return appendAssignTaskResp(header(make([]byte, 0, 64), tAssignTaskResp), &x), nil
-	case *protocol.AssignTaskResp:
-		return appendAssignTaskResp(header(make([]byte, 0, 64), tAssignTaskResp), x), nil
-	case protocol.CreateTasksReq:
-		return appendCreateTasksReq(header(make([]byte, 0, 512), tCreateTasksReq), &x), nil
-	case *protocol.CreateTasksReq:
-		return appendCreateTasksReq(header(make([]byte, 0, 512), tCreateTasksReq), x), nil
-	case protocol.CreateTasksResp:
-		return appendCreateTasksResp(header(make([]byte, 0, 256), tCreateTasksResp), &x), nil
-	case *protocol.CreateTasksResp:
-		return appendCreateTasksResp(header(make([]byte, 0, 256), tCreateTasksResp), x), nil
-	case protocol.AssignTasksReq:
-		return appendAssignTasksReq(header(make([]byte, 0, 512), tAssignTasksReq), &x), nil
-	case *protocol.AssignTasksReq:
-		return appendAssignTasksReq(header(make([]byte, 0, 512), tAssignTasksReq), x), nil
-	case protocol.AssignTasksResp:
-		return appendAssignTasksResp(header(make([]byte, 0, 128), tAssignTasksResp), &x), nil
-	case *protocol.AssignTasksResp:
-		return appendAssignTasksResp(header(make([]byte, 0, 128), tAssignTasksResp), x), nil
-	case protocol.FetchBlobReq:
-		return appendFetchBlobReq(header(make([]byte, 0, 128), tFetchBlobReq), &x), nil
-	case *protocol.FetchBlobReq:
-		return appendFetchBlobReq(header(make([]byte, 0, 128), tFetchBlobReq), x), nil
-	case protocol.FetchBlobResp:
-		return appendFetchBlobResp(header(make([]byte, 0, 256), tFetchBlobResp), &x), nil
-	case *protocol.FetchBlobResp:
-		return appendFetchBlobResp(header(make([]byte, 0, 256), tFetchBlobResp), x), nil
-	case protocol.BlobChunkReq:
-		return appendBlobChunkReq(header(make([]byte, 0, 128+len(x.Data)), tBlobChunkReq), &x), nil
-	case *protocol.BlobChunkReq:
-		return appendBlobChunkReq(header(make([]byte, 0, 128+len(x.Data)), tBlobChunkReq), x), nil
-	case protocol.BlobChunkResp:
-		return appendBlobChunkResp(header(make([]byte, 0, 128+len(x.Data)), tBlobChunkResp), &x), nil
-	case *protocol.BlobChunkResp:
-		return appendBlobChunkResp(header(make([]byte, 0, 128+len(x.Data)), tBlobChunkResp), x), nil
-	case protocol.StartJobReq:
-		return appendStartJobReq(header(make([]byte, 0, 128), tStartJobReq), &x), nil
-	case *protocol.StartJobReq:
-		return appendStartJobReq(header(make([]byte, 0, 128), tStartJobReq), x), nil
-	case protocol.ExecTaskReq:
-		return appendExecTaskReq(header(make([]byte, 0, 64), tExecTaskReq), &x), nil
-	case *protocol.ExecTaskReq:
-		return appendExecTaskReq(header(make([]byte, 0, 64), tExecTaskReq), x), nil
-	case protocol.TaskEvent:
-		return appendTaskEvent(header(make([]byte, 0, 128), tTaskEvent), &x), nil
-	case *protocol.TaskEvent:
-		return appendTaskEvent(header(make([]byte, 0, 128), tTaskEvent), x), nil
-	case protocol.Heartbeat:
-		return appendHeartbeat(header(make([]byte, 0, 64+48*len(x.Beats)), tHeartbeat), &x), nil
-	case *protocol.Heartbeat:
-		return appendHeartbeat(header(make([]byte, 0, 64+48*len(x.Beats)), tHeartbeat), x), nil
-	case protocol.HeartbeatAck:
-		return appendHeartbeatAck(header(make([]byte, 0, 64), tHeartbeatAck), &x), nil
-	case *protocol.HeartbeatAck:
-		return appendHeartbeatAck(header(make([]byte, 0, 64), tHeartbeatAck), x), nil
-	case protocol.UserPayload:
-		return appendUserPayload(header(make([]byte, 0, 64+len(x.Data)), tUserPayload), &x), nil
-	case *protocol.UserPayload:
-		return appendUserPayload(header(make([]byte, 0, 64+len(x.Data)), tUserPayload), x), nil
-	case protocol.CancelJobReq:
-		return appendCancelJobReq(header(make([]byte, 0, 128), tCancelJobReq), &x), nil
-	case *protocol.CancelJobReq:
-		return appendCancelJobReq(header(make([]byte, 0, 128), tCancelJobReq), x), nil
-	case protocol.JobEvent:
-		return appendJobEvent(header(make([]byte, 0, 128), tJobEvent), &x), nil
-	case *protocol.JobEvent:
-		return appendJobEvent(header(make([]byte, 0, 128), tJobEvent), x), nil
-	case protocol.TSOpReq:
-		return appendTSOpReq(header(make([]byte, 0, 128), tTSOpReq), &x), nil
-	case *protocol.TSOpReq:
-		return appendTSOpReq(header(make([]byte, 0, 128), tTSOpReq), x), nil
-	case protocol.TSCancelReq:
-		return appendTSCancelReq(header(make([]byte, 0, 64), tTSCancelReq), &x), nil
-	case *protocol.TSCancelReq:
-		return appendTSCancelReq(header(make([]byte, 0, 64), tTSCancelReq), x), nil
-	case protocol.TSOpResp:
-		return appendTSOpResp(header(make([]byte, 0, 128), tTSOpResp), &x), nil
-	case *protocol.TSOpResp:
-		return appendTSOpResp(header(make([]byte, 0, 128), tTSOpResp), x), nil
-	case protocol.DataPutReq:
-		return appendDataPutReq(header(make([]byte, 0, 192+len(x.Data)), tDataPutReq), &x), nil
-	case *protocol.DataPutReq:
-		return appendDataPutReq(header(make([]byte, 0, 192+len(x.Data)), tDataPutReq), x), nil
-	case protocol.DataResolveReq:
-		return appendDataResolveReq(header(make([]byte, 0, 192), tDataResolveReq), &x), nil
-	case *protocol.DataResolveReq:
-		return appendDataResolveReq(header(make([]byte, 0, 192), tDataResolveReq), x), nil
-	case protocol.DataLocResp:
-		return appendDataLocResp(header(make([]byte, 0, 192+len(x.Data)), tDataLocResp), &x), nil
-	case *protocol.DataLocResp:
-		return appendDataLocResp(header(make([]byte, 0, 192+len(x.Data)), tDataLocResp), x), nil
-	case protocol.StatsPullReq:
-		return appendStatsPullReq(header(make([]byte, 0, 64), tStatsPullReq), &x), nil
-	case *protocol.StatsPullReq:
-		return appendStatsPullReq(header(make([]byte, 0, 64), tStatsPullReq), x), nil
-	case protocol.StatsReportResp:
-		return appendStatsReportResp(header(make([]byte, 0, 512), tStatsReportResp), &x), nil
-	case *protocol.StatsReportResp:
-		return appendStatsReportResp(header(make([]byte, 0, 512), tStatsReportResp), x), nil
+	f, ok := forms[reflect.TypeOf(v)]
+	if !ok {
+		return nil, msg.ErrUnsupportedPayload
 	}
-	return nil, msg.ErrUnsupportedPayload
+	return f.marshal(v), nil
 }
 
 // Unmarshal implements msg.Codec: out selects the expected body type, and
@@ -240,84 +185,14 @@ func (Codec) Unmarshal(data []byte, out any) error {
 	if err != nil {
 		return err
 	}
-	var wantID uint64
-	var decode func(*Reader) error
-	switch x := out.(type) {
-	case *protocol.JobRequirements:
-		wantID, decode = tJobRequirements, func(r *Reader) error { return readJobRequirements(r, x) }
-	case *protocol.JMOffer:
-		wantID, decode = tJMOffer, func(r *Reader) error { return readJMOffer(r, x) }
-	case *protocol.CreateJobReq:
-		wantID, decode = tCreateJobReq, func(r *Reader) error { return readCreateJobReq(r, x) }
-	case *protocol.CreateJobResp:
-		wantID, decode = tCreateJobResp, func(r *Reader) error { return readCreateJobResp(r, x) }
-	case *protocol.CreateTaskReq:
-		wantID, decode = tCreateTaskReq, func(r *Reader) error { return readCreateTaskReq(r, x) }
-	case *protocol.CreateTaskResp:
-		wantID, decode = tCreateTaskResp, func(r *Reader) error { return readCreateTaskResp(r, x) }
-	case *protocol.TaskSolicitReq:
-		wantID, decode = tTaskSolicitReq, func(r *Reader) error { return readTaskSolicitReq(r, x) }
-	case *protocol.TMOffer:
-		wantID, decode = tTMOffer, func(r *Reader) error { return readTMOffer(r, x) }
-	case *protocol.AssignTaskReq:
-		wantID, decode = tAssignTaskReq, func(r *Reader) error { return readAssignTaskReq(r, x) }
-	case *protocol.AssignTaskResp:
-		wantID, decode = tAssignTaskResp, func(r *Reader) error { return readAssignTaskResp(r, x) }
-	case *protocol.CreateTasksReq:
-		wantID, decode = tCreateTasksReq, func(r *Reader) error { return readCreateTasksReq(r, x) }
-	case *protocol.CreateTasksResp:
-		wantID, decode = tCreateTasksResp, func(r *Reader) error { return readCreateTasksResp(r, x) }
-	case *protocol.AssignTasksReq:
-		wantID, decode = tAssignTasksReq, func(r *Reader) error { return readAssignTasksReq(r, x) }
-	case *protocol.AssignTasksResp:
-		wantID, decode = tAssignTasksResp, func(r *Reader) error { return readAssignTasksResp(r, x) }
-	case *protocol.FetchBlobReq:
-		wantID, decode = tFetchBlobReq, func(r *Reader) error { return readFetchBlobReq(r, x) }
-	case *protocol.FetchBlobResp:
-		wantID, decode = tFetchBlobResp, func(r *Reader) error { return readFetchBlobResp(r, x) }
-	case *protocol.BlobChunkReq:
-		wantID, decode = tBlobChunkReq, func(r *Reader) error { return readBlobChunkReq(r, x) }
-	case *protocol.BlobChunkResp:
-		wantID, decode = tBlobChunkResp, func(r *Reader) error { return readBlobChunkResp(r, x) }
-	case *protocol.StartJobReq:
-		wantID, decode = tStartJobReq, func(r *Reader) error { return readStartJobReq(r, x) }
-	case *protocol.ExecTaskReq:
-		wantID, decode = tExecTaskReq, func(r *Reader) error { return readExecTaskReq(r, x) }
-	case *protocol.TaskEvent:
-		wantID, decode = tTaskEvent, func(r *Reader) error { return readTaskEvent(r, x) }
-	case *protocol.Heartbeat:
-		wantID, decode = tHeartbeat, func(r *Reader) error { return readHeartbeat(r, x) }
-	case *protocol.HeartbeatAck:
-		wantID, decode = tHeartbeatAck, func(r *Reader) error { return readHeartbeatAck(r, x) }
-	case *protocol.UserPayload:
-		wantID, decode = tUserPayload, func(r *Reader) error { return readUserPayload(r, x) }
-	case *protocol.CancelJobReq:
-		wantID, decode = tCancelJobReq, func(r *Reader) error { return readCancelJobReq(r, x) }
-	case *protocol.JobEvent:
-		wantID, decode = tJobEvent, func(r *Reader) error { return readJobEvent(r, x) }
-	case *protocol.TSOpReq:
-		wantID, decode = tTSOpReq, func(r *Reader) error { return readTSOpReq(r, x) }
-	case *protocol.TSCancelReq:
-		wantID, decode = tTSCancelReq, func(r *Reader) error { return readTSCancelReq(r, x) }
-	case *protocol.TSOpResp:
-		wantID, decode = tTSOpResp, func(r *Reader) error { return readTSOpResp(r, x) }
-	case *protocol.DataPutReq:
-		wantID, decode = tDataPutReq, func(r *Reader) error { return readDataPutReq(r, x) }
-	case *protocol.DataResolveReq:
-		wantID, decode = tDataResolveReq, func(r *Reader) error { return readDataResolveReq(r, x) }
-	case *protocol.DataLocResp:
-		wantID, decode = tDataLocResp, func(r *Reader) error { return readDataLocResp(r, x) }
-	case *protocol.StatsPullReq:
-		wantID, decode = tStatsPullReq, func(r *Reader) error { return readStatsPullReq(r, x) }
-	case *protocol.StatsReportResp:
-		wantID, decode = tStatsReportResp, func(r *Reader) error { return readStatsReportResp(r, x) }
-	default:
+	f, ok := forms[reflect.TypeOf(out)]
+	if !ok || f.read == nil {
 		return fmt.Errorf("wire: no binary decoder for %T", out)
 	}
-	if gotID != wantID {
+	if gotID != f.id {
 		return fmt.Errorf("wire: payload type id %d does not match %T", gotID, out)
 	}
-	if err := decode(r); err != nil {
+	if err := f.read(r, out); err != nil {
 		return err
 	}
 	if r.Len() != 0 {
@@ -584,7 +459,7 @@ func readTSFields(r *Reader) ([]protocol.TSField, error) {
 
 // --- per-body encoders/decoders, fields in declaration order ---
 
-func appendJobRequirements(b []byte, v *protocol.JobRequirements) []byte {
+func appendJobRequirements(b []byte, v protocol.JobRequirements) []byte {
 	b = AppendVarint(b, int64(v.MinMemoryMB))
 	return AppendVarint(b, int64(v.ExpectedTasks))
 }
@@ -597,7 +472,7 @@ func readJobRequirements(r *Reader, v *protocol.JobRequirements) (err error) {
 	return err
 }
 
-func appendJMOffer(b []byte, v *protocol.JMOffer) []byte {
+func appendJMOffer(b []byte, v protocol.JMOffer) []byte {
 	b = AppendString(b, v.Node)
 	b = AppendVarint(b, int64(v.FreeMemoryMB))
 	return AppendVarint(b, int64(v.ActiveJobs))
@@ -614,9 +489,9 @@ func readJMOffer(r *Reader, v *protocol.JMOffer) (err error) {
 	return err
 }
 
-func appendCreateJobReq(b []byte, v *protocol.CreateJobReq) []byte {
+func appendCreateJobReq(b []byte, v protocol.CreateJobReq) []byte {
 	b = AppendString(b, v.Name)
-	b = appendJobRequirements(b, &v.Req)
+	b = appendJobRequirements(b, v.Req)
 	return AppendString(b, v.ClientNode)
 }
 
@@ -631,7 +506,7 @@ func readCreateJobReq(r *Reader, v *protocol.CreateJobReq) (err error) {
 	return err
 }
 
-func appendCreateJobResp(b []byte, v *protocol.CreateJobResp) []byte {
+func appendCreateJobResp(b []byte, v protocol.CreateJobResp) []byte {
 	return AppendString(b, v.JobID)
 }
 
@@ -640,41 +515,7 @@ func readCreateJobResp(r *Reader, v *protocol.CreateJobResp) (err error) {
 	return err
 }
 
-func appendCreateTaskReq(b []byte, v *protocol.CreateTaskReq) []byte {
-	b = AppendString(b, v.JobID)
-	b = appendSpec(b, v.Spec)
-	b = AppendString(b, v.ArchiveName)
-	b = AppendBytes(b, v.Archive)
-	return AppendString(b, v.Digest)
-}
-
-func readCreateTaskReq(r *Reader, v *protocol.CreateTaskReq) (err error) {
-	if v.JobID, err = r.String(); err != nil {
-		return err
-	}
-	if v.Spec, err = readSpec(r); err != nil {
-		return err
-	}
-	if v.ArchiveName, err = r.String(); err != nil {
-		return err
-	}
-	if v.Archive, err = r.Bytes(); err != nil {
-		return err
-	}
-	v.Digest, err = r.String()
-	return err
-}
-
-func appendCreateTaskResp(b []byte, v *protocol.CreateTaskResp) []byte {
-	return AppendString(b, v.Placement)
-}
-
-func readCreateTaskResp(r *Reader, v *protocol.CreateTaskResp) (err error) {
-	v.Placement, err = r.String()
-	return err
-}
-
-func appendTaskSolicitReq(b []byte, v *protocol.TaskSolicitReq) []byte {
+func appendTaskSolicitReq(b []byte, v protocol.TaskSolicitReq) []byte {
 	b = AppendString(b, v.JobID)
 	return appendSpec(b, v.Spec)
 }
@@ -687,7 +528,7 @@ func readTaskSolicitReq(r *Reader, v *protocol.TaskSolicitReq) (err error) {
 	return err
 }
 
-func appendTMOffer(b []byte, v *protocol.TMOffer) []byte {
+func appendTMOffer(b []byte, v protocol.TMOffer) []byte {
 	b = AppendString(b, v.Node)
 	b = AppendVarint(b, int64(v.FreeMemoryMB))
 	b = AppendVarint(b, int64(v.RunningTasks))
@@ -720,53 +561,7 @@ func readTMOffer(r *Reader, v *protocol.TMOffer) (err error) {
 	return err
 }
 
-func appendAssignTaskReq(b []byte, v *protocol.AssignTaskReq) []byte {
-	b = AppendString(b, v.JobID)
-	b = AppendString(b, v.JobManager)
-	b = AppendString(b, v.ClientNode)
-	b = appendSpec(b, v.Spec)
-	b = AppendString(b, v.ArchiveName)
-	b = AppendBytes(b, v.Archive)
-	return AppendString(b, v.Digest)
-}
-
-func readAssignTaskReq(r *Reader, v *protocol.AssignTaskReq) (err error) {
-	if v.JobID, err = r.String(); err != nil {
-		return err
-	}
-	if v.JobManager, err = r.String(); err != nil {
-		return err
-	}
-	if v.ClientNode, err = r.String(); err != nil {
-		return err
-	}
-	if v.Spec, err = readSpec(r); err != nil {
-		return err
-	}
-	if v.ArchiveName, err = r.String(); err != nil {
-		return err
-	}
-	if v.Archive, err = r.Bytes(); err != nil {
-		return err
-	}
-	v.Digest, err = r.String()
-	return err
-}
-
-func appendAssignTaskResp(b []byte, v *protocol.AssignTaskResp) []byte {
-	b = AppendBool(b, v.OK)
-	return AppendString(b, v.Reason)
-}
-
-func readAssignTaskResp(r *Reader, v *protocol.AssignTaskResp) (err error) {
-	if v.OK, err = r.Bool(); err != nil {
-		return err
-	}
-	v.Reason, err = r.String()
-	return err
-}
-
-func appendCreateTasksReq(b []byte, v *protocol.CreateTasksReq) []byte {
+func appendCreateTasksReq(b []byte, v protocol.CreateTasksReq) []byte {
 	b = AppendString(b, v.JobID)
 	b = AppendUvarint(b, uint64(len(v.Tasks)))
 	for i := range v.Tasks {
@@ -797,7 +592,7 @@ func readCreateTasksReq(r *Reader, v *protocol.CreateTasksReq) (err error) {
 	return err
 }
 
-func appendCreateTasksResp(b []byte, v *protocol.CreateTasksResp) []byte {
+func appendCreateTasksResp(b []byte, v protocol.CreateTasksResp) []byte {
 	return appendStringMap(b, v.Placements)
 }
 
@@ -806,7 +601,7 @@ func readCreateTasksResp(r *Reader, v *protocol.CreateTasksResp) (err error) {
 	return err
 }
 
-func appendAssignTasksReq(b []byte, v *protocol.AssignTasksReq) []byte {
+func appendAssignTasksReq(b []byte, v protocol.AssignTasksReq) []byte {
 	b = AppendString(b, v.JobID)
 	b = AppendString(b, v.JobManager)
 	b = AppendString(b, v.ClientNode)
@@ -844,7 +639,7 @@ func readAssignTasksReq(r *Reader, v *protocol.AssignTasksReq) (err error) {
 	return nil
 }
 
-func appendAssignTasksResp(b []byte, v *protocol.AssignTasksResp) []byte {
+func appendAssignTasksResp(b []byte, v protocol.AssignTasksResp) []byte {
 	b = appendStringMap(b, v.Rejected)
 	return AppendVarint(b, int64(v.Fetched))
 }
@@ -857,7 +652,7 @@ func readAssignTasksResp(r *Reader, v *protocol.AssignTasksResp) (err error) {
 	return err
 }
 
-func appendFetchBlobReq(b []byte, v *protocol.FetchBlobReq) []byte {
+func appendFetchBlobReq(b []byte, v protocol.FetchBlobReq) []byte {
 	b = AppendString(b, v.JobID)
 	return appendStringSlice(b, v.Digests)
 }
@@ -870,7 +665,7 @@ func readFetchBlobReq(r *Reader, v *protocol.FetchBlobReq) (err error) {
 	return err
 }
 
-func appendFetchBlobResp(b []byte, v *protocol.FetchBlobResp) []byte {
+func appendFetchBlobResp(b []byte, v protocol.FetchBlobResp) []byte {
 	b = appendBlobMap(b, v.Blobs)
 	b = AppendUvarint(b, uint64(len(v.Sizes)))
 	keys := make([]string, 0, len(v.Sizes))
@@ -906,7 +701,7 @@ func readFetchBlobResp(r *Reader, v *protocol.FetchBlobResp) (err error) {
 	return nil
 }
 
-func appendBlobChunkReq(b []byte, v *protocol.BlobChunkReq) []byte {
+func appendBlobChunkReq(b []byte, v protocol.BlobChunkReq) []byte {
 	b = AppendString(b, v.JobID)
 	b = AppendString(b, v.Digest)
 	b = AppendVarint(b, v.Offset)
@@ -935,7 +730,7 @@ func readBlobChunkReq(r *Reader, v *protocol.BlobChunkReq) (err error) {
 	return err
 }
 
-func appendBlobChunkResp(b []byte, v *protocol.BlobChunkResp) []byte {
+func appendBlobChunkResp(b []byte, v protocol.BlobChunkResp) []byte {
 	b = AppendString(b, v.Digest)
 	b = AppendVarint(b, v.Offset)
 	b = AppendVarint(b, v.Total)
@@ -960,7 +755,7 @@ func readBlobChunkResp(r *Reader, v *protocol.BlobChunkResp) (err error) {
 	return err
 }
 
-func appendStartJobReq(b []byte, v *protocol.StartJobReq) []byte {
+func appendStartJobReq(b []byte, v protocol.StartJobReq) []byte {
 	b = AppendString(b, v.JobID)
 	b = appendStringSlice(b, v.TaskNames)
 	return AppendSpans(b, v.Spans)
@@ -977,7 +772,7 @@ func readStartJobReq(r *Reader, v *protocol.StartJobReq) (err error) {
 	return err
 }
 
-func appendExecTaskReq(b []byte, v *protocol.ExecTaskReq) []byte {
+func appendExecTaskReq(b []byte, v protocol.ExecTaskReq) []byte {
 	b = AppendString(b, v.JobID)
 	return AppendString(b, v.Task)
 }
@@ -990,7 +785,7 @@ func readExecTaskReq(r *Reader, v *protocol.ExecTaskReq) (err error) {
 	return err
 }
 
-func appendTaskEvent(b []byte, v *protocol.TaskEvent) []byte {
+func appendTaskEvent(b []byte, v protocol.TaskEvent) []byte {
 	b = AppendString(b, v.JobID)
 	b = AppendString(b, v.Task)
 	b = AppendString(b, v.Node)
@@ -1023,7 +818,7 @@ func readTaskEvent(r *Reader, v *protocol.TaskEvent) (err error) {
 	return err
 }
 
-func appendHeartbeat(b []byte, v *protocol.Heartbeat) []byte {
+func appendHeartbeat(b []byte, v protocol.Heartbeat) []byte {
 	b = AppendString(b, v.Node)
 	b = AppendUvarint(b, v.Seq)
 	b = AppendUvarint(b, uint64(len(v.Beats)))
@@ -1067,7 +862,7 @@ func readHeartbeat(r *Reader, v *protocol.Heartbeat) (err error) {
 	return nil
 }
 
-func appendHeartbeatAck(b []byte, v *protocol.HeartbeatAck) []byte {
+func appendHeartbeatAck(b []byte, v protocol.HeartbeatAck) []byte {
 	b = AppendString(b, v.Node)
 	b = AppendUvarint(b, v.Seq)
 	return appendStringSlice(b, v.UnknownJobs)
@@ -1084,7 +879,7 @@ func readHeartbeatAck(r *Reader, v *protocol.HeartbeatAck) (err error) {
 	return err
 }
 
-func appendUserPayload(b []byte, v *protocol.UserPayload) []byte {
+func appendUserPayload(b []byte, v protocol.UserPayload) []byte {
 	b = AppendString(b, v.JobID)
 	b = AppendString(b, v.FromTask)
 	b = AppendString(b, v.ToTask)
@@ -1105,7 +900,7 @@ func readUserPayload(r *Reader, v *protocol.UserPayload) (err error) {
 	return err
 }
 
-func appendCancelJobReq(b []byte, v *protocol.CancelJobReq) []byte {
+func appendCancelJobReq(b []byte, v protocol.CancelJobReq) []byte {
 	b = AppendString(b, v.JobID)
 	b = AppendString(b, v.Reason)
 	return appendStringSlice(b, v.Tasks)
@@ -1122,7 +917,7 @@ func readCancelJobReq(r *Reader, v *protocol.CancelJobReq) (err error) {
 	return err
 }
 
-func appendJobEvent(b []byte, v *protocol.JobEvent) []byte {
+func appendJobEvent(b []byte, v protocol.JobEvent) []byte {
 	b = AppendString(b, v.JobID)
 	b = AppendBool(b, v.Failed)
 	b = AppendString(b, v.Err)
@@ -1143,7 +938,7 @@ func readJobEvent(r *Reader, v *protocol.JobEvent) (err error) {
 	return err
 }
 
-func appendTSOpReq(b []byte, v *protocol.TSOpReq) []byte {
+func appendTSOpReq(b []byte, v protocol.TSOpReq) []byte {
 	b = AppendString(b, v.JobID)
 	b = AppendString(b, v.FromTask)
 	b = appendTSFields(b, v.Fields)
@@ -1164,7 +959,7 @@ func readTSOpReq(r *Reader, v *protocol.TSOpReq) (err error) {
 	return err
 }
 
-func appendTSCancelReq(b []byte, v *protocol.TSCancelReq) []byte {
+func appendTSCancelReq(b []byte, v protocol.TSCancelReq) []byte {
 	b = AppendString(b, v.JobID)
 	return AppendUvarint(b, v.ReqID)
 }
@@ -1177,7 +972,7 @@ func readTSCancelReq(r *Reader, v *protocol.TSCancelReq) (err error) {
 	return err
 }
 
-func appendTSOpResp(b []byte, v *protocol.TSOpResp) []byte {
+func appendTSOpResp(b []byte, v protocol.TSOpResp) []byte {
 	b = AppendBool(b, v.OK)
 	b = AppendBool(b, v.Closed)
 	b = AppendBool(b, v.NoMatch)
@@ -1206,7 +1001,7 @@ func readTSOpResp(r *Reader, v *protocol.TSOpResp) (err error) {
 	return err
 }
 
-func appendDataPutReq(b []byte, v *protocol.DataPutReq) []byte {
+func appendDataPutReq(b []byte, v protocol.DataPutReq) []byte {
 	b = AppendString(b, v.JobID)
 	b = AppendString(b, v.Key)
 	b = AppendString(b, v.Task)
@@ -1239,7 +1034,7 @@ func readDataPutReq(r *Reader, v *protocol.DataPutReq) (err error) {
 	return err
 }
 
-func appendDataResolveReq(b []byte, v *protocol.DataResolveReq) []byte {
+func appendDataResolveReq(b []byte, v protocol.DataResolveReq) []byte {
 	b = AppendString(b, v.JobID)
 	b = AppendString(b, v.Key)
 	b = AppendString(b, v.Task)
@@ -1268,7 +1063,7 @@ func readDataResolveReq(r *Reader, v *protocol.DataResolveReq) (err error) {
 	return err
 }
 
-func appendDataLocResp(b []byte, v *protocol.DataLocResp) []byte {
+func appendDataLocResp(b []byte, v protocol.DataLocResp) []byte {
 	b = AppendString(b, v.Key)
 	b = AppendString(b, v.Digest)
 	b = AppendString(b, v.Node)
@@ -1305,7 +1100,7 @@ func readDataLocResp(r *Reader, v *protocol.DataLocResp) (err error) {
 	return err
 }
 
-func appendStatsPullReq(b []byte, v *protocol.StatsPullReq) []byte {
+func appendStatsPullReq(b []byte, v protocol.StatsPullReq) []byte {
 	return AppendString(b, v.Scraper)
 }
 
@@ -1343,7 +1138,7 @@ func readInt64Map(r *Reader, what string) (map[string]int64, error) {
 	return out, nil
 }
 
-func appendStatsReportResp(b []byte, v *protocol.StatsReportResp) []byte {
+func appendStatsReportResp(b []byte, v protocol.StatsReportResp) []byte {
 	b = AppendString(b, v.Node)
 	b = appendInt64Map(b, v.Metrics.Counters)
 	b = appendInt64Map(b, v.Metrics.Gauges)

@@ -36,13 +36,9 @@ func bodies() []any {
 		&protocol.JMOffer{Node: "n1", FreeMemoryMB: 8000, ActiveJobs: 3},
 		&protocol.CreateJobReq{Name: "job", Req: protocol.JobRequirements{MinMemoryMB: 1}, ClientNode: "client-1"},
 		&protocol.CreateJobResp{JobID: "n1-job7"},
-		&protocol.CreateTaskReq{JobID: "j", Spec: specFixture("t1"), ArchiveName: "a.jar", Archive: []byte{1, 2, 3}, Digest: "deadbeef"},
-		&protocol.CreateTaskResp{Placement: "n2"},
 		&protocol.TaskSolicitReq{JobID: "j", Spec: specFixture("probe")},
 		&protocol.TMOffer{Node: "n3", FreeMemoryMB: 4000, RunningTasks: 2,
 			ResidentDigests: []string{"d1", "d2"}, StalledTasks: 1},
-		&protocol.AssignTaskReq{JobID: "j", JobManager: "n1", ClientNode: "c", Spec: specFixture("t2"), ArchiveName: "a.jar", Archive: []byte{9}, Digest: "d"},
-		&protocol.AssignTaskResp{OK: true, Reason: ""},
 		&protocol.CreateTasksReq{
 			JobID: "j",
 			Tasks: []protocol.TaskCreate{
@@ -174,8 +170,13 @@ func TestTMOfferLegacyDecodesCold(t *testing.T) {
 
 // TestEveryBodyCovered walks the corpus through msg.EncodePayload /
 // DecodePayload (the production entry points) and additionally asserts the
-// binary codec actually handled each one — none silently fell back to gob.
+// binary codec actually handled each one — none silently fell back to gob —
+// and that the corpus has an entry for every row of the codec table.
 func TestEveryBodyCovered(t *testing.T) {
+	// Each body type registers a value form and a pointer form.
+	if len(forms) != 2*len(bodies()) {
+		t.Errorf("codec table has %d forms for a corpus of %d bodies; extend bodies() with the new type", len(forms), len(bodies()))
+	}
 	for _, v := range bodies() {
 		enc, err := msg.EncodePayload(v)
 		if err != nil {

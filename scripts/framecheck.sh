@@ -1,0 +1,32 @@
+#!/bin/bash
+# Frame-size guard for the message path. A function whose frame outgrows a
+# fresh goroutine's 2 KiB stack makes every first call on that goroutine pay
+# a stack copy (runtime.newstack); on the per-message path that was 16 % of a
+# tuple-space workload before the codec became a table. Fails if any function
+# in internal/wire or internal/msg (the codec and its entry points), or
+# Server.handle / dispatch / replyIfAny, declares a frame above the limit.
+#   bash scripts/framecheck.sh [limit-bytes]
+set -eu
+cd "$(dirname "$0")/.."
+limit="${1:-1024}"
+bad=0
+while read -r line; do
+	sym="${line%% STEXT*}"
+	case "$sym" in
+	cn/internal/wire.* | cn/internal/msg.*) ;;
+	'cn/internal/server.(*Server).handle' | 'cn/internal/server.(*Server).dispatch' | 'cn/internal/server.(*Server).replyIfAny') ;;
+	*) continue ;;
+	esac
+	[[ "$line" =~ locals=(0x[0-9a-f]+) ]] || continue
+	frame=$((BASH_REMATCH[1]))
+	if [ "$frame" -gt "$limit" ]; then
+		echo "frame of $frame bytes (limit $limit): $sym" >&2
+		bad=1
+	fi
+done < <(go build -gcflags=-S ./internal/wire ./internal/msg ./internal/server 2>&1 | grep ' STEXT ')
+if [ "$bad" -ne 0 ]; then
+	echo "framecheck: a function on the encode/decode/dispatch path needs more than $limit bytes of stack;" >&2
+	echo "keep large bodies behind a pointer or a by-value call into a function of their own (docs/WIRE.md)." >&2
+	exit 1
+fi
+echo "framecheck: ok (limit $limit bytes)"
