@@ -1118,6 +1118,8 @@ type shuffleRow struct {
 	Mode           string  `json:"mode"`  // "sendrelay" or "dataplane"
 	Nodes          int     `json:"nodes"` // cluster size
 	Workers        int     `json:"workers"`
+	Fabric         string  `json:"fabric,omitempty"`        // set on the large-payload row only ("tcp")
+	PayloadBytes   int     `json:"payload_bytes,omitempty"` // set where it differs from the snapshot's
 	ShuffleBytes   int64   `json:"shuffle_bytes_per_run"`
 	MedianMS       float64 `json:"median_ms"`
 	ThroughputMBs  float64 `json:"throughput_mb_per_sec"`
@@ -1165,8 +1167,9 @@ func runShuffleJob(cl *cn.Client, class string, workers, size, run int) {
 }
 
 // shuffleTable is experiment T-K: an all-to-all shuffle (weak scaling, 4
-// workers per node, 64 KiB per output) over the direct task-to-task data
-// plane vs the Send-relay baseline. The dataplane rows measure the
+// workers per node, 64 KiB per output, plus one 3 MiB-output row on TCP)
+// over the direct task-to-task data plane vs the Send-relay baseline. The
+// dataplane rows measure the
 // JobManager's payload bytes directly (the broker's inline-copy counter —
 // the only payload bytes a manager ever serves); the sendrelay rows charge
 // the JM the full shuffle volume, which is exact by construction: every
@@ -1226,6 +1229,7 @@ func shuffleTable(reps int, outPath string) {
 			c.Close()
 		}
 	}
+	snap.Rows = append(snap.Rows, shuffleLargeRow(reps))
 	if dpTh1 > 0 {
 		snap.Speedup1to8 = dpTh8 / dpTh1
 	}
@@ -1242,6 +1246,46 @@ func shuffleTable(reps int, outPath string) {
 		log.Fatal(err)
 	}
 	fmt.Printf("snapshot written to %s\n", outPath)
+}
+
+// shuffleLargeRow is the study's large-payload row: the same all-to-all
+// job with 3 MiB outputs — four chunks a pull, what the chunk stream's
+// copy-free path is for — on 2 nodes over real sockets. The Send relay has
+// no such row: a USER payload cannot exceed one frame.
+func shuffleLargeRow(reps int) shuffleRow {
+	const (
+		nodes   = 2
+		workers = 4 * nodes
+		size    = 3 << 20
+	)
+	c, err := cn.StartCluster(cn.ClusterOptions{Nodes: nodes, Registry: newRegistry(), MemoryMB: 64000, TCP: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer c.Close()
+	cl, err := cn.Connect(c, cn.ClientOptions{DiscoveryWindow: 50 * time.Millisecond})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer cl.Close()
+	runs := 0
+	d := timeIt(reps, func() {
+		runShuffleJob(cl, "bench.Shuffle", workers, size, runs)
+		runs++
+	})
+	_, fetched := c.DataplaneBytes()
+	shuffleBytes := int64(workers) * int64(workers) * size
+	row := shuffleRow{
+		Mode: "dataplane", Nodes: nodes, Workers: workers, Fabric: "tcp", PayloadBytes: size,
+		ShuffleBytes:   shuffleBytes,
+		MedianMS:       float64(d) / float64(time.Millisecond),
+		ThroughputMBs:  float64(shuffleBytes) / (1 << 20) / d.Seconds(),
+		JMPayloadBytes: c.DataplaneStats().InlineBytes / int64(runs),
+		TMDirectBytes:  fetched / int64(runs),
+	}
+	fmt.Printf("%-11s %6d %8d %12v %10.0f %16d %16d   (3 MiB outputs, tcp)\n",
+		row.Mode, row.Nodes, row.Workers, d, row.ThroughputMBs, row.JMPayloadBytes, row.TMDirectBytes)
+	return row
 }
 
 // traceRow is one sampling mode's measurement in the T-L tracing study.

@@ -61,14 +61,19 @@ func dataplaneRegistry() *task.Registry {
 		})
 	})
 	// dp.Shuffle is the all-to-all stage: publish one output, then pull and
-	// verify every peer's. Params: [0] peer count, [1] own index.
+	// verify every peer's. Params: [0] peer count, [1] own index, [2]
+	// payload size.
 	r.MustRegister("dp.Shuffle", func() task.Task {
 		return task.Func(func(ctx task.Context) error {
 			peers, err := task.IntParam(ctx.Params(), 0)
 			if err != nil {
 				return err
 			}
-			if err := ctx.Put("shuffle/"+ctx.TaskName(), dpPayload(ctx.TaskName(), dpSize)); err != nil {
+			size, err := task.IntParam(ctx.Params(), 2)
+			if err != nil {
+				return err
+			}
+			if err := ctx.Put("shuffle/"+ctx.TaskName(), dpPayload(ctx.TaskName(), size)); err != nil {
 				return err
 			}
 			for i := 1; i <= peers; i++ {
@@ -77,7 +82,7 @@ func dataplaneRegistry() *task.Registry {
 				if err != nil {
 					return fmt.Errorf("get %s: %w", name, err)
 				}
-				if !bytes.Equal(data, dpPayload(name, dpSize)) {
+				if !bytes.Equal(data, dpPayload(name, size)) {
 					return fmt.Errorf("payload mismatch for %s", name)
 				}
 			}
@@ -101,23 +106,43 @@ func intP(v int) task.Param {
 }
 
 // TestDataplaneShuffleStorm is the data plane's concurrency storm: an
-// all-to-all shuffle where every task publishes one 64KiB output and pulls
-// every peer's, all resolves racing the adverts. Under -race this is the
-// data plane's data-race check end to end (broker park/wake, chunk fetch,
-// shared cache). It also asserts the tentpole's byte economics: payload
-// bytes move TM→TM, none relay through a JobManager advert.
+// all-to-all shuffle where every task publishes one output and pulls every
+// peer's, all resolves racing the adverts, each Get compared byte for byte
+// with what the producer Put. Under -race this is the data plane's
+// data-race check end to end (broker park/wake, chunk fetch, shared cache).
+// It runs with 64 KiB payloads (one chunk) and with 3 MiB ones (four
+// chunks, the last one short), the large ones on both fabrics: on TCP the
+// chunks land in the consumer's destination by posted receive, on the
+// in-memory fabric they are copied out of the producer's cache. It also
+// asserts the data plane's byte economics: payload bytes move TM→TM, none
+// relay through a JobManager advert.
 func TestDataplaneShuffleStorm(t *testing.T) {
-	const peers = 8
+	for _, tc := range []struct {
+		name      string
+		transport cluster.Transport
+		peers     int
+		size      int
+	}{
+		{"mem/64KiB", cluster.TransportMem, 8, dpSize},
+		{"mem/3MiB", cluster.TransportMem, 4, 3 << 20},
+		{"tcp/3MiB", cluster.TransportTCP, 4, 3 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) { shuffleStorm(t, tc.transport, tc.peers, tc.size) })
+	}
+}
+
+func shuffleStorm(t *testing.T, transport cluster.Transport, peers, size int) {
 	c, err := cluster.Start(cluster.Config{
-		Nodes:    4,
-		MemoryMB: 64000,
-		Registry: dataplaneRegistry(),
+		Nodes:     4,
+		Transport: transport,
+		MemoryMB:  64000,
+		Registry:  dataplaneRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	cl, err := api.Initialize(c.Network(), api.Options{DiscoveryWindow: 20 * time.Millisecond})
+	cl, err := api.Initialize(c.Network(), api.Options{DiscoveryWindow: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +154,7 @@ func TestDataplaneShuffleStorm(t *testing.T) {
 	}
 	specs := make([]*task.Spec, peers)
 	for i := range specs {
-		specs[i] = dpSpec(fmt.Sprintf("s%d", i+1), "dp.Shuffle", intP(peers), intP(i+1))
+		specs[i] = dpSpec(fmt.Sprintf("s%d", i+1), "dp.Shuffle", intP(peers), intP(i+1), intP(size))
 	}
 	if _, err := j.CreateTasks(specs, nil); err != nil {
 		t.Fatal(err)
@@ -145,20 +170,23 @@ func TestDataplaneShuffleStorm(t *testing.T) {
 	}
 
 	dp := c.DataplaneStats()
-	if dp.Puts != peers {
+	if dp.Puts != int64(peers) {
 		t.Errorf("broker puts = %d, want %d", dp.Puts, peers)
 	}
 	// peers^2 gets total; same-node gets are cache hits, cross-node gets
 	// resolve — either way no payload relays through the JobManager.
 	if dp.InlineBytes != 0 {
-		t.Errorf("JobManager served %d inline bytes for %d-byte payloads", dp.InlineBytes, dpSize)
+		t.Errorf("JobManager served %d inline bytes for %d-byte payloads", dp.InlineBytes, size)
 	}
 	served, fetched := c.DataplaneBytes()
 	if fetched == 0 || served == 0 {
 		t.Errorf("no TM→TM transfer despite cross-node shuffle (served=%d fetched=%d)", served, fetched)
 	}
-	if fetched%dpSize != 0 {
-		t.Errorf("fetched %d bytes, not a multiple of the %d-byte payload", fetched, dpSize)
+	if fetched%int64(size) != 0 || served != fetched {
+		t.Errorf("served %d and fetched %d bytes, want equal multiples of the %d-byte payload", served, fetched, size)
+	}
+	if ws := c.WireStats(); ws.FrameErrors != 0 || ws.BulkDrops != 0 {
+		t.Errorf("%d frame errors, %d bulk drops", ws.FrameErrors, ws.BulkDrops)
 	}
 	hits, misses := c.CacheStats()
 	t.Logf("storm: %d puts, %d resolves (%d parked); %d bytes TM→TM; cache %d hits / %d misses",

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -15,12 +16,12 @@ import (
 	"cn/internal/wire"
 )
 
-// bigArchive builds an archive whose serialized size exceeds the transport
-// frame limit, so it can only travel chunked. The payload is pseudo-random
-// (incompressible) to defeat zip deflate.
-func bigArchive(t *testing.T, class string) *archive.Archive {
+// bigArchive builds an archive around size payload bytes — more than the
+// transport frame limit, so it can only travel chunked. The payload is
+// pseudo-random (incompressible) to defeat zip deflate.
+func bigArchive(t *testing.T, class string, size int) *archive.Archive {
 	t.Helper()
-	payload := make([]byte, wire.MaxFrameBytes+wire.MaxFrameBytes/4)
+	payload := make([]byte, size)
 	rand.New(rand.NewSource(7)).Read(payload)
 	ar, err := archive.NewBuilder("big.jar", class).AddFile("model.bin", payload).Build()
 	if err != nil {
@@ -72,7 +73,7 @@ func TestTCPMultiChunkArchiveDistributesAndRecovers(t *testing.T) {
 	}
 	defer cl.Close()
 
-	ar := bigArchive(t, class)
+	ar := bigArchive(t, class, wire.MaxFrameBytes+wire.MaxFrameBytes/4)
 	j, err := cl.CreateJobOn("node1", "bigblob", protocol.JobRequirements{})
 	if err != nil {
 		t.Fatal(err)
@@ -146,6 +147,67 @@ func TestTCPMultiChunkArchiveDistributesAndRecovers(t *testing.T) {
 	}
 	t.Logf("archive %d bytes (> %d frame limit), killed %s, retries=%d",
 		len(ar.Bytes()), wire.MaxFrameBytes, victim, j.Progress().Retried)
+}
+
+// TestLargeArchiveShipsByteIdentical: a 5 MiB archive — seven chunks up to
+// the JobManager in BLOB_CHUNK request tails, seven down to each
+// TaskManager in reply tails — ends up in every assigned node's cache as
+// exactly the bytes the client built, on sockets (scatter-gather send,
+// posted receive) and on the in-memory fabric (tails handed over by
+// reference and copied into place).
+func TestLargeArchiveShipsByteIdentical(t *testing.T) {
+	const class = "wire.Shipped"
+	reg := task.NewRegistry()
+	reg.MustRegister(class, func() task.Task {
+		return task.Func(func(task.Context) error { return nil })
+	})
+	for name, transport := range map[string]cluster.Transport{"mem": cluster.TransportMem, "tcp": cluster.TransportTCP} {
+		t.Run(name, func(t *testing.T) {
+			c, err := cluster.Start(cluster.Config{Nodes: 3, Transport: transport, MemoryMB: 64000, Registry: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Stop()
+			cl, err := api.Initialize(c.Network(), api.Options{DiscoveryWindow: 50 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+
+			ar := bigArchive(t, class, 5<<20)
+			j, err := cl.CreateJobOn("node1", "ship", protocol.JobRequirements{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs := make([]*task.Spec, 6)
+			for i := range specs {
+				specs[i] = &task.Spec{
+					Name: fmt.Sprintf("w%d", i), Class: class, Archive: ar.Name,
+					Req: task.Requirements{MemoryMB: 100, RunModel: task.RunAsThreadInTM},
+				}
+			}
+			placements, err := j.CreateTasks(specs, map[string]*archive.Archive{ar.Name: ar})
+			if err != nil {
+				t.Fatalf("5 MiB archive admission failed: %v", err)
+			}
+			nodes := make(map[string]bool)
+			for _, node := range placements {
+				nodes[node] = true
+			}
+			for node := range nodes {
+				got, ok := c.Server(node).TaskManager().BlobCache().GetBlob(ar.Digest())
+				if !ok || !bytes.Equal(got, ar.Bytes()) {
+					t.Errorf("node %s holds %d bytes for the archive (present %v), want the %d shipped", node, len(got), ok, len(ar.Bytes()))
+				}
+			}
+			if ws := c.WireStats(); ws.FrameErrors != 0 || ws.BulkDrops != 0 {
+				t.Errorf("%d frame errors, %d bulk drops", ws.FrameErrors, ws.BulkDrops)
+			}
+			if err := j.Cancel("shipped"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 // TestTCPManySmallArchivesAggregateOverFrameLimit: individually-inlineable

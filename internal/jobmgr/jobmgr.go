@@ -1101,10 +1101,12 @@ func (jm *JobManager) HandleFetchBlob(m *msg.Message) *msg.Message {
 
 // HandleBlobChunk serves both directions of the chunked blob protocol: a
 // client pushing one chunk of a large archive upload (Data non-empty), or
-// a TaskManager pulling one chunk of a stashed blob (Data empty).
+// a TaskManager pulling one chunk of a stashed blob (Data empty). A pulled
+// chunk aliases the stored blob — stored bytes are immutable — and rides
+// the reply frame's tail.
 func (jm *JobManager) HandleBlobChunk(m *msg.Message) *msg.Message {
 	ack := func(resp protocol.BlobChunkResp) *msg.Message {
-		return m.Reply(msg.KindBlobChunkAck, msg.MustEncode(resp))
+		return protocol.Reply(m, msg.KindBlobChunkAck, resp)
 	}
 	var req protocol.BlobChunkReq
 	if err := protocol.Decode(m, &req); err != nil {
@@ -1118,7 +1120,13 @@ func (jm *JobManager) HandleBlobChunk(m *msg.Message) *msg.Message {
 	if len(req.Data) > 0 {
 		return ack(jm.stageChunk(j, m.From.Node, &req))
 	}
-	return ack(jm.serveChunk(j, &req))
+	j.mu.Lock()
+	raw, ok := j.blobs[req.Digest]
+	j.mu.Unlock()
+	if !ok {
+		return ack(protocol.BlobChunkResp{Digest: req.Digest, Err: fmt.Sprintf("blob %.12s… not held for job %s", req.Digest, j.id)})
+	}
+	return ack(protocol.SliceChunk(&req, raw))
 }
 
 // stageChunk appends one pushed chunk to the uploader's staged upload.
@@ -1197,31 +1205,6 @@ func (jm *JobManager) stageChunk(j *jobState, fromNode string, req *protocol.Blo
 	j.blobs[req.Digest] = sb.buf
 	jm.logf("job %s: staged blob %.12s… (%d bytes, chunked upload from %s)", j.id, req.Digest, sb.total, fromNode)
 	return protocol.BlobChunkResp{Digest: req.Digest, Offset: sb.total, Total: sb.total}
-}
-
-// serveChunk answers a TaskManager's pull for one chunk of a stashed blob.
-func (jm *JobManager) serveChunk(j *jobState, req *protocol.BlobChunkReq) protocol.BlobChunkResp {
-	j.mu.Lock()
-	raw, ok := j.blobs[req.Digest]
-	j.mu.Unlock()
-	if !ok {
-		return protocol.BlobChunkResp{Digest: req.Digest, Err: fmt.Sprintf("blob %.12s… not held for job %s", req.Digest, j.id)}
-	}
-	max := req.MaxBytes
-	if max <= 0 || max > protocol.BlobChunkBytes {
-		max = protocol.BlobChunkBytes
-	}
-	total := int64(len(raw))
-	if req.Offset < 0 || req.Offset >= total {
-		return protocol.BlobChunkResp{Digest: req.Digest, Total: total,
-			Err: fmt.Sprintf("offset %d out of range (blob is %d bytes)", req.Offset, total)}
-	}
-	end := req.Offset + max
-	if end > total {
-		end = total
-	}
-	// Stored blob bytes are immutable, so the chunk may alias them.
-	return protocol.BlobChunkResp{Digest: req.Digest, Offset: req.Offset, Total: total, Data: raw[req.Offset:end]}
 }
 
 // HandleStartJob processes KindStartTask from the client: build the

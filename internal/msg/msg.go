@@ -269,6 +269,11 @@ type Message struct {
 	// Payload is the encoded body (binary codec or tagged gob); see
 	// Encode/DecodePayload.
 	Payload []byte
+	// Tail is the frame's optional bulk tail: bytes that ride after the
+	// envelope without being copied into it (see docs/WIRE.md). It is
+	// borrowed and immutable — the sender must not write to it once the
+	// message is handed to an endpoint, and receivers only read it.
+	Tail []byte
 	// Headers carries small string metadata (e.g. task class, error text).
 	Headers map[string]string
 	// Time is the send timestamp.
@@ -324,7 +329,8 @@ func (m *Message) SetHeader(key, value string) *Message {
 	return m
 }
 
-// Clone returns a deep copy of m (payload and headers are copied).
+// Clone returns a deep copy of m (payload and headers are copied; the
+// immutable tail is shared).
 func (m *Message) Clone() *Message {
 	c := *m
 	if m.Payload != nil {

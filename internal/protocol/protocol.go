@@ -62,10 +62,8 @@ type TaskSolicitReq struct {
 // covering the blobs a warm node is most likely to be asked about.
 const MaxOfferDigests = 32
 
-// TMOffer is the body of KindTaskOffer. The capacity figures travel on
-// every wire version; the locality fields (resident digests, stall count)
-// were added in wire v3 and decode as zero from older offers, so a cold
-// default is the compatibility story.
+// TMOffer is the body of KindTaskOffer: capacity figures plus the locality
+// fields (resident digests, stall count) the placement scorer reads.
 type TMOffer struct {
 	Node         string
 	FreeMemoryMB int
@@ -192,6 +190,9 @@ type FetchBlobResp struct {
 //     JobManager digest-verifies the reassembled blob before storing it.
 //   - pull (TaskManager -> JobManager): Data is empty; the reply returns
 //     up to MaxBytes (0 = BlobChunkBytes) of the stored blob at Offset.
+//
+// Data travels in the frame's bulk tail, not in the encoded body (Body and
+// Decode move it), so a chunk is never copied into a payload.
 type BlobChunkReq struct {
 	JobID    string
 	Digest   string
@@ -205,7 +206,8 @@ type BlobChunkReq struct {
 // requested chunk and the blob's Total size; for a push, Offset echoes the
 // staged length so the sender can detect divergence. Err reports a
 // request-level failure (unknown digest, out-of-order chunk, digest
-// mismatch on completion).
+// mismatch on completion). Data travels in the frame's bulk tail, as in
+// BlobChunkReq.
 type BlobChunkResp struct {
 	Digest string
 	Offset int64
@@ -375,14 +377,50 @@ type StatsReportResp struct {
 	Spans int `json:"spans"`
 }
 
-// Decode unmarshals a message payload into out, which must match the kind's
-// body type.
+// Decode unmarshals a message's body into out, which must match the
+// kind's body type. A chunk body's Data is the frame's tail, aliased.
 func Decode(m *msg.Message, out any) error {
-	return msg.DecodePayload(m.Payload, out)
+	if err := msg.DecodePayload(m.Payload, out); err != nil {
+		return err
+	}
+	switch v := out.(type) {
+	case *BlobChunkReq:
+		v.Data = m.Tail
+	case *BlobChunkResp:
+		v.Data = m.Tail
+	}
+	return nil
 }
 
 // Body constructs a message of the given kind with an encoded body; it
 // panics only if the body type is not gob-encodable (a programming error).
+// A chunk body's Data is not encoded: it rides the frame's tail by
+// reference, so it must stay unmodified until the message has been sent.
 func Body(kind msg.Kind, from, to msg.Address, body any) *msg.Message {
-	return msg.New(kind, from, to, msg.MustEncode(body))
+	m := msg.New(kind, from, to, msg.MustEncode(body))
+	m.Tail = tailOf(body)
+	return m
+}
+
+// Reply is Body for a response correlated with m (see msg.Message.Reply).
+func Reply(m *msg.Message, kind msg.Kind, body any) *msg.Message {
+	r := m.Reply(kind, msg.MustEncode(body))
+	r.Tail = tailOf(body)
+	return r
+}
+
+// tailOf returns the bytes of body that travel in the frame's tail rather
+// than in the payload: the Data of the two chunk bodies.
+func tailOf(body any) []byte {
+	switch v := body.(type) {
+	case BlobChunkReq:
+		return v.Data
+	case *BlobChunkReq:
+		return v.Data
+	case BlobChunkResp:
+		return v.Data
+	case *BlobChunkResp:
+		return v.Data
+	}
+	return nil
 }

@@ -12,7 +12,6 @@ import (
 	"log/slog"
 	"time"
 
-	"cn/internal/archive"
 	"cn/internal/jobmgr"
 	"cn/internal/metrics"
 	"cn/internal/msg"
@@ -123,7 +122,7 @@ func Start(net transport.Network, cfg Config) (*Server, error) {
 		MemoryMB:       cfg.MemoryMB,
 		Registry:       cfg.Registry,
 		Fetch:          s.fetchBlobs,
-		Call:           s.caller.Call,
+		Call:           s.caller.CallInto,
 		HeartbeatEvery: cfg.HeartbeatInterval,
 		Logf:           cfg.Logf,
 		Log:            cfg.Log,
@@ -159,17 +158,16 @@ func Start(net transport.Network, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// blobCallTimeout bounds one blob-negotiation round trip (the FetchBlob
-// announcement and each individual chunk pull).
+// blobCallTimeout bounds the FetchBlob announcement's round trip.
 const blobCallTimeout = 5 * time.Second
 
 // fetchBlobs is the TaskManager's pull path for archive blobs it lacks: a
 // KindFetchBlob call to the assigning JobManager's node. Small blobs ride
 // inline in the reply; blobs the JobManager announces by size only are
-// streamed chunk by chunk with KindBlobChunk, reassembled here, and
-// digest-verified before the TaskManager ever sees them — so a large
-// archive never balloons a single frame and a corrupted stream is caught
-// at the node boundary.
+// chunk-pulled with KindBlobChunk (protocol.PullBlob) and digest-verified
+// before the TaskManager ever sees them — so a large archive never
+// balloons a single frame and a corrupted stream is caught at the node
+// boundary.
 func (s *Server) fetchBlobs(jmNode, jobID string, digests []string) (map[string][]byte, error) {
 	fm := protocol.Body(msg.KindFetchBlob,
 		msg.Address{Node: s.cfg.Node},
@@ -190,55 +188,14 @@ func (s *Server) fetchBlobs(jmNode, jobID string, digests []string) (map[string]
 		out = make(map[string][]byte, len(resp.Sizes))
 	}
 	for digest, size := range resp.Sizes {
-		raw, err := s.pullBlobChunks(jmNode, jobID, digest, size)
+		raw, err := protocol.PullBlob(context.Background(), s.caller.CallInto, msg.KindBlobChunk,
+			msg.Address{Node: s.cfg.Node}, msg.Address{Node: jmNode, Job: jobID}, digest, size)
 		if err != nil {
 			return out, fmt.Errorf("pull blob %.12s…: %w", digest, err)
 		}
 		out[digest] = raw
 	}
 	return out, nil
-}
-
-// pullBlobChunks streams one announced blob from the JobManager in
-// protocol.BlobChunkBytes pieces and verifies the reassembly's digest.
-func (s *Server) pullBlobChunks(jmNode, jobID, digest string, size int64) ([]byte, error) {
-	if size <= 0 || size > protocol.MaxBlobBytes {
-		return nil, fmt.Errorf("announced blob size %d out of bounds", size)
-	}
-	data := make([]byte, 0, size)
-	for int64(len(data)) < size {
-		cm := protocol.Body(msg.KindBlobChunk,
-			msg.Address{Node: s.cfg.Node},
-			msg.Address{Node: jmNode, Job: jobID},
-			protocol.BlobChunkReq{
-				JobID:    jobID,
-				Digest:   digest,
-				Offset:   int64(len(data)),
-				MaxBytes: protocol.BlobChunkBytes,
-			})
-		ctx, cancel := context.WithTimeout(context.Background(), blobCallTimeout)
-		reply, err := s.caller.Call(ctx, jmNode, cm)
-		cancel()
-		if err != nil {
-			return nil, err
-		}
-		var chunk protocol.BlobChunkResp
-		if err := protocol.Decode(reply, &chunk); err != nil {
-			return nil, err
-		}
-		if chunk.Err != "" {
-			return nil, fmt.Errorf("chunk at %d: %s", len(data), chunk.Err)
-		}
-		if chunk.Offset != int64(len(data)) || len(chunk.Data) == 0 || chunk.Total != size {
-			return nil, fmt.Errorf("chunk reply out of step: offset %d len %d total %d (have %d of %d)",
-				chunk.Offset, len(chunk.Data), chunk.Total, len(data), size)
-		}
-		data = append(data, chunk.Data...)
-	}
-	if got := archive.DigestBytes(data); got != digest {
-		return nil, fmt.Errorf("reassembled blob hashes to %.12s…, want %.12s…", got, digest)
-	}
-	return data, nil
 }
 
 // Node returns the server's node name.

@@ -13,7 +13,6 @@ package taskmgr
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"cn/internal/archive"
 	"cn/internal/msg"
@@ -21,15 +20,13 @@ import (
 	"cn/internal/task"
 )
 
-// dataFetchTimeout bounds one TM→TM chunk-pull round trip.
-const dataFetchTimeout = 5 * time.Second
-
 // HandleDataFetch answers a peer TaskManager's pull for one chunk of a
-// data-plane blob held in this node's cache. The reply aliases the cached
-// bytes (cache entries are immutable), so serving costs no copy.
+// data-plane blob held in this node's cache. The chunk aliases the cached
+// bytes (cache entries are immutable) and rides the reply frame's tail, so
+// between the cache and the socket write no user-space code copies it.
 func (tm *TaskManager) HandleDataFetch(m *msg.Message) *msg.Message {
 	ack := func(resp protocol.BlobChunkResp) *msg.Message {
-		return m.Reply(msg.KindBlobChunkAck, msg.MustEncode(resp))
+		return protocol.Reply(m, msg.KindBlobChunkAck, resp)
 	}
 	var req protocol.BlobChunkReq
 	if err := protocol.Decode(m, &req); err != nil {
@@ -40,63 +37,18 @@ func (tm *TaskManager) HandleDataFetch(m *msg.Message) *msg.Message {
 		return ack(protocol.BlobChunkResp{Digest: req.Digest,
 			Err: fmt.Sprintf("blob %.12s… not cached on %s", req.Digest, tm.cfg.Node)})
 	}
-	max := req.MaxBytes
-	if max <= 0 || max > protocol.BlobChunkBytes {
-		max = protocol.BlobChunkBytes
-	}
-	total := int64(len(raw))
-	if req.Offset < 0 || req.Offset >= total {
-		return ack(protocol.BlobChunkResp{Digest: req.Digest, Total: total,
-			Err: fmt.Sprintf("offset %d out of range (blob is %d bytes)", req.Offset, total)})
-	}
-	end := req.Offset + max
-	if end > total {
-		end = total
-	}
-	tm.dataServedBytes.Add(end - req.Offset)
-	return ack(protocol.BlobChunkResp{Digest: req.Digest, Offset: req.Offset, Total: total, Data: raw[req.Offset:end]})
+	resp := protocol.SliceChunk(&req, raw)
+	tm.dataServedBytes.Add(int64(len(resp.Data)))
+	return ack(resp)
 }
 
 // fetchData chunk-pulls one content-addressed data-plane blob from a peer
-// TaskManager and digest-verifies the reassembly, mirroring the server's
-// archive pull loop.
+// TaskManager, digest-verified, with the archive pull's client.
 func (tm *TaskManager) fetchData(ctx context.Context, node, jobID, digest string, size int64) ([]byte, error) {
-	if size <= 0 || size > protocol.MaxBlobBytes {
-		return nil, fmt.Errorf("advertised blob size %d out of bounds", size)
-	}
-	data := make([]byte, 0, size)
-	for int64(len(data)) < size {
-		req := protocol.BlobChunkReq{
-			JobID:    jobID,
-			Digest:   digest,
-			Offset:   int64(len(data)),
-			MaxBytes: protocol.BlobChunkBytes,
-		}
-		m := protocol.Body(msg.KindDataFetch,
-			msg.Address{Node: tm.cfg.Node, Job: jobID},
-			msg.Address{Node: node, Job: jobID},
-			req)
-		cctx, cancel := context.WithTimeout(ctx, dataFetchTimeout)
-		reply, err := tm.cfg.Call(cctx, node, m)
-		cancel()
-		if err != nil {
-			return nil, err
-		}
-		var chunk protocol.BlobChunkResp
-		if err := protocol.Decode(reply, &chunk); err != nil {
-			return nil, err
-		}
-		if chunk.Err != "" {
-			return nil, fmt.Errorf("chunk at %d: %s", len(data), chunk.Err)
-		}
-		if chunk.Offset != int64(len(data)) || len(chunk.Data) == 0 || chunk.Total != size {
-			return nil, fmt.Errorf("chunk reply out of step: offset %d len %d total %d (have %d of %d)",
-				chunk.Offset, len(chunk.Data), chunk.Total, len(data), size)
-		}
-		data = append(data, chunk.Data...)
-	}
-	if got := archive.DigestBytes(data); got != digest {
-		return nil, fmt.Errorf("reassembled blob hashes to %.12s…, want %.12s…", got, digest)
+	data, err := protocol.PullBlob(ctx, tm.cfg.Call, msg.KindDataFetch,
+		msg.Address{Node: tm.cfg.Node, Job: jobID}, msg.Address{Node: node, Job: jobID}, digest, size)
+	if err != nil {
+		return nil, err
 	}
 	tm.dataFetchedBytes.Add(size)
 	return data, nil
@@ -120,7 +72,7 @@ func (c *execContext) dataWire(jmNode string) *protocol.DataWire {
 		From:     c.self,
 		To:       msg.Address{Node: jmNode, Job: c.a.jobID},
 		Trace:    c.trace,
-		Call:     c.tm.cfg.Call,
+		Call:     c.tm.call,
 	}
 }
 

@@ -36,11 +36,13 @@ type SendFunc func(toNode string, m *msg.Message) error
 // uncached digests are rejected).
 type FetchFunc func(jmNode, jobID string, digests []string) (map[string][]byte, error)
 
-// CallFunc performs one request/response round trip to a node. The CN
-// server wires its transport caller in; tasks' tuple-space operations
-// route through it to the JobManager hosting the job's space. nil
-// disables tuple-space operations.
-type CallFunc func(ctx context.Context, toNode string, m *msg.Message) (*msg.Message, error)
+// CallFunc performs one request/response round trip to a node, with dst —
+// when not nil — posted for the reply's bulk tail. The CN server wires its
+// transport caller's CallInto in; tasks' tuple-space and data-plane broker
+// operations route through it to the JobManager hosting the job (dst nil),
+// chunk pulls to the node holding the blob (dst the region the chunk
+// belongs in). nil disables both.
+type CallFunc = protocol.CallIntoFunc
 
 // Config parametrizes a TaskManager.
 type Config struct {
@@ -54,8 +56,8 @@ type Config struct {
 	MailboxCap int
 	// Fetch pulls missing archive blobs from the assigning JobManager.
 	Fetch FetchFunc
-	// Call performs request/response round trips (tuple-space operations
-	// to the hosting JobManager); nil disables tuple-space access.
+	// Call performs request/response round trips; nil disables tuple-space
+	// and data-plane access.
 	Call CallFunc
 	// HeartbeatEvery is the cadence of HEARTBEAT messages to JobManagers
 	// holding assignments here (0 = health.DefaultInterval; negative
@@ -127,8 +129,11 @@ func (a *assignment) cancel() {
 
 // TaskManager executes tasks on one node.
 type TaskManager struct {
-	cfg      Config
-	send     SendFunc
+	cfg  Config
+	send SendFunc
+	// call is cfg.Call with nothing posted, the shape the tuple-space and
+	// data-plane broker wires take.
+	call     func(ctx context.Context, toNode string, m *msg.Message) (*msg.Message, error)
 	log      *slog.Logger
 	tracer   *trace.Tracer
 	registry *task.Registry
@@ -186,6 +191,11 @@ func New(cfg Config, send SendFunc) *TaskManager {
 		freeMB:      cfg.MemoryMB,
 		lastJMs:     make(map[string]bool),
 		beatScratch: make(map[string][]protocol.TaskBeat),
+	}
+	if cfg.Call != nil {
+		tm.call = func(ctx context.Context, toNode string, m *msg.Message) (*msg.Message, error) {
+			return cfg.Call(ctx, toNode, m, nil)
+		}
 	}
 	if cfg.HeartbeatEvery > 0 {
 		tm.wg.Add(1)
@@ -836,7 +846,7 @@ func (c *execContext) tsDo(kind msg.Kind, req protocol.TSOpReq) (*protocol.TSOpR
 		From:     c.self,
 		To:       msg.Address{Node: c.a.jm(), Job: c.a.jobID},
 		Trace:    c.trace,
-		Call:     c.tm.cfg.Call,
+		Call:     c.tm.call,
 		Send:     c.tm.send,
 	}
 	ctx, cancel := context.WithCancel(context.Background())

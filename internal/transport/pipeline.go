@@ -1,13 +1,10 @@
 // Outbound pipeline: the per-destination queue machinery shared by both
-// fabrics.
-//
-// Send used to hold a per-connection mutex across the blocking Write
-// syscall (and across a 2s dial on first use), so all traffic to one peer
-// was head-of-line serialized and every frame cost one syscall. The
-// pipeline inverts that: Send encodes and enqueues onto a bounded
-// per-peer queue and returns immediately; a dedicated writer goroutine
-// per connection owns the dial and drains the queue, coalescing every
-// queued frame into a single writev per wakeup.
+// fabrics. Send encodes and enqueues onto a bounded per-peer queue and
+// returns immediately; a dedicated writer goroutine per connection owns
+// the dial and drains the queue, coalescing every queued frame into a
+// single writev per wakeup. (A send path that held a per-connection mutex
+// across the Write syscall preceded it; its measurements are the
+// "serialized" rows of BENCH_transport.json up to PR 13.)
 //
 // Two priority lanes keep the control plane live under bulk pressure:
 //
@@ -117,7 +114,11 @@ func (r *frameRef) release() {
 
 // outFrame is one queued outbound transmission. The TCP fabric carries
 // encoded bytes (data, backed by ref); the in-memory fabric carries the
-// message itself (m). size is the accounted frame size either way.
+// message itself (m). A TCP unicast frame with a bulk tail carries both:
+// data is its head and m.Tail — borrowed from the message, written as its
+// own iovec, never copied — follows it on the wire. size is the accounted
+// frame size either way, tail included, so the bulk lane's byte budget and
+// flush cap bound what actually goes on the wire.
 type outFrame struct {
 	kind msg.Kind
 	data []byte

@@ -181,6 +181,49 @@ func TestTCPSendDoesNotBlockOnDial(t *testing.T) {
 	recv.wait(t, 1, 2*time.Second) // still delivered once the dial lands
 }
 
+// TestTailCountsAgainstBulkBudget: the bulk lane's byte budget is a budget
+// on what goes on the wire, and a frame's tail goes on the wire — a chunk
+// whose head is a hundred bytes must fill the lane like the 32 KiB it is.
+// The writer is held in its dial so the queue can only grow.
+func TestTailCountsAgainstBulkBudget(t *testing.T) {
+	defer func(b int, w time.Duration) { pipeBulkBytes, pipeEnqueueWait = b, w }(pipeBulkBytes, pipeEnqueueWait)
+	pipeBulkBytes, pipeEnqueueWait = 64<<10, 50*time.Millisecond
+	realDial := tcpDial
+	defer func() { tcpDial = realDial }()
+	dialing, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	tcpDial = func(network, addr string, d time.Duration) (net.Conn, error) {
+		close(dialing)
+		<-release
+		return nil, fmt.Errorf("dial abandoned (simulated)")
+	}
+
+	n := NewTCPNetwork()
+	defer n.Close()
+	a, err := n.Attach("a", func(*msg.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Attach("b", func(*msg.Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	chunk := func() *msg.Message {
+		m := msg.New(msg.KindBlobChunkAck, msg.Address{Node: "a"}, msg.Address{Node: "b"}, nil)
+		m.Tail = make([]byte, 32<<10)
+		return m
+	}
+	if err := a.Send("b", chunk()); err != nil {
+		t.Fatalf("first chunk: %v", err)
+	}
+	<-dialing
+	if err := a.Send("b", chunk()); !errors.Is(err, ErrBackpressure) {
+		t.Fatalf("second 32 KiB chunk into a 64 KiB lane = %v, want ErrBackpressure (heads alone would never fill it)", err)
+	}
+	if got := n.Stats().BulkDrops.Load(); got != 1 {
+		t.Errorf("bulk drops = %d, want 1", got)
+	}
+}
+
 // TestTCPDialFailureFailsBatchOnce: senders that queued behind a dead
 // peer's dial must all fail from the ONE dial attempt — not each eat its
 // own timeout serially, the pre-pipeline poisoning behavior.
@@ -248,6 +291,9 @@ func TestTCPCoalescing(t *testing.T) {
 	}
 	wg.Wait()
 	waitFor(t, 5*time.Second, func() bool { return got.Load() == frames }, "all frames delivered")
+	// The writer counts a batch after its writev returns, which the reader
+	// at the other end of the loopback can beat.
+	waitFor(t, 5*time.Second, func() bool { return n.Stats().Sent.Load() >= frames }, "all frames counted as sent")
 	sent, flushes := n.Stats().Sent.Load(), n.Stats().Flushes.Load()
 	if sent != frames {
 		t.Fatalf("sent = %d, want %d", sent, frames)
@@ -303,33 +349,6 @@ func TestMemBackpressureSemantics(t *testing.T) {
 	if n.Stats().ControlDrops.Load() == 0 {
 		t.Error("control lane never dropped despite exceeding its cap")
 	}
-}
-
-// TestTCPSerializedBaselineStillWorks: the pre-pipeline path kept for
-// cnbench's baseline must still deliver unicast and multicast.
-func TestTCPSerializedBaselineStillWorks(t *testing.T) {
-	n := NewTCPNetwork()
-	n.SetPipelining(false)
-	defer n.Close()
-	recv := newCollector()
-	a, err := n.Attach("a", func(*msg.Message) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := n.Attach("b", recv.handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Join("g"); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send("b", msg.New(msg.KindPing, msg.Address{Node: "a"}, msg.Address{Node: "b"}, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Multicast("g", msg.New(msg.KindPing, msg.Address{Node: "a"}, msg.Address{}, nil)); err != nil {
-		t.Fatal(err)
-	}
-	recv.wait(t, 2, 2*time.Second)
 }
 
 // TestHeartbeatsSurviveBulkStorm: lease renewals on the control lane must

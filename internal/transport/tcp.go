@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -20,11 +18,6 @@ import (
 var (
 	// tcpDialTimeout bounds one connection attempt to a peer.
 	tcpDialTimeout = 2 * time.Second
-	// tcpMulticastWait bounds how long the legacy (non-pipelined)
-	// Multicast waits for its concurrent per-member sends; stragglers (a
-	// peer mid-dial) finish in the background. Delivery stays best-effort
-	// either way.
-	tcpMulticastWait = 2 * time.Second
 	// tcpWriteTimeout bounds one coalesced frame flush. A peer that is
 	// alive but not reading (wedged process, full socket buffer) errors
 	// the connection — failing queued frames with ErrSlowConsumer —
@@ -45,7 +38,9 @@ var (
 // persistent per-destination connections. The outbound path is pipelined:
 // Send encodes onto a bounded two-lane queue and returns; a per-connection
 // writer goroutine owns the dial and drains the queue with coalesced
-// writev flushes (see pipeline.go). Inbound frames are bounded by
+// writev flushes (see pipeline.go). A frame's bulk tail (msg.Message.Tail)
+// is never copied in user space: it is written as its own iovec and read
+// into the buffer posted for it (Caller.CallInto). Inbound frames are bounded by
 // wire.MaxFrameBytes: a corrupt or hostile length prefix drops the
 // connection with a logged transport error instead of allocating without
 // limit.
@@ -53,9 +48,6 @@ type TCPNetwork struct {
 	groups *groupSet
 	stats  Stats
 	logf   func(format string, args ...any)
-	// serialized restores the pre-pipeline send path (mutex across the
-	// write syscall, dial inline in Send): the benchmark baseline.
-	serialized atomic.Bool
 	// sendBuf, when positive, bounds SO_SNDBUF on outbound connections.
 	sendBuf atomic.Int32
 
@@ -77,12 +69,6 @@ func NewTCPNetwork() *TCPNetwork {
 // SetLogf installs a diagnostic sink for transport errors (dropped
 // connections, malformed frames); nil disables logging.
 func (n *TCPNetwork) SetLogf(f func(format string, args ...any)) { n.logf = f }
-
-// SetPipelining toggles the per-connection async writer (on by default).
-// Disabling it restores the serialized lock-across-syscall send path; the
-// knob exists so cnbench can measure the pipeline against its own
-// baseline and must be set before traffic flows.
-func (n *TCPNetwork) SetPipelining(enabled bool) { n.serialized.Store(!enabled) }
 
 // SetSendBuffer bounds the kernel send buffer (SO_SNDBUF) of outbound
 // connections dialed after the call; 0 keeps the OS default. Lane priority
@@ -199,10 +185,6 @@ type tcpConn struct {
 
 	closed atomic.Bool
 	cval   atomic.Value // net.Conn, set once after a successful dial
-
-	// wmu serializes the legacy (serialized-mode) dial + frame writes;
-	// unused when pipelining is on.
-	wmu sync.Mutex
 }
 
 // close marks the record dead, fails every queued frame with err, and
@@ -224,6 +206,10 @@ type tcpEndpoint struct {
 	ln      net.Listener
 	stop    chan struct{}
 	wg      sync.WaitGroup
+
+	// claim is the posted-receive hook the endpoint's Caller installed
+	// (postTails); nil until then.
+	claim atomic.Pointer[func(correlID uint64, n int) []byte]
 
 	mu      sync.Mutex
 	conns   map[string]*tcpConn
@@ -260,8 +246,10 @@ func (e *tcpEndpoint) acceptLoop() {
 }
 
 // readLoop decodes length-prefixed binary frames off one inbound
-// connection. The frame length is validated against wire.MaxFrameBytes
-// BEFORE any allocation for the body, and any malformed frame drops the
+// connection, head first: a frame's bulk tail is read after its envelope
+// is decoded, into the buffer a waiting call posted for it when there is
+// one (claimTail). Every length is validated against wire.MaxFrameBytes
+// BEFORE any allocation made for it, and any malformed frame drops the
 // connection with a logged transport error — at-most-once semantics make
 // the in-flight messages a silent loss, exactly as if the peer died.
 func (e *tcpEndpoint) readLoop(c net.Conn) {
@@ -272,33 +260,20 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 		delete(e.inbound, c)
 		e.mu.Unlock()
 	}()
-	br := bufio.NewReaderSize(c, 64<<10)
-	var hdr [wire.FrameHeaderBytes]byte
+	fr := wire.NewFrameReader(c, e.claimTail)
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err != io.EOF {
+		m, size, err := fr.Next()
+		if err != nil {
+			var bad *wire.FrameError
+			switch {
+			case errors.As(err, &bad):
+				e.net.stats.FrameErrors.Add(1)
+				e.net.logErr("%s: inbound frame from %s rejected: %v; dropping connection",
+					e.node, c.RemoteAddr(), err)
+			case err != io.EOF:
 				// Connection torn down mid-frame.
 				e.net.stats.Dropped.Add(1)
 			}
-			return
-		}
-		frameLen := binary.BigEndian.Uint32(hdr[:])
-		if err := wire.CheckFrameLen(frameLen); err != nil {
-			e.net.stats.FrameErrors.Add(1)
-			e.net.logErr("%s: inbound frame from %s rejected: %v; dropping connection",
-				e.node, c.RemoteAddr(), err)
-			return
-		}
-		body := make([]byte, frameLen)
-		if _, err := io.ReadFull(br, body); err != nil {
-			e.net.stats.Dropped.Add(1)
-			return
-		}
-		m, err := wire.DecodeFrameBody(body)
-		if err != nil {
-			e.net.stats.FrameErrors.Add(1)
-			e.net.logErr("%s: undecodable frame from %s: %v; dropping connection",
-				e.node, c.RemoteAddr(), err)
 			return
 		}
 		select {
@@ -308,9 +283,24 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 		default:
 		}
 		e.net.stats.Delivered.Add(1)
-		e.net.stats.BytesRecv.Add(int64(wire.FrameHeaderBytes + frameLen))
+		e.net.stats.BytesRecv.Add(int64(size))
 		e.handler(m)
 	}
+}
+
+// claimTail is the read loop's question between a frame's head and its
+// tail: has the consumer of this reply posted a buffer the n tail bytes
+// should land in? nil selects a fresh allocation.
+func (e *tcpEndpoint) claimTail(head *msg.Message, n int) []byte {
+	if claim := e.claim.Load(); claim != nil && head.CorrelID != 0 {
+		return (*claim)(head.CorrelID, n)
+	}
+	return nil
+}
+
+// postTails implements tailPoster.
+func (e *tcpEndpoint) postTails(claim func(correlID uint64, n int) []byte) {
+	e.claim.Store(&claim)
 }
 
 // Node implements Endpoint.
@@ -340,14 +330,11 @@ func (e *tcpEndpoint) conn(node string) (*tcpConn, error) {
 	}
 	tc = &tcpConn{addr: addr, node: node, pipe: newOutPipe(&e.net.stats)}
 	e.conns[node] = tc
-	if !e.net.serialized.Load() {
-		// The writer is deliberately NOT in e.wg: a writer parked in a
-		// dial may outlive Close by up to tcpDialTimeout (it only touches
-		// the already-failed pipe and the connection table), and shutdown
-		// must not wait on it — the same detachment the legacy multicast
-		// dial goroutines had.
-		go e.writeLoop(tc)
-	}
+	// The writer is deliberately NOT in e.wg: a writer parked in a dial may
+	// outlive Close by up to tcpDialTimeout (it only touches the
+	// already-failed pipe and the connection table), and shutdown must not
+	// wait on it.
+	go e.writeLoop(tc)
 	return tc, nil
 }
 
@@ -363,7 +350,9 @@ func (e *tcpEndpoint) forget(node string, tc *tcpConn) {
 
 // writeLoop is tc's writer goroutine: it owns the dial, then drains the
 // pipe, coalescing every queued frame into a single net.Buffers writev
-// per wakeup — control lane first. A dial or write failure fails the
+// per wakeup — control lane first, a frame's bulk tail as the iovec after
+// its head (scatter-gather: the tail goes from wherever it lives to the
+// kernel without a user-space copy). A dial or write failure fails the
 // whole queued batch at once with one error and retires the connection;
 // the next Send re-dials on a fresh record.
 func (e *tcpEndpoint) writeLoop(tc *tcpConn) {
@@ -392,6 +381,9 @@ func (e *tcpEndpoint) writeLoop(tc *tcpConn) {
 		bufs = bufs[:0]
 		for i := range batch {
 			bufs = append(bufs, batch[i].data)
+			if batch[i].m != nil {
+				bufs = append(bufs, batch[i].m.Tail)
+			}
 		}
 		c.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
 		_, werr := bufs.WriteTo(c)
@@ -410,87 +402,36 @@ func (e *tcpEndpoint) writeLoop(tc *tcpConn) {
 			return
 		}
 		for i := range batch {
-			e.net.stats.countSend(batch[i].kind, len(batch[i].data))
+			e.net.stats.countSend(batch[i].kind, batch[i].size)
 		}
 		e.net.stats.countFlush(len(batch))
 	}
 }
 
-// Send implements Endpoint: encode, enqueue onto the destination's
-// pipeline, return. The caller never blocks on a dial or a write; dial
-// and write failures fail the queued batch asynchronously (at-most-once
-// semantics, like the wire). An oversized message still fails
-// synchronously before anything is queued, as does an unknown node.
+// Send implements Endpoint: encode the head, enqueue head and borrowed
+// tail onto the destination's pipeline, return. The caller never blocks on
+// a dial or a write; dial and write failures fail the queued batch
+// asynchronously (at-most-once semantics, like the wire). An oversized
+// message — head plus tail — still fails synchronously before anything is
+// queued, as does an unknown node.
 func (e *tcpEndpoint) Send(toNode string, m *msg.Message) error {
 	buf := wire.GetBuf()
 	var err error
-	*buf, err = wire.AppendFrame((*buf)[:0], m)
+	*buf, err = wire.AppendFrameHead((*buf)[:0], m)
 	if err != nil {
 		wire.PutBuf(buf)
 		return fmt.Errorf("transport: send to %s: %w", toNode, err)
-	}
-	if e.net.serialized.Load() {
-		err = e.writeFrameSync(toNode, m.Kind, *buf)
-		wire.PutBuf(buf)
-		return err
 	}
 	tc, err := e.conn(toNode)
 	if err != nil {
 		wire.PutBuf(buf)
 		return err
 	}
-	return tc.pipe.enqueue(outFrame{
-		kind: m.Kind,
-		data: *buf,
-		ref:  newFrameRef(buf, 1),
-		size: len(*buf),
-	})
-}
-
-// writeFrameSync is the legacy serialized send path (dial inline, mutex
-// across the write syscall, one syscall per frame), kept as the benchmark
-// baseline behind SetPipelining(false).
-func (e *tcpEndpoint) writeFrameSync(toNode string, kind msg.Kind, frame []byte) error {
-	tc, err := e.conn(toNode)
-	if err != nil {
-		return err
+	f := outFrame{kind: m.Kind, data: *buf, ref: newFrameRef(buf, 1), size: len(*buf) + len(m.Tail)}
+	if len(m.Tail) > 0 {
+		f.m = m // the writer sends m.Tail after the head
 	}
-	tc.wmu.Lock()
-	if tc.closed.Load() {
-		tc.wmu.Unlock()
-		e.forget(toNode, tc)
-		return fmt.Errorf("transport: send to %s: connection closed", toNode)
-	}
-	c, _ := tc.cval.Load().(net.Conn)
-	if c == nil {
-		dialed, err := tcpDial("tcp", tc.addr, tcpDialTimeout)
-		if err != nil {
-			tc.closed.Store(true)
-			tc.wmu.Unlock()
-			e.forget(toNode, tc)
-			return fmt.Errorf("transport: dial %s (%s): %w", toNode, tc.addr, err)
-		}
-		e.net.tuneConn(dialed)
-		tc.cval.Store(dialed)
-		if tc.closed.Load() {
-			dialed.Close()
-			tc.wmu.Unlock()
-			e.forget(toNode, tc)
-			return fmt.Errorf("transport: send to %s: connection closed", toNode)
-		}
-		c = dialed
-	}
-	c.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
-	_, err = c.Write(frame)
-	tc.wmu.Unlock()
-	if err != nil {
-		e.forget(toNode, tc)
-		tc.close(fmt.Errorf("transport: send to %s: %w", toNode, err))
-		return fmt.Errorf("transport: send to %s: %w", toNode, err)
-	}
-	e.net.stats.countSend(kind, len(frame))
-	e.net.stats.countFlush(1)
-	return nil
+	return tc.pipe.enqueue(f)
 }
 
 // Multicast implements Endpoint: unicast fan-out over group membership.
@@ -520,9 +461,6 @@ func (e *tcpEndpoint) Multicast(group string, m *msg.Message) error {
 		wire.PutBuf(buf)
 		return nil
 	}
-	if e.net.serialized.Load() {
-		return e.multicastSync(members, m.Kind, buf)
-	}
 	ref := newFrameRef(buf, int32(len(members)))
 	for _, node := range members {
 		tc, err := e.conn(node)
@@ -532,33 +470,6 @@ func (e *tcpEndpoint) Multicast(group string, m *msg.Message) error {
 		}
 		// enqueue owns (and on failure releases) this member's reference.
 		_ = tc.pipe.enqueue(outFrame{kind: m.Kind, data: *buf, ref: ref, size: len(*buf)})
-	}
-	return nil
-}
-
-// multicastSync is the legacy concurrent fan-out (per-member goroutines
-// over the serialized write path), kept as the benchmark baseline.
-func (e *tcpEndpoint) multicastSync(members []string, kind msg.Kind, buf *[]byte) error {
-	var wg sync.WaitGroup
-	for _, node := range members {
-		wg.Add(1)
-		go func(node string) {
-			defer wg.Done()
-			_ = e.writeFrameSync(node, kind, *buf) // best-effort, like the wire
-		}(node)
-	}
-	done := make(chan struct{})
-	go func() {
-		// The shared frame buffer may only be recycled once every member's
-		// write — including stragglers past the bounded wait — is finished.
-		wg.Wait()
-		wire.PutBuf(buf)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(tcpMulticastWait):
-	case <-e.stop:
 	}
 	return nil
 }

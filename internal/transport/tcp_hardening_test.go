@@ -90,6 +90,42 @@ func TestTCPInboundCorruptFrameRejected(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return n.Stats().FrameErrors.Load() == 1 }, "frame error counter")
 }
 
+// TestTCPInboundHostileTailRejected: a tail length that does not fit the
+// frame that carries it drops the connection with a frame error, like any
+// other malformed frame — the reader neither waits for the bytes it
+// promises nor delivers anything.
+func TestTCPInboundHostileTailRejected(t *testing.T) {
+	n := NewTCPNetwork()
+	defer n.Close()
+	received := 0
+	if _, err := n.Attach("victim", func(*msg.Message) { received++ }); err != nil {
+		t.Fatal(err)
+	}
+	c := dialEndpoint(t, n, "victim")
+	defer c.Close()
+
+	reply := msg.New(msg.KindBlobChunkAck, msg.Address{Node: "x"}, msg.Address{Node: "victim"}, nil)
+	reply.CorrelID = 1
+	reply.Tail = make([]byte, 1024)
+	frame, err := wire.AppendFrameHead(nil, reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The tail length word follows the prefix, magic and version byte.
+	binary.BigEndian.PutUint32(frame[wire.FrameHeaderBytes+3:], wire.MaxFrameBytes)
+	if _, err := c.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, func() bool { return n.Stats().FrameErrors.Load() == 1 }, "frame error counter")
+	c.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := c.Read(make([]byte, 1)); err == nil {
+		t.Error("connection still open after a hostile tail length")
+	}
+	if received != 0 {
+		t.Errorf("handler invoked %d times for garbage", received)
+	}
+}
+
 // TestSenderRefusesOversizedFrame: the guard is symmetric and applies on
 // BOTH fabrics — a sender must fail an oversized message cleanly (the
 // simulated substrate must not accept traffic TCP would reject) and keep
@@ -108,6 +144,15 @@ func TestSenderRefusesOversizedFrame(t *testing.T) {
 		if err := a.Send("b", huge); !errors.Is(err, wire.ErrFrameTooLarge) {
 			t.Fatalf("oversized send = %v, want ErrFrameTooLarge", err)
 		}
+		// The limit is on head + tail, wherever the bytes ride.
+		tailed := msg.New(msg.KindBlobChunkAck, msg.Address{Node: "a"}, msg.Address{Node: "b"}, make([]byte, 4096))
+		tailed.Tail = make([]byte, wire.MaxFrameBytes-2048)
+		if err := a.Send("b", tailed); !errors.Is(err, wire.ErrFrameTooLarge) {
+			t.Fatalf("oversized head+tail send = %v, want ErrFrameTooLarge", err)
+		}
+		if err := a.Multicast("g", tailed); !errors.Is(err, wire.ErrFrameTooLarge) {
+			t.Fatalf("oversized head+tail multicast = %v, want ErrFrameTooLarge", err)
+		}
 		if err := a.Send("b", msg.New(msg.KindPing, msg.Address{Node: "a"}, msg.Address{Node: "b"}, []byte("ok"))); err != nil {
 			t.Fatal(err)
 		}
@@ -116,8 +161,8 @@ func TestSenderRefusesOversizedFrame(t *testing.T) {
 }
 
 // TestTCPMulticastSurvivesDeadMember: fan-out must reach live members even
-// when another member is unreachable, and must return within the bounded
-// wait rather than serializing behind the dead member's dial.
+// when another member is unreachable, and must return without waiting on
+// the dead member's dial (which its writer goroutine owns).
 func TestTCPMulticastSurvivesDeadMember(t *testing.T) {
 	n := NewTCPNetwork()
 	defer n.Close()
@@ -146,8 +191,8 @@ func TestTCPMulticastSurvivesDeadMember(t *testing.T) {
 	if err := sender.Multicast("g", msg.New(msg.KindPing, msg.Address{Node: "s"}, msg.Address{}, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > tcpMulticastWait+time.Second {
-		t.Errorf("Multicast blocked %v, want bounded by ~%v", elapsed, tcpMulticastWait)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("Multicast blocked %v behind a dead member", elapsed)
 	}
 	live1.wait(t, 1, 2*time.Second)
 	live2.wait(t, 1, 2*time.Second)
@@ -260,7 +305,13 @@ func TestTCPSlowConsumerDropsConnection(t *testing.T) {
 // for the same message, and count sends by kind.
 func TestWireByteAccounting(t *testing.T) {
 	m := msg.New(msg.KindHeartbeat, msg.Address{Node: "a"}, msg.Address{Node: "b"}, []byte("beatbeat"))
+	// A bulk tail is counted like any other byte of the frame, on both
+	// fabrics, whether or not it was ever copied.
+	m.Tail = make([]byte, 10_000)
 	want := int64(wire.FrameHeaderBytes + wire.EncodedSize(m))
+	if want < 10_000 {
+		t.Fatalf("encoded size %d does not count the tail", want)
+	}
 
 	eachNetwork(t, func(t *testing.T, netw Network) {
 		recv := newCollector()

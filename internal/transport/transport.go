@@ -211,16 +211,32 @@ type Caller struct {
 
 	mu      sync.Mutex
 	pending map[uint64]chan *msg.Message
-	multi   map[uint64]chan *msg.Message
+	// posted holds, per outstanding CallInto, the buffer its reply's bulk
+	// tail should be read into (see claim).
+	posted map[uint64][]byte
+	multi  map[uint64]chan *msg.Message
+}
+
+// tailPoster is implemented by endpoints that read a frame's bulk tail
+// after decoding its head and can therefore put it where the consumer
+// wants it. claim is called on the endpoint's read path between the two;
+// an endpoint serves one Caller.
+type tailPoster interface {
+	postTails(claim func(correlID uint64, n int) []byte)
 }
 
 // NewCaller wraps an endpoint.
 func NewCaller(ep Endpoint) *Caller {
-	return &Caller{
+	c := &Caller{
 		ep:      ep,
 		pending: make(map[uint64]chan *msg.Message),
+		posted:  make(map[uint64][]byte),
 		multi:   make(map[uint64]chan *msg.Message),
 	}
+	if tp, ok := ep.(tailPoster); ok {
+		tp.postTails(c.claim)
+	}
+	return c
 }
 
 // Endpoint returns the wrapped endpoint.
@@ -258,16 +274,51 @@ func (c *Caller) Handle(m *msg.Message) bool {
 	return false
 }
 
+// claim hands the endpoint's reader the buffer posted for the reply to
+// correlID, if its n-byte tail fits. A posting is claimed at most once —
+// claiming removes it — so a duplicate reply, like a reply to an unknown
+// call or a tail longer than the posting, gets nil and is read into a
+// buffer of its own.
+func (c *Caller) claim(correlID uint64, n int) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	dst, ok := c.posted[correlID]
+	if !ok || n > len(dst) {
+		return nil
+	}
+	delete(c.posted, correlID)
+	return dst[:n]
+}
+
 // Call sends m to toNode and blocks until a correlated reply arrives or ctx
 // is done.
 func (c *Caller) Call(ctx context.Context, toNode string, m *msg.Message) (*msg.Message, error) {
+	return c.CallInto(ctx, toNode, m, nil)
+}
+
+// CallInto is Call with dst posted for the reply's bulk tail: on a fabric
+// that reads tails in place (TCP) a reply whose tail fits is read straight
+// into dst and its Tail aliases dst[:len(Tail)]; on any other fabric, and
+// for a tail that does not fit, the reply's Tail is memory of its own and
+// dst is untouched. The caller tells the two apart by address.
+//
+// When CallInto returns an error the reader may already have claimed dst
+// and may still be writing into it: the caller must not reuse dst, or read
+// it, afterwards.
+func (c *Caller) CallInto(ctx context.Context, toNode string, m *msg.Message, dst []byte) (*msg.Message, error) {
 	ch := make(chan *msg.Message, 1)
 	c.mu.Lock()
 	c.pending[m.ID] = ch
+	if len(dst) > 0 {
+		c.posted[m.ID] = dst
+	}
 	c.mu.Unlock()
 	defer func() {
 		c.mu.Lock()
 		delete(c.pending, m.ID)
+		if len(dst) > 0 {
+			delete(c.posted, m.ID)
+		}
 		c.mu.Unlock()
 	}()
 	if err := c.ep.Send(toNode, m); err != nil {

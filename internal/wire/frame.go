@@ -5,15 +5,26 @@
 // reads; body length is bounded by MaxFrameBytes at both ends.
 //
 //	frame   := len(uint32 BE) body
-//	body    := 'C' 'N' version envelope
+//	body    := 'C' 'N' vbyte [taillen] envelope [tail]
+//	vbyte   := Version, with TailFlag set iff a bulk tail follows the envelope
+//	taillen := uint32 BE, > 0                  (present iff TailFlag)
 //	envelope:= id kind correlID from to time headers payload [trace]
 //	trace   := traceID spanID parentID   (uvarints; present iff traced)
+//	tail    := taillen raw bytes (msg.Message.Tail)
+//
+// The tail is what lets bulk bytes cross a node boundary without being
+// copied in user space: a sender writes head and tail as two iovecs, and a
+// receiver that has decoded the head can read the tail straight into a
+// buffer its consumer posted (FrameReader). len counts everything after
+// the prefix, tail included, so every limit is a limit on head + tail.
 
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"time"
 
 	"cn/internal/msg"
@@ -25,6 +36,13 @@ const FrameHeaderBytes = 4
 
 // frameBodyMin is the smallest valid frame body: magic + version alone.
 const frameBodyMin = 3
+
+// TailFlag in a frame's version byte says a tail length word follows it
+// and that many raw bytes follow the envelope.
+const TailFlag = 0x80
+
+// tailLenBytes is the size of the tail length word.
+const tailLenBytes = 4
 
 // maxHeaderEntries bounds a message's header map on decode; CN headers are
 // small string metadata, never bulk data.
@@ -57,8 +75,7 @@ func AppendMessage(dst []byte, m *msg.Message) []byte {
 	}
 	dst = AppendBytes(dst, m.Payload)
 	// The trace context is the envelope's only optional field: untraced
-	// messages (the common case at default sampling) pay zero bytes, and a
-	// v1 envelope is exactly a v2 envelope with the field absent.
+	// messages (the common case at default sampling) pay zero bytes.
 	if !m.Trace.IsZero() {
 		dst = AppendUvarint(dst, m.Trace.TraceID)
 		dst = AppendUvarint(dst, m.Trace.SpanID)
@@ -134,8 +151,7 @@ func DecodeMessage(b []byte) (*msg.Message, error) {
 		return nil, err
 	}
 	if r.Len() > 0 {
-		// Optional trailing trace context (v2). Its absence is the v1
-		// layout, so one decode path serves the whole accepted range.
+		// Optional trailing trace context.
 		var tc trace.Context
 		if tc.TraceID, err = r.Uvarint(); err != nil {
 			return nil, err
@@ -167,20 +183,41 @@ func readAddress(r *Reader) (msg.Address, error) {
 	return a, err
 }
 
-// AppendFrame appends the complete frame (length prefix, magic, version,
-// envelope) for m. When the body would exceed MaxFrameBytes it returns dst
-// truncated back to its original length and ErrFrameTooLarge — the send
-// fails cleanly without corrupting the stream.
+// AppendFrame appends the complete, contiguous frame for m — length
+// prefix, magic, version, envelope and, copied in, the tail. When the body
+// would exceed MaxFrameBytes it returns dst truncated back to its original
+// length and ErrFrameTooLarge — the send fails cleanly without corrupting
+// the stream. The transport's unicast path uses AppendFrameHead instead
+// and never copies the tail.
 func AppendFrame(dst []byte, m *msg.Message) ([]byte, error) {
+	dst, err := AppendFrameHead(dst, m)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, m.Tail...), nil
+}
+
+// AppendFrameHead appends m's frame up to, and not including, the tail's
+// bytes: the length prefix (which counts them), magic, version, tail length
+// and envelope. A writer that puts m.Tail on the stream right after it has
+// sent exactly what AppendFrame would have produced. The MaxFrameBytes
+// check is on head + tail and fails the same way AppendFrame does.
+func AppendFrameHead(dst []byte, m *msg.Message) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst = append(dst, Magic0, Magic1, Version)
+	if len(m.Tail) == 0 {
+		dst = append(dst, 0, 0, 0, 0, Magic0, Magic1, Version)
+	} else {
+		dst = append(dst, 0, 0, 0, 0, Magic0, Magic1, Version|TailFlag, 0, 0, 0, 0)
+	}
 	dst = AppendMessage(dst, m)
-	body := len(dst) - start - FrameHeaderBytes
+	body := len(dst) - start - FrameHeaderBytes + len(m.Tail)
 	if body > MaxFrameBytes {
 		return dst[:start], fmt.Errorf("%w (message %s is %d bytes)", ErrFrameTooLarge, m.Kind, body)
 	}
 	binary.BigEndian.PutUint32(dst[start:], uint32(body))
+	if len(m.Tail) > 0 {
+		binary.BigEndian.PutUint32(dst[start+FrameHeaderBytes+frameBodyMin:], uint32(len(m.Tail)))
+	}
 	return dst, nil
 }
 
@@ -196,19 +233,190 @@ func CheckFrameLen(n uint32) error {
 	return nil
 }
 
-// DecodeFrameBody parses a frame body (after the length prefix): magic,
-// version, then the message envelope.
+// checkPreamble validates a frame body's first frameBodyMin bytes — magic
+// and the single accepted version — and reports whether the frame carries
+// a tail.
+func checkPreamble(p []byte) (tailed bool, err error) {
+	if p[0] != Magic0 || p[1] != Magic1 {
+		return false, fmt.Errorf("wire: bad frame magic %#x %#x", p[0], p[1])
+	}
+	if v := p[2] &^ TailFlag; v != Version {
+		return false, fmt.Errorf("wire: frame version %d not supported (want %d)", v, Version)
+	}
+	return p[2]&TailFlag != 0, nil
+}
+
+// splitTail validates a tail length word against rest, the number of frame
+// bytes that follow the word, and returns the envelope's and the tail's
+// lengths. The word comes off the stream, so it is checked before anything
+// is allocated or read on its say-so: a tail is never empty and never
+// longer than what the frame length — itself already checked against
+// MaxFrameBytes — leaves for it.
+func splitTail(word []byte, rest int) (envLen, tailLen int, err error) {
+	n := binary.BigEndian.Uint32(word)
+	if n == 0 || uint64(n) > uint64(rest) {
+		return 0, 0, fmt.Errorf("wire: tail length %d does not fit the %d frame bytes after it", n, rest)
+	}
+	return rest - int(n), int(n), nil
+}
+
+// DecodeFrameBody parses a contiguous frame body (everything after the
+// length prefix, as AppendFrame lays it out): magic, version, then the
+// message envelope and, when flagged, the tail. The returned message's
+// Payload and Tail alias body.
 func DecodeFrameBody(body []byte) (*msg.Message, error) {
 	if len(body) < frameBodyMin {
 		return nil, fmt.Errorf("wire: frame body too short (%d bytes)", len(body))
 	}
-	if body[0] != Magic0 || body[1] != Magic1 {
-		return nil, fmt.Errorf("wire: bad frame magic %#x %#x", body[0], body[1])
+	tailed, err := checkPreamble(body)
+	if err != nil {
+		return nil, err
 	}
-	if body[2] < MinVersion || body[2] > Version {
-		return nil, fmt.Errorf("wire: frame version %d not supported (want %d..%d)", body[2], MinVersion, Version)
+	body = body[frameBodyMin:]
+	if !tailed {
+		return DecodeMessage(body)
 	}
-	return DecodeMessage(body[3:])
+	if len(body) < tailLenBytes {
+		return nil, fmt.Errorf("wire: frame ends inside its tail length")
+	}
+	envLen, _, err := splitTail(body, len(body)-tailLenBytes)
+	if err != nil {
+		return nil, err
+	}
+	body = body[tailLenBytes:]
+	m, err := DecodeMessage(body[:envLen])
+	if err != nil {
+		return nil, err
+	}
+	m.Tail = body[envLen:len(body):len(body)]
+	return m, nil
+}
+
+// FrameError marks a frame the peer should never have sent — a length out
+// of bounds, foreign magic, another version, a tail length that does not
+// fit, an undecodable envelope. The stream cannot be resynchronized after
+// one, so the transport drops the connection. Any other error from
+// FrameReader.Next is the underlying reader's.
+type FrameError struct{ Err error }
+
+func (e *FrameError) Error() string { return e.Err.Error() }
+func (e *FrameError) Unwrap() error { return e.Err }
+
+// FrameReader reads frames off one inbound stream, head first: it learns
+// the tail's length before it reads the tail, which is what lets the tail
+// land in a buffer posted for it instead of a fresh allocation.
+type FrameReader struct {
+	br *bufio.Reader
+	// post, when not nil, is asked between head and tail for the buffer the
+	// tail should be read into. It sees the decoded head (Tail still nil)
+	// and the tail's length n, and returns a slice of exactly n bytes, or
+	// nil to have one allocated.
+	post func(head *msg.Message, n int) []byte
+	// prefix is the length prefix, word the start of a tailed frame's body
+	// (magic, version byte, tail length). Fields rather than locals because
+	// a buffer handed to an io.Reader escapes.
+	prefix [FrameHeaderBytes]byte
+	word   [frameBodyMin + tailLenBytes]byte
+}
+
+// NewFrameReader wraps r; see FrameReader.post for post.
+func NewFrameReader(r io.Reader, post func(head *msg.Message, n int) []byte) *FrameReader {
+	return &FrameReader{br: bufio.NewReaderSize(r, 64<<10), post: post}
+}
+
+// Next reads one frame and returns its message and its size on the wire.
+// The frame length, magic, version and tail length are each validated
+// before any allocation made on their say-so, and no allocation exceeds
+// MaxFrameBytes. io.EOF means the stream ended cleanly between frames; a
+// stream that ends inside a frame returns io.ErrUnexpectedEOF.
+func (fr *FrameReader) Next() (*msg.Message, int, error) {
+	if _, err := io.ReadFull(fr.br, fr.prefix[:]); err != nil {
+		return nil, 0, err
+	}
+	frameLen := binary.BigEndian.Uint32(fr.prefix[:])
+	if err := CheckFrameLen(frameLen); err != nil {
+		return nil, 0, &FrameError{err}
+	}
+	// Magic and version are inspected where they sit in the read buffer, so
+	// a frame without a tail — every small message — is then read in one
+	// piece, exactly as before frames had tails.
+	pre, err := fr.br.Peek(frameBodyMin)
+	if err != nil {
+		return nil, 0, midFrame(err)
+	}
+	tailed, err := checkPreamble(pre)
+	if err != nil {
+		return nil, 0, &FrameError{err}
+	}
+	var m *msg.Message
+	if tailed {
+		m, err = fr.readTailed(int(frameLen))
+	} else {
+		m, err = fr.readEnvelope(int(frameLen), frameBodyMin)
+	}
+	return m, FrameHeaderBytes + int(frameLen), err
+}
+
+// readEnvelope reads n bytes and decodes the envelope that follows the
+// first skip of them. The message's Payload aliases the buffer allocated
+// here.
+func (fr *FrameReader) readEnvelope(n, skip int) (*msg.Message, error) {
+	buf := make([]byte, n)
+	if err := fr.readFull(buf); err != nil {
+		return nil, err
+	}
+	m, err := DecodeMessage(buf[skip:])
+	if err != nil {
+		return nil, &FrameError{err}
+	}
+	return m, nil
+}
+
+// readTailed reads the n-byte body of a tailed frame: preamble and tail
+// length, the envelope, then the tail — into the posted buffer when the
+// consumer has one for this reply, into a fresh one otherwise.
+func (fr *FrameReader) readTailed(n int) (*msg.Message, error) {
+	if n < len(fr.word) {
+		return nil, &FrameError{fmt.Errorf("wire: frame ends inside its tail length")}
+	}
+	if err := fr.readFull(fr.word[:]); err != nil {
+		return nil, err
+	}
+	envLen, tailLen, err := splitTail(fr.word[frameBodyMin:], n-len(fr.word))
+	if err != nil {
+		return nil, &FrameError{err}
+	}
+	m, err := fr.readEnvelope(envLen, 0)
+	if err != nil {
+		return nil, err
+	}
+	var tail []byte
+	if fr.post != nil {
+		tail = fr.post(m, tailLen)
+	}
+	if len(tail) != tailLen {
+		tail = make([]byte, tailLen)
+	}
+	if err := fr.readFull(tail); err != nil {
+		return nil, err
+	}
+	m.Tail = tail
+	return m, nil
+}
+
+// readFull fills p from inside a frame.
+func (fr *FrameReader) readFull(p []byte) error {
+	_, err := io.ReadFull(fr.br, p)
+	return midFrame(err)
+}
+
+// midFrame is err as read inside a frame, where running out of stream is
+// never a clean end.
+func midFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // EncodedSize returns the frame-body size m would occupy on the wire by
@@ -217,9 +425,18 @@ func DecodeFrameBody(body []byte) (*msg.Message, error) {
 func EncodedSize(m *msg.Message) int {
 	buf := GetBuf()
 	*buf = AppendMessage((*buf)[:0], m)
-	n := len(*buf) + frameBodyMin
+	n := len(*buf) + frameBodyMin + tailBytes(m)
 	PutBuf(buf)
 	return n
+}
+
+// tailBytes is what m's tail adds to its frame body: the length word and
+// the bytes, or nothing.
+func tailBytes(m *msg.Message) int {
+	if len(m.Tail) == 0 {
+		return 0
+	}
+	return tailLenBytes + len(m.Tail)
 }
 
 // uvarintLen is the encoded width of u as an unsigned varint.
@@ -249,7 +466,7 @@ func addressLen(a msg.Address) int {
 // is the MemNetwork's byte-accounting path: the simulated fabric charges
 // real frame sizes without paying real encoding.
 func SizeOf(m *msg.Message) int {
-	n := frameBodyMin
+	n := frameBodyMin + tailBytes(m)
 	n += uvarintLen(m.ID)
 	n += uvarintLen(uint64(m.Kind))
 	n += uvarintLen(m.CorrelID)

@@ -2,7 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
+	"io"
+	"reflect"
 	"testing"
 
 	"cn/internal/msg"
@@ -27,13 +31,138 @@ func FuzzDecodeFrameBody(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{Magic0, Magic1, Version})
 	f.Add([]byte{Magic0, Magic1, Version, 0xff, 0xff, 0xff, 0xff, 0xff})
-	if frame, err := AppendFrame(nil, msg.New(msg.KindPing, msg.Address{Node: "a"}, msg.Address{Node: "b"}, []byte("x"))); err == nil {
+	ping := msg.New(msg.KindPing, msg.Address{Node: "a"}, msg.Address{Node: "b"}, []byte("x"))
+	if frame, err := AppendFrame(nil, ping); err == nil {
+		f.Add(frame[FrameHeaderBytes:])
+	}
+	ping.Tail = []byte("tail")
+	if frame, err := AppendFrame(nil, ping); err == nil {
 		f.Add(frame[FrameHeaderBytes:])
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := DecodeFrameBody(b)
 		if err == nil && m == nil {
 			t.Error("nil message with nil error")
+		}
+	})
+}
+
+// hostileTailStreams are the streams the tail's length word makes
+// possible and the reader must refuse: each names what is wrong with it.
+func hostileTailStreams() map[string][]byte {
+	tailed := func(frameLen, tailLen uint32, rest ...byte) []byte {
+		b := binary.BigEndian.AppendUint32(nil, frameLen)
+		b = append(b, Magic0, Magic1, Version|TailFlag)
+		b = binary.BigEndian.AppendUint32(b, tailLen)
+		return append(b, rest...)
+	}
+	env := AppendMessage(nil, &msg.Message{ID: 1, Kind: msg.KindBlobChunkAck, CorrelID: 9})
+	n := uint32(frameBodyMin + tailLenBytes + len(env))
+	return map[string][]byte{
+		"tail longer than the frame":          tailed(n+8, n+9, env...),
+		"tail as long as the frame":           tailed(n+8, n+8, env...),
+		"tail length past MaxFrameBytes":      tailed(n+8, MaxFrameBytes+1, env...),
+		"tail length of all ones":             tailed(n+8, 0xffffffff, env...),
+		"empty tail":                          tailed(n, 0, env...),
+		"frame ends inside the tail length":   tailed(frameBodyMin+2, 0),
+		"tail swallows the envelope":          tailed(n+8, uint32(len(env))+8, env...),
+		"MaxFrameBytes frame, oversized tail": tailed(MaxFrameBytes, MaxFrameBytes-frameBodyMin-tailLenBytes+1, env...),
+		"frame one past MaxFrameBytes":        tailed(MaxFrameBytes+1, 8, env...),
+	}
+}
+
+// TestFrameReaderRefusesHostileTails: a tail length that does not fit its
+// frame is a frame error — the kind that drops the connection — raised
+// before the reader asks for, or allocates, a tail buffer.
+func TestFrameReaderRefusesHostileTails(t *testing.T) {
+	for name, stream := range hostileTailStreams() {
+		posted := false
+		fr := NewFrameReader(bytes.NewReader(stream), func(*msg.Message, int) []byte { posted = true; return nil })
+		m, _, err := fr.Next()
+		var bad *FrameError
+		if m != nil || !errors.As(err, &bad) {
+			t.Errorf("%s: got message %v, err %v; want a FrameError", name, m, err)
+		}
+		if posted {
+			t.Errorf("%s: the reader asked for a tail buffer", name)
+		}
+		if _, err := DecodeFrameBody(stream[FrameHeaderBytes:]); err == nil {
+			t.Errorf("%s: DecodeFrameBody accepted the same bytes", name)
+		}
+	}
+	// A tail length with no tail bytes behind it is a torn stream, not a
+	// frame error — and the one buffer allocated for it stays within
+	// MaxFrameBytes even when the frame claims every byte of the limit.
+	chunk := &msg.Message{ID: 1, Kind: msg.KindBlobChunkAck, CorrelID: 9, Tail: make([]byte, MaxFrameBytes-64)}
+	head, err := AppendFrameHead(nil, chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asked := 0
+	fr := NewFrameReader(bytes.NewReader(head), func(_ *msg.Message, n int) []byte { asked = n; return nil })
+	if _, _, err := fr.Next(); err != io.ErrUnexpectedEOF {
+		t.Errorf("head without its tail: err %v, want io.ErrUnexpectedEOF", err)
+	}
+	if asked != len(chunk.Tail) || asked > MaxFrameBytes {
+		t.Errorf("reader asked for a %d-byte tail buffer, want %d", asked, len(chunk.Tail))
+	}
+}
+
+// FuzzFrameTail: whatever arrives on the stream — a hostile tail length
+// against the frame length, a tail length with no tail bytes behind it, a
+// tail on a frame of exactly MaxFrameBytes — the reader never panics, never
+// asks for or returns more than MaxFrameBytes, and agrees with
+// DecodeFrameBody on every frame that is wholly there: both accept it and
+// produce the same message, or the reader rejects it with a FrameError.
+func FuzzFrameTail(f *testing.F) {
+	for _, stream := range hostileTailStreams() {
+		f.Add(stream)
+	}
+	chunk := &msg.Message{ID: 7, Kind: msg.KindBlobChunkAck, CorrelID: 3, Payload: []byte("p"), Tail: []byte("0123456789")}
+	whole, _ := AppendFrame(nil, chunk)
+	f.Add(whole)
+	f.Add(whole[:len(whole)-len(chunk.Tail)]) // tail length, no tail bytes
+	chunk.Tail = make([]byte, MaxFrameBytes-(SizeOf(chunk)-len(chunk.Tail)))
+	full, _ := AppendFrame(nil, chunk) // a tail on a frame of exactly MaxFrameBytes
+	f.Add(full)
+	f.Add(full[:64])
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		post := func(head *msg.Message, n int) []byte {
+			if n <= 0 || n > MaxFrameBytes {
+				t.Errorf("reader asked for a tail buffer of %d bytes", n)
+			}
+			if head.CorrelID%2 == 0 {
+				return nil
+			}
+			return make([]byte, n)
+		}
+		m, size, err := NewFrameReader(bytes.NewReader(stream), post).Next()
+		var bad *FrameError
+		if err == nil {
+			if size > len(stream) || size > FrameHeaderBytes+MaxFrameBytes {
+				t.Fatalf("frame of %d bytes read from a %d-byte stream", size, len(stream))
+			}
+			want, werr := DecodeFrameBody(stream[FrameHeaderBytes:size])
+			if werr != nil || !reflect.DeepEqual(m, want) {
+				t.Fatalf("reader accepted %+v; DecodeFrameBody: %+v, %v", m, want, werr)
+			}
+			return
+		}
+		if m != nil {
+			t.Fatalf("message returned with error %v", err)
+		}
+		if errors.As(err, &bad) {
+			return
+		}
+		// Anything else is the stream running out, which it may only do
+		// short of the frame it announced.
+		if err != io.EOF && err != io.ErrUnexpectedEOF {
+			t.Fatalf("unexpected error %v", err)
+		}
+		if len(stream) >= FrameHeaderBytes {
+			if n := binary.BigEndian.Uint32(stream); uint64(len(stream)) >= FrameHeaderBytes+uint64(n) {
+				t.Fatalf("%v on a stream holding its whole %d-byte frame", err, n)
+			}
 		}
 	})
 }

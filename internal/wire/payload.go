@@ -78,8 +78,8 @@ func init() {
 	register(tAssignTasksResp, 128, appendAssignTasksResp, readAssignTasksResp)
 	register(tFetchBlobReq, 128, appendFetchBlobReq, readFetchBlobReq)
 	register(tFetchBlobResp, 256, appendFetchBlobResp, readFetchBlobResp)
-	registerSized(tBlobChunkReq, func(v protocol.BlobChunkReq) int { return 128 + len(v.Data) }, appendBlobChunkReq, readBlobChunkReq)
-	registerSized(tBlobChunkResp, func(v protocol.BlobChunkResp) int { return 128 + len(v.Data) }, appendBlobChunkResp, readBlobChunkResp)
+	register(tBlobChunkReq, 128, appendBlobChunkReq, readBlobChunkReq)
+	register(tBlobChunkResp, 128, appendBlobChunkResp, readBlobChunkResp)
 	register(tStartJobReq, 128, appendStartJobReq, readStartJobReq)
 	register(tExecTaskReq, 64, appendExecTaskReq, readExecTaskReq)
 	register(tTaskEvent, 128, appendTaskEvent, readTaskEvent)
@@ -210,8 +210,8 @@ func openPayload(data []byte) (*Reader, uint64, error) {
 	if data[0] != msg.TagBinary {
 		return nil, 0, fmt.Errorf("wire: payload tag %#x is not binary", data[0])
 	}
-	if data[1] < MinVersion || data[1] > Version {
-		return nil, 0, fmt.Errorf("wire: payload version %d not supported (want %d..%d)", data[1], MinVersion, Version)
+	if data[1] != Version {
+		return nil, 0, fmt.Errorf("wire: payload version %d not supported (want %d)", data[1], Version)
 	}
 	r := NewReader(data[2:])
 	id, err := r.Uvarint()
@@ -532,9 +532,6 @@ func appendTMOffer(b []byte, v protocol.TMOffer) []byte {
 	b = AppendString(b, v.Node)
 	b = AppendVarint(b, int64(v.FreeMemoryMB))
 	b = AppendVarint(b, int64(v.RunningTasks))
-	// Wire v3 locality fields. Like the envelope's v2 trace context they
-	// trail the v2 body, so a v3 reader detects their absence by running
-	// out of bytes and decodes older offers as cold.
 	b = appendStringSlice(b, v.ResidentDigests)
 	return AppendVarint(b, int64(v.StalledTasks))
 }
@@ -548,11 +545,6 @@ func readTMOffer(r *Reader, v *protocol.TMOffer) (err error) {
 	}
 	if v.RunningTasks, err = r.Int(); err != nil {
 		return err
-	}
-	if r.Len() == 0 {
-		// A v2-or-older offer ends here: no locality data, decode as cold.
-		v.ResidentDigests, v.StalledTasks = nil, 0
-		return nil
 	}
 	if v.ResidentDigests, err = readStringSlice(r, "resident digests"); err != nil {
 		return err
@@ -701,13 +693,16 @@ func readFetchBlobResp(r *Reader, v *protocol.FetchBlobResp) (err error) {
 	return nil
 }
 
+// The two chunk bodies encode every field but Data: the chunk's bytes ride
+// the frame's tail, where protocol.Body puts them and protocol.Decode finds
+// them, and are never copied into a payload.
+
 func appendBlobChunkReq(b []byte, v protocol.BlobChunkReq) []byte {
 	b = AppendString(b, v.JobID)
 	b = AppendString(b, v.Digest)
 	b = AppendVarint(b, v.Offset)
 	b = AppendVarint(b, v.MaxBytes)
-	b = AppendVarint(b, v.Total)
-	return AppendBytes(b, v.Data)
+	return AppendVarint(b, v.Total)
 }
 
 func readBlobChunkReq(r *Reader, v *protocol.BlobChunkReq) (err error) {
@@ -723,10 +718,7 @@ func readBlobChunkReq(r *Reader, v *protocol.BlobChunkReq) (err error) {
 	if v.MaxBytes, err = r.Varint(); err != nil {
 		return err
 	}
-	if v.Total, err = r.Varint(); err != nil {
-		return err
-	}
-	v.Data, err = r.Bytes()
+	v.Total, err = r.Varint()
 	return err
 }
 
@@ -734,7 +726,6 @@ func appendBlobChunkResp(b []byte, v protocol.BlobChunkResp) []byte {
 	b = AppendString(b, v.Digest)
 	b = AppendVarint(b, v.Offset)
 	b = AppendVarint(b, v.Total)
-	b = AppendBytes(b, v.Data)
 	return AppendString(b, v.Err)
 }
 
@@ -746,9 +737,6 @@ func readBlobChunkResp(r *Reader, v *protocol.BlobChunkResp) (err error) {
 		return err
 	}
 	if v.Total, err = r.Varint(); err != nil {
-		return err
-	}
-	if v.Data, err = r.Bytes(); err != nil {
 		return err
 	}
 	v.Err, err = r.String()

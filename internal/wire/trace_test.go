@@ -66,28 +66,6 @@ func TestUntracedMessageAddsNoBytes(t *testing.T) {
 	}
 }
 
-// TestV1FrameStillDecodes: version negotiation — a frame stamped with the
-// previous version (its body carries no trace field) must decode on a v2
-// receiver.
-func TestV1FrameStillDecodes(t *testing.T) {
-	m := msg.New(msg.KindPong, msg.Address{Node: "a"}, msg.Address{Node: "b"}, nil)
-	m.Time = time.Unix(0, m.Time.UnixNano())
-	body := append([]byte{Magic0, Magic1, MinVersion}, AppendMessage(nil, m)...)
-	got, err := DecodeFrameBody(body)
-	if err != nil {
-		t.Fatalf("v%d frame rejected: %v", MinVersion, err)
-	}
-	if !reflect.DeepEqual(m, got) {
-		t.Errorf("v1 envelope mismatch:\n in: %+v\nout: %+v", m, got)
-	}
-	if _, err := DecodeFrameBody([]byte{Magic0, Magic1, Version + 1, 0}); err == nil {
-		t.Error("future frame version accepted")
-	}
-	if _, err := DecodeFrameBody([]byte{Magic0, Magic1, 0, 0}); err == nil {
-		t.Error("frame version 0 accepted")
-	}
-}
-
 // TestTruncatedTraceRejected: a partial trailing trace field is corruption,
 // not an absent field.
 func TestTruncatedTraceRejected(t *testing.T) {

@@ -28,19 +28,14 @@ import (
 
 // Version is the wire-format version carried in every frame header and
 // binary payload header. Version 2 added the optional trailing trace
-// context to the message envelope; version 3 added the trailing locality
-// fields (resident digests, stall count) to the TMOffer body. A receiver
-// accepts every version in [MinVersion, Version] and rejects the rest;
-// bumping the pair is the negotiation story for format changes (see
+// context to the message envelope, version 3 the trailing locality fields
+// to the TMOffer body, version 4 the frame's bulk tail (and moved the chunk
+// bodies' Data into it). Nothing outside this repository speaks the wire,
+// so a receiver accepts exactly this version and rejects the rest (see
 // docs/WIRE.md).
-const Version = 3
+const Version = 4
 
-// MinVersion is the oldest frame version a receiver still accepts. A v1
-// frame is a v2 frame without the optional trailing trace context, so
-// decoding is uniform across the accepted range.
-const MinVersion = 1
-
-// MaxFrameBytes bounds one transport frame (envelope + payload). Senders
+// MaxFrameBytes bounds one transport frame (envelope + payload + tail). Senders
 // refuse to emit larger frames and receivers drop the connection on a
 // larger announced length, so a corrupt or hostile stream cannot force an
 // unbounded allocation. Archive blobs larger than this move in

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -101,27 +103,65 @@ func bodies() []any {
 	}
 }
 
-// TestRoundTripAllBodies marshals and unmarshals every protocol body and
+// throughFrame sends body the way production does — protocol.Body, a
+// contiguous frame, DecodeFrameBody, protocol.Decode — and returns the
+// payload bytes and the decoded copy. It is the round trip that holds for
+// every body: the chunk bodies' Data travels in the frame's tail, which a
+// bare Marshal/Unmarshal never sees.
+func throughFrame(t *testing.T, body any) (payload []byte, out any) {
+	t.Helper()
+	m := protocol.Body(msg.KindUser, msg.Address{Node: "a"}, msg.Address{Node: "b"}, body)
+	frame, err := AppendFrame(nil, m)
+	if err != nil {
+		t.Fatalf("%T: AppendFrame: %v", body, err)
+	}
+	got, err := DecodeFrameBody(frame[FrameHeaderBytes:])
+	if err != nil {
+		t.Fatalf("%T: DecodeFrameBody: %v", body, err)
+	}
+	out = reflect.New(reflect.TypeOf(body).Elem()).Interface()
+	if err := protocol.Decode(got, out); err != nil {
+		t.Fatalf("%T: Decode: %v", body, err)
+	}
+	return m.Payload, out
+}
+
+// TestRoundTripAllBodies encodes and decodes every protocol body and
 // requires deep equality.
 func TestRoundTripAllBodies(t *testing.T) {
 	for _, v := range bodies() {
 		name := reflect.TypeOf(v).Elem().Name()
 		t.Run(name, func(t *testing.T) {
-			enc, err := Default.Marshal(v)
-			if err != nil {
-				t.Fatalf("Marshal: %v", err)
-			}
+			enc, out := throughFrame(t, v)
 			if enc[0] != msg.TagBinary {
 				t.Fatalf("payload tag %#x, want TagBinary", enc[0])
-			}
-			out := reflect.New(reflect.TypeOf(v).Elem()).Interface()
-			if err := Default.Unmarshal(enc, out); err != nil {
-				t.Fatalf("Unmarshal: %v", err)
 			}
 			if !reflect.DeepEqual(v, out) {
 				t.Errorf("round trip mismatch:\n in: %+v\nout: %+v", v, out)
 			}
 		})
+	}
+}
+
+// TestChunkDataRidesTheTail: the two chunk bodies put Data in the frame's
+// tail by reference — not in the payload, and not copied.
+func TestChunkDataRidesTheTail(t *testing.T) {
+	data := []byte("chunk bytes")
+	for _, body := range []any{
+		protocol.BlobChunkReq{JobID: "j", Digest: "d", Total: 11, Data: data},
+		&protocol.BlobChunkResp{Digest: "d", Total: 11, Data: data},
+	} {
+		m := protocol.Body(msg.KindBlobChunk, msg.Address{Node: "a"}, msg.Address{Node: "b"}, body)
+		if len(m.Tail) != len(data) || &m.Tail[0] != &data[0] {
+			t.Errorf("%T: tail is not the body's Data slice", body)
+		}
+		if bytes.Contains(m.Payload, data) {
+			t.Errorf("%T: payload still carries Data", body)
+		}
+		r := protocol.Reply(m, msg.KindBlobChunkAck, body)
+		if len(r.Tail) != len(data) || &r.Tail[0] != &data[0] || r.CorrelID != m.ID {
+			t.Errorf("%T: Reply lost the tail or the correlation", body)
+		}
 	}
 }
 
@@ -143,33 +183,33 @@ func TestRoundTripByValue(t *testing.T) {
 	}
 }
 
-// TestTMOfferLegacyDecodesCold: a v2 offer body (no trailing locality
-// fields) must decode with nil ResidentDigests and zero StalledTasks, not
-// error — the wire-compat contract for the v3 TMOffer extension.
-func TestTMOfferLegacyDecodesCold(t *testing.T) {
-	// Build a current encoding, then strip it down to the v2 shape: header
-	// (tag, version, type id) plus the three legacy fields only, with the
-	// version byte rewritten to 2.
-	full, err := Default.Marshal(&protocol.TMOffer{Node: "n4", FreeMemoryMB: 512, RunningTasks: 3})
+// TestOnlyCurrentVersionAccepted: one wire version, at the frame and at the
+// payload — the previous one, the next one and zero are all refused, with
+// the tail flag or without.
+func TestOnlyCurrentVersionAccepted(t *testing.T) {
+	m := msg.New(msg.KindPong, msg.Address{Node: "a"}, msg.Address{Node: "b"}, nil)
+	env := AppendMessage(nil, m)
+	payload, err := Default.Marshal(&protocol.TMOffer{Node: "n4"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A cold current offer still carries the trailing empty-slice count and
-	// zero stall varint; drop those two trailing bytes to get the v2 body.
-	legacy := append([]byte(nil), full[:len(full)-2]...)
-	legacy[1] = 2
-	var out protocol.TMOffer
-	if err := Default.Unmarshal(legacy, &out); err != nil {
-		t.Fatalf("legacy v2 offer failed to decode: %v", err)
+	for _, v := range []byte{0, Version - 1, Version + 1, (Version - 1) | TailFlag, 0x7f} {
+		if _, err := DecodeFrameBody(append([]byte{Magic0, Magic1, v}, env...)); err == nil {
+			t.Errorf("frame version %#x accepted", v)
+		}
+		stamped := append([]byte(nil), payload...)
+		stamped[1] = v
+		if err := Default.Unmarshal(stamped, new(protocol.TMOffer)); err == nil {
+			t.Errorf("payload version %#x accepted", v)
+		}
 	}
-	want := protocol.TMOffer{Node: "n4", FreeMemoryMB: 512, RunningTasks: 3}
-	if !reflect.DeepEqual(out, want) {
-		t.Errorf("legacy decode got %+v want %+v", out, want)
+	if _, err := DecodeFrameBody(append([]byte{Magic0, Magic1, Version}, env...)); err != nil {
+		t.Errorf("current version refused: %v", err)
 	}
 }
 
-// TestEveryBodyCovered walks the corpus through msg.EncodePayload /
-// DecodePayload (the production entry points) and additionally asserts the
+// TestEveryBodyCovered walks the corpus through protocol.Body /
+// protocol.Decode (the production entry points) and additionally asserts the
 // binary codec actually handled each one — none silently fell back to gob —
 // and that the corpus has an entry for every row of the codec table.
 func TestEveryBodyCovered(t *testing.T) {
@@ -178,17 +218,10 @@ func TestEveryBodyCovered(t *testing.T) {
 		t.Errorf("codec table has %d forms for a corpus of %d bodies; extend bodies() with the new type", len(forms), len(bodies()))
 	}
 	for _, v := range bodies() {
-		enc, err := msg.EncodePayload(v)
-		if err != nil {
-			t.Fatalf("%T: %v", v, err)
-		}
+		enc, out := throughFrame(t, v)
 		if enc[0] != msg.TagBinary {
 			t.Errorf("%T fell back to gob (tag %#x)", v, enc[0])
 			continue
-		}
-		out := reflect.New(reflect.TypeOf(v).Elem()).Interface()
-		if err := msg.DecodePayload(enc, out); err != nil {
-			t.Fatalf("%T decode: %v", v, err)
 		}
 		if !reflect.DeepEqual(v, out) {
 			t.Errorf("%T mismatch through msg seam", v)
@@ -286,6 +319,35 @@ func TestMessageRoundTrip(t *testing.T) {
 	if SizeOf(m) != len(body) {
 		t.Errorf("SizeOf = %d, frame body is %d", SizeOf(m), len(body))
 	}
+
+	// The same message with a bulk tail: the contiguous frame is the head
+	// the transport sends followed by the tail, the tail decodes as an
+	// alias of the frame, and the tail-less frame above did not grow.
+	plain := len(body)
+	m.Tail = []byte("bulk bytes that are never copied into the envelope")
+	head, err := AppendFrameHead(nil, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame, err = AppendFrame(nil, m); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(frame, append(head, m.Tail...)) {
+		t.Error("AppendFrame is not AppendFrameHead followed by the tail")
+	}
+	body = frame[FrameHeaderBytes:]
+	if want := plain + 4 + len(m.Tail); len(body) != want || SizeOf(m) != want || EncodedSize(m) != want {
+		t.Errorf("tailed body is %d bytes, SizeOf %d, EncodedSize %d; want %d", len(body), SizeOf(m), EncodedSize(m), want)
+	}
+	if got, err = DecodeFrameBody(body); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m, got) {
+		t.Errorf("tailed envelope mismatch:\n in: %+v\nout: %+v", m, got)
+	}
+	if &got.Tail[0] != &body[len(body)-len(m.Tail)] {
+		t.Error("decoded tail does not alias the frame")
+	}
 }
 
 // TestSizeOfMatchesEncoding: the arithmetic size must agree with the real
@@ -330,6 +392,21 @@ func TestFrameTooLarge(t *testing.T) {
 	}
 	if string(out) != "prefix" {
 		t.Errorf("dst not truncated back on failure: %d bytes", len(out))
+	}
+	// The limit is on head + tail: a tail that alone fits, behind a head
+	// that alone fits, is refused by both encoders once the sum is over.
+	m = msg.New(msg.KindBlobChunkAck, msg.Address{}, msg.Address{}, make([]byte, 1024))
+	m.Tail = make([]byte, MaxFrameBytes-512)
+	for name, enc := range map[string]func([]byte, *msg.Message) ([]byte, error){"AppendFrame": AppendFrame, "AppendFrameHead": AppendFrameHead} {
+		out, err := enc([]byte("prefix"), m)
+		if !errors.Is(err, ErrFrameTooLarge) || string(out) != "prefix" {
+			t.Errorf("%s: head+tail over the limit: err %v, %d bytes left in dst", name, err, len(out))
+		}
+	}
+	// Exactly at the limit is legal.
+	m.Tail = m.Tail[:MaxFrameBytes-(SizeOf(m)-len(m.Tail))]
+	if frame, err := AppendFrame(nil, m); err != nil || len(frame) != FrameHeaderBytes+MaxFrameBytes {
+		t.Errorf("frame of exactly MaxFrameBytes: err %v, %d bytes", err, len(frame))
 	}
 }
 

@@ -3,8 +3,12 @@
 # fresh goroutine's 2 KiB stack makes every first call on that goroutine pay
 # a stack copy (runtime.newstack); on the per-message path that was 16 % of a
 # tuple-space workload before the codec became a table. Fails if any function
-# in internal/wire or internal/msg (the codec and its entry points), or
-# Server.handle / dispatch / replyIfAny, declares a frame above the limit.
+# in internal/wire or internal/msg (the codec and its entry points — among
+# them the head-only encode wire.AppendFrameHead and the reader's head/tail
+# split, wire.(*FrameReader).Next / readEnvelope / readTailed), the
+# transport functions every frame passes through (Send, the read and write
+# loops, the posted-receive claim), or Server.handle / dispatch /
+# replyIfAny, declares a frame above the limit.
 #   bash scripts/framecheck.sh [limit-bytes]
 set -eu
 cd "$(dirname "$0")/.."
@@ -15,6 +19,8 @@ while read -r line; do
 	case "$sym" in
 	cn/internal/wire.* | cn/internal/msg.*) ;;
 	'cn/internal/server.(*Server).handle' | 'cn/internal/server.(*Server).dispatch' | 'cn/internal/server.(*Server).replyIfAny') ;;
+	'cn/internal/transport.(*tcpEndpoint).Send' | 'cn/internal/transport.(*tcpEndpoint).readLoop' | 'cn/internal/transport.(*tcpEndpoint).writeLoop') ;;
+	'cn/internal/transport.(*tcpEndpoint).claimTail' | 'cn/internal/transport.(*Caller).claim' | 'cn/internal/transport.(*Caller).CallInto') ;;
 	*) continue ;;
 	esac
 	[[ "$line" =~ locals=(0x[0-9a-f]+) ]] || continue
@@ -23,7 +29,7 @@ while read -r line; do
 		echo "frame of $frame bytes (limit $limit): $sym" >&2
 		bad=1
 	fi
-done < <(go build -gcflags=-S ./internal/wire ./internal/msg ./internal/server 2>&1 | grep ' STEXT ')
+done < <(go build -gcflags=-S ./internal/wire ./internal/msg ./internal/server ./internal/transport 2>&1 | grep ' STEXT ')
 if [ "$bad" -ne 0 ]; then
 	echo "framecheck: a function on the encode/decode/dispatch path needs more than $limit bytes of stack;" >&2
 	echo "keep large bodies behind a pointer or a by-value call into a function of their own (docs/WIRE.md)." >&2
