@@ -153,6 +153,14 @@ func (c *Client) job(id string) *Job {
 	return c.jobs[id]
 }
 
+// OpenJobs returns how many job handles the client still routes frames to:
+// those created and not yet released.
+func (c *Client) OpenJobs() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.jobs)
+}
+
 // Scrape pulls one node's metrics registry snapshot and span-store depth
 // over the wire (KindStatsPull) — the primitive cluster-wide metrics
 // aggregation is built from.
@@ -589,6 +597,27 @@ func (j *Job) finish(ev *protocol.JobEvent) {
 	j.finished = true
 	j.result = &Result{JobID: ev.JobID, Failed: ev.Failed, Err: ev.Err, TaskErrs: ev.TaskErrs}
 	close(j.done)
+}
+
+// Release ends the client's interest in the job: the handle leaves the
+// client's routing table — frames that still arrive for the job are
+// dropped — and its queued messages and events are discarded. Call it once
+// the job's results have been read; a long-lived Client that never
+// releases keeps every job it ever ran. Wait, Progress and the identity
+// accessors stay readable. Release is idempotent. It is not done for the
+// caller at the terminal event, because a task's last message may trail
+// that event on the wire.
+func (j *Job) Release() {
+	c := j.client
+	c.mu.Lock()
+	if c.jobs[j.ID] == j {
+		delete(c.jobs, j.ID)
+	}
+	c.mu.Unlock()
+	for _, mb := range []*msg.Mailbox{j.inbox, j.events} {
+		mb.Close()
+		mb.Drain()
+	}
 }
 
 // Done returns a channel closed once the job reaches a terminal state.

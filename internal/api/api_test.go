@@ -13,6 +13,7 @@ import (
 	"cn/internal/archive"
 	"cn/internal/cluster"
 	"cn/internal/discovery"
+	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/task"
 )
@@ -845,5 +846,54 @@ func TestCreateTaskShipsArchiveDespiteNameMismatch(t *testing.T) {
 	res, err := j.Run(ctxT(t))
 	if err != nil || res.Failed {
 		t.Fatalf("res=%+v err=%v", res, err)
+	}
+}
+
+// TestReleaseDropsTheHandle: a released job leaves the client's routing
+// table and gives up its queued messages and events, while its result and
+// counts stay readable; releasing twice, or before the job ran, is harmless.
+func TestReleaseDropsTheHandle(t *testing.T) {
+	_, cl := start(t, 2)
+	j, err := cl.CreateJob("released", protocol.JobRequirements{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.CreateTask(spec("t", "test.LogAndRun", nil), nil); err != nil {
+		t.Fatal(err)
+	}
+	ctx := ctxT(t)
+	res, err := j.Run(ctx)
+	if err != nil || res.Failed {
+		t.Fatalf("res=%+v err=%v", res, err)
+	}
+	if n := cl.OpenJobs(); n != 1 {
+		t.Fatalf("OpenJobs = %d with one unreleased job", n)
+	}
+	j.Release()
+	j.Release()
+	if n := cl.OpenJobs(); n != 0 {
+		t.Errorf("OpenJobs = %d after Release", n)
+	}
+	if _, _, err := j.GetMessage(ctx); !errors.Is(err, msg.ErrClosed) {
+		t.Errorf("GetMessage after Release: %v, want the closed mailbox", err)
+	}
+	if _, err := j.GetEvent(ctx); !errors.Is(err, msg.ErrClosed) {
+		t.Errorf("GetEvent after Release: %v, want the closed mailbox", err)
+	}
+	again, err := j.Wait(ctx)
+	if err != nil || again != res {
+		t.Errorf("Wait after Release = %+v, %v; want the same result", again, err)
+	}
+	if p := j.Progress(); p.Tasks != 1 || p.Completed != 1 {
+		t.Errorf("Progress after Release = %+v", p)
+	}
+
+	unstarted, err := cl.CreateJob("never-run", protocol.JobRequirements{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unstarted.Release()
+	if n := cl.OpenJobs(); n != 0 {
+		t.Errorf("OpenJobs = %d after releasing an unstarted job", n)
 	}
 }

@@ -1,6 +1,6 @@
 // JobManager durability: peer checkpoint replication and failover.
 //
-// At Config.CheckpointEvery cadence each JobManager multicasts, per hosted
+// At Config.CheckpointEvery cadence each JobManager multicasts, per live
 // job, a KindJMCheckpoint carrying an opaque snapshot of the job's control
 // state — specs, placement, schedule progress, retry budgets, tuple-space
 // contents, and (size permitting) the stashed archive blobs. Peers store
@@ -107,8 +107,9 @@ func (jm *JobManager) checkpointLoop() {
 	}
 }
 
-// checkpointAll emits one checkpoint round: a snapshot per live job, a
-// single terminal tombstone per finished one.
+// checkpointAll emits one checkpoint round: a snapshot per live job. A
+// finished job's terminal record is not sent from here but at its
+// retirement, and only if a snapshot of it ever was.
 func (jm *JobManager) checkpointAll() {
 	jm.mu.Lock()
 	jobs := make([]*jobState, 0, len(jm.jobs))
@@ -118,30 +119,31 @@ func (jm *JobManager) checkpointAll() {
 	jm.mu.Unlock()
 
 	for _, j := range jobs {
-		j.mu.Lock()
-		if j.notified {
-			if j.ckptDone {
-				j.mu.Unlock()
-				continue
-			}
-			j.ckptDone = true
-			j.ckptSeq++
-			ck := protocol.JMCheckpoint{Origin: jm.cfg.Node, JobID: j.id, Seq: j.ckptSeq, Done: true}
-			j.mu.Unlock()
-			jm.multicastCheckpoint(ck)
-			continue
-		}
-		data, err := encodeJobCheckpointLocked(j)
-		if err != nil {
-			j.mu.Unlock()
-			jm.logf("job %s: checkpoint encode: %v", j.id, err)
-			continue
-		}
-		j.ckptSeq++
-		ck := protocol.JMCheckpoint{Origin: jm.cfg.Node, JobID: j.id, Seq: j.ckptSeq, Data: data}
-		j.mu.Unlock()
-		jm.multicastCheckpoint(ck)
+		jm.checkpointJob(j)
 	}
+}
+
+// checkpointJob sequences and multicasts one job's snapshot under ckptMu,
+// so the job's retirement — which reads the sequence it leaves behind —
+// cannot slip its terminal record in front of this frame.
+func (jm *JobManager) checkpointJob(j *jobState) {
+	jm.ckptMu.Lock()
+	defer jm.ckptMu.Unlock()
+	j.mu.Lock()
+	if j.notified {
+		j.mu.Unlock()
+		return
+	}
+	data, err := encodeJobCheckpointLocked(j)
+	if err != nil {
+		j.mu.Unlock()
+		jm.logf("job %s: checkpoint encode: %v", j.id, err)
+		return
+	}
+	j.ckptSeq++
+	ck := protocol.JMCheckpoint{Origin: jm.cfg.Node, JobID: j.id, Seq: j.ckptSeq, Data: data}
+	j.mu.Unlock()
+	jm.multicastCheckpoint(ck)
 }
 
 func (jm *JobManager) multicastCheckpoint(ck protocol.JMCheckpoint) {
@@ -317,9 +319,9 @@ func (jm *JobManager) adoptJob(origin, jobID string, data []byte) error {
 		jm.mu.Unlock()
 		return fmt.Errorf("job manager shut down")
 	}
-	if _, exists := jm.jobs[jobID]; exists {
+	if jm.jobs[jobID] != nil || jm.tombs[jobID] != nil {
 		jm.mu.Unlock()
-		return nil // already hosted (a re-delivered death event)
+		return nil // already hosted, or hosted and finished (a re-delivered death event)
 	}
 	jm.jobs[jobID] = j
 	jm.wg.Add(1)
@@ -336,11 +338,10 @@ func (jm *JobManager) adoptJob(origin, jobID string, data []byte) error {
 	// notification: nothing to re-home, just finish the job properly.
 	j.mu.Lock()
 	if j.schedule != nil && (j.schedule.Done() || j.schedule.Failed()) {
-		failed := j.schedule.Failed()
+		how, reason := scheduleOutcome(j.schedule)
 		j.notified = true
-		j.finishedAt = time.Now()
 		j.mu.Unlock()
-		jm.finishJob(j, failed)
+		jm.finishJob(j, how, reason)
 		return nil
 	}
 	j.mu.Unlock()

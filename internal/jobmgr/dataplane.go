@@ -36,6 +36,15 @@ func dataReply(m *msg.Message, resp *protocol.DataLocResp) *msg.Message {
 	return m.Reply(msg.KindDataLoc, msg.MustEncode(resp))
 }
 
+// dataNoJob answers a data-plane request that names no live job: a retired
+// job's broker answers as the closed broker it was.
+func (jm *JobManager) dataNoJob(jobID, key string, t *tombstone) *protocol.DataLocResp {
+	if t != nil {
+		return &protocol.DataLocResp{Key: key, Closed: true}
+	}
+	return &protocol.DataLocResp{Key: key, Err: jm.errUnknownJob(jobID).Error()}
+}
+
 // HandleDataPut processes a producer's KindDataPut advert and returns the
 // KindDataLoc acknowledgement. Inline payloads are digest-verified here —
 // the JobManager will serve those bytes as authoritative, so it refuses to
@@ -58,9 +67,9 @@ func (jm *JobManager) HandleDataPut(m *msg.Message) *msg.Message {
 			return dataReply(m, &protocol.DataLocResp{Key: req.Key, Err: "data-plane put: inline payload digest mismatch"})
 		}
 	}
-	j, err := jm.job(req.JobID)
-	if err != nil {
-		return dataReply(m, &protocol.DataLocResp{Key: req.Key, Err: err.Error()})
+	j, t := jm.lookup(req.JobID)
+	if j == nil {
+		return dataReply(m, jm.dataNoJob(req.JobID, req.Key, t))
 	}
 	loc := dataplane.Loc{
 		Key:    req.Key,
@@ -88,9 +97,9 @@ func (jm *JobManager) HandleDataResolve(m *msg.Message) {
 		jm.dataSend(m, &protocol.DataLocResp{Err: "bad data-plane resolve: " + err.Error()})
 		return
 	}
-	j, err := jm.job(req.JobID)
-	if err != nil {
-		jm.dataSend(m, &protocol.DataLocResp{Key: req.Key, Err: err.Error()})
+	j, t := jm.lookup(req.JobID)
+	if j == nil {
+		jm.dataSend(m, jm.dataNoJob(req.JobID, req.Key, t))
 		return
 	}
 	if req.StaleNode != "" {

@@ -2,6 +2,7 @@ package jobmgr
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -50,9 +51,11 @@ type Config struct {
 	// decisions before a fresh solicitation round (0 = placement.DefaultTTL;
 	// negative disables offer caching entirely).
 	PlacementTTL time.Duration
-	// TombstoneTTL bounds how long finished jobs linger as tombstones for
-	// late message routing before eviction (0 = 5m; negative keeps them
-	// forever, the pre-eviction behavior).
+	// TombstoneTTL is how long a finished job's tombstone — its final
+	// census, trace and client route, not its state — keeps answering before
+	// the id becomes unknown, and how long an unstarted job may sit idle
+	// before it is finished as abandoned (0 = 5m; negative keeps tombstones
+	// forever and never abandons).
 	TombstoneTTL time.Duration
 	// HeartbeatInterval is the TaskManager beat cadence this JobManager
 	// expects; it sizes the default lease windows (0 =
@@ -97,7 +100,7 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-// DefaultTombstoneTTL is how long finished jobs stay routable when
+// DefaultTombstoneTTL is how long a finished job's tombstone answers when
 // Config.TombstoneTTL is zero.
 const DefaultTombstoneTTL = 5 * time.Minute
 
@@ -143,11 +146,12 @@ type jobState struct {
 	// clients pushing the same digest concurrently cannot corrupt each
 	// other's sequence; a completed, digest-verified upload graduates
 	// into blobs.
-	staged     map[string]*stagedBlob
-	schedule   *Schedule
-	started    bool
-	notified   bool
-	finishedAt time.Time // set when notified turns true; drives eviction
+	staged   map[string]*stagedBlob
+	schedule *Schedule
+	started  bool
+	// notified is set once, under mu, by whichever exit decides the job is
+	// over; that goroutine alone calls finishJob, which retires the record.
+	notified bool
 	// idleSince is refreshed by job creation and every task-creation
 	// request; an unstarted job idle past the TTL is treated as abandoned
 	// (a client that timed out or died mid-composition) and evicted.
@@ -187,11 +191,9 @@ type jobState struct {
 	broker *dataplane.Broker
 
 	// ckptSeq orders this job's peer checkpoints; peers keep the highest
-	// seq seen per (origin, job). ckptDone marks the terminal tombstone as
-	// sent, so finished jobs cost one multicast, not one per tick. Guarded
-	// by mu.
-	ckptSeq  uint64
-	ckptDone bool
+	// seq seen per (origin, job). Zero means no peer ever heard of the job,
+	// so its retirement owes them no terminal record. Guarded by mu.
+	ckptSeq uint64
 
 	// root is the job's trace identity: the context every JM-side span
 	// parents to, and the context dispatched messages carry downstream.
@@ -246,11 +248,20 @@ type JobManager struct {
 	tracer  *trace.Tracer
 	stop    chan struct{}
 
+	// jobs holds live jobs only; a finished job is retired into tombs (see
+	// lifecycle.go), so every walk over jobs costs what is running, not what
+	// has run. tombQ lists the tombstones in retirement order for the janitor.
 	mu     sync.Mutex
 	jobs   map[string]*jobState
+	tombs  map[string]*tombstone
+	tombQ  []*tombstone
 	nextID int
 	closed bool
 	wg     sync.WaitGroup
+
+	// late carries client-bound user messages that arrive for retired jobs
+	// to lateWorker, off the fabric's delivering goroutine.
+	late *msg.Mailbox
 
 	// peers is the failure detector over fellow JobManagers, fed by their
 	// checkpoint multicasts; a dead peer triggers adoption of its
@@ -260,6 +271,11 @@ type JobManager struct {
 	// opaque and only decoded on adoption. Guarded by peerMu.
 	peerMu    sync.Mutex
 	peerCkpts map[string]map[string]*peerCheckpoint
+	// ckptMu orders this manager's own checkpoint frames on the wire: a
+	// job's snapshot is sequenced and multicast under it, and so is the
+	// terminal record sent at retirement, which therefore never overtakes a
+	// snapshot of the same job.
+	ckptMu sync.Mutex
 
 	// parked indexes in-flight blocking tuple-space ops so a requester's
 	// KindTSCancel can abort its own stale park.
@@ -336,6 +352,8 @@ func New(cfg Config, send SendFunc, caller *transport.Caller, freeMem FreeMemFun
 		tracer:  cfg.Tracer,
 		stop:    make(chan struct{}),
 		jobs:    make(map[string]*jobState),
+		tombs:   make(map[string]*tombstone),
+		late:    msg.NewMailbox(0),
 	}
 	jm.monitor = health.NewMonitor(health.Config{
 		SuspectAfter: cfg.SuspectAfter,
@@ -352,8 +370,9 @@ func New(cfg Config, send SendFunc, caller *transport.Caller, freeMem FreeMemFun
 		jm.wg.Add(1)
 		go jm.janitor()
 	}
-	jm.wg.Add(1)
+	jm.wg.Add(2)
 	go jm.watchHealth()
+	go jm.lateWorker()
 	if cfg.StragglerAfter > 0 {
 		jm.wg.Add(1)
 		go jm.stragglerLoop()
@@ -405,79 +424,6 @@ func (jm *JobManager) solicitOffers() ([]protocol.TMOffer, error) {
 // metrics).
 func (jm *JobManager) PlacementStats() placement.Stats { return jm.dir.Stats() }
 
-// janitor evicts finished-job tombstones past the TTL so a long-lived
-// JobManager's memory stops growing with its job history.
-func (jm *JobManager) janitor() {
-	defer jm.wg.Done()
-	sweep := jm.cfg.TombstoneTTL / 4
-	if sweep < 10*time.Millisecond {
-		sweep = 10 * time.Millisecond
-	}
-	if sweep > time.Minute {
-		sweep = time.Minute
-	}
-	ticker := time.NewTicker(sweep)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-jm.stop:
-			return
-		case now := <-ticker.C:
-			jm.evictTombstones(now)
-		}
-	}
-}
-
-// evictTombstones forgets finished jobs older than the tombstone TTL and
-// unstarted jobs whose composition went idle past the same TTL (abandoned
-// by a client that timed out or died); their queues close so the per-job
-// workers exit, and their stashed archive blobs are freed with them.
-func (jm *JobManager) evictTombstones(now time.Time) {
-	jm.mu.Lock()
-	var expired []*jobState
-	abandonedNodes := make(map[*jobState]map[string]bool)
-	abandonedCredits := make(map[*jobState][]reservationCredit)
-	for id, j := range jm.jobs {
-		j.mu.Lock()
-		finished := j.notified && !j.finishedAt.IsZero() && now.Sub(j.finishedAt) >= jm.cfg.TombstoneTTL
-		abandoned := !j.notified && !j.started && now.Sub(j.idleSince) >= jm.cfg.TombstoneTTL
-		if finished || abandoned {
-			expired = append(expired, j)
-			delete(jm.jobs, id)
-			if abandoned {
-				abandonedNodes[j] = nodeSet(j.placement)
-				abandonedCredits[j] = j.openCreditsLocked()
-			}
-		}
-		j.mu.Unlock()
-	}
-	jm.mu.Unlock()
-	for _, j := range expired {
-		// Eviction is the last exit for a space that never saw finishJob
-		// (an abandoned, never-started job); close it so its waiters and
-		// tuples are freed with the record. The data-plane broker goes the
-		// same way: parked resolves unblock, the location table is freed.
-		j.space.Close()
-		j.broker.Close()
-		// An abandoned job still holds unstarted assignments (and their
-		// memory reservations) on its placement nodes; cancel them before
-		// the record — and with it the only route to those nodes — is
-		// forgotten.
-		for node := range abandonedNodes[j] {
-			cm := protocol.Body(msg.KindCancelJob,
-				msg.Address{Node: jm.cfg.Node, Job: j.id},
-				msg.Address{Node: node, Job: j.id},
-				protocol.CancelJobReq{JobID: j.id, Reason: "job abandoned"})
-			if err := jm.send(node, cm); err != nil {
-				jm.logf("job %s: release abandoned tasks on %s: %v", j.id, node, err)
-			}
-		}
-		jm.creditDirectory(abandonedCredits[j])
-		j.queue.Close()
-		jm.logf("job %s evicted (tombstone or abandoned)", j.id)
-	}
-}
-
 func (jm *JobManager) logf(format string, args ...any) {
 	if jm.cfg.Logf != nil {
 		jm.cfg.Logf("[jm %s] "+format, append([]any{jm.cfg.Node}, args...)...)
@@ -498,57 +444,52 @@ func (jm *JobManager) endSpan(j *jobState, a *trace.Active, errText string) {
 
 // JobTrace returns a presentation-sorted copy of the job's assembled span
 // timeline; ok is false for unknown jobs. An empty (non-nil-ok) slice
-// means the job exists but was not sampled. Finished jobs stay queryable
-// through their tombstones, and adopted jobs carry their pre-failover
-// spans, so one trace follows the job across managers.
+// means the job exists but was not sampled. A retired job answers from its
+// tombstone, and adopted jobs carry their pre-failover spans, so one trace
+// follows the job across managers.
 func (jm *JobManager) JobTrace(jobID string) ([]trace.Span, bool) {
-	jm.mu.Lock()
-	j, ok := jm.jobs[jobID]
-	jm.mu.Unlock()
-	if !ok {
+	j, t := jm.lookup(jobID)
+	var out []trace.Span
+	switch {
+	case j != nil:
+		j.mu.Lock()
+		out = append(out, j.timeline...)
+		j.mu.Unlock()
+	case t != nil:
+		out = append(out, t.timeline...)
+	default:
 		return nil, false
 	}
-	j.mu.Lock()
-	out := append([]trace.Span(nil), j.timeline...)
-	j.mu.Unlock()
 	trace.SortSpans(out)
 	return out, true
 }
 
 // ActiveJobs returns the number of hosted jobs that have not finished.
-// Finished jobs are kept as tombstones so late user messages from their
-// tasks still route (message handling is concurrent, so a task's final
-// message can arrive after its completion event).
 func (jm *JobManager) ActiveJobs() int {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
-	return jm.activeLocked()
-}
-
-func (jm *JobManager) activeLocked() int {
-	n := 0
-	for _, j := range jm.jobs {
-		j.mu.Lock()
-		if !j.notified {
-			n++
-		}
-		j.mu.Unlock()
-	}
-	return n
+	return len(jm.jobs)
 }
 
 // JobProgress reports the named job's schedule census; ok is false for
 // unknown jobs. A job created but not yet started reports every registered
-// task as pending. Finished jobs stay queryable through their tombstones.
+// task as pending. A retired job reports its final census until its
+// tombstone expires.
 func (jm *JobManager) JobProgress(jobID string) (Progress, bool) {
-	jm.mu.Lock()
-	j, ok := jm.jobs[jobID]
-	jm.mu.Unlock()
-	if !ok {
-		return Progress{}, false
+	j, t := jm.lookup(jobID)
+	switch {
+	case j != nil:
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.progressLocked(), true
+	case t != nil:
+		return t.progress, true
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	return Progress{}, false
+}
+
+// progressLocked is the job's census as of now. j.mu must be held.
+func (j *jobState) progressLocked() Progress {
 	var p Progress
 	if j.schedule == nil {
 		n := len(j.specs)
@@ -560,7 +501,7 @@ func (jm *JobManager) JobProgress(jobID string) (Progress, bool) {
 		p.Retried += n
 	}
 	p.TSOps = int(j.tsOps.Load())
-	return p, true
+	return p
 }
 
 // HandleSolicit answers a KindJobManagerSolicit multicast: "JobManagers
@@ -574,16 +515,14 @@ func (jm *JobManager) HandleSolicit(m *msg.Message) *msg.Message {
 	}
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
-	if jm.closed || jm.activeLocked() >= jm.cfg.MaxJobs {
+	if jm.closed || len(jm.jobs) >= jm.cfg.MaxJobs {
 		return nil
 	}
 	free := jm.freeMem()
 	if req.MinMemoryMB > 0 && free < req.MinMemoryMB {
 		return nil
 	}
-	// Advertise live jobs only: the jobs map also holds finished-job
-	// tombstones, which would overstate load and skew client selection.
-	offer := protocol.JMOffer{Node: jm.cfg.Node, FreeMemoryMB: free, ActiveJobs: jm.activeLocked()}
+	offer := protocol.JMOffer{Node: jm.cfg.Node, FreeMemoryMB: free, ActiveJobs: len(jm.jobs)}
 	return m.Reply(msg.KindJobManagerOffer, msg.MustEncode(offer))
 }
 
@@ -599,7 +538,7 @@ func (jm *JobManager) HandleCreateJob(m *msg.Message) *msg.Message {
 	if jm.closed {
 		return jm.errReply(m, "job manager shut down")
 	}
-	if jm.activeLocked() >= jm.cfg.MaxJobs {
+	if len(jm.jobs) >= jm.cfg.MaxJobs {
 		return jm.errReply(m, "job manager at capacity")
 	}
 	jm.nextID++
@@ -654,14 +593,43 @@ func (jm *JobManager) errReply(m *msg.Message, text string) *msg.Message {
 	return r
 }
 
-func (jm *JobManager) job(id string) (*jobState, error) {
+// noJobReply refuses a request that names no live job. A retired job
+// answers with its own end — outcome and failed tasks — so a client whose
+// terminal notification was lost still learns it from the refusal.
+func (jm *JobManager) noJobReply(m *msg.Message, id string, t *tombstone) *msg.Message {
+	if t == nil {
+		return jm.errReply(m, jm.errUnknownJob(id).Error())
+	}
+	ev := protocol.JobEvent{JobID: id, Failed: true, TaskErrs: t.taskErrs,
+		Err: fmt.Sprintf("job %s already finished (%s)", id, t.outcome)}
+	return m.Reply(msg.KindJobFailed, msg.MustEncode(ev))
+}
+
+// lookup resolves a job id against both tables: the live record, or the
+// tombstone of a retired job. Both nil means the id is unknown here.
+func (jm *JobManager) lookup(id string) (*jobState, *tombstone) {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
-	j, ok := jm.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("jobmgr %s: unknown job %q", jm.cfg.Node, id)
+	if j := jm.jobs[id]; j != nil {
+		return j, nil
 	}
-	return j, nil
+	return nil, jm.tombs[id]
+}
+
+// job returns the live job a request needs, or the error that answers it.
+func (jm *JobManager) job(id string) (*jobState, error) {
+	j, t := jm.lookup(id)
+	switch {
+	case j != nil:
+		return j, nil
+	case t != nil:
+		return nil, fmt.Errorf("job %s already finished", id)
+	}
+	return nil, jm.errUnknownJob(id)
+}
+
+func (jm *JobManager) errUnknownJob(id string) error {
+	return fmt.Errorf("jobmgr %s: unknown job %q", jm.cfg.Node, id)
 }
 
 // HandleCreateTasks processes KindCreateTasks: place an entire task set in
@@ -673,9 +641,9 @@ func (jm *JobManager) HandleCreateTasks(m *msg.Message) *msg.Message {
 	if err := protocol.Decode(m, &req); err != nil {
 		return jm.errReply(m, fmt.Sprintf("bad create-tasks request: %v", err))
 	}
-	j, err := jm.job(req.JobID)
-	if err != nil {
-		return jm.errReply(m, err.Error())
+	j, t := jm.lookup(req.JobID)
+	if j == nil {
+		return jm.noJobReply(m, req.JobID, t)
 	}
 	if len(req.Tasks) == 0 {
 		return jm.errReply(m, "create-tasks request carries no tasks")
@@ -1214,9 +1182,9 @@ func (jm *JobManager) HandleStartJob(m *msg.Message) *msg.Message {
 	if err := protocol.Decode(m, &req); err != nil {
 		return jm.errReply(m, fmt.Sprintf("bad start request: %v", err))
 	}
-	j, err := jm.job(req.JobID)
-	if err != nil {
-		return jm.errReply(m, err.Error())
+	j, t := jm.lookup(req.JobID)
+	if j == nil {
+		return jm.noJobReply(m, req.JobID, t)
 	}
 	j.mu.Lock()
 	if j.notified {
@@ -1259,7 +1227,7 @@ func (jm *JobManager) HandleStartJob(m *msg.Message) *msg.Message {
 	// The stashed archive bytes are kept until the job finishes: recovery
 	// re-placement needs them so a surviving TaskManager that never cached
 	// the digest can still pull the blob.
-	ready := sched.Ready()
+	ready, total := sched.Ready(), sched.Len() // read under mu: the worker advances the schedule once tasks run
 	for _, name := range ready {
 		if err := sched.MarkRunning(name); err != nil {
 			j.mu.Unlock()
@@ -1273,7 +1241,7 @@ func (jm *JobManager) HandleStartJob(m *msg.Message) *msg.Message {
 		jm.execTask(j, name)
 	}
 	jm.endSpan(j, sa, "")
-	jm.log.Info("job started", "job", j.id, "tasks", sched.Len(), "roots", len(ready))
+	jm.log.Info("job started", "job", j.id, "tasks", total, "roots", len(ready))
 	return m.Reply(msg.KindPong, nil)
 }
 
@@ -1311,26 +1279,42 @@ func (jm *JobManager) execTask(j *jobState, name string) {
 // Enqueue places a job-scoped message (task lifecycle event or user
 // message) on the owning job's serial queue. The job id is taken from the
 // destination address so no payload decoding happens on the endpoint's
-// dispatch goroutine. Unknown jobs and overflow drop the message, matching
-// the fabric's at-most-once semantics.
+// dispatch goroutine. A message for a retired job goes to the late lane
+// when it may still be owed to the client and is dropped otherwise;
+// unknown jobs and overflow drop the message, matching the fabric's
+// at-most-once semantics.
 func (jm *JobManager) Enqueue(m *msg.Message) {
 	jobID := m.To.Job
 	if jobID == "" {
 		jobID = m.From.Job
 	}
-	jm.mu.Lock()
-	j, ok := jm.jobs[jobID]
-	jm.mu.Unlock()
-	if !ok {
+	j, t := jm.lookup(jobID)
+	if j != nil {
+		err := j.queue.TryPut(m)
+		if err == nil {
+			return
+		}
+		if !errors.Is(err, msg.ErrClosed) {
+			jm.logf("job %s: queue full, dropping %s", j.id, m.Kind)
+			return
+		}
+		// The job was retired between the lookup and the put.
+	} else if t == nil {
 		jm.logf("message %s for unknown job %q dropped", m.Kind, jobID)
 		return
 	}
-	if err := j.queue.TryPut(m); err != nil {
-		jm.logf("job %s: queue full, dropping %s", j.id, m.Kind)
+	if m.Kind == msg.KindUser || m.Kind == msg.KindBroadcast {
+		if err := jm.late.TryPut(m); err != nil {
+			jm.logf("job %s: late lane refused %s: %v", jobID, m.Kind, err)
+		}
+		return
 	}
+	jm.log.Debug("late message for finished job dropped", "job", jobID, "kind", m.Kind.String())
 }
 
-// jobWorker drains one job's queue in arrival order.
+// jobWorker drains one job's queue in arrival order. Retirement closes the
+// queue: the worker handles what was already queued — against the
+// tombstone, like any late message — and exits.
 func (jm *JobManager) jobWorker(j *jobState) {
 	defer jm.wg.Done()
 	for {
@@ -1363,15 +1347,17 @@ func (jm *JobManager) HandleTaskEvent(kind msg.Kind, m *msg.Message) {
 }
 
 func (jm *JobManager) onTaskEvent(kind msg.Kind, ev *protocol.TaskEvent) {
-	j, err := jm.job(ev.JobID)
-	if err != nil {
-		jm.logf("event %s for unknown job %s", kind, ev.JobID)
+	j, t := jm.lookup(ev.JobID)
+	if j == nil {
+		if t == nil {
+			jm.logf("event %s for unknown job %s", kind, ev.JobID)
+		}
 		return
 	}
 
 	var toStart []string
 	var cancelCopies []string // nodes hosting a losing copy of ev.Task
-	var jobDone, jobFailed bool
+	jobDone, how, reason := false, outcomeCompleted, ""
 	var credits []reservationCredit // freed reservations to credit to the directory
 	forward := true
 	j.mu.Lock()
@@ -1381,8 +1367,9 @@ func (jm *JobManager) onTaskEvent(kind msg.Kind, ev *protocol.TaskEvent) {
 	j.addSpansLocked(ev.Spans...)
 	if j.schedule == nil || j.notified {
 		j.mu.Unlock()
-		// Late events for finished jobs are still relayed ("Get Messages
-		// from Tasks" includes lifecycle notifications).
+		// Events racing the start or the retirement of a live record are
+		// still relayed ("Get Messages from Tasks" includes lifecycle
+		// notifications).
 		jm.forwardToClient(j, kind, ev)
 		return
 	}
@@ -1483,9 +1470,8 @@ func (jm *JobManager) onTaskEvent(kind msg.Kind, ev *protocol.TaskEvent) {
 	}
 	if j.schedule.Done() || j.schedule.Failed() {
 		jobDone = true
-		jobFailed = j.schedule.Failed()
+		how, reason = scheduleOutcome(j.schedule)
 		j.notified = true
-		j.finishedAt = time.Now()
 	}
 	j.mu.Unlock()
 
@@ -1503,7 +1489,7 @@ func (jm *JobManager) onTaskEvent(kind msg.Kind, ev *protocol.TaskEvent) {
 		jm.execTask(j, name)
 	}
 	if jobDone {
-		jm.finishJob(j, jobFailed)
+		jm.finishJob(j, how, reason)
 	}
 }
 
@@ -1519,73 +1505,76 @@ func (jm *JobManager) cancelCopy(j *jobState, node, taskName string) {
 	}
 }
 
-// finishJob cancels remaining tasks (on failure), notifies the client, and
-// forgets the job.
-func (jm *JobManager) finishJob(j *jobState, failed bool) {
-	// The job is terminal: close its coordination space and data-plane
-	// broker first so workers blocked in In/Rd or parked in a resolve — on
-	// a failed job, possibly forever — unblock with ErrClosed before the
-	// cancel fan-out reaches their nodes.
+// finishJob is the one exit every job takes — completed, failed, cancelled
+// or abandoned. The caller has set j.notified. It releases what the job
+// still holds on other nodes (reason names why, for their logs), retires
+// the record, and tells the client how a started job ended.
+func (jm *JobManager) finishJob(j *jobState, how outcome, reason string) {
+	// Close the coordination space and data-plane broker first so workers
+	// blocked in In/Rd or parked in a resolve — on a failed job, possibly
+	// forever — unblock with ErrClosed before the cancel fan-out reaches
+	// their nodes.
 	j.space.Close()
 	j.broker.Close()
-	j.mu.Lock()
-	nodes := make(map[string]bool)
-	for _, n := range j.placement {
-		nodes[n] = true
-	}
-	for _, n := range j.speculative {
-		nodes[n] = true
-	}
-	errs := make(map[string]string, len(j.taskErrs))
-	for k, v := range j.taskErrs {
-		errs[k] = v
-	}
-	client := j.clientNode
+	var nodes map[string]bool
 	var credits []reservationCredit
-	if failed {
-		// The cancel fan-out below frees every reservation the job still
-		// holds; credit the cached offers too.
-		credits = j.openCreditsLocked()
-	}
-	// The job is terminal: its archive bytes (and any half-staged chunked
-	// uploads) are no longer needed for assignment or recovery.
-	j.blobs = nil
-	j.staged = nil
-	j.mu.Unlock()
-
-	if failed {
-		for node := range nodes {
-			cm := protocol.Body(msg.KindCancelJob,
-				msg.Address{Node: jm.cfg.Node, Job: j.id},
-				msg.Address{Node: node, Job: j.id},
-				protocol.CancelJobReq{JobID: j.id, Reason: "job failed"})
-			if err := jm.send(node, cm); err != nil {
-				jm.logf("job %s: cancel on %s: %v", j.id, node, err)
-			}
+	if how != outcomeCompleted {
+		j.mu.Lock()
+		nodes = nodeSet(j.placement)
+		for _, n := range j.speculative {
+			nodes[n] = true
 		}
-		jm.creditDirectory(credits)
+		// The cancel fan-out frees every reservation the job still holds;
+		// credit the cached offers too. Taken before CancelAll marks every
+		// task terminal.
+		credits = j.openCreditsLocked()
+		if how == outcomeCancelled && j.schedule != nil {
+			j.schedule.CancelAll()
+		}
+		j.mu.Unlock()
 	}
+	for node := range nodes {
+		cm := protocol.Body(msg.KindCancelJob,
+			msg.Address{Node: jm.cfg.Node, Job: j.id},
+			msg.Address{Node: node, Job: j.id},
+			protocol.CancelJobReq{JobID: j.id, Reason: reason})
+		if err := jm.send(node, cm); err != nil {
+			jm.logf("job %s: cancel on %s: %v", j.id, node, err)
+		}
+	}
+	jm.creditDirectory(credits)
 
-	kind := msg.KindJobCompleted
 	var errText string
-	if failed {
-		kind = msg.KindJobFailed
+	switch how {
+	case outcomeFailed:
 		errText = "one or more tasks failed"
-	}
-	ev := protocol.JobEvent{JobID: j.id, Failed: failed, Err: errText, TaskErrs: errs}
-	em := protocol.Body(kind,
-		msg.Address{Node: jm.cfg.Node, Job: j.id},
-		msg.Address{Node: client, Job: j.id, Task: protocol.ClientTaskName},
-		ev)
-	if err := jm.send(client, em); err != nil {
-		jm.logf("job %s: notify client: %v", j.id, err)
+	case outcomeCancelled, outcomeAbandoned:
+		errText = how.String() + ": " + reason
 	}
 	// A terminal anchor span marks when the job finished; the timeline
 	// stays queryable through the tombstone.
 	fa := jm.tracer.StartSpan(j.root, "jm.finish").SetJob(j.id)
 	jm.endSpan(j, fa, errText)
-	// The job record stays as a tombstone so late user messages still route.
-	jm.log.Info("job finished", "job", j.id, "failed", failed)
+	t := jm.retire(j, how)
+	jm.log.Info("job finished", "job", j.id, "outcome", how.String())
+
+	// A cancel is acknowledged to its requester and an abandoned job has
+	// no client listening; the other two ends are the client's to learn.
+	if how == outcomeCancelled || how == outcomeAbandoned {
+		return
+	}
+	kind := msg.KindJobCompleted
+	if how == outcomeFailed {
+		kind = msg.KindJobFailed
+	}
+	ev := protocol.JobEvent{JobID: t.id, Failed: how == outcomeFailed, Err: errText, TaskErrs: t.taskErrs}
+	em := protocol.Body(kind,
+		msg.Address{Node: jm.cfg.Node, Job: t.id},
+		msg.Address{Node: t.clientNode, Job: t.id, Task: protocol.ClientTaskName},
+		ev)
+	if err := jm.send(t.clientNode, em); err != nil {
+		jm.logf("job %s: notify client: %v", t.id, err)
+	}
 }
 
 // forwardToClient relays a task lifecycle event to the owning client.
@@ -1607,9 +1596,21 @@ func (jm *JobManager) HandleUser(kind msg.Kind, m *msg.Message) error {
 	if err := protocol.Decode(m, &p); err != nil {
 		return fmt.Errorf("jobmgr %s: bad user payload: %w", jm.cfg.Node, err)
 	}
-	j, err := jm.job(p.JobID)
-	if err != nil {
-		return err
+	j, t := jm.lookup(p.JobID)
+	if j == nil {
+		if t == nil {
+			return jm.errUnknownJob(p.JobID)
+		}
+		// Of a retired job only the client is left to hear anything: the
+		// control lane lets a terminal event overtake a task's last
+		// message, so it is still owed; siblings are gone.
+		if kind != msg.KindUser || p.ToTask != protocol.ClientTaskName {
+			return nil
+		}
+		fm := protocol.Body(msg.KindUser, m.From,
+			msg.Address{Node: t.clientNode, Job: t.id, Task: protocol.ClientTaskName}, p).
+			SetHeader(protocol.HeaderRouted, "1")
+		return jm.send(t.clientNode, fm)
 	}
 	if kind == msg.KindBroadcast {
 		j.mu.Lock()
@@ -1654,55 +1655,28 @@ func (jm *JobManager) HandleUser(kind msg.Kind, m *msg.Message) error {
 	return jm.send(node, fm)
 }
 
-// HandleCancel processes a client-initiated KindCancelJob.
+// HandleCancel processes a client-initiated KindCancelJob. Cancelling a
+// job that already ended is acknowledged like any other.
 func (jm *JobManager) HandleCancel(m *msg.Message) *msg.Message {
 	var req protocol.CancelJobReq
 	if err := protocol.Decode(m, &req); err != nil {
 		return jm.errReply(m, fmt.Sprintf("bad cancel request: %v", err))
 	}
-	j, err := jm.job(req.JobID)
-	if err != nil {
-		return jm.errReply(m, err.Error())
-	}
-	j.mu.Lock()
-	// Snapshot the still-held reservations before CancelAll marks every
-	// task terminal; the cancel fan-out frees them on the TaskManagers.
-	credits := j.openCreditsLocked()
-	if j.schedule != nil {
-		j.schedule.CancelAll()
-	}
-	j.notified = true
-	j.finishedAt = time.Now()
-	j.mu.Unlock()
-	jm.finishJobCancelled(j, req.Reason)
-	jm.creditDirectory(credits)
-	return m.Reply(msg.KindPong, nil)
-}
-
-func (jm *JobManager) finishJobCancelled(j *jobState, reason string) {
-	j.space.Close()
-	j.broker.Close()
-	j.mu.Lock()
-	nodes := make(map[string]bool)
-	for _, n := range j.placement {
-		nodes[n] = true
-	}
-	for _, n := range j.speculative {
-		nodes[n] = true
-	}
-	j.blobs = nil
-	j.staged = nil
-	j.mu.Unlock()
-	for node := range nodes {
-		cm := protocol.Body(msg.KindCancelJob,
-			msg.Address{Node: jm.cfg.Node, Job: j.id},
-			msg.Address{Node: node, Job: j.id},
-			protocol.CancelJobReq{JobID: j.id, Reason: reason})
-		if err := jm.send(node, cm); err != nil {
-			jm.logf("job %s: cancel on %s: %v", j.id, node, err)
+	j, t := jm.lookup(req.JobID)
+	if j == nil {
+		if t == nil {
+			return jm.noJobReply(m, req.JobID, nil)
 		}
+		return m.Reply(msg.KindPong, nil)
 	}
-	jm.logf("job %s cancelled: %s", j.id, reason)
+	j.mu.Lock()
+	already := j.notified
+	j.notified = true
+	j.mu.Unlock()
+	if !already {
+		jm.finishJob(j, outcomeCancelled, req.Reason)
+	}
+	return m.Reply(msg.KindPong, nil)
 }
 
 // Close marks the JobManager unwilling to host further jobs and stops the
@@ -1728,6 +1702,7 @@ func (jm *JobManager) Close() {
 		j.space.Close()
 		j.broker.Close()
 	}
+	jm.late.Close()
 	jm.monitor.Close()
 	if jm.peers != nil {
 		jm.peers.Close()

@@ -98,11 +98,13 @@ func (jm *JobManager) HandleHeartbeat(m *msg.Message) *msg.Message {
 	now := time.Now()
 	unknown := make(map[string]bool)
 	for _, b := range hb.Beats {
-		jm.mu.Lock()
-		j, ok := jm.jobs[b.JobID]
-		jm.mu.Unlock()
-		if !ok {
-			unknown[b.JobID] = true
+		j, t := jm.lookup(b.JobID)
+		if j == nil {
+			// A retired job is still known: its own cancel (or the task's
+			// own end) releases the assignment, not this ack.
+			if t == nil {
+				unknown[b.JobID] = true
+			}
 			continue
 		}
 		if !b.Running {

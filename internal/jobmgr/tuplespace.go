@@ -188,9 +188,14 @@ func (jm *JobManager) HandleTSOp(m *msg.Message) {
 		jm.tsReply(nil, m, &protocol.TSOpResp{Err: "bad tuple-space request: " + err.Error()}, nil)
 		return
 	}
-	j, err := jm.job(req.JobID)
-	if err != nil {
-		jm.tsReply(nil, m, &protocol.TSOpResp{Err: err.Error()}, nil)
+	j, t := jm.lookup(req.JobID)
+	if j == nil {
+		// A retired job's space answers as the closed space it was.
+		resp := &protocol.TSOpResp{Closed: t != nil}
+		if t == nil {
+			resp.Err = jm.errUnknownJob(req.JobID).Error()
+		}
+		jm.tsReply(nil, m, resp, nil)
 		return
 	}
 	if m.Kind == msg.KindTSOut {

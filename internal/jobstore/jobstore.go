@@ -170,9 +170,14 @@ type Job struct {
 	runDur     time.Duration
 	errText    string
 	result     any
-	progress   func() Progress
-	cancel     context.CancelFunc
-	done       chan struct{} // closed on the (single) terminal transition
+	// progress supplies live task counts while the job runs. At the
+	// terminal transition it is called one last time, its answer kept in
+	// final, and dropped — a finished record must not pin whatever the
+	// executor's closure reaches for the rest of its TTL.
+	progress func() Progress
+	final    *Progress
+	cancel   context.CancelFunc
+	done     chan struct{} // closed on the (single) terminal transition
 }
 
 // ID returns the store-assigned job id.
@@ -194,17 +199,17 @@ func (j *Job) MarkRunning() {
 
 // SetProgress installs the callback that supplies live task counts for
 // status snapshots. The callback must be safe to invoke from any
-// goroutine; it keeps being consulted after the job finishes so terminal
-// snapshots still carry final counts.
+// goroutine. It is consulted until the job finishes; terminal snapshots
+// carry the counts it reported at that moment.
 func (j *Job) SetProgress(fn func() Progress) {
 	j.mu.Lock()
 	j.progress = fn
 	j.mu.Unlock()
 }
 
-// snapshotLocked builds a Record; j.mu must be held. Progress is attached
-// by the caller outside the lock — the callback queries JobManagers and
-// must not run under j.mu.
+// snapshotLocked builds a Record; j.mu must be held. A finished job's
+// record carries its frozen counts; a running job's live counts are
+// attached by the caller outside the lock.
 func (j *Job) snapshotLocked() *Record {
 	rec := &Record{
 		ID:          j.id,
@@ -224,20 +229,32 @@ func (j *Job) snapshotLocked() *Record {
 		t := j.finishedAt
 		rec.FinishedAt = &t
 	}
+	if j.final != nil {
+		p := *j.final
+		rec.Progress = &p
+	}
 	return rec
 }
 
 // Snapshot returns the job's current Record.
 func (j *Job) Snapshot() *Record {
+	rec, _ := j.snapshotResult()
+	return rec
+}
+
+// snapshotResult reads the record and the result in one consistent view.
+func (j *Job) snapshotResult() (*Record, any) {
 	j.mu.Lock()
 	fn := j.progress
 	rec := j.snapshotLocked()
+	res := j.result
 	j.mu.Unlock()
+	// The callback queries JobManagers and must not run under j.mu.
 	if fn != nil {
 		p := fn()
 		rec.Progress = &p
 	}
-	return rec
+	return rec, res
 }
 
 // Stats is the store-level census served at /api/metrics.
@@ -488,15 +505,7 @@ func (s *Store) ResultRecord(id string) (*Record, any, State, bool) {
 	if !ok {
 		return nil, nil, "", false
 	}
-	j.mu.Lock()
-	fn := j.progress
-	rec := j.snapshotLocked()
-	res := j.result
-	j.mu.Unlock()
-	if fn != nil {
-		p := fn()
-		rec.Progress = &p
-	}
+	rec, res := j.snapshotResult()
 	return rec, res, rec.State, true
 }
 
@@ -694,7 +703,17 @@ func (s *Store) run(j *Job) {
 	result, err := s.cfg.Exec(ctx, j)
 	cancel()
 
+	// Freeze the counts: one last reading, taken outside the lock.
 	j.mu.Lock()
+	fn := j.progress
+	j.mu.Unlock()
+	var final *Progress
+	if fn != nil {
+		p := fn()
+		final = &p
+	}
+	j.mu.Lock()
+	j.progress, j.final = nil, final
 	j.cancel = nil
 	j.finishedAt = time.Now()
 	j.runDur = j.finishedAt.Sub(j.startedAt)

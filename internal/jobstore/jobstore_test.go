@@ -408,12 +408,13 @@ func TestListFilter(t *testing.T) {
 }
 
 // TestProgressSnapshot verifies the executor-installed progress callback
-// is consulted on snapshots without holding store locks.
+// is consulted on snapshots without holding store locks while the job
+// runs, and read one last time and dropped when it finishes.
 func TestProgressSnapshot(t *testing.T) {
 	var mu sync.Mutex
 	p := jobstore.Progress{Jobs: 1, TasksTotal: 5}
+	calls := 0
 	block := make(chan struct{})
-	defer close(block)
 	s, err := jobstore.New(jobstore.Config{
 		Workers: 1,
 		Exec: func(ctx context.Context, j *jobstore.Job) (any, error) {
@@ -421,6 +422,7 @@ func TestProgressSnapshot(t *testing.T) {
 			j.SetProgress(func() jobstore.Progress {
 				mu.Lock()
 				defer mu.Unlock()
+				calls++
 				return p
 			})
 			select {
@@ -456,6 +458,27 @@ func TestProgressSnapshot(t *testing.T) {
 	got, _ := s.Get(rec.ID)
 	if got.Progress.TasksDone != 5 {
 		t.Errorf("progress = %+v", got.Progress)
+	}
+
+	close(block)
+	waitState(t, s, rec.ID, jobstore.StateDone)
+	mu.Lock()
+	p.TasksDone = 99 // whatever the source says from here on is not the job's
+	frozenAt := calls
+	mu.Unlock()
+	for _, read := range []func() *jobstore.Record{
+		func() *jobstore.Record { r, _ := s.Get(rec.ID); return r },
+		func() *jobstore.Record { r, _, _, _ := s.ResultRecord(rec.ID); return r },
+		func() *jobstore.Record { return s.List(jobstore.StateDone)[0] },
+	} {
+		if r := read(); r.Progress == nil || r.Progress.TasksDone != 5 {
+			t.Errorf("finished record's progress = %+v, want the counts at the terminal transition", r.Progress)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if calls != frozenAt {
+		t.Errorf("progress callback consulted %d more times after the job finished", calls-frozenAt)
 	}
 }
 

@@ -47,6 +47,7 @@ import (
 	"cn/internal/jobstore"
 	"cn/internal/logging"
 	"cn/internal/protocol"
+	"cn/internal/task"
 	"cn/internal/trace"
 	"cn/internal/transform"
 )
@@ -391,35 +392,37 @@ func (p *Portal) executeDoc(ctx context.Context, doc *cnx.Document, tr *runTrack
 			return resp, err
 		}
 		tr.add(cnJob)
-		// Batch submission: one solicitation round places the whole task
-		// set instead of one round per task.
-		if _, err := cnJob.CreateTasks(specs, nil); err != nil {
-			resp.Jobs[job.Name] = JobResult{JobID: cnJob.ID, Failed: true, Err: err.Error()}
-			tr.finish(cnJob.ID)
-			continue
-		}
-		res, err := cnJob.Run(ctx)
-		if err != nil {
-			if ctx.Err() != nil {
-				// Abort or timeout: tear the CN job down on the cluster
-				// before reporting, so its tasks stop promptly.
-				_ = cnJob.Cancel("aborted via portal")
-				tr.finish(cnJob.ID)
-				return resp, ctx.Err()
-			}
-			resp.Jobs[job.Name] = JobResult{JobID: cnJob.ID, Failed: true, Err: err.Error()}
-			tr.finish(cnJob.ID)
-			continue
-		}
-		resp.Jobs[job.Name] = JobResult{
-			JobID:    res.JobID,
-			Failed:   res.Failed,
-			Err:      res.Err,
-			TaskErrs: res.TaskErrs,
-		}
+		jr, err := p.runJob(ctx, cnJob, specs)
 		tr.finish(cnJob.ID)
+		// The result is collated: nothing more is read from the handle, and
+		// the portal's one client must not keep every job it ever ran.
+		cnJob.Release()
+		if err != nil {
+			return resp, err
+		}
+		resp.Jobs[job.Name] = jr
 	}
 	return resp, nil
+}
+
+// runJob places and runs one CN job to its terminal state. A non-nil error
+// means the run was aborted or timed out (the CN job is torn down first, so
+// its tasks stop promptly); a job that failed reports so in its JobResult.
+func (p *Portal) runJob(ctx context.Context, cnJob *api.Job, specs []*task.Spec) (JobResult, error) {
+	// Batch submission: one solicitation round places the whole task set
+	// instead of one round per task.
+	if _, err := cnJob.CreateTasks(specs, nil); err != nil {
+		return JobResult{JobID: cnJob.ID, Failed: true, Err: err.Error()}, nil
+	}
+	res, err := cnJob.Run(ctx)
+	if err != nil {
+		if ctx.Err() != nil {
+			_ = cnJob.Cancel("aborted via portal")
+			return JobResult{}, ctx.Err()
+		}
+		return JobResult{JobID: cnJob.ID, Failed: true, Err: err.Error()}, nil
+	}
+	return JobResult{JobID: res.JobID, Failed: res.Failed, Err: res.Err, TaskErrs: res.TaskErrs}, nil
 }
 
 // errUnprocessable marks execution errors caused by the uploaded document

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -70,4 +71,81 @@ func BenchmarkInboundTSOut(b *testing.B) {
 		}
 	}
 	drain(2 * int64(b.N))
+}
+
+// withHistory boots a server whose JobManager has already retired n jobs
+// and keeps their tombstones.
+func withHistory(tb testing.TB, n int) *Server {
+	tb.Helper()
+	net := transport.NewIdealNetwork()
+	tb.Cleanup(func() { net.Close() })
+	srv, err := Start(net, Config{Node: "n1", HeartbeatInterval: -1, CheckpointEvery: -1, TombstoneTTL: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { srv.Close() })
+	from, to := msg.Address{Node: "x", Task: protocol.ClientTaskName}, msg.Address{Node: "n1"}
+	for i := 0; i < n; i++ {
+		var job protocol.CreateJobResp
+		r := srv.jm.HandleCreateJob(protocol.Body(msg.KindCreateJob, from, to, protocol.CreateJobReq{Name: "old", ClientNode: "x"}))
+		if err := protocol.Decode(r, &job); err != nil {
+			tb.Fatal(err)
+		}
+		srv.jm.HandleCancel(protocol.Body(msg.KindCancelJob, from, to, protocol.CancelJobReq{JobID: job.JobID, Reason: "history"}))
+	}
+	if n := srv.jm.ActiveJobs(); n != 0 {
+		tb.Fatalf("%d jobs still live", n)
+	}
+	return srv
+}
+
+func solicit() *msg.Message {
+	return protocol.Body(msg.KindJobManagerSolicit,
+		msg.Address{Node: "x", Task: protocol.ClientTaskName}, msg.Address{}, protocol.JobRequirements{})
+}
+
+var offerSink *msg.Message
+
+// BenchmarkSolicitWithHistory is the micro row for what a finished job
+// costs a manager afterwards: answering a JOB_SOLICIT with no history and
+// with 10 000 retired jobs should read the same ns/op and allocs/op.
+func BenchmarkSolicitWithHistory(b *testing.B) {
+	for _, retired := range []int{0, 10000} {
+		b.Run(fmt.Sprintf("retired=%d", retired), func(b *testing.B) {
+			srv, sm := withHistory(b, retired), solicit()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				offerSink = srv.jm.HandleSolicit(sm)
+			}
+		})
+	}
+}
+
+// TestSolicitCostIgnoresHistory guards the same property in the test run:
+// no extra allocation, and nothing like a walk over the retired jobs (which
+// would cost hundreds of times the empty manager's answer, not twice).
+func TestSolicitCostIgnoresHistory(t *testing.T) {
+	fresh, aged, sm := withHistory(t, 0), withHistory(t, 10000), solicit()
+	cost := func(srv *Server) (allocs float64, best time.Duration) {
+		allocs = testing.AllocsPerRun(200, func() { offerSink = srv.jm.HandleSolicit(sm) })
+		for round := 0; round < 5; round++ {
+			start := time.Now()
+			for i := 0; i < 2000; i++ {
+				offerSink = srv.jm.HandleSolicit(sm)
+			}
+			if d := time.Since(start); best == 0 || d < best {
+				best = d
+			}
+		}
+		return allocs, best
+	}
+	a0, t0 := cost(fresh)
+	a1, t1 := cost(aged)
+	if a1 != a0 {
+		t.Errorf("a solicit allocates %v times with 10000 retired jobs, %v with none", a1, a0)
+	}
+	if t1 > 3*t0 {
+		t.Errorf("2000 solicits take %v with 10000 retired jobs, %v with none", t1, t0)
+	}
 }

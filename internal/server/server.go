@@ -315,6 +315,12 @@ func (s *Server) handle(m *msg.Message) {
 		s.replyIfAny(m, s.jm.HandleHeartbeat(m))
 	case msg.KindHeartbeatAck:
 		s.tm.HandleHeartbeatAck(m)
+	// A peer's checkpoint renews a lease and stores or drops one opaque
+	// image under a mutex. In arrival order, so a job's terminal record —
+	// sent the moment it retires — cannot be applied before the snapshot
+	// that preceded it on the connection.
+	case msg.KindJMCheckpoint:
+		s.jm.HandleCheckpoint(m)
 
 	default:
 		go s.dispatch(m)
@@ -379,8 +385,6 @@ func (s *Server) dispatch(m *msg.Message) {
 		}
 
 	// --- JobManager durability ---
-	case msg.KindJMCheckpoint:
-		s.jm.HandleCheckpoint(m)
 	case msg.KindJMAdopt:
 		s.replyIfAny(m, s.tm.HandleAdopt(m))
 

@@ -328,8 +328,12 @@ func TestTombstoneEvictionAndActiveJobCount(t *testing.T) {
 	if jm.ActiveJobs() != 0 {
 		t.Fatal("job never completed")
 	}
-	// The finished job lingers as a tombstone, then the janitor evicts it
-	// and progress queries stop resolving.
+	// The finished job has left the live table for the tombstone index,
+	// which answers with its final census until the janitor expires it;
+	// then progress queries stop resolving.
+	if p, ok := jm.JobProgress(created.JobID); ok && (p.Total != 1 || p.Done != 1) {
+		t.Errorf("tombstone census = %+v, want 1 of 1 done", p)
+	}
 	for time.Now().Before(deadline) {
 		if _, ok := jm.JobProgress(created.JobID); !ok {
 			return

@@ -4,9 +4,10 @@
 // identical values encode identically (stable tests, comparable benches).
 //
 // The codec registers itself with the msg package at init, becoming the
-// process-wide payload codec for every component that links the transport;
-// types without a row in the table below (arbitrary KindUser application
-// payloads) report msg.ErrUnsupportedPayload and fall back to tagged gob.
+// process-wide payload codec for every component that links the transport.
+// Every body the runtime itself sends has a row in the table below; a type
+// without one (an application's own struct handed to msg.Encode) reports
+// msg.ErrUnsupportedPayload and falls back to tagged gob.
 
 package wire
 
@@ -59,6 +60,9 @@ const (
 	tDataLocResp
 	tStatsPullReq
 	tStatsReportResp
+	tJMCheckpoint
+	tJMAdoptReq
+	tJMAdoptResp
 )
 
 // The codec table: one row per body type — type id, capacity hint for the
@@ -96,6 +100,9 @@ func init() {
 	registerSized(tDataLocResp, func(v protocol.DataLocResp) int { return 192 + len(v.Data) }, appendDataLocResp, readDataLocResp)
 	register(tStatsPullReq, 64, appendStatsPullReq, readStatsPullReq)
 	register(tStatsReportResp, 512, appendStatsReportResp, readStatsReportResp)
+	registerSized(tJMCheckpoint, func(v protocol.JMCheckpoint) int { return 64 + len(v.Data) }, appendJMCheckpoint, readJMCheckpoint)
+	register(tJMAdoptReq, 128, appendJMAdoptReq, readJMAdoptReq)
+	registerSized(tJMAdoptResp, func(v protocol.JMAdoptResp) int { return 32 + 48*len(v.Present) }, appendJMAdoptResp, readJMAdoptResp)
 }
 
 // form is what the table resolves one dynamic type to. A body type T
@@ -809,14 +816,43 @@ func readTaskEvent(r *Reader, v *protocol.TaskEvent) (err error) {
 func appendHeartbeat(b []byte, v protocol.Heartbeat) []byte {
 	b = AppendString(b, v.Node)
 	b = AppendUvarint(b, v.Seq)
-	b = AppendUvarint(b, uint64(len(v.Beats)))
-	for _, beat := range v.Beats {
+	return appendTaskBeats(b, v.Beats)
+}
+
+func appendTaskBeats(b []byte, beats []protocol.TaskBeat) []byte {
+	b = AppendUvarint(b, uint64(len(beats)))
+	for _, beat := range beats {
 		b = AppendString(b, beat.JobID)
 		b = AppendString(b, beat.Task)
 		b = AppendBool(b, beat.Running)
 		b = AppendUvarint(b, beat.Progress)
 	}
 	return b
+}
+
+func readTaskBeats(r *Reader) ([]protocol.TaskBeat, error) {
+	n, err := r.Count("beats")
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	beats := make([]protocol.TaskBeat, 0, capHint(n))
+	for i := 0; i < n; i++ {
+		var beat protocol.TaskBeat
+		if beat.JobID, err = r.String(); err != nil {
+			return nil, err
+		}
+		if beat.Task, err = r.String(); err != nil {
+			return nil, err
+		}
+		if beat.Running, err = r.Bool(); err != nil {
+			return nil, err
+		}
+		if beat.Progress, err = r.Uvarint(); err != nil {
+			return nil, err
+		}
+		beats = append(beats, beat)
+	}
+	return beats, nil
 }
 
 func readHeartbeat(r *Reader, v *protocol.Heartbeat) (err error) {
@@ -826,28 +862,8 @@ func readHeartbeat(r *Reader, v *protocol.Heartbeat) (err error) {
 	if v.Seq, err = r.Uvarint(); err != nil {
 		return err
 	}
-	n, err := r.Count("beats")
-	if err != nil || n == 0 {
-		return err
-	}
-	v.Beats = make([]protocol.TaskBeat, 0, capHint(n))
-	for i := 0; i < n; i++ {
-		var beat protocol.TaskBeat
-		if beat.JobID, err = r.String(); err != nil {
-			return err
-		}
-		if beat.Task, err = r.String(); err != nil {
-			return err
-		}
-		if beat.Running, err = r.Bool(); err != nil {
-			return err
-		}
-		if beat.Progress, err = r.Uvarint(); err != nil {
-			return err
-		}
-		v.Beats = append(v.Beats, beat)
-	}
-	return nil
+	v.Beats, err = readTaskBeats(r)
+	return err
 }
 
 func appendHeartbeatAck(b []byte, v protocol.HeartbeatAck) []byte {
@@ -1197,6 +1213,65 @@ func readStatsReportResp(r *Reader, v *protocol.StatsReportResp) (err error) {
 
 // sortedKeys returns m's keys in sorted order, for deterministic map
 // encodings.
+func appendJMCheckpoint(b []byte, v protocol.JMCheckpoint) []byte {
+	b = AppendString(b, v.Origin)
+	b = AppendString(b, v.JobID)
+	b = AppendUvarint(b, v.Seq)
+	b = AppendBool(b, v.Done)
+	return AppendBytes(b, v.Data)
+}
+
+func readJMCheckpoint(r *Reader, v *protocol.JMCheckpoint) (err error) {
+	if v.Origin, err = r.String(); err != nil {
+		return err
+	}
+	if v.JobID, err = r.String(); err != nil {
+		return err
+	}
+	if v.Seq, err = r.Uvarint(); err != nil {
+		return err
+	}
+	if v.Done, err = r.Bool(); err != nil {
+		return err
+	}
+	v.Data, err = r.Bytes()
+	return err
+}
+
+func appendJMAdoptReq(b []byte, v protocol.JMAdoptReq) []byte {
+	b = AppendString(b, v.JobID)
+	b = AppendString(b, v.NewManager)
+	b = AppendString(b, v.ClientNode)
+	return appendStringSlice(b, v.Tasks)
+}
+
+func readJMAdoptReq(r *Reader, v *protocol.JMAdoptReq) (err error) {
+	if v.JobID, err = r.String(); err != nil {
+		return err
+	}
+	if v.NewManager, err = r.String(); err != nil {
+		return err
+	}
+	if v.ClientNode, err = r.String(); err != nil {
+		return err
+	}
+	v.Tasks, err = readStringSlice(r, "adopted tasks")
+	return err
+}
+
+func appendJMAdoptResp(b []byte, v protocol.JMAdoptResp) []byte {
+	b = AppendString(b, v.Node)
+	return appendTaskBeats(b, v.Present)
+}
+
+func readJMAdoptResp(r *Reader, v *protocol.JMAdoptResp) (err error) {
+	if v.Node, err = r.String(); err != nil {
+		return err
+	}
+	v.Present, err = readTaskBeats(r)
+	return err
+}
+
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {

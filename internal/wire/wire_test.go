@@ -100,6 +100,9 @@ func bodies() []any {
 				"admission_ms": {Count: 12, Mean: 1.5, Min: 0.5, Max: 4, P50: 1.25, P90: 3, P99: 3.9},
 			},
 		}},
+		&protocol.JMCheckpoint{Origin: "n1", JobID: "n1-job7", Seq: 4, Done: true, Data: []byte("image")},
+		&protocol.JMAdoptReq{JobID: "n1-job7", NewManager: "n2", ClientNode: "client-1", Tasks: []string{"t1", "t2"}},
+		&protocol.JMAdoptResp{Node: "n3", Present: []protocol.TaskBeat{{JobID: "n1-job7", Task: "t1", Running: true, Progress: 5}}},
 	}
 }
 
