@@ -95,7 +95,10 @@ type Event = api.Event
 
 // Space is the client-side handle on a job's coordination tuple space
 // (Job.Space); tasks reach the same space through their TaskContext's
-// Out/In/Rd/InP/RdP.
+// Out/In/Rd/InP/RdP. Out is one-way on both — it returns once the tuple is
+// queued and is applied before anything the same caller sends afterwards —
+// and Flush is the acknowledged barrier on demand (docs/API.md, "The
+// contract of a one-way Out").
 type Space = api.Space
 
 // Tuple is an ordered sequence of scalar fields stored in a job's tuple

@@ -118,7 +118,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Seed the bag: one ("range", lo, hi) tuple per chunk.
+	// Seed the bag: one ("range", lo, hi) tuple per chunk. Out is one-way —
+	// it returns once the tuple is queued — and no Flush is needed before
+	// collecting: the first In below follows these Outs on the same
+	// connection, so the JobManager has applied them all when it sees it.
 	space := job.Space()
 	pending := make(map[int]int) // lo -> hi, not yet counted
 	for lo := 0; lo < *limit; lo += *chunk {

@@ -48,6 +48,8 @@ type Options struct {
 	// Policy selects among JobManager offers (nil = BestFit).
 	Policy discovery.Policy
 	// CallTimeout bounds individual request/response calls (0 = 10s).
+	// Tuple-space operations carry their own bound,
+	// protocol.TSCallTimeout.
 	CallTimeout time.Duration
 	// Logf receives diagnostics; nil disables logging.
 	Logf func(format string, args ...any)
@@ -310,9 +312,14 @@ type Job struct {
 	mu       sync.Mutex
 	started  bool
 	finished bool
+	released bool
 	result   *Result
 	done     chan struct{}
 	prog     Progress
+	// ts is the handle's attachment to the job's tuple space at the
+	// manager node it was built for (see tsWire); every Space of the job
+	// shares it, and with it the Out window.
+	ts *protocol.TSWire
 }
 
 // Progress counts task lifecycle events as observed by the client — the
@@ -614,6 +621,9 @@ func (j *Job) Release() {
 		delete(c.jobs, j.ID)
 	}
 	c.mu.Unlock()
+	j.mu.Lock()
+	j.released = true
+	j.mu.Unlock()
 	for _, mb := range []*msg.Mailbox{j.inbox, j.events} {
 		mb.Close()
 		mb.Drain()

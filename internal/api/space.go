@@ -17,8 +17,11 @@ import (
 )
 
 // Space is the client's handle on a job's tuple space. Obtain one with
-// Job.Space; it stays valid for the life of the job and fails operations
-// with tuplespace.ErrClosed once the job reaches a terminal state.
+// Job.Space; it stays valid for the life of the job. Once the handle has
+// seen the job reach a terminal state, or was released, every operation
+// fails with tuplespace.ErrClosed without sending anything: the space
+// closed with the job. All Space values of one job, and every goroutine
+// using them, share one attachment to the job's manager and its Out window.
 type Space struct {
 	job *Job
 }
@@ -33,26 +36,38 @@ func (j *Job) Space() *Space { return &Space{job: j} }
 // answer nobody consumes — for In, destroying the matched tuple.
 const tsParkMargin = 500 * time.Millisecond
 
-// wire builds the job's shared protocol.TSWire attachment. The manager
-// node is resolved at build time; do() rebuilds the wire per attempt so
-// blocking retries follow a mid-operation job adoption to the survivor.
-func (s *Space) wire() *protocol.TSWire {
-	j := s.job
-	return &protocol.TSWire{
-		JobID:    j.ID,
-		FromTask: protocol.ClientTaskName,
-		From:     msg.Address{Node: j.client.node, Job: j.ID, Task: protocol.ClientTaskName},
-		To:       msg.Address{Node: j.manager(), Job: j.ID},
-		Call:     j.client.caller.Call,
-		Send:     j.client.ep.Send,
+// tsWire returns the job's protocol.TSWire attachment, built once per
+// manager node — each attempt of an operation asks again, so blocking
+// retries follow a mid-operation job adoption to the survivor — or
+// tuplespace.ErrClosed for a handle whose job is over.
+func (j *Job) tsWire() (*protocol.TSWire, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.finished || j.released {
+		return nil, tuplespace.ErrClosed
 	}
+	if j.ts == nil || j.ts.To.Node != j.JMNode {
+		j.ts = &protocol.TSWire{
+			JobID:    j.ID,
+			FromTask: protocol.ClientTaskName,
+			From:     msg.Address{Node: j.client.node, Job: j.ID, Task: protocol.ClientTaskName},
+			To:       msg.Address{Node: j.JMNode, Job: j.ID},
+			Call:     j.client.caller.Call,
+			Send:     j.client.ep.Send,
+		}
+	}
+	return j.ts, nil
 }
 
-// do performs one tuple-space wire call under ctx; each attempt is also
-// bounded by TSCallTimeout so a dead JobManager fails the operation.
+// do performs one acknowledged tuple-space wire call under ctx; the wire
+// also bounds each attempt by TSCallTimeout, so a dead JobManager fails the
+// operation.
 func (s *Space) do(ctx context.Context) protocol.TSDoFunc {
 	return func(kind msg.Kind, req protocol.TSOpReq) (*protocol.TSOpResp, error) {
-		w := s.wire()
+		w, err := s.job.tsWire()
+		if err != nil {
+			return nil, err
+		}
 		if req.ParkMS > 0 {
 			if dl, ok := ctx.Deadline(); ok {
 				// A truncated 0 would read as "use the default window"
@@ -76,17 +91,41 @@ func (s *Space) do(ctx context.Context) protocol.TSDoFunc {
 	}
 }
 
-// opCtx bounds non-blocking operations by the client's call timeout
-// (Initialize already normalized it to a positive value).
-func (s *Space) opCtx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), s.job.client.opts.CallTimeout)
+// Out stores a tuple in the job's space. It is one-way: the tuple is
+// validated and encoded here, handed to the fabric, and Out returns — nil
+// means queued, not yet stored. The JobManager applies it before anything
+// this client sends afterwards, so a later In, Rd or probe from this client
+// sees it; every protocol.TSOutWindow-th Out of the handle is acknowledged
+// instead, which is where a refusal (space closed under the handle) or a
+// dead manager surfaces. Flush is that acknowledgement on demand.
+func (s *Space) Out(t tuplespace.Tuple) error {
+	fields, err := protocol.EncodeTuple(t)
+	if err != nil {
+		return err
+	}
+	w, err := s.job.tsWire()
+	if err != nil {
+		return err
+	}
+	if err := w.Out(context.Background(), fields); err != nil {
+		return fmt.Errorf("api: %w", err)
+	}
+	return nil
 }
 
-// Out stores a tuple in the job's space.
-func (s *Space) Out(t tuplespace.Tuple) error {
-	ctx, cancel := s.opCtx()
-	defer cancel()
-	return protocol.TSOut(s.do(ctx), t)
+// Flush is one acknowledged round trip that stores nothing: when it returns
+// nil, every Out made through this job's handle before the call is in the
+// space. It returns tuplespace.ErrClosed when the space closed, or the
+// call's failure.
+func (s *Space) Flush(ctx context.Context) error {
+	w, err := s.job.tsWire()
+	if err != nil {
+		return err
+	}
+	if err := w.Flush(ctx); err != nil {
+		return fmt.Errorf("api: %w", err)
+	}
+	return nil
 }
 
 // In removes and returns a tuple matching tpl, blocking until one is
@@ -103,14 +142,10 @@ func (s *Space) Rd(ctx context.Context, tpl tuplespace.Template) (tuplespace.Tup
 // InP removes and returns a matching tuple without blocking;
 // tuplespace.ErrNoMatch when none is stored.
 func (s *Space) InP(tpl tuplespace.Template) (tuplespace.Tuple, error) {
-	ctx, cancel := s.opCtx()
-	defer cancel()
-	return protocol.TSProbe(s.do(ctx), msg.KindTSInP, tpl)
+	return protocol.TSProbe(s.do(context.Background()), msg.KindTSInP, tpl)
 }
 
 // RdP is InP without removal.
 func (s *Space) RdP(tpl tuplespace.Template) (tuplespace.Tuple, error) {
-	ctx, cancel := s.opCtx()
-	defer cancel()
-	return protocol.TSProbe(s.do(ctx), msg.KindTSRdP, tpl)
+	return protocol.TSProbe(s.do(context.Background()), msg.KindTSRdP, tpl)
 }

@@ -257,3 +257,145 @@ func TestFailoverParkedInWaitersFollowAdoption(t *testing.T) {
 		t.Errorf("job manager after failover = %s, want node2", got)
 	}
 }
+
+// TestFailoverUnacknowledgedOutsAreTheLossWindow kills the JobManager while
+// every emitter has one-way Outs it was never acknowledged for. The Outs
+// returned nil and may be lost — up to protocol.TSOutWindow-1 per requester,
+// the stated loss window — but the loss is not silent for long: the
+// emitter's next acknowledged op, a Flush, fails inside the dead-manager
+// deadline. The emitter re-sends and flushes again until the adopter
+// answers, the client finds every tuple in the survivor's space, and the job
+// completes there.
+func TestFailoverUnacknowledgedOutsAreTheLossWindow(t *testing.T) {
+	const emitters, each = 3, 40 // each < TSOutWindow: none of them acknowledged
+	emitted := make(chan string, 4*emitters)
+	killed := make(chan struct{})
+	firstFlush := make(chan time.Duration, 4*emitters)
+	reg := task.NewRegistry()
+	reg.MustRegister("failover.Emitter", func() task.Task {
+		return task.Func(func(ctx task.Context) error {
+			emit := func() error {
+				for i := 0; i < each; i++ {
+					if err := ctx.Out(tuplespace.Tuple{"e", ctx.TaskName(), i}); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			_ = emit() // a copy re-placed after the kill may meet a manager still moving
+			emitted <- ctx.TaskName()
+			for waiting := true; waiting; {
+				select {
+				case <-killed:
+					waiting = false
+				case <-time.After(time.Millisecond):
+					if ctx.Done() {
+						return task.ErrStopped // this copy ran on the node that was killed
+					}
+				}
+			}
+			for first := true; ; first = false {
+				start := time.Now()
+				err := ctx.Flush()
+				if first {
+					firstFlush <- time.Since(start)
+				}
+				if err == nil {
+					break
+				}
+				if ctx.Done() {
+					return task.ErrStopped
+				}
+				time.Sleep(5 * time.Millisecond)
+				_ = emit() // what the dead manager held is gone: send it again
+			}
+			_, err := ctx.Rd(tuplespace.Template{"stop"})
+			return err
+		})
+	})
+
+	c, err := cluster.Start(failoverConfig(4, reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	cl, err := api.Initialize(c.Network(), api.Options{DiscoveryWindow: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	j, err := cl.CreateJobOn("node1", "loss-window", protocol.JobRequirements{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]*task.Spec, emitters)
+	for i := range specs {
+		specs[i] = chaosSpec(fmt.Sprintf("e%d", i), "failover.Emitter", 100)
+	}
+	if _, err := j.CreateTasks(specs, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < emitters; i++ {
+		select {
+		case <-emitted:
+		case <-time.After(10 * time.Second):
+			t.Fatal("emitters never finished their Outs")
+		}
+	}
+	// A checkpoint tick or two, so the adopter knows the started schedule.
+	time.Sleep(50 * time.Millisecond)
+	if err := c.KillNode("node1"); err != nil {
+		t.Fatal(err)
+	}
+	close(killed)
+
+	// Every tuple of every emitter turns up in the adopter's space (more
+	// than once where a checkpointed copy met a re-sent one).
+	space := j.Space()
+	missing := make(map[string]bool, emitters*each)
+	for e := 0; e < emitters; e++ {
+		for i := 0; i < each; i++ {
+			missing[fmt.Sprintf("e%d/%d", e, i)] = true
+		}
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for len(missing) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d tuples never reached the adopter's space", len(missing))
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		tu, err := space.In(ctx, tuplespace.Template{"e", tuplespace.TypeOf(""), tuplespace.TypeOf(0)})
+		cancel()
+		if err != nil {
+			continue // the manager is still moving
+		}
+		delete(missing, fmt.Sprintf("%s/%d", tu[1], tu[2]))
+	}
+	for {
+		if err := space.Out(tuplespace.Tuple{"stop"}); err == nil {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := j.Wait(ctx)
+	if err != nil {
+		t.Fatalf("job did not finish after its JobManager died: %v", err)
+	}
+	if res.Failed {
+		t.Fatalf("job failed instead of being adopted: %+v", res)
+	}
+	if got := j.Manager(); got != "node2" {
+		t.Errorf("job manager after failover = %s, want node2", got)
+	}
+	close(firstFlush)
+	for d := range firstFlush {
+		if d > protocol.TSCallTimeout+time.Second {
+			t.Errorf("an emitter's first acknowledged op after the kill took %v; the dead-manager deadline is %v", d, protocol.TSCallTimeout)
+		}
+	}
+}

@@ -281,3 +281,152 @@ func TestTuplespaceCancelledInDoesNotEatTuples(t *testing.T) {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
 }
+
+// TestTuplespaceResultsPrecedeTheTerminalEvent: a task Outs its results
+// one-way and returns at once, with no barrier. The Outs travel ahead of
+// its TASK_COMPLETED on the same link and are applied as they arrive, so
+// every client In parked before the job started is answered with a tuple —
+// none with the ErrClosed of the job ending.
+func TestTuplespaceResultsPrecedeTheTerminalEvent(t *testing.T) {
+	const results = 100
+	reg := task.NewRegistry()
+	reg.MustRegister("ts.Burst", func() task.Task {
+		return task.Func(func(ctx task.Context) error {
+			for i := 0; i < results; i++ {
+				if err := ctx.Out(tuplespace.Tuple{"res", i}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+	for name, cfg := range map[string]cluster.Config{
+		"mem":         {},
+		"mem-latency": {Latency: 200 * time.Microsecond, Jitter: 400 * time.Microsecond, Seed: 3},
+		"tcp":         {Transport: cluster.TransportTCP},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg.Nodes, cfg.MemoryMB, cfg.Registry = 2, 64000, reg
+			c, err := cluster.Start(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Stop()
+			cl, err := api.Initialize(c.Network(), api.Options{DiscoveryWindow: 100 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			j, err := cl.CreateJobOn("node1", "burst", protocol.JobRequirements{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp := &task.Spec{Name: "burst", Class: "ts.Burst",
+				Req: task.Requirements{MemoryMB: 100, RunModel: task.RunAsThreadInTM}}
+			if _, err := j.CreateTasks([]*task.Spec{sp}, nil); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			got := make(chan error, results)
+			for i := 0; i < results; i++ {
+				go func() {
+					_, err := j.Space().In(ctx, tuplespace.Template{"res", tuplespace.TypeOf(0)})
+					got <- err
+				}()
+			}
+			// Let the Ins reach the manager and park, then start the job.
+			time.Sleep(100 * time.Millisecond)
+			if err := j.Start(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < results; i++ {
+				if err := <-got; err != nil {
+					t.Fatalf("parked In %d of %d: %v", i+1, results, err)
+				}
+			}
+			if res, err := j.Wait(ctx); err != nil || res.Failed {
+				t.Fatalf("res=%+v err=%v", res, err)
+			}
+		})
+	}
+}
+
+// TestTuplespaceOpAllocs guards what one tuple-space op allocates end to
+// end on the in-memory fabric — requester, fabric and JobManager together,
+// since every goroutine's allocations count: a one-way Out (1 in 64 of them
+// acknowledged) and an In that finds its tuple, from a task and from the
+// client. The budgets are what the change that made Out one-way achieved
+// (13 and 38) plus one for a stray runtime allocation; before it — a reply
+// per Out, and per task op a goroutine, two contexts and a wire — the same
+// ops allocated 33 and 44 objects from a task, 37 and 41 from the client.
+func TestTuplespaceOpAllocs(t *testing.T) {
+	const runs = 256
+	type result struct{ out, in float64 }
+	measure := func(out func(i int) error, in func() error) (r result, err error) {
+		i := 0
+		r.out = testing.AllocsPerRun(runs, func() {
+			i++
+			if e := out(i); e != nil {
+				err = e
+			}
+		})
+		// Every Out above is in the space before the first In is timed.
+		r.in = testing.AllocsPerRun(runs, func() {
+			if e := in(); e != nil {
+				err = e
+			}
+		})
+		return r, err
+	}
+	fromTask := make(chan result, 1)
+	reg := task.NewRegistry()
+	reg.MustRegister("ts.Alloc", func() task.Task {
+		return task.Func(func(ctx task.Context) error {
+			r, err := measure(
+				func(i int) error { return ctx.Out(tuplespace.Tuple{"task", i}) },
+				func() error { _, err := ctx.In(tuplespace.Template{"task", tuplespace.TypeOf(0)}); return err })
+			fromTask <- r
+			return err
+		})
+	})
+	// One node, no periodic traffic: nothing else allocates while counting.
+	c, err := cluster.Start(cluster.Config{Nodes: 1, MemoryMB: 64000, Registry: reg,
+		HeartbeatInterval: -1, CheckpointEvery: -1, TraceSample: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	cl, err := api.Initialize(c.Network(), api.Options{DiscoveryWindow: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	j, err := cl.CreateJobOn("node1", "allocs", protocol.JobRequirements{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := j.Space()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	fromClient, err := measure(
+		func(i int) error { return space.Out(tuplespace.Tuple{"client", i}) },
+		func() error { _, err := space.In(ctx, tuplespace.Template{"client", tuplespace.TypeOf(0)}); return err })
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := &task.Spec{Name: "a", Class: "ts.Alloc", Req: task.Requirements{MemoryMB: 100, RunModel: task.RunAsThreadInTM}}
+	if _, err := j.CreateTasks([]*task.Spec{sp}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := j.Run(ctx); err != nil || res.Failed {
+		t.Fatalf("res=%+v err=%v", res, err)
+	}
+	const maxOut, maxIn = 14, 39
+	for who, r := range map[string]result{"task": <-fromTask, "client": fromClient} {
+		if r.out > maxOut || r.in > maxIn {
+			t.Errorf("%s: an Out allocates %.0f objects and a satisfied In %.0f, want at most %d and %d",
+				who, r.out, r.in, maxOut, maxIn)
+		}
+	}
+}

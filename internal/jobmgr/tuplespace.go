@@ -1,9 +1,10 @@
 // Tuple-space host side: each job's coordination space lives with its
 // JobManager, and every task in the job (plus the client) reaches it over
 // the wire through the TS_* request kinds. Every op runs to completion on
-// the goroutine that delivered it: Out and the probes answer at once; a
-// blocking In/Rd tries its match and, failing that, registers a waiter with
-// the space — no goroutine waits. The registered op is answered later by
+// the goroutine that delivered it: Out applies at once and answers only when
+// the requester asked (one in protocol.TSOutWindow does), the probes answer
+// at once; a blocking In/Rd tries its match and, failing that, registers a
+// waiter with the space — no goroutine waits. The registered op is answered later by
 // whichever event claims its waiter: the Out that supplies a match (on that
 // Out's goroutine), the space closing at job termination (ErrClosed), or
 // the park window's timer (Retry, re-issued by the caller).
@@ -84,11 +85,10 @@ type tsPark struct {
 }
 
 // tsParks indexes in-flight blocking ops. An op registers on the goroutine
-// that delivered it, so on an in-order fabric a requester's cancel can no
-// longer overtake its own op; a fabric that reorders (MemNetwork with a
-// configured latency, a requester that re-dialed) still can, and such
-// early cancels are remembered as tombstones the op consumes at
-// registration.
+// that delivered it, so on one connection a requester's cancel can no
+// longer overtake its own op; across two (a requester that re-dialed in
+// between) it still can, and such early cancels are remembered as
+// tombstones the op consumes at registration.
 type tsParks struct {
 	mu      sync.Mutex
 	m       map[tsParkKey]*tsPark
@@ -180,8 +180,8 @@ func (ps *tsParks) abort(key tsParkKey) {
 // HandleTSOp processes one tuple-space request (KindTSOut, KindTSIn,
 // KindTSRd, KindTSInP, KindTSRdP) against the owning job's space and sends
 // the KindTSReply itself — at once, or for a blocking op that had to park,
-// from whichever goroutine later answers it. It never blocks: the server
-// runs it on the endpoint's delivering goroutine.
+// from whichever goroutine later answers it; a one-way TS_OUT gets none. It
+// never blocks: the server runs it on the endpoint's delivering goroutine.
 func (jm *JobManager) HandleTSOp(m *msg.Message) {
 	var req protocol.TSOpReq
 	if err := protocol.Decode(m, &req); err != nil {
@@ -189,26 +189,12 @@ func (jm *JobManager) HandleTSOp(m *msg.Message) {
 		return
 	}
 	j, t := jm.lookup(req.JobID)
-	if j == nil {
-		// A retired job's space answers as the closed space it was.
-		resp := &protocol.TSOpResp{Closed: t != nil}
-		if t == nil {
-			resp.Err = jm.errUnknownJob(req.JobID).Error()
-		}
-		jm.tsReply(nil, m, resp, nil)
+	if m.Kind == msg.KindTSOut {
+		jm.tsOut(j, t != nil, m, &req)
 		return
 	}
-	if m.Kind == msg.KindTSOut {
-		t, err := protocol.DecodeTuple(req.Fields)
-		if err != nil {
-			jm.tsReply(j, m, &protocol.TSOpResp{Err: err.Error()}, nil)
-			return
-		}
-		if err := j.space.Out(t); err != nil {
-			jm.tsReply(j, m, tsErrResp(err), nil)
-			return
-		}
-		jm.tsReply(j, m, &protocol.TSOpResp{OK: true}, nil)
+	if j == nil {
+		jm.tsReply(nil, m, jm.tsGone(req.JobID, t != nil), nil)
 		return
 	}
 
@@ -229,6 +215,54 @@ func (jm *JobManager) HandleTSOp(m *msg.Message) {
 	default:
 		jm.tsReply(j, m, &protocol.TSOpResp{Err: "unsupported tuple-space kind " + m.Kind.String()}, nil)
 	}
+}
+
+// tsGone is the answer for a job this manager does not host: a retired
+// job's space answers as the closed space it was, any other id is unknown.
+func (jm *JobManager) tsGone(jobID string, retired bool) *protocol.TSOpResp {
+	if retired {
+		return &protocol.TSOpResp{Closed: true}
+	}
+	return &protocol.TSOpResp{Err: jm.errUnknownJob(jobID).Error()}
+}
+
+// tsOut applies a TS_OUT: one pass over the space, which also answers the
+// parked ops the tuple satisfies. The requester is answered only if it
+// asked. A one-way Out that is refused is dropped with a debug line and not
+// counted — the refusals a well-formed Out can meet (space closed, job
+// unknown) are permanent, so the requester's next acknowledged op is told
+// the same. An acknowledged TS_OUT with no fields is the requester's
+// barrier (Flush): on a per-connection FIFO its reply follows every Out
+// sent before it; it stores nothing and counts no op.
+func (jm *JobManager) tsOut(j *jobState, retired bool, m *msg.Message, req *protocol.TSOpReq) {
+	var resp *protocol.TSOpResp
+	switch {
+	case j == nil:
+		resp = jm.tsGone(req.JobID, retired)
+	case len(req.Fields) == 0 && !req.NoReply:
+		closed := j.space.Closed()
+		resp = &protocol.TSOpResp{OK: !closed, Closed: closed}
+		j = nil // tsReply counts ops per job; a barrier is not one
+	default:
+		t, err := protocol.DecodeTuple(req.Fields)
+		if err == nil {
+			err = j.space.Out(t)
+		}
+		if err == nil && req.NoReply {
+			j.tsOps.Add(1)
+			return
+		}
+		resp = &protocol.TSOpResp{OK: true}
+		if err != nil {
+			resp = tsErrResp(err)
+		}
+	}
+	if req.NoReply {
+		jm.log.Debug("one-way tuple-space out dropped", "job", req.JobID, "from", m.From.Node,
+			"closed", resp.Closed, "err", resp.Err)
+		return
+	}
+	jm.tsReply(j, m, resp, nil)
 }
 
 // tsBlocking runs a TS_IN/TS_RD: the match attempt and, failing that, the

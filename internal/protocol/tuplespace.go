@@ -6,13 +6,16 @@
 // replies Retry and the caller re-issues — so a dead JobManager fails the
 // call at the client-side deadline instead of hanging the task, and a
 // tuple matched during the race between timeout and waiter removal is
-// still delivered, never lost.
+// still delivered, never lost. Out is the exception to request/response: a
+// tuple is sent, not called (TSWire.Out), and only every TSOutWindow-th one
+// is acknowledged.
 
 package protocol
 
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"cn/internal/msg"
@@ -31,6 +34,18 @@ const TSParkWindow = time.Second
 // out, and it is the client-side deadline that fails the call when the
 // hosting JobManager is dead.
 const TSCallTimeout = TSParkWindow + 4*time.Second
+
+// TSOutWindow is how many Outs a requester sends per acknowledged one: 63
+// leave with no reply asked for, the 64th is an ordinary call. The
+// acknowledged one is the flow control (a sequential requester never has
+// more than TSOutWindow-1 tuples unacknowledged, so 64 such requesters fit
+// the 4096-frame control lane of one peer pair before it could shed), the
+// barrier (its TS_REPLY travels the same connection, so every earlier Out
+// has been applied when it arrives) and the error report (a closed or
+// unknown space refuses permanently, so the 64th is refused as the 63 were).
+// A constant, not a knob: windows of 16, 64 and 256 measured the same on
+// the tuple-space benchmark (CHANGES.md, PR 17).
+const TSOutWindow = 64
 
 // TSField kind tags: value fields for tuples, pattern fields for
 // templates.
@@ -56,8 +71,13 @@ type TSField struct {
 }
 
 // EncodeTuple flattens a tuple into wire fields. Only scalar field types
-// (string, int, int64, float64, bool, []byte) are encodable.
+// (string, int, int64, float64, bool, []byte) are encodable, and a tuple
+// has at least one field: everything a space would refuse a tuple for is
+// refused here, before anything is sent.
 func EncodeTuple(t tuplespace.Tuple) ([]TSField, error) {
+	if len(t) == 0 {
+		return nil, fmt.Errorf("protocol: empty tuple")
+	}
 	out := make([]TSField, len(t))
 	for i, v := range t {
 		f, err := encodeValue(v)
@@ -177,6 +197,11 @@ type TSOpReq struct {
 	// ParkMS is how long a blocking op may park server-side before the
 	// JobManager answers Retry (0 = TSParkWindow).
 	ParkMS int64
+	// NoReply marks a one-way TS_OUT: the JobManager applies it and sends
+	// nothing back, whatever the outcome. A TS_OUT without it and without
+	// Fields stores nothing and is answered OK or Closed — the barrier
+	// behind Flush. Other kinds ignore it.
+	NoReply bool
 }
 
 // TSCancelReq is the body of KindTSCancel (requester -> JobManager): the
@@ -211,12 +236,12 @@ type TSOpResp struct {
 // TSCallTimeout.
 type TSDoFunc func(kind msg.Kind, req TSOpReq) (*TSOpResp, error)
 
-// TSWire is one requester's wire attachment to a job's space — the single
-// implementation of the call contract both the task runtime and the
-// client API use: every call is bounded by TSCallTimeout, and a blocking
-// call abandoned with a possible park still standing sends a best-effort
-// KindTSCancel so the JobManager puts a late destructive match back into
-// the space instead of answering a dropped correlation.
+// TSWire is one requester's wire attachment to a job's space at one
+// JobManager node — the single implementation of the send and call
+// contracts both the task runtime and the client API use. A requester
+// builds it once and keeps it until the job's manager changes: it carries
+// the requester's Out count, and a wire built for the adopter starts a new
+// window. Safe for concurrent use.
 type TSWire struct {
 	JobID    string
 	FromTask string
@@ -224,30 +249,42 @@ type TSWire struct {
 	// Trace is the span context tuple-space calls carry on the envelope;
 	// zero when the task is untraced.
 	Trace trace.Context
-	// Call performs the bounded request/response round trip.
+	// Call performs the request/response round trip under ctx.
 	Call func(ctx context.Context, toNode string, m *msg.Message) (*msg.Message, error)
-	// Send delivers the best-effort cancel notice.
+	// Send queues a message that waits for no reply: a one-way Out, the
+	// best-effort cancel notice.
 	Send func(toNode string, m *msg.Message) error
+
+	// outs counts the Outs sent on this wire; concurrent callers share it,
+	// so between them at most TSOutWindow-1 tuples are unacknowledged, plus
+	// TSOutWindow per caller blocked in an acknowledged Out.
+	outs atomic.Uint64
 }
 
-// Do performs one wire op under ctx (additionally bounded by
-// TSCallTimeout), applying the cancel-on-abandon contract to blocking
-// kinds.
-func (w *TSWire) Do(ctx context.Context, kind msg.Kind, req TSOpReq) (*TSOpResp, error) {
+// request builds the wire message for one op.
+func (w *TSWire) request(kind msg.Kind, req *TSOpReq) *msg.Message {
 	req.JobID = w.JobID
 	req.FromTask = w.FromTask
 	m := Body(kind, w.From, w.To, req)
 	m.Trace = w.Trace
+	return m
+}
+
+// Do performs one acknowledged wire op: the call is abandoned when ctx is
+// done or TSCallTimeout has passed, whichever is first — the one deadline
+// on the path, and what fails an op against a dead JobManager. A blocking
+// kind abandoned with a possible park still standing sends a best-effort
+// KindTSCancel, so the JobManager puts a late destructive match back into
+// the space instead of answering a dropped correlation.
+func (w *TSWire) Do(ctx context.Context, kind msg.Kind, req TSOpReq) (*TSOpResp, error) {
+	m := w.request(kind, &req)
 	cctx, cancel := context.WithTimeout(ctx, TSCallTimeout)
 	defer cancel()
 	reply, err := w.Call(cctx, w.To.Node, m)
 	if err != nil {
 		if kind == msg.KindTSIn || kind == msg.KindTSRd {
-			// The call was abandoned while possibly parked server-side;
-			// tell the JobManager so a tuple matched after this point is
-			// put back instead of being sent to a dropped correlation.
-			cm := Body(msg.KindTSCancel, w.From, w.To, TSCancelReq{JobID: w.JobID, ReqID: m.ID})
-			_ = w.Send(w.To.Node, cm)
+			cm := Body(msg.KindTSCancel, w.From, w.To, &TSCancelReq{JobID: w.JobID, ReqID: m.ID})
+			_ = w.Send(w.To.Node, cm) // best-effort: a lost cancel costs one park window
 		}
 		return nil, fmt.Errorf("tuple-space %s: %w", kind, err)
 	}
@@ -258,13 +295,35 @@ func (w *TSWire) Do(ctx context.Context, kind msg.Kind, req TSOpReq) (*TSOpResp,
 	return &resp, nil
 }
 
-// TSOut performs a wire Out.
-func TSOut(do TSDoFunc, t tuplespace.Tuple) error {
-	fields, err := EncodeTuple(t)
-	if err != nil {
-		return err
+// Out sends one tuple (EncodeTuple's output). It is one-way: the tuple is
+// handed to the fabric, nil means it was queued, and the JobManager applies
+// it before anything this requester sends it afterwards — except that every
+// TSOutWindow-th Out on the wire takes the acknowledged path all other ops
+// take, under ctx, and reports what the space answered. A refusal the
+// one-way Outs before it met (space closed, job unknown) is permanent, so
+// that is where the requester learns of it.
+func (w *TSWire) Out(ctx context.Context, fields []TSField) error {
+	if w.outs.Add(1)%TSOutWindow == 0 {
+		return w.outAck(ctx, fields)
 	}
-	resp, err := do(msg.KindTSOut, TSOpReq{Fields: fields})
+	m := w.request(msg.KindTSOut, &TSOpReq{Fields: fields, NoReply: true})
+	if err := w.Send(w.To.Node, m); err != nil {
+		return fmt.Errorf("tuple-space %s: %w", msg.KindTSOut, err)
+	}
+	return nil
+}
+
+// Flush is the acknowledged barrier on demand: one round trip that stores
+// nothing and counts no op. When it returns nil every earlier Out on this
+// wire is in the space; a closed space answers tuplespace.ErrClosed.
+func (w *TSWire) Flush(ctx context.Context) error {
+	return w.outAck(ctx, nil)
+}
+
+// outAck is the acknowledged TS_OUT: with fields the window's closing Out,
+// without them the barrier alone.
+func (w *TSWire) outAck(ctx context.Context, fields []TSField) error {
+	resp, err := w.Do(ctx, msg.KindTSOut, TSOpReq{Fields: fields})
 	if err != nil {
 		return err
 	}

@@ -16,8 +16,19 @@ import (
 // the runtime serves: one op is a TS_OUT frame and the TS_INP that takes the
 // tuple back out, each pushed through Server.handle as the in-memory fabric
 // would deliver it (decode, space op, TS_REPLY encoded and queued to the
-// requester). Run with -benchmem: allocs/op is the per-message budget.
+// requester). The acknowledged row answers both; the one-way row is the
+// TS_OUT 63 Outs in 64 are — no TS_REPLY encoded or enqueued for it. Run
+// with -benchmem: allocs/op is the per-message budget.
 func BenchmarkInboundTSOut(b *testing.B) {
+	for _, row := range []struct {
+		name    string
+		noReply bool
+	}{{"acknowledged", false}, {"one-way", true}} {
+		b.Run(row.name, func(b *testing.B) { benchInboundTSOut(b, row.noReply) })
+	}
+}
+
+func benchInboundTSOut(b *testing.B, noReply bool) {
 	net := transport.NewIdealNetwork()
 	defer net.Close()
 	srv, err := Start(net, Config{Node: "n1", HeartbeatInterval: -1, CheckpointEvery: -1})
@@ -50,8 +61,12 @@ func BenchmarkInboundTSOut(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	out := msg.MustEncode(&protocol.TSOpReq{JobID: job.JobID, FromTask: "w1", Fields: tuple})
+	out := msg.MustEncode(&protocol.TSOpReq{JobID: job.JobID, FromTask: "w1", Fields: tuple, NoReply: noReply})
 	inp := msg.MustEncode(&protocol.TSOpReq{JobID: job.JobID, FromTask: "w1", Fields: tpl})
+	perOp := int64(2)
+	if noReply {
+		perOp = 1
+	}
 
 	// The reply lane sheds past its cap instead of blocking; pause at each
 	// window until the requester has drained what was sent.
@@ -67,10 +82,14 @@ func BenchmarkInboundTSOut(b *testing.B) {
 		srv.handle(msg.New(msg.KindTSOut, from, to, out))
 		srv.handle(msg.New(msg.KindTSInP, from, to, inp))
 		if i%window == window-1 {
-			drain(2 * int64(i+1))
+			drain(perOp * int64(i+1))
 		}
 	}
-	drain(2 * int64(b.N))
+	drain(perOp * int64(b.N))
+	b.StopTimer()
+	if got := replies.Load(); got != perOp*int64(b.N) {
+		b.Fatalf("%d replies for %d ops, want %d", got, b.N, perOp*int64(b.N))
+	}
 }
 
 // withHistory boots a server whose JobManager has already retired n jobs

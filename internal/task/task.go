@@ -62,7 +62,8 @@ type Context interface {
 	// []byte); templates additionally accept the tuplespace.Wildcard and
 	// tuplespace.TypeOf placeholders. The space closes when the job
 	// reaches a terminal state, failing blocked and future operations
-	// with tuplespace.ErrClosed.
+	// with tuplespace.ErrClosed. A cancelled or stopped task's operations
+	// fail with ErrStopped without sending anything.
 
 	// The data-plane operations move bulk task output directly between
 	// TaskManagers: Put publishes this task's output under a job-unique
@@ -81,8 +82,18 @@ type Context interface {
 	// callers must not mutate it.
 	Get(ctx context.Context, key string) ([]byte, error)
 
-	// Out stores a tuple in the job's space.
+	// Out stores a tuple in the job's space. It is one-way: the tuple is
+	// validated here and handed to the fabric, and nil means queued. The
+	// JobManager applies it before anything this task sends it afterwards
+	// — a later tuple-space operation, a Put advert, the task's completion
+	// — so results Out'd just before returning are in the space when the
+	// job ends. One Out in protocol.TSOutWindow is acknowledged instead,
+	// which is where a closed space or a dead manager surfaces.
 	Out(t tuplespace.Tuple) error
+	// Flush is one acknowledged round trip that stores nothing: when it
+	// returns nil every earlier Out of this task is in the space;
+	// tuplespace.ErrClosed when the space closed.
+	Flush() error
 	// In removes and returns a tuple matching tpl, blocking until one is
 	// available, the space closes, or the hosting JobManager stops
 	// answering (a bounded per-attempt deadline fails the call rather

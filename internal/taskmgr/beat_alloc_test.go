@@ -22,15 +22,8 @@ func beatBench(t *testing.T) *TaskManager {
 // addFakeAssignment plants a minimal assignment owned by jm — just enough
 // state for beatOnce to snapshot.
 func addFakeAssignment(tm *TaskManager, jm, jobID, name string) {
-	a := &assignment{
-		jobID:   jobID,
-		spec:    &task.Spec{Name: name},
-		mailbox: msg.NewMailbox(1),
-		stopped: make(chan struct{}),
-	}
-	a.setJM(jm)
 	tm.mu.Lock()
-	tm.assigned[jobID+"/"+name] = a
+	tm.assigned[jobID+"/"+name] = newAssignment(jobID, jm, "", &task.Spec{Name: name}, 1)
 	tm.mu.Unlock()
 }
 

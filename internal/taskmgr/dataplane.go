@@ -76,21 +76,13 @@ func (c *execContext) dataWire(jmNode string) *protocol.DataWire {
 	}
 }
 
-// dataCtx derives a context that additionally aborts when the task is
-// cancelled or the TaskManager shuts down, so a parked resolve never
-// outlives its node.
+// dataCtx derives from the caller's ctx a context that additionally ends
+// with the task's execution (task cancelled, TaskManager shut down), so a
+// parked resolve never outlives its node.
 func (c *execContext) dataCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	dctx, cancel := context.WithCancel(ctx)
-	go func() {
-		select {
-		case <-c.tm.stop:
-			cancel()
-		case <-c.a.stopped:
-			cancel()
-		case <-dctx.Done():
-		}
-	}()
-	return dctx, cancel
+	stop := context.AfterFunc(c.a.ctx, cancel)
+	return dctx, func() { stop(); cancel() }
 }
 
 // Put implements task.Context: publish payload under key. The bytes land in
@@ -129,8 +121,7 @@ func (c *execContext) put(key string, payload []byte) error {
 	if len(data) > 0 && len(data) <= protocol.DataInlineMax {
 		inline = data
 	}
-	ctx, cancel := c.dataCtx(context.Background())
-	defer cancel()
+	ctx := c.a.ctx
 	for {
 		jmNode := c.a.jm()
 		err := c.dataWire(jmNode).Put(ctx, key, digest, int64(len(data)), inline)

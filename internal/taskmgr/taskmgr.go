@@ -91,11 +91,14 @@ type assignment struct {
 	mailbox    *msg.Mailbox
 	cancelled  atomic.Bool
 	started    atomic.Bool
-	// stopped is closed when the assignment is cancelled, so in-flight
-	// blocking calls (a tuple-space In parked on the JobManager) abort
-	// promptly instead of waiting out their window.
-	stopped  chan struct{}
-	stopOnce sync.Once
+	// ctx is the one context of the task's execution: every call the task
+	// makes through its Context runs under it, and cancel — called when the
+	// assignment is cancelled, which a TaskManager shutting down does to
+	// every assignment — ends it, so an in-flight blocking call (a
+	// tuple-space In parked on the JobManager) aborts promptly instead of
+	// waiting out its window.
+	ctx  context.Context
+	stop context.CancelFunc
 	// progress is the task's monotonic activity counter, bumped on every
 	// message the task sends or receives; heartbeats carry it to the
 	// JobManager as the straggler-detection signal.
@@ -118,12 +121,25 @@ func (a *assignment) jm() string { return *a.jobManager.Load() }
 // setJM re-points the assignment at a new owning JobManager.
 func (a *assignment) setJM(node string) { a.jobManager.Store(&node) }
 
+// newAssignment builds the record of one task assigned by jobManager.
+func newAssignment(jobID, jobManager, clientNode string, spec *task.Spec, mailboxCap int) *assignment {
+	a := &assignment{
+		jobID:      jobID,
+		clientNode: clientNode,
+		spec:       spec,
+		mailbox:    msg.NewMailbox(mailboxCap),
+	}
+	a.ctx, a.stop = context.WithCancel(context.Background())
+	a.setJM(jobManager)
+	return a
+}
+
 // cancel marks the assignment cancelled and releases its waiters: the
-// mailbox closes (Recv returns ErrStopped) and the stopped channel wakes
-// any in-flight tuple-space call.
+// mailbox closes (Recv returns ErrStopped) and the context ends any
+// in-flight tuple-space or data-plane call.
 func (a *assignment) cancel() {
 	a.cancelled.Store(true)
-	a.stopOnce.Do(func() { close(a.stopped) })
+	a.stop()
 	a.mailbox.Close()
 }
 
@@ -496,15 +512,7 @@ func (tm *TaskManager) assignOne(jobID, jobManager, clientNode string, it protoc
 		return fmt.Sprintf("insufficient memory: need %d MB, free %d MB", sp.Req.MemoryMB, tm.freeMB)
 	}
 	tm.freeMB -= sp.Req.MemoryMB
-	a := &assignment{
-		jobID:      jobID,
-		clientNode: clientNode,
-		spec:       sp,
-		mailbox:    msg.NewMailbox(tm.cfg.MailboxCap),
-		stopped:    make(chan struct{}),
-	}
-	a.setJM(jobManager)
-	tm.assigned[k] = a
+	tm.assigned[k] = newAssignment(jobID, jobManager, clientNode, sp, tm.cfg.MailboxCap)
 	tm.log.Info("task assigned", "job", jobID, "task", sp.Name, "class", sp.Class, "mem_mb", sp.Req.MemoryMB)
 	return ""
 }
@@ -603,6 +611,7 @@ func (tm *TaskManager) execute(a *assignment) {
 	delete(tm.assigned, key(a.jobID, a.spec.Name))
 	tm.mu.Unlock()
 	a.mailbox.Close()
+	a.stop() // the execution is over, and with it its context
 
 	if runErr != nil {
 		tm.event(msg.KindTaskFailed, a, runErr.Error())
@@ -747,9 +756,8 @@ func (tm *TaskManager) Close() {
 }
 
 // execContext implements task.Context for one running task. The owning
-// JobManager's node is resolved per operation (never cached) so an adopted
-// assignment's messages and tuple-space calls follow the job to its new
-// manager.
+// JobManager's node is resolved per operation so an adopted assignment's
+// messages and tuple-space calls follow the job to its new manager.
 type execContext struct {
 	tm   *TaskManager
 	a    *assignment
@@ -758,6 +766,9 @@ type execContext struct {
 	// span when this node records spans, else the dispatch context as-is
 	// (so a traced job stays connected even on tracer-less nodes).
 	trace trace.Context
+	// ts is the task's attachment to the job's tuple space at the manager
+	// node it was built for (see tsWire).
+	ts atomic.Pointer[protocol.TSWire]
 }
 
 // TaskName implements task.Context.
@@ -826,54 +837,90 @@ func (c *execContext) Recv() (string, []byte, error) {
 	return p.FromTask, p.Data, nil
 }
 
-// tsDo performs one tuple-space wire call to the job's hosting JobManager
-// through the shared protocol.TSWire contract — re-placed tasks carry the
-// same jobManager, so a recovered instance transparently reconnects to
-// the same space. Each call is bounded by TSCallTimeout (a dead
-// JobManager fails the operation instead of hanging the task) and
-// aborted early when the task is cancelled or the TaskManager shuts
-// down, so a parked In never outlives its node.
-func (c *execContext) tsDo(kind msg.Kind, req protocol.TSOpReq) (*protocol.TSOpResp, error) {
-	if c.tm.cfg.Call == nil {
-		return nil, fmt.Errorf("task %s: tuple space unavailable: no call path configured", c.a.spec.Name)
+// tsWire returns the task's wire to the job's space, built once per
+// manager node: re-placed tasks carry the same jobManager, so a recovered
+// instance reconnects to the same space, and an assignment adopted mid-run
+// gets a wire — and an Out window — of its own to the survivor.
+func (c *execContext) tsWire() *protocol.TSWire {
+	jmNode := c.a.jm()
+	old := c.ts.Load()
+	if old != nil && old.To.Node == jmNode {
+		return old
 	}
-	if c.a.cancelled.Load() {
-		return nil, task.ErrStopped
-	}
-	wire := &protocol.TSWire{
+	w := &protocol.TSWire{
 		JobID:    c.a.jobID,
 		FromTask: c.a.spec.Name,
 		From:     c.self,
-		To:       msg.Address{Node: c.a.jm(), Job: c.a.jobID},
+		To:       msg.Address{Node: jmNode, Job: c.a.jobID},
 		Trace:    c.trace,
 		Call:     c.tm.call,
 		Send:     c.tm.send,
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		select {
-		case <-c.tm.stop:
-			cancel()
-		case <-c.a.stopped:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	resp, err := wire.Do(ctx, kind, req)
-	if err != nil {
-		if c.a.cancelled.Load() {
-			return nil, task.ErrStopped
-		}
-		return nil, fmt.Errorf("task %s: %w", c.a.spec.Name, err)
+	if !c.ts.CompareAndSwap(old, w) {
+		return c.tsWire() // another goroutine of the task got there first
 	}
-	c.a.progress.Add(1)
-	return resp, nil
+	return w
 }
 
-// Out implements task.Context.
+// tsReady is the local half of every tuple-space op: a task with no call
+// path has no space, and a cancelled or stopped one gets ErrStopped with
+// nothing sent.
+func (c *execContext) tsReady() error {
+	if c.tm.call == nil {
+		return fmt.Errorf("task %s: tuple space unavailable: no call path configured", c.a.spec.Name)
+	}
+	if c.a.cancelled.Load() {
+		return task.ErrStopped
+	}
+	return nil
+}
+
+// tsDone maps the outcome of a wire op: the error of a task cancelled
+// under its call is ErrStopped, and an op that went out is progress.
+func (c *execContext) tsDone(err error) error {
+	if err != nil {
+		if c.a.cancelled.Load() {
+			return task.ErrStopped
+		}
+		return fmt.Errorf("task %s: %w", c.a.spec.Name, err)
+	}
+	c.a.progress.Add(1)
+	return nil
+}
+
+// tsDo performs one acknowledged tuple-space call to the job's hosting
+// JobManager on the calling goroutine, under the execution's context: the
+// wire bounds it by TSCallTimeout (a dead JobManager fails the operation
+// instead of hanging the task), and cancelling the task or shutting the
+// TaskManager down aborts it, so a parked In never outlives its node.
+func (c *execContext) tsDo(kind msg.Kind, req protocol.TSOpReq) (*protocol.TSOpResp, error) {
+	if err := c.tsReady(); err != nil {
+		return nil, err
+	}
+	resp, err := c.tsWire().Do(c.a.ctx, kind, req)
+	return resp, c.tsDone(err)
+}
+
+// Out implements task.Context: the tuple is validated and encoded here and
+// sent one-way (see protocol.TSWire.Out); the heartbeat's progress counts it
+// when it is sent.
 func (c *execContext) Out(t tuplespace.Tuple) error {
-	return protocol.TSOut(c.tsDo, t)
+	fields, err := protocol.EncodeTuple(t)
+	if err != nil {
+		return err
+	}
+	if err := c.tsReady(); err != nil {
+		return err
+	}
+	return c.tsDone(c.tsWire().Out(c.a.ctx, fields))
+}
+
+// Flush implements task.Context.
+func (c *execContext) Flush() error {
+	if err := c.tsReady(); err != nil {
+		return err
+	}
+	return c.tsDone(c.tsWire().Flush(c.a.ctx))
 }
 
 // In implements task.Context.

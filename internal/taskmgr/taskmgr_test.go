@@ -1,6 +1,8 @@
 package taskmgr
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"cn/internal/protocol"
 	"cn/internal/task"
 	"cn/internal/trace"
+	"cn/internal/tuplespace"
 )
 
 // sink collects messages a TaskManager sends out.
@@ -547,4 +550,120 @@ func TestReleaseIfUnstarted(t *testing.T) {
 		t.Error("release of a started task succeeded")
 	}
 	s.waitKind(t, msg.KindTaskCompleted)
+}
+
+// TestTaskOutIsOneWayAndStoppedIsLocal drives a task's tuple-space ops
+// against a scripted JobManager: 1 Out in protocol.TSOutWindow and every
+// Flush is a call, the rest are sends marked NoReply; progress counts an Out
+// when it is sent; shape is checked before anything else; and once the task
+// is cancelled every op fails with ErrStopped and nothing leaves the node.
+func TestTaskOutIsOneWayAndStoppedIsLocal(t *testing.T) {
+	const outs = 2*protocol.TSOutWindow + 2
+	var (
+		mu    sync.Mutex
+		calls []protocol.TSOpReq
+	)
+	call := func(_ context.Context, toNode string, m *msg.Message, _ []byte) (*msg.Message, error) {
+		var req protocol.TSOpReq
+		if err := protocol.Decode(m, &req); err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		calls = append(calls, req)
+		mu.Unlock()
+		return protocol.Reply(m, msg.KindTSReply, protocol.TSOpResp{OK: true}), nil
+	}
+	sent, stopped := make(chan struct{}), make(chan []error, 1)
+	reg := registry(t)
+	reg.MustRegister("tm.Emitter", func() task.Task {
+		return task.Func(func(ctx task.Context) error {
+			for i := 0; i < outs; i++ {
+				if err := ctx.Out(tuplespace.Tuple{"n", i}); err != nil {
+					return err
+				}
+			}
+			if err := ctx.Flush(); err != nil {
+				return err
+			}
+			close(sent)
+			for !ctx.Done() {
+				time.Sleep(time.Millisecond)
+			}
+			_, inErr := ctx.InP(tuplespace.Template{"n", 0})
+			stopped <- []error{ctx.Out(tuplespace.Tuple{"n", 0}), ctx.Flush(), inErr, ctx.Out(tuplespace.Tuple{})}
+			return nil
+		})
+	})
+	s := &sink{}
+	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: reg, Call: call, HeartbeatEvery: -1}, s.send)
+	defer tm.Close()
+	sp := spec("e", 100)
+	sp.Class = "tm.Emitter"
+	mustAssign(t, tm, sp)
+	if err := tm.HandleStart("j1", "e", trace.Context{}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sent:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the task never finished its Outs")
+	}
+
+	tsSends := func() (n int) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, m := range s.msgs {
+			if m.Kind != msg.KindTSOut {
+				continue
+			}
+			n++
+			var req protocol.TSOpReq
+			if err := protocol.Decode(m, &req); err != nil || !req.NoReply || len(req.Fields) != 2 || m.To.Node != "jm" {
+				t.Errorf("sent TS_OUT %+v to %s (%v), want a one-way tuple to jm", req, m.To.Node, err)
+			}
+		}
+		return n
+	}
+	acked := outs / protocol.TSOutWindow
+	if got := tsSends(); got != outs-acked {
+		t.Errorf("%d one-way TS_OUT sent for %d Outs, want %d", got, outs, outs-acked)
+	}
+	mu.Lock()
+	if len(calls) != acked+1 {
+		t.Errorf("%d calls for %d Outs and a Flush, want %d", len(calls), outs, acked+1)
+	}
+	for i, req := range calls {
+		if flush := i == len(calls)-1; req.NoReply || (len(req.Fields) == 0) != flush {
+			t.Errorf("call %d of %d carried %+v", i+1, len(calls), req)
+		}
+	}
+	made := len(calls)
+	mu.Unlock()
+	tm.mu.Lock()
+	progress := tm.assigned[key("j1", "e")].progress.Load()
+	tm.mu.Unlock()
+	if progress != outs+1 {
+		t.Errorf("progress = %d after %d Outs and a Flush", progress, outs)
+	}
+
+	tm.HandleCancel("j1")
+	select {
+	case errs := <-stopped:
+		for i, err := range errs[:3] {
+			if !errors.Is(err, task.ErrStopped) {
+				t.Errorf("op %d of a cancelled task: %v, want ErrStopped", i, err)
+			}
+		}
+		if err := errs[3]; err == nil || errors.Is(err, task.ErrStopped) {
+			t.Errorf("empty tuple from a cancelled task: %v, want the shape error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the cancelled task never ran its ops")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(calls) != made || tsSends() != outs-acked {
+		t.Errorf("a cancelled task's ops left the node: %d calls (had %d), %d sends (had %d)",
+			len(calls), made, tsSends(), outs-acked)
+	}
 }

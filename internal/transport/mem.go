@@ -27,8 +27,10 @@ type MemConfig struct {
 
 // MemNetwork is the in-memory cluster fabric: every attached endpoint lives
 // in the same process and messages are delivered by goroutines, optionally
-// through a latency/jitter/loss model. It is the substrate that stands in
-// for the paper's Ethernet LAN.
+// through a latency/jitter/loss model that delays and drops frames but, like
+// a connection, never reorders what one endpoint's writer released to one
+// peer (memLink). It is the substrate that stands in for the paper's
+// Ethernet LAN.
 //
 // The outbound path mirrors the TCP fabric exactly: each sender keeps a
 // per-destination pipeline (the same two-lane outPipe the TCP writer
@@ -138,11 +140,12 @@ func (n *MemNetwork) draw() (drop bool, extra time.Duration) {
 }
 
 // deliver routes one dequeued frame to the destination endpoint, applying
-// the latency model. The message's encoded frame size is accounted exactly
-// as the TCP fabric would charge it, so bytes-on-wire figures are
+// the latency model: an ideal fabric hands it over at once, any other puts
+// it on the pair's link. The message's encoded frame size is accounted
+// exactly as the TCP fabric would charge it, so bytes-on-wire figures are
 // comparable across substrates (and the binary codec's wins are visible in
 // mem benches).
-func (n *MemNetwork) deliver(to string, m *msg.Message, size int, senderStop <-chan struct{}) {
+func (n *MemNetwork) deliver(to string, m *msg.Message, size int, senderStop <-chan struct{}, link *memLink) {
 	n.mu.RLock()
 	dst, ok := n.nodes[to]
 	n.mu.RUnlock()
@@ -158,12 +161,78 @@ func (n *MemNetwork) deliver(to string, m *msg.Message, size int, senderStop <-c
 		n.stats.Dropped.Add(1)
 		return // loss is silent, like the wire
 	}
-	delay := n.cfg.Latency + extra
-	if delay == 0 {
+	if n.cfg.Latency == 0 && n.cfg.Jitter == 0 {
 		dst.enqueue(m, size, &n.stats, senderStop)
 		return
 	}
-	time.AfterFunc(delay, func() { dst.enqueue(m, size, &n.stats, nil) })
+	link.push(memFlight{dst: dst, m: m, size: size, due: time.Now().Add(n.cfg.Latency + extra)})
+}
+
+// memFlight is one frame in flight on a link.
+type memFlight struct {
+	dst  *memEndpoint
+	m    *msg.Message
+	size int
+	due  time.Time
+}
+
+// memLink is the wire from one endpoint to one peer under the latency
+// model. Delay and jitter apply per frame, order is kept per link — what a
+// connection gives: a frame is never due before the one its sender's writer
+// released ahead of it, and one timer hands the due frames over in that
+// order. Frames of different links interleave freely.
+type memLink struct {
+	stats *Stats
+
+	mu    sync.Mutex
+	q     []memFlight
+	last  time.Time   // due time of the newest frame queued
+	timer *time.Timer // runs drain; armed, or drain is running, iff busy
+	busy  bool
+}
+
+// push puts f in flight.
+func (l *memLink) push(f memFlight) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if f.due.Before(l.last) {
+		f.due = l.last
+	}
+	l.last = f.due
+	l.q = append(l.q, f)
+	if l.busy {
+		return
+	}
+	l.busy = true
+	if wait := time.Until(f.due); l.timer == nil {
+		l.timer = time.AfterFunc(wait, l.drain)
+	} else {
+		l.timer.Reset(wait)
+	}
+}
+
+// drain runs on the link's timer: it hands over every frame that is due,
+// then re-arms for the next one or goes idle. A full destination inbox
+// blocks it, and with it the link — the socket-buffer analogue.
+func (l *memLink) drain() {
+	for {
+		l.mu.Lock()
+		if len(l.q) == 0 {
+			l.q, l.busy = nil, false
+			l.mu.Unlock()
+			return
+		}
+		f := l.q[0]
+		if wait := time.Until(f.due); wait > 0 {
+			l.timer.Reset(wait)
+			l.mu.Unlock()
+			return
+		}
+		l.q[0] = memFlight{}
+		l.q = l.q[1:]
+		l.mu.Unlock()
+		f.dst.enqueue(f.m, f.size, l.stats, nil)
+	}
 }
 
 // memEndpoint is one node's attachment to a MemNetwork.
@@ -204,7 +273,7 @@ func (e *memEndpoint) dispatch() {
 // (the socket-buffer analogue). senderStop aborts the wait when the
 // SENDING endpoint shuts down, so a wedged destination cannot hang a
 // sender's writer goroutine past Close; nil means no sender to abort for
-// (delayed deliveries).
+// (a frame already in flight on a link).
 func (e *memEndpoint) enqueue(m *msg.Message, size int, stats *Stats, senderStop <-chan struct{}) {
 	e.mu.Lock()
 	closed := e.closed
@@ -251,13 +320,14 @@ func (e *memEndpoint) pipeTo(dst string) (*outPipe, error) {
 // up into bulk-lane backpressure for senders.
 func (e *memEndpoint) writeLoop(dst string, p *outPipe) {
 	defer e.wg.Done()
+	link := &memLink{stats: &e.net.stats}
 	for {
 		batch, ok := p.popBatch(e.stop)
 		if !ok {
 			return
 		}
 		for i := range batch {
-			e.net.deliver(dst, batch[i].m, batch[i].size, e.stop)
+			e.net.deliver(dst, batch[i].m, batch[i].size, e.stop, link)
 		}
 		e.net.stats.countFlush(len(batch))
 	}

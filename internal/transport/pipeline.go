@@ -11,9 +11,11 @@
 //   - control: heartbeats, leases, tuple-space ops, data-plane location
 //     adverts/resolves, checkpoints — everything small and
 //     latency-sensitive. Control enqueue NEVER blocks; when the lane is
-//     at capacity the frame is dropped and counted (periodic senders
-//     re-send; a heartbeat delayed behind a megabyte of chunks is worse
-//     than one skipped beat).
+//     at capacity the frame is dropped, counted, and the send fails with
+//     ErrShed (a heartbeat delayed behind a megabyte of chunks is worse
+//     than one skipped beat, and the periodic senders ignore the error and
+//     re-send; a sender of something that is not re-sent — a tuple, a
+//     reply — has to be told).
 //   - bulk: archive uploads, blob chunks, direct data-plane fetch
 //     replies, user payloads. Bulk enqueue blocks until there is room
 //     (real backpressure), bounded by pipeEnqueueWait, after which the
@@ -45,12 +47,15 @@ var (
 	// frames fail with this error so senders can tell a wedged reader
 	// from a dead peer.
 	ErrSlowConsumer = errors.New("transport: peer not draining (write timeout)")
+	// ErrShed is returned when the control lane to the peer is at
+	// pipeControlCap and the frame was dropped instead of queued.
+	ErrShed = errors.New("transport: control lane full (frame shed)")
 )
 
 // Pipeline knobs; package variables so tests can tighten them.
 var (
 	// pipeControlCap bounds the control lane in frames; overflow drops
-	// the newest frame with a counter (control never blocks).
+	// the newest frame with a counter and ErrShed (control never blocks).
 	pipeControlCap = 4096
 	// pipeBulkCap and pipeBulkBytes bound the bulk lane in frames and
 	// encoded bytes; a full lane blocks the sender (backpressure).
@@ -157,9 +162,10 @@ func newOutPipe(stats *Stats) *outPipe {
 }
 
 // enqueue queues f for the writer and returns without waiting for the
-// write. Control frames never block; bulk frames block with a deadline
-// when the lane is full. An enqueue on a failed pipe returns the failure
-// (e.g. the one dial error the whole batch shared).
+// write. Control frames never block — a full lane sheds the frame and
+// returns ErrShed; bulk frames block with a deadline when the lane is full.
+// An enqueue on a failed pipe returns the failure (e.g. the one dial error
+// the whole batch shared).
 func (p *outPipe) enqueue(f outFrame) error {
 	l := laneOf(f.kind)
 	p.mu.Lock()
@@ -175,7 +181,7 @@ func (p *outPipe) enqueue(f outFrame) error {
 			f.release()
 			p.stats.ControlDrops.Add(1)
 			p.stats.Dropped.Add(1)
-			return nil // counted, not surfaced: periodic control senders re-send
+			return ErrShed
 		}
 	} else {
 		deadline := time.Now().Add(pipeEnqueueWait)

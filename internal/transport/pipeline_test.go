@@ -112,8 +112,12 @@ func TestPipeBulkBackpressureAndControlNeverBlocks(t *testing.T) {
 
 	for i := 0; i < 3; i++ {
 		start := time.Now()
-		if err := p.enqueue(outFrame{kind: msg.KindHeartbeat, size: 1}); err != nil {
-			t.Fatalf("control enqueue: %v", err)
+		err := p.enqueue(outFrame{kind: msg.KindHeartbeat, size: 1})
+		if i < 2 && err != nil {
+			t.Fatalf("control enqueue %d: %v", i, err)
+		}
+		if i == 2 && !errors.Is(err, ErrShed) {
+			t.Errorf("control enqueue on a full lane = %v, want ErrShed", err)
 		}
 		if d := time.Since(start); d > 20*time.Millisecond {
 			t.Errorf("control enqueue blocked %v", d)
@@ -336,18 +340,27 @@ func TestMemBackpressureSemantics(t *testing.T) {
 	if !sawBackpressure {
 		t.Fatal("bulk sends to a wedged consumer never hit ErrBackpressure")
 	}
-	// Control sends must keep succeeding-or-dropping without blocking.
+	// Control sends must keep succeeding-or-shedding without blocking, and
+	// every shed one is reported.
+	var shed int64
 	for i := 0; i < 10; i++ {
 		start := time.Now()
-		if err := a.Send("wedged", msg.New(msg.KindHeartbeat, msg.Address{Node: "a"}, msg.Address{Node: "wedged"}, nil)); err != nil {
+		err := a.Send("wedged", msg.New(msg.KindHeartbeat, msg.Address{Node: "a"}, msg.Address{Node: "wedged"}, nil))
+		switch {
+		case errors.Is(err, ErrShed):
+			shed++
+		case err != nil:
 			t.Fatalf("control send: %v", err)
 		}
 		if d := time.Since(start); d > 20*time.Millisecond {
 			t.Fatalf("control send blocked %v behind a saturated bulk lane", d)
 		}
 	}
-	if n.Stats().ControlDrops.Load() == 0 {
-		t.Error("control lane never dropped despite exceeding its cap")
+	if shed == 0 {
+		t.Error("control lane never shed despite exceeding its cap")
+	}
+	if got := n.Stats().ControlDrops.Load(); got != shed {
+		t.Errorf("control drops = %d, ErrShed returned %d times", got, shed)
 	}
 }
 

@@ -21,7 +21,9 @@
 // (heartbeats, tuple-space ops, checkpoints) and bulk (blob chunks,
 // archive uploads, user payloads) — and a per-connection writer goroutine
 // drains the queue in coalesced batches, so a megabyte chunk train cannot
-// delay a lease renewal and no sender ever blocks on a dial.
+// delay a lease renewal and no sender ever blocks on a dial. A send the
+// fabric refuses at the queue is reported: ErrShed from a full control
+// lane, ErrBackpressure from a bulk lane that stayed full.
 //
 // Delivery semantics are at-most-once and unordered across endpoints
 // (ordered per sender-receiver pair WITHIN a priority lane; a control

@@ -604,3 +604,54 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	}
 	recv2.wait(t, 1, 2*time.Second)
 }
+
+// TestMemLatencyKeepsPairOrder: delay and jitter are drawn per frame, but
+// what one endpoint sends one peer arrives in the order it was sent, as on
+// a connection — a one-way TS_OUT must not be overtaken by the
+// TASK_COMPLETED behind it. Frames of different pairs may interleave.
+func TestMemLatencyKeepsPairOrder(t *testing.T) {
+	n := NewMemNetwork(MemConfig{Latency: time.Millisecond, Jitter: time.Millisecond, Seed: 7})
+	defer n.Close()
+	const frames = 1000
+	type arrival struct {
+		from string
+		seq  uint64
+	}
+	got := make(chan arrival, 2*frames)
+	if _, err := n.Attach("b", func(m *msg.Message) { got <- arrival{m.From.Node, m.CorrelID} }); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, node := range []string{"a", "c"} {
+		ep, err := n.Attach(node, func(*msg.Message) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint64(1); i <= frames; i++ {
+				m := msg.New(msg.KindPing, msg.Address{Node: ep.Node()}, msg.Address{Node: "b"}, nil)
+				m.CorrelID = i
+				if err := ep.Send("b", m); err != nil {
+					t.Errorf("send %d from %s: %v", i, ep.Node(), err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	last := map[string]uint64{}
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < 2*frames; i++ {
+		select {
+		case a := <-got:
+			if a.seq != last[a.from]+1 {
+				t.Fatalf("frame %d from %s arrived after frame %d", a.seq, a.from, last[a.from])
+			}
+			last[a.from] = a.seq
+		case <-timeout:
+			t.Fatalf("timed out after %d of %d frames", i, 2*frames)
+		}
+	}
+}

@@ -129,6 +129,13 @@ func (s *Space) Len() int {
 	return len(s.tuples)
 }
 
+// Closed reports whether the space has been closed.
+func (s *Space) Closed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
+}
+
 // Out stores a tuple in the space, waking at most one blocked In and any
 // number of blocked Rd calls whose templates match. Wake callbacks run on
 // the calling goroutine after the space's lock is released.

@@ -319,9 +319,18 @@ type FrameReader struct {
 	word   [frameBodyMin + tailLenBytes]byte
 }
 
+// readBufBytes sizes a FrameReader's buffer — one per inbound connection,
+// for the life of the connection. It is sized for heads: a control frame is
+// under 1 KiB, so 16 KiB still takes a burst of them per read syscall,
+// while anything larger does not pass through it at all — a bulk tail is
+// read into the buffer posted or allocated for it, and a tail-less frame
+// bigger than the buffer (a 768 KiB JM_CHECKPOINT) is read straight into
+// its own allocation, bufio bypassing a buffer smaller than the read.
+const readBufBytes = 16 << 10
+
 // NewFrameReader wraps r; see FrameReader.post for post.
 func NewFrameReader(r io.Reader, post func(head *msg.Message, n int) []byte) *FrameReader {
-	return &FrameReader{br: bufio.NewReaderSize(r, 64<<10), post: post}
+	return &FrameReader{br: bufio.NewReaderSize(r, readBufBytes), post: post}
 }
 
 // Next reads one frame and returns its message and its size on the wire.

@@ -178,6 +178,9 @@ func FuzzUnmarshalPayload(f *testing.F) {
 	if enc, err := Default.Marshal(&protocol.TSOpReq{JobID: "j", Fields: []protocol.TSField{{Kind: "s", S: "x"}}}); err == nil {
 		f.Add(enc)
 	}
+	if enc, err := Default.Marshal(&protocol.TSOpReq{JobID: "j", NoReply: true, Fields: []protocol.TSField{{Kind: "i", I: 7}}}); err == nil {
+		f.Add(enc)
+	}
 	if enc, err := Default.Marshal(&protocol.DataPutReq{JobID: "j", Key: "k", Digest: "d", Size: 3, Data: []byte{1, 2, 3}}); err == nil {
 		f.Add(enc)
 	}
@@ -208,6 +211,29 @@ func FuzzRoundTripHeartbeat(f *testing.F) {
 			t.Fatal(err)
 		}
 		if out.Node != in.Node || out.Seq != in.Seq || len(out.Beats) != 1 || out.Beats[0] != in.Beats[0] {
+			t.Errorf("round trip mismatch: %+v vs %+v", in, out)
+		}
+	})
+}
+
+// FuzzRoundTripTSOpReq: structured fuzzing of the tuple-space request —
+// the body of every Out — including the trailing v5 NoReply flag: any input
+// that marshals must unmarshal to the same value.
+func FuzzRoundTripTSOpReq(f *testing.F) {
+	f.Add("node1-job1", "w1", "res", int64(7), int64(0), true)
+	f.Add("", "client", "", int64(-1), int64(1000), false)
+	f.Fuzz(func(t *testing.T, jobID, from, s string, i, parkMS int64, noReply bool) {
+		in := &protocol.TSOpReq{JobID: jobID, FromTask: from, ParkMS: parkMS, NoReply: noReply,
+			Fields: []protocol.TSField{{Kind: protocol.TSString, S: s}, {Kind: protocol.TSInt, I: i}}}
+		enc, err := Default.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out protocol.TSOpReq
+		if err := Default.Unmarshal(enc, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&out, in) {
 			t.Errorf("round trip mismatch: %+v vs %+v", in, out)
 		}
 	})

@@ -946,7 +946,8 @@ func appendTSOpReq(b []byte, v protocol.TSOpReq) []byte {
 	b = AppendString(b, v.JobID)
 	b = AppendString(b, v.FromTask)
 	b = appendTSFields(b, v.Fields)
-	return AppendVarint(b, v.ParkMS)
+	b = AppendVarint(b, v.ParkMS)
+	return AppendBool(b, v.NoReply)
 }
 
 func readTSOpReq(r *Reader, v *protocol.TSOpReq) (err error) {
@@ -959,7 +960,10 @@ func readTSOpReq(r *Reader, v *protocol.TSOpReq) (err error) {
 	if v.Fields, err = readTSFields(r); err != nil {
 		return err
 	}
-	v.ParkMS, err = r.Varint()
+	if v.ParkMS, err = r.Varint(); err != nil {
+		return err
+	}
+	v.NoReply, err = r.Bool()
 	return err
 }
 

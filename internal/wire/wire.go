@@ -30,10 +30,10 @@ import (
 // binary payload header. Version 2 added the optional trailing trace
 // context to the message envelope, version 3 the trailing locality fields
 // to the TMOffer body, version 4 the frame's bulk tail (and moved the chunk
-// bodies' Data into it). Nothing outside this repository speaks the wire,
-// so a receiver accepts exactly this version and rejects the rest (see
-// docs/WIRE.md).
-const Version = 4
+// bodies' Data into it), version 5 the trailing NoReply flag of the TSOpReq
+// body. Nothing outside this repository speaks the wire, so a receiver
+// accepts exactly this version and rejects the rest (see docs/WIRE.md).
+const Version = 5
 
 // MaxFrameBytes bounds one transport frame (envelope + payload + tail). Senders
 // refuse to emit larger frames and receivers drop the connection on a

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -75,7 +76,7 @@ func bodies() []any {
 		&protocol.UserPayload{JobID: "j", FromTask: "t1", ToTask: "client", Data: []byte("payload")},
 		&protocol.CancelJobReq{JobID: "j", Reason: "test", Tasks: []string{"t1", "t2"}},
 		&protocol.JobEvent{JobID: "j", Failed: true, Err: "x", TaskErrs: map[string]string{"t1": "boom"}},
-		&protocol.TSOpReq{JobID: "j", FromTask: "t1", ParkMS: 1000, Fields: []protocol.TSField{
+		&protocol.TSOpReq{JobID: "j", FromTask: "t1", ParkMS: 1000, NoReply: true, Fields: []protocol.TSField{
 			{Kind: protocol.TSString, S: "work"},
 			{Kind: protocol.TSInt, I: 7},
 			{Kind: protocol.TSFloat, F: 3.25},
@@ -448,5 +449,64 @@ func TestBinaryBeatsGobOnSize(t *testing.T) {
 		if len(bin) >= len(gobEnc) {
 			t.Errorf("%T: binary %dB >= gob %dB", v, len(bin), len(gobEnc))
 		}
+	}
+}
+
+// readSizes records the length of every buffer the FrameReader's bufio
+// layer hands the stream.
+type readSizes struct {
+	r     io.Reader
+	sizes []int
+}
+
+func (r *readSizes) Read(p []byte) (int, error) {
+	r.sizes = append(r.sizes, len(p))
+	return r.r.Read(p)
+}
+
+// TestFrameReaderBufferIsForHeads: the read buffer is sized for small
+// frames — a burst of them arrives in one read — and a frame larger than
+// the buffer does not trickle through it: once the buffered start has been
+// copied out, the rest of a 768 KiB tail-less frame (a JM_CHECKPOINT) is
+// read straight into the frame's own allocation.
+func TestFrameReaderBufferIsForHeads(t *testing.T) {
+	small := msg.New(msg.KindTSOut, msg.Address{Node: "a"}, msg.Address{Node: "b"}, []byte("tuple"))
+	big := msg.New(msg.KindJMCheckpoint, msg.Address{Node: "a"}, msg.Address{Node: "b"}, bytes.Repeat([]byte{0xC5}, 768<<10))
+	var stream []byte
+	var err error
+	for _, m := range []*msg.Message{small, small, big, small} {
+		if stream, err = AppendFrame(stream, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := &readSizes{r: bytes.NewReader(stream)}
+	fr := NewFrameReader(src, nil)
+	for i, want := range []*msg.Message{small, small, big, small} {
+		got, _, err := fr.Next()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if got.Kind != want.Kind || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("frame %d: got %v with %d payload bytes, want %v with %d", i, got.Kind, len(got.Payload), want.Kind, len(want.Payload))
+		}
+	}
+	if _, _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+	direct := 0
+	for _, n := range src.sizes {
+		switch {
+		case n == readBufBytes:
+		case n > readBufBytes:
+			direct++
+			if n < len(big.Payload)-readBufBytes {
+				t.Errorf("a %d-byte read for the big frame: it is being read in pieces", n)
+			}
+		default:
+			t.Errorf("a %d-byte read, smaller than the %d-byte buffer", n, readBufBytes)
+		}
+	}
+	if direct != 1 {
+		t.Errorf("%d reads bypassed the buffer, want 1 (the big frame's body); reads: %v", direct, src.sizes)
 	}
 }
