@@ -86,11 +86,12 @@ func wireBodies() []struct {
 			Fields: []protocol.TSField{{Kind: protocol.TSString, S: "work"}, {Kind: protocol.TSInt, I: 7}}}},
 		{"TS_REPLY", &protocol.TSOpResp{OK: true,
 			Fields: []protocol.TSField{{Kind: protocol.TSString, S: "res"}, {Kind: protocol.TSInt, I: 7}}}},
-		{"TASK_COMPLETED", &protocol.TaskEvent{JobID: "node1-job1", Task: "t03", Node: "node2"}},
+		{"TASK_EVENTS", &protocol.TaskEvents{JobID: "node1-job1", Node: "node2", Events: []protocol.TaskEventItem{
+			{Kind: msg.KindTaskStarted, Task: "t03"}, {Kind: msg.KindTaskCompleted, Task: "t03"}}}},
 		{"USER", &protocol.UserPayload{JobID: "node1-job1", FromTask: "t03", ToTask: "client", Data: make([]byte, 256)}},
 		{"JM_OFFER", &protocol.JMOffer{Node: "node1", FreeMemoryMB: 64000, ActiveJobs: 2}},
 		{"TASK_OFFER", &protocol.TMOffer{Node: "node1", FreeMemoryMB: 64000, RunningTasks: 3}},
-		{"EXEC_TASK", &protocol.ExecTaskReq{JobID: "node1-job1", Task: "t03"}},
+		{"EXEC_TASK", &protocol.ExecTaskReq{JobID: "node1-job1", Tasks: []string{"t03"}}},
 		{"FETCH_BLOB", &protocol.FetchBlobReq{JobID: "node1-job1", Digests: []string{"0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"}}},
 	}
 }

@@ -457,3 +457,41 @@ func TestArchivePublicAPI(t *testing.T) {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
 }
+
+// TestRunJobUnplaceableJobIsNotLeaked: a job whose tasks fit no node fails
+// at CreateTasks. RunJob cancels it and drops the handle, so the managers
+// count no active job afterwards and the client routes to none — forty such
+// failures do not wedge two managers of sixteen slots each, and a job that
+// fits still runs.
+func TestRunJobUnplaceableJobIsNotLeaked(t *testing.T) {
+	_, cl := startPublic(t, 2)
+	huge := []*cn.TaskSpec{
+		{Name: "t", Class: "pub.Noop", Req: cn.Requirements{MemoryMB: 1 << 20, RunModel: cn.RunAsThreadInTM}},
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := cn.RunJob(pubCtx(t), cl, "huge", huge, nil); err == nil || !strings.Contains(err.Error(), "placement") {
+			t.Fatalf("run %d: err %v, want the placement failure", i, err)
+		}
+		_, offers, err := cl.Discover(cn.JobRequirements{})
+		if err != nil || len(offers) != 2 {
+			t.Fatalf("run %d: %d JobManager offers, %v", i, len(offers), err)
+		}
+		for _, o := range offers {
+			if o.ActiveJobs != 0 {
+				t.Fatalf("run %d: %s counts %d active jobs after RunJob returned", i, o.Node, o.ActiveJobs)
+			}
+		}
+		if n := cl.OpenJobs(); n != 0 {
+			t.Fatalf("run %d: the client still routes to %d job handles", i, n)
+		}
+	}
+	res, err := cn.RunJob(pubCtx(t), cl, "fits", []*cn.TaskSpec{
+		{Name: "t", Class: "pub.Noop", Req: cn.Requirements{MemoryMB: 50, RunModel: cn.RunAsThreadInTM}},
+	}, nil)
+	if err != nil || res.Failed {
+		t.Fatalf("res=%+v err=%v", res, err)
+	}
+	if n := cl.OpenJobs(); n != 0 {
+		t.Errorf("the client routes to %d job handles after a finished RunJob", n)
+	}
+}

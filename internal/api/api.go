@@ -119,13 +119,24 @@ func (c *Client) handle(m *msg.Message) {
 				c.logf("inbox full, dropping message from %s", p.FromTask)
 			}
 		}
-	case msg.KindTaskStarted, msg.KindTaskCompleted, msg.KindTaskFailed, msg.KindTaskRetried:
+	case msg.KindTaskEvents:
+		// Applied here, on the delivering goroutine: the batch is decoded
+		// once and its events are counted and queued in order, so they are
+		// all in before the JOB_COMPLETED that follows on the connection.
+		var batch protocol.TaskEvents
+		if err := protocol.Decode(m, &batch); err != nil {
+			return
+		}
+		if j := c.job(batch.JobID); j != nil {
+			j.recordEvents(batch.Node, batch.Events)
+		}
+	case msg.KindTaskRetried:
 		var ev protocol.TaskEvent
 		if err := protocol.Decode(m, &ev); err != nil {
 			return
 		}
 		if j := c.job(ev.JobID); j != nil {
-			j.recordEvent(m.Kind, &ev)
+			j.recordRetried(&ev)
 		}
 	case msg.KindJobCompleted, msg.KindJobFailed:
 		var ev protocol.JobEvent
@@ -247,7 +258,7 @@ func (c *Client) CreateJobOn(jmNode, name string, req protocol.JobRequirements) 
 		JMNode: jmNode,
 		trace:  ra.Context(),
 		inbox:  msg.NewMailbox(0),
-		events: msg.NewMailbox(0),
+		evWake: make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
 	c.mu.Lock()
@@ -280,7 +291,7 @@ func (c *Client) Close() error {
 	c.mu.Unlock()
 	for _, j := range jobs {
 		j.inbox.Close()
-		j.events.Close()
+		j.closeEvents()
 	}
 	return c.ep.Close()
 }
@@ -300,8 +311,7 @@ type Job struct {
 	// sampled); set once at creation, read-only after.
 	trace trace.Context
 
-	inbox  *msg.Mailbox // user messages addressed to the client
-	events *msg.Mailbox // task lifecycle events
+	inbox *msg.Mailbox // user messages addressed to the client
 
 	// pushMu serializes chunked blob uploads from this handle: the
 	// JobManager stages one sequential upload per (node, digest), so two
@@ -316,6 +326,13 @@ type Job struct {
 	result   *Result
 	done     chan struct{}
 	prog     Progress
+	// events queues task lifecycle events for GetEvent, as decoded: at most
+	// maxQueuedEvents, newest dropped when full (they are advisory — the
+	// census in prog counts every one). evWake holds a token whenever a
+	// GetEvent may find something to do: events queued, or the queue closed.
+	events       []Event
+	eventsClosed bool
+	evWake       chan struct{}
 	// ts is the handle's attachment to the job's tuple space at the
 	// manager node it was built for (see tsWire); every Space of the job
 	// shares it, and with it the Out window.
@@ -337,6 +354,9 @@ type Progress struct {
 	// death, a failed dispatch, or straggler speculation.
 	Retried int `json:"retried"`
 }
+
+// maxQueuedEvents bounds a job handle's event queue.
+const maxQueuedEvents = msg.DefaultMailboxCapacity
 
 // Result is a job's terminal status.
 type Result struct {
@@ -573,24 +593,61 @@ func (j *Job) Start(taskNames ...string) error {
 	return nil
 }
 
-// recordEvent queues a lifecycle event.
-func (j *Job) recordEvent(kind msg.Kind, ev *protocol.TaskEvent) {
+// recordEvents counts and queues a relayed batch of lifecycle events that
+// happened on node.
+func (j *Job) recordEvents(node string, events []protocol.TaskEventItem) {
 	j.mu.Lock()
-	switch kind {
-	case msg.KindTaskStarted:
-		j.prog.Started++
-	case msg.KindTaskCompleted:
-		j.prog.Completed++
-	case msg.KindTaskFailed:
-		j.prog.Failed++
-	case msg.KindTaskRetried:
-		j.prog.Retried++
+	defer j.mu.Unlock()
+	for i := range events {
+		ev := &events[i]
+		switch ev.Kind {
+		case msg.KindTaskStarted:
+			j.prog.Started++
+		case msg.KindTaskCompleted:
+			j.prog.Completed++
+		case msg.KindTaskFailed:
+			j.prog.Failed++
+		}
+		j.queueEventLocked(Event{Kind: ev.Kind, Task: ev.Task, Node: node, Err: ev.Err, Attempt: ev.Attempt})
 	}
-	j.mu.Unlock()
-	m := protocol.Body(kind, msg.Address{}, msg.Address{}, *ev)
-	if err := j.events.TryPut(m); err != nil {
-		// Events are advisory; dropping under pressure is acceptable.
+}
+
+// recordRetried counts and queues a TASK_RETRIED.
+func (j *Job) recordRetried(ev *protocol.TaskEvent) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.prog.Retried++
+	j.queueEventLocked(Event{Kind: msg.KindTaskRetried, Task: ev.Task, Node: ev.Node, Err: ev.Err,
+		Attempt: ev.Attempt, Speculative: ev.Speculative})
+}
+
+// queueEventLocked appends to the event queue unless it is full or closed,
+// and leaves a wake token. j.mu must be held.
+func (j *Job) queueEventLocked(ev Event) {
+	if j.eventsClosed || len(j.events) >= maxQueuedEvents {
 		return
+	}
+	j.events = append(j.events, ev)
+	j.wakeEventReaderLocked()
+}
+
+// wakeEventReaderLocked leaves the wake token unless one is already there.
+// j.mu must be held and the queue open.
+func (j *Job) wakeEventReaderLocked() {
+	select {
+	case j.evWake <- struct{}{}:
+	default:
+	}
+}
+
+// closeEvents discards the queued events and fails GetEvent from now on.
+func (j *Job) closeEvents() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !j.eventsClosed {
+		j.eventsClosed = true
+		j.events = nil
+		close(j.evWake)
 	}
 }
 
@@ -624,10 +681,9 @@ func (j *Job) Release() {
 	j.mu.Lock()
 	j.released = true
 	j.mu.Unlock()
-	for _, mb := range []*msg.Mailbox{j.inbox, j.events} {
-		mb.Close()
-		mb.Drain()
-	}
+	j.inbox.Close()
+	j.inbox.Drain()
+	j.closeEvents()
 }
 
 // Done returns a channel closed once the job reaches a terminal state.
@@ -711,20 +767,32 @@ func (j *Job) TryGetMessage() (from string, data []byte, ok bool, err error) {
 	return p.FromTask, p.Data, true, nil
 }
 
-// GetEvent blocks for the next task lifecycle event.
+// GetEvent blocks for the next task lifecycle event, in the order the
+// JobManager relayed them. It fails with msg.ErrClosed once the handle is
+// released or its client closed.
 func (j *Job) GetEvent(ctx context.Context) (*Event, error) {
-	m, err := j.events.GetContext(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("api: get event: %w", err)
+	for {
+		j.mu.Lock()
+		if len(j.events) > 0 {
+			ev := j.events[0]
+			j.events = j.events[1:]
+			if len(j.events) > 0 {
+				j.wakeEventReaderLocked() // another GetEvent may be waiting
+			}
+			j.mu.Unlock()
+			return &ev, nil
+		}
+		closed := j.eventsClosed
+		j.mu.Unlock()
+		if closed {
+			return nil, fmt.Errorf("api: get event: %w", msg.ErrClosed)
+		}
+		select {
+		case <-j.evWake:
+		case <-ctx.Done():
+			return nil, fmt.Errorf("api: get event: %w", ctx.Err())
+		}
 	}
-	var ev protocol.TaskEvent
-	if err := protocol.Decode(m, &ev); err != nil {
-		return nil, fmt.Errorf("api: get event: %w", err)
-	}
-	return &Event{
-		Kind: m.Kind, Task: ev.Task, Node: ev.Node, Err: ev.Err,
-		Attempt: ev.Attempt, Speculative: ev.Speculative,
-	}, nil
 }
 
 // Cancel abandons the job.

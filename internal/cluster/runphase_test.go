@@ -1,0 +1,296 @@
+package cluster_test
+
+// The run phase end to end: what a job's start, its tasks' lifecycle events
+// and its end cost on the fabric, and what the client has seen of them by
+// the time it hears the job is over.
+
+import (
+	"context"
+	"fmt"
+	"testing"
+	"time"
+
+	"cn/internal/api"
+	"cn/internal/cluster"
+	"cn/internal/msg"
+	"cn/internal/protocol"
+	"cn/internal/task"
+)
+
+// fabrics are the three links every run-phase contract is checked on.
+func fabrics() map[string]cluster.Config {
+	return map[string]cluster.Config{
+		"mem":         {},
+		"mem-latency": {Latency: 200 * time.Microsecond, Jitter: 400 * time.Microsecond, Seed: 3},
+		"tcp":         {Transport: cluster.TransportTCP},
+	}
+}
+
+func noopRegistry() *task.Registry {
+	r := task.NewRegistry()
+	r.MustRegister("run.Noop", func() task.Task {
+		return task.Func(func(task.Context) error { return nil })
+	})
+	return r
+}
+
+func noops(n, memMB int) []*task.Spec {
+	specs := make([]*task.Spec, n)
+	for i := range specs {
+		specs[i] = &task.Spec{Name: fmt.Sprintf("t%03d", i), Class: "run.Noop",
+			Req: task.Requirements{MemoryMB: memMB, RunModel: task.RunAsThreadInTM}}
+	}
+	return specs
+}
+
+// startQuiet boots a cluster that sends nothing on a timer — no heartbeats,
+// no checkpoints — so every frame counted belongs to the job under test,
+// and attaches a client.
+func startQuiet(t *testing.T, cfg cluster.Config, nodes, memMB int) (*cluster.Cluster, *api.Client) {
+	t.Helper()
+	cfg.Nodes, cfg.MemoryMB, cfg.Registry = nodes, memMB, noopRegistry()
+	cfg.HeartbeatInterval, cfg.TraceSample = -1, -1
+	c, err := cluster.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	cl, err := api.Initialize(c.Network(), api.Options{DiscoveryWindow: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return c, cl
+}
+
+// drainEvents reads lifecycle events off the handle — n of them, or with
+// n < 0 until ctx ends — and fails the test if a task's terminal event
+// comes before its TASK_STARTED. It returns the events read per label.
+func drainEvents(t *testing.T, ctx context.Context, j *api.Job, n int) map[msg.Kind]int {
+	t.Helper()
+	seen := make(map[msg.Kind]int)
+	started := make(map[string]bool)
+	for i := 0; i != n; i++ {
+		ev, err := j.GetEvent(ctx)
+		if err != nil {
+			if n >= 0 {
+				t.Errorf("event %d of %d: %v", i+1, n, err)
+			}
+			break
+		}
+		seen[ev.Kind]++
+		switch ev.Kind {
+		case msg.KindTaskStarted:
+			started[ev.Task] = true
+		case msg.KindTaskCompleted, msg.KindTaskFailed:
+			if !started[ev.Task] {
+				t.Errorf("%s of %s (on %s) before its TASK_STARTED", ev.Kind, ev.Task, ev.Node)
+			}
+		}
+		if ev.Node == "" {
+			t.Errorf("%s of %s names no node", ev.Kind, ev.Task)
+		}
+	}
+	return seen
+}
+
+// TestFanoutRunPhaseCostsAFramePerNode: 32 no-op tasks on four nodes. The
+// start sends exactly one EXEC_TASK per hosting node; no TASK_STARTED,
+// TASK_COMPLETED or TASK_FAILED ever travels as a frame; the client has
+// counted all 32 + 32 events when Wait returns and reads them in order,
+// each task's STARTED before its COMPLETED; and the whole job — create,
+// place, assign, start, events, end — fits 70 frames, where a frame per
+// task and event took over 180.
+func TestFanoutRunPhaseCostsAFramePerNode(t *testing.T) {
+	const tasks, nodes = 32, 4
+	for name, cfg := range fabrics() {
+		t.Run(name, func(t *testing.T) {
+			c, cl := startQuiet(t, cfg, nodes, 8000) // eight 1000 MB tasks fill a node
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			before := c.WireStats().Sent
+			j, err := cl.CreateJobOn("node1", "fanout", protocol.JobRequirements{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Release()
+			placed, err := j.CreateTasks(noops(tasks, 1000), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hosts := make(map[string]bool)
+			for _, node := range placed {
+				hosts[node] = true
+			}
+			if len(hosts) != nodes {
+				t.Fatalf("tasks placed on %d nodes, want %d", len(hosts), nodes)
+			}
+			if res, err := j.Run(ctx); err != nil || res.Failed {
+				t.Fatalf("run: %v %+v", err, res)
+			}
+			if p := j.Progress(); p.Started != tasks || p.Completed != tasks || p.Failed != 0 {
+				t.Errorf("client census %+v the moment Wait returned, want %d started and completed", p, tasks)
+			}
+			if seen := drainEvents(t, ctx, j, 2*tasks); seen[msg.KindTaskStarted] != tasks || seen[msg.KindTaskCompleted] != tasks {
+				t.Errorf("events read: %v, want %d started and %d completed", seen, tasks, tasks)
+			}
+			// A TCP writer counts a frame just after writing it, which may
+			// trail the frame's effect: wait for the least that must show.
+			counted := func() bool {
+				kinds := c.WireStats().ByKind
+				return kinds[msg.KindExecTask.String()] >= nodes && kinds[msg.KindTaskEvents.String()] >= 2*nodes
+			}
+			for deadline := time.Now().Add(5 * time.Second); !counted() && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			wire := c.WireStats()
+			if n := wire.ByKind[msg.KindExecTask.String()]; n != nodes {
+				t.Errorf("%d EXEC_TASK frames, want one per hosting node (%d)", n, nodes)
+			}
+			for _, label := range []msg.Kind{msg.KindTaskStarted, msg.KindTaskCompleted, msg.KindTaskFailed} {
+				if n := wire.ByKind[label.String()]; n != 0 {
+					t.Errorf("%d bare %s frames", n, label)
+				}
+			}
+			if n := wire.ByKind[msg.KindTaskEvents.String()]; n < 2*nodes {
+				t.Errorf("%d TASK_EVENTS frames, want at least one per node and hop (%d)", n, 2*nodes)
+			}
+			if n := wire.Sent - before; n > 70 {
+				t.Errorf("the job took %d frames, want <= 70: %v", n, wire.ByKind)
+			}
+		})
+	}
+}
+
+// TestProgressIsCompleteWhenWaitReturns: every event the JobManager relays
+// is on the client's connection before JOB_COMPLETED, and the client
+// applies a batch on the goroutine that delivers it — so over 200 jobs in a
+// row the census is whole the moment Wait returns, with nothing to wait for.
+func TestProgressIsCompleteWhenWaitReturns(t *testing.T) {
+	const jobs, tasks = 200, 6
+	for name, cfg := range fabrics() {
+		t.Run(name, func(t *testing.T) {
+			_, cl := startQuiet(t, cfg, 3, 64000)
+			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+			defer cancel()
+			for i := 0; i < jobs; i++ {
+				j, err := cl.CreateJobOn("node1", "seq", protocol.JobRequirements{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := j.CreateTasks(noops(tasks, 20000), nil); err != nil { // three to a node
+					t.Fatal(err)
+				}
+				res, err := j.Run(ctx)
+				p := j.Progress()
+				j.Release()
+				if err != nil || res.Failed {
+					t.Fatalf("job %d: %v %+v", i, err, res)
+				}
+				if p.Completed != tasks || p.Started != tasks {
+					t.Fatalf("job %d: census %+v the moment Wait returned, want %d started and completed", i, p, tasks)
+				}
+			}
+		})
+	}
+}
+
+// TestManyEventsOfOneNodeArriveCutAndInOrder: 600 no-op tasks on a single
+// node end within moments of each other. Their 1200 events reach the
+// manager, and the client, as TASK_EVENTS frames of at most
+// protocol.TaskEventsMax — at least three a hop — in order, and all of them
+// are counted when Wait returns.
+func TestManyEventsOfOneNodeArriveCutAndInOrder(t *testing.T) {
+	const tasks = 600
+	c, cl := startQuiet(t, cluster.Config{}, 1, 64000)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	j, err := cl.CreateJobOn("node1", "many", protocol.JobRequirements{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Release()
+	if _, err := j.CreateTasks(noops(tasks, 1), nil); err != nil {
+		t.Fatal(err)
+	}
+	// The handle queues at most 1024 events and drops the newest past that:
+	// a reader beside the job sees at least that many, in order, and the
+	// census counts them all whether queued or not.
+	rctx, stop := context.WithCancel(ctx)
+	defer stop()
+	read := make(chan map[msg.Kind]int, 1)
+	go func() { read <- drainEvents(t, rctx, j, -1) }()
+	if res, err := j.Run(ctx); err != nil || res.Failed {
+		t.Fatalf("run: %v %+v", err, res)
+	}
+	if p := j.Progress(); p.Started != tasks || p.Completed != tasks {
+		t.Errorf("client census %+v the moment Wait returned, want %d started and completed", p, tasks)
+	}
+	stop() // every event was queued, or dropped, before Wait returned
+	seen := <-read
+	if n := seen[msg.KindTaskStarted] + seen[msg.KindTaskCompleted]; n < 1024 || n > 2*tasks ||
+		seen[msg.KindTaskStarted] < seen[msg.KindTaskCompleted] {
+		t.Errorf("events read: %v, want 1024 to %d, no more completed than started", seen, 2*tasks)
+	}
+	wire := c.WireStats()
+	if n := wire.ByKind[msg.KindTaskEvents.String()]; n < 2*3 {
+		t.Errorf("%d TASK_EVENTS frames for %d events over two hops, want at least 6", n, 2*tasks)
+	}
+	if n := wire.ByKind[msg.KindExecTask.String()]; n != 1 {
+		t.Errorf("%d EXEC_TASK frames, want 1", n)
+	}
+}
+
+// TestDeadNodeExecFrameGoesThroughRecovery: a node dies between placement
+// and start, and the start comes before any lease could lapse. The
+// EXEC_TASK frame for the dead node cannot be sent, and every task it
+// listed — not just the first — is re-placed: the client counts one retry
+// per task the dead node held, and the job completes.
+func TestDeadNodeExecFrameGoesThroughRecovery(t *testing.T) {
+	cfg := cluster.Config{Nodes: 4, MemoryMB: 8000, Registry: noopRegistry(), MaxTaskRetries: 3,
+		HeartbeatInterval: time.Hour, TraceSample: -1} // failure detection never fires in this test
+	c, err := cluster.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	cl, err := api.Initialize(c.Network(), api.Options{DiscoveryWindow: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	j, err := cl.CreateJobOn("node1", "prestart", protocol.JobRequirements{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Release()
+	placed, err := j.CreateTasks(noops(16, 1000), nil) // four to a node
+	if err != nil {
+		t.Fatal(err)
+	}
+	const victim = "node3"
+	lost := 0
+	for _, node := range placed {
+		if node == victim {
+			lost++
+		}
+	}
+	if lost < 2 {
+		t.Fatalf("%d tasks on %s, want a frame of several: %v", lost, victim, placed)
+	}
+	if err := c.KillNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := j.Run(ctx)
+	if err != nil || res.Failed {
+		t.Fatalf("run: %v %+v", err, res)
+	}
+	if p := j.Progress(); p.Retried != lost || p.Completed != 16 {
+		t.Errorf("client census %+v, want %d retried (every task of the dead node's frame) and 16 completed", p, lost)
+	}
+	if p, ok := c.JobProgress("node1", j.ID); !ok || p.Retried != lost || p.Done != 16 {
+		t.Errorf("manager census %+v (known %v), want %d retried and 16 done", p, ok, lost)
+	}
+}

@@ -419,9 +419,7 @@ func (jm *JobManager) adoptJob(origin, jobID string, data []byte) error {
 			jm.monitor.Watch(node)
 		}
 	}
-	for _, name := range execNow {
-		jm.execTask(j, name)
-	}
+	jm.execTasks(j, execNow)
 	if len(orphans) > 0 {
 		jm.retryTasks(j, orphans, fmt.Sprintf("job adopted after manager %s died", origin),
 			map[string]bool{origin: true})

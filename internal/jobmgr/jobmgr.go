@@ -1237,43 +1237,78 @@ func (jm *JobManager) HandleStartJob(m *msg.Message) *msg.Message {
 	j.mu.Unlock()
 
 	sa := jm.tracer.StartSpan(j.root, "jm.start").SetJob(j.id)
-	for _, name := range ready {
-		jm.execTask(j, name)
-	}
+	jm.execTasks(j, ready)
 	jm.endSpan(j, sa, "")
 	jm.log.Info("job started", "job", j.id, "tasks", total, "roots", len(ready))
 	return m.Reply(msg.KindPong, nil)
 }
 
-// execTask dispatches one task to its TaskManager. A failed dispatch (the
-// node vanished between placement and start) enters the recovery path
-// instead of failing the task outright.
-func (jm *JobManager) execTask(j *jobState, name string) {
+// execTasks dispatches tasks the schedule released — the ready set at start,
+// what a batch of completions unblocked, a recovery or adoption re-exec —
+// as one EXEC_TASK frame per hosting node, each listing its tasks in the
+// order given. A frame that cannot be sent (the node vanished between
+// placement and start) sends every task in it through the recovery path
+// instead of failing them outright.
+func (jm *JobManager) execTasks(j *jobState, names []string) {
+	if len(names) == 0 {
+		return
+	}
+	// A job's tasks sit on a handful of nodes: a slice searched linearly
+	// keeps first-appearance order and costs less than a map.
+	type nodeTasks struct {
+		node  string
+		tasks []string
+	}
+	var frames []nodeTasks
 	j.mu.Lock()
-	node := j.placement[name]
+next:
+	for _, name := range names {
+		node := j.placement[name]
+		for i := range frames {
+			if frames[i].node == node {
+				frames[i].tasks = append(frames[i].tasks, name)
+				continue next
+			}
+		}
+		frames = append(frames, nodeTasks{node, []string{name}})
+	}
 	j.mu.Unlock()
+	for _, f := range frames {
+		if err := jm.sendExec(j, f.node, f.tasks, "jm.dispatch", ""); err != nil {
+			jm.log.Warn("task dispatch failed", "job", j.id, "tasks", len(f.tasks), "target", f.node, "err", err)
+			jm.retryOrFail(j, f.tasks, f.node, fmt.Sprintf("dispatch to %s failed: %v", f.node, err))
+		}
+	}
+}
+
+// sendExec sends one EXEC_TASK frame under a span of the given name: one
+// span per frame, labelled with the task it starts — "t1 +7" when it starts
+// eight — closed with the send error, else with note.
+func (jm *JobManager) sendExec(j *jobState, node string, tasks []string, span, note string) error {
 	em := protocol.Body(msg.KindExecTask,
 		msg.Address{Node: jm.cfg.Node, Job: j.id},
-		msg.Address{Node: node, Job: j.id, Task: name},
-		protocol.ExecTaskReq{JobID: j.id, Task: name})
-	// The dispatch span's context rides the envelope so the TaskManager's
-	// exec span (and its shuffle children) parent under this trace. When
-	// this node has no tracer the raw root context still propagates — the
-	// executing side may be recording even if this one is not.
-	da := jm.tracer.StartSpan(j.root, "jm.dispatch").SetJob(j.id).SetTask(name)
-	if ctx := da.Context(); !ctx.IsZero() {
-		em.Trace = ctx
-	} else {
-		em.Trace = j.root
+		msg.Address{Node: node, Job: j.id},
+		protocol.ExecTaskReq{JobID: j.id, Tasks: tasks})
+	// The span's context rides the envelope so every exec span of the frame
+	// (and its shuffle children) parents under this trace. When this node
+	// has no tracer the raw root context still propagates — the executing
+	// side may be recording even if this one is not.
+	da := jm.tracer.StartSpan(j.root, span).SetJob(j.id)
+	em.Trace = j.root
+	if da != nil {
+		label := tasks[0]
+		if len(tasks) > 1 {
+			label = fmt.Sprintf("%s +%d", label, len(tasks)-1)
+		}
+		da.SetTask(label)
+		em.Trace = da.Context()
 	}
 	err := jm.send(node, em)
 	if err != nil {
-		jm.endSpan(j, da, err.Error())
-		jm.log.Warn("task dispatch failed", "job", j.id, "task", name, "target", node, "err", err)
-		jm.retryOrFail(j, name, node, fmt.Sprintf("dispatch to %s failed: %v", node, err))
-		return
+		note = err.Error()
 	}
-	jm.endSpan(j, da, "")
+	jm.endSpan(j, da, note)
+	return err
 }
 
 // Enqueue places a job-scoped message (task lifecycle event or user
@@ -1323,8 +1358,8 @@ func (jm *JobManager) jobWorker(j *jobState) {
 			return
 		}
 		switch m.Kind {
-		case msg.KindTaskStarted, msg.KindTaskCompleted, msg.KindTaskFailed:
-			jm.HandleTaskEvent(m.Kind, m)
+		case msg.KindTaskEvents:
+			jm.HandleTaskEvents(m)
 		case msg.KindUser, msg.KindBroadcast:
 			if err := jm.HandleUser(m.Kind, m); err != nil {
 				jm.logf("route user message: %v", err)
@@ -1335,47 +1370,105 @@ func (jm *JobManager) jobWorker(j *jobState) {
 	}
 }
 
-// HandleTaskEvent processes lifecycle events from TaskManagers and drives
-// the schedule forward.
-func (jm *JobManager) HandleTaskEvent(kind msg.Kind, m *msg.Message) {
-	var ev protocol.TaskEvent
-	if err := protocol.Decode(m, &ev); err != nil {
-		jm.logf("bad task event: %v", err)
+// HandleTaskEvents processes a TaskManager's batch of lifecycle events and
+// drives the schedule forward.
+func (jm *JobManager) HandleTaskEvents(m *msg.Message) {
+	var batch protocol.TaskEvents
+	if err := protocol.Decode(m, &batch); err != nil {
+		jm.logf("bad task events: %v", err)
 		return
 	}
-	jm.onTaskEvent(kind, &ev)
+	jm.applyEvents(&batch)
 }
 
-func (jm *JobManager) onTaskEvent(kind msg.Kind, ev *protocol.TaskEvent) {
-	j, t := jm.lookup(ev.JobID)
+// failTasks applies a TASK_FAILED this manager raises itself — a dispatch
+// that could not be recovered, a spent retry budget — for each named task:
+// a batch like any other, attributed to node.
+func (jm *JobManager) failTasks(j *jobState, node string, names []string, attempts map[string]int, reason string) {
+	batch := protocol.TaskEvents{JobID: j.id, Node: node, Events: make([]protocol.TaskEventItem, len(names))}
+	for i, name := range names {
+		batch.Events[i] = protocol.TaskEventItem{Kind: msg.KindTaskFailed, Task: name, Err: reason, Attempt: attempts[name]}
+	}
+	jm.applyEvents(&batch)
+}
+
+// owed is what applying a batch of events leaves to do once the job's lock
+// is released: sent together, after the batch, instead of once per event.
+type owed struct {
+	relay   []protocol.TaskEventItem // events the client is owed
+	start   []string                 // tasks the batch released
+	credits []reservationCredit      // freed reservations to credit to the directory
+	cancels []taskCopy               // copies that lost the first-result-wins race
+}
+
+// taskCopy names one copy of a task by the node running it.
+type taskCopy struct{ node, task string }
+
+// applyEvents applies a batch of lifecycle events of one job from one node,
+// in order, and then pays what they owe: one credit call, one TASK_EVENTS
+// frame to the client, the cancels, one EXEC_TASK per node — and only then,
+// if the batch ended the job, finishJob, so the terminal JOB_COMPLETED
+// follows the last relayed event on the client's connection. The batch is
+// consumed: its Events are compacted into the relay.
+func (jm *JobManager) applyEvents(batch *protocol.TaskEvents) {
+	j, t := jm.lookup(batch.JobID)
 	if j == nil {
 		if t == nil {
-			jm.logf("event %s for unknown job %s", kind, ev.JobID)
+			jm.logf("%d events for unknown job %s", len(batch.Events), batch.JobID)
 		}
 		return
 	}
-
-	var toStart []string
-	var cancelCopies []string // nodes hosting a losing copy of ev.Task
+	o := owed{relay: batch.Events[:0]}
 	jobDone, how, reason := false, outcomeCompleted, ""
-	var credits []reservationCredit // freed reservations to credit to the directory
-	forward := true
 	j.mu.Lock()
-	// Terminal events carry the task's drained spans (exec, shuffle
-	// fetches); merge them even when the event itself turns out stale — a
-	// losing twin's spans are still part of the trace.
-	j.addSpansLocked(ev.Spans...)
-	if j.schedule == nil || j.notified {
-		j.mu.Unlock()
+	for i := range batch.Events {
+		ev := batch.Events[i]
+		// Terminal events carry the task's drained spans (exec, shuffle
+		// fetches); merge them even when the event itself turns out stale — a
+		// losing twin's spans are still part of the trace. The client has no
+		// use for them.
+		j.addSpansLocked(ev.Spans...)
+		ev.Spans = nil
 		// Events racing the start or the retirement of a live record are
 		// still relayed ("Get Messages from Tasks" includes lifecycle
 		// notifications).
-		jm.forwardToClient(j, kind, ev)
-		return
+		if j.schedule == nil || j.notified || jm.applyLocked(j, batch.Node, &ev, &o) {
+			o.relay = append(o.relay, ev)
+		}
+		if !j.notified && j.schedule != nil && (j.schedule.Done() || j.schedule.Failed()) {
+			jobDone = true
+			how, reason = scheduleOutcome(j.schedule)
+			j.notified = true
+		}
 	}
+	j.mu.Unlock()
+
+	// Finished or cancelled copies freed memory on their nodes; credit
+	// the cached offers so placements within the TTL see the capacity
+	// instead of waiting out the next solicitation round.
+	jm.creditDirectory(o.credits)
+	jm.relayEvents(j, batch.Node, o.relay)
+	for _, c := range o.cancels {
+		jm.cancelCopy(j, c.node, c.task)
+	}
+	jm.execTasks(j, o.start)
+	if jobDone {
+		jm.finishJob(j, how, reason)
+	}
+}
+
+// applyLocked advances a started, unfinished job's schedule by one event
+// from node, adding what the event owes to o, and reports whether the
+// client is owed the event. j.mu must be held.
+func (jm *JobManager) applyLocked(j *jobState, node string, ev *protocol.TaskEventItem, o *owed) (relay bool) {
 	primary := j.placement[ev.Task]
 	twin := j.speculative[ev.Task]
-	switch kind {
+	credit := func(node string) {
+		if sp := j.specs[ev.Task]; sp != nil && node != "" {
+			o.credits = append(o.credits, reservationCredit{node, sp.Req.MemoryMB})
+		}
+	}
+	switch ev.Kind {
 	case msg.KindTaskStarted:
 		// Informational; seed the straggler baseline so a task that starts
 		// and never syncs progress is still speculation-eligible.
@@ -1383,12 +1476,11 @@ func (jm *JobManager) onTaskEvent(kind msg.Kind, ev *protocol.TaskEvent) {
 			j.beats[ev.Task] = &beatState{changedAt: time.Now()}
 		}
 	case msg.KindTaskCompleted:
-		if ev.Node != "" && ev.Node != primary && ev.Node != twin {
+		if node != "" && node != primary && node != twin {
 			// A copy this job no longer tracks (a cancelled loser, or an
 			// orphan that raced its own recovery): its result is already
 			// covered by the surviving copy.
-			forward = false
-			break
+			return false
 		}
 		newly, cerr := j.schedule.Complete(ev.Task)
 		if cerr != nil {
@@ -1398,53 +1490,46 @@ func (jm *JobManager) onTaskEvent(kind msg.Kind, ev *protocol.TaskEvent) {
 			if twin == "" && j.retries[ev.Task] == 0 {
 				jm.logf("job %s: %v", j.id, cerr)
 			}
-			forward = false
-			break
+			return false
 		}
 		if twin != "" {
-			// First result wins; cancel the losing copy.
+			// First result wins; cancel the losing copy, which frees the
+			// loser's reservation on its node.
 			loser := twin
-			if ev.Node == twin {
+			if node == twin {
 				loser = primary
 			}
-			j.placement[ev.Task] = ev.Node
+			j.placement[ev.Task] = node
 			delete(j.speculative, ev.Task)
-			if loser != "" && loser != ev.Node {
-				cancelCopies = append(cancelCopies, loser)
-				// The cancel frees the loser's reservation on its node.
-				if sp := j.specs[ev.Task]; sp != nil {
-					credits = append(credits, reservationCredit{loser, sp.Req.MemoryMB})
-				}
+			if loser != "" && loser != node {
+				o.cancels = append(o.cancels, taskCopy{loser, ev.Task})
+				credit(loser)
 			}
 		}
 		delete(j.beats, ev.Task)
-		if sp := j.specs[ev.Task]; sp != nil {
-			node := ev.Node
-			if node == "" {
-				node = primary
-			}
-			credits = append(credits, reservationCredit{node, sp.Req.MemoryMB})
+		if node == "" {
+			credit(primary)
+		} else {
+			credit(node)
 		}
 		for _, name := range newly {
 			if err := j.schedule.MarkRunning(name); err == nil {
-				toStart = append(toStart, name)
+				o.start = append(o.start, name)
 			}
 		}
 	case msg.KindTaskFailed:
 		switch {
-		case twin != "" && ev.Node == twin:
+		case twin != "" && node == twin:
 			// The speculative twin failed; the primary is still running.
 			// The twin's node freed its reservation when the copy died.
 			delete(j.speculative, ev.Task)
-			if sp := j.specs[ev.Task]; sp != nil {
-				credits = append(credits, reservationCredit{twin, sp.Req.MemoryMB})
-			}
-			forward = false
-		case ev.Node != "" && ev.Node != primary:
+			credit(twin)
+			return false
+		case node != "" && node != primary:
 			// Stale copy of a re-placed task (usually the cancelled loser
 			// reporting "stopped"); not authoritative. Its reservation was
 			// already credited when the copy was cancelled.
-			forward = false
+			return false
 		case twin != "":
 			// The primary failed but its speculative twin is still running:
 			// promote the twin instead of failing the task. Reseed the
@@ -1453,44 +1538,20 @@ func (jm *JobManager) onTaskEvent(kind msg.Kind, ev *protocol.TaskEvent) {
 			j.placement[ev.Task] = twin
 			delete(j.speculative, ev.Task)
 			j.beats[ev.Task] = &beatState{changedAt: time.Now()}
-			if sp := j.specs[ev.Task]; sp != nil && ev.Node != "" {
-				credits = append(credits, reservationCredit{ev.Node, sp.Req.MemoryMB})
-			}
-			forward = false
+			credit(node)
+			return false
 		default:
 			j.taskErrs[ev.Task] = ev.Err
 			if !j.schedule.FailAny(ev.Task) {
 				jm.logf("job %s: fail %q: already terminal", j.id, ev.Task)
-			} else if sp := j.specs[ev.Task]; sp != nil && ev.Node != "" {
+			} else {
 				// The TaskManager freed the reservation when the task died;
 				// credit the cached offer too.
-				credits = append(credits, reservationCredit{ev.Node, sp.Req.MemoryMB})
+				credit(node)
 			}
 		}
 	}
-	if j.schedule.Done() || j.schedule.Failed() {
-		jobDone = true
-		how, reason = scheduleOutcome(j.schedule)
-		j.notified = true
-	}
-	j.mu.Unlock()
-
-	// Finished or cancelled copies freed memory on their nodes; credit
-	// the cached offers so placements within the TTL see the capacity
-	// instead of waiting out the next solicitation round.
-	jm.creditDirectory(credits)
-	if forward {
-		jm.forwardToClient(j, kind, ev)
-	}
-	for _, node := range cancelCopies {
-		jm.cancelCopy(j, node, ev.Task)
-	}
-	for _, name := range toStart {
-		jm.execTask(j, name)
-	}
-	if jobDone {
-		jm.finishJob(j, how, reason)
-	}
+	return true
 }
 
 // cancelCopy sends a targeted cancel for one task copy that lost the
@@ -1577,14 +1638,30 @@ func (jm *JobManager) finishJob(j *jobState, how outcome, reason string) {
 	}
 }
 
-// forwardToClient relays a task lifecycle event to the owning client.
-func (jm *JobManager) forwardToClient(j *jobState, kind msg.Kind, ev *protocol.TaskEvent) {
-	m := protocol.Body(kind,
+// relayEvents sends the client what it is owed of a batch from node, as one
+// TASK_EVENTS frame.
+func (jm *JobManager) relayEvents(j *jobState, node string, events []protocol.TaskEventItem) {
+	if len(events) == 0 {
+		return
+	}
+	m := protocol.Body(msg.KindTaskEvents,
+		msg.Address{Node: jm.cfg.Node, Job: j.id},
+		msg.Address{Node: j.clientNode, Job: j.id, Task: protocol.ClientTaskName},
+		protocol.TaskEvents{JobID: j.id, Node: node, Events: events})
+	if err := jm.send(j.clientNode, m); err != nil {
+		jm.logf("job %s: relay %d events to client: %v", j.id, len(events), err)
+	}
+}
+
+// sendRetried tells the client a task was re-placed. TASK_RETRIED is raised
+// here, not relayed, and is rare: it stays a frame of its own.
+func (jm *JobManager) sendRetried(j *jobState, ev protocol.TaskEvent) {
+	m := protocol.Body(msg.KindTaskRetried,
 		msg.Address{Node: jm.cfg.Node, Job: j.id, Task: ev.Task},
 		msg.Address{Node: j.clientNode, Job: j.id, Task: protocol.ClientTaskName},
-		*ev)
+		ev)
 	if err := jm.send(j.clientNode, m); err != nil {
-		jm.logf("job %s: forward %s to client: %v", j.id, kind, err)
+		jm.logf("job %s: send %s to client: %v", j.id, msg.KindTaskRetried, err)
 	}
 }
 

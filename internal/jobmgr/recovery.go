@@ -281,24 +281,31 @@ func (jm *JobManager) recoverNode(node string) {
 	jm.logf("node %s dead: %d orphaned tasks recovered", node, recovered)
 }
 
-// retryOrFail routes a single task into the recovery path after its exec
-// dispatch failed, falling back to an immediate task failure when recovery
-// is disabled. It never blocks the caller: re-placement performs
+// retryOrFail routes the tasks of an exec frame that could not be sent into
+// the recovery path, falling back to an immediate task failure when
+// recovery is disabled. It never blocks the caller: re-placement performs
 // solicitation round trips, so it runs on its own goroutine.
-func (jm *JobManager) retryOrFail(j *jobState, name, badNode, reason string) {
+func (jm *JobManager) retryOrFail(j *jobState, names []string, badNode, reason string) {
 	if jm.cfg.MaxTaskRetries < 0 {
-		jm.onTaskEvent(msg.KindTaskFailed, &protocol.TaskEvent{
-			JobID: j.id, Task: name, Node: badNode, Err: reason,
-		})
+		jm.failTasks(j, badNode, names, nil, reason)
 		return
 	}
+	var lost []string
 	j.mu.Lock()
-	if j.retrying[name] || j.notified {
+	if j.notified {
 		j.mu.Unlock()
 		return
 	}
-	j.retrying[name] = true
+	for _, name := range names {
+		if !j.retrying[name] {
+			j.retrying[name] = true
+			lost = append(lost, name)
+		}
+	}
 	j.mu.Unlock()
+	if len(lost) == 0 {
+		return
+	}
 
 	jm.mu.Lock()
 	if jm.closed {
@@ -309,7 +316,7 @@ func (jm *JobManager) retryOrFail(j *jobState, name, badNode, reason string) {
 	jm.mu.Unlock()
 	go func() {
 		defer jm.wg.Done()
-		jm.retryTasks(j, []string{name}, reason, map[string]bool{badNode: true})
+		jm.retryTasks(j, lost, reason, map[string]bool{badNode: true})
 	}()
 }
 
@@ -351,13 +358,9 @@ func (jm *JobManager) retryTasks(j *jobState, names []string, reason string, exc
 	}
 	j.mu.Unlock()
 
-	for _, name := range exhausted {
-		jm.clearRetrying(j, name)
-		jm.onTaskEvent(msg.KindTaskFailed, &protocol.TaskEvent{
-			JobID: j.id, Task: name,
-			Err:     fmt.Sprintf("%s; retry budget (%d) exhausted", reason, budget),
-			Attempt: attempts[name],
-		})
+	if len(exhausted) > 0 {
+		jm.clearRetrying(j, exhausted)
+		jm.failTasks(j, "", exhausted, attempts, fmt.Sprintf("%s; retry budget (%d) exhausted", reason, budget))
 	}
 	if len(items) == 0 {
 		return
@@ -365,14 +368,8 @@ func (jm *JobManager) retryTasks(j *jobState, names []string, reason string, exc
 
 	placements, err := jm.placeBatch(j, items, exclude)
 	if err != nil {
-		for _, name := range toPlace {
-			jm.clearRetrying(j, name)
-			jm.onTaskEvent(msg.KindTaskFailed, &protocol.TaskEvent{
-				JobID: j.id, Task: name,
-				Err:     fmt.Sprintf("%s; re-placement failed: %v", reason, err),
-				Attempt: attempts[name],
-			})
-		}
+		jm.clearRetrying(j, toPlace)
+		jm.failTasks(j, "", toPlace, attempts, fmt.Sprintf("%s; re-placement failed: %v", reason, err))
 		return
 	}
 
@@ -429,20 +426,20 @@ func (jm *JobManager) retryTasks(j *jobState, names []string, reason string, exc
 		// Err carrying the reason (node death, lost output, dispatch failure).
 		ra := jm.tracer.StartSpan(j.root, "jm.retry").SetJob(j.id).SetTask(name)
 		jm.endSpan(j, ra, reason)
-		jm.forwardToClient(j, msg.KindTaskRetried, &protocol.TaskEvent{
+		jm.sendRetried(j, protocol.TaskEvent{
 			JobID: j.id, Task: name, Node: placements[name],
 			Err: reason, Attempt: attempts[name],
 		})
 	}
-	for _, name := range execNow {
-		jm.execTask(j, name)
-	}
+	jm.execTasks(j, execNow)
 	jm.log.Info("tasks re-placed", "job", j.id, "tasks", len(applied), "reason", reason)
 }
 
-func (jm *JobManager) clearRetrying(j *jobState, name string) {
+func (jm *JobManager) clearRetrying(j *jobState, names []string) {
 	j.mu.Lock()
-	delete(j.retrying, name)
+	for _, name := range names {
+		delete(j.retrying, name)
+	}
 	j.mu.Unlock()
 }
 
@@ -518,7 +515,7 @@ func (jm *JobManager) speculate(j *jobState, name string) {
 	attempt := j.retries[name]
 	j.mu.Unlock()
 	if sp == nil {
-		jm.clearRetrying(j, name)
+		jm.clearRetrying(j, []string{name})
 		return
 	}
 
@@ -554,18 +551,9 @@ func (jm *JobManager) speculate(j *jobState, name string) {
 	delete(j.retrying, name)
 	j.mu.Unlock()
 
-	em := protocol.Body(msg.KindExecTask,
-		msg.Address{Node: jm.cfg.Node, Job: j.id},
-		msg.Address{Node: node, Job: j.id, Task: name},
-		protocol.ExecTaskReq{JobID: j.id, Task: name})
-	sa := jm.tracer.StartSpan(j.root, "jm.speculate").SetJob(j.id).SetTask(name)
-	if ctx := sa.Context(); !ctx.IsZero() {
-		em.Trace = ctx
-	} else {
-		em.Trace = j.root
-	}
-	jm.endSpan(j, sa, reason)
-	if err := jm.send(node, em); err != nil {
+	// The twin's exec names its node itself: the placement table still
+	// holds the primary.
+	if err := jm.sendExec(j, node, []string{name}, "jm.speculate", reason); err != nil {
 		// The twin never ran: release its reservation, return the budget
 		// unit, and do not advertise a retry that did not happen.
 		jm.logf("job %s: start twin %q on %s: %v", j.id, name, node, err)
@@ -579,7 +567,7 @@ func (jm *JobManager) speculate(j *jobState, name string) {
 		return
 	}
 	jm.monitor.Watch(node)
-	jm.forwardToClient(j, msg.KindTaskRetried, &protocol.TaskEvent{
+	jm.sendRetried(j, protocol.TaskEvent{
 		JobID: j.id, Task: name, Node: node,
 		Err: reason, Attempt: attempt, Speculative: true,
 	})

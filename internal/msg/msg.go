@@ -41,9 +41,9 @@ const (
 	KindCreateJob     // request: create a job
 	KindJobCreated    // response: job handle
 	KindStartTask     // request: start a named task
-	KindTaskStarted   // event: task began executing
-	KindTaskCompleted // event: task terminated normally
-	KindTaskFailed    // event: task terminated with an error
+	KindTaskStarted   // label inside KindTaskEvents, never a frame: task began executing
+	KindTaskCompleted // label inside KindTaskEvents, never a frame: task terminated normally
+	KindTaskFailed    // label inside KindTaskEvents, never a frame: task terminated with an error
 	KindCancelJob     // request: abandon a job
 	KindJobCompleted  // event: all tasks in a job reached a terminal state
 	KindJobFailed     // event: the job reached a terminal failure state
@@ -108,6 +108,11 @@ const (
 	KindStatsPull   // request: scraper -> node, report your registry snapshot
 	KindStatsReport // response: the node's counters, gauges, and histograms
 
+	// Task lifecycle events travel batched: what one node has to report
+	// about one job rides one frame (TaskManager -> JobManager), and what
+	// the JobManager relays of it rides one frame more (-> client).
+	KindTaskEvents // event: a batch of started / completed / failed labels
+
 	// kindEnd is the exclusive upper bound of the kind space; keep it last.
 	kindEnd
 )
@@ -162,6 +167,7 @@ var kindNames = map[Kind]string{
 	KindDataFetch:         "DATA_FETCH",
 	KindStatsPull:         "STATS_PULL",
 	KindStatsReport:       "STATS_REPORT",
+	KindTaskEvents:        "TASK_EVENTS",
 }
 
 // String returns the wire name of the kind, e.g. "TASK_COMPLETED".
@@ -182,7 +188,7 @@ func (k Kind) IsWellDefined() bool {
 // to a request or a response).
 func (k Kind) IsEvent() bool {
 	switch k {
-	case KindTaskStarted, KindTaskCompleted, KindTaskFailed, KindTaskRetried, KindJobCompleted, KindJobFailed:
+	case KindTaskStarted, KindTaskCompleted, KindTaskFailed, KindTaskEvents, KindTaskRetried, KindJobCompleted, KindJobFailed:
 		return true
 	}
 	return false

@@ -27,6 +27,7 @@
 package portal
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -351,12 +352,7 @@ func (p *Portal) compile(format string, body []byte, invs int) (*cnx.Document, e
 		}
 		doc = d
 	case jobstore.FormatXMI:
-		var out strings.Builder
-		opts := transform.Options{Args: core.FixedArgs(invs)}
-		if err := transform.XMI2CNX(strings.NewReader(string(body)), &out, opts); err != nil {
-			return nil, err
-		}
-		d, err := cnx.ParseString(out.String())
+		d, err := transform.XMI2CNXDoc(bytes.NewReader(body), transform.Options{Args: core.FixedArgs(invs)})
 		if err != nil {
 			return nil, err
 		}
@@ -412,6 +408,12 @@ func (p *Portal) runJob(ctx context.Context, cnJob *api.Job, specs []*task.Spec)
 	// Batch submission: one solicitation round places the whole task set
 	// instead of one round per task.
 	if _, err := cnJob.CreateTasks(specs, nil); err != nil {
+		// The job exists on its JobManager and will never start: retire it
+		// now, or it counts against the manager's MaxJobs until the janitor
+		// calls it abandoned.
+		if cerr := cnJob.Cancel("create tasks failed"); cerr != nil {
+			p.logf("job %s: cancel after failed placement: %v", cnJob.ID, cerr)
+		}
 		return JobResult{JobID: cnJob.ID, Failed: true, Err: err.Error()}, nil
 	}
 	res, err := cnJob.Run(ctx)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -109,5 +110,66 @@ func TestPortalReleasesJobHandles(t *testing.T) {
 		if rec.Progress == nil || rec.Progress.TasksDone != 2 || rec.Progress.JobsDone != 1 {
 			t.Errorf("GET /api/jobs/%s: progress %+v, want 2 tasks done", id, rec.Progress)
 		}
+	}
+}
+
+const hugeCNX = `<cn2><client class="Release"><job name="huge">
+  <task name="a" class="rel.Noop"><task-req><memory>1000000</memory></task-req></task>
+</job></client></cn2>`
+
+// TestPortalUnplaceableJobIsNotLeaked: a submission whose task fits no node
+// fails at CreateTasks. The portal cancels the CN job, so once it has
+// answered no JobManager counts an active job and its client holds no
+// handle — ten such submissions do not wedge two managers of two slots
+// each, and a submission that fits still runs.
+func TestPortalUnplaceableJobIsNotLeaked(t *testing.T) {
+	reg := task.NewRegistry()
+	reg.MustRegister("rel.Noop", func() task.Task {
+		return task.Func(func(task.Context) error { return nil })
+	})
+	c, err := cluster.Start(cluster.Config{Nodes: 2, Registry: reg, MemoryMB: 1000, MaxJobs: 2, TraceSample: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	p, err := New(Config{Cluster: c, Workers: 1, QueueDepth: 16, TraceSample: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	run := func(body string) RunResponse {
+		t.Helper()
+		sub, err := p.store.Submit(jobstore.Submission{Format: jobstore.FormatCNX, Body: []byte(body)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := p.store.Wait(ctx, sub.ID)
+		if err != nil || rec.State != jobstore.StateDone {
+			t.Fatalf("submission %s: %+v, %v", sub.ID, rec, err)
+		}
+		res, _, _ := p.store.Result(sub.ID)
+		resp, ok := res.(*RunResponse)
+		if !ok {
+			t.Fatalf("submission %s: result %#v", sub.ID, res)
+		}
+		return *resp
+	}
+	for i := 0; i < 10; i++ {
+		if jr := run(hugeCNX).Jobs["huge"]; !jr.Failed || !strings.Contains(jr.Err, "placement") {
+			t.Fatalf("submission %d: %+v, want the placement failure", i, jr)
+		}
+		for _, node := range c.Nodes() {
+			if n := c.Server(node).JobManager().ActiveJobs(); n != 0 {
+				t.Fatalf("submission %d: %s counts %d active jobs after the portal answered", i, node, n)
+			}
+		}
+		if n := p.client.OpenJobs(); n != 0 {
+			t.Fatalf("submission %d: the portal's client holds %d job handles", i, n)
+		}
+	}
+	if jr := run(twoTaskCNX).Jobs["j"]; jr.Failed {
+		t.Errorf("a submission that fits: %+v", jr)
 	}
 }

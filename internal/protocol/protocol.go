@@ -228,31 +228,97 @@ type StartJobReq struct {
 }
 
 // ExecTaskReq is the body of KindExecTask (JobManager -> TaskManager): run
-// one previously assigned task now.
+// these previously assigned tasks of one job now — everything the schedule
+// released for the node at once, in release order. Each task starts on its
+// own; one that cannot start fails alone.
 type ExecTaskReq struct {
 	JobID string
-	Task  string
+	Tasks []string
 }
 
-// TaskEvent is the body of the KindTaskStarted / KindTaskCompleted /
-// KindTaskFailed / KindTaskRetried events (TaskManager or JobManager ->
-// client).
+// TaskEvent is the body of KindTaskRetried (JobManager -> client): one task
+// was re-placed. The started / completed / failed events travel batched, as
+// TaskEvents.
 type TaskEvent struct {
 	JobID string
 	Task  string
-	Node  string
-	Err   string // failure or retry reason; empty for start/complete
-	// Attempt counts re-placements of the task so far (0 for the original
-	// placement); it is meaningful on KindTaskRetried and on events from
-	// recovered tasks.
+	Node  string // the node the task was re-placed on
+	Err   string // the retry reason
+	// Attempt counts re-placements of the task so far.
 	Attempt int
-	// Speculative marks a KindTaskRetried caused by straggler speculation
-	// rather than failure recovery.
+	// Speculative marks a retry caused by straggler speculation rather than
+	// failure recovery.
 	Speculative bool
+	// Spans is unused on a retry; the field keeps the body's wire layout.
+	Spans []trace.Span
+}
+
+// TaskEventsMax bounds the events of one KindTaskEvents frame. A batch is
+// whatever gathered while its sender was being scheduled, so the bound only
+// bites on a node finishing hundreds of tasks of one job at once; 256 keeps
+// such a frame near 10 KiB of names — far below the transport's frame limit,
+// small enough that the per-job worker applying it under the job's lock
+// does not hold up a heartbeat for long — while a 32-task fan-out still
+// fits one frame with room to spare. The rest follows in order.
+const TaskEventsMax = 256
+
+// TaskEventsMaxBytes cuts a batch early when its variable-size parts — error
+// texts and, on traced jobs, the spans terminal events carry — would pass
+// 256 KiB: the frame rides the control lane, which must stay a lane of small
+// frames, and a batch of traced shuffle tasks can carry dozens of spans each.
+const TaskEventsMaxBytes = 256 << 10
+
+// TaskEventItem is one lifecycle event of a batch. Kind is one of
+// msg.KindTaskStarted, KindTaskCompleted and KindTaskFailed — labels here,
+// never the kind of a frame.
+type TaskEventItem struct {
+	Kind msg.Kind
+	Task string
+	Err  string // failure reason; empty for started / completed
+	// Attempt counts re-placements of the task so far (0 for the original
+	// placement).
+	Attempt int
 	// Spans carries the task's recorded spans (exec, shuffle pulls) on its
 	// terminal event, so the TaskManager's side of the trace reaches the
 	// JobManager's per-job timeline exactly once.
 	Spans []trace.Span
+}
+
+// weight estimates the bytes of the item's variable-size parts on the wire:
+// its error text, and per span the strings plus 48 for the ids, times and
+// length prefixes.
+func (e *TaskEventItem) weight() int {
+	n := len(e.Err)
+	for i := range e.Spans {
+		sp := &e.Spans[i]
+		n += 48 + len(sp.Name) + len(sp.Node) + len(sp.Job) + len(sp.Task) + len(sp.Err)
+	}
+	return n
+}
+
+// TaskEvents is the body of KindTaskEvents: lifecycle events of one job
+// that happened on one node, in the order they happened. A TaskManager sends
+// what its outbox for the job held; the JobManager sends the client what it
+// relays of a batch it applied.
+type TaskEvents struct {
+	JobID  string
+	Node   string
+	Events []TaskEventItem
+}
+
+// CutTaskEvents returns how many leading events of a pending run fit one
+// frame: at most TaskEventsMax, fewer when their weight would pass
+// TaskEventsMaxBytes, never less than one.
+func CutTaskEvents(events []TaskEventItem) int {
+	n, bytes := 0, 0
+	for n < len(events) && n < TaskEventsMax {
+		bytes += events[n].weight()
+		if n > 0 && bytes > TaskEventsMaxBytes {
+			break
+		}
+		n++
+	}
+	return n
 }
 
 // TaskBeat is one assignment's entry in a Heartbeat: a compact progress

@@ -1,10 +1,12 @@
 package protocol
 
 import (
+	"strings"
 	"testing"
 
 	"cn/internal/msg"
 	"cn/internal/task"
+	"cn/internal/trace"
 )
 
 func roundTrip[T any](t *testing.T, kind msg.Kind, in T) T {
@@ -68,9 +70,52 @@ func TestCreateTasksReqRoundTrip(t *testing.T) {
 }
 
 func TestTaskEventRoundTrip(t *testing.T) {
-	got := roundTrip(t, msg.KindTaskFailed, TaskEvent{JobID: "j", Task: "t", Node: "n", Err: "boom"})
+	got := roundTrip(t, msg.KindTaskRetried, TaskEvent{JobID: "j", Task: "t", Node: "n", Err: "boom"})
 	if got.Err != "boom" || got.Task != "t" {
 		t.Errorf("got %+v", got)
+	}
+}
+
+func TestTaskEventsRoundTrip(t *testing.T) {
+	got := roundTrip(t, msg.KindTaskEvents, TaskEvents{JobID: "j", Node: "n", Events: []TaskEventItem{
+		{Kind: msg.KindTaskStarted, Task: "t"},
+		{Kind: msg.KindTaskFailed, Task: "t", Err: "boom", Attempt: 1},
+	}})
+	if got.Node != "n" || len(got.Events) != 2 || got.Events[0].Kind != msg.KindTaskStarted ||
+		got.Events[1].Err != "boom" || got.Events[1].Attempt != 1 {
+		t.Errorf("got %+v", got)
+	}
+}
+
+// TestCutTaskEvents: a frame takes at most TaskEventsMax events, fewer when
+// their error texts and spans would pass TaskEventsMaxBytes, and never none
+// — an event too heavy for the byte bound still travels, alone.
+func TestCutTaskEvents(t *testing.T) {
+	light := make([]TaskEventItem, 600)
+	for i := range light {
+		light[i] = TaskEventItem{Kind: msg.KindTaskCompleted, Task: "t"}
+	}
+	if n := CutTaskEvents(light); n != TaskEventsMax {
+		t.Errorf("600 light events cut at %d, want %d", n, TaskEventsMax)
+	}
+	if n := CutTaskEvents(light[:3]); n != 3 {
+		t.Errorf("3 light events cut at %d", n)
+	}
+	if n := CutTaskEvents(nil); n != 0 {
+		t.Errorf("no events cut at %d", n)
+	}
+	heavy := strings.Repeat("x", TaskEventsMaxBytes/4)
+	errs := make([]TaskEventItem, 10)
+	for i := range errs {
+		errs[i] = TaskEventItem{Kind: msg.KindTaskFailed, Task: "t", Err: heavy}
+	}
+	if n := CutTaskEvents(errs); n != 4 {
+		t.Errorf("quarter-bound errors cut at %d, want 4", n)
+	}
+	spans := make([]trace.Span, 2*TaskEventsMaxBytes/48)
+	traced := []TaskEventItem{{Kind: msg.KindTaskCompleted, Task: "a", Spans: spans}, {Kind: msg.KindTaskCompleted, Task: "b"}}
+	if n := CutTaskEvents(traced); n != 1 {
+		t.Errorf("an event over the byte bound cut at %d, want 1 (alone)", n)
 	}
 }
 
@@ -94,8 +139,8 @@ func TestJobEventRoundTrip(t *testing.T) {
 }
 
 func TestExecTaskReqRoundTrip(t *testing.T) {
-	got := roundTrip(t, msg.KindExecTask, ExecTaskReq{JobID: "j", Task: "t9"})
-	if got.Task != "t9" {
+	got := roundTrip(t, msg.KindExecTask, ExecTaskReq{JobID: "j", Tasks: []string{"t9", "t10"}})
+	if len(got.Tasks) != 2 || got.Tasks[0] != "t9" || got.Tasks[1] != "t10" {
 		t.Errorf("got %+v", got)
 	}
 }

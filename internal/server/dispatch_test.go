@@ -8,6 +8,7 @@ import (
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/server"
+	"cn/internal/task"
 	"cn/internal/transport"
 	"cn/internal/tuplespace"
 )
@@ -295,4 +296,70 @@ func TestFrameDuringStart(t *testing.T) {
 		srv.Close()
 		net.Close()
 	}
+}
+
+// TestExecFrameStartsItsListAndReportsThroughTheOutbox: a node playing the
+// JobManager assigns seven tasks and sends one EXEC_TASK listing eight. The
+// seven run; the eighth — never assigned — fails alone; and everything the
+// server has to say about it arrives as TASK_EVENTS batches, each task's
+// STARTED ahead of its end, with no lifecycle label as the kind of a frame
+// (the failure report used to be a bare TASK_FAILED sent from the dispatch
+// goroutine, free to overtake events already queued).
+func TestExecFrameStartsItsListAndReportsThroughTheOutbox(t *testing.T) {
+	onFabrics(t, func(t *testing.T, c *rawNode, _ string) {
+		const job = "x-job1"
+		names := []string{"a", "b", "c", "d", "ghost", "e", "f", "g"}
+		var items []protocol.TaskCreate
+		for _, n := range names {
+			if n != "ghost" {
+				items = append(items, protocol.TaskCreate{Spec: &task.Spec{Name: n, Class: "srv.Noop",
+					Req: task.Requirements{MemoryMB: 10, RunModel: task.RunAsThreadInTM}}})
+			}
+		}
+		var assigned protocol.AssignTasksResp
+		c.decode(c.await(c.send(msg.KindAssignTasks, protocol.AssignTasksReq{
+			JobID: job, JobManager: "x", ClientNode: "x", Items: items})), &assigned)
+		if len(assigned.Rejected) != 0 {
+			t.Fatalf("assignment rejected: %v", assigned.Rejected)
+		}
+		c.send(msg.KindExecTask, protocol.ExecTaskReq{JobID: job, Tasks: names})
+
+		started, ended := make(map[string]bool), make(map[string]msg.Kind)
+		deadline := time.After(5 * time.Second)
+		for frames := 0; len(ended) < len(names); frames++ {
+			var m *msg.Message
+			select {
+			case m = <-c.in:
+			case <-deadline:
+				t.Fatalf("after %d frames: started %v, ended %v", frames, started, ended)
+			}
+			if m.Kind != msg.KindTaskEvents {
+				t.Fatalf("a %s frame arrived, want only TASK_EVENTS", m.Kind)
+			}
+			var batch protocol.TaskEvents
+			c.decode(m, &batch)
+			if batch.JobID != job || batch.Node != "n1" || len(batch.Events) == 0 {
+				t.Fatalf("batch %+v", batch)
+			}
+			for _, ev := range batch.Events {
+				switch {
+				case ev.Kind == msg.KindTaskStarted:
+					started[ev.Task] = true
+				case ev.Task == "ghost":
+					if ev.Kind != msg.KindTaskFailed || ev.Err == "" {
+						t.Errorf("ghost ended with %+v, want a TASK_FAILED naming the reason", ev)
+					}
+					ended[ev.Task] = ev.Kind
+				case !started[ev.Task] || ev.Kind != msg.KindTaskCompleted:
+					t.Errorf("%s ended with %s (started: %v)", ev.Task, ev.Kind, started[ev.Task])
+					ended[ev.Task] = ev.Kind
+				default:
+					ended[ev.Task] = ev.Kind
+				}
+			}
+		}
+		if len(started) != len(names)-1 || started["ghost"] {
+			t.Errorf("started %v, want the seven assigned tasks", started)
+		}
+	})
 }

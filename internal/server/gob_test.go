@@ -168,9 +168,14 @@ func TestRuntimeSendsNoGob(t *testing.T) {
 	for _, k := range gob {
 		t.Errorf("a %s frame carried a gob body", k)
 	}
-	for _, k := range []msg.Kind{msg.KindAssignTasks, msg.KindJMCheckpoint, msg.KindDataPut, msg.KindTSIn, msg.KindUser} {
+	for _, k := range []msg.Kind{msg.KindAssignTasks, msg.KindExecTask, msg.KindTaskEvents, msg.KindJMCheckpoint, msg.KindDataPut, msg.KindTSIn, msg.KindUser} {
 		if seen[k] == 0 {
 			t.Errorf("the jobs produced no %s frame; the check would miss it", k)
+		}
+	}
+	for _, k := range []msg.Kind{msg.KindTaskStarted, msg.KindTaskCompleted, msg.KindTaskFailed} {
+		if seen[k] != 0 {
+			t.Errorf("%d frames of kind %s: the three are labels inside TASK_EVENTS, not frames", seen[k], k)
 		}
 	}
 }

@@ -1,13 +1,16 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"cn/internal/api"
 	"cn/internal/msg"
 	"cn/internal/protocol"
+	"cn/internal/task"
 	"cn/internal/transport"
 	"cn/internal/tuplespace"
 )
@@ -89,6 +92,82 @@ func benchInboundTSOut(b *testing.B, noReply bool) {
 	b.StopTimer()
 	if got := replies.Load(); got != perOp*int64(b.N) {
 		b.Fatalf("%d replies for %d ops, want %d", got, b.N, perOp*int64(b.N))
+	}
+}
+
+// BenchmarkFanoutRunPhase measures the run phase of a fan-out: a 32-task
+// job of no-ops already placed on four nodes of an in-memory fabric, timed
+// from START_TASK to JOB_COMPLETED. frames/op counts every frame the fabric
+// carried in that window — the exec dispatches, the lifecycle events up to
+// the manager and on to the client, the start call and the terminal event —
+// and must stay a cost per node, not per task: 40 is twice what the batched
+// path sends (16-24: 3 + one EXEC_TASK and about two TASK_EVENTS hops per
+// node) and a quarter of what a frame per task and event did (163).
+func BenchmarkFanoutRunPhase(b *testing.B) {
+	const tasks, nodes = 32, 4
+	net := transport.NewIdealNetwork()
+	defer net.Close()
+	reg := task.NewRegistry()
+	reg.MustRegister("bench.Noop", func() task.Task {
+		return task.Func(func(task.Context) error { return nil })
+	})
+	for i := 1; i <= nodes; i++ {
+		srv, err := Start(net, Config{Node: fmt.Sprintf("node%d", i), Registry: reg,
+			HeartbeatInterval: -1, CheckpointEvery: -1, TraceSample: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+	}
+	cl, err := api.Initialize(net, api.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	specs := make([]*task.Spec, tasks)
+	for i := range specs {
+		specs[i] = &task.Spec{Name: fmt.Sprintf("t%02d", i), Class: "bench.Noop",
+			Req: task.Requirements{MemoryMB: 1000, RunModel: task.RunAsThreadInTM}}
+	}
+	var frames int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		j, err := cl.CreateJobOn("node1", "fanout", protocol.JobRequirements{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		placed, err := j.CreateTasks(specs, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		hosts := make(map[string]bool)
+		for _, node := range placed {
+			hosts[node] = true
+		}
+		if len(hosts) != nodes {
+			b.Fatalf("tasks placed on %d nodes, want %d", len(hosts), nodes)
+		}
+		before := net.Stats().Sent.Load()
+		b.StartTimer()
+		res, err := j.Run(context.Background())
+		b.StopTimer()
+		if err != nil || res.Failed {
+			b.Fatalf("run: %v %+v", err, res)
+		}
+		if p := j.Progress(); p.Completed != tasks {
+			b.Fatalf("%d of %d tasks completed when Wait returned", p.Completed, tasks)
+		}
+		frames += net.Stats().Sent.Load() - before
+		j.Release()
+		b.StartTimer()
+	}
+	b.StopTimer()
+	perOp := float64(frames) / float64(b.N)
+	b.ReportMetric(perOp, "frames/op")
+	if perOp > 40 {
+		b.Errorf("%.1f frames per run phase, want <= 40", perOp)
 	}
 }
 

@@ -7,7 +7,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"time"
@@ -271,7 +270,7 @@ func (s *Server) handle(m *msg.Message) {
 	// Job-scoped traffic is enqueued inline so per-job FIFO order is
 	// preserved from the endpoint into the JobManager's serial worker;
 	// routed user messages are final TaskManager deliveries.
-	case msg.KindTaskStarted, msg.KindTaskCompleted, msg.KindTaskFailed:
+	case msg.KindTaskEvents:
 		s.jm.Enqueue(m)
 	case msg.KindUser, msg.KindBroadcast:
 		if m.Header(protocol.HeaderRouted) != "" {
@@ -364,25 +363,7 @@ func (s *Server) dispatch(m *msg.Message) {
 		if err := protocol.Decode(m, &req); err != nil {
 			return
 		}
-		if err := s.tm.HandleStart(req.JobID, req.Task, m.Trace); err != nil {
-			if errors.Is(err, taskmgr.ErrAlreadyStarted) {
-				// A duplicate dispatch (recovery re-exec or failover
-				// adoption) raced the running copy; it reports its own
-				// terminal event, so there is nothing to fail here.
-				return
-			}
-			// Report the failure as a task event so the job does not hang,
-			// and release the assignment's memory reservation — a task that
-			// can never start must not hold capacity until job teardown.
-			s.tm.ReleaseIfUnstarted(req.JobID, req.Task)
-			ev := protocol.TaskEvent{JobID: req.JobID, Task: req.Task, Node: s.cfg.Node, Err: err.Error()}
-			fm := protocol.Body(msg.KindTaskFailed,
-				msg.Address{Node: s.cfg.Node, Job: req.JobID, Task: req.Task},
-				m.From, ev)
-			if serr := s.ep.Send(m.From.Node, fm); serr != nil && s.cfg.Logf != nil {
-				s.cfg.Logf("[server %s] report exec failure: %v", s.cfg.Node, serr)
-			}
-		}
+		s.tm.HandleExec(req.JobID, req.Tasks, m.From.Node, m.Trace)
 
 	// --- JobManager durability ---
 	case msg.KindJMAdopt:

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -176,10 +177,27 @@ type TaskManager struct {
 	closed   bool
 	wg       sync.WaitGroup
 
+	// outboxes holds, per job, the lifecycle events this node has not sent
+	// yet (see post). An entry exists exactly while its flusher runs.
+	outMu    sync.Mutex
+	outboxes map[string]*outbox
+
 	// Data-plane byte counters: payloads served to peer TaskManagers
 	// (producer side) and pulled from them (consumer side).
 	dataServedBytes  atomic.Int64
 	dataFetchedBytes atomic.Int64
+}
+
+// outbox is one job's unsent lifecycle events, in the order they happened.
+// It holds at most two per assignment of the job on this node (started and
+// the terminal event) plus one per exec that could not start.
+type outbox struct {
+	// manager is where the next batch goes: the owning JobManager as the
+	// event that opened the outbox knew it, re-pointed by HandleAdopt, read
+	// when a batch is cut — so queued events of an adopted job reach the
+	// adopter.
+	manager string
+	events  []protocol.TaskEventItem
 }
 
 // New creates a TaskManager and starts its heartbeat loop (unless
@@ -204,6 +222,7 @@ func New(cfg Config, send SendFunc) *TaskManager {
 		blobs:       archive.NewCache(),
 		stop:        make(chan struct{}),
 		assigned:    make(map[string]*assignment),
+		outboxes:    make(map[string]*outbox),
 		freeMB:      cfg.MemoryMB,
 		lastJMs:     make(map[string]bool),
 		beatScratch: make(map[string][]protocol.TaskBeat),
@@ -544,9 +563,37 @@ func (tm *TaskManager) ReleaseIfUnstarted(jobID, taskName string) bool {
 // report its own terminal event.
 var ErrAlreadyStarted = errors.New("task already started")
 
-// HandleStart processes a KindStartTask from the JobManager for one task.
-// tc is the trace context the exec dispatch carried (zero when untraced);
-// the execute goroutine parents its spans to it.
+// HandleExec processes a KindExecTask from the JobManager at node from: start
+// every listed task of the job, in order. tc is the trace context the frame
+// carried (zero when untraced); each task's exec span parents to it. A task
+// that is already running is left alone — under at-least-once re-dispatch
+// (recovery re-exec, failover adoption) the running copy reports its own
+// end. A task that cannot start fails alone: its reservation is released —
+// it must not hold capacity until job teardown — and its TASK_FAILED joins
+// the job's outbox, behind whatever the job already has queued there.
+func (tm *TaskManager) HandleExec(jobID string, tasks []string, from string, tc trace.Context) {
+	// Counted like a running task, so the flusher a failure report may
+	// start is never added to a wait group Close is already draining.
+	tm.mu.Lock()
+	if tm.closed {
+		tm.mu.Unlock()
+		return
+	}
+	tm.wg.Add(1)
+	tm.mu.Unlock()
+	defer tm.wg.Done()
+	for _, name := range tasks {
+		err := tm.HandleStart(jobID, name, tc)
+		if err == nil || errors.Is(err, ErrAlreadyStarted) {
+			continue
+		}
+		tm.ReleaseIfUnstarted(jobID, name)
+		tm.post(jobID, from, protocol.TaskEventItem{Kind: msg.KindTaskFailed, Task: name, Err: err.Error()})
+	}
+}
+
+// HandleStart starts one assigned task on a goroutine of its own; tc is the
+// trace context its exec span parents to.
 func (tm *TaskManager) HandleStart(jobID, taskName string, tc trace.Context) error {
 	tm.mu.Lock()
 	a, ok := tm.assigned[key(jobID, taskName)]
@@ -620,24 +667,66 @@ func (tm *TaskManager) execute(a *assignment) {
 	tm.event(msg.KindTaskCompleted, a, "")
 }
 
-// event reports a lifecycle event to the JobManager. The owning manager is
-// resolved at send time: an assignment adopted mid-run reports its terminal
-// event to the survivor, not the dead origin. Terminal events drain the
-// task's locally recorded spans into the payload so they join the
+// event records a lifecycle event of a running assignment. Terminal events
+// drain the task's locally recorded spans into the event so they join the
 // JobManager's per-job timeline exactly once.
 func (tm *TaskManager) event(kind msg.Kind, a *assignment, errText string) {
-	jmNode := a.jm()
-	ev := protocol.TaskEvent{JobID: a.jobID, Task: a.spec.Name, Node: tm.cfg.Node, Err: errText}
-	if kind == msg.KindTaskCompleted || kind == msg.KindTaskFailed {
+	ev := protocol.TaskEventItem{Kind: kind, Task: a.spec.Name, Err: errText}
+	if kind != msg.KindTaskStarted {
 		ev.Spans = tm.tracer.Store().Take(a.jobID, a.spec.Name)
 	}
-	m := protocol.Body(kind,
-		msg.Address{Node: tm.cfg.Node, Job: a.jobID, Task: a.spec.Name},
-		msg.Address{Node: jmNode, Job: a.jobID},
-		ev)
-	m.Trace = a.trace
-	if err := tm.send(jmNode, m); err != nil {
-		tm.logf("event %s for %s: %v", kind, key(a.jobID, a.spec.Name), err)
+	tm.post(a.jobID, a.jm(), ev)
+}
+
+// post appends an event to its job's outbox. The first event of an idle
+// outbox starts the job's flusher, and manager — where the poster believes
+// the job lives — is where that flusher sends unless an adoption re-points
+// it. There is no timer and nothing waits for a batch to fill: whatever the
+// node reports about the job while the flusher is being scheduled, or is
+// busy sending, leaves in the next frame.
+func (tm *TaskManager) post(jobID, manager string, ev protocol.TaskEventItem) {
+	tm.outMu.Lock()
+	ob := tm.outboxes[jobID]
+	if ob == nil {
+		ob = &outbox{manager: manager}
+		tm.outboxes[jobID] = ob
+		tm.wg.Add(1) // the poster is itself counted (execute, HandleExec)
+		go tm.flush(jobID, ob)
+	}
+	ob.events = append(ob.events, ev)
+	tm.outMu.Unlock()
+}
+
+// flush is one job's flusher: yield once — a task that does little has its
+// STARTED and its terminal event in the outbox by then, and so have the
+// sibling tasks one EXEC_TASK frame started — then send what has gathered as
+// TASK_EVENTS frames, cut by protocol.CutTaskEvents, until the outbox is
+// empty; the empty outbox is deleted and the flusher exits, so a job leaves
+// nothing behind here. Events of one job therefore leave the node in the
+// order they were posted, one flusher at a time. A batch that cannot be sent
+// is logged and dropped: delivery is at-most-once, leases and recovery own
+// the rest.
+func (tm *TaskManager) flush(jobID string, ob *outbox) {
+	defer tm.wg.Done()
+	runtime.Gosched()
+	for {
+		tm.outMu.Lock()
+		if len(ob.events) == 0 {
+			delete(tm.outboxes, jobID)
+			tm.outMu.Unlock()
+			return
+		}
+		n := protocol.CutTaskEvents(ob.events)
+		batch, manager := ob.events[:n:n], ob.manager
+		ob.events = ob.events[n:]
+		tm.outMu.Unlock()
+		m := protocol.Body(msg.KindTaskEvents,
+			msg.Address{Node: tm.cfg.Node, Job: jobID},
+			msg.Address{Node: manager, Job: jobID},
+			protocol.TaskEvents{JobID: jobID, Node: tm.cfg.Node, Events: batch})
+		if err := tm.send(manager, m); err != nil {
+			tm.logf("%d events of job %s to %s: %v", n, jobID, manager, err)
+		}
 	}
 }
 
@@ -668,6 +757,11 @@ func (tm *TaskManager) HandleAdopt(m *msg.Message) *msg.Message {
 		})
 	}
 	tm.mu.Unlock()
+	tm.outMu.Lock()
+	if ob := tm.outboxes[req.JobID]; ob != nil {
+		ob.manager = req.NewManager
+	}
+	tm.outMu.Unlock()
 	sort.Slice(resp.Present, func(i, j int) bool { return resp.Present[i].Task < resp.Present[j].Task })
 	tm.log.Info("job re-pointed at new manager", "job", req.JobID, "manager", req.NewManager, "assignments", len(resp.Present))
 	return m.Reply(msg.KindJMAdopt, msg.MustEncode(resp))

@@ -20,31 +20,92 @@ import (
 type sink struct {
 	mu   sync.Mutex
 	msgs []*msg.Message
+	// more is closed, and dropped, by the next send: what a waiter that
+	// found nothing yet blocks on.
+	more chan struct{}
 }
 
 func (s *sink) send(toNode string, m *msg.Message) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.msgs = append(s.msgs, m)
+	if s.more != nil {
+		close(s.more)
+		s.more = nil
+	}
 	return nil
 }
 
-func (s *sink) waitKind(t *testing.T, kind msg.Kind) *msg.Message {
+// wait blocks until a message sent so far, or sent from now on, matches.
+func (s *sink) wait(t *testing.T, what string, match func(*msg.Message) bool) *msg.Message {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
+	timeout := time.After(5 * time.Second)
+	for {
 		s.mu.Lock()
 		for _, m := range s.msgs {
-			if m.Kind == kind {
+			if match(m) {
 				s.mu.Unlock()
 				return m
 			}
 		}
+		if s.more == nil {
+			s.more = make(chan struct{})
+		}
+		more := s.more
 		s.mu.Unlock()
-		time.Sleep(time.Millisecond)
+		select {
+		case <-more:
+		case <-timeout:
+			t.Fatalf("no %s seen", what)
+		}
 	}
-	t.Fatalf("no %v message seen", kind)
-	return nil
+}
+
+func (s *sink) waitKind(t *testing.T, kind msg.Kind) *msg.Message {
+	t.Helper()
+	return s.wait(t, kind.String()+" message", func(m *msg.Message) bool { return m.Kind == kind })
+}
+
+// batches decodes the TASK_EVENTS frames sent so far, in send order.
+func (s *sink) batches(t *testing.T) (frames []*msg.Message, out []protocol.TaskEvents) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, m := range s.msgs {
+		if m.Kind != msg.KindTaskEvents {
+			continue
+		}
+		var b protocol.TaskEvents
+		if err := protocol.Decode(m, &b); err != nil {
+			t.Fatalf("bad TASK_EVENTS frame: %v", err)
+		}
+		frames, out = append(frames, m), append(out, b)
+	}
+	return frames, out
+}
+
+// waitEvent blocks until a TASK_EVENTS frame has carried the given label
+// for the task, and returns that frame and the event.
+func (s *sink) waitEvent(t *testing.T, label msg.Kind, taskName string) (*msg.Message, protocol.TaskEventItem) {
+	t.Helper()
+	var found protocol.TaskEventItem
+	m := s.wait(t, label.String()+" of "+taskName, func(m *msg.Message) bool {
+		if m.Kind != msg.KindTaskEvents {
+			return false
+		}
+		var b protocol.TaskEvents
+		if err := protocol.Decode(m, &b); err != nil {
+			return false
+		}
+		for _, ev := range b.Events {
+			if ev.Kind == label && ev.Task == taskName {
+				found = ev
+				return true
+			}
+		}
+		return false
+	})
+	return m, found
 }
 
 func registry(t *testing.T) *task.Registry {
@@ -134,11 +195,8 @@ func TestAssignReservesAndReleasesMemory(t *testing.T) {
 	if err := tm.HandleStart("j1", "t1", trace.Context{}); err != nil {
 		t.Fatal(err)
 	}
-	s.waitKind(t, msg.KindTaskCompleted)
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && tm.FreeMemoryMB() != 1000 {
-		time.Sleep(time.Millisecond)
-	}
+	// The terminal event is posted after the reservation is returned.
+	s.waitEvent(t, msg.KindTaskCompleted, "t1")
 	if tm.FreeMemoryMB() != 1000 {
 		t.Errorf("free = %d after completion, want 1000", tm.FreeMemoryMB())
 	}
@@ -217,7 +275,7 @@ func TestStartErrors(t *testing.T) {
 	if err := tm.HandleStart("j1", "t", trace.Context{}); err == nil {
 		t.Error("double start accepted")
 	}
-	s.waitKind(t, msg.KindTaskCompleted)
+	s.waitEvent(t, msg.KindTaskCompleted, "t")
 }
 
 func TestCancelReleasesUnstarted(t *testing.T) {
@@ -346,7 +404,7 @@ func TestCacheHitAssignmentWithRefOnlyExecutes(t *testing.T) {
 	if err := tm.HandleStart("j1", "hit", trace.Context{}); err != nil {
 		t.Fatal(err)
 	}
-	s.waitKind(t, msg.KindTaskCompleted)
+	s.waitEvent(t, msg.KindTaskCompleted, "hit")
 }
 
 func TestBatchAssignRejectsIndividually(t *testing.T) {
@@ -451,30 +509,18 @@ func TestHeartbeatCarriesTaskBeats(t *testing.T) {
 	}
 	// Wait for a beat that includes the assignment (the first beat may have
 	// raced the assign call).
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		s.mu.Lock()
-		found := false
-		for _, mm := range s.msgs {
-			if mm.Kind != msg.KindHeartbeat {
-				continue
-			}
-			var b protocol.Heartbeat
-			if protocol.Decode(mm, &b) == nil {
-				for _, tb := range b.Beats {
-					if tb.JobID == "j1" && tb.Task == "t1" && !tb.Running {
-						found = true
-					}
-				}
+	s.wait(t, "heartbeat carrying the assignment's beat", func(mm *msg.Message) bool {
+		var b protocol.Heartbeat
+		if mm.Kind != msg.KindHeartbeat || protocol.Decode(mm, &b) != nil {
+			return false
+		}
+		for _, tb := range b.Beats {
+			if tb.JobID == "j1" && tb.Task == "t1" && !tb.Running {
+				return true
 			}
 		}
-		s.mu.Unlock()
-		if found {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("no heartbeat carried the assignment's beat")
+		return false
+	})
 }
 
 func TestGoodbyeBeatAfterLastAssignment(t *testing.T) {
@@ -488,26 +534,10 @@ func TestGoodbyeBeatAfterLastAssignment(t *testing.T) {
 	s.waitKind(t, msg.KindHeartbeat)
 	tm.HandleCancel("j1") // releases the only assignment
 	// An empty (goodbye) heartbeat must follow.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		s.mu.Lock()
-		goodbye := false
-		for _, mm := range s.msgs {
-			if mm.Kind != msg.KindHeartbeat {
-				continue
-			}
-			var b protocol.Heartbeat
-			if protocol.Decode(mm, &b) == nil && len(b.Beats) == 0 {
-				goodbye = true
-			}
-		}
-		s.mu.Unlock()
-		if goodbye {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("no goodbye beat after the last assignment was released")
+	s.wait(t, "goodbye beat after the last assignment was released", func(mm *msg.Message) bool {
+		var b protocol.Heartbeat
+		return mm.Kind == msg.KindHeartbeat && protocol.Decode(mm, &b) == nil && len(b.Beats) == 0
+	})
 }
 
 func TestHeartbeatAckUnknownJobReleasesAssignments(t *testing.T) {
@@ -549,7 +579,7 @@ func TestReleaseIfUnstarted(t *testing.T) {
 	if tm.ReleaseIfUnstarted("j1", "t2") {
 		t.Error("release of a started task succeeded")
 	}
-	s.waitKind(t, msg.KindTaskCompleted)
+	s.waitEvent(t, msg.KindTaskCompleted, "t2")
 }
 
 // TestTaskOutIsOneWayAndStoppedIsLocal drives a task's tuple-space ops
@@ -586,9 +616,7 @@ func TestTaskOutIsOneWayAndStoppedIsLocal(t *testing.T) {
 				return err
 			}
 			close(sent)
-			for !ctx.Done() {
-				time.Sleep(time.Millisecond)
-			}
+			ctx.Recv() // returns once the cancel closes the mailbox
 			_, inErr := ctx.InP(tuplespace.Template{"n", 0})
 			stopped <- []error{ctx.Out(tuplespace.Tuple{"n", 0}), ctx.Flush(), inErr, ctx.Out(tuplespace.Tuple{})}
 			return nil

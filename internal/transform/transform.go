@@ -326,20 +326,31 @@ func CNXToModel(doc *cnx.Document) (*core.Client, error) {
 	return client, nil
 }
 
-// XMI2CNX is the end-to-end transformation the paper names: it reads an XMI
-// document and writes the corresponding CNX client descriptor.
-func XMI2CNX(r io.Reader, w io.Writer, opts Options) error {
+// XMI2CNXDoc reads an XMI document and lowers it to the CNX descriptor it
+// describes, as a document in memory: what a caller that goes on to run the
+// descriptor wants, with no text to write and parse again.
+func XMI2CNXDoc(r io.Reader, opts Options) (*cnx.Document, error) {
 	doc, err := xmi.Parse(r)
 	if err != nil {
-		return fmt.Errorf("transform: xmi2cnx: %w", err)
+		return nil, fmt.Errorf("transform: xmi2cnx: %w", err)
 	}
 	client, err := FromXMI(doc)
 	if err != nil {
-		return fmt.Errorf("transform: xmi2cnx: %w", err)
+		return nil, fmt.Errorf("transform: xmi2cnx: %w", err)
 	}
 	cdoc, err := ModelToCNX(client, opts)
 	if err != nil {
-		return fmt.Errorf("transform: xmi2cnx: %w", err)
+		return nil, fmt.Errorf("transform: xmi2cnx: %w", err)
+	}
+	return cdoc, nil
+}
+
+// XMI2CNX is the end-to-end transformation the paper names: it reads an XMI
+// document and writes the corresponding CNX client descriptor.
+func XMI2CNX(r io.Reader, w io.Writer, opts Options) error {
+	cdoc, err := XMI2CNXDoc(r, opts)
+	if err != nil {
+		return err
 	}
 	if err := cdoc.Encode(w); err != nil {
 		return fmt.Errorf("transform: xmi2cnx: %w", err)

@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -393,5 +394,85 @@ func TestArgTableDrivenExpansion(t *testing.T) {
 	}
 	if s0.Params[0].Value != "left" {
 		t.Errorf("first invocation param = %v", s0.Params)
+	}
+}
+
+// TestXMI2CNXDocNeedsNoTextRoundTrip: the document XMI2CNXDoc returns is
+// the one a caller used to get by writing it out and parsing the text back
+// — field for field (the XML name of the root element aside, which only
+// the decoder sets) and spec for spec — for the paper's explicit model
+// (Figures 2-3) and for its dynamic one (Figure 5) at 4, 8 and 16
+// invocations; and XMI2CNX still writes exactly that document's text.
+func TestXMI2CNXDocNeedsNoTextRoundTrip(t *testing.T) {
+	dynamic, err := core.NewBuilder("dyn").
+		Initial("i").
+		Action("split", core.TaskTags("s.jar", "Split", 500, "RUN_AS_THREAD_IN_TM")).
+		DynamicAction("worker", core.TaskTags("w.jar", "Worker", 500, "RUN_AS_THREAD_IN_TM"), "*", "rows").
+		Action("join", core.TaskTags("j.jar", "Join", 500, "RUN_AS_THREAD_IN_TM")).
+		Final("f").
+		Flows("i", "split", "worker", "join", "f").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn := core.NewClient("Dyn")
+	if err := dyn.AddJob(dynamic); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		client *core.Client
+		opts   Options
+		tasks  int
+	}{
+		"fig3 explicit":   {buildFig3Client(t), Options{Port: 5666}, 7},
+		"fig5 dynamic 4":  {dyn, Options{Args: core.FixedArgs(4)}, 6},
+		"fig5 dynamic 8":  {dyn, Options{Args: core.FixedArgs(8)}, 10},
+		"fig5 dynamic 16": {dyn, Options{Args: core.FixedArgs(16)}, 18},
+	} {
+		t.Run(name, func(t *testing.T) {
+			xdoc, err := ToXMI(tc.client)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xmlText, err := xdoc.WriteString()
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc, err := XMI2CNXDoc(strings.NewReader(xmlText), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			text, err := doc.EncodeString()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if written, err := XMI2CNXString(xmlText, tc.opts); err != nil || written != text {
+				t.Errorf("XMI2CNX wrote (err %v)\n%s\nwant the document's own text\n%s", err, written, text)
+			}
+			parsed, err := cnx.ParseString(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parsed.XMLName = doc.XMLName
+			if !reflect.DeepEqual(doc, parsed) {
+				t.Errorf("document differs from its own text parsed back:\n%+v\n%+v", doc, parsed)
+			}
+			for _, d := range []*cnx.Document{doc, parsed} {
+				if err := d.Validate(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			direct, err := doc.Client.Jobs[0].Specs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaText, err := parsed.Client.Jobs[0].Specs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(direct) != tc.tasks || !reflect.DeepEqual(direct, viaText) {
+				t.Errorf("%d specs compiled directly, want %d, equal to the %d compiled from text", len(direct), tc.tasks, len(viaText))
+			}
+		})
 	}
 }

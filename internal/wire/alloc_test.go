@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"fmt"
 	"testing"
 
+	"cn/internal/msg"
 	"cn/internal/protocol"
 )
 
@@ -16,6 +18,17 @@ func TestHotBodyAllocs(t *testing.T) {
 	req := protocol.TSOpReq{JobID: "node1-job1", FromTask: "w1", ParkMS: 1000, Fields: fields}
 	resp := protocol.TSOpResp{OK: true, Fields: fields}
 	ev := protocol.TaskEvent{JobID: "node1-job1", Task: "t01", Node: "node2", Attempt: 1}
+	// A node's share of a 32-task fan-out as it leaves the outbox: decoding
+	// costs the Reader, the two batch strings and the event slice, then one
+	// task name per event (2 per event is the budget; a failure adds its text).
+	batch := protocol.TaskEvents{JobID: "node1-job1", Node: "node2"}
+	for i := 0; i < 16; i++ {
+		name := fmt.Sprintf("t%02d", i)
+		batch.Events = append(batch.Events,
+			protocol.TaskEventItem{Kind: msg.KindTaskStarted, Task: name},
+			protocol.TaskEventItem{Kind: msg.KindTaskCompleted, Task: name})
+	}
+	exec := protocol.ExecTaskReq{JobID: "node1-job1", Tasks: []string{"t00", "t01", "t02", "t03", "t04", "t05", "t06", "t07"}}
 	for _, tc := range []struct {
 		name      string
 		ptr, val  any
@@ -25,6 +38,8 @@ func TestHotBodyAllocs(t *testing.T) {
 		{"TSOpReq", &req, req, func(enc []byte) error { return Default.Unmarshal(enc, new(protocol.TSOpReq)) }, 6},
 		{"TSOpResp", &resp, resp, func(enc []byte) error { return Default.Unmarshal(enc, new(protocol.TSOpResp)) }, 4},
 		{"TaskEvent", &ev, ev, func(enc []byte) error { return Default.Unmarshal(enc, new(protocol.TaskEvent)) }, 5},
+		{"TaskEvents", &batch, batch, func(enc []byte) error { return Default.Unmarshal(enc, new(protocol.TaskEvents)) }, 2*32 + 4},
+		{"ExecTaskReq", &exec, exec, func(enc []byte) error { return Default.Unmarshal(enc, new(protocol.ExecTaskReq)) }, 8 + 4},
 	} {
 		for form, v := range map[string]any{"pointer": tc.ptr, "value": tc.val} {
 			if n := testing.AllocsPerRun(200, func() {

@@ -8,9 +8,11 @@ import (
 	"io"
 	"reflect"
 	"testing"
+	"time"
 
 	"cn/internal/msg"
 	"cn/internal/protocol"
+	"cn/internal/trace"
 )
 
 // gobBaseline encodes v the way the pre-codec wire did: a fresh
@@ -237,6 +239,68 @@ func FuzzRoundTripTSOpReq(f *testing.F) {
 			t.Errorf("round trip mismatch: %+v vs %+v", in, out)
 		}
 	})
+}
+
+// FuzzRoundTripTaskEvents: structured fuzzing of the lifecycle batch — the
+// frame every task's start and end travel in: any batch of the three labels
+// that marshals must unmarshal to the same value, spans and all, and a label
+// outside the three must be refused by the decoder, never delivered.
+func FuzzRoundTripTaskEvents(f *testing.F) {
+	f.Add("node1-job1", "node2", "t01", "", int64(0), uint8(0), "tm.exec", int64(1500))
+	f.Add("", "", "", "task panic: boom", int64(2), uint8(2), "", int64(0))
+	f.Add("j", "n", "t", "x", int64(-1), uint8(7), "s", int64(-5))
+	f.Fuzz(func(t *testing.T, jobID, node, taskName, errText string, attempt int64, label uint8, spanName string, durNS int64) {
+		kinds := []msg.Kind{msg.KindTaskStarted, msg.KindTaskCompleted, msg.KindTaskFailed}
+		in := &protocol.TaskEvents{JobID: jobID, Node: node, Events: []protocol.TaskEventItem{
+			{Kind: kinds[int(label)%3], Task: taskName},
+			{Kind: kinds[(int(label)+1)%3], Task: taskName, Err: errText, Attempt: int(attempt), Spans: []trace.Span{
+				{Trace: 7, ID: 8, Parent: 7, Name: spanName, Node: node, Job: jobID, Task: taskName,
+					Start: time.Unix(0, 1_700_000_000_000_000_000), Dur: time.Duration(durNS), Err: errText},
+			}},
+		}}
+		enc, err := Default.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out protocol.TaskEvents
+		if err := Default.Unmarshal(enc, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&out, in) {
+			t.Errorf("round trip mismatch: %+v vs %+v", in, out)
+		}
+		in.Events[0].Kind = msg.Kind(int(label) + int(msg.KindTaskFailed) + 1)
+		if enc, err = Default.Marshal(in); err != nil {
+			t.Fatal(err)
+		}
+		if err := Default.Unmarshal(enc, new(protocol.TaskEvents)); err == nil {
+			t.Errorf("a batch with an event labelled %d decoded", in.Events[0].Kind)
+		}
+	})
+}
+
+// TestTaskEventsBounds: the decoder refuses a batch no sender produces —
+// one event more than a frame may carry — and accepts one at the bound.
+func TestTaskEventsBounds(t *testing.T) {
+	batch := protocol.TaskEvents{JobID: "j", Node: "n", Events: make([]protocol.TaskEventItem, protocol.TaskEventsMax+1)}
+	for i := range batch.Events {
+		batch.Events[i] = protocol.TaskEventItem{Kind: msg.KindTaskCompleted, Task: "t"}
+	}
+	enc, err := Default.Marshal(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Default.Unmarshal(enc, new(protocol.TaskEvents)); err == nil {
+		t.Errorf("a batch of %d events decoded", len(batch.Events))
+	}
+	batch.Events = batch.Events[:protocol.TaskEventsMax]
+	if enc, err = Default.Marshal(batch); err != nil {
+		t.Fatal(err)
+	}
+	var out protocol.TaskEvents
+	if err := Default.Unmarshal(enc, &out); err != nil || len(out.Events) != protocol.TaskEventsMax {
+		t.Errorf("a batch at the bound: %d events, err %v", len(out.Events), err)
+	}
 }
 
 // FuzzRoundTripTMOffer: structured fuzzing of the extended placement offer

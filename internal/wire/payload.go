@@ -63,6 +63,7 @@ const (
 	tJMCheckpoint
 	tJMAdoptReq
 	tJMAdoptResp
+	tTaskEvents
 )
 
 // The codec table: one row per body type — type id, capacity hint for the
@@ -85,7 +86,7 @@ func init() {
 	register(tBlobChunkReq, 128, appendBlobChunkReq, readBlobChunkReq)
 	register(tBlobChunkResp, 128, appendBlobChunkResp, readBlobChunkResp)
 	register(tStartJobReq, 128, appendStartJobReq, readStartJobReq)
-	register(tExecTaskReq, 64, appendExecTaskReq, readExecTaskReq)
+	registerSized(tExecTaskReq, func(v protocol.ExecTaskReq) int { return 48 + 16*len(v.Tasks) }, appendExecTaskReq, readExecTaskReq)
 	register(tTaskEvent, 128, appendTaskEvent, readTaskEvent)
 	registerSized(tHeartbeat, func(v protocol.Heartbeat) int { return 64 + 48*len(v.Beats) }, appendHeartbeat, readHeartbeat)
 	register(tHeartbeatAck, 64, appendHeartbeatAck, readHeartbeatAck)
@@ -103,6 +104,7 @@ func init() {
 	registerSized(tJMCheckpoint, func(v protocol.JMCheckpoint) int { return 64 + len(v.Data) }, appendJMCheckpoint, readJMCheckpoint)
 	register(tJMAdoptReq, 128, appendJMAdoptReq, readJMAdoptReq)
 	registerSized(tJMAdoptResp, func(v protocol.JMAdoptResp) int { return 32 + 48*len(v.Present) }, appendJMAdoptResp, readJMAdoptResp)
+	registerSized(tTaskEvents, func(v protocol.TaskEvents) int { return 64 + 24*len(v.Events) }, appendTaskEvents, readTaskEvents)
 }
 
 // form is what the table resolves one dynamic type to. A body type T
@@ -769,14 +771,14 @@ func readStartJobReq(r *Reader, v *protocol.StartJobReq) (err error) {
 
 func appendExecTaskReq(b []byte, v protocol.ExecTaskReq) []byte {
 	b = AppendString(b, v.JobID)
-	return AppendString(b, v.Task)
+	return appendStringSlice(b, v.Tasks)
 }
 
 func readExecTaskReq(r *Reader, v *protocol.ExecTaskReq) (err error) {
 	if v.JobID, err = r.String(); err != nil {
 		return err
 	}
-	v.Task, err = r.String()
+	v.Tasks, err = readStringSlice(r, "exec tasks")
 	return err
 }
 
@@ -1274,6 +1276,66 @@ func readJMAdoptResp(r *Reader, v *protocol.JMAdoptResp) (err error) {
 	}
 	v.Present, err = readTaskBeats(r)
 	return err
+}
+
+func appendTaskEvents(b []byte, v protocol.TaskEvents) []byte {
+	b = AppendString(b, v.JobID)
+	b = AppendString(b, v.Node)
+	b = AppendUvarint(b, uint64(len(v.Events)))
+	for i := range v.Events {
+		e := &v.Events[i]
+		b = AppendUvarint(b, uint64(e.Kind))
+		b = AppendString(b, e.Task)
+		b = AppendString(b, e.Err)
+		b = AppendVarint(b, int64(e.Attempt))
+		b = AppendSpans(b, e.Spans)
+	}
+	return b
+}
+
+// readTaskEvents refuses what no sender produces: more events than one
+// frame may carry, or an event labelled with anything but the three task
+// lifecycle kinds.
+func readTaskEvents(r *Reader, v *protocol.TaskEvents) (err error) {
+	if v.JobID, err = r.String(); err != nil {
+		return err
+	}
+	if v.Node, err = r.String(); err != nil {
+		return err
+	}
+	n, err := r.Count("task events")
+	if err != nil || n == 0 {
+		return err
+	}
+	if n > protocol.TaskEventsMax {
+		return fmt.Errorf("wire: %d task events in one frame (max %d)", n, protocol.TaskEventsMax)
+	}
+	v.Events = make([]protocol.TaskEventItem, n)
+	for i := range v.Events {
+		e := &v.Events[i]
+		var kind uint64
+		if kind, err = r.Uvarint(); err != nil {
+			return err
+		}
+		switch e.Kind = msg.Kind(kind); e.Kind {
+		case msg.KindTaskStarted, msg.KindTaskCompleted, msg.KindTaskFailed:
+		default:
+			return fmt.Errorf("wire: task event labelled with kind %d", kind)
+		}
+		if e.Task, err = r.String(); err != nil {
+			return err
+		}
+		if e.Err, err = r.String(); err != nil {
+			return err
+		}
+		if e.Attempt, err = r.Int(); err != nil {
+			return err
+		}
+		if e.Spans, err = ReadSpans(r); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {

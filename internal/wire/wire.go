@@ -31,9 +31,11 @@ import (
 // context to the message envelope, version 3 the trailing locality fields
 // to the TMOffer body, version 4 the frame's bulk tail (and moved the chunk
 // bodies' Data into it), version 5 the trailing NoReply flag of the TSOpReq
-// body. Nothing outside this repository speaks the wire, so a receiver
+// body, version 6 the task list of the ExecTaskReq body and the TaskEvents
+// body (TASK_STARTED / TASK_COMPLETED / TASK_FAILED stopped being frames).
+// Nothing outside this repository speaks the wire, so a receiver
 // accepts exactly this version and rejects the rest (see docs/WIRE.md).
-const Version = 5
+const Version = 6
 
 // MaxFrameBytes bounds one transport frame (envelope + payload + tail). Senders
 // refuse to emit larger frames and receivers drop the connection on a

@@ -62,7 +62,7 @@ func bodies() []any {
 			{Trace: 11, ID: 11, Name: "client.submit", Node: "client", Job: "j",
 				Start: time.Unix(0, 1_700_000_000_000_000_000), Dur: 42 * time.Millisecond},
 		}},
-		&protocol.ExecTaskReq{JobID: "j", Task: "t1"},
+		&protocol.ExecTaskReq{JobID: "j", Tasks: []string{"t1", "t2"}},
 		&protocol.TaskEvent{JobID: "j", Task: "t1", Node: "n1", Err: "boom", Attempt: 2, Speculative: true,
 			Spans: []trace.Span{
 				{Trace: 11, ID: 12, Parent: 11, Name: "tm.exec", Node: "n1", Job: "j", Task: "t1",
@@ -104,6 +104,14 @@ func bodies() []any {
 		&protocol.JMCheckpoint{Origin: "n1", JobID: "n1-job7", Seq: 4, Done: true, Data: []byte("image")},
 		&protocol.JMAdoptReq{JobID: "n1-job7", NewManager: "n2", ClientNode: "client-1", Tasks: []string{"t1", "t2"}},
 		&protocol.JMAdoptResp{Node: "n3", Present: []protocol.TaskBeat{{JobID: "n1-job7", Task: "t1", Running: true, Progress: 5}}},
+		&protocol.TaskEvents{JobID: "j", Node: "n1", Events: []protocol.TaskEventItem{
+			{Kind: msg.KindTaskStarted, Task: "t1"},
+			{Kind: msg.KindTaskFailed, Task: "t1", Err: "boom", Attempt: 2, Spans: []trace.Span{
+				{Trace: 11, ID: 12, Parent: 11, Name: "tm.exec", Node: "n1", Job: "j", Task: "t1",
+					Start: time.Unix(0, 1_700_000_000_100_000_000), Dur: time.Second, Err: "boom"},
+			}},
+			{Kind: msg.KindTaskCompleted, Task: "t2"},
+		}},
 	}
 }
 

@@ -7,7 +7,12 @@
 # correct output and no failed job. A 3-second traced run of the tuple-space
 # workload then checks three counts that say an Out is still sent, not
 # called: nothing shed, every op counted, and fewer than 7000 frames per job
-# (a reply per tuple reads about 8200, one per 64 about 6200).
+# (a reply per tuple reads about 8200, one per 64 about 6200). A 3-second
+# traced run of the control-plane workload checks that the run phase still
+# costs a frame per node, not per task: fewer than 80 frames per job (an
+# EXEC_TASK per node and batched lifecycle events read about 38; a frame per
+# task, or per event, reads 100 to 183), no failed submission, and no job
+# left active on a manager once the run has quiesced.
 #   bash scripts/benchcheck.sh
 set -eu
 cd "$(dirname "$0")/.."
@@ -21,11 +26,12 @@ for workload in fanout_closed bag_ts; do
 	fi
 done
 
-summary=$(bash bench/run.sh --workload bag_ts --seed 1 --seconds 3 --trace 1 | tail -n 1)
 # metric NAME prints the value the summary line reports for it.
 metric() {
 	grep -Eo "\"$1\":\{\"value\":[-0-9.e+]+" <<<"$summary" | grep -Eo '[-0-9.e+]+$'
 }
+
+summary=$(bash bench/run.sh --workload bag_ts --seed 1 --seconds 3 --trace 1 | tail -n 1)
 drops=$(metric transport.control_drops)
 ops=$(metric tuplespace.ops_per_job)
 frames=$(metric transport.frames_per_job)
@@ -36,5 +42,19 @@ if ! grep -q '"correct":true' <<<"$summary" || ! grep -Eq '"failed":0[,}]' <<<"$
 fi
 if ! awk -v d="$drops" -v o="$ops" -v f="$frames" 'BEGIN { exit !(d == 0 && o >= 4112 && f < 7000) }'; then
 	echo "benchcheck: traced bag_ts wants control_drops = 0, ops_per_job >= 4112, frames_per_job < 7000" >&2
+	exit 1
+fi
+
+summary=$(bash bench/run.sh --workload fanout_closed --seed 1 --seconds 3 --trace 1 | tail -n 1)
+frames=$(metric transport.frames_per_job)
+fails=$(metric client.fail_share)
+active=$(metric jobmgr.active_jobs_at_quiesce)
+echo "fanout_closed traced: frames_per_job=$frames fail_share=$fails active_jobs_at_quiesce=$active"
+if ! grep -q '"correct":true' <<<"$summary" || ! grep -Eq '"failed":0[,}]' <<<"$summary"; then
+	echo "benchcheck: traced fanout_closed did not report correct output with no failures" >&2
+	exit 1
+fi
+if ! awk -v f="$frames" -v s="$fails" -v a="$active" 'BEGIN { exit !(f < 80 && s == 0 && a == 0) }'; then
+	echo "benchcheck: traced fanout_closed wants frames_per_job < 80, fail_share = 0, active_jobs_at_quiesce = 0" >&2
 	exit 1
 fi

@@ -7,8 +7,14 @@
 # them the head-only encode wire.AppendFrameHead and the reader's head/tail
 # split, wire.(*FrameReader).Next / readEnvelope / readTailed), the
 # transport functions every frame passes through (Send, the read and write
-# loops, the posted-receive claim), or Server.handle / dispatch /
-# replyIfAny, declares a frame above the limit.
+# loops, the posted-receive claim), Server.handle / dispatch / replyIfAny,
+# or the lifecycle path of the run phase — the JobManager's execTasks /
+# sendExec and its batch apply (HandleTaskEvents, applyEvents, applyLocked,
+# relayEvents), the TaskManager's HandleExec / post / flush (the flusher is
+# a goroutine per burst of events: it must start on a fresh stack without
+# growing it) and the client's handle / recordEvents — declares a frame
+# above the limit. The TaskEvents and ExecTaskReq codec pairs fall under
+# internal/wire.
 #   bash scripts/framecheck.sh [limit-bytes]
 set -eu
 cd "$(dirname "$0")/.."
@@ -21,6 +27,10 @@ while read -r line; do
 	'cn/internal/server.(*Server).handle' | 'cn/internal/server.(*Server).dispatch' | 'cn/internal/server.(*Server).replyIfAny') ;;
 	'cn/internal/transport.(*tcpEndpoint).Send' | 'cn/internal/transport.(*tcpEndpoint).readLoop' | 'cn/internal/transport.(*tcpEndpoint).writeLoop') ;;
 	'cn/internal/transport.(*tcpEndpoint).claimTail' | 'cn/internal/transport.(*Caller).claim' | 'cn/internal/transport.(*Caller).CallInto') ;;
+	'cn/internal/jobmgr.(*JobManager).execTasks' | 'cn/internal/jobmgr.(*JobManager).sendExec' | 'cn/internal/jobmgr.(*JobManager).HandleTaskEvents') ;;
+	'cn/internal/jobmgr.(*JobManager).applyEvents' | 'cn/internal/jobmgr.(*JobManager).applyLocked' | 'cn/internal/jobmgr.(*JobManager).relayEvents') ;;
+	'cn/internal/taskmgr.(*TaskManager).HandleExec' | 'cn/internal/taskmgr.(*TaskManager).post' | 'cn/internal/taskmgr.(*TaskManager).flush') ;;
+	'cn/internal/api.(*Client).handle' | 'cn/internal/api.(*Job).recordEvents') ;;
 	*) continue ;;
 	esac
 	[[ "$line" =~ locals=(0x[0-9a-f]+) ]] || continue
@@ -29,7 +39,8 @@ while read -r line; do
 		echo "frame of $frame bytes (limit $limit): $sym" >&2
 		bad=1
 	fi
-done < <(go build -gcflags=-S ./internal/wire ./internal/msg ./internal/server ./internal/transport 2>&1 | grep ' STEXT ')
+done < <(go build -gcflags=-S ./internal/wire ./internal/msg ./internal/server ./internal/transport \
+	./internal/jobmgr ./internal/taskmgr ./internal/api 2>&1 | grep ' STEXT ')
 if [ "$bad" -ne 0 ]; then
 	echo "framecheck: a function on the encode/decode/dispatch path needs more than $limit bytes of stack;" >&2
 	echo "keep large bodies behind a pointer or a by-value call into a function of their own (docs/WIRE.md)." >&2
