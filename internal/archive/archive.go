@@ -10,8 +10,6 @@ package archive
 import (
 	"archive/zip"
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"sort"
@@ -174,13 +172,6 @@ func (b *Builder) Build() (*Archive, error) {
 		raw:      buf.Bytes(),
 		digest:   DigestBytes(buf.Bytes()),
 	}, nil
-}
-
-// DigestBytes is the hex SHA-256 of serialized archive bytes — the
-// content address used end to end by the distribution protocol.
-func DigestBytes(raw []byte) string {
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])
 }
 
 // Bytes returns the serialized zip content — the unit the JobManager uploads

@@ -398,5 +398,12 @@ func TestDataplaneFailoverResolveAfterAdoption(t *testing.T) {
 	if !ok {
 		t.Error("consumer never verified the payloads after adoption")
 	}
+	// Adopted, then completed: the adopter read whom to release from the
+	// broker table in the checkpoint (and from the re-run producers' fresh
+	// adverts), and no survivor keeps an entry of the job.
+	caches := ltCaches(c)
+	ltReleased(t, caches, j.ID)
 	t.Logf("adopted by %s; retries=%d", j.Manager(), j.Progress().Retried)
+	c.Stop()
+	ltNoLiveBlobs(t, caches)
 }

@@ -300,6 +300,9 @@ func (b *Broker) Len() int {
 func (b *Broker) Entries() []Loc {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if len(b.locs) == 0 {
+		return nil // every finishing job asks; most never advertised
+	}
 	out := make([]Loc, 0, len(b.locs))
 	for _, l := range b.locs {
 		out = append(out, *l)

@@ -1,0 +1,193 @@
+package jobmgr
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+	"time"
+
+	"cn/internal/dataplane"
+	"cn/internal/protocol"
+	"cn/internal/task"
+	"cn/internal/trace"
+	"cn/internal/tuplespace"
+)
+
+// ckptJob is the part of a jobState a checkpoint image is made from.
+func ckptJob(name string, specs ...*task.Spec) *jobState {
+	j := &jobState{
+		id:         "n1-job1",
+		name:       name,
+		clientNode: "client",
+		specs:      make(map[string]*task.Spec),
+		placement:  make(map[string]string),
+		archives:   make(map[string]protocol.ArchiveRef),
+		retries:    make(map[string]int),
+		taskErrs:   make(map[string]string),
+		blobs:      make(map[string][]byte),
+		space:      tuplespace.New(),
+		broker:     dataplane.NewBroker(nil),
+	}
+	for _, sp := range specs {
+		j.specs[sp.Name] = sp
+	}
+	return j
+}
+
+// ckptState rebuilds from a decoded image the state it was taken of, the
+// way adoptJob does but without acting on it: no ready task is started, no
+// advert invalidated.
+func ckptState(ck *jobCheckpoint) (*jobState, error) {
+	j := ckptJob(ck.name, ck.specs...)
+	j.clientNode, j.started = ck.clientNode, ck.started
+	j.placement, j.archives, j.retries, j.taskErrs, j.blobs = ck.placement, ck.archives, ck.retries, ck.taskErrs, ck.blobs
+	j.root, j.timeline = ck.root, ck.timeline
+	j.broker.Restore(ck.locs)
+	if ck.started {
+		sched, err := RestoreSchedule(ck.specs, ck.statuses)
+		if err != nil {
+			return nil, err
+		}
+		j.schedule = sched
+	}
+	for _, t := range ck.tuples {
+		if err := j.space.Out(t); err != nil {
+			return nil, err
+		}
+	}
+	j.tsOps.Store(ck.tsOps)
+	return j, nil
+}
+
+func ckptSeeds(t testing.TB) [][]byte {
+	spec := func(name string, deps ...string) *task.Spec {
+		return &task.Spec{Name: name, Class: "c.Task", DependsOn: deps,
+			Params: []task.Param{{Type: task.TypeInteger, Value: "7"}},
+			Req:    task.Requirements{MemoryMB: 16, RunModel: task.RunAsThreadInTM}}
+	}
+	empty := ckptJob("empty")
+
+	spaced := ckptJob("spaced", spec("a"), spec("b", "a"))
+	spaced.started = true
+	spaced.placement = map[string]string{"a": "n1", "b": "n2"}
+	spaced.retries["a"] = 1
+	spaced.taskErrs["b"] = "boom"
+	sched, err := NewSchedule([]*task.Spec{spaced.specs["a"], spaced.specs["b"]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spaced.schedule = sched
+	for _, tup := range []tuplespace.Tuple{{"task", 1}, {"res", 2, 4.5, true, []byte{9}}} {
+		if err := spaced.space.Out(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spaced.tsOps.Store(2)
+	spaced.root = trace.Context{TraceID: 5, SpanID: 6}
+	spaced.timeline = []trace.Span{{Trace: 5, ID: 8, Parent: 6, Name: "jm.place", Job: "n1-job1", Start: time.Unix(1700000000, 0), Dur: time.Millisecond}}
+
+	adverts := ckptJob("adverts", spec("map"), spec("red"))
+	adverts.placement = map[string]string{"map": "n1", "red": "n2"}
+	adverts.archives["map"] = protocol.ArchiveRef{Name: "m.jar", Digest: "d0"}
+	adverts.blobs["d0"] = []byte("zip bytes")
+	for _, l := range []dataplane.Loc{
+		{Key: "m0.r0", Task: "map", Node: "n1", Digest: "aa", Size: 3 << 20},
+		{Key: "small", Task: "map", Node: "n1", Digest: "bb", Size: 3, Inline: []byte("abc")},
+		{Key: "orphan", Task: "map", Digest: "cc", Size: 1, Inline: []byte("x")},
+	} {
+		if err := adverts.broker.Put(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var out [][]byte
+	for _, j := range []*jobState{empty, spaced, adverts} {
+		data, err := encodeJobCheckpointLocked(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, data)
+	}
+	return out
+}
+
+// FuzzDecodeJobCheckpoint: a checkpoint image arrives from a peer and is
+// what an adopter rebuilds a job from — the broker table in it is how the
+// adopter knows which nodes to release when the job ends. Arbitrary bytes
+// never panic the decoder, and an image the decoder accepts survives the
+// round trip: re-encoded from the state it describes, it decodes to the same
+// image and encodes to the same bytes again.
+func FuzzDecodeJobCheckpoint(f *testing.F) {
+	for _, seed := range ckptSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := decodeJobCheckpoint(data)
+		if err != nil {
+			return
+		}
+		if len(ck.timeline) > maxCheckpointTraceSpans {
+			return // the encoder keeps a prefix
+		}
+		j, err := ckptState(ck)
+		if err != nil {
+			return // decodable but inconsistent: adoption refuses it too
+		}
+		// The first encoding is the canonical one: an image may name a task
+		// or a key twice, and restoring settles pending tasks whose
+		// dependencies are met.
+		canon, err := encodeJobCheckpointLocked(j)
+		if err != nil {
+			return // past the size caps
+		}
+		ck1, err := decodeJobCheckpoint(canon)
+		if err != nil {
+			t.Fatalf("an image the encoder produced does not decode: %v", err)
+		}
+		j1, err := ckptState(ck1)
+		if err != nil {
+			t.Fatalf("an image the encoder produced does not restore: %v", err)
+		}
+		again, err := encodeJobCheckpointLocked(j1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, canon) {
+			t.Fatalf("re-encoding a decoded image changed it:\n%x\n%x", canon, again)
+		}
+		ck2, err := decodeJobCheckpoint(again)
+		if err != nil || !reflect.DeepEqual(ck1, ck2) {
+			t.Fatalf("decode(encode(image)) differs: %v\n%+v\n%+v", err, ck1, ck2)
+		}
+	})
+}
+
+// TestCheckpointSeedsRoundTrip: the seed images are canonical as they come —
+// decode, restore and encode give the bytes back — and carry what they were
+// built with.
+func TestCheckpointSeedsRoundTrip(t *testing.T) {
+	for i, seed := range ckptSeeds(t) {
+		ck, err := decodeJobCheckpoint(seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		j, err := ckptState(ck)
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		back, err := encodeJobCheckpointLocked(j)
+		if err != nil || !bytes.Equal(back, seed) {
+			t.Errorf("seed %d (%s): round trip changed the image (%v)", i, ck.name, err)
+		}
+		switch ck.name {
+		case "spaced":
+			if len(ck.tuples) != 2 || ck.tsOps != 2 || ck.statuses["a"] != StatusReady || ck.statuses["b"] != StatusPending {
+				t.Errorf("spaced: tuples %v, ops %d, statuses %v", ck.tuples, ck.tsOps, ck.statuses)
+			}
+		case "adverts":
+			if len(ck.locs) != 3 || ck.locs[0].Key != "m0.r0" || ck.locs[0].Node != "n1" || string(ck.locs[2].Inline) != "abc" {
+				t.Errorf("adverts: locs %+v", ck.locs)
+			}
+		}
+	}
+}

@@ -1570,7 +1570,15 @@ func (jm *JobManager) cancelCopy(j *jobState, node, taskName string) {
 // or abandoned. The caller has set j.notified. It releases what the job
 // still holds on other nodes (reason names why, for their logs), retires
 // the record, and tells the client how a started job ended.
+//
+// What a job can hold elsewhere is reservations and running tasks — none
+// once it completed — and the outputs its tasks put into, or pulled into,
+// their nodes' caches, which a completed job holds like any other. So the
+// CANCEL_JOB fan-out that ends the former is also the one signal that ends
+// the latter: a job whose broker holds an advert sends it however it ended,
+// a completed job that never used the data plane sends nothing.
 func (jm *JobManager) finishJob(j *jobState, how outcome, reason string) {
+	adverts := j.broker.Entries()
 	// Close the coordination space and data-plane broker first so workers
 	// blocked in In/Rd or parked in a resolve — on a failed job, possibly
 	// forever — unblock with ErrClosed before the cancel fan-out reaches
@@ -1579,20 +1587,29 @@ func (jm *JobManager) finishJob(j *jobState, how outcome, reason string) {
 	j.broker.Close()
 	var nodes map[string]bool
 	var credits []reservationCredit
-	if how != outcomeCompleted {
+	if how != outcomeCompleted || len(adverts) > 0 {
 		j.mu.Lock()
 		nodes = nodeSet(j.placement)
 		for _, n := range j.speculative {
 			nodes[n] = true
 		}
-		// The cancel fan-out frees every reservation the job still holds;
-		// credit the cached offers too. Taken before CancelAll marks every
-		// task terminal.
-		credits = j.openCreditsLocked()
-		if how == outcomeCancelled && j.schedule != nil {
-			j.schedule.CancelAll()
+		if how != outcomeCompleted {
+			// The cancel fan-out frees every reservation the job still
+			// holds; credit the cached offers too. Taken before CancelAll
+			// marks every task terminal.
+			credits = j.openCreditsLocked()
+			if how == outcomeCancelled && j.schedule != nil {
+				j.schedule.CancelAll()
+			}
 		}
 		j.mu.Unlock()
+		// A producer re-placed since it advertised left its output on a
+		// node the placement no longer names.
+		for _, l := range adverts {
+			if l.Node != "" {
+				nodes[l.Node] = true
+			}
+		}
 	}
 	for node := range nodes {
 		cm := protocol.Body(msg.KindCancelJob,

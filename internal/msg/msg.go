@@ -280,6 +280,13 @@ type Message struct {
 	// borrowed and immutable — the sender must not write to it once the
 	// message is handed to an endpoint, and receivers only read it.
 	Tail []byte
+	// TailDone, when set, is called exactly once by the endpoint the message
+	// is handed to, when that endpoint no longer reads Tail: after the frame
+	// was written, or when it was dropped unsent — on any path, including a
+	// Send that fails. It is how a sender whose tail aliases a counted
+	// buffer learns it may let go. It does not travel and Clone drops it;
+	// a message carrying it is sent once, to one node.
+	TailDone func()
 	// Headers carries small string metadata (e.g. task class, error text).
 	Headers map[string]string
 	// Time is the send timestamp.
@@ -336,9 +343,10 @@ func (m *Message) SetHeader(key, value string) *Message {
 }
 
 // Clone returns a deep copy of m (payload and headers are copied; the
-// immutable tail is shared).
+// immutable tail is shared, and TailDone stays with the original).
 func (m *Message) Clone() *Message {
 	c := *m
+	c.TailDone = nil
 	if m.Payload != nil {
 		c.Payload = append([]byte(nil), m.Payload...)
 	}

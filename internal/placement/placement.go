@@ -409,18 +409,6 @@ func (d *Directory) Stats() Stats {
 	return d.stats
 }
 
-// Plan places a task set onto an offer round with no locality wants: pure
-// capacity scheduling under the default scorer. With nothing resident to
-// prefer, the ranking degenerates to the original worst-fit spreading
-// rule — most free memory, fewest running tasks, lowest node name — so
-// existing callers and their determinism guarantees are unchanged. The
-// returned map holds per-node task lists; unplaced names every task that
-// fits on no node at all.
-func Plan(specs []*task.Spec, offers []protocol.TMOffer) (plan map[string][]*task.Spec, unplaced []*task.Spec) {
-	plan, unplaced, _ = PlanScored(specs, offers, Wants{}, DefaultScorer{})
-	return plan, unplaced
-}
-
 // maxUnplacedNames bounds how many task names an UnplacedError spells out;
 // a 10k-task failure should not log a megabyte line.
 const maxUnplacedNames = 8

@@ -230,18 +230,31 @@ func TestDirectoryConcurrentRefreshSingleFlight(t *testing.T) {
 	}
 }
 
+// planNoWants plans the way a job without archives is planned: no wants,
+// the default scorer. With nothing resident to prefer the ranking is the
+// worst-fit spreading rule — most free memory, fewest running tasks, lowest
+// node name — and there is no locality outcome to report.
+func planNoWants(t *testing.T, specs []*task.Spec, offers []protocol.TMOffer) (plan map[string][]*task.Spec, unplaced []*task.Spec) {
+	t.Helper()
+	plan, unplaced, stats := PlanScored(specs, offers, Wants{}, DefaultScorer{})
+	if stats != (PlanStats{}) {
+		t.Errorf("wantless plan reported locality stats: %+v", stats)
+	}
+	return plan, unplaced
+}
+
 func TestPlanDeterministicTieBreaking(t *testing.T) {
 	// Identical capacity everywhere: placement must still be a pure
 	// function of the input, with ties broken by running count then node
 	// name.
 	offers := []protocol.TMOffer{offer("n3", 100, 1), offer("n1", 100, 0), offer("n2", 100, 0)}
 	specs := []*task.Spec{memSpec("a", 10), memSpec("b", 10)}
-	first, unplaced := Plan(specs, offers)
+	first, unplaced := planNoWants(t, specs, offers)
 	if len(unplaced) != 0 {
 		t.Fatalf("unplaced = %v", unplaced)
 	}
 	for i := 0; i < 10; i++ {
-		again, _ := Plan(specs, offers)
+		again, _ := planNoWants(t, specs, offers)
 		if fmt.Sprint(again) != fmt.Sprint(first) {
 			t.Fatalf("plan not deterministic: %v vs %v", again, first)
 		}
@@ -274,7 +287,7 @@ func TestPlanBinPacksAgainstFreeMemory(t *testing.T) {
 		memSpec("mid", 80),
 		memSpec("tiny", 10),
 	}
-	plan, unplaced := Plan(specs, offers)
+	plan, unplaced := planNoWants(t, specs, offers)
 	if len(unplaced) != 0 {
 		t.Fatalf("unplaced = %v", names(unplaced))
 	}
@@ -291,7 +304,7 @@ func TestPlanBinPacksAgainstFreeMemory(t *testing.T) {
 
 func TestPlanReportsUnplaceable(t *testing.T) {
 	offers := []protocol.TMOffer{offer("n1", 100, 0)}
-	plan, unplaced := Plan([]*task.Spec{memSpec("fits", 50), memSpec("nofit", 500)}, offers)
+	plan, unplaced := planNoWants(t, []*task.Spec{memSpec("fits", 50), memSpec("nofit", 500)}, offers)
 	if len(plan["n1"]) != 1 || plan["n1"][0].Name != "fits" {
 		t.Errorf("plan = %v", plan)
 	}

@@ -116,21 +116,6 @@ func TestScoredDeterministicUnderEqualScores(t *testing.T) {
 	}
 }
 
-func TestScoredMatchesPlanWithoutWants(t *testing.T) {
-	// With no wants the scored path must reproduce the legacy worst-fit
-	// plan exactly — the compatibility contract Plan's callers rely on.
-	offers := []protocol.TMOffer{offer("n1", 3000, 2), offer("n2", 5000, 0), offer("n3", 1000, 1)}
-	specs := []*task.Spec{memSpec("a", 1000), memSpec("b", 2000), memSpec("c", 500), memSpec("d", 500)}
-	gotPlan, gotUnplaced := Plan(specs, offers)
-	scoredPlan, scoredUnplaced, stats := PlanScored(specs, offers, Wants{}, DefaultScorer{})
-	if !reflect.DeepEqual(gotPlan, scoredPlan) || !reflect.DeepEqual(gotUnplaced, scoredUnplaced) {
-		t.Errorf("Plan and PlanScored diverged: %v vs %v", gotPlan, scoredPlan)
-	}
-	if stats != (PlanStats{}) {
-		t.Errorf("wantless plan reported locality stats: %+v", stats)
-	}
-}
-
 func TestScoredBytesSavedCountsNodeDigestOnce(t *testing.T) {
 	// Many tasks landing on one warm node save the archive bytes once, not
 	// once per task.

@@ -17,6 +17,7 @@ import (
 
 	"cn/internal/api"
 	"cn/internal/cluster"
+	"cn/internal/cnx"
 	"cn/internal/dataplane"
 	"cn/internal/jobmgr"
 	"cn/internal/jobstore"
@@ -114,7 +115,10 @@ func (t *runTracker) progress() jobstore.Progress {
 }
 
 // runSubmission is the jobstore executor: compile (queued -> compiling),
-// then execute (running) with abort support via ctx.
+// then execute (running) with abort support via ctx. A submission one of
+// whose CN jobs failed — placement refused, a task failed — returns the
+// collated response and an error naming that job, so its record is failed,
+// carries the error and keeps the result.
 func (p *Portal) runSubmission(ctx context.Context, j *jobstore.Job) (any, error) {
 	sub := j.Submission()
 	doc, err := p.compile(sub.Format, sub.Body, sub.Invocations)
@@ -133,7 +137,19 @@ func (p *Portal) runSubmission(ctx context.Context, j *jobstore.Job) (any, error
 	if err != nil {
 		return resp, err
 	}
-	return resp, nil
+	return resp, firstFailure(doc, resp)
+}
+
+// firstFailure is the error of a run whose response reports a failed CN
+// job: the first one in the descriptor's order, nil when all succeeded.
+func firstFailure(doc *cnx.Document, resp *RunResponse) error {
+	for i := range doc.Client.Jobs {
+		name := doc.Client.Jobs[i].Name
+		if jr, ok := resp.Jobs[name]; ok && jr.Failed {
+			return fmt.Errorf("job %q (%s) failed: %s", name, jr.JobID, jr.Err)
+		}
+	}
+	return nil
 }
 
 // sniffFormat guesses a submission's format from its content when the

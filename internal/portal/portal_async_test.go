@@ -2,6 +2,7 @@ package portal_test
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -32,6 +33,9 @@ var asyncRegistry = func() *task.Registry {
 			}
 			return nil
 		})
+	})
+	r.MustRegister("test.PortalFail", func() task.Task {
+		return task.Func(func(task.Context) error { return errors.New("boom") })
 	})
 	return r
 }()
@@ -270,6 +274,73 @@ func TestAsyncFailedCompile(t *testing.T) {
 	final := pollUntil(t, srv, rec.ID, func(r *jobstore.Record) bool { return r.State.Terminal() }, "terminal")
 	if final.State != jobstore.StateFailed || final.Error == "" {
 		t.Errorf("record = %+v", final)
+	}
+}
+
+// TestAsyncFailedCNJobIsFailed: the record's state agrees with the job's
+// outcome. A submission whose CN job failed — its class is deployable
+// nowhere, or a task returned an error — is failed, not done; it carries an
+// error naming the job and keeps the collated result, per-task errors
+// included; /api/metrics counts it under failed.
+func TestAsyncFailedCNJobIsFailed(t *testing.T) {
+	srv := startAsyncPortal(t, 1, 4)
+	for _, tc := range []struct {
+		name, body string
+		check      func(t *testing.T, jr portal.JobResult)
+	}{
+		{"unregistered class", `<cn2><client class="Bad"><job name="b">
+		  <task name="a" class="does.Not.Exist"/>
+		</job></client></cn2>`, func(t *testing.T, jr portal.JobResult) {
+			if !strings.Contains(jr.Err, "does.Not.Exist") {
+				t.Errorf("job error %q does not name the class", jr.Err)
+			}
+		}},
+		{"failing task", `<cn2><client class="Bad"><job name="b">
+		  <task name="ok" class="test.PortalNoop"/>
+		  <task name="bad" class="test.PortalFail"/>
+		</job></client></cn2>`, func(t *testing.T, jr portal.JobResult) {
+			if !strings.Contains(jr.TaskErrs["bad"], "boom") || len(jr.TaskErrs) != 1 {
+				t.Errorf("task_errors = %v, want bad: boom alone", jr.TaskErrs)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := submitCNX(t, srv, tc.body)
+			final := pollUntil(t, srv, rec.ID, func(r *jobstore.Record) bool { return r.State.Terminal() }, "terminal")
+			if final.State != jobstore.StateFailed || !strings.Contains(final.Error, `job "b"`) {
+				t.Fatalf("record = %+v, want failed with an error naming job b", final)
+			}
+			resp, err := http.Get(srv.URL + "/api/jobs/" + rec.ID + "/result")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var out struct {
+				State  jobstore.State     `json:"state"`
+				Error  string             `json:"error"`
+				Result portal.RunResponse `json:"result"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+			jr, ok := out.Result.Jobs["b"]
+			if resp.StatusCode != http.StatusOK || out.State != jobstore.StateFailed || !ok || !jr.Failed || jr.JobID == "" {
+				t.Fatalf("result: status %d, %+v", resp.StatusCode, out)
+			}
+			tc.check(t, jr)
+		})
+	}
+	resp, err := http.Get(srv.URL + "/api/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m portal.MetricsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if by := m.Jobstore.JobsByState; by[jobstore.StateFailed] != 2 || by[jobstore.StateDone] != 0 {
+		t.Errorf("jobs_by_state = %v, want 2 failed and none done", by)
 	}
 }
 

@@ -139,15 +139,17 @@ func TestPortalUnplaceableJobIsNotLeaked(t *testing.T) {
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	run := func(body string) RunResponse {
+	// A record is failed exactly when its result reports a failed CN job,
+	// and keeps that result either way.
+	run := func(body string, want jobstore.State) RunResponse {
 		t.Helper()
 		sub, err := p.store.Submit(jobstore.Submission{Format: jobstore.FormatCNX, Body: []byte(body)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec, err := p.store.Wait(ctx, sub.ID)
-		if err != nil || rec.State != jobstore.StateDone {
-			t.Fatalf("submission %s: %+v, %v", sub.ID, rec, err)
+		if err != nil || rec.State != want {
+			t.Fatalf("submission %s: %+v, %v; want state %s", sub.ID, rec, err, want)
 		}
 		res, _, _ := p.store.Result(sub.ID)
 		resp, ok := res.(*RunResponse)
@@ -157,7 +159,7 @@ func TestPortalUnplaceableJobIsNotLeaked(t *testing.T) {
 		return *resp
 	}
 	for i := 0; i < 10; i++ {
-		if jr := run(hugeCNX).Jobs["huge"]; !jr.Failed || !strings.Contains(jr.Err, "placement") {
+		if jr := run(hugeCNX, jobstore.StateFailed).Jobs["huge"]; !jr.Failed || !strings.Contains(jr.Err, "placement") {
 			t.Fatalf("submission %d: %+v, want the placement failure", i, jr)
 		}
 		for _, node := range c.Nodes() {
@@ -169,7 +171,7 @@ func TestPortalUnplaceableJobIsNotLeaked(t *testing.T) {
 			t.Fatalf("submission %d: the portal's client holds %d job handles", i, n)
 		}
 	}
-	if jr := run(twoTaskCNX).Jobs["j"]; jr.Failed {
+	if jr := run(twoTaskCNX, jobstore.StateDone).Jobs["j"]; jr.Failed {
 		t.Errorf("a submission that fits: %+v", jr)
 	}
 }

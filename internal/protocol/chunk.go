@@ -47,53 +47,62 @@ func SliceChunk(req *BlobChunkReq, raw []byte) BlobChunkResp {
 // of transport.Caller.CallInto.
 type CallIntoFunc func(ctx context.Context, toNode string, m *msg.Message, dst []byte) (*msg.Message, error)
 
-// PullBlob pulls the size bytes held under digest on node to.Node, one
-// acknowledged chunk request of the given kind per round trip, and returns
-// them once the reassembly hashes to digest. The destination is allocated
-// once and each request posts the region its chunk belongs in, so on a
-// transport with posted receive the bytes are written exactly once, by the
-// socket read; a chunk that arrived elsewhere (the in-memory fabric hands
-// over the holder's own slice) is copied into place.
-//
-// Any error abandons the destination whole — after a failed call the
-// transport may still be writing into the region that call posted — so no
-// region is ever posted twice.
-func PullBlob(ctx context.Context, call CallIntoFunc, kind msg.Kind, from, to msg.Address, digest string, size int64) ([]byte, error) {
+// CheckBlobSize refuses an advertised blob size nobody should allocate for.
+func CheckBlobSize(size int64) error {
 	if size <= 0 || size > MaxBlobBytes {
-		return nil, fmt.Errorf("advertised blob size %d out of bounds", size)
+		return fmt.Errorf("advertised blob size %d out of bounds", size)
 	}
-	dst := make([]byte, size)
+	return nil
+}
+
+// PullBlob pulls the len(dst) bytes held under digest on node to.Node into
+// dst, one acknowledged chunk request of the given kind per round trip, and
+// returns nil once they hash to digest. Each request posts the region its
+// chunk belongs in, so on a transport with posted receive the bytes are
+// written exactly once, by the socket read; a chunk that arrived elsewhere
+// (the in-memory fabric hands over a tail of its own) is copied into place.
+// The digest is fed each chunk as it lands, so when the last chunk arrives
+// only that chunk is left to hash. dst need not be zeroed: every byte of it
+// is written before the digest can match.
+//
+// Any error abandons dst whole — after a failed call the transport may
+// still be writing into the region that call posted — so no region is ever
+// posted twice and the caller must neither read nor reuse dst.
+func PullBlob(ctx context.Context, call CallIntoFunc, kind msg.Kind, from, to msg.Address, digest string, dst []byte) error {
+	size := int64(len(dst))
+	if err := CheckBlobSize(size); err != nil {
+		return err
+	}
+	sum := archive.NewDigest()
 	for have := int64(0); have < size; {
-		end := have + BlobChunkBytes
-		if end > size {
-			end = size
-		}
+		end := min(have+BlobChunkBytes, size)
 		m := Body(kind, from, to, BlobChunkReq{JobID: to.Job, Digest: digest, Offset: have, MaxBytes: BlobChunkBytes})
 		cctx, cancel := context.WithTimeout(ctx, ChunkCallTimeout)
 		reply, err := call(cctx, to.Node, m, dst[have:end])
 		cancel()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		var chunk BlobChunkResp
 		if err := Decode(reply, &chunk); err != nil {
-			return nil, err
+			return err
 		}
 		if chunk.Err != "" {
-			return nil, fmt.Errorf("chunk at %d: %s", have, chunk.Err)
+			return fmt.Errorf("chunk at %d: %s", have, chunk.Err)
 		}
 		n := int64(len(chunk.Data))
 		if chunk.Offset != have || chunk.Total != size || n == 0 || n > BlobChunkBytes || have+n > size {
-			return nil, fmt.Errorf("chunk reply out of step: offset %d len %d total %d (have %d of %d, asked for %d)",
+			return fmt.Errorf("chunk reply out of step: offset %d len %d total %d (have %d of %d, asked for %d)",
 				chunk.Offset, n, chunk.Total, have, size, int64(BlobChunkBytes))
 		}
 		if &chunk.Data[0] != &dst[have] {
 			copy(dst[have:], chunk.Data)
 		}
+		sum.Write(dst[have : have+n])
 		have += n
 	}
-	if got := archive.DigestBytes(dst); got != digest {
-		return nil, fmt.Errorf("reassembled blob hashes to %.12s…, want %.12s…", got, digest)
+	if got := sum.Sum(); got != digest {
+		return fmt.Errorf("reassembled blob hashes to %.12s…, want %.12s…", got, digest)
 	}
-	return dst, nil
+	return nil
 }

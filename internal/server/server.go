@@ -187,14 +187,29 @@ func (s *Server) fetchBlobs(jmNode, jobID string, digests []string) (map[string]
 		out = make(map[string][]byte, len(resp.Sizes))
 	}
 	for digest, size := range resp.Sizes {
-		raw, err := protocol.PullBlob(context.Background(), s.caller.CallInto, msg.KindBlobChunk,
-			msg.Address{Node: s.cfg.Node}, msg.Address{Node: jmNode, Job: jobID}, digest, size)
+		raw, err := s.pullArchive(jmNode, jobID, digest, size)
 		if err != nil {
 			return out, fmt.Errorf("pull blob %.12s…: %w", digest, err)
 		}
 		out[digest] = raw
 	}
 	return out, nil
+}
+
+// pullArchive chunk-pulls one archive blob into memory of its own: an
+// archive stays for as long as the LRU likes it and nobody counts its
+// readers, so its bytes come from, and go back to, the collector.
+func (s *Server) pullArchive(jmNode, jobID, digest string, size int64) ([]byte, error) {
+	if err := protocol.CheckBlobSize(size); err != nil {
+		return nil, err
+	}
+	raw := make([]byte, size)
+	err := protocol.PullBlob(context.Background(), s.caller.CallInto, msg.KindBlobChunk,
+		msg.Address{Node: s.cfg.Node}, msg.Address{Node: jmNode, Job: jobID}, digest, raw)
+	if err != nil {
+		return nil, err
+	}
+	return raw, nil
 }
 
 // Node returns the server's node name.

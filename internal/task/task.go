@@ -78,8 +78,10 @@ type Context interface {
 	Put(key string, payload []byte) error
 	// Get resolves key and returns its payload, blocking until the
 	// producer publishes, the job reaches a terminal state, or ctx is
-	// done. The returned slice is shared with the node's blob cache;
-	// callers must not mutate it.
+	// done. The returned slice is the node's blob cache's own buffer, lent
+	// to the task: it is valid until the task's Run returns — after that
+	// the buffer may be handed to another job's Put or Get and
+	// overwritten — and must never be mutated. Copy what outlives the task.
 	Get(ctx context.Context, key string) ([]byte, error)
 
 	// Out stores a tuple in the job's space. It is one-way: the tuple is

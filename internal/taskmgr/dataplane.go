@@ -23,7 +23,10 @@ import (
 // HandleDataFetch answers a peer TaskManager's pull for one chunk of a
 // data-plane blob held in this node's cache. The chunk aliases the cached
 // bytes (cache entries are immutable) and rides the reply frame's tail, so
-// between the cache and the socket write no user-space code copies it.
+// between the cache and the socket write no user-space code copies it. The
+// reply holds the blob until the transport is done with that tail
+// (msg.Message.TailDone): the producing job may finish, and its entry
+// leave, while the frame is still queued.
 func (tm *TaskManager) HandleDataFetch(m *msg.Message) *msg.Message {
 	ack := func(resp protocol.BlobChunkResp) *msg.Message {
 		return protocol.Reply(m, msg.KindBlobChunkAck, resp)
@@ -32,26 +35,39 @@ func (tm *TaskManager) HandleDataFetch(m *msg.Message) *msg.Message {
 	if err := protocol.Decode(m, &req); err != nil {
 		return ack(protocol.BlobChunkResp{Err: "bad data-fetch request: " + err.Error()})
 	}
-	raw, ok := tm.blobs.GetBlob(req.Digest)
+	b, ok := tm.blobs.Acquire("", req.Digest)
 	if !ok {
 		return ack(protocol.BlobChunkResp{Digest: req.Digest,
 			Err: fmt.Sprintf("blob %.12s… not cached on %s", req.Digest, tm.cfg.Node)})
 	}
-	resp := protocol.SliceChunk(&req, raw)
+	resp := protocol.SliceChunk(&req, b.Bytes())
 	tm.dataServedBytes.Add(int64(len(resp.Data)))
-	return ack(resp)
+	reply := ack(resp)
+	if len(reply.Tail) == 0 {
+		b.Release() // a refusal aliases nothing
+	} else {
+		reply.TailDone = b.Release
+	}
+	return reply
 }
 
 // fetchData chunk-pulls one content-addressed data-plane blob from a peer
-// TaskManager, digest-verified, with the archive pull's client.
-func (tm *TaskManager) fetchData(ctx context.Context, node, jobID, digest string, size int64) ([]byte, error) {
-	data, err := protocol.PullBlob(ctx, tm.cfg.Call, msg.KindDataFetch,
-		msg.Address{Node: tm.cfg.Node, Job: jobID}, msg.Address{Node: node, Job: jobID}, digest, size)
+// TaskManager with the archive pull's client, into a buffer of this node's
+// cache, and returns it digest-verified with the creator's hold. A pull
+// that fails abandons its buffer: the transport may still write to it.
+func (tm *TaskManager) fetchData(ctx context.Context, node, jobID, digest string, size int64) (*archive.Blob, error) {
+	if err := protocol.CheckBlobSize(size); err != nil {
+		return nil, err
+	}
+	b := tm.blobs.NewBlob(int(size))
+	err := protocol.PullBlob(ctx, tm.cfg.Call, msg.KindDataFetch,
+		msg.Address{Node: tm.cfg.Node, Job: jobID}, msg.Address{Node: node, Job: jobID}, digest, b.Bytes())
 	if err != nil {
+		b.Abandon()
 		return nil, err
 	}
 	tm.dataFetchedBytes.Add(size)
-	return data, nil
+	return b, nil
 }
 
 // DataServedBytes returns how many data-plane payload bytes this node served
@@ -113,10 +129,18 @@ func (c *execContext) put(key string, payload []byte) error {
 			c.a.spec.Name, key, len(payload), int64(protocol.MaxBlobBytes))
 	}
 	// Own copy: the caller may reuse its buffer, but the cache entry (and
-	// the chunks served from it) must stay immutable.
-	data := append([]byte(nil), payload...)
-	digest := archive.DigestBytes(data)
-	c.tm.blobs.PutBlob(digest, data)
+	// the chunks served from it) must stay immutable. Exactly len(payload)
+	// bytes are written, which is all of the blob: nothing a reused buffer
+	// held before is left readable.
+	b := c.tm.blobs.NewBlob(len(payload))
+	copy(b.Bytes(), payload)
+	digest := archive.DigestBytes(b.Bytes())
+	held, err := c.publish(digest, b)
+	if err != nil {
+		return err
+	}
+	defer held.Release() // the advert below may carry the bytes inline
+	data := held.Bytes()
 	var inline []byte
 	if len(data) > 0 && len(data) <= protocol.DataInlineMax {
 		inline = data
@@ -136,6 +160,63 @@ func (c *execContext) put(key string, payload []byte) error {
 			continue // the job was adopted mid-call; retry at the survivor
 		}
 		return fmt.Errorf("task %s: %w", c.a.spec.Name, err)
+	}
+}
+
+// publish makes b — filled, its digest verified — an entry of the task's job
+// in the node's cache and returns the cached blob with a hold for the caller
+// (Cache.Publish), unless the job has already been told to let go: then b
+// goes back and the task is stopped. The read lock orders this against
+// HandleCancel, which cancels the job's assignments before it releases the
+// job's entries under the write lock — so an entry is either there to be
+// released, or never made; a task caught mid-pull by the end of its job
+// leaves nothing behind.
+func (c *execContext) publish(digest string, b *archive.Blob) (*archive.Blob, error) {
+	c.tm.releaseMu.RLock()
+	defer c.tm.releaseMu.RUnlock()
+	if c.a.cancelled.Load() {
+		b.Release()
+		return nil, task.ErrStopped
+	}
+	return c.tm.blobs.Publish(c.a.jobID, digest, b), nil
+}
+
+// acquire is Cache.Acquire for the task's job under the same ordering as
+// publish: a task whose job is over becomes no owner of anything.
+func (c *execContext) acquire(digest string) (*archive.Blob, bool) {
+	c.tm.releaseMu.RLock()
+	defer c.tm.releaseMu.RUnlock()
+	if c.a.cancelled.Load() {
+		return nil, false
+	}
+	return c.tm.blobs.Acquire(c.a.jobID, digest)
+}
+
+// hold makes the task a holder of b until its Run returns (see execute) and
+// returns the bytes to hand it. A Get that comes back after that — from a
+// goroutine the task left behind — keeps nothing and reports the task
+// stopped.
+func (c *execContext) hold(b *archive.Blob) ([]byte, error) {
+	c.heldMu.Lock()
+	if c.ended {
+		c.heldMu.Unlock()
+		b.Release()
+		return nil, task.ErrStopped
+	}
+	c.held = append(c.held, b)
+	c.heldMu.Unlock()
+	c.a.progress.Add(1)
+	return b.Bytes(), nil
+}
+
+// end lets go of everything Get handed the task.
+func (c *execContext) end() {
+	c.heldMu.Lock()
+	held := c.held
+	c.held, c.ended = nil, true
+	c.heldMu.Unlock()
+	for _, b := range held {
+		b.Release()
 	}
 }
 
@@ -189,22 +270,25 @@ func (c *execContext) get(ctx context.Context, key string) ([]byte, error) {
 		}
 		if len(resp.Data) > 0 {
 			// Inline answer (from the advert or a JM-held survivor copy).
-			data := append([]byte(nil), resp.Data...)
-			if archive.DigestBytes(data) != resp.Digest {
+			b := c.tm.blobs.NewBlob(len(resp.Data))
+			copy(b.Bytes(), resp.Data)
+			if archive.DigestBytes(b.Bytes()) != resp.Digest {
+				b.Release()
 				return nil, fmt.Errorf("task %s: get %q: inline payload digest mismatch", c.a.spec.Name, key)
 			}
-			c.tm.blobs.PutBlob(resp.Digest, data)
-			c.a.progress.Add(1)
-			return data, nil
+			held, err := c.publish(resp.Digest, b)
+			if err != nil {
+				return nil, err
+			}
+			return c.hold(held)
 		}
-		if raw, ok := c.tm.blobs.GetBlob(resp.Digest); ok {
-			c.a.progress.Add(1)
-			return raw, nil
+		if b, ok := c.acquire(resp.Digest); ok {
+			return c.hold(b)
 		}
 		if resp.Node == "" {
 			return nil, fmt.Errorf("task %s: get %q: advert has no serving node", c.a.spec.Name, key)
 		}
-		raw, err := c.tm.fetchData(dctx, resp.Node, c.a.jobID, resp.Digest, resp.Size)
+		b, err := c.tm.fetchData(dctx, resp.Node, c.a.jobID, resp.Digest, resp.Size)
 		if err != nil {
 			if dctx.Err() != nil {
 				if c.a.cancelled.Load() {
@@ -217,8 +301,10 @@ func (c *execContext) get(ctx context.Context, key string) ([]byte, error) {
 			staleNode, staleDigest = resp.Node, resp.Digest
 			continue
 		}
-		c.tm.blobs.PutBlob(resp.Digest, raw)
-		c.a.progress.Add(1)
-		return raw, nil
+		held, err := c.publish(resp.Digest, b)
+		if err != nil {
+			return nil, err
+		}
+		return c.hold(held)
 	}
 }

@@ -155,8 +155,12 @@ type TaskManager struct {
 	tracer   *trace.Tracer
 	registry *task.Registry
 	blobs    *archive.Cache
-	stop     chan struct{}
-	hbSeq    atomic.Uint64
+	// releaseMu orders a task making its job the owner of a cache entry
+	// (read side: execContext.publish, acquire) against the job's release
+	// (write side: HandleCancel); see publish.
+	releaseMu sync.RWMutex
+	stop      chan struct{}
+	hbSeq     atomic.Uint64
 	// lastJMs is the JobManager set served by the previous beat round;
 	// only the heartbeat goroutine touches it. JobManagers that drop out
 	// of the set get one final empty beat — the "goodbye" that releases
@@ -632,6 +636,7 @@ func (tm *TaskManager) execute(a *assignment) {
 		// through unchanged so downstream calls stay connected.
 		tc = a.trace
 	}
+	ctx := &execContext{tm: tm, a: a, self: from, trace: tc}
 	var runErr error
 	func() {
 		defer func() {
@@ -647,9 +652,12 @@ func (tm *TaskManager) execute(a *assignment) {
 			runErr = err
 			return
 		}
-		ctx := &execContext{tm: tm, a: a, self: from, trace: tc}
 		runErr = t.Run(ctx)
 	}()
+	// Run has returned: what Get handed the task is the task's no longer.
+	// Before the terminal event, so that a job the JobManager calls finished
+	// has no task holding a buffer anywhere.
+	ctx.end()
 	ea.End(runErr)
 
 	tm.mu.Lock()
@@ -802,6 +810,11 @@ func (tm *TaskManager) HandleUser(m *msg.Message) error {
 // tasks list cancels every task of the job; a non-empty list cancels only
 // the named ones (a batch rollback must not touch the job's other
 // assignments).
+//
+// Without a task list it is also the word that the job is over — its
+// JobManager sends it on every exit, completion included, once the job has
+// used the data plane — so the job's ownership of what it put or pulled
+// into this node's cache ends here, and with the last owner the entry.
 func (tm *TaskManager) HandleCancel(jobID string, tasks ...string) {
 	only := make(map[string]bool, len(tasks))
 	for _, t := range tasks {
@@ -830,6 +843,13 @@ func (tm *TaskManager) HandleCancel(jobID string, tasks ...string) {
 		}
 	}
 	tm.mu.Unlock()
+	if len(tasks) == 0 {
+		// After the cancels above: a task of the job that takes the read
+		// side from here on sees itself cancelled.
+		tm.releaseMu.Lock()
+		tm.blobs.ReleaseJob(jobID)
+		tm.releaseMu.Unlock()
+	}
 }
 
 // Close stops accepting work and waits for running tasks to finish; their
@@ -863,6 +883,12 @@ type execContext struct {
 	// ts is the task's attachment to the job's tuple space at the manager
 	// node it was built for (see tsWire).
 	ts atomic.Pointer[protocol.TSWire]
+	// held are the blobs Get handed the task, released when its Run returns
+	// (end); ended refuses a hold after that. A task may Get from several
+	// goroutines.
+	heldMu sync.Mutex
+	held   []*archive.Blob
+	ended  bool
 }
 
 // TaskName implements task.Context.

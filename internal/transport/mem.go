@@ -336,7 +336,19 @@ func (e *memEndpoint) writeLoop(dst string, p *outPipe) {
 // send validates m and enqueues it onto dst's pipeline. Unknown
 // destinations and oversized frames fail synchronously, exactly as the
 // TCP sender's encode does.
+//
+// This fabric hands the receiver the message itself, tail and all, and has
+// no moment at which "the frame was written". So a message whose sender
+// wants its tail back (TailDone) travels with a tail of its own, copied
+// here, and the sender is told at once — the receiver never aliases the
+// counted buffer the sender is about to let go.
 func (e *memEndpoint) send(dst string, m *msg.Message) error {
+	if m.TailDone != nil {
+		own := *m
+		own.Tail, own.TailDone = append([]byte(nil), m.Tail...), nil
+		m.TailDone()
+		m = &own
+	}
 	e.mu.Lock()
 	closed := e.closed
 	e.mu.Unlock()

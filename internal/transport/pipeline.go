@@ -123,19 +123,26 @@ func (r *frameRef) release() {
 // data is its head and m.Tail — borrowed from the message, written as its
 // own iovec, never copied — follows it on the wire. size is the accounted
 // frame size either way, tail included, so the bulk lane's byte budget and
-// flush cap bound what actually goes on the wire.
+// flush cap bound what actually goes on the wire. done is the message's
+// TailDone hook, owed one call once the borrowed tail is no longer read.
 type outFrame struct {
 	kind msg.Kind
 	data []byte
 	ref  *frameRef
 	m    *msg.Message
 	size int
+	done func()
 }
 
-// release returns the frame's share of the encode buffer to the pool.
+// release ends the frame's life in the pipeline — written or dropped; every
+// queued frame gets exactly one call: its share of the encode buffer returns
+// to the pool and the sender is told the tail is its own again.
 func (f *outFrame) release() {
 	if f.ref != nil {
 		f.ref.release()
+	}
+	if f.done != nil {
+		f.done()
 	}
 }
 
@@ -293,25 +300,23 @@ func (p *outPipe) fail(err error) {
 	}
 	p.closed = true
 	p.err = err
-	var n int
-	for l := range p.lanes {
-		for i := range p.lanes[l] {
-			p.lanes[l][i].release()
-		}
-		if lane(l) == laneControl {
-			p.stats.ControlDrops.Add(int64(len(p.lanes[l])))
-		} else {
-			p.stats.BulkDrops.Add(int64(len(p.lanes[l])))
-		}
-		n += len(p.lanes[l])
-		p.lanes[l] = nil
-	}
+	dropped := p.lanes
+	p.lanes = [laneCount][]outFrame{}
+	p.stats.ControlDrops.Add(int64(len(dropped[laneControl])))
+	p.stats.BulkDrops.Add(int64(len(dropped[laneBulk])))
+	n := len(dropped[laneControl]) + len(dropped[laneBulk])
 	p.depth = 0
 	p.bulkBytes = 0
 	p.stats.QueueDepth.Add(int64(-n))
 	p.stats.Dropped.Add(int64(n))
 	p.notFull.Broadcast()
 	p.mu.Unlock()
+	// Outside the lock: a release calls the sender's TailDone hook.
+	for l := range dropped {
+		for i := range dropped[l] {
+			dropped[l][i].release()
+		}
+	}
 	select {
 	case p.wake <- struct{}{}:
 	default:

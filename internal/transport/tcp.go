@@ -413,21 +413,24 @@ func (e *tcpEndpoint) writeLoop(tc *tcpConn) {
 // a dial or a write; dial and write failures fail the queued batch
 // asynchronously (at-most-once semantics, like the wire). An oversized
 // message — head plus tail — still fails synchronously before anything is
-// queued, as does an unknown node.
+// queued, as does an unknown node. m.TailDone is owed its call on every one
+// of those paths: here for a frame that was never queued, from the frame's
+// release (after the writev, or wherever the pipeline drops it) otherwise.
 func (e *tcpEndpoint) Send(toNode string, m *msg.Message) error {
 	buf := wire.GetBuf()
+	f := outFrame{kind: m.Kind, ref: newFrameRef(buf, 1), done: m.TailDone}
 	var err error
 	*buf, err = wire.AppendFrameHead((*buf)[:0], m)
 	if err != nil {
-		wire.PutBuf(buf)
+		f.release()
 		return fmt.Errorf("transport: send to %s: %w", toNode, err)
 	}
 	tc, err := e.conn(toNode)
 	if err != nil {
-		wire.PutBuf(buf)
+		f.release()
 		return err
 	}
-	f := outFrame{kind: m.Kind, data: *buf, ref: newFrameRef(buf, 1), size: len(*buf) + len(m.Tail)}
+	f.data, f.size = *buf, len(*buf)+len(m.Tail)
 	if len(m.Tail) > 0 {
 		f.m = m // the writer sends m.Tail after the head
 	}

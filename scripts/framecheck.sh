@@ -12,9 +12,11 @@
 # sendExec and its batch apply (HandleTaskEvents, applyEvents, applyLocked,
 # relayEvents), the TaskManager's HandleExec / post / flush (the flusher is
 # a goroutine per burst of events: it must start on a fresh stack without
-# growing it) and the client's handle / recordEvents — declares a frame
-# above the limit. The TaskEvents and ExecTaskReq codec pairs fall under
-# internal/wire.
+# growing it) and the client's handle / recordEvents, or the data plane's
+# per-blob path — the task context's put / get, the TaskManager's
+# HandleDataFetch (a goroutine per chunk request) and the chunk client
+# protocol.PullBlob — declares a frame above the limit. The TaskEvents and
+# ExecTaskReq codec pairs fall under internal/wire.
 #   bash scripts/framecheck.sh [limit-bytes]
 set -eu
 cd "$(dirname "$0")/.."
@@ -31,6 +33,8 @@ while read -r line; do
 	'cn/internal/jobmgr.(*JobManager).applyEvents' | 'cn/internal/jobmgr.(*JobManager).applyLocked' | 'cn/internal/jobmgr.(*JobManager).relayEvents') ;;
 	'cn/internal/taskmgr.(*TaskManager).HandleExec' | 'cn/internal/taskmgr.(*TaskManager).post' | 'cn/internal/taskmgr.(*TaskManager).flush') ;;
 	'cn/internal/api.(*Client).handle' | 'cn/internal/api.(*Job).recordEvents') ;;
+	'cn/internal/taskmgr.(*execContext).put' | 'cn/internal/taskmgr.(*execContext).get') ;;
+	'cn/internal/taskmgr.(*TaskManager).HandleDataFetch' | 'cn/internal/protocol.PullBlob') ;;
 	*) continue ;;
 	esac
 	[[ "$line" =~ locals=(0x[0-9a-f]+) ]] || continue
@@ -40,7 +44,7 @@ while read -r line; do
 		bad=1
 	fi
 done < <(go build -gcflags=-S ./internal/wire ./internal/msg ./internal/server ./internal/transport \
-	./internal/jobmgr ./internal/taskmgr ./internal/api 2>&1 | grep ' STEXT ')
+	./internal/jobmgr ./internal/taskmgr ./internal/api ./internal/protocol 2>&1 | grep ' STEXT ')
 if [ "$bad" -ne 0 ]; then
 	echo "framecheck: a function on the encode/decode/dispatch path needs more than $limit bytes of stack;" >&2
 	echo "keep large bodies behind a pointer or a by-value call into a function of their own (docs/WIRE.md)." >&2
