@@ -4,9 +4,12 @@
 // client, its jobs, and each job's tasks with their archives, classes,
 // dependencies, resource requirements and typed parameters.
 //
-// The package provides the document model, XML encoding/decoding, semantic
-// validation (unique names, resolvable dependencies, acyclicity), and the
-// dependency DAG used by the JobManager to start tasks in order.
+// The package provides the document model, its XML writer (this file,
+// encoding/xml) and reader (read.go, over the pull scanner in
+// cn/internal/xmlscan — a submission is read once, without reflection, and
+// syntax errors name their line), semantic validation (unique names,
+// resolvable dependencies, acyclicity), and the dependency DAG used by the
+// JobManager to start tasks in order.
 package cnx
 
 import (
@@ -132,21 +135,6 @@ func FromSpec(s *task.Spec) TaskDecl {
 		d.Params = append(d.Params, Param{Type: string(p.Type), Value: p.Value})
 	}
 	return d
-}
-
-// Parse decodes a CNX document from XML.
-func Parse(r io.Reader) (*Document, error) {
-	var doc Document
-	dec := xml.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("cnx: parse: %w", err)
-	}
-	return &doc, nil
-}
-
-// ParseString decodes a CNX document from a string.
-func ParseString(s string) (*Document, error) {
-	return Parse(strings.NewReader(s))
 }
 
 // Encode renders the document as indented XML with the standard header.

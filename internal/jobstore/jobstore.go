@@ -9,7 +9,10 @@
 // backpressure when the queue is full (callers surface it as HTTP 429),
 // supports abort of both queued and in-flight jobs via context
 // cancellation, and evicts terminal records after a configurable TTL so a
-// long-lived portal does not grow without bound.
+// long-lived portal does not grow without bound. A record holds its
+// submission's text only while the job can still run: the terminal
+// transition drops it, so a finished record — in the store and in what the
+// backend is handed — is its outcome, not the document it came from.
 package jobstore
 
 import (
@@ -74,7 +77,9 @@ const (
 type Submission struct {
 	// Format is the body's format: FormatXMI or FormatCNX.
 	Format string
-	// Body is the uploaded document.
+	// Body is the uploaded document. The store keeps it while the job is
+	// queued, compiling or running — replay re-executes an interrupted job
+	// from it — and drops it when the job reaches a terminal state.
 	Body []byte
 	// Invocations expands dynamic action states (0 = executor default).
 	Invocations int
@@ -117,6 +122,10 @@ type Record struct {
 	RunMS       float64   `json:"run_ms,omitempty"`
 	Error       string    `json:"error,omitempty"`
 	Progress    *Progress `json:"progress,omitempty"`
+	// Err is the error value the executor returned, for a caller in this
+	// process that has to tell one failure from another; Error is its text.
+	// It is nil for a record replayed from a backend, which keeps the text.
+	Err error `json:"-"`
 }
 
 // ExecFunc compiles and runs one submission. It is invoked on a worker
@@ -169,6 +178,7 @@ type Job struct {
 	queueWait  time.Duration
 	runDur     time.Duration
 	errText    string
+	err        error // the executor's error; errText is what is persisted
 	result     any
 	// progress supplies live task counts while the job runs. At the
 	// terminal transition it is called one last time, its answer kept in
@@ -183,8 +193,13 @@ type Job struct {
 // ID returns the store-assigned job id.
 func (j *Job) ID() string { return j.id }
 
-// Submission returns the job's immutable payload.
-func (j *Job) Submission() Submission { return j.sub }
+// Submission returns the job's payload. Its Body is nil once the job has
+// reached a terminal state.
+func (j *Job) Submission() Submission {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.sub
+}
 
 // MarkRunning transitions compiling -> running; the executor calls it once
 // the submission compiled and execution proper begins. It is a no-op after
@@ -220,6 +235,7 @@ func (j *Job) snapshotLocked() *Record {
 		QueueWaitMS: float64(j.queueWait) / float64(time.Millisecond),
 		RunMS:       float64(j.runDur) / float64(time.Millisecond),
 		Error:       j.errText,
+		Err:         j.err,
 	}
 	if !j.startedAt.IsZero() {
 		t := j.startedAt
@@ -369,10 +385,12 @@ func (s *Store) replay() error {
 			j.queueWait = time.Duration(pj.QueueWaitNS)
 			j.runDur = time.Duration(pj.RunNS)
 			j.errText = pj.Error
+			j.sub.Body = nil // a log written before terminal records dropped their text
 			close(j.done)
 		} else {
 			j.state = StateQueued
 			s.pending = append(s.pending, j)
+			s.bodyBytes().Add(int64(len(j.sub.Body)))
 			requeued++
 		}
 		s.jobs[j.id] = j
@@ -424,15 +442,23 @@ func (s *Store) Metrics() *metrics.Registry { return s.reg }
 // gauge names are stable so dashboards can rely on them.
 func stateGauge(st State) string { return "jobstore.jobs." + string(st) }
 
+// bodyBytes is the gauge of submission text the store holds: the bodies of
+// the jobs that are queued, compiling or running.
+func (s *Store) bodyBytes() *metrics.Gauge { return s.reg.Gauge("jobstore.body_bytes") }
+
 // transitionLocked moves j to state, keeping the by-state gauges true and
 // releasing waiters on the terminal transition. j.mu must be held. Every
 // call site checks the current state is non-terminal, so a job reaches a
-// terminal state exactly once.
+// terminal state exactly once — and this is where its submission's text
+// leaves: nothing can run the job again, so neither the record nor the image
+// persisted below carries it.
 func (s *Store) transitionLocked(j *Job, to State) {
 	s.reg.Gauge(stateGauge(j.state)).Add(-1)
 	s.reg.Gauge(stateGauge(to)).Add(1)
 	j.state = to
 	if to.Terminal() {
+		s.bodyBytes().Add(-int64(len(j.sub.Body)))
+		j.sub.Body = nil
 		close(j.done)
 	}
 	// Every lifecycle transition is a durable mutation: a crash after this
@@ -462,6 +488,7 @@ func (s *Store) Submit(sub Submission) (*Record, error) {
 	s.reg.Counter("jobstore.submitted").Inc()
 	s.reg.Gauge(stateGauge(StateQueued)).Add(1)
 	s.reg.Gauge("jobstore.queue_depth").Set(int64(len(s.pending)))
+	s.bodyBytes().Add(int64(len(sub.Body)))
 	j.mu.Lock()
 	s.persistLocked(j)
 	rec := j.snapshotLocked()
@@ -717,6 +744,7 @@ func (s *Store) run(j *Job) {
 	j.cancel = nil
 	j.finishedAt = time.Now()
 	j.runDur = j.finishedAt.Sub(j.startedAt)
+	j.result, j.err = result, err
 	switch {
 	case j.aborted:
 		if err != nil {
@@ -724,14 +752,11 @@ func (s *Store) run(j *Job) {
 		} else {
 			j.errText = "aborted"
 		}
-		j.result = result
 		s.transitionLocked(j, StateAborted)
 	case err != nil:
 		j.errText = err.Error()
-		j.result = result
 		s.transitionLocked(j, StateFailed)
 	default:
-		j.result = result
 		s.transitionLocked(j, StateDone)
 	}
 	state := j.state

@@ -7,7 +7,6 @@
 package portal
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -25,11 +24,11 @@ import (
 	"cn/internal/protocol"
 	"cn/internal/trace"
 	"cn/internal/transport"
+	"cn/internal/xmlscan"
 )
 
 // runTracker aggregates live task counts for one submission by querying
-// the hosting JobManagers' schedules. A nil tracker is valid and inert
-// (used by the synchronous endpoints).
+// the hosting JobManagers' schedules.
 type runTracker struct {
 	cluster *cluster.Cluster
 
@@ -47,9 +46,6 @@ type trackedJob struct {
 
 // add registers a created CN job for progress aggregation.
 func (t *runTracker) add(cnJob *api.Job) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	t.jobs = append(t.jobs, trackedJob{jmNode: cnJob.JMNode, jobID: cnJob.ID, cnJob: cnJob})
 	t.mu.Unlock()
@@ -57,9 +53,6 @@ func (t *runTracker) add(cnJob *api.Job) {
 
 // finish marks a CN job as terminally handled.
 func (t *runTracker) finish(jobID string) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	for i := range t.jobs {
 		if t.jobs[i].jobID == jobID {
@@ -123,7 +116,7 @@ func (p *Portal) runSubmission(ctx context.Context, j *jobstore.Job) (any, error
 	sub := j.Submission()
 	doc, err := p.compile(sub.Format, sub.Body, sub.Invocations)
 	if err != nil {
-		return nil, err
+		return nil, runError{err, http.StatusUnprocessableEntity}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -146,40 +139,48 @@ func firstFailure(doc *cnx.Document, resp *RunResponse) error {
 	for i := range doc.Client.Jobs {
 		name := doc.Client.Jobs[i].Name
 		if jr, ok := resp.Jobs[name]; ok && jr.Failed {
-			return fmt.Errorf("job %q (%s) failed: %s", name, jr.JobID, jr.Err)
+			return runError{fmt.Errorf("job %q (%s) failed: %s", name, jr.JobID, jr.Err), http.StatusOK}
 		}
 	}
 	return nil
 }
 
-// sniffFormat guesses a submission's format from its content when the
-// client did not say: CNX documents carry the <cn2> root element.
+// sniffFormat tells a submission's format from its root element when the
+// client did not say: a CNX document's is <cn2>. Anything else — a body that
+// is not XML included — is taken for XMI, whose reader will say what is wrong
+// with it.
 func sniffFormat(body []byte) string {
-	if bytes.Contains(body, []byte("<cn2")) {
-		return jobstore.FormatCNX
+	sc := xmlscan.New(body)
+	for {
+		kind, err := sc.Next()
+		if err != nil {
+			return jobstore.FormatXMI
+		}
+		if kind == xmlscan.Start {
+			if string(sc.Name()) == "cn2" {
+				return jobstore.FormatCNX
+			}
+			return jobstore.FormatXMI
+		}
 	}
-	return jobstore.FormatXMI
 }
 
-func (p *Portal) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
+// submit reads the request's body and queues it — the front half of every
+// route that runs a model. format "" means sniff it. On failure it has
+// written the error response and returns false.
+func (p *Portal) submit(w http.ResponseWriter, r *http.Request, format string) (*jobstore.Record, bool) {
 	body, err := readBody(r)
 	if err != nil {
 		errorJSON(w, http.StatusBadRequest, err)
-		return
+		return nil, false
 	}
 	n, err := invocations(r)
 	if err != nil {
 		errorJSON(w, http.StatusBadRequest, err)
-		return
+		return nil, false
 	}
-	format := r.URL.Query().Get("format")
-	switch format {
-	case "":
+	if format == "" {
 		format = sniffFormat(body)
-	case jobstore.FormatXMI, jobstore.FormatCNX:
-	default:
-		errorJSON(w, http.StatusBadRequest, fmt.Errorf("portal: unknown format %q", format))
-		return
 	}
 	rec, err := p.store.Submit(jobstore.Submission{
 		Format:      format,
@@ -191,13 +192,26 @@ func (p *Portal) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, jobstore.ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		errorJSON(w, http.StatusTooManyRequests, err)
-		return
+		return nil, false
 	case err != nil:
 		errorJSON(w, http.StatusServiceUnavailable, err)
-		return
+		return nil, false
 	}
 	w.Header().Set("Location", "/api/jobs/"+rec.ID)
-	writeJSON(w, http.StatusAccepted, rec)
+	return rec, true
+}
+
+func (p *Portal) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
+	format := r.URL.Query().Get("format")
+	switch format {
+	case "", jobstore.FormatXMI, jobstore.FormatCNX:
+	default:
+		errorJSON(w, http.StatusBadRequest, fmt.Errorf("portal: unknown format %q", format))
+		return
+	}
+	if rec, ok := p.submit(w, r, format); ok {
+		writeJSON(w, http.StatusAccepted, rec)
+	}
 }
 
 // JobList is the GET /api/jobs response body.

@@ -14,6 +14,9 @@
 //	POST /api/run           - XMI body in, executes it, JSON results out
 //	POST /api/run-cnx       - CNX body in, executes it, JSON results out
 //
+// The two run routes are a submission the request waits for: they queue,
+// compile and execute exactly as POST /api/jobs does.
+//
 // Asynchronous job lifecycle API (submission decoupled from execution):
 //
 //	POST   /api/jobs           - submit XMI or CNX, returns a job id (202)
@@ -27,7 +30,6 @@
 package portal
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -37,7 +39,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"time"
 
 	"cn/internal/api"
@@ -220,14 +221,28 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// readBody reads a bounded request body.
+// readBody reads a bounded request body. A declared Content-Length sizes the
+// buffer exactly: io.ReadAll grows 512 B at a time and allocates four times
+// a typical submission to read it.
 func readBody(r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
-	if err != nil {
-		return nil, fmt.Errorf("portal: read body: %w", err)
-	}
-	if len(body) > maxBody {
-		return nil, fmt.Errorf("portal: body exceeds %d bytes", maxBody)
+	var body []byte
+	tooLarge := fmt.Errorf("portal: body exceeds %d bytes", maxBody)
+	switch n := r.ContentLength; {
+	case n > maxBody:
+		return nil, tooLarge
+	case n >= 0:
+		body = make([]byte, n)
+		if _, err := io.ReadFull(r.Body, body); err != nil {
+			return nil, fmt.Errorf("portal: read body: %w", err)
+		}
+	default: // chunked: the length is known when the body ends
+		var err error
+		if body, err = io.ReadAll(io.LimitReader(r.Body, maxBody+1)); err != nil {
+			return nil, fmt.Errorf("portal: read body: %w", err)
+		}
+		if len(body) > maxBody {
+			return nil, tooLarge
+		}
 	}
 	if len(body) == 0 {
 		return nil, fmt.Errorf("portal: empty body")
@@ -293,14 +308,18 @@ func (p *Portal) handleXMI2CNX(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadRequest, err)
 		return
 	}
-	var out strings.Builder
-	opts := transform.Options{Args: core.FixedArgs(n)}
-	if err := transform.XMI2CNX(strings.NewReader(string(body)), &out, opts); err != nil {
+	doc, err := transform.XMI2CNXBytes(body, transform.Options{Args: core.FixedArgs(n)})
+	if err != nil {
+		errorJSON(w, http.StatusUnprocessableEntity, err)
+		return
+	}
+	out, err := doc.EncodeString()
+	if err != nil {
 		errorJSON(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/xml")
-	_, _ = io.WriteString(w, out.String())
+	_, _ = io.WriteString(w, out)
 }
 
 func (p *Portal) handleCNX2Go(w http.ResponseWriter, r *http.Request) {
@@ -309,7 +328,7 @@ func (p *Portal) handleCNX2Go(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadRequest, err)
 		return
 	}
-	doc, err := cnx.ParseString(string(body))
+	doc, err := cnx.ParseBytes(body)
 	if err != nil {
 		errorJSON(w, http.StatusUnprocessableEntity, err)
 		return
@@ -337,28 +356,25 @@ type JobResult struct {
 	TaskErrs map[string]string `json:"task_errors,omitempty"`
 }
 
-// compile turns a submission body into a validated CNX document. Every
-// error from this path is a client-input problem (HTTP 422).
+// compile turns a submission body into a validated CNX document: the one
+// place the portal reads a model it is going to run. Every error from this
+// path is a client-input problem (HTTP 422).
 func (p *Portal) compile(format string, body []byte, invs int) (*cnx.Document, error) {
 	if invs <= 0 {
 		invs = 4
 	}
 	var doc *cnx.Document
+	var err error
 	switch format {
 	case jobstore.FormatCNX:
-		d, err := cnx.ParseString(string(body))
-		if err != nil {
-			return nil, err
-		}
-		doc = d
+		doc, err = cnx.ParseBytes(body)
 	case jobstore.FormatXMI:
-		d, err := transform.XMI2CNXDoc(bytes.NewReader(body), transform.Options{Args: core.FixedArgs(invs)})
-		if err != nil {
-			return nil, err
-		}
-		doc = d
+		doc, err = transform.XMI2CNXBytes(body, transform.Options{Args: core.FixedArgs(invs)})
 	default:
-		return nil, fmt.Errorf("portal: unknown format %q", format)
+		err = fmt.Errorf("portal: unknown format %q", format)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if err := doc.Validate(); err != nil {
 		return nil, err
@@ -367,10 +383,8 @@ func (p *Portal) compile(format string, body []byte, invs int) (*cnx.Document, e
 }
 
 // executeDoc runs every CN job of a compiled descriptor and collates
-// results — the single execution path shared by the synchronous endpoints
-// and the async job executor. A non-nil error means the run could not
-// proceed (infrastructure failure or abort); per-job failures are reported
-// inside the response. tr may be nil when no progress tracking is wanted.
+// results. A non-nil error means the run could not proceed (infrastructure
+// failure or abort); per-job failures are reported inside the response.
 func (p *Portal) executeDoc(ctx context.Context, doc *cnx.Document, tr *runTracker) (*RunResponse, error) {
 	resp := &RunResponse{Client: doc.Client.Class, Jobs: make(map[string]JobResult)}
 	for ji := range doc.Client.Jobs {
@@ -380,7 +394,7 @@ func (p *Portal) executeDoc(ctx context.Context, doc *cnx.Document, tr *runTrack
 		}
 		specs, err := job.Specs()
 		if err != nil {
-			return resp, fmt.Errorf("%w: %w", errUnprocessable, err)
+			return resp, runError{fmt.Errorf("portal: unprocessable document: %w", err), http.StatusUnprocessableEntity}
 		}
 		p.logf("running job %q (%d tasks)", job.Name, len(specs))
 		cnJob, err := p.client.CreateJob(job.Name, protocol.JobRequirements{})
@@ -427,46 +441,56 @@ func (p *Portal) runJob(ctx context.Context, cnJob *api.Job, specs []*task.Spec)
 	return JobResult{JobID: res.JobID, Failed: res.Failed, Err: res.Err, TaskErrs: res.TaskErrs}, nil
 }
 
-// errUnprocessable marks execution errors caused by the uploaded document
-// rather than the cluster, so sync handlers can answer 422 instead of 503.
-var errUnprocessable = errors.New("portal: unprocessable document")
+// runError is an executor error that says what the synchronous routes answer
+// for it: 422 for a failure the submitted document caused, 200 for a run that
+// finished with a failed CN job (the response says which). Its text is its
+// cause's. Any other error is the cluster's, and answers 503.
+type runError struct {
+	error
+	status int
+}
+
+func (e runError) Unwrap() error { return e.error }
 
 func (p *Portal) handleRunXMI(w http.ResponseWriter, r *http.Request) {
-	p.runSync(w, r, jobstore.FormatXMI)
+	p.runAndWait(w, r, jobstore.FormatXMI)
 }
 
 func (p *Portal) handleRunCNX(w http.ResponseWriter, r *http.Request) {
-	p.runSync(w, r, jobstore.FormatCNX)
+	p.runAndWait(w, r, jobstore.FormatCNX)
 }
 
-// runSync is the legacy blocking path: compile and execute within the
-// request, sharing the executor with the async service.
-func (p *Portal) runSync(w http.ResponseWriter, r *http.Request, format string) {
-	body, err := readBody(r)
-	if err != nil {
-		errorJSON(w, http.StatusBadRequest, err)
+// runAndWait is the paper's blocking surface on the one execution path: the
+// body is submitted like any other job — so a full queue answers 429 — and
+// the request waits for the record to finish. The answer is the run's
+// response, as it always was; the record stays for ResultTTL like any other.
+func (p *Portal) runAndWait(w http.ResponseWriter, r *http.Request, format string) {
+	queued, ok := p.submit(w, r, format)
+	if !ok {
 		return
 	}
-	n, err := invocations(r)
-	if err != nil {
-		errorJSON(w, http.StatusBadRequest, err)
+	if _, err := p.store.Wait(r.Context(), queued.ID); err != nil {
+		// The caller is gone; nobody is left to read the answer.
+		_, _ = p.store.Delete(queued.ID)
+		errorJSON(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	doc, err := p.compile(format, body, n)
-	if err != nil {
-		errorJSON(w, http.StatusUnprocessableEntity, err)
+	rec, result, state, ok := p.store.ResultRecord(queued.ID)
+	if !ok {
+		errorJSON(w, http.StatusServiceUnavailable, fmt.Errorf("portal: job %s was evicted before its result was read", queued.ID))
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), p.cfg.RunTimeout)
-	defer cancel()
-	resp, err := p.executeDoc(ctx, doc, nil)
-	if err != nil {
-		if errors.Is(err, errUnprocessable) {
-			errorJSON(w, http.StatusUnprocessableEntity, err)
-		} else {
-			errorJSON(w, http.StatusServiceUnavailable, err)
+	status := http.StatusOK
+	if state != jobstore.StateDone {
+		status = http.StatusServiceUnavailable
+		var re runError
+		if errors.As(rec.Err, &re) {
+			status = re.status
 		}
+	}
+	if status != http.StatusOK {
+		errorJSON(w, status, errors.New(rec.Error))
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, result)
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"cn/internal/cnx"
 	"cn/internal/core"
@@ -331,6 +330,18 @@ func CNXToModel(doc *cnx.Document) (*core.Client, error) {
 // descriptor wants, with no text to write and parse again.
 func XMI2CNXDoc(r io.Reader, opts Options) (*cnx.Document, error) {
 	doc, err := xmi.Parse(r)
+	return lower(doc, err, opts)
+}
+
+// XMI2CNXBytes is XMI2CNXDoc for a model already held in memory.
+func XMI2CNXBytes(src []byte, opts Options) (*cnx.Document, error) {
+	doc, err := xmi.ParseBytes(src)
+	return lower(doc, err, opts)
+}
+
+// lower takes a parsed model (or the error parsing it gave) to its CNX
+// descriptor.
+func lower(doc *xmi.Document, err error, opts Options) (*cnx.Document, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transform: xmi2cnx: %w", err)
 	}
@@ -360,9 +371,13 @@ func XMI2CNX(r io.Reader, w io.Writer, opts Options) error {
 
 // XMI2CNXString is XMI2CNX over strings, convenient for tools and tests.
 func XMI2CNXString(in string, opts Options) (string, error) {
-	var sb strings.Builder
-	if err := XMI2CNX(strings.NewReader(in), &sb, opts); err != nil {
+	cdoc, err := XMI2CNXBytes([]byte(in), opts)
+	if err != nil {
 		return "", err
 	}
-	return sb.String(), nil
+	out, err := cdoc.EncodeString()
+	if err != nil {
+		return "", fmt.Errorf("transform: xmi2cnx: %w", err)
+	}
+	return out, nil
 }

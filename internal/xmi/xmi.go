@@ -13,11 +13,11 @@
 package xmi
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
+
+	"cn/internal/xmlscan"
 )
 
 // Vertex kinds in an activity graph.
@@ -121,138 +121,126 @@ func (d *Document) Graph(name string) *ActivityGraph {
 	return nil
 }
 
-// attr fetches an attribute by local name (namespace-insensitive, matching
-// how xmi.id / xmi.idref attributes appear).
-func attr(se xml.StartElement, name string) string {
-	for _, a := range se.Attr {
-		if a.Name.Local == name {
-			return a.Value
-		}
-	}
-	return ""
-}
-
 // Parse decodes an XMI document.
 func Parse(r io.Reader) (*Document, error) {
-	dec := xml.NewDecoder(r)
+	src, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("xmi: parse: %w", err)
+	}
+	return ParseBytes(src)
+}
+
+// ParseString decodes an XMI document from a string.
+func ParseString(s string) (*Document, error) { return ParseBytes([]byte(s)) }
+
+// ParseBytes decodes an XMI document held in memory. Elements and attributes
+// are matched by local name (namespace-insensitive, matching how UML:
+// prefixes and xmi.id / xmi.idref attributes appear). The document owns its
+// strings: none of them points into src.
+func ParseBytes(src []byte) (*Document, error) {
+	sc := xmlscan.New(src)
 	doc := &Document{}
 	var (
 		curGraph  *ActivityGraph
 		curVertex *Vertex
 		curTV     *TaggedValue
 		curTrans  *Transition
-		// element context stack of local names
-		stack []string
 	)
-	push := func(n string) { stack = append(stack, n) }
-	pop := func() {
-		if len(stack) > 0 {
-			stack = stack[:len(stack)-1]
+	attr := func(name string) string { return string(sc.Attr(name)) }
+	// vertex appends a declared vertex (one with an xmi.id inside a graph);
+	// otherwise the element is a reference, which inside a transition's
+	// source or target names that endpoint.
+	vertex := func(kind string) *Vertex {
+		if curGraph != nil && len(sc.Attr("xmi.id")) > 0 {
+			curGraph.Vertices = append(curGraph.Vertices, Vertex{ID: attr("xmi.id"), Name: attr("name"), Kind: kind})
+			return &curGraph.Vertices[len(curGraph.Vertices)-1]
 		}
-	}
-	parent := func() string {
-		if len(stack) == 0 {
-			return ""
+		if curTrans != nil {
+			switch string(sc.Parent()) {
+			case "Transition.source":
+				curTrans.SourceID = attr("xmi.idref")
+			case "Transition.target":
+				curTrans.TargetID = attr("xmi.idref")
+			}
 		}
-		return stack[len(stack)-1]
+		return nil
 	}
 
 	for {
-		tok, err := dec.Token()
+		kind, err := sc.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, fmt.Errorf("xmi: parse: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			local := t.Name.Local
-			switch local {
+		switch kind {
+		case xmlscan.Start:
+			switch string(sc.Name()) {
 			case "Model":
-				doc.ModelID = attr(t, "xmi.id")
-				doc.ModelName = attr(t, "name")
+				doc.ModelID = attr("xmi.id")
+				doc.ModelName = attr("name")
 			case "TagDefinition":
 				// Only definitions (with xmi.id) declare tags; references
 				// inside TaggedValue.type carry xmi.idref.
-				if id := attr(t, "xmi.id"); id != "" {
-					doc.TagDefs = append(doc.TagDefs, TagDef{ID: id, Name: attr(t, "name")})
-				} else if curTV != nil && parent() == "TaggedValue.type" {
-					curTV.TagDefID = attr(t, "xmi.idref")
+				if len(sc.Attr("xmi.id")) > 0 {
+					doc.TagDefs = append(doc.TagDefs, TagDef{ID: attr("xmi.id"), Name: attr("name")})
+				} else if curTV != nil && string(sc.Parent()) == "TaggedValue.type" {
+					curTV.TagDefID = attr("xmi.idref")
 				}
 			case "ActivityGraph":
-				curGraph = &ActivityGraph{ID: attr(t, "xmi.id"), Name: attr(t, "name")}
+				curGraph = &ActivityGraph{ID: attr("xmi.id"), Name: attr("name")}
 				doc.Graphs = append(doc.Graphs, curGraph)
 			case "Pseudostate":
-				if curGraph != nil && attr(t, "xmi.id") != "" {
-					kind := attr(t, "kind")
-					if kind != VertexInitial && kind != VertexFork && kind != VertexJoin {
-						return nil, fmt.Errorf("xmi: parse: unsupported pseudostate kind %q", kind)
-					}
-					curGraph.Vertices = append(curGraph.Vertices, Vertex{
-						ID:   attr(t, "xmi.id"),
-						Name: attr(t, "name"),
-						Kind: kind,
-					})
-				} else if curTrans != nil {
-					resolveEndpoint(curTrans, parent(), attr(t, "xmi.idref"))
+				var kind string
+				switch string(sc.Attr("kind")) {
+				case VertexInitial:
+					kind = VertexInitial
+				case VertexFork:
+					kind = VertexFork
+				case VertexJoin:
+					kind = VertexJoin
+				}
+				if v := vertex(kind); v != nil && kind == "" {
+					return nil, fmt.Errorf("xmi: parse: unsupported pseudostate kind %q", sc.Attr("kind"))
 				}
 			case "FinalState":
-				if curGraph != nil && attr(t, "xmi.id") != "" {
-					curGraph.Vertices = append(curGraph.Vertices, Vertex{
-						ID:   attr(t, "xmi.id"),
-						Name: attr(t, "name"),
-						Kind: VertexFinal,
-					})
-				} else if curTrans != nil {
-					resolveEndpoint(curTrans, parent(), attr(t, "xmi.idref"))
-				}
+				vertex(VertexFinal)
 			case "ActionState":
-				if curGraph != nil && attr(t, "xmi.id") != "" {
-					curGraph.Vertices = append(curGraph.Vertices, Vertex{
-						ID:           attr(t, "xmi.id"),
-						Name:         attr(t, "name"),
-						Kind:         VertexAction,
-						Dynamic:      attr(t, "isDynamic") == "true",
-						Multiplicity: attr(t, "dynamicMultiplicity"),
-						ArgExpr:      attr(t, "dynamicArguments"),
-					})
-					curVertex = &curGraph.Vertices[len(curGraph.Vertices)-1]
-				} else if curTrans != nil {
-					resolveEndpoint(curTrans, parent(), attr(t, "xmi.idref"))
+				if v := vertex(VertexAction); v != nil {
+					v.Dynamic = string(sc.Attr("isDynamic")) == "true"
+					v.Multiplicity = attr("dynamicMultiplicity")
+					v.ArgExpr = attr("dynamicArguments")
+					curVertex = v
 				}
 			case "TaggedValue":
 				if curVertex != nil {
-					curVertex.Tagged = append(curVertex.Tagged, TaggedValue{
-						ID:    attr(t, "xmi.id"),
-						Value: attr(t, "dataValue"),
-					})
+					curVertex.Tagged = append(curVertex.Tagged, TaggedValue{ID: attr("xmi.id"), Value: attr("dataValue")})
 					curTV = &curVertex.Tagged[len(curVertex.Tagged)-1]
 				}
 			case "Transition":
-				if curGraph != nil && attr(t, "xmi.id") != "" && parent() == "StateMachine.transitions" {
-					curGraph.Transitions = append(curGraph.Transitions, Transition{ID: attr(t, "xmi.id")})
+				if curGraph != nil && len(sc.Attr("xmi.id")) > 0 && string(sc.Parent()) == "StateMachine.transitions" {
+					curGraph.Transitions = append(curGraph.Transitions, Transition{ID: attr("xmi.id")})
 					curTrans = &curGraph.Transitions[len(curGraph.Transitions)-1]
 				}
 				// Transition references inside StateVertex.outgoing/incoming
 				// are redundant with the transitions list; ignored.
 			case "Guard":
 				if curTrans != nil {
-					curTrans.Guard = attr(t, "name")
+					curTrans.Guard = attr("name")
 				}
 			}
-			push(local)
-		case xml.EndElement:
-			pop()
-			switch t.Name.Local {
+		case xmlscan.End:
+			parent := sc.Parent()
+			switch string(sc.Name()) {
 			case "ActionState":
-				if curVertex != nil && parent() != "Transition.source" && parent() != "Transition.target" {
+				if curVertex != nil && string(parent) != "Transition.source" && string(parent) != "Transition.target" {
 					curVertex = nil
 				}
 			case "TaggedValue":
 				curTV = nil
 			case "Transition":
-				if parent() == "StateMachine.transitions" || parent() == "" {
+				if string(parent) == "StateMachine.transitions" || parent == nil {
 					curTrans = nil
 				}
 			case "ActivityGraph":
@@ -265,18 +253,6 @@ func Parse(r io.Reader) (*Document, error) {
 	}
 	return doc, nil
 }
-
-func resolveEndpoint(tr *Transition, parent, idref string) {
-	switch parent {
-	case "Transition.source":
-		tr.SourceID = idref
-	case "Transition.target":
-		tr.TargetID = idref
-	}
-}
-
-// ParseString decodes an XMI document from a string.
-func ParseString(s string) (*Document, error) { return Parse(strings.NewReader(s)) }
 
 // check verifies referential integrity: transitions reference existing
 // vertices, tagged values reference declared tag definitions.
@@ -317,145 +293,6 @@ func (d *Document) check() error {
 		}
 	}
 	return nil
-}
-
-// esc XML-escapes an attribute value.
-func esc(s string) string {
-	var sb strings.Builder
-	if err := xml.EscapeText(&sb, []byte(s)); err != nil {
-		return s
-	}
-	return sb.String()
-}
-
-// Write renders the document as an XMI 1.2 file in the tool-export shape
-// shown in the paper's Figure 7.
-func (d *Document) Write(w io.Writer) error {
-	if err := d.check(); err != nil {
-		return err
-	}
-	var b strings.Builder
-	b.WriteString(`<?xml version="1.0" encoding="UTF-8"?>` + "\n")
-	b.WriteString(`<XMI xmi.version="1.2" xmlns:UML="org.omg.xmi.namespace.UML">` + "\n")
-	b.WriteString("  <XMI.header>\n    <XMI.documentation>\n")
-	b.WriteString("      <XMI.exporter>cn-go</XMI.exporter>\n")
-	b.WriteString("    </XMI.documentation>\n  </XMI.header>\n")
-	b.WriteString("  <XMI.content>\n")
-	fmt.Fprintf(&b, "    <UML:Model xmi.id=%q name=%q isSpecification=\"false\">\n",
-		esc(orDefault(d.ModelID, "m1")), esc(orDefault(d.ModelName, "model")))
-	b.WriteString("      <UML:Namespace.ownedElement>\n")
-	for _, td := range d.TagDefs {
-		fmt.Fprintf(&b, "        <UML:TagDefinition xmi.id=%q name=%q isSpecification=\"false\"/>\n",
-			esc(td.ID), esc(td.Name))
-	}
-	for _, g := range d.Graphs {
-		fmt.Fprintf(&b, "        <UML:ActivityGraph xmi.id=%q name=%q isSpecification=\"false\">\n",
-			esc(g.ID), esc(g.Name))
-		b.WriteString("          <UML:StateMachine.top>\n")
-		fmt.Fprintf(&b, "            <UML:CompositeState xmi.id=%q isConcurrent=\"false\">\n", esc(g.ID+".top"))
-		b.WriteString("              <UML:CompositeState.subvertex>\n")
-		for i := range g.Vertices {
-			writeVertex(&b, &g.Vertices[i])
-		}
-		b.WriteString("              </UML:CompositeState.subvertex>\n")
-		b.WriteString("            </UML:CompositeState>\n")
-		b.WriteString("          </UML:StateMachine.top>\n")
-		b.WriteString("          <UML:StateMachine.transitions>\n")
-		for _, tr := range g.Transitions {
-			src := g.Vertex(tr.SourceID)
-			dst := g.Vertex(tr.TargetID)
-			fmt.Fprintf(&b, "            <UML:Transition xmi.id=%q isSpecification=\"false\">\n", esc(tr.ID))
-			if tr.Guard != "" {
-				fmt.Fprintf(&b, "              <UML:Transition.guard><UML:Guard name=%q/></UML:Transition.guard>\n", esc(tr.Guard))
-			}
-			fmt.Fprintf(&b, "              <UML:Transition.source><UML:%s xmi.idref=%q/></UML:Transition.source>\n",
-				elementFor(src), esc(tr.SourceID))
-			fmt.Fprintf(&b, "              <UML:Transition.target><UML:%s xmi.idref=%q/></UML:Transition.target>\n",
-				elementFor(dst), esc(tr.TargetID))
-			b.WriteString("            </UML:Transition>\n")
-		}
-		b.WriteString("          </UML:StateMachine.transitions>\n")
-		b.WriteString("        </UML:ActivityGraph>\n")
-	}
-	b.WriteString("      </UML:Namespace.ownedElement>\n")
-	b.WriteString("    </UML:Model>\n")
-	b.WriteString("  </XMI.content>\n")
-	b.WriteString("</XMI>\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func writeVertex(b *strings.Builder, v *Vertex) {
-	switch v.Kind {
-	case VertexInitial, VertexFork, VertexJoin:
-		fmt.Fprintf(b, "                <UML:Pseudostate xmi.id=%q name=%q kind=%q isSpecification=\"false\"/>\n",
-			esc(v.ID), esc(v.Name), v.Kind)
-	case VertexFinal:
-		fmt.Fprintf(b, "                <UML:FinalState xmi.id=%q name=%q isSpecification=\"false\"/>\n",
-			esc(v.ID), esc(v.Name))
-	case VertexAction:
-		fmt.Fprintf(b, "                <UML:ActionState xmi.id=%q name=%q isSpecification=\"false\" isDynamic=%q",
-			esc(v.ID), esc(v.Name), boolStr(v.Dynamic))
-		if v.Multiplicity != "" {
-			fmt.Fprintf(b, " dynamicMultiplicity=%q", esc(v.Multiplicity))
-		}
-		if v.ArgExpr != "" {
-			fmt.Fprintf(b, " dynamicArguments=%q", esc(v.ArgExpr))
-		}
-		if len(v.Tagged) == 0 {
-			b.WriteString("/>\n")
-			return
-		}
-		b.WriteString(">\n")
-		b.WriteString("                  <UML:ModelElement.taggedValue>\n")
-		for _, tv := range v.Tagged {
-			fmt.Fprintf(b, "                    <UML:TaggedValue xmi.id=%q isSpecification=\"false\" dataValue=%q>\n",
-				esc(tv.ID), esc(tv.Value))
-			b.WriteString("                      <UML:TaggedValue.type>\n")
-			fmt.Fprintf(b, "                        <UML:TagDefinition xmi.idref=%q/>\n", esc(tv.TagDefID))
-			b.WriteString("                      </UML:TaggedValue.type>\n")
-			b.WriteString("                    </UML:TaggedValue>\n")
-		}
-		b.WriteString("                  </UML:ModelElement.taggedValue>\n")
-		b.WriteString("                </UML:ActionState>\n")
-	}
-}
-
-func elementFor(v *Vertex) string {
-	if v == nil {
-		return "StateVertex"
-	}
-	switch v.Kind {
-	case VertexAction:
-		return "ActionState"
-	case VertexFinal:
-		return "FinalState"
-	default:
-		return "Pseudostate"
-	}
-}
-
-func boolStr(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
-}
-
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
-}
-
-// WriteString renders the document to a string.
-func (d *Document) WriteString() (string, error) {
-	var sb strings.Builder
-	if err := d.Write(&sb); err != nil {
-		return "", err
-	}
-	return sb.String(), nil
 }
 
 // IDAllocator hands out sequential xmi.id values in the tool style ("a1",
