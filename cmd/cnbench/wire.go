@@ -92,7 +92,7 @@ func wireBodies() []struct {
 		{"JM_OFFER", &protocol.JMOffer{Node: "node1", FreeMemoryMB: 64000, ActiveJobs: 2}},
 		{"TASK_OFFER", &protocol.TMOffer{Node: "node1", FreeMemoryMB: 64000, RunningTasks: 3}},
 		{"EXEC_TASK", &protocol.ExecTaskReq{JobID: "node1-job1", Tasks: []string{"t03"}}},
-		{"FETCH_BLOB", &protocol.FetchBlobReq{JobID: "node1-job1", Digests: []string{"0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"}}},
+		{"BLOB_CHUNK", &protocol.BlobChunkReq{JobID: "node1-job1", Digest: "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef", MaxBytes: protocol.BlobChunkBytes}},
 	}
 }
 

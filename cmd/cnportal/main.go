@@ -41,7 +41,6 @@ func main() {
 		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn, error")
 		sample     = flag.Float64("trace-sample", 0, "distributed-trace root sampling probability (0 = 0.125 default; negative disables tracing)")
 		debug      = flag.Bool("debug", false, "mount net/http/pprof under /debug/pprof/")
-		verbose    = flag.Bool("v", false, "log cluster diagnostics")
 	)
 	flag.Parse()
 
@@ -58,10 +57,6 @@ func main() {
 		return cn.TaskFunc(func(cn.TaskContext) error { return nil })
 	})
 
-	var logf func(string, ...any)
-	if *verbose {
-		logf = log.Printf
-	}
 	c, err := cluster.Start(cluster.Config{
 		Nodes:             *nodes,
 		Registry:          reg,
@@ -69,7 +64,6 @@ func main() {
 		HeartbeatInterval: *heartbeat,
 		MaxTaskRetries:    *maxRetries,
 		StragglerAfter:    *straggler,
-		Logf:              logf,
 		Log:               slogger,
 		TraceSample:       *sample,
 	})
@@ -84,7 +78,6 @@ func main() {
 		QueueDepth:  *queue,
 		ResultTTL:   *resultTTL,
 		DataDir:     *dataDir,
-		Logf:        logf,
 		Log:         slogger,
 		TraceSample: *sample,
 		Debug:       *debug,

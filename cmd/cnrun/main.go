@@ -33,7 +33,6 @@ func main() {
 		invocations = flag.Int("invocations", 4, "dynamic invocation expansion count")
 		graphSize   = flag.Int("n", 32, "input graph size for transitive-closure jobs")
 		timeout     = flag.Duration("timeout", 60*time.Second, "execution timeout")
-		verbose     = flag.Bool("v", false, "log cluster diagnostics")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -78,11 +77,7 @@ func main() {
 		return cn.TaskFunc(func(cn.TaskContext) error { return nil })
 	})
 
-	var logf func(string, ...any)
-	if *verbose {
-		logf = log.Printf
-	}
-	cluster, err := cn.StartCluster(cn.ClusterOptions{Nodes: *nodes, Registry: reg, Logf: logf})
+	cluster, err := cn.StartCluster(cn.ClusterOptions{Nodes: *nodes, Registry: reg})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,7 +40,6 @@ func main() {
 		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn, error")
 		sample     = flag.Float64("trace-sample", 0, "distributed-trace root sampling probability (0 = 0.125 default; negative disables tracing)")
 		debug      = flag.Bool("debug", false, "mount net/http/pprof on the portal mux (needs -http)")
-		verbose    = flag.Bool("v", false, "log server diagnostics")
 	)
 	flag.Parse()
 
@@ -57,10 +56,6 @@ func main() {
 		return cn.TaskFunc(func(cn.TaskContext) error { return nil })
 	})
 
-	var logf func(string, ...any)
-	if *verbose {
-		logf = log.Printf
-	}
 	tp := cluster.TransportMem
 	if *tcp {
 		tp = cluster.TransportTCP
@@ -74,7 +69,6 @@ func main() {
 		HeartbeatInterval: *heartbeat,
 		MaxTaskRetries:    *maxRetries,
 		StragglerAfter:    *straggler,
-		Logf:              logf,
 		Log:               slogger,
 		TraceSample:       *sample,
 	})
@@ -87,7 +81,6 @@ func main() {
 	if *httpAddr != "" {
 		p, err := portal.New(portal.Config{
 			Cluster:     c,
-			Logf:        logf,
 			Log:         slogger,
 			TraceSample: *sample,
 			Debug:       *debug,

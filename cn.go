@@ -242,9 +242,8 @@ type ClusterOptions struct {
 	Jitter  time.Duration
 	Loss    float64
 	Seed    int64
-	// Logf receives server diagnostics; nil disables logging.
-	Logf func(format string, args ...any)
-	// Log receives structured server diagnostics; nil falls back to Logf.
+	// Log receives structured server diagnostics (nil discards); printf-style
+	// ones are its Debug records.
 	Log *slog.Logger
 	// TraceSample is each node's distributed-trace root sampling
 	// probability (0 = the 1-in-8 default; negative disables tracing).
@@ -281,7 +280,6 @@ func StartCluster(opts ClusterOptions) (*Cluster, error) {
 		Loss:              opts.Loss,
 		Seed:              opts.Seed,
 		Registry:          opts.Registry,
-		Logf:              opts.Logf,
 		Log:               opts.Log,
 		TraceSample:       opts.TraceSample,
 	})

@@ -451,8 +451,8 @@ func (j *Job) CreateTasks(specs []*task.Spec, archives map[string]*archive.Archi
 		req.Tasks = append(req.Tasks, item)
 	}
 	// Large archives never ride inside the create-tasks message: they are
-	// streamed to the JobManager chunk by chunk first (digest-verified on
-	// arrival), and the batch then carries content-addressed references
+	// pushed to the JobManager chunk by chunk first (protocol.PushBlob;
+	// digest-verified on arrival), and the batch then carries content-addressed references
 	// only, so no single frame approaches the transport limit. The budget
 	// is aggregate: many small archives that together would overflow a
 	// frame are chunk-streamed too (digests iterated in sorted order so
@@ -469,7 +469,12 @@ func (j *Job) CreateTasks(specs []*task.Spec, archives map[string]*archive.Archi
 			inlined += len(raw)
 			continue
 		}
-		if err := j.pushBlob(digest, raw); err != nil {
+		j.pushMu.Lock()
+		err := protocol.PushBlob(context.Background(), j.client.caller.CallInto,
+			msg.Address{Node: j.client.node, Job: j.ID, Task: protocol.ClientTaskName},
+			msg.Address{Node: j.manager(), Job: j.ID}, digest, raw)
+		j.pushMu.Unlock()
+		if err != nil {
 			return nil, fmt.Errorf("api: create tasks: upload archive %.12s…: %w", digest, err)
 		}
 		delete(req.Blobs, digest)
@@ -503,51 +508,6 @@ func (j *Job) CreateTasks(specs []*task.Spec, archives map[string]*archive.Archi
 	j.prog.Tasks += len(specs)
 	j.mu.Unlock()
 	return resp.Placements, nil
-}
-
-// pushBlob streams one archive's bytes to the hosting JobManager in
-// protocol.BlobChunkBytes pieces. Each chunk is an acknowledged round
-// trip; the JobManager digest-verifies the reassembled blob before making
-// it available for TaskManager fetches.
-func (j *Job) pushBlob(digest string, raw []byte) error {
-	j.pushMu.Lock()
-	defer j.pushMu.Unlock()
-	total := int64(len(raw))
-	for off := int64(0); off < total; {
-		end := off + protocol.BlobChunkBytes
-		if end > total {
-			end = total
-		}
-		jmNode := j.manager()
-		cm := protocol.Body(msg.KindBlobChunk,
-			msg.Address{Node: j.client.node, Job: j.ID, Task: protocol.ClientTaskName},
-			msg.Address{Node: jmNode, Job: j.ID},
-			protocol.BlobChunkReq{
-				JobID:  j.ID,
-				Digest: digest,
-				Offset: off,
-				Total:  total,
-				Data:   raw[off:end],
-			})
-		ctx, cancel := context.WithTimeout(context.Background(), j.client.opts.CallTimeout)
-		reply, err := j.client.caller.Call(ctx, jmNode, cm)
-		cancel()
-		if err != nil {
-			return err
-		}
-		var resp protocol.BlobChunkResp
-		if err := protocol.Decode(reply, &resp); err != nil {
-			return err
-		}
-		if resp.Err != "" {
-			return fmt.Errorf("chunk at %d: %s", off, resp.Err)
-		}
-		if resp.Offset <= off {
-			return fmt.Errorf("chunk at %d: upload did not advance (ack offset %d)", off, resp.Offset)
-		}
-		off = resp.Offset
-	}
-	return nil
 }
 
 // Progress returns the client-observed lifecycle census for the job.

@@ -11,6 +11,7 @@ import (
 
 	"cn/internal/dataplane"
 	"cn/internal/jobmgr"
+	"cn/internal/logging"
 	"cn/internal/metrics"
 	"cn/internal/placement"
 	"cn/internal/server"
@@ -76,10 +77,8 @@ type Config struct {
 	// failover (0 = heartbeat interval; negative disables checkpointing
 	// and job adoption).
 	CheckpointEvery time.Duration
-	// Logf receives server diagnostics; nil disables logging.
-	Logf func(format string, args ...any)
-	// Log is the structured logger every node's managers attach to; when
-	// nil, records are bridged through Logf.
+	// Log is the structured logger every node's managers attach to (nil
+	// discards).
 	Log *slog.Logger
 	// TraceSample is each node's root-sampling probability
 	// (0 = trace.DefaultSample; negative disables tracing cluster-wide).
@@ -114,7 +113,7 @@ func Start(cfg Config) (*Cluster, error) {
 		})
 	case TransportTCP:
 		tn := transport.NewTCPNetwork()
-		tn.SetLogf(cfg.Logf)
+		tn.SetLogf(logging.Logf(cfg.Log))
 		net = tn
 	default:
 		return nil, fmt.Errorf("cluster: unknown transport %d", cfg.Transport)
@@ -141,7 +140,6 @@ func Start(cfg Config) (*Cluster, error) {
 			MaxTaskRetries:    cfg.MaxTaskRetries,
 			StragglerAfter:    cfg.StragglerAfter,
 			CheckpointEvery:   cfg.CheckpointEvery,
-			Logf:              cfg.Logf,
 			Log:               cfg.Log,
 			TraceSample:       cfg.TraceSample,
 		})

@@ -5,14 +5,17 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"cn/internal/api"
 	"cn/internal/archive"
 	"cn/internal/cluster"
+	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/task"
+	"cn/internal/transport"
 	"cn/internal/wire"
 )
 
@@ -213,7 +216,8 @@ func TestLargeArchiveShipsByteIdentical(t *testing.T) {
 // TestTCPManySmallArchivesAggregateOverFrameLimit: individually-inlineable
 // archives whose AGGREGATE exceeds MaxFrameBytes must still admit — the
 // inline budget is per message, not per blob, so the overflow is
-// chunk-streamed on upload and announced by size on fetch.
+// chunk-streamed on upload, and every node pulls what it was assigned one
+// archive at a time.
 func TestTCPManySmallArchivesAggregateOverFrameLimit(t *testing.T) {
 	const class = "wire.SmallWork"
 	reg := task.NewRegistry()
@@ -282,6 +286,151 @@ func TestTCPManySmallArchivesAggregateOverFrameLimit(t *testing.T) {
 		}
 	}
 	if err := j.Cancel("aggregate admission test done"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSmallArchivesTransferOncePerNodeAndDigest: a job with three small
+// distinct archives spread over four nodes moves each archive to each node
+// that got a task of it exactly once — BlobTransfers equals the (node,
+// digest) pairs placed — and each of those transfers is one BLOB_CHUNK round
+// trip: a TaskManager pulls what a ref names, nothing announces it first.
+func TestSmallArchivesTransferOncePerNodeAndDigest(t *testing.T) {
+	const class = "wire.Trio"
+	reg := task.NewRegistry()
+	reg.MustRegister(class, func() task.Task {
+		return task.Func(func(task.Context) error { return nil })
+	})
+	c, err := cluster.Start(cluster.Config{Nodes: 4, Transport: cluster.TransportTCP, MemoryMB: 64000, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	cl, err := api.Initialize(c.Network(), api.Options{DiscoveryWindow: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	archives := make(map[string]*archive.Archive, 3)
+	var specs []*task.Spec
+	for a := 0; a < 3; a++ {
+		name := fmt.Sprintf("trio%d.jar", a)
+		ar, err := archive.NewBuilder(name, class).AddFile("id", []byte(name)).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		archives[name] = ar
+		for i := 0; i < 4; i++ {
+			specs = append(specs, &task.Spec{Name: fmt.Sprintf("a%d-t%d", a, i), Class: class, Archive: name,
+				Req: task.Requirements{MemoryMB: 10, RunModel: task.RunAsThreadInTM}})
+		}
+	}
+	j, err := cl.CreateJobOn("node1", "trio", protocol.JobRequirements{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	placements, err := j.CreateTasks(specs, archives)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := make(map[string]bool)
+	for _, sp := range specs {
+		node := placements[sp.Name]
+		if !c.Server(node).TaskManager().BlobCache().Has(archives[sp.Archive].Digest()) {
+			t.Errorf("node %s lacks the archive of %s", node, sp.Name)
+		}
+		pairs[node+"/"+sp.Archive] = true
+	}
+	if got := c.BlobTransfers(); got != int64(len(pairs)) {
+		t.Errorf("BlobTransfers = %d, want %d: one per (node, digest) pair placed (%v)", got, len(pairs), placements)
+	}
+	// A writer counts a frame just after writing it, so the count can trail
+	// the reply; it never passes what was sent.
+	var chunks int64
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if chunks = c.WireStats().ByKind["BLOB_CHUNK"]; chunks >= int64(len(pairs)) {
+			break
+		}
+	}
+	if chunks != int64(len(pairs)) {
+		t.Errorf("%d BLOB_CHUNK frames for %d small (node, digest) pairs, want one round trip each", chunks, len(pairs))
+	}
+	if err := j.Cancel("transfer census done"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInlineBlobVerifiedAtCreateTasks: a CREATE_TASKS carrying wrong bytes
+// under a digest is refused whole, with the reason a pushed blob failing its
+// digest gets — and the digest is not poisoned for the job: the same digest
+// sent again with its own bytes is accepted and distributed.
+func TestInlineBlobVerifiedAtCreateTasks(t *testing.T) {
+	const class = "wire.Inline"
+	reg := task.NewRegistry()
+	reg.MustRegister(class, func() task.Task {
+		return task.Func(func(task.Context) error { return nil })
+	})
+	c, err := cluster.Start(cluster.Config{Nodes: 2, MemoryMB: 64000, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	cl, err := api.Initialize(c.Network(), api.Options{DiscoveryWindow: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	j, err := cl.CreateJobOn("node1", "inline", protocol.JobRequirements{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar, err := archive.NewBuilder("inline.jar", class).AddFile("id", []byte("right")).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	impostor, err := archive.NewBuilder("inline.jar", class).AddFile("id", []byte("wrong")).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var caller *transport.Caller
+	ep, err := c.Network().Attach("forger", func(m *msg.Message) { caller.Handle(m) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	caller = transport.NewCaller(ep)
+	sp := &task.Spec{Name: "t1", Class: class, Archive: ar.Name, Req: task.Requirements{MemoryMB: 10, RunModel: task.RunAsThreadInTM}}
+	forged := protocol.Body(msg.KindCreateTasks,
+		msg.Address{Node: "forger", Job: j.ID, Task: protocol.ClientTaskName}, msg.Address{Node: "node1", Job: j.ID},
+		protocol.CreateTasksReq{JobID: j.ID,
+			Tasks: []protocol.TaskCreate{{Spec: sp, Archive: protocol.ArchiveRef{Name: ar.Name, Digest: ar.Digest(), Size: 1 << 40}}},
+			Blobs: map[string][]byte{ar.Digest(): impostor.Bytes()}})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	reply, err := caller.Call(ctx, "node1", forged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refusal protocol.JobEvent
+	if reply.Kind != msg.KindJobFailed || protocol.Decode(reply, &refusal) != nil ||
+		!strings.Contains(refusal.Err, "hashes to") || !strings.Contains(refusal.Err, "not the declared") {
+		t.Fatalf("forged batch answered %s %+v, want it refused for its digest", reply.Kind, refusal)
+	}
+	if got := c.BlobTransfers(); got != 0 {
+		t.Errorf("%d blob transfers after a refused batch", got)
+	}
+
+	placements, err := j.CreateTasks([]*task.Spec{sp}, map[string]*archive.Archive{ar.Name: ar})
+	if err != nil {
+		t.Fatalf("the digest's own bytes refused after the forgery: %v", err)
+	}
+	raw, ok := c.Server(placements["t1"]).TaskManager().BlobCache().GetBlob(ar.Digest())
+	if !ok || !bytes.Equal(raw, ar.Bytes()) {
+		t.Errorf("node %s caches the archive: %v, its own bytes: %v", placements["t1"], ok, bytes.Equal(raw, ar.Bytes()))
+	}
+	if err := j.Cancel("inline verification done"); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -26,6 +26,7 @@
 package jobmgr
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -41,15 +42,12 @@ import (
 	"cn/internal/wire"
 )
 
-// ckptVersion versions the opaque checkpoint encoding. A peer on a newer
-// build refuses images newer than it can read; older ones within
-// ckptMinVersion decode with their missing sections defaulted. Version 2
-// added the data-plane location table; version 3 appended the trace
-// section (root context + a capped span timeline).
-const ckptVersion = 3
-
-// ckptMinVersion is the oldest checkpoint image a peer still accepts.
-const ckptMinVersion = 2
+// ckptVersion versions the opaque checkpoint encoding; a peer accepts
+// exactly this version, as the wire does. Version 2 added the data-plane
+// location table, version 3 the trace section (root context + a capped span
+// timeline); version 4 writes specs, string maps, tuples and blobs with the
+// wire codec's own sub-encodings and gives an archive ref its Size.
+const ckptVersion = 4
 
 // maxCheckpointTraceSpans caps the timeline spans a checkpoint carries;
 // the early, structural spans (submit, placement, dispatch) survive
@@ -268,7 +266,7 @@ func (jm *JobManager) adoptJob(origin, jobID string, data []byte) error {
 		placement:   ck.placement,
 		archives:    ck.archives,
 		blobs:       ck.blobs,
-		staged:      make(map[string]*stagedBlob),
+		staged:      make(map[string]*protocol.Upload),
 		started:     ck.started,
 		idleSince:   time.Now(),
 		taskErrs:    ck.taskErrs,
@@ -491,51 +489,27 @@ func appendJobCheckpointLocked(dst []byte, j *jobState, withBlobs bool) ([]byte,
 	dst = wire.AppendString(dst, j.clientNode)
 	dst = wire.AppendBool(dst, j.started)
 
-	names := sortedKeys(j.specs)
-	dst = wire.AppendUvarint(dst, uint64(len(names)))
-	for _, name := range names {
-		sp := j.specs[name]
-		dst = wire.AppendString(dst, sp.Name)
-		dst = wire.AppendString(dst, sp.Archive)
-		dst = wire.AppendString(dst, sp.Class)
-		dst = wire.AppendUvarint(dst, uint64(len(sp.DependsOn)))
-		for _, d := range sp.DependsOn {
-			dst = wire.AppendString(dst, d)
-		}
-		dst = wire.AppendUvarint(dst, uint64(len(sp.Params)))
-		for _, p := range sp.Params {
-			dst = wire.AppendString(dst, string(p.Type))
-			dst = wire.AppendString(dst, p.Value)
-		}
-		dst = wire.AppendVarint(dst, int64(sp.Req.MemoryMB))
-		dst = wire.AppendVarint(dst, int64(sp.Req.RunModel))
+	dst = wire.AppendUvarint(dst, uint64(len(j.specs)))
+	for _, name := range wire.SortedKeys(j.specs) {
+		dst = wire.AppendSpec(dst, j.specs[name])
 	}
-
-	dst = appendStringMap(dst, j.placement)
-	ans := sortedKeys(j.archives)
-	dst = wire.AppendUvarint(dst, uint64(len(ans)))
-	for _, name := range ans {
-		ref := j.archives[name]
-		dst = wire.AppendString(dst, name)
-		dst = wire.AppendString(dst, ref.Name)
-		dst = wire.AppendString(dst, ref.Digest)
+	dst = wire.AppendStringMap(dst, j.placement)
+	dst = wire.AppendUvarint(dst, uint64(len(j.archives)))
+	for _, name := range wire.SortedKeys(j.archives) {
+		dst = wire.AppendArchiveRef(wire.AppendString(dst, name), j.archives[name])
 	}
-	rns := sortedKeys(j.retries)
-	dst = wire.AppendUvarint(dst, uint64(len(rns)))
-	for _, name := range rns {
-		dst = wire.AppendString(dst, name)
-		dst = wire.AppendVarint(dst, int64(j.retries[name]))
+	dst = wire.AppendUvarint(dst, uint64(len(j.retries)))
+	for _, name := range wire.SortedKeys(j.retries) {
+		dst = wire.AppendVarint(wire.AppendString(dst, name), int64(j.retries[name]))
 	}
-	dst = appendStringMap(dst, j.taskErrs)
+	dst = wire.AppendStringMap(dst, j.taskErrs)
 
 	hasSched := j.started && j.schedule != nil
 	dst = wire.AppendBool(dst, hasSched)
 	if hasSched {
-		sns := sortedKeys(j.schedule.state)
-		dst = wire.AppendUvarint(dst, uint64(len(sns)))
-		for _, name := range sns {
-			dst = wire.AppendString(dst, name)
-			dst = wire.AppendUvarint(dst, uint64(j.schedule.state[name]))
+		dst = wire.AppendUvarint(dst, uint64(len(j.schedule.state)))
+		for _, name := range wire.SortedKeys(j.schedule.state) {
+			dst = wire.AppendUvarint(wire.AppendString(dst, name), uint64(j.schedule.state[name]))
 		}
 	}
 
@@ -546,27 +520,14 @@ func appendJobCheckpointLocked(dst []byte, j *jobState, withBlobs bool) ([]byte,
 		if err != nil {
 			return nil, err
 		}
-		dst = wire.AppendUvarint(dst, uint64(len(fields)))
-		for _, f := range fields {
-			dst = wire.AppendString(dst, f.Kind)
-			dst = wire.AppendString(dst, f.S)
-			dst = wire.AppendVarint(dst, f.I)
-			dst = wire.AppendFloat64(dst, f.F)
-			dst = wire.AppendBool(dst, f.B)
-			dst = wire.AppendBytes(dst, f.Bytes)
-		}
+		dst = wire.AppendTSFields(dst, fields)
 	}
 	dst = wire.AppendVarint(dst, j.tsOps.Load())
 
 	if withBlobs {
-		digests := sortedKeys(j.blobs)
-		dst = wire.AppendUvarint(dst, uint64(len(digests)))
-		for _, d := range digests {
-			dst = wire.AppendString(dst, d)
-			dst = wire.AppendBytes(dst, j.blobs[d])
-		}
+		dst = wire.AppendBlobMap(dst, j.blobs)
 	} else {
-		dst = wire.AppendUvarint(dst, 0)
+		dst = wire.AppendBlobMap(dst, nil)
 	}
 
 	// The data-plane location table rides every checkpoint: adverts are a
@@ -576,17 +537,13 @@ func appendJobCheckpointLocked(dst []byte, j *jobState, withBlobs bool) ([]byte,
 	locs := j.broker.Entries()
 	dst = wire.AppendUvarint(dst, uint64(len(locs)))
 	for _, l := range locs {
-		dst = wire.AppendString(dst, l.Key)
-		dst = wire.AppendString(dst, l.Task)
-		dst = wire.AppendString(dst, l.Node)
-		dst = wire.AppendString(dst, l.Digest)
-		dst = wire.AppendVarint(dst, l.Size)
-		dst = wire.AppendBytes(dst, l.Inline)
+		dst = wire.AppendDataPutReq(dst, protocol.DataPutReq{
+			Key: l.Key, Task: l.Task, Node: l.Node, Digest: l.Digest, Size: l.Size, Data: l.Inline})
 	}
 
-	// Trace section (v3): the job's root context plus a capped prefix of
-	// the assembled timeline, so an adopted job keeps its pre-failover
-	// spans and the adopter's own spans parent into the same trace.
+	// Trace section: the job's root context plus a capped prefix of the
+	// assembled timeline, so an adopted job keeps its pre-failover spans
+	// and the adopter's own spans parent into the same trace.
 	dst = wire.AppendUvarint(dst, j.root.TraceID)
 	dst = wire.AppendUvarint(dst, j.root.SpanID)
 	dst = wire.AppendUvarint(dst, j.root.ParentID)
@@ -600,15 +557,19 @@ func appendJobCheckpointLocked(dst []byte, j *jobState, withBlobs bool) ([]byte,
 
 // decodeJobCheckpoint is the inverse of encodeJobCheckpointLocked. Every
 // count is bounds-checked against the remaining input by the wire reader,
-// so hostile bytes error instead of allocating unbounded state.
+// so hostile bytes error instead of allocating unbounded state. The wire's
+// readers hand out []byte values that alias their input and a nil map for an
+// empty one; what outlives the image here — blobs, inline locations, tuple
+// fields — is copied out of it, so an adopted job does not pin a peer's
+// whole image, and the maps adoption writes to are made.
 func decodeJobCheckpoint(data []byte) (*jobCheckpoint, error) {
 	r := wire.NewReader(data)
 	v, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if v < ckptMinVersion || v > ckptVersion {
-		return nil, fmt.Errorf("jobmgr: checkpoint version %d, want %d..%d", v, ckptMinVersion, ckptVersion)
+	if v != ckptVersion {
+		return nil, fmt.Errorf("jobmgr: checkpoint version %d, want %d", v, ckptVersion)
 	}
 	ck := &jobCheckpoint{}
 	if ck.name, err = r.String(); err != nil {
@@ -627,57 +588,20 @@ func decodeJobCheckpoint(data []byte) (*jobCheckpoint, error) {
 	}
 	ck.specs = make([]*task.Spec, 0, nspecs)
 	for i := 0; i < nspecs; i++ {
-		sp := &task.Spec{}
-		if sp.Name, err = r.String(); err != nil {
-			return nil, err
-		}
-		if sp.Archive, err = r.String(); err != nil {
-			return nil, err
-		}
-		if sp.Class, err = r.String(); err != nil {
-			return nil, err
-		}
-		ndeps, err := r.Count("spec deps")
+		sp, err := wire.ReadSpec(r)
 		if err != nil {
 			return nil, err
 		}
-		for d := 0; d < ndeps; d++ {
-			dep, err := r.String()
-			if err != nil {
-				return nil, err
-			}
-			sp.DependsOn = append(sp.DependsOn, dep)
+		if sp == nil {
+			return nil, fmt.Errorf("jobmgr: checkpoint spec %d absent", i)
 		}
-		nparams, err := r.Count("spec params")
-		if err != nil {
-			return nil, err
-		}
-		for p := 0; p < nparams; p++ {
-			var pt, pv string
-			if pt, err = r.String(); err != nil {
-				return nil, err
-			}
-			if pv, err = r.String(); err != nil {
-				return nil, err
-			}
-			sp.Params = append(sp.Params, task.Param{Type: task.ParamType(pt), Value: pv})
-		}
-		memMB, err := r.Varint()
-		if err != nil {
-			return nil, err
-		}
-		rm, err := r.Varint()
-		if err != nil {
-			return nil, err
-		}
-		sp.Req = task.Requirements{MemoryMB: int(memMB), RunModel: task.RunModel(rm)}
 		if err := sp.Validate(); err != nil {
 			return nil, err
 		}
 		ck.specs = append(ck.specs, sp)
 	}
 
-	if ck.placement, err = readStringMap(r, "checkpoint placement"); err != nil {
+	if ck.placement, err = wire.ReadStringMap(r, "checkpoint placement"); err != nil {
 		return nil, err
 	}
 	narch, err := r.Count("checkpoint archives")
@@ -686,18 +610,13 @@ func decodeJobCheckpoint(data []byte) (*jobCheckpoint, error) {
 	}
 	ck.archives = make(map[string]protocol.ArchiveRef, narch)
 	for i := 0; i < narch; i++ {
-		var name string
-		var ref protocol.ArchiveRef
-		if name, err = r.String(); err != nil {
+		name, err := r.String()
+		if err != nil {
 			return nil, err
 		}
-		if ref.Name, err = r.String(); err != nil {
+		if ck.archives[name], err = wire.ReadArchiveRef(r); err != nil {
 			return nil, err
 		}
-		if ref.Digest, err = r.String(); err != nil {
-			return nil, err
-		}
-		ck.archives[name] = ref
 	}
 	nretries, err := r.Count("checkpoint retries")
 	if err != nil {
@@ -709,13 +628,11 @@ func decodeJobCheckpoint(data []byte) (*jobCheckpoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		n, err := r.Varint()
-		if err != nil {
+		if ck.retries[name], err = r.Int(); err != nil {
 			return nil, err
 		}
-		ck.retries[name] = int(n)
 	}
-	if ck.taskErrs, err = readStringMap(r, "checkpoint task errors"); err != nil {
+	if ck.taskErrs, err = wire.ReadStringMap(r, "checkpoint task errors"); err != nil {
 		return nil, err
 	}
 
@@ -751,35 +668,12 @@ func decodeJobCheckpoint(data []byte) (*jobCheckpoint, error) {
 	}
 	ck.tuples = make([]tuplespace.Tuple, 0, ntuples)
 	for i := 0; i < ntuples; i++ {
-		nfields, err := r.Count("tuple fields")
+		fields, err := wire.ReadTSFields(r)
 		if err != nil {
 			return nil, err
 		}
-		fields := make([]protocol.TSField, nfields)
 		for fi := range fields {
-			f := &fields[fi]
-			if f.Kind, err = r.String(); err != nil {
-				return nil, err
-			}
-			if f.S, err = r.String(); err != nil {
-				return nil, err
-			}
-			if f.I, err = r.Varint(); err != nil {
-				return nil, err
-			}
-			if f.F, err = r.Float64(); err != nil {
-				return nil, err
-			}
-			if f.B, err = r.Bool(); err != nil {
-				return nil, err
-			}
-			raw, err := r.Bytes()
-			if err != nil {
-				return nil, err
-			}
-			if len(raw) > 0 {
-				f.Bytes = append([]byte(nil), raw...)
-			}
+			fields[fi].Bytes = bytes.Clone(fields[fi].Bytes)
 		}
 		t, err := protocol.DecodeTuple(fields)
 		if err != nil {
@@ -791,21 +685,11 @@ func decodeJobCheckpoint(data []byte) (*jobCheckpoint, error) {
 		return nil, err
 	}
 
-	nblobs, err := r.Count("checkpoint blobs")
-	if err != nil {
+	if ck.blobs, err = wire.ReadBlobMap(r, "checkpoint blobs"); err != nil {
 		return nil, err
 	}
-	ck.blobs = make(map[string][]byte, nblobs)
-	for i := 0; i < nblobs; i++ {
-		d, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		raw, err := r.Bytes()
-		if err != nil {
-			return nil, err
-		}
-		ck.blobs[d] = append([]byte(nil), raw...)
+	for d, raw := range ck.blobs {
+		ck.blobs[d] = bytes.Clone(raw)
 	}
 	nlocs, err := r.Count("checkpoint data-plane locations")
 	if err != nil {
@@ -813,86 +697,36 @@ func decodeJobCheckpoint(data []byte) (*jobCheckpoint, error) {
 	}
 	ck.locs = make([]dataplane.Loc, 0, nlocs)
 	for i := 0; i < nlocs; i++ {
-		var l dataplane.Loc
-		if l.Key, err = r.String(); err != nil {
+		var put protocol.DataPutReq
+		if err := wire.ReadDataPutReq(r, &put); err != nil {
 			return nil, err
 		}
-		if l.Task, err = r.String(); err != nil {
-			return nil, err
-		}
-		if l.Node, err = r.String(); err != nil {
-			return nil, err
-		}
-		if l.Digest, err = r.String(); err != nil {
-			return nil, err
-		}
-		if l.Size, err = r.Varint(); err != nil {
-			return nil, err
-		}
-		raw, err := r.Bytes()
-		if err != nil {
-			return nil, err
-		}
-		if len(raw) > 0 {
-			l.Inline = append([]byte(nil), raw...)
-		}
+		l := locOf(&put)
+		l.Inline = bytes.Clone(l.Inline)
 		ck.locs = append(ck.locs, l)
 	}
-	if v >= 3 {
-		if ck.root.TraceID, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		if ck.root.SpanID, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		if ck.root.ParentID, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		if ck.timeline, err = wire.ReadSpans(r); err != nil {
-			return nil, err
-		}
+	if ck.root.TraceID, err = r.Uvarint(); err != nil {
+		return nil, err
+	}
+	if ck.root.SpanID, err = r.Uvarint(); err != nil {
+		return nil, err
+	}
+	if ck.root.ParentID, err = r.Uvarint(); err != nil {
+		return nil, err
+	}
+	if ck.timeline, err = wire.ReadSpans(r); err != nil {
+		return nil, err
 	}
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("jobmgr: %d trailing bytes after checkpoint", r.Len())
 	}
+	ck.placement, ck.taskErrs, ck.blobs = orEmpty(ck.placement), orEmpty(ck.taskErrs), orEmpty(ck.blobs)
 	return ck, nil
 }
 
-func appendStringMap(dst []byte, m map[string]string) []byte {
-	keys := sortedKeys(m)
-	dst = wire.AppendUvarint(dst, uint64(len(keys)))
-	for _, k := range keys {
-		dst = wire.AppendString(dst, k)
-		dst = wire.AppendString(dst, m[k])
+func orEmpty[V any](m map[string]V) map[string]V {
+	if m == nil {
+		return make(map[string]V)
 	}
-	return dst
-}
-
-func readStringMap(r *wire.Reader, what string) (map[string]string, error) {
-	n, err := r.Count(what)
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[string]string, n)
-	for i := 0; i < n; i++ {
-		k, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		v, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		m[k] = v
-	}
-	return m, nil
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return m
 }

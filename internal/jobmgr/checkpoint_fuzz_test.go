@@ -3,6 +3,7 @@ package jobmgr
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -88,7 +89,8 @@ func ckptSeeds(t testing.TB) [][]byte {
 
 	adverts := ckptJob("adverts", spec("map"), spec("red"))
 	adverts.placement = map[string]string{"map": "n1", "red": "n2"}
-	adverts.archives["map"] = protocol.ArchiveRef{Name: "m.jar", Digest: "d0"}
+	adverts.archives["map"] = protocol.ArchiveRef{Name: "m.jar", Digest: "d0", Size: 9}
+	adverts.archives["red"] = protocol.ArchiveRef{Name: "predeployed.jar"}
 	adverts.blobs["d0"] = []byte("zip bytes")
 	for _, l := range []dataplane.Loc{
 		{Key: "m0.r0", Task: "map", Node: "n1", Digest: "aa", Size: 3 << 20},
@@ -189,5 +191,118 @@ func TestCheckpointSeedsRoundTrip(t *testing.T) {
 				t.Errorf("adverts: locs %+v", ck.locs)
 			}
 		}
+	}
+}
+
+// TestCheckpointSectionsRoundTrip: every section of an image decodes to what
+// it was encoded from — the wire's sub-encodings under the image included.
+func TestCheckpointSectionsRoundTrip(t *testing.T) {
+	sp := func(name string, deps ...string) *task.Spec {
+		return &task.Spec{Name: name, Archive: "m.jar", Class: "c.Task", DependsOn: deps,
+			Params: []task.Param{{Type: task.TypeInteger, Value: "7"}, {Type: task.TypeString, Value: "x"}},
+			Req:    task.Requirements{MemoryMB: 16, RunModel: task.RunAsProcess}}
+	}
+	j := ckptJob("all", sp("a"), sp("b", "a"), sp("c", "a", "b"))
+	j.started = true
+	j.placement = map[string]string{"a": "n1", "b": "n2", "c": "n1"}
+	j.archives = map[string]protocol.ArchiveRef{
+		"a": {Name: "m.jar", Digest: "d0", Size: 4},
+		"b": {Name: "m.jar", Digest: "d1"},
+		"c": {Name: "predeployed.jar"},
+	}
+	j.retries = map[string]int{"a": 2, "c": 1}
+	j.taskErrs = map[string]string{"b": "boom"}
+	j.blobs = map[string][]byte{"d0": []byte("zip0"), "d1": []byte("zip-one")}
+	sched, err := NewSchedule([]*task.Spec{j.specs["a"], j.specs["b"], j.specs["c"]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.schedule = sched
+	tuples := []tuplespace.Tuple{{"task", 1, int64(-2)}, {"res", 4.5, true, []byte{9, 8}}, {"s"}}
+	for _, tup := range tuples {
+		if err := j.space.Out(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.tsOps.Store(3)
+	locs := []dataplane.Loc{
+		{Key: "k0", Task: "a", Node: "n1", Digest: "aa", Size: 3 << 20},
+		{Key: "k1", Task: "a", Node: "n1", Digest: "bb", Size: 3, Inline: []byte("abc")},
+	}
+	for _, l := range locs {
+		if err := j.broker.Put(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.root = trace.Context{TraceID: 5, SpanID: 6, ParentID: 4}
+	j.timeline = []trace.Span{{Trace: 5, ID: 8, Parent: 6, Name: "jm.place", Job: "n1-job1", Start: time.Unix(1700000000, 0), Dur: time.Millisecond}}
+
+	data, err := encodeJobCheckpointLocked(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := decodeJobCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(section string, got, want any) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", section, got, want)
+		}
+	}
+	same("header", []any{ck.name, ck.clientNode, ck.started}, []any{j.name, j.clientNode, true})
+	same("specs", ck.specs, []*task.Spec{j.specs["a"], j.specs["b"], j.specs["c"]})
+	same("placement", ck.placement, j.placement)
+	same("archives", ck.archives, j.archives)
+	same("retries", ck.retries, j.retries)
+	same("task errors", ck.taskErrs, j.taskErrs)
+	same("statuses", ck.statuses, map[string]Status{"a": StatusReady, "b": StatusPending, "c": StatusPending})
+	same("tuples", ck.tuples, tuples)
+	same("ts ops", ck.tsOps, int64(3))
+	same("blobs", ck.blobs, j.blobs)
+	same("locations", ck.locs, locs)
+	same("trace root", ck.root, j.root)
+	same("timeline", ck.timeline, j.timeline)
+
+	// What outlives the image is not part of it: scribbling over the image
+	// changes no blob, inline copy or tuple field of the decoded state.
+	for i := range data {
+		data[i] = 0xEE
+	}
+	same("blobs after the image is gone", ck.blobs, j.blobs)
+	same("inline copy after the image is gone", ck.locs[1].Inline, []byte("abc"))
+	same("tuple bytes after the image is gone", ck.tuples[1][3], []byte{9, 8})
+
+	// A job that never started and holds nothing decodes to maps adoption
+	// can write to.
+	data, err = encodeJobCheckpointLocked(ckptJob("bare"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck, err = decodeJobCheckpoint(data); err != nil || ck.placement == nil || ck.taskErrs == nil || ck.blobs == nil || ck.statuses != nil {
+		t.Errorf("bare image: %v, %+v", err, ck)
+	}
+}
+
+// TestCheckpointOnlyCurrentVersion: an image of any other version — the v3
+// a peer one build back would send, the next one, none — is refused by its
+// version, before any of it is read.
+func TestCheckpointOnlyCurrentVersion(t *testing.T) {
+	img, err := encodeJobCheckpointLocked(ckptJob("versioned"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img[0] != ckptVersion || ckptVersion != 4 {
+		t.Fatalf("image starts with %d, ckptVersion %d; want 4", img[0], ckptVersion)
+	}
+	for _, v := range []byte{0, 2, 3, 5} {
+		old := append([]byte{v}, img[1:]...)
+		if _, err := decodeJobCheckpoint(old); err == nil || !strings.Contains(err.Error(), "checkpoint version") {
+			t.Errorf("version %d: %v, want it refused by version", v, err)
+		}
+	}
+	if _, err := decodeJobCheckpoint(img); err != nil {
+		t.Errorf("current version refused: %v", err)
 	}
 }

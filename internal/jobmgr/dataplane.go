@@ -71,18 +71,15 @@ func (jm *JobManager) HandleDataPut(m *msg.Message) *msg.Message {
 	if j == nil {
 		return dataReply(m, jm.dataNoJob(req.JobID, req.Key, t))
 	}
-	loc := dataplane.Loc{
-		Key:    req.Key,
-		Task:   req.Task,
-		Node:   req.Node,
-		Digest: req.Digest,
-		Size:   req.Size,
-		Inline: req.Data,
-	}
-	if err := j.broker.Put(loc); err != nil {
+	if err := j.broker.Put(locOf(&req)); err != nil {
 		return dataReply(m, &protocol.DataLocResp{Key: req.Key, Closed: true})
 	}
 	return dataReply(m, &protocol.DataLocResp{Key: req.Key, Digest: req.Digest, Node: req.Node, Size: req.Size})
+}
+
+// locOf is the location a DATA_PUT advert describes; Inline aliases req.Data.
+func locOf(req *protocol.DataPutReq) dataplane.Loc {
+	return dataplane.Loc{Key: req.Key, Task: req.Task, Node: req.Node, Digest: req.Digest, Size: req.Size, Inline: req.Data}
 }
 
 // HandleDataResolve processes a consumer's KindDataResolve and sends the

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,10 +78,6 @@ type Config struct {
 	// negative disables checkpointing and adoption entirely, the
 	// pre-durability behavior where a dead JobManager kills its jobs).
 	CheckpointEvery time.Duration
-	// Scorer overrides the placement ranking policy (nil =
-	// placement.DefaultScorer{}: resident bytes, then free memory, then
-	// running tasks, then the straggler penalty).
-	Scorer placement.Scorer
 	// StragglerAfter enables speculative execution: a running task whose
 	// heartbeat progress sync has not advanced for this long gets a second
 	// copy placed on another node; the first result wins and the loser is
@@ -90,10 +85,8 @@ type Config struct {
 	// silent compute stretch a healthy task performs, or healthy tasks will
 	// be (harmlessly but wastefully) duplicated.
 	StragglerAfter time.Duration
-	// Logf receives diagnostic lines; nil disables logging.
-	Logf func(format string, args ...any)
-	// Log is the structured logger; when nil, records are bridged through
-	// Logf (or discarded when that is nil too).
+	// Log is the structured logger (nil discards); printf-style diagnostics
+	// are its Debug records.
 	Log *slog.Logger
 	// Tracer records this JobManager's spans into the per-job timelines;
 	// nil disables JM-side tracing (incoming spans are still collected).
@@ -136,17 +129,17 @@ type jobState struct {
 	// archives remembers each task's content-addressed archive reference so
 	// the recovery engine can rebuild assignment items for re-placement.
 	archives map[string]protocol.ArchiveRef
-	// blobs holds the job's archive bytes by digest until the job finishes,
-	// serving TaskManager KindFetchBlob / KindBlobChunk pulls during
-	// assignment and during recovery re-placement (re-placed tasks re-fetch
-	// by digest).
+	// blobs holds the job's archive bytes by digest — every entry verified
+	// against its key — until the job finishes, serving TaskManager
+	// KindBlobChunk pulls during assignment and during recovery
+	// re-placement (re-placed tasks re-fetch by digest).
 	blobs map[string][]byte
 	// staged accumulates in-flight chunked blob uploads (client
 	// KindBlobChunk pushes), keyed by uploader node + digest so two
 	// clients pushing the same digest concurrently cannot corrupt each
 	// other's sequence; a completed, digest-verified upload graduates
 	// into blobs.
-	staged   map[string]*stagedBlob
+	staged   map[string]*protocol.Upload
 	schedule *Schedule
 	started  bool
 	// notified is set once, under mu, by whichever exit decides the job is
@@ -228,12 +221,6 @@ func (j *jobState) addSpansLocked(spans ...trace.Span) {
 type beatState struct {
 	progress  uint64
 	changedAt time.Time
-}
-
-// stagedBlob is one chunked archive upload in flight.
-type stagedBlob struct {
-	total int64
-	buf   []byte
 }
 
 // JobManager hosts jobs on one node.
@@ -340,15 +327,12 @@ func New(cfg Config, send SendFunc, caller *transport.Caller, freeMem FreeMemFun
 			cfg.CheckpointEvery = cfg.HeartbeatInterval
 		}
 	}
-	if cfg.Scorer == nil {
-		cfg.Scorer = placement.DefaultScorer{}
-	}
 	jm := &JobManager{
 		cfg:     cfg,
 		send:    send,
 		caller:  caller,
 		freeMem: freeMem,
-		log:     logging.Component(logging.Pick(cfg.Log, cfg.Logf), "jobmgr", cfg.Node),
+		log:     logging.Component(cfg.Log, "jobmgr", cfg.Node),
 		tracer:  cfg.Tracer,
 		stop:    make(chan struct{}),
 		jobs:    make(map[string]*jobState),
@@ -359,7 +343,7 @@ func New(cfg Config, send SendFunc, caller *transport.Caller, freeMem FreeMemFun
 		SuspectAfter: cfg.SuspectAfter,
 		DeadAfter:    cfg.DeadAfter,
 		Sweep:        monSweep,
-		Logf:         cfg.Logf,
+		Logf:         logging.Logf(jm.log),
 	})
 	jm.dir = placement.NewDirectory(placement.Config{
 		TTL:     cfg.PlacementTTL,
@@ -384,7 +368,7 @@ func New(cfg Config, send SendFunc, caller *transport.Caller, freeMem FreeMemFun
 		jm.peers = health.NewMonitor(health.Config{
 			SuspectAfter: 3 * cfg.CheckpointEvery,
 			DeadAfter:    6 * cfg.CheckpointEvery,
-			Logf:         cfg.Logf,
+			Logf:         logging.Logf(jm.log),
 		})
 		jm.wg.Add(2)
 		go jm.checkpointLoop()
@@ -425,9 +409,7 @@ func (jm *JobManager) solicitOffers() ([]protocol.TMOffer, error) {
 func (jm *JobManager) PlacementStats() placement.Stats { return jm.dir.Stats() }
 
 func (jm *JobManager) logf(format string, args ...any) {
-	if jm.cfg.Logf != nil {
-		jm.cfg.Logf("[jm %s] "+format, append([]any{jm.cfg.Node}, args...)...)
-	}
+	logging.Debugf(jm.log, format, args...)
 }
 
 // endSpan closes an active span and copies the completed span into the
@@ -552,7 +534,7 @@ func (jm *JobManager) HandleCreateJob(m *msg.Message) *msg.Message {
 		placement:   make(map[string]string),
 		archives:    make(map[string]protocol.ArchiveRef),
 		blobs:       make(map[string][]byte),
-		staged:      make(map[string]*stagedBlob),
+		staged:      make(map[string]*protocol.Upload),
 		idleSince:   time.Now(),
 		taskErrs:    make(map[string]string),
 		retries:     make(map[string]int),
@@ -658,6 +640,15 @@ func (jm *JobManager) HandleCreateTasks(m *msg.Message) *msg.Message {
 // createTasks validates, places, and records a batch of tasks — the shared
 // engine behind CREATE_TASKS.
 func (jm *JobManager) createTasks(j *jobState, items []protocol.TaskCreate, blobs map[string][]byte) (map[string]string, error) {
+	// An inline blob is verified where a pushed one is: bytes that do not
+	// hash to their key would poison the digest for the whole job, and
+	// every TaskManager would find out separately. At most
+	// MaxInlinePerMessage bytes are hashed per message.
+	for digest, raw := range blobs {
+		if got := archive.DigestBytes(raw); got != digest {
+			return nil, fmt.Errorf("inline blob hashes to %.12s…, not the declared %.12s…", got, digest)
+		}
+	}
 	inBatch := make(map[string]bool, len(items))
 	for _, it := range items {
 		if it.Spec == nil {
@@ -688,11 +679,17 @@ func (jm *JobManager) createTasks(j *jobState, items []protocol.TaskCreate, blob
 		}
 	}
 	// Stash archive bytes (each distinct digest once) so the chosen
-	// TaskManagers can pull what they lack.
+	// TaskManagers can pull what they lack, and tell them how much that is:
+	// a ref's Size is the length of bytes verified here or by an upload,
+	// never what the client wrote — 0 for a digest this JobManager does not
+	// hold, which only a node already caching it can accept.
 	for digest, raw := range blobs {
 		if _, ok := j.blobs[digest]; !ok {
 			j.blobs[digest] = raw
 		}
+	}
+	for i := range items {
+		items[i].Archive.Size = int64(len(j.blobs[items[i].Archive.Digest]))
 	}
 	j.mu.Unlock()
 
@@ -831,7 +828,7 @@ func (jm *JobManager) placeBatch(j *jobState, items []protocol.TaskCreate, preEx
 			lastErr = fmt.Errorf("jobmgr %s: no TaskManager offered to host tasks", jm.cfg.Node)
 			continue
 		}
-		plan, unplaced, planStats := placement.PlanScored(remaining, offers, wants, jm.cfg.Scorer)
+		plan, unplaced, planStats := placement.PlanScored(remaining, offers, wants, placement.DefaultScorer{})
 		jm.dir.NotePlan(planStats)
 		if len(unplaced) > 0 {
 			lastErr = placement.UnplacedError(unplaced)
@@ -1028,45 +1025,6 @@ func (jm *JobManager) assignBatch(j *jobState, node string, items []protocol.Tas
 	return &resp, nil
 }
 
-// HandleFetchBlob answers a TaskManager's KindFetchBlob pull with the
-// job's stashed archive bytes. Digests this JobManager does not hold are
-// simply absent from the reply. Blobs up to protocol.MaxInlineBlob ride
-// whole; larger ones are announced with their size only and the
-// TaskManager streams them chunk by chunk with KindBlobChunk, so no reply
-// approaches the transport frame limit.
-func (jm *JobManager) HandleFetchBlob(m *msg.Message) *msg.Message {
-	var req protocol.FetchBlobReq
-	if err := protocol.Decode(m, &req); err != nil {
-		jm.logf("bad fetch-blob request: %v", err)
-		return m.Reply(msg.KindBlobData, msg.MustEncode(protocol.FetchBlobResp{}))
-	}
-	out := make(map[string][]byte, len(req.Digests))
-	sizes := make(map[string]int64)
-	inlined := 0
-	if j, err := jm.job(req.JobID); err == nil {
-		j.mu.Lock()
-		// The inline budget is aggregate across the whole reply: many
-		// individually-small blobs must not add up past the frame limit.
-		// Digests are walked in sorted order so the inline/announce split
-		// is deterministic for a given request.
-		ds := append([]string(nil), req.Digests...)
-		sort.Strings(ds)
-		for _, d := range ds {
-			raw, ok := j.blobs[d]
-			switch {
-			case !ok:
-			case len(raw) <= protocol.MaxInlineBlob && inlined+len(raw) <= protocol.MaxInlinePerMessage:
-				inlined += len(raw)
-				out[d] = raw
-			default:
-				sizes[d] = int64(len(raw))
-			}
-		}
-		j.mu.Unlock()
-	}
-	return m.Reply(msg.KindBlobData, msg.MustEncode(protocol.FetchBlobResp{Blobs: out, Sizes: sizes}))
-}
-
 // HandleBlobChunk serves both directions of the chunked blob protocol: a
 // client pushing one chunk of a large archive upload (Data non-empty), or
 // a TaskManager pulling one chunk of a stashed blob (Data empty). A pulled
@@ -1086,7 +1044,7 @@ func (jm *JobManager) HandleBlobChunk(m *msg.Message) *msg.Message {
 		return ack(protocol.BlobChunkResp{Digest: req.Digest, Err: err.Error()})
 	}
 	if len(req.Data) > 0 {
-		return ack(jm.stageChunk(j, m.From.Node, &req))
+		return ack(jm.stageChunk(j, m.From.Node, &req, protocol.MaxBlobBytes))
 	}
 	j.mu.Lock()
 	raw, ok := j.blobs[req.Digest]
@@ -1097,82 +1055,51 @@ func (jm *JobManager) HandleBlobChunk(m *msg.Message) *msg.Message {
 	return ack(protocol.SliceChunk(&req, raw))
 }
 
-// stageChunk appends one pushed chunk to the uploader's staged upload.
-// Staging is keyed per uploader node so concurrent clients pushing the
-// same digest advance independently — whoever completes first lands the
-// blob, and the other converges on the idempotent "already assembled"
-// acknowledgement. Chunks must arrive in offset order (each uploader is
-// sequential); an offset-0 chunk on an existing stage restarts that
-// uploader's sequence (a retry after a lost ack). The completed blob is
-// digest-verified before it becomes fetchable, so a corrupted upload is
-// rejected at the source instead of poisoning TaskManager pulls.
-func (jm *JobManager) stageChunk(j *jobState, fromNode string, req *protocol.BlobChunkReq) protocol.BlobChunkResp {
-	fail := func(format string, args ...any) protocol.BlobChunkResp {
-		return protocol.BlobChunkResp{Digest: req.Digest, Err: fmt.Sprintf(format, args...)}
-	}
-	if req.Digest == "" {
-		return fail("chunk push without a digest")
-	}
-	if req.Total <= 0 || req.Total > protocol.MaxBlobBytes {
-		return fail("blob size %d out of bounds (max %d)", req.Total, int64(protocol.MaxBlobBytes))
-	}
-	if req.Offset < 0 || req.Offset+int64(len(req.Data)) > req.Total {
-		return fail("chunk [%d,%d) exceeds declared total %d", req.Offset, req.Offset+int64(len(req.Data)), req.Total)
-	}
+// stageChunk hands one pushed chunk to the uploader's protocol.Upload, which
+// owns the sequence rules. Kept here: the table of uploads, one per uploader
+// node and digest, so concurrent clients pushing the same digest advance
+// independently — whoever completes first lands the blob and the other
+// converges on the "already held" acknowledgement — and the job's budget of
+// staged bytes, one blob's worth (protocol.MaxBlobBytes; a parameter for the
+// test that cannot stage a gigabyte).
+func (jm *JobManager) stageChunk(j *jobState, fromNode string, req *protocol.BlobChunkReq, budget int64) protocol.BlobChunkResp {
 	stageKey := fromNode + "/" + req.Digest
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.idleSince = time.Now()
 	if j.notified || j.blobs == nil {
-		return fail("job %s already finished", j.id)
+		return protocol.BlobChunkResp{Digest: req.Digest, Err: fmt.Sprintf("job %s already finished", j.id)}
 	}
-	if raw, done := j.blobs[req.Digest]; done {
-		// The blob is already assembled (an idempotent re-push, or a
-		// concurrent uploader finished first): acknowledge completion.
-		delete(j.staged, stageKey)
-		return protocol.BlobChunkResp{Digest: req.Digest, Offset: int64(len(raw)), Total: int64(len(raw))}
-	}
-	sb := j.staged[stageKey]
-	if sb == nil || req.Offset == 0 {
-		if req.Offset != 0 {
-			return fail("unknown upload: first chunk must start at offset 0, got %d", req.Offset)
-		}
-		// The declared total only bounds the upload; capacity grows with
-		// the bytes actually received, so a tiny chunk declaring a huge
-		// total cannot pre-allocate gigabytes.
-		eager := req.Total
-		if eager > protocol.BlobChunkBytes {
-			eager = protocol.BlobChunkBytes
-		}
-		sb = &stagedBlob{total: req.Total, buf: make([]byte, 0, eager)}
-		j.staged[stageKey] = sb
-	}
+	held := j.blobs[req.Digest]
 	// Bound the job's aggregate staged bytes: abandoned partial uploads
 	// under many distinct digests must not accumulate past one blob's
-	// worth of memory budget.
-	var stagedBytes int64
-	for _, other := range j.staged {
-		stagedBytes += int64(len(other.buf))
+	// worth of memory budget. A chunk at offset 0 restarts its own upload,
+	// whose bytes then no longer count.
+	var inFlight int64
+	for key, other := range j.staged {
+		if key != stageKey || req.Offset != 0 {
+			inFlight += other.Len()
+		}
 	}
-	if stagedBytes+int64(len(req.Data)) > protocol.MaxBlobBytes {
+	if held == nil && inFlight+int64(len(req.Data)) > budget {
 		delete(j.staged, stageKey)
-		return fail("job %s staged-upload budget exhausted (%d bytes in flight)", j.id, stagedBytes)
+		return protocol.BlobChunkResp{Digest: req.Digest,
+			Err: fmt.Sprintf("job %s staged-upload budget exhausted (%d bytes in flight)", j.id, inFlight)}
 	}
-	if req.Total != sb.total || req.Offset != int64(len(sb.buf)) {
+	up := j.staged[stageKey]
+	if up == nil {
+		up = new(protocol.Upload)
+		j.staged[stageKey] = up
+	}
+	ack, blob := up.Push(req, held)
+	if up.Len() == 0 {
 		delete(j.staged, stageKey)
-		return fail("out-of-order chunk at %d (have %d of %d); upload reset", req.Offset, len(sb.buf), sb.total)
 	}
-	sb.buf = append(sb.buf, req.Data...)
-	if int64(len(sb.buf)) < sb.total {
-		return protocol.BlobChunkResp{Digest: req.Digest, Offset: int64(len(sb.buf)), Total: sb.total}
+	if blob != nil {
+		j.blobs[req.Digest] = blob
+		jm.logf("job %s: staged blob %.12s… (%d bytes, chunked upload from %s)", j.id, req.Digest, len(blob), fromNode)
 	}
-	delete(j.staged, stageKey)
-	if got := archive.DigestBytes(sb.buf); got != req.Digest {
-		return fail("reassembled blob hashes to %.12s…, not the declared %.12s…", got, req.Digest)
-	}
-	j.blobs[req.Digest] = sb.buf
-	jm.logf("job %s: staged blob %.12s… (%d bytes, chunked upload from %s)", j.id, req.Digest, sb.total, fromNode)
-	return protocol.BlobChunkResp{Digest: req.Digest, Offset: sb.total, Total: sb.total}
+	return ack
 }
 
 // HandleStartJob processes KindStartTask from the client: build the

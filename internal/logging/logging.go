@@ -1,10 +1,9 @@
 // Package logging centralizes CN's structured logging on log/slog. Every
 // component logs through a *slog.Logger carrying component/node attrs
 // (plus job/task attrs per record), leveled and flag-configurable from
-// the cmds. The legacy printf seam (Config.Logf) is bridged in both
-// directions so existing tests and harnesses keep working: a component
-// given only a Logf sink still emits structured records through it, and
-// code that wants a printf function can wrap a logger.
+// the cmds. There is one stream: printf-style diagnostics are Debug records
+// on the same logger (Debugf), and the few leaves that take a printf
+// function are handed Logf(logger).
 package logging
 
 import (
@@ -14,7 +13,6 @@ import (
 	"log/slog"
 	"os"
 	"strings"
-	"sync"
 )
 
 // ParseLevel maps a -log-level flag value to a slog.Level.
@@ -60,71 +58,23 @@ func Component(log *slog.Logger, component, node string) *slog.Logger {
 	return log.With(slog.String("component", component), slog.String("node", node))
 }
 
-// FromLogf bridges a legacy printf sink into slog: records render as one
-// line of "msg k=v k=v" through logf. Used by components whose Config
-// carries only the old Logf seam (tests passing t.Logf, the cluster
-// harness); a nil logf yields a discard logger.
-func FromLogf(logf func(format string, args ...any)) *slog.Logger {
-	if logf == nil {
-		return Discard()
+// Debugf is how a printf call site logs through a component's logger: one
+// Debug record, its text formatted only when Debug is on — a component given
+// no logger, or one at Info, pays for no Sprintf.
+func Debugf(log *slog.Logger, format string, args ...any) {
+	if log.Enabled(context.Background(), slog.LevelDebug) {
+		log.Debug(fmt.Sprintf(format, args...))
 	}
-	return slog.New(&logfHandler{logf: logf})
 }
 
-// logfHandler renders records through a printf sink. Attrs accumulated
-// via With are replayed ahead of per-record attrs.
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-	mu    sync.Mutex
-}
-
-func (h *logfHandler) Enabled(_ context.Context, level slog.Level) bool {
-	// The legacy seam had no levels; keep debug chatter out of it.
-	return level >= slog.LevelInfo
-}
-
-func (h *logfHandler) Handle(_ context.Context, rec slog.Record) error {
-	var b strings.Builder
-	b.WriteString(rec.Message)
-	appendAttr := func(a slog.Attr) bool {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value.Any())
-		return true
-	}
-	for _, a := range h.attrs {
-		appendAttr(a)
-	}
-	rec.Attrs(appendAttr)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.logf("%s", b.String())
-	return nil
-}
-
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return &logfHandler{logf: h.logf, attrs: append(append([]slog.Attr(nil), h.attrs...), attrs...)}
-}
-
-func (h *logfHandler) WithGroup(string) slog.Handler { return h }
-
-// Logf wraps a logger back into the legacy printf seam at Info level, for
-// call sites (sub-components, the transport) that still take a printf
-// function.
+// Logf adapts a logger to the printf seam the leaves still take (health,
+// jobstore, api, the TCP transport): each line is a Debugf on log. A logger
+// that can never log (nil, or Discard — what Component makes of nil) adapts
+// to nil, which is how a leaf is told to build no line at all: its own nil
+// check then skips the prefix it concatenates and the arguments it boxes.
 func Logf(log *slog.Logger) func(format string, args ...any) {
-	if log == nil {
+	if log == nil || log.Handler() == slog.Handler(discardHandler{}) {
 		return nil
 	}
-	return func(format string, args ...any) {
-		log.Info(fmt.Sprintf(format, args...))
-	}
-}
-
-// Pick resolves a component's effective logger from its Config seams:
-// an explicit structured logger wins, else the legacy printf sink is
-// bridged, else everything is discarded.
-func Pick(log *slog.Logger, logf func(format string, args ...any)) *slog.Logger {
-	if log != nil {
-		return log
-	}
-	return FromLogf(logf)
+	return func(format string, args ...any) { Debugf(log, format, args...) }
 }

@@ -2,7 +2,6 @@ package logging
 
 import (
 	"bytes"
-	"fmt"
 	"log/slog"
 	"strings"
 	"testing"
@@ -51,49 +50,44 @@ func TestDiscard(t *testing.T) {
 	}
 }
 
-func TestFromLogfBridge(t *testing.T) {
-	var lines []string
-	logf := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
-	log := Component(FromLogf(logf), "taskmgr", "n2")
-	log.Debug("chatter")
-	log.Info("assigned", "job", "j1", "task", "t1")
-	if len(lines) != 1 {
-		t.Fatalf("bridge produced %d lines, want 1 (debug suppressed): %v", len(lines), lines)
-	}
-	for _, want := range []string{"assigned", "component=taskmgr", "node=n2", "job=j1", "task=t1"} {
-		if !strings.Contains(lines[0], want) {
-			t.Errorf("line %q missing %q", lines[0], want)
+// TestDebugfOneStream: a printf line is a Debug record of the component's
+// own logger — attrs and all — and costs no formatting where Debug is off.
+func TestDebugfOneStream(t *testing.T) {
+	var buf bytes.Buffer
+	Debugf(Component(New(&buf, slog.LevelDebug), "taskmgr", "n2"), "reject %s: %d MB", "j1/t1", 7)
+	for _, want := range []string{"level=DEBUG", "reject j1/t1: 7 MB", "component=taskmgr", "node=n2"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("line %q missing %q", buf.String(), want)
 		}
 	}
-	if FromLogf(nil).Enabled(nil, slog.LevelError) {
-		t.Error("FromLogf(nil) not discarded")
+	buf.Reset()
+	formatted := false
+	arg := stringerFunc(func() string { formatted = true; return "x" })
+	Debugf(New(&buf, slog.LevelInfo), "%v", arg)
+	Debugf(Discard(), "%v", arg)
+	Debugf(Component(nil, "jobmgr", "n1"), "%v", arg)
+	if buf.Len() != 0 || formatted {
+		t.Errorf("Debug off: wrote %q, formatted %v", buf.String(), formatted)
 	}
 }
 
+type stringerFunc func() string
+
+func (f stringerFunc) String() string { return f() }
+
 func TestLogfAdapter(t *testing.T) {
 	var buf bytes.Buffer
-	logf := Logf(New(&buf, slog.LevelInfo))
+	logf := Logf(New(&buf, slog.LevelDebug))
 	logf("count=%d", 7)
 	if !strings.Contains(buf.String(), "count=7") {
 		t.Errorf("adapter output %q", buf.String())
 	}
-	if Logf(nil) != nil {
-		t.Error("Logf(nil) should be nil")
+	buf.Reset()
+	Logf(New(&buf, slog.LevelInfo))("count=%d", 7)
+	if buf.Len() != 0 {
+		t.Errorf("adapter wrote %q through an Info logger; its lines are Debug records", buf.String())
 	}
-}
-
-func TestPick(t *testing.T) {
-	var buf bytes.Buffer
-	explicit := New(&buf, slog.LevelInfo)
-	if Pick(explicit, nil) != explicit {
-		t.Error("explicit logger not picked")
-	}
-	if Pick(nil, nil).Enabled(nil, slog.LevelError) {
-		t.Error("Pick(nil, nil) not discarded")
-	}
-	var lines int
-	Pick(nil, func(string, ...any) { lines++ }).Info("x")
-	if lines != 1 {
-		t.Errorf("bridged pick wrote %d lines, want 1", lines)
+	if Logf(nil) != nil || Logf(Discard()) != nil || Logf(Component(nil, "portal", "")) != nil {
+		t.Error("Logf of a logger that can never log should be nil")
 	}
 }

@@ -58,8 +58,6 @@ const (
 	KindTasksAccepted // response: per-task placements
 	KindAssignTasks   // request: batch assignment carrying archive refs only
 	KindTasksAssigned // response: per-task assignment results
-	KindFetchBlob     // request: TaskManager pulls archive blobs by digest
-	KindBlobData      // response: the requested blobs
 
 	// Data plane.
 	KindUser      // user-defined message; CN provides delivery only
@@ -68,7 +66,6 @@ const (
 	// Health.
 	KindPing
 	KindPong
-	KindShutdown
 
 	// Failure detection and recovery.
 	KindHeartbeat    // TaskManager -> JobManager: lease renewal + per-task progress sync
@@ -140,13 +137,10 @@ var kindNames = map[Kind]string{
 	KindTasksAccepted:     "TASKS_ACCEPTED",
 	KindAssignTasks:       "ASSIGN_TASKS",
 	KindTasksAssigned:     "TASKS_ASSIGNED",
-	KindFetchBlob:         "FETCH_BLOB",
-	KindBlobData:          "BLOB_DATA",
 	KindUser:              "USER",
 	KindBroadcast:         "BROADCAST",
 	KindPing:              "PING",
 	KindPong:              "PONG",
-	KindShutdown:          "SHUTDOWN",
 	KindHeartbeat:         "HEARTBEAT",
 	KindHeartbeatAck:      "HEARTBEAT_ACK",
 	KindTaskRetried:       "TASK_RETRIED",

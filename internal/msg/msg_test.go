@@ -36,14 +36,31 @@ func TestKindClassification(t *testing.T) {
 	}
 }
 
-// TestEveryKindNamed: each kind below KindCount must carry a real name —
-// a kind added without a kindNames entry falls back to "Kind(n)", which
-// breaks logs and the transport's per-kind counters display.
+// TestEveryKindNamed: each kind below KindCount must carry a real name of
+// its own — a kind added without a kindNames entry falls back to "Kind(n)",
+// which breaks logs and the transport's per-kind counters display, and two
+// kinds sharing a name would be summed in them — and the table names nothing
+// past the kind space. The count itself is pinned: ROADMAP quotes it (43
+// named kinds and the zero kind; three of them are labels inside TASK_EVENTS
+// and never travel), so changing the kind table means changing this number
+// and that sentence together.
 func TestEveryKindNamed(t *testing.T) {
+	if KindCount != 44 {
+		t.Errorf("KindCount = %d, want 44; update ROADMAP.md and docs/WIRE.md with the new count", KindCount)
+	}
+	if len(kindNames) != KindCount {
+		t.Errorf("kindNames has %d entries for %d kinds", len(kindNames), KindCount)
+	}
+	seen := make(map[string]Kind)
 	for k := Kind(0); k < Kind(KindCount); k++ {
-		if name := k.String(); len(name) > 4 && name[:5] == "Kind(" {
+		name := k.String()
+		if len(name) > 4 && name[:5] == "Kind(" {
 			t.Errorf("kind %d has no name", k)
 		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d are both named %s", prev, k, name)
+		}
+		seen[name] = k
 	}
 }
 

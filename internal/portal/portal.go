@@ -74,10 +74,8 @@ type Config struct {
 	// startup, so queued and running submissions survive a portal crash
 	// (empty = in-memory only, the pre-durability behavior).
 	DataDir string
-	// Logf receives request diagnostics; nil disables logging.
-	Logf func(format string, args ...any)
-	// Log is the structured logger; when nil, records are bridged through
-	// Logf (or discarded when that is nil too).
+	// Log is the structured logger (nil discards); request diagnostics and
+	// the job store's are its Debug records.
 	Log *slog.Logger
 	// TraceSample is the portal client's root-sampling probability for
 	// submitted jobs (0 = trace.DefaultSample; negative leaves portal
@@ -124,7 +122,7 @@ func New(cfg Config) (*Portal, error) {
 		cfg:    cfg,
 		client: client,
 		mux:    http.NewServeMux(),
-		log:    logging.Component(logging.Pick(cfg.Log, cfg.Logf), "portal", ""),
+		log:    logging.Component(cfg.Log, "portal", ""),
 		tracer: tracer,
 	}
 	if cfg.DataDir != "" {
@@ -142,7 +140,7 @@ func New(cfg Config) (*Portal, error) {
 		ResultTTL:  cfg.ResultTTL,
 		Backend:    p.backend,
 		Metrics:    cfg.Cluster.Metrics(),
-		Logf:       cfg.Logf,
+		Logf:       logging.Logf(p.log),
 	})
 	if err != nil {
 		if p.backend != nil {
@@ -202,9 +200,7 @@ func (p *Portal) Close() error {
 func (p *Portal) Store() *jobstore.Store { return p.store }
 
 func (p *Portal) logf(format string, args ...any) {
-	if p.cfg.Logf != nil {
-		p.cfg.Logf("[portal] "+format, args...)
-	}
+	logging.Debugf(p.log, format, args...)
 }
 
 // errorJSON writes a JSON error response.

@@ -1,9 +1,14 @@
-// The chunk protocol's two shared halves. Blobs too large for one frame —
-// task archives pulled from the JobManager (BLOB_CHUNK), task outputs
-// pulled from the producing TaskManager (DATA_FETCH) — move as a series of
-// acknowledged chunk requests, each answered with up to BlobChunkBytes of
-// the blob in the reply frame's tail. Whoever holds bytes under a digest
-// answers with SliceChunk; whoever wants them runs PullBlob.
+// The chunk protocol, both verbs. A blob moves as a series of acknowledged
+// chunk requests of up to BlobChunkBytes each, its bytes in a frame's tail.
+//
+// Pull — task archives from the JobManager (BLOB_CHUNK), task outputs from
+// the producing TaskManager (DATA_FETCH): whoever wants the bytes under a
+// digest runs PullBlob, whoever holds them answers each request with
+// SliceChunk.
+//
+// Push — a client's large archive to the JobManager (BLOB_CHUNK with Data):
+// the sender runs PushBlob, the receiver feeds each request to the Upload it
+// keeps for that uploader and digest.
 
 package protocol
 
@@ -16,7 +21,7 @@ import (
 	"cn/internal/msg"
 )
 
-// ChunkCallTimeout bounds one chunk-pull round trip.
+// ChunkCallTimeout bounds one chunk round trip, pull or push.
 const ChunkCallTimeout = 5 * time.Second
 
 // SliceChunk answers one chunk pull out of raw, the bytes the answering
@@ -47,6 +52,23 @@ func SliceChunk(req *BlobChunkReq, raw []byte) BlobChunkResp {
 // of transport.Caller.CallInto.
 type CallIntoFunc func(ctx context.Context, toNode string, m *msg.Message, dst []byte) (*msg.Message, error)
 
+// chunkCall is one chunk round trip of either verb, bounded by
+// ChunkCallTimeout, with dst posted for the reply's tail. A reply that
+// carries Err is an error.
+func chunkCall(ctx context.Context, call CallIntoFunc, kind msg.Kind, from, to msg.Address, req BlobChunkReq, dst []byte) (BlobChunkResp, error) {
+	cctx, cancel := context.WithTimeout(ctx, ChunkCallTimeout)
+	defer cancel()
+	var resp BlobChunkResp
+	reply, err := call(cctx, to.Node, Body(kind, from, to, req), dst)
+	if err == nil {
+		err = Decode(reply, &resp)
+	}
+	if err == nil && resp.Err != "" {
+		err = fmt.Errorf("chunk at %d: %s", req.Offset, resp.Err)
+	}
+	return resp, err
+}
+
 // CheckBlobSize refuses an advertised blob size nobody should allocate for.
 func CheckBlobSize(size int64) error {
 	if size <= 0 || size > MaxBlobBytes {
@@ -76,19 +98,10 @@ func PullBlob(ctx context.Context, call CallIntoFunc, kind msg.Kind, from, to ms
 	sum := archive.NewDigest()
 	for have := int64(0); have < size; {
 		end := min(have+BlobChunkBytes, size)
-		m := Body(kind, from, to, BlobChunkReq{JobID: to.Job, Digest: digest, Offset: have, MaxBytes: BlobChunkBytes})
-		cctx, cancel := context.WithTimeout(ctx, ChunkCallTimeout)
-		reply, err := call(cctx, to.Node, m, dst[have:end])
-		cancel()
+		chunk, err := chunkCall(ctx, call, kind, from, to,
+			BlobChunkReq{JobID: to.Job, Digest: digest, Offset: have, MaxBytes: BlobChunkBytes}, dst[have:end])
 		if err != nil {
 			return err
-		}
-		var chunk BlobChunkResp
-		if err := Decode(reply, &chunk); err != nil {
-			return err
-		}
-		if chunk.Err != "" {
-			return fmt.Errorf("chunk at %d: %s", have, chunk.Err)
 		}
 		n := int64(len(chunk.Data))
 		if chunk.Offset != have || chunk.Total != size || n == 0 || n > BlobChunkBytes || have+n > size {
@@ -105,4 +118,90 @@ func PullBlob(ctx context.Context, call CallIntoFunc, kind msg.Kind, from, to ms
 		return fmt.Errorf("reassembled blob hashes to %.12s…, want %.12s…", got, digest)
 	}
 	return nil
+}
+
+// PushBlob pushes raw to node to.Node as the blob held under digest, one
+// acknowledged BLOB_CHUNK request per round trip, in offset order. Each ack
+// names the offset the receiver wants next — past the chunk just sent, or
+// the blob's end when the receiver already holds it — and the push follows
+// it; an ack that does not advance is an error.
+func PushBlob(ctx context.Context, call CallIntoFunc, from, to msg.Address, digest string, raw []byte) error {
+	total := int64(len(raw))
+	for off := int64(0); off < total; {
+		end := min(off+BlobChunkBytes, total)
+		ack, err := chunkCall(ctx, call, msg.KindBlobChunk, from, to,
+			BlobChunkReq{JobID: to.Job, Digest: digest, Offset: off, Total: total, Data: raw[off:end]}, nil)
+		if err != nil {
+			return err
+		}
+		if ack.Offset <= off {
+			return fmt.Errorf("chunk at %d: upload did not advance (ack offset %d)", off, ack.Offset)
+		}
+		off = ack.Offset
+	}
+	return nil
+}
+
+// Upload assembles the chunks one uploader pushes of one blob; its keeper
+// holds one per (uploader, digest), so two clients pushing the same digest
+// cannot corrupt each other's sequence. The zero Upload is idle, and an
+// Upload is idle again after any refusal of a chunk it had a place for and
+// after completion.
+type Upload struct {
+	total int64
+	buf   []byte
+}
+
+// Len returns the bytes assembled so far: what the upload costs its keeper.
+func (u *Upload) Len() int64 { return int64(len(u.buf)) }
+
+// Push applies one pushed chunk and returns its acknowledgement; held is
+// what the keeper already holds under req.Digest, nil when nothing. Chunks
+// must arrive in offset order (an uploader is sequential); one at offset 0
+// starts the sequence over (a retry after a lost ack). A push of a digest
+// already held is acknowledged as complete — an idempotent re-push, or
+// another uploader finished first. The chunk that completes the blob returns
+// it as blob, digest-verified, so corrupted bytes are refused here and never
+// become fetchable; every other call returns a nil blob.
+func (u *Upload) Push(req *BlobChunkReq, held []byte) (ack BlobChunkResp, blob []byte) {
+	fail := func(format string, args ...any) (BlobChunkResp, []byte) {
+		return BlobChunkResp{Digest: req.Digest, Err: fmt.Sprintf(format, args...)}, nil
+	}
+	n := int64(len(req.Data))
+	switch {
+	case req.Digest == "":
+		return fail("chunk push without a digest")
+	case req.Total <= 0 || req.Total > MaxBlobBytes:
+		return fail("blob size %d out of bounds (max %d)", req.Total, int64(MaxBlobBytes))
+	case req.Offset < 0 || req.Offset+n > req.Total:
+		return fail("chunk [%d,%d) exceeds declared total %d", req.Offset, req.Offset+n, req.Total)
+	}
+	if held != nil {
+		*u = Upload{}
+		return BlobChunkResp{Digest: req.Digest, Offset: int64(len(held)), Total: int64(len(held))}, nil
+	}
+	switch {
+	case req.Offset == 0:
+		// The declared total only bounds the upload; capacity grows with
+		// the bytes actually received, so a tiny chunk declaring a huge
+		// total cannot pre-allocate gigabytes.
+		*u = Upload{total: req.Total, buf: make([]byte, 0, min(req.Total, BlobChunkBytes))}
+	case u.total == 0:
+		return fail("unknown upload: first chunk must start at offset 0, got %d", req.Offset)
+	}
+	if req.Total != u.total || req.Offset != u.Len() {
+		have, total := u.Len(), u.total
+		*u = Upload{}
+		return fail("out-of-order chunk at %d (have %d of %d); upload reset", req.Offset, have, total)
+	}
+	u.buf = append(u.buf, req.Data...)
+	if u.Len() < u.total {
+		return BlobChunkResp{Digest: req.Digest, Offset: u.Len(), Total: u.total}, nil
+	}
+	blob = u.buf
+	*u = Upload{}
+	if got := archive.DigestBytes(blob); got != req.Digest {
+		return fail("reassembled blob hashes to %.12s…, not the declared %.12s…", got, req.Digest)
+	}
+	return BlobChunkResp{Digest: req.Digest, Offset: req.Total, Total: req.Total}, blob
 }

@@ -80,11 +80,15 @@ type TMOffer struct {
 }
 
 // ArchiveRef is a content-addressed reference to a task archive: the digest
-// identifies the blob, the name preserves the descriptor's jar="..." label.
-// A zero ArchiveRef means the task ships no archive (pre-deployed class).
+// identifies the blob, the name preserves the descriptor's jar="..." label,
+// and Size is how many bytes hash to the digest — what a TaskManager lacking
+// the blob allocates before it pulls. The JobManager fills Size from bytes it
+// has verified; it travels only beside a digest. A zero ArchiveRef means the
+// task ships no archive (pre-deployed class).
 type ArchiveRef struct {
 	Name   string
 	Digest string
+	Size   int64
 }
 
 // IsZero reports whether the ref names no archive.
@@ -116,8 +120,8 @@ type CreateTasksResp struct {
 
 // AssignTasksReq is the body of KindAssignTasks (JobManager -> one chosen
 // TaskManager): a batch assignment carrying archive references only. A
-// TaskManager that lacks a referenced blob fetches it once via
-// KindFetchBlob; blobs it already caches cost nothing.
+// TaskManager that lacks a referenced blob pulls it once from the JobManager
+// with KindBlobChunk; blobs it already caches cost nothing.
 type AssignTasksReq struct {
 	JobID      string
 	JobManager string
@@ -140,25 +144,16 @@ type AssignTasksResp struct {
 	Fetched int
 }
 
-// FetchBlobReq is the body of KindFetchBlob (TaskManager -> JobManager):
-// the digest-based archive negotiation's pull side.
-type FetchBlobReq struct {
-	JobID   string
-	Digests []string
-}
-
 // MaxInlineBlob is the largest archive that still rides whole inside a
-// single message (a CreateTasksReq blob or a FetchBlobResp entry). Bigger
-// blobs move chunk by chunk via KindBlobChunk so no single frame
-// approaches the transport's MaxFrameBytes guard.
+// CreateTasksReq. Bigger blobs move chunk by chunk via KindBlobChunk so no
+// single frame approaches the transport's MaxFrameBytes guard.
 const MaxInlineBlob = 128 << 10
 
 // MaxInlinePerMessage bounds the AGGREGATE inline blob bytes of one
-// message. Many individually-small archives could otherwise add up past
-// the transport frame limit; blobs over this running budget are chunked
-// (uploads) or announced by size (fetch replies) even though each alone
-// would qualify for inlining. It stays well under the frame limit to
-// leave room for specs and envelope overhead.
+// CreateTasksReq. Many individually-small archives could otherwise add up
+// past the transport frame limit; blobs over this running budget are pushed
+// in chunks even though each alone would qualify for inlining. It stays well
+// under the frame limit to leave room for specs and envelope overhead.
 const MaxInlinePerMessage = 512 << 10
 
 // BlobChunkBytes is the data size of one KindBlobChunk message. Chunk
@@ -172,15 +167,6 @@ const BlobChunkBytes = 768 << 10
 // larger totals), so a hostile or buggy uploader cannot balloon a
 // JobManager's memory one chunk at a time.
 const MaxBlobBytes = 1 << 30
-
-// FetchBlobResp is the body of KindBlobData. Digests the JobManager does
-// not hold are simply absent from both maps. Blobs carries archives up to
-// MaxInlineBlob whole; larger ones are announced in Sizes and the
-// TaskManager pulls them chunk by chunk with KindBlobChunk.
-type FetchBlobResp struct {
-	Blobs map[string][]byte
-	Sizes map[string]int64
-}
 
 // BlobChunkReq is the body of KindBlobChunk, serving both directions of
 // the chunk protocol:
@@ -249,8 +235,6 @@ type TaskEvent struct {
 	// Speculative marks a retry caused by straggler speculation rather than
 	// failure recovery.
 	Speculative bool
-	// Spans is unused on a retry; the field keeps the body's wire layout.
-	Spans []trace.Span
 }
 
 // TaskEventsMax bounds the events of one KindTaskEvents frame. A batch is

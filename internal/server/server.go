@@ -6,12 +6,12 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"time"
 
 	"cn/internal/jobmgr"
+	"cn/internal/logging"
 	"cn/internal/metrics"
 	"cn/internal/msg"
 	"cn/internal/protocol"
@@ -58,11 +58,8 @@ type Config struct {
 	// follow HeartbeatInterval; negative disables checkpointing and
 	// JobManager failover).
 	CheckpointEvery time.Duration
-	// Logf receives diagnostics from both managers; nil disables logging.
-	Logf func(format string, args ...any)
 	// Log is the structured logger both managers attach their component
-	// and node attributes to; when nil, records are bridged through Logf
-	// (or discarded when that is nil too).
+	// and node attributes to (nil discards).
 	Log *slog.Logger
 	// TraceSample is the node tracer's root-sampling probability
 	// (0 = trace.DefaultSample; negative disables tracing on this node
@@ -81,6 +78,7 @@ type Server struct {
 	cfg    Config
 	ep     transport.Endpoint
 	caller *transport.Caller
+	log    *slog.Logger
 	jm     *jobmgr.JobManager
 	tm     *taskmgr.TaskManager
 	tracer *trace.Tracer
@@ -99,7 +97,8 @@ func Start(net transport.Network, cfg Config) (*Server, error) {
 	if cfg.Node == "" {
 		return nil, fmt.Errorf("server: empty node name")
 	}
-	s := &Server{cfg: cfg, ready: make(chan struct{}), closed: make(chan struct{})}
+	s := &Server{cfg: cfg, log: logging.Component(cfg.Log, "server", cfg.Node),
+		ready: make(chan struct{}), closed: make(chan struct{})}
 	ep, err := net.Attach(cfg.Node, s.handle)
 	if err != nil {
 		return nil, fmt.Errorf("server %s: %w", cfg.Node, err)
@@ -120,10 +119,8 @@ func Start(net transport.Network, cfg Config) (*Server, error) {
 		Node:           cfg.Node,
 		MemoryMB:       cfg.MemoryMB,
 		Registry:       cfg.Registry,
-		Fetch:          s.fetchBlobs,
 		Call:           s.caller.CallInto,
 		HeartbeatEvery: cfg.HeartbeatInterval,
-		Logf:           cfg.Logf,
 		Log:            cfg.Log,
 		Tracer:         s.tracer,
 	}, send)
@@ -140,7 +137,6 @@ func Start(net transport.Network, cfg Config) (*Server, error) {
 		MaxTaskRetries:    cfg.MaxTaskRetries,
 		StragglerAfter:    cfg.StragglerAfter,
 		CheckpointEvery:   cfg.CheckpointEvery,
-		Logf:              cfg.Logf,
 		Log:               cfg.Log,
 		Tracer:            s.tracer,
 	}, send, s.caller, s.tm.FreeMemoryMB)
@@ -155,61 +151,6 @@ func Start(net transport.Network, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server %s: %w", cfg.Node, err)
 	}
 	return s, nil
-}
-
-// blobCallTimeout bounds the FetchBlob announcement's round trip.
-const blobCallTimeout = 5 * time.Second
-
-// fetchBlobs is the TaskManager's pull path for archive blobs it lacks: a
-// KindFetchBlob call to the assigning JobManager's node. Small blobs ride
-// inline in the reply; blobs the JobManager announces by size only are
-// chunk-pulled with KindBlobChunk (protocol.PullBlob) and digest-verified
-// before the TaskManager ever sees them — so a large archive never
-// balloons a single frame and a corrupted stream is caught at the node
-// boundary.
-func (s *Server) fetchBlobs(jmNode, jobID string, digests []string) (map[string][]byte, error) {
-	fm := protocol.Body(msg.KindFetchBlob,
-		msg.Address{Node: s.cfg.Node},
-		msg.Address{Node: jmNode, Job: jobID},
-		protocol.FetchBlobReq{JobID: jobID, Digests: digests})
-	ctx, cancel := context.WithTimeout(context.Background(), blobCallTimeout)
-	defer cancel()
-	reply, err := s.caller.Call(ctx, jmNode, fm)
-	if err != nil {
-		return nil, err
-	}
-	var resp protocol.FetchBlobResp
-	if err := protocol.Decode(reply, &resp); err != nil {
-		return nil, err
-	}
-	out := resp.Blobs
-	if out == nil && len(resp.Sizes) > 0 {
-		out = make(map[string][]byte, len(resp.Sizes))
-	}
-	for digest, size := range resp.Sizes {
-		raw, err := s.pullArchive(jmNode, jobID, digest, size)
-		if err != nil {
-			return out, fmt.Errorf("pull blob %.12s…: %w", digest, err)
-		}
-		out[digest] = raw
-	}
-	return out, nil
-}
-
-// pullArchive chunk-pulls one archive blob into memory of its own: an
-// archive stays for as long as the LRU likes it and nobody counts its
-// readers, so its bytes come from, and go back to, the collector.
-func (s *Server) pullArchive(jmNode, jobID, digest string, size int64) ([]byte, error) {
-	if err := protocol.CheckBlobSize(size); err != nil {
-		return nil, err
-	}
-	raw := make([]byte, size)
-	err := protocol.PullBlob(context.Background(), s.caller.CallInto, msg.KindBlobChunk,
-		msg.Address{Node: s.cfg.Node}, msg.Address{Node: jmNode, Job: jobID}, digest, raw)
-	if err != nil {
-		return nil, err
-	}
-	return raw, nil
 }
 
 // Node returns the server's node name.
@@ -289,8 +230,8 @@ func (s *Server) handle(m *msg.Message) {
 		s.jm.Enqueue(m)
 	case msg.KindUser, msg.KindBroadcast:
 		if m.Header(protocol.HeaderRouted) != "" {
-			if err := s.tm.HandleUser(m); err != nil && s.cfg.Logf != nil {
-				s.cfg.Logf("[server %s] deliver user message: %v", s.cfg.Node, err)
+			if err := s.tm.HandleUser(m); err != nil {
+				logging.Debugf(s.log, "deliver user message: %v", err)
 			}
 			return
 		}
@@ -350,8 +291,6 @@ func (s *Server) dispatch(m *msg.Message) {
 		s.replyIfAny(m, s.jm.HandleCreateJob(m))
 	case msg.KindCreateTasks:
 		s.replyIfAny(m, s.jm.HandleCreateTasks(m))
-	case msg.KindFetchBlob:
-		s.replyIfAny(m, s.jm.HandleFetchBlob(m))
 	case msg.KindBlobChunk:
 		s.replyIfAny(m, s.jm.HandleBlobChunk(m))
 	case msg.KindStartTask:
@@ -394,8 +333,8 @@ func (s *Server) replyIfAny(m *msg.Message, r *msg.Message) {
 	if r == nil {
 		return
 	}
-	if err := s.ep.Send(m.From.Node, r); err != nil && s.cfg.Logf != nil {
-		s.cfg.Logf("[server %s] reply to %s: %v", s.cfg.Node, m.From.Node, err)
+	if err := s.ep.Send(m.From.Node, r); err != nil {
+		logging.Debugf(s.log, "reply to %s: %v", m.From.Node, err)
 	}
 }
 

@@ -31,18 +31,14 @@ import (
 // endpoint's Send.
 type SendFunc func(toNode string, m *msg.Message) error
 
-// FetchFunc pulls archive blobs from a JobManager by digest — the pull
-// side of the content-addressed distribution protocol. The CN server wires
-// a KindFetchBlob call in; nil disables fetching (assignments referencing
-// uncached digests are rejected).
-type FetchFunc func(jmNode, jobID string, digests []string) (map[string][]byte, error)
-
 // CallFunc performs one request/response round trip to a node, with dst —
 // when not nil — posted for the reply's bulk tail. The CN server wires its
 // transport caller's CallInto in; tasks' tuple-space and data-plane broker
 // operations route through it to the JobManager hosting the job (dst nil),
-// chunk pulls to the node holding the blob (dst the region the chunk
-// belongs in). nil disables both.
+// chunk pulls — of an archive from the assigning JobManager, of a task's
+// output from the node that produced it — to the node holding the blob (dst
+// the region the chunk belongs in). nil disables all three: an assignment
+// referencing a digest this node does not cache is then rejected.
 type CallFunc = protocol.CallIntoFunc
 
 // Config parametrizes a TaskManager.
@@ -55,19 +51,15 @@ type Config struct {
 	Registry *task.Registry
 	// MailboxCap bounds each task mailbox (0 = default).
 	MailboxCap int
-	// Fetch pulls missing archive blobs from the assigning JobManager.
-	Fetch FetchFunc
-	// Call performs request/response round trips; nil disables tuple-space
-	// and data-plane access.
+	// Call performs request/response round trips; nil disables archive
+	// pulls and tuple-space and data-plane access.
 	Call CallFunc
 	// HeartbeatEvery is the cadence of HEARTBEAT messages to JobManagers
 	// holding assignments here (0 = health.DefaultInterval; negative
 	// disables heartbeating, the pre-failure-detection behavior).
 	HeartbeatEvery time.Duration
-	// Logf receives diagnostic lines; nil disables logging.
-	Logf func(format string, args ...any)
-	// Log is the structured logger; when nil, records are bridged through
-	// Logf (or discarded when that is nil too).
+	// Log is the structured logger (nil discards); printf-style diagnostics
+	// are its Debug records.
 	Log *slog.Logger
 	// Tracer records this TaskManager's spans (task exec, shuffle pulls)
 	// into its local store; terminal task events drain them to the
@@ -220,7 +212,7 @@ func New(cfg Config, send SendFunc) *TaskManager {
 	tm := &TaskManager{
 		cfg:         cfg,
 		send:        send,
-		log:         logging.Component(logging.Pick(cfg.Log, cfg.Logf), "taskmgr", cfg.Node),
+		log:         logging.Component(cfg.Log, "taskmgr", cfg.Node),
 		tracer:      cfg.Tracer,
 		registry:    reg,
 		blobs:       archive.NewCache(),
@@ -342,9 +334,7 @@ func (tm *TaskManager) HandleHeartbeatAck(m *msg.Message) {
 func (tm *TaskManager) BlobCache() *archive.Cache { return tm.blobs }
 
 func (tm *TaskManager) logf(format string, args ...any) {
-	if tm.cfg.Logf != nil {
-		tm.cfg.Logf("[tm %s] "+format, append([]any{tm.cfg.Node}, args...)...)
-	}
+	logging.Debugf(tm.log, format, args...)
 }
 
 func key(jobID, taskName string) string { return jobID + "/" + taskName }
@@ -414,9 +404,9 @@ func (tm *TaskManager) stalledLocked(now time.Time) int {
 
 // HandleAssignBatch processes a KindAssignTasks: a batch assignment whose
 // items carry content-addressed archive references only. Missing blobs are
-// fetched from the JobManager once per digest; every item is then verified
-// and reserved individually, so one oversubscribed task rejects alone
-// instead of failing the batch.
+// pulled from the JobManager once per digest; every item is then verified
+// and reserved individually, so one oversubscribed task — or one whose
+// archive could not be had — rejects alone instead of failing the batch.
 func (tm *TaskManager) HandleAssignBatch(m *msg.Message) *msg.Message {
 	var req protocol.AssignTasksReq
 	if err := protocol.Decode(m, &req); err != nil {
@@ -425,22 +415,14 @@ func (tm *TaskManager) HandleAssignBatch(m *msg.Message) *msg.Message {
 		}))
 	}
 	resp := protocol.AssignTasksResp{Rejected: make(map[string]string)}
-	fetched, err := tm.ensureBlobs(req.JobManager, req.JobID, req.Items)
-	if err != nil {
-		// The blobs could not be negotiated; reject only the items that
-		// reference digests still missing from the cache.
-		for _, it := range req.Items {
-			if !it.Archive.IsZero() && !tm.blobs.Has(it.Archive.Digest) {
-				resp.Rejected[it.Spec.Name] = err.Error()
-			}
-		}
-	}
+	fetched, missing := tm.ensureBlobs(req.JobManager, req.JobID, req.Items)
 	resp.Fetched = fetched
 	for _, it := range req.Items {
-		if _, done := resp.Rejected[it.Spec.Name]; done {
-			continue
+		reason, bad := missing[it.Archive.Digest]
+		if !bad {
+			reason = tm.assignOne(req.JobID, req.JobManager, req.ClientNode, it)
 		}
-		if reason := tm.assignOne(req.JobID, req.JobManager, req.ClientNode, it); reason != "" {
+		if reason != "" {
 			resp.Rejected[it.Spec.Name] = reason
 			tm.logf("reject %s: %s", key(req.JobID, it.Spec.Name), reason)
 		}
@@ -449,66 +431,62 @@ func (tm *TaskManager) HandleAssignBatch(m *msg.Message) *msg.Message {
 }
 
 // ensureBlobs makes every digest referenced by items resident in the blob
-// cache, pulling missing ones from the JobManager in a single fetch. It
-// returns how many blobs were transferred. Digest verification happens
-// here: a fetched blob whose bytes do not hash to the requested digest is
-// discarded.
-func (tm *TaskManager) ensureBlobs(jmNode, jobID string, items []protocol.TaskCreate) (int, error) {
-	names := make(map[string]string) // digest -> archive name
-	var need []string
+// cache, pulling each missing one from the JobManager once, however many
+// items name it. It returns how many blobs were transferred and, for each
+// digest that could not be made resident, why: only the items referencing
+// that digest are lost.
+func (tm *TaskManager) ensureBlobs(jmNode, jobID string, items []protocol.TaskCreate) (fetched int, missing map[string]string) {
+	seen := make(map[string]bool)
 	for _, it := range items {
 		ref := it.Archive
-		if ref.IsZero() || ref.Digest == "" {
+		if ref.Digest == "" || seen[ref.Digest] || tm.blobs.Has(ref.Digest) {
 			continue
 		}
-		if _, seen := names[ref.Digest]; seen {
+		seen[ref.Digest] = true
+		if err := tm.pullArchive(jmNode, jobID, ref); err != nil {
+			if missing == nil {
+				missing = make(map[string]string)
+			}
+			missing[ref.Digest] = fmt.Sprintf("archive blob %.12s… from %s: %v", ref.Digest, jmNode, err)
 			continue
 		}
-		names[ref.Digest] = ref.Name
-		if !tm.blobs.Has(ref.Digest) {
-			need = append(need, ref.Digest)
-		}
+		fetched++
 	}
-	if len(need) == 0 {
-		return 0, nil
+	return fetched, missing
+}
+
+// pullArchive chunk-pulls the blob ref names from the JobManager that
+// assigned it — the way fetchData pulls a task's output — and caches it as
+// an archive. The size the ref advertises is checked before anything is
+// allocated for it, and PullBlob returns only bytes that hash to the digest.
+// The bytes are memory of their own, not a buffer of the cache's free list:
+// an archive stays for as long as the LRU likes it and nobody counts its
+// readers, so it comes from, and goes back to, the collector.
+func (tm *TaskManager) pullArchive(jmNode, jobID string, ref protocol.ArchiveRef) error {
+	if tm.cfg.Call == nil {
+		return fmt.Errorf("not cached and no call path configured")
 	}
-	if tm.cfg.Fetch == nil {
-		return 0, fmt.Errorf("archive blob not cached and no fetch path configured")
+	if err := protocol.CheckBlobSize(ref.Size); err != nil {
+		return err
 	}
-	blobs, err := tm.cfg.Fetch(jmNode, jobID, need)
+	raw := make([]byte, ref.Size)
+	err := protocol.PullBlob(context.Background(), tm.cfg.Call, msg.KindBlobChunk,
+		msg.Address{Node: tm.cfg.Node}, msg.Address{Node: jmNode, Job: jobID}, ref.Digest, raw)
 	if err != nil {
-		return 0, fmt.Errorf("fetch archive blobs: %v", err)
+		return err
 	}
-	stored := 0
-	for _, digest := range need {
-		raw, ok := blobs[digest]
-		if !ok {
-			err = fmt.Errorf("archive blob %.12s… unavailable from %s", digest, jmNode)
-			continue
-		}
-		a, openErr := archive.Open(names[digest], raw)
-		if openErr != nil {
-			err = fmt.Errorf("bad archive: %v", openErr)
-			continue
-		}
-		if a.Digest() != digest {
-			err = fmt.Errorf("archive digest mismatch for %.12s…", digest)
-			continue
-		}
-		if putErr := tm.blobs.Put(a); putErr != nil {
-			err = putErr
-			continue
-		}
-		stored++
+	a, err := archive.Open(ref.Name, raw)
+	if err != nil {
+		return fmt.Errorf("bad archive: %v", err)
 	}
-	return stored, err
+	return tm.blobs.Put(a)
 }
 
 // assignOne validates and reserves a single task whose archive (if any) is
 // already resident. It returns "" on success or the rejection reason.
 func (tm *TaskManager) assignOne(jobID, jobManager, clientNode string, it protocol.TaskCreate) string {
 	sp := it.Spec
-	if !it.Archive.IsZero() && it.Archive.Digest != "" {
+	if it.Archive.Digest != "" {
 		a, ok := tm.blobs.Get(it.Archive.Digest)
 		if !ok {
 			return fmt.Sprintf("archive blob %.12s… unavailable", it.Archive.Digest)

@@ -3,6 +3,7 @@ package taskmgr
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -234,30 +235,158 @@ func TestAssignRejections(t *testing.T) {
 	check(spec("pkg", 10), bad, "does not match")
 }
 
-// TestAssignRejectsDigestMismatch: a fetched blob that does not hash to the
-// digest the assignment references is discarded and the item rejected.
-func TestAssignRejectsDigestMismatch(t *testing.T) {
-	good, err := archive.NewBuilder("good.jar", "tm.Noop").Build()
+// blobHolder is the JobManager as ensureBlobs sees it through Config.Call:
+// it answers BLOB_CHUNK pulls out of the bytes it holds per digest, the way
+// jobmgr.HandleBlobChunk does, and counts them.
+type blobHolder struct {
+	mu    sync.Mutex
+	blobs map[string][]byte
+	pulls map[string]int // digest -> chunk requests answered
+}
+
+func (h *blobHolder) call(_ context.Context, toNode string, m *msg.Message, dst []byte) (*msg.Message, error) {
+	if m.Kind != msg.KindBlobChunk {
+		return nil, errors.New("blobHolder: unexpected " + m.Kind.String())
+	}
+	var req protocol.BlobChunkReq
+	if err := protocol.Decode(m, &req); err != nil {
+		return nil, err
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.pulls == nil {
+		h.pulls = make(map[string]int)
+	}
+	h.pulls[req.Digest]++
+	raw, ok := h.blobs[req.Digest]
+	if !ok {
+		return protocol.Reply(m, msg.KindBlobChunkAck, protocol.BlobChunkResp{Digest: req.Digest, Err: "not held"}), nil
+	}
+	return protocol.Reply(m, msg.KindBlobChunkAck, protocol.SliceChunk(&req, raw)), nil
+}
+
+// total is how many chunk requests the holder answered, over all digests.
+func (h *blobHolder) total() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n := 0
+	for _, c := range h.pulls {
+		n += c
+	}
+	return n
+}
+
+// noopArchive builds a small archive of class tm.Noop whose digest depends
+// on name, and the ref a JobManager holding it would send.
+func noopArchive(t *testing.T, name string) (*archive.Archive, protocol.ArchiveRef) {
+	t.Helper()
+	ar, err := archive.NewBuilder(name, "tm.Noop").AddFile("id", []byte(name)).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetch := &countingFetch{blobs: map[string][]byte{"wrong": good.Bytes()}}
-	s := &sink{}
-	tm := New(Config{Node: "tm1", MemoryMB: 500, Registry: registry(t), Fetch: fetch.fetch}, s.send)
-	defer tm.Close()
-	r := tm.HandleAssignBatch(batchMsg(protocol.AssignTasksReq{
-		JobID: "j1", JobManager: "jm", ClientNode: "client",
-		Items: []protocol.TaskCreate{{Spec: spec("dig", 10), Archive: protocol.ArchiveRef{Name: good.Name, Digest: "wrong"}}},
-	}))
+	return ar, protocol.ArchiveRef{Name: ar.Name, Digest: ar.Digest(), Size: int64(len(ar.Bytes()))}
+}
+
+// assignBatch sends items as one ASSIGN_TASKS for job and decodes the answer.
+func assignBatch(t *testing.T, tm *TaskManager, job string, items ...protocol.TaskCreate) protocol.AssignTasksResp {
+	t.Helper()
+	r := tm.HandleAssignBatch(batchMsg(protocol.AssignTasksReq{JobID: job, JobManager: "jm", ClientNode: "client", Items: items}))
 	var resp protocol.AssignTasksResp
 	if err := protocol.Decode(r, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(resp.Rejected["dig"], "digest mismatch") {
-		t.Errorf("rejections = %v, want a digest mismatch for dig", resp.Rejected)
+	return resp
+}
+
+// TestAssignRejectsDigestMismatch: pulled bytes that do not hash to the
+// digest the assignment references are discarded, and only the items that
+// reference that digest are rejected.
+func TestAssignRejectsDigestMismatch(t *testing.T) {
+	good, goodRef := noopArchive(t, "good.jar")
+	other, otherRef := noopArchive(t, "other.jar")
+	// The holder serves good's bytes under other's digest too.
+	holder := &blobHolder{blobs: map[string][]byte{goodRef.Digest: good.Bytes(), otherRef.Digest: good.Bytes()}}
+	otherRef.Size = goodRef.Size
+	s := &sink{}
+	tm := New(Config{Node: "tm1", MemoryMB: 500, Registry: registry(t), Call: holder.call}, s.send)
+	defer tm.Close()
+	resp := assignBatch(t, tm, "j1",
+		protocol.TaskCreate{Spec: spec("dig", 10), Archive: otherRef},
+		protocol.TaskCreate{Spec: spec("fine", 10), Archive: goodRef},
+		protocol.TaskCreate{Spec: spec("bare", 10)})
+	if !strings.Contains(resp.Rejected["dig"], "hashes to") || len(resp.Rejected) != 1 {
+		t.Errorf("rejections = %v, want a digest mismatch for dig alone", resp.Rejected)
 	}
-	if tm.BlobCache().Has("wrong") {
-		t.Error("mismatching blob was cached")
+	if resp.Fetched != 1 || tm.BlobCache().Has(other.Digest()) || !tm.BlobCache().Has(good.Digest()) {
+		t.Errorf("fetched %d; mismatching blob cached: %v; good blob cached: %v",
+			resp.Fetched, tm.BlobCache().Has(other.Digest()), tm.BlobCache().Has(good.Digest()))
+	}
+}
+
+// TestAssignRefusesAdvertisedSizeBeforePulling: a ref whose Size nobody
+// should allocate for — zero, negative, past MaxBlobBytes — costs no round
+// trip and no buffer, and rejects its items alone.
+func TestAssignRefusesAdvertisedSizeBeforePulling(t *testing.T) {
+	ar, ref := noopArchive(t, "sized.jar")
+	holder := &blobHolder{blobs: map[string][]byte{ref.Digest: ar.Bytes()}}
+	s := &sink{}
+	tm := New(Config{Node: "tm1", MemoryMB: 500, Registry: registry(t), Call: holder.call}, s.send)
+	defer tm.Close()
+	for _, size := range []int64{0, -1, protocol.MaxBlobBytes + 1} {
+		bad := ref
+		bad.Size = size
+		var resp protocol.AssignTasksResp
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		resp = assignBatch(t, tm, "j1",
+			protocol.TaskCreate{Spec: spec("sized", 10), Archive: bad},
+			protocol.TaskCreate{Spec: spec("bare", 10)})
+		runtime.ReadMemStats(&ms1)
+		if !strings.Contains(resp.Rejected["sized"], "out of bounds") || len(resp.Rejected) != 1 {
+			t.Errorf("size %d: rejections = %v, want sized alone refused as out of bounds", size, resp.Rejected)
+		}
+		if grew := ms1.TotalAlloc - ms0.TotalAlloc; grew > 1<<20 {
+			t.Errorf("size %d: refusing it allocated %d bytes", size, grew)
+		}
+		tm.HandleCancel("j1")
+	}
+	if holder.total() != 0 || tm.BlobCache().Has(ref.Digest) {
+		t.Errorf("%d chunk requests went out for refused sizes; cached: %v", holder.total(), tm.BlobCache().Has(ref.Digest))
+	}
+	// A size that is in bounds but not the blob's is caught by the pull.
+	short := ref
+	short.Size--
+	if resp := assignBatch(t, tm, "j1", protocol.TaskCreate{Spec: spec("sized", 10), Archive: short}); !strings.Contains(resp.Rejected["sized"], "out of step") {
+		t.Errorf("understated size: rejections = %v, want the pull out of step", resp.Rejected)
+	}
+}
+
+// TestAssignDigestNotHeldRejectsItsItemsAlone: a digest the JobManager does
+// not hold loses the items that name it; the rest of the batch — another
+// archive, no archive — lands.
+func TestAssignDigestNotHeldRejectsItsItemsAlone(t *testing.T) {
+	held, heldRef := noopArchive(t, "held.jar")
+	_, goneRef := noopArchive(t, "gone.jar")
+	holder := &blobHolder{blobs: map[string][]byte{heldRef.Digest: held.Bytes()}}
+	s := &sink{}
+	tm := New(Config{Node: "tm1", MemoryMB: 500, Registry: registry(t), Call: holder.call}, s.send)
+	defer tm.Close()
+	resp := assignBatch(t, tm, "j1",
+		protocol.TaskCreate{Spec: spec("g1", 10), Archive: goneRef},
+		protocol.TaskCreate{Spec: spec("h1", 10), Archive: heldRef},
+		protocol.TaskCreate{Spec: spec("g2", 10), Archive: goneRef},
+		protocol.TaskCreate{Spec: spec("bare", 10)})
+	if len(resp.Rejected) != 2 || !strings.Contains(resp.Rejected["g1"], "not held") || resp.Rejected["g2"] != resp.Rejected["g1"] {
+		t.Errorf("rejections = %v, want g1 and g2 refused as not held", resp.Rejected)
+	}
+	if resp.Fetched != 1 || holder.pulls[goneRef.Digest] != 1 {
+		t.Errorf("fetched %d, %d requests for the missing digest; want 1 and 1", resp.Fetched, holder.pulls[goneRef.Digest])
+	}
+	// Without a call path nothing can be pulled: a digest not cached rejects.
+	bare := New(Config{Node: "tm2", MemoryMB: 500, Registry: registry(t)}, s.send)
+	defer bare.Close()
+	if resp := assignBatch(t, bare, "j1", protocol.TaskCreate{Spec: spec("h1", 10), Archive: heldRef}); !strings.Contains(resp.Rejected["h1"], "no call path") {
+		t.Errorf("no call path: rejections = %v", resp.Rejected)
 	}
 }
 
@@ -292,91 +421,88 @@ func TestCancelReleasesUnstarted(t *testing.T) {
 	}
 }
 
-// countingFetch serves blobs from a map and counts calls and digests.
-type countingFetch struct {
-	mu      sync.Mutex
-	blobs   map[string][]byte
-	calls   int
-	digests []string
-}
-
-func (f *countingFetch) fetch(jmNode, jobID string, digests []string) (map[string][]byte, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.calls++
-	f.digests = append(f.digests, digests...)
-	out := make(map[string][]byte, len(digests))
-	for _, d := range digests {
-		if raw, ok := f.blobs[d]; ok {
-			out[d] = raw
-		}
-	}
-	return out, nil
-}
-
 func TestBatchAssignSharedDigestFetchesOnce(t *testing.T) {
 	// Two tasks referencing the same digest on one node must trigger
 	// exactly one blob transfer.
-	ar, err := archive.NewBuilder("shared.jar", "tm.Noop").Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fetch := &countingFetch{blobs: map[string][]byte{ar.Digest(): ar.Bytes()}}
+	ar, ref := noopArchive(t, "shared.jar")
+	holder := &blobHolder{blobs: map[string][]byte{ref.Digest: ar.Bytes()}}
 	s := &sink{}
-	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t), Fetch: fetch.fetch}, s.send)
+	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t), Call: holder.call}, s.send)
 	defer tm.Close()
 
-	ref := protocol.ArchiveRef{Name: ar.Name, Digest: ar.Digest()}
-	r := tm.HandleAssignBatch(batchMsg(protocol.AssignTasksReq{
-		JobID: "j1", JobManager: "jm", ClientNode: "client",
-		Items: []protocol.TaskCreate{
-			{Spec: spec("t1", 100), Archive: ref},
-			{Spec: spec("t2", 100), Archive: ref},
-		},
-	}))
-	var resp protocol.AssignTasksResp
-	if err := protocol.Decode(r, &resp); err != nil {
-		t.Fatal(err)
-	}
+	resp := assignBatch(t, tm, "j1",
+		protocol.TaskCreate{Spec: spec("t1", 100), Archive: ref},
+		protocol.TaskCreate{Spec: spec("t2", 100), Archive: ref})
 	if len(resp.Rejected) != 0 {
 		t.Fatalf("rejections: %v", resp.Rejected)
 	}
 	if resp.Fetched != 1 {
 		t.Errorf("fetched = %d blobs, want 1 for a shared digest", resp.Fetched)
 	}
-	if fetch.calls != 1 || len(fetch.digests) != 1 {
-		t.Errorf("fetch calls = %d digests = %v, want one call for one digest", fetch.calls, fetch.digests)
+	if holder.total() != 1 {
+		t.Errorf("chunk requests = %v, want one round trip for one small digest", holder.pulls)
 	}
 	if tm.BlobCache().Transfers() != 1 {
 		t.Errorf("cache transfers = %d, want 1", tm.BlobCache().Transfers())
 	}
 
 	// A later batch (another job) reusing the digest costs zero transfers.
-	r = tm.HandleAssignBatch(batchMsg(protocol.AssignTasksReq{
-		JobID: "j2", JobManager: "jm", ClientNode: "client",
-		Items: []protocol.TaskCreate{{Spec: spec("t1", 100), Archive: ref}},
-	}))
-	var again protocol.AssignTasksResp
-	if err := protocol.Decode(r, &again); err != nil {
-		t.Fatal(err)
-	}
+	again := assignBatch(t, tm, "j2", protocol.TaskCreate{Spec: spec("t1", 100), Archive: ref})
 	if len(again.Rejected) != 0 || again.Fetched != 0 {
 		t.Errorf("cross-job reuse: rejected=%v fetched=%d, want clean cache hit", again.Rejected, again.Fetched)
 	}
-	if fetch.calls != 1 {
-		t.Errorf("fetch calls = %d after cross-job reuse, want still 1", fetch.calls)
+	if holder.total() != 1 {
+		t.Errorf("chunk requests = %v after cross-job reuse, want still 1", holder.pulls)
+	}
+}
+
+// TestBatchAssignPullsEachMissingDigestOnce: k distinct missing digests cost
+// k pulls — one round trip each while they fit a chunk — and a cached one
+// costs none, whatever the order and however many items name each.
+func TestBatchAssignPullsEachMissingDigestOnce(t *testing.T) {
+	holder := &blobHolder{blobs: make(map[string][]byte)}
+	s := &sink{}
+	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t), Call: holder.call}, s.send)
+	defer tm.Close()
+	var items []protocol.TaskCreate
+	refs := make([]protocol.ArchiveRef, 4)
+	for i := range refs {
+		var ar *archive.Archive
+		ar, refs[i] = noopArchive(t, string(rune('a'+i))+".jar")
+		holder.blobs[refs[i].Digest] = ar.Bytes()
+		if i == 0 {
+			if err := tm.BlobCache().Put(ar); err != nil { // cached before the batch
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, ref := range []protocol.ArchiveRef{refs[1], refs[0], refs[2], refs[1], refs[3], refs[2], refs[0]} {
+		items = append(items, protocol.TaskCreate{Spec: spec("t"+string(rune('0'+i)), 10), Archive: ref})
+	}
+	resp := assignBatch(t, tm, "j1", items...)
+	if len(resp.Rejected) != 0 || resp.Fetched != 3 {
+		t.Fatalf("rejected %v, fetched %d; want none and 3", resp.Rejected, resp.Fetched)
+	}
+	for i, ref := range refs {
+		want := 1
+		if i == 0 {
+			want = 0
+		}
+		if got := holder.pulls[ref.Digest]; got != want {
+			t.Errorf("digest %d: %d chunk requests, want %d", i, got, want)
+		}
 	}
 }
 
 func TestCacheHitAssignmentWithRefOnlyExecutes(t *testing.T) {
-	// An assignment carrying only an ArchiveRef — no bytes, no fetch path —
+	// An assignment carrying only an ArchiveRef — no bytes, no call path —
 	// must execute correctly when the blob is already cached.
 	ar, err := archive.NewBuilder("cached.jar", "tm.Noop").Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := &sink{}
-	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t)}, s.send) // no Fetch configured
+	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t)}, s.send) // no Call configured
 	defer tm.Close()
 
 	// Seed the cache as an earlier assignment's transfer would have.
@@ -440,7 +566,7 @@ func TestBatchAssignRejectsIndividually(t *testing.T) {
 }
 
 func TestBatchAssignMissingBlobRejectsOnlyAffected(t *testing.T) {
-	// No fetch path and an uncached digest: only the referencing task is
+	// No call path and an uncached digest: only the referencing task is
 	// rejected; archive-less tasks in the same batch still land.
 	s := &sink{}
 	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t)}, s.send)

@@ -88,7 +88,7 @@ const (
 // lease renewals into false suspect/dead transitions.
 func laneOf(k msg.Kind) lane {
 	switch k {
-	case msg.KindBlobData, msg.KindBlobChunk, msg.KindBlobChunkAck,
+	case msg.KindBlobChunk, msg.KindBlobChunkAck,
 		msg.KindDataFetch, msg.KindUser, msg.KindBroadcast:
 		return laneBulk
 	}

@@ -21,7 +21,7 @@ func TestLaneClassification(t *testing.T) {
 			t.Errorf("%v classified bulk, want control", k)
 		}
 	}
-	for _, k := range []msg.Kind{msg.KindBlobChunk, msg.KindBlobChunkAck, msg.KindBlobData,
+	for _, k := range []msg.Kind{msg.KindBlobChunk, msg.KindBlobChunkAck,
 		msg.KindDataFetch, msg.KindUser, msg.KindBroadcast} {
 		if laneOf(k) != laneBulk {
 			t.Errorf("%v classified control, want bulk", k)

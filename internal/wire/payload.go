@@ -40,8 +40,8 @@ const (
 	tCreateTasksResp
 	tAssignTasksReq
 	tAssignTasksResp
-	tFetchBlobReq
-	tFetchBlobResp
+	_ // the digest-list request, retired with FETCH_BLOB
+	_ // the inline-or-announce reply, retired with BLOB_DATA
 	tBlobChunkReq
 	tBlobChunkResp
 	tStartJobReq
@@ -81,8 +81,6 @@ func init() {
 	register(tCreateTasksResp, 256, appendCreateTasksResp, readCreateTasksResp)
 	register(tAssignTasksReq, 512, appendAssignTasksReq, readAssignTasksReq)
 	register(tAssignTasksResp, 128, appendAssignTasksResp, readAssignTasksResp)
-	register(tFetchBlobReq, 128, appendFetchBlobReq, readFetchBlobReq)
-	register(tFetchBlobResp, 256, appendFetchBlobResp, readFetchBlobResp)
 	register(tBlobChunkReq, 128, appendBlobChunkReq, readBlobChunkReq)
 	register(tBlobChunkResp, 128, appendBlobChunkResp, readBlobChunkResp)
 	register(tStartJobReq, 128, appendStartJobReq, readStartJobReq)
@@ -96,7 +94,7 @@ func init() {
 	register(tTSOpReq, 128, appendTSOpReq, readTSOpReq)
 	register(tTSCancelReq, 64, appendTSCancelReq, readTSCancelReq)
 	register(tTSOpResp, 128, appendTSOpResp, readTSOpResp)
-	registerSized(tDataPutReq, func(v protocol.DataPutReq) int { return 192 + len(v.Data) }, appendDataPutReq, readDataPutReq)
+	registerSized(tDataPutReq, func(v protocol.DataPutReq) int { return 192 + len(v.Data) }, AppendDataPutReq, ReadDataPutReq)
 	register(tDataResolveReq, 192, appendDataResolveReq, readDataResolveReq)
 	registerSized(tDataLocResp, func(v protocol.DataLocResp) int { return 192 + len(v.Data) }, appendDataLocResp, readDataLocResp)
 	register(tStatsPullReq, 64, appendStatsPullReq, readStatsPullReq)
@@ -231,8 +229,13 @@ func openPayload(data []byte) (*Reader, uint64, error) {
 }
 
 // --- shared sub-encodings ---
+//
+// The exported ones are also the sections of the JobManager's checkpoint
+// image (jobmgr/checkpoint.go): state that travels in one representation is
+// encoded by one piece of code. Every Read* bounds its counts against the
+// bytes left in r; strings are copies, []byte values alias r's input.
 
-func appendSpec(b []byte, sp *task.Spec) []byte {
+func AppendSpec(b []byte, sp *task.Spec) []byte {
 	if sp == nil {
 		return AppendBool(b, false)
 	}
@@ -254,7 +257,7 @@ func appendSpec(b []byte, sp *task.Spec) []byte {
 	return b
 }
 
-func readSpec(r *Reader) (*task.Spec, error) {
+func ReadSpec(r *Reader) (*task.Spec, error) {
 	present, err := r.Bool()
 	if err != nil || !present {
 		return nil, err
@@ -311,22 +314,37 @@ func readSpec(r *Reader) (*task.Spec, error) {
 	return sp, nil
 }
 
-func appendTaskCreate(b []byte, tc *protocol.TaskCreate) []byte {
-	b = appendSpec(b, tc.Spec)
-	b = AppendString(b, tc.Archive.Name)
-	return AppendString(b, tc.Archive.Digest)
+// AppendArchiveRef encodes Size only beside a digest: a ref without one
+// names no bytes, and a task that ships no archive costs two empty strings.
+func AppendArchiveRef(b []byte, ref protocol.ArchiveRef) []byte {
+	b = AppendString(b, ref.Name)
+	b = AppendString(b, ref.Digest)
+	if ref.Digest != "" {
+		b = AppendVarint(b, ref.Size)
+	}
+	return b
 }
 
-func readTaskCreate(r *Reader) (protocol.TaskCreate, error) {
-	var tc protocol.TaskCreate
-	var err error
-	if tc.Spec, err = readSpec(r); err != nil {
+func ReadArchiveRef(r *Reader) (ref protocol.ArchiveRef, err error) {
+	if ref.Name, err = r.String(); err != nil {
+		return ref, err
+	}
+	if ref.Digest, err = r.String(); err != nil || ref.Digest == "" {
+		return ref, err
+	}
+	ref.Size, err = r.Varint()
+	return ref, err
+}
+
+func appendTaskCreate(b []byte, tc *protocol.TaskCreate) []byte {
+	return AppendArchiveRef(AppendSpec(b, tc.Spec), tc.Archive)
+}
+
+func readTaskCreate(r *Reader) (tc protocol.TaskCreate, err error) {
+	if tc.Spec, err = ReadSpec(r); err != nil {
 		return tc, err
 	}
-	if tc.Archive.Name, err = r.String(); err != nil {
-		return tc, err
-	}
-	tc.Archive.Digest, err = r.String()
+	tc.Archive, err = ReadArchiveRef(r)
 	return tc, err
 }
 
@@ -354,21 +372,16 @@ func readStringSlice(r *Reader, what string) ([]string, error) {
 	return out, nil
 }
 
-func appendStringMap(b []byte, m map[string]string) []byte {
+func AppendStringMap(b []byte, m map[string]string) []byte {
 	b = AppendUvarint(b, uint64(len(m)))
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range SortedKeys(m) {
 		b = AppendString(b, k)
 		b = AppendString(b, m[k])
 	}
 	return b
 }
 
-func readStringMap(r *Reader, what string) (map[string]string, error) {
+func ReadStringMap(r *Reader, what string) (map[string]string, error) {
 	n, err := r.Count(what)
 	if err != nil || n == 0 {
 		return nil, err
@@ -388,21 +401,16 @@ func readStringMap(r *Reader, what string) (map[string]string, error) {
 	return out, nil
 }
 
-func appendBlobMap(b []byte, m map[string][]byte) []byte {
+func AppendBlobMap(b []byte, m map[string][]byte) []byte {
 	b = AppendUvarint(b, uint64(len(m)))
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range SortedKeys(m) {
 		b = AppendString(b, k)
 		b = AppendBytes(b, m[k])
 	}
 	return b
 }
 
-func readBlobMap(r *Reader, what string) (map[string][]byte, error) {
+func ReadBlobMap(r *Reader, what string) (map[string][]byte, error) {
 	n, err := r.Count(what)
 	if err != nil || n == 0 {
 		return nil, err
@@ -422,7 +430,7 @@ func readBlobMap(r *Reader, what string) (map[string][]byte, error) {
 	return out, nil
 }
 
-func appendTSFields(b []byte, fields []protocol.TSField) []byte {
+func AppendTSFields(b []byte, fields []protocol.TSField) []byte {
 	b = AppendUvarint(b, uint64(len(fields)))
 	for _, f := range fields {
 		b = AppendString(b, f.Kind)
@@ -435,7 +443,7 @@ func appendTSFields(b []byte, fields []protocol.TSField) []byte {
 	return b
 }
 
-func readTSFields(r *Reader) ([]protocol.TSField, error) {
+func ReadTSFields(r *Reader) ([]protocol.TSField, error) {
 	n, err := r.Count("tuple fields")
 	if err != nil || n == 0 {
 		return nil, err
@@ -526,14 +534,14 @@ func readCreateJobResp(r *Reader, v *protocol.CreateJobResp) (err error) {
 
 func appendTaskSolicitReq(b []byte, v protocol.TaskSolicitReq) []byte {
 	b = AppendString(b, v.JobID)
-	return appendSpec(b, v.Spec)
+	return AppendSpec(b, v.Spec)
 }
 
 func readTaskSolicitReq(r *Reader, v *protocol.TaskSolicitReq) (err error) {
 	if v.JobID, err = r.String(); err != nil {
 		return err
 	}
-	v.Spec, err = readSpec(r)
+	v.Spec, err = ReadSpec(r)
 	return err
 }
 
@@ -568,7 +576,7 @@ func appendCreateTasksReq(b []byte, v protocol.CreateTasksReq) []byte {
 	for i := range v.Tasks {
 		b = appendTaskCreate(b, &v.Tasks[i])
 	}
-	return appendBlobMap(b, v.Blobs)
+	return AppendBlobMap(b, v.Blobs)
 }
 
 func readCreateTasksReq(r *Reader, v *protocol.CreateTasksReq) (err error) {
@@ -589,16 +597,16 @@ func readCreateTasksReq(r *Reader, v *protocol.CreateTasksReq) (err error) {
 			v.Tasks = append(v.Tasks, tc)
 		}
 	}
-	v.Blobs, err = readBlobMap(r, "blobs")
+	v.Blobs, err = ReadBlobMap(r, "blobs")
 	return err
 }
 
 func appendCreateTasksResp(b []byte, v protocol.CreateTasksResp) []byte {
-	return appendStringMap(b, v.Placements)
+	return AppendStringMap(b, v.Placements)
 }
 
 func readCreateTasksResp(r *Reader, v *protocol.CreateTasksResp) (err error) {
-	v.Placements, err = readStringMap(r, "placements")
+	v.Placements, err = ReadStringMap(r, "placements")
 	return err
 }
 
@@ -641,65 +649,16 @@ func readAssignTasksReq(r *Reader, v *protocol.AssignTasksReq) (err error) {
 }
 
 func appendAssignTasksResp(b []byte, v protocol.AssignTasksResp) []byte {
-	b = appendStringMap(b, v.Rejected)
+	b = AppendStringMap(b, v.Rejected)
 	return AppendVarint(b, int64(v.Fetched))
 }
 
 func readAssignTasksResp(r *Reader, v *protocol.AssignTasksResp) (err error) {
-	if v.Rejected, err = readStringMap(r, "rejections"); err != nil {
+	if v.Rejected, err = ReadStringMap(r, "rejections"); err != nil {
 		return err
 	}
 	v.Fetched, err = r.Int()
 	return err
-}
-
-func appendFetchBlobReq(b []byte, v protocol.FetchBlobReq) []byte {
-	b = AppendString(b, v.JobID)
-	return appendStringSlice(b, v.Digests)
-}
-
-func readFetchBlobReq(r *Reader, v *protocol.FetchBlobReq) (err error) {
-	if v.JobID, err = r.String(); err != nil {
-		return err
-	}
-	v.Digests, err = readStringSlice(r, "digests")
-	return err
-}
-
-func appendFetchBlobResp(b []byte, v protocol.FetchBlobResp) []byte {
-	b = appendBlobMap(b, v.Blobs)
-	b = AppendUvarint(b, uint64(len(v.Sizes)))
-	keys := make([]string, 0, len(v.Sizes))
-	for k := range v.Sizes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b = AppendString(b, k)
-		b = AppendVarint(b, v.Sizes[k])
-	}
-	return b
-}
-
-func readFetchBlobResp(r *Reader, v *protocol.FetchBlobResp) (err error) {
-	if v.Blobs, err = readBlobMap(r, "blobs"); err != nil {
-		return err
-	}
-	n, err := r.Count("blob sizes")
-	if err != nil || n == 0 {
-		return err
-	}
-	v.Sizes = make(map[string]int64, capHint(n))
-	for i := 0; i < n; i++ {
-		k, err := r.String()
-		if err != nil {
-			return err
-		}
-		if v.Sizes[k], err = r.Varint(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // The two chunk bodies encode every field but Data: the chunk's bytes ride
@@ -788,8 +747,7 @@ func appendTaskEvent(b []byte, v protocol.TaskEvent) []byte {
 	b = AppendString(b, v.Node)
 	b = AppendString(b, v.Err)
 	b = AppendVarint(b, int64(v.Attempt))
-	b = AppendBool(b, v.Speculative)
-	return AppendSpans(b, v.Spans)
+	return AppendBool(b, v.Speculative)
 }
 
 func readTaskEvent(r *Reader, v *protocol.TaskEvent) (err error) {
@@ -808,10 +766,7 @@ func readTaskEvent(r *Reader, v *protocol.TaskEvent) (err error) {
 	if v.Attempt, err = r.Int(); err != nil {
 		return err
 	}
-	if v.Speculative, err = r.Bool(); err != nil {
-		return err
-	}
-	v.Spans, err = ReadSpans(r)
+	v.Speculative, err = r.Bool()
 	return err
 }
 
@@ -927,7 +882,7 @@ func appendJobEvent(b []byte, v protocol.JobEvent) []byte {
 	b = AppendString(b, v.JobID)
 	b = AppendBool(b, v.Failed)
 	b = AppendString(b, v.Err)
-	return appendStringMap(b, v.TaskErrs)
+	return AppendStringMap(b, v.TaskErrs)
 }
 
 func readJobEvent(r *Reader, v *protocol.JobEvent) (err error) {
@@ -940,14 +895,14 @@ func readJobEvent(r *Reader, v *protocol.JobEvent) (err error) {
 	if v.Err, err = r.String(); err != nil {
 		return err
 	}
-	v.TaskErrs, err = readStringMap(r, "task errors")
+	v.TaskErrs, err = ReadStringMap(r, "task errors")
 	return err
 }
 
 func appendTSOpReq(b []byte, v protocol.TSOpReq) []byte {
 	b = AppendString(b, v.JobID)
 	b = AppendString(b, v.FromTask)
-	b = appendTSFields(b, v.Fields)
+	b = AppendTSFields(b, v.Fields)
 	b = AppendVarint(b, v.ParkMS)
 	return AppendBool(b, v.NoReply)
 }
@@ -959,7 +914,7 @@ func readTSOpReq(r *Reader, v *protocol.TSOpReq) (err error) {
 	if v.FromTask, err = r.String(); err != nil {
 		return err
 	}
-	if v.Fields, err = readTSFields(r); err != nil {
+	if v.Fields, err = ReadTSFields(r); err != nil {
 		return err
 	}
 	if v.ParkMS, err = r.Varint(); err != nil {
@@ -988,7 +943,7 @@ func appendTSOpResp(b []byte, v protocol.TSOpResp) []byte {
 	b = AppendBool(b, v.NoMatch)
 	b = AppendBool(b, v.Retry)
 	b = AppendString(b, v.Err)
-	return appendTSFields(b, v.Fields)
+	return AppendTSFields(b, v.Fields)
 }
 
 func readTSOpResp(r *Reader, v *protocol.TSOpResp) (err error) {
@@ -1007,11 +962,13 @@ func readTSOpResp(r *Reader, v *protocol.TSOpResp) (err error) {
 	if v.Err, err = r.String(); err != nil {
 		return err
 	}
-	v.Fields, err = readTSFields(r)
+	v.Fields, err = ReadTSFields(r)
 	return err
 }
 
-func appendDataPutReq(b []byte, v protocol.DataPutReq) []byte {
+// AppendDataPutReq is exported with its reader for the checkpoint image: a
+// data-plane location rides it as the advert that made it.
+func AppendDataPutReq(b []byte, v protocol.DataPutReq) []byte {
 	b = AppendString(b, v.JobID)
 	b = AppendString(b, v.Key)
 	b = AppendString(b, v.Task)
@@ -1021,7 +978,7 @@ func appendDataPutReq(b []byte, v protocol.DataPutReq) []byte {
 	return AppendBytes(b, v.Data)
 }
 
-func readDataPutReq(r *Reader, v *protocol.DataPutReq) (err error) {
+func ReadDataPutReq(r *Reader, v *protocol.DataPutReq) (err error) {
 	if v.JobID, err = r.String(); err != nil {
 		return err
 	}
@@ -1121,7 +1078,7 @@ func readStatsPullReq(r *Reader, v *protocol.StatsPullReq) (err error) {
 
 func appendInt64Map(b []byte, m map[string]int64) []byte {
 	b = AppendUvarint(b, uint64(len(m)))
-	for _, k := range sortedKeys(m) {
+	for _, k := range SortedKeys(m) {
 		b = AppendString(b, k)
 		b = AppendVarint(b, m[k])
 	}
@@ -1153,7 +1110,7 @@ func appendStatsReportResp(b []byte, v protocol.StatsReportResp) []byte {
 	b = appendInt64Map(b, v.Metrics.Counters)
 	b = appendInt64Map(b, v.Metrics.Gauges)
 	b = AppendUvarint(b, uint64(len(v.Metrics.Histograms)))
-	for _, k := range sortedKeys(v.Metrics.Histograms) {
+	for _, k := range SortedKeys(v.Metrics.Histograms) {
 		s := v.Metrics.Histograms[k]
 		b = AppendString(b, k)
 		b = AppendVarint(b, s.Count)
@@ -1217,8 +1174,6 @@ func readStatsReportResp(r *Reader, v *protocol.StatsReportResp) (err error) {
 	return err
 }
 
-// sortedKeys returns m's keys in sorted order, for deterministic map
-// encodings.
 func appendJMCheckpoint(b []byte, v protocol.JMCheckpoint) []byte {
 	b = AppendString(b, v.Origin)
 	b = AppendString(b, v.JobID)
@@ -1338,7 +1293,9 @@ func readTaskEvents(r *Reader, v *protocol.TaskEvents) (err error) {
 	return nil
 }
 
-func sortedKeys[V any](m map[string]V) []string {
+// SortedKeys returns m's keys in sorted order, for deterministic map
+// encodings.
+func SortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

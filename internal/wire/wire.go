@@ -32,10 +32,13 @@ import (
 // to the TMOffer body, version 4 the frame's bulk tail (and moved the chunk
 // bodies' Data into it), version 5 the trailing NoReply flag of the TSOpReq
 // body, version 6 the task list of the ExecTaskReq body and the TaskEvents
-// body (TASK_STARTED / TASK_COMPLETED / TASK_FAILED stopped being frames).
+// body (TASK_STARTED / TASK_COMPLETED / TASK_FAILED stopped being frames),
+// version 7 the Size of an ArchiveRef that has a digest (FETCH_BLOB,
+// BLOB_DATA and SHUTDOWN left the kind table and renumbered it; TaskEvent
+// lost its unused Spans).
 // Nothing outside this repository speaks the wire, so a receiver
 // accepts exactly this version and rejects the rest (see docs/WIRE.md).
-const Version = 6
+const Version = 7
 
 // MaxFrameBytes bounds one transport frame (envelope + payload + tail). Senders
 // refuse to emit larger frames and receivers drop the connection on a

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -45,17 +46,15 @@ func bodies() []any {
 		&protocol.CreateTasksReq{
 			JobID: "j",
 			Tasks: []protocol.TaskCreate{
-				{Spec: specFixture("t1"), Archive: protocol.ArchiveRef{Name: "a.jar", Digest: "d1"}},
+				{Spec: specFixture("t1"), Archive: protocol.ArchiveRef{Name: "a.jar", Digest: "d1", Size: 4}},
 				{Spec: specFixture("t2")},
 			},
 			Blobs: map[string][]byte{"d1": {1, 2, 3, 4}},
 		},
 		&protocol.CreateTasksResp{Placements: map[string]string{"t1": "n1", "t2": "n2"}},
 		&protocol.AssignTasksReq{JobID: "j", JobManager: "n1", ClientNode: "c",
-			Items: []protocol.TaskCreate{{Spec: specFixture("t3"), Archive: protocol.ArchiveRef{Name: "x", Digest: "y"}}}},
+			Items: []protocol.TaskCreate{{Spec: specFixture("t3"), Archive: protocol.ArchiveRef{Name: "x", Digest: "y", Size: 3 << 20}}}},
 		&protocol.AssignTasksResp{Rejected: map[string]string{"t3": "no memory"}, Fetched: 2},
-		&protocol.FetchBlobReq{JobID: "j", Digests: []string{"d1", "d2"}},
-		&protocol.FetchBlobResp{Blobs: map[string][]byte{"d1": {5, 6}}, Sizes: map[string]int64{"d2": 1 << 21}},
 		&protocol.BlobChunkReq{JobID: "j", Digest: "d", Offset: 131072, MaxBytes: 65536, Total: 1 << 21, Data: []byte("chunk")},
 		&protocol.BlobChunkResp{Digest: "d", Offset: 131072, Total: 1 << 21, Data: []byte("chunk"), Err: ""},
 		&protocol.StartJobReq{JobID: "j", TaskNames: []string{"t1"}, Spans: []trace.Span{
@@ -63,11 +62,7 @@ func bodies() []any {
 				Start: time.Unix(0, 1_700_000_000_000_000_000), Dur: 42 * time.Millisecond},
 		}},
 		&protocol.ExecTaskReq{JobID: "j", Tasks: []string{"t1", "t2"}},
-		&protocol.TaskEvent{JobID: "j", Task: "t1", Node: "n1", Err: "boom", Attempt: 2, Speculative: true,
-			Spans: []trace.Span{
-				{Trace: 11, ID: 12, Parent: 11, Name: "tm.exec", Node: "n1", Job: "j", Task: "t1",
-					Start: time.Unix(0, 1_700_000_000_100_000_000), Dur: time.Second, Err: "boom"},
-			}},
+		&protocol.TaskEvent{JobID: "j", Task: "t1", Node: "n1", Err: "boom", Attempt: 2, Speculative: true},
 		&protocol.Heartbeat{Node: "n1", Seq: 17, Beats: []protocol.TaskBeat{
 			{JobID: "j", Task: "t1", Running: true, Progress: 99},
 			{JobID: "j", Task: "t2", Running: false, Progress: 0},
@@ -516,5 +511,55 @@ func TestFrameReaderBufferIsForHeads(t *testing.T) {
 	}
 	if direct != 1 {
 		t.Errorf("%d reads bypassed the buffer, want 1 (the big frame's body); reads: %v", direct, src.sizes)
+	}
+}
+
+// TestArchiveRefSizeRidesOnlyADigest: a ref with a digest round-trips its
+// Size; one without encodes as at wire version 6 — two strings, no size —
+// and a Size set on it does not travel.
+func TestArchiveRefSizeRidesOnlyADigest(t *testing.T) {
+	for _, ref := range []protocol.ArchiveRef{
+		{Name: "a.jar", Digest: "d1", Size: 9 << 20},
+		{Name: "a.jar", Digest: "d1"},
+		{Name: "predeployed.jar"},
+		{},
+	} {
+		enc := AppendArchiveRef(nil, ref)
+		r := NewReader(enc)
+		got, err := ReadArchiveRef(r)
+		if err != nil || r.Len() != 0 || got != ref {
+			t.Errorf("%+v: round trip gave %+v, %d bytes left, err %v", ref, got, r.Len(), err)
+		}
+		if ref.Digest == "" {
+			if want := AppendString(AppendString(nil, ref.Name), ""); !bytes.Equal(enc, want) {
+				t.Errorf("%+v: encodes to %x, want the two strings %x", ref, enc, want)
+			}
+			ref.Size = 77
+			if !bytes.Equal(AppendArchiveRef(nil, ref), enc) {
+				t.Errorf("%+v: a size without a digest changed the encoding", ref)
+			}
+		}
+	}
+}
+
+// assign32Bytes is the encoded length of the archive-less 32-item
+// AssignTasksReq below at wire version 6, measured at the commit before
+// ArchiveRef got its Size. It is the shape bench/ probes as
+// wire.assign32_bytes: the common assignment pays nothing for a field only an
+// archive needs.
+const assign32Bytes = 668
+
+func TestArchivelessAssignKeepsItsLength(t *testing.T) {
+	items := make([]protocol.TaskCreate, 32)
+	for i := range items {
+		items[i].Spec = &task.Spec{Name: fmt.Sprintf("t%02d", i), Class: "cn.Noop",
+			Req: task.Requirements{MemoryMB: 8 + i%8}}
+	}
+	enc, err := Default.Marshal(protocol.AssignTasksReq{JobID: "node1-job1", JobManager: "node1", ClientNode: "portal", Items: items})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(enc) != assign32Bytes {
+		t.Errorf("archive-less 32-item AssignTasksReq encodes to %d bytes, was %d at v6", len(enc), assign32Bytes)
 	}
 }

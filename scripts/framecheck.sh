@@ -14,8 +14,10 @@
 # a goroutine per burst of events: it must start on a fresh stack without
 # growing it) and the client's handle / recordEvents, or the data plane's
 # per-blob path — the task context's put / get, the TaskManager's
-# HandleDataFetch (a goroutine per chunk request) and the chunk client
-# protocol.PullBlob — declares a frame above the limit. The TaskEvents and
+# HandleDataFetch (a goroutine per chunk request) and the chunk protocol's
+# two verbs, protocol.PullBlob and protocol.PushBlob (both over chunkCall),
+# with the assembler (*Upload).Push a JobManager runs on a goroutine per
+# pushed chunk — declares a frame above the limit. The TaskEvents and
 # ExecTaskReq codec pairs fall under internal/wire.
 #   bash scripts/framecheck.sh [limit-bytes]
 set -eu
@@ -35,6 +37,7 @@ while read -r line; do
 	'cn/internal/api.(*Client).handle' | 'cn/internal/api.(*Job).recordEvents') ;;
 	'cn/internal/taskmgr.(*execContext).put' | 'cn/internal/taskmgr.(*execContext).get') ;;
 	'cn/internal/taskmgr.(*TaskManager).HandleDataFetch' | 'cn/internal/protocol.PullBlob') ;;
+	'cn/internal/protocol.PushBlob' | 'cn/internal/protocol.chunkCall' | 'cn/internal/protocol.(*Upload).Push') ;;
 	*) continue ;;
 	esac
 	[[ "$line" =~ locals=(0x[0-9a-f]+) ]] || continue
