@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,7 @@ import (
 
 	"cn/internal/archive"
 	"cn/internal/discovery"
+	"cn/internal/logging"
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/task"
@@ -48,11 +50,11 @@ type Options struct {
 	// Policy selects among JobManager offers (nil = BestFit).
 	Policy discovery.Policy
 	// CallTimeout bounds individual request/response calls (0 = 10s).
-	// Tuple-space operations carry their own bound,
-	// protocol.TSCallTimeout.
+	// Tuple-space operations carry their own bound, protocol.CallTimeout.
 	CallTimeout time.Duration
-	// Logf receives diagnostics; nil disables logging.
-	Logf func(format string, args ...any)
+	// Log receives diagnostics as Debug records, under component=client and
+	// the client's node name; nil disables logging.
+	Log *slog.Logger
 	// Tracer makes this client a trace root: job submission opens the
 	// trace (sampling decided there) and every job call carries its
 	// context on the wire. Nil leaves jobs untraced from the client side
@@ -82,6 +84,7 @@ func Initialize(net transport.Network, opts Options) (*Client, error) {
 	if opts.CallTimeout <= 0 {
 		opts.CallTimeout = 10 * time.Second
 	}
+	opts.Log = logging.Component(opts.Log, "client", name)
 	c := &Client{opts: opts, node: name, jobs: make(map[string]*Job)}
 	ep, err := net.Attach(name, c.handle)
 	if err != nil {
@@ -96,9 +99,7 @@ func Initialize(net transport.Network, opts Options) (*Client, error) {
 func (c *Client) Node() string { return c.node }
 
 func (c *Client) logf(format string, args ...any) {
-	if c.opts.Logf != nil {
-		c.opts.Logf("[client %s] "+format, append([]any{c.node}, args...)...)
-	}
+	logging.Debugf(c.opts.Log, format, args...)
 }
 
 // handle is the client's endpoint dispatch: replies feed the caller, user

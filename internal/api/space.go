@@ -9,7 +9,6 @@ package api
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"cn/internal/msg"
 	"cn/internal/protocol"
@@ -28,13 +27,6 @@ type Space struct {
 
 // Space returns the handle on the job's coordination tuple space.
 func (j *Job) Space() *Space { return &Space{job: j} }
-
-// tsParkMargin is how much of the caller's remaining deadline a blocking
-// request must leave unspent: the server answers Retry at park end and
-// the reply still has to cross the wire before ctx fires. A request that
-// parked past the caller's deadline would become a stale waiter whose
-// answer nobody consumes — for In, destroying the matched tuple.
-const tsParkMargin = 500 * time.Millisecond
 
 // tsWire returns the job's protocol.TSWire attachment, built once per
 // manager node — each attempt of an operation asks again, so blocking
@@ -60,28 +52,14 @@ func (j *Job) tsWire() (*protocol.TSWire, error) {
 }
 
 // do performs one acknowledged tuple-space wire call under ctx; the wire
-// also bounds each attempt by TSCallTimeout, so a dead JobManager fails the
-// operation.
+// also bounds each attempt by protocol.CallTimeout, so a dead JobManager
+// fails the operation, and asks a blocking op's park to end while ctx's
+// deadline still has room for the answer.
 func (s *Space) do(ctx context.Context) protocol.TSDoFunc {
 	return func(kind msg.Kind, req protocol.TSOpReq) (*protocol.TSOpResp, error) {
 		w, err := s.job.tsWire()
 		if err != nil {
 			return nil, err
-		}
-		if req.ParkMS > 0 {
-			if dl, ok := ctx.Deadline(); ok {
-				// A truncated 0 would read as "use the default window"
-				// server-side, so anything under a whole millisecond is
-				// already too late to park.
-				ms := (time.Until(dl) - tsParkMargin).Milliseconds()
-				if ms < 1 {
-					// Don't issue a park the caller cannot wait out.
-					return nil, fmt.Errorf("api: tuple-space %s: %w", kind, context.DeadlineExceeded)
-				}
-				if ms < req.ParkMS {
-					req.ParkMS = ms
-				}
-			}
 		}
 		resp, err := w.Do(ctx, kind, req)
 		if err != nil {

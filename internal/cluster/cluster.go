@@ -11,7 +11,6 @@ import (
 
 	"cn/internal/dataplane"
 	"cn/internal/jobmgr"
-	"cn/internal/logging"
 	"cn/internal/metrics"
 	"cn/internal/placement"
 	"cn/internal/server"
@@ -113,7 +112,7 @@ func Start(cfg Config) (*Cluster, error) {
 		})
 	case TransportTCP:
 		tn := transport.NewTCPNetwork()
-		tn.SetLogf(logging.Logf(cfg.Log))
+		tn.SetLogger(cfg.Log)
 		net = tn
 	default:
 		return nil, fmt.Errorf("cluster: unknown transport %d", cfg.Transport)

@@ -394,8 +394,8 @@ func TestFailoverUnacknowledgedOutsAreTheLossWindow(t *testing.T) {
 	}
 	close(firstFlush)
 	for d := range firstFlush {
-		if d > protocol.TSCallTimeout+time.Second {
-			t.Errorf("an emitter's first acknowledged op after the kill took %v; the dead-manager deadline is %v", d, protocol.TSCallTimeout)
+		if d > protocol.CallTimeout+time.Second {
+			t.Errorf("an emitter's first acknowledged op after the kill took %v; the dead-manager deadline is %v", d, protocol.CallTimeout)
 		}
 	}
 }

@@ -42,6 +42,18 @@ func tsRegistry() *task.Registry {
 	return r
 }
 
+// waitParked waits until the park table of the JobManager on node holds
+// want records.
+func waitParked(t *testing.T, c *cluster.Cluster, node string, want int) {
+	t.Helper()
+	jm := c.Server(node).JobManager()
+	for deadline := time.Now().Add(10 * time.Second); jm.Parked() != want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests parked at %s, want %d", jm.Parked(), node, want)
+		}
+	}
+}
+
 func tsSpec(name string) *task.Spec {
 	return &task.Spec{
 		Name: name, Class: "ts.Worker",
@@ -192,8 +204,8 @@ func TestTuplespaceBlockedRdWokenByOut(t *testing.T) {
 	if err := j.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Give the readers a moment to park, then fire one signal.
-	time.Sleep(50 * time.Millisecond)
+	// Once every reader is parked, fire one signal.
+	waitParked(t, c, "node1", readers)
 	space := j.Space()
 	if err := space.Out(tuplespace.Tuple{"signal", 42}); err != nil {
 		t.Fatal(err)
@@ -244,22 +256,26 @@ func TestTuplespaceCancelledInDoesNotEatTuples(t *testing.T) {
 	if _, err := j.CreateTasks([]*task.Spec{tsSpec("w0")}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Start(); err != nil {
-		t.Fatal(err)
-	}
 	space := j.Space()
 
 	// Park an In for a tuple shape the worker never touches, then give up.
+	// The worker starts afterwards, so the client's In is the only park.
 	ctx, cancel := context.WithCancel(context.Background())
+	in := make(chan error, 1)
 	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
+		_, err := space.In(ctx, tuplespace.Template{"private", tuplespace.TypeOf(0)})
+		in <- err
 	}()
-	if _, err := space.In(ctx, tuplespace.Template{"private", tuplespace.TypeOf(0)}); err == nil {
+	waitParked(t, c, "node1", 1)
+	cancel()
+	if err := <-in; err == nil {
 		t.Fatal("cancelled In returned a tuple")
 	}
-	// Let the TS_CANCEL land and the park unwind before publishing.
-	time.Sleep(100 * time.Millisecond)
+	// The TS_CANCEL has landed and the park unwound before publishing.
+	waitParked(t, c, "node1", 0)
+	if err := j.Start(); err != nil {
+		t.Fatal(err)
+	}
 
 	if err := space.Out(tuplespace.Tuple{"private", 7}); err != nil {
 		t.Fatal(err)
@@ -335,8 +351,8 @@ func TestTuplespaceResultsPrecedeTheTerminalEvent(t *testing.T) {
 					got <- err
 				}()
 			}
-			// Let the Ins reach the manager and park, then start the job.
-			time.Sleep(100 * time.Millisecond)
+			// Once every In has reached the manager and parked, start the job.
+			waitParked(t, c, "node1", results)
 			if err := j.Start(); err != nil {
 				t.Fatal(err)
 			}

@@ -14,6 +14,7 @@ package dataplane
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -202,7 +203,7 @@ func (b *Broker) Cancel(w *Waiter) bool {
 			if len(ws) == 1 {
 				delete(b.waiters, w.key)
 			} else {
-				b.waiters[w.key] = append(ws[:i], ws[i+1:]...)
+				b.waiters[w.key] = slices.Delete(ws, i, i+1)
 			}
 			return true
 		}

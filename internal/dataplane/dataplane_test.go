@@ -255,3 +255,31 @@ func TestConcurrentPutResolve(t *testing.T) {
 		t.Errorf("stats %+v, want %d puts/resolves", s, keys)
 	}
 }
+
+// TestCancelLeavesNoSpareWaiter: a withdrawn resolve is not reachable through
+// the spare capacity of its key's waiter list — its wake closure holds the
+// request frame it would have answered.
+func TestCancelLeavesNoSpareWaiter(t *testing.T) {
+	b := NewBroker(nil)
+	var ws []*Waiter
+	for i := 0; i < 3; i++ {
+		_, w, err := b.Await("k", func(Loc, error) {})
+		if w == nil || err != nil {
+			t.Fatalf("await %d: waiter %v, err %v", i, w, err)
+		}
+		ws = append(ws, w)
+	}
+	for i, w := range ws[:2] {
+		if !b.Cancel(w) {
+			t.Fatalf("cancel %d: not registered", i)
+		}
+		b.mu.Lock()
+		left := b.waiters["k"]
+		for j, x := range left[len(left):cap(left)] {
+			if x != nil {
+				t.Errorf("after cancel %d: spare slot %d still holds a waiter", i, j)
+			}
+		}
+		b.mu.Unlock()
+	}
+}

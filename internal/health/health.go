@@ -15,9 +15,12 @@
 package health
 
 import (
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
+
+	"cn/internal/logging"
 )
 
 // State is a monitored node's liveness classification.
@@ -100,8 +103,9 @@ type Config struct {
 	Sweep time.Duration
 	// Now supplies the clock (nil = time.Now; tests inject fakes).
 	Now func() time.Time
-	// Logf receives diagnostic lines; nil disables logging.
-	Logf func(format string, args ...any)
+	// Log receives diagnostic lines as Debug records; nil disables logging.
+	// The owner names the component (logging.Component).
+	Log *slog.Logger
 }
 
 // lease is one node's liveness record.
@@ -150,6 +154,9 @@ func NewMonitor(cfg Config) *Monitor {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
+	if cfg.Log == nil {
+		cfg.Log = logging.Discard()
+	}
 	m := &Monitor{
 		cfg:    cfg,
 		stop:   make(chan struct{}),
@@ -161,12 +168,6 @@ func NewMonitor(cfg Config) *Monitor {
 		go m.sweeper()
 	}
 	return m
-}
-
-func (m *Monitor) logf(format string, args ...any) {
-	if m.cfg.Logf != nil {
-		m.cfg.Logf("[health] "+format, args...)
-	}
 }
 
 // Watch begins tracking a node without requiring a first beat: the lease
@@ -288,7 +289,7 @@ func (m *Monitor) publishLocked(events []Event) {
 			select {
 			case ch <- ev:
 			default:
-				m.logf("subscriber full, dropping %s->%s", ev.Node, ev.State)
+				logging.Debugf(m.cfg.Log, "subscriber full, dropping %s->%s", ev.Node, ev.State)
 			}
 		}
 	}
@@ -310,11 +311,11 @@ func (m *Monitor) CheckNow(now time.Time) {
 		case l.state != StateDead && lapse >= m.cfg.DeadAfter:
 			l.state = StateDead
 			events = append(events, Event{Node: node, State: StateDead, At: now, SincePrev: lapse})
-			m.logf("node %s dead (lease lapsed %v)", node, lapse)
+			logging.Debugf(m.cfg.Log, "node %s dead (lease lapsed %v)", node, lapse)
 		case l.state == StateAlive && lapse >= m.cfg.SuspectAfter:
 			l.state = StateSuspect
 			events = append(events, Event{Node: node, State: StateSuspect, At: now, SincePrev: lapse})
-			m.logf("node %s suspect (lease lapsed %v)", node, lapse)
+			logging.Debugf(m.cfg.Log, "node %s suspect (lease lapsed %v)", node, lapse)
 		}
 	}
 	m.publishLocked(events)

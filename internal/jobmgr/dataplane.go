@@ -3,9 +3,9 @@
 // Producers advertise each published output with KindDataPut — key, digest,
 // size, serving node, and (for payloads at most DataInlineMax) the bytes
 // themselves. Consumers look keys up with KindDataResolve; an unpublished
-// key registers a waiter with the job's broker for the request's window and
-// answers Retry when it lapses, the same shape as the blocking tuple-space
-// ops: no goroutine waits, the publishing DATA_PUT answers the resolve.
+// key registers a waiter with the job's broker and parks in the same table
+// as the blocking tuple-space ops (park.go): no goroutine waits, the
+// publishing DATA_PUT answers the resolve, a lapsed window answers Retry.
 // Either way the JobManager carries locations, not payloads: the bytes move
 // producer-to-consumer over KindDataFetch chunk pulls between the two
 // TaskManagers, so the manager's data-plane cost per key is one advert and
@@ -15,21 +15,11 @@ package jobmgr
 
 import (
 	"fmt"
-	"time"
 
 	"cn/internal/archive"
 	"cn/internal/dataplane"
 	"cn/internal/msg"
 	"cn/internal/protocol"
-)
-
-// Park-window clamps for KindDataResolve, mirroring the tuple-space
-// bounds: the floor keeps a zero-window request from spinning the
-// requester's retry loop, the ceiling keeps the reply inside the caller's
-// DataCallTimeout with room to travel.
-const (
-	minDataPark = 10 * time.Millisecond
-	maxDataPark = protocol.DataCallTimeout - 2*time.Second
 )
 
 func dataReply(m *msg.Message, resp *protocol.DataLocResp) *msg.Message {
@@ -54,8 +44,16 @@ func (jm *JobManager) HandleDataPut(m *msg.Message) *msg.Message {
 	if err := protocol.Decode(m, &req); err != nil {
 		return dataReply(m, &protocol.DataLocResp{Err: "bad data-plane put: " + err.Error()})
 	}
-	if req.Key == "" || req.Digest == "" || req.Size < 0 {
+	if req.Key == "" || req.Digest == "" {
 		return dataReply(m, &protocol.DataLocResp{Key: req.Key, Err: "data-plane put: missing key or digest"})
+	}
+	// Size 0 is an empty Put; any other size must be one a consumer may
+	// allocate, or every resolve of the advert ends in a refused fetch and a
+	// re-run of a producer that did nothing wrong.
+	if req.Size != 0 {
+		if err := protocol.CheckBlobSize(req.Size); err != nil {
+			return dataReply(m, &protocol.DataLocResp{Key: req.Key, Err: "data-plane put: " + err.Error()})
+		}
 	}
 	if len(req.Data) > 0 {
 		if int64(len(req.Data)) != req.Size || req.Size > protocol.DataInlineMax {
@@ -83,11 +81,12 @@ func locOf(req *protocol.DataPutReq) dataplane.Loc {
 }
 
 // HandleDataResolve processes a consumer's KindDataResolve and sends the
-// KindDataLoc reply itself: at once for a published key, otherwise from the
-// DATA_PUT (or broker close) that later claims the registered waiter, or
-// from the park window's timer. It never blocks: the server runs it on the
-// endpoint's delivering goroutine. Resolve replies are non-destructive, so
-// a lapsed park simply answers Retry — no cancel protocol is needed.
+// KindDataLoc reply itself: at once for a published key, otherwise — a
+// try-then-park request like TS_IN (park.go) — from the DATA_PUT (or broker
+// close) that later claims the registered waiter, or with Retry when the
+// park window lapses. A consumer that abandons the call withdraws the park
+// with TS_CANCEL. It never blocks: the server runs it on the endpoint's
+// delivering goroutine.
 func (jm *JobManager) HandleDataResolve(m *msg.Message) {
 	var req protocol.DataResolveReq
 	if err := protocol.Decode(m, &req); err != nil {
@@ -111,25 +110,23 @@ func (jm *JobManager) HandleDataResolve(m *msg.Message) {
 			jm.rerunProducer(j, lost)
 		}
 	}
-	var timer parkTimer
-	loc, w, err := j.broker.Await(req.Key, func(loc dataplane.Loc, err error) {
-		timer.stop()
-		jm.dataAnswer(m, req.Key, loc, err)
-	})
+	p := jm.parked.register(m)
+	if p == nil {
+		return // the consumer's cancel outran the request
+	}
+	answer := func(loc dataplane.Loc, err error) {
+		if jm.parked.done(p) {
+			jm.dataAnswer(m, req.Key, loc, err)
+		}
+	}
+	loc, w, err := j.broker.Await(req.Key, answer)
 	if w == nil {
-		jm.dataAnswer(m, req.Key, loc, err)
+		answer(loc, err)
 		return
 	}
-	window := time.Duration(req.ParkMS) * time.Millisecond
-	if window <= 0 {
-		window = protocol.DataParkWindow
-	}
-	timer.start(min(max(window, minDataPark), maxDataPark), func() {
-		// The park window lapsed unpublished; the consumer re-issues.
-		if j.broker.Cancel(w) {
-			jm.dpStats.Retries.Add(1)
-			jm.dataSend(m, &protocol.DataLocResp{Key: req.Key, Retry: true})
-		}
+	jm.parked.hold(p, req.ParkMS, func() bool { return j.broker.Cancel(w) }, func() {
+		jm.dpStats.Retries.Add(1)
+		jm.dataSend(m, &protocol.DataLocResp{Key: req.Key, Retry: true})
 	})
 }
 

@@ -264,9 +264,10 @@ type JobManager struct {
 	// snapshot of the same job.
 	ckptMu sync.Mutex
 
-	// parked indexes in-flight blocking tuple-space ops so a requester's
-	// KindTSCancel can abort its own stale park.
-	parked tsParks
+	// parked indexes in-flight try-then-park requests (TS_IN, TS_RD,
+	// DATA_RESOLVE) so a requester's KindTSCancel can withdraw its own
+	// stale park.
+	parked parkTable
 
 	// dpStats aggregates data-plane broker counters across hosted jobs;
 	// shared by every job broker this manager creates.
@@ -338,12 +339,13 @@ func New(cfg Config, send SendFunc, caller *transport.Caller, freeMem FreeMemFun
 		jobs:    make(map[string]*jobState),
 		tombs:   make(map[string]*tombstone),
 		late:    msg.NewMailbox(0),
+		parked:  parkTable{m: make(map[parkKey]*park)},
 	}
 	jm.monitor = health.NewMonitor(health.Config{
 		SuspectAfter: cfg.SuspectAfter,
 		DeadAfter:    cfg.DeadAfter,
 		Sweep:        monSweep,
-		Logf:         logging.Logf(jm.log),
+		Log:          logging.Component(cfg.Log, "health", cfg.Node),
 	})
 	jm.dir = placement.NewDirectory(placement.Config{
 		TTL:     cfg.PlacementTTL,
@@ -368,7 +370,7 @@ func New(cfg Config, send SendFunc, caller *transport.Caller, freeMem FreeMemFun
 		jm.peers = health.NewMonitor(health.Config{
 			SuspectAfter: 3 * cfg.CheckpointEvery,
 			DeadAfter:    6 * cfg.CheckpointEvery,
-			Logf:         logging.Logf(jm.log),
+			Log:          logging.Component(cfg.Log, "health", cfg.Node),
 		})
 		jm.wg.Add(2)
 		go jm.checkpointLoop()

@@ -19,10 +19,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"cn/internal/logging"
 	"cn/internal/metrics"
 )
 
@@ -157,8 +159,9 @@ type Config struct {
 	// re-enter the queue and re-run. The caller owns the backend's
 	// lifetime; the store never calls Backend.Close.
 	Backend Backend
-	// Logf receives diagnostics; nil disables logging.
-	Logf func(format string, args ...any)
+	// Log receives diagnostics as Debug records; nil disables logging. The
+	// owner names the component (logging.Component).
+	Log *slog.Logger
 }
 
 // Job is one tracked submission. The store owns all state transitions;
@@ -325,6 +328,9 @@ func New(cfg Config) (*Store, error) {
 			cfg.SweepEvery = time.Second
 		}
 	}
+	if cfg.Log == nil {
+		cfg.Log = logging.Discard()
+	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -400,7 +406,7 @@ func (s *Store) replay() error {
 	s.reg.Gauge("jobstore.queue_depth").Set(int64(len(s.pending)))
 	s.seq.Store(maxSeq)
 	if len(pjs) > 0 {
-		s.logf("replayed %d persisted jobs (%d re-queued)", len(pjs), requeued)
+		logging.Debugf(s.cfg.Log, "replayed %d persisted jobs (%d re-queued)", len(pjs), requeued)
 	}
 	return nil
 }
@@ -426,13 +432,7 @@ func (s *Store) persistLocked(j *Job) {
 		Error:       j.errText,
 	}
 	if err := s.cfg.Backend.Put(pj); err != nil {
-		s.logf("persist job %s: %v", j.id, err)
-	}
-}
-
-func (s *Store) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf("[jobstore] "+format, args...)
+		logging.Debugf(s.cfg.Log, "persist job %s: %v", j.id, err)
 	}
 }
 
@@ -499,7 +499,7 @@ func (s *Store) Submit(sub Submission) (*Record, error) {
 	case s.wake <- struct{}{}:
 	default:
 	}
-	s.logf("job %s queued (%s, %d bytes)", id, sub.Format, len(sub.Body))
+	logging.Debugf(s.cfg.Log, "job %s queued (%s, %d bytes)", id, sub.Format, len(sub.Body))
 	return rec, nil
 }
 
@@ -595,7 +595,7 @@ func (s *Store) Delete(id string) (*Record, error) {
 		rec := j.snapshotLocked()
 		j.mu.Unlock()
 		s.mu.Unlock()
-		s.logf("job %s aborted while queued", id)
+		logging.Debugf(s.cfg.Log, "job %s aborted while queued", id)
 		return rec, nil
 	case !j.state.Terminal():
 		j.aborted = true
@@ -605,14 +605,14 @@ func (s *Store) Delete(id string) (*Record, error) {
 		rec := j.snapshotLocked()
 		j.mu.Unlock()
 		s.mu.Unlock()
-		s.logf("job %s abort requested (%s)", id, rec.State)
+		logging.Debugf(s.cfg.Log, "job %s abort requested (%s)", id, rec.State)
 		return rec, nil
 	default:
 		rec := j.snapshotLocked()
 		j.mu.Unlock()
 		s.mu.Unlock()
 		s.remove(j)
-		s.logf("job %s record deleted (%s)", id, rec.State)
+		logging.Debugf(s.cfg.Log, "job %s record deleted (%s)", id, rec.State)
 		return rec, nil
 	}
 }
@@ -648,7 +648,7 @@ func (s *Store) remove(j *Job) {
 	}
 	if s.cfg.Backend != nil {
 		if err := s.cfg.Backend.Delete(j.id); err != nil {
-			s.logf("unpersist job %s: %v", j.id, err)
+			logging.Debugf(s.cfg.Log, "unpersist job %s: %v", j.id, err)
 		}
 	}
 	s.mu.Unlock()
@@ -763,7 +763,7 @@ func (s *Store) run(j *Job) {
 	j.mu.Unlock()
 	s.reg.Histogram("jobstore.run_ms").ObserveDuration(j.runDur)
 	s.reg.Histogram("jobstore.total_ms").ObserveDuration(j.finishedAt.Sub(j.submittedAt))
-	s.logf("job %s %s after %s (queue %s)", j.id, state, j.runDur.Round(time.Millisecond), j.queueWait.Round(time.Millisecond))
+	logging.Debugf(s.cfg.Log, "job %s %s after %s (queue %s)", j.id, state, j.runDur.Round(time.Millisecond), j.queueWait.Round(time.Millisecond))
 }
 
 // janitor evicts terminal records past the TTL.
@@ -796,7 +796,7 @@ func (s *Store) sweep(now time.Time) {
 	for _, j := range expired {
 		s.remove(j)
 		s.reg.Counter("jobstore.evicted").Inc()
-		s.logf("job %s evicted (TTL)", j.id)
+		logging.Debugf(s.cfg.Log, "job %s evicted (TTL)", j.id)
 	}
 }
 

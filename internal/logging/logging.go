@@ -2,8 +2,8 @@
 // component logs through a *slog.Logger carrying component/node attrs
 // (plus job/task attrs per record), leveled and flag-configurable from
 // the cmds. There is one stream: printf-style diagnostics are Debug records
-// on the same logger (Debugf), and the few leaves that take a printf
-// function are handed Logf(logger).
+// on the same logger (Debugf), and every component — leaves included —
+// takes a *slog.Logger, never a printf function.
 package logging
 
 import (
@@ -65,16 +65,4 @@ func Debugf(log *slog.Logger, format string, args ...any) {
 	if log.Enabled(context.Background(), slog.LevelDebug) {
 		log.Debug(fmt.Sprintf(format, args...))
 	}
-}
-
-// Logf adapts a logger to the printf seam the leaves still take (health,
-// jobstore, api, the TCP transport): each line is a Debugf on log. A logger
-// that can never log (nil, or Discard — what Component makes of nil) adapts
-// to nil, which is how a leaf is told to build no line at all: its own nil
-// check then skips the prefix it concatenates and the arguments it boxes.
-func Logf(log *slog.Logger) func(format string, args ...any) {
-	if log == nil || log.Handler() == slog.Handler(discardHandler{}) {
-		return nil
-	}
-	return func(format string, args ...any) { Debugf(log, format, args...) }
 }

@@ -74,20 +74,3 @@ func TestDebugfOneStream(t *testing.T) {
 type stringerFunc func() string
 
 func (f stringerFunc) String() string { return f() }
-
-func TestLogfAdapter(t *testing.T) {
-	var buf bytes.Buffer
-	logf := Logf(New(&buf, slog.LevelDebug))
-	logf("count=%d", 7)
-	if !strings.Contains(buf.String(), "count=7") {
-		t.Errorf("adapter output %q", buf.String())
-	}
-	buf.Reset()
-	Logf(New(&buf, slog.LevelInfo))("count=%d", 7)
-	if buf.Len() != 0 {
-		t.Errorf("adapter wrote %q through an Info logger; its lines are Debug records", buf.String())
-	}
-	if Logf(nil) != nil || Logf(Discard()) != nil || Logf(Component(nil, "portal", "")) != nil {
-		t.Error("Logf of a logger that can never log should be nil")
-	}
-}

@@ -140,7 +140,7 @@ func New(cfg Config) (*Portal, error) {
 		ResultTTL:  cfg.ResultTTL,
 		Backend:    p.backend,
 		Metrics:    cfg.Cluster.Metrics(),
-		Logf:       logging.Logf(p.log),
+		Log:        logging.Component(cfg.Log, "jobstore", ""),
 	})
 	if err != nil {
 		if p.backend != nil {

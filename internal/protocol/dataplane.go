@@ -12,27 +12,14 @@ package protocol
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"cn/internal/msg"
-	"cn/internal/trace"
 )
 
 // DataInlineMax is the largest payload that piggybacks whole on a
 // KindDataPut advert and its KindDataLoc replies. Bigger outputs stay on
 // the producing node and consumers chunk-pull them TM→TM.
 const DataInlineMax = 4 << 10
-
-// DataParkWindow is how long an unresolved KindDataResolve may park
-// server-side before the JobManager answers Retry and the consumer
-// re-issues — the same park/Retry shape as the tuple-space protocol, so a
-// dead JobManager fails the call at the client deadline instead of hanging
-// the task.
-const DataParkWindow = time.Second
-
-// DataCallTimeout bounds one data-plane broker call; it exceeds the park
-// window by a grace margin so a parked resolve is answered, not timed out.
-const DataCallTimeout = DataParkWindow + 4*time.Second
 
 // DataPutReq is the body of KindDataPut (producer TaskManager ->
 // JobManager): advertise that the producing node now serves the keyed
@@ -51,8 +38,8 @@ type DataPutReq struct {
 
 // DataResolveReq is the body of KindDataResolve (consumer TaskManager ->
 // JobManager): look up a key's location. An unpublished key parks the
-// request for up to ParkMS (0 = DataParkWindow) before the JobManager
-// answers Retry. StaleNode/StaleDigest name an advert the consumer already
+// request for up to ParkMS (0 = ParkWindow) before the JobManager answers
+// Retry. StaleNode/StaleDigest name an advert the consumer already
 // failed to fetch from; the JobManager drops a matching advert before
 // resolving, so a crashed producer's stale location is not served twice.
 type DataResolveReq struct {
@@ -80,47 +67,10 @@ type DataLocResp struct {
 	Err    string
 }
 
-// DataDoFunc performs one data-plane broker call of the given kind and
-// returns the decoded reply, failing (rather than blocking) when the
-// JobManager does not answer within DataCallTimeout.
-type DataDoFunc func(kind msg.Kind, req any) (*DataLocResp, error)
-
-// DataWire is one requester's wire attachment to a job's data-plane broker,
-// mirroring TSWire: every call is bounded by DataCallTimeout. Resolve
-// replies are non-destructive, so an abandoned park needs no cancel notice
-// — a late reply to a dropped correlation is simply discarded.
-type DataWire struct {
-	JobID    string
-	FromTask string
-	From, To msg.Address
-	// Trace is the span context broker calls carry on the envelope; zero
-	// when the task is untraced.
-	Trace trace.Context
-	// Call performs the bounded request/response round trip.
-	Call func(ctx context.Context, toNode string, m *msg.Message) (*msg.Message, error)
-}
-
-// Do performs one broker call under ctx (additionally bounded by
-// DataCallTimeout).
-func (w *DataWire) Do(ctx context.Context, kind msg.Kind, req any) (*DataLocResp, error) {
-	m := Body(kind, w.From, w.To, req)
-	m.Trace = w.Trace
-	cctx, cancel := context.WithTimeout(ctx, DataCallTimeout)
-	defer cancel()
-	reply, err := w.Call(cctx, w.To.Node, m)
-	if err != nil {
-		return nil, fmt.Errorf("data-plane %s: %w", kind, err)
-	}
+// Put advertises a published output to the job's data-plane broker.
+func (w *TSWire) Put(ctx context.Context, key, digest string, size int64, inline []byte) error {
 	var resp DataLocResp
-	if err := Decode(reply, &resp); err != nil {
-		return nil, fmt.Errorf("data-plane %s: %w", kind, err)
-	}
-	return &resp, nil
-}
-
-// Put advertises a published output to the JobManager.
-func (w *DataWire) Put(ctx context.Context, key, digest string, size int64, inline []byte) error {
-	resp, err := w.Do(ctx, msg.KindDataPut, DataPutReq{
+	err := w.call(ctx, msg.KindDataPut, &DataPutReq{
 		JobID:  w.JobID,
 		Key:    key,
 		Task:   w.FromTask,
@@ -128,7 +78,7 @@ func (w *DataWire) Put(ctx context.Context, key, digest string, size int64, inli
 		Digest: digest,
 		Size:   size,
 		Data:   inline,
-	})
+	}, &resp)
 	if err != nil {
 		return err
 	}
@@ -141,22 +91,27 @@ func (w *DataWire) Put(ctx context.Context, key, digest string, size int64, inli
 	return nil
 }
 
-// Resolve looks up a key's location, re-issuing each time the server's
-// park window lapses unpublished. The loop ends when a location arrives,
-// the job closes, or ctx/Call fails. staleNode/staleDigest (both may be
-// empty) name an advert the caller already failed to fetch from.
-func (w *DataWire) Resolve(ctx context.Context, key, staleNode, staleDigest string) (*DataLocResp, error) {
+// Resolve looks up a key's location at the job's data-plane broker,
+// re-issuing each time the server's park window lapses unpublished. The loop
+// ends when a location arrives, the job closes, or ctx/Call fails; an
+// abandoned attempt withdraws its park (see call). staleNode/staleDigest
+// (both may be empty) name an advert the caller already failed to fetch
+// from.
+func (w *TSWire) Resolve(ctx context.Context, key, staleNode, staleDigest string) (*DataLocResp, error) {
 	req := DataResolveReq{
 		JobID:       w.JobID,
 		Key:         key,
 		Task:        w.FromTask,
-		ParkMS:      int64(DataParkWindow / time.Millisecond),
 		StaleNode:   staleNode,
 		StaleDigest: staleDigest,
 	}
 	for {
-		resp, err := w.Do(ctx, msg.KindDataResolve, req)
-		if err != nil {
+		// A resolve destroys nothing, so one that ctx leaves no room to park
+		// still goes out and asks for the shortest window: a published key
+		// answers at once.
+		req.ParkMS = max(parkMS(ctx), 1)
+		resp := new(DataLocResp)
+		if err := w.call(ctx, msg.KindDataResolve, &req, resp); err != nil {
 			return nil, err
 		}
 		if resp.Retry {

@@ -1,9 +1,10 @@
 // Tuple-space wire protocol: the per-job coordination spaces hosted on
 // JobManagers ("CN also supports communication via tuple spaces"). Tuples
 // and templates cross the wire as ordered scalar fields; blocking In/Rd
-// requests park server-side against the space's waiters and are answered
-// when a match arrives, bounded by a park window after which the server
-// replies Retry and the caller re-issues — so a dead JobManager fails the
+// requests park server-side against the space's waiters (as DATA_RESOLVE
+// parks against the broker's, on the same TSWire) and are answered when a
+// match arrives, bounded by a park window after which the server replies
+// Retry and the caller re-issues — so a dead JobManager fails the
 // call at the client-side deadline instead of hanging the task, and a
 // tuple matched during the race between timeout and waiter removal is
 // still delivered, never lost. Out is the exception to request/response: a
@@ -23,17 +24,24 @@ import (
 	"cn/internal/tuplespace"
 )
 
-// TSParkWindow is how long a blocking In/Rd may park server-side before
-// the JobManager answers Retry and the caller re-issues. Shorter windows
-// tighten cancellation latency; longer windows cost fewer round trips for
-// long waits.
-const TSParkWindow = time.Second
+// ParkWindow is how long a request of a kind that can park — TS_IN, TS_RD,
+// DATA_RESOLVE — may wait at the JobManager before it answers Retry and the
+// caller re-issues. Shorter windows tighten cancellation latency; longer
+// windows cost fewer round trips for long waits.
+const ParkWindow = time.Second
 
-// TSCallTimeout bounds one tuple-space wire call. It exceeds the park
-// window by a grace margin so a parked call is answered rather than timed
-// out, and it is the client-side deadline that fails the call when the
-// hosting JobManager is dead.
-const TSCallTimeout = TSParkWindow + 4*time.Second
+// CallTimeout bounds one call on a TSWire. It exceeds ParkWindow by a grace
+// margin so a parked call is answered rather than timed out, and it is the
+// requester-side deadline that fails the call when the hosting JobManager
+// is dead.
+const CallTimeout = ParkWindow + 4*time.Second
+
+// parkMargin is how much of the caller's remaining deadline a park must
+// leave unspent: the JobManager answers Retry at the window's end and the
+// reply still has to cross the wire before the caller gives up. A request
+// parked past the caller's deadline would leave a waiter whose answer nobody
+// consumes.
+const parkMargin = 500 * time.Millisecond
 
 // TSOutWindow is how many Outs a requester sends per acknowledged one: 63
 // leave with no reply asked for, the 64th is an ordinary call. The
@@ -89,8 +97,12 @@ func EncodeTuple(t tuplespace.Tuple) ([]TSField, error) {
 	return out, nil
 }
 
-// DecodeTuple rebuilds a tuple from wire fields.
+// DecodeTuple rebuilds a tuple from wire fields; like EncodeTuple, it
+// refuses an empty one.
 func DecodeTuple(fields []TSField) (tuplespace.Tuple, error) {
+	if len(fields) == 0 {
+		return nil, fmt.Errorf("protocol: empty tuple")
+	}
 	out := make(tuplespace.Tuple, len(fields))
 	for i, f := range fields {
 		v, err := decodeValue(f)
@@ -195,7 +207,7 @@ type TSOpReq struct {
 	FromTask string    // requesting task name, or "client"
 	Fields   []TSField // the tuple (TS_OUT) or the template (other kinds)
 	// ParkMS is how long a blocking op may park server-side before the
-	// JobManager answers Retry (0 = TSParkWindow).
+	// JobManager answers Retry (0 = ParkWindow).
 	ParkMS int64
 	// NoReply marks a one-way TS_OUT: the JobManager applies it and sends
 	// nothing back, whatever the outcome. A TS_OUT without it and without
@@ -205,16 +217,16 @@ type TSOpReq struct {
 }
 
 // TSCancelReq is the body of KindTSCancel (requester -> JobManager): the
-// requester of a parked blocking op gave up (task cancelled, client
-// context cancelled, node shutting down) and nobody will consume the
-// reply. The JobManager unparks the op; a tuple matched in the races
-// around the cancellation is put back into the space instead of being
-// sent to a dropped correlation. Best-effort: a lost cancel costs at most
-// one park window of stale waiting.
+// requester of a parked request — TS_IN, TS_RD or DATA_RESOLVE — gave up
+// (task cancelled, client context cancelled, node shutting down) and nobody
+// will consume the reply. The JobManager withdraws the park; a tuple matched
+// in the races around the cancellation is put back into the space instead
+// of being sent to a dropped correlation. Best-effort: a lost cancel costs
+// at most one park window of stale waiting.
 type TSCancelReq struct {
 	JobID string
 	// ReqID is the original request message's ID; together with the
-	// sending node it identifies the parked op.
+	// sending node it identifies the parked request.
 	ReqID uint64
 }
 
@@ -233,21 +245,21 @@ type TSOpResp struct {
 // given request body (JobID/FromTask are filled by the implementation) and
 // returns the decoded reply. Implementations fail the call — rather than
 // blocking forever — when the hosting JobManager does not answer within
-// TSCallTimeout.
+// CallTimeout.
 type TSDoFunc func(kind msg.Kind, req TSOpReq) (*TSOpResp, error)
 
-// TSWire is one requester's wire attachment to a job's space at one
-// JobManager node — the single implementation of the send and call
-// contracts both the task runtime and the client API use. A requester
-// builds it once and keeps it until the job's manager changes: it carries
-// the requester's Out count, and a wire built for the adopter starts a new
-// window. Safe for concurrent use.
+// TSWire is one requester's wire attachment to a job's JobManager node — the
+// single implementation of the send and call contracts of the job's tuple
+// space and data-plane broker, which both the task runtime and the client
+// API use. A requester builds it once and keeps it until the job's manager
+// changes: it carries the requester's Out count, and a wire built for the
+// adopter starts a new window. Safe for concurrent use.
 type TSWire struct {
 	JobID    string
 	FromTask string
 	From, To msg.Address
-	// Trace is the span context tuple-space calls carry on the envelope;
-	// zero when the task is untraced.
+	// Trace is the span context calls carry on the envelope; zero when the
+	// task is untraced.
 	Trace trace.Context
 	// Call performs the request/response round trip under ctx.
 	Call func(ctx context.Context, toNode string, m *msg.Message) (*msg.Message, error)
@@ -261,36 +273,62 @@ type TSWire struct {
 	outs atomic.Uint64
 }
 
-// request builds the wire message for one op.
-func (w *TSWire) request(kind msg.Kind, req *TSOpReq) *msg.Message {
-	req.JobID = w.JobID
-	req.FromTask = w.FromTask
-	m := Body(kind, w.From, w.To, req)
-	m.Trace = w.Trace
-	return m
+// parks reports whether a request of kind can park at the JobManager.
+func parks(kind msg.Kind) bool {
+	return kind == msg.KindTSIn || kind == msg.KindTSRd || kind == msg.KindDataResolve
 }
 
-// Do performs one acknowledged wire op: the call is abandoned when ctx is
-// done or TSCallTimeout has passed, whichever is first — the one deadline
-// on the path, and what fails an op against a dead JobManager. A blocking
-// kind abandoned with a possible park still standing sends a best-effort
-// KindTSCancel, so the JobManager puts a late destructive match back into
-// the space instead of answering a dropped correlation.
-func (w *TSWire) Do(ctx context.Context, kind msg.Kind, req TSOpReq) (*TSOpResp, error) {
-	m := w.request(kind, &req)
-	cctx, cancel := context.WithTimeout(ctx, TSCallTimeout)
+// parkMS is the ParkMS a request that can park asks for: ParkWindow, cut to
+// what ctx's deadline leaves after parkMargin. Under 1 there is no room to
+// park: a truncated 0 would read as "use the default window" at the
+// JobManager.
+func parkMS(ctx context.Context) int64 {
+	ms := ParkWindow.Milliseconds()
+	if dl, ok := ctx.Deadline(); ok {
+		ms = min(ms, (time.Until(dl) - parkMargin).Milliseconds())
+	}
+	return ms
+}
+
+// call performs one acknowledged round trip: body sent as kind, the reply
+// decoded into resp. It is abandoned when ctx is done or CallTimeout has
+// passed, whichever is first — the one deadline on the path, and what fails
+// a call against a dead JobManager. A request of a kind that can park, once
+// abandoned, sends a best-effort KindTSCancel naming it, so the JobManager
+// withdraws the park — and puts a tuple a TS_IN matched late back into the
+// space — instead of answering a dropped correlation.
+func (w *TSWire) call(ctx context.Context, kind msg.Kind, body, resp any) error {
+	m := Body(kind, w.From, w.To, body)
+	m.Trace = w.Trace
+	cctx, cancel := context.WithTimeout(ctx, CallTimeout)
 	defer cancel()
 	reply, err := w.Call(cctx, w.To.Node, m)
 	if err != nil {
-		if kind == msg.KindTSIn || kind == msg.KindTSRd {
+		if parks(kind) {
 			cm := Body(msg.KindTSCancel, w.From, w.To, &TSCancelReq{JobID: w.JobID, ReqID: m.ID})
 			_ = w.Send(w.To.Node, cm) // best-effort: a lost cancel costs one park window
 		}
-		return nil, fmt.Errorf("tuple-space %s: %w", kind, err)
+		return fmt.Errorf("%s: %w", kind, err)
+	}
+	if err := Decode(reply, resp); err != nil {
+		return fmt.Errorf("%s: %w", kind, err)
+	}
+	return nil
+}
+
+// Do performs one acknowledged tuple-space op. An In or Rd asks for the
+// window ctx leaves room for (parkMS); one with no room is refused unsent,
+// since an In matched after its caller gave up takes a tuple nobody reads.
+func (w *TSWire) Do(ctx context.Context, kind msg.Kind, req TSOpReq) (*TSOpResp, error) {
+	req.JobID, req.FromTask = w.JobID, w.FromTask
+	if parks(kind) {
+		if req.ParkMS = parkMS(ctx); req.ParkMS < 1 {
+			return nil, fmt.Errorf("%s: %w", kind, context.DeadlineExceeded)
+		}
 	}
 	var resp TSOpResp
-	if err := Decode(reply, &resp); err != nil {
-		return nil, fmt.Errorf("tuple-space %s: %w", kind, err)
+	if err := w.call(ctx, kind, &req, &resp); err != nil {
+		return nil, err
 	}
 	return &resp, nil
 }
@@ -306,7 +344,8 @@ func (w *TSWire) Out(ctx context.Context, fields []TSField) error {
 	if w.outs.Add(1)%TSOutWindow == 0 {
 		return w.outAck(ctx, fields)
 	}
-	m := w.request(msg.KindTSOut, &TSOpReq{Fields: fields, NoReply: true})
+	m := Body(msg.KindTSOut, w.From, w.To, &TSOpReq{JobID: w.JobID, FromTask: w.FromTask, Fields: fields, NoReply: true})
+	m.Trace = w.Trace
 	if err := w.Send(w.To.Node, m); err != nil {
 		return fmt.Errorf("tuple-space %s: %w", msg.KindTSOut, err)
 	}
@@ -341,7 +380,7 @@ func TSBlocking(do TSDoFunc, kind msg.Kind, tpl tuplespace.Template) (tuplespace
 		return nil, err
 	}
 	for {
-		resp, err := do(kind, TSOpReq{Fields: fields, ParkMS: int64(TSParkWindow / time.Millisecond)})
+		resp, err := do(kind, TSOpReq{Fields: fields})
 		if err != nil {
 			return nil, err
 		}

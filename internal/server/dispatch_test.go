@@ -253,6 +253,38 @@ func TestParkedResolveDoesNotStallFollowingPut(t *testing.T) {
 	})
 }
 
+// TestDataPutRefusesSizeNobodyMayAllocate: an advert whose size no consumer
+// may allocate is refused at the boundary — stored, it would end every
+// resolve in a refused fetch and a re-run of its producer. An empty Put
+// (size 0) and one of exactly MaxBlobBytes are adverts like any other.
+func TestDataPutRefusesSizeNobodyMayAllocate(t *testing.T) {
+	onFabrics(t, func(t *testing.T, c *rawNode, jobID string) {
+		put := func(key string, size int64) protocol.DataLocResp {
+			var ack protocol.DataLocResp
+			c.decode(c.await(c.send(msg.KindDataPut, protocol.DataPutReq{JobID: jobID, Key: key, Task: "producer",
+				Node: "x", Digest: "d-" + key, Size: size})), &ack)
+			return ack
+		}
+		for _, size := range []int64{protocol.MaxBlobBytes + 1, -1} {
+			if ack := put("huge", size); ack.Err == "" {
+				t.Errorf("advert of %d bytes accepted: %+v", size, ack)
+			}
+		}
+		for _, size := range []int64{0, protocol.MaxBlobBytes} {
+			if ack := put("ok", size); ack.Err != "" || ack.Size != size {
+				t.Errorf("advert of %d bytes: %+v", size, ack)
+			}
+		}
+		// The refused key was never published: a resolve parks on it.
+		resolve := c.send(msg.KindDataResolve, protocol.DataResolveReq{JobID: jobID, Key: "huge", Task: "consumer", ParkMS: 10})
+		var loc protocol.DataLocResp
+		c.decode(c.await(resolve), &loc)
+		if !loc.Retry {
+			t.Errorf("resolve of the refused key answered %+v, want Retry", loc)
+		}
+	})
+}
+
 // earlyNet is a fabric that delivers a frame to a node the moment its
 // endpoint exists, while server.Start is still building the managers that
 // will handle it — what a TCP peer can do as soon as the listener is up.

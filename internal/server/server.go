@@ -203,11 +203,11 @@ func (s *Server) handleStatsPull(m *msg.Message) *msg.Message {
 // lock across any of those. Frames of inline kinds from one connection are
 // therefore applied in arrival order.
 //
-// Try-then-park — TS_IN, TS_RD, DATA_RESOLVE: the match attempt and, failing
-// that, the waiter registration run inline under the same rule; a hit
-// replies inline, and a registered waiter is answered later on the goroutine
-// of the TS_OUT / DATA_PUT that satisfies it (or of the park timer), never
-// by a goroutine that sat waiting.
+// Try-then-park — TS_IN, TS_RD, DATA_RESOLVE: the park-table registration,
+// the match attempt and, failing that, the waiter registration run inline
+// under the same rule; a hit replies inline, and a registered waiter is
+// answered later on the goroutine of the TS_OUT / DATA_PUT that satisfies it
+// (or of the park timer), never by a goroutine that sat waiting.
 //
 // Spawned — everything else gets its own goroutine (dispatch), because
 // those handlers place, assign, start or cancel work through blocking calls
@@ -243,7 +243,8 @@ func (s *Server) handle(m *msg.Message) {
 	// replies); TS_IN/TS_RD are the try-then-park kinds.
 	case msg.KindTSOut, msg.KindTSInP, msg.KindTSRdP, msg.KindTSIn, msg.KindTSRd:
 		s.jm.HandleTSOp(m)
-	// TS_CANCEL flips a park's flag and withdraws its waiter; no reply.
+	// TS_CANCEL flips a park's flag and withdraws its waiter — a TS_IN's,
+	// TS_RD's or DATA_RESOLVE's, all in one table; no reply.
 	case msg.KindTSCancel:
 		s.jm.HandleTSCancel(m)
 	// DATA_PUT verifies a digest over at most DataInlineMax bytes, stores

@@ -78,20 +78,6 @@ func (tm *TaskManager) DataServedBytes() int64 { return tm.dataServedBytes.Load(
 // pulled from peer TaskManagers (the consumer side).
 func (tm *TaskManager) DataFetchedBytes() int64 { return tm.dataFetchedBytes.Load() }
 
-// dataWire builds the running task's wire attachment to its job's
-// data-plane broker, aimed at the JobManager owning the job right now —
-// resolved per attempt so adopted assignments follow the job.
-func (c *execContext) dataWire(jmNode string) *protocol.DataWire {
-	return &protocol.DataWire{
-		JobID:    c.a.jobID,
-		FromTask: c.a.spec.Name,
-		From:     c.self,
-		To:       msg.Address{Node: jmNode, Job: c.a.jobID},
-		Trace:    c.trace,
-		Call:     c.tm.call,
-	}
-}
-
 // dataCtx derives from the caller's ctx a context that additionally ends
 // with the task's execution (task cancelled, TaskManager shut down), so a
 // parked resolve never outlives its node.
@@ -118,11 +104,8 @@ func (c *execContext) put(key string, payload []byte) error {
 	if key == "" {
 		return fmt.Errorf("task %s: put: empty key", c.a.spec.Name)
 	}
-	if c.tm.cfg.Call == nil {
-		return fmt.Errorf("task %s: data plane unavailable: no call path configured", c.a.spec.Name)
-	}
-	if c.a.cancelled.Load() {
-		return task.ErrStopped
+	if err := c.tsReady(); err != nil {
+		return err
 	}
 	if int64(len(payload)) > protocol.MaxBlobBytes {
 		return fmt.Errorf("task %s: put %q: payload %d bytes exceeds max %d",
@@ -147,19 +130,12 @@ func (c *execContext) put(key string, payload []byte) error {
 	}
 	ctx := c.a.ctx
 	for {
-		jmNode := c.a.jm()
-		err := c.dataWire(jmNode).Put(ctx, key, digest, int64(len(data)), inline)
-		if err == nil {
-			c.a.progress.Add(1)
-			return nil
-		}
-		if c.a.cancelled.Load() {
-			return task.ErrStopped
-		}
-		if ctx.Err() == nil && c.a.jm() != jmNode {
+		w := c.tsWire()
+		err := w.Put(ctx, key, digest, int64(len(data)), inline)
+		if err != nil && !c.a.cancelled.Load() && ctx.Err() == nil && c.a.jm() != w.To.Node {
 			continue // the job was adopted mid-call; retry at the survivor
 		}
-		return fmt.Errorf("task %s: %w", c.a.spec.Name, err)
+		return c.tsDone(err)
 	}
 }
 
@@ -238,11 +214,8 @@ func (c *execContext) get(ctx context.Context, key string) ([]byte, error) {
 	if key == "" {
 		return nil, fmt.Errorf("task %s: get: empty key", c.a.spec.Name)
 	}
-	if c.tm.cfg.Call == nil {
-		return nil, fmt.Errorf("task %s: data plane unavailable: no call path configured", c.a.spec.Name)
-	}
-	if c.a.cancelled.Load() {
-		return nil, task.ErrStopped
+	if err := c.tsReady(); err != nil {
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -252,16 +225,13 @@ func (c *execContext) get(ctx context.Context, key string) ([]byte, error) {
 
 	staleNode, staleDigest := "", ""
 	for {
-		jmNode := c.a.jm()
-		resp, err := c.dataWire(jmNode).Resolve(dctx, key, staleNode, staleDigest)
+		w := c.tsWire()
+		resp, err := w.Resolve(dctx, key, staleNode, staleDigest)
 		if err != nil {
-			if c.a.cancelled.Load() {
-				return nil, task.ErrStopped
-			}
-			if dctx.Err() == nil && c.a.jm() != jmNode {
+			if !c.a.cancelled.Load() && dctx.Err() == nil && c.a.jm() != w.To.Node {
 				continue // the job was adopted mid-call; retry at the survivor
 			}
-			return nil, fmt.Errorf("task %s: %w", c.a.spec.Name, err)
+			return nil, c.tsDone(err)
 		}
 		staleNode, staleDigest = "", ""
 		if resp.Size == 0 {

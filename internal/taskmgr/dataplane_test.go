@@ -410,6 +410,34 @@ func TestGetAfterRunReturnedHoldsNothing(t *testing.T) {
 	}
 }
 
+// TestGetNearItsDeadlineResolvesPublishedKey: a Get with less than the park
+// margin left on its deadline still resolves — a resolve destroys nothing,
+// so it goes out with the shortest window — and a published key answers.
+func TestGetNearItsDeadlineResolvesPublishedKey(t *testing.T) {
+	want := dpBlob(7, 64<<10)
+	f := newDPFabric()
+	reg := registry(t)
+	putter(reg, "dp.Put", "k", want)
+	reg.MustRegister("dp.GetSoon", func() task.Task {
+		return task.Func(func(ctx task.Context) error {
+			dctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			data, err := ctx.Get(dctx, "k")
+			if err == nil && !bytes.Equal(data, want) {
+				err = fmt.Errorf("wrong bytes")
+			}
+			return err
+		})
+	})
+	a, sa := f.node(t, "a", reg)
+	b, sb := f.node(t, "b", reg)
+	runTask(t, a, sa, "j1", "p", "dp.Put")
+	if ev := runTask(t, b, sb, "j1", "c", "dp.GetSoon"); ev.Kind != msg.KindTaskCompleted {
+		t.Fatalf("a Get with 100 ms left on a published key: %+v", ev)
+	}
+	f.finish("j1")
+}
+
 // TestWarmPutGetAllocs: once the node's free list has a buffer of the class,
 // putting a 3 MiB blob and getting it back — the copy in, the digest, the
 // advert and the resolve (two broker calls, answered here from two canned

@@ -858,8 +858,8 @@ type execContext struct {
 	// span when this node records spans, else the dispatch context as-is
 	// (so a traced job stays connected even on tracer-less nodes).
 	trace trace.Context
-	// ts is the task's attachment to the job's tuple space at the manager
-	// node it was built for (see tsWire).
+	// ts is the task's attachment to the job's tuple space and data-plane
+	// broker at the manager node it was built for (see tsWire).
 	ts atomic.Pointer[protocol.TSWire]
 	// held are the blobs Get handed the task, released when its Run returns
 	// (end); ended refuses a hold after that. A task may Get from several
@@ -935,10 +935,11 @@ func (c *execContext) Recv() (string, []byte, error) {
 	return p.FromTask, p.Data, nil
 }
 
-// tsWire returns the task's wire to the job's space, built once per
-// manager node: re-placed tasks carry the same jobManager, so a recovered
-// instance reconnects to the same space, and an assignment adopted mid-run
-// gets a wire — and an Out window — of its own to the survivor.
+// tsWire returns the task's wire to the job's space and data-plane broker,
+// built once per manager node: re-placed tasks carry the same jobManager, so
+// a recovered instance reconnects to the same space, and an assignment
+// adopted mid-run gets a wire — and an Out window — of its own to the
+// survivor.
 func (c *execContext) tsWire() *protocol.TSWire {
 	jmNode := c.a.jm()
 	old := c.ts.Load()
@@ -960,12 +961,12 @@ func (c *execContext) tsWire() *protocol.TSWire {
 	return w
 }
 
-// tsReady is the local half of every tuple-space op: a task with no call
-// path has no space, and a cancelled or stopped one gets ErrStopped with
-// nothing sent.
+// tsReady is the local half of every op on the task's wire, tuple-space and
+// data-plane alike: a task with no call path has no manager to ask, and a
+// cancelled or stopped one gets ErrStopped with nothing sent.
 func (c *execContext) tsReady() error {
 	if c.tm.call == nil {
-		return fmt.Errorf("task %s: tuple space unavailable: no call path configured", c.a.spec.Name)
+		return fmt.Errorf("task %s: no call path configured", c.a.spec.Name)
 	}
 	if c.a.cancelled.Load() {
 		return task.ErrStopped
@@ -988,9 +989,9 @@ func (c *execContext) tsDone(err error) error {
 
 // tsDo performs one acknowledged tuple-space call to the job's hosting
 // JobManager on the calling goroutine, under the execution's context: the
-// wire bounds it by TSCallTimeout (a dead JobManager fails the operation
-// instead of hanging the task), and cancelling the task or shutting the
-// TaskManager down aborts it, so a parked In never outlives its node.
+// wire bounds it by protocol.CallTimeout (a dead JobManager fails the
+// operation instead of hanging the task), and cancelling the task or shutting
+// the TaskManager down aborts it, so a parked In never outlives its node.
 func (c *execContext) tsDo(kind msg.Kind, req protocol.TSOpReq) (*protocol.TSOpResp, error) {
 	if err := c.tsReady(); err != nil {
 		return nil, err

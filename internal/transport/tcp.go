@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"cn/internal/logging"
 	"cn/internal/msg"
 	"cn/internal/wire"
 )
@@ -47,7 +49,7 @@ var (
 type TCPNetwork struct {
 	groups *groupSet
 	stats  Stats
-	logf   func(format string, args ...any)
+	log    *slog.Logger
 	// sendBuf, when positive, bounds SO_SNDBUF on outbound connections.
 	sendBuf atomic.Int32
 
@@ -61,14 +63,16 @@ type TCPNetwork struct {
 func NewTCPNetwork() *TCPNetwork {
 	return &TCPNetwork{
 		groups: newGroupSet(),
+		log:    logging.Discard(),
 		nodes:  make(map[string]*tcpEndpoint),
 		addrs:  make(map[string]string),
 	}
 }
 
-// SetLogf installs a diagnostic sink for transport errors (dropped
-// connections, malformed frames); nil disables logging.
-func (n *TCPNetwork) SetLogf(f func(format string, args ...any)) { n.logf = f }
+// SetLogger installs the logger transport errors (dropped connections,
+// malformed frames) go to as Debug records, under component=transport; nil
+// disables logging.
+func (n *TCPNetwork) SetLogger(log *slog.Logger) { n.log = logging.Component(log, "transport", "") }
 
 // SetSendBuffer bounds the kernel send buffer (SO_SNDBUF) of outbound
 // connections dialed after the call; 0 keeps the OS default. Lane priority
@@ -89,9 +93,7 @@ func (n *TCPNetwork) tuneConn(c net.Conn) {
 }
 
 func (n *TCPNetwork) logErr(format string, args ...any) {
-	if n.logf != nil {
-		n.logf("[transport] "+format, args...)
-	}
+	logging.Debugf(n.log, format, args...)
 }
 
 // Stats exposes the fabric counters.

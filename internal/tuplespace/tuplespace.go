@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -197,7 +198,7 @@ func (s *Space) InP(tpl Template) (Tuple, error) {
 		return nil, ErrNoMatch
 	}
 	t := s.tuples[i]
-	s.tuples = append(s.tuples[:i], s.tuples[i+1:]...)
+	s.tuples = slices.Delete(s.tuples, i, i+1)
 	return t.clone(), nil
 }
 
@@ -243,7 +244,7 @@ func (s *Space) Await(tpl Template, take bool, wake func(Tuple, error)) (Tuple, 
 	if i := s.findLocked(tpl); i >= 0 {
 		t := s.tuples[i]
 		if take {
-			s.tuples = append(s.tuples[:i], s.tuples[i+1:]...)
+			s.tuples = slices.Delete(s.tuples, i, i+1)
 		}
 		return t.clone(), nil, nil
 	}
@@ -260,7 +261,7 @@ func (s *Space) Cancel(w *Waiter) bool {
 	defer s.mu.Unlock()
 	for i, x := range s.waiters {
 		if x == w {
-			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
+			s.waiters = slices.Delete(s.waiters, i, i+1)
 			return true
 		}
 	}

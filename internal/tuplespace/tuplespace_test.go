@@ -371,3 +371,54 @@ func TestTupleString(t *testing.T) {
 		t.Errorf("String = %q", s)
 	}
 }
+
+// TestRemovalLeavesNoSpareReference: a tuple taken by InP or by Await, and a
+// waiter withdrawn by Cancel, are not reachable through the spare capacity
+// of the slice they left — the taken tuple's fields and the waiter's wake
+// closure (which, at a JobManager, holds the request frame) are garbage at
+// once, not when a later append overwrites the slot.
+func TestRemovalLeavesNoSpareReference(t *testing.T) {
+	s := New()
+	clean := func(what string) {
+		t.Helper()
+		tuples, waiters := s.spare()
+		for i, x := range tuples {
+			if x != nil {
+				t.Errorf("after %s: spare tuple slot %d still holds %v", what, i, x)
+			}
+		}
+		for i, w := range waiters {
+			if w != nil {
+				t.Errorf("after %s: spare waiter slot %d still holds %v", what, i, w.tpl)
+			}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if err := s.Out(Tuple{"k", i, []byte("payload")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.InP(Template{"k", 1, Wildcard}); err != nil {
+		t.Fatal(err)
+	}
+	clean("InP")
+	if _, w, err := s.Await(Template{"k", 0, Wildcard}, true, nil); w != nil || err != nil {
+		t.Fatalf("await take: waiter %v, err %v", w, err)
+	}
+	clean("Await (take)")
+
+	var ws []*Waiter
+	for i := 0; i < 3; i++ {
+		_, w, err := s.Await(Template{"w", i}, true, func(Tuple, error) {})
+		if w == nil || err != nil {
+			t.Fatalf("await %d: waiter %v, err %v", i, w, err)
+		}
+		ws = append(ws, w)
+	}
+	for i, w := range ws {
+		if !s.Cancel(w) {
+			t.Fatalf("cancel %d: not registered", i)
+		}
+		clean("Cancel")
+	}
+}
