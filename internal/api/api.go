@@ -213,9 +213,15 @@ func (c *Client) DiscoverWith(policy discovery.Policy, req protocol.JobRequireme
 	})
 }
 
-// CreateJob discovers a willing JobManager and creates a job on it.
+// CreateJob discovers a willing JobManager and creates a job on it. A
+// round that collects no offer is run once more before the create fails
+// with the second round's error: one silent round on a healthy cluster
+// must not cost the job.
 func (c *Client) CreateJob(name string, req protocol.JobRequirements) (*Job, error) {
 	offer, _, err := c.Discover(req)
+	if errors.Is(err, discovery.ErrNoOffers) {
+		offer, _, err = c.Discover(req)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("api: create job %q: %w", name, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/task"
+	"cn/internal/transport"
 )
 
 // testRegistry holds the task classes the integration suite deploys.
@@ -539,6 +541,69 @@ func TestDiscoveryNoOffers(t *testing.T) {
 	_, _, err := cl.Discover(protocol.JobRequirements{MinMemoryMB: 1 << 30})
 	if !errors.Is(err, discovery.ErrNoOffers) {
 		t.Errorf("Discover = %v, want ErrNoOffers", err)
+	}
+}
+
+// silentManager attaches a stand-in JobManager "jm" to a fresh in-memory
+// fabric. It ignores the first `silent` discovery rounds it hears, answers
+// every later one with an offer, and creates any job it is asked to. rounds
+// counts the solicitations heard.
+func silentManager(t *testing.T, silent int32) (*api.Client, *atomic.Int32) {
+	t.Helper()
+	net := transport.NewIdealNetwork()
+	t.Cleanup(func() { net.Close() })
+	rounds := new(atomic.Int32)
+	var ep transport.Endpoint
+	ep, err := net.Attach("jm", func(m *msg.Message) {
+		var r *msg.Message
+		switch m.Kind {
+		case msg.KindJobManagerSolicit:
+			if rounds.Add(1) <= silent {
+				return
+			}
+			r = protocol.Reply(m, msg.KindJobManagerOffer, protocol.JMOffer{Node: "jm", FreeMemoryMB: 1000})
+		case msg.KindCreateJob:
+			r = protocol.Reply(m, msg.KindJobCreated, protocol.CreateJobResp{JobID: "jm-job1"})
+		default:
+			return
+		}
+		if err := ep.Send(m.From.Node, r); err != nil {
+			t.Errorf("reply %s: %v", r.Kind, err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.Join(protocol.GroupJobManagers); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := api.Initialize(net, api.Options{DiscoveryWindow: 150 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl, rounds
+}
+
+// TestCreateJobRetriesSilentDiscoveryOnce: a discovery round that collects
+// no offer is run once more. The second round's answer creates the job; two
+// silent rounds fail the create with ErrNoOffers, and there is no third.
+func TestCreateJobRetriesSilentDiscoveryOnce(t *testing.T) {
+	cl, rounds := silentManager(t, 1)
+	j, err := cl.CreateJob("second-round", protocol.JobRequirements{})
+	if err != nil {
+		t.Fatalf("CreateJob after one silent round: %v", err)
+	}
+	if j.ID != "jm-job1" || j.JMNode != "jm" || rounds.Load() != 2 {
+		t.Errorf("job %q on %q after %d rounds, want jm-job1 on jm after 2", j.ID, j.JMNode, rounds.Load())
+	}
+
+	cl, rounds = silentManager(t, 2)
+	if _, err := cl.CreateJob("never", protocol.JobRequirements{}); !errors.Is(err, discovery.ErrNoOffers) {
+		t.Errorf("CreateJob after two silent rounds = %v, want ErrNoOffers", err)
+	}
+	if got := rounds.Load(); got != 2 {
+		t.Errorf("%d discovery rounds, want 2", got)
 	}
 }
 

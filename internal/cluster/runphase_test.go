@@ -5,6 +5,7 @@ package cluster_test
 // the time it hears the job is over.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/task"
+	"cn/internal/tuplespace"
 )
 
 // fabrics are the three links every run-phase contract is checked on.
@@ -159,6 +161,162 @@ func TestFanoutRunPhaseCostsAFramePerNode(t *testing.T) {
 				t.Errorf("the job took %d frames, want <= 70: %v", n, wire.ByKind)
 			}
 		})
+	}
+}
+
+// TestTCPNodeNeverDialsItself: on TCP, the frames between a node's own
+// JobManager and TaskManager — assignment, exec list, lifecycle events of
+// the tasks it hosts — are handed over in-process. A job with tasks on its
+// manager's node completes and WireStats counts Local frames. (That no
+// connection to self is ever opened is pinned inside the transport package,
+// TestTCPSelfNeverDials.)
+func TestTCPNodeNeverDialsItself(t *testing.T) {
+	const tasks, nodes = 16, 2
+	c, cl := startQuiet(t, cluster.Config{Transport: cluster.TransportTCP}, nodes, 8000)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	j, err := cl.CreateJobOn("node1", "local", protocol.JobRequirements{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Release()
+	placed, err := j.CreateTasks(noops(tasks, 1000), nil) // eight to a node
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := 0
+	for _, node := range placed {
+		if node == "node1" {
+			local++
+		}
+	}
+	if local == 0 {
+		t.Fatalf("no task placed on the JobManager's node: %v", placed)
+	}
+	if res, err := j.Run(ctx); err != nil || res.Failed {
+		t.Fatalf("run: %v %+v", err, res)
+	}
+	if w := c.WireStats(); w.Local == 0 || w.Local >= w.Sent {
+		t.Errorf("%d of %d frames handed over in-process, want some and not all", w.Local, w.Sent)
+	}
+}
+
+// TestTCPSelfFramesShareNoTaskBytes: a self frame hands the receiver the
+// sender's message, yet no task's bytes are shared through it (task.Context
+// copies at the boundary). On a one-node TCP cluster — every task beside
+// its JobManager — a task scribbles over each buffer the moment Send,
+// Broadcast, Out and Put return, and its siblings still read what was sent;
+// a sibling's writes to what Recv or Rd handed it reach neither the other
+// sibling nor the space.
+func TestTCPSelfFramesShareNoTaskBytes(t *testing.T) {
+	original := []byte("the bytes as they were sent")
+	scribble := func(b []byte) {
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
+	check := func(what string, got []byte) error {
+		if !bytes.Equal(got, original) {
+			return fmt.Errorf("%s reads %q, want %q", what, got, original)
+		}
+		return nil
+	}
+	reg := task.NewRegistry()
+	reg.MustRegister("own.Src", func() task.Task {
+		return task.Func(func(ctx task.Context) error {
+			for _, op := range []func([]byte) error{
+				func(b []byte) error { return ctx.Send("sib1", b) },
+				ctx.Broadcast,
+				func(b []byte) error { return ctx.Out(tuplespace.Tuple{"own", b}) },
+				func(b []byte) error { return ctx.Put("own", b) },
+			} {
+				b := bytes.Clone(original)
+				if err := op(b); err != nil {
+					return err
+				}
+				scribble(b)
+			}
+			return nil
+		})
+	})
+	// sib1 hears the message and the broadcast, scribbles over both and says
+	// so in the space; sib2 holds on to its broadcast until it has.
+	reg.MustRegister("own.Sib1", func() task.Task {
+		return task.Func(func(ctx task.Context) error {
+			for i := 0; i < 2; i++ {
+				from, b, err := ctx.Recv()
+				if err != nil {
+					return err
+				}
+				if err := check("a message from "+from, b); err != nil {
+					return err
+				}
+				scribble(b)
+			}
+			return ctx.Out(tuplespace.Tuple{"scribbled"})
+		})
+	})
+	reg.MustRegister("own.Sib2", func() task.Task {
+		return task.Func(func(ctx task.Context) error {
+			_, b, err := ctx.Recv()
+			if err != nil {
+				return err
+			}
+			if _, err := ctx.Rd(tuplespace.Template{"scribbled"}); err != nil {
+				return err
+			}
+			if err := check("the broadcast, after the sibling's copy was scribbled over,", b); err != nil {
+				return err
+			}
+			for i := 1; i <= 2; i++ {
+				tu, err := ctx.Rd(tuplespace.Template{"own", tuplespace.Wildcard})
+				if err != nil {
+					return err
+				}
+				got, _ := tu[1].([]byte)
+				if err := check(fmt.Sprintf("Rd %d of the stored tuple", i), got); err != nil {
+					return err
+				}
+				scribble(got)
+			}
+			got, err := ctx.Get(context.Background(), "own")
+			if err != nil {
+				return err
+			}
+			return check("the Put payload", got)
+		})
+	})
+	c, err := cluster.Start(cluster.Config{Nodes: 1, Transport: cluster.TransportTCP, MemoryMB: 8000,
+		Registry: reg, HeartbeatInterval: -1, TraceSample: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	cl, err := api.Initialize(c.Network(), api.Options{DiscoveryWindow: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	j, err := cl.CreateJobOn("node1", "own-bytes", protocol.JobRequirements{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Release()
+	var specs []*task.Spec
+	for name, class := range map[string]string{"src": "own.Src", "sib1": "own.Sib1", "sib2": "own.Sib2"} {
+		specs = append(specs, &task.Spec{Name: name, Class: class,
+			Req: task.Requirements{MemoryMB: 100, RunModel: task.RunAsThreadInTM}})
+	}
+	if _, err := j.CreateTasks(specs, nil); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if res, err := j.Run(ctx); err != nil || res.Failed {
+		t.Fatalf("run: %v %+v", err, res)
+	}
+	if c.WireStats().Local == 0 {
+		t.Error("no frame handed over in-process on a one-node cluster")
 	}
 }
 

@@ -444,8 +444,12 @@ func Decode(m *msg.Message, out any) error {
 
 // Body constructs a message of the given kind with an encoded body; it
 // panics only if the body type is not gob-encodable (a programming error).
-// A chunk body's Data is not encoded: it rides the frame's tail by
-// reference, so it must stay unmodified until the message has been sent.
+// The body is encoded at once into a payload of the message's own, so the
+// message shares no memory with body and the caller may reuse every slice
+// body holds as soon as Body returns — whichever path the message then
+// takes, a socket or an in-process hand-over. The one exception is a chunk
+// body's Data: it is not encoded but rides the frame's tail by reference,
+// so it must stay unmodified until the message has been sent.
 func Body(kind msg.Kind, from, to msg.Address, body any) *msg.Message {
 	m := msg.New(kind, from, to, msg.MustEncode(body))
 	m.Tail = tailOf(body)

@@ -193,15 +193,18 @@ func (s *Server) handleStatsPull(m *msg.Message) *msg.Message {
 }
 
 // handle is the endpoint's delivery entry point: it runs on the fabric's
-// delivering goroutine (a TCP connection's read loop, MemNetwork's dispatch
-// loop) and sorts every inbound frame into one of three dispatch classes.
+// delivering goroutine (a TCP connection's read loop, the TCP endpoint's
+// self loop for frames the node sends itself, MemNetwork's dispatch loop)
+// and sorts every inbound frame into one of three dispatch classes.
 //
 // Inline — the handler runs to completion right here. A kind may be inline
 // only if its handler makes no Caller.Call/Gather, sends nothing on the
 // bulk lane (which backpressures for up to 5 s; control-lane sends shed
 // instead of blocking), waits on no channel, timer or park, and holds no
 // lock across any of those. Frames of inline kinds from one connection are
-// therefore applied in arrival order.
+// therefore applied in arrival order. The TCP self loop relies on the same
+// rule: it drains the very pipe an inline handler's replies to its own node
+// go onto, so such a handler must never wait for that pipe.
 //
 // Try-then-park — TS_IN, TS_RD, DATA_RESOLVE: the park-table registration,
 // the match attempt and, failing that, the waiter registration run inline

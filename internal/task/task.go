@@ -35,6 +35,13 @@ func (f Func) Run(ctx Context) error { return f(ctx) }
 // Context is the view a running task has of the CN system. It mirrors the
 // capabilities the paper's CN API exposes to tasks: identity, parameters,
 // and message-based coordination with sibling tasks and the client.
+//
+// Bytes cross the boundary by copy, wherever the tasks run — on the
+// JobManager's node or not. Send, SendClient, Broadcast, Out and Put copy
+// the payload or tuple before they return, so the task may reuse its buffer
+// at once. The payload Recv returns and the []byte fields of a tuple In,
+// Rd, InP or RdP returns belong to this call alone: no sibling, and not the
+// space, sees a write to them. Get is the one exception (see Get).
 type Context interface {
 	// TaskName returns the task's name inside its job (e.g. "tctask2").
 	TaskName() string

@@ -122,7 +122,10 @@ func (c *execContext) put(key string, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	defer held.Release() // the advert below may carry the bytes inline
+	// The advert below may carry the bytes inline: building it encodes
+	// them into a payload of its own (protocol.Body), so nothing the
+	// broker keeps points into this blob once the hold ends.
+	defer held.Release()
 	data := held.Bytes()
 	var inline []byte
 	if len(data) > 0 && len(data) <= protocol.DataInlineMax {

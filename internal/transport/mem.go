@@ -30,7 +30,9 @@ type MemConfig struct {
 // through a latency/jitter/loss model that delays and drops frames but, like
 // a connection, never reorders what one endpoint's writer released to one
 // peer (memLink). It is the substrate that stands in for the paper's
-// Ethernet LAN.
+// Ethernet LAN. The model applies between nodes only: a node's frames to
+// itself are handed over without delay or loss, so no partition can cut a
+// node off from itself.
 //
 // The outbound path mirrors the TCP fabric exactly: each sender keeps a
 // per-destination pipeline (the same two-lane outPipe the TCP writer
@@ -141,10 +143,12 @@ func (n *MemNetwork) draw() (drop bool, extra time.Duration) {
 
 // deliver routes one dequeued frame to the destination endpoint, applying
 // the latency model: an ideal fabric hands it over at once, any other puts
-// it on the pair's link. The message's encoded frame size is accounted
-// exactly as the TCP fabric would charge it, so bytes-on-wire figures are
-// comparable across substrates (and the binary codec's wins are visible in
-// mem benches).
+// it on the pair's link. A frame a node sends itself has no link (nil): it
+// never crosses the network, so it is handed over at once, never delayed
+// and never lost — as on TCP, where it never touches a socket. The
+// message's encoded frame size is accounted exactly as the TCP fabric would
+// charge it, so bytes-on-wire figures are comparable across substrates (and
+// the binary codec's wins are visible in mem benches).
 func (n *MemNetwork) deliver(to string, m *msg.Message, size int, senderStop <-chan struct{}, link *memLink) {
 	n.mu.RLock()
 	dst, ok := n.nodes[to]
@@ -154,6 +158,11 @@ func (n *MemNetwork) deliver(to string, m *msg.Message, size int, senderStop <-c
 		// The destination detached after the frame was queued; on the
 		// wire this is a connection reset, a silent loss.
 		n.stats.Dropped.Add(1)
+		return
+	}
+	if link == nil {
+		n.stats.Local.Add(1)
+		dst.enqueue(m, size, &n.stats, senderStop)
 		return
 	}
 	drop, extra := n.draw()
@@ -317,10 +326,14 @@ func (e *memEndpoint) pipeTo(dst string) (*outPipe, error) {
 // writeLoop drains one destination's pipeline in coalesced batches — the
 // in-memory twin of the TCP writer goroutine. A full destination inbox
 // blocks the writer (the socket-buffer analogue), which backs the queue
-// up into bulk-lane backpressure for senders.
+// up into bulk-lane backpressure for senders. The pipeline to the
+// endpoint's own node has no link: its frames skip the latency model.
 func (e *memEndpoint) writeLoop(dst string, p *outPipe) {
 	defer e.wg.Done()
-	link := &memLink{stats: &e.net.stats}
+	var link *memLink
+	if dst != e.node {
+		link = &memLink{stats: &e.net.stats}
+	}
 	for {
 		batch, ok := p.popBatch(e.stop)
 		if !ok {

@@ -46,6 +46,12 @@ var (
 // wire.MaxFrameBytes: a corrupt or hostile length prefix drops the
 // connection with a logged transport error instead of allocating without
 // limit.
+//
+// A node never dials itself. The frames a CNServer's JobManager and
+// TaskManager send each other — and the own-node member of a multicast —
+// go onto the endpoint's self pipe and are handed to its handler in-process
+// (sendSelf, selfLoop): same lanes, caps and shedding, no encode, no
+// syscall, no decode.
 type TCPNetwork struct {
 	groups *groupSet
 	stats  Stats
@@ -107,37 +113,42 @@ func (n *TCPNetwork) Attach(node string, handler Handler) (Endpoint, error) {
 	if handler == nil {
 		return nil, fmt.Errorf("transport: attach %q: nil handler", node)
 	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, fmt.Errorf("transport: attach %q: %w", node, err)
+	}
+	// The name is claimed under the same lock that checks it: concurrent
+	// Attaches of one name have exactly one winner, and an Attach that races
+	// Close never inserts an endpoint Close has already passed over. A loser
+	// closes the listener it opened.
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
+		ln.Close()
 		return nil, ErrClosed
 	}
 	if _, dup := n.nodes[node]; dup {
 		n.mu.Unlock()
+		ln.Close()
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateNode, node)
-	}
-	n.mu.Unlock()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("transport: attach %q: %w", node, err)
 	}
 	ep := &tcpEndpoint{
 		net:     n,
 		node:    node,
 		handler: handler,
 		ln:      ln,
+		self:    newOutPipe(&n.stats),
 		conns:   make(map[string]*tcpConn),
 		inbound: make(map[net.Conn]bool),
 		stop:    make(chan struct{}),
 	}
-	n.mu.Lock()
 	n.nodes[node] = ep
 	n.addrs[node] = ln.Addr().String()
 	n.mu.Unlock()
 
-	ep.wg.Add(1)
+	ep.wg.Add(2)
 	go ep.acceptLoop()
+	go ep.selfLoop()
 	return ep, nil
 }
 
@@ -208,6 +219,8 @@ type tcpEndpoint struct {
 	ln      net.Listener
 	stop    chan struct{}
 	wg      sync.WaitGroup
+	// self queues the frames the node sends itself; selfLoop drains it.
+	self *outPipe
 
 	// claim is the posted-receive hook the endpoint's Caller installed
 	// (postTails); nil until then.
@@ -288,6 +301,70 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 		e.net.stats.BytesRecv.Add(int64(size))
 		e.handler(m)
 	}
+}
+
+// selfLoop is readLoop's in-process twin for the frames the node sends
+// itself (sendSelf, and the own-node member of a Multicast). It drains the
+// self pipe in the batches a writer would — the control lane first — and
+// calls the handler once per frame, in arrival order. Nothing is encoded or
+// decoded: the handler gets the sender's message, as on MemNetwork, except
+// that a tail is given a home of its own first (ownTail). Frames are
+// counted as MemNetwork counts them, at the encoded size, plus Stats.Local.
+//
+// The loop is both the writer and the reader of its pipe, so no handler it
+// runs may wait for that pipe to drain. server.handle's inline contract
+// guarantees it: an inline handler never sends on the bulk lane — the only
+// lane whose enqueue blocks — and never makes a Call; every other handler
+// runs on a goroutine of its own. A handler never runs after Close returns:
+// Close stops the loop and waits for it.
+func (e *tcpEndpoint) selfLoop() {
+	defer e.wg.Done()
+	stats := &e.net.stats
+	for {
+		batch, ok := e.self.popBatch(e.stop)
+		if !ok {
+			return
+		}
+		for i := range batch {
+			select {
+			case <-e.stop:
+				for j := i; j < len(batch); j++ {
+					batch[j].release()
+				}
+				stats.Dropped.Add(int64(len(batch) - i))
+				return
+			default:
+			}
+			f := &batch[i]
+			m := e.ownTail(f.m)
+			f.release()
+			stats.countSend(f.kind, f.size)
+			stats.Local.Add(1)
+			stats.Delivered.Add(1)
+			stats.BytesRecv.Add(int64(f.size))
+			e.handler(m)
+		}
+		stats.countFlush(len(batch))
+	}
+}
+
+// ownTail delivers a tail under TCP's rules: copied once, into the buffer a
+// waiting CallInto posted for it (claimTail) or into one of its own, so the
+// receiver never aliases the sender's tail and the sender may be told it is
+// done with it. The receiver gets a shallow copy of m carrying the new tail;
+// the sender's message is not written to.
+func (e *tcpEndpoint) ownTail(m *msg.Message) *msg.Message {
+	if len(m.Tail) == 0 {
+		return m
+	}
+	tail := e.claimTail(m, len(m.Tail))
+	if len(tail) != len(m.Tail) {
+		tail = make([]byte, len(m.Tail))
+	}
+	copy(tail, m.Tail)
+	own := *m
+	own.Tail, own.TailDone = tail, nil
+	return &own
 }
 
 // claimTail is the read loop's question between a frame's head and its
@@ -418,7 +495,11 @@ func (e *tcpEndpoint) writeLoop(tc *tcpConn) {
 // queued, as does an unknown node. m.TailDone is owed its call on every one
 // of those paths: here for a frame that was never queued, from the frame's
 // release (after the writev, or wherever the pipeline drops it) otherwise.
+// A frame to the endpoint's own node skips all of that (sendSelf).
 func (e *tcpEndpoint) Send(toNode string, m *msg.Message) error {
+	if toNode == e.node {
+		return e.sendSelf(m)
+	}
 	buf := wire.GetBuf()
 	f := outFrame{kind: m.Kind, ref: newFrameRef(buf, 1), done: m.TailDone}
 	var err error
@@ -439,11 +520,29 @@ func (e *tcpEndpoint) Send(toNode string, m *msg.Message) error {
 	return tc.pipe.enqueue(f)
 }
 
+// sendSelf queues m for selfLoop, which hands the message itself to this
+// endpoint's handler. The wire-size limit is checked here, as the encode
+// would: an oversized message fails at once with ErrFrameTooLarge and is
+// never delivered. m.TailDone is owed its call as on the socket path — here
+// when the frame is refused, by selfLoop after the tail is copied, or by
+// the pipe when the frame is dropped.
+func (e *tcpEndpoint) sendSelf(m *msg.Message) error {
+	body := wire.SizeOf(m)
+	if body > wire.MaxFrameBytes {
+		if m.TailDone != nil {
+			m.TailDone()
+		}
+		return fmt.Errorf("transport: send to %s: %w (message %s is %d bytes)", e.node, wire.ErrFrameTooLarge, m.Kind, body)
+	}
+	return e.self.enqueue(outFrame{kind: m.Kind, m: m, size: wire.FrameHeaderBytes + body, done: m.TailDone})
+}
+
 // Multicast implements Endpoint: unicast fan-out over group membership.
 // The frame is encoded ONCE and the same reference-counted bytes are
 // enqueued onto every member's pipeline, so fan-out costs no per-member
 // dial goroutines and no per-member encoding; a dead member's dial
-// failure is absorbed by its own writer (best-effort, like the wire).
+// failure is absorbed by its own writer (best-effort, like the wire). The
+// sender's own node, when a member, is handed a Clone in-process.
 func (e *tcpEndpoint) Multicast(group string, m *msg.Message) error {
 	e.mu.Lock()
 	closed := e.closed
@@ -468,6 +567,11 @@ func (e *tcpEndpoint) Multicast(group string, m *msg.Message) error {
 	}
 	ref := newFrameRef(buf, int32(len(members)))
 	for _, node := range members {
+		if node == e.node {
+			_ = e.self.enqueue(outFrame{kind: m.Kind, m: m.Clone(), size: len(*buf)})
+			ref.release()
+			continue
+		}
 		tc, err := e.conn(node)
 		if err != nil {
 			ref.release()
@@ -522,6 +626,7 @@ func (e *tcpEndpoint) Close() error {
 
 	close(e.stop)
 	e.ln.Close()
+	e.self.fail(ErrClosed)
 	for _, tc := range conns {
 		tc.close(ErrClosed)
 	}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -196,6 +198,80 @@ func TestTCPMulticastSurvivesDeadMember(t *testing.T) {
 	}
 	live1.wait(t, 1, 2*time.Second)
 	live2.wait(t, 1, 2*time.Second)
+}
+
+// listeners counts this process's TCP sockets in the LISTEN state, matching
+// the socket inodes behind /proc/self/fd against /proc/net/tcp; ok is false
+// where those files are not there to read.
+func listeners() (n int, ok bool) {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return 0, false
+	}
+	table, err := os.ReadFile("/proc/net/tcp")
+	if err != nil {
+		return 0, false
+	}
+	mine := make(map[string]bool)
+	for _, fd := range fds {
+		link, err := os.Readlink("/proc/self/fd/" + fd.Name())
+		if inode, found := strings.CutPrefix(link, "socket:["); err == nil && found {
+			mine[strings.TrimSuffix(inode, "]")] = true
+		}
+	}
+	for _, line := range strings.Split(string(table), "\n")[1:] {
+		// sl local rem st tx:rx tr:when retrnsmt uid timeout inode ...
+		if f := strings.Fields(line); len(f) > 9 && f[3] == "0A" && mine[f[9]] {
+			n++
+		}
+	}
+	return n, true
+}
+
+// TestTCPConcurrentAttachOneWinner: sixteen Attaches of one name race.
+// Exactly one wins, the others fail with ErrDuplicateNode, and once the
+// fabric is closed no listener any of them opened is still accepting.
+func TestTCPConcurrentAttachOneWinner(t *testing.T) {
+	before, canCount := listeners()
+	n := NewTCPNetwork()
+	const racers = 16
+	start := make(chan struct{})
+	errs := make(chan error, racers)
+	var wg sync.WaitGroup
+	for i := 0; i < racers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, err := n.Attach("x", func(*msg.Message) {})
+			errs <- err
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	won := 0
+	for err := range errs {
+		switch {
+		case err == nil:
+			won++
+		case !errors.Is(err, ErrDuplicateNode):
+			t.Errorf("losing Attach = %v, want ErrDuplicateNode", err)
+		}
+	}
+	if won != 1 {
+		t.Errorf("%d of %d concurrent Attaches of one name succeeded, want 1", won, racers)
+	}
+	n.Close()
+	if _, err := n.Attach("y", func(*msg.Message) {}); !errors.Is(err, ErrClosed) {
+		t.Errorf("Attach after Close = %v, want ErrClosed", err)
+	}
+	if !canCount {
+		t.Skip("no /proc to count listening sockets in")
+	}
+	if after, _ := listeners(); after != before {
+		t.Errorf("%d listening sockets after Close, %d before the Attaches", after, before)
+	}
 }
 
 // TestTCPSlowConsumerDropsConnection: a peer that accepts but never reads

@@ -105,6 +105,10 @@ type Stats struct {
 	BytesSent   atomic.Int64 // encoded bytes submitted for delivery
 	BytesRecv   atomic.Int64 // encoded bytes handed to handlers
 	FrameErrors atomic.Int64 // malformed or oversized inbound frames (connection dropped)
+	// Local counts the frames a node handed itself without crossing the
+	// fabric — no socket on TCP, no latency or loss model in memory. They
+	// are counted in Sent and Delivered too.
+	Local atomic.Int64
 
 	// Outbound pipeline counters (see pipeline.go).
 	Flushes      atomic.Int64 // coalesced batch flushes (one writev each on TCP)
@@ -172,6 +176,8 @@ type WireSnapshot struct {
 	BytesSent   int64 `json:"bytes_sent"`
 	BytesRecv   int64 `json:"bytes_recv"`
 	FrameErrors int64 `json:"frame_errors"`
+	// Local counts the frames of Sent a node handed itself in-process.
+	Local int64 `json:"local"`
 	// Outbound pipeline figures: flush count (writev batches), live queue
 	// depth, per-lane drops, and the frames-per-flush histogram. Mean
 	// writes-per-frame on the wire is Flushes/Sent.
@@ -193,6 +199,7 @@ func (s *Stats) Wire() WireSnapshot {
 		BytesSent:    s.BytesSent.Load(),
 		BytesRecv:    s.BytesRecv.Load(),
 		FrameErrors:  s.FrameErrors.Load(),
+		Local:        s.Local.Load(),
 		Flushes:      s.Flushes.Load(),
 		QueueDepth:   s.QueueDepth.Load(),
 		ControlDrops: s.ControlDrops.Load(),

@@ -7,8 +7,9 @@
 # them the head-only encode wire.AppendFrameHead and the reader's head/tail
 # split, wire.(*FrameReader).Next / readEnvelope / readTailed), the
 # transport functions every frame passes through (Send, the read and write
-# loops, the posted-receive claim), Server.handle / dispatch / replyIfAny,
-# or the lifecycle path of the run phase — the JobManager's execTasks /
+# loops, the posted-receive claim, and for a node's frames to itself
+# sendSelf, the self-delivery loop selfLoop and its tail copy ownTail),
+# Server.handle / dispatch / replyIfAny, or the lifecycle path of the run phase — the JobManager's execTasks /
 # sendExec and its batch apply (HandleTaskEvents, applyEvents, applyLocked,
 # relayEvents), the TaskManager's HandleExec / post / flush (the flusher is
 # a goroutine per burst of events: it must start on a fresh stack without
@@ -31,6 +32,7 @@ while read -r line; do
 	'cn/internal/server.(*Server).handle' | 'cn/internal/server.(*Server).dispatch' | 'cn/internal/server.(*Server).replyIfAny') ;;
 	'cn/internal/transport.(*tcpEndpoint).Send' | 'cn/internal/transport.(*tcpEndpoint).readLoop' | 'cn/internal/transport.(*tcpEndpoint).writeLoop') ;;
 	'cn/internal/transport.(*tcpEndpoint).claimTail' | 'cn/internal/transport.(*Caller).claim' | 'cn/internal/transport.(*Caller).CallInto') ;;
+	'cn/internal/transport.(*tcpEndpoint).sendSelf' | 'cn/internal/transport.(*tcpEndpoint).selfLoop' | 'cn/internal/transport.(*tcpEndpoint).ownTail') ;;
 	'cn/internal/jobmgr.(*JobManager).execTasks' | 'cn/internal/jobmgr.(*JobManager).sendExec' | 'cn/internal/jobmgr.(*JobManager).HandleTaskEvents') ;;
 	'cn/internal/jobmgr.(*JobManager).applyEvents' | 'cn/internal/jobmgr.(*JobManager).applyLocked' | 'cn/internal/jobmgr.(*JobManager).relayEvents') ;;
 	'cn/internal/taskmgr.(*TaskManager).HandleExec' | 'cn/internal/taskmgr.(*TaskManager).post' | 'cn/internal/taskmgr.(*TaskManager).flush') ;;
