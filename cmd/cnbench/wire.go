@@ -26,6 +26,7 @@ import (
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/task"
+	"cn/internal/tuplespace"
 	"cn/internal/wire"
 )
 
@@ -82,10 +83,8 @@ func wireBodies() []struct {
 		{"HEARTBEAT_ACK", &protocol.HeartbeatAck{Node: "node1", Seq: 42}},
 		{"ASSIGN_TASKS", &protocol.AssignTasksReq{JobID: "node1-job1", JobManager: "node1", ClientNode: "client-1", Items: items}},
 		{"TASKS_ASSIGNED", &protocol.AssignTasksResp{Fetched: 1}},
-		{"TS_OUT", &protocol.TSOpReq{JobID: "node1-job1", FromTask: "w1", ParkMS: 1000,
-			Fields: []protocol.TSField{{Kind: protocol.TSString, S: "work"}, {Kind: protocol.TSInt, I: 7}}}},
-		{"TS_REPLY", &protocol.TSOpResp{OK: true,
-			Fields: []protocol.TSField{{Kind: protocol.TSString, S: "res"}, {Kind: protocol.TSInt, I: 7}}}},
+		{"TS_OUT", &protocol.TSOpReq{ParkMS: 1000, Tuple: tuplespace.Tuple{"work", 7}}},
+		{"TS_REPLY", &protocol.TSOpResp{OK: true, Tuple: tuplespace.Tuple{"res", 7}}},
 		{"TASK_EVENTS", &protocol.TaskEvents{JobID: "node1-job1", Node: "node2", Events: []protocol.TaskEventItem{
 			{Kind: msg.KindTaskStarted, Task: "t03"}, {Kind: msg.KindTaskCompleted, Task: "t03"}}}},
 		{"USER", &protocol.UserPayload{JobID: "node1-job1", FromTask: "t03", ToTask: "client", Data: make([]byte, 256)}},

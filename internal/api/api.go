@@ -182,13 +182,11 @@ func (c *Client) Scrape(ctx context.Context, node string) (*protocol.StatsReport
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cctx, cancel := context.WithTimeout(ctx, c.opts.CallTimeout)
-	defer cancel()
 	m := protocol.Body(msg.KindStatsPull,
 		msg.Address{Node: c.node, Task: protocol.ClientTaskName},
 		msg.Address{Node: node},
 		protocol.StatsPullReq{Scraper: c.node})
-	reply, err := c.caller.Call(cctx, node, m)
+	reply, err := c.caller.CallInto(ctx, node, m, nil, c.opts.CallTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("api: scrape %s: %w", node, err)
 	}
@@ -231,8 +229,6 @@ func (c *Client) CreateJob(name string, req protocol.JobRequirements) (*Job, err
 // CreateJobOn creates a job on a specific JobManager node (used when the
 // caller already discovered or statically knows the manager).
 func (c *Client) CreateJobOn(jmNode, name string, req protocol.JobRequirements) (*Job, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.CallTimeout)
-	defer cancel()
 	// The trace is born here: the submit span is the root every other
 	// span of the job — JM scheduling, task exec, shuffle pulls — hangs
 	// off, and its context rides the create message's envelope.
@@ -242,7 +238,7 @@ func (c *Client) CreateJobOn(jmNode, name string, req protocol.JobRequirements) 
 		msg.Address{Node: jmNode},
 		protocol.CreateJobReq{Name: name, Req: req, ClientNode: c.node})
 	cm.Trace = ra.Context()
-	reply, err := c.caller.Call(ctx, jmNode, cm)
+	reply, err := c.caller.CallInto(context.Background(), jmNode, cm, nil, c.opts.CallTimeout)
 	if err != nil {
 		ra.End(err)
 		return nil, fmt.Errorf("api: create job %q on %s: %w", name, jmNode, err)
@@ -486,8 +482,6 @@ func (j *Job) CreateTasks(specs []*task.Spec, archives map[string]*archive.Archi
 		}
 		delete(req.Blobs, digest)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), j.client.opts.CallTimeout)
-	defer cancel()
 	jmNode := j.manager()
 	ca := j.client.opts.Tracer.StartSpan(j.trace, "job.create_tasks").SetJob(j.ID)
 	cm := protocol.Body(msg.KindCreateTasks,
@@ -495,7 +489,7 @@ func (j *Job) CreateTasks(specs []*task.Spec, archives map[string]*archive.Archi
 		msg.Address{Node: jmNode, Job: j.ID},
 		req)
 	cm.Trace = j.trace
-	reply, err := j.client.caller.Call(ctx, jmNode, cm)
+	reply, err := j.client.caller.CallInto(context.Background(), jmNode, cm, nil, j.client.opts.CallTimeout)
 	if err != nil {
 		ca.End(err)
 		return nil, fmt.Errorf("api: create %d tasks: %w", len(specs), err)
@@ -535,8 +529,6 @@ func (j *Job) Start(taskNames ...string) error {
 	}
 	j.started = true
 	j.mu.Unlock()
-	ctx, cancel := context.WithTimeout(context.Background(), j.client.opts.CallTimeout)
-	defer cancel()
 	jmNode := j.manager()
 	// Drain the client-side spans of this trace (submit, task creation)
 	// into the start request: the JobManager folds them into the per-job
@@ -550,7 +542,7 @@ func (j *Job) Start(taskNames ...string) error {
 			Spans:     j.client.opts.Tracer.Store().Take(j.ID, ""),
 		})
 	sm.Trace = j.trace
-	reply, err := j.client.caller.Call(ctx, jmNode, sm)
+	reply, err := j.client.caller.CallInto(context.Background(), jmNode, sm, nil, j.client.opts.CallTimeout)
 	if err != nil {
 		return fmt.Errorf("api: start job %s: %w", j.ID, err)
 	}
@@ -764,14 +756,12 @@ func (j *Job) GetEvent(ctx context.Context) (*Event, error) {
 
 // Cancel abandons the job.
 func (j *Job) Cancel(reason string) error {
-	ctx, cancel := context.WithTimeout(context.Background(), j.client.opts.CallTimeout)
-	defer cancel()
 	jmNode := j.manager()
 	cm := protocol.Body(msg.KindCancelJob,
 		msg.Address{Node: j.client.node, Job: j.ID, Task: protocol.ClientTaskName},
 		msg.Address{Node: jmNode, Job: j.ID},
 		protocol.CancelJobReq{JobID: j.ID, Reason: reason})
-	reply, err := j.client.caller.Call(ctx, jmNode, cm)
+	reply, err := j.client.caller.CallInto(context.Background(), jmNode, cm, nil, j.client.opts.CallTimeout)
 	if err != nil {
 		return fmt.Errorf("api: cancel job %s: %w", j.ID, err)
 	}

@@ -607,6 +607,78 @@ func TestCreateJobRetriesSilentDiscoveryOnce(t *testing.T) {
 	}
 }
 
+// TestDiscoveryRefusedRoundEndsEarly: managers that cannot take a job —
+// here each at its one-job cap — answer with a refusal instead of staying
+// silent, so a round in which every manager refuses ends as soon as all
+// have answered, long before the window, with ErrRefused rather than
+// ErrNoOffers; and CreateJob does not run such a round a second time.
+func TestDiscoveryRefusedRoundEndsEarly(t *testing.T) {
+	c, err := cluster.Start(cluster.Config{Nodes: 2, MaxJobs: 1, Registry: testRegistry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	const window = 3 * time.Second
+	cl, err := api.Initialize(c.Network(), api.Options{DiscoveryWindow: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	for _, node := range c.Nodes() {
+		if _, err := cl.CreateJobOn(node, "fill", protocol.JobRequirements{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	_, _, err = cl.Discover(protocol.JobRequirements{})
+	if !errors.Is(err, discovery.ErrRefused) || errors.Is(err, discovery.ErrNoOffers) {
+		t.Errorf("Discover with every manager full = %v, want ErrRefused", err)
+	}
+	if took := time.Since(start); took > window/2 {
+		t.Errorf("a round of refusals took %v of a %v window", took, window)
+	}
+
+	cl, rounds := refusingManager(t)
+	if _, err := cl.CreateJob("refused", protocol.JobRequirements{}); !errors.Is(err, discovery.ErrRefused) {
+		t.Errorf("CreateJob against a refusing manager = %v, want ErrRefused", err)
+	}
+	if got := rounds.Load(); got != 1 {
+		t.Errorf("%d discovery rounds for a refusal, want 1", got)
+	}
+}
+
+// refusingManager attaches a stand-in JobManager that refuses every
+// discovery round it hears and counts them.
+func refusingManager(t *testing.T) (*api.Client, *atomic.Int32) {
+	t.Helper()
+	net := transport.NewIdealNetwork()
+	t.Cleanup(func() { net.Close() })
+	rounds := new(atomic.Int32)
+	var ep transport.Endpoint
+	ep, err := net.Attach("jm", func(m *msg.Message) {
+		if m.Kind != msg.KindJobManagerSolicit {
+			return
+		}
+		rounds.Add(1)
+		if err := ep.Send(m.From.Node, protocol.Reply(m, msg.KindJobManagerOffer,
+			protocol.JMOffer{Node: "jm", Refused: "job manager at capacity"})); err != nil {
+			t.Errorf("refuse: %v", err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.Join(protocol.GroupJobManagers); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := api.Initialize(net, api.Options{DiscoveryWindow: 150 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl, rounds
+}
+
 func TestConcurrentJobs(t *testing.T) {
 	_, cl := start(t, 4)
 	const jobs = 6

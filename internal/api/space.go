@@ -40,12 +40,10 @@ func (j *Job) tsWire() (*protocol.TSWire, error) {
 	}
 	if j.ts == nil || j.ts.To.Node != j.JMNode {
 		j.ts = &protocol.TSWire{
-			JobID:    j.ID,
-			FromTask: protocol.ClientTaskName,
-			From:     msg.Address{Node: j.client.node, Job: j.ID, Task: protocol.ClientTaskName},
-			To:       msg.Address{Node: j.JMNode, Job: j.ID},
-			Call:     j.client.caller.Call,
-			Send:     j.client.ep.Send,
+			From: msg.Address{Node: j.client.node, Job: j.ID, Task: protocol.ClientTaskName},
+			To:   msg.Address{Node: j.JMNode, Job: j.ID},
+			Call: j.client.caller.CallInto,
+			Send: j.client.ep.Send,
 		}
 	}
 	return j.ts, nil
@@ -70,22 +68,21 @@ func (s *Space) do(ctx context.Context) protocol.TSDoFunc {
 }
 
 // Out stores a tuple in the job's space. It is one-way: the tuple is
-// validated and encoded here, handed to the fabric, and Out returns — nil
+// validated here, handed to the fabric, and Out returns — nil
 // means queued, not yet stored. The JobManager applies it before anything
 // this client sends afterwards, so a later In, Rd or probe from this client
 // sees it; every protocol.TSOutWindow-th Out of the handle is acknowledged
 // instead, which is where a refusal (space closed under the handle) or a
 // dead manager surfaces. Flush is that acknowledgement on demand.
 func (s *Space) Out(t tuplespace.Tuple) error {
-	fields, err := protocol.EncodeTuple(t)
-	if err != nil {
+	if err := protocol.CheckTuple(t); err != nil {
 		return err
 	}
 	w, err := s.job.tsWire()
 	if err != nil {
 		return err
 	}
-	if err := w.Out(context.Background(), fields); err != nil {
+	if err := w.Out(context.Background(), t); err != nil {
 		return fmt.Errorf("api: %w", err)
 	}
 	return nil
@@ -109,21 +106,21 @@ func (s *Space) Flush(ctx context.Context) error {
 // In removes and returns a tuple matching tpl, blocking until one is
 // available, ctx is done, or the space closes (tuplespace.ErrClosed).
 func (s *Space) In(ctx context.Context, tpl tuplespace.Template) (tuplespace.Tuple, error) {
-	return protocol.TSBlocking(s.do(ctx), msg.KindTSIn, tpl)
+	return protocol.TSMatch(s.do(ctx), msg.KindTSIn, tpl)
 }
 
 // Rd is In without removal.
 func (s *Space) Rd(ctx context.Context, tpl tuplespace.Template) (tuplespace.Tuple, error) {
-	return protocol.TSBlocking(s.do(ctx), msg.KindTSRd, tpl)
+	return protocol.TSMatch(s.do(ctx), msg.KindTSRd, tpl)
 }
 
 // InP removes and returns a matching tuple without blocking;
 // tuplespace.ErrNoMatch when none is stored.
 func (s *Space) InP(tpl tuplespace.Template) (tuplespace.Tuple, error) {
-	return protocol.TSProbe(s.do(context.Background()), msg.KindTSInP, tpl)
+	return protocol.TSMatch(s.do(context.Background()), msg.KindTSInP, tpl)
 }
 
 // RdP is InP without removal.
 func (s *Space) RdP(tpl tuplespace.Template) (tuplespace.Tuple, error) {
-	return protocol.TSProbe(s.do(context.Background()), msg.KindTSRdP, tpl)
+	return protocol.TSMatch(s.do(context.Background()), msg.KindTSRdP, tpl)
 }

@@ -372,14 +372,46 @@ func TestTuplespaceResultsPrecedeTheTerminalEvent(t *testing.T) {
 // end on the in-memory fabric — requester, fabric and JobManager together,
 // since every goroutine's allocations count: a one-way Out (1 in 64 of them
 // acknowledged) and an In that finds its tuple, from a task and from the
-// client. The budgets are what the change that made Out one-way achieved
-// (13 and 38) plus one for a stray runtime allocation; before it — a reply
-// per Out, and per task op a goroutine, two contexts and a wire — the same
-// ops allocated 33 and 44 objects from a task, 37 and 41 from the client.
+// client. An Out allocates 7 objects and a satisfied In 20 (budgets 8 and
+// 24): the tuple in hand and its decoded copy, a request box, a payload and
+// an envelope per frame, and the call's reply channel and decoded answer.
+// Before tuples went straight to the wire and the Caller kept call
+// deadlines, they allocated 13 and 38; before Out was one-way, 33 and 44
+// from a task, 37 and 41 from the client.
 func TestTuplespaceOpAllocs(t *testing.T) {
+	const maxOut, maxIn = 8, 24
+	for who, r := range opAllocs(t, cluster.TransportMem, true) {
+		if r.out > maxOut || r.in > maxIn {
+			t.Errorf("%s: an Out allocates %.0f objects and a satisfied In %.0f, want at most %d and %d",
+				who, r.out, r.in, maxOut, maxIn)
+		}
+	}
+}
+
+// TestTuplespaceOpAllocsTCP is TestTuplespaceOpAllocs with every frame
+// crossing a loopback socket: the client is an endpoint of its own, so its
+// ops are encoded, written, read and decoded both ways. On top of the
+// in-memory figures a frame costs its read buffer; the envelope's addresses
+// cost nothing once the connection has seen them. An Out allocates 9
+// objects and a satisfied In 24, now and then two more (budgets 12 and 29);
+// with an address string per frame they would be 14 and 34.
+func TestTuplespaceOpAllocsTCP(t *testing.T) {
+	const maxOut, maxIn = 12, 29
+	r := opAllocs(t, cluster.TransportTCP, false)["client"]
+	if r.out > maxOut || r.in > maxIn {
+		t.Errorf("an Out over TCP allocates %.0f objects and a satisfied In %.0f, want at most %d and %d",
+			r.out, r.in, maxOut, maxIn)
+	}
+}
+
+type opCost struct{ out, in float64 }
+
+// opAllocs measures an Out and a satisfied In from the client of a
+// one-node cluster on the given fabric and, with fromTask, from a task on
+// the node.
+func opAllocs(t *testing.T, fabric cluster.Transport, fromTask bool) map[string]opCost {
 	const runs = 256
-	type result struct{ out, in float64 }
-	measure := func(out func(i int) error, in func() error) (r result, err error) {
+	measure := func(out func(i int) error, in func() error) (r opCost, err error) {
 		i := 0
 		r.out = testing.AllocsPerRun(runs, func() {
 			i++
@@ -395,19 +427,19 @@ func TestTuplespaceOpAllocs(t *testing.T) {
 		})
 		return r, err
 	}
-	fromTask := make(chan result, 1)
+	taskCost := make(chan opCost, 1)
 	reg := task.NewRegistry()
 	reg.MustRegister("ts.Alloc", func() task.Task {
 		return task.Func(func(ctx task.Context) error {
 			r, err := measure(
 				func(i int) error { return ctx.Out(tuplespace.Tuple{"task", i}) },
 				func() error { _, err := ctx.In(tuplespace.Template{"task", tuplespace.TypeOf(0)}); return err })
-			fromTask <- r
+			taskCost <- r
 			return err
 		})
 	})
 	// One node, no periodic traffic: nothing else allocates while counting.
-	c, err := cluster.Start(cluster.Config{Nodes: 1, MemoryMB: 64000, Registry: reg,
+	c, err := cluster.Start(cluster.Config{Nodes: 1, MemoryMB: 64000, Registry: reg, Transport: fabric,
 		HeartbeatInterval: -1, CheckpointEvery: -1, TraceSample: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -425,24 +457,29 @@ func TestTuplespaceOpAllocs(t *testing.T) {
 	space := j.Space()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	fromClient, err := measure(
+	// A first op on each side opens the connections before anything is counted.
+	if err := space.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	client, err := measure(
 		func(i int) error { return space.Out(tuplespace.Tuple{"client", i}) },
 		func() error { _, err := space.In(ctx, tuplespace.Template{"client", tuplespace.TypeOf(0)}); return err })
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := &task.Spec{Name: "a", Class: "ts.Alloc", Req: task.Requirements{MemoryMB: 100, RunModel: task.RunAsThreadInTM}}
-	if _, err := j.CreateTasks([]*task.Spec{sp}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if res, err := j.Run(ctx); err != nil || res.Failed {
-		t.Fatalf("res=%+v err=%v", res, err)
-	}
-	const maxOut, maxIn = 14, 39
-	for who, r := range map[string]result{"task": <-fromTask, "client": fromClient} {
-		if r.out > maxOut || r.in > maxIn {
-			t.Errorf("%s: an Out allocates %.0f objects and a satisfied In %.0f, want at most %d and %d",
-				who, r.out, r.in, maxOut, maxIn)
+	costs := map[string]opCost{"client": client}
+	if fromTask {
+		sp := &task.Spec{Name: "a", Class: "ts.Alloc", Req: task.Requirements{MemoryMB: 100, RunModel: task.RunAsThreadInTM}}
+		if _, err := j.CreateTasks([]*task.Spec{sp}, nil); err != nil {
+			t.Fatal(err)
 		}
+		if res, err := j.Run(ctx); err != nil || res.Failed {
+			t.Fatalf("res=%+v err=%v", res, err)
+		}
+		costs["task"] = <-taskCost
 	}
+	for who, r := range costs {
+		t.Logf("%s: an Out allocates %.0f objects, a satisfied In %.0f", who, r.out, r.in)
+	}
+	return costs
 }

@@ -17,8 +17,11 @@ import (
 	"cn/internal/transport"
 )
 
-// ErrNoOffers indicates that no JobManager responded within the window.
+// ErrNoOffers indicates that no JobManager answered within the window.
 var ErrNoOffers = errors.New("discovery: no JobManager offers received")
+
+// ErrRefused indicates that every JobManager that answered refused.
+var ErrRefused = errors.New("discovery: every JobManager that answered refused")
 
 // Policy selects one offer from the willing JobManagers.
 type Policy interface {
@@ -139,32 +142,38 @@ func Discover(caller *transport.Caller, clientNode string, opts Options) (protoc
 	if policy == nil {
 		policy = BestFit{}
 	}
-	// First-responder needs exactly one reply; other policies stop as soon
-	// as every group member answered (unwilling members stay silent and
-	// cost the full window, like real multicast discovery).
-	max := caller.Endpoint().GroupSize(protocol.GroupJobManagers)
-	if _, first := policy.(FirstResponder); first {
-		max = 1
-	}
+	// A member short of memory stays silent, costing the full window; the
+	// round ends once every member answered, or at a first responder's offer.
+	members := caller.Endpoint().GroupSize(protocol.GroupJobManagers)
+	_, first := policy.(FirstResponder)
 	m := protocol.Body(msg.KindJobManagerSolicit,
 		msg.Address{Node: clientNode, Task: protocol.ClientTaskName},
 		msg.Address{},
 		opts.Requirements)
-	replies, err := caller.Gather(protocol.GroupJobManagers, m, max, window)
+	var offers []protocol.JMOffer
+	refused, answered := "", 0
+	_, err := caller.Gather(protocol.GroupJobManagers, m, window, func(r *msg.Message) bool {
+		answered++
+		var o protocol.JMOffer
+		switch err := protocol.Decode(r, &o); {
+		case err != nil:
+		case o.Refused != "":
+			refused = o.Node + ": " + o.Refused
+		default:
+			offers = append(offers, o)
+		}
+		return (first && len(offers) > 0) || answered >= members
+	})
 	if err != nil {
 		return protocol.JMOffer{}, nil, fmt.Errorf("discovery: %w", err)
 	}
-	offers := make([]protocol.JMOffer, 0, len(replies))
-	for _, r := range replies {
-		var o protocol.JMOffer
-		if err := protocol.Decode(r, &o); err == nil {
-			offers = append(offers, o)
-		}
-	}
 	if len(offers) == 0 {
+		if refused != "" {
+			return protocol.JMOffer{}, nil, fmt.Errorf("%w (%s)", ErrRefused, refused)
+		}
 		return protocol.JMOffer{}, nil, ErrNoOffers
 	}
-	if max != 1 {
+	if !first {
 		sort.Slice(offers, func(i, j int) bool { return offers[i].Node < offers[j].Node })
 	}
 	chosen := policy.Select(offers)

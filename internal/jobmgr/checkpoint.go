@@ -303,7 +303,7 @@ func (jm *JobManager) adoptJob(origin, jobID string, data []byte) error {
 		j.schedule = sched
 	}
 	for _, t := range ck.tuples {
-		if err := j.space.Out(t); err != nil {
+		if err := j.space.Keep(t); err != nil {
 			return fmt.Errorf("restore tuple space: %w", err)
 		}
 	}
@@ -444,9 +444,7 @@ func (jm *JobManager) callAdopt(node, jobID, clientNode string, tasks []string) 
 		msg.Address{Node: jm.cfg.Node, Job: jobID},
 		msg.Address{Node: node, Job: jobID},
 		req)
-	ctx, cancel := context.WithTimeout(context.Background(), jm.cfg.AssignTimeout)
-	defer cancel()
-	reply, err := jm.caller.Call(ctx, node, am)
+	reply, err := jm.caller.CallInto(context.Background(), node, am, nil, jm.cfg.AssignTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -516,11 +514,7 @@ func appendJobCheckpointLocked(dst []byte, j *jobState, withBlobs bool) ([]byte,
 	tuples := j.space.Snapshot()
 	dst = wire.AppendUvarint(dst, uint64(len(tuples)))
 	for _, t := range tuples {
-		fields, err := protocol.EncodeTuple(t)
-		if err != nil {
-			return nil, err
-		}
-		dst = wire.AppendTSFields(dst, fields)
+		dst = wire.AppendTuple(dst, t)
 	}
 	dst = wire.AppendVarint(dst, j.tsOps.Load())
 
@@ -668,16 +662,17 @@ func decodeJobCheckpoint(data []byte) (*jobCheckpoint, error) {
 	}
 	ck.tuples = make([]tuplespace.Tuple, 0, ntuples)
 	for i := 0; i < ntuples; i++ {
-		fields, err := wire.ReadTSFields(r)
+		t, err := wire.ReadTuple(r)
+		if err == nil {
+			err = protocol.CheckTuple(t)
+		}
 		if err != nil {
 			return nil, err
 		}
-		for fi := range fields {
-			fields[fi].Bytes = bytes.Clone(fields[fi].Bytes)
-		}
-		t, err := protocol.DecodeTuple(fields)
-		if err != nil {
-			return nil, err
+		for fi, v := range t {
+			if x, ok := v.([]byte); ok {
+				t[fi] = bytes.Clone(x)
+			}
 		}
 		ck.tuples = append(ck.tuples, t)
 	}

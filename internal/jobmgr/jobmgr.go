@@ -490,7 +490,8 @@ func (j *jobState) progressLocked() Progress {
 
 // HandleSolicit answers a KindJobManagerSolicit multicast: "JobManagers
 // respond to multicast requests for JobManagers if they have free resources
-// and are willing to be JobManagers." Returns nil when unwilling.
+// and are willing to be JobManagers." A shut down or full manager refuses;
+// one short of memory stays silent (nil).
 func (jm *JobManager) HandleSolicit(m *msg.Message) *msg.Message {
 	var req protocol.JobRequirements
 	if err := protocol.Decode(m, &req); err != nil {
@@ -499,14 +500,15 @@ func (jm *JobManager) HandleSolicit(m *msg.Message) *msg.Message {
 	}
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
-	if jm.closed || len(jm.jobs) >= jm.cfg.MaxJobs {
+	offer := protocol.JMOffer{Node: jm.cfg.Node, FreeMemoryMB: jm.freeMem(), ActiveJobs: len(jm.jobs)}
+	switch {
+	case jm.closed:
+		offer.Refused = "job manager shut down"
+	case offer.ActiveJobs >= jm.cfg.MaxJobs:
+		offer.Refused = "job manager at capacity"
+	case req.MinMemoryMB > 0 && offer.FreeMemoryMB < req.MinMemoryMB:
 		return nil
 	}
-	free := jm.freeMem()
-	if req.MinMemoryMB > 0 && free < req.MinMemoryMB {
-		return nil
-	}
-	offer := protocol.JMOffer{Node: jm.cfg.Node, FreeMemoryMB: free, ActiveJobs: len(jm.jobs)}
 	return m.Reply(msg.KindJobManagerOffer, msg.MustEncode(offer))
 }
 
@@ -1014,9 +1016,7 @@ func (jm *JobManager) assignBatch(j *jobState, node string, items []protocol.Tas
 		req)
 	// The window covers the assignment round trip plus the TaskManager's
 	// possible blob fetch back to this JobManager.
-	ctx, cancel := context.WithTimeout(context.Background(), jm.cfg.AssignTimeout)
-	defer cancel()
-	reply, err := jm.caller.Call(ctx, node, am)
+	reply, err := jm.caller.CallInto(context.Background(), node, am, nil, jm.cfg.AssignTimeout)
 	if err != nil {
 		return nil, err
 	}

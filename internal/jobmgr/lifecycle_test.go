@@ -338,11 +338,7 @@ func TestRetiredJobContract(t *testing.T) {
 
 			// A tuple-space op and a data-plane resolve meet a closed space
 			// and a closed broker, not an unknown job.
-			fields, err := protocol.EncodeTuple(tuplespace.Tuple{"x", 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := decode[protocol.TSOpResp](t, c.call(msg.KindTSOut, id, protocol.TSOpReq{JobID: id, Fields: fields}))
+			ts := decode[protocol.TSOpResp](t, c.call(msg.KindTSOut, id, protocol.TSOpReq{Tuple: tuplespace.Tuple{"x", 1}}))
 			if !ts.Closed || ts.Err != "" {
 				t.Errorf("TS_OUT on a retired job = %+v, want Closed", ts)
 			}

@@ -19,16 +19,9 @@ func TestOneWayOutIsAppliedCountedAndNotAnswered(t *testing.T) {
 	c := newRawClient(t, net)
 	id := decode[protocol.CreateJobResp](t,
 		c.call(msg.KindCreateJob, "", protocol.CreateJobReq{Name: "oneway", ClientNode: "c1"})).JobID
-	tuple := func(n int) []protocol.TSField {
-		fields, err := protocol.EncodeTuple(tuplespace.Tuple{"n", n})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fields
-	}
+	tuple := func(n int) tuplespace.Tuple { return tuplespace.Tuple{"n", n} }
 	ack := func(jobID string, req protocol.TSOpReq) protocol.TSOpResp {
 		t.Helper()
-		req.JobID = jobID
 		return decode[protocol.TSOpResp](t, c.call(msg.KindTSOut, jobID, req))
 	}
 	tsOps := func() int {
@@ -54,9 +47,9 @@ func TestOneWayOutIsAppliedCountedAndNotAnswered(t *testing.T) {
 	// 63 one-way Outs and the acknowledged 64th: one reply, 64 ops, and —
 	// the reply having followed them on the link — 64 tuples stored.
 	for n := 1; n < protocol.TSOutWindow; n++ {
-		c.send(msg.KindTSOut, id, "", protocol.TSOpReq{JobID: id, Fields: tuple(n), NoReply: true})
+		c.send(msg.KindTSOut, id, "", protocol.TSOpReq{Tuple: tuple(n), NoReply: true})
 	}
-	if resp := ack(id, protocol.TSOpReq{Fields: tuple(protocol.TSOutWindow)}); !resp.OK {
+	if resp := ack(id, protocol.TSOpReq{Tuple: tuple(protocol.TSOutWindow)}); !resp.OK {
 		t.Fatalf("acknowledged out: %+v", resp)
 	}
 	if got := tsOps(); got != protocol.TSOutWindow {
@@ -68,25 +61,22 @@ func TestOneWayOutIsAppliedCountedAndNotAnswered(t *testing.T) {
 	unasked()
 
 	// The barrier: answered, stores nothing, counts nothing.
-	if resp := ack(id, protocol.TSOpReq{}); !resp.OK || len(resp.Fields) != 0 {
+	if resp := ack(id, protocol.TSOpReq{}); !resp.OK || len(resp.Tuple) != 0 {
 		t.Fatalf("flush on a live job: %+v", resp)
 	}
 	if got := tsOps(); got != protocol.TSOutWindow {
 		t.Errorf("ts_ops = %d after a flush, want %d still", got, protocol.TSOutWindow)
 	}
 	// A malformed one-way Out — no fields — is dropped, not stored.
-	c.send(msg.KindTSOut, id, "", protocol.TSOpReq{JobID: id, NoReply: true})
-	tpl, err := protocol.EncodeTemplate(tuplespace.Template{tuplespace.Wildcard, tuplespace.Wildcard})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c.send(msg.KindTSOut, id, "", protocol.TSOpReq{NoReply: true})
+	tpl := tuplespace.Tuple{tuplespace.Wildcard, tuplespace.Wildcard}
 	for n := 0; n < protocol.TSOutWindow; n++ {
-		resp := decode[protocol.TSOpResp](t, c.call(msg.KindTSInP, id, protocol.TSOpReq{JobID: id, Fields: tpl}))
+		resp := decode[protocol.TSOpResp](t, c.call(msg.KindTSInP, id, protocol.TSOpReq{Tuple: tpl}))
 		if !resp.OK {
 			t.Fatalf("tuple %d of %d missing: %+v", n+1, protocol.TSOutWindow, resp)
 		}
 	}
-	if resp := decode[protocol.TSOpResp](t, c.call(msg.KindTSInP, id, protocol.TSOpReq{JobID: id, Fields: tpl})); !resp.NoMatch {
+	if resp := decode[protocol.TSOpResp](t, c.call(msg.KindTSInP, id, protocol.TSOpReq{Tuple: tpl})); !resp.NoMatch {
 		t.Fatalf("the space holds more than the %d tuples sent: %+v", protocol.TSOutWindow, resp)
 	}
 
@@ -95,9 +85,9 @@ func TestOneWayOutIsAppliedCountedAndNotAnswered(t *testing.T) {
 	c.call(msg.KindCancelJob, id, protocol.CancelJobReq{JobID: id, Reason: "test"})
 	counted, sent := tsOps(), replies()
 	for n := 0; n < protocol.TSOutWindow-1; n++ {
-		c.send(msg.KindTSOut, id, "", protocol.TSOpReq{JobID: id, Fields: tuple(n), NoReply: true})
+		c.send(msg.KindTSOut, id, "", protocol.TSOpReq{Tuple: tuple(n), NoReply: true})
 	}
-	if resp := ack(id, protocol.TSOpReq{Fields: tuple(0)}); !resp.Closed {
+	if resp := ack(id, protocol.TSOpReq{Tuple: tuple(0)}); !resp.Closed {
 		t.Errorf("acknowledged out after cancel: %+v, want Closed", resp)
 	}
 	if resp := ack(id, protocol.TSOpReq{}); !resp.Closed {
@@ -111,8 +101,8 @@ func TestOneWayOutIsAppliedCountedAndNotAnswered(t *testing.T) {
 	}
 
 	// A job nobody knows: the same, with the error in place of Closed.
-	c.send(msg.KindTSOut, "n1-job999", "", protocol.TSOpReq{JobID: "n1-job999", Fields: tuple(1), NoReply: true})
-	if resp := ack("n1-job999", protocol.TSOpReq{Fields: tuple(1)}); resp.Err == "" || resp.Closed {
+	c.send(msg.KindTSOut, "n1-job999", "", protocol.TSOpReq{Tuple: tuple(1), NoReply: true})
+	if resp := ack("n1-job999", protocol.TSOpReq{Tuple: tuple(1)}); resp.Err == "" || resp.Closed {
 		t.Errorf("acknowledged out to an unknown job: %+v, want an error", resp)
 	}
 	if resp := ack("n1-job999", protocol.TSOpReq{}); resp.Err == "" {

@@ -72,36 +72,24 @@ type parkKind struct {
 
 var requester = msg.Address{Node: "c1", Task: protocol.ClientTaskName}
 
-func fields(t *testing.T, encode func() ([]protocol.TSField, error)) []protocol.TSField {
-	t.Helper()
-	f, err := encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
 func parkKinds(t *testing.T) []parkKind {
-	tpl := fields(t, func() ([]protocol.TSField, error) {
-		return protocol.EncodeTemplate(tuplespace.Template{"k", tuplespace.TypeOf(0)})
-	})
-	tuple := fields(t, func() ([]protocol.TSField, error) { return protocol.EncodeTuple(tuplespace.Tuple{"k", 7}) })
+	tpl := tuplespace.Tuple{"k", tuplespace.TypeOf(0)}
 	return []parkKind{{
 		name: "TS_IN",
 		request: func(jobID string, parkMS int64) *msg.Message {
-			return protocol.Body(msg.KindTSIn, requester, msg.Address{Node: "n1"}, protocol.TSOpReq{JobID: jobID, ParkMS: parkMS, Fields: tpl})
+			return protocol.Body(msg.KindTSIn, requester, msg.Address{Node: "n1", Job: jobID}, protocol.TSOpReq{ParkMS: parkMS, Tuple: tpl})
 		},
 		handle: (*JobManager).HandleTSOp,
 		satisfy: func(t *testing.T, jm *JobManager, jobID string) {
-			jm.HandleTSOp(protocol.Body(msg.KindTSOut, requester, msg.Address{Node: "n1"},
-				protocol.TSOpReq{JobID: jobID, Fields: tuple, NoReply: true}))
+			jm.HandleTSOp(protocol.Body(msg.KindTSOut, requester, msg.Address{Node: "n1", Job: jobID},
+				protocol.TSOpReq{Tuple: tuplespace.Tuple{"k", 7}, NoReply: true}))
 		},
 		outcome: func(t *testing.T, m *msg.Message) (bool, bool) {
 			var resp protocol.TSOpResp
 			if err := protocol.Decode(m, &resp); err != nil {
 				t.Fatal(err)
 			}
-			return resp.OK && len(resp.Fields) == 2 && resp.Fields[1].I == 7, resp.Retry
+			return resp.OK && len(resp.Tuple) == 2 && resp.Tuple[1] == 7, resp.Retry
 		},
 		leftFor: func(t *testing.T, _ *JobManager, j *jobState) {
 			if got := j.space.Count(tuplespace.Template{"k", 7}); got != 1 {
@@ -300,10 +288,6 @@ func TestParkStormConservesTuples(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		m := in.request(j.id, int64(1+i%40)) // windows of 10..40 ms: many lapse
-		fields, err := protocol.EncodeTuple(tuplespace.Tuple{"k", i})
-		if err != nil {
-			t.Fatal(err)
-		}
 		wg.Add(3)
 		go func() { defer wg.Done(); jm.HandleTSOp(m) }()
 		go func() {
@@ -314,8 +298,8 @@ func TestParkStormConservesTuples(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			jm.HandleTSOp(protocol.Body(msg.KindTSOut, requester, msg.Address{Node: "n1"},
-				protocol.TSOpReq{JobID: j.id, Fields: fields, NoReply: true}))
+			jm.HandleTSOp(protocol.Body(msg.KindTSOut, requester, msg.Address{Node: "n1", Job: j.id},
+				protocol.TSOpReq{Tuple: tuplespace.Tuple{"k", i}, NoReply: true}))
 		}()
 	}
 	wg.Wait()

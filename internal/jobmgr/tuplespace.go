@@ -18,34 +18,31 @@ import (
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/tuplespace"
+	"cn/internal/wire"
 )
 
 // HandleTSOp processes one tuple-space request (KindTSOut, KindTSIn,
-// KindTSRd, KindTSInP, KindTSRdP) against the owning job's space and sends
+// KindTSRd, KindTSInP, KindTSRdP) against the space of m.To.Job and sends
 // the KindTSReply itself — at once, or for a blocking op that had to park,
 // from whichever goroutine later answers it; a one-way TS_OUT gets none. It
 // never blocks: the server runs it on the endpoint's delivering goroutine.
 func (jm *JobManager) HandleTSOp(m *msg.Message) {
 	var req protocol.TSOpReq
-	if err := protocol.Decode(m, &req); err != nil {
-		jm.tsReply(nil, m, &protocol.TSOpResp{Err: "bad tuple-space request: " + err.Error()}, nil)
+	if err := wire.UnmarshalTSOpReq(m.Payload, &req); err != nil {
+		jm.tsReply(nil, m, &protocol.TSOpResp{Err: "bad tuple-space request: " + err.Error()}, false)
 		return
 	}
-	j, t := jm.lookup(req.JobID)
+	j, t := jm.lookup(m.To.Job)
 	if m.Kind == msg.KindTSOut {
 		jm.tsOut(j, t != nil, m, &req)
 		return
 	}
 	if j == nil {
-		jm.tsReply(nil, m, jm.tsGone(req.JobID, t != nil), nil)
+		jm.tsReply(nil, m, jm.tsGone(m.To.Job, t != nil), false)
 		return
 	}
 
-	tpl, err := protocol.DecodeTemplate(req.Fields)
-	if err != nil {
-		jm.tsReply(j, m, &protocol.TSOpResp{Err: err.Error()}, nil)
-		return
-	}
+	tpl := tuplespace.Template(req.Tuple)
 	switch m.Kind {
 	case msg.KindTSInP:
 		t, err := j.space.InP(tpl)
@@ -56,7 +53,7 @@ func (jm *JobManager) HandleTSOp(m *msg.Message) {
 	case msg.KindTSIn, msg.KindTSRd:
 		jm.tsBlocking(j, m, &req, tpl)
 	default:
-		jm.tsReply(j, m, &protocol.TSOpResp{Err: "unsupported tuple-space kind " + m.Kind.String()}, nil)
+		jm.tsReply(j, m, &protocol.TSOpResp{Err: "unsupported tuple-space kind " + m.Kind.String()}, false)
 	}
 }
 
@@ -81,15 +78,15 @@ func (jm *JobManager) tsOut(j *jobState, retired bool, m *msg.Message, req *prot
 	var resp *protocol.TSOpResp
 	switch {
 	case j == nil:
-		resp = jm.tsGone(req.JobID, retired)
-	case len(req.Fields) == 0 && !req.NoReply:
+		resp = jm.tsGone(m.To.Job, retired)
+	case len(req.Tuple) == 0 && !req.NoReply:
 		closed := j.space.Closed()
 		resp = &protocol.TSOpResp{OK: !closed, Closed: closed}
 		j = nil // tsReply counts ops per job; a barrier is not one
 	default:
-		t, err := protocol.DecodeTuple(req.Fields)
+		err := protocol.CheckTuple(req.Tuple)
 		if err == nil {
-			err = j.space.Out(t)
+			err = j.space.Keep(req.Tuple)
 		}
 		if err == nil && req.NoReply {
 			j.tsOps.Add(1)
@@ -101,11 +98,11 @@ func (jm *JobManager) tsOut(j *jobState, retired bool, m *msg.Message, req *prot
 		}
 	}
 	if req.NoReply {
-		jm.log.Debug("one-way tuple-space out dropped", "job", req.JobID, "from", m.From.Node,
+		jm.log.Debug("one-way tuple-space out dropped", "job", m.To.Job, "from", m.From.Node,
 			"closed", resp.Closed, "err", resp.Err)
 		return
 	}
-	jm.tsReply(j, m, resp, nil)
+	jm.tsReply(j, m, resp, false)
 }
 
 // tsBlocking runs a TS_IN/TS_RD: registered in the park table, its match
@@ -124,7 +121,7 @@ func (jm *JobManager) tsBlocking(j *jobState, m *msg.Message, req *protocol.TSOp
 		return
 	}
 	jm.parked.hold(p, req.ParkMS, func() bool { return j.space.Cancel(w) },
-		func() { jm.tsReply(j, m, &protocol.TSOpResp{Retry: true}, nil) })
+		func() { jm.tsReply(j, m, &protocol.TSOpResp{Retry: true}, false) })
 }
 
 // tsFinish answers a blocking op with the outcome of its match — unless
@@ -134,7 +131,7 @@ func (jm *JobManager) tsBlocking(j *jobState, m *msg.Message, req *protocol.TSOp
 func (jm *JobManager) tsFinish(p *park, j *jobState, m *msg.Message, t tuplespace.Tuple, err error, take bool) {
 	if !jm.parked.done(p) {
 		if err == nil && take {
-			if oerr := j.space.Out(t); oerr == nil {
+			if oerr := j.space.Keep(t); oerr == nil {
 				jm.logf("job %s: returned tuple %s after cancelled park from %s", j.id, t, m.From.Node)
 			}
 		}
@@ -147,25 +144,21 @@ func (jm *JobManager) tsFinish(p *park, j *jobState, m *msg.Message, t tuplespac
 // error.
 func (jm *JobManager) tsAnswer(j *jobState, m *msg.Message, t tuplespace.Tuple, err error, take bool) {
 	if err != nil {
-		jm.tsReply(j, m, tsErrResp(err), nil)
+		jm.tsReply(j, m, tsErrResp(err), false)
 		return
 	}
-	var taken tuplespace.Tuple
-	if take {
-		taken = t
-	}
-	jm.tsReply(j, m, tsTupleResp(t), taken)
+	jm.tsReply(j, m, &protocol.TSOpResp{OK: true, Tuple: t}, take)
 }
 
-// tsReply sends one KindTSReply. taken is the tuple a destructive op
-// (TS_IN / TS_INP) removed to produce this reply: when the send itself
+// tsReply sends one KindTSReply. taken says that resp's tuple is one a
+// destructive op (TS_IN / TS_INP) removed to produce it: when the send itself
 // fails — the requester's node died between parking and wakeup, so a stale
 // waiter consumed the tuple and the fabric rejected the answer — it goes
 // back into the space, or it would be lost to every live worker; with the
 // put-back the take degrades to a no-op and a surviving (or re-placed)
 // worker matches the tuple instead. A reply lost in flight after a
 // successful send is the fabric's documented at-most-once semantics.
-func (jm *JobManager) tsReply(j *jobState, m *msg.Message, resp *protocol.TSOpResp, taken tuplespace.Tuple) {
+func (jm *JobManager) tsReply(j *jobState, m *msg.Message, resp *protocol.TSOpResp, taken bool) {
 	if j != nil && (resp.OK || resp.NoMatch) {
 		j.tsOps.Add(1)
 	}
@@ -174,13 +167,13 @@ func (jm *JobManager) tsReply(j *jobState, m *msg.Message, resp *protocol.TSOpRe
 		return
 	}
 	jm.logf("ts reply to %s: %v", m.From.Node, err)
-	if taken == nil || !resp.OK {
+	if !taken || !resp.OK {
 		return
 	}
 	// A closed space (job already terminal) rejects the put-back; nothing
 	// is waiting on it anymore.
-	if oerr := j.space.Out(taken); oerr == nil {
-		jm.logf("job %s: returned tuple %s after undeliverable %s reply to %s", j.id, taken, m.Kind, m.From.Node)
+	if oerr := j.space.Keep(resp.Tuple); oerr == nil {
+		jm.logf("job %s: returned tuple %s after undeliverable %s reply to %s", j.id, resp.Tuple, m.Kind, m.From.Node)
 	}
 }
 
@@ -192,14 +185,4 @@ func tsErrResp(err error) *protocol.TSOpResp {
 		return &protocol.TSOpResp{NoMatch: true}
 	}
 	return &protocol.TSOpResp{Err: err.Error()}
-}
-
-func tsTupleResp(t tuplespace.Tuple) *protocol.TSOpResp {
-	fields, err := protocol.EncodeTuple(t)
-	if err != nil {
-		// Stored tuples were wire-encodable on the way in; this is a
-		// programming error, surfaced rather than panicking the handler.
-		return &protocol.TSOpResp{Err: err.Error()}
-	}
-	return &protocol.TSOpResp{OK: true, Fields: fields}
 }

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"cn/internal/trace"
 )
@@ -283,8 +282,6 @@ type Message struct {
 	TailDone func()
 	// Headers carries small string metadata (e.g. task class, error text).
 	Headers map[string]string
-	// Time is the send timestamp.
-	Time time.Time
 	// Trace is the distributed-tracing context this message carries. The
 	// zero value means "not traced" and adds nothing to the encoded frame.
 	Trace trace.Context
@@ -304,7 +301,6 @@ func New(kind Kind, from, to Address, payload []byte) *Message {
 		From:    from,
 		To:      to,
 		Payload: payload,
-		Time:    time.Now(),
 	}
 }
 

@@ -49,17 +49,15 @@ func SliceChunk(req *BlobChunkReq, raw []byte) BlobChunkResp {
 // posted for the reply's bulk tail: a transport that can, reads the tail
 // straight into dst (the reply's Tail then aliases it); one that cannot
 // ignores dst. After an error dst may still be written to. It is the shape
-// of transport.Caller.CallInto.
-type CallIntoFunc func(ctx context.Context, toNode string, m *msg.Message, dst []byte) (*msg.Message, error)
+// of transport.Caller.CallInto, within its deadline.
+type CallIntoFunc func(ctx context.Context, toNode string, m *msg.Message, dst []byte, within time.Duration) (*msg.Message, error)
 
 // chunkCall is one chunk round trip of either verb, bounded by
 // ChunkCallTimeout, with dst posted for the reply's tail. A reply that
 // carries Err is an error.
 func chunkCall(ctx context.Context, call CallIntoFunc, kind msg.Kind, from, to msg.Address, req BlobChunkReq, dst []byte) (BlobChunkResp, error) {
-	cctx, cancel := context.WithTimeout(ctx, ChunkCallTimeout)
-	defer cancel()
 	var resp BlobChunkResp
-	reply, err := call(cctx, to.Node, Body(kind, from, to, req), dst)
+	reply, err := call(ctx, to.Node, Body(kind, from, to, req), dst, ChunkCallTimeout)
 	if err == nil {
 		err = Decode(reply, &resp)
 	}

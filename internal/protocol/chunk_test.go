@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"cn/internal/archive"
 	"cn/internal/msg"
@@ -43,7 +45,7 @@ func (k *keeper) push(from string, req *BlobChunkReq) BlobChunkResp {
 	return ack
 }
 
-func (k *keeper) call(_ context.Context, _ string, m *msg.Message, _ []byte) (*msg.Message, error) {
+func (k *keeper) call(_ context.Context, _ string, m *msg.Message, _ []byte, _ time.Duration) (*msg.Message, error) {
 	var req BlobChunkReq
 	if err := Decode(m, &req); err != nil {
 		return nil, err
@@ -207,21 +209,26 @@ func TestPushFinishedBlobAgain(t *testing.T) {
 
 // TestUploadCapacityFollowsBytesReceived: the declared total bounds an
 // upload, it does not size it — a 1-byte chunk declaring 1 GiB costs at most
-// one chunk of memory.
+// one chunk of memory. TotalAlloc counts every goroutine's allocations, so
+// the least growth of a few uploads is the one read.
 func TestUploadCapacityFollowsBytesReceived(t *testing.T) {
 	var before, after runtime.MemStats
-	up := new(Upload)
-	runtime.ReadMemStats(&before)
-	ack, _ := up.Push(&BlobChunkReq{Digest: "d", Offset: 0, Total: MaxBlobBytes, Data: []byte{7}}, nil)
-	runtime.ReadMemStats(&after)
-	if ack.Err != "" || ack.Offset != 1 || ack.Total != MaxBlobBytes {
-		t.Fatalf("ack %+v", ack)
+	grew := uint64(math.MaxUint64)
+	for range 3 {
+		up := new(Upload)
+		runtime.ReadMemStats(&before)
+		ack, _ := up.Push(&BlobChunkReq{Digest: "d", Offset: 0, Total: MaxBlobBytes, Data: []byte{7}}, nil)
+		runtime.ReadMemStats(&after)
+		if ack.Err != "" || ack.Offset != 1 || ack.Total != MaxBlobBytes {
+			t.Fatalf("ack %+v", ack)
+		}
+		if cap(up.buf) > BlobChunkBytes {
+			t.Errorf("staging buffer has capacity %d", cap(up.buf))
+		}
+		grew = min(grew, after.TotalAlloc-before.TotalAlloc)
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > BlobChunkBytes+4096 {
+	if grew > BlobChunkBytes+4096 {
 		t.Errorf("a 1-byte chunk declaring 1 GiB allocated %d bytes, want at most one chunk (%d)", grew, BlobChunkBytes)
-	}
-	if cap(up.buf) > BlobChunkBytes {
-		t.Errorf("staging buffer has capacity %d", cap(up.buf))
 	}
 }
 
@@ -237,7 +244,7 @@ func TestPushBlobStopsOnRefusalOrStall(t *testing.T) {
 	if len(k.held) != 0 {
 		t.Error("a blob that failed its digest became fetchable")
 	}
-	stall := func(_ context.Context, _ string, m *msg.Message, _ []byte) (*msg.Message, error) {
+	stall := func(_ context.Context, _ string, m *msg.Message, _ []byte, _ time.Duration) (*msg.Message, error) {
 		return Reply(m, msg.KindBlobChunkAck, BlobChunkResp{Digest: digest, Offset: 0, Total: int64(len(raw))}), nil
 	}
 	err := PushBlob(context.Background(), stall, msg.Address{Node: "client"}, msg.Address{Node: "jm", Job: "j1"}, digest, raw)

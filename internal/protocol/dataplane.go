@@ -71,9 +71,9 @@ type DataLocResp struct {
 func (w *TSWire) Put(ctx context.Context, key, digest string, size int64, inline []byte) error {
 	var resp DataLocResp
 	err := w.call(ctx, msg.KindDataPut, &DataPutReq{
-		JobID:  w.JobID,
+		JobID:  w.To.Job,
 		Key:    key,
-		Task:   w.FromTask,
+		Task:   w.From.Task,
 		Node:   w.From.Node,
 		Digest: digest,
 		Size:   size,
@@ -99,9 +99,9 @@ func (w *TSWire) Put(ctx context.Context, key, digest string, size int64, inline
 // from.
 func (w *TSWire) Resolve(ctx context.Context, key, staleNode, staleDigest string) (*DataLocResp, error) {
 	req := DataResolveReq{
-		JobID:       w.JobID,
+		JobID:       w.To.Job,
 		Key:         key,
-		Task:        w.FromTask,
+		Task:        w.From.Task,
 		StaleNode:   staleNode,
 		StaleDigest: staleDigest,
 	}

@@ -30,11 +30,13 @@ type JobRequirements struct {
 	ExpectedTasks int
 }
 
-// JMOffer is the body of KindJobManagerOffer.
+// JMOffer is the body of KindJobManagerOffer. Refused, when set, is why the
+// manager cannot take a job now (shut down, or at its job cap).
 type JMOffer struct {
 	Node         string
 	FreeMemoryMB int
 	ActiveJobs   int
+	Refused      string
 }
 
 // CreateJobReq is the body of KindCreateJob.

@@ -55,8 +55,7 @@ const parkMargin = 500 * time.Millisecond
 // the tuple-space benchmark (CHANGES.md, PR 17).
 const TSOutWindow = 64
 
-// TSField kind tags: value fields for tuples, pattern fields for
-// templates.
+// Field kind tags: which of a wire field's slots counts (wire.AppendTuple).
 const (
 	TSString   = "s"    // string value
 	TSInt      = "i"    // int value
@@ -68,152 +67,59 @@ const (
 	TSTypeOf   = "type" // template: matches any value of the named type
 )
 
-// TSField is one scalar field of a tuple or template on the wire.
-type TSField struct {
-	Kind  string
-	S     string // TSString value, or TSTypeOf's type name
-	I     int64  // TSInt / TSInt64 value
-	F     float64
-	B     bool
-	Bytes []byte
-}
-
-// EncodeTuple flattens a tuple into wire fields. Only scalar field types
-// (string, int, int64, float64, bool, []byte) are encodable, and a tuple
-// has at least one field: everything a space would refuse a tuple for is
-// refused here, before anything is sent.
-func EncodeTuple(t tuplespace.Tuple) ([]TSField, error) {
+// CheckTuple refuses, before anything is sent, an empty tuple or one with a
+// field that is not a string, int, int64, float64, bool or []byte.
+func CheckTuple(t tuplespace.Tuple) error {
 	if len(t) == 0 {
-		return nil, fmt.Errorf("protocol: empty tuple")
+		return fmt.Errorf("protocol: empty tuple")
 	}
-	out := make([]TSField, len(t))
 	for i, v := range t {
-		f, err := encodeValue(v)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: tuple field %d: %w", i, err)
+		if !tuplespace.Scalar(v) {
+			return fmt.Errorf("protocol: tuple field %d: unsupported field type %T", i, v)
 		}
-		out[i] = f
 	}
-	return out, nil
+	return nil
 }
 
-// DecodeTuple rebuilds a tuple from wire fields; like EncodeTuple, it
-// refuses an empty one.
-func DecodeTuple(fields []TSField) (tuplespace.Tuple, error) {
-	if len(fields) == 0 {
-		return nil, fmt.Errorf("protocol: empty tuple")
-	}
-	out := make(tuplespace.Tuple, len(fields))
-	for i, f := range fields {
-		v, err := decodeValue(f)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: tuple field %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// EncodeTemplate flattens a template into wire fields: concrete values
-// plus Wildcard and TypeOf placeholders.
-func EncodeTemplate(tpl tuplespace.Template) ([]TSField, error) {
-	out := make([]TSField, len(tpl))
+// CheckTemplate refuses a template with a field that is neither a scalar,
+// the Wildcard, nor a TypeOf placeholder of a scalar type.
+func CheckTemplate(tpl tuplespace.Template) error {
 	for i, p := range tpl {
-		switch {
-		case tuplespace.IsWildcard(p):
-			out[i] = TSField{Kind: TSWildcard}
-		default:
-			if name, ok := tuplespace.TypeName(p); ok {
-				if name == "" {
-					return nil, fmt.Errorf("protocol: template field %d: TypeOf of a non-scalar type", i)
-				}
-				out[i] = TSField{Kind: TSTypeOf, S: name}
-				continue
-			}
-			f, err := encodeValue(p)
-			if err != nil {
-				return nil, fmt.Errorf("protocol: template field %d: %w", i, err)
-			}
-			out[i] = f
+		if name, _ := tuplespace.TypeName(p); name == "" && !tuplespace.Scalar(p) && !tuplespace.IsWildcard(p) {
+			return fmt.Errorf("protocol: template field %d: unsupported field type %T", i, p)
 		}
 	}
-	return out, nil
-}
-
-// DecodeTemplate rebuilds a template from wire fields.
-func DecodeTemplate(fields []TSField) (tuplespace.Template, error) {
-	out := make(tuplespace.Template, len(fields))
-	for i, f := range fields {
-		switch f.Kind {
-		case TSWildcard:
-			out[i] = tuplespace.Wildcard
-		case TSTypeOf:
-			p, ok := tuplespace.TypeFromName(f.S)
-			if !ok {
-				return nil, fmt.Errorf("protocol: template field %d: unknown type %q", i, f.S)
-			}
-			out[i] = p
-		default:
-			v, err := decodeValue(f)
-			if err != nil {
-				return nil, fmt.Errorf("protocol: template field %d: %w", i, err)
-			}
-			out[i] = v
-		}
-	}
-	return out, nil
-}
-
-func encodeValue(v any) (TSField, error) {
-	switch x := v.(type) {
-	case string:
-		return TSField{Kind: TSString, S: x}, nil
-	case int:
-		return TSField{Kind: TSInt, I: int64(x)}, nil
-	case int64:
-		return TSField{Kind: TSInt64, I: x}, nil
-	case float64:
-		return TSField{Kind: TSFloat, F: x}, nil
-	case bool:
-		return TSField{Kind: TSBool, B: x}, nil
-	case []byte:
-		return TSField{Kind: TSBytes, Bytes: x}, nil
-	}
-	return TSField{}, fmt.Errorf("unsupported field type %T", v)
-}
-
-func decodeValue(f TSField) (any, error) {
-	switch f.Kind {
-	case TSString:
-		return f.S, nil
-	case TSInt:
-		return int(f.I), nil
-	case TSInt64:
-		return f.I, nil
-	case TSFloat:
-		return f.F, nil
-	case TSBool:
-		return f.B, nil
-	case TSBytes:
-		return f.Bytes, nil
-	}
-	return nil, fmt.Errorf("unknown field kind %q", f.Kind)
+	return nil
 }
 
 // TSOpReq is the body of the KindTSOut / KindTSIn / KindTSRd / KindTSInP /
-// KindTSRdP requests.
+// KindTSRdP requests; the job and the requester are the envelope's To and From.
 type TSOpReq struct {
-	JobID    string
-	FromTask string    // requesting task name, or "client"
-	Fields   []TSField // the tuple (TS_OUT) or the template (other kinds)
+	// Tuple is the tuple a TS_OUT stores, or the other kinds' template.
+	Tuple tuplespace.Tuple
 	// ParkMS is how long a blocking op may park server-side before the
 	// JobManager answers Retry (0 = ParkWindow).
 	ParkMS int64
 	// NoReply marks a one-way TS_OUT: the JobManager applies it and sends
 	// nothing back, whatever the outcome. A TS_OUT without it and without
-	// Fields stores nothing and is answered OK or Closed — the barrier
+	// a tuple stores nothing and is answered OK or Closed — the barrier
 	// behind Flush. Other kinds ignore it.
 	NoReply bool
+
+	// Deprecated: JobID and FromTask do not travel; Fields, when Tuple is
+	// nil, travels as the tuple it spells.
+	JobID, FromTask string
+	Fields          []TSField
+}
+
+// Deprecated: TSField is one field of TSOpReq.Fields; set TSOpReq.Tuple.
+type TSField struct {
+	Kind  string
+	S     string
+	I     int64
+	F     float64
+	B     bool
+	Bytes []byte
 }
 
 // TSCancelReq is the body of KindTSCancel (requester -> JobManager): the
@@ -233,19 +139,18 @@ type TSCancelReq struct {
 // TSOpResp is the body of KindTSReply. Exactly one of OK / Closed /
 // NoMatch / Retry / Err describes the outcome.
 type TSOpResp struct {
-	OK      bool      // the operation completed; Fields carries the tuple for In/Rd/InP/RdP
-	Closed  bool      // the space is closed (job reached a terminal state)
-	NoMatch bool      // a probe found no matching tuple
-	Retry   bool      // a blocking op parked past its window; re-issue
-	Err     string    // request-level failure (unknown job, bad encoding)
-	Fields  []TSField // the matched tuple
+	OK      bool   // the operation completed; Tuple carries the tuple for In/Rd/InP/RdP
+	Closed  bool   // the space is closed (job reached a terminal state)
+	NoMatch bool   // a probe found no matching tuple
+	Retry   bool   // a blocking op parked past its window; re-issue
+	Err     string // request-level failure (unknown job, bad encoding)
+	Tuple   tuplespace.Tuple
 }
 
 // TSDoFunc performs one tuple-space wire call of the given kind with the
-// given request body (JobID/FromTask are filled by the implementation) and
-// returns the decoded reply. Implementations fail the call — rather than
-// blocking forever — when the hosting JobManager does not answer within
-// CallTimeout.
+// given request body and returns the decoded reply. Implementations fail
+// the call — rather than blocking forever — when the hosting JobManager
+// does not answer within CallTimeout.
 type TSDoFunc func(kind msg.Kind, req TSOpReq) (*TSOpResp, error)
 
 // TSWire is one requester's wire attachment to a job's JobManager node — the
@@ -255,14 +160,12 @@ type TSDoFunc func(kind msg.Kind, req TSOpReq) (*TSOpResp, error)
 // changes: it carries the requester's Out count, and a wire built for the
 // adopter starts a new window. Safe for concurrent use.
 type TSWire struct {
-	JobID    string
-	FromTask string
-	From, To msg.Address
+	From, To msg.Address // the requester, and the job at its manager's node
 	// Trace is the span context calls carry on the envelope; zero when the
 	// task is untraced.
 	Trace trace.Context
-	// Call performs the request/response round trip under ctx.
-	Call func(ctx context.Context, toNode string, m *msg.Message) (*msg.Message, error)
+	// Call performs the round trips, passing CallTimeout as within.
+	Call CallIntoFunc
 	// Send queues a message that waits for no reply: a one-way Out, the
 	// best-effort cancel notice.
 	Send func(toNode string, m *msg.Message) error
@@ -292,20 +195,18 @@ func parkMS(ctx context.Context) int64 {
 
 // call performs one acknowledged round trip: body sent as kind, the reply
 // decoded into resp. It is abandoned when ctx is done or CallTimeout has
-// passed, whichever is first — the one deadline on the path, and what fails
-// a call against a dead JobManager. A request of a kind that can park, once
-// abandoned, sends a best-effort KindTSCancel naming it, so the JobManager
-// withdraws the park — and puts a tuple a TS_IN matched late back into the
-// space — instead of answering a dropped correlation.
+// passed, whichever is first — the Caller keeps the second deadline, and it
+// is what fails a call against a dead JobManager. A request of a kind that
+// can park, once abandoned, sends a best-effort KindTSCancel naming it, so
+// the JobManager withdraws the park — and puts a tuple a TS_IN matched late
+// back into the space — instead of answering a dropped correlation.
 func (w *TSWire) call(ctx context.Context, kind msg.Kind, body, resp any) error {
 	m := Body(kind, w.From, w.To, body)
 	m.Trace = w.Trace
-	cctx, cancel := context.WithTimeout(ctx, CallTimeout)
-	defer cancel()
-	reply, err := w.Call(cctx, w.To.Node, m)
+	reply, err := w.Call(ctx, w.To.Node, m, nil, CallTimeout)
 	if err != nil {
 		if parks(kind) {
-			cm := Body(msg.KindTSCancel, w.From, w.To, &TSCancelReq{JobID: w.JobID, ReqID: m.ID})
+			cm := Body(msg.KindTSCancel, w.From, w.To, &TSCancelReq{JobID: w.To.Job, ReqID: m.ID})
 			_ = w.Send(w.To.Node, cm) // best-effort: a lost cancel costs one park window
 		}
 		return fmt.Errorf("%s: %w", kind, err)
@@ -320,7 +221,6 @@ func (w *TSWire) call(ctx context.Context, kind msg.Kind, body, resp any) error 
 // window ctx leaves room for (parkMS); one with no room is refused unsent,
 // since an In matched after its caller gave up takes a tuple nobody reads.
 func (w *TSWire) Do(ctx context.Context, kind msg.Kind, req TSOpReq) (*TSOpResp, error) {
-	req.JobID, req.FromTask = w.JobID, w.FromTask
 	if parks(kind) {
 		if req.ParkMS = parkMS(ctx); req.ParkMS < 1 {
 			return nil, fmt.Errorf("%s: %w", kind, context.DeadlineExceeded)
@@ -333,18 +233,18 @@ func (w *TSWire) Do(ctx context.Context, kind msg.Kind, req TSOpReq) (*TSOpResp,
 	return &resp, nil
 }
 
-// Out sends one tuple (EncodeTuple's output). It is one-way: the tuple is
+// Out sends one tuple, which CheckTuple accepted. It is one-way: the tuple is
 // handed to the fabric, nil means it was queued, and the JobManager applies
 // it before anything this requester sends it afterwards — except that every
 // TSOutWindow-th Out on the wire takes the acknowledged path all other ops
 // take, under ctx, and reports what the space answered. A refusal the
 // one-way Outs before it met (space closed, job unknown) is permanent, so
 // that is where the requester learns of it.
-func (w *TSWire) Out(ctx context.Context, fields []TSField) error {
+func (w *TSWire) Out(ctx context.Context, t tuplespace.Tuple) error {
 	if w.outs.Add(1)%TSOutWindow == 0 {
-		return w.outAck(ctx, fields)
+		return w.outAck(ctx, t)
 	}
-	m := Body(msg.KindTSOut, w.From, w.To, &TSOpReq{JobID: w.JobID, FromTask: w.FromTask, Fields: fields, NoReply: true})
+	m := Body(msg.KindTSOut, w.From, w.To, &TSOpReq{Tuple: t, NoReply: true})
 	m.Trace = w.Trace
 	if err := w.Send(w.To.Node, m); err != nil {
 		return fmt.Errorf("tuple-space %s: %w", msg.KindTSOut, err)
@@ -359,10 +259,10 @@ func (w *TSWire) Flush(ctx context.Context) error {
 	return w.outAck(ctx, nil)
 }
 
-// outAck is the acknowledged TS_OUT: with fields the window's closing Out,
-// without them the barrier alone.
-func (w *TSWire) outAck(ctx context.Context, fields []TSField) error {
-	resp, err := w.Do(ctx, msg.KindTSOut, TSOpReq{Fields: fields})
+// outAck is the acknowledged TS_OUT: the window's closing Out, or without a
+// tuple the barrier alone.
+func (w *TSWire) outAck(ctx context.Context, t tuplespace.Tuple) error {
+	resp, err := w.Do(ctx, msg.KindTSOut, TSOpReq{Tuple: t})
 	if err != nil {
 		return err
 	}
@@ -370,17 +270,17 @@ func (w *TSWire) outAck(ctx context.Context, fields []TSField) error {
 	return err
 }
 
-// TSBlocking performs a wire In (KindTSIn) or Rd (KindTSRd), re-issuing
-// the request each time the server's park window lapses without a match.
-// The loop ends when a tuple arrives, the space closes, or do fails (the
-// caller's cancellation and dead-JobManager deadlines surface there).
-func TSBlocking(do TSDoFunc, kind msg.Kind, tpl tuplespace.Template) (tuplespace.Tuple, error) {
-	fields, err := EncodeTemplate(tpl)
-	if err != nil {
+// TSMatch performs a wire In, Rd, InP or RdP, re-issuing the request each
+// time the server's park window lapses without a match (only In and Rd
+// park). The loop ends when a tuple arrives, the space closes or holds no
+// match for a probe, or do fails (the caller's cancellation and
+// dead-JobManager deadlines surface there).
+func TSMatch(do TSDoFunc, kind msg.Kind, tpl tuplespace.Template) (tuplespace.Tuple, error) {
+	if err := CheckTemplate(tpl); err != nil {
 		return nil, err
 	}
 	for {
-		resp, err := do(kind, TSOpReq{Fields: fields})
+		resp, err := do(kind, TSOpReq{Tuple: tuplespace.Tuple(tpl)})
 		if err != nil {
 			return nil, err
 		}
@@ -389,19 +289,6 @@ func TSBlocking(do TSDoFunc, kind msg.Kind, tpl tuplespace.Template) (tuplespace
 		}
 		return tsOutcome(resp)
 	}
-}
-
-// TSProbe performs a wire InP (KindTSInP) or RdP (KindTSRdP).
-func TSProbe(do TSDoFunc, kind msg.Kind, tpl tuplespace.Template) (tuplespace.Tuple, error) {
-	fields, err := EncodeTemplate(tpl)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := do(kind, TSOpReq{Fields: fields})
-	if err != nil {
-		return nil, err
-	}
-	return tsOutcome(resp)
 }
 
 // tsOutcome maps a definitive reply onto the tuplespace package's
@@ -417,8 +304,5 @@ func tsOutcome(resp *TSOpResp) (tuplespace.Tuple, error) {
 	case !resp.OK:
 		return nil, fmt.Errorf("protocol: tuple-space op: empty reply")
 	}
-	if resp.Fields == nil {
-		return nil, nil // Out acknowledgement
-	}
-	return DecodeTuple(resp.Fields)
+	return resp.Tuple, nil // nil for an Out acknowledgement
 }

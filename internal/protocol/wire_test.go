@@ -3,6 +3,7 @@ package protocol
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -12,20 +13,28 @@ import (
 
 // fakeManager is the JobManager end of a TSWire: it records every call and
 // one-way frame, and answers a call with answer — or, when answer is nil,
-// never, as a request parked past the caller's patience.
+// never, as a request parked past the caller's patience: the call ends with
+// ctx or, with expire set, at once with the deadline error the Caller gives
+// a call past its within.
 type fakeManager struct {
 	calls, sent []*msg.Message
 	answer      func(m *msg.Message) *msg.Message
+	expire      bool
 }
 
 func (f *fakeManager) wire() *TSWire {
 	return &TSWire{
-		JobID: "j", FromTask: "t",
-		From: msg.Address{Node: "tm", Job: "j"}, To: msg.Address{Node: "jm", Job: "j"},
-		Call: func(ctx context.Context, _ string, m *msg.Message) (*msg.Message, error) {
+		From: msg.Address{Node: "tm", Job: "j", Task: "t"}, To: msg.Address{Node: "jm", Job: "j"},
+		Call: func(ctx context.Context, _ string, m *msg.Message, _ []byte, within time.Duration) (*msg.Message, error) {
 			f.calls = append(f.calls, m)
+			if within != CallTimeout {
+				return nil, fmt.Errorf("call bounded by %v, want CallTimeout", within)
+			}
 			if f.answer != nil {
 				return f.answer(m), nil
+			}
+			if f.expire {
+				return nil, fmt.Errorf("call %s: %w", m.Kind, context.DeadlineExceeded)
 			}
 			<-ctx.Done()
 			return nil, ctx.Err()
@@ -56,7 +65,7 @@ func parkMSOf(t *testing.T, m *msg.Message) int64 {
 
 // blocking runs an In or Rd on w as the requesters do, re-issued on Retry.
 func blocking(ctx context.Context, w *TSWire, kind msg.Kind) error {
-	_, err := TSBlocking(func(kind msg.Kind, req TSOpReq) (*TSOpResp, error) {
+	_, err := TSMatch(func(kind msg.Kind, req TSOpReq) (*TSOpResp, error) {
 		return w.Do(ctx, kind, req)
 	}, kind, tuplespace.Template{"k"})
 	return err
@@ -77,37 +86,51 @@ var wireCalls = []struct {
 }
 
 // TestAbandonedParkIsCancelled: one rule for every call on the wire — a
-// call of a kind that can park, once abandoned, sends one TS_CANCEL naming
-// it; a call that cannot park sends nothing more.
+// call of a kind that can park, once abandoned (its caller cancelled it, or
+// it outlived CallTimeout), sends one TS_CANCEL naming it; a call that
+// cannot park sends nothing more.
 func TestAbandonedParkIsCancelled(t *testing.T) {
 	for _, c := range wireCalls {
 		t.Run(c.kind.String(), func(t *testing.T) {
-			f := &fakeManager{}
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			if err := c.run(ctx, f.wire()); !errors.Is(err, context.Canceled) {
-				t.Fatalf("abandoned call: %v", err)
-			}
-			if len(f.calls) != 1 || f.calls[0].Kind != c.kind {
-				t.Fatalf("calls %v, want one %s", f.calls, c.kind)
-			}
-			if !c.parks {
-				if len(f.sent) != 0 {
-					t.Errorf("a %s that cannot park sent %v when abandoned", c.kind, f.sent[0].Kind)
-				}
-				return
-			}
-			if len(f.sent) != 1 || f.sent[0].Kind != msg.KindTSCancel {
-				t.Fatalf("abandoned %s sent %d frames, want one TS_CANCEL", c.kind, len(f.sent))
-			}
-			var req TSCancelReq
-			if err := Decode(f.sent[0], &req); err != nil {
-				t.Fatal(err)
-			}
-			if req.ReqID != f.calls[0].ID || req.JobID != "j" {
-				t.Errorf("cancel %+v, want it to name request %d of job j", req, f.calls[0].ID)
+			for _, expire := range []bool{false, true} {
+				t.Run(fmt.Sprintf("expired=%v", expire), func(t *testing.T) {
+					abandoned(t, c.kind, c.parks, c.run, expire)
+				})
 			}
 		})
+	}
+}
+
+func abandoned(t *testing.T, kind msg.Kind, parks bool, run func(context.Context, *TSWire) error, expire bool) {
+	f := &fakeManager{expire: expire}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	want := context.DeadlineExceeded
+	if !expire {
+		cancel()
+		want = context.Canceled
+	}
+	if err := run(ctx, f.wire()); !errors.Is(err, want) {
+		t.Fatalf("abandoned call: %v, want %v", err, want)
+	}
+	if len(f.calls) != 1 || f.calls[0].Kind != kind {
+		t.Fatalf("calls %v, want one %s", f.calls, kind)
+	}
+	if !parks {
+		if len(f.sent) != 0 {
+			t.Errorf("a %s that cannot park sent %v when abandoned", kind, f.sent[0].Kind)
+		}
+		return
+	}
+	if len(f.sent) != 1 || f.sent[0].Kind != msg.KindTSCancel {
+		t.Fatalf("abandoned %s sent %d frames, want one TS_CANCEL", kind, len(f.sent))
+	}
+	var req TSCancelReq
+	if err := Decode(f.sent[0], &req); err != nil {
+		t.Fatal(err)
+	}
+	if req.ReqID != f.calls[0].ID || req.JobID != "j" {
+		t.Errorf("cancel %+v, want it to name request %d of job j", req, f.calls[0].ID)
 	}
 }
 

@@ -21,6 +21,7 @@ type rawNode struct {
 	ep    transport.Endpoint
 	in    chan *msg.Message
 	stash map[uint64]*msg.Message // replies read while waiting for another
+	job   string                  // the job requests are addressed to, once created
 }
 
 // inboxCap holds every reply a test provokes before it starts reading.
@@ -49,6 +50,7 @@ func onFabrics(t *testing.T, test func(t *testing.T, c *rawNode, jobID string)) 
 			}
 			var created protocol.CreateJobResp
 			c.decode(c.await(c.send(msg.KindCreateJob, protocol.CreateJobReq{Name: "dispatch", ClientNode: "x"})), &created)
+			c.job = created.JobID
 			test(t, c, created.JobID)
 		})
 	}
@@ -63,7 +65,7 @@ func (c *rawNode) send(kind msg.Kind, body any) uint64 {
 // sendFrom is send with a chosen requester node in the envelope.
 func (c *rawNode) sendFrom(node string, kind msg.Kind, body any) uint64 {
 	c.t.Helper()
-	m := protocol.Body(kind, msg.Address{Node: node, Task: protocol.ClientTaskName}, msg.Address{Node: "n1"}, body)
+	m := protocol.Body(kind, msg.Address{Node: node, Task: protocol.ClientTaskName}, msg.Address{Node: "n1", Job: c.job}, body)
 	if err := c.ep.Send("n1", m); err != nil {
 		c.t.Fatalf("send %v: %v", kind, err)
 	}
@@ -108,22 +110,20 @@ func (c *rawNode) tsResp(id uint64) protocol.TSOpResp {
 	return resp
 }
 
-func tupleFields(t *testing.T, fields ...any) []protocol.TSField {
+func tupleFields(t *testing.T, fields ...any) tuplespace.Tuple {
 	t.Helper()
-	out, err := protocol.EncodeTuple(tuplespace.Tuple(fields))
-	if err != nil {
+	if err := protocol.CheckTuple(fields); err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return fields
 }
 
-func templateFields(t *testing.T, fields ...any) []protocol.TSField {
+func templateFields(t *testing.T, fields ...any) tuplespace.Tuple {
 	t.Helper()
-	out, err := protocol.EncodeTemplate(tuplespace.Template(fields))
-	if err != nil {
+	if err := protocol.CheckTemplate(fields); err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return fields
 }
 
 // wantTuple asserts resp carries exactly the given tuple.
@@ -132,10 +132,7 @@ func wantTuple(t *testing.T, what string, resp protocol.TSOpResp, fields ...any)
 	if !resp.OK {
 		t.Fatalf("%s: reply %+v, want a tuple", what, resp)
 	}
-	got, err := protocol.DecodeTuple(resp.Fields)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := resp.Tuple
 	if len(got) != len(fields) {
 		t.Fatalf("%s: got %v, want %v", what, got, fields)
 	}
@@ -161,8 +158,8 @@ func TestInlineOpsApplyInIssueOrder(t *testing.T) {
 		tpl := templateFields(t, "seq", tuplespace.TypeOf(0))
 		outs, inps := make([]uint64, n), make([]uint64, n)
 		for i := 0; i < n; i++ {
-			outs[i] = c.send(msg.KindTSOut, protocol.TSOpReq{JobID: jobID, Fields: tupleFields(t, "seq", i)})
-			inps[i] = c.send(msg.KindTSInP, protocol.TSOpReq{JobID: jobID, Fields: tpl})
+			outs[i] = c.send(msg.KindTSOut, protocol.TSOpReq{Tuple: tupleFields(t, "seq", i)})
+			inps[i] = c.send(msg.KindTSInP, protocol.TSOpReq{Tuple: tpl})
 		}
 		for i := 0; i < n; i++ {
 			if resp := c.tsResp(outs[i]); !resp.OK {
@@ -179,15 +176,15 @@ func TestInlineOpsApplyInIssueOrder(t *testing.T) {
 // fabric, behind it on the endpoint's only dispatch goroutine).
 func TestParkedInDoesNotStallFollowingOut(t *testing.T) {
 	onFabrics(t, func(t *testing.T, c *rawNode, jobID string) {
-		in := c.send(msg.KindTSIn, protocol.TSOpReq{JobID: jobID, ParkMS: longPark,
-			Fields: templateFields(t, "k", tuplespace.TypeOf(0))})
-		out := c.send(msg.KindTSOut, protocol.TSOpReq{JobID: jobID, Fields: tupleFields(t, "k", 7)})
+		in := c.send(msg.KindTSIn, protocol.TSOpReq{ParkMS: longPark,
+			Tuple: templateFields(t, "k", tuplespace.TypeOf(0))})
+		out := c.send(msg.KindTSOut, protocol.TSOpReq{Tuple: tupleFields(t, "k", 7)})
 		if resp := c.tsResp(out); !resp.OK {
 			t.Fatalf("out behind a parked in: %+v", resp)
 		}
 		wantTuple(t, "parked in", c.tsResp(in), "k", 7)
 		// The in consumed the tuple.
-		probe := c.send(msg.KindTSRdP, protocol.TSOpReq{JobID: jobID, Fields: templateFields(t, "k", tuplespace.TypeOf(0))})
+		probe := c.send(msg.KindTSRdP, protocol.TSOpReq{Tuple: templateFields(t, "k", tuplespace.TypeOf(0))})
 		if resp := c.tsResp(probe); !resp.NoMatch {
 			t.Errorf("tuple still stored after the parked in took it: %+v", resp)
 		}
@@ -200,10 +197,10 @@ func TestParkedInDoesNotStallFollowingOut(t *testing.T) {
 func TestCancelledParkLeavesTupleForOthers(t *testing.T) {
 	onFabrics(t, func(t *testing.T, c *rawNode, jobID string) {
 		tpl := templateFields(t, "k", tuplespace.TypeOf(0))
-		in := c.send(msg.KindTSIn, protocol.TSOpReq{JobID: jobID, ParkMS: longPark, Fields: tpl})
+		in := c.send(msg.KindTSIn, protocol.TSOpReq{ParkMS: longPark, Tuple: tpl})
 		c.send(msg.KindTSCancel, protocol.TSCancelReq{JobID: jobID, ReqID: in})
-		out := c.send(msg.KindTSOut, protocol.TSOpReq{JobID: jobID, Fields: tupleFields(t, "k", 7)})
-		probe := c.send(msg.KindTSInP, protocol.TSOpReq{JobID: jobID, Fields: tpl})
+		out := c.send(msg.KindTSOut, protocol.TSOpReq{Tuple: tupleFields(t, "k", 7)})
+		probe := c.send(msg.KindTSInP, protocol.TSOpReq{Tuple: tpl})
 		if resp := c.tsResp(out); !resp.OK {
 			t.Fatalf("out: %+v", resp)
 		}
@@ -222,9 +219,9 @@ func TestCancelledParkLeavesTupleForOthers(t *testing.T) {
 func TestUndeliverableInlineHitPutsTupleBack(t *testing.T) {
 	onFabrics(t, func(t *testing.T, c *rawNode, jobID string) {
 		tpl := templateFields(t, "k", tuplespace.TypeOf(0))
-		out := c.send(msg.KindTSOut, protocol.TSOpReq{JobID: jobID, Fields: tupleFields(t, "k", 7)})
-		c.sendFrom("ghost", msg.KindTSInP, protocol.TSOpReq{JobID: jobID, Fields: tpl})
-		probe := c.send(msg.KindTSRdP, protocol.TSOpReq{JobID: jobID, Fields: tpl})
+		out := c.send(msg.KindTSOut, protocol.TSOpReq{Tuple: tupleFields(t, "k", 7)})
+		c.sendFrom("ghost", msg.KindTSInP, protocol.TSOpReq{Tuple: tpl})
+		probe := c.send(msg.KindTSRdP, protocol.TSOpReq{Tuple: tpl})
 		if resp := c.tsResp(out); !resp.OK {
 			t.Fatalf("out: %+v", resp)
 		}

@@ -56,16 +56,9 @@ func benchInboundTSOut(b *testing.B, noReply bool) {
 	if err := protocol.Decode(<-created, &job); err != nil {
 		b.Fatal(err)
 	}
-	tuple, err := protocol.EncodeTuple(tuplespace.Tuple{"res", 7, 49})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tpl, err := protocol.EncodeTemplate(tuplespace.Template{"res", tuplespace.TypeOf(0), tuplespace.TypeOf(0)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	out := msg.MustEncode(&protocol.TSOpReq{JobID: job.JobID, FromTask: "w1", Fields: tuple, NoReply: noReply})
-	inp := msg.MustEncode(&protocol.TSOpReq{JobID: job.JobID, FromTask: "w1", Fields: tpl})
+	to.Job = job.JobID
+	out := msg.MustEncode(&protocol.TSOpReq{Tuple: tuplespace.Tuple{"res", 7, 49}, NoReply: noReply})
+	inp := msg.MustEncode(&protocol.TSOpReq{Tuple: tuplespace.Tuple{"res", tuplespace.TypeOf(0), tuplespace.TypeOf(0)}})
 	perOp := int64(2)
 	if noReply {
 		perOp = 1

@@ -6,6 +6,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"time"
@@ -212,9 +213,9 @@ func (s *Server) handleStatsPull(m *msg.Message) *msg.Message {
 // answered later on the goroutine of the TS_OUT / DATA_PUT that satisfies it
 // (or of the park timer), never by a goroutine that sat waiting.
 //
-// Spawned — everything else gets its own goroutine (dispatch), because
+// Spawned — every other request gets its own goroutine (dispatch), because
 // those handlers place, assign, start or cancel work through blocking calls
-// of their own, or answer on the bulk lane.
+// of their own, or answer on the bulk lane. A reply no call claimed is dropped.
 func (s *Server) handle(m *msg.Message) {
 	<-s.ready
 	if s.caller.Handle(m) {
@@ -282,6 +283,12 @@ func (s *Server) handle(m *msg.Message) {
 		s.jm.HandleCheckpoint(m)
 
 	default:
+		if m.CorrelID != 0 { // a reply whose call gave up, e.g. a TS_REPLY past its timeout
+			if s.log.Enabled(context.Background(), slog.LevelDebug) { // no boxed args when off
+				s.log.Debug("late reply dropped", "kind", m.Kind, "from", m.From.Node)
+			}
+			return
+		}
 		go s.dispatch(m)
 	}
 }

@@ -147,7 +147,7 @@ func TestSolicitUnwillingWhenOverMemory(t *testing.T) {
 	if err := ep.Join(""); err == nil {
 		t.Error("empty group join accepted")
 	}
-	replies, err := caller.Gather(protocol.GroupJobManagers, m, 0, 50*time.Millisecond)
+	replies, err := caller.Gather(protocol.GroupJobManagers, m, 50*time.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestSolicitUnwillingWhenOverMemory(t *testing.T) {
 	m2 := protocol.Body(msg.KindJobManagerSolicit,
 		msg.Address{Node: "probe", Task: protocol.ClientTaskName},
 		msg.Address{}, protocol.JobRequirements{MinMemoryMB: 50})
-	replies, err = caller.Gather(protocol.GroupJobManagers, m2, 0, 50*time.Millisecond)
+	replies, err = caller.Gather(protocol.GroupJobManagers, m2, 50*time.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestOfferCountsOnlyLiveJobs(t *testing.T) {
 	sm := protocol.Body(msg.KindJobManagerSolicit,
 		msg.Address{Node: "raw-client", Task: protocol.ClientTaskName},
 		msg.Address{}, protocol.JobRequirements{})
-	replies, err := caller.Gather(protocol.GroupJobManagers, sm, 1, 100*time.Millisecond)
+	replies, err := caller.Gather(protocol.GroupJobManagers, sm, 100*time.Millisecond, func(*msg.Message) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}

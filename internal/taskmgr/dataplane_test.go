@@ -76,7 +76,7 @@ func (f *dpFabric) finish(jobID string) {
 	}
 }
 
-func (f *dpFabric) call(_ context.Context, toNode string, m *msg.Message, dst []byte) (*msg.Message, error) {
+func (f *dpFabric) call(_ context.Context, toNode string, m *msg.Message, dst []byte, _ time.Duration) (*msg.Message, error) {
 	loc := func(resp protocol.DataLocResp) (*msg.Message, error) {
 		return protocol.Reply(m, msg.KindDataLoc, resp), nil
 	}
@@ -448,7 +448,7 @@ func TestWarmPutGetAllocs(t *testing.T) {
 	payload := dpBlob(6, 3<<20)
 	where := protocol.Body(msg.KindDataLoc, msg.Address{Node: "jm"}, msg.Address{},
 		protocol.DataLocResp{Key: "k", Digest: archive.DigestBytes(payload), Node: "a", Size: int64(len(payload))})
-	call := func(_ context.Context, _ string, m *msg.Message, _ []byte) (*msg.Message, error) {
+	call := func(_ context.Context, _ string, m *msg.Message, _ []byte, _ time.Duration) (*msg.Message, error) {
 		if m.Kind == msg.KindDataPut {
 			return dpAck, nil
 		}

@@ -138,11 +138,8 @@ func (a *assignment) cancel() {
 
 // TaskManager executes tasks on one node.
 type TaskManager struct {
-	cfg  Config
-	send SendFunc
-	// call is cfg.Call with nothing posted, the shape the tuple-space and
-	// data-plane broker wires take.
-	call     func(ctx context.Context, toNode string, m *msg.Message) (*msg.Message, error)
+	cfg      Config
+	send     SendFunc
 	log      *slog.Logger
 	tracer   *trace.Tracer
 	registry *task.Registry
@@ -222,11 +219,6 @@ func New(cfg Config, send SendFunc) *TaskManager {
 		freeMB:      cfg.MemoryMB,
 		lastJMs:     make(map[string]bool),
 		beatScratch: make(map[string][]protocol.TaskBeat),
-	}
-	if cfg.Call != nil {
-		tm.call = func(ctx context.Context, toNode string, m *msg.Message) (*msg.Message, error) {
-			return cfg.Call(ctx, toNode, m, nil)
-		}
 	}
 	if cfg.HeartbeatEvery > 0 {
 		tm.wg.Add(1)
@@ -947,13 +939,11 @@ func (c *execContext) tsWire() *protocol.TSWire {
 		return old
 	}
 	w := &protocol.TSWire{
-		JobID:    c.a.jobID,
-		FromTask: c.a.spec.Name,
-		From:     c.self,
-		To:       msg.Address{Node: jmNode, Job: c.a.jobID},
-		Trace:    c.trace,
-		Call:     c.tm.call,
-		Send:     c.tm.send,
+		From:  c.self,
+		To:    msg.Address{Node: jmNode, Job: c.a.jobID},
+		Trace: c.trace,
+		Call:  c.tm.cfg.Call,
+		Send:  c.tm.send,
 	}
 	if !c.ts.CompareAndSwap(old, w) {
 		return c.tsWire() // another goroutine of the task got there first
@@ -965,7 +955,7 @@ func (c *execContext) tsWire() *protocol.TSWire {
 // data-plane alike: a task with no call path has no manager to ask, and a
 // cancelled or stopped one gets ErrStopped with nothing sent.
 func (c *execContext) tsReady() error {
-	if c.tm.call == nil {
+	if c.tm.cfg.Call == nil {
 		return fmt.Errorf("task %s: no call path configured", c.a.spec.Name)
 	}
 	if c.a.cancelled.Load() {
@@ -1000,18 +990,16 @@ func (c *execContext) tsDo(kind msg.Kind, req protocol.TSOpReq) (*protocol.TSOpR
 	return resp, c.tsDone(err)
 }
 
-// Out implements task.Context: the tuple is validated and encoded here and
-// sent one-way (see protocol.TSWire.Out); the heartbeat's progress counts it
-// when it is sent.
+// Out implements task.Context: the tuple is checked here and sent one-way
+// (see protocol.TSWire.Out); the heartbeat's progress counts it when sent.
 func (c *execContext) Out(t tuplespace.Tuple) error {
-	fields, err := protocol.EncodeTuple(t)
-	if err != nil {
+	if err := protocol.CheckTuple(t); err != nil {
 		return err
 	}
 	if err := c.tsReady(); err != nil {
 		return err
 	}
-	return c.tsDone(c.tsWire().Out(c.a.ctx, fields))
+	return c.tsDone(c.tsWire().Out(c.a.ctx, t))
 }
 
 // Flush implements task.Context.
@@ -1024,22 +1012,22 @@ func (c *execContext) Flush() error {
 
 // In implements task.Context.
 func (c *execContext) In(tpl tuplespace.Template) (tuplespace.Tuple, error) {
-	return protocol.TSBlocking(c.tsDo, msg.KindTSIn, tpl)
+	return protocol.TSMatch(c.tsDo, msg.KindTSIn, tpl)
 }
 
 // Rd implements task.Context.
 func (c *execContext) Rd(tpl tuplespace.Template) (tuplespace.Tuple, error) {
-	return protocol.TSBlocking(c.tsDo, msg.KindTSRd, tpl)
+	return protocol.TSMatch(c.tsDo, msg.KindTSRd, tpl)
 }
 
 // InP implements task.Context.
 func (c *execContext) InP(tpl tuplespace.Template) (tuplespace.Tuple, error) {
-	return protocol.TSProbe(c.tsDo, msg.KindTSInP, tpl)
+	return protocol.TSMatch(c.tsDo, msg.KindTSInP, tpl)
 }
 
 // RdP implements task.Context.
 func (c *execContext) RdP(tpl tuplespace.Template) (tuplespace.Tuple, error) {
-	return protocol.TSProbe(c.tsDo, msg.KindTSRdP, tpl)
+	return protocol.TSMatch(c.tsDo, msg.KindTSRdP, tpl)
 }
 
 // Logf implements task.Context.

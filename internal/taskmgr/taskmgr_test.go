@@ -244,7 +244,7 @@ type blobHolder struct {
 	pulls map[string]int // digest -> chunk requests answered
 }
 
-func (h *blobHolder) call(_ context.Context, toNode string, m *msg.Message, dst []byte) (*msg.Message, error) {
+func (h *blobHolder) call(_ context.Context, toNode string, m *msg.Message, dst []byte, _ time.Duration) (*msg.Message, error) {
 	if m.Kind != msg.KindBlobChunk {
 		return nil, errors.New("blobHolder: unexpected " + m.Kind.String())
 	}
@@ -719,7 +719,7 @@ func TestTaskOutIsOneWayAndStoppedIsLocal(t *testing.T) {
 		mu    sync.Mutex
 		calls []protocol.TSOpReq
 	)
-	call := func(_ context.Context, toNode string, m *msg.Message, _ []byte) (*msg.Message, error) {
+	call := func(_ context.Context, toNode string, m *msg.Message, _ []byte, _ time.Duration) (*msg.Message, error) {
 		var req protocol.TSOpReq
 		if err := protocol.Decode(m, &req); err != nil {
 			return nil, err
@@ -772,7 +772,7 @@ func TestTaskOutIsOneWayAndStoppedIsLocal(t *testing.T) {
 			}
 			n++
 			var req protocol.TSOpReq
-			if err := protocol.Decode(m, &req); err != nil || !req.NoReply || len(req.Fields) != 2 || m.To.Node != "jm" {
+			if err := protocol.Decode(m, &req); err != nil || !req.NoReply || len(req.Tuple) != 2 || m.To.Node != "jm" {
 				t.Errorf("sent TS_OUT %+v to %s (%v), want a one-way tuple to jm", req, m.To.Node, err)
 			}
 		}
@@ -787,7 +787,7 @@ func TestTaskOutIsOneWayAndStoppedIsLocal(t *testing.T) {
 		t.Errorf("%d calls for %d Outs and a Flush, want %d", len(calls), outs, acked+1)
 	}
 	for i, req := range calls {
-		if flush := i == len(calls)-1; req.NoReply || (len(req.Fields) == 0) != flush {
+		if flush := i == len(calls)-1; req.NoReply || (len(req.Tuple) == 0) != flush {
 			t.Errorf("call %d of %d carried %+v", i+1, len(calls), req)
 		}
 	}

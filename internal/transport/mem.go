@@ -334,15 +334,13 @@ func (e *memEndpoint) writeLoop(dst string, p *outPipe) {
 	if dst != e.node {
 		link = &memLink{stats: &e.net.stats}
 	}
-	for {
-		batch, ok := p.popBatch(e.stop)
-		if !ok {
-			return
-		}
+	var batch []outFrame
+	for p.popBatch(e.stop, &batch) {
 		for i := range batch {
 			e.net.deliver(dst, batch[i].m, batch[i].size, e.stop, link)
 		}
 		e.net.stats.countFlush(len(batch))
+		clear(batch)
 	}
 }
 

@@ -118,7 +118,8 @@ func (r *frameRef) release() {
 }
 
 // outFrame is one queued outbound transmission. The TCP fabric carries
-// encoded bytes (data, backed by ref); the in-memory fabric carries the
+// encoded bytes (data, backed by buf, a unicast frame's own pooled buffer,
+// or by ref, a multicast's shared one); the in-memory fabric carries the
 // message itself (m). A TCP unicast frame with a bulk tail carries both:
 // data is its head and m.Tail — borrowed from the message, written as its
 // own iovec, never copied — follows it on the wire. size is the accounted
@@ -128,6 +129,7 @@ func (r *frameRef) release() {
 type outFrame struct {
 	kind msg.Kind
 	data []byte
+	buf  *[]byte
 	ref  *frameRef
 	m    *msg.Message
 	size int
@@ -138,6 +140,9 @@ type outFrame struct {
 // queued frame gets exactly one call: its share of the encode buffer returns
 // to the pool and the sender is told the tail is its own again.
 func (f *outFrame) release() {
+	if f.buf != nil {
+		wire.PutBuf(f.buf)
+	}
 	if f.ref != nil {
 		f.ref.release()
 	}
@@ -243,10 +248,11 @@ func (p *outPipe) waitUntil(deadline time.Time) bool {
 // popBatch blocks until frames are queued or the pipe is done, then
 // drains a coalesced batch — ALL queued control frames first, so a
 // heartbeat overtakes every queued chunk, then bulk frames up to
-// pipeFlushMaxBytes (at least one) — and hands ownership to the caller.
-// Leftover bulk is picked up by the writer's next iteration without
-// waiting. stop aborts the wait (endpoint shutdown).
-func (p *outPipe) popBatch(stop <-chan struct{}) ([]outFrame, bool) {
+// pipeFlushMaxBytes (at least one) — into *batch, reusing the writer's
+// cleared previous one, and hands ownership to the caller; false once the
+// pipe is done. Leftover bulk is picked up by the writer's next iteration
+// without waiting. stop aborts the wait (endpoint shutdown).
+func (p *outPipe) popBatch(stop <-chan struct{}, batch *[]outFrame) bool {
 	for {
 		p.mu.Lock()
 		if p.depth > 0 {
@@ -256,9 +262,7 @@ func (p *outPipe) popBatch(stop <-chan struct{}) ([]outFrame, bool) {
 				takeBytes += bulk[take].size
 				take++
 			}
-			batch := make([]outFrame, 0, len(ctl)+take)
-			batch = append(batch, ctl...)
-			batch = append(batch, bulk[:take]...)
+			*batch = append(append((*batch)[:0], ctl...), bulk[:take]...)
 			// Zero vacated slots so idle lanes do not pin frame buffers.
 			for i := range ctl {
 				ctl[i] = outFrame{}
@@ -270,21 +274,21 @@ func (p *outPipe) popBatch(stop <-chan struct{}) ([]outFrame, bool) {
 			p.lanes[laneControl] = ctl[:0]
 			p.lanes[laneBulk] = bulk[:left]
 			p.bulkBytes -= takeBytes
-			p.depth -= len(batch)
-			p.stats.QueueDepth.Add(int64(-len(batch)))
+			p.depth -= len(*batch)
+			p.stats.QueueDepth.Add(int64(-len(*batch)))
 			p.notFull.Broadcast()
 			p.mu.Unlock()
-			return batch, true
+			return true
 		}
 		closed := p.closed
 		p.mu.Unlock()
 		if closed {
-			return nil, false
+			return false
 		}
 		select {
 		case <-p.wake:
 		case <-stop:
-			return nil, false
+			return false
 		}
 	}
 }

@@ -42,8 +42,8 @@ func TestPipeControlOvertakesBulk(t *testing.T) {
 	if err := p.enqueue(outFrame{kind: msg.KindHeartbeat, size: 1}); err != nil {
 		t.Fatal(err)
 	}
-	batch, ok := p.popBatch(nil)
-	if !ok {
+	var batch []outFrame
+	if !p.popBatch(nil, &batch) {
 		t.Fatal("popBatch reported closed")
 	}
 	if len(batch) != 4 {
@@ -69,15 +69,16 @@ func TestPipeFlushBytesBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	batch, _ := p.popBatch(nil)
+	var batch []outFrame
+	p.popBatch(nil, &batch)
 	if len(batch) != 2 {
 		t.Errorf("first flush coalesced %d bulk frames, want 2 (%d-byte cap)", len(batch), pipeFlushMaxBytes)
 	}
-	batch, _ = p.popBatch(nil)
+	p.popBatch(nil, &batch)
 	if len(batch) != 2 {
 		t.Errorf("second flush coalesced %d bulk frames, want 2", len(batch))
 	}
-	batch, _ = p.popBatch(nil)
+	p.popBatch(nil, &batch)
 	if len(batch) != 1 {
 		t.Errorf("third flush coalesced %d bulk frames, want 1", len(batch))
 	}
@@ -149,7 +150,7 @@ func TestPipeFailDrainsQueueOnce(t *testing.T) {
 	if err := p.enqueue(outFrame{kind: msg.KindPing, size: 1}); !errors.Is(err, boom) {
 		t.Errorf("enqueue after fail = %v, want the fail error", err)
 	}
-	if _, ok := p.popBatch(nil); ok {
+	if p.popBatch(nil, new([]outFrame)) {
 		t.Error("popBatch on failed pipe reported frames")
 	}
 }

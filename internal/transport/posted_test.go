@@ -80,7 +80,7 @@ func TestPostedReceive(t *testing.T) {
 		dst := make([]byte, 512<<10)
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		reply, err := caller.CallInto(ctx, "srv", request(), dst)
+		reply, err := caller.CallInto(ctx, "srv", request(), dst, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestPostedReceiveTailTooLong(t *testing.T) {
 	dst := make([]byte, len(src)-1)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	reply, err := caller.CallInto(ctx, "srv", request(), dst)
+	reply, err := caller.CallInto(ctx, "srv", request(), dst, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestPostedReceiveClaimedOnce(t *testing.T) {
 	dst := make([]byte, 64<<10)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	reply, err := caller.CallInto(ctx, "srv", request(), dst)
+	reply, err := caller.CallInto(ctx, "srv", request(), dst, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestCallIntoTimeoutMidTail(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 		defer cancel()
-		_, err := caller.CallInto(ctx, "srv", request(), dst)
+		_, err := caller.CallInto(ctx, "srv", request(), dst, 0)
 		dst = nil // the caller's whole duty after an error: drop it
 		result <- err
 	}()

@@ -210,7 +210,7 @@ func TestTCPSelfTail(t *testing.T) {
 		dst := make([]byte, 512<<10)
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		reply, err := caller.CallInto(ctx, "a", selfMsg(msg.KindDataFetch, "req"), dst)
+		reply, err := caller.CallInto(ctx, "a", selfMsg(msg.KindDataFetch, "req"), dst, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestTCPSelfCallIntoAllocs(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	call := func() {
-		reply, err := caller.CallInto(ctx, "a", selfMsg(msg.KindDataFetch, "req"), dst)
+		reply, err := caller.CallInto(ctx, "a", selfMsg(msg.KindDataFetch, "req"), dst, 0)
 		if err != nil || &reply.Tail[0] != &dst[0] {
 			t.Fatalf("self CallInto: %v (tail in the posted buffer: %v)", err, err == nil && &reply.Tail[0] == &dst[0])
 		}

@@ -46,9 +46,10 @@ func TestShedReplyPutsTheTupleBack(t *testing.T) {
 	}
 	x, xin := attach("x", &wedged)
 	y, yin := attach("y", nil)
+	var jobID string // the job tuple-space requests are addressed to, once created
 	send := func(ep transport.Endpoint, kind msg.Kind, body any) {
 		t.Helper()
-		from, to := msg.Address{Node: ep.Node(), Task: protocol.ClientTaskName}, msg.Address{Node: "n1"}
+		from, to := msg.Address{Node: ep.Node(), Task: protocol.ClientTaskName}, msg.Address{Node: "n1", Job: jobID}
 		m := msg.New(kind, from, to, nil)
 		if body != nil {
 			m = protocol.Body(kind, from, to, body)
@@ -76,12 +77,10 @@ func TestShedReplyPutsTheTupleBack(t *testing.T) {
 	if err := protocol.Decode(next(xin, msg.KindJobCreated), &job); err != nil {
 		t.Fatal(err)
 	}
-	tpl, err := protocol.EncodeTemplate(tuplespace.Template{"k", tuplespace.TypeOf(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobID = job.JobID
+	tpl := tuplespace.Tuple{"k", tuplespace.TypeOf(0)}
 	// Park x's In; the ping behind it on the same link says it registered.
-	send(x, msg.KindTSIn, protocol.TSOpReq{JobID: job.JobID, Fields: tpl, ParkMS: 4000})
+	send(x, msg.KindTSIn, protocol.TSOpReq{Tuple: tpl, ParkMS: 4000})
 	send(x, msg.KindPing, nil)
 	next(xin, msg.KindPong)
 
@@ -97,11 +96,7 @@ func TestShedReplyPutsTheTupleBack(t *testing.T) {
 	shed := stats.ControlDrops.Load()
 
 	// y's Out satisfies the parked In; the reply to x cannot be queued.
-	tuple, err := protocol.EncodeTuple(tuplespace.Tuple{"k", 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	send(y, msg.KindTSOut, protocol.TSOpReq{JobID: job.JobID, Fields: tuple})
+	send(y, msg.KindTSOut, protocol.TSOpReq{Tuple: tuplespace.Tuple{"k", 7}})
 	var resp protocol.TSOpResp
 	if err := protocol.Decode(next(yin, msg.KindTSReply), &resp); err != nil || !resp.OK {
 		t.Fatalf("out: %+v, %v", resp, err)
@@ -109,12 +104,12 @@ func TestShedReplyPutsTheTupleBack(t *testing.T) {
 	if got := stats.ControlDrops.Load(); got != shed+1 {
 		t.Fatalf("control drops went %d -> %d across the Out, want one shed reply", shed, got)
 	}
-	send(y, msg.KindTSRdP, protocol.TSOpReq{JobID: job.JobID, Fields: tpl})
+	send(y, msg.KindTSRdP, protocol.TSOpReq{Tuple: tpl})
 	resp = protocol.TSOpResp{}
 	if err := protocol.Decode(next(yin, msg.KindTSReply), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if !resp.OK || len(resp.Fields) != 2 || resp.Fields[1].I != 7 {
+	if !resp.OK || len(resp.Tuple) != 2 || resp.Tuple[1] != 7 {
 		t.Fatalf("the tuple taken for the shed reply is gone: probe answered %+v", resp)
 	}
 }

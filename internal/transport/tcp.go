@@ -320,11 +320,8 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 func (e *tcpEndpoint) selfLoop() {
 	defer e.wg.Done()
 	stats := &e.net.stats
-	for {
-		batch, ok := e.self.popBatch(e.stop)
-		if !ok {
-			return
-		}
+	var batch []outFrame
+	for e.self.popBatch(e.stop, &batch) {
 		for i := range batch {
 			select {
 			case <-e.stop:
@@ -345,6 +342,7 @@ func (e *tcpEndpoint) selfLoop() {
 			e.handler(m)
 		}
 		stats.countFlush(len(batch))
+		clear(batch)
 	}
 }
 
@@ -450,21 +448,19 @@ func (e *tcpEndpoint) writeLoop(tc *tcpConn) {
 		c.Close()
 		return
 	}
-	var bufs net.Buffers
-	for {
-		batch, ok := tc.pipe.popBatch(e.stop)
-		if !ok {
-			c.Close()
-			return
-		}
-		bufs = bufs[:0]
+	// WriteTo consumes bufs; iov keeps the backing array across batches.
+	var iov, bufs net.Buffers
+	var batch []outFrame
+	for tc.pipe.popBatch(e.stop, &batch) {
+		iov = iov[:0]
 		for i := range batch {
-			bufs = append(bufs, batch[i].data)
+			iov = append(iov, batch[i].data)
 			if batch[i].m != nil {
-				bufs = append(bufs, batch[i].m.Tail)
+				iov = append(iov, batch[i].m.Tail)
 			}
 		}
 		c.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
+		bufs = iov
 		_, werr := bufs.WriteTo(c)
 		for i := range batch {
 			batch[i].release()
@@ -484,7 +480,10 @@ func (e *tcpEndpoint) writeLoop(tc *tcpConn) {
 			e.net.stats.countSend(batch[i].kind, batch[i].size)
 		}
 		e.net.stats.countFlush(len(batch))
+		clear(batch)
+		clear(iov)
 	}
+	c.Close()
 }
 
 // Send implements Endpoint: encode the head, enqueue head and borrowed
@@ -501,7 +500,7 @@ func (e *tcpEndpoint) Send(toNode string, m *msg.Message) error {
 		return e.sendSelf(m)
 	}
 	buf := wire.GetBuf()
-	f := outFrame{kind: m.Kind, ref: newFrameRef(buf, 1), done: m.TailDone}
+	f := outFrame{kind: m.Kind, buf: buf, done: m.TailDone}
 	var err error
 	*buf, err = wire.AppendFrameHead((*buf)[:0], m)
 	if err != nil {

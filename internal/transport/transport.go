@@ -219,11 +219,21 @@ type Caller struct {
 	ep Endpoint
 
 	mu      sync.Mutex
-	pending map[uint64]chan *msg.Message
+	pending map[uint64]pendingCall
 	// posted holds, per outstanding CallInto, the buffer its reply's bulk
 	// tail should be read into (see claim).
 	posted map[uint64][]byte
 	multi  map[uint64]chan *msg.Message
+	// timer fires expire at armed, the earliest due (zero: disarmed).
+	timer *time.Timer
+	armed time.Time
+}
+
+// pendingCall is one outstanding call and when it gives up (zero: never).
+// Whoever removes it from pending sends on reply: Handle the reply, expire nil.
+type pendingCall struct {
+	reply chan *msg.Message
+	due   time.Time
 }
 
 // tailPoster is implemented by endpoints that read a frame's bulk tail
@@ -238,7 +248,7 @@ type tailPoster interface {
 func NewCaller(ep Endpoint) *Caller {
 	c := &Caller{
 		ep:      ep,
-		pending: make(map[uint64]chan *msg.Message),
+		pending: make(map[uint64]pendingCall),
 		posted:  make(map[uint64][]byte),
 		multi:   make(map[uint64]chan *msg.Message),
 	}
@@ -251,11 +261,12 @@ func NewCaller(ep Endpoint) *Caller {
 // Endpoint returns the wrapped endpoint.
 func (c *Caller) Endpoint() Endpoint { return c.ep }
 
-// GatherGroup is Gather with max set to the group's current size, so the
-// call returns as soon as every member replied instead of always waiting
-// out the window. Silent members still cost the full window.
+// GatherGroup is Gather that ends as soon as every current member of the
+// group replied instead of always waiting out the window. Silent members
+// still cost the full window.
 func (c *Caller) GatherGroup(group string, m *msg.Message, window time.Duration) ([]*msg.Message, error) {
-	return c.Gather(group, m, c.ep.GroupSize(group), window)
+	n, got := c.ep.GroupSize(group), 0
+	return c.Gather(group, m, window, func(*msg.Message) bool { got++; return got >= n })
 }
 
 // Handle offers an inbound message to the caller. It returns true when the
@@ -265,10 +276,10 @@ func (c *Caller) Handle(m *msg.Message) bool {
 		return false
 	}
 	c.mu.Lock()
-	if ch, ok := c.pending[m.CorrelID]; ok {
+	if p, ok := c.pending[m.CorrelID]; ok {
 		delete(c.pending, m.CorrelID)
 		c.mu.Unlock()
-		ch <- m
+		p.reply <- m
 		return true
 	}
 	ch, ok := c.multi[m.CorrelID]
@@ -302,22 +313,27 @@ func (c *Caller) claim(correlID uint64, n int) []byte {
 // Call sends m to toNode and blocks until a correlated reply arrives or ctx
 // is done.
 func (c *Caller) Call(ctx context.Context, toNode string, m *msg.Message) (*msg.Message, error) {
-	return c.CallInto(ctx, toNode, m, nil)
+	return c.CallInto(ctx, toNode, m, nil, 0)
 }
 
-// CallInto is Call with dst posted for the reply's bulk tail: on a fabric
-// that reads tails in place (TCP) a reply whose tail fits is read straight
-// into dst and its Tail aliases dst[:len(Tail)]; on any other fabric, and
-// for a tail that does not fit, the reply's Tail is memory of its own and
-// dst is untouched. The caller tells the two apart by address.
+// CallInto is Call with dst posted for the reply's bulk tail and, for
+// within > 0, failing with context.DeadlineExceeded once within has passed.
+// On a fabric that reads tails in place (TCP) a reply whose tail fits is
+// read straight into dst and its Tail aliases dst[:len(Tail)]; on any other
+// fabric, and for a tail that does not fit, the reply's Tail is memory of
+// its own and dst is untouched. The caller tells the two apart by address.
 //
 // When CallInto returns an error the reader may already have claimed dst
 // and may still be writing into it: the caller must not reuse dst, or read
 // it, afterwards.
-func (c *Caller) CallInto(ctx context.Context, toNode string, m *msg.Message, dst []byte) (*msg.Message, error) {
-	ch := make(chan *msg.Message, 1)
+func (c *Caller) CallInto(ctx context.Context, toNode string, m *msg.Message, dst []byte, within time.Duration) (*msg.Message, error) {
+	p := pendingCall{reply: make(chan *msg.Message, 1)}
 	c.mu.Lock()
-	c.pending[m.ID] = ch
+	if within > 0 {
+		p.due = time.Now().Add(within)
+		c.arm(p.due)
+	}
+	c.pending[m.ID] = p
 	if len(dst) > 0 {
 		c.posted[m.ID] = dst
 	}
@@ -328,28 +344,65 @@ func (c *Caller) CallInto(ctx context.Context, toNode string, m *msg.Message, ds
 		if len(dst) > 0 {
 			delete(c.posted, m.ID)
 		}
+		// An armed timer keeps the Caller, and so its node, reachable:
+		// disarm it once nothing is left for it to fail.
+		if len(c.pending) == 0 && !c.armed.IsZero() {
+			c.timer.Stop()
+			c.armed = time.Time{}
+		}
 		c.mu.Unlock()
 	}()
 	if err := c.ep.Send(toNode, m); err != nil {
 		return nil, fmt.Errorf("transport: call %s: %w", toNode, err)
 	}
 	select {
-	case r := <-ch:
+	case r := <-p.reply:
+		if r == nil {
+			return nil, fmt.Errorf("transport: call %s (%s): %w", toNode, m.Kind, context.DeadlineExceeded)
+		}
 		return r, nil
 	case <-ctx.Done():
 		return nil, fmt.Errorf("transport: call %s (%s): %w", toNode, m.Kind, ctx.Err())
 	}
 }
 
-// Gather multicasts m to group and collects correlated replies until either
-// max replies arrived (max > 0) or the window elapsed. It returns the
-// replies received; an empty slice is not an error.
-func (c *Caller) Gather(group string, m *msg.Message, max int, window time.Duration) ([]*msg.Message, error) {
-	buf := max
-	if buf <= 0 {
-		buf = 64
+// arm makes the timer fire by due; an earlier arming is left alone. Called
+// with c.mu held.
+func (c *Caller) arm(due time.Time) {
+	if !c.armed.IsZero() && !due.Before(c.armed) {
+		return
 	}
-	ch := make(chan *msg.Message, buf)
+	c.armed = due
+	if c.timer == nil {
+		c.timer = time.AfterFunc(time.Until(due), c.expire)
+	} else {
+		c.timer.Reset(time.Until(due))
+	}
+}
+
+// expire fails every pending call that is due and re-arms for the next.
+func (c *Caller) expire() {
+	now := time.Now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.armed = time.Time{}
+	for id, p := range c.pending {
+		switch {
+		case p.due.IsZero():
+		case !p.due.After(now):
+			delete(c.pending, id)
+			p.reply <- nil
+		default:
+			c.arm(p.due)
+		}
+	}
+}
+
+// Gather multicasts m to group and collects correlated replies until the
+// window elapses or done (if not nil), shown each reply, returns true. An
+// empty result is not an error.
+func (c *Caller) Gather(group string, m *msg.Message, window time.Duration, done func(*msg.Message) bool) ([]*msg.Message, error) {
+	ch := make(chan *msg.Message, max(c.ep.GroupSize(group), 64))
 	c.mu.Lock()
 	c.multi[m.ID] = ch
 	c.mu.Unlock()
@@ -368,7 +421,7 @@ func (c *Caller) Gather(group string, m *msg.Message, max int, window time.Durat
 		select {
 		case r := <-ch:
 			replies = append(replies, r)
-			if max > 0 && len(replies) >= max {
+			if done != nil && done(r) {
 				return replies, nil
 			}
 		case <-timer.C:

@@ -451,6 +451,60 @@ func TestCallerCallTimeout(t *testing.T) {
 	}
 }
 
+// TestCallerOwnsCallDeadlines: a call bounded by within fails at its
+// deadline with context.DeadlineExceeded though its context never ends; a
+// later deadline still fires after an earlier one re-armed the one timer;
+// the caller's own context still ends a call first; and the moment the last
+// call is over, neither a pending entry nor an armed timer is left.
+func TestCallerOwnsCallDeadlines(t *testing.T) {
+	n := NewIdealNetwork()
+	defer n.Close()
+	if _, err := n.Attach("silent", func(*msg.Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	var caller *Caller
+	ep, err := n.Attach("client", func(m *msg.Message) { caller.Handle(m) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	caller = NewCaller(ep)
+	call := func(ctx context.Context, within time.Duration) (time.Duration, error) {
+		start := time.Now()
+		_, err := caller.CallInto(ctx, "silent", msg.New(msg.KindPing, msg.Address{Node: "client"}, msg.Address{Node: "silent"}, nil), nil, within)
+		return time.Since(start), err
+	}
+
+	errs := make(chan error, 1)
+	go func() {
+		took, err := call(context.Background(), 150*time.Millisecond)
+		if err == nil && took < 150*time.Millisecond {
+			err = errors.New("answered before its deadline")
+		}
+		errs <- err
+	}()
+	took, err := call(context.Background(), 30*time.Millisecond)
+	if !errors.Is(err, context.DeadlineExceeded) || took < 30*time.Millisecond || took > time.Second {
+		t.Errorf("call to a silent peer: %v after %v, want DeadlineExceeded at 30ms", err, took)
+	}
+	if err := <-errs; !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("the later call: %v, want DeadlineExceeded", err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if took, err := call(ctx, time.Hour); !errors.Is(err, context.DeadlineExceeded) || took > time.Second {
+		t.Errorf("call under a 20ms context: %v after %v", err, took)
+	}
+	// The hour-long deadline is disarmed with its call: an armed timer would
+	// keep the caller, and its endpoint's node, alive for the hour.
+	caller.mu.Lock()
+	pending, armed := len(caller.pending), !caller.armed.IsZero()
+	caller.mu.Unlock()
+	if pending != 0 || armed {
+		t.Fatalf("%d calls pending, timer armed %v, after every call ended", pending, armed)
+	}
+}
+
 func TestCallerGather(t *testing.T) {
 	n := NewIdealNetwork()
 	defer n.Close()
@@ -480,7 +534,7 @@ func TestCallerGather(t *testing.T) {
 	}
 	caller = NewCaller(client)
 	req := msg.New(msg.KindJobManagerSolicit, msg.Address{Node: "client"}, msg.Address{}, nil)
-	replies, err := caller.Gather("jm", req, 0, 100*time.Millisecond)
+	replies, err := caller.Gather("jm", req, 100*time.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +567,8 @@ func TestCallerGatherMaxShortCircuits(t *testing.T) {
 	caller = NewCaller(client)
 	start := time.Now()
 	req := msg.New(msg.KindJobManagerSolicit, msg.Address{Node: "client"}, msg.Address{}, nil)
-	replies, err := caller.Gather("jm", req, 2, 5*time.Second)
+	got := 0
+	replies, err := caller.Gather("jm", req, 5*time.Second, func(*msg.Message) bool { got++; return got == 2 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +576,7 @@ func TestCallerGatherMaxShortCircuits(t *testing.T) {
 		t.Errorf("gathered %d, want 2", len(replies))
 	}
 	if time.Since(start) > time.Second {
-		t.Error("Gather waited for the full window despite max")
+		t.Error("Gather waited for the full window after done said enough")
 	}
 }
 

@@ -12,6 +12,7 @@
 package tuplespace
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -86,20 +87,16 @@ func (tpl Template) Matches(t Tuple) bool {
 	return true
 }
 
-// fieldEqual compares two field values, handling byte slices specially
-// (slices are not comparable with ==).
+// fieldEqual compares two field values: the wire's comparable scalars with
+// ==, byte slices by content, anything else a local space holds deeply.
 func fieldEqual(a, b any) bool {
+	switch a.(type) {
+	case string, int, int64, float64, bool:
+		return a == b
+	}
 	if ab, ok := a.([]byte); ok {
 		bb, ok := b.([]byte)
-		if !ok || len(ab) != len(bb) {
-			return false
-		}
-		for i := range ab {
-			if ab[i] != bb[i] {
-				return false
-			}
-		}
-		return true
+		return ok && bytes.Equal(ab, bb)
 	}
 	return reflect.DeepEqual(a, b)
 }
@@ -137,10 +134,16 @@ func (s *Space) Closed() bool {
 	return s.closed
 }
 
-// Out stores a tuple in the space, waking at most one blocked In and any
-// number of blocked Rd calls whose templates match. Wake callbacks run on
-// the calling goroutine after the space's lock is released.
+// Out stores a copy of a tuple in the space, waking at most one blocked In
+// and any number of blocked Rd calls whose templates match. Wake callbacks
+// run on the calling goroutine after the space's lock is released.
 func (s *Space) Out(t Tuple) error {
+	return s.Keep(t.clone())
+}
+
+// Keep is Out for a tuple the caller hands over, such as one just decoded:
+// the space stores t itself, and the caller must not touch it again.
+func (s *Space) Keep(t Tuple) error {
 	if len(t) == 0 {
 		return fmt.Errorf("tuplespace: out: empty tuple")
 	}
@@ -149,7 +152,6 @@ func (s *Space) Out(t Tuple) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	t = t.clone()
 	// Readers all observe the tuple; the first matching taker consumes it.
 	taken := false
 	var woken []*Waiter
@@ -171,7 +173,7 @@ func (s *Space) Out(t Tuple) error {
 	}
 	s.mu.Unlock()
 	for _, w := range woken {
-		w.wake(t.clone(), nil)
+		w.wake(t, nil)
 	}
 	return nil
 }
@@ -186,6 +188,17 @@ func (s *Space) findLocked(tpl Template) int {
 	return -1
 }
 
+// remove deletes stored tuple i, keeping the order of the rest; taking from
+// the front, as a bag of tasks does, reslices rather than moves.
+func (s *Space) remove(i int) {
+	if i == 0 {
+		s.tuples[0] = nil
+		s.tuples = s.tuples[1:]
+		return
+	}
+	s.tuples = slices.Delete(s.tuples, i, i+1)
+}
+
 // InP removes and returns the first matching tuple without blocking.
 func (s *Space) InP(tpl Template) (Tuple, error) {
 	s.mu.Lock()
@@ -198,7 +211,7 @@ func (s *Space) InP(tpl Template) (Tuple, error) {
 		return nil, ErrNoMatch
 	}
 	t := s.tuples[i]
-	s.tuples = slices.Delete(s.tuples, i, i+1)
+	s.remove(i)
 	return t.clone(), nil
 }
 
@@ -234,7 +247,8 @@ func (s *Space) Rd(ctx context.Context, tpl Template) (Tuple, error) {
 // runs exactly once — with the tuple a later Out supplies, or with
 // ErrClosed when the space closes — unless Cancel withdraws it first. wake
 // is called outside the space's lock, on the goroutine of the Out or Close
-// that fired it, and must not block.
+// that fired it, and must not block. The tuple returned or passed to wake
+// is the space's own, shared with other readers: it must not be written to.
 func (s *Space) Await(tpl Template, take bool, wake func(Tuple, error)) (Tuple, *Waiter, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -244,9 +258,9 @@ func (s *Space) Await(tpl Template, take bool, wake func(Tuple, error)) (Tuple, 
 	if i := s.findLocked(tpl); i >= 0 {
 		t := s.tuples[i]
 		if take {
-			s.tuples = slices.Delete(s.tuples, i, i+1)
+			s.remove(i)
 		}
-		return t.clone(), nil, nil
+		return t, nil, nil
 	}
 	w := &Waiter{tpl: tpl, take: take, wake: wake}
 	s.waiters = append(s.waiters, w)
@@ -274,9 +288,9 @@ func (s *Space) wait(ctx context.Context, tpl Template, take bool) (Tuple, error
 		err error
 	}
 	ch := make(chan result, 1)
-	t, w, err := s.Await(tpl, take, func(t Tuple, err error) { ch <- result{t, err} })
+	t, w, err := s.Await(tpl, take, func(t Tuple, err error) { ch <- result{t.clone(), err} })
 	if w == nil {
-		return t, err
+		return t.clone(), err
 	}
 	select {
 	case r := <-ch:

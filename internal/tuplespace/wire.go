@@ -1,8 +1,8 @@
-// Wire introspection helpers: the protocol layer encodes tuples and
-// templates field-by-field, and template placeholders (Wildcard, TypeOf)
-// are unexported types it cannot inspect directly. These accessors expose
-// just enough structure to round-trip a template without widening the
-// package's matching semantics.
+// Wire introspection helpers: the wire codec carries tuples and templates
+// field by field, and template placeholders (Wildcard, TypeOf) are
+// unexported types it cannot inspect directly. These accessors expose just
+// enough structure to round-trip a template without widening the package's
+// matching semantics.
 
 package tuplespace
 
@@ -13,6 +13,12 @@ import "reflect"
 func IsWildcard(v any) bool {
 	_, ok := v.(wildcard)
 	return ok
+}
+
+// Scalar reports whether v is a value of one of the field types that cross
+// the wire: string, int, int64, float64, bool and []byte.
+func Scalar(v any) bool {
+	return scalarTypeName(reflect.TypeOf(v)) != ""
 }
 
 // TypeName returns the canonical wire name of a TypeOf placeholder's type
@@ -27,24 +33,21 @@ func TypeName(v any) (string, bool) {
 	return scalarTypeName(p.rt), true
 }
 
+// placeholders holds each wire type's TypeOf placeholder, boxed once.
+var placeholders = map[string]any{
+	"string":  TypeOf(""),
+	"int":     TypeOf(0),
+	"int64":   TypeOf(int64(0)),
+	"float64": TypeOf(float64(0)),
+	"bool":    TypeOf(false),
+	"[]byte":  TypeOf([]byte(nil)),
+}
+
 // TypeFromName reconstructs a TypeOf placeholder from a wire name produced
 // by TypeName; ok is false for unknown names.
 func TypeFromName(name string) (any, bool) {
-	switch name {
-	case "string":
-		return TypeOf(""), true
-	case "int":
-		return TypeOf(0), true
-	case "int64":
-		return TypeOf(int64(0)), true
-	case "float64":
-		return TypeOf(float64(0)), true
-	case "bool":
-		return TypeOf(false), true
-	case "[]byte":
-		return TypeOf([]byte(nil)), true
-	}
-	return nil, false
+	p, ok := placeholders[name]
+	return p, ok
 }
 
 // scalarTypeName maps a reflect.Type onto its wire name, or "" for types

@@ -6,17 +6,19 @@ import (
 
 	"cn/internal/msg"
 	"cn/internal/protocol"
+	"cn/internal/tuplespace"
 )
 
 // TestHotBodyAllocs guards the allocation count of the bodies every
 // tuple-space op and task event pays for. Encoding costs the output buffer
 // and nothing else, in the value form as in the pointer form (the table's
 // value adapter must not force a heap copy of the body); decoding costs the
-// Reader plus one allocation per decoded string or slice.
+// Reader plus one allocation per decoded string or slice, and a tuple its
+// field slice plus the boxing of each field that needs one — a string
+// takes two (its bytes and its box), an int under 256 none.
 func TestHotBodyAllocs(t *testing.T) {
-	fields := []protocol.TSField{{Kind: protocol.TSString, S: "res"}, {Kind: protocol.TSInt, I: 7}, {Kind: protocol.TSInt, I: 49}}
-	req := protocol.TSOpReq{JobID: "node1-job1", FromTask: "w1", ParkMS: 1000, Fields: fields}
-	resp := protocol.TSOpResp{OK: true, Fields: fields}
+	req := protocol.TSOpReq{ParkMS: 1000, Tuple: tuplespace.Tuple{"res", 7, 49}}
+	resp := protocol.TSOpResp{OK: true, Tuple: tuplespace.Tuple{"res", 7, 49}}
 	ev := protocol.TaskEvent{JobID: "node1-job1", Task: "t01", Node: "node2", Attempt: 1}
 	// A node's share of a 32-task fan-out as it leaves the outbox: decoding
 	// costs the Reader, the two batch strings and the event slice, then one
@@ -35,8 +37,8 @@ func TestHotBodyAllocs(t *testing.T) {
 		decode    func(enc []byte) error
 		maxDecode float64
 	}{
-		{"TSOpReq", &req, req, func(enc []byte) error { return Default.Unmarshal(enc, new(protocol.TSOpReq)) }, 6},
-		{"TSOpResp", &resp, resp, func(enc []byte) error { return Default.Unmarshal(enc, new(protocol.TSOpResp)) }, 4},
+		{"TSOpReq", &req, req, func(enc []byte) error { return Default.Unmarshal(enc, new(protocol.TSOpReq)) }, 5},
+		{"TSOpResp", &resp, resp, func(enc []byte) error { return Default.Unmarshal(enc, new(protocol.TSOpResp)) }, 5},
 		{"TaskEvent", &ev, ev, func(enc []byte) error { return Default.Unmarshal(enc, new(protocol.TaskEvent)) }, 5},
 		{"TaskEvents", &batch, batch, func(enc []byte) error { return Default.Unmarshal(enc, new(protocol.TaskEvents)) }, 2*32 + 4},
 		{"ExecTaskReq", &exec, exec, func(enc []byte) error { return Default.Unmarshal(enc, new(protocol.ExecTaskReq)) }, 8 + 4},

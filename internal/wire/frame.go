@@ -8,7 +8,7 @@
 //	body    := 'C' 'N' vbyte [taillen] envelope [tail]
 //	vbyte   := Version, with TailFlag set iff a bulk tail follows the envelope
 //	taillen := uint32 BE, > 0                  (present iff TailFlag)
-//	envelope:= id kind correlID from to time headers payload [trace]
+//	envelope:= id kind correlID from to headers payload [trace]
 //	trace   := traceID spanID parentID   (uvarints; present iff traced)
 //	tail    := taillen raw bytes (msg.Message.Tail)
 //
@@ -24,8 +24,8 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"io"
-	"time"
 
 	"cn/internal/msg"
 	"cn/internal/trace"
@@ -57,13 +57,6 @@ func AppendMessage(dst []byte, m *msg.Message) []byte {
 	dst = AppendUvarint(dst, m.CorrelID)
 	dst = appendAddress(dst, m.From)
 	dst = appendAddress(dst, m.To)
-	// The zero time encodes as 0 so it round-trips exactly; real send
-	// timestamps are always far from the epoch.
-	var nanos int64
-	if !m.Time.IsZero() {
-		nanos = m.Time.UnixNano()
-	}
-	dst = AppendVarint(dst, nanos)
 	dst = AppendUvarint(dst, uint64(len(m.Headers)))
 	if len(m.Headers) > 0 {
 		// Header order does not matter on the wire; iteration order is fine
@@ -90,11 +83,12 @@ func appendAddress(dst []byte, a msg.Address) []byte {
 	return AppendString(dst, a.Task)
 }
 
-// DecodeMessage parses a binary envelope produced by AppendMessage. The
+// decodeMessage parses a binary envelope produced by AppendMessage. The
 // returned message's Payload aliases b; callers that recycle b must copy.
-// Malformed input returns an error, never panics.
-func DecodeMessage(b []byte) (*msg.Message, error) {
-	r := NewReader(b)
+// Malformed input returns an error, never panics. Address strings come from
+// names (nil: fresh ones).
+func decodeMessage(b []byte, names *nameCache) (*msg.Message, error) {
+	r := &Reader{b: b}
 	m := &msg.Message{}
 	var err error
 	if m.ID, err = r.Uvarint(); err != nil {
@@ -113,18 +107,11 @@ func DecodeMessage(b []byte) (*msg.Message, error) {
 	if m.CorrelID, err = r.Uvarint(); err != nil {
 		return nil, err
 	}
-	if m.From, err = readAddress(r); err != nil {
+	if m.From, err = readAddress(r, names); err != nil {
 		return nil, err
 	}
-	if m.To, err = readAddress(r); err != nil {
+	if m.To, err = readAddress(r, names); err != nil {
 		return nil, err
-	}
-	nanos, err := r.Varint()
-	if err != nil {
-		return nil, err
-	}
-	if nanos != 0 {
-		m.Time = time.Unix(0, nanos)
 	}
 	nh, err := r.Count("headers")
 	if err != nil {
@@ -170,17 +157,35 @@ func DecodeMessage(b []byte) (*msg.Message, error) {
 	return m, nil
 }
 
-func readAddress(r *Reader) (msg.Address, error) {
+func readAddress(r *Reader, names *nameCache) (msg.Address, error) {
 	var a msg.Address
-	var err error
-	if a.Node, err = r.String(); err != nil {
-		return a, err
+	for _, s := range [...]*string{&a.Node, &a.Job, &a.Task} {
+		b, err := r.Bytes()
+		if err != nil {
+			return a, err
+		}
+		*s = names.intern(b)
 	}
-	if a.Job, err = r.String(); err != nil {
-		return a, err
+	return a, nil
+}
+
+// nameCache reuses the strings of a stream's envelope addresses, which name
+// the same few nodes, jobs and tasks frame after frame. It is direct-mapped
+// and not safe for concurrent use; a nil cache makes a string per name.
+type nameCache struct {
+	seed  maphash.Seed
+	slots [64]string
+}
+
+func (c *nameCache) intern(b []byte) string {
+	if c == nil || len(b) == 0 {
+		return string(b)
 	}
-	a.Task, err = r.String()
-	return a, err
+	s := &c.slots[maphash.Bytes(c.seed, b)%uint64(len(c.slots))]
+	if *s != string(b) {
+		*s = string(b)
+	}
+	return *s
 }
 
 // AppendFrame appends the complete, contiguous frame for m — length
@@ -274,7 +279,7 @@ func DecodeFrameBody(body []byte) (*msg.Message, error) {
 	}
 	body = body[frameBodyMin:]
 	if !tailed {
-		return DecodeMessage(body)
+		return decodeMessage(body, nil)
 	}
 	if len(body) < tailLenBytes {
 		return nil, fmt.Errorf("wire: frame ends inside its tail length")
@@ -284,7 +289,7 @@ func DecodeFrameBody(body []byte) (*msg.Message, error) {
 		return nil, err
 	}
 	body = body[tailLenBytes:]
-	m, err := DecodeMessage(body[:envLen])
+	m, err := decodeMessage(body[:envLen], nil)
 	if err != nil {
 		return nil, err
 	}
@@ -317,6 +322,8 @@ type FrameReader struct {
 	// a buffer handed to an io.Reader escapes.
 	prefix [FrameHeaderBytes]byte
 	word   [frameBodyMin + tailLenBytes]byte
+	// names is the stream's address strings, read by Next's goroutine only.
+	names nameCache
 }
 
 // readBufBytes sizes a FrameReader's buffer — one per inbound connection,
@@ -330,7 +337,7 @@ const readBufBytes = 16 << 10
 
 // NewFrameReader wraps r; see FrameReader.post for post.
 func NewFrameReader(r io.Reader, post func(head *msg.Message, n int) []byte) *FrameReader {
-	return &FrameReader{br: bufio.NewReaderSize(r, readBufBytes), post: post}
+	return &FrameReader{br: bufio.NewReaderSize(r, readBufBytes), post: post, names: nameCache{seed: maphash.MakeSeed()}}
 }
 
 // Next reads one frame and returns its message and its size on the wire.
@@ -374,7 +381,7 @@ func (fr *FrameReader) readEnvelope(n, skip int) (*msg.Message, error) {
 	if err := fr.readFull(buf); err != nil {
 		return nil, err
 	}
-	m, err := DecodeMessage(buf[skip:])
+	m, err := decodeMessage(buf[skip:], &fr.names)
 	if err != nil {
 		return nil, &FrameError{err}
 	}
@@ -458,11 +465,6 @@ func uvarintLen(u uint64) int {
 	return n
 }
 
-// varintLen is the encoded width of i as a zig-zag signed varint.
-func varintLen(i int64) int {
-	return uvarintLen(uint64(i)<<1 ^ uint64(i>>63))
-}
-
 func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
 func addressLen(a msg.Address) int {
@@ -481,11 +483,6 @@ func SizeOf(m *msg.Message) int {
 	n += uvarintLen(m.CorrelID)
 	n += addressLen(m.From)
 	n += addressLen(m.To)
-	var nanos int64
-	if !m.Time.IsZero() {
-		nanos = m.Time.UnixNano()
-	}
-	n += varintLen(nanos)
 	n += uvarintLen(uint64(len(m.Headers)))
 	for k, v := range m.Headers {
 		n += stringLen(k) + stringLen(v)

@@ -13,6 +13,7 @@ import (
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/trace"
+	"cn/internal/tuplespace"
 )
 
 // gobBaseline encodes v the way the pre-codec wire did: a fresh
@@ -177,10 +178,10 @@ func FuzzUnmarshalPayload(f *testing.F) {
 	if enc, err := Default.Marshal(&protocol.Heartbeat{Node: "n", Seq: 1}); err == nil {
 		f.Add(enc)
 	}
-	if enc, err := Default.Marshal(&protocol.TSOpReq{JobID: "j", Fields: []protocol.TSField{{Kind: "s", S: "x"}}}); err == nil {
+	if enc, err := Default.Marshal(&protocol.TSOpReq{Tuple: tuplespace.Tuple{"x"}}); err == nil {
 		f.Add(enc)
 	}
-	if enc, err := Default.Marshal(&protocol.TSOpReq{JobID: "j", NoReply: true, Fields: []protocol.TSField{{Kind: "i", I: 7}}}); err == nil {
+	if enc, err := Default.Marshal(&protocol.TSOpReq{NoReply: true, Tuple: tuplespace.Tuple{7}}); err == nil {
 		f.Add(enc)
 	}
 	if enc, err := Default.Marshal(&protocol.DataPutReq{JobID: "j", Key: "k", Digest: "d", Size: 3, Data: []byte{1, 2, 3}}); err == nil {
@@ -220,13 +221,16 @@ func FuzzRoundTripHeartbeat(f *testing.F) {
 
 // FuzzRoundTripTSOpReq: structured fuzzing of the tuple-space request —
 // the body of every Out — including the trailing v5 NoReply flag: any input
-// that marshals must unmarshal to the same value.
+// that marshals must unmarshal to the same value. The job and the requester
+// are the envelope's, so a request naming them in the body loses them.
 func FuzzRoundTripTSOpReq(f *testing.F) {
 	f.Add("node1-job1", "w1", "res", int64(7), int64(0), true)
 	f.Add("", "client", "", int64(-1), int64(1000), false)
 	f.Fuzz(func(t *testing.T, jobID, from, s string, i, parkMS int64, noReply bool) {
-		in := &protocol.TSOpReq{JobID: jobID, FromTask: from, ParkMS: parkMS, NoReply: noReply,
-			Fields: []protocol.TSField{{Kind: protocol.TSString, S: s}, {Kind: protocol.TSInt, I: i}}}
+		in := &protocol.TSOpReq{ParkMS: parkMS, NoReply: noReply, Tuple: tuplespace.Tuple{s, int(i), i, []byte(s)}}
+		if s == "" {
+			in.Tuple[3] = []byte(nil) // an empty slice travels as nil
+		}
 		enc, err := Default.Marshal(in)
 		if err != nil {
 			t.Fatal(err)
@@ -350,6 +354,32 @@ func FuzzRoundTripDataLoc(f *testing.F) {
 			out.Size != in.Size || !bytes.Equal(out.Data, in.Data) ||
 			out.Retry != in.Retry || out.Closed != in.Closed || out.Err != in.Err {
 			t.Errorf("round trip mismatch: %+v vs %+v", in, out)
+		}
+	})
+}
+
+// FuzzReadTuple: the tuple codec on arbitrary bytes never panics, and a
+// tuple or template it decodes re-encodes to bytes that decode and encode
+// identically again — field by field, kind tag and value bits, so a NaN
+// counts as itself. (The first encoding need not be the input: the slots a
+// field's kind does not read are written as zero.)
+func FuzzReadTuple(f *testing.F) {
+	f.Add(AppendTuple(nil, tuplespace.Tuple{"row", 3, int64(9), 1.5, true, []byte{0xCA, 0xFE}}))
+	f.Add(AppendTuple(nil, tuplespace.Template{"k", tuplespace.Wildcard, tuplespace.TypeOf(0), tuplespace.TypeOf([]byte(nil))}))
+	f.Add(AppendTuple(nil, tuplespace.Tuple{}))
+	f.Add([]byte{1, 4, 't', 'y', 'p', 'e', 4, 'c', 'h', 'a', 'n', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tuple, err := ReadTuple(NewReader(b))
+		if err != nil {
+			return
+		}
+		enc := AppendTuple(nil, tuple)
+		back, err := ReadTuple(NewReader(enc))
+		if err != nil {
+			t.Fatalf("%v re-encodes to bytes that do not decode: %v", tuple, err)
+		}
+		if again := AppendTuple(nil, back); !bytes.Equal(again, enc) {
+			t.Fatalf("%v encodes as %x, then as %x", tuple, enc, again)
 		}
 	})
 }

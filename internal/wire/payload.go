@@ -20,6 +20,7 @@ import (
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/task"
+	"cn/internal/tuplespace"
 )
 
 // Payload type ids. Append only: a type id is part of the wire format, and
@@ -91,9 +92,9 @@ func init() {
 	registerSized(tUserPayload, func(v protocol.UserPayload) int { return 64 + len(v.Data) }, appendUserPayload, readUserPayload)
 	register(tCancelJobReq, 128, appendCancelJobReq, readCancelJobReq)
 	register(tJobEvent, 128, appendJobEvent, readJobEvent)
-	register(tTSOpReq, 128, appendTSOpReq, readTSOpReq)
+	register(tTSOpReq, 96, appendTSOpReq, readTSOpReq)
 	register(tTSCancelReq, 64, appendTSCancelReq, readTSCancelReq)
-	register(tTSOpResp, 128, appendTSOpResp, readTSOpResp)
+	register(tTSOpResp, 96, appendTSOpResp, readTSOpResp)
 	registerSized(tDataPutReq, func(v protocol.DataPutReq) int { return 192 + len(v.Data) }, AppendDataPutReq, ReadDataPutReq)
 	register(tDataResolveReq, 192, appendDataResolveReq, readDataResolveReq)
 	registerSized(tDataLocResp, func(v protocol.DataLocResp) int { return 192 + len(v.Data) }, appendDataLocResp, readDataLocResp)
@@ -199,7 +200,7 @@ func (Codec) Unmarshal(data []byte, out any) error {
 	if gotID != f.id {
 		return fmt.Errorf("wire: payload type id %d does not match %T", gotID, out)
 	}
-	if err := f.read(r, out); err != nil {
+	if err := f.read(&r, out); err != nil {
 		return err
 	}
 	if r.Len() != 0 {
@@ -208,24 +209,37 @@ func (Codec) Unmarshal(data []byte, out any) error {
 	return nil
 }
 
+// UnmarshalTSOpReq is Unmarshal for a tuple-space request, called directly
+// rather than through the table so that neither the reader nor v escapes.
+func UnmarshalTSOpReq(data []byte, v *protocol.TSOpReq) error {
+	r, gotID, err := openPayload(data)
+	if err == nil && gotID != tTSOpReq {
+		err = fmt.Errorf("wire: payload type id %d is not a TSOpReq", gotID)
+	}
+	if err == nil {
+		err = readTSOpReq(&r, v)
+	}
+	if err == nil && r.Len() != 0 {
+		err = fmt.Errorf("wire: %d trailing bytes after a TSOpReq", r.Len())
+	}
+	return err
+}
+
 // openPayload validates the payload header and returns a reader positioned
 // at the first field plus the payload type id.
-func openPayload(data []byte) (*Reader, uint64, error) {
+func openPayload(data []byte) (Reader, uint64, error) {
 	if len(data) < 3 {
-		return nil, 0, fmt.Errorf("wire: payload too short (%d bytes)", len(data))
+		return Reader{}, 0, fmt.Errorf("wire: payload too short (%d bytes)", len(data))
 	}
 	if data[0] != msg.TagBinary {
-		return nil, 0, fmt.Errorf("wire: payload tag %#x is not binary", data[0])
+		return Reader{}, 0, fmt.Errorf("wire: payload tag %#x is not binary", data[0])
 	}
 	if data[1] != Version {
-		return nil, 0, fmt.Errorf("wire: payload version %d not supported (want %d)", data[1], Version)
+		return Reader{}, 0, fmt.Errorf("wire: payload version %d not supported (want %d)", data[1], Version)
 	}
-	r := NewReader(data[2:])
+	r := Reader{b: data[2:]}
 	id, err := r.Uvarint()
-	if err != nil {
-		return nil, 0, err
-	}
-	return r, id, nil
+	return r, id, err
 }
 
 // --- shared sub-encodings ---
@@ -430,48 +444,110 @@ func ReadBlobMap(r *Reader, what string) (map[string][]byte, error) {
 	return out, nil
 }
 
-func AppendTSFields(b []byte, fields []protocol.TSField) []byte {
+// AppendTuple appends a tuple or a template: a field count, then per field
+// its kind tag and one slot per value kind (string, integer, float, bool,
+// bytes), the checkpoint's space section since its version 4. A field of no
+// wire kind gets an empty tag, which ReadTuple refuses; callers check first.
+func AppendTuple[T ~[]any](b []byte, fields T) []byte {
 	b = AppendUvarint(b, uint64(len(fields)))
-	for _, f := range fields {
-		b = AppendString(b, f.Kind)
-		b = AppendString(b, f.S)
-		b = AppendVarint(b, f.I)
-		b = AppendFloat64(b, f.F)
-		b = AppendBool(b, f.B)
-		b = AppendBytes(b, f.Bytes)
+	for _, v := range fields {
+		switch x := v.(type) {
+		case string:
+			b = appendField(b, protocol.TSString, x, 0, 0, false, nil)
+		case int:
+			b = appendField(b, protocol.TSInt, "", int64(x), 0, false, nil)
+		case int64:
+			b = appendField(b, protocol.TSInt64, "", x, 0, false, nil)
+		case float64:
+			b = appendField(b, protocol.TSFloat, "", 0, x, false, nil)
+		case bool:
+			b = appendField(b, protocol.TSBool, "", 0, 0, x, nil)
+		case []byte:
+			b = appendField(b, protocol.TSBytes, "", 0, 0, false, x)
+		default:
+			kind, name := "", ""
+			if tuplespace.IsWildcard(v) {
+				kind = protocol.TSWildcard
+			} else if name, _ = tuplespace.TypeName(v); name != "" {
+				kind = protocol.TSTypeOf
+			}
+			b = appendField(b, kind, name, 0, 0, false, nil)
+		}
 	}
 	return b
 }
 
-func ReadTSFields(r *Reader) ([]protocol.TSField, error) {
+func appendField(b []byte, kind, s string, i int64, f float64, on bool, x []byte) []byte {
+	b = AppendString(b, kind)
+	b = AppendString(b, s)
+	b = AppendVarint(b, i)
+	b = AppendFloat64(b, f)
+	b = AppendBool(b, on)
+	return AppendBytes(b, x)
+}
+
+// ReadTuple reads what AppendTuple wrote, placeholders included (a caller
+// wanting a tuple checks it); a []byte field aliases the input.
+func ReadTuple(r *Reader) (tuplespace.Tuple, error) {
 	n, err := r.Count("tuple fields")
 	if err != nil || n == 0 {
 		return nil, err
 	}
-	out := make([]protocol.TSField, 0, capHint(n))
-	for i := 0; i < n; i++ {
-		var f protocol.TSField
-		if f.Kind, err = r.String(); err != nil {
-			return nil, err
+	out := make(tuplespace.Tuple, n)
+	for i := range out {
+		if out[i], err = readField(r); err != nil {
+			return nil, fmt.Errorf("wire: tuple field %d: %w", i, err)
 		}
-		if f.S, err = r.String(); err != nil {
-			return nil, err
-		}
-		if f.I, err = r.Varint(); err != nil {
-			return nil, err
-		}
-		if f.F, err = r.Float64(); err != nil {
-			return nil, err
-		}
-		if f.B, err = r.Bool(); err != nil {
-			return nil, err
-		}
-		if f.Bytes, err = r.Bytes(); err != nil {
-			return nil, err
-		}
-		out = append(out, f)
 	}
 	return out, nil
+}
+
+func readField(r *Reader) (any, error) {
+	var s, x []byte
+	var i int64
+	var f float64
+	var on bool
+	kind, err := r.Bytes()
+	if err == nil {
+		s, err = r.Bytes()
+	}
+	if err == nil {
+		i, err = r.Varint()
+	}
+	if err == nil {
+		f, err = r.Float64()
+	}
+	if err == nil {
+		on, err = r.Bool()
+	}
+	if err == nil {
+		x, err = r.Bytes()
+	}
+	if err != nil {
+		return nil, err
+	}
+	switch string(kind) {
+	case protocol.TSString:
+		return string(s), nil
+	case protocol.TSInt:
+		return int(i), nil
+	case protocol.TSInt64:
+		return i, nil
+	case protocol.TSFloat:
+		return f, nil
+	case protocol.TSBool:
+		return on, nil
+	case protocol.TSBytes:
+		return x, nil
+	case protocol.TSWildcard:
+		return tuplespace.Wildcard, nil
+	case protocol.TSTypeOf:
+		if p, ok := tuplespace.TypeFromName(string(s)); ok {
+			return p, nil
+		}
+		return nil, fmt.Errorf("unknown type %q", s)
+	}
+	return nil, fmt.Errorf("unknown field kind %q", kind)
 }
 
 // --- per-body encoders/decoders, fields in declaration order ---
@@ -492,7 +568,8 @@ func readJobRequirements(r *Reader, v *protocol.JobRequirements) (err error) {
 func appendJMOffer(b []byte, v protocol.JMOffer) []byte {
 	b = AppendString(b, v.Node)
 	b = AppendVarint(b, int64(v.FreeMemoryMB))
-	return AppendVarint(b, int64(v.ActiveJobs))
+	b = AppendVarint(b, int64(v.ActiveJobs))
+	return AppendString(b, v.Refused)
 }
 
 func readJMOffer(r *Reader, v *protocol.JMOffer) (err error) {
@@ -502,7 +579,10 @@ func readJMOffer(r *Reader, v *protocol.JMOffer) (err error) {
 	if v.FreeMemoryMB, err = r.Int(); err != nil {
 		return err
 	}
-	v.ActiveJobs, err = r.Int()
+	if v.ActiveJobs, err = r.Int(); err != nil {
+		return err
+	}
+	v.Refused, err = r.String()
 	return err
 }
 
@@ -900,21 +980,20 @@ func readJobEvent(r *Reader, v *protocol.JobEvent) (err error) {
 }
 
 func appendTSOpReq(b []byte, v protocol.TSOpReq) []byte {
-	b = AppendString(b, v.JobID)
-	b = AppendString(b, v.FromTask)
-	b = AppendTSFields(b, v.Fields)
+	if v.Tuple == nil && v.Fields != nil {
+		b = AppendUvarint(b, uint64(len(v.Fields)))
+		for _, f := range v.Fields {
+			b = appendField(b, f.Kind, f.S, f.I, f.F, f.B, f.Bytes)
+		}
+	} else {
+		b = AppendTuple(b, v.Tuple)
+	}
 	b = AppendVarint(b, v.ParkMS)
 	return AppendBool(b, v.NoReply)
 }
 
 func readTSOpReq(r *Reader, v *protocol.TSOpReq) (err error) {
-	if v.JobID, err = r.String(); err != nil {
-		return err
-	}
-	if v.FromTask, err = r.String(); err != nil {
-		return err
-	}
-	if v.Fields, err = ReadTSFields(r); err != nil {
+	if v.Tuple, err = ReadTuple(r); err != nil {
 		return err
 	}
 	if v.ParkMS, err = r.Varint(); err != nil {
@@ -943,7 +1022,7 @@ func appendTSOpResp(b []byte, v protocol.TSOpResp) []byte {
 	b = AppendBool(b, v.NoMatch)
 	b = AppendBool(b, v.Retry)
 	b = AppendString(b, v.Err)
-	return AppendTSFields(b, v.Fields)
+	return AppendTuple(b, v.Tuple)
 }
 
 func readTSOpResp(r *Reader, v *protocol.TSOpResp) (err error) {
@@ -962,7 +1041,7 @@ func readTSOpResp(r *Reader, v *protocol.TSOpResp) (err error) {
 	if v.Err, err = r.String(); err != nil {
 		return err
 	}
-	v.Fields, err = ReadTSFields(r)
+	v.Tuple, err = ReadTuple(r)
 	return err
 }
 

@@ -3,7 +3,6 @@ package wire
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"cn/internal/msg"
 	"cn/internal/trace"
@@ -17,7 +16,6 @@ func TestTracedMessageRoundTrip(t *testing.T) {
 		msg.Address{Node: "n2", Job: "j", Task: "t1"},
 		[]byte("payload"))
 	m.Trace = trace.Context{TraceID: 0xdeadbeefcafe, SpanID: 42, ParentID: 7}
-	m.Time = time.Unix(0, m.Time.UnixNano())
 
 	frame, err := AppendFrame(nil, m)
 	if err != nil {
@@ -49,7 +47,6 @@ func TestTracedMessageRoundTrip(t *testing.T) {
 // the envelope must be byte-identical to the pre-trace layout.
 func TestUntracedMessageAddsNoBytes(t *testing.T) {
 	m := msg.New(msg.KindPing, msg.Address{Node: "a"}, msg.Address{Node: "b"}, []byte("x"))
-	m.Time = time.Unix(0, m.Time.UnixNano())
 	enc := AppendMessage(nil, m)
 	traced := m.Clone()
 	traced.Trace = trace.Context{TraceID: 1, SpanID: 1}
@@ -57,7 +54,7 @@ func TestUntracedMessageAddsNoBytes(t *testing.T) {
 	if len(tracedEnc) != len(enc)+3 {
 		t.Errorf("traced adds %d bytes, want 3 (one-byte uvarints)", len(tracedEnc)-len(enc))
 	}
-	got, err := DecodeMessage(enc)
+	got, err := decodeMessage(enc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +70,7 @@ func TestTruncatedTraceRejected(t *testing.T) {
 	m.Trace = trace.Context{TraceID: 300, SpanID: 300, ParentID: 300} // two-byte uvarints
 	enc := AppendMessage(nil, m)
 	for cut := 1; cut <= 5; cut++ {
-		if _, err := DecodeMessage(enc[:len(enc)-cut]); err == nil {
+		if _, err := decodeMessage(enc[:len(enc)-cut], nil); err == nil {
 			t.Errorf("envelope truncated by %d bytes decoded cleanly", cut)
 		}
 	}
@@ -108,7 +105,7 @@ func FuzzRoundTripTraceEnvelope(f *testing.F) {
 		if want := SizeOf(m) - frameBodyMin; len(enc) != want {
 			t.Fatalf("encoded %d bytes, SizeOf says %d", len(enc), want)
 		}
-		got, err := DecodeMessage(enc)
+		got, err := decodeMessage(enc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

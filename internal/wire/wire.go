@@ -35,10 +35,12 @@ import (
 // body (TASK_STARTED / TASK_COMPLETED / TASK_FAILED stopped being frames),
 // version 7 the Size of an ArchiveRef that has a digest (FETCH_BLOB,
 // BLOB_DATA and SHUTDOWN left the kind table and renumbered it; TaskEvent
-// lost its unused Spans).
+// lost its unused Spans), version 8 dropped the envelope's timestamp and
+// TSOpReq's job and requester names, carried the tuple itself in TSOpReq and
+// TSOpResp, and gave JMOffer a trailing Refused reason.
 // Nothing outside this repository speaks the wire, so a receiver
 // accepts exactly this version and rejects the rest (see docs/WIRE.md).
-const Version = 7
+const Version = 8
 
 // MaxFrameBytes bounds one transport frame (envelope + payload + tail). Senders
 // refuse to emit larger frames and receivers drop the connection on a

@@ -14,6 +14,7 @@ import (
 	"cn/internal/protocol"
 	"cn/internal/task"
 	"cn/internal/trace"
+	"cn/internal/tuplespace"
 )
 
 // specFixture builds a representative task spec exercising every field.
@@ -71,17 +72,11 @@ func bodies() []any {
 		&protocol.UserPayload{JobID: "j", FromTask: "t1", ToTask: "client", Data: []byte("payload")},
 		&protocol.CancelJobReq{JobID: "j", Reason: "test", Tasks: []string{"t1", "t2"}},
 		&protocol.JobEvent{JobID: "j", Failed: true, Err: "x", TaskErrs: map[string]string{"t1": "boom"}},
-		&protocol.TSOpReq{JobID: "j", FromTask: "t1", ParkMS: 1000, NoReply: true, Fields: []protocol.TSField{
-			{Kind: protocol.TSString, S: "work"},
-			{Kind: protocol.TSInt, I: 7},
-			{Kind: protocol.TSFloat, F: 3.25},
-			{Kind: protocol.TSBool, B: true},
-			{Kind: protocol.TSBytes, Bytes: []byte{1, 2}},
-			{Kind: protocol.TSWildcard},
-			{Kind: protocol.TSTypeOf, S: "int"},
+		&protocol.TSOpReq{ParkMS: 1000, NoReply: true, Tuple: tuplespace.Tuple{
+			"work", 7, int64(-3), 3.25, true, []byte{1, 2}, tuplespace.Wildcard, tuplespace.TypeOf(0),
 		}},
 		&protocol.TSCancelReq{JobID: "j", ReqID: 12345},
-		&protocol.TSOpResp{OK: true, Fields: []protocol.TSField{{Kind: protocol.TSInt64, I: -9}}},
+		&protocol.TSOpResp{OK: true, Tuple: tuplespace.Tuple{int64(-9)}},
 		&protocol.DataPutReq{JobID: "j", Key: "wc/chunk/map1", Task: "split", Node: "n1",
 			Digest: "abc123", Size: 1 << 20, Data: []byte("inline")},
 		&protocol.DataResolveReq{JobID: "j", Key: "wc/chunk/map1", Task: "map1", ParkMS: 1000,
@@ -306,7 +301,6 @@ func TestMessageRoundTrip(t *testing.T) {
 		msg.MustEncode(protocol.Heartbeat{Node: "n1", Seq: 3}))
 	m.CorrelID = 77
 	m.SetHeader("k", "v")
-	m.Time = time.Unix(0, m.Time.UnixNano()) // strip the monotonic clock
 
 	frame, err := AppendFrame(nil, m)
 	if err != nil {
@@ -358,8 +352,7 @@ func TestMessageRoundTrip(t *testing.T) {
 }
 
 // TestSizeOfMatchesEncoding: the arithmetic size must agree with the real
-// encoding for a spread of messages (headers, empty fields, big payloads,
-// zero time).
+// encoding for a spread of messages (headers, empty fields, big payloads).
 func TestSizeOfMatchesEncoding(t *testing.T) {
 	msgs := []*msg.Message{
 		{ID: 1, Kind: msg.KindPing},
@@ -373,19 +366,42 @@ func TestSizeOfMatchesEncoding(t *testing.T) {
 	}
 }
 
-// TestZeroTimeRoundTrip: the zero send time must survive the envelope.
-func TestZeroTimeRoundTrip(t *testing.T) {
+// TestEnvelopeCarriesNoTimestamp: since version 8 the envelope is id, kind,
+// correlation, the two addresses, headers and payload — no send time — so
+// the smallest message is a frame body of eleven bytes.
+func TestEnvelopeCarriesNoTimestamp(t *testing.T) {
 	m := &msg.Message{ID: 1, Kind: msg.KindPing}
 	frame, err := AppendFrame(nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeFrameBody(frame[FrameHeaderBytes:])
+	want := []byte{Magic0, Magic1, Version, 1, byte(msg.KindPing), 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	if body := frame[FrameHeaderBytes:]; !bytes.Equal(body, want) {
+		t.Errorf("frame body %x, want %x", body, want)
+	}
+}
+
+// TestLegacyFieldsEncodeAsTheirTuple: a request that still spells its tuple
+// as TSFields goes on the wire in the very bytes of the tuple it spells, and
+// decodes as that tuple.
+func TestLegacyFieldsEncodeAsTheirTuple(t *testing.T) {
+	legacy := &protocol.TSOpReq{JobID: "node1-job1", FromTask: "w1", ParkMS: 5,
+		Fields: []protocol.TSField{{Kind: protocol.TSString, S: "res"}, {Kind: protocol.TSInt, I: 7}, {Kind: protocol.TSTypeOf, S: "int"}}}
+	tuple := &protocol.TSOpReq{ParkMS: 5, Tuple: tuplespace.Tuple{"res", 7, tuplespace.TypeOf(0)}}
+	a, err := Default.Marshal(legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Time.IsZero() {
-		t.Errorf("zero time decoded as %v", got.Time)
+	b, err := Default.Marshal(tuple)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("legacy fields encode as %x, their tuple as %x", a, b)
+	}
+	var got protocol.TSOpReq
+	if err := Default.Unmarshal(a, &got); err != nil || !reflect.DeepEqual(&got, tuple) {
+		t.Errorf("legacy request decodes as %+v (%v), want %+v", got, err, tuple)
 	}
 }
 
@@ -441,8 +457,7 @@ func TestBinaryBeatsGobOnSize(t *testing.T) {
 		}},
 		&protocol.AssignTasksReq{JobID: "node1-job1", JobManager: "node1", ClientNode: "client-1",
 			Items: []protocol.TaskCreate{{Spec: specFixture("t1"), Archive: protocol.ArchiveRef{Name: "a.jar", Digest: "d"}}}},
-		&protocol.TSOpReq{JobID: "node1-job1", FromTask: "w1", ParkMS: 1000,
-			Fields: []protocol.TSField{{Kind: protocol.TSString, S: "work"}, {Kind: protocol.TSInt, I: 3}}},
+		&protocol.TSOpReq{ParkMS: 1000, Tuple: tuplespace.Tuple{"work", 3}},
 	} {
 		bin, err := Default.Marshal(v)
 		if err != nil {

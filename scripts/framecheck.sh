@@ -9,7 +9,9 @@
 # transport functions every frame passes through (Send, the read and write
 # loops, the posted-receive claim, and for a node's frames to itself
 # sendSelf, the self-delivery loop selfLoop and its tail copy ownTail),
-# Server.handle / dispatch / replyIfAny, or the lifecycle path of the run phase — the JobManager's execTasks /
+# Server.handle / dispatch / replyIfAny, the JobManager's HandleTSOp (which
+# decodes a tuple-space request into its own frame) and the Caller's
+# deadline sweep expire, or the lifecycle path of the run phase — the JobManager's execTasks /
 # sendExec and its batch apply (HandleTaskEvents, applyEvents, applyLocked,
 # relayEvents), the TaskManager's HandleExec / post / flush (the flusher is
 # a goroutine per burst of events: it must start on a fresh stack without
@@ -34,6 +36,7 @@ while read -r line; do
 	'cn/internal/transport.(*tcpEndpoint).claimTail' | 'cn/internal/transport.(*Caller).claim' | 'cn/internal/transport.(*Caller).CallInto') ;;
 	'cn/internal/transport.(*tcpEndpoint).sendSelf' | 'cn/internal/transport.(*tcpEndpoint).selfLoop' | 'cn/internal/transport.(*tcpEndpoint).ownTail') ;;
 	'cn/internal/jobmgr.(*JobManager).execTasks' | 'cn/internal/jobmgr.(*JobManager).sendExec' | 'cn/internal/jobmgr.(*JobManager).HandleTaskEvents') ;;
+	'cn/internal/jobmgr.(*JobManager).HandleTSOp' | 'cn/internal/transport.(*Caller).expire') ;;
 	'cn/internal/jobmgr.(*JobManager).applyEvents' | 'cn/internal/jobmgr.(*JobManager).applyLocked' | 'cn/internal/jobmgr.(*JobManager).relayEvents') ;;
 	'cn/internal/taskmgr.(*TaskManager).HandleExec' | 'cn/internal/taskmgr.(*TaskManager).post' | 'cn/internal/taskmgr.(*TaskManager).flush') ;;
 	'cn/internal/api.(*Client).handle' | 'cn/internal/api.(*Job).recordEvents') ;;
