@@ -1,7 +1,6 @@
-// Benchmark harness: one benchmark per paper figure (Fig 1-7) plus the
-// quantitative tables T-A..T-F and the ablations DESIGN.md §5 calls out.
-// EXPERIMENTS.md records the measured numbers; cmd/cnbench prints the same
-// rows as formatted tables.
+// Micro benchmarks of the public API: one per paper figure (Fig 1-7), the
+// quantitative studies T-A..T-H and T-J, and ablations. The end-to-end
+// benchmark, whose rows BENCHMARK.json declares, is bench/ (bench/README.md).
 package cn_test
 
 import (
@@ -20,6 +19,8 @@ import (
 )
 
 func init() {
+	pubRegistry.MustRegister("bench.Sleep", sleepTask(60*time.Millisecond))
+	pubRegistry.MustRegister("bench.SleepLong", sleepTask(400*time.Millisecond))
 	pubRegistry.MustRegister("bench.EchoLoop", func() cn.Task {
 		return cn.TaskFunc(func(ctx cn.TaskContext) error {
 			for {
@@ -35,22 +36,41 @@ func init() {
 	})
 }
 
-// benchCluster boots a cluster + client for benchmarks.
-func benchCluster(b *testing.B, nodes int) (*cn.Cluster, *cn.Client) {
+// sleepTask is a task that computes for d, polling Done so that a copy
+// cancelled by recovery exits promptly.
+func sleepTask(d time.Duration) func() cn.Task {
+	return func() cn.Task {
+		return cn.TaskFunc(func(ctx cn.TaskContext) error {
+			for deadline := time.Now().Add(d); time.Now().Before(deadline) && !ctx.Done(); {
+				time.Sleep(2 * time.Millisecond)
+			}
+			return nil
+		})
+	}
+}
+
+// startBench boots a cluster of opts, on the benchmarks' registry with
+// 64 GB nodes, and connects a client; stop tears both down.
+func startBench(b *testing.B, opts cn.ClusterOptions) (c *cn.Cluster, cl *cn.Client, stop func()) {
 	b.Helper()
-	c, err := cn.StartCluster(cn.ClusterOptions{Nodes: nodes, Registry: pubRegistry, MemoryMB: 64000})
+	opts.Registry, opts.MemoryMB = pubRegistry, 64000
+	c, err := cn.StartCluster(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cl, err := cn.Connect(c, cn.ClientOptions{DiscoveryWindow: 20 * time.Millisecond})
+	cl, err = cn.Connect(c, cn.ClientOptions{DiscoveryWindow: 20 * time.Millisecond})
 	if err != nil {
 		c.Close()
 		b.Fatal(err)
 	}
-	b.Cleanup(func() {
-		cl.Close()
-		c.Close()
-	})
+	return c, cl, func() { cl.Close(); c.Close() }
+}
+
+// benchCluster is startBench for a cluster that lives until b ends.
+func benchCluster(b *testing.B, opts cn.ClusterOptions) (*cn.Cluster, *cn.Client) {
+	b.Helper()
+	c, cl, stop := startBench(b, opts)
+	b.Cleanup(stop)
 	return c, cl
 }
 
@@ -120,7 +140,7 @@ func BenchmarkFig2CNXRoundTrip(b *testing.B) {
 // BenchmarkFig3ExplicitRun measures executing the Figure 3 shape (split,
 // five concurrent workers, join) as a CN job.
 func BenchmarkFig3ExplicitRun(b *testing.B) {
-	_, cl := benchCluster(b, 4)
+	_, cl := benchCluster(b, cn.ClusterOptions{Nodes: 4})
 	ctx := context.Background()
 	specs := forkJoinSpecs(5)
 	b.ResetTimer()
@@ -151,7 +171,7 @@ func BenchmarkFig4TaggedValueCodec(b *testing.B) {
 // BenchmarkFig5DynamicRun measures dynamic-invocation expansion plus
 // execution with a run-time worker count of 4.
 func BenchmarkFig5DynamicRun(b *testing.B) {
-	_, cl := benchCluster(b, 4)
+	_, cl := benchCluster(b, cn.ClusterOptions{Nodes: 4})
 	g, err := cn.NewActivity("fig5").
 		Initial("i").
 		DynamicAction("worker", cn.TaskTags("", "pub.Noop", 10, "RUN_AS_THREAD_IN_TM"), "*", "load").
@@ -268,7 +288,7 @@ func BenchmarkFloydWorkers(b *testing.B) {
 	}
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("cn/workers=%d", w), func(b *testing.B) {
-			_, cl := benchCluster(b, 4)
+			_, cl := benchCluster(b, cn.ClusterOptions{Nodes: 4})
 			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -290,7 +310,7 @@ func BenchmarkMonteCarloWorkers(b *testing.B) {
 	const total = 2_000_000
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			_, cl := benchCluster(b, 4)
+			_, cl := benchCluster(b, cn.ClusterOptions{Nodes: 4})
 			ctx := context.Background()
 			per := int64(total / w)
 			b.ResetTimer()
@@ -311,8 +331,13 @@ func BenchmarkMonteCarloWorkers(b *testing.B) {
 // disabled, one CreateTask round trip (and one solicitation round) per
 // task. "batch" is one CreateTasks call: one solicitation round for the
 // whole set plus parallel batched assignments, with the archive traveling
-// at most once per node. Reported metrics: solicitation rounds per
-// admitted job and archive blob transfers per admitted job.
+// at most once per node. "warm" re-admits, in batch, a job whose archive
+// the 8 nodes already hold from one cold admission made before the timer
+// starts; offer caching is off so every round scores offers that advertise
+// the nodes' caches. Reported metrics: solicitation rounds per admitted
+// job, archive blob transfers per admitted job and, for warm, tasks placed
+// on a node already holding their archive per job. A warm admission that
+// sends the archive again fails the benchmark.
 func BenchmarkBatchPlacement(b *testing.B) {
 	const tasks = 32
 	buildArchive := func(b *testing.B) *cn.Archive {
@@ -364,19 +389,7 @@ func BenchmarkBatchPlacement(b *testing.B) {
 			{"batch", true, 0},     // directory-cached batch placement
 		} {
 			b.Run(fmt.Sprintf("%s/nodes=%d", mode.name, nodes), func(b *testing.B) {
-				c, err := cn.StartCluster(cn.ClusterOptions{
-					Nodes: nodes, Registry: pubRegistry,
-					MemoryMB: 64000, PlacementTTL: mode.ttl,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cl, err := cn.Connect(c, cn.ClientOptions{DiscoveryWindow: 20 * time.Millisecond})
-				if err != nil {
-					c.Close()
-					b.Fatal(err)
-				}
-				b.Cleanup(func() { cl.Close(); c.Close() })
+				c, cl := benchCluster(b, cn.ClusterOptions{Nodes: nodes, PlacementTTL: mode.ttl})
 				ar := buildArchive(b)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -389,6 +402,171 @@ func BenchmarkBatchPlacement(b *testing.B) {
 			})
 		}
 	}
+	b.Run("warm/nodes=8", func(b *testing.B) {
+		c, cl := benchCluster(b, cn.ClusterOptions{Nodes: 8, PlacementTTL: -1})
+		ar := buildArchive(b)
+		admit(b, cl, 0, true, ar)
+		coldUploads, coldHits := c.BlobTransfers(), c.PlacementStats().WarmHits
+		b.ResetTimer()
+		for i := 1; i <= b.N; i++ {
+			admit(b, cl, i, true, ar)
+		}
+		b.StopTimer()
+		uploads := c.BlobTransfers() - coldUploads
+		b.ReportMetric(float64(uploads)/float64(b.N), "uploads/job")
+		b.ReportMetric(float64(c.PlacementStats().WarmHits-coldHits)/float64(b.N), "warm_hits/job")
+		if uploads != 0 {
+			b.Fatalf("%d warm admissions sent the archive %d more times", b.N, uploads)
+		}
+	})
+}
+
+// --- T-H: failure recovery --------------------------------------------------------
+
+// sleepJob boots a cluster with opts and creates, without starting it, one
+// job of n tasks of class; it returns the job's placement (task → node) and
+// a stop that tears the cluster down. Each run boots its own cluster: a
+// killed node stays dead.
+func sleepJob(b *testing.B, opts cn.ClusterOptions, class string, n int) (*cn.Cluster, *cn.Job, map[string]string, func()) {
+	b.Helper()
+	c, cl, stop := startBench(b, opts)
+	job, err := cl.CreateJob(class, cn.JobRequirements{})
+	if err != nil {
+		stop()
+		b.Fatal(err)
+	}
+	specs := make([]*cn.TaskSpec, n)
+	for i := range specs {
+		specs[i] = &cn.TaskSpec{Name: fmt.Sprintf("s%02d", i), Class: class,
+			Req: cn.Requirements{MemoryMB: 10, RunModel: cn.RunAsThreadInTM}}
+	}
+	placements, err := job.CreateTasks(specs, nil)
+	if err != nil {
+		stop()
+		b.Fatal(err)
+	}
+	return c, job, placements, stop
+}
+
+// waitDone waits for job and fails the benchmark unless it succeeded.
+func waitDone(b *testing.B, job *cn.Job) {
+	b.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if res, err := job.Wait(ctx); err != nil || res.Failed {
+		b.Fatalf("job %s: res=%+v err=%v", job.ID, res, err)
+	}
+}
+
+// recoveryRun runs one 32 × 60 ms job on 8 nodes beating every hb and, with
+// kill set, power-cuts a node other than the JobManager's that hosts some
+// of its tasks 15 ms after Start. It returns Start to Done and the retries
+// the client saw.
+func recoveryRun(b *testing.B, hb time.Duration, kill bool) (time.Duration, int) {
+	b.Helper()
+	c, job, placements, stop := sleepJob(b, cn.ClusterOptions{
+		Nodes: 8, HeartbeatInterval: hb, MaxTaskRetries: 3,
+	}, "bench.Sleep", 32)
+	defer stop()
+	victim := ""
+	for _, node := range placements {
+		if node != job.JMNode {
+			victim = node
+			break
+		}
+	}
+	start := time.Now()
+	if err := job.Start(); err != nil {
+		b.Fatal(err)
+	}
+	if kill {
+		if victim == "" {
+			b.Fatal("every task was placed on the JobManager's node: nothing to kill")
+		}
+		time.Sleep(15 * time.Millisecond)
+		if err := c.KillNode(victim); err != nil {
+			b.Fatal(err)
+		}
+	}
+	waitDone(b, job)
+	d, retried := time.Since(start), job.Progress().Retried
+	if kill && retried == 0 {
+		b.Fatalf("%s was killed mid-job and no task was retried", victim)
+	}
+	return d, retried
+}
+
+// BenchmarkRecoveryAfterNodeKill measures time-to-recover against the
+// heartbeat interval: an op is one job run without a kill and one with a
+// TaskManager killed mid-job, each on a fresh cluster. recover_ms, the
+// killed run's duration less the baseline's, is the price of detection
+// (DeadAfter is 6 × the interval) plus re-placement and re-execution.
+func BenchmarkRecoveryAfterNodeKill(b *testing.B) {
+	for _, hb := range []time.Duration{5 * time.Millisecond, 10 * time.Millisecond, 25 * time.Millisecond, 50 * time.Millisecond} {
+		b.Run(fmt.Sprintf("hb=%v", hb), func(b *testing.B) {
+			var base, killed time.Duration
+			retries := 0
+			for i := 0; i < b.N; i++ {
+				d, _ := recoveryRun(b, hb, false)
+				base += d
+				d, r := recoveryRun(b, hb, true)
+				killed += d
+				retries += r
+			}
+			ms := func(d time.Duration) float64 { return float64(d) / float64(b.N) / float64(time.Millisecond) }
+			b.ReportMetric(ms(base), "baseline_ms")
+			b.ReportMetric(ms(killed), "killed_ms")
+			b.ReportMetric(ms(killed-base), "recover_ms")
+			b.ReportMetric(float64(retries)/float64(b.N), "retries")
+		})
+	}
+}
+
+// --- T-J: JobManager failover ---------------------------------------------------
+
+// failoverRun runs one job of 8 × 400 ms tasks on a 4-node cluster that
+// checkpoints every 20 ms and power-cuts the hosting JobManager 50 ms after
+// Start, once two checkpoint ticks have replicated the started schedule.
+// It returns the time from the kill until the client's handle points at
+// the adopter, and until the job is done.
+func failoverRun(b *testing.B) (adopt, finish time.Duration) {
+	b.Helper()
+	c, job, _, stop := sleepJob(b, cn.ClusterOptions{
+		Nodes: 4, HeartbeatInterval: 10 * time.Millisecond,
+		MaxTaskRetries: 3, CheckpointEvery: 20 * time.Millisecond,
+	}, "bench.SleepLong", 8)
+	defer stop()
+	if err := job.Start(); err != nil {
+		b.Fatal(err)
+	}
+	origin := job.Manager()
+	time.Sleep(50 * time.Millisecond)
+	t0 := time.Now()
+	if err := c.KillNode(origin); err != nil {
+		b.Fatal(err)
+	}
+	for job.Manager() == origin {
+		if time.Since(t0) > 30*time.Second {
+			b.Fatalf("no JobManager adopted %s within 30s of %s's death", job.ID, origin)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	adopt = time.Since(t0)
+	waitDone(b, job)
+	return adopt, time.Since(t0)
+}
+
+// BenchmarkJobManagerFailover measures what failover delivers (failoverRun):
+// adopt_ms and finish_ms are means over the runs.
+func BenchmarkJobManagerFailover(b *testing.B) {
+	var adopt, finish time.Duration
+	for i := 0; i < b.N; i++ {
+		a, f := failoverRun(b)
+		adopt += a
+		finish += f
+	}
+	b.ReportMetric(float64(adopt)/float64(b.N)/float64(time.Millisecond), "adopt_ms")
+	b.ReportMetric(float64(finish)/float64(b.N)/float64(time.Millisecond), "finish_ms")
 }
 
 // --- T-B: discovery latency vs cluster size --------------------------------
@@ -398,7 +576,7 @@ func BenchmarkBatchPlacement(b *testing.B) {
 func BenchmarkDiscoveryNodes(b *testing.B) {
 	for _, nodes := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			_, cl := benchCluster(b, nodes)
+			_, cl := benchCluster(b, cn.ClusterOptions{Nodes: nodes})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := cl.DiscoverWith(discovery.FirstResponder{}, cn.JobRequirements{}); err != nil {
@@ -415,7 +593,7 @@ func BenchmarkDiscoveryNodes(b *testing.B) {
 // -> client round trip for 1 KB user payloads (the conduit path of the
 // paper's message model).
 func BenchmarkMessaging(b *testing.B) {
-	_, cl := benchCluster(b, 3)
+	_, cl := benchCluster(b, cn.ClusterOptions{Nodes: 3})
 	job, err := cl.CreateJob("echo", cn.JobRequirements{})
 	if err != nil {
 		b.Fatal(err)
@@ -547,7 +725,7 @@ func BenchmarkSchedulingOverhead(b *testing.B) {
 		}
 	})
 	b.Run("cn", func(b *testing.B) {
-		_, cl := benchCluster(b, 4)
+		_, cl := benchCluster(b, cn.ClusterOptions{Nodes: 4})
 		ctx := context.Background()
 		specs := make([]*cn.TaskSpec, 8)
 		for t := 0; t < 8; t++ {
@@ -563,7 +741,7 @@ func BenchmarkSchedulingOverhead(b *testing.B) {
 	})
 }
 
-// --- Ablations (DESIGN.md §5) ------------------------------------------------
+// --- Ablations ------------------------------------------------------------------
 
 // BenchmarkForkJoinCollapse compares dependency analysis on a fork/join
 // pseudostate graph against the equivalent direct-edge graph.
@@ -614,7 +792,7 @@ func BenchmarkSelectionPolicy(b *testing.B) {
 	}
 	for _, p := range policies {
 		b.Run(p.Name(), func(b *testing.B) {
-			_, cl := benchCluster(b, 16)
+			_, cl := benchCluster(b, cn.ClusterOptions{Nodes: 16})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := cl.DiscoverWith(p, cn.JobRequirements{}); err != nil {
@@ -628,22 +806,13 @@ func BenchmarkSelectionPolicy(b *testing.B) {
 // BenchmarkTransport compares the in-memory fabric against TCP loopback
 // for the same no-op job.
 func BenchmarkTransport(b *testing.B) {
-	for _, tcp := range []bool{false, true} {
+	for _, tp := range []cn.Transport{cn.TransportMem, cn.TransportTCP} {
 		name := "mem"
-		if tcp {
+		if tp == cn.TransportTCP {
 			name = "tcp"
 		}
 		b.Run(name, func(b *testing.B) {
-			c, err := cn.StartCluster(cn.ClusterOptions{Nodes: 3, Registry: pubRegistry, TCP: tcp})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cl, err := cn.Connect(c, cn.ClientOptions{DiscoveryWindow: 20 * time.Millisecond})
-			if err != nil {
-				c.Close()
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { cl.Close(); c.Close() })
+			_, cl := benchCluster(b, cn.ClusterOptions{Nodes: 3, Transport: tp})
 			ctx := context.Background()
 			specs := forkJoinSpecs(3)
 			b.ResetTimer()
@@ -662,7 +831,7 @@ func BenchmarkTransport(b *testing.B) {
 func BenchmarkRunModel(b *testing.B) {
 	for _, rm := range []cn.RunModel{cn.RunAsThreadInTM, cn.RunAsProcess} {
 		b.Run(rm.String(), func(b *testing.B) {
-			_, cl := benchCluster(b, 3)
+			_, cl := benchCluster(b, cn.ClusterOptions{Nodes: 3})
 			ctx := context.Background()
 			specs := forkJoinSpecs(3)
 			for _, s := range specs {

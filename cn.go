@@ -28,8 +28,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"log/slog"
-	"time"
 
 	"cn/internal/api"
 	"cn/internal/archive"
@@ -194,61 +192,20 @@ func NewArchive(name, taskClass string) *archive.Builder {
 	return archive.NewBuilder(name, taskClass)
 }
 
-// ClusterOptions configures StartCluster.
-type ClusterOptions struct {
-	// Nodes is the number of CN servers to boot (0 = 4).
-	Nodes int
-	// MemoryMB is each node's task capacity (0 = 8000).
-	MemoryMB int
-	// Registry resolves task classes on every node (nil = the global
-	// registry populated by RegisterTask).
-	Registry *Registry
-	// TCP selects real loopback sockets instead of the in-memory fabric.
-	TCP bool
-	// PlacementTTL bounds each JobManager's cached TaskManager offers
-	// (0 = placement default TTL; negative disables offer caching so every
-	// placement performs a fresh multicast round, the pre-directory
-	// behavior).
-	PlacementTTL time.Duration
-	// AssignTimeout bounds each JobManager's batch-assignment round trips
-	// (0 = 5s).
-	AssignTimeout time.Duration
-	// HeartbeatInterval is each TaskManager's beat cadence and the basis
-	// for failure-detection leases (0 = 500ms; negative disables
-	// heartbeating and failure detection).
-	HeartbeatInterval time.Duration
-	// SuspectAfter / DeadAfter override the failure-detection lease
-	// windows (0 = 3× / 6× the heartbeat interval). A suspect node is
-	// excluded from new placements; a dead node's in-flight tasks are
-	// re-placed on survivors.
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
-	// MaxTaskRetries bounds how many times one task may be re-placed after
-	// node deaths, failed dispatches, or straggler speculation
-	// (0 = 2; negative disables recovery).
-	MaxTaskRetries int
-	// CheckpointEvery is each JobManager's cadence for replicating hosted
-	// jobs' control state to its peers; when a manager dies, a surviving
-	// peer adopts its checkpointed jobs and drives them to completion
-	// (0 = the heartbeat interval; negative — or disabled heartbeating —
-	// disables checkpointing and failover).
-	CheckpointEvery time.Duration
-	// StragglerAfter enables speculative execution: a running task whose
-	// progress has stalled this long gets a duplicate on another node,
-	// first result wins (0 = disabled).
-	StragglerAfter time.Duration
-	// Latency/Jitter/Loss/Seed configure the in-memory fabric's link model.
-	Latency time.Duration
-	Jitter  time.Duration
-	Loss    float64
-	Seed    int64
-	// Log receives structured server diagnostics (nil discards); printf-style
-	// ones are its Debug records.
-	Log *slog.Logger
-	// TraceSample is each node's distributed-trace root sampling
-	// probability (0 = the 1-in-8 default; negative disables tracing).
-	TraceSample float64
-}
+// ClusterOptions configures StartCluster. It is the cluster harness's own
+// Config: every knob is declared, documented and defaulted there, once.
+type ClusterOptions = cluster.Config
+
+// Transport selects the fabric a cluster runs on (ClusterOptions.Transport).
+type Transport = cluster.Transport
+
+// Fabric choices.
+const (
+	// TransportMem is the in-memory simulated network (the default).
+	TransportMem = cluster.TransportMem
+	// TransportTCP uses real loopback sockets.
+	TransportTCP = cluster.TransportTCP
+)
 
 // Cluster is a running CN deployment.
 type Cluster struct {
@@ -259,30 +216,7 @@ type Cluster struct {
 // CNServer (JobManager + TaskManager) joined to the discovery multicast
 // groups.
 func StartCluster(opts ClusterOptions) (*Cluster, error) {
-	tp := cluster.TransportMem
-	if opts.TCP {
-		tp = cluster.TransportTCP
-	}
-	inner, err := cluster.Start(cluster.Config{
-		Nodes:             opts.Nodes,
-		MemoryMB:          opts.MemoryMB,
-		Transport:         tp,
-		PlacementTTL:      opts.PlacementTTL,
-		AssignTimeout:     opts.AssignTimeout,
-		HeartbeatInterval: opts.HeartbeatInterval,
-		SuspectAfter:      opts.SuspectAfter,
-		DeadAfter:         opts.DeadAfter,
-		MaxTaskRetries:    opts.MaxTaskRetries,
-		CheckpointEvery:   opts.CheckpointEvery,
-		StragglerAfter:    opts.StragglerAfter,
-		Latency:           opts.Latency,
-		Jitter:            opts.Jitter,
-		Loss:              opts.Loss,
-		Seed:              opts.Seed,
-		Registry:          opts.Registry,
-		Log:               opts.Log,
-		TraceSample:       opts.TraceSample,
-	})
+	inner, err := cluster.Start(opts)
 	if err != nil {
 		return nil, fmt.Errorf("cn: %w", err)
 	}

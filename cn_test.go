@@ -1,5 +1,5 @@
 // Package cn tests exercise the public API end to end and reproduce, at
-// the API level, each figure of the paper (see DESIGN.md §4).
+// the API level, each figure of the paper.
 package cn_test
 
 import (

@@ -36,51 +36,62 @@ type Config struct {
 	Nodes int
 	// NodePrefix names nodes prefix1..prefixN (default "node").
 	NodePrefix string
-	// MemoryMB is each node's task capacity (0 = taskmgr default).
+	// MemoryMB is each node's task capacity (0 = 8000).
 	MemoryMB int
-	// MaxJobs caps jobs per JobManager (0 = jobmgr default).
+	// MaxJobs caps jobs per JobManager (0 = 16).
 	MaxJobs int
-	// Transport selects the fabric.
+	// Transport selects the fabric (zero = TransportMem, the in-memory
+	// fabric; TransportTCP uses real loopback sockets).
 	Transport Transport
-	// Latency, Jitter, Loss, Seed configure the mem fabric's link model.
+	// Latency, Jitter, Loss, Seed configure the in-memory fabric's link
+	// model.
 	Latency time.Duration
 	Jitter  time.Duration
 	Loss    float64
 	Seed    int64
-	// Registry resolves task classes on every node (nil = task.Global).
+	// Registry resolves task classes on every node (nil = the global
+	// registry populated by RegisterTask).
 	Registry *task.Registry
 	// PlacementTTL bounds each JobManager's cached TaskManager offers
-	// (0 = placement default; negative disables offer caching).
+	// (0 = placement default TTL; negative disables offer caching, so every
+	// placement performs a fresh multicast round, the pre-directory
+	// behavior).
 	PlacementTTL time.Duration
 	// AssignTimeout bounds each JobManager's batch-assignment round trips
-	// (0 = jobmgr default).
+	// (0 = 5s).
 	AssignTimeout time.Duration
 	// TombstoneTTL bounds finished-job tombstone retention per JobManager
-	// (0 = jobmgr default; negative keeps tombstones forever).
+	// (0 = 5 minutes; negative keeps tombstones forever).
 	TombstoneTTL time.Duration
-	// HeartbeatInterval is each TaskManager's beat cadence and each
-	// JobManager's lease sizing basis (0 = health default; negative
-	// disables heartbeating and failure detection).
+	// HeartbeatInterval is each TaskManager's beat cadence and the basis
+	// for failure-detection leases (0 = 500ms; negative disables
+	// heartbeating and failure detection).
 	HeartbeatInterval time.Duration
-	// SuspectAfter / DeadAfter override the lease windows
-	// (0 = 3× / 6× the heartbeat interval).
+	// SuspectAfter / DeadAfter override the failure-detection lease
+	// windows (0 = 3× / 6× the heartbeat interval). A suspect node is
+	// excluded from new placements; a dead node's in-flight tasks are
+	// re-placed on survivors.
 	SuspectAfter time.Duration
 	DeadAfter    time.Duration
-	// MaxTaskRetries bounds per-task re-placement by each JobManager's
-	// recovery engine (0 = jobmgr default; negative disables recovery).
+	// MaxTaskRetries bounds how many times one task may be re-placed after
+	// node deaths, failed dispatches, or straggler speculation
+	// (0 = 2; negative disables recovery).
 	MaxTaskRetries int
-	// StragglerAfter enables speculative re-execution of running tasks
-	// whose progress sync stalls this long (0 = disabled).
+	// StragglerAfter enables speculative execution: a running task whose
+	// progress has stalled this long gets a duplicate on another node,
+	// first result wins (0 = disabled).
 	StragglerAfter time.Duration
-	// CheckpointEvery is each JobManager's peer-checkpoint cadence for
-	// failover (0 = heartbeat interval; negative disables checkpointing
-	// and job adoption).
+	// CheckpointEvery is each JobManager's cadence for replicating hosted
+	// jobs' control state to its peers; when a manager dies, a surviving
+	// peer adopts its checkpointed jobs and drives them to completion
+	// (0 = the heartbeat interval; negative — or disabled heartbeating —
+	// disables checkpointing and failover).
 	CheckpointEvery time.Duration
-	// Log is the structured logger every node's managers attach to (nil
-	// discards).
+	// Log receives structured server diagnostics (nil discards); printf-style
+	// ones are its Debug records.
 	Log *slog.Logger
-	// TraceSample is each node's root-sampling probability
-	// (0 = trace.DefaultSample; negative disables tracing cluster-wide).
+	// TraceSample is each node's distributed-trace root sampling
+	// probability (0 = the 1-in-8 default; negative disables tracing).
 	TraceSample float64
 }
 

@@ -2,6 +2,8 @@ package jobstore_test
 
 import (
 	"context"
+	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -266,5 +268,62 @@ func TestCrashRestartThroughCompaction(t *testing.T) {
 		if !ok || rec.State != jobstore.StateDone {
 			t.Errorf("job %s after compacted restart: ok=%v rec=%+v", id, ok, rec)
 		}
+	}
+}
+
+// BenchmarkWALReplay: what a reboot pays to replay the log, against its
+// size. Each case writes n queued jobs with a 512-byte submission through
+// the default compaction budget, so the directory holds a snapshot and a
+// log tail, as a portal's does; an op is one OpenWAL + Load + Close.
+//
+//	go test ./internal/jobstore -run '^$' -bench WALReplay -benchtime 1x
+func BenchmarkWALReplay(b *testing.B) {
+	body := make([]byte, 512)
+	for _, n := range []int{1024, 4096, 16384} {
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+			dir := b.TempDir()
+			w, err := jobstore.OpenWAL(dir, jobstore.WALOptions{NoSync: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if err := w.Put(&jobstore.PersistedJob{
+					ID: fmt.Sprintf("job-%d", i+1), Seq: int64(i + 1),
+					Sub:   jobstore.Submission{Format: jobstore.FormatCNX, Body: body, Label: "bench"},
+					State: jobstore.StateQueued,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				b.Fatal(err)
+			}
+			var size int64
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, e := range entries {
+				if fi, err := e.Info(); err == nil {
+					size += fi.Size()
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w, err := jobstore.OpenWAL(dir, jobstore.WALOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				pjs, err := w.Load()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(pjs) != n {
+					b.Fatalf("replayed %d of %d records", len(pjs), n)
+				}
+				w.Close()
+			}
+			b.ReportMetric(float64(size), "wal_bytes")
+		})
 	}
 }

@@ -382,29 +382,19 @@ type Codec interface {
 	Unmarshal(data []byte, out any) error
 }
 
-// codecBox wraps the interface so atomic.Value accepts nil codecs.
-type codecBox struct{ c Codec }
+// codec is the process-wide payload codec. It is set once, before main, by
+// cn/internal/wire's init, and only read after that, so it needs no lock.
+var codec Codec
 
-var activeCodec atomic.Value // codecBox
-
-// SetCodec installs (or, with nil, removes) the process-wide payload codec.
-// cn/internal/wire registers its binary codec at init; benchmarks toggle it
-// to measure the gob baseline.
-func SetCodec(c Codec) { activeCodec.Store(codecBox{c}) }
-
-// GetCodec returns the installed payload codec, or nil.
-func GetCodec() Codec {
-	if b, ok := activeCodec.Load().(codecBox); ok {
-		return b.c
-	}
-	return nil
-}
+// SetCodec installs the process-wide payload codec. cn/internal/wire calls
+// it from its init; nothing may call it once messages are being encoded.
+func SetCodec(c Codec) { codec = c }
 
 // EncodePayload encodes v for use as a message payload: through the
 // registered binary codec when it supports v's type, otherwise tagged gob.
 func EncodePayload(v any) ([]byte, error) {
-	if c := GetCodec(); c != nil {
-		b, err := c.Marshal(v)
+	if codec != nil {
+		b, err := codec.Marshal(v)
 		if err == nil {
 			return b, nil
 		}
@@ -441,11 +431,10 @@ func DecodePayload(b []byte, out any) error {
 	}
 	switch b[0] {
 	case TagBinary:
-		c := GetCodec()
-		if c == nil {
+		if codec == nil {
 			return fmt.Errorf("msg: decode payload: binary payload but no codec registered")
 		}
-		if err := c.Unmarshal(b, out); err != nil {
+		if err := codec.Unmarshal(b, out); err != nil {
 			return fmt.Errorf("msg: decode payload: %w", err)
 		}
 		return nil

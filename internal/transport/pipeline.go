@@ -3,8 +3,8 @@
 // returns immediately; a dedicated writer goroutine per connection owns
 // the dial and drains the queue, coalescing every queued frame into a
 // single writev per wakeup. (A send path that held a per-connection mutex
-// across the Write syscall preceded it; its measurements are the
-// "serialized" rows of BENCH_transport.json up to PR 13.)
+// across the Write syscall preceded it; BenchmarkHeartbeatUnderBulkStorm
+// measures the control lane's latency while bulk saturates a connection.)
 //
 // Two priority lanes keep the control plane live under bulk pressure:
 //

@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -441,4 +443,97 @@ func TestHeartbeatsSurviveBulkStorm(t *testing.T) {
 			return
 		}
 	}
+}
+
+// BenchmarkHeartbeatUnderBulkStorm: the one-way latency of a heartbeat
+// while 24 goroutines keep 256 KiB blob chunks flowing over the same TCP
+// connection. An op is 100 probes, 3 ms apart; hb_p50_ms and hb_p99_ms are
+// taken over every probe of the run. The kernel send buffer is bounded to
+// 64 KiB: bytes already in the kernel drain in order whatever their lane,
+// so an unbounded SO_SNDBUF would measure how much bulk it absorbs, not
+// the send path.
+//
+//	go test ./internal/transport -run '^$' -bench HeartbeatUnderBulkStorm -benchtime 1x
+func BenchmarkHeartbeatUnderBulkStorm(b *testing.B) {
+	const probes, interval = 100, 3 * time.Millisecond
+	n := NewTCPNetwork()
+	n.SetSendBuffer(64 << 10)
+	defer n.Close()
+
+	var mu sync.Mutex
+	var lats []time.Duration
+	if _, err := n.Attach("jm", func(m *msg.Message) {
+		if m.Kind == msg.KindHeartbeat && len(m.Payload) == 8 {
+			sentAt := time.Unix(0, int64(binary.BigEndian.Uint64(m.Payload)))
+			mu.Lock()
+			lats = append(lats, time.Since(sentAt))
+			mu.Unlock()
+		}
+	}); err != nil {
+		b.Fatal(err)
+	}
+	tm, err := n.Attach("tm", func(*msg.Message) {})
+	if err != nil {
+		b.Fatal(err)
+	}
+	arrived := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(lats)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		n.Close() // fails a send blocked on backpressure at once
+		wg.Wait()
+	}()
+	chunk := make([]byte, 256<<10)
+	for w := 0; w < 24; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// A full bulk lane answers ErrBackpressure; the storm keeps pushing.
+				_ = tm.Send("jm", msg.New(msg.KindBlobChunk, msg.Address{Node: "tm"}, msg.Address{Node: "jm"}, chunk))
+			}
+		}()
+	}
+	time.Sleep(100 * time.Millisecond) // let the storm reach saturation
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for p := 0; p < probes; p++ {
+			ts := make([]byte, 8)
+			binary.BigEndian.PutUint64(ts, uint64(time.Now().UnixNano()))
+			if err := tm.Send("jm", msg.New(msg.KindHeartbeat, msg.Address{Node: "tm"}, msg.Address{Node: "jm"}, ts)); err != nil {
+				b.Fatalf("heartbeat probe: %v", err)
+			}
+			time.Sleep(interval)
+		}
+	}
+	// Stragglers may still be crossing the congested connection.
+	sent := b.N * probes
+	for deadline := time.Now().Add(15 * time.Second); arrived() < sent && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	b.StopTimer()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(lats) < sent*9/10 {
+		b.Fatalf("only %d of %d heartbeat probes arrived", len(lats), sent)
+	}
+	slices.Sort(lats)
+	q := func(p float64) float64 {
+		return float64(lats[int(p*float64(len(lats)-1))]) / float64(time.Millisecond)
+	}
+	b.ReportMetric(q(0.5), "hb_p50_ms")
+	b.ReportMetric(q(0.99), "hb_p99_ms")
 }

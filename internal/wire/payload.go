@@ -147,8 +147,8 @@ func registerSized[T any](id uint64, hint func(T) int, app func([]byte, T) []byt
 	}
 }
 
-// Codec is the msg.Codec implementation; Default is the instance the init
-// hook registers and benchmarks reference explicitly.
+// Codec is the msg.Codec implementation; Default is the instance init
+// installs, once and before main, and tests call directly.
 type Codec struct{}
 
 // Default is the shared codec instance.
