@@ -8,6 +8,7 @@ import (
 	"cn/internal/api"
 	"cn/internal/cluster"
 	"cn/internal/floyd"
+	"cn/internal/protocol"
 	"cn/internal/task"
 )
 
@@ -109,5 +110,63 @@ func TestCNFloydTooManyWorkersFails(t *testing.T) {
 	_, err := floyd.Run(ctx, cl, m, 8)
 	if err == nil {
 		t.Fatal("8 workers over 3 rows should fail")
+	}
+}
+
+// TestSplitSkipsUndecodableMessages: bytes that do not decode, sent to the
+// splitter before the matrix, are logged and skipped, and the job still
+// computes the right closure.
+func TestSplitSkipsUndecodableMessages(t *testing.T) {
+	cl := startCluster(t, 2)
+	m := floyd.RandomGraph(12, 0.3, 9, 6)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	specs, err := floyd.Specs(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	archives, err := floyd.Archives()
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := cl.CreateJob("transclosure", protocol.JobRequirements{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer job.Release()
+	for _, s := range specs {
+		if err := job.CreateTask(s, archives[s.Archive]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := job.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range [][]byte{{0xff}, []byte("not a matrix"), floyd.EncodeMatrixMessage(m)} {
+		if err := job.SendMessage(floyd.SplitTaskName, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Read until the joiner's result, whether or not the job's end overtook
+	// it: the message is queued for the client either way.
+	for {
+		from, data, err := job.GetMessage(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if from != floyd.JoinTaskName {
+			continue
+		}
+		got, err := floyd.DecodeResultMessage(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(floyd.Sequential(m)) {
+			t.Fatal("CN result differs from sequential Floyd")
+		}
+		break
+	}
+	if res, err := job.Wait(ctx); err != nil || res.Failed {
+		t.Fatalf("job: %v %+v", err, res)
 	}
 }

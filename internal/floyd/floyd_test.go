@@ -1,6 +1,7 @@
 package floyd
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -305,20 +306,65 @@ func TestArchives(t *testing.T) {
 	}
 }
 
+// TestWireCodec: a message decodes to what was encoded, and neither
+// garbage nor any strict prefix of an encoding decodes.
 func TestWireCodec(t *testing.T) {
 	m := RingGraph(4)
 	data := EncodeMatrixMessage(m)
-	w, err := decodeWire(data)
+	w, err := decodeMessage(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Kind != "matrix" || w.N != 4 {
-		t.Errorf("wire = %+v", w)
+	if w.Kind != "matrix" || w.N != 4 || !m.Equal(&Matrix{N: w.N, D: w.Rows}) {
+		t.Errorf("message = %+v", w)
 	}
-	if _, err := decodeWire([]byte{1, 2, 3}); err == nil {
+	if _, err := decodeMessage([]byte{1, 2, 3}); err == nil {
 		t.Error("garbage accepted")
+	}
+	for n := range data {
+		if _, err := decodeMessage(data[:n]); err == nil {
+			t.Errorf("the %d-byte prefix of a %d-byte message decoded", n, len(data))
+		}
+	}
+	for _, bad := range []*message{
+		{Kind: "row", N: 4, Start: 4, End: 5, Rows: m.Row(0)},
+		{Kind: "row", N: 4, Start: 1, End: 2, Rows: m.Row(0)[:3]},
+		{Kind: "block", N: 4, Start: 1, End: 3, Rows: m.D[:4]},
+		{Kind: "result", N: 5, End: 1, Rows: m.D[:4]},
+		{Kind: "result", N: 1 << 40, End: 1 << 40},
+	} {
+		if _, err := decodeMessage(bad.encode()); err == nil {
+			t.Errorf("%+v decoded", bad)
+		}
 	}
 	if _, err := DecodeResultMessage(data); err == nil {
 		t.Error("matrix message accepted as result")
 	}
+}
+
+// FuzzFloydMessage: the message decoder never panics on arbitrary bytes,
+// and what it accepts re-encodes to bytes that decode and encode the same
+// again. (The first encoding need not be the input: a varint may be spelled
+// with more bytes than its value needs.)
+func FuzzFloydMessage(f *testing.F) {
+	m := RandomGraph(5, 0.5, 9, 1)
+	f.Add(EncodeMatrixMessage(m))
+	f.Add((&message{Kind: "block", N: 5, Start: 1, End: 3, Rows: m.D[5:15]}).encode())
+	f.Add((&message{Kind: "row", N: 5, Start: 2, End: 3, Rows: m.Row(2)}).encode())
+	f.Add((&message{Kind: "result", N: 5, End: 5, Rows: m.D}).encode())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		w, err := decodeMessage(b)
+		if err != nil {
+			return
+		}
+		enc := w.encode()
+		back, err := decodeMessage(enc)
+		if err != nil {
+			t.Fatalf("%+v re-encodes to bytes that do not decode: %v", w, err)
+		}
+		if again := back.encode(); !bytes.Equal(again, enc) {
+			t.Fatalf("%+v encodes as %x, then as %x", w, enc, again)
+		}
+	})
 }

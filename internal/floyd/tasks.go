@@ -1,10 +1,11 @@
 package floyd
 
 import (
+	"errors"
 	"fmt"
 
-	"cn/internal/msg"
 	"cn/internal/task"
+	"cn/internal/wire"
 )
 
 // Task class names, in the paper's package style.
@@ -21,27 +22,50 @@ const (
 	JarTCJoin    = "taskjoin.jar"
 )
 
-// wire is the single message body exchanged by the transitive-closure
-// tasks; Kind discriminates the variants.
-type wire struct {
-	Kind string // "matrix", "block", "row", "result"
-	// matrix / block / result payloads
+// message is the single body exchanged by the transitive-closure tasks:
+// rows Start..End of an N-column distance matrix, in Rows. Kind says which:
+// the client's "matrix", a worker's "block", the pivot "row" a worker
+// broadcasts (one row, Start = k) or a "result".
+type message struct {
+	Kind  string
 	N     int
 	Start int
 	End   int
 	Rows  []int64
-	// row payload
-	K   int
-	Row []int64
 }
 
-func encodeWire(w *wire) []byte { return msg.MustEncode(w) }
-func decodeWire(b []byte) (*wire, error) {
-	var w wire
-	if err := msg.DecodePayload(b, &w); err != nil {
-		return nil, fmt.Errorf("floyd: decode wire: %w", err)
+// encode writes the fields in declaration order with wire's primitives:
+// the application owns its encoding, the runtime carries the bytes. Most
+// entries of a distance matrix take one or two bytes.
+func (m *message) encode() []byte {
+	b := wire.AppendString(make([]byte, 0, 32+len(m.Kind)+2*len(m.Rows)), m.Kind)
+	b = wire.AppendVarint(wire.AppendVarint(wire.AppendVarint(b, int64(m.N)), int64(m.Start)), int64(m.End))
+	return wire.AppendInt64Slice(b, m.Rows)
+}
+
+// decodeMessage reads what encode wrote. It refuses truncated input, a
+// count past the bytes left, trailing bytes, and rows that do not fill
+// Start..End of an N-column matrix, so no task indexes past them (N is
+// bounded by the entries present, so it cannot size an allocation either).
+func decodeMessage(b []byte) (*message, error) {
+	r := wire.NewReader(b)
+	m := &message{}
+	var errs [5]error
+	m.Kind, errs[0] = r.String()
+	m.N, errs[1] = r.Int()
+	m.Start, errs[2] = r.Int()
+	m.End, errs[3] = r.Int()
+	m.Rows, errs[4] = wire.ReadInt64Slice(r, "rows")
+	err := errors.Join(errs[:]...)
+	if err == nil && (r.Len() != 0 || m.Start < 0 || m.Start > m.End || m.End > m.N ||
+		m.N > len(m.Rows) && m.N != 0 || len(m.Rows) != (m.End-m.Start)*m.N) {
+		err = fmt.Errorf("%q message with %d entries for rows %d..%d of %d and %d bytes left over",
+			m.Kind, len(m.Rows), m.Start, m.End, m.N, r.Len())
 	}
-	return &w, nil
+	if err != nil {
+		return nil, fmt.Errorf("floyd: decode message: %w", err)
+	}
+	return m, nil
 }
 
 // workerName returns the conventional worker task name (1-based), e.g.
@@ -90,33 +114,37 @@ func (*TaskSplit) Run(ctx task.Context) error {
 	if workers < 1 {
 		return fmt.Errorf("floyd: split: %d workers", workers)
 	}
-	// The client sends the input matrix after starting the job.
+	// The client sends the input matrix after starting the job; anything
+	// else that arrives first, undecodable bytes included, is skipped.
 	var m *Matrix
 	for m == nil {
 		from, data, err := ctx.Recv()
 		if err != nil {
 			return fmt.Errorf("floyd: split: waiting for matrix: %w", err)
 		}
-		w, err := decodeWire(data)
-		if err != nil || w.Kind != "matrix" {
+		w, err := decodeMessage(data)
+		switch {
+		case err != nil:
+			ctx.Logf("split: ignoring a message from %s: %v", from, err)
+		case w.Kind != "matrix" || w.Start != 0 || w.End != w.N:
 			ctx.Logf("split: ignoring %q message from %s", w.Kind, from)
-			continue
+		default:
+			m = &Matrix{N: w.N, D: w.Rows}
 		}
-		m = &Matrix{N: w.N, D: w.Rows}
 	}
 	if workers > m.N {
 		return fmt.Errorf("floyd: split: %d workers for %d rows (algorithm allows at most N tasks)", workers, m.N)
 	}
 	for w := 0; w < workers; w++ {
 		start, end := BlockBounds(m.N, workers, w)
-		block := &wire{
+		block := &message{
 			Kind:  "block",
 			N:     m.N,
 			Start: start,
 			End:   end,
 			Rows:  append([]int64(nil), m.D[start*m.N:end*m.N]...),
 		}
-		if err := ctx.Send(workerName(prefix, w), encodeWire(block)); err != nil {
+		if err := ctx.Send(workerName(prefix, w), block.encode()); err != nil {
 			return fmt.Errorf("floyd: split: send block %d: %w", w, err)
 		}
 	}
@@ -154,13 +182,13 @@ func (*TCTask) Run(ctx task.Context) error {
 
 	// Out-of-order tolerant receive: rows for future steps are buffered.
 	pendingRows := make(map[int][]int64)
-	var block *wire
+	var block *message
 	recvNext := func() error {
 		_, data, err := ctx.Recv()
 		if err != nil {
 			return err
 		}
-		w, err := decodeWire(data)
+		w, err := decodeMessage(data)
 		if err != nil {
 			return err
 		}
@@ -168,7 +196,7 @@ func (*TCTask) Run(ctx task.Context) error {
 		case "block":
 			block = w
 		case "row":
-			pendingRows[w.K] = w.Row
+			pendingRows[w.Start] = w.Rows
 		default:
 			ctx.Logf("worker: ignoring %q message", w.Kind)
 		}
@@ -181,9 +209,9 @@ func (*TCTask) Run(ctx task.Context) error {
 	}
 	n := block.N
 	start, end := block.Start, block.End
-	// Local sub-matrix holds only this worker's rows.
+	// Local sub-matrix holds only this worker's rows: local row i is row
+	// start+i.
 	local := &Matrix{N: n, D: block.Rows}
-	localRow := func(i int) []int64 { return local.D[(i-start)*n : (i-start+1)*n] }
 
 	for k := 0; k < n; k++ {
 		var rowK []int64
@@ -191,8 +219,8 @@ func (*TCTask) Run(ctx task.Context) error {
 			// "in the kth iteration have the task with the kth row
 			// broadcast it" — point-to-point to every sibling worker, which
 			// is CN broadcast semantics restricted to the worker group.
-			rowK = append([]int64(nil), localRow(k)...)
-			rm := encodeWire(&wire{Kind: "row", K: k, Row: rowK})
+			rowK = append([]int64(nil), local.Row(k-start)...)
+			rm := (&message{Kind: "row", N: n, Start: k, End: k + 1, Rows: rowK}).encode()
 			for w := 0; w < workers; w++ {
 				if w == self {
 					continue
@@ -210,22 +238,10 @@ func (*TCTask) Run(ctx task.Context) error {
 			rowK = pendingRows[k]
 			delete(pendingRows, k)
 		}
-		// Apply step k to the local block.
-		for i := start; i < end; i++ {
-			ri := localRow(i)
-			dik := ri[k]
-			if dik >= Inf {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if d := dik + rowK[j]; d < ri[j] {
-					ri[j] = d
-				}
-			}
-		}
+		UpdateRows(local, 0, end-start, k, rowK)
 	}
-	res := &wire{Kind: "result", N: n, Start: start, End: end, Rows: local.D}
-	if err := ctx.Send(joinName, encodeWire(res)); err != nil {
+	res := &message{Kind: "result", N: n, Start: start, End: end, Rows: local.D}
+	if err := ctx.Send(joinName, res.encode()); err != nil {
 		return fmt.Errorf("floyd: worker %d: send result: %w", idx1, err)
 	}
 	return nil
@@ -249,7 +265,7 @@ func (*TCJoin) Run(ctx task.Context) error {
 		if err != nil {
 			return fmt.Errorf("floyd: join: %w", err)
 		}
-		w, err := decodeWire(data)
+		w, err := decodeMessage(data)
 		if err != nil {
 			return err
 		}
@@ -263,8 +279,8 @@ func (*TCJoin) Run(ctx task.Context) error {
 		copy(out.D[w.Start*w.N:w.End*w.N], w.Rows)
 		received++
 	}
-	final := &wire{Kind: "result", N: out.N, Start: 0, End: out.N, Rows: out.D}
-	if err := ctx.SendClient(encodeWire(final)); err != nil {
+	final := &message{Kind: "result", N: out.N, Start: 0, End: out.N, Rows: out.D}
+	if err := ctx.SendClient(final.encode()); err != nil {
 		return fmt.Errorf("floyd: join: send to client: %w", err)
 	}
 	return nil
@@ -273,12 +289,12 @@ func (*TCJoin) Run(ctx task.Context) error {
 // EncodeMatrixMessage packages a matrix as the user message TaskSplit
 // expects from the client.
 func EncodeMatrixMessage(m *Matrix) []byte {
-	return encodeWire(&wire{Kind: "matrix", N: m.N, Rows: m.D})
+	return (&message{Kind: "matrix", N: m.N, End: m.N, Rows: m.D}).encode()
 }
 
 // DecodeResultMessage unpacks TCJoin's final result message.
 func DecodeResultMessage(data []byte) (*Matrix, error) {
-	w, err := decodeWire(data)
+	w, err := decodeMessage(data)
 	if err != nil {
 		return nil, err
 	}

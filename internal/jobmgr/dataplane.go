@@ -23,7 +23,7 @@ import (
 )
 
 func dataReply(m *msg.Message, resp *protocol.DataLocResp) *msg.Message {
-	return m.Reply(msg.KindDataLoc, msg.MustEncode(resp))
+	return protocol.Reply(m, msg.KindDataLoc, resp)
 }
 
 // dataNoJob answers a data-plane request that names no live job: a retired

@@ -509,7 +509,7 @@ func (jm *JobManager) HandleSolicit(m *msg.Message) *msg.Message {
 	case req.MinMemoryMB > 0 && offer.FreeMemoryMB < req.MinMemoryMB:
 		return nil
 	}
-	return m.Reply(msg.KindJobManagerOffer, msg.MustEncode(offer))
+	return protocol.Reply(m, msg.KindJobManagerOffer, offer)
 }
 
 // HandleCreateJob processes KindCreateJob: "The Job is subsequently created
@@ -569,14 +569,13 @@ func (jm *JobManager) HandleCreateJob(m *msg.Message) *msg.Message {
 	jm.wg.Add(1)
 	go jm.jobWorker(j)
 	jm.log.Info("job created", "job", id, "name", req.Name, "client", req.ClientNode)
-	return m.Reply(msg.KindJobCreated, msg.MustEncode(protocol.CreateJobResp{JobID: id}))
+	return protocol.Reply(m, msg.KindJobCreated, protocol.CreateJobResp{JobID: id})
 }
 
 // errReply produces a KindJobFailed response carrying the error text, used
 // as the uniform failure answer for job-scoped requests.
 func (jm *JobManager) errReply(m *msg.Message, text string) *msg.Message {
-	r := m.Reply(msg.KindJobFailed, msg.MustEncode(protocol.JobEvent{Failed: true, Err: text}))
-	return r
+	return protocol.Reply(m, msg.KindJobFailed, protocol.JobEvent{Failed: true, Err: text})
 }
 
 // noJobReply refuses a request that names no live job. A retired job
@@ -588,7 +587,7 @@ func (jm *JobManager) noJobReply(m *msg.Message, id string, t *tombstone) *msg.M
 	}
 	ev := protocol.JobEvent{JobID: id, Failed: true, TaskErrs: t.taskErrs,
 		Err: fmt.Sprintf("job %s already finished (%s)", id, t.outcome)}
-	return m.Reply(msg.KindJobFailed, msg.MustEncode(ev))
+	return protocol.Reply(m, msg.KindJobFailed, ev)
 }
 
 // lookup resolves a job id against both tables: the live record, or the
@@ -638,7 +637,7 @@ func (jm *JobManager) HandleCreateTasks(m *msg.Message) *msg.Message {
 	if err != nil {
 		return jm.errReply(m, err.Error())
 	}
-	return m.Reply(msg.KindTasksAccepted, msg.MustEncode(protocol.CreateTasksResp{Placements: placements}))
+	return protocol.Reply(m, msg.KindTasksAccepted, protocol.CreateTasksResp{Placements: placements})
 }
 
 // createTasks validates, places, and records a batch of tasks — the shared

@@ -82,7 +82,7 @@ func (jm *JobManager) HandleHeartbeat(m *msg.Message) *msg.Message {
 		if !jm.hasLivePlacements(node) {
 			jm.monitor.Forget(node)
 		}
-		return m.Reply(msg.KindHeartbeatAck, msg.MustEncode(protocol.HeartbeatAck{Node: jm.cfg.Node, Seq: hb.Seq}))
+		return protocol.Reply(m, msg.KindHeartbeatAck, protocol.HeartbeatAck{Node: jm.cfg.Node, Seq: hb.Seq})
 	}
 	jm.monitor.Observe(node)
 	// The beat doubles as a load sync: the node's running count refreshes
@@ -131,7 +131,7 @@ func (jm *JobManager) HandleHeartbeat(m *msg.Message) *msg.Message {
 		ack.UnknownJobs = append(ack.UnknownJobs, id)
 	}
 	sort.Strings(ack.UnknownJobs)
-	return m.Reply(msg.KindHeartbeatAck, msg.MustEncode(ack))
+	return protocol.Reply(m, msg.KindHeartbeatAck, ack)
 }
 
 // hasLivePlacements reports whether any hosted job still has a

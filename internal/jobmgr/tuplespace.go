@@ -162,7 +162,7 @@ func (jm *JobManager) tsReply(j *jobState, m *msg.Message, resp *protocol.TSOpRe
 	if j != nil && (resp.OK || resp.NoMatch) {
 		j.tsOps.Add(1)
 	}
-	err := jm.send(m.From.Node, m.Reply(msg.KindTSReply, msg.MustEncode(resp)))
+	err := jm.send(m.From.Node, protocol.Reply(m, msg.KindTSReply, resp))
 	if err == nil {
 		return
 	}

@@ -6,14 +6,13 @@
 // well-defined messages, CN also allows user-defined messages that only the
 // application (client and its tasks) understands."
 //
-// This package defines the message envelope, the well-defined message kinds,
-// addressing, and the payload codec shared by every CN component.
+// This package defines the message envelope, the well-defined message kinds
+// and the addressing shared by every CN component. A payload is bytes: a
+// protocol body is encoded by cn/internal/protocol, a user message by the
+// application that sends it.
 package msg
 
 import (
-	"bytes"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -171,22 +170,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// IsWellDefined reports whether k is part of the CN protocol (as opposed to
-// a user-defined payload that CN merely delivers).
-func (k Kind) IsWellDefined() bool {
-	return k > KindInvalid && k < kindEnd && k != KindUser && k != KindBroadcast
-}
-
-// IsEvent reports whether k is an asynchronous lifecycle event (as opposed
-// to a request or a response).
-func (k Kind) IsEvent() bool {
-	switch k {
-	case KindTaskStarted, KindTaskCompleted, KindTaskFailed, KindTaskEvents, KindTaskRetried, KindJobCompleted, KindJobFailed:
-		return true
-	}
-	return false
-}
-
 // Address names a message endpoint inside a CN deployment. An address is
 // hierarchical: a node hosts jobs, a job hosts tasks. Empty trailing
 // components widen the scope: {Node:"n1"} addresses the server on n1,
@@ -196,12 +179,6 @@ type Address struct {
 	Node string
 	Job  string
 	Task string
-}
-
-// ClientAddress returns the conventional address of the client program for
-// the given job: clients are not hosted on a node, so Node is "client".
-func ClientAddress(job string) Address {
-	return Address{Node: "client", Job: job, Task: "client"}
 }
 
 // String renders the address as node/job/task with empty parts elided.
@@ -219,41 +196,6 @@ func (a Address) String() string {
 // IsZero reports whether the address is entirely empty.
 func (a Address) IsZero() bool { return a == Address{} }
 
-// Matches reports whether a (possibly widened) pattern address matches m.
-// Empty components in the pattern match anything.
-func (a Address) Matches(m Address) bool {
-	if a.Node != "" && a.Node != m.Node {
-		return false
-	}
-	if a.Job != "" && a.Job != m.Job {
-		return false
-	}
-	if a.Task != "" && a.Task != m.Task {
-		return false
-	}
-	return true
-}
-
-// ParseAddress parses "node/job/task", "node/job" or "node".
-func ParseAddress(s string) (Address, error) {
-	if s == "" {
-		return Address{}, fmt.Errorf("msg: empty address")
-	}
-	parts := strings.Split(s, "/")
-	if len(parts) > 3 {
-		return Address{}, fmt.Errorf("msg: address %q has more than three components", s)
-	}
-	var a Address
-	a.Node = parts[0]
-	if len(parts) > 1 {
-		a.Job = parts[1]
-	}
-	if len(parts) > 2 {
-		a.Task = parts[2]
-	}
-	return a, nil
-}
-
 // Message is the envelope exchanged between CN components and applications.
 type Message struct {
 	// ID is unique per producing process.
@@ -265,8 +207,8 @@ type Message struct {
 	// From and To are the endpoints. To may be a widened address for
 	// multicast kinds.
 	From, To Address
-	// Payload is the encoded body (binary codec or tagged gob); see
-	// Encode/DecodePayload.
+	// Payload is the encoded body: a protocol body as protocol.Body wrote it,
+	// or a user message's bytes as its application wrote them.
 	Payload []byte
 	// Tail is the frame's optional bulk tail: bytes that ride after the
 	// envelope without being copied into it (see docs/WIRE.md). It is
@@ -352,97 +294,4 @@ func (m *Message) Clone() *Message {
 // String renders a compact one-line description for logs.
 func (m *Message) String() string {
 	return fmt.Sprintf("%s %s->%s id=%d len=%d", m.Kind, m.From, m.To, m.ID, len(m.Payload))
-}
-
-// Payload self-description tags: the first byte of every encoded payload
-// names the codec that produced it, so mixed traffic (binary protocol
-// bodies alongside gob-encoded user payloads) decodes unambiguously.
-const (
-	// TagGob marks a gob-encoded payload (the fallback codec and the only
-	// one for arbitrary KindUser application types).
-	TagGob byte = 'g'
-	// TagBinary marks a payload produced by the registered binary Codec
-	// (cn/internal/wire's hand-rolled per-type encoders).
-	TagBinary byte = 0xb1
-)
-
-// ErrUnsupportedPayload is returned by a Codec's Marshal for types it has
-// no hand-rolled encoder for; EncodePayload then falls back to gob.
-var ErrUnsupportedPayload = errors.New("msg: payload type not supported by codec")
-
-// Codec is the payload-encoding seam. A registered codec handles the
-// protocol's well-defined bodies with hand-rolled binary encoders; types it
-// does not know fall back to gob. Marshal output must start with TagBinary
-// and Unmarshal must accept exactly that framing.
-type Codec interface {
-	// Marshal encodes v, or returns ErrUnsupportedPayload to select the
-	// gob fallback.
-	Marshal(v any) ([]byte, error)
-	// Unmarshal decodes a TagBinary payload into out (a pointer).
-	Unmarshal(data []byte, out any) error
-}
-
-// codec is the process-wide payload codec. It is set once, before main, by
-// cn/internal/wire's init, and only read after that, so it needs no lock.
-var codec Codec
-
-// SetCodec installs the process-wide payload codec. cn/internal/wire calls
-// it from its init; nothing may call it once messages are being encoded.
-func SetCodec(c Codec) { codec = c }
-
-// EncodePayload encodes v for use as a message payload: through the
-// registered binary codec when it supports v's type, otherwise tagged gob.
-func EncodePayload(v any) ([]byte, error) {
-	if codec != nil {
-		b, err := codec.Marshal(v)
-		if err == nil {
-			return b, nil
-		}
-		if !errors.Is(err, ErrUnsupportedPayload) {
-			return nil, fmt.Errorf("msg: encode payload: %w", err)
-		}
-	}
-	var buf bytes.Buffer
-	buf.WriteByte(TagGob)
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("msg: encode payload: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// MustEncode is EncodePayload for values known to be encodable; it panics on
-// error and is intended for protocol-internal types.
-func MustEncode(v any) []byte {
-	b, err := EncodePayload(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// DecodePayload decodes a payload produced by EncodePayload into out, which
-// must be a pointer. The leading tag byte selects the codec; an unknown
-// tag is a hard error (every encoder tags, so an untagged buffer is
-// corruption or a future incompatible codec, and guessing gob would only
-// produce a misleading failure).
-func DecodePayload(b []byte, out any) error {
-	if len(b) == 0 {
-		return fmt.Errorf("msg: decode payload: empty payload")
-	}
-	switch b[0] {
-	case TagBinary:
-		if codec == nil {
-			return fmt.Errorf("msg: decode payload: binary payload but no codec registered")
-		}
-		if err := codec.Unmarshal(b, out); err != nil {
-			return fmt.Errorf("msg: decode payload: %w", err)
-		}
-		return nil
-	case TagGob:
-		if err := gob.NewDecoder(bytes.NewReader(b[1:])).Decode(out); err != nil {
-			return fmt.Errorf("msg: decode payload: %w", err)
-		}
-		return nil
-	}
-	return fmt.Errorf("msg: decode payload: unknown payload tag %#x", b[0])
 }

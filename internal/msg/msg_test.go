@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -15,24 +14,6 @@ func TestKindString(t *testing.T) {
 	}
 	if got := Kind(9999).String(); got != "Kind(9999)" {
 		t.Errorf("unknown kind String() = %q", got)
-	}
-}
-
-func TestKindClassification(t *testing.T) {
-	if KindUser.IsWellDefined() {
-		t.Error("KindUser must not be well-defined")
-	}
-	if KindBroadcast.IsWellDefined() {
-		t.Error("KindBroadcast must not be well-defined")
-	}
-	if !KindCreateJob.IsWellDefined() {
-		t.Error("KindCreateJob must be well-defined")
-	}
-	if !KindTaskFailed.IsEvent() {
-		t.Error("KindTaskFailed must be an event")
-	}
-	if KindCreateJob.IsEvent() {
-		t.Error("KindCreateJob must not be an event")
 	}
 }
 
@@ -74,12 +55,6 @@ func TestDataKinds(t *testing.T) {
 		if got := k.String(); got != want {
 			t.Errorf("%v.String() = %q, want %q", k, got, want)
 		}
-		if !k.IsWellDefined() {
-			t.Errorf("%s must be well-defined", want)
-		}
-		if k.IsEvent() {
-			t.Errorf("%s must not be an event", want)
-		}
 	}
 }
 
@@ -97,56 +72,6 @@ func TestAddressString(t *testing.T) {
 		if got := c.addr.String(); got != c.want {
 			t.Errorf("%+v.String() = %q, want %q", c.addr, got, c.want)
 		}
-	}
-}
-
-func TestParseAddressRoundTrip(t *testing.T) {
-	for _, s := range []string{"n1", "n1/j1", "n1/j1/t1"} {
-		a, err := ParseAddress(s)
-		if err != nil {
-			t.Fatalf("ParseAddress(%q): %v", s, err)
-		}
-		if a.String() != s {
-			t.Errorf("round trip %q -> %q", s, a.String())
-		}
-	}
-}
-
-func TestParseAddressErrors(t *testing.T) {
-	if _, err := ParseAddress(""); err == nil {
-		t.Error("ParseAddress(\"\") should fail")
-	}
-	if _, err := ParseAddress("a/b/c/d"); err == nil {
-		t.Error("ParseAddress with four components should fail")
-	}
-}
-
-func TestAddressMatches(t *testing.T) {
-	full := Address{Node: "n1", Job: "j1", Task: "t1"}
-	if !(Address{}).Matches(full) {
-		t.Error("empty pattern must match everything")
-	}
-	if !(Address{Node: "n1"}).Matches(full) {
-		t.Error("node pattern must match")
-	}
-	if !(Address{Node: "n1", Job: "j1"}).Matches(full) {
-		t.Error("node/job pattern must match")
-	}
-	if (Address{Node: "n2"}).Matches(full) {
-		t.Error("different node must not match")
-	}
-	if (Address{Node: "n1", Job: "j2"}).Matches(full) {
-		t.Error("different job must not match")
-	}
-	if (Address{Node: "n1", Job: "j1", Task: "t2"}).Matches(full) {
-		t.Error("different task must not match")
-	}
-}
-
-func TestClientAddress(t *testing.T) {
-	a := ClientAddress("job7")
-	if a.Node != "client" || a.Job != "job7" || a.Task != "client" {
-		t.Errorf("ClientAddress = %+v", a)
 	}
 }
 
@@ -224,72 +149,6 @@ func TestMessageString(t *testing.T) {
 	s := m.String()
 	if s == "" {
 		t.Error("String() empty")
-	}
-}
-
-func TestPayloadCodec(t *testing.T) {
-	type payload struct {
-		N int
-		S string
-		F []float64
-	}
-	in := payload{N: 42, S: "hello", F: []float64{1.5, 2.5}}
-	b, err := EncodePayload(in)
-	if err != nil {
-		t.Fatalf("EncodePayload: %v", err)
-	}
-	var out payload
-	if err := DecodePayload(b, &out); err != nil {
-		t.Fatalf("DecodePayload: %v", err)
-	}
-	if out.N != in.N || out.S != in.S || len(out.F) != 2 || out.F[1] != 2.5 {
-		t.Errorf("round trip mismatch: %+v", out)
-	}
-}
-
-func TestDecodePayloadError(t *testing.T) {
-	var out int
-	if err := DecodePayload([]byte{0xff, 0x00}, &out); err == nil {
-		t.Error("DecodePayload of garbage should fail")
-	}
-}
-
-func TestMustEncodePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustEncode of a channel should panic")
-		}
-	}()
-	MustEncode(make(chan int))
-}
-
-func TestPayloadRoundTripProperty(t *testing.T) {
-	f := func(n int64, s string, bs []byte) bool {
-		type trip struct {
-			N  int64
-			S  string
-			Bs []byte
-		}
-		b, err := EncodePayload(trip{n, s, bs})
-		if err != nil {
-			return false
-		}
-		var out trip
-		if err := DecodePayload(b, &out); err != nil {
-			return false
-		}
-		if out.N != n || out.S != s || len(out.Bs) != len(bs) {
-			return false
-		}
-		for i := range bs {
-			if out.Bs[i] != bs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

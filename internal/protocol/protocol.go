@@ -1,7 +1,8 @@
-// Package protocol defines the gob-encoded payload bodies of CN's
+// Package protocol defines the payload bodies of CN's
 // well-defined messages: the "Message Request, expected Message Action and
 // expected Message Response" triples exchanged between the CN API client,
-// JobManagers, and TaskManagers. Each struct corresponds to one msg.Kind.
+// JobManagers, and TaskManagers. Each struct corresponds to one msg.Kind;
+// Body, Reply and Decode encode and decode it (with cn/internal/wire's codec).
 package protocol
 
 import (
@@ -432,7 +433,7 @@ type StatsReportResp struct {
 // Decode unmarshals a message's body into out, which must match the
 // kind's body type. A chunk body's Data is the frame's tail, aliased.
 func Decode(m *msg.Message, out any) error {
-	if err := msg.DecodePayload(m.Payload, out); err != nil {
+	if err := unmarshal(m.Payload, out); err != nil {
 		return err
 	}
 	switch v := out.(type) {
@@ -445,7 +446,8 @@ func Decode(m *msg.Message, out any) error {
 }
 
 // Body constructs a message of the given kind with an encoded body; it
-// panics only if the body type is not gob-encodable (a programming error).
+// panics only if body's type has no row in the codec table (a programming
+// error).
 // The body is encoded at once into a payload of the message's own, so the
 // message shares no memory with body and the caller may reuse every slice
 // body holds as soon as Body returns — whichever path the message then
@@ -453,14 +455,14 @@ func Decode(m *msg.Message, out any) error {
 // body's Data: it is not encoded but rides the frame's tail by reference,
 // so it must stay unmodified until the message has been sent.
 func Body(kind msg.Kind, from, to msg.Address, body any) *msg.Message {
-	m := msg.New(kind, from, to, msg.MustEncode(body))
+	m := msg.New(kind, from, to, marshal(body))
 	m.Tail = tailOf(body)
 	return m
 }
 
 // Reply is Body for a response correlated with m (see msg.Message.Reply).
 func Reply(m *msg.Message, kind msg.Kind, body any) *msg.Message {
-	r := m.Reply(kind, msg.MustEncode(body))
+	r := m.Reply(kind, marshal(body))
 	r.Tail = tailOf(body)
 	return r
 }
@@ -480,3 +482,14 @@ func tailOf(body any) []byte {
 	}
 	return nil
 }
+
+// The payload codec: cn/internal/wire's Marshal and Unmarshal, which its
+// init installs with InstallCodec once, before main (wire imports this
+// package, so it cannot be called from here).
+var (
+	marshal   func(body any) []byte
+	unmarshal func(payload []byte, out any) error
+)
+
+// InstallCodec is wire's init's hand-over; nothing else calls it.
+func InstallCodec(m func(any) []byte, u func([]byte, any) error) { marshal, unmarshal = m, u }

@@ -148,12 +148,10 @@ func TestExecTaskReqRoundTrip(t *testing.T) {
 func TestDecodeMismatch(t *testing.T) {
 	m := Body(msg.KindPing, msg.Address{}, msg.Address{}, JobRequirements{MinMemoryMB: 1})
 	var out TaskEvent
-	// gob decodes into a different struct only when field names collide;
-	// JobRequirements and TaskEvent share none, so fields stay zero.
+	// The payload's type id names JobRequirements, so decoding it as a
+	// TaskEvent is refused rather than read in the wrong layout.
 	if err := Decode(m, &out); err == nil {
-		if out.JobID != "" || out.Task != "" {
-			t.Errorf("cross-decode produced data: %+v", out)
-		}
+		t.Errorf("a JobRequirements payload decoded as a TaskEvent: %+v", out)
 	}
 }
 

@@ -14,12 +14,9 @@ import (
 // roundTrip carries fields as a TSOpReq through the wire codec.
 func roundTrip(t *testing.T, fields []any) (tuplespace.Tuple, error) {
 	t.Helper()
-	enc, err := wire.Default.Marshal(&protocol.TSOpReq{Tuple: fields})
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := wire.Marshal(&protocol.TSOpReq{Tuple: fields})
 	var out protocol.TSOpReq
-	err = wire.Default.Unmarshal(enc, &out)
+	err := wire.Unmarshal(enc, &out)
 	return out.Tuple, err
 }
 
@@ -92,11 +89,8 @@ func TestTemplateRejectsNonScalarTypeOf(t *testing.T) {
 
 func TestDecodeUnknownFieldKind(t *testing.T) {
 	for _, f := range []protocol.TSField{{Kind: "nope"}, {Kind: protocol.TSTypeOf, S: "chan int"}} {
-		enc, err := wire.Default.Marshal(&protocol.TSOpReq{Fields: []protocol.TSField{f}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := wire.Default.Unmarshal(enc, new(protocol.TSOpReq)); err == nil {
+		enc := wire.Marshal(&protocol.TSOpReq{Fields: []protocol.TSField{f}})
+		if err := wire.Unmarshal(enc, new(protocol.TSOpReq)); err == nil {
 			t.Errorf("field %+v decoded; want error", f)
 		}
 	}
@@ -124,12 +118,9 @@ func FuzzTSFields(f *testing.F) {
 			}
 			fields[n] = protocol.TSField{Kind: kind, S: s, I: i + int64(n), F: fl, B: b, Bytes: x}
 		}
-		enc, err := wire.Default.Marshal(&protocol.TSOpReq{Fields: fields})
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := wire.Marshal(&protocol.TSOpReq{Fields: fields})
 		var req protocol.TSOpReq
-		if err := wire.Default.Unmarshal(enc, &req); err != nil {
+		if err := wire.Unmarshal(enc, &req); err != nil {
 			return
 		}
 		if len(req.Tuple) != len(fields) {
@@ -140,15 +131,12 @@ func FuzzTSFields(f *testing.F) {
 				t.Fatalf("field %d: %+v decoded as %#v", n, w, req.Tuple[n])
 			}
 		}
-		again, err := wire.Default.Marshal(&protocol.TSOpReq{Tuple: req.Tuple})
-		if err != nil {
-			t.Fatal(err)
-		}
+		again := wire.Marshal(&protocol.TSOpReq{Tuple: req.Tuple})
 		var back protocol.TSOpReq
-		if err := wire.Default.Unmarshal(again, &back); err != nil {
+		if err := wire.Unmarshal(again, &back); err != nil {
 			t.Fatalf("%v re-encodes to bytes that do not decode: %v", req.Tuple, err)
 		}
-		if third, _ := wire.Default.Marshal(&protocol.TSOpReq{Tuple: back.Tuple}); !bytes.Equal(third, again) {
+		if third := wire.Marshal(&protocol.TSOpReq{Tuple: back.Tuple}); !bytes.Equal(third, again) {
 			t.Fatalf("%v encodes as %x, then as %x", req.Tuple, again, third)
 		}
 	})

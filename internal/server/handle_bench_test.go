@@ -57,8 +57,8 @@ func benchInboundTSOut(b *testing.B, noReply bool) {
 		b.Fatal(err)
 	}
 	to.Job = job.JobID
-	out := msg.MustEncode(&protocol.TSOpReq{Tuple: tuplespace.Tuple{"res", 7, 49}, NoReply: noReply})
-	inp := msg.MustEncode(&protocol.TSOpReq{Tuple: tuplespace.Tuple{"res", tuplespace.TypeOf(0), tuplespace.TypeOf(0)}})
+	out := protocol.Body(msg.KindTSOut, from, to, &protocol.TSOpReq{Tuple: tuplespace.Tuple{"res", 7, 49}, NoReply: noReply}).Payload
+	inp := protocol.Body(msg.KindTSInP, from, to, &protocol.TSOpReq{Tuple: tuplespace.Tuple{"res", tuplespace.TypeOf(0), tuplespace.TypeOf(0)}}).Payload
 	perOp := int64(2)
 	if noReply {
 		perOp = 1

@@ -190,7 +190,7 @@ func (s *Server) handleStatsPull(m *msg.Message) *msg.Message {
 		Metrics: s.reg.Snapshot(),
 		Spans:   s.tracer.Store().Len(),
 	}
-	return m.Reply(msg.KindStatsReport, msg.MustEncode(resp))
+	return protocol.Reply(m, msg.KindStatsReport, resp)
 }
 
 // handle is the endpoint's delivery entry point: it runs on the fabric's

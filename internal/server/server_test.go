@@ -67,9 +67,12 @@ func TestServerAccessors(t *testing.T) {
 
 func TestPingPong(t *testing.T) {
 	_, caller := startServer(t)
-	reply := call(t, caller, msg.KindPing, struct{}{})
-	if reply.Kind != msg.KindPong {
-		t.Errorf("reply = %v", reply.Kind)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	// A PING carries no body, as every sender builds it.
+	ping := msg.New(msg.KindPing, msg.Address{Node: "raw-client"}, msg.Address{Node: "n1"}, nil)
+	if reply, err := caller.Call(ctx, "n1", ping); err != nil || reply.Kind != msg.KindPong {
+		t.Errorf("reply = %v, err %v", reply, err)
 	}
 }
 

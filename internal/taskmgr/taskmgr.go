@@ -367,7 +367,7 @@ func (tm *TaskManager) HandleSolicit(m *msg.Message) *msg.Message {
 		ResidentDigests: tm.blobs.RecentDigests(protocol.MaxOfferDigests),
 		StalledTasks:    tm.stalledLocked(time.Now()),
 	}
-	return m.Reply(msg.KindTaskOffer, msg.MustEncode(offer))
+	return protocol.Reply(m, msg.KindTaskOffer, offer)
 }
 
 // stallBeats is how many silent heartbeat intervals a running task's
@@ -402,9 +402,9 @@ func (tm *TaskManager) stalledLocked(now time.Time) int {
 func (tm *TaskManager) HandleAssignBatch(m *msg.Message) *msg.Message {
 	var req protocol.AssignTasksReq
 	if err := protocol.Decode(m, &req); err != nil {
-		return m.Reply(msg.KindTasksAssigned, msg.MustEncode(protocol.AssignTasksResp{
+		return protocol.Reply(m, msg.KindTasksAssigned, protocol.AssignTasksResp{
 			Rejected: map[string]string{protocol.BatchRejected: err.Error()},
-		}))
+		})
 	}
 	resp := protocol.AssignTasksResp{Rejected: make(map[string]string)}
 	fetched, missing := tm.ensureBlobs(req.JobManager, req.JobID, req.Items)
@@ -419,7 +419,7 @@ func (tm *TaskManager) HandleAssignBatch(m *msg.Message) *msg.Message {
 			tm.logf("reject %s: %s", key(req.JobID, it.Spec.Name), reason)
 		}
 	}
-	return m.Reply(msg.KindTasksAssigned, msg.MustEncode(resp))
+	return protocol.Reply(m, msg.KindTasksAssigned, resp)
 }
 
 // ensureBlobs makes every digest referenced by items resident in the blob
@@ -718,7 +718,7 @@ func (tm *TaskManager) HandleAdopt(m *msg.Message) *msg.Message {
 	var req protocol.JMAdoptReq
 	if err := protocol.Decode(m, &req); err != nil {
 		tm.logf("bad adopt: %v", err)
-		return m.Reply(msg.KindJMAdopt, msg.MustEncode(protocol.JMAdoptResp{Node: tm.cfg.Node}))
+		return protocol.Reply(m, msg.KindJMAdopt, protocol.JMAdoptResp{Node: tm.cfg.Node})
 	}
 	resp := protocol.JMAdoptResp{Node: tm.cfg.Node}
 	tm.mu.Lock()
@@ -742,7 +742,7 @@ func (tm *TaskManager) HandleAdopt(m *msg.Message) *msg.Message {
 	tm.outMu.Unlock()
 	sort.Slice(resp.Present, func(i, j int) bool { return resp.Present[i].Task < resp.Present[j].Task })
 	tm.log.Info("job re-pointed at new manager", "job", req.JobID, "manager", req.NewManager, "assignments", len(resp.Present))
-	return m.Reply(msg.KindJMAdopt, msg.MustEncode(resp))
+	return protocol.Reply(m, msg.KindJMAdopt, resp)
 }
 
 // HandleUser routes an inbound user message to the target task's mailbox.

@@ -37,25 +37,20 @@ func TestHotBodyAllocs(t *testing.T) {
 		decode    func(enc []byte) error
 		maxDecode float64
 	}{
-		{"TSOpReq", &req, req, func(enc []byte) error { return Default.Unmarshal(enc, new(protocol.TSOpReq)) }, 5},
-		{"TSOpResp", &resp, resp, func(enc []byte) error { return Default.Unmarshal(enc, new(protocol.TSOpResp)) }, 5},
-		{"TaskEvent", &ev, ev, func(enc []byte) error { return Default.Unmarshal(enc, new(protocol.TaskEvent)) }, 5},
-		{"TaskEvents", &batch, batch, func(enc []byte) error { return Default.Unmarshal(enc, new(protocol.TaskEvents)) }, 2*32 + 4},
-		{"ExecTaskReq", &exec, exec, func(enc []byte) error { return Default.Unmarshal(enc, new(protocol.ExecTaskReq)) }, 8 + 4},
+		{"TSOpReq", &req, req, func(enc []byte) error { return Unmarshal(enc, new(protocol.TSOpReq)) }, 5},
+		{"TSOpResp", &resp, resp, func(enc []byte) error { return Unmarshal(enc, new(protocol.TSOpResp)) }, 5},
+		{"TaskEvent", &ev, ev, func(enc []byte) error { return Unmarshal(enc, new(protocol.TaskEvent)) }, 5},
+		{"TaskEvents", &batch, batch, func(enc []byte) error { return Unmarshal(enc, new(protocol.TaskEvents)) }, 2*32 + 4},
+		{"ExecTaskReq", &exec, exec, func(enc []byte) error { return Unmarshal(enc, new(protocol.ExecTaskReq)) }, 8 + 4},
 	} {
 		for form, v := range map[string]any{"pointer": tc.ptr, "value": tc.val} {
 			if n := testing.AllocsPerRun(200, func() {
-				if _, err := Default.Marshal(v); err != nil {
-					t.Fatal(err)
-				}
+				_ = Marshal(v)
 			}); n > 1 {
 				t.Errorf("%s encode (%s form): %.0f allocs/op, want 1 (the output buffer)", tc.name, form, n)
 			}
 		}
-		enc, err := Default.Marshal(tc.ptr)
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := Marshal(tc.ptr)
 		if n := testing.AllocsPerRun(200, func() {
 			if err := tc.decode(enc); err != nil {
 				t.Fatal(err)

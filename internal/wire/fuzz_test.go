@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"io"
 	"reflect"
@@ -15,17 +14,6 @@ import (
 	"cn/internal/trace"
 	"cn/internal/tuplespace"
 )
-
-// gobBaseline encodes v the way the pre-codec wire did: a fresh
-// reflection-based gob encoder per payload.
-func gobBaseline(t testing.TB, v any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // FuzzDecodeFrameBody: arbitrary bytes must produce an error or a valid
 // message — never a panic, and never an allocation driven by a corrupted
@@ -174,25 +162,15 @@ func FuzzFrameTail(f *testing.F) {
 // error cleanly, never panic.
 func FuzzUnmarshalPayload(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{msg.TagBinary, Version, byte(tHeartbeat)})
-	if enc, err := Default.Marshal(&protocol.Heartbeat{Node: "n", Seq: 1}); err == nil {
-		f.Add(enc)
-	}
-	if enc, err := Default.Marshal(&protocol.TSOpReq{Tuple: tuplespace.Tuple{"x"}}); err == nil {
-		f.Add(enc)
-	}
-	if enc, err := Default.Marshal(&protocol.TSOpReq{NoReply: true, Tuple: tuplespace.Tuple{7}}); err == nil {
-		f.Add(enc)
-	}
-	if enc, err := Default.Marshal(&protocol.DataPutReq{JobID: "j", Key: "k", Digest: "d", Size: 3, Data: []byte{1, 2, 3}}); err == nil {
-		f.Add(enc)
-	}
-	if enc, err := Default.Marshal(&protocol.DataLocResp{Key: "k", Digest: "d", Node: "n", Size: 3}); err == nil {
-		f.Add(enc)
-	}
+	f.Add([]byte{Version, byte(tHeartbeat)})
+	f.Add(Marshal(&protocol.Heartbeat{Node: "n", Seq: 1}))
+	f.Add(Marshal(&protocol.TSOpReq{Tuple: tuplespace.Tuple{"x"}}))
+	f.Add(Marshal(&protocol.TSOpReq{NoReply: true, Tuple: tuplespace.Tuple{7}}))
+	f.Add(Marshal(&protocol.DataPutReq{JobID: "j", Key: "k", Digest: "d", Size: 3, Data: []byte{1, 2, 3}}))
+	f.Add(Marshal(&protocol.DataLocResp{Key: "k", Digest: "d", Node: "n", Size: 3}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, out := range bodies() {
-			_ = Default.Unmarshal(b, out)
+			_ = Unmarshal(b, out)
 		}
 	})
 }
@@ -205,12 +183,9 @@ func FuzzRoundTripHeartbeat(f *testing.F) {
 		in := &protocol.Heartbeat{Node: node, Seq: seq, Beats: []protocol.TaskBeat{
 			{JobID: jobID, Task: taskName, Running: running, Progress: progress},
 		}}
-		enc, err := Default.Marshal(in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := Marshal(in)
 		var out protocol.Heartbeat
-		if err := Default.Unmarshal(enc, &out); err != nil {
+		if err := Unmarshal(enc, &out); err != nil {
 			t.Fatal(err)
 		}
 		if out.Node != in.Node || out.Seq != in.Seq || len(out.Beats) != 1 || out.Beats[0] != in.Beats[0] {
@@ -231,12 +206,9 @@ func FuzzRoundTripTSOpReq(f *testing.F) {
 		if s == "" {
 			in.Tuple[3] = []byte(nil) // an empty slice travels as nil
 		}
-		enc, err := Default.Marshal(in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := Marshal(in)
 		var out protocol.TSOpReq
-		if err := Default.Unmarshal(enc, &out); err != nil {
+		if err := Unmarshal(enc, &out); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(&out, in) {
@@ -262,22 +234,17 @@ func FuzzRoundTripTaskEvents(f *testing.F) {
 					Start: time.Unix(0, 1_700_000_000_000_000_000), Dur: time.Duration(durNS), Err: errText},
 			}},
 		}}
-		enc, err := Default.Marshal(in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := Marshal(in)
 		var out protocol.TaskEvents
-		if err := Default.Unmarshal(enc, &out); err != nil {
+		if err := Unmarshal(enc, &out); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(&out, in) {
 			t.Errorf("round trip mismatch: %+v vs %+v", in, out)
 		}
 		in.Events[0].Kind = msg.Kind(int(label) + int(msg.KindTaskFailed) + 1)
-		if enc, err = Default.Marshal(in); err != nil {
-			t.Fatal(err)
-		}
-		if err := Default.Unmarshal(enc, new(protocol.TaskEvents)); err == nil {
+		enc = Marshal(in)
+		if err := Unmarshal(enc, new(protocol.TaskEvents)); err == nil {
 			t.Errorf("a batch with an event labelled %d decoded", in.Events[0].Kind)
 		}
 	})
@@ -290,19 +257,14 @@ func TestTaskEventsBounds(t *testing.T) {
 	for i := range batch.Events {
 		batch.Events[i] = protocol.TaskEventItem{Kind: msg.KindTaskCompleted, Task: "t"}
 	}
-	enc, err := Default.Marshal(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Default.Unmarshal(enc, new(protocol.TaskEvents)); err == nil {
+	enc := Marshal(batch)
+	if err := Unmarshal(enc, new(protocol.TaskEvents)); err == nil {
 		t.Errorf("a batch of %d events decoded", len(batch.Events))
 	}
 	batch.Events = batch.Events[:protocol.TaskEventsMax]
-	if enc, err = Default.Marshal(batch); err != nil {
-		t.Fatal(err)
-	}
+	enc = Marshal(batch)
 	var out protocol.TaskEvents
-	if err := Default.Unmarshal(enc, &out); err != nil || len(out.Events) != protocol.TaskEventsMax {
+	if err := Unmarshal(enc, &out); err != nil || len(out.Events) != protocol.TaskEventsMax {
 		t.Errorf("a batch at the bound: %d events, err %v", len(out.Events), err)
 	}
 }
@@ -316,12 +278,9 @@ func FuzzRoundTripTMOffer(f *testing.F) {
 	f.Fuzz(func(t *testing.T, node string, freeMB, running int64, dig1, dig2 string, stalled int64) {
 		in := &protocol.TMOffer{Node: node, FreeMemoryMB: int(freeMB), RunningTasks: int(running),
 			ResidentDigests: []string{dig1, dig2}, StalledTasks: int(stalled)}
-		enc, err := Default.Marshal(in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := Marshal(in)
 		var out protocol.TMOffer
-		if err := Default.Unmarshal(enc, &out); err != nil {
+		if err := Unmarshal(enc, &out); err != nil {
 			t.Fatal(err)
 		}
 		if out.Node != in.Node || out.FreeMemoryMB != in.FreeMemoryMB ||
@@ -342,12 +301,9 @@ func FuzzRoundTripDataLoc(f *testing.F) {
 	f.Fuzz(func(t *testing.T, key, digest, node string, size int64, data []byte, retry bool, errStr string) {
 		in := &protocol.DataLocResp{Key: key, Digest: digest, Node: node, Size: size,
 			Data: data, Retry: retry, Err: errStr}
-		enc, err := Default.Marshal(in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := Marshal(in)
 		var out protocol.DataLocResp
-		if err := Default.Unmarshal(enc, &out); err != nil {
+		if err := Unmarshal(enc, &out); err != nil {
 			t.Fatal(err)
 		}
 		if out.Key != in.Key || out.Digest != in.Digest || out.Node != in.Node ||

@@ -1,13 +1,13 @@
 // Per-type binary marshal/unmarshal for every well-defined protocol body.
-// Each payload is [msg.TagBinary][Version][type id uvarint][fields...],
-// with fields appended in struct declaration order. Map keys are sorted so
-// identical values encode identically (stable tests, comparable benches).
+// Each payload is [Version][type id uvarint][fields...], with fields
+// appended in struct declaration order. Map keys are sorted so identical
+// values encode identically (stable tests, comparable benches).
 //
-// The codec registers itself with the msg package at init, becoming the
-// process-wide payload codec for every component that links the transport.
-// Every body the runtime itself sends has a row in the table below; a type
-// without one (an application's own struct handed to msg.Encode) reports
-// msg.ErrUnsupportedPayload and falls back to tagged gob.
+// Every body the runtime sends has a row in the table below; Marshal panics
+// on a type without one. Marshal and Unmarshal are protocol.Body's and
+// protocol.Decode's codec, handed over by the table's init (this package
+// imports protocol). A user message is not a protocol body: its application
+// encodes it, and it rides a UserPayload as bytes.
 
 package wire
 
@@ -104,6 +104,7 @@ func init() {
 	register(tJMAdoptReq, 128, appendJMAdoptReq, readJMAdoptReq)
 	registerSized(tJMAdoptResp, func(v protocol.JMAdoptResp) int { return 32 + 48*len(v.Present) }, appendJMAdoptResp, readJMAdoptResp)
 	registerSized(tTaskEvents, func(v protocol.TaskEvents) int { return 64 + 24*len(v.Events) }, appendTaskEvents, readTaskEvents)
+	protocol.InstallCodec(Marshal, Unmarshal)
 }
 
 // form is what the table resolves one dynamic type to. A body type T
@@ -147,19 +148,9 @@ func registerSized[T any](id uint64, hint func(T) int, app func([]byte, T) []byt
 	}
 }
 
-// Codec is the msg.Codec implementation; Default is the instance init
-// installs, once and before main, and tests call directly.
-type Codec struct{}
-
-// Default is the shared codec instance.
-var Default Codec
-
-func init() { msg.SetCodec(Default) }
-
 // header starts a binary payload for the given type id.
 func header(dst []byte, typeID uint64) []byte {
-	dst = append(dst, msg.TagBinary, Version)
-	return AppendUvarint(dst, typeID)
+	return AppendUvarint(append(dst, Version), typeID)
 }
 
 // capHint bounds the UPFRONT capacity of a decoded collection. Counts are
@@ -176,19 +167,19 @@ func capHint(n int) int {
 	return n
 }
 
-// Marshal implements msg.Codec: a table lookup on v's dynamic type (value
-// or pointer form) and one call.
-func (Codec) Marshal(v any) ([]byte, error) {
+// Marshal encodes a protocol body: a table lookup on v's dynamic type
+// (value or pointer form) and one call. It panics on a type without a row.
+func Marshal(v any) []byte {
 	f, ok := forms[reflect.TypeOf(v)]
 	if !ok {
-		return nil, msg.ErrUnsupportedPayload
+		panic(fmt.Sprintf("wire: %T is not a protocol body", v))
 	}
-	return f.marshal(v), nil
+	return f.marshal(v)
 }
 
-// Unmarshal implements msg.Codec: out selects the expected body type, and
-// the payload's type id must agree.
-func (Codec) Unmarshal(data []byte, out any) error {
+// Unmarshal decodes a payload Marshal produced into out, a pointer to a
+// body type; the payload's type id must agree with it.
+func Unmarshal(data []byte, out any) error {
 	r, gotID, err := openPayload(data)
 	if err != nil {
 		return err
@@ -228,16 +219,13 @@ func UnmarshalTSOpReq(data []byte, v *protocol.TSOpReq) error {
 // openPayload validates the payload header and returns a reader positioned
 // at the first field plus the payload type id.
 func openPayload(data []byte) (Reader, uint64, error) {
-	if len(data) < 3 {
+	if len(data) < 2 {
 		return Reader{}, 0, fmt.Errorf("wire: payload too short (%d bytes)", len(data))
 	}
-	if data[0] != msg.TagBinary {
-		return Reader{}, 0, fmt.Errorf("wire: payload tag %#x is not binary", data[0])
+	if data[0] != Version {
+		return Reader{}, 0, fmt.Errorf("wire: payload version %d not supported (want %d)", data[0], Version)
 	}
-	if data[1] != Version {
-		return Reader{}, 0, fmt.Errorf("wire: payload version %d not supported (want %d)", data[1], Version)
-	}
-	r := Reader{b: data[2:]}
+	r := Reader{b: data[1:]}
 	id, err := r.Uvarint()
 	return r, id, err
 }
@@ -362,7 +350,7 @@ func readTaskCreate(r *Reader) (tc protocol.TaskCreate, err error) {
 	return tc, err
 }
 
-func appendStringSlice(b []byte, ss []string) []byte {
+func AppendStringSlice(b []byte, ss []string) []byte {
 	b = AppendUvarint(b, uint64(len(ss)))
 	for _, s := range ss {
 		b = AppendString(b, s)
@@ -370,7 +358,7 @@ func appendStringSlice(b []byte, ss []string) []byte {
 	return b
 }
 
-func readStringSlice(r *Reader, what string) ([]string, error) {
+func ReadStringSlice(r *Reader, what string) ([]string, error) {
 	n, err := r.Count(what)
 	if err != nil || n == 0 {
 		return nil, err
@@ -382,6 +370,31 @@ func readStringSlice(r *Reader, what string) ([]string, error) {
 			return nil, err
 		}
 		out = append(out, s)
+	}
+	return out, nil
+}
+
+// AppendInt64Slice appends a count and then each value as a varint.
+func AppendInt64Slice(b []byte, vs []int64) []byte {
+	b = AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = AppendVarint(b, v)
+	}
+	return b
+}
+
+// ReadInt64Slice reads what AppendInt64Slice wrote (an empty list as nil);
+// the count is bounded by the bytes left, so it bounds the slice made too.
+func ReadInt64Slice(r *Reader, what string) ([]int64, error) {
+	n, err := r.Count(what)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	out := make([]int64, n)
+	for i := range out {
+		if out[i], err = r.Varint(); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -629,7 +642,7 @@ func appendTMOffer(b []byte, v protocol.TMOffer) []byte {
 	b = AppendString(b, v.Node)
 	b = AppendVarint(b, int64(v.FreeMemoryMB))
 	b = AppendVarint(b, int64(v.RunningTasks))
-	b = appendStringSlice(b, v.ResidentDigests)
+	b = AppendStringSlice(b, v.ResidentDigests)
 	return AppendVarint(b, int64(v.StalledTasks))
 }
 
@@ -643,7 +656,7 @@ func readTMOffer(r *Reader, v *protocol.TMOffer) (err error) {
 	if v.RunningTasks, err = r.Int(); err != nil {
 		return err
 	}
-	if v.ResidentDigests, err = readStringSlice(r, "resident digests"); err != nil {
+	if v.ResidentDigests, err = ReadStringSlice(r, "resident digests"); err != nil {
 		return err
 	}
 	v.StalledTasks, err = r.Int()
@@ -793,7 +806,7 @@ func readBlobChunkResp(r *Reader, v *protocol.BlobChunkResp) (err error) {
 
 func appendStartJobReq(b []byte, v protocol.StartJobReq) []byte {
 	b = AppendString(b, v.JobID)
-	b = appendStringSlice(b, v.TaskNames)
+	b = AppendStringSlice(b, v.TaskNames)
 	return AppendSpans(b, v.Spans)
 }
 
@@ -801,7 +814,7 @@ func readStartJobReq(r *Reader, v *protocol.StartJobReq) (err error) {
 	if v.JobID, err = r.String(); err != nil {
 		return err
 	}
-	if v.TaskNames, err = readStringSlice(r, "task names"); err != nil {
+	if v.TaskNames, err = ReadStringSlice(r, "task names"); err != nil {
 		return err
 	}
 	v.Spans, err = ReadSpans(r)
@@ -810,14 +823,14 @@ func readStartJobReq(r *Reader, v *protocol.StartJobReq) (err error) {
 
 func appendExecTaskReq(b []byte, v protocol.ExecTaskReq) []byte {
 	b = AppendString(b, v.JobID)
-	return appendStringSlice(b, v.Tasks)
+	return AppendStringSlice(b, v.Tasks)
 }
 
 func readExecTaskReq(r *Reader, v *protocol.ExecTaskReq) (err error) {
 	if v.JobID, err = r.String(); err != nil {
 		return err
 	}
-	v.Tasks, err = readStringSlice(r, "exec tasks")
+	v.Tasks, err = ReadStringSlice(r, "exec tasks")
 	return err
 }
 
@@ -906,7 +919,7 @@ func readHeartbeat(r *Reader, v *protocol.Heartbeat) (err error) {
 func appendHeartbeatAck(b []byte, v protocol.HeartbeatAck) []byte {
 	b = AppendString(b, v.Node)
 	b = AppendUvarint(b, v.Seq)
-	return appendStringSlice(b, v.UnknownJobs)
+	return AppendStringSlice(b, v.UnknownJobs)
 }
 
 func readHeartbeatAck(r *Reader, v *protocol.HeartbeatAck) (err error) {
@@ -916,7 +929,7 @@ func readHeartbeatAck(r *Reader, v *protocol.HeartbeatAck) (err error) {
 	if v.Seq, err = r.Uvarint(); err != nil {
 		return err
 	}
-	v.UnknownJobs, err = readStringSlice(r, "unknown jobs")
+	v.UnknownJobs, err = ReadStringSlice(r, "unknown jobs")
 	return err
 }
 
@@ -944,7 +957,7 @@ func readUserPayload(r *Reader, v *protocol.UserPayload) (err error) {
 func appendCancelJobReq(b []byte, v protocol.CancelJobReq) []byte {
 	b = AppendString(b, v.JobID)
 	b = AppendString(b, v.Reason)
-	return appendStringSlice(b, v.Tasks)
+	return AppendStringSlice(b, v.Tasks)
 }
 
 func readCancelJobReq(r *Reader, v *protocol.CancelJobReq) (err error) {
@@ -954,7 +967,7 @@ func readCancelJobReq(r *Reader, v *protocol.CancelJobReq) (err error) {
 	if v.Reason, err = r.String(); err != nil {
 		return err
 	}
-	v.Tasks, err = readStringSlice(r, "tasks")
+	v.Tasks, err = ReadStringSlice(r, "tasks")
 	return err
 }
 
@@ -1155,7 +1168,7 @@ func readStatsPullReq(r *Reader, v *protocol.StatsPullReq) (err error) {
 	return err
 }
 
-func appendInt64Map(b []byte, m map[string]int64) []byte {
+func AppendInt64Map(b []byte, m map[string]int64) []byte {
 	b = AppendUvarint(b, uint64(len(m)))
 	for _, k := range SortedKeys(m) {
 		b = AppendString(b, k)
@@ -1164,7 +1177,7 @@ func appendInt64Map(b []byte, m map[string]int64) []byte {
 	return b
 }
 
-func readInt64Map(r *Reader, what string) (map[string]int64, error) {
+func ReadInt64Map(r *Reader, what string) (map[string]int64, error) {
 	n, err := r.Count(what)
 	if err != nil || n == 0 {
 		return nil, err
@@ -1186,8 +1199,8 @@ func readInt64Map(r *Reader, what string) (map[string]int64, error) {
 
 func appendStatsReportResp(b []byte, v protocol.StatsReportResp) []byte {
 	b = AppendString(b, v.Node)
-	b = appendInt64Map(b, v.Metrics.Counters)
-	b = appendInt64Map(b, v.Metrics.Gauges)
+	b = AppendInt64Map(b, v.Metrics.Counters)
+	b = AppendInt64Map(b, v.Metrics.Gauges)
 	b = AppendUvarint(b, uint64(len(v.Metrics.Histograms)))
 	for _, k := range SortedKeys(v.Metrics.Histograms) {
 		s := v.Metrics.Histograms[k]
@@ -1207,10 +1220,10 @@ func readStatsReportResp(r *Reader, v *protocol.StatsReportResp) (err error) {
 	if v.Node, err = r.String(); err != nil {
 		return err
 	}
-	if v.Metrics.Counters, err = readInt64Map(r, "stats counters"); err != nil {
+	if v.Metrics.Counters, err = ReadInt64Map(r, "stats counters"); err != nil {
 		return err
 	}
-	if v.Metrics.Gauges, err = readInt64Map(r, "stats gauges"); err != nil {
+	if v.Metrics.Gauges, err = ReadInt64Map(r, "stats gauges"); err != nil {
 		return err
 	}
 	n, err := r.Count("stats histograms")
@@ -1282,7 +1295,7 @@ func appendJMAdoptReq(b []byte, v protocol.JMAdoptReq) []byte {
 	b = AppendString(b, v.JobID)
 	b = AppendString(b, v.NewManager)
 	b = AppendString(b, v.ClientNode)
-	return appendStringSlice(b, v.Tasks)
+	return AppendStringSlice(b, v.Tasks)
 }
 
 func readJMAdoptReq(r *Reader, v *protocol.JMAdoptReq) (err error) {
@@ -1295,7 +1308,7 @@ func readJMAdoptReq(r *Reader, v *protocol.JMAdoptReq) (err error) {
 	if v.ClientNode, err = r.String(); err != nil {
 		return err
 	}
-	v.Tasks, err = readStringSlice(r, "adopted tasks")
+	v.Tasks, err = ReadStringSlice(r, "adopted tasks")
 	return err
 }
 

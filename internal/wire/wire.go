@@ -4,12 +4,10 @@
 //
 // Every protocol layer — discovery, placement, assignment, heartbeats,
 // tuple-space ops — rides the same message fabric, so codec cost taxes the
-// whole system. The previous gob path built a fresh reflection-based
-// encoder per payload and re-transmitted full type descriptors on every
-// single message; this package replaces it with per-type append-based
-// marshal/unmarshal over pooled buffers. Gob remains only as the fallback
-// for arbitrary user-defined (KindUser) application payloads, selected by
-// a one-byte payload tag (msg.TagGob / msg.TagBinary).
+// whole system: each body has an append-based marshal/unmarshal pair of its
+// own, with no reflection per field and no type descriptor on the wire. A
+// user message (KindUser) is the application's bytes, encoded by the
+// application, and rides a UserPayload body verbatim.
 //
 // Layout primitives: unsigned varints (uvarint), zig-zag signed varints,
 // and uvarint-length-prefixed strings and byte slices. Every read is
@@ -37,10 +35,12 @@ import (
 // BLOB_DATA and SHUTDOWN left the kind table and renumbered it; TaskEvent
 // lost its unused Spans), version 8 dropped the envelope's timestamp and
 // TSOpReq's job and requester names, carried the tuple itself in TSOpReq and
-// TSOpResp, and gave JMOffer a trailing Refused reason.
+// TSOpResp, and gave JMOffer a trailing Refused reason; version 9 dropped the
+// payload's leading tag byte, which told binary bodies from gob ones until
+// gob left the runtime (a payload is the version, the type id, the fields).
 // Nothing outside this repository speaks the wire, so a receiver
 // accepts exactly this version and rejects the rest (see docs/WIRE.md).
-const Version = 8
+const Version = 9
 
 // MaxFrameBytes bounds one transport frame (envelope + payload + tail). Senders
 // refuse to emit larger frames and receivers drop the connection on a

@@ -134,10 +134,7 @@ func TestRoundTripAllBodies(t *testing.T) {
 	for _, v := range bodies() {
 		name := reflect.TypeOf(v).Elem().Name()
 		t.Run(name, func(t *testing.T) {
-			enc, out := throughFrame(t, v)
-			if enc[0] != msg.TagBinary {
-				t.Fatalf("payload tag %#x, want TagBinary", enc[0])
-			}
+			_, out := throughFrame(t, v)
 			if !reflect.DeepEqual(v, out) {
 				t.Errorf("round trip mismatch:\n in: %+v\nout: %+v", v, out)
 			}
@@ -172,12 +169,9 @@ func TestChunkDataRidesTheTail(t *testing.T) {
 func TestRoundTripByValue(t *testing.T) {
 	in := protocol.TMOffer{Node: "n9", FreeMemoryMB: 123, RunningTasks: 4,
 		ResidentDigests: []string{"abc"}, StalledTasks: 2}
-	enc, err := Default.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := Marshal(in)
 	var out protocol.TMOffer
-	if err := Default.Unmarshal(enc, &out); err != nil {
+	if err := Unmarshal(enc, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(out, in) {
@@ -191,17 +185,14 @@ func TestRoundTripByValue(t *testing.T) {
 func TestOnlyCurrentVersionAccepted(t *testing.T) {
 	m := msg.New(msg.KindPong, msg.Address{Node: "a"}, msg.Address{Node: "b"}, nil)
 	env := AppendMessage(nil, m)
-	payload, err := Default.Marshal(&protocol.TMOffer{Node: "n4"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := Marshal(&protocol.TMOffer{Node: "n4"})
 	for _, v := range []byte{0, Version - 1, Version + 1, (Version - 1) | TailFlag, 0x7f} {
 		if _, err := DecodeFrameBody(append([]byte{Magic0, Magic1, v}, env...)); err == nil {
 			t.Errorf("frame version %#x accepted", v)
 		}
 		stamped := append([]byte(nil), payload...)
-		stamped[1] = v
-		if err := Default.Unmarshal(stamped, new(protocol.TMOffer)); err == nil {
+		stamped[0] = v
+		if err := Unmarshal(stamped, new(protocol.TMOffer)); err == nil {
 			t.Errorf("payload version %#x accepted", v)
 		}
 	}
@@ -211,9 +202,9 @@ func TestOnlyCurrentVersionAccepted(t *testing.T) {
 }
 
 // TestEveryBodyCovered walks the corpus through protocol.Body /
-// protocol.Decode (the production entry points) and additionally asserts the
-// binary codec actually handled each one — none silently fell back to gob —
-// and that the corpus has an entry for every row of the codec table.
+// protocol.Decode (the production entry points), each payload starting with
+// the version byte, and asserts that the corpus has an entry for every row
+// of the codec table.
 func TestEveryBodyCovered(t *testing.T) {
 	// Each body type registers a value form and a pointer form.
 	if len(forms) != 2*len(bodies()) {
@@ -221,8 +212,8 @@ func TestEveryBodyCovered(t *testing.T) {
 	}
 	for _, v := range bodies() {
 		enc, out := throughFrame(t, v)
-		if enc[0] != msg.TagBinary {
-			t.Errorf("%T fell back to gob (tag %#x)", v, enc[0])
+		if enc[0] != Version {
+			t.Errorf("%T: payload starts %#x, not the version", v, enc[0])
 			continue
 		}
 		if !reflect.DeepEqual(v, out) {
@@ -231,66 +222,25 @@ func TestEveryBodyCovered(t *testing.T) {
 	}
 }
 
-// userStruct is an arbitrary application type the codec cannot handle.
-type userStruct struct {
-	A string
-	B []int
-}
-
-// TestMixedGobBinaryCompat verifies the KindUser contract: application
-// payload types fall back to tagged gob and decode through the same
-// DecodePayload entry point that handles binary protocol bodies.
-func TestMixedGobBinaryCompat(t *testing.T) {
-	app := userStruct{A: "x", B: []int{1, 2, 3}}
-	gobEnc, err := msg.EncodePayload(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gobEnc[0] != msg.TagGob {
-		t.Fatalf("application payload tag %#x, want TagGob", gobEnc[0])
-	}
-	var appOut userStruct
-	if err := msg.DecodePayload(gobEnc, &appOut); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(app, appOut) {
-		t.Errorf("gob round trip mismatch: %+v", appOut)
-	}
-
-	// A protocol body wrapping that user data stays binary, and the user
-	// bytes inside survive verbatim.
-	up := &protocol.UserPayload{JobID: "j", FromTask: "t", ToTask: "client", Data: gobEnc}
-	binEnc, err := msg.EncodePayload(up)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if binEnc[0] != msg.TagBinary {
-		t.Fatalf("UserPayload tag %#x, want TagBinary", binEnc[0])
-	}
-	var upOut protocol.UserPayload
-	if err := msg.DecodePayload(binEnc, &upOut); err != nil {
-		t.Fatal(err)
-	}
-	var inner userStruct
-	if err := msg.DecodePayload(upOut.Data, &inner); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(app, inner) {
-		t.Errorf("nested gob payload mismatch: %+v", inner)
-	}
-}
-
 // TestUnmarshalTypeMismatch: decoding into the wrong body type must error,
 // not mis-parse.
 func TestUnmarshalTypeMismatch(t *testing.T) {
-	enc, err := Default.Marshal(&protocol.JMOffer{Node: "n1"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := Marshal(&protocol.JMOffer{Node: "n1"})
 	var wrong protocol.TMOffer
-	if err := Default.Unmarshal(enc, &wrong); err == nil {
+	if err := Unmarshal(enc, &wrong); err == nil {
 		t.Error("decoding JMOffer bytes into TMOffer succeeded")
 	}
+}
+
+// TestMarshalPanicsWithoutARow: a type with no row in the codec table is a
+// programming error, and Marshal says so instead of encoding something.
+func TestMarshalPanicsWithoutARow(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Marshal of a struct{} did not panic")
+		}
+	}()
+	Marshal(struct{}{})
 }
 
 // TestMessageRoundTrip covers the envelope framing.
@@ -298,7 +248,7 @@ func TestMessageRoundTrip(t *testing.T) {
 	m := msg.New(msg.KindHeartbeat,
 		msg.Address{Node: "n1"},
 		msg.Address{Node: "n2", Job: "j", Task: "t"},
-		msg.MustEncode(protocol.Heartbeat{Node: "n1", Seq: 3}))
+		Marshal(protocol.Heartbeat{Node: "n1", Seq: 3}))
 	m.CorrelID = 77
 	m.SetHeader("k", "v")
 
@@ -388,19 +338,13 @@ func TestLegacyFieldsEncodeAsTheirTuple(t *testing.T) {
 	legacy := &protocol.TSOpReq{JobID: "node1-job1", FromTask: "w1", ParkMS: 5,
 		Fields: []protocol.TSField{{Kind: protocol.TSString, S: "res"}, {Kind: protocol.TSInt, I: 7}, {Kind: protocol.TSTypeOf, S: "int"}}}
 	tuple := &protocol.TSOpReq{ParkMS: 5, Tuple: tuplespace.Tuple{"res", 7, tuplespace.TypeOf(0)}}
-	a, err := Default.Marshal(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Default.Marshal(tuple)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := Marshal(legacy)
+	b := Marshal(tuple)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("legacy fields encode as %x, their tuple as %x", a, b)
 	}
 	var got protocol.TSOpReq
-	if err := Default.Unmarshal(a, &got); err != nil || !reflect.DeepEqual(&got, tuple) {
+	if err := Unmarshal(a, &got); err != nil || !reflect.DeepEqual(&got, tuple) {
 		t.Errorf("legacy request decodes as %+v (%v), want %+v", got, err, tuple)
 	}
 }
@@ -443,30 +387,6 @@ func TestCheckFrameLen(t *testing.T) {
 	}
 	if err := CheckFrameLen(1024); err != nil {
 		t.Errorf("valid length rejected: %v", err)
-	}
-}
-
-// TestBinaryBeatsGobOnSize is the codec's reason to exist: for the hot
-// message kinds, the binary payload must be smaller than the gob baseline
-// (a fresh encoder per payload, as the old EncodePayload behaved).
-func TestBinaryBeatsGobOnSize(t *testing.T) {
-	for _, v := range []any{
-		&protocol.Heartbeat{Node: "node1", Seq: 12, Beats: []protocol.TaskBeat{
-			{JobID: "node1-job1", Task: "t01", Running: true, Progress: 40},
-			{JobID: "node1-job1", Task: "t02", Running: true, Progress: 12},
-		}},
-		&protocol.AssignTasksReq{JobID: "node1-job1", JobManager: "node1", ClientNode: "client-1",
-			Items: []protocol.TaskCreate{{Spec: specFixture("t1"), Archive: protocol.ArchiveRef{Name: "a.jar", Digest: "d"}}}},
-		&protocol.TSOpReq{ParkMS: 1000, Tuple: tuplespace.Tuple{"work", 3}},
-	} {
-		bin, err := Default.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gobEnc := gobBaseline(t, v)
-		if len(bin) >= len(gobEnc) {
-			t.Errorf("%T: binary %dB >= gob %dB", v, len(bin), len(gobEnc))
-		}
 	}
 }
 
@@ -558,11 +478,11 @@ func TestArchiveRefSizeRidesOnlyADigest(t *testing.T) {
 }
 
 // assign32Bytes is the encoded length of the archive-less 32-item
-// AssignTasksReq below at wire version 6, measured at the commit before
-// ArchiveRef got its Size. It is the shape bench/ probes as
-// wire.assign32_bytes: the common assignment pays nothing for a field only an
-// archive needs.
-const assign32Bytes = 668
+// AssignTasksReq below: 668 bytes at wire version 6, measured at the commit
+// before ArchiveRef got its Size, less the payload tag byte version 9
+// dropped. It is the shape bench/ probes as wire.assign32_bytes: the common
+// assignment pays nothing for a field only an archive needs.
+const assign32Bytes = 667
 
 func TestArchivelessAssignKeepsItsLength(t *testing.T) {
 	items := make([]protocol.TaskCreate, 32)
@@ -570,11 +490,8 @@ func TestArchivelessAssignKeepsItsLength(t *testing.T) {
 		items[i].Spec = &task.Spec{Name: fmt.Sprintf("t%02d", i), Class: "cn.Noop",
 			Req: task.Requirements{MemoryMB: 8 + i%8}}
 	}
-	enc, err := Default.Marshal(protocol.AssignTasksReq{JobID: "node1-job1", JobManager: "node1", ClientNode: "portal", Items: items})
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := Marshal(protocol.AssignTasksReq{JobID: "node1-job1", JobManager: "node1", ClientNode: "portal", Items: items})
 	if len(enc) != assign32Bytes {
-		t.Errorf("archive-less 32-item AssignTasksReq encodes to %d bytes, was %d at v6", len(enc), assign32Bytes)
+		t.Errorf("archive-less 32-item AssignTasksReq encodes to %d bytes, want %d", len(enc), assign32Bytes)
 	}
 }

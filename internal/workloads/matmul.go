@@ -2,11 +2,13 @@ package workloads
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 
 	"cn/internal/api"
 	"cn/internal/task"
+	"cn/internal/wire"
 )
 
 // Block matrix multiplication: the splitter ships each worker a block of
@@ -98,6 +100,63 @@ type mmResult struct {
 	OutRows  int // total rows of C
 }
 
+// appendTo appends a matrix's shape and entries.
+func (m *Dense) appendTo(b []byte) []byte {
+	b = wire.AppendVarint(wire.AppendVarint(b, int64(m.Rows)), int64(m.Cols))
+	return wire.AppendInt64Slice(b, m.V)
+}
+
+// readDense reads what appendTo wrote and refuses a shape its entries do
+// not fill, so no task indexes past them.
+func readDense(r *wire.Reader) (*Dense, error) {
+	m := &Dense{}
+	var errs [3]error
+	m.Rows, errs[0] = r.Int()
+	m.Cols, errs[1] = r.Int()
+	m.V, errs[2] = wire.ReadInt64Slice(r, "matrix entries")
+	if err := errors.Join(errs[:]...); err != nil {
+		return nil, err
+	}
+	if m.Rows < 0 || m.Cols < 0 || m.Cols == 0 && len(m.V) != 0 ||
+		m.Cols > 0 && (len(m.V)%m.Cols != 0 || len(m.V)/m.Cols != m.Rows) {
+		return nil, fmt.Errorf("a %dx%d matrix of %d entries", m.Rows, m.Cols, len(m.V))
+	}
+	return m, nil
+}
+
+func (in mmInput) appendTo(b []byte) []byte { return in.B.appendTo(in.A.appendTo(b)) }
+
+func (in *mmInput) readFrom(r *wire.Reader) error {
+	var errs [2]error
+	in.A, errs[0] = readDense(r)
+	in.B, errs[1] = readDense(r)
+	return errors.Join(errs[:]...)
+}
+
+func (bl mmBlock) appendTo(b []byte) []byte {
+	return bl.B.appendTo(bl.ARows.appendTo(wire.AppendVarint(b, int64(bl.StartRow))))
+}
+
+func (bl *mmBlock) readFrom(r *wire.Reader) error {
+	var errs [3]error
+	bl.StartRow, errs[0] = r.Int()
+	bl.ARows, errs[1] = readDense(r)
+	bl.B, errs[2] = readDense(r)
+	return errors.Join(errs[:]...)
+}
+
+func (res mmResult) appendTo(b []byte) []byte {
+	return wire.AppendVarint(res.CRows.appendTo(wire.AppendVarint(b, int64(res.StartRow))), int64(res.OutRows))
+}
+
+func (res *mmResult) readFrom(r *wire.Reader) error {
+	var errs [3]error
+	res.StartRow, errs[0] = r.Int()
+	res.CRows, errs[1] = readDense(r)
+	res.OutRows, errs[2] = r.Int()
+	return errors.Join(errs[:]...)
+}
+
 // mmSplit distributes row blocks. Params: [0] workers, [1] prefix.
 type mmSplit struct{}
 
@@ -116,7 +175,7 @@ func (*mmSplit) Run(ctx task.Context) error {
 		return fmt.Errorf("matmul split: %w", err)
 	}
 	var in mmInput
-	if err := decode(data, &in); err != nil {
+	if err := unmarshal(data, &in); err != nil {
 		return fmt.Errorf("matmul split: %w", err)
 	}
 	if in.A.Cols != in.B.Rows {
@@ -130,7 +189,7 @@ func (*mmSplit) Run(ctx task.Context) error {
 			ARows:    &Dense{Rows: hi - lo, Cols: in.A.Cols, V: in.A.V[lo*in.A.Cols : hi*in.A.Cols]},
 			B:        in.B,
 		}
-		if err := ctx.Send(fmt.Sprintf("%s%d", prefix, w+1), encode(&block)); err != nil {
+		if err := ctx.Send(fmt.Sprintf("%s%d", prefix, w+1), block.appendTo(nil)); err != nil {
 			return fmt.Errorf("matmul split: send block %d: %w", w, err)
 		}
 	}
@@ -156,7 +215,7 @@ func (*mmWorker) Run(ctx task.Context) error {
 		return fmt.Errorf("matmul worker: %w", err)
 	}
 	var block mmBlock
-	if err := decode(data, &block); err != nil {
+	if err := unmarshal(data, &block); err != nil {
 		return fmt.Errorf("matmul worker: %w", err)
 	}
 	c, err := MatMulSeq(block.ARows, block.B)
@@ -164,7 +223,7 @@ func (*mmWorker) Run(ctx task.Context) error {
 		return fmt.Errorf("matmul worker: %w", err)
 	}
 	res := mmResult{StartRow: block.StartRow, CRows: c, OutRows: outRows}
-	return ctx.Send(join, encode(&res))
+	return ctx.Send(join, res.appendTo(nil))
 }
 
 // mmJoin assembles C. Params: [0] workers.
@@ -183,7 +242,7 @@ func (*mmJoin) Run(ctx task.Context) error {
 			return fmt.Errorf("matmul join: %w", err)
 		}
 		var res mmResult
-		if err := decode(data, &res); err != nil {
+		if err := unmarshal(data, &res); err != nil {
 			return fmt.Errorf("matmul join: %w", err)
 		}
 		if out == nil {
@@ -191,7 +250,7 @@ func (*mmJoin) Run(ctx task.Context) error {
 		}
 		copy(out.V[res.StartRow*out.Cols:], res.CRows.V)
 	}
-	return ctx.SendClient(encode(&mmResult{CRows: out}))
+	return ctx.SendClient(mmResult{CRows: out}.appendTo(nil))
 }
 
 // MatMulSpecs builds the job's task list.
@@ -244,7 +303,7 @@ func RunMatMul(ctx context.Context, cl *api.Client, a, b *Dense, workers int) (*
 	if err := job.Start(); err != nil {
 		return nil, err
 	}
-	if err := job.SendMessage("split", encode(&mmInput{A: a, B: b})); err != nil {
+	if err := job.SendMessage("split", mmInput{A: a, B: b}.appendTo(nil)); err != nil {
 		return nil, err
 	}
 	data, err := awaitResult(ctx, job, "join")
@@ -252,7 +311,7 @@ func RunMatMul(ctx context.Context, cl *api.Client, a, b *Dense, workers int) (*
 		return nil, err
 	}
 	var res mmResult
-	if err := decode(data, &res); err != nil {
+	if err := unmarshal(data, &res); err != nil {
 		return nil, err
 	}
 	if err := finishJob(ctx, job); err != nil {

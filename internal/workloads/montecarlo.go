@@ -2,12 +2,14 @@ package workloads
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strconv"
 
 	"cn/internal/api"
 	"cn/internal/task"
+	"cn/internal/wire"
 )
 
 // Monte-Carlo π estimation: embarrassingly parallel workers draw points in
@@ -18,6 +20,17 @@ import (
 // mcCount is the worker -> reducer payload.
 type mcCount struct {
 	Inside, Total int64
+}
+
+func (c mcCount) appendTo(b []byte) []byte {
+	return wire.AppendVarint(wire.AppendVarint(b, c.Inside), c.Total)
+}
+
+func (c *mcCount) readFrom(r *wire.Reader) error {
+	var errs [2]error
+	c.Inside, errs[0] = r.Varint()
+	c.Total, errs[1] = r.Varint()
+	return errors.Join(errs[:]...)
 }
 
 // mcWorker draws samples. Params: [0] samples (Long), [1] seed (Long),
@@ -48,7 +61,7 @@ func (*mcWorker) Run(ctx task.Context) error {
 			inside++
 		}
 	}
-	return ctx.Send(reducer, encode(&mcCount{Inside: inside, Total: n}))
+	return ctx.Send(reducer, mcCount{Inside: inside, Total: n}.appendTo(nil))
 }
 
 // mcReduce aggregates counts into the π estimate. Params: [0] workers.
@@ -67,7 +80,7 @@ func (*mcReduce) Run(ctx task.Context) error {
 			return fmt.Errorf("montecarlo reduce: %w", err)
 		}
 		var c mcCount
-		if err := decode(data, &c); err != nil {
+		if err := unmarshal(data, &c); err != nil {
 			return fmt.Errorf("montecarlo reduce: %w", err)
 		}
 		inside += c.Inside

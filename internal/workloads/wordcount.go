@@ -7,6 +7,7 @@ import (
 
 	"cn/internal/api"
 	"cn/internal/task"
+	"cn/internal/wire"
 )
 
 // Word count is the canonical scatter/gather (map/reduce) composition: a
@@ -28,9 +29,23 @@ type wcChunk struct {
 	Lines []string
 }
 
-// wcPartial is the mapper -> reducer payload.
+func (c wcChunk) appendTo(b []byte) []byte { return wire.AppendStringSlice(b, c.Lines) }
+
+func (c *wcChunk) readFrom(r *wire.Reader) (err error) {
+	c.Lines, err = wire.ReadStringSlice(r, "lines")
+	return err
+}
+
+// wcPartial is the mapper -> reducer payload, and the reducer's result.
 type wcPartial struct {
-	Counts map[string]int
+	Counts map[string]int64
+}
+
+func (p wcPartial) appendTo(b []byte) []byte { return wire.AppendInt64Map(b, p.Counts) }
+
+func (p *wcPartial) readFrom(r *wire.Reader) (err error) {
+	p.Counts, err = wire.ReadInt64Map(r, "counts")
+	return err
 }
 
 // wcSplit chunks the client-supplied text across mappers.
@@ -57,7 +72,7 @@ func (*wcSplit) Run(ctx task.Context) error {
 		hi := (m + 1) * len(lines) / mappers
 		chunk := wcChunk{Lines: lines[lo:hi]}
 		mapper := fmt.Sprintf("%s%d", prefix, m+1)
-		if err := ctx.Put(wcChunkKey(mapper), encode(&chunk)); err != nil {
+		if err := ctx.Put(wcChunkKey(mapper), chunk.appendTo(nil)); err != nil {
 			return fmt.Errorf("wordcount split: publish chunk %d: %w", m, err)
 		}
 	}
@@ -75,17 +90,17 @@ func (*wcMap) Run(ctx task.Context) error {
 		return fmt.Errorf("wordcount map: %w", err)
 	}
 	var chunk wcChunk
-	if err := decode(data, &chunk); err != nil {
+	if err := unmarshal(data, &chunk); err != nil {
 		return fmt.Errorf("wordcount map: %w", err)
 	}
-	counts := make(map[string]int)
+	counts := make(map[string]int64)
 	for _, line := range chunk.Lines {
 		for _, w := range strings.Fields(line) {
 			counts[strings.ToLower(strings.Trim(w, ".,;:!?\"'()"))]++
 		}
 	}
 	delete(counts, "")
-	if err := ctx.Put(wcPartialKey(ctx.TaskName()), encode(&wcPartial{Counts: counts})); err != nil {
+	if err := ctx.Put(wcPartialKey(ctx.TaskName()), wcPartial{Counts: counts}.appendTo(nil)); err != nil {
 		return fmt.Errorf("wordcount map: publish partial: %w", err)
 	}
 	return nil
@@ -105,21 +120,21 @@ func (*wcReduce) Run(ctx task.Context) error {
 	if err != nil {
 		return fmt.Errorf("wordcount reduce: %w", err)
 	}
-	total := make(map[string]int)
+	total := make(map[string]int64)
 	for m := 1; m <= mappers; m++ {
 		data, err := ctx.Get(context.Background(), wcPartialKey(fmt.Sprintf("%s%d", prefix, m)))
 		if err != nil {
 			return fmt.Errorf("wordcount reduce: %w", err)
 		}
 		var p wcPartial
-		if err := decode(data, &p); err != nil {
+		if err := unmarshal(data, &p); err != nil {
 			return fmt.Errorf("wordcount reduce: %w", err)
 		}
 		for w, c := range p.Counts {
 			total[w] += c
 		}
 	}
-	return ctx.SendClient(encode(&wcPartial{Counts: total}))
+	return ctx.SendClient(wcPartial{Counts: total}.appendTo(nil))
 }
 
 // WordCountSpecs builds the job's task list: split -> mappers -> reduce.
@@ -176,13 +191,17 @@ func RunWordCount(ctx context.Context, cl *api.Client, text string, mappers int)
 		return nil, err
 	}
 	var p wcPartial
-	if err := decode(data, &p); err != nil {
+	if err := unmarshal(data, &p); err != nil {
 		return nil, err
 	}
 	if err := finishJob(ctx, job); err != nil {
 		return nil, err
 	}
-	return p.Counts, nil
+	counts := make(map[string]int, len(p.Counts))
+	for w, c := range p.Counts {
+		counts[w] = int(c)
+	}
+	return counts, nil
 }
 
 // SequentialWordCount is the single-process baseline.

@@ -11,9 +11,9 @@ import (
 	"fmt"
 
 	"cn/internal/api"
-	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/task"
+	"cn/internal/wire"
 )
 
 // Task class names.
@@ -76,11 +76,26 @@ func req() task.Requirements {
 	return task.Requirements{MemoryMB: 200, RunModel: task.RunAsThreadInTM}
 }
 
-// encode gob-encodes a workload payload, panicking on programmer error.
-func encode(v any) []byte { return msg.MustEncode(v) }
+// payload is a message body the workload tasks exchange. Its encoding is
+// the application's own: each type appends its fields with wire's
+// primitives and reads them back in the same order.
+type payload interface {
+	appendTo(b []byte) []byte
+	readFrom(r *wire.Reader) error
+}
 
-// decode gob-decodes a workload payload.
-func decode(b []byte, out any) error { return msg.DecodePayload(b, out) }
+// unmarshal decodes b into p, refusing truncated input and trailing bytes.
+func unmarshal(b []byte, p payload) error {
+	r := wire.NewReader(b)
+	err := p.readFrom(r)
+	if err == nil && r.Len() != 0 {
+		err = fmt.Errorf("%d trailing bytes", r.Len())
+	}
+	if err != nil {
+		return fmt.Errorf("workloads: decode %T: %w", p, err)
+	}
+	return nil
+}
 
 // awaitResult pumps job messages until one arrives from the named task,
 // bailing out when the job terminates first.

@@ -3,9 +3,9 @@
 # fresh goroutine's 2 KiB stack makes every first call on that goroutine pay
 # a stack copy (runtime.newstack); on the per-message path that was 16 % of a
 # tuple-space workload before the codec became a table. Fails if any function
-# in internal/wire or internal/msg (the codec and its entry points — among
-# them the head-only encode wire.AppendFrameHead and the reader's head/tail
-# split, wire.(*FrameReader).Next / readEnvelope / readTailed), the
+# in internal/wire (the codec, the envelope and the frame — among them the
+# head-only encode wire.AppendFrameHead and the reader's head/tail split,
+# wire.(*FrameReader).Next / readEnvelope / readTailed) or internal/msg, the
 # transport functions every frame passes through (Send, the read and write
 # loops, the posted-receive claim, and for a node's frames to itself
 # sendSelf, the self-delivery loop selfLoop and its tail copy ownTail),
