@@ -187,7 +187,7 @@ func TestCallIntoTimeoutMidTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer := dialEndpoint(t, n, "cli")
+	peer := dialEndpoint(t, n, "cli", "srv")
 	defer peer.Close()
 	if _, err := peer.Write(append(head, src[:len(src)/2]...)); err != nil {
 		t.Fatal(err)

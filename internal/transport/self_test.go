@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,13 +18,7 @@ import (
 // dial the fabric makes from then on.
 func selfNode(t testing.TB, handler Handler) (*TCPNetwork, *tcpEndpoint, *atomic.Int32) {
 	t.Helper()
-	realDial := tcpDial
-	t.Cleanup(func() { tcpDial = realDial })
-	dials := new(atomic.Int32)
-	tcpDial = func(network, addr string, d time.Duration) (net.Conn, error) {
-		dials.Add(1)
-		return realDial(network, addr, d)
-	}
+	dials := countDials(t)
 	n := NewTCPNetwork()
 	t.Cleanup(func() { n.Close() })
 	ep, err := n.Attach("a", handler)
@@ -99,8 +92,8 @@ func TestTCPSelfNeverDials(t *testing.T) {
 	if _, ok := ep.conns["a"]; ok || len(ep.conns) != 0 {
 		t.Errorf("connection records %v, want none", ep.conns)
 	}
-	if len(ep.inbound) != 0 {
-		t.Errorf("%d accepted connections, want none", len(ep.inbound))
+	if len(ep.socks) != 0 {
+		t.Errorf("%d sockets, want none", len(ep.socks))
 	}
 }
 

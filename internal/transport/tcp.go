@@ -3,7 +3,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"sync"
@@ -37,8 +36,16 @@ var (
 // membership (standing in for IP multicast, which sandboxes rarely route).
 //
 // Frames are length-prefixed binary messages (cn/internal/wire) on
-// persistent per-destination connections. The outbound path is pipelined:
-// Send encodes onto a bounded two-lane queue and returns; a per-connection
+// persistent connections, one per node pair: a dialer opens the connection
+// with a preamble that names it, and the node that accepts it writes its
+// own frames to the dialer back on the same socket, so a request and its
+// reply share one socket and the kernel carries the acknowledgement on the
+// reply. Every connection, dialed or accepted, has one reader and one
+// writer and is retired whole — a read error or EOF retires its write side
+// too, and the next Send re-dials. Two nodes that dial each other at the
+// same moment may keep two connections; each writes on the one it
+// registered first and reads both. The outbound path is pipelined: Send
+// encodes onto a bounded two-lane queue and returns; a per-connection
 // writer goroutine owns the dial and drains the queue with coalesced
 // writev flushes (see pipeline.go). A frame's bulk tail (msg.Message.Tail)
 // is never copied in user space: it is written as its own iovec and read
@@ -80,16 +87,18 @@ func NewTCPNetwork() *TCPNetwork {
 // disables logging.
 func (n *TCPNetwork) SetLogger(log *slog.Logger) { n.log = logging.Component(log, "transport", "") }
 
-// SetSendBuffer bounds the kernel send buffer (SO_SNDBUF) of outbound
-// connections dialed after the call; 0 keeps the OS default. Lane priority
-// can only reorder frames still in THIS process — bytes already handed to
-// the kernel drain strictly in order — so a bounded send buffer is what
-// keeps a control frame's worst-case wait proportional to the buffer, not
-// to however much bulk the kernel has absorbed (the bufferbloat knob).
+// SetSendBuffer bounds the kernel send buffer (SO_SNDBUF) of the
+// connections a node starts writing on after the call — one it dials, or
+// one it accepted and adopted as its connection to the dialer; 0 keeps the
+// OS default. Lane priority can only reorder frames still in THIS process —
+// bytes already handed to the kernel drain strictly in order — so a bounded
+// send buffer is what keeps a control frame's worst-case wait proportional
+// to the buffer, not to however much bulk the kernel has absorbed (the
+// bufferbloat knob).
 func (n *TCPNetwork) SetSendBuffer(bytes int) { n.sendBuf.Store(int32(bytes)) }
 
-// tuneConn applies the configured socket options to a freshly dialed
-// outbound connection.
+// tuneConn applies the configured socket options to a connection the node
+// is about to write on.
 func (n *TCPNetwork) tuneConn(c net.Conn) {
 	if b := n.sendBuf.Load(); b > 0 {
 		if tc, ok := c.(*net.TCPConn); ok {
@@ -112,6 +121,9 @@ func (n *TCPNetwork) Attach(node string, handler Handler) (Endpoint, error) {
 	}
 	if handler == nil {
 		return nil, fmt.Errorf("transport: attach %q: nil handler", node)
+	}
+	if len(node) > wire.MaxPeerName {
+		return nil, fmt.Errorf("transport: attach %q: a node name is at most %d bytes (its connection preamble carries it)", node, wire.MaxPeerName)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -139,7 +151,7 @@ func (n *TCPNetwork) Attach(node string, handler Handler) (Endpoint, error) {
 		ln:      ln,
 		self:    newOutPipe(&n.stats),
 		conns:   make(map[string]*tcpConn),
-		inbound: make(map[net.Conn]bool),
+		socks:   make(map[net.Conn]bool),
 		stop:    make(chan struct{}),
 	}
 	n.nodes[node] = ep
@@ -184,20 +196,21 @@ func (n *TCPNetwork) lookup(node string) (string, error) {
 	return addr, nil
 }
 
-// tcpConn is a persistent outbound connection: the bounded two-lane
-// outbound queue plus the socket its writer goroutine owns. Senders only
-// ever touch the pipe; the writer dials (so a first-touch Send never
-// blocks up to tcpDialTimeout), drains the queue, and coalesces every
-// queued frame into one writev per wakeup. The fd is published atomically
-// so close can reach it while the writer is blocked in a write (closing
-// the fd is what unblocks a wedged writev).
+// tcpConn is the connection a node writes to one peer on: the bounded
+// two-lane outbound queue plus the socket its writer goroutine owns — one
+// the writer dials, or one the node accepted from that peer and adopted
+// (adopt). Senders only ever touch the pipe; the writer dials (so a
+// first-touch Send never blocks up to tcpDialTimeout), drains the queue,
+// and coalesces every queued frame into one writev per wakeup. The fd is
+// published atomically so close can reach it while the writer is blocked
+// in a write (closing the fd is what unblocks a wedged writev).
 type tcpConn struct {
 	addr string
 	node string
 	pipe *outPipe
 
 	closed atomic.Bool
-	cval   atomic.Value // net.Conn, set once after a successful dial
+	cval   atomic.Value // net.Conn: set at adoption, or once the dial succeeds
 }
 
 // close marks the record dead, fails every queued frame with err, and
@@ -226,11 +239,21 @@ type tcpEndpoint struct {
 	// (postTails); nil until then.
 	claim atomic.Pointer[func(correlID uint64, n int) []byte]
 
-	mu      sync.Mutex
-	conns   map[string]*tcpConn
-	inbound map[net.Conn]bool
-	closed  bool
+	mu    sync.Mutex
+	conns map[string]*tcpConn // peer -> the connection written to it
+	// socks is every open socket, dialed or accepted: each has a readLoop.
+	socks  map[net.Conn]bool
+	closed bool
 }
+
+// preambleBufs recycles the buffers accepted sockets' preambles are read
+// into: a read buffer handed to a net.Conn escapes, and a connection must
+// not cost an allocation before its preamble checks out.
+var preambleBufs = sync.Pool{New: func() any { return new([wire.MaxPreambleBytes]byte) }}
+
+// errPeerUnknown rejects a preamble that names no other node in the
+// directory: a malformed preamble like any other.
+var errPeerUnknown = &wire.FrameError{Err: errors.New("transport: preamble names no other node in the directory")}
 
 func (e *tcpEndpoint) acceptLoop() {
 	defer e.wg.Done()
@@ -247,34 +270,111 @@ func (e *tcpEndpoint) acceptLoop() {
 			}
 			continue
 		}
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
+		if !e.track(c) {
 			c.Close()
 			return
 		}
-		e.inbound[c] = true
-		e.mu.Unlock()
-		e.wg.Add(1)
-		go e.readLoop(c)
+		go e.readLoop(c, nil)
 	}
 }
 
-// readLoop decodes length-prefixed binary frames off one inbound
-// connection, head first: a frame's bulk tail is read after its envelope
-// is decoded, into the buffer a waiting call posted for it when there is
-// one (claimTail). Every length is validated against wire.MaxFrameBytes
-// BEFORE any allocation made for it, and any malformed frame drops the
-// connection with a logged transport error — at-most-once semantics make
-// the in-flight messages a silent loss, exactly as if the peer died.
-func (e *tcpEndpoint) readLoop(c net.Conn) {
+// track registers socket c and its reader with the endpoint; false once the
+// endpoint is closed, when no reader may start.
+func (e *tcpEndpoint) track(c net.Conn) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return false
+	}
+	e.socks[c] = true
+	e.wg.Add(1)
+	return true
+}
+
+// greet reads the preamble of accepted socket c and adopts c as the
+// connection to the node it names (adopt); tc is nil when that node already
+// has one, and c is then only read. false drops c: its preamble was
+// missing, malformed (counted in FrameErrors) or the endpoint is closing.
+// Nothing is allocated for c before its preamble checks out.
+func (e *tcpEndpoint) greet(c net.Conn) (tc *tcpConn, ok bool) {
+	buf := preambleBufs.Get().(*[wire.MaxPreambleBytes]byte)
+	name, err := wire.ReadConnPreamble(c, buf[:])
+	if err == nil {
+		tc, err = e.adopt(name, c)
+	}
+	preambleBufs.Put(buf)
+	if err != nil {
+		var bad *wire.FrameError
+		if errors.As(err, &bad) {
+			e.net.stats.FrameErrors.Add(1)
+			e.net.logErr("%s: connection from %s rejected: %v", e.node, c.RemoteAddr(), err)
+		}
+		return nil, false
+	}
+	return tc, true
+}
+
+// adopt makes accepted socket c the connection this node writes to peer on,
+// so replies go back on the socket the requests came in on — unless a live
+// connection to peer is registered already. That one was registered first:
+// it stays, and c is only read.
+func (e *tcpEndpoint) adopt(peer []byte, c net.Conn) (*tcpConn, error) {
+	e.net.mu.RLock()
+	addr, known := e.net.addrs[string(peer)]
+	e.net.mu.RUnlock()
+	if !known || string(peer) == e.node {
+		return nil, errPeerUnknown
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return nil, ErrClosed
+	}
+	node := string(peer)
+	if cur, ok := e.conns[node]; ok {
+		if !cur.closed.Load() && cur.addr == addr {
+			return nil, nil
+		}
+		go cur.close(fmt.Errorf("transport: send to %s: %w (peer re-attached)", node, ErrClosed))
+	}
+	tc := &tcpConn{addr: addr, node: node, pipe: newOutPipe(&e.net.stats)}
+	e.net.tuneConn(c)
+	tc.cval.Store(c)
+	e.conns[node] = tc
+	go e.writeLoop(tc) // not in e.wg, as conn's writers are not
+	return tc, nil
+}
+
+// readLoop is the one reader of socket c, dialed or accepted; tc is the
+// connection record that writes on c, nil for an accepted socket until its
+// preamble is read (greet). It decodes length-prefixed binary frames head
+// first: a frame's bulk tail is read after its envelope is decoded, into
+// the buffer a waiting call posted for it when there is one (claimTail).
+// Every length is validated against wire.MaxFrameBytes BEFORE any
+// allocation made for it, and any malformed frame drops the connection
+// with a logged transport error — at-most-once semantics make the
+// in-flight messages a silent loss, exactly as if the peer died. However
+// the loop ends, the connection is retired whole: the socket closes and tc,
+// if any, leaves the table, failing what is queued on it, so the next Send
+// re-dials. Only a frame cut off partway counts as dropped.
+func (e *tcpEndpoint) readLoop(c net.Conn, tc *tcpConn) {
 	defer e.wg.Done()
 	defer func() {
 		c.Close()
 		e.mu.Lock()
-		delete(e.inbound, c)
+		delete(e.socks, c)
 		e.mu.Unlock()
+		if tc != nil {
+			e.forget(tc.node, tc)
+			tc.close(fmt.Errorf("transport: send to %s: %w (connection closed)", tc.node, ErrClosed))
+		}
 	}()
+	if tc == nil {
+		var ok bool
+		if tc, ok = e.greet(c); !ok {
+			return
+		}
+	}
 	fr := wire.NewFrameReader(c, e.claimTail)
 	for {
 		m, size, err := fr.Next()
@@ -285,8 +385,7 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 				e.net.stats.FrameErrors.Add(1)
 				e.net.logErr("%s: inbound frame from %s rejected: %v; dropping connection",
 					e.node, c.RemoteAddr(), err)
-			case err != io.EOF:
-				// Connection torn down mid-frame.
+			case fr.Partial():
 				e.net.stats.Dropped.Add(1)
 			}
 			return
@@ -383,9 +482,9 @@ func (e *tcpEndpoint) postTails(claim func(correlID uint64, n int) []byte) {
 // Node implements Endpoint.
 func (e *tcpEndpoint) Node() string { return e.node }
 
-// conn returns the persistent connection record for node, creating it —
-// and launching its writer goroutine, which owns the dial — on first use.
-// Senders never dial: they enqueue and return.
+// conn returns the connection record this node writes to node on, creating
+// it — and launching its writer goroutine, which owns the dial — when there
+// is none, dialed or adopted. Senders never dial: they enqueue and return.
 func (e *tcpEndpoint) conn(node string) (*tcpConn, error) {
 	addr, err := e.net.lookup(node)
 	if err != nil {
@@ -425,34 +524,33 @@ func (e *tcpEndpoint) forget(node string, tc *tcpConn) {
 	e.mu.Unlock()
 }
 
-// writeLoop is tc's writer goroutine: it owns the dial, then drains the
-// pipe, coalescing every queued frame into a single net.Buffers writev
-// per wakeup — control lane first, a frame's bulk tail as the iovec after
-// its head (scatter-gather: the tail goes from wherever it lives to the
-// kernel without a user-space copy). A dial or write failure fails the
-// whole queued batch at once with one error and retires the connection;
-// the next Send re-dials on a fresh record.
+// writeLoop is tc's writer goroutine: unless tc adopted an accepted socket
+// it owns the dial, and starts the socket's reader. Then it drains the
+// pipe, coalescing every queued frame into a single net.Buffers writev per
+// wakeup — a dialed socket's preamble ahead of its first batch, then the
+// control lane first, a frame's bulk tail as the iovec after its head
+// (scatter-gather: the tail goes from wherever it lives to the kernel
+// without a user-space copy). A dial or write failure fails the whole
+// queued batch at once with one error and retires the connection; the next
+// Send re-dials on a fresh record.
 func (e *tcpEndpoint) writeLoop(tc *tcpConn) {
-	c, err := tcpDial("tcp", tc.addr, tcpDialTimeout)
-	if err != nil {
-		dialErr := fmt.Errorf("transport: dial %s (%s): %w", tc.node, tc.addr, err)
-		e.net.logErr("%s: %v; failing queued frames", e.node, dialErr)
-		e.forget(tc.node, tc)
-		tc.close(dialErr)
-		return
-	}
-	e.net.tuneConn(c)
-	tc.cval.Store(c)
-	if tc.closed.Load() {
-		// close raced the dial; it may have missed the just-published fd.
-		c.Close()
-		return
+	c, _ := tc.cval.Load().(net.Conn)
+	var pre []byte
+	if c == nil {
+		if c = e.dial(tc); c == nil {
+			return
+		}
+		pre, _ = wire.AppendConnPreamble(nil, e.node) // Attach refuses a name no preamble can carry
 	}
 	// WriteTo consumes bufs; iov keeps the backing array across batches.
 	var iov, bufs net.Buffers
 	var batch []outFrame
 	for tc.pipe.popBatch(e.stop, &batch) {
 		iov = iov[:0]
+		if pre != nil {
+			iov = append(iov, pre)
+			pre = nil
+		}
 		for i := range batch {
 			iov = append(iov, batch[i].data)
 			if batch[i].m != nil {
@@ -484,6 +582,28 @@ func (e *tcpEndpoint) writeLoop(tc *tcpConn) {
 		clear(iov)
 	}
 	c.Close()
+}
+
+// dial opens tc's socket and starts its reader; nil when the dial failed,
+// which fails tc, or tc or the endpoint closed meanwhile.
+func (e *tcpEndpoint) dial(tc *tcpConn) net.Conn {
+	c, err := tcpDial("tcp", tc.addr, tcpDialTimeout)
+	if err != nil {
+		dialErr := fmt.Errorf("transport: dial %s (%s): %w", tc.node, tc.addr, err)
+		e.net.logErr("%s: %v; failing queued frames", e.node, dialErr)
+		e.forget(tc.node, tc)
+		tc.close(dialErr)
+		return nil
+	}
+	e.net.tuneConn(c)
+	tc.cval.Store(c)
+	if tc.closed.Load() || !e.track(c) {
+		// close raced the dial; it may have missed the just-published fd.
+		c.Close()
+		return nil
+	}
+	go e.readLoop(c, tc)
+	return c
 }
 
 // Send implements Endpoint: encode the head, enqueue head and borrowed
@@ -617,9 +737,9 @@ func (e *tcpEndpoint) Close() error {
 	e.closed = true
 	conns := e.conns
 	e.conns = map[string]*tcpConn{}
-	inbound := make([]net.Conn, 0, len(e.inbound))
-	for c := range e.inbound {
-		inbound = append(inbound, c)
+	socks := make([]net.Conn, 0, len(e.socks))
+	for c := range e.socks {
+		socks = append(socks, c)
 	}
 	e.mu.Unlock()
 
@@ -629,7 +749,7 @@ func (e *tcpEndpoint) Close() error {
 	for _, tc := range conns {
 		tc.close(ErrClosed)
 	}
-	for _, c := range inbound {
+	for _, c := range socks {
 		c.Close()
 	}
 	e.wg.Wait()

@@ -15,8 +15,9 @@ import (
 	"cn/internal/wire"
 )
 
-// dialEndpoint opens a raw client socket to the named node's listener.
-func dialEndpoint(t *testing.T, n *TCPNetwork, node string) net.Conn {
+// dialEndpoint opens a raw socket to the named node's listener and writes
+// the preamble of a dialer named as, which must be a node in the directory.
+func dialEndpoint(t *testing.T, n *TCPNetwork, node, as string) net.Conn {
 	t.Helper()
 	addr, err := n.lookup(node)
 	if err != nil {
@@ -26,7 +27,28 @@ func dialEndpoint(t *testing.T, n *TCPNetwork, node string) net.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pre, err := wire.AppendConnPreamble(nil, as)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(pre); err != nil {
+		t.Fatal(err)
+	}
 	return c
+}
+
+// victim attaches node "victim", whose handler counts what it is handed,
+// and node "raw", the name a raw socket to the victim announces.
+func victim(t *testing.T, n *TCPNetwork) *atomic.Int32 {
+	t.Helper()
+	received := new(atomic.Int32)
+	if _, err := n.Attach("victim", func(*msg.Message) { received.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Attach("raw", func(*msg.Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	return received
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -48,11 +70,8 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 func TestTCPInboundOversizedLengthRejected(t *testing.T) {
 	n := NewTCPNetwork()
 	defer n.Close()
-	received := 0
-	if _, err := n.Attach("victim", func(*msg.Message) { received++ }); err != nil {
-		t.Fatal(err)
-	}
-	c := dialEndpoint(t, n, "victim")
+	received := victim(t, n)
+	c := dialEndpoint(t, n, "victim", "raw")
 	defer c.Close()
 
 	var hdr [4]byte
@@ -67,8 +86,8 @@ func TestTCPInboundOversizedLengthRejected(t *testing.T) {
 	if _, err := c.Read(hdr[:]); err == nil {
 		t.Error("connection still open after oversized frame")
 	}
-	if received != 0 {
-		t.Errorf("handler invoked %d times for garbage", received)
+	if got := received.Load(); got != 0 {
+		t.Errorf("handler invoked %d times for garbage", got)
 	}
 }
 
@@ -77,10 +96,8 @@ func TestTCPInboundOversizedLengthRejected(t *testing.T) {
 func TestTCPInboundCorruptFrameRejected(t *testing.T) {
 	n := NewTCPNetwork()
 	defer n.Close()
-	if _, err := n.Attach("victim", func(*msg.Message) {}); err != nil {
-		t.Fatal(err)
-	}
-	c := dialEndpoint(t, n, "victim")
+	victim(t, n)
+	c := dialEndpoint(t, n, "victim", "raw")
 	defer c.Close()
 
 	body := []byte("this is not a CN frame body at all, just junk")
@@ -99,11 +116,8 @@ func TestTCPInboundCorruptFrameRejected(t *testing.T) {
 func TestTCPInboundHostileTailRejected(t *testing.T) {
 	n := NewTCPNetwork()
 	defer n.Close()
-	received := 0
-	if _, err := n.Attach("victim", func(*msg.Message) { received++ }); err != nil {
-		t.Fatal(err)
-	}
-	c := dialEndpoint(t, n, "victim")
+	received := victim(t, n)
+	c := dialEndpoint(t, n, "victim", "raw")
 	defer c.Close()
 
 	reply := msg.New(msg.KindBlobChunkAck, msg.Address{Node: "x"}, msg.Address{Node: "victim"}, nil)
@@ -123,8 +137,8 @@ func TestTCPInboundHostileTailRejected(t *testing.T) {
 	if _, err := c.Read(make([]byte, 1)); err == nil {
 		t.Error("connection still open after a hostile tail length")
 	}
-	if received != 0 {
-		t.Errorf("handler invoked %d times for garbage", received)
+	if got := received.Load(); got != 0 {
+		t.Errorf("handler invoked %d times for garbage", got)
 	}
 }
 

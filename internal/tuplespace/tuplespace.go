@@ -9,10 +9,18 @@
 // probes. Templates match field-by-field: a concrete value matches by
 // equality, the Wildcard matches any value of any type, and a TypeOf
 // placeholder matches any value of one concrete type.
+//
+// The first match is the oldest: every op that finds a stored tuple — InP,
+// RdP, In, Rd, Await — returns the matching tuple stored earliest, and
+// Snapshot lists the tuples in the order they were stored. A space keeps its
+// tuples in FIFO buckets keyed by arity and first field, so a template whose
+// first field is a concrete value reads one bucket; a Wildcard or TypeOf
+// first field reads every bucket of its arity and takes the oldest match.
 package tuplespace
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -112,19 +120,67 @@ type Waiter struct {
 // Space is a concurrent tuple space.
 type Space struct {
 	mu      sync.Mutex
-	tuples  []Tuple
+	buckets map[bucketKey]*bucket
+	n       int    // stored tuples
+	seq     uint64 // insertion number of the next stored tuple
 	waiters []*Waiter
 	closed  bool
 }
 
+// bucketKey names the bucket a tuple is stored in: its arity and its first
+// field, when fieldEqual compares that field with == (a string, int, int64,
+// bool or non-NaN float64). Every other first field — NaN, a byte slice, any
+// other type — is keyed nil, so such tuples share one bucket per arity. The
+// key holds the tuple's own interface value: building it boxes nothing.
+type bucketKey struct {
+	arity int
+	head  any
+}
+
+// keyOf returns the key of the bucket that holds the tuples a first field of
+// v can equal.
+func keyOf(arity int, v any) bucketKey {
+	switch x := v.(type) {
+	case string, int, int64, bool:
+		return bucketKey{arity, v}
+	case float64:
+		if x == x {
+			return bucketKey{arity, v}
+		}
+	}
+	return bucketKey{arity, nil}
+}
+
+// entry is a stored tuple and its insertion number.
+type entry struct {
+	seq uint64
+	t   Tuple
+}
+
+// bucket is the stored tuples of one key, oldest first.
+type bucket struct {
+	key bucketKey
+	q   []entry
+}
+
+// find returns the index of the bucket's oldest tuple matching tpl, or -1.
+func (b *bucket) find(tpl Template) int {
+	for i := range b.q {
+		if tpl.Matches(b.q[i].t) {
+			return i
+		}
+	}
+	return -1
+}
+
 // New creates an empty space.
-func New() *Space { return &Space{} }
+func New() *Space { return &Space{buckets: make(map[bucketKey]*bucket)} }
 
 // Len returns the number of stored tuples.
 func (s *Space) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.tuples)
+	return s.n
 }
 
 // Closed reports whether the space has been closed.
@@ -169,7 +225,7 @@ func (s *Space) Keep(t Tuple) error {
 	clear(s.waiters[len(remaining):]) // do not pin woken waiters in the spare capacity
 	s.waiters = remaining
 	if !taken {
-		s.tuples = append(s.tuples, t)
+		s.storeLocked(t)
 	}
 	s.mu.Unlock()
 	for _, w := range woken {
@@ -178,25 +234,73 @@ func (s *Space) Keep(t Tuple) error {
 	return nil
 }
 
-// findLocked returns the index of the first tuple matching tpl, or -1.
-func (s *Space) findLocked(tpl Template) int {
-	for i, t := range s.tuples {
-		if tpl.Matches(t) {
-			return i
-		}
+// storeLocked appends t to its bucket, creating the bucket on first use.
+func (s *Space) storeLocked(t Tuple) {
+	k := keyOf(len(t), t[0])
+	b := s.buckets[k]
+	if b == nil {
+		b = &bucket{key: k}
+		s.buckets[k] = b
 	}
-	return -1
+	b.q = append(b.q, entry{s.seq, t})
+	s.seq++
+	s.n++
 }
 
-// remove deletes stored tuple i, keeping the order of the rest; taking from
-// the front, as a bag of tasks does, reslices rather than moves.
-func (s *Space) remove(i int) {
-	if i == 0 {
-		s.tuples[0] = nil
-		s.tuples = s.tuples[1:]
+// candidates calls fn with each bucket that may hold a tuple matching tpl:
+// the one its concrete first field names or, when that field is a Wildcard
+// or TypeOf, every bucket of its arity — less, for a TypeOf, the keyed
+// buckets of another type.
+func (s *Space) candidates(tpl Template, fn func(*bucket)) {
+	if len(tpl) == 0 {
 		return
 	}
-	s.tuples = slices.Delete(s.tuples, i, i+1)
+	var rt reflect.Type
+	switch p := tpl[0].(type) {
+	case typeOf:
+		rt = p.rt
+	case wildcard:
+	default:
+		if b := s.buckets[keyOf(len(tpl), p)]; b != nil {
+			fn(b)
+		}
+		return
+	}
+	for k, b := range s.buckets {
+		if k.arity == len(tpl) && (rt == nil || k.head == nil || reflect.TypeOf(k.head) == rt) {
+			fn(b)
+		}
+	}
+}
+
+// findLocked returns the bucket and index of the oldest stored tuple
+// matching tpl, or a nil bucket.
+func (s *Space) findLocked(tpl Template) (best *bucket, bi int) {
+	s.candidates(tpl, func(b *bucket) {
+		if i := b.find(tpl); i >= 0 && (best == nil || b.q[i].seq < best.q[bi].seq) {
+			best, bi = b, i
+		}
+	})
+	return best, bi
+}
+
+// removeLocked deletes tuple i of b, keeping the order of the rest, and
+// returns it; taking from the front, as a bag of tasks does, reslices rather
+// than moves. A bucket left empty leaves the space, so what the space holds
+// follows the tuples stored, not every first field ever seen.
+func (s *Space) removeLocked(b *bucket, i int) Tuple {
+	t := b.q[i].t
+	if i == 0 {
+		b.q[0] = entry{}
+		b.q = b.q[1:]
+	} else {
+		b.q = slices.Delete(b.q, i, i+1)
+	}
+	if len(b.q) == 0 {
+		delete(s.buckets, b.key)
+	}
+	s.n--
+	return t
 }
 
 // InP removes and returns the first matching tuple without blocking.
@@ -206,13 +310,11 @@ func (s *Space) InP(tpl Template) (Tuple, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	i := s.findLocked(tpl)
-	if i < 0 {
+	b, i := s.findLocked(tpl)
+	if b == nil {
 		return nil, ErrNoMatch
 	}
-	t := s.tuples[i]
-	s.remove(i)
-	return t.clone(), nil
+	return s.removeLocked(b, i).clone(), nil
 }
 
 // RdP returns (without removing) the first matching tuple without blocking.
@@ -222,11 +324,11 @@ func (s *Space) RdP(tpl Template) (Tuple, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	i := s.findLocked(tpl)
-	if i < 0 {
+	b, i := s.findLocked(tpl)
+	if b == nil {
 		return nil, ErrNoMatch
 	}
-	return s.tuples[i].clone(), nil
+	return b.q[i].t.clone(), nil
 }
 
 // In removes and returns a tuple matching tpl, blocking until one is
@@ -255,12 +357,11 @@ func (s *Space) Await(tpl Template, take bool, wake func(Tuple, error)) (Tuple, 
 	if s.closed {
 		return nil, nil, ErrClosed
 	}
-	if i := s.findLocked(tpl); i >= 0 {
-		t := s.tuples[i]
+	if b, i := s.findLocked(tpl); b != nil {
 		if take {
-			s.remove(i)
+			return s.removeLocked(b, i), nil, nil
 		}
-		return t, nil, nil
+		return b.q[i].t, nil, nil
 	}
 	w := &Waiter{tpl: tpl, take: take, wake: wake}
 	s.waiters = append(s.waiters, w)
@@ -318,21 +419,29 @@ func (s *Space) Count(tpl Template) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, t := range s.tuples {
-		if tpl.Matches(t) {
-			n++
+	s.candidates(tpl, func(b *bucket) {
+		for i := range b.q {
+			if tpl.Matches(b.q[i].t) {
+				n++
+			}
 		}
-	}
+	})
 	return n
 }
 
-// Snapshot returns a copy of all stored tuples (diagnostics and tests).
+// Snapshot returns a copy of all stored tuples in the order they were
+// stored: the space section of a job's checkpoint.
 func (s *Space) Snapshot() []Tuple {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Tuple, len(s.tuples))
-	for i, t := range s.tuples {
-		out[i] = t.clone()
+	all := make([]entry, 0, s.n)
+	for _, b := range s.buckets {
+		all = append(all, b.q...)
+	}
+	slices.SortFunc(all, func(a, b entry) int { return cmp.Compare(a.seq, b.seq) })
+	out := make([]Tuple, len(all))
+	for i, e := range all {
+		out[i] = e.t.clone()
 	}
 	return out
 }
@@ -347,7 +456,8 @@ func (s *Space) Close() {
 	s.closed = true
 	woken := s.waiters
 	s.waiters = nil
-	s.tuples = nil
+	s.buckets = nil
+	s.n = 0
 	s.mu.Unlock()
 	for _, w := range woken {
 		w.wake(nil, ErrClosed)

@@ -324,6 +324,9 @@ type FrameReader struct {
 	word   [frameBodyMin + tailLenBytes]byte
 	// names is the stream's address strings, read by Next's goroutine only.
 	names nameCache
+	// partial is set while Next is inside a frame, and stays set when Next
+	// fails there (Partial).
+	partial bool
 }
 
 // readBufBytes sizes a FrameReader's buffer — one per inbound connection,
@@ -346,7 +349,9 @@ func NewFrameReader(r io.Reader, post func(head *msg.Message, n int) []byte) *Fr
 // MaxFrameBytes. io.EOF means the stream ended cleanly between frames; a
 // stream that ends inside a frame returns io.ErrUnexpectedEOF.
 func (fr *FrameReader) Next() (*msg.Message, int, error) {
-	if _, err := io.ReadFull(fr.br, fr.prefix[:]); err != nil {
+	n, err := io.ReadFull(fr.br, fr.prefix[:])
+	fr.partial = n > 0
+	if err != nil {
 		return nil, 0, err
 	}
 	frameLen := binary.BigEndian.Uint32(fr.prefix[:])
@@ -370,8 +375,14 @@ func (fr *FrameReader) Next() (*msg.Message, int, error) {
 	} else {
 		m, err = fr.readEnvelope(int(frameLen), frameBodyMin)
 	}
+	fr.partial = err != nil
 	return m, FrameHeaderBytes + int(frameLen), err
 }
+
+// Partial reports whether the error Next last returned came partway through
+// a frame — a frame cut off, not a stream that ended or failed between
+// frames.
+func (fr *FrameReader) Partial() bool { return fr.partial }
 
 // readEnvelope reads n bytes and decodes the envelope that follows the
 // first skip of them. The message's Payload aliases the buffer allocated

@@ -6,8 +6,9 @@
 # in internal/wire (the codec, the envelope and the frame — among them the
 # head-only encode wire.AppendFrameHead and the reader's head/tail split,
 # wire.(*FrameReader).Next / readEnvelope / readTailed) or internal/msg, the
-# transport functions every frame passes through (Send, the read and write
-# loops, the posted-receive claim, and for a node's frames to itself
+# transport functions every frame passes through (Send, the read loop and
+# the write loop every connection has — readLoop and writeLoop, dialed or
+# accepted alike — the posted-receive claim, and for a node's frames to itself
 # sendSelf, the self-delivery loop selfLoop and its tail copy ownTail),
 # Server.handle / dispatch / replyIfAny, the JobManager's HandleTSOp (which
 # decodes a tuple-space request into its own frame) and the Caller's
