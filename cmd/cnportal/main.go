@@ -6,8 +6,10 @@
 //
 // Usage:
 //
-//	cnportal [-addr :8080] [-nodes N] [-workers W] [-queue Q] [-result-ttl 15m] [-data-dir DIR]
-//	         [-log-level info] [-trace-sample 0.125] [-debug] [-v]
+//	cnportal [-addr :8080] [-nodes 4] [-workers 4] [-queue 64] [-result-ttl 15m]
+//	         [-data-dir DIR] [-debug] [-heartbeat 500ms] [-assign-timeout 5s]
+//	         [-max-task-retries 2] [-straggler-after 0s] [-trace-sample 0.125]
+//	         [-log-level info]
 package main
 
 import (
@@ -27,20 +29,16 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cnportal: ")
+	var cfg cluster.Config
+	cfg.Flags(flag.CommandLine)
 	var (
-		addr       = flag.String("addr", ":8080", "HTTP listen address")
-		nodes      = flag.Int("nodes", 4, "cluster size")
-		workers    = flag.Int("workers", 4, "async job execution pool size")
-		queue      = flag.Int("queue", 64, "submission queue depth before 429s")
-		resultTTL  = flag.Duration("result-ttl", 15*time.Minute, "how long terminal job records are kept")
-		dataDir    = flag.String("data-dir", "", "directory for the durable job log; queued/running jobs replay after a restart (empty = in-memory only)")
-		heartbeat  = flag.Duration("heartbeat", 0, "TaskManager heartbeat interval (0 = 500ms; negative disables failure detection)")
-		maxRetries = flag.Int("max-task-retries", 0, "per-task re-placement budget after node failures (0 = 2; negative disables recovery)")
-		straggler  = flag.Duration("straggler-after", 0, "speculatively re-run tasks whose progress stalls this long (0 = disabled)")
-		assignWait = flag.Duration("assign-timeout", 0, "JobManager batch-assignment round-trip timeout (0 = 5s)")
-		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn, error")
-		sample     = flag.Float64("trace-sample", 0, "distributed-trace root sampling probability (0 = 0.125 default; negative disables tracing)")
-		debug      = flag.Bool("debug", false, "mount net/http/pprof under /debug/pprof/")
+		addr      = flag.String("addr", ":8080", "HTTP listen address")
+		workers   = flag.Int("workers", 4, "async job execution pool size")
+		queue     = flag.Int("queue", 64, "submission queue depth before 429s")
+		resultTTL = flag.Duration("result-ttl", 15*time.Minute, "how long terminal job records are kept")
+		dataDir   = flag.String("data-dir", "", "directory for the durable job log; queued/running jobs replay after a restart (empty = in-memory only)")
+		logLevel  = flag.String("log-level", "info", "structured log level: debug, info, warn, error")
+		debug     = flag.Bool("debug", false, "mount net/http/pprof under /debug/pprof/")
 	)
 	flag.Parse()
 
@@ -57,16 +55,9 @@ func main() {
 		return cn.TaskFunc(func(cn.TaskContext) error { return nil })
 	})
 
-	c, err := cluster.Start(cluster.Config{
-		Nodes:             *nodes,
-		Registry:          reg,
-		AssignTimeout:     *assignWait,
-		HeartbeatInterval: *heartbeat,
-		MaxTaskRetries:    *maxRetries,
-		StragglerAfter:    *straggler,
-		Log:               slogger,
-		TraceSample:       *sample,
-	})
+	cfg.Registry = reg
+	cfg.Log = slogger
+	c, err := cluster.Start(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +70,7 @@ func main() {
 		ResultTTL:   *resultTTL,
 		DataDir:     *dataDir,
 		Log:         slogger,
-		TraceSample: *sample,
+		TraceSample: cfg.TraceSample,
 		Debug:       *debug,
 	})
 	if err != nil {
@@ -88,7 +79,7 @@ func main() {
 	defer p.Close()
 
 	log.Printf("cluster up (%d nodes), portal listening on %s (%d workers, queue %d)",
-		*nodes, *addr, *workers, *queue)
+		len(c.Nodes()), *addr, *workers, *queue)
 	if err := http.ListenAndServe(*addr, p.Handler()); err != nil {
 		log.Fatal(err)
 	}

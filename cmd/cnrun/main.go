@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	cnrun -in client.cnx [-xmi] [-nodes N] [-invocations N] [-timeout D] [-v]
+//	cnrun -in client.cnx [-xmi] [-nodes 4] [-invocations 4] [-n 32] [-timeout 1m0s]
 package main
 
 import (

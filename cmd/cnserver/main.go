@@ -6,8 +6,9 @@
 //
 // Usage:
 //
-//	cnserver [-nodes N] [-tcp] [-memory MB] [-http :8080] [-log-level info]
-//	         [-trace-sample 0.125] [-debug] [-v]
+//	cnserver [-nodes 4] [-tcp] [-memory 8000] [-http ADDR] [-debug]
+//	         [-heartbeat 500ms] [-assign-timeout 5s] [-max-task-retries 2]
+//	         [-straggler-after 0s] [-trace-sample 0.125] [-log-level info]
 package main
 
 import (
@@ -28,18 +29,14 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cnserver: ")
+	var cfg cluster.Config
+	cfg.Flags(flag.CommandLine)
+	flag.IntVar(&cfg.MemoryMB, "memory", cfg.WithDefaults().MemoryMB, "per-node task capacity in MB")
 	var (
-		nodes      = flag.Int("nodes", 4, "number of CN server nodes")
-		tcp        = flag.Bool("tcp", false, "use TCP loopback sockets instead of the in-memory fabric")
-		memoryMB   = flag.Int("memory", 8000, "per-node task capacity in MB")
-		httpAddr   = flag.String("http", "", "also serve the web portal on this address")
-		heartbeat  = flag.Duration("heartbeat", 0, "TaskManager heartbeat interval (0 = 500ms; negative disables failure detection)")
-		assignWait = flag.Duration("assign-timeout", 0, "JobManager batch-assignment round-trip timeout (0 = 5s)")
-		maxRetries = flag.Int("max-task-retries", 0, "per-task re-placement budget after node failures (0 = 2; negative disables recovery)")
-		straggler  = flag.Duration("straggler-after", 0, "speculatively re-run tasks whose progress stalls this long (0 = disabled)")
-		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn, error")
-		sample     = flag.Float64("trace-sample", 0, "distributed-trace root sampling probability (0 = 0.125 default; negative disables tracing)")
-		debug      = flag.Bool("debug", false, "mount net/http/pprof on the portal mux (needs -http)")
+		tcp      = flag.Bool("tcp", false, "use TCP loopback sockets instead of the in-memory fabric")
+		httpAddr = flag.String("http", "", "also serve the web portal on this address")
+		logLevel = flag.String("log-level", "info", "structured log level: debug, info, warn, error")
+		debug    = flag.Bool("debug", false, "mount net/http/pprof on the portal mux (needs -http)")
 	)
 	flag.Parse()
 
@@ -56,22 +53,12 @@ func main() {
 		return cn.TaskFunc(func(cn.TaskContext) error { return nil })
 	})
 
-	tp := cluster.TransportMem
 	if *tcp {
-		tp = cluster.TransportTCP
+		cfg.Transport = cluster.TransportTCP
 	}
-	c, err := cluster.Start(cluster.Config{
-		Nodes:             *nodes,
-		Transport:         tp,
-		MemoryMB:          *memoryMB,
-		Registry:          reg,
-		AssignTimeout:     *assignWait,
-		HeartbeatInterval: *heartbeat,
-		MaxTaskRetries:    *maxRetries,
-		StragglerAfter:    *straggler,
-		Log:               slogger,
-		TraceSample:       *sample,
-	})
+	cfg.Registry = reg
+	cfg.Log = slogger
+	c, err := cluster.Start(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +69,7 @@ func main() {
 		p, err := portal.New(portal.Config{
 			Cluster:     c,
 			Log:         slogger,
-			TraceSample: *sample,
+			TraceSample: cfg.TraceSample,
 			Debug:       *debug,
 		})
 		if err != nil {

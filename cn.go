@@ -192,8 +192,9 @@ func NewArchive(name, taskClass string) *archive.Builder {
 	return archive.NewBuilder(name, taskClass)
 }
 
-// ClusterOptions configures StartCluster. It is the cluster harness's own
-// Config: every knob is declared, documented and defaulted there, once.
+// ClusterOptions configures StartCluster. It is the one deployment config
+// the cluster harness, every CN server and both managers read: each knob is
+// declared, documented and defaulted there, once.
 type ClusterOptions = cluster.Config
 
 // Transport selects the fabric a cluster runs on (ClusterOptions.Transport).

@@ -6,98 +6,34 @@ package cluster
 
 import (
 	"fmt"
-	"log/slog"
-	"time"
 
+	"cn/internal/config"
 	"cn/internal/dataplane"
 	"cn/internal/jobmgr"
 	"cn/internal/metrics"
 	"cn/internal/placement"
 	"cn/internal/server"
-	"cn/internal/task"
 	"cn/internal/trace"
 	"cn/internal/transport"
 )
 
+// Config parametrizes a simulated cluster; it is the one deployment
+// config every layer reads (see package config).
+type Config = config.Config
+
 // Transport selects the fabric implementation.
-type Transport int
+type Transport = config.Transport
 
 // Fabric choices.
 const (
 	// TransportMem is the in-memory simulated network (default).
-	TransportMem Transport = iota
+	TransportMem = config.TransportMem
 	// TransportTCP uses real loopback sockets.
-	TransportTCP
+	TransportTCP = config.TransportTCP
 )
-
-// Config parametrizes a simulated cluster.
-type Config struct {
-	// Nodes is the number of CN servers to boot (0 = 4).
-	Nodes int
-	// NodePrefix names nodes prefix1..prefixN (default "node").
-	NodePrefix string
-	// MemoryMB is each node's task capacity (0 = 8000).
-	MemoryMB int
-	// MaxJobs caps jobs per JobManager (0 = 16).
-	MaxJobs int
-	// Transport selects the fabric (zero = TransportMem, the in-memory
-	// fabric; TransportTCP uses real loopback sockets).
-	Transport Transport
-	// Latency, Jitter, Loss, Seed configure the in-memory fabric's link
-	// model.
-	Latency time.Duration
-	Jitter  time.Duration
-	Loss    float64
-	Seed    int64
-	// Registry resolves task classes on every node (nil = the global
-	// registry populated by RegisterTask).
-	Registry *task.Registry
-	// PlacementTTL bounds each JobManager's cached TaskManager offers
-	// (0 = placement default TTL; negative disables offer caching, so every
-	// placement performs a fresh multicast round, the pre-directory
-	// behavior).
-	PlacementTTL time.Duration
-	// AssignTimeout bounds each JobManager's batch-assignment round trips
-	// (0 = 5s).
-	AssignTimeout time.Duration
-	// TombstoneTTL bounds finished-job tombstone retention per JobManager
-	// (0 = 5 minutes; negative keeps tombstones forever).
-	TombstoneTTL time.Duration
-	// HeartbeatInterval is each TaskManager's beat cadence and the basis
-	// for failure-detection leases (0 = 500ms; negative disables
-	// heartbeating and failure detection).
-	HeartbeatInterval time.Duration
-	// SuspectAfter / DeadAfter override the failure-detection lease
-	// windows (0 = 3× / 6× the heartbeat interval). A suspect node is
-	// excluded from new placements; a dead node's in-flight tasks are
-	// re-placed on survivors.
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
-	// MaxTaskRetries bounds how many times one task may be re-placed after
-	// node deaths, failed dispatches, or straggler speculation
-	// (0 = 2; negative disables recovery).
-	MaxTaskRetries int
-	// StragglerAfter enables speculative execution: a running task whose
-	// progress has stalled this long gets a duplicate on another node,
-	// first result wins (0 = disabled).
-	StragglerAfter time.Duration
-	// CheckpointEvery is each JobManager's cadence for replicating hosted
-	// jobs' control state to its peers; when a manager dies, a surviving
-	// peer adopts its checkpointed jobs and drives them to completion
-	// (0 = the heartbeat interval; negative — or disabled heartbeating —
-	// disables checkpointing and failover).
-	CheckpointEvery time.Duration
-	// Log receives structured server diagnostics (nil discards); printf-style
-	// ones are its Debug records.
-	Log *slog.Logger
-	// TraceSample is each node's distributed-trace root sampling
-	// probability (0 = the 1-in-8 default; negative disables tracing).
-	TraceSample float64
-}
 
 // Cluster is a set of running CN servers on one fabric.
 type Cluster struct {
-	cfg     Config
 	network transport.Network
 	servers map[string]*server.Server
 	order   []string
@@ -106,12 +42,7 @@ type Cluster struct {
 
 // Start boots the cluster.
 func Start(cfg Config) (*Cluster, error) {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 4
-	}
-	if cfg.NodePrefix == "" {
-		cfg.NodePrefix = "node"
-	}
+	cfg = cfg.WithDefaults()
 	var net transport.Network
 	switch cfg.Transport {
 	case TransportMem:
@@ -129,30 +60,13 @@ func Start(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: unknown transport %d", cfg.Transport)
 	}
 	c := &Cluster{
-		cfg:     cfg,
 		network: net,
 		servers: make(map[string]*server.Server, cfg.Nodes),
 		reg:     metrics.NewRegistry(),
 	}
 	for i := 1; i <= cfg.Nodes; i++ {
 		name := fmt.Sprintf("%s%d", cfg.NodePrefix, i)
-		srv, err := server.Start(net, server.Config{
-			Node:              name,
-			MemoryMB:          cfg.MemoryMB,
-			MaxJobs:           cfg.MaxJobs,
-			Registry:          cfg.Registry,
-			PlacementTTL:      cfg.PlacementTTL,
-			AssignTimeout:     cfg.AssignTimeout,
-			TombstoneTTL:      cfg.TombstoneTTL,
-			HeartbeatInterval: cfg.HeartbeatInterval,
-			SuspectAfter:      cfg.SuspectAfter,
-			DeadAfter:         cfg.DeadAfter,
-			MaxTaskRetries:    cfg.MaxTaskRetries,
-			StragglerAfter:    cfg.StragglerAfter,
-			CheckpointEvery:   cfg.CheckpointEvery,
-			Log:               cfg.Log,
-			TraceSample:       cfg.TraceSample,
-		})
+		srv, err := server.Start(net, name, cfg)
 		if err != nil {
 			c.Stop()
 			return nil, fmt.Errorf("cluster: start %s: %w", name, err)

@@ -1,6 +1,6 @@
 // JobManager durability: peer checkpoint replication and failover.
 //
-// At Config.CheckpointEvery cadence each JobManager multicasts, per live
+// At config.Config.CheckpointEvery cadence each JobManager multicasts, per live
 // job, a KindJMCheckpoint carrying an opaque snapshot of the job's control
 // state — specs, placement, schedule progress, retry budgets, tuple-space
 // contents, and (size permitting) the stashed archive blobs. Peers store
@@ -139,14 +139,14 @@ func (jm *JobManager) checkpointJob(j *jobState) {
 		return
 	}
 	j.ckptSeq++
-	ck := protocol.JMCheckpoint{Origin: jm.cfg.Node, JobID: j.id, Seq: j.ckptSeq, Data: data}
+	ck := protocol.JMCheckpoint{Origin: jm.node, JobID: j.id, Seq: j.ckptSeq, Data: data}
 	j.mu.Unlock()
 	jm.multicastCheckpoint(ck)
 }
 
 func (jm *JobManager) multicastCheckpoint(ck protocol.JMCheckpoint) {
 	m := protocol.Body(msg.KindJMCheckpoint,
-		msg.Address{Node: jm.cfg.Node, Job: ck.JobID},
+		msg.Address{Node: jm.node, Job: ck.JobID},
 		msg.Address{},
 		ck)
 	if err := jm.caller.Endpoint().Multicast(protocol.GroupJobManagers, m); err != nil {
@@ -166,7 +166,7 @@ func (jm *JobManager) HandleCheckpoint(m *msg.Message) {
 		jm.logf("bad checkpoint: %v", err)
 		return
 	}
-	if ck.Origin == "" || ck.Origin == jm.cfg.Node || ck.JobID == "" {
+	if ck.Origin == "" || ck.Origin == jm.node || ck.JobID == "" {
 		return
 	}
 	jm.peers.Observe(ck.Origin)
@@ -227,13 +227,13 @@ func (jm *JobManager) adoptFrom(origin string) {
 	// surviving member of the JobManager group adopts. The dead origin
 	// already left the group (its endpoint closed with it), but it is
 	// excluded explicitly in case its membership lingers.
-	winner := jm.cfg.Node
+	winner := jm.node
 	for _, n := range jm.caller.Endpoint().GroupMembers(protocol.GroupJobManagers) {
 		if n != origin && n < winner {
 			winner = n
 		}
 	}
-	if winner != jm.cfg.Node {
+	if winner != jm.node {
 		jm.logf("peer %s dead: %s adopts its %d jobs", origin, winner, len(byJob))
 		return
 	}
@@ -425,9 +425,9 @@ func (jm *JobManager) adoptJob(origin, jobID string, data []byte) error {
 
 	// Tell the client its job moved so future calls target this node.
 	nm := protocol.Body(msg.KindJMAdopt,
-		msg.Address{Node: jm.cfg.Node, Job: jobID},
+		msg.Address{Node: jm.node, Job: jobID},
 		msg.Address{Node: ck.clientNode, Job: jobID, Task: protocol.ClientTaskName},
-		protocol.JMAdoptReq{JobID: jobID, NewManager: jm.cfg.Node, ClientNode: ck.clientNode})
+		protocol.JMAdoptReq{JobID: jobID, NewManager: jm.node, ClientNode: ck.clientNode})
 	if err := jm.send(ck.clientNode, nm); err != nil {
 		jm.logf("job %s: notify client of adoption: %v", jobID, err)
 	}
@@ -439,9 +439,9 @@ func (jm *JobManager) adoptJob(origin, jobID string, data []byte) error {
 // callAdopt asks one TaskManager to re-point a job's assignments.
 func (jm *JobManager) callAdopt(node, jobID, clientNode string, tasks []string) (*protocol.JMAdoptResp, error) {
 	sort.Strings(tasks)
-	req := protocol.JMAdoptReq{JobID: jobID, NewManager: jm.cfg.Node, ClientNode: clientNode, Tasks: tasks}
+	req := protocol.JMAdoptReq{JobID: jobID, NewManager: jm.node, ClientNode: clientNode, Tasks: tasks}
 	am := protocol.Body(msg.KindJMAdopt,
-		msg.Address{Node: jm.cfg.Node, Job: jobID},
+		msg.Address{Node: jm.node, Job: jobID},
 		msg.Address{Node: node, Job: jobID},
 		req)
 	reply, err := jm.caller.CallInto(context.Background(), node, am, nil, jm.cfg.AssignTimeout)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cn/internal/archive"
+	"cn/internal/config"
 	"cn/internal/dataplane"
 	"cn/internal/health"
 	"cn/internal/logging"
@@ -25,87 +26,13 @@ import (
 // SendFunc delivers a message to a node.
 type SendFunc func(toNode string, m *msg.Message) error
 
-// Config parametrizes a JobManager.
-type Config struct {
-	// Node is the hosting node name.
-	Node string
-	// MaxJobs caps concurrently hosted jobs (0 = 16).
-	MaxJobs int
-	// MemoryMB is the node capacity advertised in offers (the TaskManager
-	// tracks actual reservations; the JobManager reports the figure).
-	MemoryMB int
-	// SolicitWindow bounds how long task placement solicitations wait for
-	// offers (0 = 200ms).
-	SolicitWindow time.Duration
-	// SolicitRetries is how many times placement is retried when no
-	// TaskManager offers or the chosen one rejects (0 = 3).
-	SolicitRetries int
-	// AssignTimeout bounds one batch-assignment round trip to a chosen
-	// TaskManager, including its possible blob fetch back to this
-	// JobManager (0 = DefaultAssignTimeout). It must stay well under the
-	// client's call timeout (10s default) so one dead node costs a retry,
-	// not the whole client call.
-	AssignTimeout time.Duration
-	// PlacementTTL bounds how long cached TaskManager offers back placement
-	// decisions before a fresh solicitation round (0 = placement.DefaultTTL;
-	// negative disables offer caching entirely).
-	PlacementTTL time.Duration
-	// TombstoneTTL is how long a finished job's tombstone — its final
-	// census, trace and client route, not its state — keeps answering before
-	// the id becomes unknown, and how long an unstarted job may sit idle
-	// before it is finished as abandoned (0 = 5m; negative keeps tombstones
-	// forever and never abandons).
-	TombstoneTTL time.Duration
-	// HeartbeatInterval is the TaskManager beat cadence this JobManager
-	// expects; it sizes the default lease windows (0 =
-	// health.DefaultInterval).
-	HeartbeatInterval time.Duration
-	// SuspectAfter is the lease lapse that excludes a node from new
-	// placements (0 = 3 × HeartbeatInterval).
-	SuspectAfter time.Duration
-	// DeadAfter is the lease lapse that orphans a node's tasks and triggers
-	// re-placement (0 = 6 × HeartbeatInterval).
-	DeadAfter time.Duration
-	// MaxTaskRetries bounds how many times one task may be re-placed by the
-	// recovery engine — dead-node orphan recovery, failed exec dispatch, and
-	// straggler speculation all draw from the same budget (0 =
-	// DefaultMaxTaskRetries; negative disables recovery entirely, the
-	// pre-fault-tolerance behavior where a lost assignment fails the task).
-	MaxTaskRetries int
-	// CheckpointEvery is the cadence at which each hosted job's control
-	// state (schedule progress, retry budgets, tuple-space contents) is
-	// replicated to peer JobManagers for failover (0 = HeartbeatInterval;
-	// negative disables checkpointing and adoption entirely, the
-	// pre-durability behavior where a dead JobManager kills its jobs).
-	CheckpointEvery time.Duration
-	// StragglerAfter enables speculative execution: a running task whose
-	// heartbeat progress sync has not advanced for this long gets a second
-	// copy placed on another node; the first result wins and the loser is
-	// cancelled (0 = disabled). The threshold must exceed the longest
-	// silent compute stretch a healthy task performs, or healthy tasks will
-	// be (harmlessly but wastefully) duplicated.
-	StragglerAfter time.Duration
-	// Log is the structured logger (nil discards); printf-style diagnostics
-	// are its Debug records.
-	Log *slog.Logger
-	// Tracer records this JobManager's spans into the per-job timelines;
-	// nil disables JM-side tracing (incoming spans are still collected).
-	Tracer *trace.Tracer
-}
-
-// DefaultTombstoneTTL is how long a finished job's tombstone answers when
-// Config.TombstoneTTL is zero.
-const DefaultTombstoneTTL = 5 * time.Minute
-
-// DefaultMaxTaskRetries is the per-task re-placement budget when
-// Config.MaxTaskRetries is zero.
-const DefaultMaxTaskRetries = 2
-
-// DefaultAssignTimeout bounds batch-assignment round trips when
-// Config.AssignTimeout is zero. It used to be hardcoded at the call site;
-// slow CI environments lift it via Config so assignment dispatch never
-// silently races the client's own 10s call timeout.
-const DefaultAssignTimeout = 5 * time.Second
+// Placement solicitation: how long one round waits for TaskManager offers,
+// and how many rounds a batch gets when no TaskManager offers or the chosen
+// one rejects.
+const (
+	solicitWindow  = 200 * time.Millisecond
+	solicitRetries = 3
+)
 
 // FreeMemFunc reports the node's current free task-execution memory; the
 // server wires the TaskManager's gauge in so JM offers are truthful.
@@ -151,7 +78,7 @@ type jobState struct {
 	idleSince time.Time
 	taskErrs  map[string]string
 	// retries counts re-placements per task (recovery + speculation),
-	// bounded by Config.MaxTaskRetries.
+	// bounded by config.Config.MaxTaskRetries.
 	retries map[string]int
 	// retrying marks tasks with a recovery re-placement in flight so
 	// concurrent death events and dispatch failures do not double-place.
@@ -225,7 +152,8 @@ type beatState struct {
 
 // JobManager hosts jobs on one node.
 type JobManager struct {
-	cfg     Config
+	cfg     config.Config
+	node    string
 	send    SendFunc
 	caller  *transport.Caller
 	freeMem FreeMemFunc
@@ -277,26 +205,15 @@ type JobManager struct {
 // jobQueueCap bounds each job's serial processing queue.
 const jobQueueCap = 16384
 
-// New creates a JobManager. The caller is used for TaskManager
-// solicitations and archive uploads; freeMem supplies offer data.
-func New(cfg Config, send SendFunc, caller *transport.Caller, freeMem FreeMemFunc) *JobManager {
-	if cfg.MaxJobs <= 0 {
-		cfg.MaxJobs = 16
-	}
-	if cfg.SolicitWindow <= 0 {
-		cfg.SolicitWindow = 200 * time.Millisecond
-	}
-	if cfg.SolicitRetries <= 0 {
-		cfg.SolicitRetries = 3
-	}
-	if cfg.AssignTimeout <= 0 {
-		cfg.AssignTimeout = DefaultAssignTimeout
-	}
+// New creates a JobManager on node. The caller is used for TaskManager
+// solicitations and archive uploads; freeMem supplies offer data (nil
+// reports no free memory). The tracer records this JobManager's spans into
+// the per-job timelines; nil disables JM-side tracing (incoming spans are
+// still collected).
+func New(cfg config.Config, node string, tracer *trace.Tracer, send SendFunc, caller *transport.Caller, freeMem FreeMemFunc) *JobManager {
+	cfg = cfg.WithDefaults()
 	if freeMem == nil {
-		freeMem = func() int { return cfg.MemoryMB }
-	}
-	if cfg.TombstoneTTL == 0 {
-		cfg.TombstoneTTL = DefaultTombstoneTTL
+		freeMem = func() int { return 0 }
 	}
 	// A negative interval means the TaskManagers are not heartbeating at
 	// all: leases must never expire or every placed node would read as
@@ -306,35 +223,14 @@ func New(cfg Config, send SendFunc, caller *transport.Caller, freeMem FreeMemFun
 	if cfg.HeartbeatInterval < 0 {
 		monSweep = -1
 	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = health.DefaultInterval
-	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 3 * cfg.HeartbeatInterval
-	}
-	if cfg.DeadAfter <= 0 {
-		cfg.DeadAfter = 6 * cfg.HeartbeatInterval
-	}
-	if cfg.MaxTaskRetries == 0 {
-		cfg.MaxTaskRetries = DefaultMaxTaskRetries
-	}
-	// Checkpointing follows the heartbeat cadence by default; a cluster
-	// that disabled heartbeating altogether (negative interval) gets no
-	// checkpoint traffic either unless it opted in explicitly.
-	if cfg.CheckpointEvery == 0 {
-		if monSweep < 0 {
-			cfg.CheckpointEvery = -1
-		} else {
-			cfg.CheckpointEvery = cfg.HeartbeatInterval
-		}
-	}
 	jm := &JobManager{
 		cfg:     cfg,
+		node:    node,
 		send:    send,
 		caller:  caller,
 		freeMem: freeMem,
-		log:     logging.Component(cfg.Log, "jobmgr", cfg.Node),
-		tracer:  cfg.Tracer,
+		log:     logging.Component(cfg.Log, "jobmgr", node),
+		tracer:  tracer,
 		stop:    make(chan struct{}),
 		jobs:    make(map[string]*jobState),
 		tombs:   make(map[string]*tombstone),
@@ -345,7 +241,7 @@ func New(cfg Config, send SendFunc, caller *transport.Caller, freeMem FreeMemFun
 		SuspectAfter: cfg.SuspectAfter,
 		DeadAfter:    cfg.DeadAfter,
 		Sweep:        monSweep,
-		Log:          logging.Component(cfg.Log, "health", cfg.Node),
+		Log:          logging.Component(cfg.Log, "health", node),
 	})
 	jm.dir = placement.NewDirectory(placement.Config{
 		TTL:     cfg.PlacementTTL,
@@ -370,7 +266,7 @@ func New(cfg Config, send SendFunc, caller *transport.Caller, freeMem FreeMemFun
 		jm.peers = health.NewMonitor(health.Config{
 			SuspectAfter: 3 * cfg.CheckpointEvery,
 			DeadAfter:    6 * cfg.CheckpointEvery,
-			Log:          logging.Component(cfg.Log, "health", cfg.Node),
+			Log:          logging.Component(cfg.Log, "health", node),
 		})
 		jm.wg.Add(2)
 		go jm.checkpointLoop()
@@ -389,12 +285,12 @@ func (jm *JobManager) Health() *health.Monitor { return jm.monitor }
 func (jm *JobManager) solicitOffers() ([]protocol.TMOffer, error) {
 	probe := protocol.TaskSolicitReq{Spec: &task.Spec{Name: "placement-probe", Class: "*"}}
 	sm := protocol.Body(msg.KindTaskSolicit,
-		msg.Address{Node: jm.cfg.Node},
+		msg.Address{Node: jm.node},
 		msg.Address{},
 		probe)
-	replies, err := jm.caller.GatherGroup(protocol.GroupTaskManagers, sm, jm.cfg.SolicitWindow)
+	replies, err := jm.caller.GatherGroup(protocol.GroupTaskManagers, sm, solicitWindow)
 	if err != nil {
-		return nil, fmt.Errorf("jobmgr %s: solicit task managers: %w", jm.cfg.Node, err)
+		return nil, fmt.Errorf("jobmgr %s: solicit task managers: %w", jm.node, err)
 	}
 	offers := make([]protocol.TMOffer, 0, len(replies))
 	for _, r := range replies {
@@ -500,7 +396,7 @@ func (jm *JobManager) HandleSolicit(m *msg.Message) *msg.Message {
 	}
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
-	offer := protocol.JMOffer{Node: jm.cfg.Node, FreeMemoryMB: jm.freeMem(), ActiveJobs: len(jm.jobs)}
+	offer := protocol.JMOffer{Node: jm.node, FreeMemoryMB: jm.freeMem(), ActiveJobs: len(jm.jobs)}
 	switch {
 	case jm.closed:
 		offer.Refused = "job manager shut down"
@@ -528,7 +424,7 @@ func (jm *JobManager) HandleCreateJob(m *msg.Message) *msg.Message {
 		return jm.errReply(m, "job manager at capacity")
 	}
 	jm.nextID++
-	id := fmt.Sprintf("%s-job%d", jm.cfg.Node, jm.nextID)
+	id := fmt.Sprintf("%s-job%d", jm.node, jm.nextID)
 	j := &jobState{
 		id:          id,
 		name:        req.Name,
@@ -614,7 +510,7 @@ func (jm *JobManager) job(id string) (*jobState, error) {
 }
 
 func (jm *JobManager) errUnknownJob(id string) error {
-	return fmt.Errorf("jobmgr %s: unknown job %q", jm.cfg.Node, id)
+	return fmt.Errorf("jobmgr %s: unknown job %q", jm.node, id)
 }
 
 // HandleCreateTasks processes KindCreateTasks: place an entire task set in
@@ -655,13 +551,13 @@ func (jm *JobManager) createTasks(j *jobState, items []protocol.TaskCreate, blob
 	inBatch := make(map[string]bool, len(items))
 	for _, it := range items {
 		if it.Spec == nil {
-			return nil, fmt.Errorf("jobmgr %s: job %s: task without a spec", jm.cfg.Node, j.id)
+			return nil, fmt.Errorf("jobmgr %s: job %s: task without a spec", jm.node, j.id)
 		}
 		if err := it.Spec.Validate(); err != nil {
 			return nil, err
 		}
 		if inBatch[it.Spec.Name] {
-			return nil, fmt.Errorf("jobmgr %s: job %s: task %q appears twice in batch", jm.cfg.Node, j.id, it.Spec.Name)
+			return nil, fmt.Errorf("jobmgr %s: job %s: task %q appears twice in batch", jm.node, j.id, it.Spec.Name)
 		}
 		inBatch[it.Spec.Name] = true
 	}
@@ -813,7 +709,7 @@ func (jm *JobManager) placeBatch(j *jobState, items []protocol.TaskCreate, preEx
 	}
 	var exclMu sync.Mutex
 	var lastErr error
-	for attempt := 0; attempt < jm.cfg.SolicitRetries && len(remaining) > 0; attempt++ {
+	for attempt := 0; attempt < solicitRetries && len(remaining) > 0; attempt++ {
 		offers, err := jm.dir.Offers()
 		if err != nil {
 			return nil, err
@@ -828,7 +724,7 @@ func (jm *JobManager) placeBatch(j *jobState, items []protocol.TaskCreate, preEx
 		exclMu.Unlock()
 		offers = usable
 		if len(offers) == 0 {
-			lastErr = fmt.Errorf("jobmgr %s: no TaskManager offered to host tasks", jm.cfg.Node)
+			lastErr = fmt.Errorf("jobmgr %s: no TaskManager offered to host tasks", jm.node)
 			continue
 		}
 		plan, unplaced, planStats := placement.PlanScored(remaining, offers, wants, placement.DefaultScorer{})
@@ -867,7 +763,7 @@ func (jm *JobManager) placeBatch(j *jobState, items []protocol.TaskCreate, preEx
 						taskNames[i] = it.Spec.Name
 					}
 					rm := protocol.Body(msg.KindCancelJob,
-						msg.Address{Node: jm.cfg.Node, Job: j.id},
+						msg.Address{Node: jm.node, Job: j.id},
 						msg.Address{Node: node, Job: j.id},
 						protocol.CancelJobReq{JobID: j.id, Reason: "assignment unacknowledged", Tasks: taskNames})
 					if serr := jm.send(node, rm); serr != nil {
@@ -877,7 +773,7 @@ func (jm *JobManager) placeBatch(j *jobState, items []protocol.TaskCreate, preEx
 					excluded[node] = true
 					exclMu.Unlock()
 					jm.dir.Invalidate(node)
-					lastErr = fmt.Errorf("jobmgr %s: assign to %s: %w", jm.cfg.Node, node, err)
+					lastErr = fmt.Errorf("jobmgr %s: assign to %s: %w", jm.node, node, err)
 					for _, it := range nodeItems {
 						retry = append(retry, it.Spec)
 					}
@@ -887,7 +783,7 @@ func (jm *JobManager) placeBatch(j *jobState, items []protocol.TaskCreate, preEx
 					// The TaskManager could not process the batch at all
 					// (e.g. a decode failure): nothing was assigned there.
 					jm.dir.Invalidate(node)
-					lastErr = fmt.Errorf("jobmgr %s: %s rejected batch: %s", jm.cfg.Node, node, reason)
+					lastErr = fmt.Errorf("jobmgr %s: %s rejected batch: %s", jm.node, node, reason)
 					for _, it := range nodeItems {
 						retry = append(retry, it.Spec)
 					}
@@ -896,7 +792,7 @@ func (jm *JobManager) placeBatch(j *jobState, items []protocol.TaskCreate, preEx
 				acceptedMB, accepted := 0, 0
 				for _, it := range nodeItems {
 					if reason, bad := resp.Rejected[it.Spec.Name]; bad {
-						lastErr = fmt.Errorf("jobmgr %s: %s rejected task %q: %s", jm.cfg.Node, node, it.Spec.Name, reason)
+						lastErr = fmt.Errorf("jobmgr %s: %s rejected task %q: %s", jm.node, node, it.Spec.Name, reason)
 						retry = append(retry, it.Spec)
 						continue
 					}
@@ -926,7 +822,7 @@ func (jm *JobManager) placeBatch(j *jobState, items []protocol.TaskCreate, preEx
 		for i, sp := range remaining {
 			names[i] = sp.Name
 		}
-		return nil, fmt.Errorf("jobmgr %s: placement of %v failed: %w", jm.cfg.Node, names, lastErr)
+		return nil, fmt.Errorf("jobmgr %s: placement of %v failed: %w", jm.node, names, lastErr)
 	}
 	return placements, nil
 }
@@ -941,7 +837,7 @@ func (jm *JobManager) releaseBatch(j *jobState, placements map[string]string, re
 	}
 	for node, taskNames := range byNode {
 		cm := protocol.Body(msg.KindCancelJob,
-			msg.Address{Node: jm.cfg.Node, Job: j.id},
+			msg.Address{Node: jm.node, Job: j.id},
 			msg.Address{Node: node, Job: j.id},
 			protocol.CancelJobReq{JobID: j.id, Reason: reason, Tasks: taskNames})
 		if err := jm.send(node, cm); err != nil {
@@ -1005,12 +901,12 @@ func nodeSet(placements map[string]string) map[string]bool {
 func (jm *JobManager) assignBatch(j *jobState, node string, items []protocol.TaskCreate) (*protocol.AssignTasksResp, error) {
 	req := protocol.AssignTasksReq{
 		JobID:      j.id,
-		JobManager: jm.cfg.Node,
+		JobManager: jm.node,
 		ClientNode: j.clientNode,
 		Items:      items,
 	}
 	am := protocol.Body(msg.KindAssignTasks,
-		msg.Address{Node: jm.cfg.Node, Job: j.id},
+		msg.Address{Node: jm.node, Job: j.id},
 		msg.Address{Node: node, Job: j.id},
 		req)
 	// The window covers the assignment round trip plus the TaskManager's
@@ -1214,7 +1110,7 @@ next:
 // eight — closed with the send error, else with note.
 func (jm *JobManager) sendExec(j *jobState, node string, tasks []string, span, note string) error {
 	em := protocol.Body(msg.KindExecTask,
-		msg.Address{Node: jm.cfg.Node, Job: j.id},
+		msg.Address{Node: jm.node, Job: j.id},
 		msg.Address{Node: node, Job: j.id},
 		protocol.ExecTaskReq{JobID: j.id, Tasks: tasks})
 	// The span's context rides the envelope so every exec span of the frame
@@ -1486,7 +1382,7 @@ func (jm *JobManager) applyLocked(j *jobState, node string, ev *protocol.TaskEve
 // first-result-wins race.
 func (jm *JobManager) cancelCopy(j *jobState, node, taskName string) {
 	cm := protocol.Body(msg.KindCancelJob,
-		msg.Address{Node: jm.cfg.Node, Job: j.id},
+		msg.Address{Node: jm.node, Job: j.id},
 		msg.Address{Node: node, Job: j.id},
 		protocol.CancelJobReq{JobID: j.id, Reason: "duplicate copy lost", Tasks: []string{taskName}})
 	if err := jm.send(node, cm); err != nil {
@@ -1541,7 +1437,7 @@ func (jm *JobManager) finishJob(j *jobState, how outcome, reason string) {
 	}
 	for node := range nodes {
 		cm := protocol.Body(msg.KindCancelJob,
-			msg.Address{Node: jm.cfg.Node, Job: j.id},
+			msg.Address{Node: jm.node, Job: j.id},
 			msg.Address{Node: node, Job: j.id},
 			protocol.CancelJobReq{JobID: j.id, Reason: reason})
 		if err := jm.send(node, cm); err != nil {
@@ -1575,7 +1471,7 @@ func (jm *JobManager) finishJob(j *jobState, how outcome, reason string) {
 	}
 	ev := protocol.JobEvent{JobID: t.id, Failed: how == outcomeFailed, Err: errText, TaskErrs: t.taskErrs}
 	em := protocol.Body(kind,
-		msg.Address{Node: jm.cfg.Node, Job: t.id},
+		msg.Address{Node: jm.node, Job: t.id},
 		msg.Address{Node: t.clientNode, Job: t.id, Task: protocol.ClientTaskName},
 		ev)
 	if err := jm.send(t.clientNode, em); err != nil {
@@ -1590,7 +1486,7 @@ func (jm *JobManager) relayEvents(j *jobState, node string, events []protocol.Ta
 		return
 	}
 	m := protocol.Body(msg.KindTaskEvents,
-		msg.Address{Node: jm.cfg.Node, Job: j.id},
+		msg.Address{Node: jm.node, Job: j.id},
 		msg.Address{Node: j.clientNode, Job: j.id, Task: protocol.ClientTaskName},
 		protocol.TaskEvents{JobID: j.id, Node: node, Events: events})
 	if err := jm.send(j.clientNode, m); err != nil {
@@ -1602,7 +1498,7 @@ func (jm *JobManager) relayEvents(j *jobState, node string, events []protocol.Ta
 // here, not relayed, and is rare: it stays a frame of its own.
 func (jm *JobManager) sendRetried(j *jobState, ev protocol.TaskEvent) {
 	m := protocol.Body(msg.KindTaskRetried,
-		msg.Address{Node: jm.cfg.Node, Job: j.id, Task: ev.Task},
+		msg.Address{Node: jm.node, Job: j.id, Task: ev.Task},
 		msg.Address{Node: j.clientNode, Job: j.id, Task: protocol.ClientTaskName},
 		ev)
 	if err := jm.send(j.clientNode, m); err != nil {
@@ -1616,7 +1512,7 @@ func (jm *JobManager) sendRetried(j *jobState, ev protocol.TaskEvent) {
 func (jm *JobManager) HandleUser(kind msg.Kind, m *msg.Message) error {
 	var p protocol.UserPayload
 	if err := protocol.Decode(m, &p); err != nil {
-		return fmt.Errorf("jobmgr %s: bad user payload: %w", jm.cfg.Node, err)
+		return fmt.Errorf("jobmgr %s: bad user payload: %w", jm.node, err)
 	}
 	j, t := jm.lookup(p.JobID)
 	if j == nil {
@@ -1669,7 +1565,7 @@ func (jm *JobManager) HandleUser(kind msg.Kind, m *msg.Message) error {
 	node, ok := j.placement[p.ToTask]
 	j.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("jobmgr %s: job %s has no task %q", jm.cfg.Node, j.id, p.ToTask)
+		return fmt.Errorf("jobmgr %s: job %s has no task %q", jm.node, j.id, p.ToTask)
 	}
 	fm := protocol.Body(msg.KindUser, m.From,
 		msg.Address{Node: node, Job: j.id, Task: p.ToTask}, p).

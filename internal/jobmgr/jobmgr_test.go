@@ -1,31 +1,5 @@
 package jobmgr
 
-import (
-	"testing"
-	"time"
-
-	"cn/internal/msg"
-)
+import "cn/internal/msg"
 
 func noSend(string, *msg.Message) error { return nil }
-
-// TestConfigAssignTimeoutDefault pins the batch-assignment dispatch
-// window: zero selects DefaultAssignTimeout (the previously hardcoded
-// 5s), and an explicit value — slow CI lifting it clear of the client's
-// 10s call timeout — is honored verbatim.
-func TestConfigAssignTimeoutDefault(t *testing.T) {
-	jm := New(Config{Node: "n1", HeartbeatInterval: -1}, noSend, nil, nil)
-	defer jm.Close()
-	if got := jm.cfg.AssignTimeout; got != DefaultAssignTimeout {
-		t.Errorf("default AssignTimeout = %v, want %v", got, DefaultAssignTimeout)
-	}
-	if DefaultAssignTimeout != 5*time.Second {
-		t.Errorf("DefaultAssignTimeout = %v, want the pre-config 5s", DefaultAssignTimeout)
-	}
-
-	jm2 := New(Config{Node: "n2", HeartbeatInterval: -1, AssignTimeout: 9 * time.Second}, noSend, nil, nil)
-	defer jm2.Close()
-	if got := jm2.cfg.AssignTimeout; got != 9*time.Second {
-		t.Errorf("explicit AssignTimeout = %v, want 9s", got)
-	}
-}

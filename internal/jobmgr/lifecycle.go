@@ -8,7 +8,7 @@
 // The worker goroutine drains what its mailbox already held and exits; the
 // specs, schedule, space, broker and maps become garbage.
 //
-// The tombstone answers, for Config.TombstoneTTL, the few questions still
+// The tombstone answers, for config.Config.TombstoneTTL, the few questions still
 // asked about a finished job: its final census (JobProgress), its trace
 // (JobTrace), whether a heartbeat's job id is known, where a task's trailing
 // message to the client should go, and how the job ended when a stale
@@ -94,7 +94,7 @@ func (jm *JobManager) retire(j *jobState, how outcome) *tombstone {
 	j.queue.Close()
 	if seq > 0 {
 		jm.ckptMu.Lock()
-		jm.multicastCheckpoint(protocol.JMCheckpoint{Origin: jm.cfg.Node, JobID: t.id, Seq: seq + 1, Done: true})
+		jm.multicastCheckpoint(protocol.JMCheckpoint{Origin: jm.node, JobID: t.id, Seq: seq + 1, Done: true})
 		jm.ckptMu.Unlock()
 	}
 	return t

@@ -15,6 +15,7 @@ import (
 
 	"cn/internal/api"
 	"cn/internal/cluster"
+	"cn/internal/config"
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/server"
@@ -47,12 +48,12 @@ func spec(name, class string) *task.Spec {
 }
 
 // startNode boots one CN server, "n1", on its own ideal in-memory fabric.
-func startNode(t *testing.T, cfg server.Config) (*server.Server, *transport.MemNetwork) {
+func startNode(t *testing.T, cfg config.Config) (*server.Server, *transport.MemNetwork) {
 	t.Helper()
 	net := transport.NewIdealNetwork()
 	t.Cleanup(func() { net.Close() })
-	cfg.Node, cfg.Registry = "n1", lifecycleRegistry()
-	srv, err := server.Start(net, cfg)
+	cfg.Registry = lifecycleRegistry()
+	srv, err := server.Start(net, "n1", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func liveHeap() uint64 {
 // four-job cap one after another only if finished jobs stop counting the
 // moment their client hears of it.
 func TestFinishedJobsLeaveOnlyTombstones(t *testing.T) {
-	srv, net := startNode(t, server.Config{TraceSample: -1, MaxJobs: 4})
+	srv, net := startNode(t, config.Config{TraceSample: -1, MaxJobs: 4})
 	jm := srv.JobManager()
 	cl := connect(t, net)
 	for i := 0; i < 200; i++ { // lazy set-up and pools fill before the baseline
@@ -151,7 +152,7 @@ func TestFinishedJobsLeaveOnlyTombstones(t *testing.T) {
 // job created so far while 500 of them finish: the record is always in one
 // of the two tables.
 func TestJobProgressNeverUnknownWhileJobsFinish(t *testing.T) {
-	srv, net := startNode(t, server.Config{TraceSample: -1, MaxJobs: 64})
+	srv, net := startNode(t, config.Config{TraceSample: -1, MaxJobs: 64})
 	jm := srv.JobManager()
 
 	var mu sync.Mutex
@@ -294,7 +295,7 @@ func TestRetiredJobContract(t *testing.T) {
 			name, sample = "traced", 1
 		}
 		t.Run(name, func(t *testing.T) {
-			srv, net := startNode(t, server.Config{TraceSample: sample})
+			srv, net := startNode(t, config.Config{TraceSample: sample})
 			jm := srv.JobManager()
 			c := newRawClient(t, net)
 
@@ -395,7 +396,7 @@ func TestRetiredJobContract(t *testing.T) {
 // TestEveryExitRetires: a failed, a cancelled and an abandoned job end in
 // the same place as a completed one, and their tombstones expire alike.
 func TestEveryExitRetires(t *testing.T) {
-	srv, net := startNode(t, server.Config{TraceSample: -1, TombstoneTTL: 400 * time.Millisecond})
+	srv, net := startNode(t, config.Config{TraceSample: -1, TombstoneTTL: 400 * time.Millisecond})
 	jm := srv.JobManager()
 	c := newRawClient(t, net)
 	create := func(class string) string {

@@ -7,14 +7,14 @@ import (
 	"testing"
 	"time"
 
+	"cn/internal/config"
 	"cn/internal/msg"
 	"cn/internal/protocol"
-	"cn/internal/server"
 	"cn/internal/tuplespace"
 )
 
 func TestOneWayOutIsAppliedCountedAndNotAnswered(t *testing.T) {
-	srv, net := startNode(t, server.Config{})
+	srv, net := startNode(t, config.Config{})
 	jm := srv.JobManager()
 	c := newRawClient(t, net)
 	id := decode[protocol.CreateJobResp](t,

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cn/internal/config"
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/tuplespace"
@@ -131,7 +132,7 @@ func parkKinds(t *testing.T) []parkKind {
 func parkJob(t *testing.T) (*JobManager, *jobState, outbox) {
 	t.Helper()
 	out := make(outbox, 64)
-	jm := New(Config{Node: "n1", HeartbeatInterval: -1}, out.send, nil, nil)
+	jm := New(config.Config{HeartbeatInterval: -1}, "n1", nil, out.send, nil, nil)
 	t.Cleanup(jm.Close)
 	var created protocol.CreateJobResp
 	if err := protocol.Decode(jm.HandleCreateJob(protocol.Body(msg.KindCreateJob, requester, msg.Address{Node: "n1"},
@@ -261,7 +262,7 @@ func TestParkStormConservesTuples(t *testing.T) {
 	var mu sync.Mutex
 	replies := make(map[uint64]int)
 	delivered := 0
-	jm := New(Config{Node: "n1", HeartbeatInterval: -1}, func(_ string, m *msg.Message) error {
+	jm := New(config.Config{HeartbeatInterval: -1}, "n1", nil, func(_ string, m *msg.Message) error {
 		var resp protocol.TSOpResp
 		if err := protocol.Decode(m, &resp); err != nil {
 			return err

@@ -14,7 +14,7 @@
 //   - alive (resurrection): nothing to undo — the next solicitation round
 //     re-admits the node.
 //
-// A separate straggler scan (enabled by Config.StragglerAfter) re-places
+// A separate straggler scan (enabled by config.Config.StragglerAfter) re-places
 // running tasks whose progress sync has stalled: a speculative twin runs
 // on another node, the first result wins, and the loser is cancelled.
 // Every re-placement is announced to the client as a KindTaskRetried
@@ -82,7 +82,7 @@ func (jm *JobManager) HandleHeartbeat(m *msg.Message) *msg.Message {
 		if !jm.hasLivePlacements(node) {
 			jm.monitor.Forget(node)
 		}
-		return protocol.Reply(m, msg.KindHeartbeatAck, protocol.HeartbeatAck{Node: jm.cfg.Node, Seq: hb.Seq})
+		return protocol.Reply(m, msg.KindHeartbeatAck, protocol.HeartbeatAck{Node: jm.node, Seq: hb.Seq})
 	}
 	jm.monitor.Observe(node)
 	// The beat doubles as a load sync: the node's running count refreshes
@@ -126,7 +126,7 @@ func (jm *JobManager) HandleHeartbeat(m *msg.Message) *msg.Message {
 		}
 		j.mu.Unlock()
 	}
-	ack := protocol.HeartbeatAck{Node: jm.cfg.Node, Seq: hb.Seq}
+	ack := protocol.HeartbeatAck{Node: jm.node, Seq: hb.Seq}
 	for id := range unknown {
 		ack.UnknownJobs = append(ack.UnknownJobs, id)
 	}

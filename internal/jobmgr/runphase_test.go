@@ -11,9 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"cn/internal/config"
 	"cn/internal/msg"
 	"cn/internal/protocol"
-	"cn/internal/server"
 	"cn/internal/task"
 )
 
@@ -22,7 +22,7 @@ import (
 // EXEC_TASK frame: three for the job, not four — and no lifecycle label
 // travels as a frame of its own.
 func TestDiamondMiddleTasksShareOneExecFrame(t *testing.T) {
-	srv, net := startNode(t, server.Config{TraceSample: -1, HeartbeatInterval: -1})
+	srv, net := startNode(t, config.Config{TraceSample: -1, HeartbeatInterval: -1})
 	cl := connect(t, net)
 	j, err := cl.CreateJobOn("n1", "diamond", protocol.JobRequirements{})
 	if err != nil {
@@ -72,7 +72,7 @@ func TestDiamondMiddleTasksShareOneExecFrame(t *testing.T) {
 // so the next job of eight places from the cached offer without a
 // solicitation round or an invalidation.
 func TestExecListFailureIsAloneAndCredited(t *testing.T) {
-	srv, net := startNode(t, server.Config{TraceSample: -1, HeartbeatInterval: -1, MemoryMB: 8000, PlacementTTL: time.Hour})
+	srv, net := startNode(t, config.Config{TraceSample: -1, HeartbeatInterval: -1, MemoryMB: 8000, PlacementTTL: time.Hour})
 	jm := srv.JobManager()
 	cl := connect(t, net)
 	names := []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"}

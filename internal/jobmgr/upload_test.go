@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cn/internal/archive"
+	"cn/internal/config"
 	"cn/internal/msg"
 	"cn/internal/protocol"
 )
@@ -17,7 +18,7 @@ import (
 // re-push of a blob the job already holds is acknowledged whatever is in
 // flight, and a finished job takes no chunk at all.
 func TestStagedUploadBudget(t *testing.T) {
-	jm := New(Config{Node: "n1", HeartbeatInterval: -1}, noSend, nil, nil)
+	jm := New(config.Config{HeartbeatInterval: -1}, "n1", nil, noSend, nil, nil)
 	defer jm.Close()
 	created := jm.HandleCreateJob(protocol.Body(msg.KindCreateJob, msg.Address{Node: "client"}, msg.Address{Node: "n1"},
 		protocol.CreateJobReq{Name: "uploads", ClientNode: "client"}))

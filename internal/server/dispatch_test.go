@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cn/internal/config"
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/server"
@@ -38,7 +39,7 @@ func onFabrics(t *testing.T, test func(t *testing.T, c *rawNode, jobID string)) 
 		t.Run(name, func(t *testing.T) {
 			net := mk()
 			t.Cleanup(func() { net.Close() })
-			srv, err := server.Start(net, server.Config{Node: "n1", Registry: testRegistry()})
+			srv, err := server.Start(net, "n1", config.Config{Registry: testRegistry()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -310,7 +311,7 @@ func TestFrameDuringStart(t *testing.T) {
 			t.Fatal(err)
 		}
 		ping := msg.New(msg.KindPing, msg.Address{Node: "x"}, msg.Address{Node: "n1"}, nil)
-		srv, err := server.Start(earlyNet{Network: net, frame: ping}, server.Config{Node: "n1", Registry: testRegistry()})
+		srv, err := server.Start(earlyNet{Network: net, frame: ping}, "n1", config.Config{Registry: testRegistry()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cn/internal/api"
+	"cn/internal/config"
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/task"
@@ -34,7 +35,7 @@ func BenchmarkInboundTSOut(b *testing.B) {
 func benchInboundTSOut(b *testing.B, noReply bool) {
 	net := transport.NewIdealNetwork()
 	defer net.Close()
-	srv, err := Start(net, Config{Node: "n1", HeartbeatInterval: -1, CheckpointEvery: -1})
+	srv, err := Start(net, "n1", config.Config{HeartbeatInterval: -1, CheckpointEvery: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func BenchmarkFanoutRunPhase(b *testing.B) {
 		return task.Func(func(task.Context) error { return nil })
 	})
 	for i := 1; i <= nodes; i++ {
-		srv, err := Start(net, Config{Node: fmt.Sprintf("node%d", i), Registry: reg,
+		srv, err := Start(net, fmt.Sprintf("node%d", i), config.Config{Registry: reg,
 			HeartbeatInterval: -1, CheckpointEvery: -1, TraceSample: -1})
 		if err != nil {
 			b.Fatal(err)
@@ -170,7 +171,7 @@ func withHistory(tb testing.TB, n int) *Server {
 	tb.Helper()
 	net := transport.NewIdealNetwork()
 	tb.Cleanup(func() { net.Close() })
-	srv, err := Start(net, Config{Node: "n1", HeartbeatInterval: -1, CheckpointEvery: -1, TombstoneTTL: -1})
+	srv, err := Start(net, "n1", config.Config{HeartbeatInterval: -1, CheckpointEvery: -1, TombstoneTTL: -1})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"testing"
 
+	"cn/internal/config"
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/transport"
@@ -16,7 +17,7 @@ import (
 func TestLateReplyStartsNoGoroutine(t *testing.T) {
 	net := transport.NewIdealNetwork()
 	defer net.Close()
-	srv, err := Start(net, Config{Node: "n1", HeartbeatInterval: -1, CheckpointEvery: -1})
+	srv, err := Start(net, "n1", config.Config{HeartbeatInterval: -1, CheckpointEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

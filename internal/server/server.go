@@ -9,74 +9,21 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"time"
 
+	"cn/internal/config"
 	"cn/internal/jobmgr"
 	"cn/internal/logging"
 	"cn/internal/metrics"
 	"cn/internal/msg"
 	"cn/internal/protocol"
-	"cn/internal/task"
 	"cn/internal/taskmgr"
 	"cn/internal/trace"
 	"cn/internal/transport"
 )
 
-// Config parametrizes one CN server node.
-type Config struct {
-	// Node is the cluster-unique node name.
-	Node string
-	// MemoryMB is the task execution capacity (0 = taskmgr default).
-	MemoryMB int
-	// MaxJobs caps hosted jobs (0 = jobmgr default).
-	MaxJobs int
-	// Registry resolves task classes (nil = task.Global).
-	Registry *task.Registry
-	// PlacementTTL bounds the JobManager's cached TaskManager offers
-	// (0 = placement default; negative disables offer caching).
-	PlacementTTL time.Duration
-	// AssignTimeout bounds the JobManager's batch-assignment round trips
-	// (0 = jobmgr default).
-	AssignTimeout time.Duration
-	// TombstoneTTL bounds finished-job tombstone retention in the
-	// JobManager (0 = jobmgr default; negative keeps tombstones forever).
-	TombstoneTTL time.Duration
-	// HeartbeatInterval is the TaskManager beat cadence and the
-	// JobManager's lease sizing basis (0 = health default; negative
-	// disables heartbeating and failure detection).
-	HeartbeatInterval time.Duration
-	// SuspectAfter / DeadAfter override the JobManager's lease windows
-	// (0 = 3× / 6× the heartbeat interval).
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
-	// MaxTaskRetries bounds per-task re-placement by the recovery engine
-	// (0 = jobmgr default; negative disables recovery).
-	MaxTaskRetries int
-	// StragglerAfter enables speculative execution of running tasks whose
-	// progress sync stalls this long (0 = disabled).
-	StragglerAfter time.Duration
-	// CheckpointEvery is the JobManager's peer-checkpoint cadence (0 =
-	// follow HeartbeatInterval; negative disables checkpointing and
-	// JobManager failover).
-	CheckpointEvery time.Duration
-	// Log is the structured logger both managers attach their component
-	// and node attributes to (nil discards).
-	Log *slog.Logger
-	// TraceSample is the node tracer's root-sampling probability
-	// (0 = trace.DefaultSample; negative disables tracing on this node
-	// entirely, the pre-observability behavior).
-	TraceSample float64
-	// Tracer overrides the node's tracer (tests); when nil one is built
-	// from TraceSample.
-	Tracer *trace.Tracer
-	// Metrics is the registry STATS_PULL scrapes report; nil creates a
-	// per-node registry.
-	Metrics *metrics.Registry
-}
-
 // Server is one CN node: endpoint + JobManager + TaskManager.
 type Server struct {
-	cfg    Config
+	node   string
 	ep     transport.Endpoint
 	caller *transport.Caller
 	log    *slog.Logger
@@ -92,70 +39,42 @@ type Server struct {
 	closed chan struct{}
 }
 
-// Start attaches a CN server to the network and joins the JobManager and
-// TaskManager multicast groups.
-func Start(net transport.Network, cfg Config) (*Server, error) {
-	if cfg.Node == "" {
+// Start attaches a CN server named node to the network and joins the
+// JobManager and TaskManager multicast groups.
+func Start(net transport.Network, node string, cfg config.Config) (*Server, error) {
+	if node == "" {
 		return nil, fmt.Errorf("server: empty node name")
 	}
-	s := &Server{cfg: cfg, log: logging.Component(cfg.Log, "server", cfg.Node),
-		ready: make(chan struct{}), closed: make(chan struct{})}
-	ep, err := net.Attach(cfg.Node, s.handle)
+	s := &Server{node: node, log: logging.Component(cfg.Log, "server", node),
+		reg: metrics.NewRegistry(), ready: make(chan struct{}), closed: make(chan struct{})}
+	ep, err := net.Attach(node, s.handle)
 	if err != nil {
-		return nil, fmt.Errorf("server %s: %w", cfg.Node, err)
+		return nil, fmt.Errorf("server %s: %w", node, err)
 	}
 	s.ep = ep
 	s.caller = transport.NewCaller(ep)
-	s.tracer = cfg.Tracer
-	if s.tracer == nil && cfg.TraceSample >= 0 {
-		s.tracer = trace.New(trace.Config{Node: cfg.Node, Sample: cfg.TraceSample})
-	}
-	s.reg = cfg.Metrics
-	if s.reg == nil {
-		s.reg = metrics.NewRegistry()
+	if cfg.TraceSample >= 0 {
+		s.tracer = trace.New(trace.Config{Node: node, Sample: cfg.TraceSample})
 	}
 
 	send := func(toNode string, m *msg.Message) error { return ep.Send(toNode, m) }
-	s.tm = taskmgr.New(taskmgr.Config{
-		Node:           cfg.Node,
-		MemoryMB:       cfg.MemoryMB,
-		Registry:       cfg.Registry,
-		Call:           s.caller.CallInto,
-		HeartbeatEvery: cfg.HeartbeatInterval,
-		Log:            cfg.Log,
-		Tracer:         s.tracer,
-	}, send)
-	s.jm = jobmgr.New(jobmgr.Config{
-		Node:              cfg.Node,
-		MaxJobs:           cfg.MaxJobs,
-		MemoryMB:          cfg.MemoryMB,
-		PlacementTTL:      cfg.PlacementTTL,
-		AssignTimeout:     cfg.AssignTimeout,
-		TombstoneTTL:      cfg.TombstoneTTL,
-		HeartbeatInterval: cfg.HeartbeatInterval,
-		SuspectAfter:      cfg.SuspectAfter,
-		DeadAfter:         cfg.DeadAfter,
-		MaxTaskRetries:    cfg.MaxTaskRetries,
-		StragglerAfter:    cfg.StragglerAfter,
-		CheckpointEvery:   cfg.CheckpointEvery,
-		Log:               cfg.Log,
-		Tracer:            s.tracer,
-	}, send, s.caller, s.tm.FreeMemoryMB)
+	s.tm = taskmgr.New(cfg, node, s.tracer, send, s.caller.CallInto)
+	s.jm = jobmgr.New(cfg, node, s.tracer, send, s.caller, s.tm.FreeMemoryMB)
 	close(s.ready)
 
 	if err := ep.Join(protocol.GroupJobManagers); err != nil {
 		ep.Close()
-		return nil, fmt.Errorf("server %s: %w", cfg.Node, err)
+		return nil, fmt.Errorf("server %s: %w", node, err)
 	}
 	if err := ep.Join(protocol.GroupTaskManagers); err != nil {
 		ep.Close()
-		return nil, fmt.Errorf("server %s: %w", cfg.Node, err)
+		return nil, fmt.Errorf("server %s: %w", node, err)
 	}
 	return s, nil
 }
 
 // Node returns the server's node name.
-func (s *Server) Node() string { return s.cfg.Node }
+func (s *Server) Node() string { return s.node }
 
 // TaskManager exposes the node's TaskManager (for tests and metrics).
 func (s *Server) TaskManager() *taskmgr.TaskManager { return s.tm }
@@ -186,7 +105,7 @@ func (s *Server) handleStatsPull(m *msg.Message) *msg.Message {
 	s.reg.Gauge("blob_cache_misses").Set(s.tm.BlobCache().Misses())
 	s.reg.Gauge("blob_cache_transfers").Set(s.tm.BlobCache().Transfers())
 	resp := protocol.StatsReportResp{
-		Node:    s.cfg.Node,
+		Node:    s.node,
 		Metrics: s.reg.Snapshot(),
 		Spans:   s.tracer.Store().Len(),
 	}

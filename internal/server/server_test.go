@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cn/internal/archive"
+	"cn/internal/config"
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/server"
@@ -27,7 +28,7 @@ func startServer(t *testing.T) (*server.Server, *transport.Caller) {
 	t.Helper()
 	net := transport.NewIdealNetwork()
 	t.Cleanup(func() { net.Close() })
-	srv, err := server.Start(net, server.Config{Node: "n1", Registry: testRegistry()})
+	srv, err := server.Start(net, "n1", config.Config{Registry: testRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestRawProtocolJobLifecycle(t *testing.T) {
 func TestSolicitUnwillingWhenOverMemory(t *testing.T) {
 	net := transport.NewIdealNetwork()
 	defer net.Close()
-	srv, err := server.Start(net, server.Config{Node: "tiny", MemoryMB: 100, Registry: testRegistry()})
+	srv, err := server.Start(net, "tiny", config.Config{MemoryMB: 100, Registry: testRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestSolicitUnwillingWhenOverMemory(t *testing.T) {
 func TestServerCloseIdempotent(t *testing.T) {
 	net := transport.NewIdealNetwork()
 	defer net.Close()
-	srv, err := server.Start(net, server.Config{Node: "x", Registry: testRegistry()})
+	srv, err := server.Start(net, "x", config.Config{Registry: testRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,24 +190,23 @@ func TestServerCloseIdempotent(t *testing.T) {
 func TestServerRejectsEmptyNode(t *testing.T) {
 	net := transport.NewIdealNetwork()
 	defer net.Close()
-	if _, err := server.Start(net, server.Config{Registry: testRegistry()}); err == nil {
+	if _, err := server.Start(net, "", config.Config{Registry: testRegistry()}); err == nil {
 		t.Error("empty node name accepted")
 	}
 }
 
 // startMany boots n CN servers on one fabric plus a raw client caller.
-func startMany(t *testing.T, n int, cfg server.Config) ([]*server.Server, *transport.Caller) {
+func startMany(t *testing.T, n int, cfg config.Config) ([]*server.Server, *transport.Caller) {
 	t.Helper()
 	net := transport.NewIdealNetwork()
 	t.Cleanup(func() { net.Close() })
 	servers := make([]*server.Server, n)
 	for i := range servers {
 		c := cfg
-		c.Node = fmt.Sprintf("n%d", i+1)
 		if c.Registry == nil {
 			c.Registry = testRegistry()
 		}
-		srv, err := server.Start(net, c)
+		srv, err := server.Start(net, fmt.Sprintf("n%d", i+1), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestBatchCreateTasksPlacesAndDedupsArchives(t *testing.T) {
 	reg.MustRegister("srv.Pkg", func() task.Task {
 		return task.Func(func(task.Context) error { return nil })
 	})
-	servers, caller := startMany(t, 3, server.Config{MemoryMB: 1000, Registry: reg})
+	servers, caller := startMany(t, 3, config.Config{MemoryMB: 1000, Registry: reg})
 
 	reply := call(t, caller, msg.KindCreateJob, protocol.CreateJobReq{Name: "batch", ClientNode: "raw-client"})
 	var created protocol.CreateJobResp
@@ -311,7 +311,7 @@ func TestBatchCreateTasksPlacesAndDedupsArchives(t *testing.T) {
 }
 
 func TestTombstoneEvictionAndActiveJobCount(t *testing.T) {
-	servers, caller := startMany(t, 1, server.Config{TombstoneTTL: 50 * time.Millisecond})
+	servers, caller := startMany(t, 1, config.Config{TombstoneTTL: 50 * time.Millisecond})
 	jm := servers[0].JobManager()
 
 	reply := call(t, caller, msg.KindCreateJob, protocol.CreateJobReq{Name: "tomb", ClientNode: "raw-client"})
@@ -347,7 +347,7 @@ func TestTombstoneEvictionAndActiveJobCount(t *testing.T) {
 }
 
 func TestOfferCountsOnlyLiveJobs(t *testing.T) {
-	servers, caller := startMany(t, 1, server.Config{TombstoneTTL: -1}) // keep tombstones
+	servers, caller := startMany(t, 1, config.Config{TombstoneTTL: -1}) // keep tombstones
 	jm := servers[0].JobManager()
 
 	// Run one job to completion so a tombstone exists.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cn/internal/config"
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/task"
@@ -13,8 +14,7 @@ import (
 // so beatOnce can be driven by hand.
 func beatBench(t *testing.T) *TaskManager {
 	t.Helper()
-	tm := New(Config{Node: "tm0", HeartbeatEvery: -1},
-		func(string, *msg.Message) error { return nil })
+	tm := New(config.Config{HeartbeatInterval: -1}, "tm0", nil, func(string, *msg.Message) error { return nil }, nil)
 	t.Cleanup(tm.Close)
 	return tm
 }
@@ -23,7 +23,7 @@ func beatBench(t *testing.T) *TaskManager {
 // state for beatOnce to snapshot.
 func addFakeAssignment(tm *TaskManager, jm, jobID, name string) {
 	tm.mu.Lock()
-	tm.assigned[jobID+"/"+name] = newAssignment(jobID, jm, "", &task.Spec{Name: name}, 1)
+	tm.assigned[jobID+"/"+name] = newAssignment(jobID, jm, "", &task.Spec{Name: name})
 	tm.mu.Unlock()
 }
 
@@ -74,15 +74,14 @@ func TestBeatOnceGoodbyeSemanticsSurviveReuse(t *testing.T) {
 		tasks int
 	}
 	var sent []beat
-	tm := New(Config{Node: "tm0", HeartbeatEvery: -1},
-		func(to string, m *msg.Message) error {
-			var hb protocol.Heartbeat
-			if err := protocol.Decode(m, &hb); err != nil {
-				t.Fatalf("decode heartbeat: %v", err)
-			}
-			sent = append(sent, beat{jm: to, tasks: len(hb.Beats)})
-			return nil
-		})
+	tm := New(config.Config{HeartbeatInterval: -1}, "tm0", nil, func(to string, m *msg.Message) error {
+		var hb protocol.Heartbeat
+		if err := protocol.Decode(m, &hb); err != nil {
+			t.Fatalf("decode heartbeat: %v", err)
+		}
+		sent = append(sent, beat{jm: to, tasks: len(hb.Beats)})
+		return nil
+	}, nil)
 	defer tm.Close()
 
 	addFakeAssignment(tm, "jm1", "job1", "t1")

@@ -38,7 +38,7 @@ func (tm *TaskManager) HandleDataFetch(m *msg.Message) *msg.Message {
 	b, ok := tm.blobs.Acquire("", req.Digest)
 	if !ok {
 		return ack(protocol.BlobChunkResp{Digest: req.Digest,
-			Err: fmt.Sprintf("blob %.12s… not cached on %s", req.Digest, tm.cfg.Node)})
+			Err: fmt.Sprintf("blob %.12s… not cached on %s", req.Digest, tm.node)})
 	}
 	resp := protocol.SliceChunk(&req, b.Bytes())
 	tm.dataServedBytes.Add(int64(len(resp.Data)))
@@ -60,8 +60,8 @@ func (tm *TaskManager) fetchData(ctx context.Context, node, jobID, digest string
 		return nil, err
 	}
 	b := tm.blobs.NewBlob(int(size))
-	err := protocol.PullBlob(ctx, tm.cfg.Call, msg.KindDataFetch,
-		msg.Address{Node: tm.cfg.Node, Job: jobID}, msg.Address{Node: node, Job: jobID}, digest, b.Bytes())
+	err := protocol.PullBlob(ctx, tm.call, msg.KindDataFetch,
+		msg.Address{Node: tm.node, Job: jobID}, msg.Address{Node: node, Job: jobID}, digest, b.Bytes())
 	if err != nil {
 		b.Abandon()
 		return nil, err

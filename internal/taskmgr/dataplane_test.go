@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"cn/internal/archive"
+	"cn/internal/config"
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/task"
@@ -53,7 +54,7 @@ func newDPFabric() *dpFabric {
 func (f *dpFabric) node(t *testing.T, name string, reg *task.Registry) (*TaskManager, *sink) {
 	t.Helper()
 	s := &sink{}
-	tm := New(Config{Node: name, MemoryMB: 1000, Registry: reg, Call: f.call, HeartbeatEvery: -1}, s.send)
+	tm := New(config.Config{MemoryMB: 1000, Registry: reg, HeartbeatInterval: -1}, name, nil, s.send, f.call)
 	t.Cleanup(tm.Close)
 	f.mu.Lock()
 	f.tms[name] = tm
@@ -454,9 +455,9 @@ func TestWarmPutGetAllocs(t *testing.T) {
 		}
 		return where, nil
 	}
-	tm := New(Config{Node: "a", Call: call, HeartbeatEvery: -1}, (&sink{}).send)
+	tm := New(config.Config{HeartbeatInterval: -1}, "a", nil, (&sink{}).send, call)
 	t.Cleanup(tm.Close)
-	a := newAssignment("j1", "jm", "client", spec("t", 10), 0)
+	a := newAssignment("j1", "jm", "client", spec("t", 10))
 	round := func() {
 		c := &execContext{tm: tm, a: a, self: msg.Address{Node: "a", Job: "j1", Task: "t"}}
 		if err := c.put("k", payload); err != nil {

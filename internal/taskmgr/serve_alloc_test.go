@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cn/internal/archive"
+	"cn/internal/config"
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/wire"
@@ -16,8 +17,7 @@ import (
 // socket's iovec by reference. (It used to cost a zeroed 768 KiB payload
 // buffer, a copy into it and a copy into the frame.)
 func TestServeChunkCopyGuard(t *testing.T) {
-	tm := New(Config{Node: "tm0", HeartbeatEvery: -1},
-		func(string, *msg.Message) error { return nil })
+	tm := New(config.Config{HeartbeatInterval: -1}, "tm0", nil, func(string, *msg.Message) error { return nil }, nil)
 	t.Cleanup(tm.Close)
 	blob := make([]byte, 3<<20)
 	digest := archive.DigestBytes(blob)

@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"cn/internal/archive"
-	"cn/internal/health"
+	"cn/internal/config"
 	"cn/internal/logging"
 	"cn/internal/msg"
 	"cn/internal/protocol"
@@ -40,36 +40,6 @@ type SendFunc func(toNode string, m *msg.Message) error
 // the region the chunk belongs in). nil disables all three: an assignment
 // referencing a digest this node does not cache is then rejected.
 type CallFunc = protocol.CallIntoFunc
-
-// Config parametrizes a TaskManager.
-type Config struct {
-	// Node is the hosting node name.
-	Node string
-	// MemoryMB is the execution capacity tasks reserve against.
-	MemoryMB int
-	// Registry resolves task classes; nil selects task.Global.
-	Registry *task.Registry
-	// MailboxCap bounds each task mailbox (0 = default).
-	MailboxCap int
-	// Call performs request/response round trips; nil disables archive
-	// pulls and tuple-space and data-plane access.
-	Call CallFunc
-	// HeartbeatEvery is the cadence of HEARTBEAT messages to JobManagers
-	// holding assignments here (0 = health.DefaultInterval; negative
-	// disables heartbeating, the pre-failure-detection behavior).
-	HeartbeatEvery time.Duration
-	// Log is the structured logger (nil discards); printf-style diagnostics
-	// are its Debug records.
-	Log *slog.Logger
-	// Tracer records this TaskManager's spans (task exec, shuffle pulls)
-	// into its local store; terminal task events drain them to the
-	// JobManager's timeline. Nil disables TM-side span recording.
-	Tracer *trace.Tracer
-}
-
-// DefaultMemoryMB is the per-node capacity when Config.MemoryMB is 0,
-// sized to hold a handful of the paper's 1000 MB tasks.
-const DefaultMemoryMB = 8000
 
 // assignment is one task assigned to this TaskManager.
 type assignment struct {
@@ -115,12 +85,12 @@ func (a *assignment) jm() string { return *a.jobManager.Load() }
 func (a *assignment) setJM(node string) { a.jobManager.Store(&node) }
 
 // newAssignment builds the record of one task assigned by jobManager.
-func newAssignment(jobID, jobManager, clientNode string, spec *task.Spec, mailboxCap int) *assignment {
+func newAssignment(jobID, jobManager, clientNode string, spec *task.Spec) *assignment {
 	a := &assignment{
 		jobID:      jobID,
 		clientNode: clientNode,
 		spec:       spec,
-		mailbox:    msg.NewMailbox(mailboxCap),
+		mailbox:    msg.NewMailbox(0),
 	}
 	a.ctx, a.stop = context.WithCancel(context.Background())
 	a.setJM(jobManager)
@@ -138,12 +108,13 @@ func (a *assignment) cancel() {
 
 // TaskManager executes tasks on one node.
 type TaskManager struct {
-	cfg      Config
-	send     SendFunc
-	log      *slog.Logger
-	tracer   *trace.Tracer
-	registry *task.Registry
-	blobs    *archive.Cache
+	cfg    config.Config
+	node   string
+	send   SendFunc
+	call   CallFunc
+	log    *slog.Logger
+	tracer *trace.Tracer
+	blobs  *archive.Cache
 	// releaseMu orders a task making its job the owner of a cache entry
 	// (read side: execContext.publish, acquire) against the job's release
 	// (write side: HandleCancel); see publish.
@@ -193,25 +164,21 @@ type outbox struct {
 	events  []protocol.TaskEventItem
 }
 
-// New creates a TaskManager and starts its heartbeat loop (unless
-// Config.HeartbeatEvery is negative).
-func New(cfg Config, send SendFunc) *TaskManager {
-	if cfg.MemoryMB <= 0 {
-		cfg.MemoryMB = DefaultMemoryMB
-	}
-	if cfg.HeartbeatEvery == 0 {
-		cfg.HeartbeatEvery = health.DefaultInterval
-	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = task.Global
-	}
+// New creates a TaskManager on node and starts its heartbeat loop (unless
+// cfg.HeartbeatInterval is negative). The tracer records this TaskManager's
+// spans (task exec, shuffle pulls) into its local store, and terminal task
+// events drain them to the JobManager's timeline; nil disables TM-side span
+// recording. A nil call disables archive pulls and tuple-space and
+// data-plane access.
+func New(cfg config.Config, node string, tracer *trace.Tracer, send SendFunc, call CallFunc) *TaskManager {
+	cfg = cfg.WithDefaults()
 	tm := &TaskManager{
 		cfg:         cfg,
+		node:        node,
 		send:        send,
-		log:         logging.Component(cfg.Log, "taskmgr", cfg.Node),
-		tracer:      cfg.Tracer,
-		registry:    reg,
+		call:        call,
+		log:         logging.Component(cfg.Log, "taskmgr", node),
+		tracer:      tracer,
 		blobs:       archive.NewCache(),
 		stop:        make(chan struct{}),
 		assigned:    make(map[string]*assignment),
@@ -220,7 +187,7 @@ func New(cfg Config, send SendFunc) *TaskManager {
 		lastJMs:     make(map[string]bool),
 		beatScratch: make(map[string][]protocol.TaskBeat),
 	}
-	if cfg.HeartbeatEvery > 0 {
+	if cfg.HeartbeatInterval > 0 {
 		tm.wg.Add(1)
 		go tm.heartbeatLoop()
 	}
@@ -231,7 +198,7 @@ func New(cfg Config, send SendFunc) *TaskManager {
 // assignments on this node, on the configured cadence.
 func (tm *TaskManager) heartbeatLoop() {
 	defer tm.wg.Done()
-	ticker := time.NewTicker(tm.cfg.HeartbeatEvery)
+	ticker := time.NewTicker(tm.cfg.HeartbeatInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -287,9 +254,9 @@ func (tm *TaskManager) beatOnce() {
 			payload = nil // goodbye beat: releases the liveness lease
 		}
 		hb := protocol.Body(msg.KindHeartbeat,
-			msg.Address{Node: tm.cfg.Node},
+			msg.Address{Node: tm.node},
 			msg.Address{Node: jm},
-			protocol.Heartbeat{Node: tm.cfg.Node, Seq: seq, Beats: payload})
+			protocol.Heartbeat{Node: tm.node, Seq: seq, Beats: payload})
 		if err := tm.send(jm, hb); err != nil {
 			tm.logf("heartbeat to %s: %v", jm, err)
 		}
@@ -361,7 +328,7 @@ func (tm *TaskManager) HandleSolicit(m *msg.Message) *msg.Message {
 		return nil
 	}
 	offer := protocol.TMOffer{
-		Node:            tm.cfg.Node,
+		Node:            tm.node,
 		FreeMemoryMB:    tm.freeMB,
 		RunningTasks:    tm.running,
 		ResidentDigests: tm.blobs.RecentDigests(protocol.MaxOfferDigests),
@@ -380,10 +347,10 @@ const stallBeats = 3
 // heartbeating disabled the counter is never observed, so nothing ever
 // reports as stalled.
 func (tm *TaskManager) stalledLocked(now time.Time) int {
-	if tm.cfg.HeartbeatEvery <= 0 {
+	if tm.cfg.HeartbeatInterval <= 0 {
 		return 0
 	}
-	cutoff := now.Add(-stallBeats * tm.cfg.HeartbeatEvery)
+	cutoff := now.Add(-stallBeats * tm.cfg.HeartbeatInterval)
 	stalled := 0
 	for _, a := range tm.assigned {
 		if a.started.Load() && !a.cancelled.Load() &&
@@ -455,15 +422,15 @@ func (tm *TaskManager) ensureBlobs(jmNode, jobID string, items []protocol.TaskCr
 // an archive stays for as long as the LRU likes it and nobody counts its
 // readers, so it comes from, and goes back to, the collector.
 func (tm *TaskManager) pullArchive(jmNode, jobID string, ref protocol.ArchiveRef) error {
-	if tm.cfg.Call == nil {
+	if tm.call == nil {
 		return fmt.Errorf("not cached and no call path configured")
 	}
 	if err := protocol.CheckBlobSize(ref.Size); err != nil {
 		return err
 	}
 	raw := make([]byte, ref.Size)
-	err := protocol.PullBlob(context.Background(), tm.cfg.Call, msg.KindBlobChunk,
-		msg.Address{Node: tm.cfg.Node}, msg.Address{Node: jmNode, Job: jobID}, ref.Digest, raw)
+	err := protocol.PullBlob(context.Background(), tm.call, msg.KindBlobChunk,
+		msg.Address{Node: tm.node}, msg.Address{Node: jmNode, Job: jobID}, ref.Digest, raw)
 	if err != nil {
 		return err
 	}
@@ -488,7 +455,7 @@ func (tm *TaskManager) assignOne(jobID, jobManager, clientNode string, it protoc
 				a.Manifest.TaskClass, sp.Class)
 		}
 	}
-	if !tm.registry.Has(sp.Class) {
+	if !tm.cfg.Registry.Has(sp.Class) {
 		return fmt.Sprintf("class %q not deployable on this node", sp.Class)
 	}
 
@@ -505,7 +472,7 @@ func (tm *TaskManager) assignOne(jobID, jobManager, clientNode string, it protoc
 		return fmt.Sprintf("insufficient memory: need %d MB, free %d MB", sp.Req.MemoryMB, tm.freeMB)
 	}
 	tm.freeMB -= sp.Req.MemoryMB
-	tm.assigned[k] = newAssignment(jobID, jobManager, clientNode, sp, tm.cfg.MailboxCap)
+	tm.assigned[k] = newAssignment(jobID, jobManager, clientNode, sp)
 	tm.log.Info("task assigned", "job", jobID, "task", sp.Name, "class", sp.Class, "mem_mb", sp.Req.MemoryMB)
 	return ""
 }
@@ -574,13 +541,13 @@ func (tm *TaskManager) HandleStart(jobID, taskName string, tc trace.Context) err
 	closed := tm.closed
 	tm.mu.Unlock()
 	if closed {
-		return fmt.Errorf("taskmgr %s: shut down", tm.cfg.Node)
+		return fmt.Errorf("taskmgr %s: shut down", tm.node)
 	}
 	if !ok {
-		return fmt.Errorf("taskmgr %s: task %s not assigned", tm.cfg.Node, key(jobID, taskName))
+		return fmt.Errorf("taskmgr %s: task %s not assigned", tm.node, key(jobID, taskName))
 	}
 	if !a.started.CompareAndSwap(false, true) {
-		return fmt.Errorf("taskmgr %s: task %s: %w", tm.cfg.Node, key(jobID, taskName), ErrAlreadyStarted)
+		return fmt.Errorf("taskmgr %s: task %s: %w", tm.node, key(jobID, taskName), ErrAlreadyStarted)
 	}
 	a.trace = tc
 	tm.mu.Lock()
@@ -595,7 +562,7 @@ func (tm *TaskManager) HandleStart(jobID, taskName string, tc trace.Context) err
 // "separate thread"), reporting lifecycle events to the JobManager.
 func (tm *TaskManager) execute(a *assignment) {
 	defer tm.wg.Done()
-	from := msg.Address{Node: tm.cfg.Node, Job: a.jobID, Task: a.spec.Name}
+	from := msg.Address{Node: tm.node, Job: a.jobID, Task: a.spec.Name}
 
 	tm.event(msg.KindTaskStarted, a, "")
 
@@ -617,7 +584,7 @@ func (tm *TaskManager) execute(a *assignment) {
 				runErr = fmt.Errorf("task panic: %v", r)
 			}
 		}()
-		t, err := tm.registry.New(a.spec.Class)
+		t, err := tm.cfg.Registry.New(a.spec.Class)
 		if err != nil {
 			runErr = err
 			return
@@ -699,9 +666,9 @@ func (tm *TaskManager) flush(jobID string, ob *outbox) {
 		ob.events = ob.events[n:]
 		tm.outMu.Unlock()
 		m := protocol.Body(msg.KindTaskEvents,
-			msg.Address{Node: tm.cfg.Node, Job: jobID},
+			msg.Address{Node: tm.node, Job: jobID},
 			msg.Address{Node: manager, Job: jobID},
-			protocol.TaskEvents{JobID: jobID, Node: tm.cfg.Node, Events: batch})
+			protocol.TaskEvents{JobID: jobID, Node: tm.node, Events: batch})
 		if err := tm.send(manager, m); err != nil {
 			tm.logf("%d events of job %s to %s: %v", n, jobID, manager, err)
 		}
@@ -718,9 +685,9 @@ func (tm *TaskManager) HandleAdopt(m *msg.Message) *msg.Message {
 	var req protocol.JMAdoptReq
 	if err := protocol.Decode(m, &req); err != nil {
 		tm.logf("bad adopt: %v", err)
-		return protocol.Reply(m, msg.KindJMAdopt, protocol.JMAdoptResp{Node: tm.cfg.Node})
+		return protocol.Reply(m, msg.KindJMAdopt, protocol.JMAdoptResp{Node: tm.node})
 	}
-	resp := protocol.JMAdoptResp{Node: tm.cfg.Node}
+	resp := protocol.JMAdoptResp{Node: tm.node}
 	tm.mu.Lock()
 	for _, a := range tm.assigned {
 		if a.jobID != req.JobID {
@@ -751,13 +718,13 @@ func (tm *TaskManager) HandleAdopt(m *msg.Message) *msg.Message {
 func (tm *TaskManager) HandleUser(m *msg.Message) error {
 	var p protocol.UserPayload
 	if err := protocol.Decode(m, &p); err != nil {
-		return fmt.Errorf("taskmgr %s: bad user payload: %w", tm.cfg.Node, err)
+		return fmt.Errorf("taskmgr %s: bad user payload: %w", tm.node, err)
 	}
 	tm.mu.Lock()
 	a, ok := tm.assigned[key(p.JobID, p.ToTask)]
 	tm.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("taskmgr %s: user message for unknown task %s", tm.cfg.Node, key(p.JobID, p.ToTask))
+		return fmt.Errorf("taskmgr %s: user message for unknown task %s", tm.node, key(p.JobID, p.ToTask))
 	}
 	err := a.mailbox.TryPut(m)
 	switch {
@@ -771,7 +738,7 @@ func (tm *TaskManager) HandleUser(m *msg.Message) error {
 		}()
 		return nil
 	default:
-		return fmt.Errorf("taskmgr %s: deliver to %s: %w", tm.cfg.Node, p.ToTask, err)
+		return fmt.Errorf("taskmgr %s: deliver to %s: %w", tm.node, p.ToTask, err)
 	}
 }
 
@@ -868,7 +835,7 @@ func (c *execContext) TaskName() string { return c.a.spec.Name }
 func (c *execContext) JobID() string { return c.a.jobID }
 
 // NodeName implements task.Context.
-func (c *execContext) NodeName() string { return c.tm.cfg.Node }
+func (c *execContext) NodeName() string { return c.tm.node }
 
 // Params implements task.Context.
 func (c *execContext) Params() []task.Param {
@@ -942,7 +909,7 @@ func (c *execContext) tsWire() *protocol.TSWire {
 		From:  c.self,
 		To:    msg.Address{Node: jmNode, Job: c.a.jobID},
 		Trace: c.trace,
-		Call:  c.tm.cfg.Call,
+		Call:  c.tm.call,
 		Send:  c.tm.send,
 	}
 	if !c.ts.CompareAndSwap(old, w) {
@@ -955,7 +922,7 @@ func (c *execContext) tsWire() *protocol.TSWire {
 // data-plane alike: a task with no call path has no manager to ask, and a
 // cancelled or stopped one gets ErrStopped with nothing sent.
 func (c *execContext) tsReady() error {
-	if c.tm.cfg.Call == nil {
+	if c.tm.call == nil {
 		return fmt.Errorf("task %s: no call path configured", c.a.spec.Name)
 	}
 	if c.a.cancelled.Load() {

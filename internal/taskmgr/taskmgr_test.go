@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cn/internal/archive"
+	"cn/internal/config"
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/task"
@@ -166,7 +167,7 @@ func spec(name string, memMB int) *task.Spec {
 
 func TestSolicitRespectsMemory(t *testing.T) {
 	s := &sink{}
-	tm := New(Config{Node: "tm1", MemoryMB: 500, Registry: registry(t)}, s.send)
+	tm := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm1", nil, s.send, nil)
 	defer tm.Close()
 	if r := tm.HandleSolicit(solicitMsg(spec("big", 1000))); r != nil {
 		t.Error("over-capacity solicit answered")
@@ -186,7 +187,7 @@ func TestSolicitRespectsMemory(t *testing.T) {
 
 func TestAssignReservesAndReleasesMemory(t *testing.T) {
 	s := &sink{}
-	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t)}, s.send)
+	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t)}, "tm1", nil, s.send, nil)
 	defer tm.Close()
 	sp := spec("t1", 400)
 	mustAssign(t, tm, sp)
@@ -205,7 +206,7 @@ func TestAssignReservesAndReleasesMemory(t *testing.T) {
 
 func TestAssignRejections(t *testing.T) {
 	s := &sink{}
-	tm := New(Config{Node: "tm1", MemoryMB: 500, Registry: registry(t)}, s.send)
+	tm := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm1", nil, s.send, nil)
 	defer tm.Close()
 
 	check := func(sp *task.Spec, ar *archive.Archive, wantReason string) {
@@ -235,7 +236,7 @@ func TestAssignRejections(t *testing.T) {
 	check(spec("pkg", 10), bad, "does not match")
 }
 
-// blobHolder is the JobManager as ensureBlobs sees it through Config.Call:
+// blobHolder is the JobManager as ensureBlobs sees it through New's call:
 // it answers BLOB_CHUNK pulls out of the bytes it holds per digest, the way
 // jobmgr.HandleBlobChunk does, and counts them.
 type blobHolder struct {
@@ -308,7 +309,7 @@ func TestAssignRejectsDigestMismatch(t *testing.T) {
 	holder := &blobHolder{blobs: map[string][]byte{goodRef.Digest: good.Bytes(), otherRef.Digest: good.Bytes()}}
 	otherRef.Size = goodRef.Size
 	s := &sink{}
-	tm := New(Config{Node: "tm1", MemoryMB: 500, Registry: registry(t), Call: holder.call}, s.send)
+	tm := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm1", nil, s.send, holder.call)
 	defer tm.Close()
 	resp := assignBatch(t, tm, "j1",
 		protocol.TaskCreate{Spec: spec("dig", 10), Archive: otherRef},
@@ -330,7 +331,7 @@ func TestAssignRefusesAdvertisedSizeBeforePulling(t *testing.T) {
 	ar, ref := noopArchive(t, "sized.jar")
 	holder := &blobHolder{blobs: map[string][]byte{ref.Digest: ar.Bytes()}}
 	s := &sink{}
-	tm := New(Config{Node: "tm1", MemoryMB: 500, Registry: registry(t), Call: holder.call}, s.send)
+	tm := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm1", nil, s.send, holder.call)
 	defer tm.Close()
 	for _, size := range []int64{0, -1, protocol.MaxBlobBytes + 1} {
 		bad := ref
@@ -369,7 +370,7 @@ func TestAssignDigestNotHeldRejectsItsItemsAlone(t *testing.T) {
 	_, goneRef := noopArchive(t, "gone.jar")
 	holder := &blobHolder{blobs: map[string][]byte{heldRef.Digest: held.Bytes()}}
 	s := &sink{}
-	tm := New(Config{Node: "tm1", MemoryMB: 500, Registry: registry(t), Call: holder.call}, s.send)
+	tm := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm1", nil, s.send, holder.call)
 	defer tm.Close()
 	resp := assignBatch(t, tm, "j1",
 		protocol.TaskCreate{Spec: spec("g1", 10), Archive: goneRef},
@@ -383,7 +384,7 @@ func TestAssignDigestNotHeldRejectsItsItemsAlone(t *testing.T) {
 		t.Errorf("fetched %d, %d requests for the missing digest; want 1 and 1", resp.Fetched, holder.pulls[goneRef.Digest])
 	}
 	// Without a call path nothing can be pulled: a digest not cached rejects.
-	bare := New(Config{Node: "tm2", MemoryMB: 500, Registry: registry(t)}, s.send)
+	bare := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm2", nil, s.send, nil)
 	defer bare.Close()
 	if resp := assignBatch(t, bare, "j1", protocol.TaskCreate{Spec: spec("h1", 10), Archive: heldRef}); !strings.Contains(resp.Rejected["h1"], "no call path") {
 		t.Errorf("no call path: rejections = %v", resp.Rejected)
@@ -392,7 +393,7 @@ func TestAssignDigestNotHeldRejectsItsItemsAlone(t *testing.T) {
 
 func TestStartErrors(t *testing.T) {
 	s := &sink{}
-	tm := New(Config{Node: "tm1", Registry: registry(t)}, s.send)
+	tm := New(config.Config{Registry: registry(t)}, "tm1", nil, s.send, nil)
 	defer tm.Close()
 	if err := tm.HandleStart("j1", "ghost", trace.Context{}); err == nil {
 		t.Error("starting unassigned task accepted")
@@ -409,7 +410,7 @@ func TestStartErrors(t *testing.T) {
 
 func TestCancelReleasesUnstarted(t *testing.T) {
 	s := &sink{}
-	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t)}, s.send)
+	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t)}, "tm1", nil, s.send, nil)
 	defer tm.Close()
 	mustAssign(t, tm, spec("idle", 300))
 	if tm.FreeMemoryMB() != 700 {
@@ -427,7 +428,7 @@ func TestBatchAssignSharedDigestFetchesOnce(t *testing.T) {
 	ar, ref := noopArchive(t, "shared.jar")
 	holder := &blobHolder{blobs: map[string][]byte{ref.Digest: ar.Bytes()}}
 	s := &sink{}
-	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t), Call: holder.call}, s.send)
+	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t)}, "tm1", nil, s.send, holder.call)
 	defer tm.Close()
 
 	resp := assignBatch(t, tm, "j1",
@@ -462,7 +463,7 @@ func TestBatchAssignSharedDigestFetchesOnce(t *testing.T) {
 func TestBatchAssignPullsEachMissingDigestOnce(t *testing.T) {
 	holder := &blobHolder{blobs: make(map[string][]byte)}
 	s := &sink{}
-	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t), Call: holder.call}, s.send)
+	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t)}, "tm1", nil, s.send, holder.call)
 	defer tm.Close()
 	var items []protocol.TaskCreate
 	refs := make([]protocol.ArchiveRef, 4)
@@ -502,7 +503,7 @@ func TestCacheHitAssignmentWithRefOnlyExecutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &sink{}
-	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t)}, s.send) // no Call configured
+	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t)}, "tm1", nil, s.send, nil) // no Call configured
 	defer tm.Close()
 
 	// Seed the cache as an earlier assignment's transfer would have.
@@ -537,7 +538,7 @@ func TestBatchAssignRejectsIndividually(t *testing.T) {
 	// One oversubscribed task must reject alone; the rest of the batch
 	// lands.
 	s := &sink{}
-	tm := New(Config{Node: "tm1", MemoryMB: 500, Registry: registry(t)}, s.send)
+	tm := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm1", nil, s.send, nil)
 	defer tm.Close()
 	r := tm.HandleAssignBatch(batchMsg(protocol.AssignTasksReq{
 		JobID: "j1", JobManager: "jm", ClientNode: "client",
@@ -569,7 +570,7 @@ func TestBatchAssignMissingBlobRejectsOnlyAffected(t *testing.T) {
 	// No call path and an uncached digest: only the referencing task is
 	// rejected; archive-less tasks in the same batch still land.
 	s := &sink{}
-	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t)}, s.send)
+	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t)}, "tm1", nil, s.send, nil)
 	defer tm.Close()
 	r := tm.HandleAssignBatch(batchMsg(protocol.AssignTasksReq{
 		JobID: "j1", JobManager: "jm", ClientNode: "client",
@@ -592,7 +593,7 @@ func TestBatchAssignMissingBlobRejectsOnlyAffected(t *testing.T) {
 
 func TestUserDeliveryUnknownTask(t *testing.T) {
 	s := &sink{}
-	tm := New(Config{Node: "tm1", Registry: registry(t)}, s.send)
+	tm := New(config.Config{Registry: registry(t)}, "tm1", nil, s.send, nil)
 	defer tm.Close()
 	m := protocol.Body(msg.KindUser, msg.Address{}, msg.Address{},
 		protocol.UserPayload{JobID: "j1", ToTask: "ghost"})
@@ -603,7 +604,7 @@ func TestUserDeliveryUnknownTask(t *testing.T) {
 
 func TestCloseIdempotentAndRejectsWork(t *testing.T) {
 	s := &sink{}
-	tm := New(Config{Node: "tm1", Registry: registry(t)}, s.send)
+	tm := New(config.Config{Registry: registry(t)}, "tm1", nil, s.send, nil)
 	tm.Close()
 	tm.Close()
 	if r := tm.HandleSolicit(solicitMsg(spec("t", 10))); r != nil {
@@ -616,10 +617,7 @@ func TestCloseIdempotentAndRejectsWork(t *testing.T) {
 
 func TestHeartbeatCarriesTaskBeats(t *testing.T) {
 	s := &sink{}
-	tm := New(Config{
-		Node: "tm1", MemoryMB: 1000, Registry: registry(t),
-		HeartbeatEvery: 5 * time.Millisecond,
-	}, s.send)
+	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t), HeartbeatInterval: 5 * time.Millisecond}, "tm1", nil, s.send, nil)
 	defer tm.Close()
 	mustAssign(t, tm, spec("t1", 100))
 	m := s.waitKind(t, msg.KindHeartbeat)
@@ -651,10 +649,7 @@ func TestHeartbeatCarriesTaskBeats(t *testing.T) {
 
 func TestGoodbyeBeatAfterLastAssignment(t *testing.T) {
 	s := &sink{}
-	tm := New(Config{
-		Node: "tm1", MemoryMB: 1000, Registry: registry(t),
-		HeartbeatEvery: 5 * time.Millisecond,
-	}, s.send)
+	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t), HeartbeatInterval: 5 * time.Millisecond}, "tm1", nil, s.send, nil)
 	defer tm.Close()
 	mustAssign(t, tm, spec("t1", 100))
 	s.waitKind(t, msg.KindHeartbeat)
@@ -668,7 +663,7 @@ func TestGoodbyeBeatAfterLastAssignment(t *testing.T) {
 
 func TestHeartbeatAckUnknownJobReleasesAssignments(t *testing.T) {
 	s := &sink{}
-	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t), HeartbeatEvery: -1}, s.send)
+	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t), HeartbeatInterval: -1}, "tm1", nil, s.send, nil)
 	defer tm.Close()
 	mustAssign(t, tm, spec("t1", 400))
 	if tm.FreeMemoryMB() != 600 {
@@ -685,7 +680,7 @@ func TestHeartbeatAckUnknownJobReleasesAssignments(t *testing.T) {
 
 func TestReleaseIfUnstarted(t *testing.T) {
 	s := &sink{}
-	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: registry(t), HeartbeatEvery: -1}, s.send)
+	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t), HeartbeatInterval: -1}, "tm1", nil, s.send, nil)
 	defer tm.Close()
 	mustAssign(t, tm, spec("t1", 400))
 	if !tm.ReleaseIfUnstarted("j1", "t1") {
@@ -749,7 +744,7 @@ func TestTaskOutIsOneWayAndStoppedIsLocal(t *testing.T) {
 		})
 	})
 	s := &sink{}
-	tm := New(Config{Node: "tm1", MemoryMB: 1000, Registry: reg, Call: call, HeartbeatEvery: -1}, s.send)
+	tm := New(config.Config{MemoryMB: 1000, Registry: reg, HeartbeatInterval: -1}, "tm1", nil, s.send, call)
 	defer tm.Close()
 	sp := spec("e", 100)
 	sp.Class = "tm.Emitter"

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cn/internal/config"
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/server"
@@ -19,7 +20,7 @@ func TestShedReplyPutsTheTupleBack(t *testing.T) {
 	transport.TightenControlLane(t, 4)
 	net := transport.NewMemNetwork(transport.MemConfig{QueueLen: 1})
 	defer net.Close()
-	srv, err := server.Start(net, server.Config{Node: "n1", HeartbeatInterval: -1, CheckpointEvery: -1})
+	srv, err := server.Start(net, "n1", config.Config{HeartbeatInterval: -1, CheckpointEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
