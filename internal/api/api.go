@@ -115,37 +115,22 @@ func (c *Client) handle(m *msg.Message) {
 			c.logf("bad user payload: %v", err)
 			return
 		}
-		if j := c.job(p.JobID); j != nil {
-			if err := j.inbox.TryPut(m); err != nil {
-				c.logf("inbox full, dropping message from %s", p.FromTask)
-			}
+		// A closed inbox belongs to a job that ended (or a handle released):
+		// what still arrives for it is dropped without a word.
+		if j := c.job(p.JobID); j != nil && errors.Is(j.inbox.TryPut(m), msg.ErrFull) {
+			c.logf("inbox full, dropping message from %s", p.FromTask)
 		}
 	case msg.KindTaskEvents:
 		// Applied here, on the delivering goroutine: the batch is decoded
-		// once and its events are counted and queued in order, so they are
-		// all in before the JOB_COMPLETED that follows on the connection.
+		// once and its events are counted and queued in order. The job's
+		// stream is one lane, so every user message and event the job sent
+		// is in by the time the job's end, its last label, is applied.
 		var batch protocol.TaskEvents
 		if err := protocol.Decode(m, &batch); err != nil {
 			return
 		}
 		if j := c.job(batch.JobID); j != nil {
 			j.recordEvents(batch.Node, batch.Events)
-		}
-	case msg.KindTaskRetried:
-		var ev protocol.TaskEvent
-		if err := protocol.Decode(m, &ev); err != nil {
-			return
-		}
-		if j := c.job(ev.JobID); j != nil {
-			j.recordRetried(&ev)
-		}
-	case msg.KindJobCompleted, msg.KindJobFailed:
-		var ev protocol.JobEvent
-		if err := protocol.Decode(m, &ev); err != nil {
-			return
-		}
-		if j := c.job(ev.JobID); j != nil {
-			j.finish(&ev)
 		}
 	case msg.KindJMAdopt:
 		// A surviving JobManager adopted the job after its original manager
@@ -552,8 +537,9 @@ func (j *Job) Start(taskNames ...string) error {
 	return nil
 }
 
-// recordEvents counts and queues a relayed batch of lifecycle events that
-// happened on node.
+// recordEvents applies a relayed batch of events that happened on node:
+// task and retry labels are counted and queued, and a job label finishes
+// the job.
 func (j *Job) recordEvents(node string, events []protocol.TaskEventItem) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -566,18 +552,15 @@ func (j *Job) recordEvents(node string, events []protocol.TaskEventItem) {
 			j.prog.Completed++
 		case msg.KindTaskFailed:
 			j.prog.Failed++
+		case msg.KindTaskRetried:
+			j.prog.Retried++
+		case msg.KindJobCompleted, msg.KindJobFailed:
+			j.finishLocked(&Result{JobID: j.ID, Failed: ev.Kind == msg.KindJobFailed, Err: ev.Err, TaskErrs: ev.TaskErrs})
+			continue
 		}
-		j.queueEventLocked(Event{Kind: ev.Kind, Task: ev.Task, Node: node, Err: ev.Err, Attempt: ev.Attempt})
+		j.queueEventLocked(Event{Kind: ev.Kind, Task: ev.Task, Node: node, Err: ev.Err,
+			Attempt: ev.Attempt, Speculative: ev.Speculative})
 	}
-}
-
-// recordRetried counts and queues a TASK_RETRIED.
-func (j *Job) recordRetried(ev *protocol.TaskEvent) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.prog.Retried++
-	j.queueEventLocked(Event{Kind: msg.KindTaskRetried, Task: ev.Task, Node: ev.Node, Err: ev.Err,
-		Attempt: ev.Attempt, Speculative: ev.Speculative})
 }
 
 // queueEventLocked appends to the event queue unless it is full or closed,
@@ -610,15 +593,16 @@ func (j *Job) closeEvents() {
 	}
 }
 
-// finish records the terminal job event and releases waiters.
-func (j *Job) finish(ev *protocol.JobEvent) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// finishLocked records the job's end: the inbox closes — GetMessage
+// returns what it holds, then ErrJobFinished — and waiters are released.
+// j.mu must be held.
+func (j *Job) finishLocked(res *Result) {
 	if j.finished {
 		return
 	}
 	j.finished = true
-	j.result = &Result{JobID: ev.JobID, Failed: ev.Failed, Err: ev.Err, TaskErrs: ev.TaskErrs}
+	j.result = res
+	j.inbox.Close()
 	close(j.done)
 }
 
@@ -627,9 +611,7 @@ func (j *Job) finish(ev *protocol.JobEvent) {
 // dropped — and its queued messages and events are discarded. Call it once
 // the job's results have been read; a long-lived Client that never
 // releases keeps every job it ever ran. Wait, Progress and the identity
-// accessors stay readable. Release is idempotent. It is not done for the
-// caller at the terminal event, because a task's last message may trail
-// that event on the wire.
+// accessors stay readable. Release is idempotent.
 func (j *Job) Release() {
 	c := j.client
 	c.mu.Lock()
@@ -646,8 +628,11 @@ func (j *Job) Release() {
 }
 
 // Done returns a channel closed once the job reaches a terminal state.
-// Any user messages sent before termination are already queued when the
-// channel closes (the JobManager forwards per-job traffic in order).
+// Every user message a task sent before it ended is queued by then: the
+// job's end is the last frame of the job's stream, which carries the
+// messages and the events in the order the JobManager relayed them. The
+// exception is a task the JobManager itself gave up on — its node died, or
+// its retries ran out — whose messages still on the way may be dropped.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Wait blocks until the job reaches a terminal state or ctx is done.
@@ -696,17 +681,16 @@ func (j *Job) SendMessage(toTask string, data []byte) error {
 }
 
 // GetMessage blocks for the next user message from any task ("Get Messages
-// from Tasks"), returning the sending task's name and the payload.
+// from Tasks"), returning the sending task's name and the payload. Once the
+// job has ended and its messages have been read it returns ErrJobFinished,
+// so a loop over GetMessage ends with the job. A message from a task the
+// JobManager itself gave up on (see Done) may be missing.
 func (j *Job) GetMessage(ctx context.Context) (string, []byte, error) {
 	m, err := j.inbox.GetContext(ctx)
 	if err != nil {
-		return "", nil, fmt.Errorf("api: get message: %w", err)
+		return "", nil, j.getError(err)
 	}
-	var p protocol.UserPayload
-	if err := protocol.Decode(m, &p); err != nil {
-		return "", nil, fmt.Errorf("api: get message: %w", err)
-	}
-	return p.FromTask, p.Data, nil
+	return decodeUser(m)
 }
 
 // TryGetMessage is GetMessage without blocking; ok is false when no message
@@ -717,13 +701,32 @@ func (j *Job) TryGetMessage() (from string, data []byte, ok bool, err error) {
 		return "", nil, false, nil
 	}
 	if err != nil {
-		return "", nil, false, fmt.Errorf("api: get message: %w", err)
+		return "", nil, false, j.getError(err)
 	}
+	from, data, err = decodeUser(m)
+	return from, data, err == nil, err
+}
+
+// getError names why the inbox gave nothing: ErrJobFinished once the job's
+// end closed it and its messages were read, else err — a released handle's
+// inbox is closed with its messages discarded.
+func (j *Job) getError(err error) error {
+	j.mu.Lock()
+	finished := j.finished && !j.released
+	j.mu.Unlock()
+	if finished && errors.Is(err, msg.ErrClosed) {
+		return ErrJobFinished
+	}
+	return fmt.Errorf("api: get message: %w", err)
+}
+
+// decodeUser reads a user message's sender and payload.
+func decodeUser(m *msg.Message) (string, []byte, error) {
 	var p protocol.UserPayload
 	if err := protocol.Decode(m, &p); err != nil {
-		return "", nil, false, fmt.Errorf("api: get message: %w", err)
+		return "", nil, fmt.Errorf("api: get message: %w", err)
 	}
-	return p.FromTask, p.Data, true, nil
+	return p.FromTask, p.Data, nil
 }
 
 // GetEvent blocks for the next task lifecycle event, in the order the
@@ -768,6 +771,8 @@ func (j *Job) Cancel(reason string) error {
 	if reply.Kind == msg.KindJobFailed {
 		return replyError("cancel job", reply)
 	}
-	j.finish(&protocol.JobEvent{JobID: j.ID, Failed: true, Err: "cancelled: " + reason})
+	j.mu.Lock()
+	j.finishLocked(&Result{JobID: j.ID, Failed: true, Err: "cancelled: " + reason})
+	j.mu.Unlock()
 	return nil
 }

@@ -4,9 +4,12 @@ package api
 // decoded once, counted, and queued as Event values.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
+	"reflect"
 	"testing"
 
 	"cn/internal/msg"
@@ -107,8 +110,9 @@ func TestEventQueueBoundAndOrder(t *testing.T) {
 		got <- err
 	}
 	go read(ctx)
-	c.handle(protocol.Body(msg.KindTaskRetried, msg.Address{Node: "n1"}, msg.Address{Node: "client"},
-		protocol.TaskEvent{JobID: j.ID, Task: "t0001", Node: "n3", Err: "node n2 died", Attempt: 1}))
+	c.handle(protocol.Body(msg.KindTaskEvents, msg.Address{Node: "n1"}, msg.Address{Node: "client"},
+		protocol.TaskEvents{JobID: j.ID, Node: "n3", Events: []protocol.TaskEventItem{
+			{Kind: msg.KindTaskRetried, Task: "t0001", Err: "node n2 died", Attempt: 1}}}))
 	if err := <-got; err != nil {
 		t.Errorf("blocked GetEvent woken by a TASK_RETRIED: %v", err)
 	}
@@ -131,5 +135,61 @@ func TestEventQueueBoundAndOrder(t *testing.T) {
 	c.handle(relayed(j.ID, 0, 2)) // a released handle is off the routing table
 	if _, err := j.GetEvent(ctx); !errors.Is(err, msg.ErrClosed) {
 		t.Errorf("GetEvent after Release: %v, want msg.ErrClosed", err)
+	}
+}
+
+// userFrame is a task's message to the client as the JobManager routes it.
+func userFrame(jobID, from, data string) *msg.Message {
+	return protocol.Body(msg.KindUser, msg.Address{Node: "n2", Job: jobID, Task: from},
+		msg.Address{Node: "client", Job: jobID, Task: protocol.ClientTaskName},
+		protocol.UserPayload{JobID: jobID, FromTask: from, ToTask: protocol.ClientTaskName, Data: []byte(data)})
+}
+
+// TestJobLabelEndsTheStream: the job label is the last event of the job's
+// stream. Applying it counts the events before it, records the result, and
+// closes the inbox: GetMessage hands out what was queued, then
+// ErrJobFinished, and a message that still arrives is dropped without a
+// word — it is not an "inbox full".
+func TestJobLabelEndsTheStream(t *testing.T) {
+	var logs bytes.Buffer // written on the test's goroutine only
+	_, j := handleFor(t, "n1-job3")
+	j.client.opts.Log = slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	c := j.client
+	c.handle(userFrame(j.ID, "t1", "a"))
+	c.handle(userFrame(j.ID, "t1", "b"))
+	taskErrs := map[string]string{"t2": "boom"}
+	c.handle(protocol.Body(msg.KindTaskEvents, msg.Address{Node: "n1"}, msg.Address{Node: "client"},
+		protocol.TaskEvents{JobID: j.ID, Node: "n2", Events: []protocol.TaskEventItem{
+			{Kind: msg.KindTaskCompleted, Task: "t1"},
+			{Kind: msg.KindTaskFailed, Task: "t2", Err: "boom"},
+			{Kind: msg.KindJobFailed, Err: "one or more tasks failed", TaskErrs: taskErrs},
+		}}))
+	select {
+	case <-j.Done():
+	default:
+		t.Fatal("Done not closed by the job label")
+	}
+	res, err := j.Wait(context.Background())
+	want := &Result{JobID: j.ID, Failed: true, Err: "one or more tasks failed", TaskErrs: taskErrs}
+	if err != nil || !reflect.DeepEqual(res, want) {
+		t.Errorf("Wait = %+v, %v; want %+v", res, err, want)
+	}
+	if p := j.Progress(); p.Completed != 1 || p.Failed != 1 {
+		t.Errorf("census %+v, want the batch's two task events", p)
+	}
+	c.handle(userFrame(j.ID, "t1", "late"))
+	for _, wantData := range []string{"a", "b"} {
+		if from, data, err := j.GetMessage(context.Background()); err != nil || from != "t1" || string(data) != wantData {
+			t.Errorf("GetMessage = %q %q %v, want %q from t1", from, data, err, wantData)
+		}
+	}
+	if _, _, err := j.GetMessage(context.Background()); !errors.Is(err, ErrJobFinished) {
+		t.Errorf("GetMessage past the end: %v, want ErrJobFinished", err)
+	}
+	if _, _, ok, err := j.TryGetMessage(); ok || !errors.Is(err, ErrJobFinished) {
+		t.Errorf("TryGetMessage past the end: ok %v, %v; want ErrJobFinished", ok, err)
+	}
+	if logs.Len() != 0 {
+		t.Errorf("a message past the job's end was logged:\n%s", logs.String())
 	}
 }

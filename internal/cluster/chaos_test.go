@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -140,6 +141,9 @@ func TestChaosKillNodeMidJobRecovers(t *testing.T) {
 	seen := make(map[string]bool)
 	for {
 		from, _, ok, err := j.TryGetMessage()
+		if errors.Is(err, api.ErrJobFinished) {
+			break
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

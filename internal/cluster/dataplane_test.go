@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -283,6 +284,9 @@ func TestDataplaneChaosProducerNodeKilledBeforeGet(t *testing.T) {
 	ok := false
 	for {
 		from, data, more, err := j.TryGetMessage()
+		if errors.Is(err, api.ErrJobFinished) {
+			break
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,6 +389,9 @@ func TestDataplaneFailoverResolveAfterAdoption(t *testing.T) {
 	ok := false
 	for {
 		from, data, more, err := j.TryGetMessage()
+		if errors.Is(err, api.ErrJobFinished) {
+			break
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -112,6 +113,9 @@ func TestFailoverJMKilledMidJobAdoptedBySurvivor(t *testing.T) {
 	seen := make(map[string]bool)
 	for {
 		from, _, ok, err := j.TryGetMessage()
+		if errors.Is(err, api.ErrJobFinished) {
+			break
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

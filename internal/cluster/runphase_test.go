@@ -7,6 +7,7 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -28,10 +29,29 @@ func fabrics() map[string]cluster.Config {
 	}
 }
 
+// A run.Chatty task sends its client chattyMessages messages of
+// chattyBytes: enough that its node's link still holds some of them when
+// the task ends.
+const chattyMessages, chattyBytes = 32, 16 << 10
+
 func noopRegistry() *task.Registry {
 	r := task.NewRegistry()
 	r.MustRegister("run.Noop", func() task.Task {
 		return task.Func(func(task.Context) error { return nil })
+	})
+	// run.Chatty sends its client chattyMessages numbered messages and
+	// returns the moment the last one is sent.
+	r.MustRegister("run.Chatty", func() task.Task {
+		return task.Func(func(ctx task.Context) error {
+			for i := 0; i < chattyMessages; i++ {
+				data := make([]byte, chattyBytes)
+				copy(data, fmt.Sprintf("%s %d;", ctx.TaskName(), i))
+				if err := ctx.SendClient(data); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	})
 	return r
 }
@@ -98,11 +118,11 @@ func drainEvents(t *testing.T, ctx context.Context, j *api.Job, n int) map[msg.K
 
 // TestFanoutRunPhaseCostsAFramePerNode: 32 no-op tasks on four nodes. The
 // start sends exactly one EXEC_TASK per hosting node; no TASK_STARTED,
-// TASK_COMPLETED or TASK_FAILED ever travels as a frame; the client has
-// counted all 32 + 32 events when Wait returns and reads them in order,
-// each task's STARTED before its COMPLETED; and the whole job — create,
-// place, assign, start, events, end — fits 70 frames, where a frame per
-// task and event took over 180.
+// TASK_COMPLETED, TASK_FAILED, TASK_RETRIED or JOB_COMPLETED ever travels
+// as a frame; the client has counted all 32 + 32 events when Wait returns
+// and reads them in order, each task's STARTED before its COMPLETED; and
+// the whole job — create, place, assign, start, events, end — fits 70
+// frames, where a frame per task and event took over 180.
 func TestFanoutRunPhaseCostsAFramePerNode(t *testing.T) {
 	const tasks, nodes = 32, 4
 	for name, cfg := range fabrics() {
@@ -120,12 +140,8 @@ func TestFanoutRunPhaseCostsAFramePerNode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hosts := make(map[string]bool)
-			for _, node := range placed {
-				hosts[node] = true
-			}
-			if len(hosts) != nodes {
-				t.Fatalf("tasks placed on %d nodes, want %d", len(hosts), nodes)
+			if hosts := len(nodeSet(placed)); hosts != nodes {
+				t.Fatalf("tasks placed on %d nodes, want %d", hosts, nodes)
 			}
 			if res, err := j.Run(ctx); err != nil || res.Failed {
 				t.Fatalf("run: %v %+v", err, res)
@@ -149,7 +165,8 @@ func TestFanoutRunPhaseCostsAFramePerNode(t *testing.T) {
 			if n := wire.ByKind[msg.KindExecTask.String()]; n != nodes {
 				t.Errorf("%d EXEC_TASK frames, want one per hosting node (%d)", n, nodes)
 			}
-			for _, label := range []msg.Kind{msg.KindTaskStarted, msg.KindTaskCompleted, msg.KindTaskFailed} {
+			for _, label := range []msg.Kind{msg.KindTaskStarted, msg.KindTaskCompleted, msg.KindTaskFailed,
+				msg.KindTaskRetried, msg.KindJobCompleted} {
 				if n := wire.ByKind[label.String()]; n != 0 {
 					t.Errorf("%d bare %s frames", n, label)
 				}
@@ -351,6 +368,77 @@ func TestProgressIsCompleteWhenWaitReturns(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestJobStreamEndsAfterEveryMessage: "Get Messages from Tasks" loses
+// nothing at the job's end. Eight tasks on four nodes each send the client
+// chattyMessages messages and return. A task's messages and the batch that
+// reports its end ride one lane from its node, and the JobManager relays
+// both, and then the job's end, to the client in that order — so the moment
+// Done closes, every message is queued: the client reads all of them, in
+// each task's order, without blocking, and then ErrJobFinished.
+func TestJobStreamEndsAfterEveryMessage(t *testing.T) {
+	const jobs, tasks, nodes = 10, 8, 4
+	for name, cfg := range fabrics() {
+		t.Run(name, func(t *testing.T) {
+			_, cl := startQuiet(t, cfg, nodes, 4000)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			for i := 0; i < jobs; i++ {
+				j, err := cl.CreateJobOn("node1", "chatty", protocol.JobRequirements{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				specs := noops(tasks, 2000) // two to a node
+				for _, sp := range specs {
+					sp.Class = "run.Chatty"
+				}
+				placed, err := j.CreateTasks(specs, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hosts := len(nodeSet(placed)); hosts != nodes {
+					t.Fatalf("tasks placed on %d nodes, want %d", hosts, nodes)
+				}
+				if res, err := j.Run(ctx); err != nil || res.Failed {
+					t.Fatalf("job %d: %v %+v", i, err, res)
+				}
+				next := make(map[string]int)
+				for {
+					from, data, ok, err := j.TryGetMessage()
+					if err != nil {
+						if !errors.Is(err, api.ErrJobFinished) {
+							t.Errorf("job %d: TryGetMessage: %v, want ErrJobFinished", i, err)
+						}
+						break
+					}
+					if !ok {
+						t.Errorf("job %d: inbox empty but open after Done", i)
+						break
+					}
+					if want := fmt.Sprintf("%s %d;", from, next[from]); len(data) != chattyBytes || !bytes.HasPrefix(data, []byte(want)) {
+						t.Errorf("job %d: read %d bytes %.12q, want %d bytes %q…", i, len(data), data, chattyBytes, want)
+					}
+					next[from]++
+				}
+				for _, sp := range specs {
+					if n := next[sp.Name]; n != chattyMessages {
+						t.Errorf("job %d: %d messages from %s (on %s) by Done, want %d", i, n, sp.Name, placed[sp.Name], chattyMessages)
+					}
+				}
+				j.Release()
+			}
+		})
+	}
+}
+
+// nodeSet returns the nodes a placement uses.
+func nodeSet(placed map[string]string) map[string]bool {
+	set := make(map[string]bool)
+	for _, node := range placed {
+		set[node] = true
+	}
+	return set
 }
 
 // TestManyEventsOfOneNodeArriveCutAndInOrder: 600 no-op tasks on a single

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -135,6 +136,9 @@ func TestTCPMultiChunkArchiveDistributesAndRecovers(t *testing.T) {
 	seen := make(map[string]bool)
 	for {
 		from, _, ok, err := j.TryGetMessage()
+		if errors.Is(err, api.ErrJobFinished) {
+			break
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

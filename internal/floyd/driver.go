@@ -2,6 +2,7 @@ package floyd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -181,27 +182,22 @@ func Run(ctx context.Context, cl *api.Client, m *Matrix, workers int) (*Matrix, 
 	if err := job.SendMessage(SplitTaskName, EncodeMatrixMessage(m)); err != nil {
 		return nil, err
 	}
-	// Stop waiting for messages once the job terminates: any result sent
-	// before termination is already queued, so a cancelled GetMessage here
-	// means the job failed without producing one.
-	msgCtx, cancelMsg := context.WithCancel(ctx)
-	defer cancelMsg()
-	go func() {
-		select {
-		case <-job.Done():
-			cancelMsg()
-		case <-msgCtx.Done():
-		}
-	}()
+	// GetMessage fails with api.ErrJobFinished once the job has ended and
+	// its messages have been read: a result sent before the end is queued
+	// by then (TestJobStreamEndsAfterEveryMessage in internal/cluster), so
+	// that error here means the job ended without one.
 	var result *Matrix
 	for result == nil {
-		from, data, err := job.GetMessage(msgCtx)
-		if err != nil {
+		from, data, err := job.GetMessage(ctx)
+		if errors.Is(err, api.ErrJobFinished) {
 			res, werr := job.Wait(ctx)
 			if werr != nil {
-				return nil, fmt.Errorf("floyd: run: %w", err)
+				return nil, fmt.Errorf("floyd: run: %w", werr)
 			}
 			return nil, fmt.Errorf("floyd: run: job terminated without result: %s (%v)", res.Err, res.TaskErrs)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("floyd: run: %w", err)
 		}
 		if from != JoinTaskName {
 			continue

@@ -339,7 +339,7 @@ func (jm *JobManager) adoptJob(origin, jobID string, data []byte) error {
 		how, reason := scheduleOutcome(j.schedule)
 		j.notified = true
 		j.mu.Unlock()
-		jm.finishJob(j, how, reason)
+		jm.finishJob(j, how, reason, "", nil)
 		return nil
 	}
 	j.mu.Unlock()

@@ -174,10 +174,6 @@ type JobManager struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// late carries client-bound user messages that arrive for retired jobs
-	// to lateWorker, off the fabric's delivering goroutine.
-	late *msg.Mailbox
-
 	// peers is the failure detector over fellow JobManagers, fed by their
 	// checkpoint multicasts; a dead peer triggers adoption of its
 	// checkpointed jobs. Nil when checkpointing is disabled.
@@ -234,7 +230,6 @@ func New(cfg config.Config, node string, tracer *trace.Tracer, send SendFunc, ca
 		stop:    make(chan struct{}),
 		jobs:    make(map[string]*jobState),
 		tombs:   make(map[string]*tombstone),
-		late:    msg.NewMailbox(0),
 		parked:  parkTable{m: make(map[parkKey]*park)},
 	}
 	jm.monitor = health.NewMonitor(health.Config{
@@ -252,9 +247,8 @@ func New(cfg config.Config, node string, tracer *trace.Tracer, send SendFunc, ca
 		jm.wg.Add(1)
 		go jm.janitor()
 	}
-	jm.wg.Add(2)
+	jm.wg.Add(1)
 	go jm.watchHealth()
-	go jm.lateWorker()
 	if cfg.StragglerAfter > 0 {
 		jm.wg.Add(1)
 		go jm.stragglerLoop()
@@ -1135,40 +1129,30 @@ func (jm *JobManager) sendExec(j *jobState, node string, tasks []string, span, n
 	return err
 }
 
-// Enqueue places a job-scoped message (task lifecycle event or user
+// Enqueue places a job-scoped message (task lifecycle events or user
 // message) on the owning job's serial queue. The job id is taken from the
 // destination address so no payload decoding happens on the endpoint's
-// dispatch goroutine. A message for a retired job goes to the late lane
-// when it may still be owed to the client and is dropped otherwise;
-// unknown jobs and overflow drop the message, matching the fabric's
-// at-most-once semantics.
+// dispatch goroutine. A message for a finished or unknown job, or one past
+// a full queue, is dropped, matching the fabric's at-most-once semantics:
+// nothing is owed once the job's end has been sent, because the end
+// follows everything the job's tasks sent before they ended.
 func (jm *JobManager) Enqueue(m *msg.Message) {
 	jobID := m.To.Job
 	if jobID == "" {
 		jobID = m.From.Job
 	}
 	j, t := jm.lookup(jobID)
-	if j != nil {
-		err := j.queue.TryPut(m)
-		if err == nil {
-			return
-		}
-		if !errors.Is(err, msg.ErrClosed) {
-			jm.logf("job %s: queue full, dropping %s", j.id, m.Kind)
-			return
-		}
-		// The job was retired between the lookup and the put.
-	} else if t == nil {
-		jm.logf("message %s for unknown job %q dropped", m.Kind, jobID)
-		return
-	}
-	if m.Kind == msg.KindUser || m.Kind == msg.KindBroadcast {
-		if err := jm.late.TryPut(m); err != nil {
-			jm.logf("job %s: late lane refused %s: %v", jobID, m.Kind, err)
+	if j == nil {
+		if t == nil {
+			jm.logf("message %s for unknown job %q dropped", m.Kind, jobID)
+		} else {
+			jm.log.Debug("message for finished job dropped", "job", jobID, "kind", m.Kind.String())
 		}
 		return
 	}
-	jm.log.Debug("late message for finished job dropped", "job", jobID, "kind", m.Kind.String())
+	if err := j.queue.TryPut(m); errors.Is(err, msg.ErrFull) {
+		jm.logf("job %s: queue full, dropping %s", j.id, m.Kind)
+	}
 }
 
 // jobWorker drains one job's queue in arrival order. Retirement closes the
@@ -1195,12 +1179,21 @@ func (jm *JobManager) jobWorker(j *jobState) {
 }
 
 // HandleTaskEvents processes a TaskManager's batch of lifecycle events and
-// drives the schedule forward.
+// drives the schedule forward. A TaskManager reports only the three task
+// labels; the retry and job labels are this manager's own, to its client,
+// so a batch that carries one is not a TaskManager's and is dropped whole.
 func (jm *JobManager) HandleTaskEvents(m *msg.Message) {
 	var batch protocol.TaskEvents
 	if err := protocol.Decode(m, &batch); err != nil {
 		jm.logf("bad task events: %v", err)
 		return
+	}
+	for i := range batch.Events {
+		if k := batch.Events[i].Kind; !protocol.IsTaskLabel(k) {
+			jm.log.Warn("task events with a label no TaskManager sends dropped",
+				"job", batch.JobID, "from", m.From.Node, "label", k.String(), "events", len(batch.Events))
+			return
+		}
 	}
 	jm.applyEvents(&batch)
 }
@@ -1229,11 +1222,10 @@ type owed struct {
 type taskCopy struct{ node, task string }
 
 // applyEvents applies a batch of lifecycle events of one job from one node,
-// in order, and then pays what they owe: one credit call, one TASK_EVENTS
-// frame to the client, the cancels, one EXEC_TASK per node — and only then,
-// if the batch ended the job, finishJob, so the terminal JOB_COMPLETED
-// follows the last relayed event on the client's connection. The batch is
-// consumed: its Events are compacted into the relay.
+// in order, and then pays what they owe: one credit call, the cancels, one
+// EXEC_TASK per node, and one TASK_EVENTS frame to the client — sent by
+// finishJob, with the job's end as its last label, if the batch ended the
+// job. The batch is consumed: its Events are compacted into the relay.
 func (jm *JobManager) applyEvents(batch *protocol.TaskEvents) {
 	j, t := jm.lookup(batch.JobID)
 	if j == nil {
@@ -1271,14 +1263,15 @@ func (jm *JobManager) applyEvents(batch *protocol.TaskEvents) {
 	// the cached offers so placements within the TTL see the capacity
 	// instead of waiting out the next solicitation round.
 	jm.creditDirectory(o.credits)
-	jm.relayEvents(j, batch.Node, o.relay)
 	for _, c := range o.cancels {
 		jm.cancelCopy(j, c.node, c.task)
 	}
 	jm.execTasks(j, o.start)
 	if jobDone {
-		jm.finishJob(j, how, reason)
+		jm.finishJob(j, how, reason, batch.Node, o.relay)
+		return
 	}
+	jm.relayEvents(j, batch.Node, o.relay)
 }
 
 // applyLocked advances a started, unfinished job's schedule by one event
@@ -1393,7 +1386,9 @@ func (jm *JobManager) cancelCopy(j *jobState, node, taskName string) {
 // finishJob is the one exit every job takes — completed, failed, cancelled
 // or abandoned. The caller has set j.notified. It releases what the job
 // still holds on other nodes (reason names why, for their logs), retires
-// the record, and tells the client how a started job ended.
+// the record, and tells the client how a started job ended: relay, the
+// events of node the caller still owes the client, goes out as one batch
+// with the job's end as its last label, the last frame of the job's stream.
 //
 // What a job can hold elsewhere is reservations and running tasks — none
 // once it completed — and the outputs its tasks put into, or pulled into,
@@ -1401,7 +1396,7 @@ func (jm *JobManager) cancelCopy(j *jobState, node, taskName string) {
 // CANCEL_JOB fan-out that ends the former is also the one signal that ends
 // the latter: a job whose broker holds an advert sends it however it ended,
 // a completed job that never used the data plane sends nothing.
-func (jm *JobManager) finishJob(j *jobState, how outcome, reason string) {
+func (jm *JobManager) finishJob(j *jobState, how outcome, reason, node string, relay []protocol.TaskEventItem) {
 	adverts := j.broker.Entries()
 	// Close the coordination space and data-plane broker first so workers
 	// blocked in In/Rd or parked in a resolve — on a failed job, possibly
@@ -1462,47 +1457,29 @@ func (jm *JobManager) finishJob(j *jobState, how outcome, reason string) {
 
 	// A cancel is acknowledged to its requester and an abandoned job has
 	// no client listening; the other two ends are the client's to learn.
-	if how == outcomeCancelled || how == outcomeAbandoned {
-		return
+	switch how {
+	case outcomeCompleted:
+		relay = append(relay, protocol.TaskEventItem{Kind: msg.KindJobCompleted, TaskErrs: t.taskErrs})
+	case outcomeFailed:
+		relay = append(relay, protocol.TaskEventItem{Kind: msg.KindJobFailed, Err: errText, TaskErrs: t.taskErrs})
 	}
-	kind := msg.KindJobCompleted
-	if how == outcomeFailed {
-		kind = msg.KindJobFailed
-	}
-	ev := protocol.JobEvent{JobID: t.id, Failed: how == outcomeFailed, Err: errText, TaskErrs: t.taskErrs}
-	em := protocol.Body(kind,
-		msg.Address{Node: jm.node, Job: t.id},
-		msg.Address{Node: t.clientNode, Job: t.id, Task: protocol.ClientTaskName},
-		ev)
-	if err := jm.send(t.clientNode, em); err != nil {
-		jm.logf("job %s: notify client: %v", t.id, err)
-	}
+	jm.relayEvents(j, node, relay)
 }
 
-// relayEvents sends the client what it is owed of a batch from node, as one
-// TASK_EVENTS frame.
+// relayEvents sends the client events of node it is owed, as TASK_EVENTS
+// frames cut by protocol.CutTaskEvents: one, unless the job's end joined a
+// full batch.
 func (jm *JobManager) relayEvents(j *jobState, node string, events []protocol.TaskEventItem) {
-	if len(events) == 0 {
-		return
-	}
-	m := protocol.Body(msg.KindTaskEvents,
-		msg.Address{Node: jm.node, Job: j.id},
-		msg.Address{Node: j.clientNode, Job: j.id, Task: protocol.ClientTaskName},
-		protocol.TaskEvents{JobID: j.id, Node: node, Events: events})
-	if err := jm.send(j.clientNode, m); err != nil {
-		jm.logf("job %s: relay %d events to client: %v", j.id, len(events), err)
-	}
-}
-
-// sendRetried tells the client a task was re-placed. TASK_RETRIED is raised
-// here, not relayed, and is rare: it stays a frame of its own.
-func (jm *JobManager) sendRetried(j *jobState, ev protocol.TaskEvent) {
-	m := protocol.Body(msg.KindTaskRetried,
-		msg.Address{Node: jm.node, Job: j.id, Task: ev.Task},
-		msg.Address{Node: j.clientNode, Job: j.id, Task: protocol.ClientTaskName},
-		ev)
-	if err := jm.send(j.clientNode, m); err != nil {
-		jm.logf("job %s: send %s to client: %v", j.id, msg.KindTaskRetried, err)
+	for len(events) > 0 {
+		n := protocol.CutTaskEvents(events)
+		m := protocol.Body(msg.KindTaskEvents,
+			msg.Address{Node: jm.node, Job: j.id},
+			msg.Address{Node: j.clientNode, Job: j.id, Task: protocol.ClientTaskName},
+			protocol.TaskEvents{JobID: j.id, Node: node, Events: events[:n]})
+		if err := jm.send(j.clientNode, m); err != nil {
+			jm.logf("job %s: relay %d events to client: %v", j.id, n, err)
+		}
+		events = events[n:]
 	}
 }
 
@@ -1519,16 +1496,9 @@ func (jm *JobManager) HandleUser(kind msg.Kind, m *msg.Message) error {
 		if t == nil {
 			return jm.errUnknownJob(p.JobID)
 		}
-		// Of a retired job only the client is left to hear anything: the
-		// control lane lets a terminal event overtake a task's last
-		// message, so it is still owed; siblings are gone.
-		if kind != msg.KindUser || p.ToTask != protocol.ClientTaskName {
-			return nil
-		}
-		fm := protocol.Body(msg.KindUser, m.From,
-			msg.Address{Node: t.clientNode, Job: t.id, Task: protocol.ClientTaskName}, p).
-			SetHeader(protocol.HeaderRouted, "1")
-		return jm.send(t.clientNode, fm)
+		// The job's end went out after everything its tasks sent before
+		// they ended; nobody is left to hear this.
+		return nil
 	}
 	if kind == msg.KindBroadcast {
 		j.mu.Lock()
@@ -1592,7 +1562,7 @@ func (jm *JobManager) HandleCancel(m *msg.Message) *msg.Message {
 	j.notified = true
 	j.mu.Unlock()
 	if !already {
-		jm.finishJob(j, outcomeCancelled, req.Reason)
+		jm.finishJob(j, outcomeCancelled, req.Reason, "", nil)
 	}
 	return m.Reply(msg.KindPong, nil)
 }
@@ -1620,7 +1590,6 @@ func (jm *JobManager) Close() {
 		j.space.Close()
 		j.broker.Close()
 	}
-	jm.late.Close()
 	jm.monitor.Close()
 	if jm.peers != nil {
 		jm.peers.Close()

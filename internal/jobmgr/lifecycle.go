@@ -10,10 +10,10 @@
 //
 // The tombstone answers, for config.Config.TombstoneTTL, the few questions still
 // asked about a finished job: its final census (JobProgress), its trace
-// (JobTrace), whether a heartbeat's job id is known, where a task's trailing
-// message to the client should go, and how the job ended when a stale
-// request names it. Nothing on a hot path walks the tombstones; the janitor
-// takes expired ones off the front of a queue kept in retirement order.
+// (JobTrace), whether a heartbeat's job id is known, and how the job ended
+// when a stale request names it. Nothing on a hot path walks the
+// tombstones; the janitor takes expired ones off the front of a queue kept
+// in retirement order.
 
 package jobmgr
 
@@ -50,7 +50,6 @@ func (o outcome) String() string {
 // published in jm.tombs.
 type tombstone struct {
 	id         string
-	clientNode string
 	outcome    outcome
 	finishedAt time.Time
 	progress   Progress          // the final census, Retried and TSOps included
@@ -72,7 +71,7 @@ func scheduleOutcome(s *Schedule) (outcome, string) {
 // checkpoint of also owes them its terminal record, sent here; a job no
 // peer ever heard of owes them nothing. Called once per job, by finishJob.
 func (jm *JobManager) retire(j *jobState, how outcome) *tombstone {
-	t := &tombstone{id: j.id, clientNode: j.clientNode, outcome: how}
+	t := &tombstone{id: j.id, outcome: how}
 	j.mu.Lock()
 	t.progress = j.progressLocked()
 	if len(j.taskErrs) > 0 {
@@ -148,22 +147,6 @@ func (jm *JobManager) sweep(now time.Time) {
 	}
 	jm.mu.Unlock()
 	for _, j := range abandoned {
-		jm.finishJob(j, outcomeAbandoned, "job abandoned")
-	}
-}
-
-// lateWorker forwards the user messages that reach this manager after
-// their job was retired. A USER frame rides the bulk lane, which may block,
-// so the forward cannot run on the fabric's delivering goroutine.
-func (jm *JobManager) lateWorker() {
-	defer jm.wg.Done()
-	for {
-		m, err := jm.late.Get()
-		if err != nil {
-			return
-		}
-		if err := jm.HandleUser(m.Kind, m); err != nil {
-			jm.logf("route late user message: %v", err)
-		}
+		jm.finishJob(j, outcomeAbandoned, "job abandoned", "", nil)
 	}
 }

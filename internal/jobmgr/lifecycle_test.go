@@ -4,8 +4,10 @@ package jobmgr_test
 // runs, what is left once it has ended, and what the remains still answer.
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log/slog"
 	"reflect"
 	"runtime"
 	"strings"
@@ -276,6 +278,28 @@ func (c *rawClient) next(kind msg.Kind, within time.Duration) *msg.Message {
 	}
 }
 
+// end returns the label that ends the job's stream — the last event of a
+// TASK_EVENTS batch — or nil when none arrives in time.
+func (c *rawClient) end(within time.Duration) *protocol.TaskEventItem {
+	c.t.Helper()
+	deadline := time.Now().Add(within)
+	for {
+		m := c.next(msg.KindTaskEvents, time.Until(deadline))
+		if m == nil {
+			return nil
+		}
+		batch := decode[protocol.TaskEvents](c.t, m)
+		for i, ev := range batch.Events {
+			if protocol.IsJobLabel(ev.Kind) {
+				if i != len(batch.Events)-1 {
+					c.t.Errorf("%s is event %d of %d, want the last", ev.Kind, i+1, len(batch.Events))
+				}
+				return &batch.Events[i]
+			}
+		}
+	}
+}
+
 func decode[T any](t *testing.T, m *msg.Message) T {
 	t.Helper()
 	var v T
@@ -305,8 +329,8 @@ func TestRetiredJobContract(t *testing.T) {
 			c.call(msg.KindCreateTasks, id, protocol.CreateTasksReq{JobID: id,
 				Tasks: []protocol.TaskCreate{{Spec: spec("t", "life.Noop")}}})
 			c.call(msg.KindStartTask, id, protocol.StartJobReq{JobID: id})
-			if c.next(msg.KindJobCompleted, 10*time.Second) == nil {
-				t.Fatal("no JOB_COMPLETED")
+			if ev := c.end(10 * time.Second); ev == nil || ev.Kind != msg.KindJobCompleted {
+				t.Fatalf("job ended with %+v, want JOB_COMPLETED", ev)
 			}
 
 			if n := jm.ActiveJobs(); n != 0 {
@@ -356,22 +380,17 @@ func TestRetiredJobContract(t *testing.T) {
 				t.Errorf("UnknownJobs = %v, want only the job that never existed", ack.UnknownJobs)
 			}
 
-			// A late task event is dropped; a task's trailing message to the
-			// client is delivered; one to a sibling is not.
-			c.send(msg.KindTaskCompleted, id, "", protocol.TaskEvent{JobID: id, Task: "t", Node: "n1"})
+			// A late task event is dropped, and so is a message to the
+			// client or to a sibling: the job's end was the last frame of
+			// its stream.
+			c.send(msg.KindTaskEvents, id, "", protocol.TaskEvents{JobID: id, Node: "n1",
+				Events: []protocol.TaskEventItem{{Kind: msg.KindTaskCompleted, Task: "t"}}})
 			c.send(msg.KindUser, id, "other", protocol.UserPayload{JobID: id, FromTask: "t", ToTask: "other", Data: []byte("sibling")})
 			c.send(msg.KindUser, id, protocol.ClientTaskName,
 				protocol.UserPayload{JobID: id, FromTask: "t", ToTask: protocol.ClientTaskName, Data: []byte("late")})
-			late := c.next(msg.KindUser, 5*time.Second)
-			if late == nil {
-				t.Fatal("late client-bound USER never forwarded")
-			}
-			if p := decode[protocol.UserPayload](t, late); string(p.Data) != "late" || p.FromTask != "t" {
-				t.Errorf("forwarded %+v, want the late payload from t", p)
-			}
 			select {
 			case m := <-c.inbox:
-				t.Errorf("unexpected %v after the late message", m.Kind)
+				t.Errorf("unexpected %v after the job's end", m.Kind)
 			case <-time.After(50 * time.Millisecond):
 			}
 			want()
@@ -393,6 +412,100 @@ func TestRetiredJobContract(t *testing.T) {
 	}
 }
 
+// lockedBuffer is a bytes.Buffer a logger may write from any goroutine.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestNodeBatchWithClientLabelDropped: the retry and job labels are the
+// JobManager's own, to its client. A TASK_EVENTS batch from outside that
+// carries one is dropped whole and logged: its task labels are not applied,
+// the job does not end, and the client hears nothing of it.
+func TestNodeBatchWithClientLabelDropped(t *testing.T) {
+	var logs lockedBuffer
+	srv, net := startNode(t, config.Config{TraceSample: -1, Log: slog.New(slog.NewTextHandler(&logs, nil))})
+	jm := srv.JobManager()
+	c := newRawClient(t, net)
+	id := decode[protocol.CreateJobResp](t,
+		c.call(msg.KindCreateJob, "", protocol.CreateJobReq{Name: "labels", ClientNode: "c1"})).JobID
+	c.call(msg.KindCreateTasks, id, protocol.CreateTasksReq{JobID: id,
+		Tasks: []protocol.TaskCreate{{Spec: spec("t", "life.Gate")}}})
+	c.call(msg.KindStartTask, id, protocol.StartJobReq{JobID: id})
+	if c.next(msg.KindTaskEvents, 10*time.Second) == nil {
+		t.Fatal("t's TASK_STARTED never relayed")
+	}
+
+	batch := func(events ...protocol.TaskEventItem) protocol.TaskEvents {
+		return protocol.TaskEvents{JobID: id, Node: "n1", Events: events}
+	}
+	completed := protocol.TaskEventItem{Kind: msg.KindTaskCompleted, Task: "t"}
+	c.send(msg.KindTaskEvents, id, "", batch(completed, protocol.TaskEventItem{Kind: msg.KindJobCompleted}))
+	c.send(msg.KindTaskEvents, id, "", batch(completed, protocol.TaskEventItem{Kind: msg.KindTaskRetried, Task: "t", Attempt: 1}))
+	// The job's queue is FIFO: once a batch sent after them is relayed, the
+	// two above have been handled.
+	c.send(msg.KindTaskEvents, id, "", batch(protocol.TaskEventItem{Kind: msg.KindTaskStarted, Task: "t"}))
+	m := c.next(msg.KindTaskEvents, 10*time.Second)
+	if m == nil {
+		t.Fatal("the valid batch was never relayed")
+	}
+	if got := decode[protocol.TaskEvents](t, m).Events; len(got) != 1 || got[0].Kind != msg.KindTaskStarted {
+		t.Errorf("relayed %+v, want the one TASK_STARTED", got)
+	}
+	if p, ok := jm.JobProgress(id); !ok || p.Done != 0 || jm.ActiveJobs() != 1 {
+		t.Errorf("census %+v, %v, ActiveJobs %d: a dropped batch was applied", p, ok, jm.ActiveJobs())
+	}
+	for _, label := range []string{"JOB_COMPLETED", "TASK_RETRIED"} {
+		if !strings.Contains(logs.String(), "label="+label) {
+			t.Errorf("no log of the batch labelled %s:\n%s", label, logs.String())
+		}
+	}
+
+	c.call(msg.KindTSOut, id, protocol.TSOpReq{Tuple: tuplespace.Tuple{"go"}})
+	if ev := c.end(10 * time.Second); ev == nil || ev.Kind != msg.KindJobCompleted {
+		t.Fatalf("job ended with %+v, want JOB_COMPLETED", ev)
+	}
+}
+
+// TestJobEndAfterAFullBatchIsCut: the batch that ends a job may already
+// hold protocol.TaskEventsMax events when the job's end joins it. The relay
+// is cut like any batch, so the client decodes every frame and the job's
+// end arrives, last.
+func TestJobEndAfterAFullBatchIsCut(t *testing.T) {
+	_, net := startNode(t, config.Config{TraceSample: -1})
+	c := newRawClient(t, net)
+	id := decode[protocol.CreateJobResp](t,
+		c.call(msg.KindCreateJob, "", protocol.CreateJobReq{Name: "full", ClientNode: "c1"})).JobID
+	c.call(msg.KindCreateTasks, id, protocol.CreateTasksReq{JobID: id,
+		Tasks: []protocol.TaskCreate{{Spec: spec("t", "life.Gate")}}})
+	c.call(msg.KindStartTask, id, protocol.StartJobReq{JobID: id})
+	if c.next(msg.KindTaskEvents, 10*time.Second) == nil {
+		t.Fatal("t's TASK_STARTED never relayed")
+	}
+	// A full batch, every event of it relayed, the last one ending the job.
+	events := make([]protocol.TaskEventItem, protocol.TaskEventsMax)
+	for i := range events {
+		events[i] = protocol.TaskEventItem{Kind: msg.KindTaskStarted, Task: "t"}
+	}
+	events[len(events)-1].Kind = msg.KindTaskCompleted
+	c.send(msg.KindTaskEvents, id, "", protocol.TaskEvents{JobID: id, Node: "n1", Events: events})
+	if ev := c.end(10 * time.Second); ev == nil || ev.Kind != msg.KindJobCompleted {
+		t.Fatalf("job ended with %+v, want JOB_COMPLETED", ev)
+	}
+}
+
 // TestEveryExitRetires: a failed, a cancelled and an abandoned job end in
 // the same place as a completed one, and their tombstones expire alike.
 func TestEveryExitRetires(t *testing.T) {
@@ -409,8 +522,8 @@ func TestEveryExitRetires(t *testing.T) {
 
 	failed := create("life.Fail")
 	c.call(msg.KindStartTask, failed, protocol.StartJobReq{JobID: failed})
-	if c.next(msg.KindJobFailed, 10*time.Second) == nil {
-		t.Fatal("no JOB_FAILED")
+	if ev := c.end(10 * time.Second); ev == nil || ev.Kind != msg.KindJobFailed || !strings.Contains(ev.TaskErrs["t"], "boom") {
+		t.Fatalf("job ended with %+v, want JOB_FAILED with t's error", ev)
 	}
 	if p, ok := jm.JobProgress(failed); !ok || p.Failed != 1 || jm.ActiveJobs() != 0 {
 		t.Errorf("failed job's census = %+v, %v; ActiveJobs = %d", p, ok, jm.ActiveJobs())

@@ -17,8 +17,8 @@
 // A separate straggler scan (enabled by config.Config.StragglerAfter) re-places
 // running tasks whose progress sync has stalled: a speculative twin runs
 // on another node, the first result wins, and the loser is cancelled.
-// Every re-placement is announced to the client as a KindTaskRetried
-// event carrying the attempt count and reason.
+// Every re-placement is announced to the client as a TASK_RETRIED label in
+// the job's TASK_EVENTS stream, carrying the attempt count and reason.
 
 package jobmgr
 
@@ -324,8 +324,8 @@ func (jm *JobManager) retryOrFail(j *jobState, names []string, badNode, reason s
 // Every task named must already be marked in j.retrying by the caller.
 // Budget-exhausted tasks fail (the job terminates instead of hanging); the
 // rest are re-assigned on surviving nodes in one batch, re-dispatched when
-// they were already running, and announced to the client as
-// KindTaskRetried events.
+// they were already running, and announced to the client as TASK_RETRIED
+// labels.
 func (jm *JobManager) retryTasks(j *jobState, names []string, reason string, exclude map[string]bool) {
 	budget := jm.maxRetries()
 	var exhausted, toPlace []string
@@ -426,10 +426,8 @@ func (jm *JobManager) retryTasks(j *jobState, names []string, reason string, exc
 		// Err carrying the reason (node death, lost output, dispatch failure).
 		ra := jm.tracer.StartSpan(j.root, "jm.retry").SetJob(j.id).SetTask(name)
 		jm.endSpan(j, ra, reason)
-		jm.sendRetried(j, protocol.TaskEvent{
-			JobID: j.id, Task: name, Node: placements[name],
-			Err: reason, Attempt: attempts[name],
-		})
+		jm.relayEvents(j, placements[name], []protocol.TaskEventItem{{
+			Kind: msg.KindTaskRetried, Task: name, Err: reason, Attempt: attempts[name]}})
 	}
 	jm.execTasks(j, execNow)
 	jm.log.Info("tasks re-placed", "job", j.id, "tasks", len(applied), "reason", reason)
@@ -567,9 +565,7 @@ func (jm *JobManager) speculate(j *jobState, name string) {
 		return
 	}
 	jm.monitor.Watch(node)
-	jm.sendRetried(j, protocol.TaskEvent{
-		JobID: j.id, Task: name, Node: node,
-		Err: reason, Attempt: attempt, Speculative: true,
-	})
+	jm.relayEvents(j, node, []protocol.TaskEventItem{{
+		Kind: msg.KindTaskRetried, Task: name, Err: reason, Attempt: attempt, Speculative: true}})
 	jm.logf("job %s: speculating %q on %s (primary %s)", j.id, name, node, primary)
 }

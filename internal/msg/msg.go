@@ -43,8 +43,8 @@ const (
 	KindTaskCompleted // label inside KindTaskEvents, never a frame: task terminated normally
 	KindTaskFailed    // label inside KindTaskEvents, never a frame: task terminated with an error
 	KindCancelJob     // request: abandon a job
-	KindJobCompleted  // event: all tasks in a job reached a terminal state
-	KindJobFailed     // event: the job reached a terminal failure state
+	KindJobCompleted  // label inside KindTaskEvents, never a frame: all tasks in a job reached a terminal state
+	KindJobFailed     // response: a refused call; label inside KindTaskEvents: the job failed
 
 	// Task placement (JobManager -> TaskManagers via multicast).
 	KindTaskSolicit // request: who can execute this task?
@@ -68,7 +68,7 @@ const (
 	// Failure detection and recovery.
 	KindHeartbeat    // TaskManager -> JobManager: lease renewal + per-task progress sync
 	KindHeartbeatAck // JobManager -> TaskManager: beat acknowledged, unknown jobs flagged
-	KindTaskRetried  // event: a task was re-placed (recovery or speculation)
+	KindTaskRetried  // label inside KindTaskEvents, never a frame: a task was re-placed (recovery or speculation)
 
 	// Tuple-space coordination (task or client -> the JobManager hosting
 	// the job's space).
@@ -105,8 +105,10 @@ const (
 
 	// Task lifecycle events travel batched: what one node has to report
 	// about one job rides one frame (TaskManager -> JobManager), and what
-	// the JobManager relays of it rides one frame more (-> client).
-	KindTaskEvents // event: a batch of started / completed / failed labels
+	// the JobManager relays of it rides one frame more (-> client). The
+	// client-bound stream also carries the JobManager's own labels: a
+	// task's re-placement and, last, the job's end.
+	KindTaskEvents // event: a batch of task (and, to the client, retry and job) labels
 
 	// kindEnd is the exclusive upper bound of the kind space; keep it last.
 	kindEnd

@@ -22,9 +22,11 @@ func TestKindString(t *testing.T) {
 // which breaks logs and the transport's per-kind counters display, and two
 // kinds sharing a name would be summed in them — and the table names nothing
 // past the kind space. The count itself is pinned: ROADMAP quotes it (43
-// named kinds and the zero kind; three of them are labels inside TASK_EVENTS
-// and never travel), so changing the kind table means changing this number
-// and that sentence together.
+// named kinds and the zero kind; five of them are labels inside TASK_EVENTS
+// and never travel — TASK_STARTED, TASK_COMPLETED, TASK_FAILED, TASK_RETRIED
+// and JOB_COMPLETED — so 38 travel, JOB_FAILED among them as a call's
+// refusal), so changing the kind table means changing this number and that
+// sentence together.
 func TestEveryKindNamed(t *testing.T) {
 	if KindCount != 44 {
 		t.Errorf("KindCount = %d, want 44; update ROADMAP.md and docs/WIRE.md with the new count", KindCount)

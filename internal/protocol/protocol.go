@@ -225,21 +225,6 @@ type ExecTaskReq struct {
 	Tasks []string
 }
 
-// TaskEvent is the body of KindTaskRetried (JobManager -> client): one task
-// was re-placed. The started / completed / failed events travel batched, as
-// TaskEvents.
-type TaskEvent struct {
-	JobID string
-	Task  string
-	Node  string // the node the task was re-placed on
-	Err   string // the retry reason
-	// Attempt counts re-placements of the task so far.
-	Attempt int
-	// Speculative marks a retry caused by straggler speculation rather than
-	// failure recovery.
-	Speculative bool
-}
-
 // TaskEventsMax bounds the events of one KindTaskEvents frame. A batch is
 // whatever gathered while its sender was being scheduled, so the bound only
 // bites on a node finishing hundreds of tasks of one job at once; 256 keeps
@@ -251,17 +236,21 @@ const TaskEventsMax = 256
 
 // TaskEventsMaxBytes cuts a batch early when its variable-size parts — error
 // texts and, on traced jobs, the spans terminal events carry — would pass
-// 256 KiB: the frame rides the control lane, which must stay a lane of small
-// frames, and a batch of traced shuffle tasks can carry dozens of spans each.
+// 256 KiB, the bulk lane's flush cap: a batch of traced shuffle tasks can
+// carry dozens of spans each, and one batch should not be a flush of its own.
 const TaskEventsMaxBytes = 256 << 10
 
-// TaskEventItem is one lifecycle event of a batch. Kind is one of
-// msg.KindTaskStarted, KindTaskCompleted and KindTaskFailed — labels here,
-// never the kind of a frame.
+// TaskEventItem is one event of a batch. Kind is a label here, never the
+// kind of a frame: msg.KindTaskStarted, KindTaskCompleted and
+// KindTaskFailed in any batch; in a batch the JobManager sends the client,
+// also KindTaskRetried (the task was re-placed on the batch's Node) and, as
+// the last event of the job's stream, KindJobCompleted or KindJobFailed.
 type TaskEventItem struct {
 	Kind msg.Kind
-	Task string
-	Err  string // failure reason; empty for started / completed
+	Task string // empty for the job labels
+	// Err is a task's failure reason, a retry's reason, or why the job
+	// failed; empty otherwise.
+	Err string
 	// Attempt counts re-placements of the task so far (0 for the original
 	// placement).
 	Attempt int
@@ -269,6 +258,23 @@ type TaskEventItem struct {
 	// terminal event, so the TaskManager's side of the trace reaches the
 	// JobManager's per-job timeline exactly once.
 	Spans []trace.Span
+	// Speculative marks a TASK_RETRIED raised by straggler speculation
+	// rather than failure recovery.
+	Speculative bool
+	// TaskErrs maps each failed task to its reason, on a job label.
+	TaskErrs map[string]string
+}
+
+// IsTaskLabel reports whether k is one of the three labels a TaskManager
+// reports: the only ones a JobManager applies.
+func IsTaskLabel(k msg.Kind) bool {
+	return k == msg.KindTaskStarted || k == msg.KindTaskCompleted || k == msg.KindTaskFailed
+}
+
+// IsJobLabel reports whether k is one of the two labels that end a job's
+// stream to its client.
+func IsJobLabel(k msg.Kind) bool {
+	return k == msg.KindJobCompleted || k == msg.KindJobFailed
 }
 
 // weight estimates the bytes of the item's variable-size parts on the wire:
@@ -276,6 +282,9 @@ type TaskEventItem struct {
 // length prefixes.
 func (e *TaskEventItem) weight() int {
 	n := len(e.Err)
+	for k, v := range e.TaskErrs {
+		n += len(k) + len(v)
+	}
 	for i := range e.Spans {
 		sp := &e.Spans[i]
 		n += 48 + len(sp.Name) + len(sp.Node) + len(sp.Job) + len(sp.Task) + len(sp.Err)
@@ -283,10 +292,11 @@ func (e *TaskEventItem) weight() int {
 	return n
 }
 
-// TaskEvents is the body of KindTaskEvents: lifecycle events of one job
-// that happened on one node, in the order they happened. A TaskManager sends
-// what its outbox for the job held; the JobManager sends the client what it
-// relays of a batch it applied.
+// TaskEvents is the body of KindTaskEvents: events of one job that happened
+// on one node, in the order they happened. A TaskManager sends what its
+// outbox for the job held; the JobManager sends the client what it relays of
+// a batch it applied, the re-placements it made (Node is where to), and the
+// job's end, which rides the last batch of the job's stream.
 type TaskEvents struct {
 	JobID  string
 	Node   string
@@ -403,7 +413,9 @@ type JMAdoptResp struct {
 	Present []TaskBeat
 }
 
-// JobEvent is the body of KindJobCompleted / KindJobFailed.
+// JobEvent is the body of a KindJobFailed reply: the JobManager refused a
+// call, and Err says why. A job's end reaches its client as a label in the
+// TaskEvents stream, not as a JobEvent.
 type JobEvent struct {
 	JobID    string
 	Failed   bool

@@ -69,21 +69,25 @@ func TestCreateTasksReqRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTaskEventRoundTrip(t *testing.T) {
-	got := roundTrip(t, msg.KindTaskRetried, TaskEvent{JobID: "j", Task: "t", Node: "n", Err: "boom"})
-	if got.Err != "boom" || got.Task != "t" {
-		t.Errorf("got %+v", got)
-	}
-}
-
+// TestTaskEventsRoundTrip: a client-bound batch carries all five labels,
+// each with its own fields: a retry's reason, attempt and Speculative, and
+// the job's end with its failed tasks.
 func TestTaskEventsRoundTrip(t *testing.T) {
 	got := roundTrip(t, msg.KindTaskEvents, TaskEvents{JobID: "j", Node: "n", Events: []TaskEventItem{
 		{Kind: msg.KindTaskStarted, Task: "t"},
 		{Kind: msg.KindTaskFailed, Task: "t", Err: "boom", Attempt: 1},
+		{Kind: msg.KindTaskRetried, Task: "t", Err: "node n2 died", Attempt: 2, Speculative: true},
+		{Kind: msg.KindJobFailed, Err: "one or more tasks failed", TaskErrs: map[string]string{"t": "boom"}},
 	}})
-	if got.Node != "n" || len(got.Events) != 2 || got.Events[0].Kind != msg.KindTaskStarted ||
+	if got.Node != "n" || len(got.Events) != 4 || got.Events[0].Kind != msg.KindTaskStarted ||
 		got.Events[1].Err != "boom" || got.Events[1].Attempt != 1 {
 		t.Errorf("got %+v", got)
+	}
+	if r := got.Events[2]; r.Kind != msg.KindTaskRetried || r.Err != "node n2 died" || r.Attempt != 2 || !r.Speculative {
+		t.Errorf("retry label %+v", r)
+	}
+	if e := got.Events[3]; e.Kind != msg.KindJobFailed || e.Err != "one or more tasks failed" || e.TaskErrs["t"] != "boom" {
+		t.Errorf("job label %+v", e)
 	}
 }
 
@@ -147,11 +151,11 @@ func TestExecTaskReqRoundTrip(t *testing.T) {
 
 func TestDecodeMismatch(t *testing.T) {
 	m := Body(msg.KindPing, msg.Address{}, msg.Address{}, JobRequirements{MinMemoryMB: 1})
-	var out TaskEvent
-	// The payload's type id names JobRequirements, so decoding it as a
-	// TaskEvent is refused rather than read in the wrong layout.
+	var out ExecTaskReq
+	// The payload's type id names JobRequirements, so decoding it as an
+	// ExecTaskReq is refused rather than read in the wrong layout.
 	if err := Decode(m, &out); err == nil {
-		t.Errorf("a JobRequirements payload decoded as a TaskEvent: %+v", out)
+		t.Errorf("a JobRequirements payload decoded as an ExecTaskReq: %+v", out)
 	}
 }
 

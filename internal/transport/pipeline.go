@@ -8,18 +8,27 @@
 //
 // Two priority lanes keep the control plane live under bulk pressure:
 //
-//   - control: heartbeats, leases, tuple-space ops, data-plane location
-//     adverts/resolves, checkpoints — everything small and
-//     latency-sensitive. Control enqueue NEVER blocks; when the lane is
-//     at capacity the frame is dropped, counted, and the send fails with
+//   - control: heartbeats, leases, acks, RPCs, tuple-space ops, data-plane
+//     location adverts/resolves, checkpoints — everything small that must
+//     never wait. Control enqueue NEVER blocks; when the lane is at
+//     capacity the frame is dropped, counted, and the send fails with
 //     ErrShed (a heartbeat delayed behind a megabyte of chunks is worse
 //     than one skipped beat, and the periodic senders ignore the error and
 //     re-send; a sender of something that is not re-sent — a tuple, a
 //     reply — has to be told).
-//   - bulk: archive uploads, blob chunks, direct data-plane fetch
-//     replies, user payloads. Bulk enqueue blocks until there is room
-//     (real backpressure), bounded by pipeEnqueueWait, after which the
-//     send fails with ErrBackpressure.
+//   - bulk: archive uploads, blob chunks, direct data-plane fetch replies,
+//     and a job's stream — user payloads and the TASK_EVENTS batches that
+//     carry its tasks' lifecycle and, last, its end. Bulk is FIFO and
+//     enqueue blocks until there is room (real backpressure), bounded by
+//     pipeEnqueueWait, after which the send fails with ErrBackpressure.
+//
+// A job's stream is one lane so that it is one order: a task's last message
+// leaves its node ahead of the batch that reports the task's end, and the
+// JobManager relays both to the client in that order, so the job's end
+// cannot overtake a result. Control frames still overtake the stream, which
+// only ever delays a stream frame behind control frames sent before it: a
+// one-way tuple-space Out or data-plane put is applied before the
+// TASK_COMPLETED of the task that sent it.
 //
 // MemNetwork routes through the same outPipe type, so lane ordering and
 // backpressure bugs surface in fast deterministic unit tests instead of
@@ -85,11 +94,12 @@ const (
 // laneOf classifies a message kind into its outbound lane. Everything is
 // control unless it is known bulk: a misclassified small kind costs a few
 // bytes of head-of-line latency, a misclassified bulk kind can starve
-// lease renewals into false suspect/dead transitions.
+// lease renewals into false suspect/dead transitions. TASK_EVENTS is bulk
+// because it shares a job's stream with USER and BROADCAST (see above).
 func laneOf(k msg.Kind) lane {
 	switch k {
-	case msg.KindBlobChunk, msg.KindBlobChunkAck,
-		msg.KindDataFetch, msg.KindUser, msg.KindBroadcast:
+	case msg.KindBlobChunk, msg.KindBlobChunkAck, msg.KindDataFetch,
+		msg.KindUser, msg.KindBroadcast, msg.KindTaskEvents:
 		return laneBulk
 	}
 	return laneControl
@@ -196,9 +206,12 @@ func (p *outPipe) enqueue(f outFrame) error {
 			return ErrShed
 		}
 	} else {
-		deadline := time.Now().Add(pipeEnqueueWait)
+		var deadline time.Time // set the first time the lane is full
 		for !p.closed && len(p.lanes[laneBulk]) > 0 &&
 			(len(p.lanes[laneBulk]) >= pipeBulkCap || p.bulkBytes+f.size > pipeBulkBytes) {
+			if deadline.IsZero() {
+				deadline = time.Now().Add(pipeEnqueueWait)
+			}
 			if !p.waitUntil(deadline) {
 				p.mu.Unlock()
 				f.release()

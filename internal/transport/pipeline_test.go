@@ -15,16 +15,20 @@ import (
 	"cn/internal/msg"
 )
 
+// TestLaneClassification: chunks and a job's stream — user messages and the
+// TASK_EVENTS batches that end in the job's end — ride bulk; everything that
+// must never wait rides control.
 func TestLaneClassification(t *testing.T) {
 	for _, k := range []msg.Kind{msg.KindHeartbeat, msg.KindHeartbeatAck, msg.KindTSOut,
-		msg.KindTSIn, msg.KindTSReply, msg.KindDataResolve, msg.KindDataLoc,
-		msg.KindJMCheckpoint, msg.KindExecTask, msg.KindPing} {
+		msg.KindTSIn, msg.KindTSReply, msg.KindDataPut, msg.KindDataResolve, msg.KindDataLoc,
+		msg.KindJMCheckpoint, msg.KindJMAdopt, msg.KindExecTask, msg.KindPing,
+		msg.KindJobFailed, msg.KindCancelJob} {
 		if laneOf(k) != laneControl {
 			t.Errorf("%v classified bulk, want control", k)
 		}
 	}
 	for _, k := range []msg.Kind{msg.KindBlobChunk, msg.KindBlobChunkAck,
-		msg.KindDataFetch, msg.KindUser, msg.KindBroadcast} {
+		msg.KindDataFetch, msg.KindUser, msg.KindBroadcast, msg.KindTaskEvents} {
 		if laneOf(k) != laneBulk {
 			t.Errorf("%v classified control, want bulk", k)
 		}

@@ -19,7 +19,6 @@ import (
 func TestHotBodyAllocs(t *testing.T) {
 	req := protocol.TSOpReq{ParkMS: 1000, Tuple: tuplespace.Tuple{"res", 7, 49}}
 	resp := protocol.TSOpResp{OK: true, Tuple: tuplespace.Tuple{"res", 7, 49}}
-	ev := protocol.TaskEvent{JobID: "node1-job1", Task: "t01", Node: "node2", Attempt: 1}
 	// A node's share of a 32-task fan-out as it leaves the outbox: decoding
 	// costs the Reader, the two batch strings and the event slice, then one
 	// task name per event (2 per event is the budget; a failure adds its text).
@@ -39,7 +38,6 @@ func TestHotBodyAllocs(t *testing.T) {
 	}{
 		{"TSOpReq", &req, req, func(enc []byte) error { return Unmarshal(enc, new(protocol.TSOpReq)) }, 5},
 		{"TSOpResp", &resp, resp, func(enc []byte) error { return Unmarshal(enc, new(protocol.TSOpResp)) }, 5},
-		{"TaskEvent", &ev, ev, func(enc []byte) error { return Unmarshal(enc, new(protocol.TaskEvent)) }, 5},
 		{"TaskEvents", &batch, batch, func(enc []byte) error { return Unmarshal(enc, new(protocol.TaskEvents)) }, 2*32 + 4},
 		{"ExecTaskReq", &exec, exec, func(enc []byte) error { return Unmarshal(enc, new(protocol.ExecTaskReq)) }, 8 + 4},
 	} {

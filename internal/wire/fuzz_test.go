@@ -218,21 +218,27 @@ func FuzzRoundTripTSOpReq(f *testing.F) {
 }
 
 // FuzzRoundTripTaskEvents: structured fuzzing of the lifecycle batch — the
-// frame every task's start and end travel in: any batch of the three labels
-// that marshals must unmarshal to the same value, spans and all, and a label
-// outside the three must be refused by the decoder, never delivered.
+// frame every task's start and end, a retry and a job's end travel in: any
+// batch of the five labels that marshals must unmarshal to the same value,
+// spans, a retry's Speculative and a job label's TaskErrs included, and a
+// label outside the five must be refused by the decoder, never delivered.
 func FuzzRoundTripTaskEvents(f *testing.F) {
-	f.Add("node1-job1", "node2", "t01", "", int64(0), uint8(0), "tm.exec", int64(1500))
-	f.Add("", "", "", "task panic: boom", int64(2), uint8(2), "", int64(0))
-	f.Add("j", "n", "t", "x", int64(-1), uint8(7), "s", int64(-5))
-	f.Fuzz(func(t *testing.T, jobID, node, taskName, errText string, attempt int64, label uint8, spanName string, durNS int64) {
-		kinds := []msg.Kind{msg.KindTaskStarted, msg.KindTaskCompleted, msg.KindTaskFailed}
+	f.Add("node1-job1", "node2", "t01", "", int64(0), uint8(0), "tm.exec", int64(1500), false)
+	f.Add("", "", "", "task panic: boom", int64(2), uint8(2), "", int64(0), true)
+	f.Add("j", "n", "t", "x", int64(-1), uint8(7), "s", int64(-5), false)
+	f.Add("node1-job1", "node3", "t07", "node node2 died", int64(1), uint8(3), "", int64(0), true)
+	f.Add("node1-job1", "node2", "", "one or more tasks failed", int64(0), uint8(4), "", int64(0), false)
+	f.Fuzz(func(t *testing.T, jobID, node, taskName, errText string, attempt int64, label uint8, spanName string, durNS int64, speculative bool) {
+		kinds := []msg.Kind{msg.KindTaskStarted, msg.KindTaskCompleted, msg.KindTaskFailed,
+			msg.KindTaskRetried, msg.KindJobCompleted, msg.KindJobFailed}
 		in := &protocol.TaskEvents{JobID: jobID, Node: node, Events: []protocol.TaskEventItem{
 			{Kind: kinds[int(label)%3], Task: taskName},
 			{Kind: kinds[(int(label)+1)%3], Task: taskName, Err: errText, Attempt: int(attempt), Spans: []trace.Span{
 				{Trace: 7, ID: 8, Parent: 7, Name: spanName, Node: node, Job: jobID, Task: taskName,
 					Start: time.Unix(0, 1_700_000_000_000_000_000), Dur: time.Duration(durNS), Err: errText},
 			}},
+			{Kind: msg.KindTaskRetried, Task: taskName, Err: errText, Attempt: int(attempt), Speculative: speculative},
+			{Kind: kinds[4+int(label)%2], Err: errText, TaskErrs: map[string]string{taskName: errText}},
 		}}
 		enc := Marshal(in)
 		var out protocol.TaskEvents
@@ -242,10 +248,16 @@ func FuzzRoundTripTaskEvents(f *testing.F) {
 		if !reflect.DeepEqual(&out, in) {
 			t.Errorf("round trip mismatch: %+v vs %+v", in, out)
 		}
-		in.Events[0].Kind = msg.Kind(int(label) + int(msg.KindTaskFailed) + 1)
+		bad := msg.Kind(label)
+		for _, k := range kinds {
+			if bad == k {
+				bad = msg.KindUser
+			}
+		}
+		in.Events[int(label)%len(in.Events)].Kind = bad
 		enc = Marshal(in)
 		if err := Unmarshal(enc, new(protocol.TaskEvents)); err == nil {
-			t.Errorf("a batch with an event labelled %d decoded", in.Events[0].Kind)
+			t.Errorf("a batch with an event labelled %s decoded", bad)
 		}
 	})
 }

@@ -47,7 +47,7 @@ const (
 	tBlobChunkResp
 	tStartJobReq
 	tExecTaskReq
-	tTaskEvent
+	_ // TaskEvent, retired when TASK_RETRIED became a TASK_EVENTS label
 	tHeartbeat
 	tHeartbeatAck
 	tUserPayload
@@ -86,7 +86,6 @@ func init() {
 	register(tBlobChunkResp, 128, appendBlobChunkResp, readBlobChunkResp)
 	register(tStartJobReq, 128, appendStartJobReq, readStartJobReq)
 	registerSized(tExecTaskReq, func(v protocol.ExecTaskReq) int { return 48 + 16*len(v.Tasks) }, appendExecTaskReq, readExecTaskReq)
-	register(tTaskEvent, 128, appendTaskEvent, readTaskEvent)
 	registerSized(tHeartbeat, func(v protocol.Heartbeat) int { return 64 + 48*len(v.Beats) }, appendHeartbeat, readHeartbeat)
 	register(tHeartbeatAck, 64, appendHeartbeatAck, readHeartbeatAck)
 	registerSized(tUserPayload, func(v protocol.UserPayload) int { return 64 + len(v.Data) }, appendUserPayload, readUserPayload)
@@ -834,35 +833,6 @@ func readExecTaskReq(r *Reader, v *protocol.ExecTaskReq) (err error) {
 	return err
 }
 
-func appendTaskEvent(b []byte, v protocol.TaskEvent) []byte {
-	b = AppendString(b, v.JobID)
-	b = AppendString(b, v.Task)
-	b = AppendString(b, v.Node)
-	b = AppendString(b, v.Err)
-	b = AppendVarint(b, int64(v.Attempt))
-	return AppendBool(b, v.Speculative)
-}
-
-func readTaskEvent(r *Reader, v *protocol.TaskEvent) (err error) {
-	if v.JobID, err = r.String(); err != nil {
-		return err
-	}
-	if v.Task, err = r.String(); err != nil {
-		return err
-	}
-	if v.Node, err = r.String(); err != nil {
-		return err
-	}
-	if v.Err, err = r.String(); err != nil {
-		return err
-	}
-	if v.Attempt, err = r.Int(); err != nil {
-		return err
-	}
-	v.Speculative, err = r.Bool()
-	return err
-}
-
 func appendHeartbeat(b []byte, v protocol.Heartbeat) []byte {
 	b = AppendString(b, v.Node)
 	b = AppendUvarint(b, v.Seq)
@@ -1336,13 +1306,21 @@ func appendTaskEvents(b []byte, v protocol.TaskEvents) []byte {
 		b = AppendString(b, e.Err)
 		b = AppendVarint(b, int64(e.Attempt))
 		b = AppendSpans(b, e.Spans)
+		switch {
+		case e.Kind == msg.KindTaskRetried:
+			b = AppendBool(b, e.Speculative)
+		case protocol.IsJobLabel(e.Kind):
+			b = AppendStringMap(b, e.TaskErrs)
+		}
 	}
 	return b
 }
 
 // readTaskEvents refuses what no sender produces: more events than one
 // frame may carry, or an event labelled with anything but the three task
-// lifecycle kinds.
+// labels, the retry label and the two job labels. A label's own fields
+// follow the ones every event has: Speculative on a retry, TaskErrs on a
+// job's end.
 func readTaskEvents(r *Reader, v *protocol.TaskEvents) (err error) {
 	if v.JobID, err = r.String(); err != nil {
 		return err
@@ -1364,9 +1342,8 @@ func readTaskEvents(r *Reader, v *protocol.TaskEvents) (err error) {
 		if kind, err = r.Uvarint(); err != nil {
 			return err
 		}
-		switch e.Kind = msg.Kind(kind); e.Kind {
-		case msg.KindTaskStarted, msg.KindTaskCompleted, msg.KindTaskFailed:
-		default:
+		e.Kind = msg.Kind(kind)
+		if !protocol.IsTaskLabel(e.Kind) && !protocol.IsJobLabel(e.Kind) && e.Kind != msg.KindTaskRetried {
 			return fmt.Errorf("wire: task event labelled with kind %d", kind)
 		}
 		if e.Task, err = r.String(); err != nil {
@@ -1379,6 +1356,15 @@ func readTaskEvents(r *Reader, v *protocol.TaskEvents) (err error) {
 			return err
 		}
 		if e.Spans, err = ReadSpans(r); err != nil {
+			return err
+		}
+		switch {
+		case e.Kind == msg.KindTaskRetried:
+			e.Speculative, err = r.Bool()
+		case protocol.IsJobLabel(e.Kind):
+			e.TaskErrs, err = ReadStringMap(r, "task errors")
+		}
+		if err != nil {
 			return err
 		}
 	}

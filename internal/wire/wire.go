@@ -37,10 +37,13 @@ import (
 // TSOpReq's job and requester names, carried the tuple itself in TSOpReq and
 // TSOpResp, and gave JMOffer a trailing Refused reason; version 9 dropped the
 // payload's leading tag byte, which told binary bodies from gob ones until
-// gob left the runtime (a payload is the version, the type id, the fields).
-// Nothing outside this repository speaks the wire, so a receiver
+// gob left the runtime (a payload is the version, the type id, the fields);
+// version 11 (10 is the connection preamble's, see ConnVersion) gave the
+// TaskEvents body the retry and job labels, with a label's own trailing
+// fields, and retired the TaskEvent body (JOB_COMPLETED and TASK_RETRIED
+// stopped being frames). Nothing outside this repository speaks the wire, so a receiver
 // accepts exactly this version and rejects the rest (see docs/WIRE.md).
-const Version = 9
+const Version = 11
 
 // MaxFrameBytes bounds one transport frame (envelope + payload + tail). Senders
 // refuse to emit larger frames and receivers drop the connection on a

@@ -63,7 +63,6 @@ func bodies() []any {
 				Start: time.Unix(0, 1_700_000_000_000_000_000), Dur: 42 * time.Millisecond},
 		}},
 		&protocol.ExecTaskReq{JobID: "j", Tasks: []string{"t1", "t2"}},
-		&protocol.TaskEvent{JobID: "j", Task: "t1", Node: "n1", Err: "boom", Attempt: 2, Speculative: true},
 		&protocol.Heartbeat{Node: "n1", Seq: 17, Beats: []protocol.TaskBeat{
 			{JobID: "j", Task: "t1", Running: true, Progress: 99},
 			{JobID: "j", Task: "t2", Running: false, Progress: 0},
@@ -101,6 +100,8 @@ func bodies() []any {
 					Start: time.Unix(0, 1_700_000_000_100_000_000), Dur: time.Second, Err: "boom"},
 			}},
 			{Kind: msg.KindTaskCompleted, Task: "t2"},
+			{Kind: msg.KindTaskRetried, Task: "t1", Err: "node n2 died", Attempt: 3, Speculative: true},
+			{Kind: msg.KindJobFailed, Err: "one or more tasks failed", TaskErrs: map[string]string{"t1": "boom"}},
 		}},
 	}
 }

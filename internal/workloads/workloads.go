@@ -8,6 +8,7 @@ package workloads
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"cn/internal/api"
@@ -98,25 +99,19 @@ func unmarshal(b []byte, p payload) error {
 }
 
 // awaitResult pumps job messages until one arrives from the named task,
-// bailing out when the job terminates first.
+// failing when the job ended without one.
 func awaitResult(ctx context.Context, job *api.Job, fromTask string) ([]byte, error) {
-	msgCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	go func() {
-		select {
-		case <-job.Done():
-			cancel()
-		case <-msgCtx.Done():
-		}
-	}()
 	for {
-		from, data, err := job.GetMessage(msgCtx)
-		if err != nil {
+		from, data, err := job.GetMessage(ctx)
+		if errors.Is(err, api.ErrJobFinished) {
 			res, werr := job.Wait(ctx)
 			if werr != nil {
-				return nil, fmt.Errorf("workloads: %w", err)
+				return nil, fmt.Errorf("workloads: %w", werr)
 			}
 			return nil, fmt.Errorf("workloads: job terminated without result: %s (%v)", res.Err, res.TaskErrs)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("workloads: %w", err)
 		}
 		if from == fromTask {
 			return data, nil
