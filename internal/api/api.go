@@ -115,10 +115,11 @@ func (c *Client) handle(m *msg.Message) {
 			c.logf("bad user payload: %v", err)
 			return
 		}
-		// A closed inbox belongs to a job that ended (or a handle released):
-		// what still arrives for it is dropped without a word.
-		if j := c.job(p.JobID); j != nil && errors.Is(j.inbox.TryPut(m), msg.ErrFull) {
-			c.logf("inbox full, dropping message from %s", p.FromTask)
+		// The inbox takes every message while the job runs; a closed one
+		// belongs to a job that ended (or a handle released), and what
+		// still arrives for it is dropped without a word.
+		if j := c.job(p.JobID); j != nil {
+			_ = j.inbox.Put(m)
 		}
 	case msg.KindTaskEvents:
 		// Applied here, on the delivering goroutine: the batch is decoded
@@ -245,8 +246,8 @@ func (c *Client) CreateJobOn(jmNode, name string, req protocol.JobRequirements) 
 		Name:   name,
 		JMNode: jmNode,
 		trace:  ra.Context(),
-		inbox:  msg.NewMailbox(0),
-		evWake: make(chan struct{}, 1),
+		inbox:  msg.NewMailbox[*msg.Message](),
+		events: msg.NewMailbox[Event](),
 		done:   make(chan struct{}),
 	}
 	c.mu.Lock()
@@ -279,7 +280,8 @@ func (c *Client) Close() error {
 	c.mu.Unlock()
 	for _, j := range jobs {
 		j.inbox.Close()
-		j.closeEvents()
+		j.events.Close()
+		j.events.Drain()
 	}
 	return c.ep.Close()
 }
@@ -299,7 +301,11 @@ type Job struct {
 	// sampled); set once at creation, read-only after.
 	trace trace.Context
 
-	inbox *msg.Mailbox // user messages addressed to the client
+	inbox *msg.Mailbox[*msg.Message] // user messages addressed to the client
+	// events queues task lifecycle events for GetEvent, as decoded: at most
+	// maxQueuedEvents, newest dropped past that (they are advisory — the
+	// census in prog counts every one).
+	events *msg.Mailbox[Event]
 
 	// pushMu serializes chunked blob uploads from this handle: the
 	// JobManager stages one sequential upload per (node, digest), so two
@@ -314,13 +320,6 @@ type Job struct {
 	result   *Result
 	done     chan struct{}
 	prog     Progress
-	// events queues task lifecycle events for GetEvent, as decoded: at most
-	// maxQueuedEvents, newest dropped when full (they are advisory — the
-	// census in prog counts every one). evWake holds a token whenever a
-	// GetEvent may find something to do: events queued, or the queue closed.
-	events       []Event
-	eventsClosed bool
-	evWake       chan struct{}
 	// ts is the handle's attachment to the job's tuple space at the
 	// manager node it was built for (see tsWire); every Space of the job
 	// shares it, and with it the Out window.
@@ -344,7 +343,7 @@ type Progress struct {
 }
 
 // maxQueuedEvents bounds a job handle's event queue.
-const maxQueuedEvents = msg.DefaultMailboxCapacity
+const maxQueuedEvents = 1024
 
 // Result is a job's terminal status.
 type Result struct {
@@ -558,38 +557,12 @@ func (j *Job) recordEvents(node string, events []protocol.TaskEventItem) {
 			j.finishLocked(&Result{JobID: j.ID, Failed: ev.Kind == msg.KindJobFailed, Err: ev.Err, TaskErrs: ev.TaskErrs})
 			continue
 		}
-		j.queueEventLocked(Event{Kind: ev.Kind, Task: ev.Task, Node: node, Err: ev.Err,
-			Attempt: ev.Attempt, Speculative: ev.Speculative})
-	}
-}
-
-// queueEventLocked appends to the event queue unless it is full or closed,
-// and leaves a wake token. j.mu must be held.
-func (j *Job) queueEventLocked(ev Event) {
-	if j.eventsClosed || len(j.events) >= maxQueuedEvents {
-		return
-	}
-	j.events = append(j.events, ev)
-	j.wakeEventReaderLocked()
-}
-
-// wakeEventReaderLocked leaves the wake token unless one is already there.
-// j.mu must be held and the queue open.
-func (j *Job) wakeEventReaderLocked() {
-	select {
-	case j.evWake <- struct{}{}:
-	default:
-	}
-}
-
-// closeEvents discards the queued events and fails GetEvent from now on.
-func (j *Job) closeEvents() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.eventsClosed {
-		j.eventsClosed = true
-		j.events = nil
-		close(j.evWake)
+		// Bounded here, by its owner. A released handle's closed queue
+		// refuses the event, which the census has counted already.
+		if j.events.Len() < maxQueuedEvents {
+			_ = j.events.Put(Event{Kind: ev.Kind, Task: ev.Task, Node: node, Err: ev.Err,
+				Attempt: ev.Attempt, Speculative: ev.Speculative})
+		}
 	}
 }
 
@@ -624,7 +597,8 @@ func (j *Job) Release() {
 	j.mu.Unlock()
 	j.inbox.Close()
 	j.inbox.Drain()
-	j.closeEvents()
+	j.events.Close()
+	j.events.Drain()
 }
 
 // Done returns a channel closed once the job reaches a terminal state.
@@ -681,9 +655,12 @@ func (j *Job) SendMessage(toTask string, data []byte) error {
 }
 
 // GetMessage blocks for the next user message from any task ("Get Messages
-// from Tasks"), returning the sending task's name and the payload. Once the
-// job has ended and its messages have been read it returns ErrJobFinished,
-// so a loop over GetMessage ends with the job. A message from a task the
+// from Tasks"), returning the sending task's name and the payload. Messages
+// from one task come in the order it sent them. Nothing is dropped while
+// the handle is open, however far the reader falls behind: the handle's
+// memory is the messages not yet read, until Release. Once the job has
+// ended and its messages have been read it returns ErrJobFinished, so a
+// loop over GetMessage ends with the job. A message from a task the
 // JobManager itself gave up on (see Done) may be missing.
 func (j *Job) GetMessage(ctx context.Context) (string, []byte, error) {
 	m, err := j.inbox.GetContext(ctx)
@@ -694,7 +671,7 @@ func (j *Job) GetMessage(ctx context.Context) (string, []byte, error) {
 }
 
 // TryGetMessage is GetMessage without blocking; ok is false when no message
-// is queued.
+// is queued. Like GetMessage, it drops nothing while the handle is open.
 func (j *Job) TryGetMessage() (from string, data []byte, ok bool, err error) {
 	m, err := j.inbox.TryGet()
 	if errors.Is(err, msg.ErrEmpty) {
@@ -733,28 +710,11 @@ func decodeUser(m *msg.Message) (string, []byte, error) {
 // JobManager relayed them. It fails with msg.ErrClosed once the handle is
 // released or its client closed.
 func (j *Job) GetEvent(ctx context.Context) (*Event, error) {
-	for {
-		j.mu.Lock()
-		if len(j.events) > 0 {
-			ev := j.events[0]
-			j.events = j.events[1:]
-			if len(j.events) > 0 {
-				j.wakeEventReaderLocked() // another GetEvent may be waiting
-			}
-			j.mu.Unlock()
-			return &ev, nil
-		}
-		closed := j.eventsClosed
-		j.mu.Unlock()
-		if closed {
-			return nil, fmt.Errorf("api: get event: %w", msg.ErrClosed)
-		}
-		select {
-		case <-j.evWake:
-		case <-ctx.Done():
-			return nil, fmt.Errorf("api: get event: %w", ctx.Err())
-		}
+	ev, err := j.events.GetContext(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("api: get event: %w", err)
 	}
+	return &ev, nil
 }
 
 // Cancel abandons the job.

@@ -29,8 +29,8 @@ func handleFor(t *testing.T, id string) (*Client, *Job) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	j := &Job{client: c, ID: id, JMNode: "n1", inbox: msg.NewMailbox(0),
-		evWake: make(chan struct{}, 1), done: make(chan struct{})}
+	j := &Job{client: c, ID: id, JMNode: "n1", inbox: msg.NewMailbox[*msg.Message](),
+		events: msg.NewMailbox[Event](), done: make(chan struct{})}
 	c.jobs[id] = j
 	return c, j
 }
@@ -60,9 +60,7 @@ func TestRelayedBatchAllocs(t *testing.T) {
 	m := relayed(j.ID, 0, 32)
 	c.handle(m) // the queue grows to its working size once
 	allocs := testing.AllocsPerRun(200, func() {
-		j.mu.Lock()
-		j.events = j.events[:0]
-		j.mu.Unlock()
+		j.events.Drain()
 		c.handle(m)
 	})
 	if allocs > 32+8 {
@@ -149,7 +147,7 @@ func userFrame(jobID, from, data string) *msg.Message {
 // stream. Applying it counts the events before it, records the result, and
 // closes the inbox: GetMessage hands out what was queued, then
 // ErrJobFinished, and a message that still arrives is dropped without a
-// word — it is not an "inbox full".
+// word.
 func TestJobLabelEndsTheStream(t *testing.T) {
 	var logs bytes.Buffer // written on the test's goroutine only
 	_, j := handleFor(t, "n1-job3")

@@ -9,6 +9,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,6 +37,19 @@ func fabrics() map[string]cluster.Config {
 // the task ends.
 const chattyMessages, chattyBytes = 32, 16 << 10
 
+// A run.Flood task sends its client floodMessages messages, each its number,
+// and returns: more than any reader keeps up with while the job runs.
+const floodMessages = 2000
+
+// A run.Pour task sends the task "late" pourMessages messages, each its
+// number; a run.LateReader, as "late", reads them only after lateDelay, so
+// they queue at its TaskManager meanwhile. pourGoroutines is
+// runtime.NumGoroutine before the first send, lateGoroutines the most seen
+// during the delay.
+const pourMessages, lateDelay = 4000, 300 * time.Millisecond
+
+var pourGoroutines, lateGoroutines atomic.Int64
+
 func noopRegistry() *task.Registry {
 	r := task.NewRegistry()
 	r.MustRegister("run.Noop", func() task.Task {
@@ -48,6 +64,46 @@ func noopRegistry() *task.Registry {
 				copy(data, fmt.Sprintf("%s %d;", ctx.TaskName(), i))
 				if err := ctx.SendClient(data); err != nil {
 					return err
+				}
+			}
+			return nil
+		})
+	})
+	r.MustRegister("run.Flood", func() task.Task {
+		return task.Func(func(ctx task.Context) error {
+			for i := 0; i < floodMessages; i++ {
+				if err := ctx.SendClient([]byte(strconv.Itoa(i))); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+	r.MustRegister("run.Pour", func() task.Task {
+		return task.Func(func(ctx task.Context) error {
+			pourGoroutines.Store(int64(runtime.NumGoroutine()))
+			for i := 0; i < pourMessages; i++ {
+				if err := ctx.Send("late", []byte(strconv.Itoa(i))); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+	r.MustRegister("run.LateReader", func() task.Task {
+		return task.Func(func(ctx task.Context) error {
+			var peak int
+			for end := time.Now().Add(lateDelay); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+				peak = max(peak, runtime.NumGoroutine())
+			}
+			lateGoroutines.Store(int64(peak))
+			for i := 0; i < pourMessages; i++ {
+				from, data, err := ctx.Recv()
+				if err != nil {
+					return fmt.Errorf("message %d: %w", i, err)
+				}
+				if from != "pour" || string(data) != strconv.Itoa(i) {
+					return fmt.Errorf("message %d: read %q from %q", i, data, from)
 				}
 			}
 			return nil
@@ -427,6 +483,91 @@ func TestJobStreamEndsAfterEveryMessage(t *testing.T) {
 					}
 				}
 				j.Release()
+			}
+		})
+	}
+}
+
+// TestClientReadsEveryMessageAfterRun: "Get Messages from Tasks" drops
+// nothing however far the client falls behind. A task sends floodMessages
+// messages to a client that reads none until Run returns; then it reads all
+// of them, in the order they were sent, and then ErrJobFinished.
+func TestClientReadsEveryMessageAfterRun(t *testing.T) {
+	for name, cfg := range fabrics() {
+		t.Run(name, func(t *testing.T) {
+			_, cl := startQuiet(t, cfg, 2, 4000)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			j, err := cl.CreateJobOn("node1", "flood", protocol.JobRequirements{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Release()
+			specs := noops(1, 1)
+			specs[0].Class = "run.Flood"
+			if _, err := j.CreateTasks(specs, nil); err != nil {
+				t.Fatal(err)
+			}
+			if res, err := j.Run(ctx); err != nil || res.Failed {
+				t.Fatalf("run: %v %+v", err, res)
+			}
+			for i := 0; ; i++ {
+				from, data, ok, err := j.TryGetMessage()
+				if err != nil {
+					if !errors.Is(err, api.ErrJobFinished) || i != floodMessages {
+						t.Errorf("after %d messages: %v, want ErrJobFinished after %d", i, err, floodMessages)
+					}
+					break
+				}
+				if !ok {
+					t.Fatalf("inbox empty but open after Done, %d messages read", i)
+				}
+				if from != specs[0].Name || string(data) != strconv.Itoa(i) {
+					t.Fatalf("message %d: read %q from %q", i, data, from)
+				}
+			}
+		})
+	}
+}
+
+// TestSiblingReadsEveryMessageInOrder: "Send Messages" between tasks drops
+// and reorders nothing, and a backlog costs no goroutines. A task sends
+// pourMessages messages to a sibling on another node that starts reading
+// lateDelay later; the sibling reads all of them in the order they were
+// sent, and while they wait for it the process runs about as many
+// goroutines as before the first send.
+func TestSiblingReadsEveryMessageInOrder(t *testing.T) {
+	const slack = 16 // tasks starting and ending, links dialled on first use
+	for name, cfg := range fabrics() {
+		t.Run(name, func(t *testing.T) {
+			_, cl := startQuiet(t, cfg, 2, 4000)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			j, err := cl.CreateJobOn("node1", "pour", protocol.JobRequirements{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Release()
+			specs := noops(2, 3000) // one to a node
+			specs[0].Name, specs[0].Class = "pour", "run.Pour"
+			specs[1].Name, specs[1].Class = "late", "run.LateReader"
+			placed, err := j.CreateTasks(specs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if placed["pour"] == placed["late"] {
+				t.Fatalf("both tasks on %s, want one to a node", placed["pour"])
+			}
+			res, err := j.Run(ctx)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if before, during := pourGoroutines.Load(), lateGoroutines.Load(); during > before+slack {
+				t.Errorf("%d goroutines while %d messages waited for their reader, %d before the first send; want at most %d more",
+					during, pourMessages, before, slack)
+			}
+			if res.Failed {
+				t.Errorf("job failed: %+v", res)
 			}
 		})
 	}

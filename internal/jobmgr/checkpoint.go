@@ -261,7 +261,7 @@ func (jm *JobManager) adoptJob(origin, jobID string, data []byte) error {
 		id:          jobID,
 		name:        ck.name,
 		clientNode:  ck.clientNode,
-		queue:       msg.NewMailbox(jobQueueCap),
+		queue:       msg.NewMailbox[*msg.Message](),
 		specs:       make(map[string]*task.Spec, len(ck.specs)),
 		placement:   ck.placement,
 		archives:    ck.archives,

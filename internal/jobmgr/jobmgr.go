@@ -2,7 +2,6 @@ package jobmgr
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -47,8 +46,9 @@ type jobState struct {
 	// queue serializes the job's event and user-message processing: the
 	// endpoint delivers in arrival order and a single worker goroutine
 	// drains the queue, so causally ordered messages (a task's output
-	// before its completion event) are forwarded in order.
-	queue *msg.Mailbox
+	// before its completion event) are forwarded in order. Enqueue bounds
+	// it at jobQueueCap.
+	queue *msg.Mailbox[*msg.Message]
 
 	mu        sync.Mutex
 	specs     map[string]*task.Spec
@@ -198,7 +198,8 @@ type JobManager struct {
 	dpStats dataplane.Stats
 }
 
-// jobQueueCap bounds each job's serial processing queue.
+// jobQueueCap bounds each job's serial processing queue, which takes input
+// from other nodes.
 const jobQueueCap = 16384
 
 // New creates a JobManager on node. The caller is used for TaskManager
@@ -423,7 +424,7 @@ func (jm *JobManager) HandleCreateJob(m *msg.Message) *msg.Message {
 		id:          id,
 		name:        req.Name,
 		clientNode:  req.ClientNode,
-		queue:       msg.NewMailbox(jobQueueCap),
+		queue:       msg.NewMailbox[*msg.Message](),
 		specs:       make(map[string]*task.Spec),
 		placement:   make(map[string]string),
 		archives:    make(map[string]protocol.ArchiveRef),
@@ -628,14 +629,13 @@ func (jm *JobManager) createTasks(j *jobState, items []protocol.TaskCreate, blob
 	j.mu.Unlock()
 	// Start liveness leases for the hosting nodes: a node that dies before
 	// its first heartbeat must still expire.
-	for node := range nodeSet(placements) {
+	nodes := nodeSet(placements)
+	for node := range nodes {
 		jm.monitor.Watch(node)
 	}
-	jm.log.Info("tasks placed", "job", j.id, "tasks", len(items), "nodes", distinctNodes(placements))
+	jm.log.Info("tasks placed", "job", j.id, "tasks", len(items), "nodes", len(nodes))
 	return placements, nil
 }
-
-func distinctNodes(placements map[string]string) int { return len(nodeSet(placements)) }
 
 // wantsFor assembles a batch's locality wants: each item's archive digest
 // sized from the job's blob table, plus every content-addressed output the
@@ -1150,9 +1150,13 @@ func (jm *JobManager) Enqueue(m *msg.Message) {
 		}
 		return
 	}
-	if err := j.queue.TryPut(m); errors.Is(err, msg.ErrFull) {
-		jm.logf("job %s: queue full, dropping %s", j.id, m.Kind)
+	// Bounded here, by its owner. A dropped message can leave the job
+	// waiting on a task that has finished, so the drop is a warning.
+	if j.queue.Len() >= jobQueueCap {
+		jm.log.Warn("job queue full, message dropped", "job", j.id, "kind", m.Kind.String())
+		return
 	}
+	_ = j.queue.Put(m) // refused only once the job retired: late, and dropped
 }
 
 // jobWorker drains one job's queue in arrival order. Retirement closes the

@@ -9,108 +9,77 @@ import (
 
 // Mailbox errors.
 var (
-	// ErrClosed is returned by Put/Get once the mailbox has been closed and,
-	// for Get, drained.
+	// ErrClosed is returned by Put once the mailbox has been closed and, by
+	// the gets, once it is closed and drained.
 	ErrClosed = errors.New("msg: mailbox closed")
-	// ErrFull is returned by TryPut when the mailbox is at capacity.
-	ErrFull = errors.New("msg: mailbox full")
-	// ErrEmpty is returned by TryGet when no message is queued.
+	// ErrEmpty is returned by TryGet when nothing is queued.
 	ErrEmpty = errors.New("msg: mailbox empty")
 )
 
-// Mailbox is the bounded FIFO message queue the TaskManager sets up for each
-// task ("TaskManager in turn sets up a message queue for each Task"). It is
-// safe for concurrent use. A closed mailbox rejects new messages but allows
-// queued messages to be drained.
-type Mailbox struct {
+// Mailbox is the message queue the TaskManager sets up for each task
+// ("TaskManager in turn sets up a message queue for each Task"), and the
+// queue behind every other reader of the paper's message path. It is an
+// unbounded FIFO: items leave in the order they were put, a Put never
+// blocks, and it fails only once Close has been called. Bounding the queue,
+// where one is needed, is left to its owner, which checks Len where it
+// puts. A closed mailbox refuses new items but lets queued ones be read. An
+// item leaves the mailbox's memory when it is read. It is safe for
+// concurrent use.
+type Mailbox[T any] struct {
 	mu       sync.Mutex
-	notEmpty *sync.Cond
-	notFull  *sync.Cond
-	queue    []*Message
-	cap      int
-	closed   bool
+	notEmpty sync.Cond
+	// ring holds the n queued items from head on, wrapping at its end.
+	ring    []T
+	head, n int
+	closed  bool
 }
 
-// DefaultMailboxCapacity bounds a task mailbox when no explicit capacity is
-// configured.
-const DefaultMailboxCapacity = 1024
-
-// NewMailbox creates a mailbox holding at most capacity messages;
-// capacity <= 0 selects DefaultMailboxCapacity.
-func NewMailbox(capacity int) *Mailbox {
-	if capacity <= 0 {
-		capacity = DefaultMailboxCapacity
-	}
-	mb := &Mailbox{cap: capacity}
-	mb.notEmpty = sync.NewCond(&mb.mu)
-	mb.notFull = sync.NewCond(&mb.mu)
+// NewMailbox creates an empty, open mailbox.
+func NewMailbox[T any]() *Mailbox[T] {
+	mb := &Mailbox[T]{}
+	mb.notEmpty.L = &mb.mu
 	return mb
 }
 
-// Cap returns the configured capacity.
-func (mb *Mailbox) Cap() int { return mb.cap }
-
-// Len returns the number of queued messages.
-func (mb *Mailbox) Len() int {
+// Len returns the number of queued items.
+func (mb *Mailbox[T]) Len() int {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	return len(mb.queue)
+	return mb.n
 }
 
-// Put enqueues m, blocking while the mailbox is full. It returns ErrClosed
-// if the mailbox is closed before m could be enqueued.
-func (mb *Mailbox) Put(m *Message) error {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for len(mb.queue) >= mb.cap && !mb.closed {
-		mb.notFull.Wait()
-	}
-	if mb.closed {
-		return ErrClosed
-	}
-	mb.queue = append(mb.queue, m)
-	mb.notEmpty.Signal()
-	return nil
-}
-
-// TryPut enqueues m without blocking. It returns ErrFull or ErrClosed when
-// the message cannot be accepted.
-func (mb *Mailbox) TryPut(m *Message) error {
+// Put enqueues v. It returns ErrClosed once the mailbox is closed.
+func (mb *Mailbox[T]) Put(v T) error {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	if mb.closed {
 		return ErrClosed
 	}
-	if len(mb.queue) >= mb.cap {
-		return ErrFull
+	if mb.n == len(mb.ring) {
+		ring := make([]T, max(2*len(mb.ring), 8))
+		copy(ring[copy(ring, mb.ring[mb.head:]):], mb.ring[:mb.head])
+		mb.ring, mb.head = ring, 0
 	}
-	mb.queue = append(mb.queue, m)
+	mb.ring[(mb.head+mb.n)%len(mb.ring)] = v
+	mb.n++
 	mb.notEmpty.Signal()
 	return nil
 }
 
-// Get dequeues the oldest message, blocking while the mailbox is empty.
-// It returns ErrClosed once the mailbox is closed and drained.
-func (mb *Mailbox) Get() (*Message, error) {
+// Get dequeues the oldest item, blocking while the mailbox is empty. It
+// returns ErrClosed once the mailbox is closed and drained.
+func (mb *Mailbox[T]) Get() (T, error) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	for len(mb.queue) == 0 && !mb.closed {
+	for mb.n == 0 && !mb.closed {
 		mb.notEmpty.Wait()
 	}
-	if len(mb.queue) == 0 {
-		return nil, ErrClosed
-	}
-	m := mb.queue[0]
-	mb.queue = mb.queue[1:]
-	mb.notFull.Signal()
-	return m, nil
+	return mb.popLocked()
 }
 
 // GetContext is Get with cancellation: it returns ctx.Err() if ctx is done
-// before a message arrives.
-func (mb *Mailbox) GetContext(ctx context.Context) (*Message, error) {
-	done := make(chan struct{})
-	defer close(done)
+// before an item arrives.
+func (mb *Mailbox[T]) GetContext(ctx context.Context) (T, error) {
 	// Wake the condition variable when the context fires so the waiting
 	// goroutine can observe cancellation.
 	stop := context.AfterFunc(ctx, func() {
@@ -122,64 +91,58 @@ func (mb *Mailbox) GetContext(ctx context.Context) (*Message, error) {
 
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	for len(mb.queue) == 0 && !mb.closed && ctx.Err() == nil {
+	for mb.n == 0 && !mb.closed && ctx.Err() == nil {
 		mb.notEmpty.Wait()
 	}
-	if err := ctx.Err(); err != nil && len(mb.queue) == 0 {
-		return nil, fmt.Errorf("msg: get: %w", err)
+	if err := ctx.Err(); err != nil && mb.n == 0 {
+		var zero T
+		return zero, fmt.Errorf("msg: get: %w", err)
 	}
-	if len(mb.queue) == 0 {
-		return nil, ErrClosed
-	}
-	m := mb.queue[0]
-	mb.queue = mb.queue[1:]
-	mb.notFull.Signal()
-	return m, nil
+	return mb.popLocked()
 }
 
 // TryGet dequeues without blocking, returning ErrEmpty when nothing is
 // queued (or ErrClosed when closed and drained).
-func (mb *Mailbox) TryGet() (*Message, error) {
+func (mb *Mailbox[T]) TryGet() (T, error) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	if len(mb.queue) == 0 {
-		if mb.closed {
-			return nil, ErrClosed
-		}
-		return nil, ErrEmpty
-	}
-	m := mb.queue[0]
-	mb.queue = mb.queue[1:]
-	mb.notFull.Signal()
-	return m, nil
+	return mb.popLocked()
 }
 
-// Close marks the mailbox closed, waking all blocked producers and
-// consumers. Close is idempotent.
-func (mb *Mailbox) Close() {
+// popLocked dequeues the oldest item and clears its slot, so the mailbox
+// does not keep it reachable. mb.mu must be held.
+func (mb *Mailbox[T]) popLocked() (T, error) {
+	var zero T
+	if mb.n == 0 {
+		if mb.closed {
+			return zero, ErrClosed
+		}
+		return zero, ErrEmpty
+	}
+	v := mb.ring[mb.head]
+	mb.ring[mb.head] = zero
+	mb.head = (mb.head + 1) % len(mb.ring)
+	mb.n--
+	return v, nil
+}
+
+// Close marks the mailbox closed, waking all blocked readers. Close is
+// idempotent.
+func (mb *Mailbox[T]) Close() {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	if mb.closed {
-		return
-	}
 	mb.closed = true
 	mb.notEmpty.Broadcast()
-	mb.notFull.Broadcast()
 }
 
-// Closed reports whether Close has been called.
-func (mb *Mailbox) Closed() bool {
+// Drain dequeues and returns all currently queued items, oldest first,
+// without blocking.
+func (mb *Mailbox[T]) Drain() []T {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	return mb.closed
-}
-
-// Drain dequeues and returns all currently queued messages without blocking.
-func (mb *Mailbox) Drain() []*Message {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	out := mb.queue
-	mb.queue = nil
-	mb.notFull.Broadcast()
+	out := make([]T, mb.n)
+	for i := range out {
+		out[i], _ = mb.popLocked()
+	}
 	return out
 }

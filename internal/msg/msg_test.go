@@ -1,8 +1,10 @@
 package msg
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -155,7 +157,7 @@ func TestMessageString(t *testing.T) {
 }
 
 func TestMailboxFIFO(t *testing.T) {
-	mb := NewMailbox(8)
+	mb := NewMailbox[*Message]()
 	for i := 0; i < 5; i++ {
 		m := New(KindUser, Address{}, Address{}, []byte{byte(i)})
 		if err := mb.Put(m); err != nil {
@@ -176,57 +178,36 @@ func TestMailboxFIFO(t *testing.T) {
 	}
 }
 
-func TestMailboxDefaultCapacity(t *testing.T) {
-	mb := NewMailbox(0)
-	if mb.Cap() != DefaultMailboxCapacity {
-		t.Errorf("Cap = %d", mb.Cap())
-	}
-}
-
-func TestMailboxTryPutFull(t *testing.T) {
-	mb := NewMailbox(1)
-	if err := mb.TryPut(New(KindUser, Address{}, Address{}, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if err := mb.TryPut(New(KindUser, Address{}, Address{}, nil)); !errors.Is(err, ErrFull) {
-		t.Errorf("TryPut on full = %v, want ErrFull", err)
-	}
-}
-
 func TestMailboxTryGetEmpty(t *testing.T) {
-	mb := NewMailbox(1)
+	mb := NewMailbox[*Message]()
 	if _, err := mb.TryGet(); !errors.Is(err, ErrEmpty) {
 		t.Errorf("TryGet on empty = %v, want ErrEmpty", err)
 	}
 }
 
-func TestMailboxBlockingPut(t *testing.T) {
-	mb := NewMailbox(1)
-	if err := mb.Put(New(KindUser, Address{}, Address{}, nil)); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- mb.Put(New(KindUser, Address{}, Address{}, nil)) }()
-	select {
-	case <-done:
-		t.Fatal("Put should block while full")
-	case <-time.After(20 * time.Millisecond):
-	}
-	if _, err := mb.Get(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("blocked Put returned %v", err)
+// TestMailboxPutNeverBlocks: a live mailbox takes whatever it is given,
+// however far its reader is behind, and gives it back in order.
+func TestMailboxPutNeverBlocks(t *testing.T) {
+	mb := NewMailbox[*Message]()
+	const n = 100000
+	for i := 0; i < n; i++ {
+		if err := mb.Put(New(KindUser, Address{}, Address{}, []byte{byte(i)})); err != nil {
+			t.Fatalf("Put %d: %v", i, err)
 		}
-	case <-time.After(time.Second):
-		t.Fatal("Put did not unblock after Get")
+	}
+	if mb.Len() != n {
+		t.Fatalf("Len = %d, want %d", mb.Len(), n)
+	}
+	for i := 0; i < n; i++ {
+		m, err := mb.TryGet()
+		if err != nil || m.Payload[0] != byte(i) {
+			t.Fatalf("TryGet %d = %v, %v", i, m, err)
+		}
 	}
 }
 
 func TestMailboxBlockingGet(t *testing.T) {
-	mb := NewMailbox(1)
+	mb := NewMailbox[*Message]()
 	got := make(chan *Message, 1)
 	go func() {
 		m, err := mb.Get()
@@ -251,7 +232,7 @@ func TestMailboxBlockingGet(t *testing.T) {
 }
 
 func TestMailboxCloseUnblocksGet(t *testing.T) {
-	mb := NewMailbox(1)
+	mb := NewMailbox[*Message]()
 	done := make(chan error, 1)
 	go func() {
 		_, err := mb.Get()
@@ -270,14 +251,11 @@ func TestMailboxCloseUnblocksGet(t *testing.T) {
 }
 
 func TestMailboxCloseDrainsRemaining(t *testing.T) {
-	mb := NewMailbox(4)
+	mb := NewMailbox[*Message]()
 	if err := mb.Put(New(KindUser, Address{}, Address{}, nil)); err != nil {
 		t.Fatal(err)
 	}
 	mb.Close()
-	if !mb.Closed() {
-		t.Error("Closed() = false after Close")
-	}
 	if _, err := mb.Get(); err != nil {
 		t.Errorf("Get of queued message after close: %v", err)
 	}
@@ -290,13 +268,13 @@ func TestMailboxCloseDrainsRemaining(t *testing.T) {
 }
 
 func TestMailboxCloseIdempotent(t *testing.T) {
-	mb := NewMailbox(1)
+	mb := NewMailbox[*Message]()
 	mb.Close()
 	mb.Close() // must not panic
 }
 
 func TestMailboxGetContextCancel(t *testing.T) {
-	mb := NewMailbox(1)
+	mb := NewMailbox[*Message]()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -316,7 +294,7 @@ func TestMailboxGetContextCancel(t *testing.T) {
 }
 
 func TestMailboxGetContextDelivers(t *testing.T) {
-	mb := NewMailbox(1)
+	mb := NewMailbox[*Message]()
 	want := New(KindUser, Address{}, Address{}, nil)
 	if err := mb.Put(want); err != nil {
 		t.Fatal(err)
@@ -331,7 +309,7 @@ func TestMailboxGetContextDelivers(t *testing.T) {
 }
 
 func TestMailboxDrain(t *testing.T) {
-	mb := NewMailbox(8)
+	mb := NewMailbox[*Message]()
 	for i := 0; i < 3; i++ {
 		if err := mb.Put(New(KindUser, Address{}, Address{}, nil)); err != nil {
 			t.Fatal(err)
@@ -347,7 +325,7 @@ func TestMailboxDrain(t *testing.T) {
 }
 
 func TestMailboxConcurrentProducersConsumers(t *testing.T) {
-	mb := NewMailbox(16)
+	mb := NewMailbox[*Message]()
 	const producers, perProducer = 8, 100
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -390,4 +368,150 @@ func TestMailboxConcurrentProducersConsumers(t *testing.T) {
 	if count != producers*perProducer {
 		t.Errorf("consumed %d messages, want %d", count, producers*perProducer)
 	}
+}
+
+// TestMailboxForgetsWhatIsRead: a read item's slot is cleared, so a reader
+// working through a backlog does not keep what it has read reachable.
+func TestMailboxForgetsWhatIsRead(t *testing.T) {
+	mb := NewMailbox[*Message]()
+	for i := 0; i < 20; i++ {
+		if err := mb.Put(New(KindUser, Address{}, Address{}, nil)); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			if _, err := mb.Get(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mb.Drain()
+	for i, m := range mb.ring {
+		if m != nil {
+			t.Errorf("slot %d still holds message %d after it was read", i, m.ID)
+		}
+	}
+}
+
+// TestMailboxKeepsEachProducersOrder: four producers put at once and one
+// consumer reads; each producer's items arrive in the order it put them.
+func TestMailboxKeepsEachProducersOrder(t *testing.T) {
+	type item struct{ producer, seq int }
+	const producers, perProducer = 4, 5000
+	mb := NewMailbox[item]()
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perProducer; i++ {
+				if err := mb.Put(item{p, i}); err != nil {
+					t.Errorf("producer %d, put %d: %v", p, i, err)
+					return
+				}
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		mb.Close()
+	}()
+	var next [producers]int
+	for {
+		it, err := mb.Get()
+		if errors.Is(err, ErrClosed) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if it.seq != next[it.producer] {
+			t.Fatalf("producer %d: read %d, want %d", it.producer, it.seq, next[it.producer])
+		}
+		next[it.producer]++
+	}
+	for p, n := range next {
+		if n != perProducer {
+			t.Errorf("producer %d: %d items read, want %d", p, n, perProducer)
+		}
+	}
+}
+
+// FuzzMailboxMatchesSlice runs a sequence of operations — one per input
+// byte — on a mailbox and on a plain slice with a closed flag, and requires
+// every result and every error to agree. A Get that would block is made
+// with a cancelled context instead.
+func FuzzMailboxMatchesSlice(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 2, 3, 1, 1, 2})
+	f.Add([]byte{0, 0, 5, 1, 0, 4, 1, 2, 3})
+	f.Add(bytes.Repeat([]byte{0, 0, 0, 1}, 40))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		mb := NewMailbox[int]()
+		var model []int
+		closed := false
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		for step, op := range ops {
+			switch op % 6 {
+			case 0: // Put
+				err := mb.Put(step)
+				if closed {
+					if !errors.Is(err, ErrClosed) {
+						t.Fatalf("step %d: Put after Close = %v, want ErrClosed", step, err)
+					}
+				} else if err != nil {
+					t.Fatalf("step %d: Put = %v", step, err)
+				} else {
+					model = append(model, step)
+				}
+			case 1: // Get, or GetContext when Get would block
+				var v int
+				var err error
+				if len(model) == 0 && !closed {
+					v, err = mb.GetContext(cancelled)
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("step %d: GetContext on empty = %d, %v, want context.Canceled", step, v, err)
+					}
+					continue
+				}
+				v, err = mb.Get()
+				if len(model) == 0 {
+					if !errors.Is(err, ErrClosed) {
+						t.Fatalf("step %d: Get on closed and drained = %d, %v, want ErrClosed", step, v, err)
+					}
+					continue
+				}
+				if err != nil || v != model[0] {
+					t.Fatalf("step %d: Get = %d, %v, want %d", step, v, err, model[0])
+				}
+				model = model[1:]
+			case 2: // TryGet
+				v, err := mb.TryGet()
+				switch {
+				case len(model) > 0:
+					if err != nil || v != model[0] {
+						t.Fatalf("step %d: TryGet = %d, %v, want %d", step, v, err, model[0])
+					}
+					model = model[1:]
+				case closed:
+					if !errors.Is(err, ErrClosed) {
+						t.Fatalf("step %d: TryGet on closed and drained = %v, want ErrClosed", step, err)
+					}
+				case !errors.Is(err, ErrEmpty):
+					t.Fatalf("step %d: TryGet on empty = %v, want ErrEmpty", step, err)
+				}
+			case 3: // Len
+				if n := mb.Len(); n != len(model) {
+					t.Fatalf("step %d: Len = %d, want %d", step, n, len(model))
+				}
+			case 4: // Drain
+				if got := mb.Drain(); !slices.Equal(got, model) {
+					t.Fatalf("step %d: Drain = %v, want %v", step, got, model)
+				}
+				model = nil
+			case 5: // Close
+				mb.Close()
+				closed = true
+			}
+		}
+	})
 }

@@ -59,7 +59,9 @@ type Context interface {
 	// Broadcast delivers payload to every other task in the job.
 	Broadcast(payload []byte) error
 	// Recv blocks until the next user message addressed to this task
-	// arrives, returning its payload and the sender task name.
+	// arrives, returning its payload and the sender task name. Messages
+	// from one sender arrive in the order they were sent, and none is
+	// dropped while the task runs, however far behind it reads.
 	Recv() (from string, payload []byte, err error)
 
 	// The tuple-space operations reach the job's coordination space,

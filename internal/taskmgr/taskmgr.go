@@ -51,7 +51,7 @@ type assignment struct {
 	jobManager atomic.Pointer[string]
 	clientNode string
 	spec       *task.Spec
-	mailbox    *msg.Mailbox
+	mailbox    *msg.Mailbox[*msg.Message]
 	cancelled  atomic.Bool
 	started    atomic.Bool
 	// ctx is the one context of the task's execution: every call the task
@@ -90,7 +90,7 @@ func newAssignment(jobID, jobManager, clientNode string, spec *task.Spec) *assig
 		jobID:      jobID,
 		clientNode: clientNode,
 		spec:       spec,
-		mailbox:    msg.NewMailbox(0),
+		mailbox:    msg.NewMailbox[*msg.Message](),
 	}
 	a.ctx, a.stop = context.WithCancel(context.Background())
 	a.setJM(jobManager)
@@ -386,6 +386,7 @@ func (tm *TaskManager) HandleAssignBatch(m *msg.Message) *msg.Message {
 			tm.logf("reject %s: %s", key(req.JobID, it.Spec.Name), reason)
 		}
 	}
+	tm.log.Info("tasks assigned", "job", req.JobID, "tasks", len(req.Items)-len(resp.Rejected), "rejected", len(resp.Rejected))
 	return protocol.Reply(m, msg.KindTasksAssigned, resp)
 }
 
@@ -473,7 +474,6 @@ func (tm *TaskManager) assignOne(jobID, jobManager, clientNode string, it protoc
 	}
 	tm.freeMB -= sp.Req.MemoryMB
 	tm.assigned[k] = newAssignment(jobID, jobManager, clientNode, sp)
-	tm.log.Info("task assigned", "job", jobID, "task", sp.Name, "class", sp.Class, "mem_mb", sp.Req.MemoryMB)
 	return ""
 }
 
@@ -713,8 +713,8 @@ func (tm *TaskManager) HandleAdopt(m *msg.Message) *msg.Message {
 }
 
 // HandleUser routes an inbound user message to the target task's mailbox.
-// Delivery never blocks the caller: when a mailbox is at capacity the put
-// falls back to a goroutine, sacrificing order only under backpressure.
+// The put never blocks: a task's mailbox holds whatever its task has not
+// read yet.
 func (tm *TaskManager) HandleUser(m *msg.Message) error {
 	var p protocol.UserPayload
 	if err := protocol.Decode(m, &p); err != nil {
@@ -726,20 +726,10 @@ func (tm *TaskManager) HandleUser(m *msg.Message) error {
 	if !ok {
 		return fmt.Errorf("taskmgr %s: user message for unknown task %s", tm.node, key(p.JobID, p.ToTask))
 	}
-	err := a.mailbox.TryPut(m)
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, msg.ErrFull):
-		go func() {
-			if err := a.mailbox.Put(m); err != nil {
-				tm.logf("deliver to %s: %v", p.ToTask, err)
-			}
-		}()
-		return nil
-	default:
+	if err := a.mailbox.Put(m); err != nil {
 		return fmt.Errorf("taskmgr %s: deliver to %s: %w", tm.node, p.ToTask, err)
 	}
+	return nil
 }
 
 // HandleCancel cancels a job's tasks on this node: mailboxes close (Recv

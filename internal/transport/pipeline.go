@@ -168,7 +168,7 @@ type outPipe struct {
 	stats *Stats
 
 	mu        sync.Mutex
-	notFull   sync.Cond // bulk backpressure waiters
+	bulkRoom  sync.Cond // bulk backpressure waiters
 	wake      chan struct{}
 	lanes     [laneCount][]outFrame
 	bulkBytes int
@@ -179,7 +179,7 @@ type outPipe struct {
 
 func newOutPipe(stats *Stats) *outPipe {
 	p := &outPipe{stats: stats, wake: make(chan struct{}, 1)}
-	p.notFull.L = &p.mu
+	p.bulkRoom.L = &p.mu
 	return p
 }
 
@@ -250,10 +250,10 @@ func (p *outPipe) waitUntil(deadline time.Time) bool {
 	// sync.Cond has no timed wait; an AfterFunc broadcast stands in.
 	t := time.AfterFunc(remain, func() {
 		p.mu.Lock()
-		p.notFull.Broadcast()
+		p.bulkRoom.Broadcast()
 		p.mu.Unlock()
 	})
-	p.notFull.Wait()
+	p.bulkRoom.Wait()
 	t.Stop()
 	return true
 }
@@ -289,7 +289,7 @@ func (p *outPipe) popBatch(stop <-chan struct{}, batch *[]outFrame) bool {
 			p.bulkBytes -= takeBytes
 			p.depth -= len(*batch)
 			p.stats.QueueDepth.Add(int64(-len(*batch)))
-			p.notFull.Broadcast()
+			p.bulkRoom.Broadcast()
 			p.mu.Unlock()
 			return true
 		}
@@ -326,7 +326,7 @@ func (p *outPipe) fail(err error) {
 	p.bulkBytes = 0
 	p.stats.QueueDepth.Add(int64(-n))
 	p.stats.Dropped.Add(int64(n))
-	p.notFull.Broadcast()
+	p.bulkRoom.Broadcast()
 	p.mu.Unlock()
 	// Outside the lock: a release calls the sender's TailDone hook.
 	for l := range dropped {
