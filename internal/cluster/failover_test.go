@@ -15,8 +15,9 @@ import (
 )
 
 // failoverConfig layers the checkpoint knob onto the chaos tuning: peer
-// JobManagers replicate job state every 20ms and declare an origin dead
-// after 6 missed ticks, so failover lands well inside test deadlines.
+// JobManagers replicate job state every 20ms, and an origin whose node
+// lease lapses past the chaos DeadAfter (100ms) is adopted from, so
+// failover lands well inside test deadlines.
 func failoverConfig(nodes int, reg *task.Registry) cluster.Config {
 	cfg := fastHealth(cluster.Config{
 		Nodes:          nodes,
@@ -51,7 +52,7 @@ func failoverRegistry() *task.Registry {
 // TestFailoverJMKilledMidJobAdoptedBySurvivor is the failover subsystem's
 // acceptance test: the node hosting a job's JobManager is power-cut while
 // the job's tasks are mid-execution. Surviving JobManagers hold the job's
-// replicated checkpoints, detect the death by checkpoint-lease expiry,
+// replicated checkpoints, detect the death by node-lease expiry,
 // elect the smallest survivor as adopter, re-point the live assignments,
 // re-place the orphans (including everything that ran on the dead node
 // itself), and drive the job to completion — with the client's handle

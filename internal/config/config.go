@@ -79,8 +79,9 @@ type Config struct {
 	// CheckpointEvery is each JobManager's cadence for replicating hosted
 	// jobs' control state to its peers; when a manager dies, a surviving
 	// peer adopts its checkpointed jobs and drives them to completion
-	// (0 = the heartbeat interval; negative — or disabled heartbeating —
-	// disables checkpointing and failover).
+	// (0 = the heartbeat interval; negative — or disabled heartbeating,
+	// whatever this field says — disables checkpointing and failover, since
+	// a manager's death is read off its node's heartbeat lease).
 	CheckpointEvery time.Duration
 	// Log receives structured server diagnostics (nil discards); printf-style
 	// ones are its Debug records.
@@ -139,7 +140,9 @@ func (c Config) WithDefaults() Config {
 	if c.MaxTaskRetries == 0 {
 		c.MaxTaskRetries = 2
 	}
-	if c.CheckpointEvery == 0 {
+	// Adoption fires only on a node's lease, which only beats renew: with
+	// heartbeating off, checkpointing is off too, whatever was asked.
+	if c.CheckpointEvery == 0 || c.HeartbeatInterval < 0 {
 		c.CheckpointEvery = c.HeartbeatInterval // negative when heartbeating is off
 	}
 	if c.TraceSample == 0 {

@@ -82,6 +82,13 @@ func TestDefaults(t *testing.T) {
 	if noBeat.SuspectAfter != 1500*time.Millisecond || noBeat.DeadAfter != 3*time.Second {
 		t.Errorf("heartbeat off: suspect %v dead %v, want 1.5s 3s", noBeat.SuspectAfter, noBeat.DeadAfter)
 	}
+	// An explicit cadence does not bring it back: adoption waits on a node
+	// lease, and no beat renews one.
+	if c := (Config{HeartbeatInterval: off, CheckpointEvery: time.Second}).WithDefaults(); c.CheckpointEvery >= 0 {
+		t.Errorf("heartbeat off, CheckpointEvery 1s: resolves to %v, want checkpointing off", c.CheckpointEvery)
+	} else if again := c.WithDefaults(); again != c {
+		t.Errorf("resolving it again changed it: %+v -> %+v", c, again)
+	}
 
 	// The layers below keep defaults of their own for their own configs;
 	// a deployment's resolved values must not drift from them.

@@ -1,22 +1,26 @@
-// Package health is CN's lease-based failure detector. Every TaskManager
-// streams HEARTBEAT messages to the JobManagers holding its assignments;
-// each JobManager feeds those beats into a Monitor, which tracks one lease
-// per remote node and walks it through the states
+// Package health is CN's lease-based failure detector. A CN node runs its
+// JobManager and its TaskManager in one process, so a node is up or down as
+// a whole, and it holds one lease at every JobManager: on each tick its
+// TaskManager sends a HEARTBEAT to every member of the JobManager group,
+// whether or not it hosts their work. Each JobManager feeds those beats
+// into its one Monitor, which tracks a lease per node and walks it through
+// the states
 //
 //	alive --(no beat for SuspectAfter)--> suspect --(DeadAfter)--> dead
 //
 // with a beat from a suspect or dead node resurrecting it to alive. State
 // transitions are published to subscribers: the placement layer excludes
-// suspect nodes from new plans, and the recovery engine re-places a dead
-// node's in-flight tasks on survivors. The design follows how pilot-job
-// systems decouple resource liveness from task execution: the lease is the
-// resource's liveness contract, and expiry — not a hung task — is the
+// suspect nodes from new plans, and on a death the recovery engine
+// re-places the node's in-flight tasks on survivors and the failover path
+// adopts the jobs the node's JobManager had checkpointed. The design
+// follows how pilot-job systems decouple resource liveness from task
+// execution: the lease is the resource's liveness contract, renewed
+// whether or not it holds work, and expiry — not a hung task — is the
 // failure signal.
 package health
 
 import (
 	"log/slog"
-	"sort"
 	"sync"
 	"time"
 
@@ -79,15 +83,6 @@ type Event struct {
 	SincePrev time.Duration
 }
 
-// NodeHealth is one node's row in a Snapshot.
-type NodeHealth struct {
-	Node     string    `json:"node"`
-	State    State     `json:"-"`
-	StateStr string    `json:"state"`
-	LastBeat time.Time `json:"last_beat"`
-	Beats    int64     `json:"beats"`
-}
-
 // Config parametrizes a Monitor.
 type Config struct {
 	// SuspectAfter is the lease lapse that turns a node suspect
@@ -112,7 +107,6 @@ type Config struct {
 type lease struct {
 	lastBeat time.Time
 	state    State
-	beats    int64
 }
 
 // Monitor tracks per-node heartbeat leases and publishes state
@@ -207,21 +201,12 @@ func (m *Monitor) Observe(node string) {
 		m.leases[node] = l
 	}
 	l.lastBeat = now
-	l.beats++
 	var events []Event
 	if l.state != StateAlive {
 		l.state = StateAlive
 		events = append(events, Event{Node: node, State: StateAlive, At: now})
 	}
 	m.publishLocked(events)
-	m.mu.Unlock()
-}
-
-// Forget drops a node from the monitor (its tasks are gone; a lapsed lease
-// would only produce noise).
-func (m *Monitor) Forget(node string) {
-	m.mu.Lock()
-	delete(m.leases, node)
 	m.mu.Unlock()
 }
 
@@ -239,21 +224,6 @@ func (m *Monitor) State(node string) State {
 
 // Alive reports whether the node is neither suspect nor dead.
 func (m *Monitor) Alive(node string) bool { return m.State(node) == StateAlive }
-
-// Snapshot returns every tracked node's health, sorted by node name.
-func (m *Monitor) Snapshot() []NodeHealth {
-	m.mu.Lock()
-	out := make([]NodeHealth, 0, len(m.leases))
-	for n, l := range m.leases {
-		out = append(out, NodeHealth{
-			Node: n, State: l.state, StateStr: l.state.String(),
-			LastBeat: l.lastBeat, Beats: l.beats,
-		})
-	}
-	m.mu.Unlock()
-	sort.Slice(out, func(a, b int) bool { return out[a].Node < out[b].Node })
-	return out
-}
 
 // Subscribe registers for state-transition events. The returned cancel
 // function unsubscribes; the channel is closed when the monitor closes.

@@ -128,19 +128,27 @@ func TestUnknownNodeReportsAlive(t *testing.T) {
 	}
 }
 
-func TestForgetStopsTracking(t *testing.T) {
+// TestDeadNodeStaysDeadUntilItBeats: a dead row is not reopened by a
+// Watch (a solicitation round offering the node) or by time passing; only
+// the node's own beat brings it back.
+func TestDeadNodeStaysDeadUntilItBeats(t *testing.T) {
 	m, clk := newTestMonitor(10*time.Millisecond, 20*time.Millisecond)
 	defer m.Close()
 	ch, cancel := m.Subscribe()
 	defer cancel()
 	m.Observe("n1")
-	m.Forget("n1")
 	m.CheckNow(clk.advance(time.Second))
-	if evs := drain(ch); len(evs) != 0 {
-		t.Fatalf("events for forgotten node: %v", evs)
+	m.Watch("n1")
+	m.CheckNow(clk.advance(time.Second))
+	if got := m.State("n1"); got != StateDead {
+		t.Fatalf("state after Watch = %v, want dead", got)
 	}
+	if evs := drain(ch); len(evs) != 1 || evs[0].State != StateDead {
+		t.Fatalf("events = %v, want one dead event", evs)
+	}
+	m.Observe("n1")
 	if got := m.State("n1"); got != StateAlive {
-		t.Fatalf("forgotten node state = %v, want alive", got)
+		t.Fatalf("state after a beat = %v, want alive", got)
 	}
 }
 
@@ -164,20 +172,5 @@ func TestSweeperDetectsDeathInRealTime(t *testing.T) {
 		case <-deadline:
 			t.Fatal("sweeper never declared the silent node dead")
 		}
-	}
-}
-
-func TestSnapshotSorted(t *testing.T) {
-	m, _ := newTestMonitor(time.Second, 2*time.Second)
-	defer m.Close()
-	m.Observe("zeta")
-	m.Observe("alpha")
-	m.Observe("alpha")
-	snap := m.Snapshot()
-	if len(snap) != 2 || snap[0].Node != "alpha" || snap[1].Node != "zeta" {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if snap[0].Beats != 2 || snap[0].StateStr != "alive" {
-		t.Fatalf("alpha row = %+v", snap[0])
 	}
 }

@@ -4,16 +4,20 @@
 // job, a KindJMCheckpoint carrying an opaque snapshot of the job's control
 // state — specs, placement, schedule progress, retry budgets, tuple-space
 // contents, and (size permitting) the stashed archive blobs. Peers store
-// the latest snapshot per (origin, job) without decoding it and feed the
-// arrivals into a failure detector over the JobManager group.
+// the latest snapshot per (origin, job) without decoding it. A checkpoint's
+// arrival renews nothing: the origin's liveness is its node's lease in the
+// one health.Monitor, renewed by the node's TaskManager beats (recovery.go).
 //
-// When an origin goes dead, the lexicographically smallest surviving group
-// member adopts its checkpointed jobs: the snapshot is decoded into a
-// fresh jobState, the tuple space is rebuilt, the TaskManagers named by
-// the checkpoint are told (KindJMAdopt) to re-point the job's assignments
-// at the adopter, and tasks the checkpoint knows about but no surviving
-// TaskManager still holds — including everything placed on the dead node
-// itself — re-enter the existing recovery engine for re-placement.
+// When that lease lapses to dead, the lexicographically smallest surviving
+// group member is the adopter. It first confirms the origin is gone with
+// one PING bounded by SuspectAfter: an origin that answers keeps its jobs
+// and its lease is renewed. Otherwise the adopter takes its checkpointed
+// jobs: the snapshot is decoded into a fresh jobState, the tuple space is
+// rebuilt, the TaskManagers named by the checkpoint are told (KindJMAdopt)
+// to re-point the job's assignments at the adopter, and tasks the
+// checkpoint knows about but no surviving TaskManager still holds —
+// including everything placed on the dead node itself — re-enter the
+// existing recovery engine for re-placement.
 // Finally the client is notified (a one-way KindJMAdopt) so its future
 // calls target the survivor.
 //
@@ -33,7 +37,6 @@ import (
 	"time"
 
 	"cn/internal/dataplane"
-	"cn/internal/health"
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/task"
@@ -154,11 +157,11 @@ func (jm *JobManager) multicastCheckpoint(ck protocol.JMCheckpoint) {
 	}
 }
 
-// HandleCheckpoint absorbs a peer's KindJMCheckpoint: renew the origin's
-// lease and keep the newest snapshot per job. The multicast loops back to
-// the sender; its own checkpoints are ignored here.
+// HandleCheckpoint absorbs a peer's KindJMCheckpoint: keep the newest
+// snapshot per job. The multicast loops back to the sender; its own
+// checkpoints are ignored here.
 func (jm *JobManager) HandleCheckpoint(m *msg.Message) {
-	if jm.peers == nil {
+	if jm.peerCkpts == nil {
 		return
 	}
 	var ck protocol.JMCheckpoint
@@ -169,7 +172,6 @@ func (jm *JobManager) HandleCheckpoint(m *msg.Message) {
 	if ck.Origin == "" || ck.Origin == jm.node || ck.JobID == "" {
 		return
 	}
-	jm.peers.Observe(ck.Origin)
 	jm.peerMu.Lock()
 	defer jm.peerMu.Unlock()
 	byJob := jm.peerCkpts[ck.Origin]
@@ -189,38 +191,19 @@ func (jm *JobManager) HandleCheckpoint(m *msg.Message) {
 	}
 }
 
-// watchPeers reacts to the peer failure detector: a dead origin's jobs are
-// put up for adoption.
-func (jm *JobManager) watchPeers() {
-	defer jm.wg.Done()
-	ch, cancel := jm.peers.Subscribe()
-	defer cancel()
-	for {
-		select {
-		case <-jm.stop:
-			return
-		case ev, ok := <-ch:
-			if !ok {
-				return
-			}
-			if ev.State == health.StateDead {
-				jm.adoptFrom(ev.Node)
-			}
-		}
-	}
-}
-
-// adoptFrom runs the failover election for a dead origin and, when this
-// node wins, adopts every job the origin checkpointed. Losers drop their
-// copies: the winner re-replicates the jobs under its own name on its next
-// checkpoint tick.
+// adoptFrom runs the failover election for an origin whose lease went
+// dead and, when this node wins and the origin does not answer a PING,
+// adopts every job the origin checkpointed. Losers drop their copies: the
+// winner re-replicates the jobs under its own name on its next checkpoint
+// tick — or, when the origin answered, the origin keeps sending its own.
 func (jm *JobManager) adoptFrom(origin string) {
+	if jm.peerCkpts == nil {
+		return
+	}
 	jm.peerMu.Lock()
-	byJob := jm.peerCkpts[origin]
-	delete(jm.peerCkpts, origin)
+	held := len(jm.peerCkpts[origin])
 	jm.peerMu.Unlock()
-	jm.peers.Forget(origin)
-	if len(byJob) == 0 {
+	if held == 0 {
 		return
 	}
 	// Election without coordination: the lexicographically smallest
@@ -234,9 +217,18 @@ func (jm *JobManager) adoptFrom(origin string) {
 		}
 	}
 	if winner != jm.node {
-		jm.logf("peer %s dead: %s adopts its %d jobs", origin, winner, len(byJob))
+		jm.takeCheckpoints(origin)
+		jm.logf("peer %s dead: %s adopts its %d jobs", origin, winner, held)
 		return
 	}
+	if jm.originAnswers(origin) {
+		// A lapsed lease on a live manager (its beats were late, or only
+		// its TaskManager is gone): its jobs and their images stay put.
+		jm.monitor.Observe(origin)
+		jm.logf("peer %s lease lapsed but it answers; not adopting", origin)
+		return
+	}
+	byJob := jm.takeCheckpoints(origin)
 	ids := make([]string, 0, len(byJob))
 	for id := range byJob {
 		ids = append(ids, id)
@@ -412,11 +404,6 @@ func (jm *JobManager) adoptJob(origin, jobID string, data []byte) error {
 	sort.Strings(execNow)
 	sort.Strings(orphans)
 
-	for node := range byNode {
-		if node != origin {
-			jm.monitor.Watch(node)
-		}
-	}
 	jm.execTasks(j, execNow)
 	if len(orphans) > 0 {
 		jm.retryTasks(j, orphans, fmt.Sprintf("job adopted after manager %s died", origin),
@@ -434,6 +421,23 @@ func (jm *JobManager) adoptJob(origin, jobID string, data []byte) error {
 	jm.log.Info("job adopted", "job", jobID, "origin", origin,
 		"live", len(present), "orphaned", len(orphans))
 	return nil
+}
+
+// takeCheckpoints removes and returns the job images held for origin.
+func (jm *JobManager) takeCheckpoints(origin string) map[string]*peerCheckpoint {
+	jm.peerMu.Lock()
+	defer jm.peerMu.Unlock()
+	byJob := jm.peerCkpts[origin]
+	delete(jm.peerCkpts, origin)
+	return byJob
+}
+
+// originAnswers reports whether a manager whose lease lapsed still answers
+// one PING within SuspectAfter.
+func (jm *JobManager) originAnswers(origin string) bool {
+	ping := msg.New(msg.KindPing, msg.Address{Node: jm.node}, msg.Address{Node: origin}, nil)
+	_, err := jm.caller.CallInto(context.Background(), origin, ping, nil, jm.cfg.SuspectAfter)
+	return err == nil
 }
 
 // callAdopt asks one TaskManager to re-point a job's assignments.

@@ -158,6 +158,9 @@ type JobManager struct {
 	caller  *transport.Caller
 	freeMem FreeMemFunc
 	dir     *placement.Directory
+	// monitor is the manager's one liveness table: a lease per node,
+	// renewed by that node's TaskManager beat whether or not it hosts work
+	// of ours. Placement's Live gate, recovery and failover all read it.
 	monitor *health.Monitor
 	log     *slog.Logger
 	tracer  *trace.Tracer
@@ -174,12 +177,9 @@ type JobManager struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// peers is the failure detector over fellow JobManagers, fed by their
-	// checkpoint multicasts; a dead peer triggers adoption of its
-	// checkpointed jobs. Nil when checkpointing is disabled.
-	peers *health.Monitor
 	// peerCkpts holds the latest checkpoint per (origin, jobID), stored
-	// opaque and only decoded on adoption. Guarded by peerMu.
+	// opaque and only decoded on adoption; nil when checkpointing is
+	// disabled. Guarded by peerMu.
 	peerMu    sync.Mutex
 	peerCkpts map[string]map[string]*peerCheckpoint
 	// ckptMu orders this manager's own checkpoint frames on the wire: a
@@ -213,9 +213,9 @@ func New(cfg config.Config, node string, tracer *trace.Tracer, send SendFunc, ca
 		freeMem = func() int { return 0 }
 	}
 	// A negative interval means the TaskManagers are not heartbeating at
-	// all: leases must never expire or every placed node would read as
-	// dead. The monitor still exists (placement's liveness gate consults
-	// it) but its sweeper stays off.
+	// all: leases must never expire or every node would read as dead. The
+	// monitor still exists (placement's liveness gate consults it) but its
+	// sweeper stays off.
 	monSweep := time.Duration(0)
 	if cfg.HeartbeatInterval < 0 {
 		monSweep = -1
@@ -256,22 +256,11 @@ func New(cfg config.Config, node string, tracer *trace.Tracer, send SendFunc, ca
 	}
 	if cfg.CheckpointEvery > 0 && caller != nil {
 		jm.peerCkpts = make(map[string]map[string]*peerCheckpoint)
-		// Peer leases renew on checkpoint arrival, so the suspect/dead
-		// windows derive from the checkpoint cadence, not the heartbeat one.
-		jm.peers = health.NewMonitor(health.Config{
-			SuspectAfter: 3 * cfg.CheckpointEvery,
-			DeadAfter:    6 * cfg.CheckpointEvery,
-			Log:          logging.Component(cfg.Log, "health", node),
-		})
-		jm.wg.Add(2)
+		jm.wg.Add(1)
 		go jm.checkpointLoop()
-		go jm.watchPeers()
 	}
 	return jm
 }
-
-// Health exposes the node-liveness monitor (status surfaces, tests).
-func (jm *JobManager) Health() *health.Monitor { return jm.monitor }
 
 // solicitOffers performs one multicast solicitation round over the
 // TaskManager group — the placement directory's refresh path. The probe
@@ -291,6 +280,10 @@ func (jm *JobManager) solicitOffers() ([]protocol.TMOffer, error) {
 	for _, r := range replies {
 		var o protocol.TMOffer
 		if err := protocol.Decode(r, &o); err == nil {
+			// An offering node joins the liveness table here if its first
+			// beat has not yet arrived, so one that dies before it ever
+			// beats still expires.
+			jm.monitor.Watch(o.Node)
 			offers = append(offers, o)
 		}
 	}
@@ -627,13 +620,7 @@ func (jm *JobManager) createTasks(j *jobState, items []protocol.TaskCreate, blob
 		j.archives[it.Spec.Name] = it.Archive
 	}
 	j.mu.Unlock()
-	// Start liveness leases for the hosting nodes: a node that dies before
-	// its first heartbeat must still expire.
-	nodes := nodeSet(placements)
-	for node := range nodes {
-		jm.monitor.Watch(node)
-	}
-	jm.log.Info("tasks placed", "job", j.id, "tasks", len(items), "nodes", len(nodes))
+	jm.log.Info("tasks placed", "job", j.id, "tasks", len(items), "nodes", len(nodeSet(placements)))
 	return placements, nil
 }
 
@@ -1595,8 +1582,5 @@ func (jm *JobManager) Close() {
 		j.broker.Close()
 	}
 	jm.monitor.Close()
-	if jm.peers != nil {
-		jm.peers.Close()
-	}
 	jm.wg.Wait()
 }

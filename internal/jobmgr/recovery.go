@@ -1,16 +1,20 @@
 // Recovery engine: the JobManager half of CN's fault-tolerance subsystem.
 //
-// TaskManagers stream HEARTBEAT messages (lease renewal + per-task
-// progress sync) to every JobManager holding assignments on them. Each
-// JobManager feeds the beats into a health.Monitor and reacts to its
-// transitions:
+// Every TaskManager sends a HEARTBEAT to every member of the JobManager
+// group on each tick: the node's lease renewal, carrying the per-task
+// progress sync of the tasks it runs for that manager (possibly none).
+// Each JobManager feeds the beats into its one health.Monitor — the
+// node's lease covers its TaskManager and its JobManager alike, since
+// both live in one CNServer process — and reacts to its transitions:
 //
 //   - suspect: the node's cached offer is evicted so new plans avoid it;
 //   - dead: the node's in-flight tasks are orphaned and re-placed on
 //     surviving nodes (archive blobs re-fetch by digest, so re-placement
 //     costs one assignment round, not a re-upload), bounded by the
 //     MaxTaskRetries budget; exhausted tasks fail so the job terminates
-//     instead of hanging;
+//     instead of hanging. Then the jobs the node's JobManager checkpointed
+//     here go up for adoption (checkpoint.go). The row stays dead until
+//     the node beats again;
 //   - alive (resurrection): nothing to undo — the next solicitation round
 //     re-admits the node.
 //
@@ -62,7 +66,8 @@ func (jm *JobManager) liveNodes() map[string]bool {
 // HandleHeartbeat processes a TaskManager's KindHeartbeat: renew the
 // node's lease, absorb the per-task progress sync, and acknowledge —
 // flagging beat jobs this JobManager no longer tracks so the TaskManager
-// can release their leftover assignments.
+// can release their leftover assignments. A beat with no task beats means
+// "nothing of yours is here; I am alive".
 func (jm *JobManager) HandleHeartbeat(m *msg.Message) *msg.Message {
 	var hb protocol.Heartbeat
 	if err := protocol.Decode(m, &hb); err != nil {
@@ -72,17 +77,6 @@ func (jm *JobManager) HandleHeartbeat(m *msg.Message) *msg.Message {
 	node := hb.Node
 	if node == "" {
 		node = m.From.Node
-	}
-	if len(hb.Beats) == 0 {
-		// Goodbye beat: the TaskManager holds nothing of ours anymore. Drop
-		// the lease only when this JobManager agrees — if the schedule still
-		// shows live tasks there (a dropped completion event, or a goodbye
-		// that raced a fresh assignment), the lease must stay so its lapse
-		// can trigger recovery instead of the job hanging unmonitored.
-		if !jm.hasLivePlacements(node) {
-			jm.monitor.Forget(node)
-		}
-		return protocol.Reply(m, msg.KindHeartbeatAck, protocol.HeartbeatAck{Node: jm.node, Seq: hb.Seq})
 	}
 	jm.monitor.Observe(node)
 	// The beat doubles as a load sync: the node's running count refreshes
@@ -134,47 +128,6 @@ func (jm *JobManager) HandleHeartbeat(m *msg.Message) *msg.Message {
 	return protocol.Reply(m, msg.KindHeartbeatAck, ack)
 }
 
-// hasLivePlacements reports whether any hosted job still has a
-// non-terminal task placed (or speculated) on the node.
-func (jm *JobManager) hasLivePlacements(node string) bool {
-	jm.mu.Lock()
-	jobs := make([]*jobState, 0, len(jm.jobs))
-	for _, j := range jm.jobs {
-		jobs = append(jobs, j)
-	}
-	jm.mu.Unlock()
-	for _, j := range jobs {
-		j.mu.Lock()
-		if j.notified {
-			j.mu.Unlock()
-			continue
-		}
-		for taskName, n := range j.placement {
-			if n != node {
-				continue
-			}
-			if j.schedule == nil {
-				j.mu.Unlock()
-				return true
-			}
-			switch j.schedule.Status(taskName) {
-			case StatusDone, StatusFailed, StatusCancelled:
-			default:
-				j.mu.Unlock()
-				return true
-			}
-		}
-		for _, n := range j.speculative {
-			if n == node {
-				j.mu.Unlock()
-				return true
-			}
-		}
-		j.mu.Unlock()
-	}
-	return false
-}
-
 // watchHealth reacts to the failure detector's state transitions.
 func (jm *JobManager) watchHealth() {
 	defer jm.wg.Done()
@@ -196,6 +149,7 @@ func (jm *JobManager) watchHealth() {
 				jm.logf("node %s suspect; excluded from placement", ev.Node)
 			case health.StateDead:
 				jm.recoverNode(ev.Node)
+				jm.adoptFrom(ev.Node)
 			case health.StateAlive:
 				// Resurrection: the next solicitation round re-admits it.
 				jm.logf("node %s alive again", ev.Node)
@@ -275,9 +229,6 @@ func (jm *JobManager) recoverNode(node string) {
 			jm.retryTasks(j, orphans, fmt.Sprintf("node %s died", node), map[string]bool{node: true})
 		}
 	}
-	// The node's lease record has served its purpose; a resurrected node
-	// re-registers when it next hosts tasks for this JobManager.
-	jm.monitor.Forget(node)
 	jm.logf("node %s dead: %d orphaned tasks recovered", node, recovered)
 }
 
@@ -414,12 +365,6 @@ func (jm *JobManager) retryTasks(j *jobState, names []string, reason string, exc
 
 	if len(obsolete) > 0 {
 		jm.releaseBatch(j, obsolete, "task finished during recovery")
-	}
-	// Lease only the nodes that actually kept an assignment: a node whose
-	// placement was released as obsolete may never beat for us, and
-	// watching it would falsely declare a healthy node dead.
-	for _, name := range applied {
-		jm.monitor.Watch(placements[name])
 	}
 	for _, name := range applied {
 		// Retries are trace-visible: one anchor span per re-placement, its
@@ -564,7 +509,6 @@ func (jm *JobManager) speculate(j *jobState, name string) {
 		jm.releaseBatch(j, placements, "twin dispatch failed")
 		return
 	}
-	jm.monitor.Watch(node)
 	jm.relayEvents(j, node, []protocol.TaskEventItem{{
 		Kind: msg.KindTaskRetried, Task: name, Err: reason, Attempt: attempt, Speculative: true}})
 	jm.logf("job %s: speculating %q on %s (primary %s)", j.id, name, node, primary)

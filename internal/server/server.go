@@ -58,7 +58,8 @@ func Start(net transport.Network, node string, cfg config.Config) (*Server, erro
 	}
 
 	send := func(toNode string, m *msg.Message) error { return ep.Send(toNode, m) }
-	s.tm = taskmgr.New(cfg, node, s.tracer, send, s.caller.CallInto)
+	jobManagers := func() []string { return ep.GroupMembers(protocol.GroupJobManagers) }
+	s.tm = taskmgr.New(cfg, node, s.tracer, send, s.caller.CallInto, jobManagers)
 	s.jm = jobmgr.New(cfg, node, s.tracer, send, s.caller, s.tm.FreeMemoryMB)
 	close(s.ready)
 
@@ -185,17 +186,19 @@ func (s *Server) handle(m *msg.Message) {
 		s.replyIfAny(m, s.jm.HandleSolicit(m))
 	case msg.KindTaskSolicit:
 		s.replyIfAny(m, s.tm.HandleSolicit(m))
-	// Health: a heartbeat renews a lease and folds progress counters into
-	// job state under short mutexes; its ack cancels the contexts of
-	// assignments the JobManager no longer knows. Neither waits on anything.
+	// Health: a heartbeat renews the sending node's lease and folds progress
+	// counters into job state under short mutexes; its ack cancels the
+	// contexts of assignments the JobManager no longer knows. Neither waits
+	// on anything. A PING is answered at once: a failover adopter sends one
+	// to confirm a manager whose lease lapsed is really gone.
 	case msg.KindPing:
 		s.replyIfAny(m, m.Reply(msg.KindPong, nil))
 	case msg.KindHeartbeat:
 		s.replyIfAny(m, s.jm.HandleHeartbeat(m))
 	case msg.KindHeartbeatAck:
 		s.tm.HandleHeartbeatAck(m)
-	// A peer's checkpoint renews a lease and stores or drops one opaque
-	// image under a mutex. In arrival order, so a job's terminal record —
+	// A peer's checkpoint stores or drops one opaque image under a mutex
+	// (it renews no lease). In arrival order, so a job's terminal record —
 	// sent the moment it retires — cannot be applied before the snapshot
 	// that preceded it on the connection.
 	case msg.KindJMCheckpoint:

@@ -2,6 +2,8 @@ package taskmgr
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"cn/internal/config"
@@ -14,7 +16,7 @@ import (
 // so beatOnce can be driven by hand.
 func beatBench(t *testing.T) *TaskManager {
 	t.Helper()
-	tm := New(config.Config{HeartbeatInterval: -1}, "tm0", nil, func(string, *msg.Message) error { return nil }, nil)
+	tm := New(config.Config{HeartbeatInterval: -1}, "tm0", nil, func(string, *msg.Message) error { return nil }, nil, nil)
 	t.Cleanup(tm.Close)
 	return tm
 }
@@ -27,9 +29,9 @@ func addFakeAssignment(tm *TaskManager, jm, jobID, name string) {
 	tm.mu.Unlock()
 }
 
-// TestBeatOnceIdleAllocFree: an idle TaskManager heartbeats forever on
-// every node; its beat must settle to zero allocations per tick (it used
-// to build two fresh maps every round).
+// TestBeatOnceIdleAllocFree: with no JobManager to beat and no assignment,
+// a tick allocates nothing — the grouping map and its slices are reused
+// across rounds (the beat used to build two fresh maps every round).
 func TestBeatOnceIdleAllocFree(t *testing.T) {
 	tm := beatBench(t)
 	tm.beatOnce() // warm up: one-time lazy state
@@ -65,53 +67,65 @@ func TestBeatOnceSteadyStateAllocsBounded(t *testing.T) {
 	}
 }
 
-// TestBeatOnceGoodbyeSemanticsSurviveReuse: the scratch-map reuse must not
-// change the goodbye protocol — a JobManager that loses its last task gets
-// exactly one empty beat, then silence.
-func TestBeatOnceGoodbyeSemanticsSurviveReuse(t *testing.T) {
+// TestIdleTaskManagerBeatsEveryJobManager: a node's beat is its lease, so
+// every member of the JobManager group — the node's own included — hears
+// from it on every tick, whether or not it hosts their work, and an owner
+// outside the group hears from it while it owns an assignment. An idle beat
+// costs no more than a busy one.
+func TestIdleTaskManagerBeatsEveryJobManager(t *testing.T) {
 	type beat struct {
 		jm    string
 		tasks int
 	}
 	var sent []beat
+	members := []string{"jm1", "jm2", "tm0"}
 	tm := New(config.Config{HeartbeatInterval: -1}, "tm0", nil, func(to string, m *msg.Message) error {
 		var hb protocol.Heartbeat
 		if err := protocol.Decode(m, &hb); err != nil {
 			t.Fatalf("decode heartbeat: %v", err)
 		}
+		if hb.Node != "tm0" {
+			t.Fatalf("beat names node %q, want tm0", hb.Node)
+		}
 		sent = append(sent, beat{jm: to, tasks: len(hb.Beats)})
 		return nil
-	}, nil)
+	}, nil, func() []string { return members })
 	defer tm.Close()
+	tick := func() []beat {
+		sent = nil
+		tm.beatOnce()
+		slices.SortFunc(sent, func(a, b beat) int { return strings.Compare(a.jm, b.jm) })
+		return sent
+	}
+	idle := []beat{{"jm1", 0}, {"jm2", 0}, {"tm0", 0}}
+	for i := 0; i < 3; i++ {
+		if got := tick(); !slices.Equal(got, idle) {
+			t.Fatalf("idle tick %d beat %v, want %v", i, got, idle)
+		}
+	}
 
 	addFakeAssignment(tm, "jm1", "job1", "t1")
-	tm.beatOnce()
-	if len(sent) != 1 || sent[0] != (beat{"jm1", 1}) {
-		t.Fatalf("first beat = %v, want one 1-task beat to jm1", sent)
+	addFakeAssignment(tm, "jmX", "job2", "t1")
+	busy := []beat{{"jm1", 1}, {"jm2", 0}, {"jmX", 1}, {"tm0", 0}}
+	if got := tick(); !slices.Equal(got, busy) {
+		t.Fatalf("busy tick beat %v, want %v", got, busy)
 	}
 
-	// The task finishes; the next beat is the goodbye (empty), and after
-	// that jm1 hears nothing.
+	// The tasks end: every member still hears from the node, and the owner
+	// outside the group hears nothing more.
 	tm.mu.Lock()
-	delete(tm.assigned, "job1/t1")
+	clear(tm.assigned)
 	tm.mu.Unlock()
-	sent = nil
-	tm.beatOnce()
-	if len(sent) != 1 || sent[0] != (beat{"jm1", 0}) {
-		t.Fatalf("post-removal beat = %v, want one goodbye (0 tasks) to jm1", sent)
-	}
-	sent = nil
-	tm.beatOnce()
-	tm.beatOnce()
-	if len(sent) != 0 {
-		t.Fatalf("beats after goodbye = %v, want none", sent)
+	for i := 0; i < 3; i++ {
+		if got := tick(); !slices.Equal(got, idle) {
+			t.Fatalf("tick %d after the tasks ended beat %v, want %v", i, got, idle)
+		}
 	}
 
-	// Reappearing assignments resume normal beats on the reused scratch.
-	addFakeAssignment(tm, "jm1", "job2", "t9")
-	sent = nil
-	tm.beatOnce()
-	if len(sent) != 1 || sent[0] != (beat{"jm1", 1}) {
-		t.Fatalf("beat after re-assignment = %v, want one 1-task beat to jm1", sent)
+	// The same per-beat budget as TestBeatOnceSteadyStateAllocsBounded, on
+	// the same no-op send.
+	tm.send = func(string, *msg.Message) error { return nil }
+	if perBeat := testing.AllocsPerRun(50, tm.beatOnce) / float64(len(members)); perBeat > 40 {
+		t.Errorf("idle beatOnce allocates %.1f objects per heartbeat, want <= 40", perBeat)
 	}
 }

@@ -54,7 +54,7 @@ func newDPFabric() *dpFabric {
 func (f *dpFabric) node(t *testing.T, name string, reg *task.Registry) (*TaskManager, *sink) {
 	t.Helper()
 	s := &sink{}
-	tm := New(config.Config{MemoryMB: 1000, Registry: reg, HeartbeatInterval: -1}, name, nil, s.send, f.call)
+	tm := New(config.Config{MemoryMB: 1000, Registry: reg, HeartbeatInterval: -1}, name, nil, s.send, f.call, nil)
 	t.Cleanup(tm.Close)
 	f.mu.Lock()
 	f.tms[name] = tm
@@ -455,7 +455,7 @@ func TestWarmPutGetAllocs(t *testing.T) {
 		}
 		return where, nil
 	}
-	tm := New(config.Config{HeartbeatInterval: -1}, "a", nil, (&sink{}).send, call)
+	tm := New(config.Config{HeartbeatInterval: -1}, "a", nil, (&sink{}).send, call, nil)
 	t.Cleanup(tm.Close)
 	a := newAssignment("j1", "jm", "client", spec("t", 10))
 	round := func() {

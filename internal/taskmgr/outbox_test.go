@@ -79,7 +79,7 @@ func noBareEvents(t *testing.T, s *sink) {
 func TestExecListStartsEachTaskAndFailsOneAlone(t *testing.T) {
 	gate := make(chan struct{})
 	s := &sink{}
-	tm := New(config.Config{MemoryMB: 1000, Registry: gateRegistry(t, gate), HeartbeatInterval: -1}, "tm1", nil, s.send, nil)
+	tm := New(config.Config{MemoryMB: 1000, Registry: gateRegistry(t, gate), HeartbeatInterval: -1}, "tm1", nil, s.send, nil, nil)
 	defer tm.Close()
 	names := []string{"a", "b", "c", "ghost", "d", "e", "f", "g"}
 	for _, n := range names {
@@ -147,7 +147,7 @@ func TestOutboxCutsFramesAndKeepsOrder(t *testing.T) {
 		}
 		return s.send(to, m)
 	}
-	tm := New(config.Config{MemoryMB: tasks, Registry: registry(t), HeartbeatInterval: -1}, "tm1", nil, send, nil)
+	tm := New(config.Config{MemoryMB: tasks, Registry: registry(t), HeartbeatInterval: -1}, "tm1", nil, send, nil, nil)
 	names := make([]string, tasks)
 	for i := range names {
 		names[i] = fmt.Sprintf("t%03d", i)
@@ -226,7 +226,7 @@ func (h *heldSink) send(to string, m *msg.Message) error {
 // the adopter.
 func TestOutboxFlusherTargetsManagerAtSendTime(t *testing.T) {
 	h := newHeldSink()
-	tm := New(config.Config{Registry: registry(t), HeartbeatInterval: -1}, "tm1", nil, h.send, nil)
+	tm := New(config.Config{Registry: registry(t), HeartbeatInterval: -1}, "tm1", nil, h.send, nil, nil)
 	defer tm.Close()
 	tm.post("j1", "jm1", protocol.TaskEventItem{Kind: msg.KindTaskStarted, Task: "t"})
 	<-h.entered // the flusher is inside its send to jm1
@@ -250,7 +250,7 @@ func TestOutboxFlusherTargetsManagerAtSendTime(t *testing.T) {
 // sending.
 func TestCloseWaitsForFlushers(t *testing.T) {
 	h := newHeldSink()
-	tm := New(config.Config{Registry: registry(t), HeartbeatInterval: -1}, "tm1", nil, h.send, nil)
+	tm := New(config.Config{Registry: registry(t), HeartbeatInterval: -1}, "tm1", nil, h.send, nil, nil)
 	tm.post("j1", "jm1", protocol.TaskEventItem{Kind: msg.KindTaskStarted, Task: "t"})
 	<-h.entered
 	closed := make(chan struct{})

@@ -17,7 +17,7 @@ import (
 // socket's iovec by reference. (It used to cost a zeroed 768 KiB payload
 // buffer, a copy into it and a copy into the frame.)
 func TestServeChunkCopyGuard(t *testing.T) {
-	tm := New(config.Config{HeartbeatInterval: -1}, "tm0", nil, func(string, *msg.Message) error { return nil }, nil)
+	tm := New(config.Config{HeartbeatInterval: -1}, "tm0", nil, func(string, *msg.Message) error { return nil }, nil, nil)
 	t.Cleanup(tm.Close)
 	blob := make([]byte, 3<<20)
 	digest := archive.DigestBytes(blob)

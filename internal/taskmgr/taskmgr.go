@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -121,17 +122,15 @@ type TaskManager struct {
 	releaseMu sync.RWMutex
 	stop      chan struct{}
 	hbSeq     atomic.Uint64
-	// lastJMs is the JobManager set served by the previous beat round;
-	// only the heartbeat goroutine touches it. JobManagers that drop out
-	// of the set get one final empty beat — the "goodbye" that releases
-	// this node's liveness lease so an idle node is not mistaken for a
-	// dead one.
-	lastJMs map[string]bool
+	// jobManagers lists the JobManager group's members, this node's own
+	// included: every one gets this node's beat on each tick. nil beats
+	// only the owners of assignments.
+	jobManagers func() []string
 	// beatScratch is beatOnce's grouping map, reused across rounds (the
 	// heartbeat ticks forever on every node; rebuilding the map and its
 	// slices each round was steady-state garbage). Between rounds its keys
-	// are exactly the actively-beaten JobManagers, values truncated but
-	// with capacity retained. Only the heartbeat goroutine touches it.
+	// are the JobManagers beaten last round, values truncated but with
+	// capacity retained. Only the heartbeat goroutine touches it.
 	beatScratch map[string][]protocol.TaskBeat
 
 	mu       sync.Mutex
@@ -169,8 +168,9 @@ type outbox struct {
 // spans (task exec, shuffle pulls) into its local store, and terminal task
 // events drain them to the JobManager's timeline; nil disables TM-side span
 // recording. A nil call disables archive pulls and tuple-space and
-// data-plane access.
-func New(cfg config.Config, node string, tracer *trace.Tracer, send SendFunc, call CallFunc) *TaskManager {
+// data-plane access. jobManagers lists the JobManager group, which the
+// heartbeat renews this node's lease at.
+func New(cfg config.Config, node string, tracer *trace.Tracer, send SendFunc, call CallFunc, jobManagers func() []string) *TaskManager {
 	cfg = cfg.WithDefaults()
 	tm := &TaskManager{
 		cfg:         cfg,
@@ -184,7 +184,7 @@ func New(cfg config.Config, node string, tracer *trace.Tracer, send SendFunc, ca
 		assigned:    make(map[string]*assignment),
 		outboxes:    make(map[string]*outbox),
 		freeMB:      cfg.MemoryMB,
-		lastJMs:     make(map[string]bool),
+		jobManagers: jobManagers,
 		beatScratch: make(map[string][]protocol.TaskBeat),
 	}
 	if cfg.HeartbeatInterval > 0 {
@@ -194,8 +194,8 @@ func New(cfg config.Config, node string, tracer *trace.Tracer, send SendFunc, ca
 	return tm
 }
 
-// heartbeatLoop streams HEARTBEAT messages to every JobManager holding
-// assignments on this node, on the configured cadence.
+// heartbeatLoop streams HEARTBEAT messages to every JobManager, on the
+// configured cadence.
 func (tm *TaskManager) heartbeatLoop() {
 	defer tm.wg.Done()
 	ticker := time.NewTicker(tm.cfg.HeartbeatInterval)
@@ -211,18 +211,25 @@ func (tm *TaskManager) heartbeatLoop() {
 }
 
 // beatOnce snapshots the assignment table, groups it by owning JobManager,
-// and sends each one a Heartbeat: the lease renewal plus the per-task
-// progress sync. JobManagers this node no longer hosts tasks for receive
-// one final empty beat so they stop expecting renewals.
+// and sends every member of the JobManager group — and any other owner —
+// a Heartbeat: the renewal of this node's lease plus the progress sync of
+// the tasks it runs for that manager, possibly none.
 func (tm *TaskManager) beatOnce() {
 	now := time.Now()
-	// Reuse the scratch map across rounds: truncate each surviving entry so
-	// appends below refill in place. Entering this round, keys are exactly
-	// the JobManagers beaten last round (== tm.lastJMs), so any key left
-	// empty after the fill is owed a goodbye.
+	var members []string
+	if tm.jobManagers != nil {
+		members = tm.jobManagers()
+	}
+	// Reuse the scratch map across rounds: truncate each entry so appends
+	// below refill in place.
 	byJM := tm.beatScratch
 	for jm, beats := range byJM {
 		byJM[jm] = beats[:0]
+	}
+	for _, jm := range members {
+		if _, ok := byJM[jm]; !ok {
+			byJM[jm] = nil
+		}
 	}
 	tm.mu.Lock()
 	for _, a := range tm.assigned {
@@ -241,6 +248,10 @@ func (tm *TaskManager) beatOnce() {
 	tm.mu.Unlock()
 	seq := tm.hbSeq.Add(1)
 	for jm, beats := range byJM {
+		if len(beats) == 0 && !slices.Contains(members, jm) {
+			delete(byJM, jm) // neither a member nor an owner any more
+			continue
+		}
 		// Deterministic beat order keeps the wire payload stable for tests
 		// and logs.
 		sort.Slice(beats, func(a, b int) bool {
@@ -249,26 +260,12 @@ func (tm *TaskManager) beatOnce() {
 			}
 			return beats[a].Task < beats[b].Task
 		})
-		payload := beats
-		if len(beats) == 0 {
-			payload = nil // goodbye beat: releases the liveness lease
-		}
 		hb := protocol.Body(msg.KindHeartbeat,
 			msg.Address{Node: tm.node},
 			msg.Address{Node: jm},
-			protocol.Heartbeat{Node: tm.node, Seq: seq, Beats: payload})
+			protocol.Heartbeat{Node: tm.node, Seq: seq, Beats: beats})
 		if err := tm.send(jm, hb); err != nil {
 			tm.logf("heartbeat to %s: %v", jm, err)
-		}
-	}
-	// Re-establish the invariant for the next round: lastJMs and the
-	// scratch keys are the JobManagers that got a real (non-goodbye) beat.
-	clear(tm.lastJMs)
-	for jm, beats := range byJM {
-		if len(beats) > 0 {
-			tm.lastJMs[jm] = true
-		} else {
-			delete(byJM, jm) // goodbye delivered; retire the entry
 		}
 	}
 }

@@ -167,7 +167,7 @@ func spec(name string, memMB int) *task.Spec {
 
 func TestSolicitRespectsMemory(t *testing.T) {
 	s := &sink{}
-	tm := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm1", nil, s.send, nil)
+	tm := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm1", nil, s.send, nil, nil)
 	defer tm.Close()
 	if r := tm.HandleSolicit(solicitMsg(spec("big", 1000))); r != nil {
 		t.Error("over-capacity solicit answered")
@@ -187,7 +187,7 @@ func TestSolicitRespectsMemory(t *testing.T) {
 
 func TestAssignReservesAndReleasesMemory(t *testing.T) {
 	s := &sink{}
-	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t)}, "tm1", nil, s.send, nil)
+	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t)}, "tm1", nil, s.send, nil, nil)
 	defer tm.Close()
 	sp := spec("t1", 400)
 	mustAssign(t, tm, sp)
@@ -206,7 +206,7 @@ func TestAssignReservesAndReleasesMemory(t *testing.T) {
 
 func TestAssignRejections(t *testing.T) {
 	s := &sink{}
-	tm := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm1", nil, s.send, nil)
+	tm := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm1", nil, s.send, nil, nil)
 	defer tm.Close()
 
 	check := func(sp *task.Spec, ar *archive.Archive, wantReason string) {
@@ -309,7 +309,7 @@ func TestAssignRejectsDigestMismatch(t *testing.T) {
 	holder := &blobHolder{blobs: map[string][]byte{goodRef.Digest: good.Bytes(), otherRef.Digest: good.Bytes()}}
 	otherRef.Size = goodRef.Size
 	s := &sink{}
-	tm := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm1", nil, s.send, holder.call)
+	tm := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm1", nil, s.send, holder.call, nil)
 	defer tm.Close()
 	resp := assignBatch(t, tm, "j1",
 		protocol.TaskCreate{Spec: spec("dig", 10), Archive: otherRef},
@@ -331,7 +331,7 @@ func TestAssignRefusesAdvertisedSizeBeforePulling(t *testing.T) {
 	ar, ref := noopArchive(t, "sized.jar")
 	holder := &blobHolder{blobs: map[string][]byte{ref.Digest: ar.Bytes()}}
 	s := &sink{}
-	tm := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm1", nil, s.send, holder.call)
+	tm := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm1", nil, s.send, holder.call, nil)
 	defer tm.Close()
 	for _, size := range []int64{0, -1, protocol.MaxBlobBytes + 1} {
 		bad := ref
@@ -370,7 +370,7 @@ func TestAssignDigestNotHeldRejectsItsItemsAlone(t *testing.T) {
 	_, goneRef := noopArchive(t, "gone.jar")
 	holder := &blobHolder{blobs: map[string][]byte{heldRef.Digest: held.Bytes()}}
 	s := &sink{}
-	tm := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm1", nil, s.send, holder.call)
+	tm := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm1", nil, s.send, holder.call, nil)
 	defer tm.Close()
 	resp := assignBatch(t, tm, "j1",
 		protocol.TaskCreate{Spec: spec("g1", 10), Archive: goneRef},
@@ -384,7 +384,7 @@ func TestAssignDigestNotHeldRejectsItsItemsAlone(t *testing.T) {
 		t.Errorf("fetched %d, %d requests for the missing digest; want 1 and 1", resp.Fetched, holder.pulls[goneRef.Digest])
 	}
 	// Without a call path nothing can be pulled: a digest not cached rejects.
-	bare := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm2", nil, s.send, nil)
+	bare := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm2", nil, s.send, nil, nil)
 	defer bare.Close()
 	if resp := assignBatch(t, bare, "j1", protocol.TaskCreate{Spec: spec("h1", 10), Archive: heldRef}); !strings.Contains(resp.Rejected["h1"], "no call path") {
 		t.Errorf("no call path: rejections = %v", resp.Rejected)
@@ -393,7 +393,7 @@ func TestAssignDigestNotHeldRejectsItsItemsAlone(t *testing.T) {
 
 func TestStartErrors(t *testing.T) {
 	s := &sink{}
-	tm := New(config.Config{Registry: registry(t)}, "tm1", nil, s.send, nil)
+	tm := New(config.Config{Registry: registry(t)}, "tm1", nil, s.send, nil, nil)
 	defer tm.Close()
 	if err := tm.HandleStart("j1", "ghost", trace.Context{}); err == nil {
 		t.Error("starting unassigned task accepted")
@@ -410,7 +410,7 @@ func TestStartErrors(t *testing.T) {
 
 func TestCancelReleasesUnstarted(t *testing.T) {
 	s := &sink{}
-	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t)}, "tm1", nil, s.send, nil)
+	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t)}, "tm1", nil, s.send, nil, nil)
 	defer tm.Close()
 	mustAssign(t, tm, spec("idle", 300))
 	if tm.FreeMemoryMB() != 700 {
@@ -428,7 +428,7 @@ func TestBatchAssignSharedDigestFetchesOnce(t *testing.T) {
 	ar, ref := noopArchive(t, "shared.jar")
 	holder := &blobHolder{blobs: map[string][]byte{ref.Digest: ar.Bytes()}}
 	s := &sink{}
-	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t)}, "tm1", nil, s.send, holder.call)
+	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t)}, "tm1", nil, s.send, holder.call, nil)
 	defer tm.Close()
 
 	resp := assignBatch(t, tm, "j1",
@@ -463,7 +463,7 @@ func TestBatchAssignSharedDigestFetchesOnce(t *testing.T) {
 func TestBatchAssignPullsEachMissingDigestOnce(t *testing.T) {
 	holder := &blobHolder{blobs: make(map[string][]byte)}
 	s := &sink{}
-	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t)}, "tm1", nil, s.send, holder.call)
+	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t)}, "tm1", nil, s.send, holder.call, nil)
 	defer tm.Close()
 	var items []protocol.TaskCreate
 	refs := make([]protocol.ArchiveRef, 4)
@@ -503,7 +503,7 @@ func TestCacheHitAssignmentWithRefOnlyExecutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &sink{}
-	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t)}, "tm1", nil, s.send, nil) // no Call configured
+	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t)}, "tm1", nil, s.send, nil, nil) // no Call configured
 	defer tm.Close()
 
 	// Seed the cache as an earlier assignment's transfer would have.
@@ -538,7 +538,7 @@ func TestBatchAssignRejectsIndividually(t *testing.T) {
 	// One oversubscribed task must reject alone; the rest of the batch
 	// lands.
 	s := &sink{}
-	tm := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm1", nil, s.send, nil)
+	tm := New(config.Config{MemoryMB: 500, Registry: registry(t)}, "tm1", nil, s.send, nil, nil)
 	defer tm.Close()
 	r := tm.HandleAssignBatch(batchMsg(protocol.AssignTasksReq{
 		JobID: "j1", JobManager: "jm", ClientNode: "client",
@@ -570,7 +570,7 @@ func TestBatchAssignMissingBlobRejectsOnlyAffected(t *testing.T) {
 	// No call path and an uncached digest: only the referencing task is
 	// rejected; archive-less tasks in the same batch still land.
 	s := &sink{}
-	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t)}, "tm1", nil, s.send, nil)
+	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t)}, "tm1", nil, s.send, nil, nil)
 	defer tm.Close()
 	r := tm.HandleAssignBatch(batchMsg(protocol.AssignTasksReq{
 		JobID: "j1", JobManager: "jm", ClientNode: "client",
@@ -593,7 +593,7 @@ func TestBatchAssignMissingBlobRejectsOnlyAffected(t *testing.T) {
 
 func TestUserDeliveryUnknownTask(t *testing.T) {
 	s := &sink{}
-	tm := New(config.Config{Registry: registry(t)}, "tm1", nil, s.send, nil)
+	tm := New(config.Config{Registry: registry(t)}, "tm1", nil, s.send, nil, nil)
 	defer tm.Close()
 	m := protocol.Body(msg.KindUser, msg.Address{}, msg.Address{},
 		protocol.UserPayload{JobID: "j1", ToTask: "ghost"})
@@ -604,7 +604,7 @@ func TestUserDeliveryUnknownTask(t *testing.T) {
 
 func TestCloseIdempotentAndRejectsWork(t *testing.T) {
 	s := &sink{}
-	tm := New(config.Config{Registry: registry(t)}, "tm1", nil, s.send, nil)
+	tm := New(config.Config{Registry: registry(t)}, "tm1", nil, s.send, nil, nil)
 	tm.Close()
 	tm.Close()
 	if r := tm.HandleSolicit(solicitMsg(spec("t", 10))); r != nil {
@@ -617,7 +617,7 @@ func TestCloseIdempotentAndRejectsWork(t *testing.T) {
 
 func TestHeartbeatCarriesTaskBeats(t *testing.T) {
 	s := &sink{}
-	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t), HeartbeatInterval: 5 * time.Millisecond}, "tm1", nil, s.send, nil)
+	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t), HeartbeatInterval: 5 * time.Millisecond}, "tm1", nil, s.send, nil, nil)
 	defer tm.Close()
 	mustAssign(t, tm, spec("t1", 100))
 	m := s.waitKind(t, msg.KindHeartbeat)
@@ -647,23 +647,9 @@ func TestHeartbeatCarriesTaskBeats(t *testing.T) {
 	})
 }
 
-func TestGoodbyeBeatAfterLastAssignment(t *testing.T) {
-	s := &sink{}
-	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t), HeartbeatInterval: 5 * time.Millisecond}, "tm1", nil, s.send, nil)
-	defer tm.Close()
-	mustAssign(t, tm, spec("t1", 100))
-	s.waitKind(t, msg.KindHeartbeat)
-	tm.HandleCancel("j1") // releases the only assignment
-	// An empty (goodbye) heartbeat must follow.
-	s.wait(t, "goodbye beat after the last assignment was released", func(mm *msg.Message) bool {
-		var b protocol.Heartbeat
-		return mm.Kind == msg.KindHeartbeat && protocol.Decode(mm, &b) == nil && len(b.Beats) == 0
-	})
-}
-
 func TestHeartbeatAckUnknownJobReleasesAssignments(t *testing.T) {
 	s := &sink{}
-	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t), HeartbeatInterval: -1}, "tm1", nil, s.send, nil)
+	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t), HeartbeatInterval: -1}, "tm1", nil, s.send, nil, nil)
 	defer tm.Close()
 	mustAssign(t, tm, spec("t1", 400))
 	if tm.FreeMemoryMB() != 600 {
@@ -680,7 +666,7 @@ func TestHeartbeatAckUnknownJobReleasesAssignments(t *testing.T) {
 
 func TestReleaseIfUnstarted(t *testing.T) {
 	s := &sink{}
-	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t), HeartbeatInterval: -1}, "tm1", nil, s.send, nil)
+	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t), HeartbeatInterval: -1}, "tm1", nil, s.send, nil, nil)
 	defer tm.Close()
 	mustAssign(t, tm, spec("t1", 400))
 	if !tm.ReleaseIfUnstarted("j1", "t1") {
@@ -744,7 +730,7 @@ func TestTaskOutIsOneWayAndStoppedIsLocal(t *testing.T) {
 		})
 	})
 	s := &sink{}
-	tm := New(config.Config{MemoryMB: 1000, Registry: reg, HeartbeatInterval: -1}, "tm1", nil, s.send, call)
+	tm := New(config.Config{MemoryMB: 1000, Registry: reg, HeartbeatInterval: -1}, "tm1", nil, s.send, call, nil)
 	defer tm.Close()
 	sp := spec("e", 100)
 	sp.Class = "tm.Emitter"
