@@ -12,7 +12,8 @@
 // Output: one line per span, indented by parent/child causality, with the
 // span's node, duration, a proportional bar positioned on the trace's
 // time axis, and any error text. Orphan spans (parent missing from the
-// capture, e.g. evicted from a ring buffer) root their own subtree.
+// capture, e.g. dropped past its owner's trace.MaxJobSpans cap) root
+// their own subtree.
 package main
 
 import (

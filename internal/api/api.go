@@ -161,9 +161,9 @@ func (c *Client) OpenJobs() int {
 	return len(c.jobs)
 }
 
-// Scrape pulls one node's metrics registry snapshot and span-store depth
-// over the wire (KindStatsPull) — the primitive cluster-wide metrics
-// aggregation is built from.
+// Scrape pulls one node's metrics registry snapshot over the wire
+// (KindStatsPull) — the primitive cluster-wide metrics aggregation is built
+// from.
 func (c *Client) Scrape(ctx context.Context, node string) (*protocol.StatsReportResp, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -239,7 +239,7 @@ func (c *Client) CreateJobOn(jmNode, name string, req protocol.JobRequirements) 
 		ra.End(err)
 		return nil, fmt.Errorf("api: create job %q: %w", name, err)
 	}
-	ra.SetJob(resp.JobID).End(nil)
+	submit, ok := ra.SetJob(resp.JobID).End(nil)
 	j := &Job{
 		client: c,
 		ID:     resp.JobID,
@@ -250,6 +250,7 @@ func (c *Client) CreateJobOn(jmNode, name string, req protocol.JobRequirements) 
 		events: msg.NewMailbox[Event](),
 		done:   make(chan struct{}),
 	}
+	j.keep(submit, ok)
 	c.mu.Lock()
 	c.jobs[j.ID] = j
 	c.mu.Unlock()
@@ -313,8 +314,11 @@ type Job struct {
 	// interleave their chunk sequences.
 	pushMu sync.Mutex
 
-	mu       sync.Mutex
-	started  bool
+	mu      sync.Mutex
+	started bool
+	// spans are the job's finished client-side spans, shipped by Start;
+	// one that ends after Start is dropped.
+	spans    []trace.Span
 	finished bool
 	released bool
 	result   *Result
@@ -475,24 +479,36 @@ func (j *Job) CreateTasks(specs []*task.Spec, archives map[string]*archive.Archi
 	cm.Trace = j.trace
 	reply, err := j.client.caller.CallInto(context.Background(), jmNode, cm, nil, j.client.opts.CallTimeout)
 	if err != nil {
-		ca.End(err)
+		j.keep(ca.End(err))
 		return nil, fmt.Errorf("api: create %d tasks: %w", len(specs), err)
 	}
 	if reply.Kind == msg.KindJobFailed {
 		err := replyError(fmt.Sprintf("create %d tasks", len(specs)), reply)
-		ca.End(err)
+		j.keep(ca.End(err))
 		return nil, err
 	}
 	var resp protocol.CreateTasksResp
 	if err := protocol.Decode(reply, &resp); err != nil {
-		ca.End(err)
+		j.keep(ca.End(err))
 		return nil, fmt.Errorf("api: create tasks: %w", err)
 	}
-	ca.End(nil)
+	j.keep(ca.End(nil))
 	j.mu.Lock()
 	j.prog.Tasks += len(specs)
 	j.mu.Unlock()
 	return resp.Placements, nil
+}
+
+// keep adds a finished client-side span of the job to what Start ships.
+func (j *Job) keep(sp trace.Span, ok bool) {
+	if !ok {
+		return
+	}
+	j.mu.Lock()
+	if !j.started && len(j.spans) < trace.MaxJobSpans {
+		j.spans = append(j.spans, sp)
+	}
+	j.mu.Unlock()
 }
 
 // Progress returns the client-observed lifecycle census for the job.
@@ -512,19 +528,17 @@ func (j *Job) Start(taskNames ...string) error {
 		return fmt.Errorf("api: job %s already started", j.ID)
 	}
 	j.started = true
+	// The client-side spans of this trace (submit, task creation) ride the
+	// start request: the JobManager folds them into the per-job timeline
+	// it assembles, so the client never needs scraping.
+	spans := j.spans
+	j.spans = nil
 	j.mu.Unlock()
 	jmNode := j.manager()
-	// Drain the client-side spans of this trace (submit, task creation)
-	// into the start request: the JobManager folds them into the per-job
-	// timeline it assembles, so the client never needs scraping.
 	sm := protocol.Body(msg.KindStartTask,
 		msg.Address{Node: j.client.node, Job: j.ID, Task: protocol.ClientTaskName},
 		msg.Address{Node: jmNode, Job: j.ID},
-		protocol.StartJobReq{
-			JobID:     j.ID,
-			TaskNames: taskNames,
-			Spans:     j.client.opts.Tracer.Store().Take(j.ID, ""),
-		})
+		protocol.StartJobReq{JobID: j.ID, TaskNames: taskNames, Spans: spans})
 	sm.Trace = j.trace
 	reply, err := j.client.caller.CallInto(context.Background(), jmNode, sm, nil, j.client.opts.CallTimeout)
 	if err != nil {

@@ -122,19 +122,16 @@ type jobState struct {
 	root trace.Context
 	// timeline is the job's assembled trace: JM-recorded spans plus those
 	// carried in on StartJobReq and terminal TaskEvents, capped at
-	// maxTimelineSpans. Guarded by mu. It rides the checkpoint so the
+	// trace.MaxJobSpans. Guarded by mu. It rides the checkpoint so the
 	// trace survives failover adoption.
 	timeline []trace.Span
 }
 
-// maxTimelineSpans caps one job's assembled trace; past it new spans are
-// dropped (the early spans — submit, placement — are the structural ones).
-const maxTimelineSpans = 512
-
-// addSpansLocked appends spans to the job timeline up to the cap. j.mu
-// must be held.
+// addSpansLocked appends spans to the job timeline up to the cap; past it
+// new spans are dropped (the early spans — submit, placement — are the
+// structural ones). j.mu must be held.
 func (j *jobState) addSpansLocked(spans ...trace.Span) {
-	room := maxTimelineSpans - len(j.timeline)
+	room := trace.MaxJobSpans - len(j.timeline)
 	if room <= 0 {
 		return
 	}
@@ -298,7 +295,7 @@ func (jm *JobManager) logf(format string, args ...any) {
 	logging.Debugf(jm.log, format, args...)
 }
 
-// endSpan closes an active span and copies the completed span into the
+// endSpan closes an active span and adds the completed span to the
 // job's timeline. Inert (nil) actives no-op, so call sites need no guards.
 func (jm *JobManager) endSpan(j *jobState, a *trace.Active, errText string) {
 	sp, ok := a.Finish(errText)

@@ -339,9 +339,8 @@ type MetricsResponse struct {
 	// warm-hit / cold-miss / bytes-saved figures.
 	Placement PlacementMetrics `json:"placement"`
 	// Nodes is the per-node breakdown: every live node's registry
-	// snapshot and span-store depth, scraped over the wire (STATS_PULL)
-	// at request time. A node that fails to answer within the scrape
-	// window is simply absent.
+	// snapshot, scraped over the wire (STATS_PULL) at request time. A
+	// node that fails to answer within the scrape window is simply absent.
 	Nodes map[string]*protocol.StatsReportResp `json:"nodes,omitempty"`
 }
 

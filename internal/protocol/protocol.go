@@ -432,14 +432,11 @@ type StatsPullReq struct {
 }
 
 // StatsReportResp is the body of KindStatsReport: one node's full metrics
-// registry snapshot plus its span-store depth, the unit of cluster-wide
-// aggregation.
+// registry snapshot, the unit of cluster-wide aggregation. Spans are not
+// counted here: a node keeps none outside its JobManager's per-job timelines.
 type StatsReportResp struct {
 	Node    string                   `json:"node"`
 	Metrics metrics.RegistrySnapshot `json:"metrics"`
-	// Spans is the node's current span-store depth (recorded, not yet
-	// evicted) — a cheap tracing-health signal.
-	Spans int `json:"spans"`
 }
 
 // Decode unmarshals a message's body into out, which must match the

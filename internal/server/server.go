@@ -83,16 +83,13 @@ func (s *Server) TaskManager() *taskmgr.TaskManager { return s.tm }
 // JobManager exposes the node's JobManager (for tests and metrics).
 func (s *Server) JobManager() *jobmgr.JobManager { return s.jm }
 
-// Tracer exposes the node's span recorder; nil when tracing is disabled.
-func (s *Server) Tracer() *trace.Tracer { return s.tracer }
-
 // Metrics exposes the node's metrics registry — the unit STATS_PULL
 // scrapes report.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // handleStatsPull answers a KindStatsPull scrape: refresh the registry's
 // point-in-time gauges from the managers' live counters, then report the
-// whole snapshot plus the span-store depth.
+// whole snapshot.
 func (s *Server) handleStatsPull(m *msg.Message) *msg.Message {
 	var req protocol.StatsPullReq
 	if err := protocol.Decode(m, &req); err != nil {
@@ -105,11 +102,7 @@ func (s *Server) handleStatsPull(m *msg.Message) *msg.Message {
 	s.reg.Gauge("blob_cache_hits").Set(s.tm.BlobCache().Hits())
 	s.reg.Gauge("blob_cache_misses").Set(s.tm.BlobCache().Misses())
 	s.reg.Gauge("blob_cache_transfers").Set(s.tm.BlobCache().Transfers())
-	resp := protocol.StatsReportResp{
-		Node:    s.node,
-		Metrics: s.reg.Snapshot(),
-		Spans:   s.tracer.Store().Len(),
-	}
+	resp := protocol.StatsReportResp{Node: s.node, Metrics: s.reg.Snapshot()}
 	return protocol.Reply(m, msg.KindStatsReport, resp)
 }
 

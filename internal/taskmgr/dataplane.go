@@ -18,6 +18,7 @@ import (
 	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/task"
+	"cn/internal/trace"
 )
 
 // HandleDataFetch answers a peer TaskManager's pull for one chunk of a
@@ -96,7 +97,7 @@ func (c *execContext) dataCtx(ctx context.Context) (context.Context, context.Can
 func (c *execContext) Put(key string, payload []byte) error {
 	pa := c.tm.tracer.StartSpan(c.trace, "tm.shuffle.put").SetJob(c.a.jobID).SetTask(c.a.spec.Name)
 	err := c.put(key, payload)
-	pa.End(err)
+	c.keep(pa.End(err))
 	return err
 }
 
@@ -188,15 +189,33 @@ func (c *execContext) hold(b *archive.Blob) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// end lets go of everything Get handed the task.
-func (c *execContext) end() {
+// keep adds a finished span of the task to what its terminal event ships.
+// One slot of the cap is left for the tm.exec span end adds last.
+func (c *execContext) keep(sp trace.Span, ok bool) {
+	if !ok {
+		return
+	}
 	c.heldMu.Lock()
-	held := c.held
-	c.held, c.ended = nil, true
+	if !c.ended && len(c.spans) < trace.MaxJobSpans-1 {
+		c.spans = append(c.spans, sp)
+	}
+	c.heldMu.Unlock()
+}
+
+// end lets go of everything Get handed the task, ends its tm.exec span ea
+// and returns the task's spans, tm.exec last.
+func (c *execContext) end(ea *trace.Active, runErr error) []trace.Span {
+	c.heldMu.Lock()
+	held, spans := c.held, c.spans
+	c.held, c.spans, c.ended = nil, nil, true
 	c.heldMu.Unlock()
 	for _, b := range held {
 		b.Release()
 	}
+	if sp, ok := ea.End(runErr); ok {
+		spans = append(spans, sp)
+	}
+	return spans
 }
 
 // Get implements task.Context: resolve key at the JobManager and pull its
@@ -209,7 +228,7 @@ func (c *execContext) end() {
 func (c *execContext) Get(ctx context.Context, key string) ([]byte, error) {
 	ga := c.tm.tracer.StartSpan(c.trace, "tm.shuffle.get").SetJob(c.a.jobID).SetTask(c.a.spec.Name)
 	data, err := c.get(ctx, key)
-	ga.End(err)
+	c.keep(ga.End(err))
 	return data, err
 }
 

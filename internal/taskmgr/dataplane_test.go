@@ -53,8 +53,15 @@ func newDPFabric() *dpFabric {
 // returned sink.
 func (f *dpFabric) node(t *testing.T, name string, reg *task.Registry) (*TaskManager, *sink) {
 	t.Helper()
+	return f.tracedNode(t, name, reg, nil)
+}
+
+// tracedNode is node with a tracer: a traced task's spans ride its terminal
+// event.
+func (f *dpFabric) tracedNode(t *testing.T, name string, reg *task.Registry, tracer *trace.Tracer) (*TaskManager, *sink) {
+	t.Helper()
 	s := &sink{}
-	tm := New(config.Config{MemoryMB: 1000, Registry: reg, HeartbeatInterval: -1}, name, nil, s.send, f.call, nil)
+	tm := New(config.Config{MemoryMB: 1000, Registry: reg, HeartbeatInterval: -1}, name, tracer, s.send, f.call, nil)
 	t.Cleanup(tm.Close)
 	f.mu.Lock()
 	f.tms[name] = tm
@@ -150,6 +157,12 @@ func runTask(t *testing.T, tm *TaskManager, s *sink, jobID, name, class string) 
 
 func startTask(t *testing.T, tm *TaskManager, jobID, name, class string) {
 	t.Helper()
+	startTraced(t, tm, jobID, name, class, trace.Context{})
+}
+
+// startTraced is startTask for a task dispatched under trace context tc.
+func startTraced(t *testing.T, tm *TaskManager, jobID, name, class string, tc trace.Context) {
+	t.Helper()
 	sp := spec(name, 10)
 	sp.Class = class
 	r := tm.HandleAssignBatch(batchMsg(protocol.AssignTasksReq{
@@ -159,7 +172,7 @@ func startTask(t *testing.T, tm *TaskManager, jobID, name, class string) {
 	if err := protocol.Decode(r, &resp); err != nil || len(resp.Rejected) != 0 {
 		t.Fatalf("assign %s/%s: %v, rejected %v", jobID, name, err, resp.Rejected)
 	}
-	if err := tm.HandleStart(jobID, name, trace.Context{}); err != nil {
+	if err := tm.HandleStart(jobID, name, tc); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -467,7 +480,7 @@ func TestWarmPutGetAllocs(t *testing.T) {
 		if err != nil || len(data) != len(payload) {
 			t.Fatalf("get: %d bytes, %v", len(data), err)
 		}
-		c.end()
+		c.end(nil, nil)
 		tm.HandleCancel("j1")
 	}
 	round() // allocates the one buffer

@@ -164,11 +164,11 @@ type outbox struct {
 }
 
 // New creates a TaskManager on node and starts its heartbeat loop (unless
-// cfg.HeartbeatInterval is negative). The tracer records this TaskManager's
-// spans (task exec, shuffle pulls) into its local store, and terminal task
-// events drain them to the JobManager's timeline; nil disables TM-side span
-// recording. A nil call disables archive pulls and tuple-space and
-// data-plane access. jobManagers lists the JobManager group, which the
+// cfg.HeartbeatInterval is negative). The tracer opens this TaskManager's
+// spans (task exec, shuffle puts and gets); each task keeps its own and its
+// terminal event carries them to the JobManager's timeline; nil disables
+// TM-side span recording. A nil call disables archive pulls and tuple-space
+// and data-plane access. jobManagers lists the JobManager group, which the
 // heartbeat renews this node's lease at.
 func New(cfg config.Config, node string, tracer *trace.Tracer, send SendFunc, call CallFunc, jobManagers func() []string) *TaskManager {
 	cfg = cfg.WithDefaults()
@@ -561,7 +561,7 @@ func (tm *TaskManager) execute(a *assignment) {
 	defer tm.wg.Done()
 	from := msg.Address{Node: tm.node, Job: a.jobID, Task: a.spec.Name}
 
-	tm.event(msg.KindTaskStarted, a, "")
+	tm.event(msg.KindTaskStarted, a, "", nil)
 
 	ea := tm.tracer.StartSpan(a.trace, "tm.exec").SetJob(a.jobID).SetTask(a.spec.Name)
 	tc := ea.Context()
@@ -591,8 +591,7 @@ func (tm *TaskManager) execute(a *assignment) {
 	// Run has returned: what Get handed the task is the task's no longer.
 	// Before the terminal event, so that a job the JobManager calls finished
 	// has no task holding a buffer anywhere.
-	ctx.end()
-	ea.End(runErr)
+	spans := ctx.end(ea, runErr)
 
 	tm.mu.Lock()
 	tm.running--
@@ -603,21 +602,17 @@ func (tm *TaskManager) execute(a *assignment) {
 	a.stop() // the execution is over, and with it its context
 
 	if runErr != nil {
-		tm.event(msg.KindTaskFailed, a, runErr.Error())
+		tm.event(msg.KindTaskFailed, a, runErr.Error(), spans)
 		return
 	}
-	tm.event(msg.KindTaskCompleted, a, "")
+	tm.event(msg.KindTaskCompleted, a, "", spans)
 }
 
-// event records a lifecycle event of a running assignment. Terminal events
-// drain the task's locally recorded spans into the event so they join the
-// JobManager's per-job timeline exactly once.
-func (tm *TaskManager) event(kind msg.Kind, a *assignment, errText string) {
-	ev := protocol.TaskEventItem{Kind: kind, Task: a.spec.Name, Err: errText}
-	if kind != msg.KindTaskStarted {
-		ev.Spans = tm.tracer.Store().Take(a.jobID, a.spec.Name)
-	}
-	tm.post(a.jobID, a.jm(), ev)
+// event records a lifecycle event of a running assignment. A terminal
+// event carries the task's spans, so they join the JobManager's per-job
+// timeline exactly once.
+func (tm *TaskManager) event(kind msg.Kind, a *assignment, errText string, spans []trace.Span) {
+	tm.post(a.jobID, a.jm(), protocol.TaskEventItem{Kind: kind, Task: a.spec.Name, Err: errText, Spans: spans})
 }
 
 // post appends an event to its job's outbox. The first event of an idle
@@ -808,10 +803,12 @@ type execContext struct {
 	// broker at the manager node it was built for (see tsWire).
 	ts atomic.Pointer[protocol.TSWire]
 	// held are the blobs Get handed the task, released when its Run returns
-	// (end); ended refuses a hold after that. A task may Get from several
-	// goroutines.
+	// (end); ended refuses a hold after that. spans are the task's finished
+	// shuffle spans, shipped in its terminal event; ended drops a span that
+	// ends after that. A task may Get and Put from several goroutines.
 	heldMu sync.Mutex
 	held   []*archive.Blob
+	spans  []trace.Span
 	ended  bool
 }
 

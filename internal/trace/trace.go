@@ -14,12 +14,17 @@
 // This is head-based sampling in the Dapper mold — cheap enough to leave
 // on in production, complete enough that one kept trace shows the whole
 // job.
+//
+// A span belongs to its reporter. Ending one hands the completed span back
+// to the caller, which keeps it with the report that will ship it: a
+// task's spans ride its terminal event, a client's its start request, and
+// the JobManager folds both into the job's timeline beside its own. No
+// node keeps a store of spans, and each owner keeps at most MaxJobSpans.
 package trace
 
 import (
 	"math/rand/v2"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -61,8 +66,12 @@ func (s Span) Ctx() Context {
 // get a full trace, cheap enough to leave on.
 const DefaultSample = 0.125
 
-// DefaultCapacity bounds a Store's ring buffer when Config.Capacity is 0.
-const DefaultCapacity = 4096
+// MaxJobSpans caps the spans one owner keeps for one job: a task's
+// terminal event, a client's start request and a JobManager's per-job
+// timeline each drop what ends past it. There is no node-wide store, so
+// this is what keeps observability from becoming the memory leak it is
+// meant to find.
+const MaxJobSpans = 512
 
 // Config parametrizes a Tracer.
 type Config struct {
@@ -73,44 +82,28 @@ type Config struct {
 	// sampled incoming contexts are still recorded); >= 1 samples every
 	// root.
 	Sample float64
-	// Capacity bounds the span store's ring buffer (0 = DefaultCapacity).
-	Capacity int
 }
 
-// Tracer creates and records spans for one process. A nil *Tracer is
-// valid and inert: every method no-ops and every returned context is
-// zero, so call sites need no nil guards.
+// Tracer opens spans for one process; it keeps none of them. A nil
+// *Tracer is valid and inert: every method no-ops and every returned
+// context is zero, so call sites need no nil guards.
 type Tracer struct {
 	node   string
 	sample float64
-	store  *Store
 }
 
-// New creates a Tracer with a bounded ring-buffer span store.
+// New creates a Tracer.
 func New(cfg Config) *Tracer {
 	if cfg.Sample == 0 {
 		cfg.Sample = DefaultSample
 	}
-	return &Tracer{
-		node:   cfg.Node,
-		sample: cfg.Sample,
-		store:  NewStore(cfg.Capacity),
-	}
+	return &Tracer{node: cfg.Node, sample: cfg.Sample}
 }
 
-// Store exposes the tracer's span store; nil for a nil tracer.
-func (t *Tracer) Store() *Store {
-	if t == nil {
-		return nil
-	}
-	return t.store
-}
-
-// Active is an open span. End it to record it. A nil *Active is valid
-// and inert, which is how unsampled traces cost nothing downstream.
+// Active is an open span; End returns it completed. A nil *Active is
+// valid and inert, which is how unsampled traces cost nothing downstream.
 type Active struct {
-	tracer *Tracer
-	span   Span
+	span Span
 }
 
 // StartRoot opens a new trace: the sampling decision happens here and
@@ -123,7 +116,7 @@ func (t *Tracer) StartRoot(name, job string) *Active {
 		return nil
 	}
 	id := NewID()
-	return &Active{tracer: t, span: Span{
+	return &Active{span: Span{
 		Trace: id,
 		ID:    id,
 		Name:  name,
@@ -140,7 +133,7 @@ func (t *Tracer) StartSpan(parent Context, name string) *Active {
 	if t == nil || parent.IsZero() {
 		return nil
 	}
-	return &Active{tracer: t, span: Span{
+	return &Active{span: Span{
 		Trace:  parent.TraceID,
 		ID:     NewID(),
 		Parent: parent.SpanID,
@@ -175,51 +168,25 @@ func (a *Active) SetTask(task string) *Active {
 	return a
 }
 
-// End closes the span with an optional error and records it into the
-// tracer's store.
-func (a *Active) End(err error) {
-	if a == nil {
-		return
-	}
-	a.span.Dur = time.Since(a.span.Start)
-	if err != nil {
-		a.span.Err = err.Error()
-	}
-	a.tracer.store.Add(a.span)
-}
-
-// EndErrText closes the span with a pre-rendered error string (the
-// protocol carries task errors as text, not error values).
-func (a *Active) EndErrText(errText string) {
-	if a == nil {
-		return
-	}
-	a.span.Dur = time.Since(a.span.Start)
-	a.span.Err = errText
-	a.tracer.store.Add(a.span)
-}
-
-// Finish closes the span like EndErrText and also returns the completed
-// span, for callers that keep their own timeline (the JobManager's
-// per-job trace) in addition to the tracer's store. ok is false for an
+// End closes the span with an optional error and returns it to the
+// caller, which keeps it with whatever will report it. ok is false for an
 // inert span.
+func (a *Active) End(err error) (Span, bool) {
+	if a == nil || err == nil {
+		return a.Finish("")
+	}
+	return a.Finish(err.Error())
+}
+
+// Finish is End with a pre-rendered error string (the protocol carries
+// task errors as text, not error values).
 func (a *Active) Finish(errText string) (Span, bool) {
 	if a == nil {
 		return Span{}, false
 	}
 	a.span.Dur = time.Since(a.span.Start)
 	a.span.Err = errText
-	a.tracer.store.Add(a.span)
 	return a.span, true
-}
-
-// Record stores an externally built span (one carried in from another
-// process). No-op on a nil tracer.
-func (t *Tracer) Record(s Span) {
-	if t == nil {
-		return
-	}
-	t.store.Add(s)
 }
 
 // NewID returns a non-zero random 64-bit identifier for traces/spans.
@@ -229,123 +196,6 @@ func NewID() uint64 {
 			return id
 		}
 	}
-}
-
-// Store is a bounded ring buffer of completed spans. When full, the
-// oldest spans are overwritten — observability must never become the
-// memory leak it is meant to find.
-type Store struct {
-	mu    sync.Mutex
-	buf   []Span
-	next  int // write cursor
-	count int // live spans (<= len(buf))
-}
-
-// NewStore creates a ring-buffer store (capacity 0 = DefaultCapacity).
-func NewStore(capacity int) *Store {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	return &Store{buf: make([]Span, capacity)}
-}
-
-// Add records one span, evicting the oldest when full. Nil-safe.
-func (s *Store) Add(sp Span) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.buf[s.next] = sp
-	s.next = (s.next + 1) % len(s.buf)
-	if s.count < len(s.buf) {
-		s.count++
-	}
-	s.mu.Unlock()
-}
-
-// Len reports the number of live spans.
-func (s *Store) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
-// snapshotLocked appends live spans in insertion order.
-func (s *Store) snapshotLocked(dst []Span) []Span {
-	start := s.next - s.count
-	if start < 0 {
-		start += len(s.buf)
-	}
-	for i := 0; i < s.count; i++ {
-		dst = append(dst, s.buf[(start+i)%len(s.buf)])
-	}
-	return dst
-}
-
-// All returns every live span in insertion order.
-func (s *Store) All() []Span {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapshotLocked(nil)
-}
-
-// ForJob returns the live spans stamped with jobID, in insertion order.
-func (s *Store) ForJob(jobID string) []Span {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Span
-	start := s.next - s.count
-	if start < 0 {
-		start += len(s.buf)
-	}
-	for i := 0; i < s.count; i++ {
-		if sp := s.buf[(start+i)%len(s.buf)]; sp.Job == jobID {
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
-// Take removes and returns the live spans stamped with jobID and task,
-// in insertion order — the TaskManager drains a task's spans into its
-// terminal event so they travel to the JobManager exactly once.
-func (s *Store) Take(jobID, task string) []Span {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out, keep []Span
-	start := s.next - s.count
-	if start < 0 {
-		start += len(s.buf)
-	}
-	for i := 0; i < s.count; i++ {
-		sp := s.buf[(start+i)%len(s.buf)]
-		if sp.Job == jobID && sp.Task == task {
-			out = append(out, sp)
-		} else {
-			keep = append(keep, sp)
-		}
-	}
-	if len(out) > 0 {
-		for i := range s.buf {
-			s.buf[i] = Span{}
-		}
-		copy(s.buf, keep)
-		s.count = len(keep)
-		s.next = s.count % len(s.buf)
-	}
-	return out
 }
 
 // SortSpans orders spans for presentation: by start time, then by span

@@ -2,8 +2,6 @@ package trace
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
@@ -17,16 +15,15 @@ func TestNilTracerIsInert(t *testing.T) {
 	if got := root.Context(); !got.IsZero() {
 		t.Fatalf("nil Active.Context() = %+v, want zero", got)
 	}
-	root.SetJob("j").SetTask("t")
-	root.End(errors.New("boom")) // must not panic
-	tr.Record(Span{Trace: 1, ID: 2})
-	if tr.Store() != nil {
-		t.Fatalf("nil tracer store = %v, want nil", tr.Store())
+	if child := tr.StartSpan(Context{TraceID: 7, SpanID: 8}, "exec"); child != nil {
+		t.Fatalf("nil tracer returned non-nil child span")
 	}
-	var st *Store
-	st.Add(Span{})
-	if st.Len() != 0 || st.All() != nil || st.ForJob("x") != nil || st.Take("x", "y") != nil {
-		t.Fatalf("nil store not inert")
+	root.SetJob("j").SetTask("t")
+	if sp, ok := root.End(errors.New("boom")); ok || sp != (Span{}) {
+		t.Fatalf("inert End = %+v, %v; want zero span, false", sp, ok)
+	}
+	if sp, ok := root.Finish("boom"); ok || sp != (Span{}) {
+		t.Fatalf("inert Finish = %+v, %v; want zero span, false", sp, ok)
 	}
 }
 
@@ -45,14 +42,14 @@ func TestRootSampling(t *testing.T) {
 	if child == nil {
 		t.Fatalf("sample=-1 tracer refused a child of a sampled context")
 	}
-	child.End(nil)
-	if got := never.Store().Len(); got != 1 {
-		t.Fatalf("store len = %d, want 1", got)
+	sp, ok := child.End(nil)
+	if !ok || sp.Trace != 7 || sp.Parent != 8 || sp.Name != "exec" || sp.Node != "n1" {
+		t.Fatalf("child End = %+v, %v; want a span of trace 7 under span 8 on n1", sp, ok)
 	}
 }
 
 func TestSampleRateRoughlyHolds(t *testing.T) {
-	tr := New(Config{Node: "n1", Sample: 0.25, Capacity: 16})
+	tr := New(Config{Node: "n1", Sample: 0.25})
 	kept := 0
 	const trials = 4000
 	for i := 0; i < trials; i++ {
@@ -81,92 +78,38 @@ func TestSpanParentage(t *testing.T) {
 	if cc.ParentID != rc.SpanID {
 		t.Fatalf("child parent %d != root span %d", cc.ParentID, rc.SpanID)
 	}
-	child.End(nil)
-	root.End(nil)
-	spans := tr.Store().ForJob("job1")
-	if len(spans) != 2 {
-		t.Fatalf("ForJob returned %d spans, want 2", len(spans))
+	place, ok := child.End(nil)
+	if !ok {
+		t.Fatalf("sampled child ended inert")
 	}
-	if spans[0].Name != "place" || spans[1].Name != "submit" {
-		t.Fatalf("span order %q, %q; want place then submit (end order)", spans[0].Name, spans[1].Name)
+	submit, ok := root.SetJob("job1").End(nil)
+	if !ok {
+		t.Fatalf("sampled root ended inert")
 	}
-	if spans[0].Task != "t0" {
-		t.Fatalf("task attr not recorded: %+v", spans[0])
+	if place.Name != "place" || place.Parent != submit.ID || place.Trace != submit.Trace {
+		t.Fatalf("child %+v does not hang off root %+v", place, submit)
+	}
+	if place.Job != "job1" || place.Task != "t0" || submit.Job != "job1" {
+		t.Fatalf("job/task attrs not recorded: child %+v, root %+v", place, submit)
+	}
+	if place.Ctx() != cc || submit.Ctx() != rc {
+		t.Fatalf("ended spans' contexts %+v, %+v; want %+v, %+v", place.Ctx(), submit.Ctx(), cc, rc)
 	}
 }
 
+// TestEndErrText: a span ends carrying its error as text, whether the
+// caller holds an error value (End) or a rendered string (Finish), and a
+// successful end carries none.
 func TestEndErrText(t *testing.T) {
 	tr := New(Config{Sample: 1})
-	sp := tr.StartRoot("exec", "j")
-	sp.EndErrText("task panic: boom")
-	all := tr.Store().All()
-	if len(all) != 1 || all[0].Err != "task panic: boom" {
-		t.Fatalf("EndErrText not recorded: %+v", all)
+	if sp, _ := tr.StartRoot("exec", "j").Finish("task panic: boom"); sp.Err != "task panic: boom" {
+		t.Fatalf("Finish recorded err %q", sp.Err)
 	}
-}
-
-func TestStoreRingEviction(t *testing.T) {
-	st := NewStore(4)
-	for i := 1; i <= 6; i++ {
-		st.Add(Span{Trace: 1, ID: uint64(i), Job: "j"})
+	if sp, _ := tr.StartRoot("exec", "j").End(errors.New("boom")); sp.Err != "boom" {
+		t.Fatalf("End recorded err %q", sp.Err)
 	}
-	if st.Len() != 4 {
-		t.Fatalf("len = %d, want 4", st.Len())
-	}
-	all := st.All()
-	for i, sp := range all {
-		if want := uint64(i + 3); sp.ID != want {
-			t.Fatalf("all[%d].ID = %d, want %d (oldest evicted first)", i, sp.ID, want)
-		}
-	}
-}
-
-func TestStoreTake(t *testing.T) {
-	st := NewStore(8)
-	st.Add(Span{Trace: 1, ID: 1, Job: "a", Task: "t1"})
-	st.Add(Span{Trace: 1, ID: 2, Job: "a", Task: "t2"})
-	st.Add(Span{Trace: 1, ID: 3, Job: "a", Task: "t1"})
-	st.Add(Span{Trace: 1, ID: 4, Job: "b", Task: "t1"})
-	got := st.Take("a", "t1")
-	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 3 {
-		t.Fatalf("Take = %+v, want spans 1 and 3", got)
-	}
-	if st.Len() != 2 {
-		t.Fatalf("len after take = %d, want 2", st.Len())
-	}
-	if again := st.Take("a", "t1"); len(again) != 0 {
-		t.Fatalf("second Take returned %+v, want none", again)
-	}
-	// The ring must still accept writes correctly after compaction.
-	for i := 5; i <= 20; i++ {
-		st.Add(Span{Trace: 1, ID: uint64(i), Job: "c"})
-	}
-	if st.Len() != 8 {
-		t.Fatalf("len after refill = %d, want 8", st.Len())
-	}
-}
-
-func TestStoreConcurrency(t *testing.T) {
-	st := NewStore(64)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				st.Add(Span{Trace: 1, ID: uint64(g*1000 + i), Job: fmt.Sprintf("j%d", g%2)})
-				if i%17 == 0 {
-					st.ForJob("j0")
-				}
-				if i%31 == 0 {
-					st.Take("j1", "")
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if st.Len() > 64 {
-		t.Fatalf("len = %d exceeds capacity", st.Len())
+	if sp, _ := tr.StartRoot("exec", "j").End(nil); sp.Err != "" {
+		t.Fatalf("End(nil) recorded err %q", sp.Err)
 	}
 }
 

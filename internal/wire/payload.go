@@ -1183,7 +1183,7 @@ func appendStatsReportResp(b []byte, v protocol.StatsReportResp) []byte {
 		b = AppendFloat64(b, s.P90)
 		b = AppendFloat64(b, s.P99)
 	}
-	return AppendVarint(b, int64(v.Spans))
+	return b
 }
 
 func readStatsReportResp(r *Reader, v *protocol.StatsReportResp) (err error) {
@@ -1232,8 +1232,7 @@ func readStatsReportResp(r *Reader, v *protocol.StatsReportResp) (err error) {
 			v.Metrics.Histograms[k] = s
 		}
 	}
-	v.Spans, err = r.Int()
-	return err
+	return nil
 }
 
 func appendJMCheckpoint(b []byte, v protocol.JMCheckpoint) []byte {

@@ -41,9 +41,10 @@ import (
 // version 11 (10 is the connection preamble's, see ConnVersion) gave the
 // TaskEvents body the retry and job labels, with a label's own trailing
 // fields, and retired the TaskEvent body (JOB_COMPLETED and TASK_RETRIED
-// stopped being frames). Nothing outside this repository speaks the wire, so a receiver
+// stopped being frames); version 12 dropped the StatsReport body's trailing
+// span count. Nothing outside this repository speaks the wire, so a receiver
 // accepts exactly this version and rejects the rest (see docs/WIRE.md).
-const Version = 11
+const Version = 12
 
 // MaxFrameBytes bounds one transport frame (envelope + payload + tail). Senders
 // refuse to emit larger frames and receivers drop the connection on a

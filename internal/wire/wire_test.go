@@ -83,7 +83,7 @@ func bodies() []any {
 		&protocol.DataLocResp{Key: "wc/chunk/map1", Digest: "abc123", Node: "n1", Size: 1 << 20,
 			Data: []byte{7, 8, 9}, Retry: true, Closed: true, Err: "boom"},
 		&protocol.StatsPullReq{Scraper: "portal"},
-		&protocol.StatsReportResp{Node: "n1", Spans: 17, Metrics: metrics.RegistrySnapshot{
+		&protocol.StatsReportResp{Node: "n1", Metrics: metrics.RegistrySnapshot{
 			Counters: map[string]int64{"jobs_created": 4, "tasks_done": 9},
 			Gauges:   map[string]int64{"free_memory_mb": 4000},
 			Histograms: map[string]metrics.Summary{
