@@ -385,24 +385,20 @@ func RunDescriptor(ctx context.Context, client *Client, doc *CNXDocument, archiv
 }
 
 // RunJob creates a job from specs, starts it, and waits for termination.
-// The whole task set is submitted as one batch, so placement costs a
-// single solicitation round and each archive travels once per node. Only
-// the result leaves this call, so the handle is released with it; a job
-// whose tasks could not be created is cancelled first — it would otherwise
-// occupy its JobManager until the janitor called it abandoned.
+// The whole task set and the start ride one Submit, so admission is one
+// round trip, placement a single solicitation round, and each archive
+// travels once per node. Only the result leaves this call, so the handle is
+// released with it. A refused Submit leaves nothing on the JobManager.
 func RunJob(ctx context.Context, client *Client, name string, specs []*TaskSpec, archives map[string]*Archive) (*Result, error) {
 	j, err := client.CreateJob(name, JobRequirements{})
 	if err != nil {
 		return nil, err
 	}
 	defer j.Release()
-	if _, err := j.CreateTasks(specs, archives); err != nil {
-		if cerr := j.Cancel("create tasks failed"); cerr != nil {
-			return nil, fmt.Errorf("%w (and the job could not be cancelled: %v)", err, cerr)
-		}
+	if _, err := j.Submit(specs, archives); err != nil {
 		return nil, err
 	}
-	return j.Run(ctx)
+	return j.Wait(ctx)
 }
 
 // RunModelOnCluster lowers a client model to CNX and executes it — the

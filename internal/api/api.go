@@ -5,6 +5,9 @@
 //   - Create Job in JobManager                    -> Client.CreateJob
 //   - Create Tasks for the Job                    -> Job.CreateTask
 //   - Start the Tasks                             -> Job.Start
+//
+// The last three steps are one CREATE_TASKS frame to the manager when the
+// program calls Job.Submit, and never more frames than steps.
 //   - Get Messages from Tasks                     -> Job.GetMessage / GetEvent
 //   - Send Messages to Tasks                      -> Job.SendMessage
 //
@@ -17,6 +20,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -68,10 +73,18 @@ type Client struct {
 	node   string
 	ep     transport.Endpoint
 	caller *transport.Caller
+	// epoch and seq name the client's jobs, <node>.<epoch>.<seq>: epoch is
+	// drawn at random per Client, so a client re-attached under its old
+	// name does not reuse an ID a manager may still hold.
+	epoch string
+	seq   atomic.Uint64
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
 	closed bool
+	// manager is the JobManager the client's last create landed on: where
+	// CreateJob binds the next job while the node is in the group.
+	manager string
 }
 
 // Initialize attaches a client to the cluster fabric and returns the API
@@ -85,7 +98,8 @@ func Initialize(net transport.Network, opts Options) (*Client, error) {
 		opts.CallTimeout = 10 * time.Second
 	}
 	opts.Log = logging.Component(opts.Log, "client", name)
-	c := &Client{opts: opts, node: name, jobs: make(map[string]*Job)}
+	c := &Client{opts: opts, node: name, jobs: make(map[string]*Job),
+		epoch: fmt.Sprintf("%08x", rand.Uint32())}
 	ep, err := net.Attach(name, c.handle)
 	if err != nil {
 		return nil, fmt.Errorf("api: initialize: %w", err)
@@ -197,54 +211,71 @@ func (c *Client) DiscoverWith(policy discovery.Policy, req protocol.JobRequireme
 	})
 }
 
-// CreateJob discovers a willing JobManager and creates a job on it. A
-// round that collects no offer is run once more before the create fails
-// with the second round's error: one silent round on a healthy cluster
-// must not cost the job.
+// CreateJob names a job and binds it to a JobManager; it sends nothing. The
+// manager is the one the client's last create landed on while that node is
+// still a member of the JobManager group (a local check); otherwise — the
+// client's first job, or the node left — one discovery round picks it, run
+// once more if it collected no offer: one silent round on a healthy cluster
+// must not cost the job. The job is created on the manager by its first
+// CreateTasks, Submit or Start; when the manager refuses that frame or
+// cannot be reached, the client runs one discovery round and sends the frame
+// once more, to the manager that round picks.
 func (c *Client) CreateJob(name string, req protocol.JobRequirements) (*Job, error) {
+	jmNode := c.keptManager()
+	if jmNode == "" {
+		var err error
+		if jmNode, err = c.solicit(req); err != nil {
+			return nil, fmt.Errorf("api: create job %q: %w", name, err)
+		}
+	}
+	j := c.newJob(jmNode, name, req)
+	j.rebind = true
+	return j, nil
+}
+
+// CreateJobOn names a job bound to a specific JobManager node (used when the
+// caller already discovered or statically knows the manager). Like CreateJob
+// it sends nothing; a first frame that manager refuses is not sent
+// elsewhere.
+func (c *Client) CreateJobOn(jmNode, name string, req protocol.JobRequirements) (*Job, error) {
+	return c.newJob(jmNode, name, req), nil
+}
+
+// keptManager is the manager the last create landed on, or "" when there is
+// none or its node is no longer in the JobManager group.
+func (c *Client) keptManager() string {
+	c.mu.Lock()
+	node := c.manager
+	c.mu.Unlock()
+	if node == "" || !slices.Contains(c.ep.GroupMembers(protocol.GroupJobManagers), node) {
+		return ""
+	}
+	return node
+}
+
+// solicit runs a discovery round, and once more if it collected no offer.
+func (c *Client) solicit(req protocol.JobRequirements) (string, error) {
 	offer, _, err := c.Discover(req)
 	if errors.Is(err, discovery.ErrNoOffers) {
 		offer, _, err = c.Discover(req)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("api: create job %q: %w", name, err)
-	}
-	return c.CreateJobOn(offer.Node, name, req)
+	return offer.Node, err
 }
 
-// CreateJobOn creates a job on a specific JobManager node (used when the
-// caller already discovered or statically knows the manager).
-func (c *Client) CreateJobOn(jmNode, name string, req protocol.JobRequirements) (*Job, error) {
+// newJob names a job on jmNode and routes its frames to the handle.
+func (c *Client) newJob(jmNode, name string, req protocol.JobRequirements) *Job {
+	id := fmt.Sprintf("%s.%s.%d", c.node, c.epoch, c.seq.Add(1))
 	// The trace is born here: the submit span is the root every other
 	// span of the job — JM scheduling, task exec, shuffle pulls — hangs
-	// off, and its context rides the create message's envelope.
-	ra := c.opts.Tracer.StartRoot("job.submit", "")
-	cm := protocol.Body(msg.KindCreateJob,
-		msg.Address{Node: c.node, Task: protocol.ClientTaskName},
-		msg.Address{Node: jmNode},
-		protocol.CreateJobReq{Name: name, Req: req, ClientNode: c.node})
-	cm.Trace = ra.Context()
-	reply, err := c.caller.CallInto(context.Background(), jmNode, cm, nil, c.opts.CallTimeout)
-	if err != nil {
-		ra.End(err)
-		return nil, fmt.Errorf("api: create job %q on %s: %w", name, jmNode, err)
-	}
-	if reply.Kind == msg.KindJobFailed {
-		err := replyError("create job", reply)
-		ra.End(err)
-		return nil, err
-	}
-	var resp protocol.CreateJobResp
-	if err := protocol.Decode(reply, &resp); err != nil {
-		ra.End(err)
-		return nil, fmt.Errorf("api: create job %q: %w", name, err)
-	}
-	submit, ok := ra.SetJob(resp.JobID).End(nil)
+	// off, and its context rides every admission frame's envelope.
+	ra := c.opts.Tracer.StartRoot("job.submit", id)
+	submit, ok := ra.End(nil)
 	j := &Job{
 		client: c,
-		ID:     resp.JobID,
+		ID:     id,
 		Name:   name,
 		JMNode: jmNode,
+		req:    req,
 		trace:  ra.Context(),
 		inbox:  msg.NewMailbox[*msg.Message](),
 		events: msg.NewMailbox[Event](),
@@ -254,8 +285,8 @@ func (c *Client) CreateJobOn(jmNode, name string, req protocol.JobRequirements) 
 	c.mu.Lock()
 	c.jobs[j.ID] = j
 	c.mu.Unlock()
-	c.logf("job %s created on %s", j.ID, jmNode)
-	return j, nil
+	c.logf("job %s named on %s", j.ID, jmNode)
+	return j
 }
 
 func replyError(op string, reply *msg.Message) error {
@@ -290,7 +321,7 @@ func (c *Client) Close() error {
 // Job is a handle on one CN job hosted by a JobManager.
 type Job struct {
 	client *Client
-	// ID is the JobManager-assigned job id.
+	// ID is the job's id, named by the client: <client node>.<epoch>.<n>.
 	ID string
 	// Name is the user-assigned job name.
 	Name string
@@ -301,6 +332,15 @@ type Job struct {
 	// trace is the job's root trace context (zero when the submit was not
 	// sampled); set once at creation, read-only after.
 	trace trace.Context
+	// req is the job's header, sent with its first frame; rebind lets a
+	// refused first frame go to another manager (CreateJob, not
+	// CreateJobOn). Both are set once at creation.
+	req    protocol.JobRequirements
+	rebind bool
+	// openMu serializes the job's first frame: opened is set once a
+	// manager accepted it, and frames after it carry no header.
+	openMu sync.Mutex
+	opened bool
 
 	inbox *msg.Mailbox[*msg.Message] // user messages addressed to the client
 	// events queues task lifecycle events for GetEvent, as decoded: at most
@@ -417,6 +457,19 @@ func (j *Job) CreateTask(spec *task.Spec, ar *archive.Archive) error {
 // archives; specs whose archive name is absent run against pre-deployed
 // classes. The result maps task name -> executing node.
 func (j *Job) CreateTasks(specs []*task.Spec, archives map[string]*archive.Archive) (map[string]string, error) {
+	return j.createTasks(specs, archives, false)
+}
+
+// Submit is CreateTasks and Start in one round trip: the job's whole task
+// set, and with it the start, ride one CREATE_TASKS frame — with a job that
+// CreateJob just named, the only frame the client sends to admit it. The
+// tasks ready at the start run the moment their assignments land. A refused
+// Submit of a job's first frame leaves nothing on the manager.
+func (j *Job) Submit(specs []*task.Spec, archives map[string]*archive.Archive) (map[string]string, error) {
+	return j.createTasks(specs, archives, true)
+}
+
+func (j *Job) createTasks(specs []*task.Spec, archives map[string]*archive.Archive, start bool) (map[string]string, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("api: create tasks: empty task set")
 	}
@@ -447,7 +500,8 @@ func (j *Job) CreateTasks(specs []*task.Spec, archives map[string]*archive.Archi
 	// only, so no single frame approaches the transport limit. The budget
 	// is aggregate: many small archives that together would overflow a
 	// frame are chunk-streamed too (digests iterated in sorted order so
-	// the inline/push split is deterministic).
+	// the inline/push split is deterministic). A push needs the job on the
+	// manager, so a job's first push follows a header-only frame.
 	digests := make([]string, 0, len(req.Blobs))
 	for digest := range req.Blobs {
 		digests = append(digests, digest)
@@ -460,6 +514,9 @@ func (j *Job) CreateTasks(specs []*task.Spec, archives map[string]*archive.Archi
 			inlined += len(raw)
 			continue
 		}
+		if _, err := j.call(nil, "create job"); err != nil {
+			return nil, err
+		}
 		j.pushMu.Lock()
 		err := protocol.PushBlob(context.Background(), j.client.caller.CallInto,
 			msg.Address{Node: j.client.node, Job: j.ID, Task: protocol.ClientTaskName},
@@ -470,33 +527,107 @@ func (j *Job) CreateTasks(specs []*task.Spec, archives map[string]*archive.Archi
 		}
 		delete(req.Blobs, digest)
 	}
-	jmNode := j.manager()
-	ca := j.client.opts.Tracer.StartSpan(j.trace, "job.create_tasks").SetJob(j.ID)
-	cm := protocol.Body(msg.KindCreateTasks,
-		msg.Address{Node: j.client.node, Job: j.ID, Task: protocol.ClientTaskName},
-		msg.Address{Node: jmNode, Job: j.ID},
-		req)
-	cm.Trace = j.trace
-	reply, err := j.client.caller.CallInto(context.Background(), jmNode, cm, nil, j.client.opts.CallTimeout)
-	if err != nil {
-		j.keep(ca.End(err))
-		return nil, fmt.Errorf("api: create %d tasks: %w", len(specs), err)
+	if start {
+		spans, err := j.begin()
+		if err != nil {
+			return nil, err
+		}
+		req.Start, req.Spans = true, spans
 	}
-	if reply.Kind == msg.KindJobFailed {
-		err := replyError(fmt.Sprintf("create %d tasks", len(specs)), reply)
-		j.keep(ca.End(err))
+	// Each task reports its start and its end: room for them up front.
+	j.events.Grow(min(2*len(specs), maxQueuedEvents))
+	op := fmt.Sprintf("create %d tasks", len(specs))
+	ca := j.client.opts.Tracer.StartSpan(j.trace, "job.create_tasks").SetJob(j.ID)
+	resp, err := j.call(&req, op)
+	j.keep(ca.End(err))
+	if err != nil {
 		return nil, err
 	}
-	var resp protocol.CreateTasksResp
-	if err := protocol.Decode(reply, &resp); err != nil {
-		j.keep(ca.End(err))
-		return nil, fmt.Errorf("api: create tasks: %w", err)
-	}
-	j.keep(ca.End(nil))
 	j.mu.Lock()
 	j.prog.Tasks += len(specs)
 	j.mu.Unlock()
 	return resp.Placements, nil
+}
+
+// call sends one CREATE_TASKS — a nil req only opens the job — and decodes
+// its acceptance. The job's first frame carries the job's header. When the
+// manager refuses it or cannot be reached, and the job came from CreateJob,
+// the client forgets that manager, runs one discovery round and sends the
+// frame once more, to the manager it picks. A first frame that timed out is
+// not sent again: the manager may hold the job.
+func (j *Job) call(req *protocol.CreateTasksReq, op string) (*protocol.CreateTasksResp, error) {
+	j.openMu.Lock()
+	if j.opened {
+		j.openMu.Unlock()
+		if req == nil {
+			return nil, nil
+		}
+		return j.callOnce(req, op)
+	}
+	defer j.openMu.Unlock()
+	if req == nil {
+		req = &protocol.CreateTasksReq{JobID: j.ID}
+	}
+	c := j.client
+	req.ClientNode, req.Name, req.Req = c.node, j.Name, j.req
+	resp, err := j.callOnce(req, op)
+	if err != nil && j.rebind && !errors.Is(err, context.DeadlineExceeded) {
+		c.mu.Lock()
+		if c.manager == j.manager() {
+			c.manager = ""
+		}
+		c.mu.Unlock()
+		node, serr := c.solicit(j.req)
+		if serr != nil {
+			return nil, fmt.Errorf("%w (and no other JobManager: %w)", err, serr)
+		}
+		j.setManager(node)
+		resp, err = j.callOnce(req, op)
+	}
+	if err == nil {
+		j.opened = true
+		c.mu.Lock()
+		c.manager = j.manager()
+		c.mu.Unlock()
+		c.logf("job %s created on %s", j.ID, j.manager())
+	}
+	return resp, err
+}
+
+// callOnce sends one CREATE_TASKS to the job's manager.
+func (j *Job) callOnce(req *protocol.CreateTasksReq, op string) (*protocol.CreateTasksResp, error) {
+	jmNode := j.manager()
+	cm := protocol.Body(msg.KindCreateTasks,
+		msg.Address{Node: j.client.node, Job: j.ID, Task: protocol.ClientTaskName},
+		msg.Address{Node: jmNode, Job: j.ID},
+		*req)
+	cm.Trace = j.trace
+	reply, err := j.client.caller.CallInto(context.Background(), jmNode, cm, nil, j.client.opts.CallTimeout)
+	if err != nil {
+		return nil, fmt.Errorf("api: %s of job %s on %s: %w", op, j.ID, jmNode, err)
+	}
+	if reply.Kind == msg.KindJobFailed {
+		return nil, replyError(op, reply)
+	}
+	var resp protocol.CreateTasksResp
+	if err := protocol.Decode(reply, &resp); err != nil {
+		return nil, fmt.Errorf("api: %s: %w", op, err)
+	}
+	return &resp, nil
+}
+
+// begin marks the job started and hands over the client-side spans that
+// ride the starting frame.
+func (j *Job) begin() ([]trace.Span, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.started {
+		return nil, fmt.Errorf("api: job %s already started", j.ID)
+	}
+	j.started = true
+	spans := j.spans
+	j.spans = nil
+	return spans, nil
 }
 
 // keep adds a finished client-side span of the job to what Start ships.
@@ -520,34 +651,17 @@ func (j *Job) Progress() Progress {
 
 // Start begins execution. With no arguments the whole job runs in
 // dependency order; otherwise only the named tasks (and their scheduling
-// graph) run.
+// graph) run. It is a CREATE_TASKS frame with the Start flag and no tasks;
+// the client-side spans of the job's trace (submit, task creation) ride it
+// to the JobManager's timeline, so the client never needs scraping.
 func (j *Job) Start(taskNames ...string) error {
-	j.mu.Lock()
-	if j.started {
-		j.mu.Unlock()
-		return fmt.Errorf("api: job %s already started", j.ID)
-	}
-	j.started = true
-	// The client-side spans of this trace (submit, task creation) ride the
-	// start request: the JobManager folds them into the per-job timeline
-	// it assembles, so the client never needs scraping.
-	spans := j.spans
-	j.spans = nil
-	j.mu.Unlock()
-	jmNode := j.manager()
-	sm := protocol.Body(msg.KindStartTask,
-		msg.Address{Node: j.client.node, Job: j.ID, Task: protocol.ClientTaskName},
-		msg.Address{Node: jmNode, Job: j.ID},
-		protocol.StartJobReq{JobID: j.ID, TaskNames: taskNames, Spans: spans})
-	sm.Trace = j.trace
-	reply, err := j.client.caller.CallInto(context.Background(), jmNode, sm, nil, j.client.opts.CallTimeout)
+	spans, err := j.begin()
 	if err != nil {
-		return fmt.Errorf("api: start job %s: %w", j.ID, err)
+		return err
 	}
-	if reply.Kind == msg.KindJobFailed {
-		return replyError("start job", reply)
-	}
-	return nil
+	req := protocol.CreateTasksReq{JobID: j.ID, Start: true, TaskNames: taskNames, Spans: spans}
+	_, err = j.call(&req, "start job")
+	return err
 }
 
 // recordEvents applies a relayed batch of events that happened on node:
@@ -731,8 +845,25 @@ func (j *Job) GetEvent(ctx context.Context) (*Event, error) {
 	return &ev, nil
 }
 
-// Cancel abandons the job.
+// over reports whether the handle's job ended or the handle was released.
+func (j *Job) over() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.finished || j.released
+}
+
+// Cancel abandons the job. A job that never sent its first frame exists
+// only here, and ends here.
 func (j *Job) Cancel(reason string) error {
+	j.openMu.Lock()
+	opened := j.opened
+	j.openMu.Unlock()
+	if !opened {
+		j.mu.Lock()
+		j.finishLocked(&Result{JobID: j.ID, Failed: true, Err: "cancelled: " + reason})
+		j.mu.Unlock()
+		return nil
+	}
 	jmNode := j.manager()
 	cm := protocol.Body(msg.KindCancelJob,
 		msg.Address{Node: j.client.node, Job: j.ID, Task: protocol.ClientTaskName},

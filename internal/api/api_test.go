@@ -545,9 +545,8 @@ func TestDiscoveryNoOffers(t *testing.T) {
 }
 
 // silentManager attaches a stand-in JobManager "jm" to a fresh in-memory
-// fabric. It ignores the first `silent` discovery rounds it hears, answers
-// every later one with an offer, and creates any job it is asked to. rounds
-// counts the solicitations heard.
+// fabric. It ignores the first `silent` discovery rounds it hears and answers
+// every later one with an offer. rounds counts the solicitations heard.
 func silentManager(t *testing.T, silent int32) (*api.Client, *atomic.Int32) {
 	t.Helper()
 	net := transport.NewIdealNetwork()
@@ -562,8 +561,6 @@ func silentManager(t *testing.T, silent int32) (*api.Client, *atomic.Int32) {
 				return
 			}
 			r = protocol.Reply(m, msg.KindJobManagerOffer, protocol.JMOffer{Node: "jm", FreeMemoryMB: 1000})
-		case msg.KindCreateJob:
-			r = protocol.Reply(m, msg.KindJobCreated, protocol.CreateJobResp{JobID: "jm-job1"})
 		default:
 			return
 		}
@@ -586,7 +583,7 @@ func silentManager(t *testing.T, silent int32) (*api.Client, *atomic.Int32) {
 }
 
 // TestCreateJobRetriesSilentDiscoveryOnce: a discovery round that collects
-// no offer is run once more. The second round's answer creates the job; two
+// no offer is run once more. The second round's answer binds the job; two
 // silent rounds fail the create with ErrNoOffers, and there is no third.
 func TestCreateJobRetriesSilentDiscoveryOnce(t *testing.T) {
 	cl, rounds := silentManager(t, 1)
@@ -594,8 +591,8 @@ func TestCreateJobRetriesSilentDiscoveryOnce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateJob after one silent round: %v", err)
 	}
-	if j.ID != "jm-job1" || j.JMNode != "jm" || rounds.Load() != 2 {
-		t.Errorf("job %q on %q after %d rounds, want jm-job1 on jm after 2", j.ID, j.JMNode, rounds.Load())
+	if !strings.HasPrefix(j.ID, cl.Node()+".") || j.JMNode != "jm" || rounds.Load() != 2 {
+		t.Errorf("job %q on %q after %d rounds, want one of %s's on jm after 2", j.ID, j.JMNode, rounds.Load(), cl.Node())
 	}
 
 	cl, rounds = silentManager(t, 2)
@@ -625,7 +622,11 @@ func TestDiscoveryRefusedRoundEndsEarly(t *testing.T) {
 	}
 	t.Cleanup(func() { cl.Close() })
 	for _, node := range c.Nodes() {
-		if _, err := cl.CreateJobOn(node, "fill", protocol.JobRequirements{}); err != nil {
+		j, err := cl.CreateJobOn(node, "fill", protocol.JobRequirements{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.CreateTasks([]*task.Spec{spec("fill", "test.Noop", nil)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -31,8 +31,16 @@ func (j *Job) Space() *Space { return &Space{job: j} }
 // tsWire returns the job's protocol.TSWire attachment, built once per
 // manager node — each attempt of an operation asks again, so blocking
 // retries follow a mid-operation job adoption to the survivor — or
-// tuplespace.ErrClosed for a handle whose job is over.
+// tuplespace.ErrClosed for a handle whose job is over. The space lives on
+// the manager from the job's first frame on, so a job that has not sent one
+// sends its header first.
 func (j *Job) tsWire() (*protocol.TSWire, error) {
+	if j.over() {
+		return nil, tuplespace.ErrClosed
+	}
+	if _, err := j.call(nil, "create job"); err != nil {
+		return nil, err
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.finished || j.released {

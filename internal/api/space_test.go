@@ -14,6 +14,7 @@ import (
 	"cn/internal/cluster"
 	"cn/internal/msg"
 	"cn/internal/protocol"
+	"cn/internal/task"
 	"cn/internal/tuplespace"
 )
 
@@ -156,6 +157,10 @@ func TestSpaceRefusalsAndTerminalStates(t *testing.T) {
 	eachFabric(t, func(t *testing.T, c *cluster.Cluster, cl *api.Client) {
 		j, err := cl.CreateJobOn("node1", "refusals", protocol.JobRequirements{})
 		if err != nil {
+			t.Fatal(err)
+		}
+		// The job exists on its manager from its first frame on.
+		if _, err := j.CreateTasks([]*task.Spec{spec("idle", "test.Noop", nil)}, nil); err != nil {
 			t.Fatal(err)
 		}
 		space := j.Space()

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"cn/internal/api"
 	"cn/internal/cluster"
+	"cn/internal/msg"
 	"cn/internal/protocol"
 	"cn/internal/task"
 	"cn/internal/tuplespace"
@@ -401,6 +403,128 @@ func TestFailoverUnacknowledgedOutsAreTheLossWindow(t *testing.T) {
 	for d := range firstFlush {
 		if d > protocol.CallTimeout+time.Second {
 			t.Errorf("an emitter's first acknowledged op after the kill took %v; the dead-manager deadline is %v", d, protocol.CallTimeout)
+		}
+	}
+}
+
+// TestTaskSendToDeadManagerWaitsForAdopter: a task whose manager died
+// before it sent keeps its message until a survivor adopts the job, and
+// then sends it there; the task neither fails nor runs again. The tasks
+// block on a gate until the manager's node is power-cut, so every send on
+// the surviving nodes meets a dead manager (the order a send-fails-the-task
+// bug needs, forced rather than hoped for). Each task's one message
+// reaches the client, and each task that started on a survivor ran once.
+func TestTaskSendToDeadManagerWaitsForAdopter(t *testing.T) {
+	for name, transport := range map[string]cluster.Transport{"mem": cluster.TransportMem, "tcp": cluster.TransportTCP} {
+		t.Run(name, func(t *testing.T) {
+			gate := make(chan struct{})
+			var mu sync.Mutex
+			ran := make(map[string][]string) // task -> the nodes it ran on, in order
+			reg := task.NewRegistry()
+			reg.MustRegister("failover.GatedSend", func() task.Task {
+				return task.Func(func(ctx task.Context) error {
+					mu.Lock()
+					ran[ctx.TaskName()] = append(ran[ctx.TaskName()], ctx.NodeName())
+					mu.Unlock()
+					for {
+						select {
+						case <-gate:
+							return ctx.SendClient([]byte(ctx.TaskName()))
+						case <-time.After(time.Millisecond):
+							if ctx.Done() {
+								return task.ErrStopped
+							}
+						}
+					}
+				})
+			})
+			cfg := failoverConfig(4, reg)
+			cfg.Transport = transport
+			c, err := cluster.Start(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Stop()
+			cl, err := api.Initialize(c.Network(), api.Options{DiscoveryWindow: 20 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+
+			j, err := cl.CreateJobOn("node1", "held-send", protocol.JobRequirements{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const tasks = 12
+			specs := make([]*task.Spec, tasks)
+			for i := range specs {
+				specs[i] = chaosSpec(fmt.Sprintf("s%02d", i), "failover.GatedSend", 100)
+			}
+			if _, err := j.CreateTasks(specs, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Start(); err != nil {
+				t.Fatal(err)
+			}
+			// Every task is running, behind the gate; then two checkpoint
+			// rounds replicate the running schedule to the peers.
+			waitFor(t, "every task started", func() bool { return j.Progress().Started == tasks })
+			ckpts := func() int64 { return c.WireStats().ByKind[msg.KindJMCheckpoint.String()] }
+			base := ckpts()
+			waitFor(t, "two checkpoint rounds", func() bool { return ckpts() >= base+2*3 })
+			if err := c.KillNode("node1"); err != nil {
+				t.Fatal(err)
+			}
+			close(gate)
+
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			res, err := j.Wait(ctx)
+			if err != nil {
+				t.Fatalf("job did not finish after its JobManager died: %v", err)
+			}
+			if res.Failed {
+				t.Fatalf("job failed instead of being adopted: %+v", res)
+			}
+			if got := j.Manager(); got != "node2" {
+				t.Errorf("job manager after failover = %s, want node2", got)
+			}
+			seen := make(map[string]int)
+			for {
+				from, _, ok, err := j.TryGetMessage()
+				if errors.Is(err, api.ErrJobFinished) || !ok {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen[from]++
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for _, sp := range specs {
+				nodes := ran[sp.Name]
+				if seen[sp.Name] == 0 {
+					t.Errorf("no message from %s (ran on %v)", sp.Name, nodes)
+				}
+				if len(nodes) > 0 && nodes[0] != "node1" && len(nodes) != 1 {
+					t.Errorf("%s started on %s and ran on %v: its send to the dead manager cost it a run", sp.Name, nodes[0], nodes)
+				}
+			}
+		})
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s with
+// what, and what each state says of itself.
+func waitFor(t *testing.T, what string, cond func() bool, state ...func() string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			for _, s := range state {
+				what += "; " + s()
+			}
+			t.Fatalf("timed out waiting for %s", what)
 		}
 	}
 }

@@ -408,7 +408,7 @@ func TestInlineBlobVerifiedAtCreateTasks(t *testing.T) {
 	sp := &task.Spec{Name: "t1", Class: class, Archive: ar.Name, Req: task.Requirements{MemoryMB: 10, RunModel: task.RunAsThreadInTM}}
 	forged := protocol.Body(msg.KindCreateTasks,
 		msg.Address{Node: "forger", Job: j.ID, Task: protocol.ClientTaskName}, msg.Address{Node: "node1", Job: j.ID},
-		protocol.CreateTasksReq{JobID: j.ID,
+		protocol.CreateTasksReq{JobID: j.ID, ClientNode: "forger", Name: "inline",
 			Tasks: []protocol.TaskCreate{{Spec: sp, Archive: protocol.ArchiveRef{Name: ar.Name, Digest: ar.Digest(), Size: 1 << 40}}},
 			Blobs: map[string][]byte{ar.Digest(): impostor.Bytes()}})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -171,12 +171,7 @@ func Run(ctx context.Context, cl *api.Client, m *Matrix, workers int) (*Matrix, 
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range specs {
-		if err := job.CreateTask(s, archives[s.Archive]); err != nil {
-			return nil, err
-		}
-	}
-	if err := job.Start(); err != nil {
+	if _, err := job.Submit(specs, archives); err != nil {
 		return nil, err
 	}
 	if err := job.SendMessage(SplitTaskName, EncodeMatrixMessage(m)); err != nil {

@@ -249,28 +249,10 @@ func (jm *JobManager) adoptJob(origin, jobID string, data []byte) error {
 		return err
 	}
 
-	j := &jobState{
-		id:          jobID,
-		name:        ck.name,
-		clientNode:  ck.clientNode,
-		queue:       msg.NewMailbox[*msg.Message](),
-		specs:       make(map[string]*task.Spec, len(ck.specs)),
-		placement:   ck.placement,
-		archives:    ck.archives,
-		blobs:       ck.blobs,
-		staged:      make(map[string]*protocol.Upload),
-		started:     ck.started,
-		idleSince:   time.Now(),
-		taskErrs:    ck.taskErrs,
-		retries:     ck.retries,
-		retrying:    make(map[string]bool),
-		speculative: make(map[string]string),
-		beats:       make(map[string]*beatState),
-		space:       tuplespace.New(),
-	}
-	j.root = ck.root
-	j.timeline = ck.timeline
-	j.broker = dataplane.NewBroker(&jm.dpStats)
+	j := jm.newJob(jobID, ck.name, ck.clientNode, len(ck.specs))
+	j.placement, j.archives, j.blobs = ck.placement, ck.archives, ck.blobs
+	j.started, j.taskErrs, j.retries = ck.started, ck.taskErrs, ck.retries
+	j.root, j.timeline = ck.root, ck.timeline
 	j.broker.Restore(ck.locs)
 	// Adverts served by the dead origin's own TaskManager are unreachable.
 	// Inline-backed ones degrade to adopter-served copies; the rest are

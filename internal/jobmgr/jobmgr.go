@@ -2,13 +2,14 @@ package jobmgr
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"cn/internal/archive"
 	"cn/internal/config"
 	"cn/internal/dataplane"
 	"cn/internal/health"
@@ -69,12 +70,18 @@ type jobState struct {
 	staged   map[string]*protocol.Upload
 	schedule *Schedule
 	started  bool
+	// placing counts the frames whose tasks are being placed; a job starts
+	// only when none is. Meanwhile the worker waits on placed: a task that
+	// ran on arrival must not release an EXEC_TASK, or route a USER frame,
+	// that overtakes the ASSIGN_TASKS reserving its sibling.
+	placing int
+	placed  sync.Cond
 	// notified is set once, under mu, by whichever exit decides the job is
 	// over; that goroutine alone calls finishJob, which retires the record.
 	notified bool
-	// idleSince is refreshed by job creation and every task-creation
-	// request; an unstarted job idle past the TTL is treated as abandoned
-	// (a client that timed out or died mid-composition) and evicted.
+	// idleSince is refreshed by every admission frame; an unstarted job
+	// idle past the TTL is treated as abandoned (a client that timed out or
+	// died mid-composition) and evicted.
 	idleSince time.Time
 	taskErrs  map[string]string
 	// retries counts re-placements per task (recovery + speculation),
@@ -121,8 +128,8 @@ type jobState struct {
 	// and immutable after, so it reads without mu.
 	root trace.Context
 	// timeline is the job's assembled trace: JM-recorded spans plus those
-	// carried in on StartJobReq and terminal TaskEvents, capped at
-	// trace.MaxJobSpans. Guarded by mu. It rides the checkpoint so the
+	// carried in on the starting CreateTasksReq and terminal TaskEvents,
+	// capped at trace.MaxJobSpans. Guarded by mu. It rides the checkpoint so the
 	// trace survives failover adoption.
 	timeline []trace.Span
 }
@@ -170,7 +177,6 @@ type JobManager struct {
 	jobs   map[string]*jobState
 	tombs  map[string]*tombstone
 	tombQ  []*tombstone
-	nextID int
 	closed bool
 	wg     sync.WaitGroup
 
@@ -393,42 +399,24 @@ func (jm *JobManager) HandleSolicit(m *msg.Message) *msg.Message {
 	return protocol.Reply(m, msg.KindJobManagerOffer, offer)
 }
 
-// HandleCreateJob processes KindCreateJob: "The Job is subsequently created
-// in the selected JobManager."
-func (jm *JobManager) HandleCreateJob(m *msg.Message) *msg.Message {
-	var req protocol.CreateJobReq
-	if err := protocol.Decode(m, &req); err != nil {
-		return jm.errReply(m, fmt.Sprintf("bad create-job request: %v", err))
-	}
+// open creates the job a first CREATE_TASKS names, under the ID its client
+// chose ("Create Job in JobManager"): the manager must be up, below MaxJobs,
+// and hold no job under that ID, live or retired.
+func (jm *JobManager) open(m *msg.Message, req *protocol.CreateTasksReq) (*jobState, error) {
+	id := req.JobID
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
-	if jm.closed {
-		return jm.errReply(m, "job manager shut down")
+	switch {
+	case jm.closed:
+		return nil, errors.New("job manager shut down")
+	case len(jm.jobs) >= jm.cfg.MaxJobs:
+		return nil, errors.New("job manager at capacity")
+	case id == "":
+		return nil, errors.New("create names no job")
+	case jm.jobs[id] != nil || jm.tombs[id] != nil:
+		return nil, fmt.Errorf("job %s already held here", id)
 	}
-	if len(jm.jobs) >= jm.cfg.MaxJobs {
-		return jm.errReply(m, "job manager at capacity")
-	}
-	jm.nextID++
-	id := fmt.Sprintf("%s-job%d", jm.node, jm.nextID)
-	j := &jobState{
-		id:          id,
-		name:        req.Name,
-		clientNode:  req.ClientNode,
-		queue:       msg.NewMailbox[*msg.Message](),
-		specs:       make(map[string]*task.Spec),
-		placement:   make(map[string]string),
-		archives:    make(map[string]protocol.ArchiveRef),
-		blobs:       make(map[string][]byte),
-		staged:      make(map[string]*protocol.Upload),
-		idleSince:   time.Now(),
-		taskErrs:    make(map[string]string),
-		retries:     make(map[string]int),
-		retrying:    make(map[string]bool),
-		speculative: make(map[string]string),
-		beats:       make(map[string]*beatState),
-		space:       tuplespace.New(),
-	}
-	j.broker = dataplane.NewBroker(&jm.dpStats)
+	j := jm.newJob(id, req.Name, req.ClientNode, len(req.Tasks))
 	// Establish the job's trace identity. A traced create (the client
 	// sampled at submit) makes the client's span the root; otherwise this
 	// JobManager makes its own sampling decision and records an anchor
@@ -450,7 +438,47 @@ func (jm *JobManager) HandleCreateJob(m *msg.Message) *msg.Message {
 	jm.wg.Add(1)
 	go jm.jobWorker(j)
 	jm.log.Info("job created", "job", id, "name", req.Name, "client", req.ClientNode)
-	return protocol.Reply(m, msg.KindJobCreated, protocol.CreateJobResp{JobID: id})
+	return j, nil
+}
+
+// newJob builds the record of a hosted job; n sizes its task tables.
+func (jm *JobManager) newJob(id, name, clientNode string, n int) *jobState {
+	j := &jobState{
+		id:          id,
+		name:        name,
+		clientNode:  clientNode,
+		queue:       msg.NewMailbox[*msg.Message](),
+		specs:       make(map[string]*task.Spec, n),
+		placement:   make(map[string]string, n),
+		archives:    make(map[string]protocol.ArchiveRef, n),
+		blobs:       make(map[string][]byte),
+		staged:      make(map[string]*protocol.Upload),
+		idleSince:   time.Now(),
+		taskErrs:    make(map[string]string),
+		retries:     make(map[string]int),
+		retrying:    make(map[string]bool),
+		speculative: make(map[string]string),
+		beats:       make(map[string]*beatState),
+		space:       tuplespace.New(),
+		broker:      dataplane.NewBroker(&jm.dpStats),
+	}
+	j.placed.L = &j.mu
+	return j
+}
+
+// discard forgets a job whose opening frame was refused, tombstone and all.
+func (jm *JobManager) discard(j *jobState) {
+	j.mu.Lock()
+	j.notified = true
+	seq := j.ckptSeq
+	j.mu.Unlock()
+	jm.mu.Lock()
+	delete(jm.jobs, j.id) // no other job holds the ID while j does
+	jm.mu.Unlock()
+	j.queue.Close()
+	j.space.Close()
+	j.broker.Close()
+	jm.dropPeerImage(j.id, seq)
 }
 
 // errReply produces a KindJobFailed response carrying the error text, used
@@ -498,68 +526,61 @@ func (jm *JobManager) errUnknownJob(id string) error {
 	return fmt.Errorf("jobmgr %s: unknown job %q", jm.node, id)
 }
 
-// HandleCreateTasks processes KindCreateTasks: place an entire task set in
-// one solicitation round, dispatching batched assignments to the chosen
-// nodes in parallel. It blocks and must run outside the endpoint's
-// dispatch goroutine.
+// HandleCreateTasks processes KindCreateTasks, the one admission frame: a
+// frame naming its client opens the job, its tasks are placed in one round,
+// and Start starts it. A refused opening frame leaves nothing behind. It
+// blocks and must run outside the endpoint's dispatch goroutine.
 func (jm *JobManager) HandleCreateTasks(m *msg.Message) *msg.Message {
 	var req protocol.CreateTasksReq
 	if err := protocol.Decode(m, &req); err != nil {
 		return jm.errReply(m, fmt.Sprintf("bad create-tasks request: %v", err))
 	}
 	j, t := jm.lookup(req.JobID)
-	if j == nil {
+	var err error
+	switch {
+	case req.ClientNode != "":
+		j, err = jm.open(m, &req)
+	case j == nil:
 		return jm.noJobReply(m, req.JobID, t)
 	}
-	if len(req.Tasks) == 0 {
-		return jm.errReply(m, "create-tasks request carries no tasks")
+	if err == nil {
+		var resp protocol.CreateTasksResp
+		if resp.Placements, err = jm.admit(j, &req); err == nil {
+			return protocol.Reply(m, msg.KindTasksAccepted, resp)
+		}
+		if req.ClientNode != "" {
+			jm.discard(j)
+		}
 	}
-	placements, err := jm.createTasks(j, req.Tasks, req.Blobs)
-	if err != nil {
-		return jm.errReply(m, err.Error())
-	}
-	return protocol.Reply(m, msg.KindTasksAccepted, protocol.CreateTasksResp{Placements: placements})
+	return jm.errReply(m, err.Error())
 }
 
-// createTasks validates, places, and records a batch of tasks — the shared
-// engine behind CREATE_TASKS.
-func (jm *JobManager) createTasks(j *jobState, items []protocol.TaskCreate, blobs map[string][]byte) (map[string]string, error) {
-	// An inline blob is verified where a pushed one is: bytes that do not
-	// hash to their key would poison the digest for the whole job, and
-	// every TaskManager would find out separately. At most
-	// MaxInlinePerMessage bytes are hashed per message.
-	for digest, raw := range blobs {
-		if got := archive.DigestBytes(raw); got != digest {
-			return nil, fmt.Errorf("inline blob hashes to %.12s…, not the declared %.12s…", got, digest)
+// admit places one frame's tasks and, with Start, starts the job. Specs and
+// schedule are recorded before any assignment leaves, as ready tasks run on
+// arrival; a refused frame takes back all it recorded, and placeBatch
+// releases what it reserved.
+func (jm *JobManager) admit(j *jobState, req *protocol.CreateTasksReq) (map[string]string, error) {
+	items := req.Tasks
+	if len(items) == 0 && !req.Start {
+		if req.ClientNode != "" {
+			return nil, nil // a header alone: the job exists now
 		}
+		return nil, errors.New("create-tasks request carries no tasks")
 	}
-	inBatch := make(map[string]bool, len(items))
-	for _, it := range items {
-		if it.Spec == nil {
-			return nil, fmt.Errorf("jobmgr %s: job %s: task without a spec", jm.node, j.id)
-		}
-		if err := it.Spec.Validate(); err != nil {
-			return nil, err
-		}
-		if inBatch[it.Spec.Name] {
-			return nil, fmt.Errorf("jobmgr %s: job %s: task %q appears twice in batch", jm.node, j.id, it.Spec.Name)
-		}
-		inBatch[it.Spec.Name] = true
+	if err := req.Check(); err != nil {
+		return nil, fmt.Errorf("jobmgr %s: %w", jm.node, err)
 	}
 	j.mu.Lock()
-	j.idleSince = time.Now()
-	if j.notified {
-		j.mu.Unlock()
-		return nil, fmt.Errorf("job %s already finished", j.id)
-	}
-	if j.started {
-		j.mu.Unlock()
-		return nil, fmt.Errorf("job %s already started", j.id)
+	var err error
+	switch {
+	case j.notified:
+		err = fmt.Errorf("job %s already finished", j.id)
+	case j.started:
+		err = fmt.Errorf("job %s already started", j.id)
 	}
 	for _, it := range items {
-		if _, dup := j.specs[it.Spec.Name]; dup {
-			j.mu.Unlock()
-			return nil, fmt.Errorf("task %q already created", it.Spec.Name)
+		if _, dup := j.specs[it.Spec.Name]; dup && err == nil {
+			err = fmt.Errorf("task %q already created", it.Spec.Name)
 		}
 	}
 	// Stash archive bytes (each distinct digest once) so the chosen
@@ -567,58 +588,134 @@ func (jm *JobManager) createTasks(j *jobState, items []protocol.TaskCreate, blob
 	// a ref's Size is the length of bytes verified here or by an upload,
 	// never what the client wrote — 0 for a digest this JobManager does not
 	// hold, which only a node already caching it can accept.
-	for digest, raw := range blobs {
-		if _, ok := j.blobs[digest]; !ok {
+	for digest, raw := range req.Blobs {
+		if _, ok := j.blobs[digest]; !ok && err == nil {
 			j.blobs[digest] = raw
 		}
 	}
-	for i := range items {
+	for i := 0; i < len(items) && err == nil; i++ {
 		items[i].Archive.Size = int64(len(j.blobs[items[i].Archive.Digest]))
+		j.specs[items[i].Spec.Name] = items[i].Spec
+		j.archives[items[i].Spec.Name] = items[i].Archive
 	}
-	j.mu.Unlock()
-
-	pa := jm.tracer.StartSpan(j.root, "jm.place").SetJob(j.id)
-	placements, err := jm.placeBatch(j, items, nil)
-	if err != nil {
-		jm.endSpan(j, pa, err.Error())
-	} else {
-		jm.endSpan(j, pa, "")
+	var run map[string]bool
+	if req.Start && err == nil {
+		if run, err = j.startLocked(req.TaskNames, req.Spans); err != nil {
+			j.dropLocked(items)
+		}
 	}
-	j.mu.Lock()
 	j.idleSince = time.Now()
 	if err != nil {
 		j.mu.Unlock()
 		return nil, err
 	}
-	// Re-check the job's state: placement ran unlocked (it blocks on
-	// round trips), so a concurrent cancel/start — whose cancel fan-out
-	// read the placement map before this batch was in it — or a racing
-	// same-name batch may have won. Recording now would leak the batch's
-	// reservations; roll them back instead.
-	if j.notified || j.started {
-		state := "finished"
-		if j.started && !j.notified {
-			state = "started"
+	j.placing++
+	j.mu.Unlock()
+
+	var placements map[string]string
+	if len(items) > 0 {
+		pa := jm.tracer.StartSpan(j.root, "jm.place").SetJob(j.id)
+		var note string
+		if placements, err = jm.placeBatch(j, items, nil, run); err != nil {
+			note = err.Error()
+		}
+		jm.endSpan(j, pa, note)
+	}
+	j.mu.Lock()
+	defer j.placed.Broadcast()
+	j.placing--
+	j.idleSince = time.Now()
+	// A job cancelled while the batch was being placed — whose cancel
+	// fan-out read the placement before this batch was in it — must not
+	// keep the batch's reservations, nor its tasks that started on arrival.
+	if err == nil && j.notified {
+		defer jm.releaseBatch(j, placements, "job finished during placement")
+		err = fmt.Errorf("job %s already finished", j.id)
+	}
+	if err != nil {
+		j.dropLocked(items)
+		if req.Start {
+			j.schedule, j.started = nil, false
 		}
 		j.mu.Unlock()
-		jm.releaseBatch(j, placements, "job "+state+" during placement")
-		return nil, fmt.Errorf("job %s already %s", j.id, state)
+		return nil, err
 	}
-	for _, it := range items {
-		if _, dup := j.specs[it.Spec.Name]; dup {
-			j.mu.Unlock()
-			jm.releaseBatch(j, placements, "duplicate task in concurrent batch")
-			return nil, fmt.Errorf("task %q already created", it.Spec.Name)
-		}
-	}
-	for _, it := range items {
-		j.specs[it.Spec.Name] = it.Spec
-		j.placement[it.Spec.Name] = placements[it.Spec.Name]
-		j.archives[it.Spec.Name] = it.Archive
+	for name, node := range placements {
+		j.placement[name] = node
 	}
 	j.mu.Unlock()
-	jm.log.Info("tasks placed", "job", j.id, "tasks", len(items), "nodes", len(nodeSet(placements)))
+	if req.Start {
+		// The ready tasks an earlier frame placed start now; the frame's own
+		// rode their assignments.
+		var exec []string
+		for name := range run {
+			if placements[name] == "" {
+				exec = append(exec, name)
+			}
+		}
+		sort.Strings(exec)
+		sa := jm.tracer.StartSpan(j.root, "jm.start").SetJob(j.id)
+		jm.execTasks(j, exec)
+		jm.endSpan(j, sa, "")
+	}
+	jm.log.Info("tasks admitted", "job", j.id, "tasks", len(items), "nodes", len(nodeSet(placements)), "start", req.Start)
 	return placements, nil
+}
+
+// startLocked builds the job's schedule over the named tasks — every task
+// when none is named — folds the client's spans into the timeline, and
+// marks the ready tasks running and returns them. j.mu must be held.
+func (j *jobState) startLocked(names []string, spans []trace.Span) (map[string]bool, error) {
+	if j.placing > 0 {
+		return nil, fmt.Errorf("job %s is still placing tasks", j.id)
+	}
+	if len(j.specs) == 0 {
+		return nil, fmt.Errorf("job %s has no tasks", j.id)
+	}
+	specs := make([]*task.Spec, 0, len(j.specs))
+	for _, name := range names {
+		sp, ok := j.specs[name]
+		if !ok {
+			return nil, fmt.Errorf("job %s has no task %q", j.id, name)
+		}
+		specs = append(specs, sp)
+	}
+	if len(names) == 0 {
+		for _, sp := range j.specs {
+			specs = append(specs, sp)
+		}
+	}
+	sched, err := NewSchedule(specs)
+	if err != nil {
+		return nil, err
+	}
+	ready := make(map[string]bool)
+	for _, name := range sched.Ready() {
+		if err := sched.MarkRunning(name); err != nil {
+			return nil, err
+		}
+		ready[name] = true
+	}
+	j.schedule, j.started = sched, true
+	j.addSpansLocked(spans...)
+	return ready, nil
+}
+
+// dropLocked takes back a refused frame's tasks. j.mu must be held.
+func (j *jobState) dropLocked(items []protocol.TaskCreate) {
+	for _, it := range items {
+		delete(j.specs, it.Spec.Name)
+		delete(j.archives, it.Spec.Name)
+		delete(j.placement, it.Spec.Name)
+	}
+}
+
+// textOf is err's text, "" for nil.
+func textOf(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // wantsFor assembles a batch's locality wants: each item's archive digest
@@ -665,8 +762,8 @@ func (jm *JobManager) wantsFor(j *jobState, items []protocol.TaskCreate) placeme
 // are retried on later rounds after invalidating the offending offers.
 // preExcluded nodes are never chosen — the recovery engine passes the dead
 // node (its offer may still be cached) and speculation passes the
-// straggler's own node.
-func (jm *JobManager) placeBatch(j *jobState, items []protocol.TaskCreate, preExcluded map[string]bool) (map[string]string, error) {
+// straggler's own node. Tasks named in run start on arrival.
+func (jm *JobManager) placeBatch(j *jobState, items []protocol.TaskCreate, preExcluded map[string]bool, run map[string]bool) (map[string]string, error) {
 	byName := make(map[string]protocol.TaskCreate, len(items))
 	specs := make([]*task.Spec, len(items))
 	for i, it := range items {
@@ -721,15 +818,17 @@ func (jm *JobManager) placeBatch(j *jobState, items []protocol.TaskCreate, preEx
 		var wg sync.WaitGroup
 		for node, nodeSpecs := range plan {
 			nodeItems := make([]protocol.TaskCreate, len(nodeSpecs))
+			var runs []string
 			for i, sp := range nodeSpecs {
 				nodeItems[i] = byName[sp.Name]
+				if run[sp.Name] {
+					runs = append(runs, sp.Name)
+				}
 			}
 			wg.Add(1)
 			go func(node string, nodeItems []protocol.TaskCreate) {
 				defer wg.Done()
-				resp, err := jm.assignBatch(j, node, nodeItems)
-				mu.Lock()
-				defer mu.Unlock()
+				resp, err := jm.assignBatch(j, node, nodeItems, runs)
 				if err != nil {
 					// The call failed or timed out, but the TaskManager
 					// may still have accepted the batch. Before retrying
@@ -740,37 +839,21 @@ func (jm *JobManager) placeBatch(j *jobState, items []protocol.TaskCreate, preEx
 					for i, it := range nodeItems {
 						taskNames[i] = it.Spec.Name
 					}
-					rm := protocol.Body(msg.KindCancelJob,
-						msg.Address{Node: jm.node, Job: j.id},
-						msg.Address{Node: node, Job: j.id},
-						protocol.CancelJobReq{JobID: j.id, Reason: "assignment unacknowledged", Tasks: taskNames})
-					if serr := jm.send(node, rm); serr != nil {
-						jm.logf("job %s: release unacknowledged batch on %s: %v", j.id, node, serr)
-					}
+					jm.cancelOn(j, node, "assignment unacknowledged", taskNames...)
 					exclMu.Lock()
 					excluded[node] = true
 					exclMu.Unlock()
-					jm.dir.Invalidate(node)
-					lastErr = fmt.Errorf("jobmgr %s: assign to %s: %w", jm.node, node, err)
-					for _, it := range nodeItems {
-						retry = append(retry, it.Spec)
-					}
-					return
+					resp = &protocol.AssignTasksResp{Rejected: map[string]string{protocol.BatchRejected: "assign: " + err.Error()}}
 				}
-				if reason, whole := resp.Rejected[protocol.BatchRejected]; whole {
-					// The TaskManager could not process the batch at all
-					// (e.g. a decode failure): nothing was assigned there.
-					jm.dir.Invalidate(node)
-					lastErr = fmt.Errorf("jobmgr %s: %s rejected batch: %s", jm.node, node, reason)
-					for _, it := range nodeItems {
-						retry = append(retry, it.Spec)
-					}
-					return
-				}
+				mu.Lock()
+				defer mu.Unlock()
+				// A whole-batch rejection (a failed call, a batch the
+				// TaskManager could not decode) assigned nothing there.
+				whole, all := resp.Rejected[protocol.BatchRejected]
 				acceptedMB, accepted := 0, 0
 				for _, it := range nodeItems {
-					if reason, bad := resp.Rejected[it.Spec.Name]; bad {
-						lastErr = fmt.Errorf("jobmgr %s: %s rejected task %q: %s", jm.node, node, it.Spec.Name, reason)
+					if reason, bad := resp.Rejected[it.Spec.Name]; bad || all {
+						lastErr = fmt.Errorf("jobmgr %s: %s rejected task %q: %s", jm.node, node, it.Spec.Name, reason+whole)
 						retry = append(retry, it.Spec)
 						continue
 					}
@@ -814,13 +897,7 @@ func (jm *JobManager) releaseBatch(j *jobState, placements map[string]string, re
 		byNode[node] = append(byNode[node], taskName)
 	}
 	for node, taskNames := range byNode {
-		cm := protocol.Body(msg.KindCancelJob,
-			msg.Address{Node: jm.node, Job: j.id},
-			msg.Address{Node: node, Job: j.id},
-			protocol.CancelJobReq{JobID: j.id, Reason: reason, Tasks: taskNames})
-		if err := jm.send(node, cm); err != nil {
-			jm.logf("job %s: release batch on %s (%s): %v", j.id, node, reason, err)
-		}
+		jm.cancelOn(j, node, reason, taskNames...)
 		jm.dir.Invalidate(node)
 	}
 }
@@ -876,23 +953,22 @@ func nodeSet(placements map[string]string) map[string]bool {
 }
 
 // assignBatch sends one node its share of the plan and decodes the result.
-func (jm *JobManager) assignBatch(j *jobState, node string, items []protocol.TaskCreate) (*protocol.AssignTasksResp, error) {
-	req := protocol.AssignTasksReq{
-		JobID:      j.id,
-		JobManager: jm.node,
-		ClientNode: j.clientNode,
-		Items:      items,
+// A share with tasks to run on arrival travels under a jm.dispatch span.
+func (jm *JobManager) assignBatch(j *jobState, node string, items []protocol.TaskCreate, run []string) (*protocol.AssignTasksResp, error) {
+	am := protocol.Body(msg.KindAssignTasks, msg.Address{Node: jm.node, Job: j.id}, msg.Address{Node: node, Job: j.id},
+		protocol.AssignTasksReq{JobID: j.id, JobManager: jm.node, ClientNode: j.clientNode, Items: items, Run: run})
+	var da *trace.Active
+	if len(run) > 0 {
+		da, am.Trace = jm.dispatchSpan(j, "jm.dispatch", run)
 	}
-	am := protocol.Body(msg.KindAssignTasks,
-		msg.Address{Node: jm.node, Job: j.id},
-		msg.Address{Node: node, Job: j.id},
-		req)
 	// The window covers the assignment round trip plus the TaskManager's
 	// possible blob fetch back to this JobManager.
 	reply, err := jm.caller.CallInto(context.Background(), node, am, nil, jm.cfg.AssignTimeout)
 	if err != nil {
+		jm.endSpan(j, da, err.Error())
 		return nil, err
 	}
+	jm.endSpan(j, da, "")
 	var resp protocol.AssignTasksResp
 	if err := protocol.Decode(reply, &resp); err != nil {
 		return nil, err
@@ -977,74 +1053,6 @@ func (jm *JobManager) stageChunk(j *jobState, fromNode string, req *protocol.Blo
 	return ack
 }
 
-// HandleStartJob processes KindStartTask from the client: build the
-// dependency schedule and dispatch every ready task.
-func (jm *JobManager) HandleStartJob(m *msg.Message) *msg.Message {
-	var req protocol.StartJobReq
-	if err := protocol.Decode(m, &req); err != nil {
-		return jm.errReply(m, fmt.Sprintf("bad start request: %v", err))
-	}
-	j, t := jm.lookup(req.JobID)
-	if j == nil {
-		return jm.noJobReply(m, req.JobID, t)
-	}
-	j.mu.Lock()
-	if j.notified {
-		j.mu.Unlock()
-		return jm.errReply(m, fmt.Sprintf("job %s already finished", j.id))
-	}
-	if j.started {
-		j.mu.Unlock()
-		return jm.errReply(m, fmt.Sprintf("job %s already started", j.id))
-	}
-	if len(j.specs) == 0 {
-		j.mu.Unlock()
-		return jm.errReply(m, fmt.Sprintf("job %s has no tasks", j.id))
-	}
-	specs := make([]*task.Spec, 0, len(j.specs))
-	if len(req.TaskNames) > 0 {
-		for _, name := range req.TaskNames {
-			sp, ok := j.specs[name]
-			if !ok {
-				j.mu.Unlock()
-				return jm.errReply(m, fmt.Sprintf("job %s has no task %q", j.id, name))
-			}
-			specs = append(specs, sp)
-		}
-	} else {
-		for _, sp := range j.specs {
-			specs = append(specs, sp)
-		}
-	}
-	sched, err := NewSchedule(specs)
-	if err != nil {
-		j.mu.Unlock()
-		return jm.errReply(m, err.Error())
-	}
-	j.schedule = sched
-	j.started = true
-	// Client-side spans (api.Submit's composition steps) arrive with the
-	// start request; merge them so the timeline begins at the true root.
-	j.addSpansLocked(req.Spans...)
-	// The stashed archive bytes are kept until the job finishes: recovery
-	// re-placement needs them so a surviving TaskManager that never cached
-	// the digest can still pull the blob.
-	ready, total := sched.Ready(), sched.Len() // read under mu: the worker advances the schedule once tasks run
-	for _, name := range ready {
-		if err := sched.MarkRunning(name); err != nil {
-			j.mu.Unlock()
-			return jm.errReply(m, err.Error())
-		}
-	}
-	j.mu.Unlock()
-
-	sa := jm.tracer.StartSpan(j.root, "jm.start").SetJob(j.id)
-	jm.execTasks(j, ready)
-	jm.endSpan(j, sa, "")
-	jm.log.Info("job started", "job", j.id, "tasks", total, "roots", len(ready))
-	return m.Reply(msg.KindPong, nil)
-}
-
 // execTasks dispatches tasks the schedule released — the ready set at start,
 // what a batch of completions unblocked, a recovery or adoption re-exec —
 // as one EXEC_TASK frame per hosting node, each listing its tasks in the
@@ -1083,34 +1091,36 @@ next:
 	}
 }
 
-// sendExec sends one EXEC_TASK frame under a span of the given name: one
-// span per frame, labelled with the task it starts — "t1 +7" when it starts
-// eight — closed with the send error, else with note.
+// sendExec sends one EXEC_TASK frame under a dispatch span of the given
+// name, closed with the send error, else with note.
 func (jm *JobManager) sendExec(j *jobState, node string, tasks []string, span, note string) error {
-	em := protocol.Body(msg.KindExecTask,
-		msg.Address{Node: jm.node, Job: j.id},
-		msg.Address{Node: node, Job: j.id},
+	em := protocol.Body(msg.KindExecTask, msg.Address{Node: jm.node, Job: j.id}, msg.Address{Node: node, Job: j.id},
 		protocol.ExecTaskReq{JobID: j.id, Tasks: tasks})
-	// The span's context rides the envelope so every exec span of the frame
-	// (and its shuffle children) parents under this trace. When this node
-	// has no tracer the raw root context still propagates — the executing
-	// side may be recording even if this one is not.
-	da := jm.tracer.StartSpan(j.root, span).SetJob(j.id)
-	em.Trace = j.root
-	if da != nil {
-		label := tasks[0]
-		if len(tasks) > 1 {
-			label = fmt.Sprintf("%s +%d", label, len(tasks)-1)
-		}
-		da.SetTask(label)
-		em.Trace = da.Context()
-	}
+	da, tc := jm.dispatchSpan(j, span, tasks)
+	em.Trace = tc
 	err := jm.send(node, em)
 	if err != nil {
 		note = err.Error()
 	}
 	jm.endSpan(j, da, note)
 	return err
+}
+
+// dispatchSpan opens the span a frame that starts tasks travels under,
+// labelled with the first task and how many more ("t1 +7"), and returns the
+// context the frame carries: the span's, else the job's root (the executing
+// side may record spans even if this node does not).
+func (jm *JobManager) dispatchSpan(j *jobState, span string, tasks []string) (*trace.Active, trace.Context) {
+	da := jm.tracer.StartSpan(j.root, span).SetJob(j.id)
+	if da == nil {
+		return nil, j.root
+	}
+	label := tasks[0]
+	if len(tasks) > 1 {
+		label = fmt.Sprintf("%s +%d", label, len(tasks)-1)
+	}
+	da.SetTask(label)
+	return da, da.Context()
 }
 
 // Enqueue places a job-scoped message (task lifecycle events or user
@@ -1153,6 +1163,11 @@ func (jm *JobManager) jobWorker(j *jobState) {
 		if err != nil {
 			return
 		}
+		j.mu.Lock()
+		for j.placing > 0 {
+			j.placed.Wait()
+		}
+		j.mu.Unlock()
 		switch m.Kind {
 		case msg.KindTaskEvents:
 			jm.HandleTaskEvents(m)
@@ -1252,7 +1267,7 @@ func (jm *JobManager) applyEvents(batch *protocol.TaskEvents) {
 	// instead of waiting out the next solicitation round.
 	jm.creditDirectory(o.credits)
 	for _, c := range o.cancels {
-		jm.cancelCopy(j, c.node, c.task)
+		jm.cancelOn(j, c.node, "duplicate copy lost", c.task)
 	}
 	jm.execTasks(j, o.start)
 	if jobDone {
@@ -1359,15 +1374,13 @@ func (jm *JobManager) applyLocked(j *jobState, node string, ev *protocol.TaskEve
 	return true
 }
 
-// cancelCopy sends a targeted cancel for one task copy that lost the
-// first-result-wins race.
-func (jm *JobManager) cancelCopy(j *jobState, node, taskName string) {
-	cm := protocol.Body(msg.KindCancelJob,
-		msg.Address{Node: jm.node, Job: j.id},
-		msg.Address{Node: node, Job: j.id},
-		protocol.CancelJobReq{JobID: j.id, Reason: "duplicate copy lost", Tasks: []string{taskName}})
+// cancelOn sends node a CANCEL_JOB for the job: for the named tasks only
+// when any are named, so the job's other assignments there survive.
+func (jm *JobManager) cancelOn(j *jobState, node, reason string, tasks ...string) {
+	cm := protocol.Body(msg.KindCancelJob, msg.Address{Node: jm.node, Job: j.id}, msg.Address{Node: node, Job: j.id},
+		protocol.CancelJobReq{JobID: j.id, Reason: reason, Tasks: tasks})
 	if err := jm.send(node, cm); err != nil {
-		jm.logf("job %s: cancel losing copy of %q on %s: %v", j.id, taskName, node, err)
+		jm.logf("job %s: cancel %v on %s (%s): %v", j.id, tasks, node, reason, err)
 	}
 }
 
@@ -1419,13 +1432,7 @@ func (jm *JobManager) finishJob(j *jobState, how outcome, reason, node string, r
 		}
 	}
 	for node := range nodes {
-		cm := protocol.Body(msg.KindCancelJob,
-			msg.Address{Node: jm.node, Job: j.id},
-			msg.Address{Node: node, Job: j.id},
-			protocol.CancelJobReq{JobID: j.id, Reason: reason})
-		if err := jm.send(node, cm); err != nil {
-			jm.logf("job %s: cancel on %s: %v", j.id, node, err)
-		}
+		jm.cancelOn(j, node, reason)
 	}
 	jm.creditDirectory(credits)
 
@@ -1488,47 +1495,37 @@ func (jm *JobManager) HandleUser(kind msg.Kind, m *msg.Message) error {
 		// they ended; nobody is left to hear this.
 		return nil
 	}
-	if kind == msg.KindBroadcast {
-		j.mu.Lock()
-		targets := make(map[string]string, len(j.placement))
+	// The copies to send: to the client, to the named task's node, or — a
+	// broadcast — to every sibling's.
+	var to []msg.Address
+	j.mu.Lock()
+	switch {
+	case kind == msg.KindBroadcast:
 		for t, node := range j.placement {
 			if t != p.FromTask {
-				targets[t] = node
+				to = append(to, msg.Address{Node: node, Job: j.id, Task: t})
 			}
 		}
-		j.mu.Unlock()
-		for t, node := range targets {
-			fp := p
-			fp.ToTask = t
-			fm := protocol.Body(msg.KindUser,
-				m.From,
-				msg.Address{Node: node, Job: j.id, Task: t},
-				fp).SetHeader(protocol.HeaderRouted, "1")
-			if err := jm.send(node, fm); err != nil {
-				jm.logf("job %s: broadcast to %s/%s: %v", j.id, node, t, err)
-			}
+	case p.ToTask == protocol.ClientTaskName:
+		to = append(to, msg.Address{Node: j.clientNode, Job: j.id, Task: p.ToTask})
+	default:
+		if node, ok := j.placement[p.ToTask]; ok {
+			to = append(to, msg.Address{Node: node, Job: j.id, Task: p.ToTask})
 		}
-		return nil
 	}
-	if p.ToTask == protocol.ClientTaskName {
-		j.mu.Lock()
-		client := j.clientNode
-		j.mu.Unlock()
-		fm := protocol.Body(msg.KindUser, m.From,
-			msg.Address{Node: client, Job: j.id, Task: protocol.ClientTaskName}, p).
-			SetHeader(protocol.HeaderRouted, "1")
-		return jm.send(client, fm)
-	}
-	j.mu.Lock()
-	node, ok := j.placement[p.ToTask]
 	j.mu.Unlock()
-	if !ok {
+	if len(to) == 0 && kind != msg.KindBroadcast {
 		return fmt.Errorf("jobmgr %s: job %s has no task %q", jm.node, j.id, p.ToTask)
 	}
-	fm := protocol.Body(msg.KindUser, m.From,
-		msg.Address{Node: node, Job: j.id, Task: p.ToTask}, p).
-		SetHeader(protocol.HeaderRouted, "1")
-	return jm.send(node, fm)
+	var err error
+	for _, addr := range to {
+		fp := p
+		fp.ToTask = addr.Task
+		if serr := jm.send(addr.Node, protocol.Body(msg.KindUser, m.From, addr, fp).SetHeader(protocol.HeaderRouted, "1")); serr != nil {
+			err = fmt.Errorf("job %s: to %s/%s: %w", j.id, addr.Node, addr.Task, serr)
+		}
+	}
+	return err
 }
 
 // HandleCancel processes a client-initiated KindCancelJob. Cancelling a

@@ -91,12 +91,19 @@ func (jm *JobManager) retire(j *jobState, how outcome) *tombstone {
 	jm.tombQ = append(jm.tombQ, t)
 	jm.mu.Unlock()
 	j.queue.Close()
+	jm.dropPeerImage(t.id, seq)
+	return t
+}
+
+// dropPeerImage sends the peers the terminal record of a job they hold an
+// image of — seq, its last snapshot's number, is not 0 — so none of them
+// adopts it.
+func (jm *JobManager) dropPeerImage(id string, seq uint64) {
 	if seq > 0 {
 		jm.ckptMu.Lock()
-		jm.multicastCheckpoint(protocol.JMCheckpoint{Origin: jm.node, JobID: t.id, Seq: seq + 1, Done: true})
+		jm.multicastCheckpoint(protocol.JMCheckpoint{Origin: jm.node, JobID: id, Seq: seq + 1, Done: true})
 		jm.ckptMu.Unlock()
 	}
-	return t
 }
 
 // janitor bounds what a long-lived JobManager remembers: tombstones past

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
 	"reflect"
 	"runtime"
@@ -82,12 +83,13 @@ func runOne(t *testing.T, cl *api.Client, created func(id string)) bool {
 		return false
 	}
 	defer j.Release()
-	if created != nil {
-		created(j.ID)
-	}
 	if _, err := j.CreateTasks([]*task.Spec{spec("t", "life.Noop")}, nil); err != nil {
 		t.Errorf("job %s: create tasks: %v", j.ID, err)
 		return false
+	}
+	// The job exists on its manager from its first frame on.
+	if created != nil {
+		created(j.ID)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -217,6 +219,25 @@ type rawClient struct {
 	ep     transport.Endpoint
 	caller *transport.Caller
 	inbox  chan *msg.Message // everything that is not a reply
+	jobs   int               // jobs opened, numbering their IDs
+}
+
+// open creates a job the way a client's first frame does, with a
+// header-only CREATE_TASKS under an ID of the client's, and returns the ID.
+func (c *rawClient) open(name string) string {
+	c.t.Helper()
+	c.jobs++
+	id := fmt.Sprintf("c1.%s.%d", name, c.jobs)
+	if r := c.call(msg.KindCreateTasks, id, protocol.CreateTasksReq{JobID: id, ClientNode: "c1", Name: name}); r.Kind != msg.KindTasksAccepted {
+		c.t.Fatalf("create %s answered %v", id, r.Kind)
+	}
+	return id
+}
+
+// start sends the job's Start frame.
+func (c *rawClient) start(id string) *msg.Message {
+	c.t.Helper()
+	return c.call(msg.KindCreateTasks, id, protocol.CreateTasksReq{JobID: id, Start: true})
 }
 
 func newRawClient(t *testing.T, net transport.Network) *rawClient {
@@ -323,12 +344,10 @@ func TestRetiredJobContract(t *testing.T) {
 			jm := srv.JobManager()
 			c := newRawClient(t, net)
 
-			created := decode[protocol.CreateJobResp](t,
-				c.call(msg.KindCreateJob, "", protocol.CreateJobReq{Name: "contract", ClientNode: "c1"}))
-			id := created.JobID
+			id := c.open("contract")
 			c.call(msg.KindCreateTasks, id, protocol.CreateTasksReq{JobID: id,
 				Tasks: []protocol.TaskCreate{{Spec: spec("t", "life.Noop")}}})
-			c.call(msg.KindStartTask, id, protocol.StartJobReq{JobID: id})
+			c.start(id)
 			if ev := c.end(10 * time.Second); ev == nil || ev.Kind != msg.KindJobCompleted {
 				t.Fatalf("job ended with %+v, want JOB_COMPLETED", ev)
 			}
@@ -400,7 +419,7 @@ func TestRetiredJobContract(t *testing.T) {
 			if r := c.call(msg.KindCancelJob, id, protocol.CancelJobReq{JobID: id, Reason: "late"}); r.Kind != msg.KindPong {
 				t.Errorf("cancel of a retired job answered %v", r.Kind)
 			}
-			r := c.call(msg.KindStartTask, id, protocol.StartJobReq{JobID: id})
+			r := c.start(id)
 			if ev := decode[protocol.JobEvent](t, r); r.Kind != msg.KindJobFailed || !strings.Contains(ev.Err, "already finished (completed)") {
 				t.Errorf("start of a retired job answered %v %q", r.Kind, ev.Err)
 			}
@@ -439,11 +458,10 @@ func TestNodeBatchWithClientLabelDropped(t *testing.T) {
 	srv, net := startNode(t, config.Config{TraceSample: -1, Log: slog.New(slog.NewTextHandler(&logs, nil))})
 	jm := srv.JobManager()
 	c := newRawClient(t, net)
-	id := decode[protocol.CreateJobResp](t,
-		c.call(msg.KindCreateJob, "", protocol.CreateJobReq{Name: "labels", ClientNode: "c1"})).JobID
+	id := c.open("labels")
 	c.call(msg.KindCreateTasks, id, protocol.CreateTasksReq{JobID: id,
 		Tasks: []protocol.TaskCreate{{Spec: spec("t", "life.Gate")}}})
-	c.call(msg.KindStartTask, id, protocol.StartJobReq{JobID: id})
+	c.start(id)
 	if c.next(msg.KindTaskEvents, 10*time.Second) == nil {
 		t.Fatal("t's TASK_STARTED never relayed")
 	}
@@ -486,11 +504,10 @@ func TestNodeBatchWithClientLabelDropped(t *testing.T) {
 func TestJobEndAfterAFullBatchIsCut(t *testing.T) {
 	_, net := startNode(t, config.Config{TraceSample: -1})
 	c := newRawClient(t, net)
-	id := decode[protocol.CreateJobResp](t,
-		c.call(msg.KindCreateJob, "", protocol.CreateJobReq{Name: "full", ClientNode: "c1"})).JobID
+	id := c.open("full")
 	c.call(msg.KindCreateTasks, id, protocol.CreateTasksReq{JobID: id,
 		Tasks: []protocol.TaskCreate{{Spec: spec("t", "life.Gate")}}})
-	c.call(msg.KindStartTask, id, protocol.StartJobReq{JobID: id})
+	c.start(id)
 	if c.next(msg.KindTaskEvents, 10*time.Second) == nil {
 		t.Fatal("t's TASK_STARTED never relayed")
 	}
@@ -513,15 +530,14 @@ func TestEveryExitRetires(t *testing.T) {
 	jm := srv.JobManager()
 	c := newRawClient(t, net)
 	create := func(class string) string {
-		id := decode[protocol.CreateJobResp](t,
-			c.call(msg.KindCreateJob, "", protocol.CreateJobReq{Name: "exit", ClientNode: "c1"})).JobID
+		id := c.open("exit")
 		c.call(msg.KindCreateTasks, id, protocol.CreateTasksReq{JobID: id,
 			Tasks: []protocol.TaskCreate{{Spec: spec("t", class)}}})
 		return id
 	}
 
 	failed := create("life.Fail")
-	c.call(msg.KindStartTask, failed, protocol.StartJobReq{JobID: failed})
+	c.start(failed)
 	if ev := c.end(10 * time.Second); ev == nil || ev.Kind != msg.KindJobFailed || !strings.Contains(ev.TaskErrs["t"], "boom") {
 		t.Fatalf("job ended with %+v, want JOB_FAILED with t's error", ev)
 	}
@@ -529,13 +545,13 @@ func TestEveryExitRetires(t *testing.T) {
 		t.Errorf("failed job's census = %+v, %v; ActiveJobs = %d", p, ok, jm.ActiveJobs())
 	}
 	// The refusal of a stale request repeats how the job ended.
-	again := decode[protocol.JobEvent](t, c.call(msg.KindStartTask, failed, protocol.StartJobReq{JobID: failed}))
+	again := decode[protocol.JobEvent](t, c.start(failed))
 	if !strings.Contains(again.Err, "already finished (failed)") || !strings.Contains(again.TaskErrs["t"], "boom") {
 		t.Errorf("start of a failed, retired job answered %+v", again)
 	}
 
 	cancelled := create("life.Gate")
-	c.call(msg.KindStartTask, cancelled, protocol.StartJobReq{JobID: cancelled})
+	c.start(cancelled)
 	if r := c.call(msg.KindCancelJob, cancelled, protocol.CancelJobReq{JobID: cancelled, Reason: "test"}); r.Kind != msg.KindPong {
 		t.Fatalf("cancel answered %v", r.Kind)
 	}

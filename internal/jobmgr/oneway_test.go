@@ -17,8 +17,7 @@ func TestOneWayOutIsAppliedCountedAndNotAnswered(t *testing.T) {
 	srv, net := startNode(t, config.Config{})
 	jm := srv.JobManager()
 	c := newRawClient(t, net)
-	id := decode[protocol.CreateJobResp](t,
-		c.call(msg.KindCreateJob, "", protocol.CreateJobReq{Name: "oneway", ClientNode: "c1"})).JobID
+	id := c.open("oneway")
 	tuple := func(n int) tuplespace.Tuple { return tuplespace.Tuple{"n", n} }
 	ack := func(jobID string, req protocol.TSOpReq) protocol.TSOpResp {
 		t.Helper()

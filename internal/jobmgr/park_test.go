@@ -134,15 +134,7 @@ func parkJob(t *testing.T) (*JobManager, *jobState, outbox) {
 	out := make(outbox, 64)
 	jm := New(config.Config{HeartbeatInterval: -1}, "n1", nil, out.send, nil, nil)
 	t.Cleanup(jm.Close)
-	var created protocol.CreateJobResp
-	if err := protocol.Decode(jm.HandleCreateJob(protocol.Body(msg.KindCreateJob, requester, msg.Address{Node: "n1"},
-		protocol.CreateJobReq{Name: "parks", ClientNode: "c1"})), &created); err != nil {
-		t.Fatal(err)
-	}
-	j, err := jm.job(created.JobID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openTestJob(t, jm, "parks")
 	return jm, j, out
 }
 
@@ -276,15 +268,7 @@ func TestParkStormConservesTuples(t *testing.T) {
 		return nil
 	}, nil, nil)
 	defer jm.Close()
-	var created protocol.CreateJobResp
-	if err := protocol.Decode(jm.HandleCreateJob(protocol.Body(msg.KindCreateJob, requester, msg.Address{Node: "n1"},
-		protocol.CreateJobReq{Name: "storm", ClientNode: "c1"})), &created); err != nil {
-		t.Fatal(err)
-	}
-	j, err := jm.job(created.JobID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openTestJob(t, jm, "storm")
 	in := parkKinds(t)[0]
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

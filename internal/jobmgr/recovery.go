@@ -317,7 +317,7 @@ func (jm *JobManager) retryTasks(j *jobState, names []string, reason string, exc
 		return
 	}
 
-	placements, err := jm.placeBatch(j, items, exclude)
+	placements, err := jm.placeBatch(j, items, exclude, nil)
 	if err != nil {
 		jm.clearRetrying(j, toPlace)
 		jm.failTasks(j, "", toPlace, attempts, fmt.Sprintf("%s; re-placement failed: %v", reason, err))
@@ -468,7 +468,7 @@ func (jm *JobManager) speculate(j *jobState, name string) {
 	// until the marks decay.
 	jm.dir.NoteStraggler(primary)
 	placements, err := jm.placeBatch(j, []protocol.TaskCreate{{Spec: sp, Archive: ref}},
-		map[string]bool{primary: true})
+		map[string]bool{primary: true}, nil)
 	if err != nil {
 		// No capacity for a twin: leave the original running and return
 		// the budget unit so a real failure can still be recovered.

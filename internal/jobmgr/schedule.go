@@ -132,9 +132,6 @@ func RestoreSchedule(specs []*task.Spec, statuses map[string]Status) (*Schedule,
 	return s, nil
 }
 
-// Len returns the number of tasks.
-func (s *Schedule) Len() int { return len(s.state) }
-
 // Status returns a task's state.
 func (s *Schedule) Status(name string) Status { return s.state[name] }
 
@@ -197,16 +194,6 @@ func (s *Schedule) Rerun(name string) bool {
 	return true
 }
 
-// Fail records failed termination of a running task; the job is failed
-// and every not-yet-terminal task is cancelled.
-func (s *Schedule) Fail(name string) error {
-	if st := s.state[name]; st != StatusRunning {
-		return fmt.Errorf("jobmgr: fail %q: state %s", name, st)
-	}
-	s.FailAny(name)
-	return nil
-}
-
 // FailAny records failed termination for a task in any non-terminal state
 // — the recovery engine's transition for tasks whose assignment was lost
 // and could not be re-placed (a pending orphan never reached running, but
@@ -254,15 +241,6 @@ func (s *Schedule) Done() bool { return s.terminal == len(s.state) }
 
 // Failed reports whether any task failed (or the job was cancelled).
 func (s *Schedule) Failed() bool { return s.failed }
-
-// Counts returns how many tasks are in each state.
-func (s *Schedule) Counts() map[Status]int {
-	out := make(map[Status]int)
-	for _, st := range s.state {
-		out[st]++
-	}
-	return out
-}
 
 // Progress is a point-in-time census of a schedule's task states, the
 // per-job figure status reporters (the portal's job API, cnviz) expose.

@@ -7,7 +7,6 @@ import (
 
 	"cn/internal/archive"
 	"cn/internal/config"
-	"cn/internal/msg"
 	"cn/internal/protocol"
 )
 
@@ -20,16 +19,7 @@ import (
 func TestStagedUploadBudget(t *testing.T) {
 	jm := New(config.Config{HeartbeatInterval: -1}, "n1", nil, noSend, nil, nil)
 	defer jm.Close()
-	created := jm.HandleCreateJob(protocol.Body(msg.KindCreateJob, msg.Address{Node: "client"}, msg.Address{Node: "n1"},
-		protocol.CreateJobReq{Name: "uploads", ClientNode: "client"}))
-	var resp protocol.CreateJobResp
-	if err := protocol.Decode(created, &resp); err != nil {
-		t.Fatal(err)
-	}
-	j, err := jm.job(resp.JobID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openTestJob(t, jm, "uploads")
 
 	const budget = 1000
 	blob := bytes.Repeat([]byte{7}, 600)

@@ -745,6 +745,10 @@ func (s *Store) run(j *Job) {
 	j.finishedAt = time.Now()
 	j.runDur = j.finishedAt.Sub(j.startedAt)
 	j.result, j.err = result, err
+	// Timed before the record turns terminal: a reader that sees the job
+	// finished finds its run in the histograms, never an empty one.
+	s.reg.Histogram("jobstore.run_ms").ObserveDuration(j.runDur)
+	s.reg.Histogram("jobstore.total_ms").ObserveDuration(j.finishedAt.Sub(j.submittedAt))
 	switch {
 	case j.aborted:
 		if err != nil {
@@ -761,8 +765,6 @@ func (s *Store) run(j *Job) {
 	}
 	state := j.state
 	j.mu.Unlock()
-	s.reg.Histogram("jobstore.run_ms").ObserveDuration(j.runDur)
-	s.reg.Histogram("jobstore.total_ms").ObserveDuration(j.finishedAt.Sub(j.submittedAt))
 	logging.Debugf(s.cfg.Log, "job %s %s after %s (queue %s)", j.id, state, j.runDur.Round(time.Millisecond), j.queueWait.Round(time.Millisecond))
 }
 

@@ -56,14 +56,30 @@ func (mb *Mailbox[T]) Put(v T) error {
 		return ErrClosed
 	}
 	if mb.n == len(mb.ring) {
-		ring := make([]T, max(2*len(mb.ring), 8))
-		copy(ring[copy(ring, mb.ring[mb.head:]):], mb.ring[:mb.head])
-		mb.ring, mb.head = ring, 0
+		mb.resizeLocked(max(2*len(mb.ring), 8))
 	}
 	mb.ring[(mb.head+mb.n)%len(mb.ring)] = v
 	mb.n++
 	mb.notEmpty.Signal()
 	return nil
+}
+
+// Grow makes room for n more items, so the Puts an owner knows are coming
+// do not grow the ring one doubling at a time.
+func (mb *Mailbox[T]) Grow(n int) {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	if need := mb.n + n; need > len(mb.ring) {
+		mb.resizeLocked(need)
+	}
+}
+
+// resizeLocked moves the queued items, oldest first, into a ring of size
+// slots. mb.mu must be held.
+func (mb *Mailbox[T]) resizeLocked(size int) {
+	ring := make([]T, size)
+	copy(ring[copy(ring, mb.ring[mb.head:]):], mb.ring[:mb.head])
+	mb.ring, mb.head = ring, 0
 }
 
 // Get dequeues the oldest item, blocking while the mailbox is empty. It

@@ -35,10 +35,8 @@ const (
 	KindJobManagerSolicit // request: who can host a job with these requirements?
 	KindJobManagerOffer   // response: this JobManager is willing
 
-	// Job lifecycle (client -> selected JobManager).
-	KindCreateJob     // request: create a job
-	KindJobCreated    // response: job handle
-	KindStartTask     // request: start a named task
+	// Job lifecycle (client -> selected JobManager). A job is created,
+	// given tasks and started by KindCreateTasks.
 	KindTaskStarted   // label inside KindTaskEvents, never a frame: task began executing
 	KindTaskCompleted // label inside KindTaskEvents, never a frame: task terminated normally
 	KindTaskFailed    // label inside KindTaskEvents, never a frame: task terminated with an error
@@ -52,7 +50,7 @@ const (
 	KindExecTask    // request: JobManager tells a TaskManager to run a task
 
 	// Batch placement and content-addressed archive distribution.
-	KindCreateTasks   // request: add a whole task set to a job in one round
+	KindCreateTasks   // request: create the job, add a whole task set to it and/or start it, in one round
 	KindTasksAccepted // response: per-task placements
 	KindAssignTasks   // request: batch assignment carrying archive refs only
 	KindTasksAssigned // response: per-task assignment results
@@ -121,9 +119,6 @@ var kindNames = map[Kind]string{
 	KindInvalid:           "INVALID",
 	KindJobManagerSolicit: "JM_SOLICIT",
 	KindJobManagerOffer:   "JM_OFFER",
-	KindCreateJob:         "CREATE_JOB",
-	KindJobCreated:        "JOB_CREATED",
-	KindStartTask:         "START_TASK",
 	KindTaskStarted:       "TASK_STARTED",
 	KindTaskCompleted:     "TASK_COMPLETED",
 	KindTaskFailed:        "TASK_FAILED",

@@ -30,8 +30,8 @@ func TestKindString(t *testing.T) {
 // refusal), so changing the kind table means changing this number and that
 // sentence together.
 func TestEveryKindNamed(t *testing.T) {
-	if KindCount != 44 {
-		t.Errorf("KindCount = %d, want 44; update ROADMAP.md and docs/WIRE.md with the new count", KindCount)
+	if KindCount != 41 {
+		t.Errorf("KindCount = %d, want 41; update ROADMAP.md and docs/WIRE.md with the new count", KindCount)
 	}
 	if len(kindNames) != KindCount {
 		t.Errorf("kindNames has %d entries for %d kinds", len(kindNames), KindCount)
@@ -110,15 +110,15 @@ func TestNewIDConcurrentUnique(t *testing.T) {
 func TestReplyCorrelation(t *testing.T) {
 	from := Address{Node: "client", Task: "client"}
 	to := Address{Node: "n1"}
-	req := New(KindCreateJob, from, to, nil)
-	resp := req.Reply(KindJobCreated, []byte("ok"))
+	req := New(KindCreateTasks, from, to, nil)
+	resp := req.Reply(KindTasksAccepted, []byte("ok"))
 	if resp.CorrelID != req.ID {
 		t.Errorf("CorrelID = %d, want %d", resp.CorrelID, req.ID)
 	}
 	if resp.From != to || resp.To != from {
 		t.Errorf("reply endpoints not swapped: from=%v to=%v", resp.From, resp.To)
 	}
-	if resp.Kind != KindJobCreated {
+	if resp.Kind != KindTasksAccepted {
 		t.Errorf("reply kind = %v", resp.Kind)
 	}
 }

@@ -411,22 +411,16 @@ func (p *Portal) executeDoc(ctx context.Context, doc *cnx.Document, tr *runTrack
 	return resp, nil
 }
 
-// runJob places and runs one CN job to its terminal state. A non-nil error
-// means the run was aborted or timed out (the CN job is torn down first, so
-// its tasks stop promptly); a job that failed reports so in its JobResult.
+// runJob places, starts and runs one CN job to its terminal state: its task
+// set and its start ride one Submit. A refused Submit leaves nothing on the
+// JobManager. A non-nil error means the run was aborted or timed out (the
+// CN job is torn down first, so its tasks stop promptly); a job that failed
+// reports so in its JobResult.
 func (p *Portal) runJob(ctx context.Context, cnJob *api.Job, specs []*task.Spec) (JobResult, error) {
-	// Batch submission: one solicitation round places the whole task set
-	// instead of one round per task.
-	if _, err := cnJob.CreateTasks(specs, nil); err != nil {
-		// The job exists on its JobManager and will never start: retire it
-		// now, or it counts against the manager's MaxJobs until the janitor
-		// calls it abandoned.
-		if cerr := cnJob.Cancel("create tasks failed"); cerr != nil {
-			p.logf("job %s: cancel after failed placement: %v", cnJob.ID, cerr)
-		}
+	if _, err := cnJob.Submit(specs, nil); err != nil {
 		return JobResult{JobID: cnJob.ID, Failed: true, Err: err.Error()}, nil
 	}
-	res, err := cnJob.Run(ctx)
+	res, err := cnJob.Wait(ctx)
 	if err != nil {
 		if ctx.Err() != nil {
 			_ = cnJob.Cancel("aborted via portal")

@@ -6,6 +6,9 @@
 package protocol
 
 import (
+	"fmt"
+
+	"cn/internal/archive"
 	"cn/internal/metrics"
 	"cn/internal/msg"
 	"cn/internal/task"
@@ -38,18 +41,6 @@ type JMOffer struct {
 	FreeMemoryMB int
 	ActiveJobs   int
 	Refused      string
-}
-
-// CreateJobReq is the body of KindCreateJob.
-type CreateJobReq struct {
-	Name       string
-	Req        JobRequirements
-	ClientNode string
-}
-
-// CreateJobResp is the body of KindJobCreated.
-type CreateJobResp struct {
-	JobID string
 }
 
 // TaskSolicitReq is the body of KindTaskSolicit (JobManager -> TaskManagers
@@ -105,14 +96,60 @@ type TaskCreate struct {
 	Archive ArchiveRef
 }
 
-// CreateTasksReq is the body of KindCreateTasks (client -> JobManager): the
-// whole task set of a job in one request. Blobs carries each distinct
-// archive's bytes exactly once, keyed by digest, so N tasks sharing an
-// archive cost one copy on the wire instead of N.
+// CreateTasksReq is the body of KindCreateTasks (client -> JobManager), the
+// one admission frame: it adds a whole task set to a job in one request, and
+// may create the job and start it too. Blobs carries each distinct archive's
+// bytes exactly once, keyed by digest, so N tasks sharing an archive cost one
+// copy on the wire instead of N.
+//
+// The job's first frame carries its header — ClientNode set, with the Name
+// and Req of the paper's "Create Job in JobManager" — and opens the job
+// under the JobID the client chose; a manager that already holds that ID,
+// live or finished, refuses it. A first frame may carry no tasks (a client
+// about to push an archive chunk by chunk needs the job to exist first).
+// Start starts the job once the frame's tasks are placed: an empty
+// TaskNames starts the whole job in dependency order, and Spans carries the
+// client-side spans of the job's trace to the JobManager's timeline. A
+// start with no tasks is "Start the Tasks" alone.
 type CreateTasksReq struct {
 	JobID string
 	Tasks []TaskCreate
 	Blobs map[string][]byte
+
+	ClientNode string
+	Name       string
+	Req        JobRequirements
+
+	Start     bool
+	TaskNames []string
+	Spans     []trace.Span
+}
+
+// Check validates the request as its JobManager must before recording
+// anything: every task has a valid spec, no name appears twice, and every
+// inline blob hashes to its key — bytes that do not would poison the digest
+// for the whole job, and every TaskManager would find out separately (at
+// most MaxInlinePerMessage bytes are hashed per message).
+func (r *CreateTasksReq) Check() error {
+	for digest, raw := range r.Blobs {
+		if got := archive.DigestBytes(raw); got != digest {
+			return fmt.Errorf("inline blob hashes to %.12s…, not the declared %.12s…", got, digest)
+		}
+	}
+	seen := make(map[string]bool, len(r.Tasks))
+	for _, it := range r.Tasks {
+		if it.Spec == nil {
+			return fmt.Errorf("job %s: task without a spec", r.JobID)
+		}
+		if err := it.Spec.Validate(); err != nil {
+			return err
+		}
+		if seen[it.Spec.Name] {
+			return fmt.Errorf("job %s: task %q appears twice in batch", r.JobID, it.Spec.Name)
+		}
+		seen[it.Spec.Name] = true
+	}
+	return nil
 }
 
 // CreateTasksResp is the body of KindTasksAccepted.
@@ -124,12 +161,15 @@ type CreateTasksResp struct {
 // AssignTasksReq is the body of KindAssignTasks (JobManager -> one chosen
 // TaskManager): a batch assignment carrying archive references only. A
 // TaskManager that lacks a referenced blob pulls it once from the JobManager
-// with KindBlobChunk; blobs it already caches cost nothing.
+// with KindBlobChunk; blobs it already caches cost nothing. Run names the
+// items to start the moment they are reserved — the ready tasks of a job
+// started in the same admission frame — so no KindExecTask follows for them.
 type AssignTasksReq struct {
 	JobID      string
 	JobManager string
 	ClientNode string
 	Items      []TaskCreate
+	Run        []string
 }
 
 // BatchRejected is the pseudo task name a TaskManager uses in
@@ -205,20 +245,10 @@ type BlobChunkResp struct {
 	Err    string
 }
 
-// StartJobReq is the body of KindStartTask (client -> JobManager). An empty
-// TaskNames starts the whole job in dependency order.
-type StartJobReq struct {
-	JobID     string
-	TaskNames []string
-	// Spans carries the client-side spans of the job's trace (submit,
-	// discovery, job/task creation) to the JobManager, which folds them
-	// into the per-job timeline it assembles.
-	Spans []trace.Span
-}
-
 // ExecTaskReq is the body of KindExecTask (JobManager -> TaskManager): run
 // these previously assigned tasks of one job now — everything the schedule
-// released for the node at once, in release order. Each task starts on its
+// released for the node at once, in release order, that did not ride its
+// assignment's run list. Each task starts on its
 // own; one that cannot start fails alone.
 type ExecTaskReq struct {
 	JobID string

@@ -49,10 +49,11 @@ func onFabrics(t *testing.T, test func(t *testing.T, c *rawNode, jobID string)) 
 			if err != nil {
 				t.Fatal(err)
 			}
-			var created protocol.CreateJobResp
-			c.decode(c.await(c.send(msg.KindCreateJob, protocol.CreateJobReq{Name: "dispatch", ClientNode: "x"})), &created)
-			c.job = created.JobID
-			test(t, c, created.JobID)
+			c.job = "x.dispatch"
+			if r := c.await(c.send(msg.KindCreateTasks, protocol.CreateTasksReq{JobID: c.job, ClientNode: "x", Name: "dispatch"})); r.Kind != msg.KindTasksAccepted {
+				t.Fatalf("create job answered %v", r.Kind)
+			}
+			test(t, c, c.job)
 		})
 	}
 }

@@ -51,13 +51,11 @@ func benchInboundTSOut(b *testing.B, noReply bool) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	from, to := msg.Address{Node: "x", Task: protocol.ClientTaskName}, msg.Address{Node: "n1"}
-	srv.handle(protocol.Body(msg.KindCreateJob, from, to, protocol.CreateJobReq{Name: "bench", ClientNode: "x"}))
-	var job protocol.CreateJobResp
-	if err := protocol.Decode(<-created, &job); err != nil {
-		b.Fatal(err)
+	from, to := msg.Address{Node: "x", Task: protocol.ClientTaskName}, msg.Address{Node: "n1", Job: "x.bench"}
+	srv.handle(protocol.Body(msg.KindCreateTasks, from, to, protocol.CreateTasksReq{JobID: to.Job, ClientNode: "x", Name: "bench"}))
+	if m := <-created; m.Kind != msg.KindTasksAccepted {
+		b.Fatalf("create job answered %v", m.Kind)
 	}
-	to.Job = job.JobID
 	out := protocol.Body(msg.KindTSOut, from, to, &protocol.TSOpReq{Tuple: tuplespace.Tuple{"res", 7, 49}, NoReply: noReply}).Payload
 	inp := protocol.Body(msg.KindTSInP, from, to, &protocol.TSOpReq{Tuple: tuplespace.Tuple{"res", tuplespace.TypeOf(0), tuplespace.TypeOf(0)}}).Payload
 	perOp := int64(2)
@@ -91,7 +89,7 @@ func benchInboundTSOut(b *testing.B, noReply bool) {
 
 // BenchmarkFanoutRunPhase measures the run phase of a fan-out: a 32-task
 // job of no-ops already placed on four nodes of an in-memory fabric, timed
-// from START_TASK to JOB_COMPLETED. frames/op counts every frame the fabric
+// from the start frame to JOB_COMPLETED. frames/op counts every frame the fabric
 // carried in that window — the exec dispatches, the lifecycle events up to
 // the manager and on to the client, the start call and the terminal event —
 // and must stay a cost per node, not per task: 40 is twice what the batched
@@ -178,12 +176,12 @@ func withHistory(tb testing.TB, n int) *Server {
 	tb.Cleanup(func() { srv.Close() })
 	from, to := msg.Address{Node: "x", Task: protocol.ClientTaskName}, msg.Address{Node: "n1"}
 	for i := 0; i < n; i++ {
-		var job protocol.CreateJobResp
-		r := srv.jm.HandleCreateJob(protocol.Body(msg.KindCreateJob, from, to, protocol.CreateJobReq{Name: "old", ClientNode: "x"}))
-		if err := protocol.Decode(r, &job); err != nil {
-			tb.Fatal(err)
+		id := fmt.Sprintf("x.old.%d", i)
+		r := srv.jm.HandleCreateTasks(protocol.Body(msg.KindCreateTasks, from, to, protocol.CreateTasksReq{JobID: id, ClientNode: "x", Name: "old"}))
+		if r.Kind != msg.KindTasksAccepted {
+			tb.Fatalf("create job answered %v", r.Kind)
 		}
-		srv.jm.HandleCancel(protocol.Body(msg.KindCancelJob, from, to, protocol.CancelJobReq{JobID: job.JobID, Reason: "history"}))
+		srv.jm.HandleCancel(protocol.Body(msg.KindCancelJob, from, to, protocol.CancelJobReq{JobID: id, Reason: "history"}))
 	}
 	if n := srv.jm.ActiveJobs(); n != 0 {
 		tb.Fatalf("%d jobs still live", n)

@@ -213,14 +213,10 @@ func (s *Server) handle(m *msg.Message) {
 func (s *Server) dispatch(m *msg.Message) {
 	switch m.Kind {
 	// --- JobManager role ---
-	case msg.KindCreateJob:
-		s.replyIfAny(m, s.jm.HandleCreateJob(m))
 	case msg.KindCreateTasks:
 		s.replyIfAny(m, s.jm.HandleCreateTasks(m))
 	case msg.KindBlobChunk:
 		s.replyIfAny(m, s.jm.HandleBlobChunk(m))
-	case msg.KindStartTask:
-		s.replyIfAny(m, s.jm.HandleStartJob(m))
 	case msg.KindCancelJob:
 		// From clients this is a request expecting an ack; from a peer
 		// JobManager it is a TaskManager-scoped cancellation.

@@ -77,29 +77,32 @@ func TestPingPong(t *testing.T) {
 	}
 }
 
+// rawJob is a job a raw-wire test opened.
+type rawJob struct{ JobID string }
+
+// openRaw opens a job named name with a header-only CREATE_TASKS, the
+// frame a client's first call sends, under an ID of raw-client's.
+func openRaw(t *testing.T, caller *transport.Caller, name string) rawJob {
+	t.Helper()
+	id := "raw-client." + name
+	reply := call(t, caller, msg.KindCreateTasks, protocol.CreateTasksReq{JobID: id, ClientNode: "raw-client", Name: name})
+	if reply.Kind != msg.KindTasksAccepted {
+		t.Fatalf("create job %s reply = %v", id, reply.Kind)
+	}
+	return rawJob{JobID: id}
+}
+
 func TestRawProtocolJobLifecycle(t *testing.T) {
 	// Drive the wire protocol directly: create job, create tasks, start,
 	// observe the terminal state. This pins the message formats the API
 	// client relies on.
 	srv, caller := startServer(t)
 
-	reply := call(t, caller, msg.KindCreateJob, protocol.CreateJobReq{
-		Name: "raw", ClientNode: "raw-client",
-	})
-	if reply.Kind != msg.KindJobCreated {
-		t.Fatalf("create job reply = %v", reply.Kind)
-	}
-	var created protocol.CreateJobResp
-	if err := protocol.Decode(reply, &created); err != nil {
-		t.Fatal(err)
-	}
-	if created.JobID == "" {
-		t.Fatal("empty job id")
-	}
+	created := openRaw(t, caller, "raw")
 
 	spec := &task.Spec{Name: "t", Class: "srv.Noop",
 		Req: task.Requirements{MemoryMB: 10, RunModel: task.RunAsThreadInTM}}
-	reply = call(t, caller, msg.KindCreateTasks, protocol.CreateTasksReq{
+	reply := call(t, caller, msg.KindCreateTasks, protocol.CreateTasksReq{
 		JobID: created.JobID, Tasks: []protocol.TaskCreate{{Spec: spec}},
 	})
 	if reply.Kind != msg.KindTasksAccepted {
@@ -113,8 +116,8 @@ func TestRawProtocolJobLifecycle(t *testing.T) {
 		t.Errorf("placements = %v", placed.Placements)
 	}
 
-	reply = call(t, caller, msg.KindStartTask, protocol.StartJobReq{JobID: created.JobID})
-	if reply.Kind != msg.KindPong {
+	reply = call(t, caller, msg.KindCreateTasks, protocol.CreateTasksReq{JobID: created.JobID, Start: true})
+	if reply.Kind != msg.KindTasksAccepted {
 		t.Fatalf("start reply = %v", reply.Kind)
 	}
 	// The JOB_COMPLETED event arrives as a non-correlated message; the
@@ -229,11 +232,7 @@ func TestBatchCreateTasksPlacesAndDedupsArchives(t *testing.T) {
 	})
 	servers, caller := startMany(t, 3, config.Config{MemoryMB: 1000, Registry: reg})
 
-	reply := call(t, caller, msg.KindCreateJob, protocol.CreateJobReq{Name: "batch", ClientNode: "raw-client"})
-	var created protocol.CreateJobResp
-	if err := protocol.Decode(reply, &created); err != nil {
-		t.Fatal(err)
-	}
+	created := openRaw(t, caller, "batch")
 
 	ar, err := archive.NewBuilder("pkg.jar", "srv.Pkg").AddFile("data", []byte("payload")).Build()
 	if err != nil {
@@ -251,7 +250,7 @@ func TestBatchCreateTasksPlacesAndDedupsArchives(t *testing.T) {
 			Archive: protocol.ArchiveRef{Name: ar.Name, Digest: ar.Digest()},
 		})
 	}
-	reply = call(t, caller, msg.KindCreateTasks, req)
+	reply := call(t, caller, msg.KindCreateTasks, req)
 	if reply.Kind != msg.KindTasksAccepted {
 		t.Fatalf("create tasks reply = %v: %s", reply.Kind, reply.Payload)
 	}
@@ -295,8 +294,8 @@ func TestBatchCreateTasksPlacesAndDedupsArchives(t *testing.T) {
 	}
 
 	// The batch executes to completion.
-	reply = call(t, caller, msg.KindStartTask, protocol.StartJobReq{JobID: created.JobID})
-	if reply.Kind != msg.KindPong {
+	reply = call(t, caller, msg.KindCreateTasks, protocol.CreateTasksReq{JobID: created.JobID, Start: true})
+	if reply.Kind != msg.KindTasksAccepted {
 		t.Fatalf("start reply = %v", reply.Kind)
 	}
 	host := servers[0].JobManager()
@@ -314,15 +313,11 @@ func TestTombstoneEvictionAndActiveJobCount(t *testing.T) {
 	servers, caller := startMany(t, 1, config.Config{TombstoneTTL: 50 * time.Millisecond})
 	jm := servers[0].JobManager()
 
-	reply := call(t, caller, msg.KindCreateJob, protocol.CreateJobReq{Name: "tomb", ClientNode: "raw-client"})
-	var created protocol.CreateJobResp
-	if err := protocol.Decode(reply, &created); err != nil {
-		t.Fatal(err)
-	}
+	created := openRaw(t, caller, "tomb")
 	spec := &task.Spec{Name: "t", Class: "srv.Noop",
 		Req: task.Requirements{MemoryMB: 10, RunModel: task.RunAsThreadInTM}}
 	call(t, caller, msg.KindCreateTasks, protocol.CreateTasksReq{JobID: created.JobID, Tasks: []protocol.TaskCreate{{Spec: spec}}})
-	call(t, caller, msg.KindStartTask, protocol.StartJobReq{JobID: created.JobID})
+	call(t, caller, msg.KindCreateTasks, protocol.CreateTasksReq{JobID: created.JobID, Start: true})
 
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && jm.ActiveJobs() != 0 {
@@ -351,15 +346,11 @@ func TestOfferCountsOnlyLiveJobs(t *testing.T) {
 	jm := servers[0].JobManager()
 
 	// Run one job to completion so a tombstone exists.
-	reply := call(t, caller, msg.KindCreateJob, protocol.CreateJobReq{Name: "done", ClientNode: "raw-client"})
-	var created protocol.CreateJobResp
-	if err := protocol.Decode(reply, &created); err != nil {
-		t.Fatal(err)
-	}
+	created := openRaw(t, caller, "done")
 	spec := &task.Spec{Name: "t", Class: "srv.Noop",
 		Req: task.Requirements{MemoryMB: 10, RunModel: task.RunAsThreadInTM}}
 	call(t, caller, msg.KindCreateTasks, protocol.CreateTasksReq{JobID: created.JobID, Tasks: []protocol.TaskCreate{{Spec: spec}}})
-	call(t, caller, msg.KindStartTask, protocol.StartJobReq{JobID: created.JobID})
+	call(t, caller, msg.KindCreateTasks, protocol.CreateTasksReq{JobID: created.JobID, Start: true})
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && jm.ActiveJobs() != 0 {
 		time.Sleep(2 * time.Millisecond)

@@ -228,9 +228,9 @@ func TestOutboxFlusherTargetsManagerAtSendTime(t *testing.T) {
 	h := newHeldSink()
 	tm := New(config.Config{Registry: registry(t), HeartbeatInterval: -1}, "tm1", nil, h.send, nil, nil)
 	defer tm.Close()
-	tm.post("j1", "jm1", protocol.TaskEventItem{Kind: msg.KindTaskStarted, Task: "t"})
+	tm.post("j1", "jm1", 1, protocol.TaskEventItem{Kind: msg.KindTaskStarted, Task: "t"})
 	<-h.entered // the flusher is inside its send to jm1
-	tm.post("j1", "jm1", protocol.TaskEventItem{Kind: msg.KindTaskCompleted, Task: "t"})
+	tm.post("j1", "jm1", 1, protocol.TaskEventItem{Kind: msg.KindTaskCompleted, Task: "t"})
 	adopt := protocol.Body(msg.KindJMAdopt, msg.Address{Node: "jm2", Job: "j1"}, msg.Address{Node: "tm1", Job: "j1"},
 		protocol.JMAdoptReq{JobID: "j1", NewManager: "jm2", ClientNode: "client"})
 	if r := tm.HandleAdopt(adopt); r == nil {
@@ -251,7 +251,7 @@ func TestOutboxFlusherTargetsManagerAtSendTime(t *testing.T) {
 func TestCloseWaitsForFlushers(t *testing.T) {
 	h := newHeldSink()
 	tm := New(config.Config{Registry: registry(t), HeartbeatInterval: -1}, "tm1", nil, h.send, nil, nil)
-	tm.post("j1", "jm1", protocol.TaskEventItem{Kind: msg.KindTaskStarted, Task: "t"})
+	tm.post("j1", "jm1", 1, protocol.TaskEventItem{Kind: msg.KindTaskStarted, Task: "t"})
 	<-h.entered
 	closed := make(chan struct{})
 	go func() { tm.Close(); close(closed) }()

@@ -25,6 +25,7 @@ import (
 	"cn/internal/protocol"
 	"cn/internal/task"
 	"cn/internal/trace"
+	"cn/internal/transport"
 	"cn/internal/tuplespace"
 )
 
@@ -50,11 +51,18 @@ type assignment struct {
 	// dead peer's job, and read from the heartbeat, event, and tuple-space
 	// paths concurrently — hence the atomic.
 	jobManager atomic.Pointer[string]
+	// moved is closed when setJM re-points the assignment; a send that
+	// found the manager gone waits on it (see execContext.send).
+	jmMu       sync.Mutex
+	moved      chan struct{}
 	clientNode string
-	spec       *task.Spec
-	mailbox    *msg.Mailbox[*msg.Message]
-	cancelled  atomic.Bool
-	started    atomic.Bool
+	// peers is how many tasks of the job the assignment that brought this
+	// one carried: the size its events' outbox starts at.
+	peers     int
+	spec      *task.Spec
+	mailbox   *msg.Mailbox[*msg.Message]
+	cancelled atomic.Bool
+	started   atomic.Bool
 	// ctx is the one context of the task's execution: every call the task
 	// makes through its Context runs under it, and cancel — called when the
 	// assignment is cancelled, which a TaskManager shutting down does to
@@ -83,7 +91,39 @@ type assignment struct {
 func (a *assignment) jm() string { return *a.jobManager.Load() }
 
 // setJM re-points the assignment at a new owning JobManager.
-func (a *assignment) setJM(node string) { a.jobManager.Store(&node) }
+func (a *assignment) setJM(node string) {
+	a.jobManager.Store(&node)
+	a.jmMu.Lock()
+	if a.moved != nil {
+		close(a.moved)
+		a.moved = nil
+	}
+	a.jmMu.Unlock()
+}
+
+// awaitJM waits until the assignment is re-pointed away from node and
+// returns the new manager, or "" once the execution ends or within passes.
+func (a *assignment) awaitJM(node string, within time.Duration) string {
+	a.jmMu.Lock()
+	if cur := a.jm(); cur != node {
+		a.jmMu.Unlock()
+		return cur
+	}
+	if a.moved == nil {
+		a.moved = make(chan struct{})
+	}
+	moved := a.moved
+	a.jmMu.Unlock()
+	t := time.NewTimer(within)
+	defer t.Stop()
+	select {
+	case <-moved:
+		return a.jm()
+	case <-a.ctx.Done():
+	case <-t.C:
+	}
+	return ""
+}
 
 // newAssignment builds the record of one task assigned by jobManager.
 func newAssignment(jobID, jobManager, clientNode string, spec *task.Spec) *assignment {
@@ -161,6 +201,11 @@ type outbox struct {
 	// adopter.
 	manager string
 	events  []protocol.TaskEventItem
+	// flushing is set while the flusher runs; held counts the exec lists
+	// whose TASK_STARTED events are in and whose tasks are being launched,
+	// which start no flusher until they are.
+	flushing bool
+	held     int
 }
 
 // New creates a TaskManager on node and starts its heartbeat loop (unless
@@ -363,6 +408,8 @@ func (tm *TaskManager) stalledLocked(now time.Time) int {
 // pulled from the JobManager once per digest; every item is then verified
 // and reserved individually, so one oversubscribed task — or one whose
 // archive could not be had — rejects alone instead of failing the batch.
+// The accepted items the run list names start at once, as an EXEC_TASK
+// listing them would start them.
 func (tm *TaskManager) HandleAssignBatch(m *msg.Message) *msg.Message {
 	var req protocol.AssignTasksReq
 	if err := protocol.Decode(m, &req); err != nil {
@@ -376,7 +423,7 @@ func (tm *TaskManager) HandleAssignBatch(m *msg.Message) *msg.Message {
 	for _, it := range req.Items {
 		reason, bad := missing[it.Archive.Digest]
 		if !bad {
-			reason = tm.assignOne(req.JobID, req.JobManager, req.ClientNode, it)
+			reason = tm.assignOne(req.JobID, req.JobManager, req.ClientNode, it, len(req.Items))
 		}
 		if reason != "" {
 			resp.Rejected[it.Spec.Name] = reason
@@ -384,6 +431,13 @@ func (tm *TaskManager) HandleAssignBatch(m *msg.Message) *msg.Message {
 		}
 	}
 	tm.log.Info("tasks assigned", "job", req.JobID, "tasks", len(req.Items)-len(resp.Rejected), "rejected", len(resp.Rejected))
+	run := req.Run[:0:0]
+	for _, name := range req.Run {
+		if _, rejected := resp.Rejected[name]; !rejected {
+			run = append(run, name)
+		}
+	}
+	tm.HandleExec(req.JobID, run, req.JobManager, m.Trace)
 	return protocol.Reply(m, msg.KindTasksAssigned, resp)
 }
 
@@ -440,8 +494,9 @@ func (tm *TaskManager) pullArchive(jmNode, jobID string, ref protocol.ArchiveRef
 }
 
 // assignOne validates and reserves a single task whose archive (if any) is
-// already resident. It returns "" on success or the rejection reason.
-func (tm *TaskManager) assignOne(jobID, jobManager, clientNode string, it protocol.TaskCreate) string {
+// already resident; peers is how many tasks of the job its assignment
+// brought. It returns "" on success or the rejection reason.
+func (tm *TaskManager) assignOne(jobID, jobManager, clientNode string, it protocol.TaskCreate, peers int) string {
 	sp := it.Spec
 	if it.Archive.Digest != "" {
 		a, ok := tm.blobs.Get(it.Archive.Digest)
@@ -470,7 +525,9 @@ func (tm *TaskManager) assignOne(jobID, jobManager, clientNode string, it protoc
 		return fmt.Sprintf("insufficient memory: need %d MB, free %d MB", sp.Req.MemoryMB, tm.freeMB)
 	}
 	tm.freeMB -= sp.Req.MemoryMB
-	tm.assigned[k] = newAssignment(jobID, jobManager, clientNode, sp)
+	a := newAssignment(jobID, jobManager, clientNode, sp)
+	a.peers = peers
+	tm.assigned[k] = a
 	return ""
 }
 
@@ -508,51 +565,82 @@ var ErrAlreadyStarted = errors.New("task already started")
 // (recovery re-exec, failover adoption) the running copy reports its own
 // end. A task that cannot start fails alone: its reservation is released —
 // it must not hold capacity until job teardown — and its TASK_FAILED joins
-// the job's outbox, behind whatever the job already has queued there.
+// the job's outbox, behind whatever the job already has queued there. The
+// list's TASK_STARTED events join it before any of its tasks runs, and its
+// flusher starts only once all of them run, so the list's starts — and the
+// ends of what finishes at once — leave in one batch.
 func (tm *TaskManager) HandleExec(jobID string, tasks []string, from string, tc trace.Context) {
 	// Counted like a running task, so the flusher a failure report may
 	// start is never added to a wait group Close is already draining.
 	tm.mu.Lock()
-	if tm.closed {
+	if tm.closed || len(tasks) == 0 {
 		tm.mu.Unlock()
 		return
 	}
 	tm.wg.Add(1)
 	tm.mu.Unlock()
 	defer tm.wg.Done()
+	started := make([]*assignment, 0, len(tasks))
+	events := make([]protocol.TaskEventItem, 0, len(tasks))
 	for _, name := range tasks {
-		err := tm.HandleStart(jobID, name, tc)
-		if err == nil || errors.Is(err, ErrAlreadyStarted) {
-			continue
+		a, err := tm.claim(jobID, name, tc)
+		switch {
+		case err == nil:
+			started = append(started, a)
+			events = append(events, protocol.TaskEventItem{Kind: msg.KindTaskStarted, Task: name})
+		case !errors.Is(err, ErrAlreadyStarted):
+			tm.ReleaseIfUnstarted(jobID, name)
+			events = append(events, protocol.TaskEventItem{Kind: msg.KindTaskFailed, Task: name, Err: err.Error()})
 		}
-		tm.ReleaseIfUnstarted(jobID, name)
-		tm.post(jobID, from, protocol.TaskEventItem{Kind: msg.KindTaskFailed, Task: name, Err: err.Error()})
 	}
+	tm.outMu.Lock()
+	ob := tm.outboxLocked(jobID, from, 2*len(tasks))
+	ob.events = append(ob.events, events...)
+	ob.held++
+	tm.outMu.Unlock()
+	for _, a := range started {
+		go tm.execute(a)
+	}
+	tm.outMu.Lock()
+	ob.held--
+	tm.kickLocked(jobID, ob)
+	tm.outMu.Unlock()
 }
 
 // HandleStart starts one assigned task on a goroutine of its own; tc is the
 // trace context its exec span parents to.
 func (tm *TaskManager) HandleStart(jobID, taskName string, tc trace.Context) error {
+	a, err := tm.claim(jobID, taskName, tc)
+	if err != nil {
+		return err
+	}
+	tm.event(msg.KindTaskStarted, a, "", nil)
+	go tm.execute(a)
+	return nil
+}
+
+// claim marks an assigned task started and counts it running; the caller
+// reports its TASK_STARTED and runs execute.
+func (tm *TaskManager) claim(jobID, taskName string, tc trace.Context) (*assignment, error) {
 	tm.mu.Lock()
 	a, ok := tm.assigned[key(jobID, taskName)]
 	closed := tm.closed
 	tm.mu.Unlock()
 	if closed {
-		return fmt.Errorf("taskmgr %s: shut down", tm.node)
+		return nil, fmt.Errorf("taskmgr %s: shut down", tm.node)
 	}
 	if !ok {
-		return fmt.Errorf("taskmgr %s: task %s not assigned", tm.node, key(jobID, taskName))
+		return nil, fmt.Errorf("taskmgr %s: task %s not assigned", tm.node, key(jobID, taskName))
 	}
 	if !a.started.CompareAndSwap(false, true) {
-		return fmt.Errorf("taskmgr %s: task %s: %w", tm.node, key(jobID, taskName), ErrAlreadyStarted)
+		return nil, fmt.Errorf("taskmgr %s: task %s: %w", tm.node, key(jobID, taskName), ErrAlreadyStarted)
 	}
 	a.trace = tc
 	tm.mu.Lock()
 	tm.running++
 	tm.wg.Add(1)
 	tm.mu.Unlock()
-	go tm.execute(a)
-	return nil
+	return a, nil
 }
 
 // execute runs one task to completion on its own goroutine (the paper's
@@ -560,9 +648,6 @@ func (tm *TaskManager) HandleStart(jobID, taskName string, tc trace.Context) err
 func (tm *TaskManager) execute(a *assignment) {
 	defer tm.wg.Done()
 	from := msg.Address{Node: tm.node, Job: a.jobID, Task: a.spec.Name}
-
-	tm.event(msg.KindTaskStarted, a, "", nil)
-
 	ea := tm.tracer.StartSpan(a.trace, "tm.exec").SetJob(a.jobID).SetTask(a.spec.Name)
 	tc := ea.Context()
 	if tc.IsZero() {
@@ -612,31 +697,51 @@ func (tm *TaskManager) execute(a *assignment) {
 // event carries the task's spans, so they join the JobManager's per-job
 // timeline exactly once.
 func (tm *TaskManager) event(kind msg.Kind, a *assignment, errText string, spans []trace.Span) {
-	tm.post(a.jobID, a.jm(), protocol.TaskEventItem{Kind: kind, Task: a.spec.Name, Err: errText, Spans: spans})
+	tm.post(a.jobID, a.jm(), 2*a.peers, protocol.TaskEventItem{Kind: kind, Task: a.spec.Name, Err: errText, Spans: spans})
 }
 
-// post appends an event to its job's outbox. The first event of an idle
-// outbox starts the job's flusher, and manager — where the poster believes
-// the job lives — is where that flusher sends unless an adoption re-points
-// it. There is no timer and nothing waits for a batch to fill: whatever the
-// node reports about the job while the flusher is being scheduled, or is
-// busy sending, leaves in the next frame.
-func (tm *TaskManager) post(jobID, manager string, ev protocol.TaskEventItem) {
+// post appends events to their job's outbox and starts the job's flusher
+// unless it runs, or an exec list is being launched. manager — where the
+// poster believes the job lives — is where a new outbox's flusher sends
+// unless an adoption re-points it; size is how many events the job's tasks
+// here are known to owe (two per task: its start and its end), which a new
+// outbox starts with room for. There is no timer and nothing waits for a
+// batch to fill: whatever the node reports about the job while the flusher
+// is being scheduled, or is busy sending, leaves in the next frame.
+func (tm *TaskManager) post(jobID, manager string, size int, evs ...protocol.TaskEventItem) {
 	tm.outMu.Lock()
+	defer tm.outMu.Unlock()
+	ob := tm.outboxLocked(jobID, manager, size)
+	ob.events = append(ob.events, evs...)
+	tm.kickLocked(jobID, ob)
+}
+
+// outboxLocked returns the job's outbox, opening it if need be. tm.outMu
+// must be held.
+func (tm *TaskManager) outboxLocked(jobID, manager string, size int) *outbox {
 	ob := tm.outboxes[jobID]
 	if ob == nil {
-		ob = &outbox{manager: manager}
+		ob = &outbox{manager: manager, events: make([]protocol.TaskEventItem, 0, max(size, 1))}
 		tm.outboxes[jobID] = ob
-		tm.wg.Add(1) // the poster is itself counted (execute, HandleExec)
-		go tm.flush(jobID, ob)
 	}
-	ob.events = append(ob.events, ev)
-	tm.outMu.Unlock()
+	return ob
+}
+
+// kickLocked starts the job's flusher if the outbox has events for it and
+// nothing holds it back. tm.outMu must be held, and the caller counted in
+// tm.wg (execute, HandleExec).
+func (tm *TaskManager) kickLocked(jobID string, ob *outbox) {
+	if ob.flushing || ob.held > 0 || len(ob.events) == 0 {
+		return
+	}
+	ob.flushing = true
+	tm.wg.Add(1)
+	go tm.flush(jobID, ob)
 }
 
 // flush is one job's flusher: yield once — a task that does little has its
 // STARTED and its terminal event in the outbox by then, and so have the
-// sibling tasks one EXEC_TASK frame started — then send what has gathered as
+// sibling tasks one exec list started — then send what has gathered as
 // TASK_EVENTS frames, cut by protocol.CutTaskEvents, until the outbox is
 // empty; the empty outbox is deleted and the flusher exits, so a job leaves
 // nothing behind here. Events of one job therefore leave the node in the
@@ -649,7 +754,10 @@ func (tm *TaskManager) flush(jobID string, ob *outbox) {
 	for {
 		tm.outMu.Lock()
 		if len(ob.events) == 0 {
-			delete(tm.outboxes, jobID)
+			ob.flushing = false
+			if ob.held == 0 {
+				delete(tm.outboxes, jobID)
+			}
 			tm.outMu.Unlock()
 			return
 		}
@@ -826,7 +934,12 @@ func (c *execContext) Params() []task.Param {
 	return append([]task.Param(nil), c.a.spec.Params...)
 }
 
-// send routes a user payload through the JobManager conduit.
+// send routes a user payload through the JobManager conduit. A manager
+// that cannot be reached — it died, its node left the fabric — holds the
+// message on the assignment until a surviving JobManager adopts the job
+// (JM_ADOPT re-points it) and sends it there; it fails if the task ends
+// first, or if no adopter comes within the lease window an adoption takes.
+// With checkpointing off nobody adopts, and it fails at once.
 func (c *execContext) send(kind msg.Kind, toTask string, payload []byte) error {
 	if c.a.cancelled.Load() {
 		return task.ErrStopped
@@ -838,9 +951,21 @@ func (c *execContext) send(kind msg.Kind, toTask string, payload []byte) error {
 		Data:     payload,
 	}
 	jmNode := c.a.jm()
-	m := protocol.Body(kind, c.self, msg.Address{Node: jmNode, Job: c.a.jobID, Task: toTask}, p)
-	if err := c.tm.send(jmNode, m); err != nil {
-		return fmt.Errorf("task %s: send to %s: %w", c.a.spec.Name, toTask, err)
+	for {
+		m := protocol.Body(kind, c.self, msg.Address{Node: jmNode, Job: c.a.jobID, Task: toTask}, p)
+		err := c.tm.send(jmNode, m)
+		if err == nil {
+			break
+		}
+		cfg := c.tm.cfg
+		next := ""
+		if cfg.CheckpointEvery > 0 && (errors.Is(err, transport.ErrUnknownNode) || errors.Is(err, transport.ErrClosed)) {
+			next = c.a.awaitJM(jmNode, cfg.SuspectAfter+cfg.DeadAfter+cfg.AssignTimeout)
+		}
+		if next == "" {
+			return fmt.Errorf("task %s: send to %s: %w", c.a.spec.Name, toTask, err)
+		}
+		jmNode = next
 	}
 	c.a.progress.Add(1)
 	return nil

@@ -73,12 +73,9 @@ func TestShedReplyPutsTheTupleBack(t *testing.T) {
 		}
 	}
 
-	send(x, msg.KindCreateJob, protocol.CreateJobReq{Name: "shed", ClientNode: "x"})
-	var job protocol.CreateJobResp
-	if err := protocol.Decode(next(xin, msg.KindJobCreated), &job); err != nil {
-		t.Fatal(err)
-	}
-	jobID = job.JobID
+	send(x, msg.KindCreateTasks, protocol.CreateTasksReq{JobID: "x.shed", ClientNode: "x", Name: "shed"})
+	next(xin, msg.KindTasksAccepted)
+	jobID = "x.shed"
 	tpl := tuplespace.Tuple{"k", tuplespace.TypeOf(0)}
 	// Park x's In; the ping behind it on the same link says it registered.
 	send(x, msg.KindTSIn, protocol.TSOpReq{Tuple: tpl, ParkMS: 4000})

@@ -29,8 +29,8 @@ const (
 	tInvalid uint64 = iota
 	tJobRequirements
 	tJMOffer
-	tCreateJobReq
-	tCreateJobResp
+	_ // the create-job request, retired when CREATE_TASKS took the job's header
+	_ // its job-id reply, retired when the client named its jobs
 	_ // CreateTaskReq, retired with CREATE_TASK
 	_ // CreateTaskResp, retired with TASK_ACCEPTED
 	tTaskSolicitReq
@@ -45,7 +45,7 @@ const (
 	_ // the inline-or-announce reply, retired with BLOB_DATA
 	tBlobChunkReq
 	tBlobChunkResp
-	tStartJobReq
+	_ // the start request, retired when CREATE_TASKS took the Start flag
 	tExecTaskReq
 	_ // TaskEvent, retired when TASK_RETRIED became a TASK_EVENTS label
 	tHeartbeat
@@ -74,8 +74,6 @@ const (
 func init() {
 	register(tJobRequirements, 32, appendJobRequirements, readJobRequirements)
 	register(tJMOffer, 64, appendJMOffer, readJMOffer)
-	register(tCreateJobReq, 128, appendCreateJobReq, readCreateJobReq)
-	register(tCreateJobResp, 64, appendCreateJobResp, readCreateJobResp)
 	register(tTaskSolicitReq, 256, appendTaskSolicitReq, readTaskSolicitReq)
 	register(tTMOffer, 64, appendTMOffer, readTMOffer)
 	register(tCreateTasksReq, 512, appendCreateTasksReq, readCreateTasksReq)
@@ -84,7 +82,6 @@ func init() {
 	register(tAssignTasksResp, 128, appendAssignTasksResp, readAssignTasksResp)
 	register(tBlobChunkReq, 128, appendBlobChunkReq, readBlobChunkReq)
 	register(tBlobChunkResp, 128, appendBlobChunkResp, readBlobChunkResp)
-	register(tStartJobReq, 128, appendStartJobReq, readStartJobReq)
 	registerSized(tExecTaskReq, func(v protocol.ExecTaskReq) int { return 48 + 16*len(v.Tasks) }, appendExecTaskReq, readExecTaskReq)
 	registerSized(tHeartbeat, func(v protocol.Heartbeat) int { return 64 + 48*len(v.Beats) }, appendHeartbeat, readHeartbeat)
 	register(tHeartbeatAck, 64, appendHeartbeatAck, readHeartbeatAck)
@@ -598,32 +595,6 @@ func readJMOffer(r *Reader, v *protocol.JMOffer) (err error) {
 	return err
 }
 
-func appendCreateJobReq(b []byte, v protocol.CreateJobReq) []byte {
-	b = AppendString(b, v.Name)
-	b = appendJobRequirements(b, v.Req)
-	return AppendString(b, v.ClientNode)
-}
-
-func readCreateJobReq(r *Reader, v *protocol.CreateJobReq) (err error) {
-	if v.Name, err = r.String(); err != nil {
-		return err
-	}
-	if err = readJobRequirements(r, &v.Req); err != nil {
-		return err
-	}
-	v.ClientNode, err = r.String()
-	return err
-}
-
-func appendCreateJobResp(b []byte, v protocol.CreateJobResp) []byte {
-	return AppendString(b, v.JobID)
-}
-
-func readCreateJobResp(r *Reader, v *protocol.CreateJobResp) (err error) {
-	v.JobID, err = r.String()
-	return err
-}
-
 func appendTaskSolicitReq(b []byte, v protocol.TaskSolicitReq) []byte {
 	b = AppendString(b, v.JobID)
 	return AppendSpec(b, v.Spec)
@@ -668,7 +639,13 @@ func appendCreateTasksReq(b []byte, v protocol.CreateTasksReq) []byte {
 	for i := range v.Tasks {
 		b = appendTaskCreate(b, &v.Tasks[i])
 	}
-	return AppendBlobMap(b, v.Blobs)
+	b = AppendBlobMap(b, v.Blobs)
+	b = AppendString(b, v.ClientNode)
+	b = AppendString(b, v.Name)
+	b = appendJobRequirements(b, v.Req)
+	b = AppendBool(b, v.Start)
+	b = AppendStringSlice(b, v.TaskNames)
+	return AppendSpans(b, v.Spans)
 }
 
 func readCreateTasksReq(r *Reader, v *protocol.CreateTasksReq) (err error) {
@@ -689,7 +666,25 @@ func readCreateTasksReq(r *Reader, v *protocol.CreateTasksReq) (err error) {
 			v.Tasks = append(v.Tasks, tc)
 		}
 	}
-	v.Blobs, err = ReadBlobMap(r, "blobs")
+	if v.Blobs, err = ReadBlobMap(r, "blobs"); err != nil {
+		return err
+	}
+	if v.ClientNode, err = r.String(); err != nil {
+		return err
+	}
+	if v.Name, err = r.String(); err != nil {
+		return err
+	}
+	if err = readJobRequirements(r, &v.Req); err != nil {
+		return err
+	}
+	if v.Start, err = r.Bool(); err != nil {
+		return err
+	}
+	if v.TaskNames, err = ReadStringSlice(r, "task names"); err != nil {
+		return err
+	}
+	v.Spans, err = ReadSpans(r)
 	return err
 }
 
@@ -710,7 +705,7 @@ func appendAssignTasksReq(b []byte, v protocol.AssignTasksReq) []byte {
 	for i := range v.Items {
 		b = appendTaskCreate(b, &v.Items[i])
 	}
-	return b
+	return AppendStringSlice(b, v.Run)
 }
 
 func readAssignTasksReq(r *Reader, v *protocol.AssignTasksReq) (err error) {
@@ -737,7 +732,8 @@ func readAssignTasksReq(r *Reader, v *protocol.AssignTasksReq) (err error) {
 			v.Items = append(v.Items, tc)
 		}
 	}
-	return nil
+	v.Run, err = ReadStringSlice(r, "run list")
+	return err
 }
 
 func appendAssignTasksResp(b []byte, v protocol.AssignTasksResp) []byte {
@@ -800,23 +796,6 @@ func readBlobChunkResp(r *Reader, v *protocol.BlobChunkResp) (err error) {
 		return err
 	}
 	v.Err, err = r.String()
-	return err
-}
-
-func appendStartJobReq(b []byte, v protocol.StartJobReq) []byte {
-	b = AppendString(b, v.JobID)
-	b = AppendStringSlice(b, v.TaskNames)
-	return AppendSpans(b, v.Spans)
-}
-
-func readStartJobReq(r *Reader, v *protocol.StartJobReq) (err error) {
-	if v.JobID, err = r.String(); err != nil {
-		return err
-	}
-	if v.TaskNames, err = ReadStringSlice(r, "task names"); err != nil {
-		return err
-	}
-	v.Spans, err = ReadSpans(r)
 	return err
 }
 

@@ -1,6 +1,6 @@
 // Binary encoding for trace spans. Exported (unlike the per-body payload
 // encoders) because spans ride two different envelopes: protocol bodies
-// (TaskEvent, StartJobReq) and the JobManager's opaque checkpoint image,
+// (TaskEvents, CreateTasksReq) and the JobManager's opaque checkpoint image,
 // which must stay byte-compatible with each other.
 
 package wire

@@ -42,9 +42,13 @@ import (
 // TaskEvents body the retry and job labels, with a label's own trailing
 // fields, and retired the TaskEvent body (JOB_COMPLETED and TASK_RETRIED
 // stopped being frames); version 12 dropped the StatsReport body's trailing
-// span count. Nothing outside this repository speaks the wire, so a receiver
+// span count; version 13 gave the CreateTasks body the job's header (name,
+// requirements, client node), the Start flag, the start's task names and
+// the client's spans, and the AssignTasks body its run list, and retired the
+// create-job, job-created and start bodies with their kinds (the kind table
+// renumbered). Nothing outside this repository speaks the wire, so a receiver
 // accepts exactly this version and rejects the rest (see docs/WIRE.md).
-const Version = 12
+const Version = 13
 
 // MaxFrameBytes bounds one transport frame (envelope + payload + tail). Senders
 // refuse to emit larger frames and receivers drop the connection on a

@@ -39,8 +39,6 @@ func bodies() []any {
 	return []any{
 		&protocol.JobRequirements{MinMemoryMB: 512, ExpectedTasks: 32},
 		&protocol.JMOffer{Node: "n1", FreeMemoryMB: 8000, ActiveJobs: 3},
-		&protocol.CreateJobReq{Name: "job", Req: protocol.JobRequirements{MinMemoryMB: 1}, ClientNode: "client-1"},
-		&protocol.CreateJobResp{JobID: "n1-job7"},
 		&protocol.TaskSolicitReq{JobID: "j", Spec: specFixture("probe")},
 		&protocol.TMOffer{Node: "n3", FreeMemoryMB: 4000, RunningTasks: 2,
 			ResidentDigests: []string{"d1", "d2"}, StalledTasks: 1},
@@ -50,18 +48,24 @@ func bodies() []any {
 				{Spec: specFixture("t1"), Archive: protocol.ArchiveRef{Name: "a.jar", Digest: "d1", Size: 4}},
 				{Spec: specFixture("t2")},
 			},
-			Blobs: map[string][]byte{"d1": {1, 2, 3, 4}},
+			Blobs:      map[string][]byte{"d1": {1, 2, 3, 4}},
+			ClientNode: "client-1",
+			Name:       "job",
+			Req:        protocol.JobRequirements{MinMemoryMB: 1},
+			Start:      true,
+			TaskNames:  []string{"t1"},
+			Spans: []trace.Span{
+				{Trace: 11, ID: 11, Name: "client.submit", Node: "client", Job: "j",
+					Start: time.Unix(0, 1_700_000_000_000_000_000), Dur: 42 * time.Millisecond},
+			},
 		},
 		&protocol.CreateTasksResp{Placements: map[string]string{"t1": "n1", "t2": "n2"}},
 		&protocol.AssignTasksReq{JobID: "j", JobManager: "n1", ClientNode: "c",
-			Items: []protocol.TaskCreate{{Spec: specFixture("t3"), Archive: protocol.ArchiveRef{Name: "x", Digest: "y", Size: 3 << 20}}}},
+			Items: []protocol.TaskCreate{{Spec: specFixture("t3"), Archive: protocol.ArchiveRef{Name: "x", Digest: "y", Size: 3 << 20}}},
+			Run:   []string{"t3"}},
 		&protocol.AssignTasksResp{Rejected: map[string]string{"t3": "no memory"}, Fetched: 2},
 		&protocol.BlobChunkReq{JobID: "j", Digest: "d", Offset: 131072, MaxBytes: 65536, Total: 1 << 21, Data: []byte("chunk")},
 		&protocol.BlobChunkResp{Digest: "d", Offset: 131072, Total: 1 << 21, Data: []byte("chunk"), Err: ""},
-		&protocol.StartJobReq{JobID: "j", TaskNames: []string{"t1"}, Spans: []trace.Span{
-			{Trace: 11, ID: 11, Name: "client.submit", Node: "client", Job: "j",
-				Start: time.Unix(0, 1_700_000_000_000_000_000), Dur: 42 * time.Millisecond},
-		}},
 		&protocol.ExecTaskReq{JobID: "j", Tasks: []string{"t1", "t2"}},
 		&protocol.Heartbeat{Node: "n1", Seq: 17, Beats: []protocol.TaskBeat{
 			{JobID: "j", Task: "t1", Running: true, Progress: 99},
@@ -481,9 +485,10 @@ func TestArchiveRefSizeRidesOnlyADigest(t *testing.T) {
 // assign32Bytes is the encoded length of the archive-less 32-item
 // AssignTasksReq below: 668 bytes at wire version 6, measured at the commit
 // before ArchiveRef got its Size, less the payload tag byte version 9
-// dropped. It is the shape bench/ probes as wire.assign32_bytes: the common
+// dropped, plus the one byte of the empty run list version 13 added. It is
+// the shape bench/ probes as wire.assign32_bytes: the common
 // assignment pays nothing for a field only an archive needs.
-const assign32Bytes = 667
+const assign32Bytes = 668
 
 func TestArchivelessAssignKeepsItsLength(t *testing.T) {
 	items := make([]protocol.TaskCreate, 32)

@@ -296,11 +296,8 @@ func RunMatMul(ctx context.Context, cl *api.Client, a, b *Dense, workers int) (*
 	if err != nil {
 		return nil, err
 	}
-	job, err := createAll(cl, "matmul", specs)
+	job, err := submitAll(cl, "matmul", specs)
 	if err != nil {
-		return nil, err
-	}
-	if err := job.Start(); err != nil {
 		return nil, err
 	}
 	if err := job.SendMessage("split", mmInput{A: a, B: b}.appendTo(nil)); err != nil {

@@ -128,11 +128,8 @@ func RunMonteCarloPi(ctx context.Context, cl *api.Client, workers int, samplesPe
 	if err != nil {
 		return 0, err
 	}
-	job, err := createAll(cl, "montecarlo", specs)
+	job, err := submitAll(cl, "montecarlo", specs)
 	if err != nil {
-		return 0, err
-	}
-	if err := job.Start(); err != nil {
 		return 0, err
 	}
 	data, err := awaitResult(ctx, job, "reduce")

@@ -134,11 +134,8 @@ func RunPipeline(ctx context.Context, cl *api.Client, input string, ops []string
 	if err != nil {
 		return "", err
 	}
-	job, err := createAll(cl, "pipeline", specs)
+	job, err := submitAll(cl, "pipeline", specs)
 	if err != nil {
-		return "", err
-	}
-	if err := job.Start(); err != nil {
 		return "", err
 	}
 	if err := job.SendMessage("stage1", []byte(input)); err != nil {

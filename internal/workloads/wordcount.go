@@ -176,11 +176,8 @@ func RunWordCount(ctx context.Context, cl *api.Client, text string, mappers int)
 	if err != nil {
 		return nil, err
 	}
-	job, err := createAll(cl, "wordcount", specs)
+	job, err := submitAll(cl, "wordcount", specs)
 	if err != nil {
-		return nil, err
-	}
-	if err := job.Start(); err != nil {
 		return nil, err
 	}
 	if err := job.SendMessage("split", []byte(text)); err != nil {

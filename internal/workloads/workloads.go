@@ -131,16 +131,15 @@ func finishJob(ctx context.Context, job *api.Job) error {
 	return nil
 }
 
-// createAll registers the given specs on a fresh job.
-func createAll(cl *api.Client, name string, specs []*task.Spec) (*api.Job, error) {
+// submitAll creates a job and submits the given specs to it, started: one
+// frame to the JobManager.
+func submitAll(cl *api.Client, name string, specs []*task.Spec) (*api.Job, error) {
 	job, err := cl.CreateJob(name, protocol.JobRequirements{})
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range specs {
-		if err := job.CreateTask(s, nil); err != nil {
-			return nil, err
-		}
+	if _, err := job.Submit(specs, nil); err != nil {
+		return nil, err
 	}
 	return job, nil
 }
