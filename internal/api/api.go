@@ -5,11 +5,12 @@
 //   - Create Job in JobManager                    -> Client.CreateJob
 //   - Create Tasks for the Job                    -> Job.CreateTask
 //   - Start the Tasks                             -> Job.Start
-//
-// The last three steps are one CREATE_TASKS frame to the manager when the
-// program calls Job.Submit, and never more frames than steps.
 //   - Get Messages from Tasks                     -> Job.GetMessage / GetEvent
 //   - Send Messages to Tasks                      -> Job.SendMessage
+//
+// Creating the job, its tasks and their start are one CREATE_TASKS frame to
+// the JobManager when the program calls Job.Submit, and never more frames
+// than steps.
 //
 // "The user is responsible, usually toward the beginning of the parallel
 // program, to acquire a reference to the CN API."

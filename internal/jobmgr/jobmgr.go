@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -598,9 +597,9 @@ func (jm *JobManager) admit(j *jobState, req *protocol.CreateTasksReq) (map[stri
 		j.specs[items[i].Spec.Name] = items[i].Spec
 		j.archives[items[i].Spec.Name] = items[i].Archive
 	}
-	var run map[string]bool
+	var ready []string
 	if req.Start && err == nil {
-		if run, err = j.startLocked(req.TaskNames, req.Spans); err != nil {
+		if ready, err = j.startLocked(req.TaskNames, req.Spans); err != nil {
 			j.dropLocked(items)
 		}
 	}
@@ -614,6 +613,10 @@ func (jm *JobManager) admit(j *jobState, req *protocol.CreateTasksReq) (map[stri
 
 	var placements map[string]string
 	if len(items) > 0 {
+		run := make(map[string]bool, len(ready))
+		for _, name := range ready {
+			run[name] = true
+		}
 		pa := jm.tracer.StartSpan(j.root, "jm.place").SetJob(j.id)
 		var note string
 		if placements, err = jm.placeBatch(j, items, nil, run); err != nil {
@@ -647,13 +650,12 @@ func (jm *JobManager) admit(j *jobState, req *protocol.CreateTasksReq) (map[stri
 	if req.Start {
 		// The ready tasks an earlier frame placed start now; the frame's own
 		// rode their assignments.
-		var exec []string
-		for name := range run {
+		exec := ready[:0]
+		for _, name := range ready {
 			if placements[name] == "" {
 				exec = append(exec, name)
 			}
 		}
-		sort.Strings(exec)
 		sa := jm.tracer.StartSpan(j.root, "jm.start").SetJob(j.id)
 		jm.execTasks(j, exec)
 		jm.endSpan(j, sa, "")
@@ -665,7 +667,7 @@ func (jm *JobManager) admit(j *jobState, req *protocol.CreateTasksReq) (map[stri
 // startLocked builds the job's schedule over the named tasks — every task
 // when none is named — folds the client's spans into the timeline, and
 // marks the ready tasks running and returns them. j.mu must be held.
-func (j *jobState) startLocked(names []string, spans []trace.Span) (map[string]bool, error) {
+func (j *jobState) startLocked(names []string, spans []trace.Span) ([]string, error) {
 	if j.placing > 0 {
 		return nil, fmt.Errorf("job %s is still placing tasks", j.id)
 	}
@@ -689,12 +691,11 @@ func (j *jobState) startLocked(names []string, spans []trace.Span) (map[string]b
 	if err != nil {
 		return nil, err
 	}
-	ready := make(map[string]bool)
-	for _, name := range sched.Ready() {
+	ready := sched.Ready()
+	for _, name := range ready {
 		if err := sched.MarkRunning(name); err != nil {
 			return nil, err
 		}
-		ready[name] = true
 	}
 	j.schedule, j.started = sched, true
 	j.addSpansLocked(spans...)
@@ -1119,8 +1120,7 @@ func (jm *JobManager) dispatchSpan(j *jobState, span string, tasks []string) (*t
 	if len(tasks) > 1 {
 		label = fmt.Sprintf("%s +%d", label, len(tasks)-1)
 	}
-	da.SetTask(label)
-	return da, da.Context()
+	return da.SetTask(label), da.Context()
 }
 
 // Enqueue places a job-scoped message (task lifecycle events or user

@@ -566,9 +566,8 @@ var ErrAlreadyStarted = errors.New("task already started")
 // end. A task that cannot start fails alone: its reservation is released —
 // it must not hold capacity until job teardown — and its TASK_FAILED joins
 // the job's outbox, behind whatever the job already has queued there. The
-// list's TASK_STARTED events join it before any of its tasks runs, and its
-// flusher starts only once all of them run, so the list's starts — and the
-// ends of what finishes at once — leave in one batch.
+// outbox's flusher is held until the whole list is started, so the list's
+// starts — and the ends of what finishes at once — leave in one batch.
 func (tm *TaskManager) HandleExec(jobID string, tasks []string, from string, tc trace.Context) {
 	// Counted like a running task, so the flusher a failure report may
 	// start is never added to a wait group Close is already draining.
@@ -580,26 +579,26 @@ func (tm *TaskManager) HandleExec(jobID string, tasks []string, from string, tc 
 	tm.wg.Add(1)
 	tm.mu.Unlock()
 	defer tm.wg.Done()
-	started := make([]*assignment, 0, len(tasks))
-	events := make([]protocol.TaskEventItem, 0, len(tasks))
-	for _, name := range tasks {
-		a, err := tm.claim(jobID, name, tc)
-		switch {
-		case err == nil:
-			started = append(started, a)
-			events = append(events, protocol.TaskEventItem{Kind: msg.KindTaskStarted, Task: name})
-		case !errors.Is(err, ErrAlreadyStarted):
-			tm.ReleaseIfUnstarted(jobID, name)
-			events = append(events, protocol.TaskEventItem{Kind: msg.KindTaskFailed, Task: name, Err: err.Error()})
-		}
-	}
 	tm.outMu.Lock()
 	ob := tm.outboxLocked(jobID, from, 2*len(tasks))
-	ob.events = append(ob.events, events...)
 	ob.held++
 	tm.outMu.Unlock()
-	for _, a := range started {
-		go tm.execute(a)
+	for _, name := range tasks {
+		a, err := tm.claim(jobID, name, tc)
+		ev := protocol.TaskEventItem{Kind: msg.KindTaskStarted, Task: name}
+		switch {
+		case errors.Is(err, ErrAlreadyStarted):
+			continue
+		case err != nil:
+			tm.ReleaseIfUnstarted(jobID, name)
+			ev.Kind, ev.Err = msg.KindTaskFailed, err.Error()
+		}
+		tm.outMu.Lock()
+		ob.events = append(ob.events, ev) // before the task runs: its start precedes its end
+		tm.outMu.Unlock()
+		if a != nil {
+			go tm.execute(a)
+		}
 	}
 	tm.outMu.Lock()
 	ob.held--
