@@ -650,17 +650,16 @@ func (j *Job) Progress() Progress {
 	return j.prog
 }
 
-// Start begins execution. With no arguments the whole job runs in
-// dependency order; otherwise only the named tasks (and their scheduling
-// graph) run. It is a CREATE_TASKS frame with the Start flag and no tasks;
-// the client-side spans of the job's trace (submit, task creation) ride it
-// to the JobManager's timeline, so the client never needs scraping.
-func (j *Job) Start(taskNames ...string) error {
+// Start begins execution: the whole job runs in dependency order. It is a
+// CREATE_TASKS frame with the Start flag and no tasks; the client-side spans
+// of the job's trace (submit, task creation) ride it to the JobManager's
+// timeline, so the client never needs scraping.
+func (j *Job) Start() error {
 	spans, err := j.begin()
 	if err != nil {
 		return err
 	}
-	req := protocol.CreateTasksReq{JobID: j.ID, Start: true, TaskNames: taskNames, Spans: spans}
+	req := protocol.CreateTasksReq{JobID: j.ID, Start: true, Spans: spans}
 	_, err = j.call(&req, "start job")
 	return err
 }

@@ -265,3 +265,55 @@ func TestRefusedSubmitLeavesNothing(t *testing.T) {
 		})
 	}
 }
+
+// TestRefusedFrameKeepsEarlierTasks: a job's second CREATE_TASKS that cannot
+// be placed is refused alone. The first frame's tasks stay the job's, the
+// refused frame's reservations are released, and the job starts and
+// completes with the first frame's tasks.
+func TestRefusedFrameKeepsEarlierTasks(t *testing.T) {
+	for name, cfg := range twoFabrics() {
+		t.Run(name, func(t *testing.T) {
+			c, cl := startQuiet(t, cfg, 2, 1000)
+			j, err := cl.CreateJob("refused-frame", protocol.JobRequirements{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Release()
+			if _, err := j.CreateTasks(noops(3, 100), nil); err != nil {
+				t.Fatal(err)
+			}
+			late := noops(2, 100)
+			late[0].Name, late[1].Name = "late", "huge"
+			late[1].Req.MemoryMB = 5000
+			if _, err := j.CreateTasks(late, nil); err == nil {
+				t.Fatal("a frame with a task bigger than any node was placed")
+			}
+			// The refused frame's placed task is released by a one-way
+			// cancel: its memory comes back shortly after the refusal.
+			free := func() int {
+				mb := 0
+				for _, node := range c.Nodes() {
+					mb += c.Server(node).TaskManager().FreeMemoryMB()
+				}
+				return mb
+			}
+			for deadline := time.Now().Add(5 * time.Second); free() != 2000-300 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			if mb := free(); mb != 2000-300 {
+				t.Errorf("%d MB free after the refused frame, want %d: the first frame's 300 reserved", mb, 2000-300)
+			}
+			if err := j.Start(); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if res, err := j.Wait(ctx); err != nil || res.Failed {
+				t.Fatalf("job %s: %v %+v", j.ID, err, res)
+			}
+			if p, ok := c.JobProgress(j.Manager(), j.ID); !ok || p.Total != 3 || p.Done != 3 {
+				t.Errorf("manager census %+v (known %v), want the first frame's 3 tasks done", p, ok)
+			}
+		})
+	}
+}

@@ -14,7 +14,10 @@ import (
 // stops, so node2's lease lapses at every JobManager while its JobManager
 // still answers: node1, the elected adopter, PINGs it each time and adopts
 // nothing. Once node2 is power-cut the PING goes unanswered, and node1
-// adopts the job.
+// adopts the job. The job's one task must not run on node2, or stopping
+// node2's TaskManager would fail the job and its image would be dropped
+// before node1 probes: it is placed when every TaskManager offers the same
+// figures, so the planner's node-name tie-break puts it on node1.
 func TestAdopterProbesTheOrigin(t *testing.T) {
 	c, err := cluster.Start(cluster.Config{
 		Nodes:             3,
@@ -57,14 +60,24 @@ func TestAdopterProbesTheOrigin(t *testing.T) {
 	}
 	waitFor("node1 to retire its own job", func() bool { live, _ := adopter.TableSizes(); return live == 0 })
 	_, retired := adopter.TableSizes()
+	// The warm job's task may still hold its reservation on node1, which
+	// would make node2 the freer node.
+	for _, n := range c.Nodes() {
+		tm := c.Server(n).TaskManager()
+		waitFor(n+"'s TaskManager to hold no reservation", func() bool { return tm.FreeMemoryMB() == 64000 })
+	}
 
 	j, err := cl.CreateJobOn("node2", "probed", protocol.JobRequirements{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Release()
-	if _, err := j.CreateTasks([]*task.Spec{spec("t", "life.Gate")}, nil); err != nil {
+	placed, err := j.CreateTasks([]*task.Spec{spec("t", "life.Gate")}, nil)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if placed["t"] == "node2" {
+		t.Fatal("the job's task was placed on node2, whose TaskManager this test stops")
 	}
 	if err := j.Start(); err != nil {
 		t.Fatal(err)

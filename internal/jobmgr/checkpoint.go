@@ -33,13 +33,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"cn/internal/dataplane"
 	"cn/internal/msg"
 	"cn/internal/protocol"
-	"cn/internal/task"
 	"cn/internal/trace"
 	"cn/internal/tuplespace"
 	"cn/internal/wire"
@@ -49,8 +49,10 @@ import (
 // exactly this version, as the wire does. Version 2 added the data-plane
 // location table, version 3 the trace section (root context + a capped span
 // timeline); version 4 writes specs, string maps, tuples and blobs with the
-// wire codec's own sub-encodings and gives an archive ref its Size.
-const ckptVersion = 4
+// wire codec's own sub-encodings and gives an archive ref its Size; version
+// 5 writes a job's tasks as one record each instead of five sections keyed
+// by task name.
+const ckptVersion = 5
 
 // maxCheckpointTraceSpans caps the timeline spans a checkpoint carries;
 // the early, structural spans (submit, placement, dispatch) survive
@@ -78,18 +80,15 @@ type jobCheckpoint struct {
 	name       string
 	clientNode string
 	started    bool
-	specs      []*task.Spec
-	placement  map[string]string
-	archives   map[string]protocol.ArchiveRef
-	retries    map[string]int
-	taskErrs   map[string]string
-	statuses   map[string]Status // nil when the job never started
-	tuples     []tuplespace.Tuple
-	tsOps      int64
-	blobs      map[string][]byte
-	locs       []dataplane.Loc
-	root       trace.Context
-	timeline   []trace.Span
+	// table holds a row per task — spec, archive ref, node, retries, error,
+	// and status once started — not yet linked into a schedule.
+	table    taskTable
+	tuples   []tuplespace.Tuple
+	tsOps    int64
+	blobs    map[string][]byte
+	locs     []dataplane.Loc
+	root     trace.Context
+	timeline []trace.Span
 }
 
 // checkpointLoop multicasts every hosted job's control state to the
@@ -249,32 +248,24 @@ func (jm *JobManager) adoptJob(origin, jobID string, data []byte) error {
 		return err
 	}
 
-	j := jm.newJob(jobID, ck.name, ck.clientNode, len(ck.specs))
-	j.placement, j.archives, j.blobs = ck.placement, ck.archives, ck.blobs
-	j.started, j.taskErrs, j.retries = ck.started, ck.taskErrs, ck.retries
+	j := jm.newJob(jobID, ck.name, ck.clientNode, 0)
+	j.taskTable, j.blobs = ck.table, ck.blobs
 	j.root, j.timeline = ck.root, ck.timeline
 	j.broker.Restore(ck.locs)
 	// Adverts served by the dead origin's own TaskManager are unreachable.
 	// Inline-backed ones degrade to adopter-served copies; the rest are
 	// gone, and their producers re-run below alongside the placement
-	// orphans (completed producers via schedule Rerun after restore).
+	// orphans (completed producers via Rerun).
 	lostLocs := j.broker.InvalidateNode(origin)
-	for _, sp := range ck.specs {
-		j.specs[sp.Name] = sp
-	}
 	if ck.started {
-		sched, err := RestoreSchedule(ck.specs, ck.statuses)
-		if err != nil {
+		if err := j.start(); err != nil {
 			return err
 		}
 		// Ready tasks in the image were caught between dependency
 		// satisfaction and dispatch; the adopter owns dispatching them.
-		for _, name := range sched.Ready() {
-			if err := sched.MarkRunning(name); err != nil {
-				return err
-			}
+		for _, i := range j.Ready() {
+			j.tasks[i].status = StatusRunning
 		}
-		j.schedule = sched
 	}
 	for _, t := range ck.tuples {
 		if err := j.space.Keep(t); err != nil {
@@ -309,28 +300,24 @@ func (jm *JobManager) adoptJob(origin, jobID string, data []byte) error {
 	// A checkpoint caught between the last terminal event and the client
 	// notification: nothing to re-home, just finish the job properly.
 	j.mu.Lock()
-	if j.schedule != nil && (j.schedule.Done() || j.schedule.Failed()) {
-		how, reason := scheduleOutcome(j.schedule)
+	if j.started && (j.Done() || j.Failed()) {
+		how, reason := j.end()
 		j.notified = true
 		j.mu.Unlock()
 		jm.finishJob(j, how, reason, "", nil)
 		return nil
 	}
-	j.mu.Unlock()
-
 	// Re-point surviving assignments node by node. checkpointed tasks on
 	// the dead origin's own TaskManager, on unreachable nodes, or absent
 	// from a survivor's reply are orphans for the recovery engine.
 	byNode := make(map[string][]string)
-	for name, node := range ck.placement {
-		if j.schedule != nil {
-			switch j.schedule.Status(name) {
-			case StatusDone, StatusFailed, StatusCancelled:
-				continue
-			}
+	for i := range j.tasks {
+		if r := &j.tasks[i]; r.node != "" && !r.status.terminal() {
+			byNode[r.node] = append(byNode[r.node], r.spec.Name)
 		}
-		byNode[node] = append(byNode[node], name)
 	}
+	j.mu.Unlock()
+
 	present := make(map[string]protocol.TaskBeat)
 	for node, names := range byNode {
 		if node == origin {
@@ -348,23 +335,26 @@ func (jm *JobManager) adoptJob(origin, jobID string, data []byte) error {
 		}
 	}
 
-	var orphans, execNow []string
+	var orphans []string
+	var execNow []int32
 	now := time.Now()
 	j.mu.Lock()
 	for _, names := range byNode {
 		for _, name := range names {
+			i := j.index[name]
+			r := &j.tasks[i]
 			if b, ok := present[name]; ok {
-				j.beats[name] = &beatState{progress: b.Progress, changedAt: now}
-				if !b.Running && j.schedule != nil && j.schedule.Status(name) == StatusRunning {
+				r.beat = beatState{progress: b.Progress, changedAt: now}
+				if !b.Running && r.status == StatusRunning {
 					// The assignment survived but the start never landed (the
 					// exec was in flight when the origin died): dispatch it
 					// now. Running copies need no re-exec — and a duplicate
 					// would be swallowed by the start guard anyway.
-					execNow = append(execNow, name)
+					execNow = append(execNow, i)
 				}
 				continue
 			}
-			j.retrying[name] = true
+			r.retrying = true
 			orphans = append(orphans, name)
 		}
 	}
@@ -372,18 +362,12 @@ func (jm *JobManager) adoptJob(origin, jobID string, data []byte) error {
 	// dead origin rewind to running and re-place with the orphans, so a
 	// consumer resolve parked on the adopter eventually publishes again.
 	for _, l := range lostLocs {
-		name := l.Task
-		if name == "" || j.retrying[name] || j.schedule == nil {
-			continue
+		if i, ok := j.index[l.Task]; ok && j.Rerun(i) {
+			orphans = append(orphans, l.Task)
 		}
-		if j.schedule.Status(name) != StatusDone || !j.schedule.Rerun(name) {
-			continue
-		}
-		j.retrying[name] = true
-		orphans = append(orphans, name)
 	}
 	j.mu.Unlock()
-	sort.Strings(execNow)
+	slices.Sort(execNow)
 	sort.Strings(orphans)
 
 	jm.execTasks(j, execNow)
@@ -473,27 +457,14 @@ func appendJobCheckpointLocked(dst []byte, j *jobState, withBlobs bool) ([]byte,
 	dst = wire.AppendString(dst, j.clientNode)
 	dst = wire.AppendBool(dst, j.started)
 
-	dst = wire.AppendUvarint(dst, uint64(len(j.specs)))
-	for _, name := range wire.SortedKeys(j.specs) {
-		dst = wire.AppendSpec(dst, j.specs[name])
-	}
-	dst = wire.AppendStringMap(dst, j.placement)
-	dst = wire.AppendUvarint(dst, uint64(len(j.archives)))
-	for _, name := range wire.SortedKeys(j.archives) {
-		dst = wire.AppendArchiveRef(wire.AppendString(dst, name), j.archives[name])
-	}
-	dst = wire.AppendUvarint(dst, uint64(len(j.retries)))
-	for _, name := range wire.SortedKeys(j.retries) {
-		dst = wire.AppendVarint(wire.AppendString(dst, name), int64(j.retries[name]))
-	}
-	dst = wire.AppendStringMap(dst, j.taskErrs)
-
-	hasSched := j.started && j.schedule != nil
-	dst = wire.AppendBool(dst, hasSched)
-	if hasSched {
-		dst = wire.AppendUvarint(dst, uint64(len(j.schedule.state)))
-		for _, name := range wire.SortedKeys(j.schedule.state) {
-			dst = wire.AppendUvarint(wire.AppendString(dst, name), uint64(j.schedule.state[name]))
+	dst = wire.AppendUvarint(dst, uint64(len(j.tasks)))
+	for i := range j.tasks {
+		r := &j.tasks[i]
+		dst = wire.AppendArchiveRef(wire.AppendSpec(dst, r.spec), r.archive)
+		dst = wire.AppendString(dst, r.node)
+		dst = wire.AppendString(wire.AppendVarint(dst, int64(r.retries)), r.err)
+		if j.started {
+			dst = wire.AppendUvarint(dst, uint64(r.status))
 		}
 	}
 
@@ -562,12 +533,14 @@ func decodeJobCheckpoint(data []byte) (*jobCheckpoint, error) {
 		return nil, err
 	}
 
-	nspecs, err := r.Count("checkpoint specs")
+	ntasks, err := r.Count("checkpoint tasks")
 	if err != nil {
 		return nil, err
 	}
-	ck.specs = make([]*task.Spec, 0, nspecs)
-	for i := 0; i < nspecs; i++ {
+	// Grown as records parse: a row is far larger than the byte that
+	// counts it, so a hostile count must not size the table up front.
+	ck.table = newTaskTable(0)
+	for i := 0; i < ntasks; i++ {
 		sp, err := wire.ReadSpec(r)
 		if err != nil {
 			return nil, err
@@ -578,59 +551,24 @@ func decodeJobCheckpoint(data []byte) (*jobCheckpoint, error) {
 		if err := sp.Validate(); err != nil {
 			return nil, err
 		}
-		ck.specs = append(ck.specs, sp)
-	}
-
-	if ck.placement, err = wire.ReadStringMap(r, "checkpoint placement"); err != nil {
-		return nil, err
-	}
-	narch, err := r.Count("checkpoint archives")
-	if err != nil {
-		return nil, err
-	}
-	ck.archives = make(map[string]protocol.ArchiveRef, narch)
-	for i := 0; i < narch; i++ {
-		name, err := r.String()
+		ref, err := wire.ReadArchiveRef(r)
 		if err != nil {
 			return nil, err
 		}
-		if ck.archives[name], err = wire.ReadArchiveRef(r); err != nil {
+		if err := ck.table.add(sp, ref); err != nil {
+			return nil, fmt.Errorf("jobmgr: checkpoint: %w", err)
+		}
+		row := &ck.table.tasks[i]
+		if row.node, err = r.String(); err != nil {
 			return nil, err
 		}
-	}
-	nretries, err := r.Count("checkpoint retries")
-	if err != nil {
-		return nil, err
-	}
-	ck.retries = make(map[string]int, nretries)
-	for i := 0; i < nretries; i++ {
-		name, err := r.String()
-		if err != nil {
+		if row.retries, err = r.Int(); err != nil {
 			return nil, err
 		}
-		if ck.retries[name], err = r.Int(); err != nil {
+		if row.err, err = r.String(); err != nil {
 			return nil, err
 		}
-	}
-	if ck.taskErrs, err = wire.ReadStringMap(r, "checkpoint task errors"); err != nil {
-		return nil, err
-	}
-
-	hasSched, err := r.Bool()
-	if err != nil {
-		return nil, err
-	}
-	if hasSched {
-		nst, err := r.Count("checkpoint statuses")
-		if err != nil {
-			return nil, err
-		}
-		ck.statuses = make(map[string]Status, nst)
-		for i := 0; i < nst; i++ {
-			name, err := r.String()
-			if err != nil {
-				return nil, err
-			}
+		if ck.started {
 			st, err := r.Uvarint()
 			if err != nil {
 				return nil, err
@@ -638,7 +576,7 @@ func decodeJobCheckpoint(data []byte) (*jobCheckpoint, error) {
 			if st > uint64(StatusCancelled) {
 				return nil, fmt.Errorf("jobmgr: checkpoint status %d out of range", st)
 			}
-			ck.statuses[name] = Status(st)
+			row.status = Status(st)
 		}
 	}
 
@@ -701,13 +639,8 @@ func decodeJobCheckpoint(data []byte) (*jobCheckpoint, error) {
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("jobmgr: %d trailing bytes after checkpoint", r.Len())
 	}
-	ck.placement, ck.taskErrs, ck.blobs = orEmpty(ck.placement), orEmpty(ck.taskErrs), orEmpty(ck.blobs)
-	return ck, nil
-}
-
-func orEmpty[V any](m map[string]V) map[string]V {
-	if m == nil {
-		return make(map[string]V)
+	if ck.blobs == nil {
+		ck.blobs = make(map[string][]byte)
 	}
-	return m
+	return ck, nil
 }

@@ -2,7 +2,9 @@ package jobmgr
 
 import (
 	"bytes"
+	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -20,36 +22,39 @@ func ckptJob(name string, specs ...*task.Spec) *jobState {
 		id:         "n1-job1",
 		name:       name,
 		clientNode: "client",
-		specs:      make(map[string]*task.Spec),
-		placement:  make(map[string]string),
-		archives:   make(map[string]protocol.ArchiveRef),
-		retries:    make(map[string]int),
-		taskErrs:   make(map[string]string),
+		taskTable:  newTaskTable(len(specs)),
 		blobs:      make(map[string][]byte),
 		space:      tuplespace.New(),
 		broker:     dataplane.NewBroker(nil),
 	}
 	for _, sp := range specs {
-		j.specs[sp.Name] = sp
+		if err := j.add(sp, protocol.ArchiveRef{}); err != nil {
+			panic(err)
+		}
 	}
 	return j
 }
 
+// place sets the tasks' nodes, in table order.
+func (j *jobState) place(nodes ...string) {
+	for i, node := range nodes {
+		j.tasks[i].node = node
+	}
+}
+
 // ckptState rebuilds from a decoded image the state it was taken of, the
 // way adoptJob does but without acting on it: no ready task is started, no
-// advert invalidated.
+// advert invalidated. The image's rows are copied, not linked in place.
 func ckptState(ck *jobCheckpoint) (*jobState, error) {
-	j := ckptJob(ck.name, ck.specs...)
-	j.clientNode, j.started = ck.clientNode, ck.started
-	j.placement, j.archives, j.retries, j.taskErrs, j.blobs = ck.placement, ck.archives, ck.retries, ck.taskErrs, ck.blobs
+	j := ckptJob(ck.name)
+	j.clientNode, j.blobs = ck.clientNode, ck.blobs
+	j.tasks, j.index = slices.Clone(ck.table.tasks), maps.Clone(ck.table.index)
 	j.root, j.timeline = ck.root, ck.timeline
 	j.broker.Restore(ck.locs)
 	if ck.started {
-		sched, err := RestoreSchedule(ck.specs, ck.statuses)
-		if err != nil {
+		if err := j.start(); err != nil {
 			return nil, err
 		}
-		j.schedule = sched
 	}
 	for _, t := range ck.tuples {
 		if err := j.space.Out(t); err != nil {
@@ -69,15 +74,12 @@ func ckptSeeds(t testing.TB) [][]byte {
 	empty := ckptJob("empty")
 
 	spaced := ckptJob("spaced", spec("a"), spec("b", "a"))
-	spaced.started = true
-	spaced.placement = map[string]string{"a": "n1", "b": "n2"}
-	spaced.retries["a"] = 1
-	spaced.taskErrs["b"] = "boom"
-	sched, err := NewSchedule([]*task.Spec{spaced.specs["a"], spaced.specs["b"]})
-	if err != nil {
+	spaced.place("n1", "n2")
+	spaced.tasks[0].retries = 1
+	spaced.tasks[1].err = "boom"
+	if err := spaced.start(); err != nil {
 		t.Fatal(err)
 	}
-	spaced.schedule = sched
 	for _, tup := range []tuplespace.Tuple{{"task", 1}, {"res", 2, 4.5, true, []byte{9}}} {
 		if err := spaced.space.Out(tup); err != nil {
 			t.Fatal(err)
@@ -88,9 +90,9 @@ func ckptSeeds(t testing.TB) [][]byte {
 	spaced.timeline = []trace.Span{{Trace: 5, ID: 8, Parent: 6, Name: "jm.place", Job: "n1-job1", Start: time.Unix(1700000000, 0), Dur: time.Millisecond}}
 
 	adverts := ckptJob("adverts", spec("map"), spec("red"))
-	adverts.placement = map[string]string{"map": "n1", "red": "n2"}
-	adverts.archives["map"] = protocol.ArchiveRef{Name: "m.jar", Digest: "d0", Size: 9}
-	adverts.archives["red"] = protocol.ArchiveRef{Name: "predeployed.jar"}
+	adverts.place("n1", "n2")
+	adverts.tasks[0].archive = protocol.ArchiveRef{Name: "m.jar", Digest: "d0", Size: 9}
+	adverts.tasks[1].archive = protocol.ArchiveRef{Name: "predeployed.jar"}
 	adverts.blobs["d0"] = []byte("zip bytes")
 	for _, l := range []dataplane.Loc{
 		{Key: "m0.r0", Task: "map", Node: "n1", Digest: "aa", Size: 3 << 20},
@@ -135,9 +137,9 @@ func FuzzDecodeJobCheckpoint(f *testing.F) {
 		if err != nil {
 			return // decodable but inconsistent: adoption refuses it too
 		}
-		// The first encoding is the canonical one: an image may name a task
-		// or a key twice, and restoring settles pending tasks whose
-		// dependencies are met.
+		// The first encoding is the canonical one: an image may name a key
+		// twice, and restoring settles pending tasks whose dependencies are
+		// met.
 		canon, err := encodeJobCheckpointLocked(j)
 		if err != nil {
 			return // past the size caps
@@ -183,8 +185,8 @@ func TestCheckpointSeedsRoundTrip(t *testing.T) {
 		}
 		switch ck.name {
 		case "spaced":
-			if len(ck.tuples) != 2 || ck.tsOps != 2 || ck.statuses["a"] != StatusReady || ck.statuses["b"] != StatusPending {
-				t.Errorf("spaced: tuples %v, ops %d, statuses %v", ck.tuples, ck.tsOps, ck.statuses)
+			if st := statuses(ck); len(ck.tuples) != 2 || ck.tsOps != 2 || st["a"] != StatusReady || st["b"] != StatusPending {
+				t.Errorf("spaced: tuples %v, ops %d, statuses %v", ck.tuples, ck.tsOps, st)
 			}
 		case "adverts":
 			if len(ck.locs) != 3 || ck.locs[0].Key != "m0.r0" || ck.locs[0].Node != "n1" || string(ck.locs[2].Inline) != "abc" {
@@ -194,8 +196,18 @@ func TestCheckpointSeedsRoundTrip(t *testing.T) {
 	}
 }
 
+// statuses is the decoded image's status per task.
+func statuses(ck *jobCheckpoint) map[string]Status {
+	out := make(map[string]Status)
+	for _, r := range ck.table.tasks {
+		out[r.spec.Name] = r.status
+	}
+	return out
+}
+
 // TestCheckpointSectionsRoundTrip: every section of an image decodes to what
-// it was encoded from — the wire's sub-encodings under the image included.
+// it was encoded from — the task records and the wire's sub-encodings under
+// the image included.
 func TestCheckpointSectionsRoundTrip(t *testing.T) {
 	sp := func(name string, deps ...string) *task.Spec {
 		return &task.Spec{Name: name, Archive: "m.jar", Class: "c.Task", DependsOn: deps,
@@ -203,21 +215,16 @@ func TestCheckpointSectionsRoundTrip(t *testing.T) {
 			Req:    task.Requirements{MemoryMB: 16, RunModel: task.RunAsProcess}}
 	}
 	j := ckptJob("all", sp("a"), sp("b", "a"), sp("c", "a", "b"))
-	j.started = true
-	j.placement = map[string]string{"a": "n1", "b": "n2", "c": "n1"}
-	j.archives = map[string]protocol.ArchiveRef{
-		"a": {Name: "m.jar", Digest: "d0", Size: 4},
-		"b": {Name: "m.jar", Digest: "d1"},
-		"c": {Name: "predeployed.jar"},
-	}
-	j.retries = map[string]int{"a": 2, "c": 1}
-	j.taskErrs = map[string]string{"b": "boom"}
+	j.place("n1", "n2", "n1")
+	j.tasks[0].archive = protocol.ArchiveRef{Name: "m.jar", Digest: "d0", Size: 4}
+	j.tasks[1].archive = protocol.ArchiveRef{Name: "m.jar", Digest: "d1"}
+	j.tasks[2].archive = protocol.ArchiveRef{Name: "predeployed.jar"}
+	j.tasks[0].retries, j.tasks[2].retries = 2, 1
+	j.tasks[1].err = "boom"
 	j.blobs = map[string][]byte{"d0": []byte("zip0"), "d1": []byte("zip-one")}
-	sched, err := NewSchedule([]*task.Spec{j.specs["a"], j.specs["b"], j.specs["c"]})
-	if err != nil {
+	if err := j.start(); err != nil {
 		t.Fatal(err)
 	}
-	j.schedule = sched
 	tuples := []tuplespace.Tuple{{"task", 1, int64(-2)}, {"res", 4.5, true, []byte{9, 8}}, {"s"}}
 	for _, tup := range tuples {
 		if err := j.space.Out(tup); err != nil {
@@ -252,12 +259,22 @@ func TestCheckpointSectionsRoundTrip(t *testing.T) {
 		}
 	}
 	same("header", []any{ck.name, ck.clientNode, ck.started}, []any{j.name, j.clientNode, true})
-	same("specs", ck.specs, []*task.Spec{j.specs["a"], j.specs["b"], j.specs["c"]})
-	same("placement", ck.placement, j.placement)
-	same("archives", ck.archives, j.archives)
-	same("retries", ck.retries, j.retries)
-	same("task errors", ck.taskErrs, j.taskErrs)
-	same("statuses", ck.statuses, map[string]Status{"a": StatusReady, "b": StatusPending, "c": StatusPending})
+	same("index", ck.table.index, j.index)
+	type record struct {
+		spec    *task.Spec
+		archive protocol.ArchiveRef
+		node    string
+		retries int
+		err     string
+		status  Status
+	}
+	for i := range j.tasks {
+		got, want := ck.table.tasks[i], j.tasks[i]
+		same("task record "+want.spec.Name,
+			record{got.spec, got.archive, got.node, got.retries, got.err, got.status},
+			record{want.spec, want.archive, want.node, want.retries, want.err, want.status})
+	}
+	same("statuses", statuses(ck), map[string]Status{"a": StatusReady, "b": StatusPending, "c": StatusPending})
 	same("tuples", ck.tuples, tuples)
 	same("ts ops", ck.tsOps, int64(3))
 	same("blobs", ck.blobs, j.blobs)
@@ -280,12 +297,22 @@ func TestCheckpointSectionsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck, err = decodeJobCheckpoint(data); err != nil || ck.placement == nil || ck.taskErrs == nil || ck.blobs == nil || ck.statuses != nil {
+	if ck, err = decodeJobCheckpoint(data); err != nil || ck.table.index == nil || ck.blobs == nil || ck.started {
 		t.Errorf("bare image: %v, %+v", err, ck)
+	}
+
+	// A task the image names twice cannot be a job's: it is refused.
+	twice := ckptJob("twice", sp("a"), sp("b"))
+	twice.tasks[1].spec = twice.tasks[0].spec
+	if data, err = encodeJobCheckpointLocked(twice); err != nil {
+		t.Fatal(err)
+	}
+	if _, err = decodeJobCheckpoint(data); err == nil || !strings.Contains(err.Error(), "already created") {
+		t.Errorf("an image naming a task twice: %v, want it refused", err)
 	}
 }
 
-// TestCheckpointOnlyCurrentVersion: an image of any other version — the v3
+// TestCheckpointOnlyCurrentVersion: an image of any other version — the v4
 // a peer one build back would send, the next one, none — is refused by its
 // version, before any of it is read.
 func TestCheckpointOnlyCurrentVersion(t *testing.T) {
@@ -293,10 +320,10 @@ func TestCheckpointOnlyCurrentVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if img[0] != ckptVersion || ckptVersion != 4 {
-		t.Fatalf("image starts with %d, ckptVersion %d; want 4", img[0], ckptVersion)
+	if img[0] != ckptVersion || ckptVersion != 5 {
+		t.Fatalf("image starts with %d, ckptVersion %d; want 5", img[0], ckptVersion)
 	}
-	for _, v := range []byte{0, 2, 3, 5} {
+	for _, v := range []byte{0, 3, 4, 6} {
 		old := append([]byte{v}, img[1:]...)
 		if _, err := decodeJobCheckpoint(old); err == nil || !strings.Contains(err.Error(), "checkpoint version") {
 			t.Errorf("version %d: %v, want it refused by version", v, err)

@@ -157,15 +157,13 @@ func (jm *JobManager) dataSend(m *msg.Message, resp *protocol.DataLocResp) {
 // own goroutine — the caller is the resolve handler on the endpoint's
 // delivering goroutine, which placement round trips must never block.
 func (jm *JobManager) rerunProducer(j *jobState, l dataplane.Loc) {
-	name := l.Task
 	j.mu.Lock()
-	if name == "" || j.notified || j.retrying[name] || j.schedule == nil ||
-		j.schedule.Status(name) != StatusDone || !j.schedule.Rerun(name) {
-		j.mu.Unlock()
+	i, ok := j.index[l.Task]
+	rerun := ok && !j.notified && j.Rerun(i)
+	j.mu.Unlock()
+	if !rerun {
 		return
 	}
-	j.retrying[name] = true
-	j.mu.Unlock()
 
 	jm.mu.Lock()
 	if jm.closed {
@@ -176,7 +174,7 @@ func (jm *JobManager) rerunProducer(j *jobState, l dataplane.Loc) {
 	jm.mu.Unlock()
 	go func() {
 		defer jm.wg.Done()
-		jm.retryTasks(j, []string{name},
+		jm.retryTasks(j, []string{l.Task},
 			fmt.Sprintf("data-plane output %q lost with node %s", l.Key, l.Node),
 			map[string]bool{l.Node: true})
 	}()

@@ -6,6 +6,7 @@ import (
 
 	"cn/internal/msg"
 	"cn/internal/protocol"
+	"cn/internal/task"
 )
 
 // TableSizes reports how many records the live table and the tombstone
@@ -47,24 +48,62 @@ func openTestJob(t *testing.T, jm *JobManager, name string) *jobState {
 	return j
 }
 
-// Len returns the number of tasks.
-func (s *Schedule) Len() int { return len(s.state) }
+// testSchedule drives a job's task table by task name, as the schedule
+// tests read.
+type testSchedule struct{ *taskTable }
+
+// newSchedule builds and starts a table over specs.
+func newSchedule(specs []*task.Spec) (testSchedule, error) {
+	t := newTaskTable(len(specs))
+	for _, sp := range specs {
+		if err := t.add(sp, protocol.ArchiveRef{}); err != nil {
+			return testSchedule{}, err
+		}
+	}
+	return testSchedule{&t}, t.start()
+}
+
+func (s testSchedule) names(ords []int32) []string {
+	var out []string
+	for _, i := range ords {
+		out = append(out, s.tasks[i].spec.Name)
+	}
+	return out
+}
+
+func (s testSchedule) Status(name string) Status { return s.row(name).status }
+func (s testSchedule) Ready() []string           { return s.names(s.taskTable.Ready()) }
+func (s testSchedule) Rerun(name string) bool    { return s.taskTable.Rerun(s.index[name]) }
+func (s testSchedule) Complete(name string) ([]string, error) {
+	newly, err := s.taskTable.Complete(s.index[name])
+	return s.names(newly), err
+}
+
+// MarkRunning transitions a ready task to running, as the JobManager does
+// with the tasks it dispatches.
+func (s testSchedule) MarkRunning(name string) error {
+	if st := s.Status(name); st != StatusReady {
+		return fmt.Errorf("jobmgr: task %q is %s, not ready", name, st)
+	}
+	s.row(name).status = StatusRunning
+	return nil
+}
 
 // Fail records failed termination of a running task; the job is failed
 // and every not-yet-terminal task is cancelled.
-func (s *Schedule) Fail(name string) error {
-	if st := s.state[name]; st != StatusRunning {
+func (s testSchedule) Fail(name string) error {
+	if st := s.Status(name); st != StatusRunning {
 		return fmt.Errorf("jobmgr: fail %q: state %s", name, st)
 	}
-	s.FailAny(name)
+	s.FailAny(s.index[name])
 	return nil
 }
 
 // Counts returns how many tasks are in each state.
-func (s *Schedule) Counts() map[Status]int {
+func (s testSchedule) Counts() map[Status]int {
 	out := make(map[Status]int)
-	for _, st := range s.state {
-		out[st]++
+	for i := range s.tasks {
+		out[s.tasks[i].status]++
 	}
 	return out
 }

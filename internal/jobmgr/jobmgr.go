@@ -50,12 +50,9 @@ type jobState struct {
 	// it at jobQueueCap.
 	queue *msg.Mailbox[*msg.Message]
 
-	mu        sync.Mutex
-	specs     map[string]*task.Spec
-	placement map[string]string // task -> primary executing node
-	// archives remembers each task's content-addressed archive reference so
-	// the recovery engine can rebuild assignment items for re-placement.
-	archives map[string]protocol.ArchiveRef
+	mu sync.Mutex
+	// taskTable holds the job's tasks, one row each.
+	taskTable
 	// blobs holds the job's archive bytes by digest — every entry verified
 	// against its key — until the job finishes, serving TaskManager
 	// KindBlobChunk pulls during assignment and during recovery
@@ -66,9 +63,7 @@ type jobState struct {
 	// clients pushing the same digest concurrently cannot corrupt each
 	// other's sequence; a completed, digest-verified upload graduates
 	// into blobs.
-	staged   map[string]*protocol.Upload
-	schedule *Schedule
-	started  bool
+	staged map[string]*protocol.Upload
 	// placing counts the frames whose tasks are being placed; a job starts
 	// only when none is. Meanwhile the worker waits on placed: a task that
 	// ran on arrival must not release an EXEC_TASK, or route a USER frame,
@@ -82,20 +77,6 @@ type jobState struct {
 	// idle past the TTL is treated as abandoned (a client that timed out or
 	// died mid-composition) and evicted.
 	idleSince time.Time
-	taskErrs  map[string]string
-	// retries counts re-placements per task (recovery + speculation),
-	// bounded by config.Config.MaxTaskRetries.
-	retries map[string]int
-	// retrying marks tasks with a recovery re-placement in flight so
-	// concurrent death events and dispatch failures do not double-place.
-	retrying map[string]bool
-	// speculative maps a task to the node running its speculative twin;
-	// first result wins and the loser is cancelled.
-	speculative map[string]string
-	// beats is the per-task progress sync from TaskManager heartbeats; a
-	// running task whose entry stops advancing past StragglerAfter is a
-	// speculation candidate.
-	beats map[string]*beatState
 
 	// space is the job's coordination tuple space, hosted here so every
 	// task (and the client) reaches the same space over the wire. It is
@@ -145,12 +126,6 @@ func (j *jobState) addSpansLocked(spans ...trace.Span) {
 		spans = spans[:room]
 	}
 	j.timeline = append(j.timeline, spans...)
-}
-
-// beatState is one task's last observed progress sync.
-type beatState struct {
-	progress  uint64
-	changedAt time.Time
 }
 
 // JobManager hosts jobs on one node.
@@ -360,16 +335,7 @@ func (jm *JobManager) JobProgress(jobID string) (Progress, bool) {
 
 // progressLocked is the job's census as of now. j.mu must be held.
 func (j *jobState) progressLocked() Progress {
-	var p Progress
-	if j.schedule == nil {
-		n := len(j.specs)
-		p = Progress{Total: n, Pending: n}
-	} else {
-		p = j.schedule.Progress()
-	}
-	for _, n := range j.retries {
-		p.Retried += n
-	}
+	p := j.Progress()
 	p.TSOps = int(j.tsOps.Load())
 	return p
 }
@@ -440,26 +406,19 @@ func (jm *JobManager) open(m *msg.Message, req *protocol.CreateTasksReq) (*jobSt
 	return j, nil
 }
 
-// newJob builds the record of a hosted job; n sizes its task tables.
+// newJob builds the record of a hosted job; n sizes its task table.
 func (jm *JobManager) newJob(id, name, clientNode string, n int) *jobState {
 	j := &jobState{
-		id:          id,
-		name:        name,
-		clientNode:  clientNode,
-		queue:       msg.NewMailbox[*msg.Message](),
-		specs:       make(map[string]*task.Spec, n),
-		placement:   make(map[string]string, n),
-		archives:    make(map[string]protocol.ArchiveRef, n),
-		blobs:       make(map[string][]byte),
-		staged:      make(map[string]*protocol.Upload),
-		idleSince:   time.Now(),
-		taskErrs:    make(map[string]string),
-		retries:     make(map[string]int),
-		retrying:    make(map[string]bool),
-		speculative: make(map[string]string),
-		beats:       make(map[string]*beatState),
-		space:       tuplespace.New(),
-		broker:      dataplane.NewBroker(&jm.dpStats),
+		id:         id,
+		name:       name,
+		clientNode: clientNode,
+		queue:      msg.NewMailbox[*msg.Message](),
+		taskTable:  newTaskTable(n),
+		blobs:      make(map[string][]byte),
+		staged:     make(map[string]*protocol.Upload),
+		idleSince:  time.Now(),
+		space:      tuplespace.New(),
+		broker:     dataplane.NewBroker(&jm.dpStats),
 	}
 	j.placed.L = &j.mu
 	return j
@@ -577,11 +536,6 @@ func (jm *JobManager) admit(j *jobState, req *protocol.CreateTasksReq) (map[stri
 	case j.started:
 		err = fmt.Errorf("job %s already started", j.id)
 	}
-	for _, it := range items {
-		if _, dup := j.specs[it.Spec.Name]; dup && err == nil {
-			err = fmt.Errorf("task %q already created", it.Spec.Name)
-		}
-	}
 	// Stash archive bytes (each distinct digest once) so the chosen
 	// TaskManagers can pull what they lack, and tell them how much that is:
 	// a ref's Size is the length of bytes verified here or by an upload,
@@ -592,15 +546,18 @@ func (jm *JobManager) admit(j *jobState, req *protocol.CreateTasksReq) (map[stri
 			j.blobs[digest] = raw
 		}
 	}
+	specs := make([]*task.Spec, len(items))
 	for i := 0; i < len(items) && err == nil; i++ {
 		items[i].Archive.Size = int64(len(j.blobs[items[i].Archive.Digest]))
-		j.specs[items[i].Spec.Name] = items[i].Spec
-		j.archives[items[i].Spec.Name] = items[i].Archive
+		specs[i] = items[i].Spec
+		if err = j.add(items[i].Spec, items[i].Archive); err != nil {
+			j.drop(items[:i])
+		}
 	}
-	var ready []string
+	var ready []int32
 	if req.Start && err == nil {
-		if ready, err = j.startLocked(req.TaskNames, req.Spans); err != nil {
-			j.dropLocked(items)
+		if ready, err = j.startLocked(req.Spans); err != nil {
+			j.drop(items)
 		}
 	}
 	j.idleSince = time.Now()
@@ -613,13 +570,9 @@ func (jm *JobManager) admit(j *jobState, req *protocol.CreateTasksReq) (map[stri
 
 	var placements map[string]string
 	if len(items) > 0 {
-		run := make(map[string]bool, len(ready))
-		for _, name := range ready {
-			run[name] = true
-		}
 		pa := jm.tracer.StartSpan(j.root, "jm.place").SetJob(j.id)
 		var note string
-		if placements, err = jm.placeBatch(j, items, nil, run); err != nil {
+		if placements, err = jm.placeBatch(j, specs, nil, req.Start); err != nil {
 			note = err.Error()
 		}
 		jm.endSpan(j, pa, note)
@@ -636,26 +589,26 @@ func (jm *JobManager) admit(j *jobState, req *protocol.CreateTasksReq) (map[stri
 		err = fmt.Errorf("job %s already finished", j.id)
 	}
 	if err != nil {
-		j.dropLocked(items)
 		if req.Start {
-			j.schedule, j.started = nil, false
+			j.unstart()
 		}
+		j.drop(items)
 		j.mu.Unlock()
 		return nil, err
 	}
 	for name, node := range placements {
-		j.placement[name] = node
+		j.row(name).node = node
+	}
+	// The ready tasks an earlier frame placed start now; the frame's own
+	// rode their assignments.
+	exec := ready[:0]
+	for _, i := range ready {
+		if placements[j.tasks[i].spec.Name] == "" {
+			exec = append(exec, i)
+		}
 	}
 	j.mu.Unlock()
 	if req.Start {
-		// The ready tasks an earlier frame placed start now; the frame's own
-		// rode their assignments.
-		exec := ready[:0]
-		for _, name := range ready {
-			if placements[name] == "" {
-				exec = append(exec, name)
-			}
-		}
 		sa := jm.tracer.StartSpan(j.root, "jm.start").SetJob(j.id)
 		jm.execTasks(j, exec)
 		jm.endSpan(j, sa, "")
@@ -664,51 +617,25 @@ func (jm *JobManager) admit(j *jobState, req *protocol.CreateTasksReq) (map[stri
 	return placements, nil
 }
 
-// startLocked builds the job's schedule over the named tasks — every task
-// when none is named — folds the client's spans into the timeline, and
-// marks the ready tasks running and returns them. j.mu must be held.
-func (j *jobState) startLocked(names []string, spans []trace.Span) ([]string, error) {
+// startLocked starts the job's schedule, folds the client's spans into the
+// timeline, and marks the ready tasks running and returns them. j.mu must
+// be held.
+func (j *jobState) startLocked(spans []trace.Span) ([]int32, error) {
 	if j.placing > 0 {
 		return nil, fmt.Errorf("job %s is still placing tasks", j.id)
 	}
-	if len(j.specs) == 0 {
+	if len(j.tasks) == 0 {
 		return nil, fmt.Errorf("job %s has no tasks", j.id)
 	}
-	specs := make([]*task.Spec, 0, len(j.specs))
-	for _, name := range names {
-		sp, ok := j.specs[name]
-		if !ok {
-			return nil, fmt.Errorf("job %s has no task %q", j.id, name)
-		}
-		specs = append(specs, sp)
-	}
-	if len(names) == 0 {
-		for _, sp := range j.specs {
-			specs = append(specs, sp)
-		}
-	}
-	sched, err := NewSchedule(specs)
-	if err != nil {
+	if err := j.start(); err != nil {
 		return nil, err
 	}
-	ready := sched.Ready()
-	for _, name := range ready {
-		if err := sched.MarkRunning(name); err != nil {
-			return nil, err
-		}
+	ready := j.Ready()
+	for _, i := range ready {
+		j.tasks[i].status = StatusRunning
 	}
-	j.schedule, j.started = sched, true
 	j.addSpansLocked(spans...)
 	return ready, nil
-}
-
-// dropLocked takes back a refused frame's tasks. j.mu must be held.
-func (j *jobState) dropLocked(items []protocol.TaskCreate) {
-	for _, it := range items {
-		delete(j.specs, it.Spec.Name)
-		delete(j.archives, it.Spec.Name)
-		delete(j.placement, it.Spec.Name)
-	}
 }
 
 // textOf is err's text, "" for nil.
@@ -719,24 +646,25 @@ func textOf(err error) string {
 	return err.Error()
 }
 
-// wantsFor assembles a batch's locality wants: each item's archive digest
+// wantsFor assembles a batch's locality wants: each task's archive digest
 // sized from the job's blob table, plus every content-addressed output the
 // job's data-plane broker has located — the bytes a task may pull that a
 // warm node can serve from its own cache. An archive whose bytes this
 // JobManager no longer holds still wants its digest (size 1): preferring
 // the node that has it costs nothing and saves the re-fetch.
-func (jm *JobManager) wantsFor(j *jobState, items []protocol.TaskCreate) placement.Wants {
+func (jm *JobManager) wantsFor(j *jobState, specs []*task.Spec) placement.Wants {
 	digests := make(map[string]int64)
 	j.mu.Lock()
-	for _, it := range items {
-		if it.Archive.Digest == "" {
+	for _, sp := range specs {
+		digest := j.row(sp.Name).archive.Digest
+		if digest == "" {
 			continue
 		}
-		size := int64(len(j.blobs[it.Archive.Digest]))
+		size := int64(len(j.blobs[digest]))
 		if size == 0 {
 			size = 1
 		}
-		digests[it.Archive.Digest] = size
+		digests[digest] = size
 	}
 	j.mu.Unlock()
 	for _, l := range j.broker.Entries() {
@@ -763,16 +691,11 @@ func (jm *JobManager) wantsFor(j *jobState, items []protocol.TaskCreate) placeme
 // are retried on later rounds after invalidating the offending offers.
 // preExcluded nodes are never chosen — the recovery engine passes the dead
 // node (its offer may still be cached) and speculation passes the
-// straggler's own node. Tasks named in run start on arrival.
-func (jm *JobManager) placeBatch(j *jobState, items []protocol.TaskCreate, preExcluded map[string]bool, run map[string]bool) (map[string]string, error) {
-	byName := make(map[string]protocol.TaskCreate, len(items))
-	specs := make([]*task.Spec, len(items))
-	for i, it := range items {
-		byName[it.Spec.Name] = it
-		specs[i] = it.Spec
-	}
-	wants := jm.wantsFor(j, items)
-	placements := make(map[string]string, len(items))
+// straggler's own node. With start, the tasks already running start on
+// arrival: the ready tasks of the frame that starts the job.
+func (jm *JobManager) placeBatch(j *jobState, specs []*task.Spec, preExcluded map[string]bool, start bool) (map[string]string, error) {
+	wants := jm.wantsFor(j, specs)
+	placements := make(map[string]string, len(specs))
 	remaining := specs
 	// Nodes whose assignment call timed out have a best-effort release in
 	// flight naming this batch's tasks; retrying the same names there
@@ -818,14 +741,7 @@ func (jm *JobManager) placeBatch(j *jobState, items []protocol.TaskCreate, preEx
 		var retry []*task.Spec
 		var wg sync.WaitGroup
 		for node, nodeSpecs := range plan {
-			nodeItems := make([]protocol.TaskCreate, len(nodeSpecs))
-			var runs []string
-			for i, sp := range nodeSpecs {
-				nodeItems[i] = byName[sp.Name]
-				if run[sp.Name] {
-					runs = append(runs, sp.Name)
-				}
-			}
+			nodeItems, runs := j.assignItems(nodeSpecs, start)
 			wg.Add(1)
 			go func(node string, nodeItems []protocol.TaskCreate) {
 				defer wg.Done()
@@ -889,6 +805,23 @@ func (jm *JobManager) placeBatch(j *jobState, items []protocol.TaskCreate, preEx
 	return placements, nil
 }
 
+// assignItems is the assignment items of specs out of the job's table and,
+// with start, the names of those that start on arrival: the running ones.
+func (j *jobState) assignItems(specs []*task.Spec, start bool) ([]protocol.TaskCreate, []string) {
+	items := make([]protocol.TaskCreate, len(specs))
+	var run []string
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for i, sp := range specs {
+		r := j.row(sp.Name)
+		items[i] = protocol.TaskCreate{Spec: sp, Archive: r.archive}
+		if start && r.status == StatusRunning {
+			run = append(run, sp.Name)
+		}
+	}
+	return items, run
+}
+
 // releaseBatch sends each node a targeted cancel for a batch's placed
 // tasks, freeing their unstarted reservations without touching the job's
 // other assignments, and invalidates the nodes' cached offers.
@@ -922,24 +855,17 @@ func (jm *JobManager) creditDirectory(credits []reservationCredit) {
 // openCreditsLocked collects credits for every reservation a job still
 // holds — non-terminal placed tasks plus live speculative twins — used
 // when teardown (failure fan-out, cancellation, abandonment) frees them
-// wholesale. j.mu must be held. A nil schedule means nothing started:
-// every placed task still holds its reservation.
+// wholesale. j.mu must be held. Before start every task is pending, so
+// every placed one still holds its reservation.
 func (j *jobState) openCreditsLocked() []reservationCredit {
 	var credits []reservationCredit
-	for name, node := range j.placement {
-		if j.schedule != nil {
-			switch j.schedule.Status(name) {
-			case StatusDone, StatusFailed, StatusCancelled:
-				continue
-			}
+	for i := range j.tasks {
+		r := &j.tasks[i]
+		if r.node != "" && !r.status.terminal() {
+			credits = append(credits, reservationCredit{r.node, r.spec.Req.MemoryMB})
 		}
-		if sp := j.specs[name]; sp != nil {
-			credits = append(credits, reservationCredit{node, sp.Req.MemoryMB})
-		}
-	}
-	for name, node := range j.speculative {
-		if sp := j.specs[name]; sp != nil {
-			credits = append(credits, reservationCredit{node, sp.Req.MemoryMB})
+		if r.twin != "" {
+			credits = append(credits, reservationCredit{r.twin, r.spec.Req.MemoryMB})
 		}
 	}
 	return credits
@@ -1059,9 +985,10 @@ func (jm *JobManager) stageChunk(j *jobState, fromNode string, req *protocol.Blo
 // as one EXEC_TASK frame per hosting node, each listing its tasks in the
 // order given. A frame that cannot be sent (the node vanished between
 // placement and start) sends every task in it through the recovery path
-// instead of failing them outright.
-func (jm *JobManager) execTasks(j *jobState, names []string) {
-	if len(names) == 0 {
+// instead of failing them outright. Only a started job's tasks are run, so
+// their ordinals are stable.
+func (jm *JobManager) execTasks(j *jobState, ords []int32) {
+	if len(ords) == 0 {
 		return
 	}
 	// A job's tasks sit on a handful of nodes: a slice searched linearly
@@ -1073,15 +1000,15 @@ func (jm *JobManager) execTasks(j *jobState, names []string) {
 	var frames []nodeTasks
 	j.mu.Lock()
 next:
-	for _, name := range names {
-		node := j.placement[name]
-		for i := range frames {
-			if frames[i].node == node {
-				frames[i].tasks = append(frames[i].tasks, name)
+	for _, i := range ords {
+		r := &j.tasks[i]
+		for k := range frames {
+			if frames[k].node == r.node {
+				frames[k].tasks = append(frames[k].tasks, r.spec.Name)
 				continue next
 			}
 		}
-		frames = append(frames, nodeTasks{node, []string{name}})
+		frames = append(frames, nodeTasks{r.node, []string{r.spec.Name}})
 	}
 	j.mu.Unlock()
 	for _, f := range frames {
@@ -1216,7 +1143,7 @@ func (jm *JobManager) failTasks(j *jobState, node string, names []string, attemp
 // is released: sent together, after the batch, instead of once per event.
 type owed struct {
 	relay   []protocol.TaskEventItem // events the client is owed
-	start   []string                 // tasks the batch released
+	start   []int32                  // tasks the batch released
 	credits []reservationCredit      // freed reservations to credit to the directory
 	cancels []taskCopy               // copies that lost the first-result-wins race
 }
@@ -1251,12 +1178,12 @@ func (jm *JobManager) applyEvents(batch *protocol.TaskEvents) {
 		// Events racing the start or the retirement of a live record are
 		// still relayed ("Get Messages from Tasks" includes lifecycle
 		// notifications).
-		if j.schedule == nil || j.notified || jm.applyLocked(j, batch.Node, &ev, &o) {
+		if !j.started || j.notified || jm.applyLocked(j, batch.Node, &ev, &o) {
 			o.relay = append(o.relay, ev)
 		}
-		if !j.notified && j.schedule != nil && (j.schedule.Done() || j.schedule.Failed()) {
+		if !j.notified && j.started && (j.Done() || j.Failed()) {
 			jobDone = true
-			how, reason = scheduleOutcome(j.schedule)
+			how, reason = j.end()
 			j.notified = true
 		}
 	}
@@ -1281,19 +1208,23 @@ func (jm *JobManager) applyEvents(batch *protocol.TaskEvents) {
 // from node, adding what the event owes to o, and reports whether the
 // client is owed the event. j.mu must be held.
 func (jm *JobManager) applyLocked(j *jobState, node string, ev *protocol.TaskEventItem, o *owed) (relay bool) {
-	primary := j.placement[ev.Task]
-	twin := j.speculative[ev.Task]
+	i, ok := j.index[ev.Task]
+	if !ok {
+		return ev.Kind == msg.KindTaskStarted
+	}
+	r := &j.tasks[i]
+	primary, twin := r.node, r.twin
 	credit := func(node string) {
-		if sp := j.specs[ev.Task]; sp != nil && node != "" {
-			o.credits = append(o.credits, reservationCredit{node, sp.Req.MemoryMB})
+		if node != "" {
+			o.credits = append(o.credits, reservationCredit{node, r.spec.Req.MemoryMB})
 		}
 	}
 	switch ev.Kind {
 	case msg.KindTaskStarted:
 		// Informational; seed the straggler baseline so a task that starts
 		// and never syncs progress is still speculation-eligible.
-		if j.beats[ev.Task] == nil {
-			j.beats[ev.Task] = &beatState{changedAt: time.Now()}
+		if r.beat.changedAt.IsZero() {
+			r.beat.changedAt = time.Now()
 		}
 	case msg.KindTaskCompleted:
 		if node != "" && node != primary && node != twin {
@@ -1302,12 +1233,12 @@ func (jm *JobManager) applyLocked(j *jobState, node string, ev *protocol.TaskEve
 			// covered by the surviving copy.
 			return false
 		}
-		newly, cerr := j.schedule.Complete(ev.Task)
+		newly, cerr := j.Complete(i)
 		if cerr != nil {
 			// With a twin or past retries in play this is a benign
 			// duplicate (the other copy won earlier); otherwise it is an
 			// out-of-protocol event worth a diagnostic.
-			if twin == "" && j.retries[ev.Task] == 0 {
+			if twin == "" && r.retries == 0 {
 				jm.logf("job %s: %v", j.id, cerr)
 			}
 			return false
@@ -1319,30 +1250,28 @@ func (jm *JobManager) applyLocked(j *jobState, node string, ev *protocol.TaskEve
 			if node == twin {
 				loser = primary
 			}
-			j.placement[ev.Task] = node
-			delete(j.speculative, ev.Task)
+			r.node, r.twin = node, ""
 			if loser != "" && loser != node {
 				o.cancels = append(o.cancels, taskCopy{loser, ev.Task})
 				credit(loser)
 			}
 		}
-		delete(j.beats, ev.Task)
+		r.beat = beatState{}
 		if node == "" {
 			credit(primary)
 		} else {
 			credit(node)
 		}
-		for _, name := range newly {
-			if err := j.schedule.MarkRunning(name); err == nil {
-				o.start = append(o.start, name)
-			}
+		for _, d := range newly {
+			j.tasks[d].status = StatusRunning
 		}
+		o.start = append(o.start, newly...)
 	case msg.KindTaskFailed:
 		switch {
 		case twin != "" && node == twin:
 			// The speculative twin failed; the primary is still running.
 			// The twin's node freed its reservation when the copy died.
-			delete(j.speculative, ev.Task)
+			r.twin = ""
 			credit(twin)
 			return false
 		case node != "" && node != primary:
@@ -1352,17 +1281,13 @@ func (jm *JobManager) applyLocked(j *jobState, node string, ev *protocol.TaskEve
 			return false
 		case twin != "":
 			// The primary failed but its speculative twin is still running:
-			// promote the twin instead of failing the task. Reseed the
-			// straggler baseline so the twin is not judged by the failed
-			// primary's stale stall timestamp.
-			j.placement[ev.Task] = twin
-			delete(j.speculative, ev.Task)
-			j.beats[ev.Task] = &beatState{changedAt: time.Now()}
+			// promote the twin instead of failing the task.
+			r.promoteTwin()
 			credit(node)
 			return false
 		default:
-			j.taskErrs[ev.Task] = ev.Err
-			if !j.schedule.FailAny(ev.Task) {
+			r.err = ev.Err
+			if !j.FailAny(i) {
 				jm.logf("job %s: fail %q: already terminal", j.id, ev.Task)
 			} else {
 				// The TaskManager freed the reservation when the task died;
@@ -1372,6 +1297,14 @@ func (jm *JobManager) applyLocked(j *jobState, node string, ev *protocol.TaskEve
 		}
 	}
 	return true
+}
+
+// promoteTwin makes a task's speculative twin its primary copy. The
+// straggler baseline is reseeded, or the twin would be judged by the
+// replaced primary's stale stall timestamp and speculated again at once.
+func (r *taskRow) promoteTwin() {
+	r.node, r.twin = r.twin, ""
+	r.beat = beatState{changedAt: time.Now()}
 }
 
 // cancelOn sends node a CANCEL_JOB for the job: for the named tasks only
@@ -1409,17 +1342,19 @@ func (jm *JobManager) finishJob(j *jobState, how outcome, reason, node string, r
 	var credits []reservationCredit
 	if how != outcomeCompleted || len(adverts) > 0 {
 		j.mu.Lock()
-		nodes = nodeSet(j.placement)
-		for _, n := range j.speculative {
-			nodes[n] = true
+		nodes = make(map[string]bool)
+		for i := range j.tasks {
+			nodes[j.tasks[i].node] = true
+			nodes[j.tasks[i].twin] = true
 		}
+		delete(nodes, "")
 		if how != outcomeCompleted {
 			// The cancel fan-out frees every reservation the job still
 			// holds; credit the cached offers too. Taken before CancelAll
 			// marks every task terminal.
 			credits = j.openCreditsLocked()
-			if how == outcomeCancelled && j.schedule != nil {
-				j.schedule.CancelAll()
+			if how == outcomeCancelled && j.started {
+				j.CancelAll()
 			}
 		}
 		j.mu.Unlock()
@@ -1501,16 +1436,16 @@ func (jm *JobManager) HandleUser(kind msg.Kind, m *msg.Message) error {
 	j.mu.Lock()
 	switch {
 	case kind == msg.KindBroadcast:
-		for t, node := range j.placement {
-			if t != p.FromTask {
-				to = append(to, msg.Address{Node: node, Job: j.id, Task: t})
+		for i := range j.tasks {
+			if r := &j.tasks[i]; r.node != "" && r.spec.Name != p.FromTask {
+				to = append(to, msg.Address{Node: r.node, Job: j.id, Task: r.spec.Name})
 			}
 		}
 	case p.ToTask == protocol.ClientTaskName:
 		to = append(to, msg.Address{Node: j.clientNode, Job: j.id, Task: p.ToTask})
 	default:
-		if node, ok := j.placement[p.ToTask]; ok {
-			to = append(to, msg.Address{Node: node, Job: j.id, Task: p.ToTask})
+		if r := j.row(p.ToTask); r != nil && r.node != "" {
+			to = append(to, msg.Address{Node: r.node, Job: j.id, Task: p.ToTask})
 		}
 	}
 	j.mu.Unlock()

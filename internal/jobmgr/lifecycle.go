@@ -6,7 +6,7 @@
 // critical section under jm.mu the record leaves jm.jobs and the tombstone
 // takes its place in jm.tombs, so a finished job is never in neither table.
 // The worker goroutine drains what its mailbox already held and exits; the
-// specs, schedule, space, broker and maps become garbage.
+// task table, space, broker and maps become garbage.
 //
 // The tombstone answers, for config.Config.TombstoneTTL, the few questions still
 // asked about a finished job: its final census (JobProgress), its trace
@@ -57,10 +57,10 @@ type tombstone struct {
 	taskErrs   map[string]string // nil unless a task failed
 }
 
-// scheduleOutcome names the end a finished schedule reached and the reason
-// its leftover assignments are cancelled with.
-func scheduleOutcome(s *Schedule) (outcome, string) {
-	if s.Failed() {
+// end names the end a finished schedule reached and the reason its
+// leftover assignments are cancelled with.
+func (t *taskTable) end() (outcome, string) {
+	if t.failed {
 		return outcomeFailed, "job failed"
 	}
 	return outcomeCompleted, ""
@@ -74,8 +74,13 @@ func (jm *JobManager) retire(j *jobState, how outcome) *tombstone {
 	t := &tombstone{id: j.id, outcome: how}
 	j.mu.Lock()
 	t.progress = j.progressLocked()
-	if len(j.taskErrs) > 0 {
-		t.taskErrs = j.taskErrs // never written once notified is set
+	for i := range j.tasks {
+		if r := &j.tasks[i]; r.err != "" {
+			if t.taskErrs == nil {
+				t.taskErrs = make(map[string]string)
+			}
+			t.taskErrs[r.spec.Name] = r.err
+		}
 	}
 	if n := len(j.timeline); n > 0 {
 		// Capacity clipped: a straggling span appended to the dead record

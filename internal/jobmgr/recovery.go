@@ -34,6 +34,7 @@ import (
 	"cn/internal/health"
 	"cn/internal/msg"
 	"cn/internal/protocol"
+	"cn/internal/task"
 )
 
 // maxRetries returns the effective per-task re-placement budget.
@@ -107,12 +108,8 @@ func (jm *JobManager) HandleHeartbeat(m *msg.Message) *msg.Message {
 		j.mu.Lock()
 		// Only the current primary's beats drive straggler detection; a
 		// speculative twin or stale copy must not mask a stalled primary.
-		if j.placement[b.Task] == node {
-			bs := j.beats[b.Task]
-			if bs == nil {
-				bs = &beatState{}
-				j.beats[b.Task] = bs
-			}
+		if r := j.row(b.Task); r != nil && r.node == node {
+			bs := &r.beat
 			if b.Progress != bs.progress || bs.changedAt.IsZero() {
 				bs.progress = b.Progress
 				bs.changedAt = now
@@ -177,34 +174,23 @@ func (jm *JobManager) recoverNode(node string) {
 			j.mu.Unlock()
 			continue
 		}
-		// Twins on the dead node simply disappear; their primaries live on.
-		for taskName, n := range j.speculative {
-			if n == node {
-				delete(j.speculative, taskName)
+		for i := range j.tasks {
+			r := &j.tasks[i]
+			// Twins on the dead node simply disappear; their primaries live on.
+			if r.twin == node {
+				r.twin = ""
 			}
-		}
-		for taskName, n := range j.placement {
-			if n != node || j.retrying[taskName] {
+			if r.node != node || r.retrying || r.status.terminal() {
 				continue
 			}
-			if j.schedule != nil {
-				switch j.schedule.Status(taskName) {
-				case StatusDone, StatusFailed, StatusCancelled:
-					continue
-				}
-			}
-			if twin := j.speculative[taskName]; twin != "" {
+			if r.twin != "" {
 				// The task already has a live copy elsewhere: promote it
-				// instead of re-placing. Reseed the straggler baseline, or
-				// the healthy twin would be judged by the dead primary's
-				// stale stall timestamp and immediately re-speculated.
-				j.placement[taskName] = twin
-				delete(j.speculative, taskName)
-				j.beats[taskName] = &beatState{changedAt: time.Now()}
+				// instead of re-placing.
+				r.promoteTwin()
 				continue
 			}
-			j.retrying[taskName] = true
-			orphans = append(orphans, taskName)
+			r.retrying = true
+			orphans = append(orphans, r.spec.Name)
 		}
 		// Data-plane adverts served by the dead node are unreachable now.
 		// Inline-backed ones degrade to JM-served copies inside the broker;
@@ -213,15 +199,9 @@ func (jm *JobManager) recoverNode(node string) {
 		// producers on the dead node are already orphaned above; running
 		// producers elsewhere will re-advertise when they complete.
 		for _, l := range j.broker.InvalidateNode(node) {
-			name := l.Task
-			if name == "" || j.retrying[name] || j.schedule == nil {
-				continue
+			if i, ok := j.index[l.Task]; ok && j.Rerun(i) {
+				orphans = append(orphans, l.Task)
 			}
-			if j.schedule.Status(name) != StatusDone || !j.schedule.Rerun(name) {
-				continue
-			}
-			j.retrying[name] = true
-			orphans = append(orphans, name)
 		}
 		j.mu.Unlock()
 		if len(orphans) > 0 {
@@ -248,8 +228,8 @@ func (jm *JobManager) retryOrFail(j *jobState, names []string, badNode, reason s
 		return
 	}
 	for _, name := range names {
-		if !j.retrying[name] {
-			j.retrying[name] = true
+		if r := j.row(name); r != nil && !r.retrying {
+			r.retrying = true
 			lost = append(lost, name)
 		}
 	}
@@ -272,7 +252,7 @@ func (jm *JobManager) retryOrFail(j *jobState, names []string, badNode, reason s
 }
 
 // retryTasks re-places a set of a job's tasks whose assignments were lost.
-// Every task named must already be marked in j.retrying by the caller.
+// Every task named must already be marked retrying by the caller.
 // Budget-exhausted tasks fail (the job terminates instead of hanging); the
 // rest are re-assigned on surviving nodes in one batch, re-dispatched when
 // they were already running, and announced to the client as TASK_RETRIED
@@ -280,85 +260,77 @@ func (jm *JobManager) retryOrFail(j *jobState, names []string, badNode, reason s
 func (jm *JobManager) retryTasks(j *jobState, names []string, reason string, exclude map[string]bool) {
 	budget := jm.maxRetries()
 	var exhausted, toPlace []string
-	var items []protocol.TaskCreate
+	var specs []*task.Spec
 	attempts := make(map[string]int, len(names))
 
 	j.mu.Lock()
 	if j.notified {
-		for _, name := range names {
-			delete(j.retrying, name)
-		}
+		j.clearRetryingLocked(names)
 		j.mu.Unlock()
 		return
 	}
 	for _, name := range names {
-		sp := j.specs[name]
-		if sp == nil {
-			delete(j.retrying, name)
+		r := j.row(name)
+		if r == nil {
 			continue
 		}
-		if j.retries[name] >= budget {
-			attempts[name] = j.retries[name]
+		if r.retries >= budget {
+			attempts[name] = r.retries
 			exhausted = append(exhausted, name)
 			continue
 		}
-		j.retries[name]++
-		attempts[name] = j.retries[name]
-		items = append(items, protocol.TaskCreate{Spec: sp, Archive: j.archives[name]})
+		r.retries++
+		attempts[name] = r.retries
+		specs = append(specs, r.spec)
 		toPlace = append(toPlace, name)
 	}
 	j.mu.Unlock()
 
 	if len(exhausted) > 0 {
-		jm.clearRetrying(j, exhausted)
+		j.clearRetrying(exhausted)
 		jm.failTasks(j, "", exhausted, attempts, fmt.Sprintf("%s; retry budget (%d) exhausted", reason, budget))
 	}
-	if len(items) == 0 {
+	if len(specs) == 0 {
 		return
 	}
 
-	placements, err := jm.placeBatch(j, items, exclude, nil)
+	placements, err := jm.placeBatch(j, specs, exclude, false)
 	if err != nil {
-		jm.clearRetrying(j, toPlace)
+		j.clearRetrying(toPlace)
 		jm.failTasks(j, "", toPlace, attempts, fmt.Sprintf("%s; re-placement failed: %v", reason, err))
 		return
 	}
 
-	var execNow, applied []string
+	var execNow []int32
+	var applied []string
 	obsolete := make(map[string]string)
 	j.mu.Lock()
 	if j.notified {
 		// The job finished (or was cancelled) while placement ran; the
 		// fresh reservations must not leak.
-		for _, name := range toPlace {
-			delete(j.retrying, name)
-		}
+		j.clearRetryingLocked(toPlace)
 		j.mu.Unlock()
 		jm.releaseBatch(j, placements, "job finished during recovery")
 		return
 	}
 	now := time.Now()
 	for _, name := range toPlace {
-		delete(j.retrying, name)
+		i := j.index[name]
+		r := &j.tasks[i]
+		r.retrying = false
 		node := placements[name]
-		if node == "" {
-			continue
-		}
 		// The task may have reached a terminal state while placement ran
 		// (a falsely-declared-dead node's copy completed): the result
 		// stands and the fresh assignment must be released, not recorded.
-		if j.schedule != nil {
-			switch j.schedule.Status(name) {
-			case StatusDone, StatusFailed, StatusCancelled:
-				obsolete[name] = node
-				continue
-			}
+		if r.status.terminal() {
+			obsolete[name] = node
+			continue
 		}
-		j.placement[name] = node
-		j.beats[name] = &beatState{changedAt: now}
+		r.node = node
+		r.beat = beatState{changedAt: now}
 		applied = append(applied, name)
-		if j.schedule != nil && j.schedule.Status(name) == StatusRunning {
-			execNow = append(execNow, name)
+		if r.status == StatusRunning {
+			execNow = append(execNow, i)
 		}
 	}
 	j.mu.Unlock()
@@ -378,12 +350,19 @@ func (jm *JobManager) retryTasks(j *jobState, names []string, reason string, exc
 	jm.log.Info("tasks re-placed", "job", j.id, "tasks", len(applied), "reason", reason)
 }
 
-func (jm *JobManager) clearRetrying(j *jobState, names []string) {
+func (j *jobState) clearRetrying(names []string) {
 	j.mu.Lock()
-	for _, name := range names {
-		delete(j.retrying, name)
-	}
+	j.clearRetryingLocked(names)
 	j.mu.Unlock()
+}
+
+// clearRetryingLocked ends the named tasks' re-placements. j.mu must be held.
+func (j *jobState) clearRetryingLocked(names []string) {
+	for _, name := range names {
+		if r := j.row(name); r != nil {
+			r.retrying = false
+		}
+	}
 }
 
 // stragglerLoop periodically scans running tasks for stalled progress.
@@ -418,98 +397,83 @@ func (jm *JobManager) checkStragglers(now time.Time) {
 
 	budget := jm.maxRetries()
 	for _, j := range jobs {
-		var candidates []string
+		var candidates []int32
 		j.mu.Lock()
-		if j.schedule == nil || j.notified {
-			j.mu.Unlock()
-			continue
-		}
-		for name, node := range j.placement {
-			if j.schedule.Status(name) != StatusRunning {
+		for i := 0; i < len(j.tasks) && !j.notified; i++ {
+			r := &j.tasks[i]
+			if r.status != StatusRunning || r.twin != "" || r.retrying || r.retries >= budget {
 				continue
 			}
-			if j.speculative[name] != "" || j.retrying[name] || j.retries[name] >= budget {
-				continue
-			}
-			if !jm.monitor.Alive(node) {
+			if !jm.monitor.Alive(r.node) {
 				continue // suspect/dead nodes are the recovery path's job
 			}
-			b := j.beats[name]
-			if b == nil || now.Sub(b.changedAt) < jm.cfg.StragglerAfter {
+			if r.beat.changedAt.IsZero() || now.Sub(r.beat.changedAt) < jm.cfg.StragglerAfter {
 				continue
 			}
-			j.retrying[name] = true
-			candidates = append(candidates, name)
+			r.retrying = true
+			candidates = append(candidates, int32(i))
 		}
 		j.mu.Unlock()
-		for _, name := range candidates {
-			jm.speculate(j, name)
+		for _, i := range candidates {
+			jm.speculate(j, i)
 		}
 	}
 }
 
-// speculate places and starts one straggler's twin on another node.
-func (jm *JobManager) speculate(j *jobState, name string) {
+// speculate places and starts the twin of straggler i, a running task of a
+// started job, on another node.
+func (jm *JobManager) speculate(j *jobState, i int32) {
 	j.mu.Lock()
-	sp := j.specs[name]
-	primary := j.placement[name]
-	ref := j.archives[name]
-	j.retries[name]++
-	attempt := j.retries[name]
+	r := &j.tasks[i]
+	sp, primary := r.spec, r.node
+	r.retries++
+	attempt := r.retries
 	j.mu.Unlock()
-	if sp == nil {
-		jm.clearRetrying(j, []string{name})
-		return
-	}
 
 	reason := fmt.Sprintf("straggler: no progress for %v on %s", jm.cfg.StragglerAfter, primary)
 	// Mark the straggling node in the directory's affinity overlay so the
 	// scorer steers this twin — and subsequent placements — away from it
 	// until the marks decay.
 	jm.dir.NoteStraggler(primary)
-	placements, err := jm.placeBatch(j, []protocol.TaskCreate{{Spec: sp, Archive: ref}},
-		map[string]bool{primary: true}, nil)
+	placements, err := jm.placeBatch(j, []*task.Spec{sp}, map[string]bool{primary: true}, false)
 	if err != nil {
 		// No capacity for a twin: leave the original running and return
 		// the budget unit so a real failure can still be recovered.
 		j.mu.Lock()
-		j.retries[name]--
-		delete(j.retrying, name)
+		r.retries--
+		r.retrying = false
 		j.mu.Unlock()
-		jm.logf("job %s: cannot speculate %q: %v", j.id, name, err)
+		jm.logf("job %s: cannot speculate %q: %v", j.id, sp.Name, err)
 		return
 	}
-	node := placements[name]
+	node := placements[sp.Name]
 
 	j.mu.Lock()
-	obsolete := j.notified || j.schedule == nil ||
-		j.schedule.Status(name) != StatusRunning || j.placement[name] != primary
-	if obsolete {
-		delete(j.retrying, name)
+	r.retrying = false
+	if j.notified || r.status != StatusRunning || r.node != primary {
 		j.mu.Unlock()
 		jm.releaseBatch(j, placements, "speculation obsolete")
 		return
 	}
-	j.speculative[name] = node
-	delete(j.retrying, name)
+	r.twin = node
 	j.mu.Unlock()
 
-	// The twin's exec names its node itself: the placement table still
-	// holds the primary.
-	if err := jm.sendExec(j, node, []string{name}, "jm.speculate", reason); err != nil {
+	// The twin's exec names its node itself: the row's node is still the
+	// primary's.
+	if err := jm.sendExec(j, node, []string{sp.Name}, "jm.speculate", reason); err != nil {
 		// The twin never ran: release its reservation, return the budget
 		// unit, and do not advertise a retry that did not happen.
-		jm.logf("job %s: start twin %q on %s: %v", j.id, name, node, err)
+		jm.logf("job %s: start twin %q on %s: %v", j.id, sp.Name, node, err)
 		j.mu.Lock()
-		if j.speculative[name] == node {
-			delete(j.speculative, name)
+		if r.twin == node {
+			r.twin = ""
 		}
-		j.retries[name]--
+		r.retries--
 		j.mu.Unlock()
 		jm.releaseBatch(j, placements, "twin dispatch failed")
 		return
 	}
 	jm.relayEvents(j, node, []protocol.TaskEventItem{{
-		Kind: msg.KindTaskRetried, Task: name, Err: reason, Attempt: attempt, Speculative: true}})
-	jm.logf("job %s: speculating %q on %s (primary %s)", j.id, name, node, primary)
+		Kind: msg.KindTaskRetried, Task: sp.Name, Err: reason, Attempt: attempt, Speculative: true}})
+	jm.logf("job %s: speculating %q on %s (primary %s)", j.id, sp.Name, node, primary)
 }

@@ -7,8 +7,9 @@ package jobmgr
 
 import (
 	"fmt"
-	"sort"
+	"time"
 
+	"cn/internal/protocol"
 	"cn/internal/task"
 )
 
@@ -48,175 +49,226 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int(s))
 }
 
-// Schedule tracks dependency-ordered execution of a job's tasks. It is not
-// concurrency-safe; the owning JobManager serializes access.
-type Schedule struct {
-	unmet      map[string]map[string]bool // task -> unmet dependency set
-	dependents map[string][]string        // task -> tasks depending on it
-	state      map[string]Status
-	terminal   int
-	failed     bool
+// terminal reports whether a task in state s has ended.
+func (s Status) terminal() bool { return s >= StatusDone }
+
+// taskRow is one task of a job: what the client created, where it runs,
+// and how far it got.
+type taskRow struct {
+	spec    *task.Spec
+	archive protocol.ArchiveRef
+	node    string // the primary copy's node; "" until placed
+	twin    string // the speculative twin's node; "" when there is none
+
+	status     Status
+	unmet      int32   // dependencies not yet completed; filled at start
+	dependents []int32 // ordinals of the tasks that depend on this one
+	// credited is set by the task's first completion, which counts toward
+	// its dependents; a re-run's completion must not count again.
+	credited bool
+
+	retries  int  // re-placements (recovery and speculation), bounded by MaxTaskRetries
+	retrying bool // a re-placement is in flight, so no other path places it
+	err      string
+	// beat is the primary's last observed progress sync; a running task
+	// whose beat stops advancing past StragglerAfter is a speculation
+	// candidate. A zero changedAt means no baseline yet.
+	beat beatState
 }
 
-// NewSchedule builds the scheduling state for a set of task specs. All
-// dependencies must reference tasks in the set and the graph must be
-// acyclic (callers validate this via cnx/core; NewSchedule re-checks the
-// reference integrity cheaply).
-func NewSchedule(specs []*task.Spec) (*Schedule, error) {
-	s := &Schedule{
-		unmet:      make(map[string]map[string]bool, len(specs)),
-		dependents: make(map[string][]string),
-		state:      make(map[string]Status, len(specs)),
-	}
-	byName := make(map[string]bool, len(specs))
-	for _, sp := range specs {
-		if byName[sp.Name] {
-			return nil, fmt.Errorf("jobmgr: duplicate task %q", sp.Name)
-		}
-		byName[sp.Name] = true
-	}
-	for _, sp := range specs {
-		unmet := make(map[string]bool, len(sp.DependsOn))
-		for _, d := range sp.DependsOn {
-			if !byName[d] {
-				return nil, fmt.Errorf("jobmgr: task %q depends on unknown task %q", sp.Name, d)
-			}
-			unmet[d] = true
-			s.dependents[d] = append(s.dependents[d], sp.Name)
-		}
-		s.unmet[sp.Name] = unmet
-		if len(unmet) == 0 {
-			s.state[sp.Name] = StatusReady
-		} else {
-			s.state[sp.Name] = StatusPending
-		}
-	}
-	return s, nil
+// beatState is one task's last observed progress sync.
+type beatState struct {
+	progress  uint64
+	changedAt time.Time
 }
 
-// RestoreSchedule rebuilds a schedule from a checkpointed status census:
-// the dependency graph is derived from the specs, the recorded statuses
-// are overlaid, and the derived state (terminal count, failure flag, unmet
-// sets, ready promotion) is recomputed. Tasks absent from statuses keep
-// their NewSchedule state — the checkpoint predates their start.
-func RestoreSchedule(specs []*task.Spec, statuses map[string]Status) (*Schedule, error) {
-	s, err := NewSchedule(specs)
-	if err != nil {
-		return nil, err
-	}
-	for name, st := range statuses {
-		if _, ok := s.state[name]; !ok {
-			return nil, fmt.Errorf("jobmgr: restore: status for unknown task %q", name)
-		}
-		s.state[name] = st
-	}
-	s.terminal = 0
-	s.failed = false
-	for name, st := range s.state {
-		switch st {
-		case StatusDone:
-			s.terminal++
-			for _, dep := range s.dependents[name] {
-				delete(s.unmet[dep], name)
-			}
-		case StatusFailed, StatusCancelled:
-			s.terminal++
-			s.failed = true
-		}
-	}
-	for name, st := range s.state {
-		if st == StatusPending && len(s.unmet[name]) == 0 {
-			s.state[name] = StatusReady
-		}
-	}
-	return s, nil
+// taskTable is a job's tasks, one row per task in creation order, and the
+// dependency schedule over them. A task is referred to by its ordinal; its
+// name is looked up once, where it arrives from the wire. Until the job
+// starts a refused frame's rows are taken back and the table compacted, so
+// only the name index may hold an ordinal across a release of the job's
+// lock; once started the table is frozen and ordinals are stable. It is
+// not concurrency-safe; the owning job's lock serializes access.
+type taskTable struct {
+	tasks    []taskRow
+	index    map[string]int32
+	started  bool
+	terminal int
+	failed   bool
 }
 
-// Status returns a task's state.
-func (s *Schedule) Status(name string) Status { return s.state[name] }
-
-// Ready returns the sorted names of tasks that may start now.
-func (s *Schedule) Ready() []string {
-	var out []string
-	for n, st := range s.state {
-		if st == StatusReady {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
+func newTaskTable(n int) taskTable {
+	return taskTable{tasks: make([]taskRow, 0, n), index: make(map[string]int32, n)}
 }
 
-// MarkRunning transitions a ready task to running.
-func (s *Schedule) MarkRunning(name string) error {
-	if s.state[name] != StatusReady {
-		return fmt.Errorf("jobmgr: task %q is %s, not ready", name, s.state[name])
+// row returns the named task's row, nil for a task the job does not hold.
+func (t *taskTable) row(name string) *taskRow {
+	if i, ok := t.index[name]; ok {
+		return &t.tasks[i]
 	}
-	s.state[name] = StatusRunning
 	return nil
 }
 
-// Complete records successful termination and returns the sorted names of
-// tasks that became ready as a result.
-func (s *Schedule) Complete(name string) ([]string, error) {
-	if st := s.state[name]; st != StatusRunning {
-		return nil, fmt.Errorf("jobmgr: complete %q: state %s", name, st)
+// add appends a row for a task the job does not hold yet.
+func (t *taskTable) add(sp *task.Spec, ref protocol.ArchiveRef) error {
+	if _, dup := t.index[sp.Name]; dup {
+		return fmt.Errorf("task %q already created", sp.Name)
 	}
-	s.state[name] = StatusDone
-	s.terminal++
-	var newly []string
-	for _, dep := range s.dependents[name] {
-		if s.state[dep] != StatusPending {
-			continue
-		}
-		delete(s.unmet[dep], name)
-		if len(s.unmet[dep]) == 0 {
-			s.state[dep] = StatusReady
-			newly = append(newly, dep)
+	t.index[sp.Name] = int32(len(t.tasks))
+	t.tasks = append(t.tasks, taskRow{spec: sp, archive: ref})
+	return nil
+}
+
+// drop takes back the rows of a refused frame, which the job has not
+// started on, and compacts the table: the name index is rebuilt.
+func (t *taskTable) drop(items []protocol.TaskCreate) {
+	if len(items) == 0 {
+		return
+	}
+	for _, it := range items {
+		if i, ok := t.index[it.Spec.Name]; ok {
+			t.tasks[i].spec = nil
 		}
 	}
-	sort.Strings(newly)
+	kept := t.tasks[:0]
+	for _, r := range t.tasks {
+		if r.spec != nil {
+			kept = append(kept, r)
+		}
+	}
+	clear(t.tasks[len(kept):])
+	t.tasks = kept
+	clear(t.index)
+	for i := range kept {
+		t.index[kept[i].spec.Name] = int32(i)
+	}
+}
+
+// start links each task to the tasks it depends on and settles the derived
+// state from the rows' statuses: every one pending for a job starting now,
+// the image's for an adopted one. Completed tasks credit their dependents,
+// failed or cancelled ones fail the job, and a pending task with no unmet
+// dependency becomes ready. Every dependency must name a task of the table
+// (callers validate acyclicity via cnx/core).
+func (t *taskTable) start() error {
+	for i := range t.tasks {
+		for _, d := range t.tasks[i].spec.DependsOn {
+			if _, ok := t.index[d]; !ok {
+				return fmt.Errorf("jobmgr: task %q depends on unknown task %q", t.tasks[i].spec.Name, d)
+			}
+		}
+	}
+	for i := range t.tasks {
+		for _, d := range t.tasks[i].spec.DependsOn {
+			dr := &t.tasks[t.index[d]]
+			// A dependency named twice counts once: the task's own ordinal
+			// already ends the list.
+			if n := len(dr.dependents); n > 0 && dr.dependents[n-1] == int32(i) {
+				continue
+			}
+			dr.dependents = append(dr.dependents, int32(i))
+			t.tasks[i].unmet++
+		}
+	}
+	for i := range t.tasks {
+		switch r := &t.tasks[i]; r.status {
+		case StatusDone:
+			t.terminal++
+			r.credited = true
+			for _, d := range r.dependents {
+				t.tasks[d].unmet--
+			}
+		case StatusFailed, StatusCancelled:
+			t.terminal++
+			t.failed = true
+		}
+	}
+	for i := range t.tasks {
+		if r := &t.tasks[i]; r.status == StatusPending && r.unmet == 0 {
+			r.status = StatusReady
+		}
+	}
+	t.started = true
+	return nil
+}
+
+// unstart undoes the start of a job whose start frame was refused before
+// any of its tasks ran.
+func (t *taskTable) unstart() {
+	for i := range t.tasks {
+		r := &t.tasks[i]
+		r.status, r.unmet, r.dependents, r.credited = StatusPending, 0, nil, false
+	}
+	t.started, t.terminal, t.failed = false, 0, false
+}
+
+// Ready returns the tasks that may start now, in ordinal order.
+func (t *taskTable) Ready() []int32 {
+	var out []int32
+	for i := range t.tasks {
+		if t.tasks[i].status == StatusReady {
+			out = append(out, int32(i))
+		}
+	}
+	return out
+}
+
+// Complete records successful termination and returns, in ordinal order,
+// the tasks that became ready as a result.
+func (t *taskTable) Complete(i int32) ([]int32, error) {
+	r := &t.tasks[i]
+	if r.status != StatusRunning {
+		return nil, fmt.Errorf("jobmgr: complete %q: state %s", r.spec.Name, r.status)
+	}
+	r.status = StatusDone
+	t.terminal++
+	if r.credited {
+		return nil, nil
+	}
+	r.credited = true
+	var newly []int32
+	for _, d := range r.dependents {
+		dr := &t.tasks[d]
+		if dr.unmet--; dr.unmet == 0 && dr.status == StatusPending {
+			dr.status = StatusReady
+			newly = append(newly, d)
+		}
+	}
 	return newly, nil
 }
 
-// Rerun moves a done task back to running so it can execute again — the
-// recovery transition for a completed producer whose only data-plane output
-// copy died with its node. Dependent bookkeeping needs no rewind: the first
-// completion already credited the dependents, and Complete's pending-only
-// guard plus idempotent unmet deletion make the re-completion's credit pass
-// a no-op, so dependents are never double-released.
-func (s *Schedule) Rerun(name string) bool {
-	if s.state[name] != StatusDone {
+// Rerun moves a done task with no re-placement in flight back to running
+// and marks it retrying — the recovery transition for a completed producer
+// whose only data-plane output copy died with its node. Its dependents need
+// no rewind: the first completion credited them, and the re-completion
+// does not credit them again.
+func (t *taskTable) Rerun(i int32) bool {
+	r := &t.tasks[i]
+	if r.status != StatusDone || r.retrying {
 		return false
 	}
-	s.state[name] = StatusRunning
-	s.terminal--
+	r.status, r.retrying = StatusRunning, true
+	t.terminal--
 	return true
 }
 
 // FailAny records failed termination for a task in any non-terminal state
 // — the recovery engine's transition for tasks whose assignment was lost
 // and could not be re-placed (a pending orphan never reached running, but
-// its loss is just as fatal to the job). It reports whether a transition
-// happened; already-terminal tasks are left untouched.
-func (s *Schedule) FailAny(name string) bool {
-	st, ok := s.state[name]
-	if !ok {
+// its loss is just as fatal to the job) — and cancels every task not yet
+// running. It reports whether a transition happened; already-terminal
+// tasks are left untouched.
+func (t *taskTable) FailAny(i int32) bool {
+	if t.tasks[i].status.terminal() {
 		return false
 	}
-	switch st {
-	case StatusPending, StatusReady, StatusRunning:
-	default:
-		return false
-	}
-	s.state[name] = StatusFailed
-	s.terminal++
-	s.failed = true
-	for n, other := range s.state {
-		switch other {
-		case StatusPending, StatusReady:
-			s.state[n] = StatusCancelled
-			s.terminal++
+	t.tasks[i].status = StatusFailed
+	t.terminal++
+	t.failed = true
+	for k := range t.tasks {
+		if r := &t.tasks[k]; r.status == StatusPending || r.status == StatusReady {
+			r.status = StatusCancelled
+			t.terminal++
 		}
 	}
 	return true
@@ -225,22 +277,21 @@ func (s *Schedule) FailAny(name string) bool {
 // CancelAll cancels every non-terminal task (used for client-initiated
 // job cancellation). Running tasks stay running until their TaskManagers
 // observe the cancellation; they are counted terminal here.
-func (s *Schedule) CancelAll() {
-	s.failed = true
-	for n, st := range s.state {
-		switch st {
-		case StatusPending, StatusReady, StatusRunning:
-			s.state[n] = StatusCancelled
-			s.terminal++
+func (t *taskTable) CancelAll() {
+	t.failed = true
+	for k := range t.tasks {
+		if r := &t.tasks[k]; !r.status.terminal() {
+			r.status = StatusCancelled
+			t.terminal++
 		}
 	}
 }
 
 // Done reports whether every task reached a terminal state.
-func (s *Schedule) Done() bool { return s.terminal == len(s.state) }
+func (t *taskTable) Done() bool { return t.terminal == len(t.tasks) }
 
 // Failed reports whether any task failed (or the job was cancelled).
-func (s *Schedule) Failed() bool { return s.failed }
+func (t *taskTable) Failed() bool { return t.failed }
 
 // Progress is a point-in-time census of a schedule's task states, the
 // per-job figure status reporters (the portal's job API, cnviz) expose.
@@ -280,11 +331,13 @@ func (p Progress) Add(o Progress) Progress {
 	}
 }
 
-// Progress returns the schedule's census.
-func (s *Schedule) Progress() Progress {
-	p := Progress{Total: len(s.state)}
-	for _, st := range s.state {
-		switch st {
+// Progress returns the table's census; a job not yet started reports every
+// task pending.
+func (t *taskTable) Progress() Progress {
+	p := Progress{Total: len(t.tasks)}
+	for i := range t.tasks {
+		p.Retried += t.tasks[i].retries
+		switch t.tasks[i].status {
 		case StatusPending:
 			p.Pending++
 		case StatusReady:

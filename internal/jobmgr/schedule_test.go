@@ -3,6 +3,7 @@ package jobmgr
 import (
 	"testing"
 
+	"cn/internal/protocol"
 	"cn/internal/task"
 )
 
@@ -36,7 +37,7 @@ func splitComma(s string) []string {
 }
 
 func TestScheduleLinearChain(t *testing.T) {
-	s, err := NewSchedule(specs(t, [2]string{"a", ""}, [2]string{"b", "a"}, [2]string{"c", "b"}))
+	s, err := newSchedule(specs(t, [2]string{"a", ""}, [2]string{"b", "a"}, [2]string{"c", "b"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestScheduleLinearChain(t *testing.T) {
 }
 
 func TestScheduleFanOutFanIn(t *testing.T) {
-	s, err := NewSchedule(specs(t,
+	s, err := newSchedule(specs(t,
 		[2]string{"split", ""},
 		[2]string{"w1", "split"},
 		[2]string{"w2", "split"},
@@ -119,7 +120,7 @@ func TestScheduleFanOutFanIn(t *testing.T) {
 }
 
 func TestScheduleFailCancelsRest(t *testing.T) {
-	s, err := NewSchedule(specs(t,
+	s, err := newSchedule(specs(t,
 		[2]string{"a", ""},
 		[2]string{"b", "a"},
 		[2]string{"c", "b"},
@@ -142,7 +143,7 @@ func TestScheduleFailCancelsRest(t *testing.T) {
 }
 
 func TestScheduleFailWithRunningSibling(t *testing.T) {
-	s, err := NewSchedule(specs(t,
+	s, err := newSchedule(specs(t,
 		[2]string{"w1", ""},
 		[2]string{"w2", ""},
 	))
@@ -174,13 +175,13 @@ func TestScheduleFailWithRunningSibling(t *testing.T) {
 }
 
 func TestScheduleErrors(t *testing.T) {
-	if _, err := NewSchedule(specs(t, [2]string{"a", ""}, [2]string{"a", ""})); err == nil {
+	if _, err := newSchedule(specs(t, [2]string{"a", ""}, [2]string{"a", ""})); err == nil {
 		t.Error("duplicate task accepted")
 	}
-	if _, err := NewSchedule(specs(t, [2]string{"a", "ghost"})); err == nil {
+	if _, err := newSchedule(specs(t, [2]string{"a", "ghost"})); err == nil {
 		t.Error("unknown dependency accepted")
 	}
-	s, err := NewSchedule(specs(t, [2]string{"a", ""}, [2]string{"b", "a"}))
+	s, err := newSchedule(specs(t, [2]string{"a", ""}, [2]string{"b", "a"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestScheduleErrors(t *testing.T) {
 }
 
 func TestScheduleCancelAll(t *testing.T) {
-	s, err := NewSchedule(specs(t, [2]string{"a", ""}, [2]string{"b", "a"}))
+	s, err := newSchedule(specs(t, [2]string{"a", ""}, [2]string{"b", "a"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestStatusString(t *testing.T) {
 }
 
 func TestScheduleDiamond(t *testing.T) {
-	s, err := NewSchedule(specs(t,
+	s, err := newSchedule(specs(t,
 		[2]string{"top", ""},
 		[2]string{"l", "top"},
 		[2]string{"r", "top"},
@@ -261,7 +262,7 @@ func TestScheduleDiamond(t *testing.T) {
 }
 
 func TestScheduleProgress(t *testing.T) {
-	s, err := NewSchedule(specs(t,
+	s, err := newSchedule(specs(t,
 		[2]string{"top", ""},
 		[2]string{"l", "top"},
 		[2]string{"r", "top"},
@@ -302,5 +303,101 @@ func TestScheduleProgress(t *testing.T) {
 	sum := p.Add(p)
 	if sum.Total != 8 || sum.Failed != 2 {
 		t.Fatalf("sum = %+v", sum)
+	}
+}
+
+// TestScheduleRerunCreditsOnce: a completed producer that re-runs — its
+// output lost with its node — and completes again does not credit its
+// dependents a second time. d depends on a as well as on the diamond's
+// middle, so a second credit from a would release it before b completes.
+func TestScheduleRerunCreditsOnce(t *testing.T) {
+	s, err := newSchedule(specs(t,
+		[2]string{"a", ""},
+		[2]string{"b", "a"},
+		[2]string{"c", "a"},
+		[2]string{"d", "a,b,c"},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Rerun("a") {
+		t.Fatal("Rerun of a ready task accepted")
+	}
+	if err := s.MarkRunning("a"); err != nil {
+		t.Fatal(err)
+	}
+	newly, err := s.Complete("a")
+	if err != nil || len(newly) != 2 || newly[0] != "b" || newly[1] != "c" {
+		t.Fatalf("after a: %v %v", newly, err)
+	}
+	for _, name := range newly {
+		if err := s.MarkRunning(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := s.Complete("c"); err != nil || len(n) != 0 {
+		t.Fatalf("after c: %v %v", n, err)
+	}
+	if !s.Rerun("a") || s.Status("a") != StatusRunning {
+		t.Fatalf("Rerun of done a refused (status %s)", s.Status("a"))
+	}
+	if s.Done() {
+		t.Fatal("done while a re-runs")
+	}
+	if n, err := s.Complete("a"); err != nil || len(n) != 0 {
+		t.Fatalf("a's second completion released %v (%v)", n, err)
+	}
+	if st := s.Status("d"); st != StatusPending {
+		t.Fatalf("d is %s before b completed", st)
+	}
+	n, err := s.Complete("b")
+	if err != nil || len(n) != 1 || n[0] != "d" {
+		t.Fatalf("after b: %v %v", n, err)
+	}
+	if err := s.MarkRunning("d"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Complete("d"); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Done() || s.Failed() {
+		t.Errorf("Done=%v Failed=%v", s.Done(), s.Failed())
+	}
+}
+
+// TestTableDropCompacts: a refused frame's rows need not be the table's
+// last — another frame may have been placed meanwhile. Taking them back
+// keeps the other rows in creation order under a rebuilt index, and the
+// job still starts over what is left.
+func TestTableDropCompacts(t *testing.T) {
+	all := specs(t, [2]string{"a", ""}, [2]string{"b", ""}, [2]string{"c", "a"}, [2]string{"d", "a"})
+	tab := newTaskTable(len(all))
+	for _, sp := range all {
+		if err := tab.add(sp, protocol.ArchiveRef{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tab.add(all[0], protocol.ArchiveRef{}); err == nil {
+		t.Fatal("a second row for a accepted")
+	}
+	tab.drop([]protocol.TaskCreate{{Spec: all[1]}, {Spec: all[2]}})
+	if len(tab.tasks) != 2 || len(tab.index) != 2 || tab.tasks[0].spec.Name != "a" || tab.tasks[1].spec.Name != "d" {
+		t.Fatalf("after drop: %d rows, index %v", len(tab.tasks), tab.index)
+	}
+	if tab.index["a"] != 0 || tab.index["d"] != 1 || tab.row("b") != nil || tab.row("c") != nil {
+		t.Fatalf("index after drop: %v", tab.index)
+	}
+	if err := tab.start(); err != nil {
+		t.Fatal(err)
+	}
+	s := testSchedule{&tab}
+	if got := s.Ready(); len(got) != 1 || got[0] != "a" {
+		t.Fatalf("Ready = %v", got)
+	}
+	if err := s.MarkRunning("a"); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Complete("a"); err != nil || len(n) != 1 || n[0] != "d" {
+		t.Fatalf("after a: %v %v", n, err)
 	}
 }

@@ -188,6 +188,11 @@ func (h *Histogram) Summarize() Summary {
 	h.mu.Unlock()
 
 	// Quantile estimation works on the copied reservoir, outside the lock.
+	// An empty histogram reports 0 quantiles, as it reports 0 for its mean:
+	// a summary is read as JSON, which has no NaN.
+	if len(samples) == 0 {
+		return s
+	}
 	sort.Float64s(samples)
 	s.P50 = quantileSorted(samples, 0.50)
 	s.P90 = quantileSorted(samples, 0.90)

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -81,6 +82,19 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 	if !math.IsNaN(h.Quantile(-0.1)) || !math.IsNaN(h.Quantile(1.1)) {
 		t.Error("out-of-range quantile should be NaN")
+	}
+}
+
+// TestSummarizeEmptyIsJSON: an empty histogram's summary reports 0
+// quantiles, not Quantile's NaN, so a metrics snapshot taken between a
+// histogram's creation and its first sample still encodes as JSON.
+func TestSummarizeEmptyIsJSON(t *testing.T) {
+	s := NewHistogram(0).Summarize()
+	if s != (Summary{}) {
+		t.Errorf("empty summary = %+v, want all zero", s)
+	}
+	if _, err := json.Marshal(s); err != nil {
+		t.Errorf("empty summary does not encode: %v", err)
 	}
 }
 

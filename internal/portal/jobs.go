@@ -210,7 +210,7 @@ func (p *Portal) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if rec, ok := p.submit(w, r, format); ok {
-		writeJSON(w, http.StatusAccepted, rec)
+		p.writeJSON(w, http.StatusAccepted, rec)
 	}
 }
 
@@ -231,7 +231,7 @@ func (p *Portal) handleListJobs(w http.ResponseWriter, r *http.Request) {
 		filter = st
 	}
 	jobs := p.store.List(filter)
-	writeJSON(w, http.StatusOK, JobList{Count: len(jobs), Jobs: jobs})
+	p.writeJSON(w, http.StatusOK, JobList{Count: len(jobs), Jobs: jobs})
 }
 
 func (p *Portal) handleGetJob(w http.ResponseWriter, r *http.Request) {
@@ -241,7 +241,7 @@ func (p *Portal) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusNotFound, fmt.Errorf("portal: unknown job %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, rec)
+	p.writeJSON(w, http.StatusOK, rec)
 }
 
 // JobResultResponse is the GET /api/jobs/{id}/result body.
@@ -264,7 +264,7 @@ func (p *Portal) handleJobResult(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("portal: job %s is %s; result not ready", id, state))
 		return
 	}
-	writeJSON(w, http.StatusOK, JobResultResponse{
+	p.writeJSON(w, http.StatusOK, JobResultResponse{
 		ID:     id,
 		State:  state,
 		Error:  rec.Error,
@@ -287,7 +287,7 @@ func (p *Portal) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	// A CN job id answers directly from whichever live JobManager holds
 	// the job — across failover that is the adopter's merged record.
 	if spans, ok := p.cfg.Cluster.JobTrace(id); ok {
-		writeJSON(w, http.StatusOK, TraceResponse{ID: id, Count: len(spans), Spans: spans})
+		p.writeJSON(w, http.StatusOK, TraceResponse{ID: id, Count: len(spans), Spans: spans})
 		return
 	}
 	// A portal submission id resolves through its result to the CN jobs
@@ -301,7 +301,7 @@ func (p *Portal) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 			trace.SortSpans(spans)
-			writeJSON(w, http.StatusOK, TraceResponse{ID: id, Count: len(spans), Spans: spans})
+			p.writeJSON(w, http.StatusOK, TraceResponse{ID: id, Count: len(spans), Spans: spans})
 			return
 		}
 		errorJSON(w, http.StatusConflict,
@@ -322,7 +322,7 @@ func (p *Portal) handleDeleteJob(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rec)
+	p.writeJSON(w, http.StatusOK, rec)
 }
 
 // MetricsResponse is the GET /api/metrics body. Wire carries the cluster
@@ -400,7 +400,7 @@ func (p *Portal) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	served, fetched := p.cfg.Cluster.DataplaneBytes()
 	hits, misses := p.cfg.Cluster.CacheStats()
 	ps := p.cfg.Cluster.PlacementStats()
-	writeJSON(w, http.StatusOK, MetricsResponse{
+	p.writeJSON(w, http.StatusOK, MetricsResponse{
 		Jobstore: p.store.Stats(),
 		Metrics:  p.store.Metrics().Snapshot(),
 		Wire:     p.cfg.Cluster.WireStats(),

@@ -30,6 +30,7 @@
 package portal
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -210,11 +211,19 @@ func errorJSON(w http.ResponseWriter, status int, err error) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// writeJSON writes a JSON success response.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON writes a JSON success response. The body is encoded before the
+// status goes out, so a value encoding/json refuses answers 500, not a
+// status with an empty body.
+func (p *Portal) writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		p.log.Error("response not encodable", "err", err)
+		errorJSON(w, http.StatusInternalServerError, fmt.Errorf("portal: encode response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // readBody reads a bounded request body. A declared Content-Length sizes the
@@ -277,7 +286,7 @@ type Status struct {
 }
 
 func (p *Portal) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, Status{Nodes: p.cfg.Cluster.Nodes()})
+	p.writeJSON(w, http.StatusOK, Status{Nodes: p.cfg.Cluster.Nodes()})
 }
 
 // invocations parses the dynamic-invocation count query parameter.
@@ -482,5 +491,5 @@ func (p *Portal) runAndWait(w http.ResponseWriter, r *http.Request, format strin
 		errorJSON(w, status, errors.New(rec.Error))
 		return
 	}
-	writeJSON(w, http.StatusOK, result)
+	p.writeJSON(w, http.StatusOK, result)
 }

@@ -64,6 +64,41 @@ func startAsyncPortal(t *testing.T, workers, queueDepth int) *httptest.Server {
 	return srv
 }
 
+// TestMetricsEndpointWithEmptyHistogram: a histogram registered but not yet
+// sampled does not cost /api/metrics its body — the snapshot decodes as
+// JSON and reports the histogram with zero quantiles.
+func TestMetricsEndpointWithEmptyHistogram(t *testing.T) {
+	c, err := cluster.Start(cluster.Config{Nodes: 1, Registry: asyncRegistry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	c.Metrics().Histogram("test.empty_ms")
+	p, err := portal.New(portal.Config{Cluster: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	srv := httptest.NewServer(p.Handler())
+	t.Cleanup(srv.Close)
+
+	resp, err := http.Get(srv.URL + "/api/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	var m portal.MetricsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatalf("metrics body does not decode: %v", err)
+	}
+	if h, ok := m.Metrics.Histograms["test.empty_ms"]; !ok || h.Count != 0 || h.P50 != 0 || h.P99 != 0 {
+		t.Errorf("empty histogram reported as %+v (present %v)", h, ok)
+	}
+}
+
 const noopCNX = `<cn2><client class="Async"><job name="j">
   <task name="a" class="test.PortalNoop"><task-req><memory>100</memory></task-req></task>
   <task name="b" class="test.PortalNoop" depends="a"><task-req><memory>100</memory></task-req></task>

@@ -2,7 +2,10 @@ package portal
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
+	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -87,5 +90,20 @@ func TestSniffFormat(t *testing.T) {
 		if got := sniffFormat([]byte(body)); got != want {
 			t.Errorf("sniffFormat(%q) = %s, want %s", body, got, want)
 		}
+	}
+}
+
+// TestWriteJSONRefusesUnencodable: a value encoding/json refuses answers 500
+// with a JSON error, not the intended status with an empty body.
+func TestWriteJSONRefusesUnencodable(t *testing.T) {
+	p := &Portal{log: slog.New(slog.DiscardHandler)}
+	rec := httptest.NewRecorder()
+	p.writeJSON(rec, http.StatusOK, map[string]float64{"p50": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["error"] == "" {
+		t.Errorf("body %q (%v), want a JSON error", rec.Body.String(), err)
 	}
 }

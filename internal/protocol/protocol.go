@@ -107,10 +107,9 @@ type TaskCreate struct {
 // under the JobID the client chose; a manager that already holds that ID,
 // live or finished, refuses it. A first frame may carry no tasks (a client
 // about to push an archive chunk by chunk needs the job to exist first).
-// Start starts the job once the frame's tasks are placed: an empty
-// TaskNames starts the whole job in dependency order, and Spans carries the
-// client-side spans of the job's trace to the JobManager's timeline. A
-// start with no tasks is "Start the Tasks" alone.
+// Start starts the whole job in dependency order once the frame's tasks are
+// placed, and Spans carries the client-side spans of the job's trace to the
+// JobManager's timeline. A start with no tasks is "Start the Tasks" alone.
 type CreateTasksReq struct {
 	JobID string
 	Tasks []TaskCreate
@@ -120,9 +119,8 @@ type CreateTasksReq struct {
 	Name       string
 	Req        JobRequirements
 
-	Start     bool
-	TaskNames []string
-	Spans     []trace.Span
+	Start bool
+	Spans []trace.Span
 }
 
 // Check validates the request as its JobManager must before recording

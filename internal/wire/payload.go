@@ -644,7 +644,6 @@ func appendCreateTasksReq(b []byte, v protocol.CreateTasksReq) []byte {
 	b = AppendString(b, v.Name)
 	b = appendJobRequirements(b, v.Req)
 	b = AppendBool(b, v.Start)
-	b = AppendStringSlice(b, v.TaskNames)
 	return AppendSpans(b, v.Spans)
 }
 
@@ -679,9 +678,6 @@ func readCreateTasksReq(r *Reader, v *protocol.CreateTasksReq) (err error) {
 		return err
 	}
 	if v.Start, err = r.Bool(); err != nil {
-		return err
-	}
-	if v.TaskNames, err = ReadStringSlice(r, "task names"); err != nil {
 		return err
 	}
 	v.Spans, err = ReadSpans(r)

@@ -46,9 +46,10 @@ import (
 // requirements, client node), the Start flag, the start's task names and
 // the client's spans, and the AssignTasks body its run list, and retired the
 // create-job, job-created and start bodies with their kinds (the kind table
-// renumbered). Nothing outside this repository speaks the wire, so a receiver
+// renumbered); version 14 dropped the start's task names from the
+// CreateTasks body (a start runs the whole job). Nothing outside this repository speaks the wire, so a receiver
 // accepts exactly this version and rejects the rest (see docs/WIRE.md).
-const Version = 13
+const Version = 14
 
 // MaxFrameBytes bounds one transport frame (envelope + payload + tail). Senders
 // refuse to emit larger frames and receivers drop the connection on a

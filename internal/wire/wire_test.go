@@ -53,7 +53,6 @@ func bodies() []any {
 			Name:       "job",
 			Req:        protocol.JobRequirements{MinMemoryMB: 1},
 			Start:      true,
-			TaskNames:  []string{"t1"},
 			Spans: []trace.Span{
 				{Trace: 11, ID: 11, Name: "client.submit", Node: "client", Job: "j",
 					Start: time.Unix(0, 1_700_000_000_000_000_000), Dur: 42 * time.Millisecond},
