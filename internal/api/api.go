@@ -344,9 +344,9 @@ type Job struct {
 	opened bool
 
 	inbox *msg.Mailbox[*msg.Message] // user messages addressed to the client
-	// events queues task lifecycle events for GetEvent, as decoded: at most
-	// maxQueuedEvents, newest dropped past that (they are advisory — the
-	// census in prog counts every one).
+	// events queues task lifecycle events for GetEvent, as decoded: every
+	// one, in the order the JobManager relayed them, however late the
+	// reader (the census in prog counts them as they arrive).
 	events *msg.Mailbox[Event]
 
 	// pushMu serializes chunked blob uploads from this handle: the
@@ -386,9 +386,6 @@ type Progress struct {
 	// death, a failed dispatch, or straggler speculation.
 	Retried int `json:"retried"`
 }
-
-// maxQueuedEvents bounds a job handle's event queue.
-const maxQueuedEvents = 1024
 
 // Result is a job's terminal status.
 type Result struct {
@@ -536,7 +533,7 @@ func (j *Job) createTasks(specs []*task.Spec, archives map[string]*archive.Archi
 		req.Start, req.Spans = true, spans
 	}
 	// Each task reports its start and its end: room for them up front.
-	j.events.Grow(min(2*len(specs), maxQueuedEvents))
+	j.events.Grow(2 * len(specs))
 	op := fmt.Sprintf("create %d tasks", len(specs))
 	ca := j.client.opts.Tracer.StartSpan(j.trace, "job.create_tasks").SetJob(j.ID)
 	resp, err := j.call(&req, op)
@@ -685,12 +682,10 @@ func (j *Job) recordEvents(node string, events []protocol.TaskEventItem) {
 			j.finishLocked(&Result{JobID: j.ID, Failed: ev.Kind == msg.KindJobFailed, Err: ev.Err, TaskErrs: ev.TaskErrs})
 			continue
 		}
-		// Bounded here, by its owner. A released handle's closed queue
-		// refuses the event, which the census has counted already.
-		if j.events.Len() < maxQueuedEvents {
-			_ = j.events.Put(Event{Kind: ev.Kind, Task: ev.Task, Node: node, Err: ev.Err,
-				Attempt: ev.Attempt, Speculative: ev.Speculative})
-		}
+		// A released handle's closed queue refuses the event, which the
+		// census has counted already.
+		_ = j.events.Put(Event{Kind: ev.Kind, Task: ev.Task, Node: node, Err: ev.Err,
+			Attempt: ev.Attempt, Speculative: ev.Speculative})
 	}
 }
 

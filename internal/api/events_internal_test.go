@@ -71,12 +71,12 @@ func TestRelayedBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestEventQueueBoundAndOrder: the queue holds 1024 events and drops the
-// newest past that — the census still counts every one; GetEvent yields them
-// oldest first, blocks while there is none, gives up with its context, and
-// fails with msg.ErrClosed once the handle is released, waking a reader
-// blocked in it.
-func TestEventQueueBoundAndOrder(t *testing.T) {
+// TestEventQueueKeepsEveryEventInOrder: the queue holds every event however
+// many arrive before a reader, and the census counts every one; GetEvent
+// yields them oldest first, blocks while there is none, gives up with its
+// context, and fails with msg.ErrClosed once the handle is released, waking
+// a reader blocked in it.
+func TestEventQueueKeepsEveryEventInOrder(t *testing.T) {
 	c, j := handleFor(t, "n1-job2")
 	for first := 0; first < 1200; first += 100 {
 		c.handle(relayed(j.ID, first, 100))
@@ -85,7 +85,7 @@ func TestEventQueueBoundAndOrder(t *testing.T) {
 		t.Errorf("census %+v, want all 1200 events counted", p)
 	}
 	ctx := context.Background()
-	for i := 0; i < maxQueuedEvents; i++ {
+	for i := 0; i < 1200; i++ {
 		ev, err := j.GetEvent(ctx)
 		if err != nil {
 			t.Fatalf("event %d: %v", i, err)
@@ -98,7 +98,7 @@ func TestEventQueueBoundAndOrder(t *testing.T) {
 			t.Fatalf("event %d = %+v, want %+v", i, *ev, want)
 		}
 	}
-	// Empty now: the 176 newest were dropped. A reader blocks...
+	// Empty now, with nothing dropped. A reader blocks...
 	got := make(chan error, 1)
 	read := func(ctx context.Context) {
 		ev, err := j.GetEvent(ctx)

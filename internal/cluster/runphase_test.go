@@ -600,9 +600,9 @@ func TestManyEventsOfOneNodeArriveCutAndInOrder(t *testing.T) {
 	if _, err := j.CreateTasks(noops(tasks, 1), nil); err != nil {
 		t.Fatal(err)
 	}
-	// The handle queues at most 1024 events and drops the newest past that:
-	// a reader beside the job sees at least that many, in order, and the
-	// census counts them all whether queued or not.
+	// The handle queues every event: a reader beside the job sees all of
+	// them, every task's start before its end, and the census counts them
+	// all too.
 	rctx, stop := context.WithCancel(ctx)
 	defer stop()
 	read := make(chan map[msg.Kind]int, 1)
@@ -613,11 +613,11 @@ func TestManyEventsOfOneNodeArriveCutAndInOrder(t *testing.T) {
 	if p := j.Progress(); p.Started != tasks || p.Completed != tasks {
 		t.Errorf("client census %+v the moment Wait returned, want %d started and completed", p, tasks)
 	}
-	stop() // every event was queued, or dropped, before Wait returned
+	stop() // every event was queued before Wait returned
 	seen := <-read
-	if n := seen[msg.KindTaskStarted] + seen[msg.KindTaskCompleted]; n < 1024 || n > 2*tasks ||
+	if n := seen[msg.KindTaskStarted] + seen[msg.KindTaskCompleted]; n != 2*tasks ||
 		seen[msg.KindTaskStarted] < seen[msg.KindTaskCompleted] {
-		t.Errorf("events read: %v, want 1024 to %d, no more completed than started", seen, 2*tasks)
+		t.Errorf("events read: %v, want %d, no more completed than started", seen, 2*tasks)
 	}
 	wire := c.WireStats()
 	if n := wire.ByKind[msg.KindTaskEvents.String()]; n < 2*3 {

@@ -17,6 +17,18 @@ func (jm *JobManager) TableSizes() (live, retired int) {
 	return len(jm.jobs), len(jm.tombs)
 }
 
+// CachedFreeMB is the free memory the placement directory serves for node,
+// -1 when it holds no entry; a stale cache is refreshed by a round first.
+func (jm *JobManager) CachedFreeMB(node string) int {
+	offers, _ := jm.dir.Offers()
+	for _, o := range offers {
+		if o.Node == node {
+			return o.FreeMemoryMB
+		}
+	}
+	return -1
+}
+
 // CheckpointNow runs one checkpoint round, as the ticker would.
 func (jm *JobManager) CheckpointNow() { jm.checkpointAll() }
 

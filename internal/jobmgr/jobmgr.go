@@ -751,23 +751,27 @@ func (jm *JobManager) placeBatch(j *jobState, specs []*task.Spec, preExcluded ma
 					// may still have accepted the batch. Before retrying
 					// the items elsewhere, send a targeted best-effort
 					// release so an accepted-but-unacknowledged batch
-					// cannot double-book memory on two nodes.
+					// cannot double-book memory on two nodes; the node's
+					// figure is unknown until it re-offers.
 					taskNames := make([]string, len(nodeItems))
 					for i, it := range nodeItems {
 						taskNames[i] = it.Spec.Name
 					}
 					jm.cancelOn(j, node, "assignment unacknowledged", taskNames...)
+					jm.dir.Invalidate(node)
 					exclMu.Lock()
 					excluded[node] = true
 					exclMu.Unlock()
 					resp = &protocol.AssignTasksResp{Rejected: map[string]string{protocol.BatchRejected: "assign: " + err.Error()}}
 				}
+				// The reply's figure counts what the node accepted, and
+				// corrects the one a rejection proved wrong.
+				jm.dir.Apply(node, resp.Capacity)
 				mu.Lock()
 				defer mu.Unlock()
 				// A whole-batch rejection (a failed call, a batch the
 				// TaskManager could not decode) assigned nothing there.
 				whole, all := resp.Rejected[protocol.BatchRejected]
-				acceptedMB, accepted := 0, 0
 				for _, it := range nodeItems {
 					if reason, bad := resp.Rejected[it.Spec.Name]; bad || all {
 						lastErr = fmt.Errorf("jobmgr %s: %s rejected task %q: %s", jm.node, node, it.Spec.Name, reason+whole)
@@ -775,15 +779,6 @@ func (jm *JobManager) placeBatch(j *jobState, specs []*task.Spec, preExcluded ma
 						continue
 					}
 					placements[it.Spec.Name] = node
-					acceptedMB += it.Spec.Req.MemoryMB
-					accepted++
-				}
-				if len(resp.Rejected) > 0 {
-					// The node's advertised capacity was wrong; it must
-					// re-offer before being chosen again.
-					jm.dir.Invalidate(node)
-				} else if accepted > 0 {
-					jm.dir.Reserve(node, acceptedMB, accepted)
 				}
 			}(node, nodeItems)
 		}
@@ -834,41 +829,6 @@ func (jm *JobManager) releaseBatch(j *jobState, placements map[string]string, re
 		jm.cancelOn(j, node, reason, taskNames...)
 		jm.dir.Invalidate(node)
 	}
-}
-
-// reservationCredit is one freed task reservation to credit back to the
-// placement directory's cached figures.
-type reservationCredit struct {
-	node string
-	mb   int
-}
-
-// creditDirectory applies freed-reservation credits (one task each).
-func (jm *JobManager) creditDirectory(credits []reservationCredit) {
-	for _, c := range credits {
-		if c.node != "" {
-			jm.dir.Release(c.node, c.mb, 1)
-		}
-	}
-}
-
-// openCreditsLocked collects credits for every reservation a job still
-// holds — non-terminal placed tasks plus live speculative twins — used
-// when teardown (failure fan-out, cancellation, abandonment) frees them
-// wholesale. j.mu must be held. Before start every task is pending, so
-// every placed one still holds its reservation.
-func (j *jobState) openCreditsLocked() []reservationCredit {
-	var credits []reservationCredit
-	for i := range j.tasks {
-		r := &j.tasks[i]
-		if r.node != "" && !r.status.terminal() {
-			credits = append(credits, reservationCredit{r.node, r.spec.Req.MemoryMB})
-		}
-		if r.twin != "" {
-			credits = append(credits, reservationCredit{r.twin, r.spec.Req.MemoryMB})
-		}
-	}
-	return credits
 }
 
 func nodeSet(placements map[string]string) map[string]bool {
@@ -1056,7 +1016,10 @@ func (jm *JobManager) dispatchSpan(j *jobState, span string, tasks []string) (*t
 // dispatch goroutine. A message for a finished or unknown job, or one past
 // a full queue, is dropped, matching the fabric's at-most-once semantics:
 // nothing is owed once the job's end has been sent, because the end
-// follows everything the job's tasks sent before they ended.
+// follows everything the job's tasks sent before they ended. Only the
+// figure of a dropped event batch is still taken: the batches that come
+// after a job failed or was cancelled are the ones that report the memory
+// its end freed.
 func (jm *JobManager) Enqueue(m *msg.Message) {
 	jobID := m.To.Job
 	if jobID == "" {
@@ -1064,6 +1027,10 @@ func (jm *JobManager) Enqueue(m *msg.Message) {
 	}
 	j, t := jm.lookup(jobID)
 	if j == nil {
+		var batch protocol.TaskEvents
+		if m.Kind == msg.KindTaskEvents && protocol.Decode(m, &batch) == nil {
+			jm.dir.Apply(m.From.Node, batch.Capacity)
+		}
 		if t == nil {
 			jm.logf("message %s for unknown job %q dropped", m.Kind, jobID)
 		} else {
@@ -1108,10 +1075,11 @@ func (jm *JobManager) jobWorker(j *jobState) {
 	}
 }
 
-// HandleTaskEvents processes a TaskManager's batch of lifecycle events and
-// drives the schedule forward. A TaskManager reports only the three task
-// labels; the retry and job labels are this manager's own, to its client,
-// so a batch that carries one is not a TaskManager's and is dropped whole.
+// HandleTaskEvents processes a TaskManager's batch of lifecycle events:
+// the node's figure goes to the placement directory, and the events drive
+// the schedule forward. A TaskManager reports only the three task labels;
+// the retry and job labels are this manager's own, to its client, so a
+// batch that carries one is not a TaskManager's and is dropped whole.
 func (jm *JobManager) HandleTaskEvents(m *msg.Message) {
 	var batch protocol.TaskEvents
 	if err := protocol.Decode(m, &batch); err != nil {
@@ -1125,6 +1093,7 @@ func (jm *JobManager) HandleTaskEvents(m *msg.Message) {
 			return
 		}
 	}
+	jm.dir.Apply(m.From.Node, batch.Capacity)
 	jm.applyEvents(&batch)
 }
 
@@ -1144,7 +1113,6 @@ func (jm *JobManager) failTasks(j *jobState, node string, names []string, attemp
 type owed struct {
 	relay   []protocol.TaskEventItem // events the client is owed
 	start   []int32                  // tasks the batch released
-	credits []reservationCredit      // freed reservations to credit to the directory
 	cancels []taskCopy               // copies that lost the first-result-wins race
 }
 
@@ -1152,10 +1120,10 @@ type owed struct {
 type taskCopy struct{ node, task string }
 
 // applyEvents applies a batch of lifecycle events of one job from one node,
-// in order, and then pays what they owe: one credit call, the cancels, one
-// EXEC_TASK per node, and one TASK_EVENTS frame to the client — sent by
-// finishJob, with the job's end as its last label, if the batch ended the
-// job. The batch is consumed: its Events are compacted into the relay.
+// in order, and then pays what they owe: the cancels, one EXEC_TASK per
+// node, and one TASK_EVENTS frame to the client — sent by finishJob, with
+// the job's end as its last label, if the batch ended the job. The batch is
+// consumed: its Events are compacted into the relay.
 func (jm *JobManager) applyEvents(batch *protocol.TaskEvents) {
 	j, t := jm.lookup(batch.JobID)
 	if j == nil {
@@ -1189,10 +1157,6 @@ func (jm *JobManager) applyEvents(batch *protocol.TaskEvents) {
 	}
 	j.mu.Unlock()
 
-	// Finished or cancelled copies freed memory on their nodes; credit
-	// the cached offers so placements within the TTL see the capacity
-	// instead of waiting out the next solicitation round.
-	jm.creditDirectory(o.credits)
 	for _, c := range o.cancels {
 		jm.cancelOn(j, c.node, "duplicate copy lost", c.task)
 	}
@@ -1214,11 +1178,6 @@ func (jm *JobManager) applyLocked(j *jobState, node string, ev *protocol.TaskEve
 	}
 	r := &j.tasks[i]
 	primary, twin := r.node, r.twin
-	credit := func(node string) {
-		if node != "" {
-			o.credits = append(o.credits, reservationCredit{node, r.spec.Req.MemoryMB})
-		}
-	}
 	switch ev.Kind {
 	case msg.KindTaskStarted:
 		// Informational; seed the straggler baseline so a task that starts
@@ -1253,15 +1212,9 @@ func (jm *JobManager) applyLocked(j *jobState, node string, ev *protocol.TaskEve
 			r.node, r.twin = node, ""
 			if loser != "" && loser != node {
 				o.cancels = append(o.cancels, taskCopy{loser, ev.Task})
-				credit(loser)
 			}
 		}
 		r.beat = beatState{}
-		if node == "" {
-			credit(primary)
-		} else {
-			credit(node)
-		}
 		for _, d := range newly {
 			j.tasks[d].status = StatusRunning
 		}
@@ -1270,29 +1223,21 @@ func (jm *JobManager) applyLocked(j *jobState, node string, ev *protocol.TaskEve
 		switch {
 		case twin != "" && node == twin:
 			// The speculative twin failed; the primary is still running.
-			// The twin's node freed its reservation when the copy died.
 			r.twin = ""
-			credit(twin)
 			return false
 		case node != "" && node != primary:
 			// Stale copy of a re-placed task (usually the cancelled loser
-			// reporting "stopped"); not authoritative. Its reservation was
-			// already credited when the copy was cancelled.
+			// reporting "stopped"); not authoritative.
 			return false
 		case twin != "":
 			// The primary failed but its speculative twin is still running:
 			// promote the twin instead of failing the task.
 			r.promoteTwin()
-			credit(node)
 			return false
 		default:
 			r.err = ev.Err
 			if !j.FailAny(i) {
 				jm.logf("job %s: fail %q: already terminal", j.id, ev.Task)
-			} else {
-				// The TaskManager freed the reservation when the task died;
-				// credit the cached offer too.
-				credit(node)
 			}
 		}
 	}
@@ -1339,7 +1284,6 @@ func (jm *JobManager) finishJob(j *jobState, how outcome, reason, node string, r
 	j.space.Close()
 	j.broker.Close()
 	var nodes map[string]bool
-	var credits []reservationCredit
 	if how != outcomeCompleted || len(adverts) > 0 {
 		j.mu.Lock()
 		nodes = make(map[string]bool)
@@ -1348,14 +1292,8 @@ func (jm *JobManager) finishJob(j *jobState, how outcome, reason, node string, r
 			nodes[j.tasks[i].twin] = true
 		}
 		delete(nodes, "")
-		if how != outcomeCompleted {
-			// The cancel fan-out frees every reservation the job still
-			// holds; credit the cached offers too. Taken before CancelAll
-			// marks every task terminal.
-			credits = j.openCreditsLocked()
-			if how == outcomeCancelled && j.started {
-				j.CancelAll()
-			}
+		if how == outcomeCancelled && j.started {
+			j.CancelAll()
 		}
 		j.mu.Unlock()
 		// A producer re-placed since it advertised left its output on a
@@ -1369,7 +1307,6 @@ func (jm *JobManager) finishJob(j *jobState, how outcome, reason, node string, r
 	for node := range nodes {
 		jm.cancelOn(j, node, reason)
 	}
-	jm.creditDirectory(credits)
 
 	var errText string
 	switch how {

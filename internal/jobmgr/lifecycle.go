@@ -136,8 +136,8 @@ func (jm *JobManager) janitor() {
 
 // sweep forgets tombstones older than the TTL and finishes unstarted jobs
 // whose composition went idle past the same TTL (a client that timed out
-// or died mid-composition): their unstarted assignments are cancelled and
-// their reservations credited like any other job's.
+// or died mid-composition): their unstarted assignments are cancelled like
+// any other ended job's, and the nodes report the freed memory themselves.
 func (jm *JobManager) sweep(now time.Time) {
 	ttl := jm.cfg.TombstoneTTL
 	var abandoned []*jobState

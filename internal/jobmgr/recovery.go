@@ -80,16 +80,6 @@ func (jm *JobManager) HandleHeartbeat(m *msg.Message) *msg.Message {
 		node = m.From.Node
 	}
 	jm.monitor.Observe(node)
-	// The beat doubles as a load sync: the node's running count refreshes
-	// the placement directory's affinity overlay, keeping plans honest
-	// between solicitation rounds.
-	running := 0
-	for _, b := range hb.Beats {
-		if b.Running {
-			running++
-		}
-	}
-	jm.dir.SyncLoad(node, running)
 	now := time.Now()
 	unknown := make(map[string]bool)
 	for _, b := range hb.Beats {
@@ -431,7 +421,7 @@ func (jm *JobManager) speculate(j *jobState, i int32) {
 	j.mu.Unlock()
 
 	reason := fmt.Sprintf("straggler: no progress for %v on %s", jm.cfg.StragglerAfter, primary)
-	// Mark the straggling node in the directory's affinity overlay so the
+	// Mark the straggling node in the directory's straggler marks so the
 	// scorer steers this twin — and subsequent placements — away from it
 	// until the marks decay.
 	jm.dir.NoteStraggler(primary)

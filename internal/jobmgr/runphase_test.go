@@ -68,8 +68,8 @@ func TestDiamondMiddleTasksShareOneExecFrame(t *testing.T) {
 // TestExecListFailureIsAloneAndCredited: eight tasks fill a node; the node
 // loses one assignment before the start. The EXEC_TASK frame lists all
 // eight: the lost one fails alone — it is the job's only task error — and
-// its reservation is credited to the placement directory like the others',
-// so the next job of eight places from the cached offer without a
+// the node's reports bring the placement directory's figure back to a free
+// node, so the next job of eight places from the cached offer without a
 // solicitation round or an invalidation.
 func TestExecListFailureIsAloneAndCredited(t *testing.T) {
 	srv, net := startNode(t, config.Config{TraceSample: -1, HeartbeatInterval: -1, MemoryMB: 8000, PlacementTTL: time.Hour})
@@ -110,10 +110,12 @@ func TestExecListFailureIsAloneAndCredited(t *testing.T) {
 	}
 	// The seven others were started by the same frame and run to their end
 	// (a no-op cannot be cancelled mid-run); nothing tells this test when
-	// the last one has, so it looks until the node is empty again.
-	for deadline := time.Now().Add(5 * time.Second); srv.TaskManager().FreeMemoryMB() != 8000; runtime.Gosched() {
+	// the last one has, so it looks until the directory holds the node's
+	// report of being empty again — carried by an event batch of a job that
+	// has already failed.
+	for deadline := time.Now().Add(5 * time.Second); jm.CachedFreeMB("n1") != 8000; runtime.Gosched() {
 		if time.Now().After(deadline) {
-			t.Fatalf("node holds %d MB free, want 8000", srv.TaskManager().FreeMemoryMB())
+			t.Fatalf("directory holds %d MB free on n1, want 8000 (the node holds %d)", jm.CachedFreeMB("n1"), srv.TaskManager().FreeMemoryMB())
 		}
 	}
 

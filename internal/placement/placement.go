@@ -2,17 +2,17 @@
 // decouples resource acquisition from per-task dispatch, the scaling move
 // pilot-abstraction systems make: instead of one multicast solicitation
 // round per task, a Directory caches TaskManager offers (TTL-refreshed,
-// invalidated on rejection, falling back to a fresh round when stale or
-// empty) and a two-stage scheduler places an entire task set against the
-// cached figures in one pass: a capacity feasibility filter first, then a
-// pluggable Scorer ranks the surviving nodes — bytes already resident on
-// the node (archive cache and data-plane blob LRU) dominate, then free
-// memory, then fewest running tasks, then a recent-straggler penalty, with
-// the node-name tie-break keeping every plan deterministic. Between
-// solicitation rounds the Directory keeps its snapshot honest with an
-// affinity overlay: heartbeat-synced live load and speculation-driven
-// straggler marks merge into served offers until the next fresh round
-// replaces the figures wholesale.
+// invalidated when a plan cannot use them, falling back to a fresh round
+// when stale or empty) and a two-stage scheduler places an entire task set
+// against the cached figures in one pass: a capacity feasibility filter
+// first, then a pluggable Scorer ranks the surviving nodes — bytes already
+// resident on the node (archive cache and data-plane blob LRU) dominate,
+// then free memory, then fewest running tasks, then a recent-straggler
+// penalty, with the node-name tie-break keeping every plan deterministic.
+// Between solicitation rounds the Directory keeps no books of its own: each
+// node's entry takes the newer capacity figures the node itself reports on
+// its assignment replies and event batches, and the JobManager's straggler
+// marks add into the served stall counts until fresh rounds decay them.
 package placement
 
 import (
@@ -58,7 +58,9 @@ type Stats struct {
 	SolicitRounds int64
 	// CacheHits is how many Offers calls were served from cache.
 	CacheHits int64
-	// Invalidations counts entries dropped after assignment rejections.
+	// Invalidations counts entries dropped because a plan could not use
+	// them: a plan left tasks unplaced, an assignment went unanswered, or
+	// a placed batch was rolled back.
 	Invalidations int64
 	// Evictions counts entries dropped because the node left discovery or
 	// its health lease lapsed.
@@ -86,48 +88,12 @@ type Directory struct {
 	inflight  chan struct{} // non-nil while a solicitation round runs
 	lastErr   error
 	stats     Stats
-	// debts records, per node, reserve debit that the zero clamp could
-	// not apply. Release pays the debt down before crediting the cached
-	// figure, so the symmetric reserve/release pair nets to the true
-	// figure instead of inflating it past the node's advertisement.
-	// Cleared whenever the node's entry is replaced or dropped.
-	debts map[string]int
-	// reserved records, per node, the net reserve applied against the
-	// CURRENT snapshot. Release credits at most this much: a credit for
-	// a task that freed its memory before the latest solicitation round
-	// is already reflected in the advertisement, and applying it again
-	// would inflate the figure past the node's true free. Cleared with
-	// debts whenever the snapshot is replaced or the entry dropped —
-	// dropping a legitimate late credit only under-reports until the
-	// next round, which is the safe direction.
-	reserved map[string]*reservation
-	// affinity is the per-node overlay of signals that arrive between
-	// solicitation rounds: heartbeat-synced live load and
-	// speculation-driven straggler marks. Unlike debts/reserved it
-	// survives Invalidate (a rejected assignment says nothing about the
-	// node's straggler history) and decays across fresh rounds rather
-	// than being cleared; Evict drops it with everything else.
-	affinity map[string]*affinity
-}
-
-// reservation is the net reserve applied to one node's cached entry
-// since its snapshot was taken.
-type reservation struct {
-	mb    int
-	tasks int
-}
-
-// affinity is one node's between-rounds overlay.
-type affinity struct {
-	// stragglers counts speculation events against this node since the
-	// overlay entry was created, halved on every fresh solicitation round
-	// so old sins fade.
-	stragglers int
-	// liveRunning is the running-task count most recently derived from the
-	// node's heartbeat, with syncedAt the observation time. It refreshes a
-	// stale snapshot's load figure without a solicitation round.
-	liveRunning int
-	syncedAt    time.Time
+	// stragglers counts, per node, the speculation events the JobManager
+	// raised against it, added into the node's served stall count. A mark
+	// survives Invalidate (a dropped figure says nothing about the node's
+	// straggler history) and is halved on every fresh round rather than
+	// cleared, so old sins fade; Evict drops it with everything else.
+	stragglers map[string]int
 }
 
 // NewDirectory creates a directory around a solicitation function.
@@ -142,11 +108,9 @@ func NewDirectory(cfg Config) *Directory {
 		cfg.Now = time.Now
 	}
 	return &Directory{
-		cfg:      cfg,
-		entries:  make(map[string]protocol.TMOffer),
-		debts:    make(map[string]int),
-		reserved: make(map[string]*reservation),
-		affinity: make(map[string]*affinity),
+		cfg:        cfg,
+		entries:    make(map[string]protocol.TMOffer),
+		stragglers: make(map[string]int),
 	}
 }
 
@@ -159,20 +123,12 @@ func (d *Directory) freshLocked() bool {
 }
 
 // snapshotLocked copies the cached offers, sorted by node for determinism,
-// merging each node's affinity overlay into its served figures: a
-// heartbeat newer than the snapshot bumps a stale load figure upward
-// (never down — the snapshot may already include reserves the heartbeat
-// predates), and accumulated straggler marks add into the offer's stall
-// count so the scorer's penalty sees them.
+// adding each node's straggler marks into its stall count so the scorer's
+// penalty sees them.
 func (d *Directory) snapshotLocked() []protocol.TMOffer {
 	out := make([]protocol.TMOffer, 0, len(d.entries))
 	for _, o := range d.entries {
-		if a := d.affinity[o.Node]; a != nil {
-			if a.syncedAt.After(d.fetchedAt) && a.liveRunning > o.RunningTasks {
-				o.RunningTasks = a.liveRunning
-			}
-			o.StalledTasks += a.stragglers
-		}
+		o.StalledTasks += d.stragglers[o.Node]
 		out = append(out, o)
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Node < out[b].Node })
@@ -193,19 +149,11 @@ func (d *Directory) pruneDeadLocked() {
 	}
 	for node := range d.entries {
 		if !live[node] {
-			d.dropLocked(node)
-			delete(d.affinity, node)
+			delete(d.entries, node)
+			delete(d.stragglers, node)
 			d.stats.Evictions++
 		}
 	}
-}
-
-// dropLocked forgets a node's entry and its snapshot bookkeeping; d.mu
-// must be held.
-func (d *Directory) dropLocked(node string) {
-	delete(d.entries, node)
-	delete(d.debts, node)
-	delete(d.reserved, node)
 }
 
 // Evict drops a node's cached offer because the node is gone (discovery
@@ -214,9 +162,9 @@ func (d *Directory) dropLocked(node string) {
 func (d *Directory) Evict(node string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	delete(d.affinity, node)
+	delete(d.stragglers, node)
 	if _, ok := d.entries[node]; ok {
-		d.dropLocked(node)
+		delete(d.entries, node)
 		d.stats.Evictions++
 	}
 }
@@ -254,24 +202,21 @@ func (d *Directory) Offers() ([]protocol.TMOffer, error) {
 	d.stats.SolicitRounds++
 	d.lastErr = err
 	if err == nil {
-		// A fresh round is ground truth: replace the figures and forget
-		// the debts and reservations accumulated against the previous
-		// snapshot.
+		// A fresh round is ground truth: it replaces every entry wholesale,
+		// figures, digests and stall counts alike.
 		d.entries = make(map[string]protocol.TMOffer, len(offers))
-		d.debts = make(map[string]int)
-		d.reserved = make(map[string]*reservation)
 		for _, o := range offers {
 			d.entries[o.Node] = o
 		}
 		d.fetchedAt = d.cfg.Now()
 		// Straggler marks decay across rounds rather than resetting: one
 		// speculation should not taint a node forever, but neither should a
-		// fresh round instantly absolve a node that keeps stalling. Live
-		// load syncs older than the new snapshot are spent.
-		for node, a := range d.affinity {
-			a.stragglers /= 2
-			if a.stragglers == 0 && !a.syncedAt.After(d.fetchedAt) {
-				delete(d.affinity, node)
+		// fresh round instantly absolve a node that keeps stalling.
+		for node, n := range d.stragglers {
+			if n /= 2; n == 0 {
+				delete(d.stragglers, node)
+			} else {
+				d.stragglers[node] = n
 			}
 		}
 		d.pruneDeadLocked()
@@ -283,82 +228,32 @@ func (d *Directory) Offers() ([]protocol.TMOffer, error) {
 	return out, err
 }
 
-// Invalidate drops a node's cached offer after it rejected an assignment:
-// its advertised capacity was wrong, so it must re-offer before being
-// chosen again.
+// Invalidate drops a node's cached offer after a plan could not use it,
+// so the node must re-offer in a fresh round before being chosen again.
 func (d *Directory) Invalidate(node string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, ok := d.entries[node]; ok {
-		d.dropLocked(node)
+		delete(d.entries, node)
 		d.stats.Invalidations++
 	}
 }
 
-// Reserve debits a node's cached free-memory figure after a successful
-// assignment so subsequent placements within the TTL bin-pack against
-// up-to-date numbers instead of the stale advertisement. The figure is
-// clamped at zero: two jobs dispatching concurrently against the same
-// cached snapshot can both get their batches accepted (the TaskManager is
-// the arbiter), and a blind double debit would wedge the entry below zero
-// — suppressing the node from every plan until the TTL lapsed even after
-// its tasks finished.
-func (d *Directory) Reserve(node string, memoryMB, tasks int) {
+// Apply takes a capacity figure the node reported between rounds — on an
+// assignment reply or an event batch — into its cached entry when the
+// figure is newer than the entry's: the two frames travel on different
+// lanes and can cross, and the newest figure wins. A node with no entry
+// gets none: only a solicitation round creates entries, and a node that
+// restarted (its sequence starting over) is set right by the next round.
+// Digests and stall counts are left as the round had them.
+func (d *Directory) Apply(node string, c protocol.Capacity) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	o, ok := d.entries[node]
-	if !ok {
+	if !ok || c.Seq <= o.Seq {
 		return
 	}
-	r := d.reserved[node]
-	if r == nil {
-		r = &reservation{}
-		d.reserved[node] = r
-	}
-	r.mb += memoryMB
-	r.tasks += tasks
-	o.FreeMemoryMB -= memoryMB
-	if o.FreeMemoryMB < 0 {
-		// The debit the clamp swallows is remembered so the matching
-		// Release cannot inflate the figure past the advertisement.
-		d.debts[node] += -o.FreeMemoryMB
-		o.FreeMemoryMB = 0
-	}
-	o.RunningTasks += tasks
-	d.entries[node] = o
-}
-
-// Release credits a node's cached figures back when a job's tasks finish,
-// the inverse of Reserve: the freed memory is placeable again immediately
-// instead of only after the next solicitation round. A credit is bounded
-// by the net reserve applied against the current snapshot (a task that
-// freed its memory before the latest round is already in the
-// advertisement) and first pays down any debit the zero clamp swallowed,
-// so reserve/release pairs net to the advertised figure and can never
-// inflate it. Like Reserve it adjusts a cache, not ground truth — the
-// next fresh round replaces the figures wholesale.
-func (d *Directory) Release(node string, memoryMB, tasks int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	o, ok := d.entries[node]
-	if !ok {
-		return
-	}
-	r := d.reserved[node]
-	if r == nil {
-		return // stale credit: nothing reserved against this snapshot
-	}
-	memoryMB = min(memoryMB, r.mb)
-	tasks = min(tasks, r.tasks)
-	r.mb -= memoryMB
-	r.tasks -= tasks
-	if debt := d.debts[node]; debt > 0 {
-		pay := min(debt, memoryMB)
-		d.debts[node] = debt - pay
-		memoryMB -= pay
-	}
-	o.FreeMemoryMB += memoryMB
-	o.RunningTasks = max(o.RunningTasks-tasks, 0)
+	o.Seq, o.FreeMemoryMB, o.RunningTasks = c.Seq, c.FreeMemoryMB, c.RunningTasks
 	d.entries[node] = o
 }
 
@@ -369,27 +264,7 @@ func (d *Directory) Release(node string, memoryMB, tasks int) {
 func (d *Directory) NoteStraggler(node string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	a := d.affinity[node]
-	if a == nil {
-		a = &affinity{}
-		d.affinity[node] = a
-	}
-	a.stragglers++
-}
-
-// SyncLoad refreshes a node's live running-task count from its heartbeat,
-// keeping the directory's load picture current between solicitation
-// rounds without a multicast round trip.
-func (d *Directory) SyncLoad(node string, running int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	a := d.affinity[node]
-	if a == nil {
-		a = &affinity{}
-		d.affinity[node] = a
-	}
-	a.liveRunning = running
-	a.syncedAt = d.cfg.Now()
+	d.stragglers[node]++
 }
 
 // NotePlan folds one planning pass's locality outcome into the

@@ -191,20 +191,134 @@ func TestDirectorySolicitError(t *testing.T) {
 	}
 }
 
-func TestDirectoryReserveDebitsCachedFigures(t *testing.T) {
-	fs := &fakeSolicit{script: [][]protocol.TMOffer{{offer("n1", 1000, 0)}}}
+// figure is a capacity report of seq, free MB and running tasks.
+func figure(seq uint64, freeMB, running int) protocol.Capacity {
+	return protocol.Capacity{Seq: seq, FreeMemoryMB: freeMB, RunningTasks: running}
+}
+
+// cached serves the directory's entry for node from a fresh cache.
+func cached(t *testing.T, d *Directory, node string) (protocol.TMOffer, bool) {
+	t.Helper()
+	offers, err := d.Offers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range offers {
+		if o.Node == node {
+			return o, true
+		}
+	}
+	return protocol.TMOffer{}, false
+}
+
+// TestDirectoryFigureNewerReplacesOlderIgnored: a figure newer than the
+// entry's replaces its free memory and running count; one no newer —
+// older, equal, or sequence 0 (no figure) — changes nothing, whatever order
+// figures that crossed arrive in.
+func TestDirectoryFigureNewerReplacesOlderIgnored(t *testing.T) {
+	o := offer("n1", 1000, 0)
+	o.Seq = 5
+	fs := &fakeSolicit{script: [][]protocol.TMOffer{{o}}}
+	d := NewDirectory(Config{Solicit: fs.solicit, TTL: time.Hour})
+	if _, err := d.Offers(); err != nil {
+		t.Fatal(err)
+	}
+	d.Apply("n1", figure(4, 100, 9)) // read before the round's offer
+	if got, _ := cached(t, d, "n1"); got.FreeMemoryMB != 1000 || got.RunningTasks != 0 || got.Seq != 5 {
+		t.Errorf("after an older figure: %+v, want the round's 1000 MB / 0 running", got)
+	}
+	d.Apply("n1", figure(7, 400, 3))
+	d.Apply("n1", figure(6, 600, 2)) // crossed the newer one
+	d.Apply("n1", figure(7, 0, 8))   // not newer
+	d.Apply("n1", figure(0, 50, 0))  // no figure
+	if got, _ := cached(t, d, "n1"); got.FreeMemoryMB != 400 || got.RunningTasks != 3 || got.Seq != 7 {
+		t.Errorf("after figures 7, 6, 7, 0: %+v, want figure 7's 400 MB / 3 running", got)
+	}
+
+	// Figures applied concurrently, in any order, leave the newest.
+	var wg sync.WaitGroup
+	for seq := uint64(8); seq < 40; seq++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d.Apply("n1", figure(seq, int(seq), 1))
+		}()
+	}
+	wg.Wait()
+	if got, _ := cached(t, d, "n1"); got.FreeMemoryMB != 39 || got.Seq != 39 {
+		t.Errorf("after concurrent figures 8..39: %+v, want figure 39", got)
+	}
+	if fs.count() != 1 {
+		t.Errorf("solicit rounds = %d, want 1 (all served from cache)", fs.count())
+	}
+}
+
+// TestDirectoryFigureCreatesNoEntry: only a round creates entries. A figure
+// for a node that never offered, or whose entry was invalidated, is dropped.
+func TestDirectoryFigureCreatesNoEntry(t *testing.T) {
+	o := offer("n1", 100, 0)
+	o.Seq = 1
+	fs := &fakeSolicit{script: [][]protocol.TMOffer{{o}}}
+	d := NewDirectory(Config{Solicit: fs.solicit, TTL: time.Hour})
+	if _, err := d.Offers(); err != nil {
+		t.Fatal(err)
+	}
+	d.Apply("ghost", figure(9, 500, 0))
+	if _, ok := cached(t, d, "ghost"); ok {
+		t.Error("a figure created an entry for a node that never offered")
+	}
+	d.Invalidate("n1")
+	d.Apply("n1", figure(2, 500, 0))
+	offers, err := d.Offers() // nothing cached: a fresh round
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs.count() != 2 || len(offers) != 1 || offers[0].FreeMemoryMB != 100 {
+		t.Errorf("after invalidation and a figure: %d rounds, offers %+v; want a second round's 100 MB", fs.count(), offers)
+	}
+}
+
+// TestDirectoryRoundReplacesFigures: a fresh round replaces every entry
+// wholesale — figure, sequence, digests and stall count — even with an
+// older sequence (a node that restarted), and later figures compare against
+// the round's sequence.
+func TestDirectoryRoundReplacesFigures(t *testing.T) {
+	first := protocol.TMOffer{Node: "n1", FreeMemoryMB: 1000, Seq: 5, ResidentDigests: []string{"a"}, StalledTasks: 2}
+	restarted := protocol.TMOffer{Node: "n1", FreeMemoryMB: 800, Seq: 1, ResidentDigests: []string{"b"}}
+	fs := &fakeSolicit{script: [][]protocol.TMOffer{{first}, {restarted}}}
 	clock := &fakeClock{now: time.Unix(1000, 0)}
 	d := NewDirectory(Config{Solicit: fs.solicit, TTL: time.Minute, Now: clock.Now})
 	if _, err := d.Offers(); err != nil {
 		t.Fatal(err)
 	}
-	d.Reserve("n1", 400, 2)
-	got, err := d.Offers()
-	if err != nil {
+	d.Apply("n1", figure(9, 200, 4))
+	clock.Advance(2 * time.Minute)
+	got, _ := cached(t, d, "n1")
+	if fs.count() != 2 || got.FreeMemoryMB != 800 || got.RunningTasks != 0 || got.Seq != 1 ||
+		len(got.ResidentDigests) != 1 || got.ResidentDigests[0] != "b" || got.StalledTasks != 0 {
+		t.Errorf("after the second round: %+v, want the round's offer whole", got)
+	}
+	d.Apply("n1", figure(2, 300, 1))
+	if got, _ := cached(t, d, "n1"); got.FreeMemoryMB != 300 {
+		t.Errorf("figure 2 after a round at 1: %+v, want 300 MB", got)
+	}
+}
+
+// TestDirectoryFigureKeepsDigestsAndStragglers: a figure changes the free
+// memory and running count only; the round's digests and stall count, and
+// the JobManager's straggler marks, stay.
+func TestDirectoryFigureKeepsDigestsAndStragglers(t *testing.T) {
+	o := protocol.TMOffer{Node: "n1", FreeMemoryMB: 1000, Seq: 1, ResidentDigests: []string{"a", "b"}, StalledTasks: 1}
+	fs := &fakeSolicit{script: [][]protocol.TMOffer{{o}}}
+	d := NewDirectory(Config{Solicit: fs.solicit, TTL: time.Hour})
+	if _, err := d.Offers(); err != nil {
 		t.Fatal(err)
 	}
-	if got[0].FreeMemoryMB != 600 || got[0].RunningTasks != 2 {
-		t.Errorf("offer after Reserve = %+v, want 600 MB free / 2 running", got[0])
+	d.NoteStraggler("n1")
+	d.Apply("n1", figure(2, 600, 2))
+	got, _ := cached(t, d, "n1")
+	if got.FreeMemoryMB != 600 || got.RunningTasks != 2 || len(got.ResidentDigests) != 2 || got.StalledTasks != 2 {
+		t.Errorf("after a figure: %+v, want 600 MB / 2 running, both digests, 1 stall + 1 mark", got)
 	}
 }
 
@@ -417,86 +531,5 @@ func TestDirectoryEvict(t *testing.T) {
 	}
 	if st := d.Stats(); st.Evictions != 1 {
 		t.Errorf("evictions = %d, want 1", st.Evictions)
-	}
-}
-
-// TestReserveClampsAtZeroUnderConcurrentDoubleReserve is the regression
-// test for the double-debit bug: two jobs dispatching concurrently against
-// the same cached offer snapshot both debit the node; the blind debit drove
-// the cached figure below zero and suppressed the node from every plan
-// until the TTL lapsed, even after its tasks finished.
-func TestReserveClampsAtZeroUnderConcurrentDoubleReserve(t *testing.T) {
-	fs := &fakeSolicit{script: [][]protocol.TMOffer{{offer("n1", 1000, 0)}}}
-	clock := &fakeClock{now: time.Unix(1000, 0)}
-	d := NewDirectory(Config{Solicit: fs.solicit, TTL: time.Hour, Now: clock.Now})
-	if _, err := d.Offers(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Both placements planned against the same 1000 MB snapshot and both
-	// batches were accepted by the TaskManager (it is the arbiter).
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d.Reserve("n1", 800, 1)
-		}()
-	}
-	wg.Wait()
-
-	offers, err := d.Offers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(offers) != 1 || offers[0].FreeMemoryMB != 0 {
-		t.Fatalf("offers after double reserve = %+v, want n1 clamped at 0 MB", offers)
-	}
-	if offers[0].RunningTasks != 2 {
-		t.Errorf("running tasks = %d, want 2", offers[0].RunningTasks)
-	}
-
-	// The clamp swallowed a 600 MB debit; the releases must pay that debt
-	// down before crediting, so the pair nets to exactly the advertised
-	// 1000 MB — neither the pre-fix -600 (node suppressed until TTL
-	// lapse) nor a naive 1600 (over-commit, assignment rejections).
-	d.Release("n1", 800, 1)
-	d.Release("n1", 800, 1)
-	offers, err = d.Offers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if offers[0].FreeMemoryMB != 1000 {
-		t.Fatalf("free after releases = %d MB, want exactly 1000", offers[0].FreeMemoryMB)
-	}
-	if offers[0].RunningTasks != 0 {
-		t.Errorf("running after releases = %d, want 0 (clamped)", offers[0].RunningTasks)
-	}
-
-	// A credit beyond the snapshot's net reserve (a duplicate, or one for
-	// a task whose freed memory the advertisement already reflects) must
-	// not inflate the figure past the advertisement.
-	d.Release("n1", 800, 1)
-	offers, _ = d.Offers()
-	if offers[0].FreeMemoryMB != 1000 {
-		t.Fatalf("free after stale credit = %d MB, want 1000 (credit bounded by reserve)", offers[0].FreeMemoryMB)
-	}
-	if got := fs.count(); got != 1 {
-		t.Errorf("solicit rounds = %d, want 1 (all served from cache)", got)
-	}
-}
-
-// TestReleaseUnknownNodeIsNoOp: credits for nodes without a cached entry
-// (evicted, or never offered) are dropped, not resurrected.
-func TestReleaseUnknownNodeIsNoOp(t *testing.T) {
-	fs := &fakeSolicit{script: [][]protocol.TMOffer{{offer("n1", 100, 0)}}}
-	d := NewDirectory(Config{Solicit: fs.solicit, TTL: time.Hour})
-	if _, err := d.Offers(); err != nil {
-		t.Fatal(err)
-	}
-	d.Release("ghost", 500, 1)
-	offers, _ := d.Offers()
-	if len(offers) != 1 || offers[0].Node != "n1" {
-		t.Fatalf("offers = %+v, want only n1", offers)
 	}
 }

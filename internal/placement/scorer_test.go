@@ -162,11 +162,9 @@ func TestDirectoryAffinityOverlay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Straggler marks and heartbeat load syncs merge into cached offers.
+	// Straggler marks merge into cached offers.
 	d.NoteStraggler("n1")
 	d.NoteStraggler("n1")
-	clk.Advance(time.Second)
-	d.SyncLoad("n2", 5)
 	got, err := d.Offers()
 	if err != nil {
 		t.Fatal(err)
@@ -174,11 +172,8 @@ func TestDirectoryAffinityOverlay(t *testing.T) {
 	if got[0].Node != "n1" || got[0].StalledTasks != 2 {
 		t.Errorf("n1 = %+v, want 2 overlay stragglers", got[0])
 	}
-	if got[1].Node != "n2" || got[1].RunningTasks != 5 {
-		t.Errorf("n2 = %+v, want heartbeat-synced running 5", got[1])
-	}
 
-	// A fresh round halves straggler marks and spends stale load syncs.
+	// A fresh round halves straggler marks.
 	clk.Advance(2 * time.Hour)
 	got, err = d.Offers()
 	if err != nil {
@@ -189,9 +184,6 @@ func TestDirectoryAffinityOverlay(t *testing.T) {
 	}
 	if got[0].StalledTasks != 1 {
 		t.Errorf("n1 stalls after decay = %d, want 1", got[0].StalledTasks)
-	}
-	if got[1].RunningTasks != 0 {
-		t.Errorf("n2 running = %d, want snapshot figure 0 (old sync is spent)", got[1].RunningTasks)
 	}
 
 	// Invalidate keeps the straggler history; Evict forgets everything.

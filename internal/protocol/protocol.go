@@ -56,12 +56,27 @@ type TaskSolicitReq struct {
 // covering the blobs a warm node is most likely to be asked about.
 const MaxOfferDigests = 32
 
-// TMOffer is the body of KindTaskOffer: capacity figures plus the locality
-// fields (resident digests, stall count) the placement scorer reads.
+// Capacity is a TaskManager's figure of its own books: the unreserved
+// memory and running tasks it counts, read under its lock as the frame that
+// carries the figure is built. Seq numbers the node's figures in the order
+// they were read, so a receiver keeps the newest of figures that crossed on
+// different lanes; 0 means the frame carries no figure.
+type Capacity struct {
+	Seq          uint64
+	FreeMemoryMB int
+	RunningTasks int
+}
+
+// TMOffer is the body of KindTaskOffer: the node's capacity figure plus the
+// locality fields (resident digests, stall count) the placement scorer
+// reads.
 type TMOffer struct {
 	Node         string
 	FreeMemoryMB int
 	RunningTasks int
+	// Seq is the sequence of the figure FreeMemoryMB and RunningTasks form
+	// (see Capacity).
+	Seq uint64
 	// ResidentDigests is a bounded most-recently-used sample of the content
 	// digests in the node's blob cache — task archives and data-plane
 	// shuffle blobs alike. The placement scorer matches a job's wanted
@@ -183,6 +198,9 @@ type AssignTasksResp struct {
 	Rejected map[string]string
 	// Fetched counts blobs the TaskManager had to pull for this batch.
 	Fetched int
+	// Capacity is the node's figure after the batch's reservations and the
+	// starts of its run list.
+	Capacity Capacity
 }
 
 // MaxInlineBlob is the largest archive that still rides whole inside a
@@ -324,11 +342,15 @@ func (e *TaskEventItem) weight() int {
 // on one node, in the order they happened. A TaskManager sends what its
 // outbox for the job held; the JobManager sends the client what it relays of
 // a batch it applied, the re-placements it made (Node is where to), and the
-// job's end, which rides the last batch of the job's stream.
+// job's end, which rides the last batch of the job's stream. A
+// TaskManager's batch carries its node's figure as the batch was cut, after
+// the memory of every task whose end the batch reports was released; the
+// JobManager's relay to the client carries none.
 type TaskEvents struct {
-	JobID  string
-	Node   string
-	Events []TaskEventItem
+	JobID    string
+	Node     string
+	Events   []TaskEventItem
+	Capacity Capacity
 }
 
 // CutTaskEvents returns how many leading events of a pending run fit one

@@ -179,6 +179,21 @@ func (s *Server) handle(m *msg.Message) {
 		s.replyIfAny(m, s.jm.HandleSolicit(m))
 	case msg.KindTaskSolicit:
 		s.replyIfAny(m, s.tm.HandleSolicit(m))
+	// A peer JobManager's CANCEL_JOB is TaskManager-scoped: it flips flags,
+	// frees unstarted reservations and ends the job's cache ownership under
+	// short locks, so it is applied here, ahead of the solicitation or
+	// assignment its sender sends next — a refused frame's rollback frees
+	// the capacity the client's retry is placed against. A client's cancel
+	// is a call that tears a whole job down and is spawned.
+	case msg.KindCancelJob:
+		if m.From.Task == protocol.ClientTaskName {
+			go s.dispatch(m)
+			return
+		}
+		var req protocol.CancelJobReq
+		if err := protocol.Decode(m, &req); err == nil {
+			s.tm.HandleCancel(req.JobID, req.Tasks...)
+		}
 	// Health: a heartbeat renews the sending node's lease and folds progress
 	// counters into job state under short mutexes; its ack cancels the
 	// contexts of assignments the JobManager no longer knows. Neither waits
@@ -217,17 +232,8 @@ func (s *Server) dispatch(m *msg.Message) {
 		s.replyIfAny(m, s.jm.HandleCreateTasks(m))
 	case msg.KindBlobChunk:
 		s.replyIfAny(m, s.jm.HandleBlobChunk(m))
-	case msg.KindCancelJob:
-		// From clients this is a request expecting an ack; from a peer
-		// JobManager it is a TaskManager-scoped cancellation.
-		if m.From.Task == protocol.ClientTaskName {
-			s.replyIfAny(m, s.jm.HandleCancel(m))
-			return
-		}
-		var req protocol.CancelJobReq
-		if err := protocol.Decode(m, &req); err == nil {
-			s.tm.HandleCancel(req.JobID, req.Tasks...)
-		}
+	case msg.KindCancelJob: // a client's; a peer's is applied inline
+		s.replyIfAny(m, s.jm.HandleCancel(m))
 
 	// --- TaskManager role ---
 	case msg.KindDataFetch:

@@ -147,8 +147,8 @@ func dpBlob(seed, size int) []byte {
 	return p
 }
 
-// run assigns and starts one task of class on tm for job, and returns once
-// its terminal event has been posted, with that event.
+// runTask assigns and starts one task of class on tm for job, and returns
+// once its terminal event has been posted, with that event.
 func runTask(t *testing.T, tm *TaskManager, s *sink, jobID, name, class string) protocol.TaskEventItem {
 	t.Helper()
 	startTask(t, tm, jobID, name, class)
@@ -172,9 +172,7 @@ func startTraced(t *testing.T, tm *TaskManager, jobID, name, class string, tc tr
 	if err := protocol.Decode(r, &resp); err != nil || len(resp.Rejected) != 0 {
 		t.Fatalf("assign %s/%s: %v, rejected %v", jobID, name, err, resp.Rejected)
 	}
-	if err := tm.HandleStart(jobID, name, tc); err != nil {
-		t.Fatal(err)
-	}
+	tm.HandleExec(jobID, []string{name}, "jm", tc)
 }
 
 func waitTerminal(t *testing.T, s *sink, name string) protocol.TaskEventItem {

@@ -75,9 +75,9 @@ type assignment struct {
 	// message the task sends or receives; heartbeats carry it to the
 	// JobManager as the straggler-detection signal.
 	progress atomic.Uint64
-	// trace is the context the exec dispatch carried in; set once in
-	// HandleStart before the execute goroutine launches and read only
-	// there. Zero when the job is untraced.
+	// trace is the context the exec dispatch carried in; set once by claim
+	// before the execute goroutine launches and read only there. Zero when
+	// the job is untraced.
 	trace trace.Context
 	// Stall bookkeeping, guarded by the TaskManager's mu: the progress
 	// value the last beat observed and when it last changed. A running task
@@ -179,6 +179,9 @@ type TaskManager struct {
 	running  int
 	closed   bool
 	wg       sync.WaitGroup
+	// capSeq numbers the capacity figures this node reports (see
+	// capacityLocked).
+	capSeq uint64
 
 	// outboxes holds, per job, the lifecycle events this node has not sent
 	// yet (see post). An entry exists exactly while its flusher runs.
@@ -354,6 +357,22 @@ func (tm *TaskManager) RunningTasks() int {
 	return tm.running
 }
 
+// capacityLocked reads the node's figure for a frame being built: free
+// memory and running tasks under the next sequence number, so of two
+// figures the JobManager receives the one read later carries the higher
+// sequence whichever arrives first. tm.mu must be held.
+func (tm *TaskManager) capacityLocked() protocol.Capacity {
+	tm.capSeq++
+	return protocol.Capacity{Seq: tm.capSeq, FreeMemoryMB: tm.freeMB, RunningTasks: tm.running}
+}
+
+// capacity is capacityLocked under tm.mu.
+func (tm *TaskManager) capacity() protocol.Capacity {
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	return tm.capacityLocked()
+}
+
 // HandleSolicit answers a KindTaskSolicit: the TaskManager is willing when
 // it has enough free memory and knows (or will receive) the task class.
 // It returns nil when unwilling — multicast solicitations are simply not
@@ -369,10 +388,12 @@ func (tm *TaskManager) HandleSolicit(m *msg.Message) *msg.Message {
 	if tm.closed || tm.freeMB < req.Spec.Req.MemoryMB {
 		return nil
 	}
+	c := tm.capacityLocked()
 	offer := protocol.TMOffer{
 		Node:            tm.node,
-		FreeMemoryMB:    tm.freeMB,
-		RunningTasks:    tm.running,
+		FreeMemoryMB:    c.FreeMemoryMB,
+		RunningTasks:    c.RunningTasks,
+		Seq:             c.Seq,
 		ResidentDigests: tm.blobs.RecentDigests(protocol.MaxOfferDigests),
 		StalledTasks:    tm.stalledLocked(time.Now()),
 	}
@@ -409,12 +430,14 @@ func (tm *TaskManager) stalledLocked(now time.Time) int {
 // and reserved individually, so one oversubscribed task — or one whose
 // archive could not be had — rejects alone instead of failing the batch.
 // The accepted items the run list names start at once, as an EXEC_TASK
-// listing them would start them.
+// listing them would start them. The reply carries the node's figure as it
+// stands after all that.
 func (tm *TaskManager) HandleAssignBatch(m *msg.Message) *msg.Message {
 	var req protocol.AssignTasksReq
 	if err := protocol.Decode(m, &req); err != nil {
 		return protocol.Reply(m, msg.KindTasksAssigned, protocol.AssignTasksResp{
 			Rejected: map[string]string{protocol.BatchRejected: err.Error()},
+			Capacity: tm.capacity(),
 		})
 	}
 	resp := protocol.AssignTasksResp{Rejected: make(map[string]string)}
@@ -438,6 +461,7 @@ func (tm *TaskManager) HandleAssignBatch(m *msg.Message) *msg.Message {
 		}
 	}
 	tm.HandleExec(req.JobID, run, req.JobManager, m.Trace)
+	resp.Capacity = tm.capacity()
 	return protocol.Reply(m, msg.KindTasksAssigned, resp)
 }
 
@@ -606,18 +630,6 @@ func (tm *TaskManager) HandleExec(jobID string, tasks []string, from string, tc 
 	tm.outMu.Unlock()
 }
 
-// HandleStart starts one assigned task on a goroutine of its own; tc is the
-// trace context its exec span parents to.
-func (tm *TaskManager) HandleStart(jobID, taskName string, tc trace.Context) error {
-	a, err := tm.claim(jobID, taskName, tc)
-	if err != nil {
-		return err
-	}
-	tm.event(msg.KindTaskStarted, a, "", nil)
-	go tm.execute(a)
-	return nil
-}
-
 // claim marks an assigned task started and counts it running; the caller
 // reports its TASK_STARTED and runs execute.
 func (tm *TaskManager) claim(jobID, taskName string, tc trace.Context) (*assignment, error) {
@@ -744,7 +756,10 @@ func (tm *TaskManager) kickLocked(jobID string, ob *outbox) {
 // TASK_EVENTS frames, cut by protocol.CutTaskEvents, until the outbox is
 // empty; the empty outbox is deleted and the flusher exits, so a job leaves
 // nothing behind here. Events of one job therefore leave the node in the
-// order they were posted, one flusher at a time. A batch that cannot be sent
+// order they were posted, one flusher at a time. Each batch carries the
+// node's figure read after the batch was cut: a task releases its memory
+// before it posts its end, so the figure includes the releases the batch
+// reports. A batch that cannot be sent
 // is logged and dropped: delivery is at-most-once, leases and recovery own
 // the rest.
 func (tm *TaskManager) flush(jobID string, ob *outbox) {
@@ -767,7 +782,7 @@ func (tm *TaskManager) flush(jobID string, ob *outbox) {
 		m := protocol.Body(msg.KindTaskEvents,
 			msg.Address{Node: tm.node, Job: jobID},
 			msg.Address{Node: manager, Job: jobID},
-			protocol.TaskEvents{JobID: jobID, Node: tm.node, Events: batch})
+			protocol.TaskEvents{JobID: jobID, Node: tm.node, Events: batch, Capacity: tm.capacity()})
 		if err := tm.send(manager, m); err != nil {
 			tm.logf("%d events of job %s to %s: %v", n, jobID, manager, err)
 		}

@@ -160,6 +160,59 @@ func mustAssign(t *testing.T, tm *TaskManager, sp *task.Spec) {
 	}
 }
 
+// start runs an assigned task of jobID as an EXEC_TASK listing it would,
+// under trace context tc, and waits for the node to report it: a TASK_FAILED
+// instead of its TASK_STARTED fails the test.
+func start(t *testing.T, s *sink, tm *TaskManager, jobID, name string, tc trace.Context) {
+	t.Helper()
+	tm.HandleExec(jobID, []string{name}, "jm", tc)
+	var got protocol.TaskEventItem
+	s.wait(t, "start of "+name, func(m *msg.Message) bool {
+		var b protocol.TaskEvents
+		if m.Kind != msg.KindTaskEvents || protocol.Decode(m, &b) != nil || b.JobID != jobID {
+			return false
+		}
+		for _, ev := range b.Events {
+			if ev.Task == name && (ev.Kind == msg.KindTaskStarted || ev.Kind == msg.KindTaskFailed) {
+				got = ev
+				return true
+			}
+		}
+		return false
+	})
+	if got.Kind != msg.KindTaskStarted {
+		t.Fatalf("%s/%s did not start: %s", jobID, name, got.Err)
+	}
+}
+
+// labels counts the labels the TASK_EVENTS frames sent so far carried for
+// one task.
+func (s *sink) labels(t *testing.T, name string) map[msg.Kind]int {
+	t.Helper()
+	n := make(map[msg.Kind]int)
+	_, batches := s.batches(t)
+	for _, b := range batches {
+		for _, ev := range b.Events {
+			if ev.Task == name {
+				n[ev.Kind]++
+			}
+		}
+	}
+	return n
+}
+
+// blockRegistry is registry plus a tm.Block class whose tasks run until
+// release is closed.
+func blockRegistry(t *testing.T) (*task.Registry, chan struct{}) {
+	t.Helper()
+	release := make(chan struct{})
+	reg := registry(t)
+	reg.MustRegister("tm.Block", func() task.Task {
+		return task.Func(func(task.Context) error { <-release; return nil })
+	})
+	return reg, release
+}
+
 func spec(name string, memMB int) *task.Spec {
 	return &task.Spec{Name: name, Class: "tm.Noop",
 		Req: task.Requirements{MemoryMB: memMB, RunModel: task.RunAsThreadInTM}}
@@ -185,6 +238,45 @@ func TestSolicitRespectsMemory(t *testing.T) {
 	}
 }
 
+// TestFramesCarryTheNodesFigure: the offer, the assignment reply and the
+// event batch each carry the node's figure as the frame was built, under a
+// sequence that grows with every figure read: the reply counts the batch's
+// reservation and the start of its run list, and the batch that reports the
+// task's end counts the memory it released.
+func TestFramesCarryTheNodesFigure(t *testing.T) {
+	s := &sink{}
+	reg, release := blockRegistry(t)
+	tm := New(config.Config{MemoryMB: 1000, Registry: reg, HeartbeatInterval: -1}, "tm1", nil, s.send, nil, nil)
+	defer tm.Close()
+	var offer protocol.TMOffer
+	if err := protocol.Decode(tm.HandleSolicit(solicitMsg(spec("probe", 0))), &offer); err != nil {
+		t.Fatal(err)
+	}
+	if offer.Seq == 0 || offer.FreeMemoryMB != 1000 || offer.RunningTasks != 0 {
+		t.Errorf("offer %+v, want a sequenced 1000 MB / 0 running", offer)
+	}
+	sp := spec("t1", 400)
+	sp.Class = "tm.Block"
+	r := tm.HandleAssignBatch(batchMsg(protocol.AssignTasksReq{JobID: "j1", JobManager: "jm", ClientNode: "client",
+		Items: []protocol.TaskCreate{{Spec: sp}}, Run: []string{"t1"}}))
+	var resp protocol.AssignTasksResp
+	if err := protocol.Decode(r, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if c := resp.Capacity; c.Seq <= offer.Seq || c.FreeMemoryMB != 600 || c.RunningTasks != 1 {
+		t.Errorf("reply figure %+v after the offer's %d, want a later 600 MB / 1 running", c, offer.Seq)
+	}
+	close(release)
+	m, _ := s.waitEvent(t, msg.KindTaskCompleted, "t1")
+	var b protocol.TaskEvents
+	if err := protocol.Decode(m, &b); err != nil {
+		t.Fatal(err)
+	}
+	if c := b.Capacity; c.Seq <= resp.Capacity.Seq || c.FreeMemoryMB != 1000 || c.RunningTasks != 0 {
+		t.Errorf("figure of the batch reporting the end %+v after the reply's %d, want a later 1000 MB / 0 running", c, resp.Capacity.Seq)
+	}
+}
+
 func TestAssignReservesAndReleasesMemory(t *testing.T) {
 	s := &sink{}
 	tm := New(config.Config{MemoryMB: 1000, Registry: registry(t)}, "tm1", nil, s.send, nil, nil)
@@ -194,9 +286,7 @@ func TestAssignReservesAndReleasesMemory(t *testing.T) {
 	if tm.FreeMemoryMB() != 600 {
 		t.Errorf("free = %d after reservation", tm.FreeMemoryMB())
 	}
-	if err := tm.HandleStart("j1", "t1", trace.Context{}); err != nil {
-		t.Fatal(err)
-	}
+	start(t, s, tm, "j1", "t1", trace.Context{})
 	// The terminal event is posted after the reservation is returned.
 	s.waitEvent(t, msg.KindTaskCompleted, "t1")
 	if tm.FreeMemoryMB() != 1000 {
@@ -391,21 +481,28 @@ func TestAssignDigestNotHeldRejectsItsItemsAlone(t *testing.T) {
 	}
 }
 
+// TestStartErrors: an exec list naming a task never assigned here fails that
+// task, and a second exec list naming a running task leaves it alone — no
+// second TASK_STARTED, no TASK_FAILED — so it ends once, as it would have.
 func TestStartErrors(t *testing.T) {
 	s := &sink{}
-	tm := New(config.Config{Registry: registry(t)}, "tm1", nil, s.send, nil, nil)
+	reg, release := blockRegistry(t)
+	tm := New(config.Config{Registry: reg}, "tm1", nil, s.send, nil, nil)
 	defer tm.Close()
-	if err := tm.HandleStart("j1", "ghost", trace.Context{}); err == nil {
-		t.Error("starting unassigned task accepted")
+	tm.HandleExec("j1", []string{"ghost"}, "jm", trace.Context{})
+	if _, ev := s.waitEvent(t, msg.KindTaskFailed, "ghost"); !strings.Contains(ev.Err, "not assigned") {
+		t.Errorf("unassigned task failed with %q, want \"not assigned\"", ev.Err)
 	}
-	mustAssign(t, tm, spec("t", 10))
-	if err := tm.HandleStart("j1", "t", trace.Context{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tm.HandleStart("j1", "t", trace.Context{}); err == nil {
-		t.Error("double start accepted")
-	}
+	sp := spec("t", 10)
+	sp.Class = "tm.Block"
+	mustAssign(t, tm, sp)
+	start(t, s, tm, "j1", "t", trace.Context{})
+	tm.HandleExec("j1", []string{"t"}, "jm", trace.Context{})
+	close(release)
 	s.waitEvent(t, msg.KindTaskCompleted, "t")
+	if n := s.labels(t, "t"); n[msg.KindTaskStarted] != 1 || n[msg.KindTaskFailed] != 0 || n[msg.KindTaskCompleted] != 1 {
+		t.Errorf("labels of t: %v, want one start and one completion", n)
+	}
 }
 
 func TestCancelReleasesUnstarted(t *testing.T) {
@@ -528,9 +625,7 @@ func TestCacheHitAssignmentWithRefOnlyExecutes(t *testing.T) {
 	if tm.BlobCache().Transfers() != 1 {
 		t.Errorf("transfers = %d, want 1 (the seed only)", tm.BlobCache().Transfers())
 	}
-	if err := tm.HandleStart("j1", "hit", trace.Context{}); err != nil {
-		t.Fatal(err)
-	}
+	start(t, s, tm, "j1", "hit", trace.Context{})
 	s.waitEvent(t, msg.KindTaskCompleted, "hit")
 }
 
@@ -610,8 +705,9 @@ func TestCloseIdempotentAndRejectsWork(t *testing.T) {
 	if r := tm.HandleSolicit(solicitMsg(spec("t", 10))); r != nil {
 		t.Error("closed TM answered solicit")
 	}
-	if err := tm.HandleStart("j1", "t", trace.Context{}); err == nil {
-		t.Error("closed TM started task")
+	tm.HandleExec("j1", []string{"t"}, "jm", trace.Context{})
+	if frames, _ := s.batches(t); len(frames) != 0 {
+		t.Errorf("closed TM reported %d event batches for an exec list, want none", len(frames))
 	}
 }
 
@@ -680,9 +776,7 @@ func TestReleaseIfUnstarted(t *testing.T) {
 		t.Error("double release succeeded")
 	}
 	mustAssign(t, tm, spec("t2", 400))
-	if err := tm.HandleStart("j1", "t2", trace.Context{}); err != nil {
-		t.Fatal(err)
-	}
+	start(t, s, tm, "j1", "t2", trace.Context{})
 	if tm.ReleaseIfUnstarted("j1", "t2") {
 		t.Error("release of a started task succeeded")
 	}
@@ -735,9 +829,7 @@ func TestTaskOutIsOneWayAndStoppedIsLocal(t *testing.T) {
 	sp := spec("e", 100)
 	sp.Class = "tm.Emitter"
 	mustAssign(t, tm, sp)
-	if err := tm.HandleStart("j1", "e", trace.Context{}); err != nil {
-		t.Fatal(err)
-	}
+	start(t, s, tm, "j1", "e", trace.Context{})
 	select {
 	case <-sent:
 	case <-time.After(5 * time.Second):

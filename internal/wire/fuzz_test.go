@@ -223,12 +223,12 @@ func FuzzRoundTripTSOpReq(f *testing.F) {
 // spans, a retry's Speculative and a job label's TaskErrs included, and a
 // label outside the five must be refused by the decoder, never delivered.
 func FuzzRoundTripTaskEvents(f *testing.F) {
-	f.Add("node1-job1", "node2", "t01", "", int64(0), uint8(0), "tm.exec", int64(1500), false)
-	f.Add("", "", "", "task panic: boom", int64(2), uint8(2), "", int64(0), true)
-	f.Add("j", "n", "t", "x", int64(-1), uint8(7), "s", int64(-5), false)
-	f.Add("node1-job1", "node3", "t07", "node node2 died", int64(1), uint8(3), "", int64(0), true)
-	f.Add("node1-job1", "node2", "", "one or more tasks failed", int64(0), uint8(4), "", int64(0), false)
-	f.Fuzz(func(t *testing.T, jobID, node, taskName, errText string, attempt int64, label uint8, spanName string, durNS int64, speculative bool) {
+	f.Add("node1-job1", "node2", "t01", "", int64(0), uint8(0), "tm.exec", int64(1500), false, uint64(3), int64(7000))
+	f.Add("", "", "", "task panic: boom", int64(2), uint8(2), "", int64(0), true, uint64(0), int64(0))
+	f.Add("j", "n", "t", "x", int64(-1), uint8(7), "s", int64(-5), false, uint64(1<<63), int64(-1))
+	f.Add("node1-job1", "node3", "t07", "node node2 died", int64(1), uint8(3), "", int64(0), true, uint64(1), int64(8000))
+	f.Add("node1-job1", "node2", "", "one or more tasks failed", int64(0), uint8(4), "", int64(0), false, uint64(0), int64(0))
+	f.Fuzz(func(t *testing.T, jobID, node, taskName, errText string, attempt int64, label uint8, spanName string, durNS int64, speculative bool, seq uint64, freeMB int64) {
 		kinds := []msg.Kind{msg.KindTaskStarted, msg.KindTaskCompleted, msg.KindTaskFailed,
 			msg.KindTaskRetried, msg.KindJobCompleted, msg.KindJobFailed}
 		in := &protocol.TaskEvents{JobID: jobID, Node: node, Events: []protocol.TaskEventItem{
@@ -239,7 +239,7 @@ func FuzzRoundTripTaskEvents(f *testing.F) {
 			}},
 			{Kind: msg.KindTaskRetried, Task: taskName, Err: errText, Attempt: int(attempt), Speculative: speculative},
 			{Kind: kinds[4+int(label)%2], Err: errText, TaskErrs: map[string]string{taskName: errText}},
-		}}
+		}, Capacity: protocol.Capacity{Seq: seq, FreeMemoryMB: int(freeMB), RunningTasks: int(label)}}
 		enc := Marshal(in)
 		var out protocol.TaskEvents
 		if err := Unmarshal(enc, &out); err != nil {
@@ -282,20 +282,21 @@ func TestTaskEventsBounds(t *testing.T) {
 }
 
 // FuzzRoundTripTMOffer: structured fuzzing of the extended placement offer
-// — the v3 locality fields (resident digests, stall count) must survive a
-// round trip for any input, including empty digest strings and zero counts.
+// — the figure's sequence and the v3 locality fields (resident digests,
+// stall count) must survive a round trip for any input, including empty
+// digest strings and zero counts.
 func FuzzRoundTripTMOffer(f *testing.F) {
-	f.Add("node1", int64(4000), int64(2), "d1", "d2", int64(1))
-	f.Add("", int64(0), int64(0), "", "", int64(0))
-	f.Fuzz(func(t *testing.T, node string, freeMB, running int64, dig1, dig2 string, stalled int64) {
-		in := &protocol.TMOffer{Node: node, FreeMemoryMB: int(freeMB), RunningTasks: int(running),
+	f.Add("node1", int64(4000), int64(2), "d1", "d2", int64(1), uint64(5))
+	f.Add("", int64(0), int64(0), "", "", int64(0), uint64(0))
+	f.Fuzz(func(t *testing.T, node string, freeMB, running int64, dig1, dig2 string, stalled int64, seq uint64) {
+		in := &protocol.TMOffer{Node: node, FreeMemoryMB: int(freeMB), RunningTasks: int(running), Seq: seq,
 			ResidentDigests: []string{dig1, dig2}, StalledTasks: int(stalled)}
 		enc := Marshal(in)
 		var out protocol.TMOffer
 		if err := Unmarshal(enc, &out); err != nil {
 			t.Fatal(err)
 		}
-		if out.Node != in.Node || out.FreeMemoryMB != in.FreeMemoryMB ||
+		if out.Node != in.Node || out.FreeMemoryMB != in.FreeMemoryMB || out.Seq != in.Seq ||
 			out.RunningTasks != in.RunningTasks || out.StalledTasks != in.StalledTasks ||
 			len(out.ResidentDigests) != 2 ||
 			out.ResidentDigests[0] != dig1 || out.ResidentDigests[1] != dig2 {

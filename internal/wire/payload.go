@@ -608,10 +608,28 @@ func readTaskSolicitReq(r *Reader, v *protocol.TaskSolicitReq) (err error) {
 	return err
 }
 
+// appendCapacity is the one layout of a node's figure, in the three bodies
+// that carry it: the sequence, then free memory and running tasks.
+func appendCapacity(b []byte, v protocol.Capacity) []byte {
+	b = AppendUvarint(b, v.Seq)
+	b = AppendVarint(b, int64(v.FreeMemoryMB))
+	return AppendVarint(b, int64(v.RunningTasks))
+}
+
+func readCapacity(r *Reader, v *protocol.Capacity) (err error) {
+	if v.Seq, err = r.Uvarint(); err != nil {
+		return err
+	}
+	if v.FreeMemoryMB, err = r.Int(); err != nil {
+		return err
+	}
+	v.RunningTasks, err = r.Int()
+	return err
+}
+
 func appendTMOffer(b []byte, v protocol.TMOffer) []byte {
 	b = AppendString(b, v.Node)
-	b = AppendVarint(b, int64(v.FreeMemoryMB))
-	b = AppendVarint(b, int64(v.RunningTasks))
+	b = appendCapacity(b, protocol.Capacity{Seq: v.Seq, FreeMemoryMB: v.FreeMemoryMB, RunningTasks: v.RunningTasks})
 	b = AppendStringSlice(b, v.ResidentDigests)
 	return AppendVarint(b, int64(v.StalledTasks))
 }
@@ -620,12 +638,11 @@ func readTMOffer(r *Reader, v *protocol.TMOffer) (err error) {
 	if v.Node, err = r.String(); err != nil {
 		return err
 	}
-	if v.FreeMemoryMB, err = r.Int(); err != nil {
+	var c protocol.Capacity
+	if err = readCapacity(r, &c); err != nil {
 		return err
 	}
-	if v.RunningTasks, err = r.Int(); err != nil {
-		return err
-	}
+	v.Seq, v.FreeMemoryMB, v.RunningTasks = c.Seq, c.FreeMemoryMB, c.RunningTasks
 	if v.ResidentDigests, err = ReadStringSlice(r, "resident digests"); err != nil {
 		return err
 	}
@@ -734,15 +751,18 @@ func readAssignTasksReq(r *Reader, v *protocol.AssignTasksReq) (err error) {
 
 func appendAssignTasksResp(b []byte, v protocol.AssignTasksResp) []byte {
 	b = AppendStringMap(b, v.Rejected)
-	return AppendVarint(b, int64(v.Fetched))
+	b = AppendVarint(b, int64(v.Fetched))
+	return appendCapacity(b, v.Capacity)
 }
 
 func readAssignTasksResp(r *Reader, v *protocol.AssignTasksResp) (err error) {
 	if v.Rejected, err = ReadStringMap(r, "rejections"); err != nil {
 		return err
 	}
-	v.Fetched, err = r.Int()
-	return err
+	if v.Fetched, err = r.Int(); err != nil {
+		return err
+	}
+	return readCapacity(r, &v.Capacity)
 }
 
 // The two chunk bodies encode every field but Data: the chunk's bytes ride
@@ -1272,6 +1292,7 @@ func readJMAdoptResp(r *Reader, v *protocol.JMAdoptResp) (err error) {
 func appendTaskEvents(b []byte, v protocol.TaskEvents) []byte {
 	b = AppendString(b, v.JobID)
 	b = AppendString(b, v.Node)
+	b = appendCapacity(b, v.Capacity)
 	b = AppendUvarint(b, uint64(len(v.Events)))
 	for i := range v.Events {
 		e := &v.Events[i]
@@ -1300,6 +1321,9 @@ func readTaskEvents(r *Reader, v *protocol.TaskEvents) (err error) {
 		return err
 	}
 	if v.Node, err = r.String(); err != nil {
+		return err
+	}
+	if err = readCapacity(r, &v.Capacity); err != nil {
 		return err
 	}
 	n, err := r.Count("task events")

@@ -47,9 +47,11 @@ import (
 // the client's spans, and the AssignTasks body its run list, and retired the
 // create-job, job-created and start bodies with their kinds (the kind table
 // renumbered); version 14 dropped the start's task names from the
-// CreateTasks body (a start runs the whole job). Nothing outside this repository speaks the wire, so a receiver
+// CreateTasks body (a start runs the whole job); version 15 gave the
+// TMOffer, AssignTasksResp and TaskEvents bodies the node's capacity figure
+// (sequence, free memory, running tasks), one layout in all three. Nothing outside this repository speaks the wire, so a receiver
 // accepts exactly this version and rejects the rest (see docs/WIRE.md).
-const Version = 14
+const Version = 15
 
 // MaxFrameBytes bounds one transport frame (envelope + payload + tail). Senders
 // refuse to emit larger frames and receivers drop the connection on a

@@ -40,7 +40,7 @@ func bodies() []any {
 		&protocol.JobRequirements{MinMemoryMB: 512, ExpectedTasks: 32},
 		&protocol.JMOffer{Node: "n1", FreeMemoryMB: 8000, ActiveJobs: 3},
 		&protocol.TaskSolicitReq{JobID: "j", Spec: specFixture("probe")},
-		&protocol.TMOffer{Node: "n3", FreeMemoryMB: 4000, RunningTasks: 2,
+		&protocol.TMOffer{Node: "n3", FreeMemoryMB: 4000, RunningTasks: 2, Seq: 7,
 			ResidentDigests: []string{"d1", "d2"}, StalledTasks: 1},
 		&protocol.CreateTasksReq{
 			JobID: "j",
@@ -62,7 +62,8 @@ func bodies() []any {
 		&protocol.AssignTasksReq{JobID: "j", JobManager: "n1", ClientNode: "c",
 			Items: []protocol.TaskCreate{{Spec: specFixture("t3"), Archive: protocol.ArchiveRef{Name: "x", Digest: "y", Size: 3 << 20}}},
 			Run:   []string{"t3"}},
-		&protocol.AssignTasksResp{Rejected: map[string]string{"t3": "no memory"}, Fetched: 2},
+		&protocol.AssignTasksResp{Rejected: map[string]string{"t3": "no memory"}, Fetched: 2,
+			Capacity: protocol.Capacity{Seq: 8, FreeMemoryMB: 3000, RunningTasks: 3}},
 		&protocol.BlobChunkReq{JobID: "j", Digest: "d", Offset: 131072, MaxBytes: 65536, Total: 1 << 21, Data: []byte("chunk")},
 		&protocol.BlobChunkResp{Digest: "d", Offset: 131072, Total: 1 << 21, Data: []byte("chunk"), Err: ""},
 		&protocol.ExecTaskReq{JobID: "j", Tasks: []string{"t1", "t2"}},
@@ -105,7 +106,7 @@ func bodies() []any {
 			{Kind: msg.KindTaskCompleted, Task: "t2"},
 			{Kind: msg.KindTaskRetried, Task: "t1", Err: "node n2 died", Attempt: 3, Speculative: true},
 			{Kind: msg.KindJobFailed, Err: "one or more tasks failed", TaskErrs: map[string]string{"t1": "boom"}},
-		}},
+		}, Capacity: protocol.Capacity{Seq: 9, FreeMemoryMB: 8000}},
 	}
 }
 
@@ -171,7 +172,7 @@ func TestChunkDataRidesTheTail(t *testing.T) {
 // TestRoundTripByValue checks the value (non-pointer) marshal path used by
 // protocol.Body call sites.
 func TestRoundTripByValue(t *testing.T) {
-	in := protocol.TMOffer{Node: "n9", FreeMemoryMB: 123, RunningTasks: 4,
+	in := protocol.TMOffer{Node: "n9", FreeMemoryMB: 123, RunningTasks: 4, Seq: 300,
 		ResidentDigests: []string{"abc"}, StalledTasks: 2}
 	enc := Marshal(in)
 	var out protocol.TMOffer
